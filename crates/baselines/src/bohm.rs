@@ -20,13 +20,13 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ltpg_storage::mvcc::VisibleRead;
-use ltpg_storage::{ColId, Database, MultiVersionStore, TableId};
+use ltpg_storage::{ColId, Database, TableId};
 use ltpg_txn::engine::CommitSemantics;
 use ltpg_txn::exec::{execute_speculative_on, CellStore, Mutation};
 use ltpg_txn::{declared_accesses, Batch, BatchEngine, BatchReport, DeclaredAccess};
 
 use crate::cpu::{CpuCostModel, ParallelClock};
+use crate::mvcc::{MultiVersionStore, VisibleRead};
 
 /// Calibrated per-transaction framework overhead (allocation, GC pressure
 /// and coordination of the original codebase, which Table II shows running

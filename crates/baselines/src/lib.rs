@@ -41,6 +41,7 @@ pub mod cpu;
 pub mod dbx1000;
 pub mod gacco;
 pub mod gputx;
+mod mvcc;
 pub mod pwv;
 
 pub use addrgraph::{AddrGraphCore, AddrGraphEngine, AddrGraphStats};
@@ -49,7 +50,7 @@ pub use blockstm::{BlockStmCore, BlockStmEngine, BlockStmStats};
 pub use bamboo::BambooEngine;
 pub use bohm::BohmEngine;
 pub use calvin::CalvinEngine;
-pub use cpu::{CpuCostModel, CpuFallbackConfig, CpuFallbackEngine};
+pub use cpu::CpuCostModel;
 pub use dbx1000::Dbx1000Engine;
 pub use gacco::GaccoEngine;
 pub use gputx::GputxEngine;

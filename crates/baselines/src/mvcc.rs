@@ -12,7 +12,8 @@
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
-use crate::schema::TableId;
+use ltpg_storage::index::mix_key;
+use ltpg_storage::TableId;
 
 /// One version of a record within a batch.
 #[derive(Debug, Clone)]
@@ -51,7 +52,7 @@ impl MultiVersionStore {
 
     #[inline]
     fn shard(&self, table: TableId, key: i64) -> &Shard {
-        let h = crate::index::mix_key(key ^ (i64::from(table.0) << 48));
+        let h = mix_key(key ^ (i64::from(table.0) << 48));
         &self.shards[h as usize % self.shards.len()]
     }
 

@@ -341,7 +341,7 @@ mod tests {
     fn smoke_results_use_a_separate_stem() {
         assert_eq!(results_name("shard_scaling", false), "shard_scaling");
         assert_eq!(results_name("shard_scaling", true), "shard_scaling_smoke");
-        assert_eq!(results_name("BENCH_hotpath", true), "BENCH_hotpath_smoke");
+        assert_eq!(results_name("BENCH_failover", true), "BENCH_failover_smoke");
     }
 
     #[test]

@@ -346,9 +346,6 @@ pub struct ConflictLog {
     epoch: u32,
     warp_size: usize,
     dynamic: bool,
-    /// `Some(ws)` = build every constituent log (and every popularity
-    /// rebuild) with warp-cooperative probing.
-    ballot_ws: Option<usize>,
     est_per_table: Vec<usize>,
     rows_per_table: Vec<usize>,
     popular_hint: Vec<bool>,
@@ -365,11 +362,8 @@ impl ConflictLog {
     /// Build logs for every table of `db` per `cfg`.
     pub fn new(db: &Database, cfg: &LtpgConfig) -> Self {
         let warp_size = cfg.device.warp_size as usize;
-        let ballot_ws = cfg.hotpath.warp_probe.then_some(warp_size);
-        let probe = |log: TableLog| match ballot_ws {
-            Some(ws) => log.with_ballot_probe(ws),
-            None => log,
-        };
+        // Every constituent log probes warp-cooperatively.
+        let probe = |log: TableLog| log.with_ballot_probe(warp_size);
         let est_txns = cfg.max_batch;
         let est = cfg.max_batch * cfg.est_accesses_per_txn;
         let mut row_logs = Vec::new();
@@ -423,7 +417,6 @@ impl ConflictLog {
             epoch: 0,
             warp_size,
             dynamic: cfg.opts.dynamic_buckets,
-            ballot_ws,
             est_per_table,
             rows_per_table,
             popular_hint,
@@ -503,10 +496,7 @@ impl ConflictLog {
                     self.popular_hint[i],
                 );
                 // A popularity rebuild must keep the probing mode.
-                *log = match self.ballot_ws {
-                    Some(ws) => rebuilt.with_ballot_probe(ws),
-                    None => rebuilt,
-                };
+                *log = rebuilt.with_ballot_probe(self.warp_size);
             }
         }
     }
@@ -776,7 +766,6 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("H").columns(["a"]).capacity(8).build());
         let cfg = LtpgConfig { max_batch: 1 << 12, ..LtpgConfig::default() };
-        assert!(cfg.hotpath.warp_probe);
         let mut log = ConflictLog::new(&db, &cfg);
         assert!(log.route(t, None).uses_ballot_probe());
         // The 8-row table starts large (E = 4096/8 ≫ 1). Observe only a

@@ -329,12 +329,30 @@ pub struct ExecScope<'a> {
     pub owns_membership: &'a (dyn Fn(TableId, i64) -> bool + Sync),
 }
 
+/// Whether `scope` owns row `(table, key)`; the trivial scope owns
+/// everything.
+#[inline]
+pub(crate) fn scope_owns_row(scope: Option<&ExecScope<'_>>, table: TableId, key: i64) -> bool {
+    scope.is_none_or(|s| (s.owns_row)(table, key))
+}
+
+/// Whether `scope` owns the membership marker of `(table, partition)`.
+#[inline]
+pub(crate) fn scope_owns_membership(
+    scope: Option<&ExecScope<'_>>,
+    table: TableId,
+    partition: i64,
+) -> bool {
+    scope.is_none_or(|s| (s.owns_membership)(table, partition))
+}
+
 /// Chain of the shard-local slice and the remote view: reads try the local
 /// slice first (shards partition keys, so a local hit is authoritative)
 /// and fall through to the remote view; ordered scans merge both sides.
-struct ScopedStore<'a> {
-    local: &'a Database,
-    remote: &'a (dyn CellStore + Sync),
+/// Shared by the engine's execute kernel and the CPU twin.
+pub(crate) struct ScopedStore<'a> {
+    pub(crate) local: &'a Database,
+    pub(crate) remote: &'a (dyn CellStore + Sync),
 }
 
 impl CellStore for ScopedStore<'_> {
@@ -364,6 +382,55 @@ impl CellStore for ScopedStore<'_> {
     }
 }
 
+/// The `(table, row key)` a buffered mutation targets — what ownership
+/// checks at write-back use.
+pub(crate) fn mutation_row(m: &Mutation) -> (TableId, i64) {
+    match m {
+        Mutation::Update { table, key, .. }
+        | Mutation::Add { table, key, .. }
+        | Mutation::Insert { table, key, .. }
+        | Mutation::Delete { table, key } => (*table, *key),
+    }
+}
+
+/// Apply one committed mutation to `db`: the write-back step shared by
+/// the engine's kernel and the CPU twin.
+pub(crate) fn apply_mutation(db: &Database, m: &Mutation) {
+    match m {
+        Mutation::Update { table, key, col, value } => {
+            let t = db.table(*table);
+            if let Some(rid) = t.lookup(*key) {
+                t.set(rid, *col, *value);
+            }
+        }
+        Mutation::Add { table, key, col, delta } => {
+            let t = db.table(*table);
+            if let Some(rid) = t.lookup(*key) {
+                t.add(rid, *col, *delta);
+            }
+        }
+        Mutation::Insert { table, key, values } => match db.table(*table).insert(*key, values) {
+            Ok(_) => {}
+            // Invariant: two committed inserts of one key would be a WAW
+            // pair, and WAW always aborts the younger — a duplicate here
+            // means the conflict log itself is broken, not the input.
+            Err(TableError::Duplicate(_)) => {
+                unreachable!("committed duplicate insert: WAW detection failed for key {key}")
+            }
+            // Invariant: capacity is provisioned at load time
+            // (TableBuilder::capacity) to cover the workload's maximum
+            // insert headroom; running out mid-writeback is a sizing bug,
+            // and there is no transactional way to un-commit here.
+            Err(TableError::Full) => {
+                panic!("table {} out of insert headroom", db.table(*table).schema().name)
+            }
+        },
+        Mutation::Delete { table, key } => {
+            db.table(*table).delete(*key);
+        }
+    }
+}
+
 /// Outcome of one transaction's execute phase.
 struct ExecOutcome {
     /// Non-commutative buffered mutations, in program order.
@@ -388,6 +455,34 @@ struct DetectItem {
     membership: Option<i64>,
 }
 
+impl DetectItem {
+    /// A read or write check of one cell of transaction `txn`.
+    fn cell(txn: usize, table: TableId, col: Option<ColId>, key: i64, is_write: bool) -> Self {
+        DetectItem {
+            txn: txn as u32,
+            table,
+            col,
+            key,
+            is_write,
+            check_waw: is_write,
+            membership: None,
+        }
+    }
+
+    /// A phantom-guard check of one key partition of `table`.
+    fn membership(txn: usize, table: TableId, partition: i64, is_write: bool) -> Self {
+        DetectItem {
+            txn: txn as u32,
+            table,
+            col: None,
+            key: 0,
+            is_write,
+            check_waw: false,
+            membership: Some(partition),
+        }
+    }
+}
+
 /// Per-batch state carried from [`LtpgEngine::try_prepare_batch`] to
 /// [`LtpgEngine::try_finish_batch`]: buffered execution outcomes, the
 /// per-transaction conflict-flag words, and the phase-stats accumulated so
@@ -400,8 +495,7 @@ pub struct PreparedBatch {
     flags: Vec<SimAtomicU32>,
     /// Dense TID array (structure-of-arrays layout): `tids[i]` mirrors
     /// `batch.txns[i].tid.0` so the detect kernel reads TIDs coalesced
-    /// instead of gathering through the AoS transaction records. Empty
-    /// when [`crate::HotpathOpts::soa_layout`] is off.
+    /// instead of gathering through the AoS transaction records.
     tids: Vec<u64>,
     detect_items: u64,
     stats: LtpgBatchStats,
@@ -441,13 +535,11 @@ impl PreparedBatch {
 }
 
 /// Reusable per-batch buffers held by the engine across batches — the
-/// arena/slab pass. Host-side, the buffers are always recycled (finish
-/// hands them back, prepare resets them in place), so steady-state batches
-/// add zero net heap growth. The simulated-time side is governed by
-/// [`crate::HotpathOpts::arena_reuse`]: with it off the engine charges
-/// [`ltpg_gpu_sim::CostModel::device_alloc_ns`] for every per-batch device
-/// buffer (the pre-optimization engine's cudaMalloc-per-batch behaviour);
-/// with it on, only a high-watermark growth charges.
+/// arena/slab pass. The buffers are always recycled (finish hands them
+/// back, prepare resets them in place), so steady-state batches add zero
+/// net heap growth, and the simulated device charges
+/// [`ltpg_gpu_sim::CostModel::device_alloc_ns`] only when a buffer grows
+/// past its high watermark.
 #[derive(Default)]
 struct EngineScratch {
     flags: Vec<SimAtomicU32>,
@@ -499,12 +591,7 @@ impl LtpgEngine {
         device.set_telemetry(&telemetry);
         let log = ConflictLog::new(&db, &cfg);
         device.register_allocation(db.bytes() + log.bytes());
-        let commutative_tables = cfg
-            .commutative_cols
-            .iter()
-            .chain(cfg.delayed_cols.iter())
-            .map(|&(t, _)| t)
-            .collect();
+        let commutative_tables = cfg.commutative_tables();
         // Pre-touch the abort-taxonomy and retry counters so exports show
         // them at zero even before any abort or fault occurs.
         for name in names::ABORT_REASONS {
@@ -541,12 +628,7 @@ impl LtpgEngine {
         device.set_telemetry(&telemetry);
         let log = ConflictLog::new(&db, &cfg);
         device.register_allocation(db.bytes() + log.bytes());
-        let commutative_tables = cfg
-            .commutative_cols
-            .iter()
-            .chain(cfg.delayed_cols.iter())
-            .map(|&(t, _)| t)
-            .collect();
+        let commutative_tables = cfg.commutative_tables();
         for name in names::ABORT_REASONS {
             telemetry.counter(name);
         }
@@ -657,18 +739,11 @@ impl LtpgEngine {
         let wall_start = Instant::now();
         let mut stats = LtpgBatchStats::default();
         let n = batch.len();
-        let owns_row = |t: TableId, k: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_row)(t, k),
-        };
-        let owns_mem = |t: TableId, p: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_membership)(t, p),
-        };
+        let owns_row = |t: TableId, k: i64| scope_owns_row(scope, t, k);
+        let owns_mem = |t: TableId, p: i64| scope_owns_membership(scope, t, p);
         let scoped_store = scope
             .and_then(|s| s.remote)
             .map(|remote| ScopedStore { local: &self.db, remote });
-        let hot = self.cfg.hotpath;
         self.log.begin_batch();
 
         // ---- Upload: transaction parameters to the device. ----
@@ -697,14 +772,10 @@ impl LtpgEngine {
         }
         let mut tids = std::mem::take(&mut self.scratch.tids);
         tids.clear();
-        if hot.soa_layout {
-            tids.extend(batch.txns.iter().map(|t| t.tid.0));
-        }
-        // With single-scan detection, each execute lane emits its detect
-        // items as it registers — the post-execute rebuild walk (a second
-        // full scan of every access set) disappears.
-        let lane_items: SlotVec<Vec<DetectItem>> =
-            SlotVec::new(if hot.single_scan_detect { n } else { 0 });
+        tids.extend(batch.txns.iter().map(|t| t.tid.0));
+        // Each execute lane emits its detect items as it registers, so no
+        // second scan of the access sets runs between execute and detect.
+        let lane_items: SlotVec<Vec<DetectItem>> = SlotVec::new(n);
 
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
         self.device.check_alive()?;
@@ -750,13 +821,12 @@ impl LtpgEngine {
                     // TIDs already registered only ever *add* conflicts,
                     // so partial registration is sound).
                     //
-                    // With single-scan detection on, the lane also emits
-                    // its detect work items here, in the same order the
-                    // canonical `cell_accesses` walk enumerates them — the
-                    // dense item array is the local set laid out linearly,
-                    // so emission rides the recordLS writes already charged.
-                    let mut local_items: Option<Vec<DetectItem>> =
-                        hot.single_scan_detect.then(Vec::new);
+                    // The lane also emits its detect work items here, in
+                    // the order the canonical `cell_accesses` walk
+                    // enumerates them — the dense item array is the local
+                    // set laid out linearly, so emission rides the
+                    // recordLS writes already charged.
+                    let mut local_items: Vec<DetectItem> = Vec::new();
                     let mut registered = true;
                     for r in &fx.reads {
                         lane.read_global_random(2);
@@ -765,32 +835,12 @@ impl LtpgEngine {
                             if owns_mem(r.table, p) {
                                 registered &=
                                     self.log.register_membership_read(lane, r.table, p, tid);
-                                if let Some(it) = local_items.as_mut() {
-                                    it.push(DetectItem {
-                                        txn: idx as u32,
-                                        table: r.table,
-                                        col: None,
-                                        key: 0,
-                                        is_write: false,
-                                        check_waw: false,
-                                        membership: Some(p),
-                                    });
-                                }
+                                local_items.push(DetectItem::membership(idx, r.table, p, false));
                             }
                         } else if owns_row(r.table, r.key) {
                             let ck = cell_key(r.key, r.col);
                             registered &= self.log.register_read(lane, r.table, r.col, ck, tid);
-                            if let Some(it) = local_items.as_mut() {
-                                it.push(DetectItem {
-                                    txn: idx as u32,
-                                    table: r.table,
-                                    col: r.col,
-                                    key: ck,
-                                    is_write: false,
-                                    check_waw: false,
-                                    membership: None,
-                                });
-                            }
+                            local_items.push(DetectItem::cell(idx, r.table, r.col, ck, false));
                         }
                     }
                     for m in &normal {
@@ -802,17 +852,8 @@ impl LtpgEngine {
                                     registered &= self.log.register_write(
                                         lane, *table, Some(*col), ck, tid,
                                     );
-                                    if let Some(it) = local_items.as_mut() {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: Some(*col),
-                                            key: ck,
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
+                                    local_items
+                                        .push(DetectItem::cell(idx, *table, Some(*col), ck, true));
                                 }
                             }
                             Mutation::Add { table, key, col, .. } => {
@@ -821,58 +862,27 @@ impl LtpgEngine {
                                 if owns_row(*table, *key) {
                                     registered &= self.log.register_read(lane, *table, Some(*col), ck, tid);
                                     registered &= self.log.register_write(lane, *table, Some(*col), ck, tid);
-                                    if let Some(it) = local_items.as_mut() {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: Some(*col),
-                                            key: ck,
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
+                                    local_items
+                                        .push(DetectItem::cell(idx, *table, Some(*col), ck, true));
                                 }
                             }
                             Mutation::Insert { table, key, .. } => {
-                                let or = owns_row(*table, *key);
-                                let om = owns_mem(*table, *key >> MEMBERSHIP_PARTITION_SHIFT);
-                                if or {
-                                    registered &= self.log.register_write(
-                                        lane, *table, None, cell_key(*key, None), tid,
-                                    );
+                                let partition = *key >> MEMBERSHIP_PARTITION_SHIFT;
+                                if owns_row(*table, *key) {
+                                    let ck = cell_key(*key, None);
+                                    registered &=
+                                        self.log.register_write(lane, *table, None, ck, tid);
+                                    local_items.push(DetectItem::cell(idx, *table, None, ck, true));
                                 }
                                 // Membership changed: ordered scanners of
                                 // this key partition must see it (phantom
                                 // guard).
-                                if om {
-                                    registered &= self.log.register_membership_write(
-                                        lane, *table, *key >> MEMBERSHIP_PARTITION_SHIFT, tid,
-                                    );
-                                }
-                                if let Some(it) = local_items.as_mut() {
-                                    if or {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: cell_key(*key, None),
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
-                                    if om {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: 0,
-                                            is_write: true,
-                                            check_waw: false,
-                                            membership: Some(*key >> MEMBERSHIP_PARTITION_SHIFT),
-                                        });
-                                    }
+                                if owns_mem(*table, partition) {
+                                    registered &= self
+                                        .log
+                                        .register_membership_write(lane, *table, partition, tid);
+                                    local_items
+                                        .push(DetectItem::membership(idx, *table, partition, true));
                                 }
                             }
                             Mutation::Delete { table, key } => {
@@ -880,7 +890,8 @@ impl LtpgEngine {
                                 // every column cell (readers of any cell
                                 // must order before it).
                                 let or = owns_row(*table, *key);
-                                let om = owns_mem(*table, *key >> MEMBERSHIP_PARTITION_SHIFT);
+                                let partition = *key >> MEMBERSHIP_PARTITION_SHIFT;
+                                let om = owns_mem(*table, partition);
                                 let width = self.db.table(*table).width() as u16;
                                 if or {
                                     registered &= self.log.register_write(
@@ -894,60 +905,37 @@ impl LtpgEngine {
                                     }
                                 }
                                 if om {
-                                    registered &= self.log.register_membership_write(
-                                        lane, *table, *key >> MEMBERSHIP_PARTITION_SHIFT, tid,
-                                    );
+                                    registered &= self
+                                        .log
+                                        .register_membership_write(lane, *table, partition, tid);
                                 }
-                                if let Some(it) = local_items.as_mut() {
-                                    // Canonical `cell_accesses` order:
-                                    // existence, membership, then columns.
-                                    if or {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: cell_key(*key, None),
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
-                                    if om {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: 0,
-                                            is_write: true,
-                                            check_waw: false,
-                                            membership: Some(*key >> MEMBERSHIP_PARTITION_SHIFT),
-                                        });
-                                    }
-                                    if or {
-                                        for c in 0..width {
-                                            let col = ColId(c);
-                                            it.push(DetectItem {
-                                                txn: idx as u32,
-                                                table: *table,
-                                                col: Some(col),
-                                                key: cell_key(*key, Some(col)),
-                                                is_write: true,
-                                                check_waw: true,
-                                                membership: None,
-                                            });
-                                        }
+                                // Canonical `cell_accesses` order:
+                                // existence, membership, then columns.
+                                if or {
+                                    let ck = cell_key(*key, None);
+                                    local_items.push(DetectItem::cell(idx, *table, None, ck, true));
+                                }
+                                if om {
+                                    local_items
+                                        .push(DetectItem::membership(idx, *table, partition, true));
+                                }
+                                if or {
+                                    for c in 0..width {
+                                        let col = Some(ColId(c));
+                                        let ck = cell_key(*key, col);
+                                        local_items
+                                            .push(DetectItem::cell(idx, *table, col, ck, true));
                                     }
                                 }
                             }
                         }
                     }
-                    if !registered {
-                        // Force-abort: this lane's items must not reach the
-                        // detect kernel (matching the rebuild walk, which
-                        // skips LOG_FULL lanes).
+                    if registered {
+                        lane_items.set(idx, local_items);
+                    } else {
+                        // Force-abort: this lane's items must not reach
+                        // the detect kernel.
                         lane.atomic_or_u32(&flags[idx], flag::LOG_FULL);
-                    } else if let Some(it) = local_items {
-                        lane_items.set(idx, it);
                     }
                     outcomes.set(idx, ExecOutcome { normal, delayed, effects: fx });
                 }
@@ -960,14 +948,10 @@ impl LtpgEngine {
         // ---- Phase 2: conflict detection. ----
         let mut items = std::mem::take(&mut self.scratch.items);
         items.clear();
-        if hot.single_scan_detect {
-            // Items were emitted inline during execute (same canonical
-            // order as the walk below); just flatten in lane index order.
-            for per in lane_items.into_inner().into_iter().flatten() {
-                items.extend(per);
-            }
-        } else {
-            self.rebuild_detect_items(&outcomes, &flags, &owns_row, &owns_mem, &mut items);
+        // Items were emitted inline during execute; flatten them in lane
+        // index order.
+        for per in lane_items.into_inner().into_iter().flatten() {
+            items.extend(per);
         }
         if self.cfg.opts.warp_division {
             // rcheck warps and wcheck warps (Algorithm 1 lines 13–16).
@@ -975,24 +959,18 @@ impl LtpgEngine {
         }
 
         // ---- Simulated device-side buffer (re)allocation. ----
-        // Without arena reuse, every batch cudaMallocs its device buffers
-        // afresh (lane order, flag words, outcome slots, detect items, and
-        // the SoA TID array when enabled). With reuse, only a high-watermark
-        // growth allocates — zero events in steady state.
-        let alloc_events: u64 = if hot.arena_reuse {
-            let mut e = 0u64;
-            if n > self.scratch.wm_txns {
-                self.scratch.wm_txns = n;
-                e += 3 + u64::from(hot.soa_layout);
-            }
-            if items.len() > self.scratch.wm_items {
-                self.scratch.wm_items = items.len();
-                e += 1;
-            }
-            e
-        } else {
-            4 + u64::from(hot.soa_layout)
-        };
+        // Only growth past a high watermark allocates — zero events in
+        // steady state. The batch-sized buffers are the lane order, flag
+        // words, outcome slots and the SoA TID array.
+        let mut alloc_events = 0u64;
+        if n > self.scratch.wm_txns {
+            self.scratch.wm_txns = n;
+            alloc_events += 4;
+        }
+        if items.len() > self.scratch.wm_items {
+            self.scratch.wm_items = items.len();
+            alloc_events += 1;
+        }
         if alloc_events > 0 {
             let ns = alloc_events as f64 * self.device.cost().device_alloc_ns;
             stats.alloc_events += alloc_events;
@@ -1002,24 +980,12 @@ impl LtpgEngine {
         self.device.check_alive()?;
         let detect_report = self.device.launch("conflict_d", &items, |lane, item| {
             lane.branch(u32::from(item.is_write));
-            // Work-item fetch: with single-scan detection the items sit in
-            // the dense array execute emitted (one coalesced word); the
-            // pre-split engine re-gathers them from the scattered
-            // per-transaction access sets.
-            if hot.single_scan_detect {
-                lane.read_global(1);
-            } else {
-                lane.read_global_random(2);
-            }
-            // TID fetch: coalesced from the SoA TID array, or gathered
-            // through the AoS transaction record.
-            let tid = if hot.soa_layout {
-                lane.read_global(1);
-                tids[item.txn as usize]
-            } else {
-                lane.read_global_random(1);
-                batch.txns[item.txn as usize].tid.0
-            };
+            // Work-item fetch: the items sit in the dense array execute
+            // emitted (one coalesced word).
+            lane.read_global(1);
+            // TID fetch: coalesced from the SoA TID array.
+            lane.read_global(1);
+            let tid = tids[item.txn as usize];
             let min_w = |lane: &mut _| match item.membership {
                 Some(p) => self.log.min_membership_write(lane, item.table, p),
                 None => self.log.min_write(lane, item.table, item.col, item.key),
@@ -1056,100 +1022,6 @@ impl LtpgEngine {
         Ok(PreparedBatch { lane_order, outcomes, flags, tids, detect_items, stats, wall_start })
     }
 
-    /// The pre-split double scan: re-walk every access set after execute to
-    /// build the detect work items. Kept (behind
-    /// `HotpathOpts::single_scan_detect == false`) as the reference path the
-    /// single-scan emission is measured against; both produce the same item
-    /// sequence.
-    ///
-    /// One detect item per *owned* registered access, enumerated by the
-    /// shared canonical walk so registration, detection and the sharded CPU
-    /// twin always agree on the cell set.
-    fn rebuild_detect_items(
-        &self,
-        outcomes: &SlotVec<ExecOutcome>,
-        flags: &[SimAtomicU32],
-        owns_row: &dyn Fn(TableId, i64) -> bool,
-        owns_mem: &dyn Fn(TableId, i64) -> bool,
-        items: &mut Vec<DetectItem>,
-    ) {
-        for (idx, f) in flags.iter().enumerate() {
-            let Some(out) = outcomes.peek(idx) else { continue };
-            if f.load() & (flag::USER | flag::FORCED | flag::LOG_FULL) != 0 {
-                continue;
-            }
-            for a in cell_accesses(&self.db, &out.effects, &out.normal) {
-                match a {
-                    CellAccess::Read { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col,
-                                key: cell,
-                                is_write: false,
-                                check_waw: false,
-                                membership: None,
-                            });
-                        }
-                    }
-                    CellAccess::MembershipRead { table, partition } => {
-                        if owns_mem(table, partition) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col: None,
-                                key: 0,
-                                is_write: false,
-                                check_waw: false,
-                                membership: Some(partition),
-                            });
-                        }
-                    }
-                    CellAccess::Write { table, row, col, cell, check_waw } => {
-                        if owns_row(table, row) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col,
-                                key: cell,
-                                is_write: true,
-                                check_waw,
-                                membership: None,
-                            });
-                        }
-                    }
-                    CellAccess::Rmw { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col,
-                                key: cell,
-                                is_write: true,
-                                check_waw: true,
-                                membership: None,
-                            });
-                        }
-                    }
-                    CellAccess::MembershipWrite { table, partition } => {
-                        if owns_mem(table, partition) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col: None,
-                                key: 0,
-                                is_write: true,
-                                check_waw: false,
-                                membership: Some(partition),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Second half of a batch: write-back of committing transactions, the
     /// delayed-update merge, result download and report assembly. The
     /// commit decision is [`commit_decision`] over each transaction's flag
@@ -1180,11 +1052,7 @@ impl LtpgEngine {
             wall_start,
         } = prepared;
         let n = batch.len();
-        let hot = self.cfg.hotpath;
-        let owns_row = |t: TableId, k: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_row)(t, k),
-        };
+        let owns_row = |t: TableId, k: i64| scope_owns_row(scope, t, k);
 
         // ---- Phase 3: write-back. ----
         let reordering = self.cfg.opts.logical_reordering;
@@ -1194,71 +1062,28 @@ impl LtpgEngine {
             let txn = &batch.txns[idx];
             lane.branch(u32::from(txn.proc.0));
             // Flag-word fetch: one coalesced word from the dense SoA flag
-            // array, or a gather through the AoS transaction record.
-            if hot.soa_layout {
-                lane.read_global(1);
-            } else {
-                lane.read_global_random(1);
-            }
+            // array.
+            lane.read_global(1);
             let f = flags[idx].load();
             if !commit_ok(f) {
                 return;
             }
             let Some(out) = outcomes.peek(idx) else { return };
             for m in &out.normal {
-                let (mt, mk) = match m {
-                    Mutation::Update { table, key, .. }
-                    | Mutation::Add { table, key, .. }
-                    | Mutation::Insert { table, key, .. }
-                    | Mutation::Delete { table, key } => (*table, *key),
-                };
+                let (mt, mk) = mutation_row(m);
                 if !owns_row(mt, mk) {
                     continue;
                 }
+                // Row ids were resolved during execute and carried in the
+                // local set; write-back only stores.
                 match m {
-                    Mutation::Update { table, key, col, value } => {
-                        // Row ids were resolved during execute and carried
-                        // in the local set; write-back only stores.
-                        let t = self.db.table(*table);
-                        lane.write_global_random(1);
-                        if let Some(rid) = t.lookup(*key) {
-                            t.set(rid, *col, *value);
-                        }
+                    Mutation::Update { .. } | Mutation::Add { .. } => lane.write_global_random(1),
+                    Mutation::Insert { values, .. } => {
+                        lane.write_global_random(values.len() as u32 + 1)
                     }
-                    Mutation::Add { table, key, col, delta } => {
-                        let t = self.db.table(*table);
-                        lane.write_global_random(1);
-                        if let Some(rid) = t.lookup(*key) {
-                            t.add(rid, *col, *delta);
-                        }
-                    }
-                    Mutation::Insert { table, key, values } => {
-                        lane.write_global_random(values.len() as u32 + 1);
-                        match self.db.table(*table).insert(*key, values) {
-                            Ok(_) => {}
-                            // Invariant: two committed inserts of one key
-                            // would be a WAW pair, and WAW always aborts
-                            // the younger — a duplicate here means the
-                            // conflict log itself is broken, not the input.
-                            Err(TableError::Duplicate(_)) => unreachable!(
-                                "committed duplicate insert: WAW detection failed for key {key}"
-                            ),
-                            // Invariant: capacity is provisioned at load
-                            // time (TableBuilder::capacity) to cover the
-                            // workload's maximum insert headroom; running
-                            // out mid-writeback is a sizing bug, and there
-                            // is no transactional way to un-commit here.
-                            Err(TableError::Full) => panic!(
-                                "table {} out of insert headroom",
-                                self.db.table(*table).schema().name
-                            ),
-                        }
-                    }
-                    Mutation::Delete { table, key } => {
-                        lane.write_global(1);
-                        self.db.table(*table).delete(*key);
-                    }
+                    Mutation::Delete { .. } => lane.write_global(1),
                 }
+                apply_mutation(&self.db, m);
             }
         });
         stats.writeback_ns = wb_report.sim_ns;
@@ -1297,22 +1122,12 @@ impl LtpgEngine {
                 op_items.push((ci, j + 1 == *cnt));
             }
         }
-        // Simulated buffer allocation for the finish half: the committed-
-        // flag words and the merge scratch, cudaMalloc'd per batch without
-        // arena reuse, watermark-gated with it.
-        let alloc_events: u64 = if hot.arena_reuse {
-            if op_items.len() > self.scratch.wm_merge {
-                self.scratch.wm_merge = op_items.len();
-                1
-            } else {
-                0
-            }
-        } else {
-            2
-        };
-        if alloc_events > 0 {
-            let ns = alloc_events as f64 * self.device.cost().device_alloc_ns;
-            stats.alloc_events += alloc_events;
+        // Simulated buffer allocation for the finish half: the merge
+        // scratch, charged only when it grows past its watermark.
+        if op_items.len() > self.scratch.wm_merge {
+            self.scratch.wm_merge = op_items.len();
+            let ns = self.device.cost().device_alloc_ns;
+            stats.alloc_events += 1;
             stats.alloc_ns += ns;
             self.device.advance(ns);
         }
@@ -1982,104 +1797,108 @@ mod tests {
         );
     }
 
-    /// Tentpole invariant: every hot-path toggle is decision-neutral — the
-    /// committed set and the final database state are bit-identical with
-    /// any combination — while the shipping configuration is strictly
-    /// faster than the pre-optimization engine on simulated time.
-    #[test]
-    fn hotpath_toggles_are_decision_neutral_and_faster() {
-        use crate::config::HotpathOpts;
-        let mk = |hotpath: HotpathOpts| {
-            let (db, t) = small_db();
-            let mut cfg = LtpgConfig { hotpath, ..LtpgConfig::default() };
-            cfg.delayed_cols.insert((t, ColId(1)));
-            // A contended mix exercising every detect-item shape: reads,
-            // updates, RMWs, delayed adds, inserts and deletes.
-            let txns: Vec<Txn> = (0..240)
-                .map(|i| {
-                    let ops = match i % 5 {
-                        0 => vec![read(t, i % 30, 0), write(t, (i * 7) % 40, i)],
-                        1 => vec![write(t, i % 25, i)],
-                        2 => vec![add(t, 7, i + 1)],
-                        3 => vec![IrOp::Insert {
-                            table: t,
-                            key: Src::Const(1_000 + i),
-                            values: vec![Src::Const(i), Src::Const(0)],
-                        }],
-                        _ => vec![IrOp::Delete { table: t, key: Src::Const(50 + (i % 20)) }],
-                    };
-                    Txn::new(ProcId((i % 3) as u16), vec![], ops)
-                })
-                .collect();
-            let (engine, _b, report, _p) = run(db, cfg, txns);
-            (report.committed.clone(), engine.database().state_digest(), report.sim_ns)
-        };
-        let (c_after, d_after, ns_after) = mk(HotpathOpts::all());
-        let (c_before, d_before, ns_before) = mk(HotpathOpts::none());
-        assert_eq!(c_after, c_before, "hot-path toggles changed the committed set");
-        assert_eq!(d_after, d_before, "hot-path toggles changed the final state");
-        assert!(
-            ns_after < ns_before,
-            "shipping config ({ns_after} ns) must beat the pre-optimization engine ({ns_before} ns)"
-        );
-        // Each toggle is individually neutral too.
-        for single in [
-            HotpathOpts { arena_reuse: true, ..HotpathOpts::none() },
-            HotpathOpts { soa_layout: true, ..HotpathOpts::none() },
-            HotpathOpts { warp_probe: true, ..HotpathOpts::none() },
-            HotpathOpts { single_scan_detect: true, ..HotpathOpts::none() },
-        ] {
-            let (c, d, _) = mk(single);
-            assert_eq!(c, c_before, "toggle {single:?} changed the committed set");
-            assert_eq!(d, d_before, "toggle {single:?} changed the final state");
+    /// Fold of a requeue-driven run: committed-TID history, final state
+    /// and the bit patterns of every batch's simulated time.
+    fn golden_run(
+        db: Database,
+        cfg: LtpgConfig,
+        gen: &mut dyn FnMut(usize) -> Vec<Txn>,
+        batches: usize,
+        batch_size: usize,
+    ) -> (u64, u64, u64) {
+        let mut engine =
+            LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared());
+        let mut tids = TidGen::new();
+        let mut requeued: Vec<Txn> = Vec::new();
+        let (mut history, mut sim_bits) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+        let mut fold = |x: u64| history = (history ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        for b in 0..batches {
+            let fresh = gen(batch_size - requeued.len());
+            // Sticky TIDs: aborted transactions re-enter with the TID they
+            // were first assigned.
+            let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
+            let report = engine.execute_batch(&batch);
+            fold(b as u64);
+            report.committed.iter().for_each(|t| fold(t.0));
+            sim_bits = sim_bits.wrapping_add(report.sim_ns.to_bits());
+            requeued =
+                report.aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
         }
+        (history, engine.database().state_digest(), sim_bits)
     }
 
-    /// Tentpole regression: once the arena has warmed up (first batch), a
-    /// steady-state batch allocates nothing — zero alloc events, zero
-    /// alloc time — and the telemetry counter goes flat. Without arena
-    /// reuse every batch keeps paying.
+    /// Golden decision digest: what the four hot-path toggles used to pin
+    /// by comparison. At commit 4da3952 these streams were run with every
+    /// toggle off and every toggle on; both produced the history and state
+    /// digests below, and the shipping path produced these simulated-time
+    /// bits. The same constants hold in debug and release builds.
+    #[test]
+    fn golden_decision_digest_pins_the_shipping_path() {
+        use ltpg_workloads::tpcc::cols;
+        use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
+
+        // TPC-C 50/50 on 2 warehouses with the Table II engine config.
+        let (batches, batch_size) = (8, 512);
+        let wl = TpccConfig::new(2, 50).with_headroom(batches * batch_size * 20);
+        let (db, tables, mut gen) = TpccGenerator::new(wl);
+        let mut cfg =
+            LtpgConfig { max_batch: batch_size, est_accesses_per_txn: 12, ..LtpgConfig::default() };
+        cfg.commutative_cols.insert((tables.district, cols::D_NEXT_O_ID));
+        cfg.delayed_cols.insert((tables.warehouse, cols::W_YTD));
+        cfg.delayed_cols.insert((tables.district, cols::D_YTD));
+        cfg.premarked_popular.insert(tables.warehouse);
+        cfg.premarked_popular.insert(tables.district);
+        let tpcc = golden_run(db, cfg, &mut |n| gen.gen_batch(n), batches, batch_size);
+        assert_eq!(
+            tpcc,
+            (0x8d28_bd17_3b88_1d35, 0xcca6_4072_3350_5d9e, 0x07a2_e95b_c427_e56a),
+            "TPC-C (history, state, sim-time bits): {tpcc:#x?}"
+        );
+
+        // YCSB-A, Zipf 0.6: conflict detection and requeue dominate.
+        let (batches, batch_size) = (10, 512);
+        let wl = YcsbConfig::new(YcsbWorkload::A, 10_000).with_alpha(0.6);
+        let (db, _table, mut gen) = YcsbGenerator::new(wl);
+        let cfg = LtpgConfig { max_batch: batch_size, ..LtpgConfig::default() };
+        let ycsb = golden_run(db, cfg, &mut |n| gen.gen_batch(n), batches, batch_size);
+        assert_eq!(
+            ycsb,
+            (0xf619_866b_5ab6_c7c0, 0xcd01_1c0e_6959_8ce1, 0x8904_ce91_d174_5d1c),
+            "YCSB-A (history, state, sim-time bits): {ycsb:#x?}"
+        );
+    }
+
+    /// Once the arena has warmed up (first batch), a steady-state batch
+    /// allocates nothing — zero alloc events, zero alloc time — and the
+    /// telemetry counter goes flat.
     #[test]
     fn steady_state_batches_charge_zero_alloc_events() {
-        let run_batches = |hotpath: crate::config::HotpathOpts| {
-            let (db, t) = small_db();
-            let cfg = LtpgConfig { hotpath, ..LtpgConfig::default() };
-            let reg = ltpg_telemetry::Registry::new_shared();
-            let mut engine = LtpgEngine::with_telemetry(db, cfg, reg);
-            let mut gen = TidGen::new();
-            let mut per_batch = Vec::new();
-            for round in 0..4 {
-                let txns: Vec<Txn> = (0..64)
-                    .map(|i| {
-                        Txn::new(
-                            ProcId(0),
-                            vec![],
-                            vec![read(t, (round + i) % 30, 0), write(t, (i * 3) % 90, i)],
-                        )
-                    })
-                    .collect();
-                let batch = Batch::assemble(vec![], txns, &mut gen);
-                let rws = engine.execute_batch_report(&batch);
-                per_batch.push((rws.stats.alloc_events, rws.stats.alloc_ns));
-            }
-            let counter =
-                engine.telemetry().counter_value(ltpg_telemetry::names::LTPG_ALLOC_EVENTS);
-            (per_batch, counter)
-        };
+        let (db, t) = small_db();
+        let reg = ltpg_telemetry::Registry::new_shared();
+        let mut engine = LtpgEngine::with_telemetry(db, LtpgConfig::default(), reg);
+        let mut gen = TidGen::new();
+        let mut per_batch = Vec::new();
+        for round in 0..4 {
+            let txns: Vec<Txn> = (0..64)
+                .map(|i| {
+                    Txn::new(
+                        ProcId(0),
+                        vec![],
+                        vec![read(t, (round + i) % 30, 0), write(t, (i * 3) % 90, i)],
+                    )
+                })
+                .collect();
+            let batch = Batch::assemble(vec![], txns, &mut gen);
+            let rws = engine.execute_batch_report(&batch);
+            per_batch.push((rws.stats.alloc_events, rws.stats.alloc_ns));
+        }
+        let counter = engine.telemetry().counter_value(ltpg_telemetry::names::LTPG_ALLOC_EVENTS);
 
-        let (reused, counter) = run_batches(crate::config::HotpathOpts::all());
-        assert!(reused[0].0 > 0, "warm-up batch must charge the initial allocations");
-        for (events, ns) in &reused[1..] {
+        assert!(per_batch[0].0 > 0, "warm-up batch must charge the initial allocations");
+        for (events, ns) in &per_batch[1..] {
             assert_eq!(*events, 0, "steady-state batch allocated");
             assert_eq!(*ns, 0.0, "steady-state batch charged alloc time");
         }
-        assert_eq!(counter, reused[0].0, "telemetry watermark must stop at warm-up");
-
-        let (fresh, fresh_counter) = run_batches(crate::config::HotpathOpts::none());
-        for (events, ns) in &fresh {
-            assert_eq!(*events, 6, "pre-optimization engine allocates every batch");
-            assert!(*ns > 0.0);
-        }
-        assert_eq!(fresh_counter, 24);
+        assert_eq!(counter, per_batch[0].0, "telemetry watermark must stop at warm-up");
     }
 }

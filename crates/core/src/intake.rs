@@ -1,0 +1,101 @@
+//! Batch intake: the host-side queueing both servers share.
+//!
+//! Clients submit transactions; each tick forms one batch from the aborted
+//! transactions whose re-entry delay has elapsed plus fresh submissions up
+//! to the batch size, assigns TIDs (re-entering transactions keep theirs),
+//! and — once the batch has executed — parks its aborted transactions for
+//! re-entry one batch later, or two under the pipeline model (§V-E: the
+//! next batch's upload slot has already left the host).
+
+use std::collections::VecDeque;
+
+use ltpg_txn::{Batch, Tid, TidGen, Txn};
+
+/// What [`Intake::next_batch`] found.
+pub enum Formed {
+    /// Nothing is queued anywhere.
+    Idle,
+    /// Nothing is due *yet*, but aborted transactions are waiting out
+    /// their re-entry delay; the call advanced the delay clock.
+    Waiting,
+    /// The next batch, TIDs assigned.
+    Batch(Batch),
+}
+
+/// TID generator, inbox and requeue delay slots.
+pub struct Intake {
+    tids: TidGen,
+    /// Fresh client submissions.
+    inbox: VecDeque<Txn>,
+    /// Aborted transactions waiting out their re-entry delay; slot 0
+    /// re-enters at the next batch.
+    requeue: VecDeque<Vec<Txn>>,
+}
+
+impl Intake {
+    /// An empty intake whose first TID is 1.
+    #[allow(clippy::new_without_default)] // `TidGen::default()` starts at 0, not 1
+    pub fn new() -> Self {
+        Intake { tids: TidGen::new(), inbox: VecDeque::new(), requeue: VecDeque::new() }
+    }
+
+    /// Enqueue one fresh transaction.
+    pub fn submit(&mut self, txn: Txn) {
+        self.inbox.push_back(txn);
+    }
+
+    /// Transactions waiting (fresh + re-queued).
+    pub fn pending(&self) -> usize {
+        self.inbox.len() + self.requeue.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Fresh submissions waiting in the inbox (excludes re-queued aborts
+    /// sitting out their retry delay).
+    pub fn inbox_len(&self) -> usize {
+        self.inbox.len()
+    }
+
+    /// The TID the next fresh admission will receive at batch assembly.
+    /// Fresh TIDs are handed out in inbox FIFO order.
+    pub fn next_tid(&self) -> u64 {
+        self.tids.peek()
+    }
+
+    /// Form the next batch: everything due for re-entry, then fresh
+    /// submissions until `batch_size` is reached.
+    pub fn next_batch(&mut self, batch_size: usize) -> Formed {
+        let due = self.requeue.pop_front().unwrap_or_default();
+        if due.is_empty() && self.inbox.is_empty() {
+            return if self.requeue.iter().all(Vec::is_empty) {
+                Formed::Idle
+            } else {
+                Formed::Waiting
+            };
+        }
+        let mut fresh = Vec::new();
+        while fresh.len() + due.len() < batch_size {
+            match self.inbox.pop_front() {
+                Some(t) => fresh.push(t),
+                None => break,
+            }
+        }
+        Formed::Batch(Batch::assemble(due, fresh, &mut self.tids))
+    }
+
+    /// Park the `aborted` transactions of `batch` for re-entry: two
+    /// batches later when `pipelined`, otherwise the next batch.
+    pub fn requeue_aborted(&mut self, batch: &Batch, aborted: &[Tid], pipelined: bool) {
+        if aborted.is_empty() {
+            return;
+        }
+        let delay = if pipelined { 2 } else { 1 };
+        while self.requeue.len() < delay {
+            self.requeue.push_back(Vec::new());
+        }
+        // Invariant: `aborted` is the executor's verdict on `batch`, so
+        // every TID in it names a transaction of that batch.
+        let retry =
+            aborted.iter().map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone());
+        self.requeue[delay - 1].extend(retry);
+    }
+}

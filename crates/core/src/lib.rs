@@ -65,24 +65,29 @@ pub mod adaptive;
 pub mod config;
 pub mod conflict;
 pub mod engine;
+pub mod executor;
 pub mod faults;
+pub mod intake;
 pub mod pipeline;
 pub mod recovery;
 pub mod server;
 pub mod stats;
+pub mod twin;
 mod util;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
-pub use config::{HotpathOpts, LtpgConfig, OptFlags, SyncMode};
+pub use config::{LtpgConfig, OptFlags, SyncMode};
 pub use conflict::ConflictLog;
 pub use engine::{
     cell_accesses, cell_key, commit_decision, flag, stage_effects, CellAccess, ExecScope,
     LtpgEngine, PreparedBatch, Staged,
 };
+pub use executor::{Executor, Prepared};
 pub use faults::{
     FaultHorizon, FaultInjector, FaultPlan, PromotionCrashpoint, ReplicaChaos, WalDamage,
     WalDamageReport,
 };
+pub use intake::{Formed, Intake};
 pub use pipeline::{PipelineOutcome, PipelinedRunner};
 #[cfg(feature = "qa-inject")]
 pub use engine::qa_inject;
@@ -93,3 +98,4 @@ pub use server::{
     BatchSummary, FailoverProvider, LtpgServer, ServerConfig, ServerError, ServerStats,
 };
 pub use stats::{FaultStats, LtpgBatchStats};
+pub use twin::{CpuTwin, TwinPrepared};

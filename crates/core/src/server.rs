@@ -26,18 +26,19 @@
 //! Counters for all of this are in [`FaultStats`] via
 //! [`LtpgServer::stats`].
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ltpg_baselines::CpuFallbackEngine;
-use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
+use ltpg_gpu_sim::{Device, DeviceFaultPlan};
 use ltpg_storage::Database;
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::{Batch, BatchEngine, BatchReport, Tid, TidGen, Txn};
+use ltpg_txn::{Batch, BatchReport, Tid, Txn};
 
 use crate::config::LtpgConfig;
 use crate::engine::LtpgEngine;
+use crate::executor::Executor;
 use crate::faults::{PromotionCrashpoint, ReplicaChaos};
+use crate::intake::{Formed, Intake};
+use crate::twin::CpuTwin;
 use crate::recovery::{DurabilityManager, RecoveryError, RecoveryOptions};
 use crate::stats::FaultStats;
 
@@ -141,6 +142,14 @@ pub enum ServerError {
     /// dead from the caller's perspective; recovery proceeds from the WAL
     /// exactly as it would after a real crash.
     InjectedCrash(&'static str),
+    /// A standby row promoted after a mid-batch device loss was already
+    /// caught up past the in-flight batch, so its replay produced no
+    /// verdicts for it. Standbys only replay batches that finished
+    /// executing, so this means the replication cursor is corrupt.
+    PromotionSkippedInFlightBatch {
+        /// The in-flight batch the promotion had to replay.
+        batch_id: u64,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -152,6 +161,9 @@ impl std::fmt::Display for ServerError {
             ServerError::InjectedCrash(site) => {
                 write!(f, "injected process crash at {site}")
             }
+            ServerError::PromotionSkippedInFlightBatch { batch_id } => {
+                write!(f, "promoted standby had already passed in-flight batch {batch_id}")
+            }
         }
     }
 }
@@ -160,7 +172,8 @@ impl std::error::Error for ServerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServerError::DegradationFailed(e) => Some(e),
-            ServerError::InjectedCrash(_) => None,
+            ServerError::InjectedCrash(_)
+            | ServerError::PromotionSkippedInFlightBatch { .. } => None,
         }
     }
 }
@@ -183,9 +196,9 @@ pub trait FailoverProvider {
 
     /// Promote the best standby: catch it up through batches `< upto`
     /// (the in-flight batch `upto` is re-executed by the server on the
-    /// promoted engine) and surrender the engine. `None` when the pool is
+    /// promoted executor) and surrender it. `None` when the pool is
     /// exhausted or every standby is dead.
-    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Box<LtpgEngine>>;
+    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Executor>;
 
     /// A physically recovered device is offered back to the pool (already
     /// revived and reset). Returns whether it was re-enlisted as a fresh
@@ -193,39 +206,8 @@ pub trait FailoverProvider {
     fn reenlist(&mut self, device: Arc<Device>, dur: &DurabilityManager) -> bool;
 }
 
-/// The executor currently serving batches.
-enum Executor {
-    /// Normal operation: the (simulated) GPU engine.
-    Gpu(Box<LtpgEngine>),
-    /// Degraded operation after device loss: the serial CPU twin.
-    Cpu(Box<CpuFallbackEngine>),
-}
-
-impl Executor {
-    fn database(&self) -> &Database {
-        match self {
-            Executor::Gpu(e) => e.database(),
-            Executor::Cpu(e) => e.database(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Executor::Gpu(e) => e.name(),
-            Executor::Cpu(e) => e.name(),
-        }
-    }
-
-    fn record_telemetry(&self, reg: &Registry, report: &BatchReport) {
-        match self {
-            Executor::Gpu(e) => e.record_telemetry(reg, report),
-            Executor::Cpu(e) => e.record_telemetry(reg, report),
-        }
-    }
-}
-
 /// A batching OLTP server over one [`LtpgEngine`], degrading to a
-/// [`CpuFallbackEngine`] if the device is lost.
+/// [`CpuTwin`] if the device is lost.
 pub struct LtpgServer {
     executor: Executor,
     durability: DurabilityManager,
@@ -233,12 +215,8 @@ pub struct LtpgServer {
     /// Engine configuration, kept for recovery replays and the fallback
     /// hand-off.
     engine_cfg: LtpgConfig,
-    tids: TidGen,
-    /// Fresh client submissions.
-    inbox: VecDeque<Txn>,
-    /// Aborted transactions waiting out their re-entry delay; slot 0
-    /// re-enters on the next tick.
-    requeue: VecDeque<Vec<Txn>>,
+    /// TID assignment, the inbox and the abort re-entry delay slots.
+    intake: Intake,
     stats: ServerStats,
     /// This server's private metrics registry: every component under the
     /// server (device, engine, fault handling) publishes here, so two
@@ -268,17 +246,12 @@ impl LtpgServer {
             telemetry.counter(name);
         }
         LtpgServer {
-            executor: Executor::Gpu(Box::new(LtpgEngine::with_telemetry(
-                db,
-                engine_cfg.clone(),
-                Arc::clone(&telemetry),
-            ))),
+            executor: LtpgEngine::with_telemetry(db, engine_cfg.clone(), Arc::clone(&telemetry))
+                .into(),
             durability,
             cfg,
             engine_cfg,
-            tids: TidGen::new(),
-            inbox: VecDeque::new(),
-            requeue: VecDeque::new(),
+            intake: Intake::new(),
             stats: ServerStats::default(),
             telemetry,
             failover: None,
@@ -311,7 +284,7 @@ impl LtpgServer {
     /// Enqueue one transaction.
     pub fn submit(&mut self, txn: Txn) {
         self.stats.admitted += 1;
-        self.inbox.push_back(txn);
+        self.intake.submit(txn);
     }
 
     /// Enqueue many transactions.
@@ -323,20 +296,20 @@ impl LtpgServer {
 
     /// Transactions waiting (fresh + re-queued).
     pub fn pending(&self) -> usize {
-        self.inbox.len() + self.requeue.iter().map(Vec::len).sum::<usize>()
+        self.intake.pending()
     }
 
     /// Fresh submissions waiting in the inbox (excludes re-queued aborts
     /// sitting out their retry delay).
     pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
+        self.intake.inbox_len()
     }
 
     /// The TID the next fresh admission will receive at batch assembly.
     /// Fresh TIDs are handed out in inbox FIFO order, so an ingestion layer
     /// can mirror this counter to correlate commits with submissions.
     pub fn next_tid(&self) -> u64 {
-        self.tids.peek()
+        self.intake.next_tid()
     }
 
     /// The live database.
@@ -367,7 +340,7 @@ impl LtpgServer {
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = self.stats.summary();
-        let _ = writeln!(out, "executor              {}", self.executor.name());
+        let _ = writeln!(out, "executor              {}", self.executor_name());
         let h = self.telemetry.histogram(names::SERVER_BATCH_NS).snapshot();
         if h.count > 0 {
             let _ = writeln!(
@@ -389,12 +362,12 @@ impl LtpgServer {
     /// Name of the executor currently serving batches (`"LTPG"` normally,
     /// `"LTPG-CPU-fallback"` after degradation).
     pub fn executor_name(&self) -> &'static str {
-        self.executor.name()
+        self.executor.engine().name()
     }
 
     /// Whether the server has degraded to the CPU fallback executor.
     pub fn is_degraded(&self) -> bool {
-        matches!(self.executor, Executor::Cpu(_))
+        self.executor.is_degraded()
     }
 
     /// The durability manager (checkpoint/log inspection, recovery).
@@ -405,7 +378,7 @@ impl LtpgServer {
     /// Arm a deterministic device-fault schedule (testing / chaos drills).
     /// No-op when already degraded to the CPU executor.
     pub fn arm_faults(&self, plan: DeviceFaultPlan) {
-        if let Executor::Gpu(engine) = &self.executor {
+        if let Some(engine) = self.executor.gpu() {
             engine.device().arm_faults(plan);
         }
     }
@@ -413,7 +386,7 @@ impl LtpgServer {
     /// Force the device into its failed state at the next batch boundary
     /// (the hard-crashpoint drill).
     pub fn force_device_failure(&self) {
-        if let Executor::Gpu(engine) = &self.executor {
+        if let Some(engine) = self.executor.gpu() {
             engine.device().fail_now();
         }
     }
@@ -425,14 +398,11 @@ impl LtpgServer {
         self.durability.recover(cfg)
     }
 
-    /// Abandon the device: rebuild the pre-batch state on the CPU fallback
-    /// by replaying checkpoint + log up to (excluding) `batch_id`, then
+    /// Abandon the device: rebuild the pre-batch state on the CPU twin by
+    /// replaying checkpoint + log up to (excluding) `batch_id`, then
     /// install it as the executor.
-    fn degrade_to_cpu(&mut self, batch_id: u64) -> Result<&mut CpuFallbackEngine, ServerError> {
-        let mut cpu = CpuFallbackEngine::new(
-            self.durability.checkpoint_image(),
-            self.engine_cfg.fallback_config(),
-        );
+    fn degrade_to_cpu(&mut self, batch_id: u64) -> Result<(), ServerError> {
+        let mut cpu = CpuTwin::new(self.durability.checkpoint_image(), self.engine_cfg.clone());
         let replay = self
             .durability
             .replay_onto(&mut cpu, &RecoveryOptions::default(), Some(batch_id))
@@ -445,12 +415,8 @@ impl LtpgServer {
                 .add(replay.bytes_truncated);
         }
         self.stats.faults = FaultStats::from_registry(&self.telemetry);
-        self.executor = Executor::Cpu(Box::new(cpu));
-        match &mut self.executor {
-            Executor::Cpu(e) => Ok(e),
-            // Invariant: assigned one line above.
-            Executor::Gpu(_) => unreachable!("executor was just set to Cpu"),
-        }
+        self.executor = cpu.into();
+        Ok(())
     }
 
     /// Try to promote a warm standby after the primary device was lost
@@ -478,70 +444,45 @@ impl LtpgServer {
             }
             None => {}
         }
-        let Some(engine) = provider.promote(&self.durability, batch_id) else {
+        let Some(promoted) = provider.promote(&self.durability, batch_id) else {
             return Ok(false);
         };
-        self.executor = Executor::Gpu(engine);
+        self.executor = promoted;
         self.stats.faults = FaultStats::from_registry(&self.telemetry);
         Ok(true)
     }
 
     /// Execute `batch` (already logged as `batch_id`) on the active
     /// executor, absorbing transient faults, failing over to a warm
-    /// standby on device loss, and degrading to the CPU fallback as the
-    /// last resort.
+    /// standby on device loss, and degrading to the CPU twin as the last
+    /// resort. Returns the report and the retry backoff charged.
     fn execute_resilient(
         &mut self,
         batch: &Batch,
         batch_id: u64,
-    ) -> Result<(ltpg_txn::BatchReport, f64), ServerError> {
+    ) -> Result<(BatchReport, f64), ServerError> {
         let mut backoff_ns = 0.0;
-        while let Executor::Gpu(engine) = &mut self.executor {
-            let mut attempt = 0u32;
-            loop {
-                match engine.try_execute_batch_report(batch) {
-                    // Download (D2H) retries were already counted on the
-                    // shared registry by the engine's retry loop — even for
-                    // attempts that later died — so nothing to fold here.
-                    Ok(r) => return Ok((r.report, backoff_ns)),
-                    // Upload failed before the device touched anything:
-                    // the batch never ran, so re-issuing it is safe.
-                    Err(DeviceError::TransientTransfer { .. })
-                        if attempt < self.cfg.max_transient_retries =>
-                    {
-                        attempt += 1;
-                        self.telemetry.counter(names::FAULT_TRANSIENT_RETRIES).inc();
-                        // Exponent clamped: retry limits ≥ 32 used to
-                        // overflow the u32 shift here.
-                        let pause = self.cfg.retry_backoff_ns
-                            * 2f64.powi((attempt - 1).min(30) as i32);
-                        backoff_ns += pause;
-                        self.telemetry
-                            .counter(names::FAULT_BACKOFF_NS)
-                            .add(pause.round() as u64);
-                    }
-                    // Device loss, or a device so flaky retries ran out.
-                    // The batch is already logged, so whichever successor
-                    // executor takes over rebuilds exactly the pre-batch
-                    // state regardless of where mid-batch the device died.
-                    Err(_) => break,
-                }
+        loop {
+            // Download (D2H) retries were already counted on the shared
+            // registry by the engine's retry loop — even for attempts that
+            // later died — so nothing to fold here.
+            if let Ok(report) = self.executor.execute(batch, Some(&self.cfg), &mut backoff_ns) {
+                return Ok((report, backoff_ns));
             }
-            // Fence the failed primary but keep the handle: a timed
-            // recovery may revive it later.
-            self.lost_device = Some(engine.device_handle());
+            // Device loss, or a device so flaky retries ran out (the twin
+            // cannot fail, and the pool is finite, so this loop ends). The
+            // batch is already logged, so whichever successor takes over
+            // rebuilds exactly the pre-batch state regardless of where
+            // mid-batch the device died. Fence the failed primary but keep
+            // the handle: a timed recovery may revive it later.
+            self.lost_device = self.executor.gpu().map(LtpgEngine::device_handle);
             self.lost_at_batch = Some(self.stats.batches);
+            // A promoted standby's catch-up replay stops just short of the
+            // in-flight batch; the next iteration re-issues it there.
             if !self.try_failover(batch_id)? {
-                break;
+                self.degrade_to_cpu(batch_id)?;
             }
-            // A promoted standby is serving now; re-issue the in-flight
-            // batch on it (its catch-up replay stopped just short).
         }
-        let cpu = match &mut self.executor {
-            Executor::Cpu(e) => e,
-            Executor::Gpu(_) => self.degrade_to_cpu(batch_id)?,
-        };
-        Ok((cpu.execute_batch(batch), backoff_ns))
     }
 
     /// If the chaos schedule says the lost device's outage has ended,
@@ -567,22 +508,9 @@ impl LtpgServer {
         device.revive();
         device.reset_for_reuse();
         if self.is_degraded() {
-            // Re-promotion from CPU fallback: the fallback's database IS
-            // the current state, so the recovered device just adopts it.
-            let placeholder = Executor::Cpu(Box::new(CpuFallbackEngine::new(
-                Database::new(),
-                self.engine_cfg.fallback_config(),
-            )));
-            let db = match std::mem::replace(&mut self.executor, placeholder) {
-                Executor::Cpu(e) => e.into_database(),
-                Executor::Gpu(e) => e.into_database(),
-            };
-            self.executor = Executor::Gpu(Box::new(LtpgEngine::with_device(
-                db,
-                self.engine_cfg.clone(),
-                Arc::clone(&self.telemetry),
-                device,
-            )));
+            // Re-promotion from the CPU twin: the twin's database IS the
+            // current state, so the recovered device just adopts it.
+            self.executor.repromote(self.engine_cfg.clone(), Arc::clone(&self.telemetry), device);
             self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
         } else if let Some(provider) = self.failover.as_mut() {
             provider.reenlist(device, &self.durability);
@@ -610,26 +538,18 @@ impl LtpgServer {
     pub fn try_tick(&mut self) -> Result<Option<BatchSummary>, ServerError> {
         self.telemetry.counter(names::SERVER_TICKS).inc();
         self.maybe_rejoin_recovered_device();
-        let due = self.requeue.pop_front().unwrap_or_default();
-        if due.is_empty() && self.inbox.is_empty() {
-            if self.requeue.iter().all(Vec::is_empty) {
-                return Ok(None); // fully idle
-            }
+        let batch = match self.intake.next_batch(self.cfg.batch_size) {
+            Formed::Idle => return Ok(None),
             // Work is in a later delay slot: this tick just passes time.
-            return Ok(Some(BatchSummary {
-                committed: Vec::new(),
-                aborted: Vec::new(),
-                sim_ns: 0.0,
-            }));
-        }
-        let mut fresh = Vec::new();
-        while fresh.len() + due.len() < self.cfg.batch_size {
-            match self.inbox.pop_front() {
-                Some(t) => fresh.push(t),
-                None => break,
+            Formed::Waiting => {
+                return Ok(Some(BatchSummary {
+                    committed: Vec::new(),
+                    aborted: Vec::new(),
+                    sim_ns: 0.0,
+                }));
             }
-        }
-        let batch = Batch::assemble(due, fresh, &mut self.tids);
+            Formed::Batch(batch) => batch,
+        };
         let batch_id = self.durability.log_batch(&batch);
         let (report, backoff_ns) = self.execute_resilient(&batch, batch_id)?;
 
@@ -648,7 +568,7 @@ impl LtpgServer {
         self.telemetry
             .histogram(names::SERVER_BATCH_NS)
             .record_ns(report.sim_ns + backoff_ns);
-        self.executor.record_telemetry(&self.telemetry, &report);
+        self.executor.engine().record_telemetry(&self.telemetry, &report);
         if let Some(provider) = self.failover.as_mut() {
             provider.after_batch(&self.durability);
         }
@@ -659,19 +579,7 @@ impl LtpgServer {
             }
         }
 
-        // Schedule aborts for re-entry.
-        if !report.aborted.is_empty() {
-            let delay = if self.cfg.pipelined { 2 } else { 1 };
-            while self.requeue.len() < delay {
-                self.requeue.push_back(Vec::new());
-            }
-            let retry: Vec<Txn> = report
-                .aborted
-                .iter()
-                .map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone())
-                .collect();
-            self.requeue[delay - 1].extend(retry);
-        }
+        self.intake.requeue_aborted(&batch, &report.aborted, self.cfg.pipelined);
         self.telemetry.gauge(names::SERVER_PENDING).set(self.pending() as i64);
         Ok(Some(BatchSummary {
             committed: report.committed,
@@ -697,7 +605,7 @@ impl LtpgServer {
 impl std::fmt::Debug for LtpgServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LtpgServer")
-            .field("executor", &self.executor.name())
+            .field("executor", &self.executor_name())
             .field("pending", &self.pending())
             .field("stats", &self.stats)
             .finish()

@@ -7,7 +7,7 @@
 //! paths that must agree bit-for-bit:
 //!
 //! * the simulated-GPU [`LtpgEngine`](ltpg::LtpgEngine),
-//! * the [`CpuFallbackEngine`](ltpg_baselines::CpuFallbackEngine) twin,
+//! * the unscoped [`CpuTwin`](ltpg::CpuTwin),
 //! * the single-device vs sharded server pair in lockstep, and
 //! * WAL replay of the single device's log,
 //!

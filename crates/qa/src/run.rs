@@ -4,7 +4,7 @@
 //! Three passes per case:
 //!
 //! 1. **Engine pass** — the batches run through [`LtpgEngine`] and the
-//!    [`CpuFallbackEngine`] twin in parallel (no re-execution): commit
+//!    unscoped [`CpuTwin`] in parallel (no re-execution): commit
 //!    sets must match batch-for-batch, the serializability oracle must
 //!    accept every committed set against the pre-batch snapshot, and the
 //!    final state digests must be bit-identical.
@@ -33,8 +33,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ltpg::{LtpgEngine, LtpgServer};
-use ltpg_baselines::{AddrGraphEngine, BlockStmEngine, CpuFallbackEngine};
+use ltpg::{CpuTwin, LtpgEngine, LtpgServer};
+use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
 use ltpg_txn::oracle::{check_ordered_serializable, check_snapshot_serializable};
 use ltpg_txn::{execute_serial, Batch, BatchEngine, Tid, TidGen, Txn};
 
@@ -192,12 +192,16 @@ fn run_case_inner(case: &QaCase) -> Result<CaseOutcome, Divergence> {
     Ok(outcome)
 }
 
-/// Pass 1: GPU engine vs CPU fallback twin vs the oracle, batch by batch.
+/// Pass 1: GPU engine vs CPU twin vs the oracle, batch by batch. The twin
+/// shares the engine's staging and cell walk, so the pass keeps two checks
+/// that do not: the serializability oracle on every committed set and the
+/// final digest compare (the twin's write-back and exact min-TID maps are
+/// its own).
 fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
     let cfg = case.engine_config();
     let db = case.build_database();
     let mut gpu = LtpgEngine::new(db.deep_clone(), cfg.clone());
-    let mut cpu = CpuFallbackEngine::new(db, cfg.fallback_config());
+    let mut cpu = CpuTwin::new(db, cfg);
     let mut tidgen = TidGen::new();
     for (step, chunk) in case.batches().enumerate() {
         let pre = gpu.database().deep_clone();

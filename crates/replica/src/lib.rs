@@ -51,7 +51,7 @@ mod tests {
     use ltpg::{FailoverProvider, LtpgConfig, LtpgServer, ServerConfig};
     use ltpg_storage::{Database, TableBuilder, TableId};
     use ltpg_telemetry::{names, Registry};
-    use ltpg_txn::{BatchEngine, IrOp, ProcId, Src, Txn};
+    use ltpg_txn::{IrOp, ProcId, Src, Txn};
     use std::sync::Arc;
 
     fn db_and_writers(n: usize, keys: i64) -> (Database, Vec<Txn>) {

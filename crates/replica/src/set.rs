@@ -1,7 +1,7 @@
 //! Warm-standby pools replaying the deterministic commit stream.
 //!
 //! A [`ReplicaSet`] owns N *standby rows*. Each row is a complete replica
-//! of the serving topology: one [`LtpgEngine`] per shard (a single-device
+//! of the serving topology: one GPU [`Executor`] per shard (a single-device
 //! server is the one-shard case), built from the shards' checkpoint
 //! images and advanced by replaying batch-id-aligned WAL records. Because
 //! LTPG's commit decision is a pure function of (snapshot, batch, TIDs),
@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ltpg::{DurabilityManager, FailoverProvider, LtpgConfig, LtpgEngine};
+use ltpg::{DurabilityManager, Executor, FailoverProvider, LtpgConfig, LtpgEngine};
 use ltpg_gpu_sim::{Device, DeviceError};
 use ltpg_storage::Database;
 use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
@@ -33,12 +33,11 @@ use ltpg_txn::Batch;
 /// empty map — the caller re-derives verdicts from its own report.
 pub type MergedWords = BTreeMap<u64, u32>;
 
-/// Applies logged batch `batch_id` to a standby row's engines and returns
-/// the merged conflict-flag words. The slice always has one entry per
-/// shard; entries are `Option` so drivers can temporarily take an engine
-/// out while building remote views over its peers.
+/// Applies logged batch `batch_id` to a standby row's executors and
+/// returns the merged conflict-flag words. The slice always has one entry
+/// per shard.
 pub type ReplayDriver<'a> =
-    dyn FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + 'a;
+    dyn FnMut(&mut [Executor], u64) -> Result<MergedWords, ReplicaError> + 'a;
 
 /// Why a standby row could not apply a batch.
 #[derive(Debug)]
@@ -89,8 +88,8 @@ struct StandbyRow {
     /// Stable identity for per-standby telemetry, independent of pool
     /// position (rows are removed on promotion/death).
     id: usize,
-    /// One engine per shard.
-    engines: Vec<Option<LtpgEngine>>,
+    /// One executor per shard.
+    engines: Vec<Executor>,
     /// Batches fully applied; the next batch to replay is `applied`.
     applied: u64,
     /// Injected lag: stay this many batches behind the tail during
@@ -171,13 +170,7 @@ impl ReplicaSet {
         assert_eq!(images.len(), self.shards, "row shape must match the topology");
         let engines = images
             .into_iter()
-            .map(|db| {
-                Some(LtpgEngine::with_telemetry(
-                    db,
-                    self.engine_cfg.clone(),
-                    Arc::clone(&self.standby_registry),
-                ))
-            })
+            .map(|db| self.standby_engine(db).into())
             .collect();
         let id = self.next_row_id;
         self.next_row_id += 1;
@@ -198,24 +191,25 @@ impl ReplicaSet {
         assert_eq!(images.len(), self.shards, "row shape must match the topology");
         let mut images = images.into_iter();
         let first = images.next().expect("at least one shard");
-        let mut engines: Vec<Option<LtpgEngine>> = vec![Some(LtpgEngine::with_device(
+        let mut engines: Vec<Executor> = vec![LtpgEngine::with_device(
             first,
             self.engine_cfg.clone(),
             Arc::clone(&self.standby_registry),
             device,
-        ))];
-        for db in images {
-            engines.push(Some(LtpgEngine::with_telemetry(
-                db,
-                self.engine_cfg.clone(),
-                Arc::clone(&self.standby_registry),
-            )));
-        }
+        )
+        .into()];
+        engines.extend(images.map(|db| self.standby_engine(db).into()));
         let id = self.next_row_id;
         self.next_row_id += 1;
         self.rows.push(StandbyRow { id, engines, applied: base_batch, lag_hold: 0, alive: true });
         self.repromotions.inc();
         self.publish_pool_gauges();
+    }
+
+    /// A fresh engine over `db` publishing to the detached standby
+    /// registry.
+    fn standby_engine(&self, db: Database) -> LtpgEngine {
+        LtpgEngine::with_telemetry(db, self.engine_cfg.clone(), Arc::clone(&self.standby_registry))
     }
 
     /// Standby rows currently alive (promotable).
@@ -256,9 +250,7 @@ impl ReplicaSet {
         key: i64,
     ) -> Option<(Vec<i64>, u64)> {
         let row = self.rows.iter().filter(|r| r.alive).max_by_key(|r| r.applied)?;
-        let engine = row.engines.get(shard)?.as_ref()?;
-        let db = ltpg_txn::BatchEngine::database(engine);
-        let t = db.table(table);
+        let t = row.engines.get(shard)?.database().table(table);
         let rid = t.lookup(key)?;
         Some((t.row_values(rid), row.applied))
     }
@@ -305,7 +297,7 @@ impl ReplicaSet {
 
     /// Promote the freshest alive row: catch it up through batches
     /// `< upto` (ignoring any injected lag hold), remove it from the pool,
-    /// and return its engines rebound to the serving registry, along with
+    /// and return its executors rebound to the serving registry, along with
     /// the merged conflict words of the *last* replayed batch (`upto - 1`)
     /// and the simulated ns the catch-up cost. Rows that die mid-catch-up
     /// are demoted and the next-freshest row is tried. `None` when the
@@ -314,7 +306,7 @@ impl ReplicaSet {
         &mut self,
         upto: u64,
         driver: &mut ReplayDriver<'_>,
-    ) -> Option<(Vec<LtpgEngine>, Option<MergedWords>, f64)> {
+    ) -> Option<(Vec<Executor>, Option<MergedWords>, f64)> {
         loop {
             // Freshest first: least catch-up work, lowest failover latency.
             let candidate = self
@@ -325,12 +317,10 @@ impl ReplicaSet {
                 .max_by_key(|(_, r)| r.applied)
                 .map(|(i, _)| i)?;
             let mut row = self.rows.remove(candidate);
-            let before_ns: f64 = row
-                .engines
-                .iter()
-                .flatten()
-                .map(|e| e.device().elapsed_ns())
-                .sum();
+            let device_ns = |row: &StandbyRow| -> f64 {
+                row.engines.iter().filter_map(Executor::gpu).map(|e| e.device().elapsed_ns()).sum()
+            };
+            let before_ns = device_ns(&row);
             let mut last_words = None;
             let mut died = false;
             while row.applied < upto {
@@ -351,22 +341,15 @@ impl ReplicaSet {
                 self.publish_pool_gauges();
                 continue;
             }
-            let after_ns: f64 =
-                row.engines.iter().flatten().map(|e| e.device().elapsed_ns()).sum();
+            let after_ns = device_ns(&row);
             self.failover_ns.record_ns(after_ns - before_ns);
             self.promotions.inc();
             self.registry.gauge(&names::replica_standby_lag_gauge(row.id)).set(0);
-            let engines: Vec<LtpgEngine> = row
-                .engines
-                .into_iter()
-                .map(|e| {
-                    let mut e = e.expect("standby engine present");
-                    e.rebind_telemetry(Arc::clone(&self.registry));
-                    e
-                })
-                .collect();
+            for engine in row.engines.iter_mut().filter_map(Executor::gpu_mut) {
+                engine.rebind_telemetry(Arc::clone(&self.registry));
+            }
             self.publish_pool_gauges();
-            return Some((engines, last_words, after_ns - before_ns));
+            return Some((row.engines, last_words, after_ns - before_ns));
         }
     }
 
@@ -376,12 +359,13 @@ impl ReplicaSet {
 }
 
 /// Single-device replay: decode the WAL record and execute it on the
-/// row's lone engine. The standby's report is discarded — determinism
+/// row's lone executor. The standby's report is discarded — determinism
 /// guarantees it matches the primary's, and the promoted engine's state
-/// is what matters.
+/// is what matters. A standby that hits a device fault is demoted, not
+/// retried.
 fn single_device_driver(
     dur: &DurabilityManager,
-) -> impl FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + '_ {
+) -> impl FnMut(&mut [Executor], u64) -> Result<MergedWords, ReplicaError> + '_ {
     move |engines, batch_id| {
         let record = dur
             .log()
@@ -390,10 +374,7 @@ fn single_device_driver(
         let txns =
             decode_batch(&record.payload).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
         let batch = Batch { txns };
-        let engine = engines[0].as_mut().expect("single-device row has one engine");
-        engine
-            .try_execute_batch_report(&batch)
-            .map_err(ReplicaError::Dead)?;
+        engines[0].execute(&batch, None, &mut 0.0).map_err(ReplicaError::Dead)?;
         Ok(MergedWords::new())
     }
 }
@@ -412,11 +393,11 @@ impl FailoverProvider for ReplicaSet {
         self.rows_alive()
     }
 
-    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Box<LtpgEngine>> {
+    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Executor> {
         assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
         let mut driver = single_device_driver(dur);
         let (mut engines, _, _) = self.promote_row(upto, &mut driver)?;
-        engines.pop().map(Box::new)
+        engines.pop()
     }
 
     fn reenlist(&mut self, device: Arc<Device>, dur: &DurabilityManager) -> bool {

@@ -4,14 +4,15 @@
 //! GPU with its own WAL + checkpoints) behind the same submit/tick/drain
 //! API as `ltpg::LtpgServer`. Each tick assembles one global batch,
 //! [routes](crate::Router) every transaction to its participant shards,
-//! and runs the **deterministic cross-shard protocol**:
+//! and runs the **deterministic cross-shard protocol** (one lockstep
+//! round, `lockstep.rs`):
 //!
 //! 1. every participant logs its sub-batch (empty sub-batches included, so
 //!    batch ids stay aligned across shards — the per-shard WALs always cut
 //!    at the same global batch boundary);
 //! 2. every participant runs the split *prepare* phase (execute, register,
 //!    detect) over its slice, resolving remote reads through a
-//!    [`RemoteView`] of the other shards' snapshots;
+//!    [`RemoteView`](crate::RemoteView) of the other shards' snapshots;
 //! 3. the server OR-merges the per-shard conflict-flag words of each
 //!    transaction — ownership partitions the cell space, so the merged
 //!    word equals the word a single device over the whole database would
@@ -25,33 +26,33 @@
 //! ## Degradation
 //!
 //! Device loss on any shard degrades *only that shard* to the scoped CPU
-//! twin ([`CpuShardEngine`]): the server rebuilds every shard's pre-batch
-//! state from its own checkpoint + WAL by a joint lockstep replay (the
-//! sub-batches were logged before execution, so the in-flight batch is
-//! replayed too), installs the CPU twin on the lost shard and fresh
+//! twin ([`CpuTwin`]): the server rebuilds every shard's pre-batch state
+//! from its own checkpoint + WAL by replaying the same lockstep rounds on
+//! twins (the sub-batches were logged before execution, so the in-flight
+//! batch is replayed too), installs the twin on the lost shard and fresh
 //! engines (replacement devices) on the healthy ones, and keeps serving.
 //! Determinism makes the hand-off invisible: the twin votes bit-identical
 //! flag words, so the merged history never changes — only that shard's
 //! simulated latency.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ltpg::{
-    commit_decision, DurabilityManager, ExecScope, LtpgConfig, LtpgEngine, PreparedBatch,
+    commit_decision, CpuTwin, DurabilityManager, Executor, Formed, Intake, LtpgConfig, LtpgEngine,
     PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
 };
-use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
-use ltpg_replica::{HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet};
+use ltpg_gpu_sim::{Device, DeviceFaultPlan};
+use ltpg_replica::{
+    HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet,
+};
 use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::{decode_batch, Batch, Tid, TidGen, Txn};
+use ltpg_txn::{Batch, Tid, Txn};
 
-use crate::cpu::{CpuPrepared, CpuShardEngine};
+use crate::lockstep::{lockstep_round, logged_round};
 use crate::partition::Partitioner;
 use crate::rebalance::{plan_split, PlannerConfig, RebalanceError, RebalancePlan, RebalancePlanner};
-use crate::remote::RemoteView;
 use crate::router::{Route, Router};
 
 /// Outcome of one [`ShardedServer::tick`].
@@ -114,74 +115,47 @@ impl ShardedStats {
     }
 }
 
-/// One shard: its executor, durability domain, and metrics registry.
+/// One shard's durability domain and metrics registry. Its executor
+/// lives beside it, in `ShardedServer::execs`, so a lockstep round can
+/// hold every executor mutably while reading the shards' logs.
 struct Shard {
-    exec: ShardExec,
     durability: DurabilityManager,
     telemetry: Arc<Registry>,
-    degraded: bool,
 }
 
-/// The executor currently serving a shard's sub-batches.
-enum ShardExec {
-    /// Normal operation: the shard's (simulated) GPU engine.
-    Gpu(Box<LtpgEngine>),
-    /// Degraded operation after this shard's device was lost.
-    Cpu(Box<CpuShardEngine>),
-    /// Transient placeholder while the executor is borrowed out for a
-    /// prepare/finish call (never observable between ticks).
-    Vacant,
+/// A physical device a shard lost, kept so a timed recovery
+/// ([`ReplicaChaos::device_recovers_after_batches`]) can revive it.
+struct LostDevice {
+    shard: usize,
+    device: Arc<Device>,
+    /// `stats.batches` at the moment of loss.
+    lost_at_batch: u64,
 }
 
-impl ShardExec {
-    fn database(&self) -> &Database {
-        match self {
-            ShardExec::Gpu(e) => ltpg_txn::BatchEngine::database(&**e),
-            ShardExec::Cpu(e) => e.database(),
-            ShardExec::Vacant => unreachable!("executor borrowed out"),
-        }
-    }
-}
-
-/// Per-shard prepared state, GPU or CPU, with a uniform flag-word API.
-/// The GPU state is boxed: it carries the engine's recycled per-batch
-/// buffers and would otherwise dwarf the CPU variant.
-enum Prepared {
-    Gpu(Box<PreparedBatch>),
-    Cpu(CpuPrepared),
-}
-
-impl Prepared {
-    fn flag_word(&self, i: usize) -> u32 {
-        match self {
-            Prepared::Gpu(p) => p.flag_word(i),
-            Prepared::Cpu(p) => p.flag_word(i),
-        }
-    }
-    fn set_flag_word(&mut self, i: usize, word: u32) {
-        match self {
-            Prepared::Gpu(p) => p.set_flag_word(i, word),
-            Prepared::Cpu(p) => p.set_flag_word(i, word),
-        }
-    }
-    fn sim_ns(&self) -> f64 {
-        match self {
-            Prepared::Gpu(p) => p.sim_ns(),
-            Prepared::Cpu(p) => p.sim_ns(),
-        }
-    }
+/// How [`ShardedServer::try_promote_row`] ended.
+enum Promotion {
+    /// No pool attached, or no standby row left alive: the caller degrades
+    /// to the CPU twin instead.
+    NoPool,
+    /// A row took over at a batch boundary; there was nothing to replay.
+    AtBoundary,
+    /// A row took over and its catch-up replayed up to the in-flight
+    /// batch, whose merged conflict words these are.
+    Replaying(MergedWords),
 }
 
 /// A batching OLTP server over N sharded [`LtpgEngine`]s with the
 /// deterministic no-2PC cross-shard commit protocol.
 pub struct ShardedServer {
     shards: Vec<Shard>,
+    /// `execs[s]` serves shard `s`; a shard is degraded exactly when its
+    /// executor is the CPU twin.
+    execs: Vec<Executor>,
     router: Router,
     cfg: ServerConfig,
     engine_cfg: LtpgConfig,
-    tids: TidGen,
-    inbox: VecDeque<Txn>,
-    requeue: VecDeque<Vec<Txn>>,
+    /// TID assignment, the inbox and the abort re-entry delay slots.
+    intake: Intake,
     stats: ShardedStats,
     /// Server-level registry (`shard.*` metrics). Each shard additionally
     /// owns a private registry for its device/engine metrics.
@@ -195,11 +169,8 @@ pub struct ShardedServer {
     replica_chaos: ReplicaChaos,
     /// Heartbeat probe counter (drives `heartbeat_drop_ticks`).
     tick_no: u64,
-    /// The most recently lost shard's physical device, kept for timed
-    /// recovery re-enlistment, with the shard it served and the batch
-    /// count at loss.
-    lost_device: Option<(usize, Arc<Device>)>,
-    lost_at_batch: Option<u64>,
+    /// Every lost device still waiting out its outage, oldest first.
+    lost_devices: Vec<LostDevice>,
     /// A validated topology change waiting for its cutover batch id,
     /// with the pre-built post-cutover partitioner.
     pending_rebalance: Option<(RebalancePlan, Partitioner)>,
@@ -223,42 +194,33 @@ impl ShardedServer {
         telemetry.counter(names::SHARD_CROSS_TXNS);
         telemetry.counter(names::SHARD_BROADCAST_TXNS);
         telemetry.gauge(names::SHARD_DEGRADED);
-        let shards = (0..n)
+        let (shards, execs) = (0..n)
             .map(|s| {
                 let slice = db.partition_clone(part.slice_pred(s));
                 let durability = DurabilityManager::new(&slice);
-                let shard_reg = Registry::new_shared();
+                let telemetry = Registry::new_shared();
                 for name in names::FAULT_COUNTERS {
-                    shard_reg.counter(name);
+                    telemetry.counter(name);
                 }
-                Shard {
-                    exec: ShardExec::Gpu(Box::new(LtpgEngine::with_telemetry(
-                        slice,
-                        engine_cfg.clone(),
-                        Arc::clone(&shard_reg),
-                    ))),
-                    durability,
-                    telemetry: shard_reg,
-                    degraded: false,
-                }
+                let engine =
+                    LtpgEngine::with_telemetry(slice, engine_cfg.clone(), Arc::clone(&telemetry));
+                (Shard { durability, telemetry }, engine.into())
             })
-            .collect();
+            .unzip();
         ShardedServer {
             shards,
+            execs,
             router: Router::new(part),
             cfg,
             engine_cfg,
-            tids: TidGen::new(),
-            inbox: VecDeque::new(),
-            requeue: VecDeque::new(),
+            intake: Intake::new(),
             stats: ShardedStats::default(),
             telemetry,
             replicas: None,
             monitors: Vec::new(),
             replica_chaos: ReplicaChaos::none(),
             tick_no: 0,
-            lost_device: None,
-            lost_at_batch: None,
+            lost_devices: Vec::new(),
             pending_rebalance: None,
             planner: None,
             replica_cfg: None,
@@ -320,12 +282,12 @@ impl ShardedServer {
 
     /// Shard `s`'s live database slice.
     pub fn database(&self, s: u32) -> &Database {
-        self.shards[s as usize].exec.database()
+        self.execs[s as usize].database()
     }
 
     /// Whether shard `s` has degraded to its CPU twin.
     pub fn is_degraded(&self, s: u32) -> bool {
-        self.shards[s as usize].degraded
+        self.execs[s as usize].is_degraded()
     }
 
     /// Cumulative statistics.
@@ -346,7 +308,7 @@ impl ShardedServer {
     /// Arm a deterministic fault schedule on shard `s`'s device. No-op if
     /// that shard is already degraded.
     pub fn arm_shard_faults(&self, s: u32, plan: DeviceFaultPlan) {
-        if let ShardExec::Gpu(engine) = &self.shards[s as usize].exec {
+        if let Some(engine) = self.execs[s as usize].gpu() {
             engine.device().arm_faults(plan);
         }
     }
@@ -354,7 +316,7 @@ impl ShardedServer {
     /// Force shard `s`'s device into its failed state at the next batch
     /// boundary.
     pub fn force_shard_failure(&self, s: u32) {
-        if let ShardExec::Gpu(engine) = &self.shards[s as usize].exec {
+        if let Some(engine) = self.execs[s as usize].gpu() {
             engine.device().fail_now();
         }
     }
@@ -362,7 +324,7 @@ impl ShardedServer {
     /// Enqueue one transaction.
     pub fn submit(&mut self, txn: Txn) {
         self.stats.admitted += 1;
-        self.inbox.push_back(txn);
+        self.intake.submit(txn);
     }
 
     /// Enqueue many transactions.
@@ -374,20 +336,20 @@ impl ShardedServer {
 
     /// Transactions waiting (fresh + re-queued).
     pub fn pending(&self) -> usize {
-        self.inbox.len() + self.requeue.iter().map(Vec::len).sum::<usize>()
+        self.intake.pending()
     }
 
     /// Fresh submissions waiting in the inbox (excludes re-queued aborts
     /// sitting out their retry delay).
     pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
+        self.intake.inbox_len()
     }
 
     /// The TID the next fresh admission will receive at batch assembly.
     /// Fresh TIDs are handed out in inbox FIFO order, so an ingestion layer
     /// can mirror this counter to correlate commits with submissions.
     pub fn next_tid(&self) -> u64 {
-        self.tids.peek()
+        self.intake.next_tid()
     }
 
     /// Human-readable end-of-run summary.
@@ -423,7 +385,7 @@ impl ShardedServer {
     /// single authority for that number — degradation, re-promotion and
     /// failover all route through here so the two views cannot drift.
     fn refresh_degraded(&mut self) {
-        self.stats.degraded_shards = self.shards.iter().filter(|sh| sh.degraded).count() as u32;
+        self.stats.degraded_shards = self.execs.iter().filter(|e| e.is_degraded()).count() as u32;
         self.telemetry.gauge(names::SHARD_DEGRADED).set(self.stats.degraded_shards as i64);
     }
 
@@ -490,7 +452,7 @@ impl ShardedServer {
         let Some(imb) = planner.observe(&loads) else { return };
         let cutover = self.shards[0].durability.logged_batches() as u64 + 1;
         let part = self.router.partitioner();
-        let db = self.shards[imb.hot as usize].exec.database();
+        let db = self.execs[imb.hot as usize].database();
         let Some(plan) = plan_split(part, db, imb.hot, imb.cold, cutover) else { return };
         if self.schedule_rebalance(plan).is_ok() {
             self.telemetry.counter(names::REBALANCE_PLANNER_EMITTED).inc();
@@ -504,28 +466,19 @@ impl ShardedServer {
     /// cutover id (so WAL replay never crosses a rule change), swap the
     /// router, and rebuild the standby pool over the new checkpoints.
     fn maybe_apply_rebalance(&mut self) {
-        let due = match &self.pending_rebalance {
-            Some((plan, _)) => self.shards[0].durability.logged_batches() as u64 >= plan.cutover,
-            None => return,
-        };
-        if !due {
-            return;
-        }
-        let (plan, new_part) = self.pending_rebalance.take().expect("pending plan checked");
+        let next = self.shards[0].durability.logged_batches() as u64;
+        let due = self.pending_rebalance.take_if(|(plan, _)| next >= plan.cutover);
+        let Some((plan, new_part)) = due else { return };
         let started = std::time::Instant::now();
         let n = self.shards.len();
         let mut migrated = 0u64;
         let new_slices: Vec<Database> = (0..n)
             .map(|s| {
                 let shard_id = s as u32;
-                let base = self.shards[s]
-                    .exec
-                    .database()
-                    .partition_clone(new_part.slice_pred(shard_id));
-                for (r, sh) in self.shards.iter().enumerate() {
+                let base = self.execs[s].database().partition_clone(new_part.slice_pred(shard_id));
+                for (r, peer) in self.execs.iter().enumerate() {
                     if r != s {
-                        migrated +=
-                            base.absorb_rows(sh.exec.database(), new_part.slice_pred(shard_id));
+                        migrated += base.absorb_rows(peer.database(), new_part.slice_pred(shard_id));
                     }
                 }
                 base
@@ -536,16 +489,17 @@ impl ShardedServer {
             // failover catch-up start from post-cutover images and never
             // span the rule change.
             self.shards[s].durability.checkpoint(&slice);
-            self.shards[s].exec = if self.shards[s].degraded {
-                ShardExec::Cpu(Box::new(CpuShardEngine::new(slice, self.engine_cfg.clone())))
+            self.execs[s] = if self.execs[s].is_degraded() {
+                CpuTwin::new(slice, self.engine_cfg.clone()).into()
             } else {
                 // Fresh engines over the new slices (fault plans armed on
                 // the old devices are not carried over, as in degradation).
-                ShardExec::Gpu(Box::new(LtpgEngine::with_telemetry(
+                LtpgEngine::with_telemetry(
                     slice,
                     self.engine_cfg.clone(),
                     Arc::clone(&self.shards[s].telemetry),
-                )))
+                )
+                .into()
             };
         }
         self.router = Router::new(new_part);
@@ -583,12 +537,6 @@ impl ShardedServer {
         self.stats.rows_migrated += migrated;
     }
 
-    /// Scope closures for shard `s`; `None` when the server has one shard
-    /// (its slice is the whole database).
-    fn scoped(&self) -> bool {
-        self.shards.len() > 1
-    }
-
     /// Split the global batch into per-shard sub-batches (global TID order
     /// preserved), the per-shard global-index mapping, and route counts
     /// `(single, multi, broadcast)`.
@@ -616,196 +564,49 @@ impl ShardedServer {
         (subs.into_iter().map(|txns| Batch { txns }).collect(), (single, multi, broadcast))
     }
 
-    /// Prepare shard `s`'s sub-batch, retrying transient upload faults
-    /// with exponential backoff. `Ok(None)` means the shard's device is
-    /// lost (or hopelessly flaky) and the caller must degrade.
-    fn prepare_shard(
-        &mut self,
-        s: usize,
-        sub: &Batch,
-        backoff_ns: &mut f64,
-    ) -> Option<Prepared> {
-        let exec = std::mem::replace(&mut self.shards[s].exec, ShardExec::Vacant);
-        let part = self.router.partitioner();
-        let shard_id = s as u32;
-        let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-        let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-        let dbs: Vec<Option<&Database>> = self
-            .shards
-            .iter()
-            .map(|sh| match &sh.exec {
-                ShardExec::Gpu(e) => Some(ltpg_txn::BatchEngine::database(&**e)),
-                ShardExec::Cpu(e) => Some(e.database()),
-                ShardExec::Vacant => None,
-            })
-            .collect();
-        let view = RemoteView::new(part, dbs);
-        let scope = ExecScope { remote: Some(&view), owns_row: &owns_row, owns_membership: &owns_mem };
-        let scope = self.scoped().then_some(&scope);
-        let (result, exec) = match exec {
-            ShardExec::Gpu(mut e) => {
-                let mut attempt = 0u32;
-                let r = loop {
-                    match e.try_prepare_batch(sub, scope) {
-                        Ok(p) => break Some(Prepared::Gpu(Box::new(p))),
-                        Err(DeviceError::TransientTransfer { .. })
-                            if attempt < self.cfg.max_transient_retries =>
-                        {
-                            attempt += 1;
-                            self.shards[s]
-                                .telemetry
-                                .counter(names::FAULT_TRANSIENT_RETRIES)
-                                .inc();
-                            let pause = self.cfg.retry_backoff_ns
-                                * 2f64.powi((attempt - 1).min(30) as i32);
-                            *backoff_ns += pause;
-                            self.shards[s]
-                                .telemetry
-                                .counter(names::FAULT_BACKOFF_NS)
-                                .add(pause.round() as u64);
-                        }
-                        Err(_) => break None,
-                    }
-                };
-                (r, ShardExec::Gpu(e))
-            }
-            ShardExec::Cpu(mut e) => {
-                let p = e.prepare(sub, scope);
-                (Some(Prepared::Cpu(p)), ShardExec::Cpu(e))
-            }
-            ShardExec::Vacant => unreachable!("executor borrowed out"),
-        };
-        drop(view);
-        self.shards[s].exec = exec;
-        result
-    }
-
-    /// Finish shard `s`'s sub-batch with merged flag words. `false` means
-    /// the device died mid-finish and the caller must degrade.
-    fn finish_shard(&mut self, s: usize, sub: &Batch, prepared: Prepared) -> Option<f64> {
-        let part = self.router.partitioner();
-        let shard_id = s as u32;
-        let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-        let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-        // Finish never reads remote rows (write-back applies only owned
-        // mutations), so the scope carries no remote view.
-        let scope = ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_mem };
-        let scope = self.scoped().then_some(&scope);
-        match (&mut self.shards[s].exec, prepared) {
-            (ShardExec::Gpu(e), Prepared::Gpu(p)) => {
-                let prep_ns = p.sim_ns();
-                match e.try_finish_batch(sub, *p, scope) {
-                    Ok(r) => Some(r.stats.total_ns() - prep_ns),
-                    Err(_) => None,
-                }
-            }
-            (ShardExec::Cpu(e), Prepared::Cpu(p)) => {
-                let (_, finish_ns) = e.finish(sub, p, scope);
-                Some(finish_ns)
-            }
-            _ => unreachable!("prepared state does not match the shard executor"),
-        }
-    }
-
     /// Degrade after shard `failed` lost its device: rebuild every shard's
-    /// state from its checkpoint + WAL by joint lockstep replay (the
-    /// in-flight batch was logged before execution, so it is replayed
-    /// too), install the CPU twin on the failed shard and fresh engines
-    /// (replacement devices) on the healthy ones, and return the merged
-    /// flag words of the final (in-flight) replayed batch by TID.
-    fn degrade_and_replay(&mut self, failed: usize) -> Result<BTreeMap<u64, u32>, ServerError> {
-        let n = self.shards.len();
-        let scoped = self.scoped();
-        let mut twins: Vec<Option<CpuShardEngine>> = self
+    /// state from its checkpoint + WAL by replaying the logged rounds on
+    /// CPU twins (the in-flight batch was logged before execution, so it
+    /// is replayed too), keep the twin on the failed shard and on shards
+    /// already degraded, and put fresh engines (replacement devices) on
+    /// the healthy ones. Returns the merged flag words of the final
+    /// (in-flight) replayed batch by TID.
+    fn degrade_and_replay(&mut self, failed: usize) -> Result<MergedWords, ServerError> {
+        let mut twins: Vec<Executor> = self
             .shards
             .iter()
-            .map(|sh| {
-                Some(CpuShardEngine::new(
-                    sh.durability.checkpoint_image(),
-                    self.engine_cfg.clone(),
-                ))
-            })
+            .map(|sh| CpuTwin::new(sh.durability.checkpoint_image(), self.engine_cfg.clone()).into())
             .collect();
         // Checkpoints are taken jointly (same tick on every shard), so
         // every shard replays the same id range.
         let start = self.shards[0].durability.checkpoint_batch();
         let end = self.shards[0].durability.logged_batches() as u64;
         let part = self.router.partitioner();
-        let mut last_merged: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut last_merged = MergedWords::new();
         for b in start..end {
-            let mut subs: Vec<Batch> = Vec::with_capacity(n);
-            for sh in &self.shards {
-                let rec = sh
-                    .durability
-                    .log()
-                    .fetch(b)
-                    .ok_or(ServerError::DegradationFailed(RecoveryError::MissingBatch(b)))?;
-                let txns = decode_batch(&rec.payload)
-                    .map_err(|e| ServerError::DegradationFailed(RecoveryError::Corrupt(e)))?;
-                subs.push(Batch { txns });
-            }
-            let mut prepared: Vec<Option<CpuPrepared>> = Vec::with_capacity(n);
-            for (s, sub) in subs.iter().enumerate() {
-                if sub.txns.is_empty() {
-                    prepared.push(None);
-                    continue;
-                }
-                let mut twin = twins[s].take().expect("twin present");
-                let p = {
-                    let dbs: Vec<Option<&Database>> =
-                        twins.iter().map(|t| t.as_ref().map(|t| t.database())).collect();
-                    let view = RemoteView::new(part, dbs);
-                    let shard_id = s as u32;
-                    let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-                    let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-                    let scope =
-                        ExecScope { remote: Some(&view), owns_row: &owns_row, owns_membership: &owns_mem };
-                    twin.prepare(sub, scoped.then_some(&scope))
-                };
-                twins[s] = Some(twin);
-                prepared.push(Some(p));
-            }
-            let mut merged: BTreeMap<u64, u32> = BTreeMap::new();
-            for (s, p) in prepared.iter().enumerate() {
-                let Some(p) = p else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
-                }
-            }
-            for (s, slot) in prepared.iter_mut().enumerate() {
-                let Some(mut p) = slot.take() else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    p.set_flag_word(j, merged[&txn.tid.0]);
-                }
-                let twin = twins[s].as_mut().expect("twin present");
-                let shard_id = s as u32;
-                let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-                let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-                let scope =
-                    ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_mem };
-                twin.finish(&subs[s], p, scoped.then_some(&scope));
-            }
-            last_merged = merged;
+            let logs = self.shards.iter().map(|sh| &sh.durability);
+            last_merged = logged_round(&mut twins, logs, b, part)
+                .map_err(ServerError::DegradationFailed)?
+                .merged;
         }
-        for (s, (shard, twin)) in self.shards.iter_mut().zip(twins).enumerate() {
-            let twin = twin.expect("twin present");
+        let shards = self.shards.iter().zip(&mut self.execs).zip(twins).enumerate();
+        for (s, ((shard, exec), twin)) in shards {
             if s == failed {
-                shard.degraded = true;
                 shard.telemetry.counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
-                shard.exec = ShardExec::Cpu(Box::new(twin));
-            } else if shard.degraded {
-                // Already on the CPU twin before this fault; stay there.
-                shard.exec = ShardExec::Cpu(Box::new(twin));
+            }
+            *exec = if s == failed || exec.is_degraded() {
+                twin
             } else {
                 // A healthy shard gets a replacement device over the
                 // replayed state (fault plans armed on the old device are
                 // not carried over).
-                shard.exec = ShardExec::Gpu(Box::new(LtpgEngine::with_telemetry(
+                LtpgEngine::with_telemetry(
                     twin.into_database(),
                     self.engine_cfg.clone(),
                     Arc::clone(&shard.telemetry),
-                )));
-            }
+                )
+                .into()
+            };
         }
         self.refresh_degraded();
         Ok(last_merged)
@@ -815,58 +616,66 @@ impl ShardedServer {
     /// recovery ([`ReplicaChaos::device_recovers_after_batches`]) can
     /// revive and re-enlist it.
     fn note_device_loss(&mut self, failed: usize) {
-        if let ShardExec::Gpu(e) = &self.shards[failed].exec {
-            self.lost_device = Some((failed, e.device_handle()));
-            self.lost_at_batch = Some(self.stats.batches);
+        if let Some(engine) = self.execs[failed].gpu() {
+            self.lost_devices.push(LostDevice {
+                shard: failed,
+                device: engine.device_handle(),
+                lost_at_batch: self.stats.batches,
+            });
         }
     }
 
     /// Promote the freshest standby row onto every shard, catching it up
-    /// through batches `< upto`. Returns the merged conflict words of the
-    /// last replayed batch (`upto - 1`) on success, or `None` when no
-    /// pool is attached / the pool is exhausted — the caller then falls
-    /// back to CPU degradation. Promotion crashpoints surface as
+    /// through batches `< upto`. Promotion crashpoints surface as
     /// [`ServerError::InjectedCrash`] ("process death" mid-cutover); the
     /// WAL already holds everything needed to recover.
-    fn try_promote_row(&mut self, upto: u64) -> Result<Option<Option<MergedWords>>, ServerError> {
-        let Some(mut set) = self.replicas.take() else { return Ok(None) };
+    fn try_promote_row(&mut self, upto: u64) -> Result<Promotion, ServerError> {
+        let Some(set) = self.replicas.as_mut() else { return Ok(Promotion::NoPool) };
         if set.rows_alive() == 0 {
-            self.replicas = Some(set);
-            return Ok(None);
+            return Ok(Promotion::NoPool);
         }
-        match self.replica_chaos.promotion_crash.take() {
-            Some(PromotionCrashpoint::BeforeCatchup) => {
-                self.replicas = Some(set);
-                return Err(ServerError::InjectedCrash("promotion:before-catchup"));
-            }
-            Some(PromotionCrashpoint::AfterCatchup) => {
-                let mut driver = joint_replay_driver(&self.shards, &self.router);
-                let _ = set.promote_row(upto, &mut driver);
-                self.replicas = Some(set);
-                return Err(ServerError::InjectedCrash("promotion:after-catchup"));
-            }
-            None => {}
+        let crash = self.replica_chaos.promotion_crash.take();
+        if crash == Some(PromotionCrashpoint::BeforeCatchup) {
+            return Err(ServerError::InjectedCrash("promotion:before-catchup"));
         }
-        let result = {
-            let mut driver = joint_replay_driver(&self.shards, &self.router);
-            set.promote_row(upto, &mut driver)
-        };
-        self.replicas = Some(set);
-        let Some((engines, last_words, ns)) = result else { return Ok(None) };
-        for (s, mut engine) in engines.into_iter().enumerate() {
-            engine.rebind_telemetry(Arc::clone(&self.shards[s].telemetry));
-            self.shards[s].exec = ShardExec::Gpu(Box::new(engine));
-            self.shards[s].degraded = false;
+        let result = set.promote_row(upto, &mut joint_replay_driver(&self.shards, &self.router));
+        if crash == Some(PromotionCrashpoint::AfterCatchup) {
+            return Err(ServerError::InjectedCrash("promotion:after-catchup"));
         }
+        let Some((row, last_words, ns)) = result else { return Ok(Promotion::NoPool) };
         // The promoted row replaces the whole topology with healthy GPU
         // engines, so any CPU-degraded shard is healed by the cutover.
+        self.execs = row;
+        for (exec, shard) in self.execs.iter_mut().zip(&self.shards) {
+            if let Some(engine) = exec.gpu_mut() {
+                engine.rebind_telemetry(Arc::clone(&shard.telemetry));
+            }
+        }
         self.refresh_degraded();
         self.stats.failovers += 1;
         self.stats.sim_ns += ns;
         for m in &mut self.monitors {
             m.reset();
         }
-        Ok(Some(last_words))
+        Ok(last_words.map_or(Promotion::AtBoundary, Promotion::Replaying))
+    }
+
+    /// Shard `failed` lost its device while batch `upto - 1` (already
+    /// logged on every shard) was executing. Preferred path: promote a
+    /// standby row — the promotion catch-up replays the in-flight batch
+    /// and its merged words stand in for the lost execution. Exhausted
+    /// pool: rebuild everything from the logs on the CPU twins. Either way
+    /// the verdicts come from a replay of the same WAL.
+    fn recover_in_flight(&mut self, failed: usize) -> Result<MergedWords, ServerError> {
+        self.note_device_loss(failed);
+        let upto = self.shards[0].durability.logged_batches() as u64;
+        match self.try_promote_row(upto)? {
+            Promotion::Replaying(words) => Ok(words),
+            Promotion::AtBoundary => {
+                Err(ServerError::PromotionSkippedInFlightBatch { batch_id: upto - 1 })
+            }
+            Promotion::NoPool => self.degrade_and_replay(failed),
+        }
     }
 
     /// Probe every primary's health once per tick (chaos may drop the
@@ -880,12 +689,15 @@ impl ShardedServer {
         self.tick_no += 1;
         let dropped = self.replica_chaos.heartbeat_drop_ticks.contains(&tick);
         let mut fenced = None;
-        for (s, sh) in self.shards.iter().enumerate() {
-            let beat = match &sh.exec {
-                ShardExec::Gpu(e) if e.device().is_failed() => Heartbeat::Dead,
-                ShardExec::Gpu(_) if dropped => Heartbeat::Dropped,
-                ShardExec::Gpu(_) => Heartbeat::Alive,
-                _ => continue,
+        for (s, exec) in self.execs.iter().enumerate() {
+            // A shard on its CPU twin has no device to probe.
+            let Some(engine) = exec.gpu() else { continue };
+            let beat = if engine.device().is_failed() {
+                Heartbeat::Dead
+            } else if dropped {
+                Heartbeat::Dropped
+            } else {
+                Heartbeat::Alive
             };
             if self.monitors[s].observe(beat) == HealthVerdict::Failed && fenced.is_none() {
                 fenced = Some(s);
@@ -895,69 +707,58 @@ impl ShardedServer {
         // A Dead fence means the device is really gone: stash it for
         // timed-recovery re-enlistment. A Dropped fence is a (safe) false
         // positive — the healthy device is discarded, not stashed.
-        if let ShardExec::Gpu(e) = &self.shards[s].exec {
-            if e.device().is_failed() {
-                self.note_device_loss(s);
-            }
+        if self.execs[s].gpu().is_some_and(|e| e.device().is_failed()) {
+            self.note_device_loss(s);
         }
         let upto = self.shards[0].durability.logged_batches() as u64;
-        if self.try_promote_row(upto)?.is_none() {
+        if let Promotion::NoPool = self.try_promote_row(upto)? {
             self.degrade_and_replay(s)?;
             self.monitors[s].reset();
         }
         Ok(())
     }
 
-    /// Timed-recovery re-promotion: once the chaos plan says the lost
+    /// Timed-recovery re-promotion: once the chaos plan says a lost
     /// device has recovered, revive + reset it and bring it back — as the
     /// serving engine of its shard if that shard is still limping on the
     /// CPU twin (clearing the degraded gauge), or as a fresh standby row
     /// if a failover already healed the topology.
-    fn maybe_rejoin_recovered_device(&mut self) {
+    fn maybe_rejoin_recovered_devices(&mut self) {
         let Some(after) = self.replica_chaos.device_recovers_after_batches else { return };
-        let Some(lost_at) = self.lost_at_batch else { return };
-        if self.stats.batches < lost_at.saturating_add(after) {
-            return;
-        }
-        let Some((s, device)) = self.lost_device.take() else { return };
-        self.lost_at_batch = None;
-        device.revive();
-        device.reset_for_reuse();
-        if self.shards[s].degraded {
-            let exec = std::mem::replace(&mut self.shards[s].exec, ShardExec::Vacant);
-            let ShardExec::Cpu(twin) = exec else {
-                unreachable!("degraded shard must hold the CPU twin")
-            };
-            self.shards[s].exec = ShardExec::Gpu(Box::new(LtpgEngine::with_device(
-                twin.into_database(),
-                self.engine_cfg.clone(),
-                Arc::clone(&self.shards[s].telemetry),
-                device,
-            )));
-            self.shards[s].degraded = false;
-            self.refresh_degraded();
-            self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
-            if let Some(m) = self.monitors.get_mut(s) {
-                m.reset();
+        let batches = self.stats.batches;
+        let (recovered, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.lost_devices)
+            .into_iter()
+            .partition(|l| batches >= l.lost_at_batch.saturating_add(after));
+        self.lost_devices = waiting;
+        for LostDevice { shard: s, device, .. } in recovered {
+            device.revive();
+            device.reset_for_reuse();
+            if self.execs[s].is_degraded() {
+                self.execs[s].repromote(
+                    self.engine_cfg.clone(),
+                    Arc::clone(&self.shards[s].telemetry),
+                    device,
+                );
+                self.refresh_degraded();
+                self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
+                if let Some(m) = self.monitors.get_mut(s) {
+                    m.reset();
+                }
+            } else if let Some(set) = &mut self.replicas {
+                let images: Vec<Database> =
+                    self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
+                let base = self.shards[0].durability.checkpoint_batch();
+                set.spawn_row_with_device(images, base, device);
             }
-        } else if let Some(set) = &mut self.replicas {
-            let images: Vec<Database> =
-                self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
-            let base = self.shards[0].durability.checkpoint_batch();
-            set.spawn_row_with_device(images, base, device);
         }
     }
 
     /// Advance every standby row through the logged tail (one joint
     /// lockstep replay per row per batch).
     fn replicate_tail(&mut self) {
-        let Some(mut set) = self.replicas.take() else { return };
+        let Some(set) = self.replicas.as_mut() else { return };
         let tail = self.shards[0].durability.logged_batches() as u64;
-        {
-            let mut driver = joint_replay_driver(&self.shards, &self.router);
-            set.observe(tail, &mut driver);
-        }
-        self.replicas = Some(set);
+        set.observe(tail, &mut joint_replay_driver(&self.shards, &self.router));
     }
 
     /// Form, route and execute one global batch. Returns `None` when the
@@ -970,6 +771,8 @@ impl ShardedServer {
     /// damaged beyond the torn-tail case; fault-injecting callers use
     /// [`try_tick`](Self::try_tick).
     pub fn tick(&mut self) -> Option<ShardedBatchSummary> {
+        // Invariant: with undamaged logs (nothing corrupts them but
+        // injection), degradation replay cannot fail.
         self.try_tick().expect("shard WAL damaged while serving: use try_tick")
     }
 
@@ -979,31 +782,23 @@ impl ShardedServer {
         // Batch boundary: recovered devices rejoin, heartbeats are
         // probed, and a fenced primary triggers failover *before* the
         // next batch forms — promotion never interleaves with execution.
-        self.maybe_rejoin_recovered_device();
+        self.maybe_rejoin_recovered_devices();
         self.probe_heartbeats()?;
         // The cutover barrier: a scheduled plan whose batch id has
         // arrived re-slices the topology before the next batch forms.
         self.maybe_apply_rebalance();
-        let due = self.requeue.pop_front().unwrap_or_default();
-        if due.is_empty() && self.inbox.is_empty() {
-            if self.requeue.iter().all(Vec::is_empty) {
-                return Ok(None);
+        let batch = match self.intake.next_batch(self.cfg.batch_size) {
+            Formed::Idle => return Ok(None),
+            Formed::Waiting => {
+                return Ok(Some(ShardedBatchSummary {
+                    committed: Vec::new(),
+                    aborted: Vec::new(),
+                    sim_ns: 0.0,
+                    flag_words: BTreeMap::new(),
+                }));
             }
-            return Ok(Some(ShardedBatchSummary {
-                committed: Vec::new(),
-                aborted: Vec::new(),
-                sim_ns: 0.0,
-                flag_words: BTreeMap::new(),
-            }));
-        }
-        let mut fresh = Vec::new();
-        while fresh.len() + due.len() < self.cfg.batch_size {
-            match self.inbox.pop_front() {
-                Some(t) => fresh.push(t),
-                None => break,
-            }
-        }
-        let batch = Batch::assemble(due, fresh, &mut self.tids);
+            Formed::Batch(batch) => batch,
+        };
         let (subs, (single, multi, broadcast)) = self.split_batch(&batch);
         self.telemetry.counter(names::SHARD_SINGLE_TXNS).add(single);
         self.telemetry.counter(names::SHARD_CROSS_TXNS).add(multi);
@@ -1013,96 +808,38 @@ impl ShardedServer {
         self.stats.broadcast_txns += broadcast;
         // Log before execution, on every shard (empty sub-batches too):
         // aligned batch ids give a consistent cross-shard recovery cut.
-        for (s, sub) in subs.iter().enumerate() {
-            self.shards[s].durability.log_batch(sub);
+        for (shard, sub) in self.shards.iter_mut().zip(&subs) {
+            shard.durability.log_batch(sub);
         }
 
         // ---- Prepare on every participant; merge; finish. ----
         let mut backoff_ns = 0.0;
-        let n = self.shards.len();
-        let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(n);
-        let mut lost: Option<usize> = None;
-        for (s, sub) in subs.iter().enumerate() {
-            if sub.txns.is_empty() {
-                prepared.push(None);
-                continue;
-            }
-            match self.prepare_shard(s, sub, &mut backoff_ns) {
-                Some(p) => prepared.push(Some(p)),
-                None => {
-                    lost = Some(s);
-                    break;
-                }
-            }
-        }
-        let (merged, sim_ns) = if let Some(failed) = lost {
-            // The failed prepare mutated nothing. Preferred path: promote
-            // a standby row — the in-flight batch was logged before
-            // execution, so the promotion catch-up replays it and its
-            // merged words stand in for the lost prepare. Exhausted pool:
-            // rebuild everything from the logs on the CPU twins. Either
-            // way the verdicts come from a replay of the same WAL.
-            // Simulated cost: failover latency is accounted by
-            // `try_promote_row`; charge only backoff here.
-            self.note_device_loss(failed);
-            let upto = self.shards[0].durability.logged_batches() as u64;
-            match self.try_promote_row(upto)? {
-                Some(words) => {
-                    let words =
-                        words.expect("mid-batch failover must replay the in-flight batch");
-                    (words, backoff_ns)
-                }
-                None => (self.degrade_and_replay(failed)?, backoff_ns),
-            }
-        } else {
-            let mut merged: BTreeMap<u64, u32> = BTreeMap::new();
-            for (s, p) in prepared.iter().enumerate() {
-                let Some(p) = p else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
-                }
-            }
-            // Merge barrier: every participant waits for the slowest
-            // prepare before its verdicts are complete.
-            let max_prep =
-                prepared.iter().flatten().map(Prepared::sim_ns).fold(0.0f64, f64::max);
-            for p in prepared.iter().flatten() {
-                let stall = max_prep - p.sim_ns();
+        let round = lockstep_round(
+            &mut self.execs,
+            &subs,
+            self.router.partitioner(),
+            Some(&self.cfg),
+            &mut backoff_ns,
+        );
+        // Merge barrier: every participant waited for the slowest prepare
+        // before its verdicts were complete.
+        let mut max_prep = 0.0f64;
+        if !round.merged.is_empty() {
+            max_prep = round.participants.iter().map(|p| p.prep_ns).fold(0.0, f64::max);
+            for p in &round.participants {
+                let stall = max_prep - p.prep_ns;
                 self.stats.merge_stall_ns += stall;
                 self.telemetry.histogram(names::SHARD_MERGE_STALL_NS).record_ns(stall);
             }
-            let mut max_finish = 0.0f64;
-            let mut finish_lost: Option<usize> = None;
-            for (s, slot) in prepared.iter_mut().enumerate() {
-                let Some(mut p) = slot.take() else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    p.set_flag_word(j, merged[&txn.tid.0]);
-                }
-                match self.finish_shard(s, &subs[s], p) {
-                    Some(ns) => max_finish = max_finish.max(ns),
-                    None => {
-                        finish_lost = Some(s);
-                        break;
-                    }
-                }
+        }
+        let (merged, sim_ns) = match round.lost {
+            None => {
+                let max_finish = round.participants.iter().map(|p| p.finish_ns).fold(0.0, f64::max);
+                (round.merged, max_prep + max_finish + backoff_ns)
             }
-            if let Some(failed) = finish_lost {
-                // Mid-finish loss may have left this shard's slice partly
-                // written; both recovery paths rebuild every shard from
-                // the WAL, which re-derives the same merged verdicts.
-                self.note_device_loss(failed);
-                let upto = self.shards[0].durability.logged_batches() as u64;
-                match self.try_promote_row(upto)? {
-                    Some(words) => {
-                        let words =
-                            words.expect("mid-batch failover must replay the in-flight batch");
-                        (words, backoff_ns)
-                    }
-                    None => (self.degrade_and_replay(failed)?, backoff_ns),
-                }
-            } else {
-                (merged, max_prep + max_finish + backoff_ns)
-            }
+            // Failover latency is accounted by `try_promote_row`; charge
+            // only backoff here.
+            Some((failed, _)) => (self.recover_in_flight(failed)?, backoff_ns),
         };
 
         // ---- Global commit decisions from the merged words. ----
@@ -1128,24 +865,13 @@ impl ShardedServer {
         self.replicate_tail();
         if let Some(every) = self.cfg.checkpoint_every {
             if self.stats.batches.is_multiple_of(every as u64) {
-                for sh in &mut self.shards {
-                    let db = sh.exec.database();
-                    sh.durability.checkpoint(db);
+                for (shard, exec) in self.shards.iter_mut().zip(&self.execs) {
+                    shard.durability.checkpoint(exec.database());
                 }
             }
         }
 
-        if !aborted.is_empty() {
-            let delay = if self.cfg.pipelined { 2 } else { 1 };
-            while self.requeue.len() < delay {
-                self.requeue.push_back(Vec::new());
-            }
-            let retry: Vec<Txn> = aborted
-                .iter()
-                .map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone())
-                .collect();
-            self.requeue[delay - 1].extend(retry);
-        }
+        self.intake.requeue_aborted(&batch, &aborted, self.cfg.pipelined);
         Ok(Some(ShardedBatchSummary { committed, aborted, sim_ns, flag_words: merged }))
     }
 
@@ -1162,75 +888,23 @@ impl ShardedServer {
 }
 
 /// The sharded [`ltpg_replica::ReplayDriver`]: apply logged batch
-/// `batch_id` to one standby row by the exact primary protocol — fetch
-/// every shard's sub-batch from its WAL, prepare each engine against a
-/// remote view of its row peers, OR-merge the conflict-flag words, and
-/// finish with the merged words. Determinism makes the row bit-identical
-/// to the primaries after every batch.
+/// `batch_id` to one standby row by the exact primary protocol — one
+/// lockstep round over every shard's logged sub-batch. Determinism makes
+/// the row bit-identical to the primaries after every batch.
 fn joint_replay_driver<'a>(
     shards: &'a [Shard],
     router: &'a Router,
-) -> impl FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + 'a {
-    move |engines, batch_id| {
-        let n = shards.len();
-        let scoped = n > 1;
-        let part = router.partitioner();
-        let mut subs: Vec<Batch> = Vec::with_capacity(n);
-        for sh in shards {
-            let rec = sh
-                .durability
-                .log()
-                .fetch(batch_id)
-                .ok_or(ReplicaError::WalGap { batch_id })?;
-            let txns = decode_batch(&rec.payload)
-                .map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
-            subs.push(Batch { txns });
+) -> impl FnMut(&mut [Executor], u64) -> Result<MergedWords, ReplicaError> + 'a {
+    move |row, batch_id| {
+        let logs = shards.iter().map(|sh| &sh.durability);
+        let round = logged_round(row, logs, batch_id, router.partitioner()).map_err(|e| match e {
+            RecoveryError::MissingBatch(batch_id) => ReplicaError::WalGap { batch_id },
+            e => ReplicaError::Corrupt(format!("{e:?}")),
+        })?;
+        match round.lost {
+            Some((_, e)) => Err(ReplicaError::Dead(e)),
+            None => Ok(round.merged),
         }
-        let mut prepared: Vec<Option<PreparedBatch>> = Vec::with_capacity(n);
-        for (s, sub) in subs.iter().enumerate() {
-            if sub.txns.is_empty() {
-                prepared.push(None);
-                continue;
-            }
-            let mut engine = engines[s].take().expect("standby engine present");
-            let result = {
-                let dbs: Vec<Option<&Database>> = engines
-                    .iter()
-                    .map(|e| e.as_ref().map(ltpg_txn::BatchEngine::database))
-                    .collect();
-                let view = RemoteView::new(part, dbs);
-                let shard_id = s as u32;
-                let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-                let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-                let scope =
-                    ExecScope { remote: Some(&view), owns_row: &owns_row, owns_membership: &owns_mem };
-                engine.try_prepare_batch(sub, scoped.then_some(&scope))
-            };
-            engines[s] = Some(engine);
-            prepared.push(Some(result.map_err(ReplicaError::Dead)?));
-        }
-        let mut merged: MergedWords = BTreeMap::new();
-        for (s, p) in prepared.iter().enumerate() {
-            let Some(p) = p else { continue };
-            for (j, txn) in subs[s].txns.iter().enumerate() {
-                *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
-            }
-        }
-        for (s, slot) in prepared.iter_mut().enumerate() {
-            let Some(p) = slot.take() else { continue };
-            for (j, txn) in subs[s].txns.iter().enumerate() {
-                p.set_flag_word(j, merged[&txn.tid.0]);
-            }
-            let engine = engines[s].as_mut().expect("standby engine present");
-            let shard_id = s as u32;
-            let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-            let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-            let scope = ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_mem };
-            engine
-                .try_finish_batch(&subs[s], p, scoped.then_some(&scope))
-                .map_err(ReplicaError::Dead)?;
-        }
-        Ok(merged)
     }
 }
 
@@ -1630,6 +1304,53 @@ mod tests {
             "the degraded gauge must clear on re-promotion"
         );
         assert_eq!(server.telemetry().counter_value(names::REPLICA_REPROMOTIONS), 1);
+        assert_slices_match_reference(&server, &reference);
+    }
+
+    #[test]
+    fn two_lost_devices_both_rejoin() {
+        // Regression: the lost-device slot used to hold one device, so a
+        // second loss overwrote the first and the earlier shard stayed on
+        // its CPU twin forever. With no pool, shards 0 and 2 are lost a
+        // tick apart; both must re-promote once their outages end.
+        let (db, txns) = db_and_txns(240, 32);
+        let mut reference = LtpgServer::new(
+            db.deep_clone(),
+            LtpgConfig::default(),
+            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
+        );
+        reference.submit_all(txns.clone());
+        let mut server = sharded(&db, 4, 24);
+        server.arm_replica_chaos(ReplicaChaos {
+            device_recovers_after_batches: Some(3),
+            ..ReplicaChaos::none()
+        });
+        server.submit_all(txns);
+        let mut saw_both_degraded = false;
+        for tick in 0.. {
+            match tick {
+                1 => server.force_shard_failure(0),
+                2 => server.force_shard_failure(2),
+                _ => {}
+            }
+            let a = server.tick();
+            let b = reference.tick();
+            saw_both_degraded |= server.is_degraded(0) && server.is_degraded(2);
+            match (&a, &b) {
+                (None, None) => break,
+                (Some(sa), Some(sb)) => {
+                    assert_eq!(sa.committed, sb.committed);
+                    assert_eq!(sa.aborted, sb.aborted);
+                }
+                _ => panic!("servers went idle at different ticks"),
+            }
+        }
+        assert!(saw_both_degraded, "both losses must first degrade their shards");
+        assert!(!server.is_degraded(0), "the earlier loss must not be forgotten");
+        assert!(!server.is_degraded(2));
+        assert_eq!(server.stats().degraded_shards, 0);
+        assert_eq!(server.telemetry().gauge_value(names::SHARD_DEGRADED), 0);
+        assert_eq!(server.telemetry().counter_value(names::REPLICA_REPROMOTIONS), 2);
         assert_slices_match_reference(&server, &reference);
     }
 

@@ -16,15 +16,13 @@
 //!   write-back kernel's lanes (and multithreaded CPU baselines) can commit
 //!   in parallel without locks; phase barriers provide the ordering.
 //!
-//! The crate also provides the auxiliary stores the baselines need: a
-//! multi-version store ([`mvcc::MultiVersionStore`]) for BOHM, and a
-//! simulated write-ahead batch log ([`wal::BatchLog`]) standing in for the
-//! paper's "batch of transactions recorded on the hard drive as logs".
+//! The crate also provides a simulated write-ahead batch log
+//! ([`wal::BatchLog`]) standing in for the paper's "batch of transactions
+//! recorded on the hard drive as logs".
 
 pub mod btree;
 pub mod database;
 pub mod index;
-pub mod mvcc;
 pub mod schema;
 pub mod table;
 pub mod wal;
@@ -32,7 +30,6 @@ pub mod wal;
 pub use btree::OrderedIndex;
 pub use database::Database;
 pub use index::{PrimaryIndex, SecondaryIndex};
-pub use mvcc::MultiVersionStore;
 pub use schema::{ColId, Schema, TableBuilder, TableId};
 pub use table::{
     membership_key, membership_partition, RowId, Table, TableError, MEMBERSHIP_MARKER_KEY,
