@@ -1,9 +1,12 @@
 //! Criterion micro-bench: the storage substrate's hot paths — primary
-//! index probes, cell access, and speculative transaction execution.
+//! index probes, cell access, speculative transaction execution, and the
+//! checkpoint image (`deep_clone`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ltpg_storage::{ColId, Database, PrimaryIndex, RowId, TableBuilder};
+use ltpg_storage::{ColId, Database, PrimaryIndex, RowId, Table, TableBuilder};
 use ltpg_txn::{execute_speculative, IrOp, ProcId, Src, Txn};
+use ltpg_workloads::tpcc::{order_key, orderline_key};
+use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 fn bench_index(c: &mut Criterion) {
     let idx = PrimaryIndex::with_capacity(100_000);
@@ -52,5 +55,52 @@ fn bench_speculate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_index, bench_speculate);
+/// The checkpoint image. `deep_clone` is the first image (and every
+/// standby seed and oracle snapshot): fresh arrays, so page faults included.
+/// `deep_clone_from` is what `DurabilityManager::checkpoint` pays every
+/// `checkpoint_every` batches: the same copy into the image before it.
+/// Two shapes: the ledger's YCSB table (1 M
+/// rows x 10 columns, full to capacity, hash index only) and an
+/// ORDER_LINE-shaped table (composite keys, ordered index, 2x insert
+/// headroom, a tenth of the rows deleted so the index carries tombstones).
+fn bench_deep_clone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("deep_clone");
+    group.sample_size(10);
+
+    let (ycsb, _, _) = YcsbGenerator::new(YcsbConfig::new(YcsbWorkload::A, 1_000_000));
+    group.bench_function("ycsb_1m_x10", |b| b.iter(|| black_box(ycsb.deep_clone())));
+    let mut image = ycsb.deep_clone();
+    group.bench_function("ycsb_1m_x10_into_previous_image", |b| {
+        b.iter(|| image.deep_clone_from(black_box(&ycsb)))
+    });
+
+    let order_line = Table::new(
+        TableBuilder::new("ORDER_LINE")
+            .columns(["OL_I_ID", "OL_SUPPLY_W", "OL_QUANTITY", "OL_AMOUNT", "OL_DELIVERY_D"])
+            .capacity(600_000)
+            .build(),
+    )
+    .with_ordered();
+    for o in 0..30_000i64 {
+        let order = order_key(1 + o % 8, 1 + o % 10, o);
+        for ol in 1..=10 {
+            order_line.insert(orderline_key(order, ol), &[o, 1, 5, o * ol, 0]).unwrap();
+        }
+        if o % 10 == 0 {
+            for ol in 1..=10 {
+                order_line.delete(orderline_key(order, ol)).unwrap();
+            }
+        }
+    }
+    group.bench_function("tpcc_order_line_300k_ordered", |b| {
+        b.iter(|| black_box(order_line.deep_clone()))
+    });
+    let mut image = order_line.deep_clone();
+    group.bench_function("tpcc_order_line_300k_ordered_into_previous_image", |b| {
+        b.iter(|| image.deep_clone_from(black_box(&order_line)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_index, bench_speculate, bench_deep_clone);
 criterion_main!(benches);

@@ -150,9 +150,11 @@ impl DurabilityManager {
     }
 
     /// Take a checkpoint of `db`, covering everything up to (excluding)
-    /// the next batch to be logged.
+    /// the next batch to be logged. The new image overwrites the old one
+    /// in place: a checkpoint copies bytes and allocates nothing.
     pub fn checkpoint(&mut self, db: &Database) {
-        self.checkpoint = (self.log.len() as u64, db.deep_clone());
+        self.checkpoint.0 = self.log.len() as u64;
+        self.checkpoint.1.deep_clone_from(db);
     }
 
     /// Bytes written to the simulated log so far.
@@ -346,8 +348,14 @@ mod tests {
             let batch = Batch::assemble(vec![], contended_txns(t, 10, round + 1), &mut tids);
             dur.log_batch(&batch);
             engine.execute_batch(&batch);
-            if round == 2 {
+            // The second checkpoint overwrites the first image in place.
+            if round == 0 || round == 2 {
                 dur.checkpoint(engine.database());
+                assert_eq!(dur.checkpoint_batch(), round as u64 + 1);
+                assert_eq!(
+                    dur.checkpoint_image().state_digest(),
+                    engine.database().state_digest()
+                );
             }
         }
         let outcome =

@@ -150,6 +150,14 @@ pub enum ServerError {
         /// The in-flight batch the promotion had to replay.
         batch_id: u64,
     },
+    /// A flag-word map had no word for a transaction of the batch it was
+    /// merged for — a recovery replay of the in-flight batch returned
+    /// verdicts for fewer transactions than the batch holds, so the log it
+    /// replayed is not the log of this batch.
+    MissingFlagWord {
+        /// The transaction without a verdict.
+        tid: u64,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -164,6 +172,9 @@ impl std::fmt::Display for ServerError {
             ServerError::PromotionSkippedInFlightBatch { batch_id } => {
                 write!(f, "promoted standby had already passed in-flight batch {batch_id}")
             }
+            ServerError::MissingFlagWord { tid } => {
+                write!(f, "no merged flag word for transaction {tid}")
+            }
         }
     }
 }
@@ -173,7 +184,8 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::DegradationFailed(e) => Some(e),
             ServerError::InjectedCrash(_)
-            | ServerError::PromotionSkippedInFlightBatch { .. } => None,
+            | ServerError::PromotionSkippedInFlightBatch { .. }
+            | ServerError::MissingFlagWord { .. } => None,
         }
     }
 }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use ltpg::LtpgServer;
 use ltpg_shard::ShardedServer;
-use ltpg_telemetry::{names, Registry};
+use ltpg_telemetry::{names, Counter, Histogram, Registry};
 use ltpg_txn::{Tid, Txn};
 
 use crate::stats::FrontStats;
@@ -138,14 +138,19 @@ pub struct Dispatcher<S: TickSink> {
     free_actual_ns: f64,
     ticks: u64,
     outcomes: Option<Vec<TickOutcome>>,
+    /// `front.*` handles, resolved once: these are hit per batch member
+    /// and per commit.
+    queue_wait: Arc<Histogram>,
+    e2e: Arc<Histogram>,
+    committed: Arc<Counter>,
 }
 
 impl<S: TickSink> Dispatcher<S> {
     /// Wrap a server. With `record_outcomes`, every tick's
     /// [`TickOutcome`] is buffered for later inspection (the QA
     /// differential runner replays them tick-for-tick against a directly
-    /// fed server).
-    pub fn new(sink: S, record_outcomes: bool) -> Self {
+    /// fed server). Its `front.*` metrics are registered in `reg`.
+    pub fn new(sink: S, record_outcomes: bool, reg: &Registry) -> Self {
         let next_tid = sink.next_tid();
         Dispatcher {
             sink,
@@ -155,6 +160,9 @@ impl<S: TickSink> Dispatcher<S> {
             free_actual_ns: 0.0,
             ticks: 0,
             outcomes: record_outcomes.then(Vec::new),
+            queue_wait: reg.histogram(names::FRONT_QUEUE_WAIT_NS),
+            e2e: reg.histogram(names::FRONT_E2E_NS),
+            committed: reg.counter(names::FRONT_COMMITTED),
         }
     }
 
@@ -170,26 +178,24 @@ impl<S: TickSink> Dispatcher<S> {
         &mut self,
         members: Vec<crate::streamer::Pending>,
         at_ns: u64,
-        reg: &Registry,
         stats: &mut FrontStats,
     ) {
         let mut txns = Vec::with_capacity(members.len());
         for p in members {
-            reg.histogram(names::FRONT_QUEUE_WAIT_NS)
-                .record(at_ns.saturating_sub(p.arrive_ns));
+            self.queue_wait.record(at_ns.saturating_sub(p.arrive_ns));
             self.in_flight.insert(self.next_tid, p.arrive_ns);
             self.next_tid += 1;
             txns.push(p.txn);
         }
         self.sink.submit_batch(txns);
-        let ticked = self.tick_at(at_ns, reg, stats);
+        let ticked = self.tick_at(at_ns, stats);
         debug_assert!(ticked, "a tick after a non-empty submit cannot be idle");
     }
 
     /// Run one tick at simulated time `at_ns`, advancing both engine
     /// clocks and resolving commits. Returns `false` when the server was
     /// fully idle (no tick happened).
-    pub fn tick_at(&mut self, at_ns: u64, reg: &Registry, stats: &mut FrontStats) -> bool {
+    pub fn tick_at(&mut self, at_ns: u64, stats: &mut FrontStats) -> bool {
         let fault_before = self.sink.fault_delay_ns();
         let Some(out) = self.sink.tick_outcome() else {
             return false;
@@ -200,10 +206,9 @@ impl<S: TickSink> Dispatcher<S> {
         self.free_actual_ns = self.free_actual_ns.max(at_ns as f64) + out.sim_ns;
         for tid in &out.committed {
             if let Some(arrive) = self.in_flight.remove(&tid.0) {
-                reg.histogram(names::FRONT_E2E_NS)
-                    .record_ns((self.free_actual_ns - arrive as f64).max(0.0));
+                self.e2e.record_ns((self.free_actual_ns - arrive as f64).max(0.0));
                 stats.committed += 1;
-                reg.counter(names::FRONT_COMMITTED).inc();
+                self.committed.inc();
             }
         }
         stats.abort_events += out.aborted.len() as u64;
@@ -226,10 +231,10 @@ impl<S: TickSink> Dispatcher<S> {
     /// Does nothing when time has not advanced past the engine's free
     /// point, so a schedule driven entirely at one instant (the QA
     /// lockstep runs) keeps its exact one-tick-per-seal sequence.
-    pub fn catch_up(&mut self, now_ns: u64, reg: &Registry, stats: &mut FrontStats) {
+    pub fn catch_up(&mut self, now_ns: u64, stats: &mut FrontStats) {
         while self.sink.queued() > 0 && self.free_ns < now_ns as f64 {
             let before = self.free_ns;
-            if !self.tick_at(0, reg, stats) {
+            if !self.tick_at(0, stats) {
                 break;
             }
             if self.free_ns <= before {

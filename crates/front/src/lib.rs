@@ -35,7 +35,7 @@ pub mod streamer;
 
 use std::sync::Arc;
 
-use ltpg_telemetry::{names, Registry};
+use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
 use ltpg_txn::Txn;
 
 pub use admission::{Admission, RateLimit};
@@ -106,6 +106,43 @@ impl FrontConfig {
     }
 }
 
+/// The pipeline's own `front.*` metric handles, resolved once: `offer` and
+/// `pump` run per arrival, and a by-name registry lookup is a lock, a map
+/// walk and an `Arc` clone.
+struct FrontMetrics {
+    submitted: Arc<Counter>,
+    admitted: Arc<Counter>,
+    shed_rate_limited: Arc<Counter>,
+    shed_queue_full: Arc<Counter>,
+    shed_backpressure: Arc<Counter>,
+    shed_timed_out: Arc<Counter>,
+    batches_sealed: Arc<Counter>,
+    seals_size: Arc<Counter>,
+    seals_deadline: Arc<Counter>,
+    seals_drain: Arc<Counter>,
+    batch_fill: Arc<Histogram>,
+    queue_depth: Arc<Gauge>,
+}
+
+impl FrontMetrics {
+    fn new(reg: &Registry) -> Self {
+        FrontMetrics {
+            submitted: reg.counter(names::FRONT_SUBMITTED),
+            admitted: reg.counter(names::FRONT_ADMITTED),
+            shed_rate_limited: reg.counter(names::FRONT_SHED_RATE_LIMITED),
+            shed_queue_full: reg.counter(names::FRONT_SHED_QUEUE_FULL),
+            shed_backpressure: reg.counter(names::FRONT_SHED_BACKPRESSURE),
+            shed_timed_out: reg.counter(names::FRONT_SHED_TIMED_OUT),
+            batches_sealed: reg.counter(names::FRONT_BATCHES_SEALED),
+            seals_size: reg.counter(names::FRONT_SEALS_SIZE),
+            seals_deadline: reg.counter(names::FRONT_SEALS_DEADLINE),
+            seals_drain: reg.counter(names::FRONT_SEALS_DRAIN),
+            batch_fill: reg.histogram(names::FRONT_BATCH_FILL),
+            queue_depth: reg.gauge(names::FRONT_QUEUE_DEPTH),
+        }
+    }
+}
+
 /// The assembled pipeline: streamer → admission → batcher → dispatcher
 /// over a server `S`. Drive it with [`offer`](Self::offer) per arrival,
 /// [`advance_to`](Self::advance_to) to pass idle simulated time, and
@@ -118,19 +155,22 @@ pub struct FrontEnd<S: TickSink> {
     dispatcher: Dispatcher<S>,
     stats: FrontStats,
     registry: Arc<Registry>,
+    metrics: FrontMetrics,
     now_ns: u64,
 }
 
 impl<S: TickSink> FrontEnd<S> {
     /// Wrap a server with the given policy.
     pub fn new(sink: S, cfg: FrontConfig) -> Self {
+        let registry = Registry::new_shared();
         FrontEnd {
             streamer: Streamer::new(cfg.client_queue_cap),
             admission: Admission::new(cfg.per_client_rate),
             batcher: Batcher::new(cfg.batch_size, cfg.seal_deadline_ns),
-            dispatcher: Dispatcher::new(sink, cfg.record_outcomes),
+            dispatcher: Dispatcher::new(sink, cfg.record_outcomes, &registry),
             stats: FrontStats::default(),
-            registry: Arc::new(Registry::new()),
+            metrics: FrontMetrics::new(&registry),
+            registry,
             now_ns: 0,
             cfg,
         }
@@ -144,24 +184,24 @@ impl<S: TickSink> FrontEnd<S> {
         let now = self.now_ns.max(at_ns);
         self.advance_to(now);
         self.stats.submitted += 1;
-        self.registry.counter(names::FRONT_SUBMITTED).inc();
+        self.metrics.submitted.inc();
         if !self.admission.allow(client, now) {
             self.stats.shed_rate_limited += 1;
-            self.registry.counter(names::FRONT_SHED_RATE_LIMITED).inc();
+            self.metrics.shed_rate_limited.inc();
             return false;
         }
         if self.front_queued() >= self.cfg.max_queued {
             self.stats.shed_queue_full += 1;
-            self.registry.counter(names::FRONT_SHED_QUEUE_FULL).inc();
+            self.metrics.shed_queue_full.inc();
             return false;
         }
         if !self.streamer.try_send(client, now, txn) {
             self.stats.shed_backpressure += 1;
-            self.registry.counter(names::FRONT_SHED_BACKPRESSURE).inc();
+            self.metrics.shed_backpressure.inc();
             return false;
         }
         self.stats.admitted += 1;
-        self.registry.counter(names::FRONT_ADMITTED).inc();
+        self.metrics.admitted.inc();
         self.pump(now);
         true
     }
@@ -197,7 +237,7 @@ impl<S: TickSink> FrontEnd<S> {
         }
         self.seal_and_dispatch(now, SealTrigger::Drain);
         for _ in 0..max_ticks {
-            if !self.dispatcher.tick_at(now, &self.registry, &mut self.stats) {
+            if !self.dispatcher.tick_at(now, &mut self.stats) {
                 break;
             }
         }
@@ -207,12 +247,12 @@ impl<S: TickSink> FrontEnd<S> {
     /// Move work from channels into the open batch while the engine
     /// backlog allows, sealing on size as batches fill.
     fn pump(&mut self, now_ns: u64) {
-        self.dispatcher.catch_up(now_ns, &self.registry, &mut self.stats);
+        self.dispatcher.catch_up(now_ns, &mut self.stats);
         if let Some(timeout) = self.cfg.queue_timeout_ns {
             let shed = self.streamer.shed_expired(now_ns.saturating_sub(timeout));
             if shed > 0 {
                 self.stats.shed_timed_out += shed;
-                self.registry.counter(names::FRONT_SHED_TIMED_OUT).add(shed);
+                self.metrics.shed_timed_out.add(shed);
             }
         }
         while self.dispatcher.backlog_ns(now_ns) < self.cfg.max_backlog_ns {
@@ -233,22 +273,22 @@ impl<S: TickSink> FrontEnd<S> {
 
     fn dispatch_sealed(&mut self, sealed: SealedBatch) {
         self.stats.batches_sealed += 1;
-        self.registry.counter(names::FRONT_BATCHES_SEALED).inc();
-        let (field, name) = match sealed.trigger {
-            SealTrigger::Size => (&mut self.stats.seals_size, names::FRONT_SEALS_SIZE),
+        self.metrics.batches_sealed.inc();
+        let (field, counter) = match sealed.trigger {
+            SealTrigger::Size => (&mut self.stats.seals_size, &self.metrics.seals_size),
             SealTrigger::Deadline => {
-                (&mut self.stats.seals_deadline, names::FRONT_SEALS_DEADLINE)
+                (&mut self.stats.seals_deadline, &self.metrics.seals_deadline)
             }
-            SealTrigger::Drain => (&mut self.stats.seals_drain, names::FRONT_SEALS_DRAIN),
+            SealTrigger::Drain => (&mut self.stats.seals_drain, &self.metrics.seals_drain),
         };
         *field += 1;
-        self.registry.counter(name).inc();
-        self.registry.histogram(names::FRONT_BATCH_FILL).record(sealed.txns.len() as u64);
-        self.dispatcher.dispatch(sealed.txns, sealed.at_ns, &self.registry, &mut self.stats);
+        counter.inc();
+        self.metrics.batch_fill.record(sealed.txns.len() as u64);
+        self.dispatcher.dispatch(sealed.txns, sealed.at_ns, &mut self.stats);
     }
 
     fn update_depth_gauge(&self) {
-        self.registry.gauge(names::FRONT_QUEUE_DEPTH).set(self.front_queued() as i64);
+        self.metrics.queue_depth.set(self.front_queued() as i64);
     }
 
     /// Transactions queued ahead of sealing (channels + open batch).

@@ -5,14 +5,16 @@
 //! and it is the same whether the executors are the live shards, CPU twins
 //! replaying checkpoint + WAL after a device loss, or a standby row
 //! replaying the logged stream. [`lockstep_round`] is that round, written
-//! once over the [`Executor`] seam; [`logged_round`] feeds it one logged
-//! batch from the shards' WALs.
+//! once over the [`Executor`] seam; [`logged_subs`] reads one logged batch
+//! back from the shards' WALs for the two replaying callers.
 
-use ltpg::{DurabilityManager, ExecScope, Executor, Prepared, RecoveryError, ServerConfig};
+use ltpg::{
+    DurabilityManager, ExecScope, Executor, Prepared, RecoveryError, ServerConfig, ServerError,
+};
 use ltpg_gpu_sim::DeviceError;
 use ltpg_replica::MergedWords;
 use ltpg_storage::Database;
-use ltpg_txn::{decode_batch, Batch, CellStore};
+use ltpg_txn::{decode_batch, Batch, CellStore, Tid};
 
 use crate::partition::Partitioner;
 use crate::remote::RemoteView;
@@ -40,6 +42,13 @@ pub(crate) struct Round {
     /// slice partly written. Either way the sub-batches were logged before
     /// execution, so recovery replays them.
     pub lost: Option<(usize, DeviceError)>,
+}
+
+/// The merged flag word of `tid`. A map that lacks it was not merged for
+/// this batch (a replay that returned too few words); that is an error of
+/// the server, not a panic of the process.
+pub(crate) fn merged_word(merged: &MergedWords, tid: Tid) -> Result<u32, ServerError> {
+    merged.get(&tid.0).copied().ok_or(ServerError::MissingFlagWord { tid: tid.0 })
 }
 
 /// Run `f` with shard `s`'s execution scope: ownership by `part`, remote
@@ -78,7 +87,7 @@ pub(crate) fn lockstep_round(
     part: &Partitioner,
     retry: Option<&ServerConfig>,
     backoff_ns: &mut f64,
-) -> Round {
+) -> Result<Round, ServerError> {
     let mut round = Round {
         merged: MergedWords::new(),
         participants: Vec::with_capacity(subs.len()),
@@ -115,7 +124,7 @@ pub(crate) fn lockstep_round(
             }
             Err(e) => {
                 round.lost = Some((s, e));
-                return round;
+                return Ok(round);
             }
         }
     }
@@ -131,7 +140,7 @@ pub(crate) fn lockstep_round(
     for (p, mut prepared) in round.participants.iter_mut().zip(prepared) {
         let s = p.shard;
         for (j, txn) in subs[s].txns.iter().enumerate() {
-            prepared.set_flag_word(j, round.merged[&txn.tid.0]);
+            prepared.set_flag_word(j, merged_word(&round.merged, txn.tid)?);
         }
         // Finish never reads remote rows (write-back applies only owned
         // mutations), so the scope carries no remote view.
@@ -139,29 +148,25 @@ pub(crate) fn lockstep_round(
             Ok((_, finish_ns)) => p.finish_ns = finish_ns,
             Err(e) => {
                 round.lost = Some((s, e));
-                return round;
+                return Ok(round);
             }
         }
     }
-    round
+    Ok(round)
 }
 
-/// Replay logged batch `batch_id` on `execs` as one lockstep round: fetch
-/// every shard's sub-batch from its WAL (`logs[s]` is shard `s`'s
-/// durability domain) and run the round. Used by degradation replay (CPU
-/// twins over the checkpoint images) and by standby rows.
-pub(crate) fn logged_round<'a>(
-    execs: &mut [Executor],
+/// Logged batch `batch_id` as its per-shard sub-batches, read back from
+/// every shard's WAL (`logs[s]` is shard `s`'s durability domain): the
+/// input of a replayed [`lockstep_round`], for degradation replay (CPU
+/// twins over the checkpoint images) and for standby rows.
+pub(crate) fn logged_subs<'a>(
     logs: impl Iterator<Item = &'a DurabilityManager>,
     batch_id: u64,
-    part: &Partitioner,
-) -> Result<Round, RecoveryError> {
-    let subs = logs
-        .map(|dur| {
-            let rec = dur.log().fetch(batch_id).ok_or(RecoveryError::MissingBatch(batch_id))?;
-            let txns = decode_batch(&rec.payload).map_err(RecoveryError::Corrupt)?;
-            Ok(Batch { txns })
-        })
-        .collect::<Result<Vec<Batch>, RecoveryError>>()?;
-    Ok(lockstep_round(execs, &subs, part, None, &mut 0.0))
+) -> Result<Vec<Batch>, RecoveryError> {
+    logs.map(|dur| {
+        let rec = dur.log().fetch(batch_id).ok_or(RecoveryError::MissingBatch(batch_id))?;
+        let txns = decode_batch(&rec.payload).map_err(RecoveryError::Corrupt)?;
+        Ok(Batch { txns })
+    })
+    .collect()
 }

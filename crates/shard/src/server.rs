@@ -50,7 +50,7 @@ use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::{Batch, Tid, Txn};
 
-use crate::lockstep::{lockstep_round, logged_round};
+use crate::lockstep::{lockstep_round, logged_subs, merged_word};
 use crate::partition::Partitioner;
 use crate::rebalance::{plan_split, PlannerConfig, RebalanceError, RebalancePlan, RebalancePlanner};
 use crate::router::{Route, Router};
@@ -585,9 +585,8 @@ impl ShardedServer {
         let mut last_merged = MergedWords::new();
         for b in start..end {
             let logs = self.shards.iter().map(|sh| &sh.durability);
-            last_merged = logged_round(&mut twins, logs, b, part)
-                .map_err(ServerError::DegradationFailed)?
-                .merged;
+            let subs = logged_subs(logs, b).map_err(ServerError::DegradationFailed)?;
+            last_merged = lockstep_round(&mut twins, &subs, part, None, &mut 0.0)?.merged;
         }
         let shards = self.shards.iter().zip(&mut self.execs).zip(twins).enumerate();
         for (s, ((shard, exec), twin)) in shards {
@@ -820,7 +819,7 @@ impl ShardedServer {
             self.router.partitioner(),
             Some(&self.cfg),
             &mut backoff_ns,
-        );
+        )?;
         // Merge barrier: every participant waited for the slowest prepare
         // before its verdicts were complete.
         let mut max_prep = 0.0f64;
@@ -843,16 +842,8 @@ impl ShardedServer {
         };
 
         // ---- Global commit decisions from the merged words. ----
-        let reordering = self.engine_cfg.opts.logical_reordering;
-        let mut committed = Vec::new();
-        let mut aborted = Vec::new();
-        for txn in &batch.txns {
-            if commit_decision(reordering, merged[&txn.tid.0]) {
-                committed.push(txn.tid);
-            } else {
-                aborted.push(txn.tid);
-            }
-        }
+        let (committed, aborted) =
+            decide(&batch, &merged, self.engine_cfg.opts.logical_reordering)?;
 
         self.stats.batches += 1;
         self.stats.committed += committed.len() as u64;
@@ -887,6 +878,27 @@ impl ShardedServer {
     }
 }
 
+/// Split `batch` into `(committed, aborted)` TIDs by the shared commit rule
+/// over each transaction's merged word. `merged` comes from the live round
+/// or, after a mid-batch device loss, from a replay of the logged batch; a
+/// replay that returned too few words is a typed error.
+fn decide(
+    batch: &Batch,
+    merged: &MergedWords,
+    reordering: bool,
+) -> Result<(Vec<Tid>, Vec<Tid>), ServerError> {
+    let mut committed = Vec::new();
+    let mut aborted = Vec::new();
+    for txn in &batch.txns {
+        if commit_decision(reordering, merged_word(merged, txn.tid)?) {
+            committed.push(txn.tid);
+        } else {
+            aborted.push(txn.tid);
+        }
+    }
+    Ok((committed, aborted))
+}
+
 /// The sharded [`ltpg_replica::ReplayDriver`]: apply logged batch
 /// `batch_id` to one standby row by the exact primary protocol — one
 /// lockstep round over every shard's logged sub-batch. Determinism makes
@@ -897,10 +909,12 @@ fn joint_replay_driver<'a>(
 ) -> impl FnMut(&mut [Executor], u64) -> Result<MergedWords, ReplicaError> + 'a {
     move |row, batch_id| {
         let logs = shards.iter().map(|sh| &sh.durability);
-        let round = logged_round(row, logs, batch_id, router.partitioner()).map_err(|e| match e {
+        let subs = logged_subs(logs, batch_id).map_err(|e| match e {
             RecoveryError::MissingBatch(batch_id) => ReplicaError::WalGap { batch_id },
             e => ReplicaError::Corrupt(format!("{e:?}")),
         })?;
+        let round = lockstep_round(row, &subs, router.partitioner(), None, &mut 0.0)
+            .map_err(|e| ReplicaError::Corrupt(e.to_string()))?;
         match round.lost {
             Some((_, e)) => Err(ReplicaError::Dead(e)),
             None => Ok(round.merged),
@@ -1010,6 +1024,24 @@ mod tests {
                 "shard {s} slice must equal the single-device slice"
             );
         }
+    }
+
+    /// A replay that hands back fewer flag words than the batch has
+    /// transactions is a typed error naming the first transaction without
+    /// a verdict, never an index panic inside the tick.
+    #[test]
+    fn a_short_flag_word_map_is_a_typed_error() {
+        let (_, txns) = db_and_txns(3, 8);
+        let batch = Batch::assemble(Vec::new(), txns, &mut ltpg_txn::TidGen::new());
+        let tids: Vec<Tid> = batch.txns.iter().map(|t| t.tid).collect();
+        let mut merged: MergedWords = tids.iter().map(|t| (t.0, 0)).collect();
+        assert_eq!(decide(&batch, &merged, true).unwrap(), (tids.clone(), Vec::new()));
+        let missing = tids[1].0;
+        merged.remove(&missing);
+        assert!(matches!(
+            decide(&batch, &merged, true),
+            Err(ServerError::MissingFlagWord { tid }) if tid == missing
+        ));
     }
 
     #[test]

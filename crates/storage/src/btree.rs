@@ -20,7 +20,7 @@ use crate::table::RowId;
 /// Maximum keys per node (order). Splits produce ⌈B/2⌉-filled nodes.
 const B: usize = 32;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         keys: Vec<i64>,
@@ -35,7 +35,7 @@ enum Node {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Tree {
     arena: Vec<Node>,
     root: usize,
@@ -276,6 +276,14 @@ impl OrderedIndex {
     /// "oldest undelivered order" probe).
     pub fn first_at_or_after(&self, lo: i64) -> Option<(i64, RowId)> {
         self.tree.read().first_at_or_after(lo)
+    }
+}
+
+/// A copy of the node arena as it stands (same shape, same underfilled
+/// leaves), taken under the read lock.
+impl Clone for OrderedIndex {
+    fn clone(&self) -> Self {
+        OrderedIndex { tree: RwLock::new(self.tree.read().clone()) }
     }
 }
 

@@ -26,7 +26,7 @@ impl Database {
         TableId((self.tables.len() - 1) as u16)
     }
 
-    /// Add a pre-built table (e.g. one carrying a secondary index).
+    /// Add a pre-built table (e.g. one carrying an ordered index).
     pub fn add_built_table(&mut self, table: Table) -> TableId {
         assert!(self.tables.len() < u16::MAX as usize, "too many tables");
         self.tables.push(table);
@@ -66,6 +66,19 @@ impl Database {
     /// Deep copy of all tables — the oracle's pre-batch snapshot.
     pub fn deep_clone(&self) -> Database {
         Database { tables: self.tables.iter().map(Table::deep_clone).collect() }
+    }
+
+    /// Make `self` a deep copy of `src` in the arrays `self` already owns
+    /// (see [`Table::deep_clone_from`]): what a checkpoint does to the
+    /// image before it. A `self` with another table count is replaced.
+    pub fn deep_clone_from(&mut self, src: &Database) {
+        if self.tables.len() != src.tables.len() {
+            *self = src.deep_clone();
+            return;
+        }
+        for (image, table) in self.tables.iter_mut().zip(&src.tables) {
+            image.deep_clone_from(table);
+        }
     }
 
     /// Clone the subset of rows for which `keep(table, key)` holds, keeping

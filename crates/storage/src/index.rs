@@ -1,4 +1,4 @@
-//! Hash indexes.
+//! The hash index.
 //!
 //! [`PrimaryIndex`] is a lock-free open-addressing table from `i64` key to
 //! [`RowId`], safe for concurrent inserts and lookups — it is what the
@@ -6,12 +6,7 @@
 //! NewOrder inserting orders and order lines). Linear probing is used, the
 //! same collision policy the paper adopts for its conflict-log hash tables
 //! (§V-C: `h(key, i) = (key + i) mod s_h`).
-//!
-//! [`SecondaryIndex`] is a sharded multi-map (key → many rows) for non-unique
-//! access paths; it sits off the hot path and uses sharded `RwLock`s.
 
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
 use crate::table::RowId;
@@ -79,6 +74,10 @@ impl PrimaryIndex {
     pub fn insert(&self, key: i64, rid: RowId) -> Result<(), DuplicateKey> {
         assert!(key != EMPTY && key != TOMBSTONE, "reserved key value");
         let start = mix_key(key) as usize & self.mask;
+        // The first tombstone on the probe path is the slot to reclaim, but
+        // only once the probe has reached an EMPTY slot and so proved the
+        // key absent: a live copy of `key` may sit beyond the tombstone.
+        let mut reclaim: Option<&Slot> = None;
         for i in 0..=self.mask {
             let slot = &self.slots[(start + i) & self.mask];
             let mut k = slot.key.load(Ordering::Acquire);
@@ -86,20 +85,43 @@ impl PrimaryIndex {
                 if k == key {
                     return Err(DuplicateKey { existing: self.wait_rid(slot) });
                 }
-                if k != EMPTY && k != TOMBSTONE {
-                    break; // occupied by another key; probe on
+                if k == TOMBSTONE {
+                    reclaim.get_or_insert(slot);
                 }
-                match slot.key.compare_exchange(k, key, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        slot.rid.store(rid.0, Ordering::Release);
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
+                if k != EMPTY {
+                    break; // tombstone or another key; probe on
+                }
+                let (target, vacant) = reclaim.map_or((slot, EMPTY), |t| (t, TOMBSTONE));
+                match self.claim(target, vacant, key, rid) {
+                    Ok(()) => return Ok(()),
+                    Err(observed) if observed == key => {
+                        return Err(DuplicateKey { existing: self.wait_rid(target) });
                     }
-                    Err(observed) => k = observed, // lost the race; re-examine
+                    // Lost the race for the slot to another key; re-examine
+                    // this slot with no tombstone in hand.
+                    Err(_) => {
+                        reclaim = None;
+                        k = slot.key.load(Ordering::Acquire);
+                    }
                 }
             }
         }
+        // No EMPTY slot left anywhere: the whole table was probed.
+        if let Some(target) = reclaim {
+            if self.claim(target, TOMBSTONE, key, rid).is_ok() {
+                return Ok(());
+            }
+        }
         panic!("primary index full ({} slots)", self.slots.len());
+    }
+
+    /// Claim `slot` for `key` if it still holds `vacant` (EMPTY or
+    /// TOMBSTONE), publishing `rid`; otherwise return the key found there.
+    fn claim(&self, slot: &Slot, vacant: i64, key: i64, rid: RowId) -> Result<(), i64> {
+        slot.key.compare_exchange(vacant, key, Ordering::AcqRel, Ordering::Acquire)?;
+        slot.rid.store(rid.0, Ordering::Release);
+        self.len.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// A claimed slot publishes its row id momentarily after the key; spin
@@ -179,61 +201,45 @@ impl PrimaryIndex {
     }
 }
 
+/// A slot-for-slot copy: the same slot array, tombstones included, so every
+/// key probes in the copy exactly as it does in the original and the cost is
+/// one pass over the slots, not one hashed insert per key. Must not race a
+/// writer (a slot caught between its key and row-id stores would be copied
+/// half-published); every caller clones at a batch boundary.
+impl Clone for PrimaryIndex {
+    fn clone(&self) -> Self {
+        let slots = self
+            .slots
+            .iter()
+            .map(|s| Slot {
+                key: AtomicI64::new(s.key.load(Ordering::Acquire)),
+                rid: AtomicU32::new(s.rid.load(Ordering::Acquire)),
+            })
+            .collect();
+        PrimaryIndex { slots, mask: self.mask, len: AtomicUsize::new(self.len()) }
+    }
+
+    /// The same copy into the slot array `self` already has (nothing is
+    /// allocated); a `self` of another size is replaced by a fresh clone.
+    fn clone_from(&mut self, src: &Self) {
+        if self.slots.len() != src.slots.len() {
+            *self = src.clone();
+            return;
+        }
+        for (dst, s) in self.slots.iter_mut().zip(src.slots.iter()) {
+            *dst.key.get_mut() = s.key.load(Ordering::Acquire);
+            *dst.rid.get_mut() = s.rid.load(Ordering::Acquire);
+        }
+        *self.len.get_mut() = src.len();
+    }
+}
+
 impl std::fmt::Debug for PrimaryIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrimaryIndex")
             .field("slots", &self.slots.len())
             .field("len", &self.len())
             .finish()
-    }
-}
-
-/// Non-unique index: `i64` key → many [`RowId`]s, sharded for concurrency.
-#[derive(Debug)]
-pub struct SecondaryIndex {
-    shards: Vec<RwLock<HashMap<i64, Vec<RowId>>>>,
-}
-
-impl SecondaryIndex {
-    /// Create with a default shard count.
-    pub fn new() -> Self {
-        SecondaryIndex { shards: (0..16).map(|_| RwLock::new(HashMap::new())).collect() }
-    }
-
-    #[inline]
-    fn shard(&self, key: i64) -> &RwLock<HashMap<i64, Vec<RowId>>> {
-        &self.shards[(mix_key(key) as usize) % self.shards.len()]
-    }
-
-    /// Add `rid` under `key` (duplicates allowed).
-    pub fn insert(&self, key: i64, rid: RowId) {
-        self.shard(key).write().entry(key).or_default().push(rid);
-    }
-
-    /// All rows under `key`, in insertion order.
-    pub fn get(&self, key: i64) -> Vec<RowId> {
-        self.shard(key).read().get(&key).cloned().unwrap_or_default()
-    }
-
-    /// Remove one `(key, rid)` pairing; returns whether it was present.
-    pub fn remove(&self, key: i64, rid: RowId) -> bool {
-        let mut shard = self.shard(key).write();
-        if let Some(v) = shard.get_mut(&key) {
-            if let Some(pos) = v.iter().position(|r| *r == rid) {
-                v.remove(pos);
-                if v.is_empty() {
-                    shard.remove(&key);
-                }
-                return true;
-            }
-        }
-        false
-    }
-}
-
-impl Default for SecondaryIndex {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -279,6 +285,29 @@ mod tests {
         // Tombstone slot is reusable.
         idx.insert(100, RowId(100)).unwrap();
         assert_eq!(idx.get(100), Some(RowId(100)));
+    }
+
+    /// A key stored past a tombstone (its probe path crossed a slot that
+    /// was later deleted) is still a duplicate: the insert must not settle
+    /// into the tombstone before it has looked further.
+    #[test]
+    fn duplicate_past_a_tombstone_is_rejected() {
+        let idx = PrimaryIndex::with_capacity(4);
+        for k in 0..8i64 {
+            idx.insert(k, RowId(k as u32)).unwrap();
+        }
+        for gone in 0..8i64 {
+            assert_eq!(idx.remove(gone), Some(RowId(gone as u32)));
+            for k in (0..8i64).filter(|&k| k != gone) {
+                assert_eq!(
+                    idx.insert(k, RowId(99)),
+                    Err(DuplicateKey { existing: RowId(k as u32) }),
+                    "key {k} after removing {gone}"
+                );
+            }
+            assert_eq!(idx.len(), 7);
+            idx.insert(gone, RowId(gone as u32)).unwrap();
+        }
     }
 
     #[test]
@@ -335,19 +364,5 @@ mod tests {
         let (mean, max) = idx.probe_stats();
         assert!(mean < 2.0, "mean probe distance {mean}");
         assert!(max < 64, "max probe distance {max}");
-    }
-
-    #[test]
-    fn secondary_index_multimap_semantics() {
-        let idx = SecondaryIndex::new();
-        idx.insert(5, RowId(1));
-        idx.insert(5, RowId(2));
-        idx.insert(6, RowId(3));
-        assert_eq!(idx.get(5), vec![RowId(1), RowId(2)]);
-        assert_eq!(idx.get(6), vec![RowId(3)]);
-        assert!(idx.remove(5, RowId(1)));
-        assert!(!idx.remove(5, RowId(9)));
-        assert_eq!(idx.get(5), vec![RowId(2)]);
-        assert_eq!(idx.get(999), Vec::<RowId>::new());
     }
 }

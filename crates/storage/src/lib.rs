@@ -9,9 +9,8 @@
 //!   integer type ("CUDA does not support strings at present"); we do the
 //!   same, so a row is a fixed-width slice of `i64`.
 //! * **Hash indexing only.** Each table has a primary open-addressing hash
-//!   index (key → row) and may carry secondary hash indexes (key → rows).
-//!   Range support is emulated over predefined keys, exactly as the paper
-//!   does for TPC-C's range-dependent transactions.
+//!   index (key → row). Range support is emulated over predefined keys,
+//!   exactly as the paper does for TPC-C's range-dependent transactions.
 //! * **Concurrent write-back.** Row payloads are atomic cells so that the
 //!   write-back kernel's lanes (and multithreaded CPU baselines) can commit
 //!   in parallel without locks; phase barriers provide the ordering.
@@ -29,7 +28,7 @@ pub mod wal;
 
 pub use btree::OrderedIndex;
 pub use database::Database;
-pub use index::{PrimaryIndex, SecondaryIndex};
+pub use index::PrimaryIndex;
 pub use schema::{ColId, Schema, TableBuilder, TableId};
 pub use table::{
     membership_key, membership_partition, RowId, Table, TableError, MEMBERSHIP_MARKER_KEY,

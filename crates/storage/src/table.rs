@@ -3,10 +3,11 @@
 //! workspace: readers and writers of the *same* batch phase never overlap on
 //! a cell by protocol, and cross-phase ordering comes from barriers.
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
 use crate::btree::OrderedIndex;
-use crate::index::{DuplicateKey, PrimaryIndex, SecondaryIndex};
+use crate::index::{DuplicateKey, PrimaryIndex};
 use crate::schema::{ColId, Schema};
 
 /// Base of the reserved key range standing for "membership of this
@@ -73,7 +74,6 @@ pub struct Table {
     keys: Box<[AtomicI64]>,
     row_count: AtomicU32,
     primary: PrimaryIndex,
-    secondary: Option<SecondaryIndex>,
     ordered: Option<OrderedIndex>,
 }
 
@@ -92,16 +92,9 @@ impl Table {
             keys,
             row_count: AtomicU32::new(0),
             primary: PrimaryIndex::with_capacity(cap),
-            secondary: None,
             ordered: None,
             schema,
         }
-    }
-
-    /// Attach a secondary (non-unique) index to the table.
-    pub fn with_secondary(mut self) -> Self {
-        self.secondary = Some(SecondaryIndex::new());
-        self
     }
 
     /// Attach an ordered (B+tree) index, enabling range scans.
@@ -237,39 +230,50 @@ impl Table {
         Some(rid)
     }
 
-    /// The secondary index, if the table was built with one.
-    pub fn secondary(&self) -> Option<&SecondaryIndex> {
-        self.secondary.as_ref()
+    /// Deep copy, structural: the cells and keys of the `len` allocated
+    /// row slots are copied into the clone's arrays (the never-allocated
+    /// tail of the cell array is not even written), the primary index slot
+    /// for slot (tombstones included) and the ordered index node for node.
+    /// The cost is bytes copied, never rows re-inserted, and the clone
+    /// resolves every key to the same [`RowId`] by the same probe sequence
+    /// as the original. This is the checkpoint image, the standby-row seed
+    /// and the test oracles' pre-batch snapshot; take it at a batch
+    /// boundary (it must not race a writer).
+    pub fn deep_clone(&self) -> Table {
+        let n = self.len();
+        Table {
+            schema: self.schema.clone(),
+            width: self.width,
+            data: copy_cells(&self.data, n * self.width),
+            keys: copy_keys(&self.keys, n),
+            row_count: AtomicU32::new(n as u32),
+            primary: self.primary.clone(),
+            ordered: self.ordered.clone(),
+        }
     }
 
-    /// Deep copy: cells, keys, and a rebuilt primary index. Used by test
-    /// oracles to snapshot pre-batch state.
-    pub fn deep_clone(&self) -> Table {
-        let mut clone = Table::new(self.schema.clone());
-        if self.ordered.is_some() {
-            clone = clone.with_ordered();
+    /// Make `self` what [`src.deep_clone()`](Self::deep_clone) would
+    /// return, in the arrays `self` already owns: the live prefix of the
+    /// cells and keys is overwritten, row slots `self` had allocated beyond
+    /// `src`'s are vacated, the index slots are overwritten one for one.
+    /// Nothing is allocated, so no page of a 100 MB image is faulted in
+    /// again (on the reference box a fresh image spends three quarters of
+    /// its time in page faults, and that part varies from one image to the
+    /// next). This is how a checkpoint replaces the image before it. A
+    /// `self` whose arrays have another size is replaced by a fresh clone.
+    pub fn deep_clone_from(&mut self, src: &Table) {
+        if self.data.len() != src.data.len() || self.keys.len() != src.keys.len() {
+            *self = src.deep_clone();
+            return;
         }
-        if self.secondary.is_some() {
-            // Secondary entries are workload-managed; clone starts empty.
-        }
-        let n = self.len();
-        for r in 0..n {
-            let rid = RowId(r as u32);
-            for c in 0..self.width {
-                let col = ColId(c as u16);
-                clone.data[r * self.width + c].store(self.get(rid, col), Ordering::Relaxed);
-            }
-            let k = self.keys[r].load(Ordering::Acquire);
-            clone.keys[r].store(k, Ordering::Relaxed);
-            if k != DELETED_KEY {
-                clone.primary.insert(k, rid).expect("clone index insert");
-                if let Some(ord) = &clone.ordered {
-                    ord.insert(k, rid);
-                }
-            }
-        }
-        clone.row_count.store(n as u32, Ordering::Release);
-        clone
+        let (was, n) = (self.len(), src.len());
+        overwrite(&mut self.data, &src.data, n * src.width, was * self.width, 0);
+        overwrite(&mut self.keys, &src.keys, n, was, DELETED_KEY);
+        *self.row_count.get_mut() = n as u32;
+        self.primary.clone_from(&src.primary);
+        self.ordered.clone_from(&src.ordered);
+        self.schema.clone_from(&src.schema);
+        self.width = src.width;
     }
 
     /// Clone only the live rows whose key satisfies `keep`, preserving the
@@ -318,6 +322,60 @@ impl Table {
             }
             *h = h.wrapping_add(row);
         }
+    }
+}
+
+/// A cell array as long as `src`: the first `live` cells hold `src`'s
+/// values, the rest (never-allocated row slots) are zero. The array comes
+/// zeroed from the allocator, so the tail is never written — a shard's
+/// slice occupies a quarter of its full-capacity table, and writing (and
+/// page-faulting) the other three quarters was most of its image's cost.
+fn copy_cells(src: &[AtomicI64], live: usize) -> Box<[AtomicI64]> {
+    let cells = zeroed_cells(src.len());
+    for (dst, cell) in cells.iter().zip(&src[..live]) {
+        dst.store(cell.load(Ordering::Acquire), Ordering::Relaxed);
+    }
+    cells
+}
+
+/// `len` zero cells straight from `alloc_zeroed` (for a large array: fresh
+/// zero pages, untouched until first written).
+fn zeroed_cells(len: usize) -> Box<[AtomicI64]> {
+    if len == 0 {
+        return Box::default();
+    }
+    let layout = Layout::array::<AtomicI64>(len).expect("cell array exceeds the address space");
+    // SAFETY: `layout` has non-zero size (`len > 0`). `AtomicI64` has the
+    // bit validity of `i64`, so all-zero bytes are `len` initialised cells.
+    // The pointer comes from the global allocator with exactly the layout a
+    // `Box<[AtomicI64]>` of this length is freed with.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<AtomicI64>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len))
+    }
+}
+
+/// A key column as long as `src`: the first `live` slots hold `src`'s
+/// keys, the rest are `DELETED_KEY` (not zero: key 0 is a real key).
+fn copy_keys(src: &[AtomicI64], live: usize) -> Box<[AtomicI64]> {
+    let mut keys = Vec::with_capacity(src.len());
+    keys.extend(src[..live].iter().map(|k| AtomicI64::new(k.load(Ordering::Acquire))));
+    keys.resize_with(src.len(), || AtomicI64::new(DELETED_KEY));
+    keys.into_boxed_slice()
+}
+
+/// Bring `dst`, an array of `src`'s length whose first `stale` entries may
+/// hold anything and whose rest are `vacant`, to what a fresh copy would
+/// be: the first `live` entries from `src`, everything after them `vacant`.
+fn overwrite(dst: &mut [AtomicI64], src: &[AtomicI64], live: usize, stale: usize, vacant: i64) {
+    for (d, s) in dst.iter_mut().zip(&src[..live]) {
+        *d.get_mut() = s.load(Ordering::Acquire);
+    }
+    for d in dst.iter_mut().take(stale).skip(live) {
+        *d.get_mut() = vacant;
     }
 }
 
@@ -385,6 +443,64 @@ mod tests {
         assert_eq!(t.live_rows(), 0);
     }
 
+    fn digest(t: &Table) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        t.digest_into(&mut h);
+        h
+    }
+
+    /// The reference model for [`Table::deep_clone`]: the rebuild it
+    /// replaced — a fresh table, cells copied row by row, every live key
+    /// re-inserted into fresh indexes.
+    fn rebuild_clone(t: &Table) -> Table {
+        let mut clone = Table::new(t.schema.clone());
+        if t.ordered.is_some() {
+            clone = clone.with_ordered();
+        }
+        let n = t.len();
+        for r in 0..n {
+            let rid = RowId(r as u32);
+            for c in 0..t.width {
+                clone.data[r * t.width + c].store(t.get(rid, ColId(c as u16)), Ordering::Relaxed);
+            }
+            let k = t.keys[r].load(Ordering::Acquire);
+            clone.keys[r].store(k, Ordering::Relaxed);
+            if k != DELETED_KEY {
+                clone.primary.insert(k, rid).expect("clone index insert");
+                if let Some(ord) = &clone.ordered {
+                    ord.insert(k, rid);
+                }
+            }
+        }
+        clone.row_count.store(n as u32, Ordering::Release);
+        clone
+    }
+
+    /// Everything a reader can observe of `a` and `b` agrees: digest, slot
+    /// and live counts, and per key in `keys` the row id, the cells and
+    /// (with an ordered index) the ordered lookup.
+    fn assert_same_view(a: &Table, b: &Table, keys: impl Iterator<Item = i64>) {
+        assert_eq!(digest(a), digest(b));
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.live_rows(), b.live_rows());
+        for r in 0..a.len() {
+            assert_eq!(a.key_of(RowId(r as u32)), b.key_of(RowId(r as u32)), "slot {r}");
+        }
+        for k in keys {
+            assert_eq!(a.lookup(k), b.lookup(k), "key {k}");
+            if let Some(rid) = a.lookup(k) {
+                assert_eq!(a.row_values(rid), b.row_values(rid), "key {k}");
+            }
+            if let (Some(oa), Some(ob)) = (a.ordered(), b.ordered()) {
+                assert_eq!(oa.get(k), ob.get(k), "ordered key {k}");
+            }
+        }
+        if let (Some(oa), Some(ob)) = (a.ordered(), b.ordered()) {
+            assert_eq!(oa.len(), ob.len());
+            assert_eq!(oa.range(i64::MIN, i64::MAX), ob.range(i64::MIN, i64::MAX));
+        }
+    }
+
     #[test]
     fn deep_clone_is_independent_and_equal() {
         let t = small();
@@ -393,17 +509,143 @@ mod tests {
         }
         t.delete(10);
         let c = t.deep_clone();
-        let mut h1 = 0xcbf2_9ce4_8422_2325u64;
-        let mut h2 = h1;
-        t.digest_into(&mut h1);
-        c.digest_into(&mut h2);
-        assert_eq!(h1, h2);
+        assert_eq!(digest(&t), digest(&c));
         assert_eq!(c.lookup(10), None);
         assert_eq!(c.lookup(11).map(|r| c.get(r, ColId(0))), Some(22));
         // Mutating the clone leaves the original untouched.
         let rid = c.lookup(20).unwrap();
         c.set(rid, ColId(0), 777);
         assert_eq!(t.get(t.lookup(20).unwrap(), ColId(0)), 40);
+    }
+
+    /// A table that has been through deletes (tombstoned index slots,
+    /// dead row slots), a burned duplicate slot and re-inserts, with an
+    /// ordered index: the structural clone reads exactly like the
+    /// original, row ids included, and the two then grow independently.
+    #[test]
+    fn deep_clone_carries_tombstones_dead_slots_and_the_ordered_index() {
+        let t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build())
+            .with_ordered();
+        for k in 0..40 {
+            t.insert(k * 3, &[k, -k]).unwrap();
+        }
+        for k in (0..40).step_by(4) {
+            t.delete(k * 3).unwrap();
+        }
+        assert!(t.insert(3, &[0, 0]).is_err(), "duplicate burns a slot");
+        t.insert(12, &[99, 98]).unwrap(); // re-insert over a tombstone
+        let c = t.deep_clone();
+        assert_same_view(&t, &c, -5..130);
+        assert_eq!(t.ordered().unwrap().range(10, 40), c.ordered().unwrap().range(10, 40));
+        assert_eq!(
+            t.ordered().unwrap().first_at_or_after(13),
+            c.ordered().unwrap().first_at_or_after(13)
+        );
+
+        // Independent growth: the same insert lands in the same slot on
+        // both sides; an insert or delete on one side is invisible to the
+        // other.
+        assert_eq!(t.insert(1_000, &[1, 1]), c.insert(1_000, &[2, 2]));
+        assert_eq!(t.get(t.lookup(1_000).unwrap(), ColId(0)), 1);
+        assert_eq!(c.get(c.lookup(1_000).unwrap(), ColId(0)), 2);
+        c.insert(2_000, &[0, 0]).unwrap();
+        assert_eq!(t.lookup(2_000), None);
+        assert_eq!(t.ordered().unwrap().get(2_000), None);
+        t.delete(6).unwrap();
+        assert!(c.lookup(6).is_some());
+        assert_eq!(c.ordered().unwrap().get(6), c.lookup(6));
+        // Both fill up at the same point.
+        let room = |x: &Table| (0..).take_while(|i| x.insert(5_000 + i, &[0, 0]).is_ok()).count();
+        assert_eq!(room(&t), room(&c) + 1);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// After any history of inserts (duplicates and overflow
+            /// included), deletes and cell writes, `deep_clone` is
+            /// indistinguishable from the rebuild it replaced.
+            #[test]
+            fn deep_clone_matches_the_rebuild(
+                ordered in any::<bool>(),
+                ops in proptest::collection::vec((0..3u8, 0..48i64, -9..9i64), 0..200),
+            ) {
+                let t = scratch_table(96, ordered);
+                apply(&t, &ops);
+                let c = t.deep_clone();
+                assert_same_view(&c, &rebuild_clone(&t), -2..50);
+                assert_same_view(&c, &t, -2..50);
+            }
+
+            /// An image of any table of the same shape — an earlier state
+            /// of the source, or an unrelated history with more or fewer
+            /// row slots allocated — refreshed in place is, cell for cell,
+            /// the fresh clone; an image of another shape is replaced.
+            #[test]
+            fn deep_clone_from_matches_a_fresh_clone(
+                ordered in any::<bool>(),
+                related in any::<bool>(),
+                image_capacity in prop_oneof![Just(96usize), Just(96usize), Just(40usize)],
+                before in proptest::collection::vec((0..3u8, 0..48i64, -9..9i64), 0..200),
+                after in proptest::collection::vec((0..3u8, 0..48i64, -9..9i64), 0..200),
+            ) {
+                let t = scratch_table(96, ordered);
+                let mut image = if related {
+                    apply(&t, &before);
+                    t.deep_clone()
+                } else {
+                    let other = scratch_table(image_capacity, !ordered);
+                    apply(&other, &before);
+                    other
+                };
+                apply(&t, &after);
+                image.deep_clone_from(&t);
+                let fresh = t.deep_clone();
+                assert_same_view(&image, &fresh, -2..50);
+                let bits = |x: &[AtomicI64]| {
+                    x.iter().map(|c| c.load(Ordering::Relaxed)).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&image.data), bits(&fresh.data));
+                assert_eq!(bits(&image.keys), bits(&fresh.keys));
+                // The two keep agreeing as they grow.
+                for k in 100..110 {
+                    assert_eq!(image.insert(k, &[k, k]), fresh.insert(k, &[k, k]));
+                }
+                assert_same_view(&image, &fresh, -2..120);
+            }
+        }
+
+        fn scratch_table(capacity: usize, ordered: bool) -> Table {
+            let schema = TableBuilder::new("T").columns(["a", "b"]).capacity(capacity).build();
+            if ordered {
+                Table::new(schema).with_ordered()
+            } else {
+                Table::new(schema)
+            }
+        }
+
+        /// `(0, k, v)` inserts, `(1, k, _)` deletes, `(2, k, v)` writes a cell.
+        fn apply(t: &Table, ops: &[(u8, i64, i64)]) {
+            for &(op, k, v) in ops {
+                match op {
+                    0 => {
+                        let _ = t.insert(k, &[v, k]);
+                    }
+                    1 => {
+                        t.delete(k);
+                    }
+                    _ => {
+                        if let Some(rid) = t.lookup(k) {
+                            t.set(rid, ColId(0), v);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
