@@ -1,0 +1,511 @@
+//! The paper's evaluation: Tables II–IX and Fig. 6(a), 6(b), 7, plus the
+//! calibration probe. These grids have no smoke variant; `--smoke` runs
+//! the default grid.
+
+use ltpg::conflict::TableLog;
+use ltpg::{LtpgConfig, LtpgEngine, OptFlags, PipelinedRunner};
+use ltpg_gpu_sim::{Device, DeviceConfig, MemoryMode};
+use ltpg_storage::Database;
+use ltpg_txn::{Batch, TidGen};
+use ltpg_workloads::tpcc::{TpccTables, PROC_NEWORDER, PROC_PAYMENT};
+use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
+
+use crate::record::{row, Record, Scale};
+use crate::{build_tpcc_engine, latency_us, ltpg_tpcc_config, run_stream, RunOutcome, SystemKind};
+
+/// NewOrder percentages of the TPC-C mixes, in the paper's column order.
+const MIXES: [u8; 3] = [50, 100, 0];
+
+/// One system over a fresh clone of `db0` and a fresh generator, so every
+/// cell of a grid sees the identical stream.
+fn run_tpcc(
+    kind: SystemKind,
+    db0: &Database,
+    cfg: &TpccConfig,
+    tables: &TpccTables,
+    max_batch: usize,
+    batches: usize,
+    batch_size: usize,
+) -> RunOutcome {
+    let mut engine = build_tpcc_engine(kind, db0.deep_clone(), tables, max_batch);
+    let mut gen = TpccGenerator::from_parts(cfg.clone(), *tables);
+    run_stream(&mut *engine, &mut |n| gen.gen_batch(n), batches, batch_size)
+}
+
+/// **Table II** — throughput (10⁶ TXs/s) of all nine systems on TPC-C,
+/// across NewOrder percentage ∈ {50, 100, 0} and warehouse count.
+///
+/// Default grid: warehouses {8, 32}, GPU batch 4096, 3 GPU batches per
+/// cell. `--full`: warehouses {8, 16, 32, 64}, GPU batch 2¹⁴, 5 batches.
+pub fn table2(scale: Scale) -> Record {
+    let full = scale == Scale::Full;
+    let warehouses: &[i64] = if full { &[8, 16, 32, 64] } else { &[8, 32] };
+    let gpu_batch = if full { 1 << 14 } else { 4096 };
+    let gpu_batches = if full { 5 } else { 3 };
+    let mut rec = Record::new(
+        "table2",
+        scale,
+        "Table II — TPC-C throughput (10^6 TXs/s)",
+        "system neworder_pct warehouses mtps commit_rate mean_batch_us",
+    );
+    rec.param("gpu_batch", gpu_batch);
+    rec.param("gpu_batches", gpu_batches);
+    for pct in MIXES {
+        for &w in warehouses {
+            let cfg = TpccConfig::new(w, pct).with_headroom(gpu_batch * gpu_batches * 20);
+            let (db0, tables, _g) = TpccGenerator::new(cfg.clone());
+            for kind in SystemKind::ALL {
+                let bs = kind.preferred_batch(gpu_batch);
+                let batches = (gpu_batches * gpu_batch / bs).clamp(2, 64);
+                let out = run_tpcc(kind, &db0, &cfg, &tables, gpu_batch, batches, bs);
+                rec.push(row![
+                    kind.name(),
+                    pct,
+                    w,
+                    out.mtps(),
+                    out.mean_commit_rate,
+                    out.mean_batch_ns / 1e3
+                ]);
+            }
+        }
+    }
+    rec
+}
+
+/// **Table III** — LTPG processing capability: throughput (10⁶ TXs/s) as
+/// batch size scales, per NewOrder percentage and warehouse count.
+///
+/// Default grid: batch 2⁸..2¹⁴, warehouses {8, 32}. `--full`: batch
+/// 2⁸..2¹⁶, warehouses {8, 16, 32, 64}.
+pub fn table3(scale: Scale) -> Record {
+    let full = scale == Scale::Full;
+    let warehouses: &[i64] = if full { &[8, 16, 32, 64] } else { &[8, 32] };
+    let batch_exps: &[u32] = if full { &[8, 10, 12, 14, 16] } else { &[8, 10, 12, 14] };
+    let max_batch = 1usize << batch_exps[batch_exps.len() - 1];
+    let mut rec = Record::new(
+        "table3",
+        scale,
+        "Table III — LTPG throughput vs batch size (10^6 TXs/s)",
+        "batch neworder_pct warehouses mtps commit_rate",
+    );
+    for pct in MIXES {
+        for &w in warehouses {
+            let cfg = TpccConfig::new(w, pct).with_headroom(max_batch * 40);
+            let (db0, tables, _g) = TpccGenerator::new(cfg.clone());
+            for &e in batch_exps {
+                let batch = 1usize << e;
+                let batches = (3usize << 14 >> e).clamp(2, 24);
+                let out = run_tpcc(SystemKind::Ltpg, &db0, &cfg, &tables, batch, batches, batch);
+                rec.push(row![batch, pct, w, out.mtps(), out.mean_commit_rate]);
+            }
+        }
+    }
+    rec
+}
+
+/// **Table IV** — average per-batch latency and data-transmission latency
+/// (µs), LTPG vs GaccO, across warehouse count × batch size.
+///
+/// Latency is the steady-state critical path (`mean_critical_ns`): LTPG
+/// pipelines transfers against compute, so summing its phases would
+/// overstate per-batch latency. GaccO has no phase overlap, so its
+/// critical path equals the serial sum, which is kept as
+/// `serial_latency_us`.
+///
+/// Default grid: warehouses {8, 32} × batch {4096, 16384}. `--full`:
+/// warehouses {8, 64} × batch {8192, 65536} (the paper's cells).
+pub fn table4(scale: Scale) -> Record {
+    let full = scale == Scale::Full;
+    let warehouses: &[i64] = if full { &[8, 64] } else { &[8, 32] };
+    let batches: &[usize] = if full { &[8_192, 65_536] } else { &[4_096, 16_384] };
+    let mut rec = Record::new(
+        "table4",
+        scale,
+        "Table IV — per-batch latency and transmission latency (us)",
+        "system warehouses batch batch_latency_us serial_latency_us transmission_us",
+    );
+    for &w in warehouses {
+        for &b in batches {
+            let cfg = TpccConfig::new(w, 50).with_headroom(b * 12);
+            let (db0, tables, _g) = TpccGenerator::new(cfg.clone());
+            for kind in [SystemKind::Ltpg, SystemKind::Gacco] {
+                let out = run_tpcc(kind, &db0, &cfg, &tables, b, 2, b);
+                rec.push(row![
+                    kind.name(),
+                    w,
+                    b,
+                    latency_us(&out),
+                    out.mean_batch_ns / 1e3,
+                    out.mean_transfer_ns / 1e3
+                ]);
+            }
+        }
+    }
+    rec
+}
+
+/// **Table V** — overhead of shipping the transaction read/write-sets back
+/// to the host (the paper's recommended `RwSet` synchronization mode), per
+/// batch size {1024, 16384, 65536}: the min–max simulated D2H time over
+/// several batches of each size, as the paper reports a range.
+pub fn table5(scale: Scale) -> Record {
+    let mut rec = Record::new(
+        "table5",
+        scale,
+        "Table V — read/write-set copy overhead",
+        "batch d2h_min_us d2h_max_us bytes_min bytes_max",
+    );
+    for b in [1_024usize, 16_384, 65_536] {
+        let cfg = TpccConfig::new(8, 50).with_headroom(b * 12);
+        let (db, tables, mut gen) = TpccGenerator::new(cfg);
+        let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, b, OptFlags::all()));
+        let mut tids = TidGen::new();
+        let (mut lo, mut hi) = (f64::MAX, 0.0f64);
+        let (mut blo, mut bhi) = (u64::MAX, 0u64);
+        for _ in 0..3 {
+            let batch = Batch::assemble(vec![], gen.gen_batch(b), &mut tids);
+            let stats = engine.execute_batch_report(&batch).stats;
+            lo = lo.min(stats.d2h_ns);
+            hi = hi.max(stats.d2h_ns);
+            blo = blo.min(stats.bytes_d2h);
+            bhi = bhi.max(stats.bytes_d2h);
+        }
+        rec.push(row![b, lo / 1e3, hi / 1e3, blo, bhi]);
+    }
+    rec
+}
+
+/// **Table VI** — committed transactions and commit rate (total, NewOrder,
+/// Payment) with and without the high-contention optimization suite
+/// (logical reordering + conflict-flag splitting + delayed update), on a
+/// 50/50 mix. Grid: warehouses {32, 8} × batch {16384, 4096}, as in the
+/// paper; one fresh batch per cell (the paper reports per-batch numbers).
+pub fn table6(scale: Scale) -> Record {
+    let mut rec = Record::new(
+        "table6",
+        scale,
+        "Table VI — commits and commit rate (%) with/without the high-contention optimization",
+        "warehouses batch optimized committed_total committed_neworder committed_payment \
+            rate_total rate_neworder rate_payment",
+    );
+    for (w, b) in [(32i64, 16_384usize), (32, 4_096), (8, 16_384), (8, 4_096)] {
+        for optimized in [true, false] {
+            let cfg = TpccConfig::new(w, 50).with_headroom(b * 4);
+            let (db, tables, mut gen) = TpccGenerator::new(cfg);
+            let opts = OptFlags::all().with_contention_suite(optimized);
+            let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, b, opts));
+            let batch = Batch::assemble(vec![], gen.gen_batch(b), &mut TidGen::new());
+            let report = engine.execute_batch_report(&batch).report;
+            let no_total = batch.txns.iter().filter(|t| t.proc == PROC_NEWORDER).count();
+            let pay_total = batch.txns.len() - no_total;
+            let committed_of = |proc| {
+                let is = |tid| batch.by_tid(tid).expect("committed tid").proc == proc;
+                report.committed.iter().filter(|tid| is(**tid)).count()
+            };
+            let (no_ok, pay_ok) = (committed_of(PROC_NEWORDER), committed_of(PROC_PAYMENT));
+            let total_ok = report.committed.len();
+            let pct = |a: usize, b: usize| {
+                if b == 0 {
+                    0.0
+                } else {
+                    100.0 * a as f64 / b as f64
+                }
+            };
+            rec.push(row![
+                w,
+                b,
+                optimized,
+                total_ok,
+                no_ok,
+                pay_ok,
+                pct(total_ok, b),
+                pct(no_ok, no_total),
+                pct(pay_ok, pay_total)
+            ]);
+        }
+    }
+    rec
+}
+
+/// **Table VII** — latency (µs) of marking and reading TIDs in the
+/// conflict log, standard-sized (`s_u = 1`) vs large-sized (`s_u = 32`)
+/// buckets, across thread scale {1024×1024, 512×512} and hash-table size
+/// {1, 32, 512}.
+///
+/// This is the micro-benchmark behind the dynamic-bucket design: with one
+/// slot, concurrent `atomicMin`s on a hot bucket serialize (wait time on
+/// the critical path); with 32 slots the atomics spread out.
+pub fn table7(scale: Scale) -> Record {
+    let mut rec = Record::new(
+        "table7",
+        scale,
+        "Table VII — conflict-log mark/read latency (us) by bucket size",
+        "threads hash_table bucket_size total_us mark_us read_us",
+    );
+    for threads in [1024 * 1024usize, 512 * 512] {
+        for s_h in [1usize, 32, 512] {
+            for s_u in [1usize, 32] {
+                let device = Device::new(DeviceConfig::default());
+                let log = TableLog::new(s_h, s_u);
+                // Mark: every lane registers its TID against key (lane % s_h) —
+                // the distinct-key count equals the hash-table size, as in the
+                // paper.
+                let mark = device.launch_indexed("mark", threads, |lane| {
+                    let key = (lane.global_id % s_h) as i64;
+                    let _ = log.register_write(lane, key, lane.global_id as u64 + 1, 1);
+                });
+                // Read: every lane reads back the minimum for its key.
+                let read = device.launch_indexed("read", threads, |lane| {
+                    let key = (lane.global_id % s_h) as i64;
+                    assert!(log.min_write(lane, key, 1).is_some());
+                });
+                let (mark, read) = (mark.sim_ns / 1e3, read.sim_ns / 1e3);
+                rec.push(row![threads, s_h, s_u, mark + read, mark, read]);
+            }
+        }
+    }
+    rec
+}
+
+/// **Table VIII** — memory occupancy (%) of large-sized vs standard-sized
+/// hash buckets in LTPG's conflict log, per warehouse count. The paper's
+/// point: only the popular tables (WAREHOUSE, DISTRICT and the split-off
+/// hot columns) get large buckets, so their share of conflict-log memory
+/// stays far below one percent.
+pub fn table8(scale: Scale) -> Record {
+    let mut rec = Record::new(
+        "table8",
+        scale,
+        "Table VIII — memory occupancy of large vs standard hash buckets (%)",
+        "warehouses large_pct standard_pct large_bytes standard_bytes",
+    );
+    for w in [8i64, 16, 32, 64] {
+        let cfg = TpccConfig::new(w, 50).with_headroom(1 << 20);
+        let (db, tables, _gen) = TpccGenerator::new(cfg);
+        let engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 1 << 14, OptFlags::all()));
+        let report = engine.conflict_log().memory_report();
+        let large: u64 = report.iter().filter(|m| m.bucket_size > 1).map(|m| m.bytes).sum();
+        let standard: u64 = report.iter().filter(|m| m.bucket_size == 1).map(|m| m.bytes).sum();
+        let total = (large + standard) as f64;
+        rec.push(row![
+            w,
+            100.0 * large as f64 / total,
+            100.0 * standard as f64 / total,
+            large,
+            standard
+        ]);
+    }
+    rec
+}
+
+/// **Table IX** — per-phase time (µs) under the selective memory modes:
+/// zero-copy for databases that fit device memory, unified memory beyond
+/// it (where page-fault storms blow the phases up).
+///
+/// Substitution note (see DESIGN.md): the paper scales the *database* to
+/// 2048 warehouses (≈ 200 M stock rows — beyond this host's RAM). We hold
+/// the real database at 8 warehouses and register the *footprint* a
+/// database of the paper's scale would occupy against the simulated
+/// device, which is the only thing the memory-mode model reads. Batch
+/// size 16384, as in the paper.
+pub fn table9(scale: Scale) -> Record {
+    // (emulated scale, memory mode). Paper: 32/512 zero-copy, 1024/2048
+    // unified; the device holds 48 GiB and a warehouse occupies ~40 MB.
+    let grid = [
+        (32i64, MemoryMode::ZeroCopy),
+        (512, MemoryMode::ZeroCopy),
+        (1_024, MemoryMode::Unified),
+        (2_048, MemoryMode::Unified),
+    ];
+    let bytes_per_warehouse: u64 = 40 << 20;
+    let batch = 1 << 14;
+    let mut rec = Record::new(
+        "table9",
+        scale,
+        "Table IX — per-phase time (us) under zero-copy vs unified memory",
+        "scale_warehouses mode execute_us detect_us writeback_us page_faults",
+    );
+    for (emulated_warehouses, mode) in grid {
+        let cfg = TpccConfig::new(8, 50).with_headroom(batch * 4);
+        let (db, tables, mut gen) = TpccGenerator::new(cfg);
+        let mut lcfg = ltpg_tpcc_config(&tables, batch, OptFlags::all());
+        lcfg.device.memory_mode = mode;
+        // Emulate the footprint of the paper's scale: the device model
+        // only needs the byte count, not the rows themselves.
+        lcfg.device.device_mem_bytes = 48 << 30;
+        let mut engine = LtpgEngine::new(db, lcfg);
+        let emulated = emulated_warehouses as u64 * bytes_per_warehouse;
+        let real = engine.device().allocated_bytes();
+        engine.device().register_allocation(emulated.saturating_sub(real));
+        let b = Batch::assemble(vec![], gen.gen_batch(batch), &mut TidGen::new());
+        let s = engine.execute_batch_report(&b).stats;
+        rec.push(row![
+            emulated_warehouses,
+            if mode == MemoryMode::ZeroCopy { "zero-copy" } else { "unified" },
+            s.execute_ns / 1e3,
+            s.detect_ns / 1e3,
+            s.writeback_ns / 1e3,
+            s.page_faults
+        ]);
+    }
+    rec
+}
+
+/// **Fig. 6(a)** — LTPG commit rate and per-batch latency as batch size
+/// grows, 50/50 TPC-C mix. The paper's claims: latency between ~300 µs and
+/// 8 ms across the sweep, commit rate stable between 50 % and 75 %.
+///
+/// Latency is the steady-state critical path (`mean_critical_ns`), not
+/// the serial six-phase sum — LTPG pipelines transfers against compute,
+/// and the paper's Fig. 6a measures the pipelined system. The serial sum
+/// is kept as `serial_latency_us`.
+///
+/// Default: warehouses 32, batch 2⁸..2¹⁴; `--full` extends to 2¹⁶.
+pub fn fig6a(scale: Scale) -> Record {
+    let max_exp = if scale == Scale::Full { 16u32 } else { 14 };
+    let cfg = TpccConfig::new(32, 50).with_headroom((1usize << max_exp) * 40);
+    let (db0, tables, _g) = TpccGenerator::new(cfg.clone());
+    let mut rec = Record::new(
+        "fig6a",
+        scale,
+        "Fig. 6(a) — LTPG commit rate and latency vs batch size (50/50, W=32)",
+        "batch commit_rate latency_us serial_latency_us mtps",
+    );
+    for e in 8..=max_exp {
+        let b = 1usize << e;
+        let batches = (3usize << 14 >> e).clamp(2, 24);
+        let out = run_tpcc(SystemKind::Ltpg, &db0, &cfg, &tables, b, batches, b);
+        rec.push(row![
+            b,
+            out.mean_commit_rate,
+            latency_us(&out),
+            out.mean_batch_ns / 1e3,
+            out.mtps()
+        ]);
+    }
+    rec
+}
+
+/// **Fig. 6(b)** — LTPG throughput as the optimizations are layered onto
+/// an unenhanced engine, 50/50 TPC-C mix. The paper's stated effects:
+/// high-contention suite ≈ 1.75×, hash-table (dynamic bucket) optimization
+/// 5–10 %, inter-batch pipelining 10–15 %.
+///
+/// Stages: unenhanced → +warp division → +dynamic buckets →
+/// +high-contention suite → +pipeline. The pipeline stage reports the
+/// overlapped-makespan throughput from the three-stream model.
+pub fn fig6b(scale: Scale) -> Record {
+    let full = scale == Scale::Full;
+    let batch = if full { 1 << 14 } else { 4_096 };
+    let batches = if full { 6 } else { 4 };
+    let cfg = TpccConfig::new(32, 50).with_headroom(batch * batches * 4);
+    let (db0, tables, _g) = TpccGenerator::new(cfg.clone());
+    let warp = OptFlags { warp_division: true, ..OptFlags::none() };
+    // (stage, engine optimizations, inter-batch pipelining)
+    let stages = [
+        ("unenhanced", OptFlags::none(), false),
+        ("+warp division", warp, false),
+        ("+dynamic buckets", OptFlags { dynamic_buckets: true, ..warp }, false),
+        ("+contention suite", OptFlags::all(), false),
+        ("+pipeline", OptFlags::all(), true),
+    ];
+    let mut rec = Record::new(
+        "fig6b",
+        scale,
+        "Fig. 6(b) — LTPG throughput (MTPS) as optimizations are layered (50/50, W=32)",
+        "name mtps speedup_vs_prev",
+    );
+    rec.param("batch", batch);
+    rec.param("batches", batches);
+    let mut prev = 0.0f64;
+    for (name, opts, pipelined) in stages {
+        let mut engine = LtpgEngine::new(db0.deep_clone(), ltpg_tpcc_config(&tables, batch, opts));
+        let mut gen = TpccGenerator::from_parts(cfg.clone(), tables);
+        let mut gen = |n| gen.gen_batch(n);
+        let mtps = if pipelined {
+            // Overlapped makespan over the same stream.
+            let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, batches, batch);
+            rec.summarize("pipeline_overlap_speedup", out.speedup());
+            out.committed_tps() / 1e6
+        } else {
+            run_stream(&mut engine, &mut gen, batches, batch).mtps()
+        };
+        let speedup = if prev > 0.0 { mtps / prev } else { 1.0 };
+        rec.push(row![name, mtps, speedup]);
+        prev = mtps;
+    }
+    rec
+}
+
+/// **Fig. 7** — LTPG throughput on the full YCSB suite (workloads A–E),
+/// across batch size and data cardinality, 10 operations per transaction.
+///
+/// Expected shape (paper §VI-E): read-only C fastest, scan-heavy E slowest
+/// (scans are emulated over hash lookups).
+///
+/// Zipf note (see EXPERIMENTS.md): taken literally, `P(k) ∝ k^-2.5` puts
+/// ~74 % of accesses on one key, which makes workload A degenerate under
+/// *any* OCC (at most one hot-key writer commits per batch) — inconsistent
+/// with the paper's reported A/B behaviour. This harness therefore uses
+/// the inverse-exponent convention θ = 1/α = 0.4; the literal regime is
+/// demonstrated by the `ycsb_contention` example.
+///
+/// Default: records {10⁴, 10⁵, 10⁶} × batch {2¹², 2¹⁴};
+/// `--full` adds records 10⁷ and batch 2¹⁶.
+pub fn fig7(scale: Scale) -> Record {
+    let full = scale == Scale::Full;
+    let record_counts: &[u64] = if full {
+        &[10_000, 100_000, 1_000_000, 10_000_000]
+    } else {
+        &[10_000, 100_000, 1_000_000]
+    };
+    let batch_sizes: &[usize] = if full { &[4_096, 16_384, 65_536] } else { &[4_096, 16_384] };
+    let mut rec = Record::new(
+        "fig7",
+        scale,
+        "Fig. 7 — LTPG throughput on YCSB A-E (MTPS)",
+        "workload records batch mtps commit_rate",
+    );
+    for &n in record_counts {
+        for &b in batch_sizes {
+            for wl in YcsbWorkload::ALL {
+                let ycfg = YcsbConfig::new(wl, n).with_alpha(0.4).with_headroom(b * 8);
+                let (db, _table, mut gen) = YcsbGenerator::new(ycfg);
+                let mut lcfg = LtpgConfig::with_opts(OptFlags::all());
+                lcfg.max_batch = b;
+                // Scan-heavy E registers every probed key in the conflict
+                // log; budget accordingly or the log overflows into forced
+                // aborts at large cardinalities.
+                lcfg.est_accesses_per_txn = if wl == YcsbWorkload::E { 100 } else { 16 };
+                let mut engine = LtpgEngine::new(db, lcfg);
+                let out = run_stream(&mut engine, &mut |k| gen.gen_batch(k), 3, b);
+                rec.push(row![wl.letter(), n, b, out.mtps(), out.mean_commit_rate]);
+            }
+        }
+    }
+    rec
+}
+
+/// Calibration probe: quick per-system throughput/latency readout used to
+/// tune the cost models against the paper's magnitudes (see the
+/// calibration narrative in EXPERIMENTS.md). Not one of the paper's
+/// tables — kept as a development tool.
+pub fn timing_probe(scale: Scale) -> Record {
+    let mut rec = Record::new(
+        "timing_probe",
+        scale,
+        "Calibration probe — per-system TPC-C throughput and critical-path latency (W=8)",
+        "system neworder_pct mtps commit_rate crit_latency_us",
+    );
+    for pct in [50u8, 0] {
+        let cfg = TpccConfig::new(8, pct).with_headroom(1 << 17);
+        let (db0, tables, _g) = TpccGenerator::new(cfg.clone());
+        for kind in SystemKind::ALL.into_iter().filter(|k| *k != SystemKind::Ltpg) {
+            let bs = kind.preferred_batch(16384);
+            let batches = (2 * 16384 / bs).clamp(2, 16);
+            let out = run_tpcc(kind, &db0, &cfg, &tables, 16384, batches, bs);
+            rec.push(row![kind.name(), pct, out.mtps(), out.mean_commit_rate, latency_us(&out)]);
+        }
+    }
+    rec
+}

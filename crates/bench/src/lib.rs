@@ -2,32 +2,35 @@
 
 //! # ltpg-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index), plus Criterion micro-benchmarks. This library holds
-//! the shared machinery: the engine factory over all nine systems, the
-//! batch-stream runner with abort requeuing, scale handling, and result
-//! printing/serialization.
+//! One `ltpg-bench` binary over a static table of [`experiments`] — one per
+//! table/figure of the paper's evaluation (see DESIGN.md's experiment
+//! index) and one per later subsystem sweep — plus Criterion
+//! micro-benchmarks. Every experiment is a function from a
+//! [`record::Scale`] to one [`record::Record`]. This library also holds the
+//! machinery they share: the engine factory over all nine systems and the
+//! batch-stream runner with abort requeuing.
 //!
 //! ## Scales
 //!
 //! The paper's full grid (64 warehouses, 2¹⁶ batches, 5 000 batches,
-//! YCSB at 10⁷ rows) is heavy for a small machine, so every binary runs a
-//! **reduced but shape-preserving** grid by default and the full grid with
-//! `--full` (or `LTPG_FULL=1`). Reduced runs keep the experiment's axes
-//! and its qualitative outcome; EXPERIMENTS.md records both.
+//! YCSB at 10⁷ rows) is heavy for a small machine, so every experiment
+//! runs a **reduced but shape-preserving** grid by default and the full
+//! grid with `--full`. Reduced runs keep the experiment's axes and its
+//! qualitative outcome; EXPERIMENTS.md records both.
 
-use std::io::Write as _;
+pub mod experiments;
+pub mod record;
+
 use std::time::Instant;
 
-use ltpg::{LtpgConfig, LtpgEngine, OptFlags};
+use ltpg::{Formed, Intake, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_baselines::{
     AriaEngine, BambooEngine, BohmEngine, CalvinEngine, Dbx1000Engine, GaccoEngine, GputxEngine,
     PwvEngine,
 };
 use ltpg_storage::Database;
-use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
+use ltpg_txn::{BatchEngine, Txn};
 use ltpg_workloads::tpcc::{cols, TpccTables};
-use serde::Serialize;
 
 /// The nine systems of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +136,7 @@ pub fn build_tpcc_engine(
 }
 
 /// Aggregate outcome of running a transaction stream through an engine.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Batches executed.
     pub batches: usize,
@@ -179,16 +182,15 @@ impl RunOutcome {
 
 /// Run `batches` batches of `batch_size` through `engine`. Fresh
 /// transactions come from `gen`; aborted ones requeue into the next batch
-/// with their original TIDs.
+/// with their original TIDs (an [`Intake`] with the unpipelined delay).
 pub fn run_stream(
     engine: &mut dyn BatchEngine,
     gen: &mut dyn FnMut(usize) -> Vec<Txn>,
-    tids: &mut TidGen,
     batches: usize,
     batch_size: usize,
 ) -> RunOutcome {
     let wall = Instant::now();
-    let mut requeued: Vec<Txn> = Vec::new();
+    let mut intake = Intake::new();
     let mut out = RunOutcome {
         batches,
         admitted: 0,
@@ -202,10 +204,12 @@ pub fn run_stream(
         wall_ns: 0,
     };
     for _ in 0..batches {
-        let fresh_n = batch_size.saturating_sub(requeued.len());
-        let fresh = gen(fresh_n);
-        out.admitted += fresh.len() as u64;
-        let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, tids);
+        let due = intake.due_len();
+        gen(batch_size.saturating_sub(due + intake.inbox_len()))
+            .into_iter()
+            .for_each(|t| intake.submit(t));
+        let Formed::Batch(batch) = intake.next_batch(batch_size) else { continue };
+        out.admitted += (batch.len() - due) as u64;
         let report = engine.execute_batch(&batch);
         engine.record_telemetry(ltpg_telemetry::global(), &report);
         out.committed += report.committed.len() as u64;
@@ -215,11 +219,7 @@ pub fn run_stream(
         out.mean_critical_ns += report.critical_path_ns;
         out.mean_transfer_ns += report.transfer_ns;
         out.mean_commit_rate += report.commit_rate(batch.len());
-        requeued = report
-            .aborted
-            .iter()
-            .map(|tid| batch.by_tid(*tid).expect("aborted tid").clone())
-            .collect();
+        intake.requeue_aborted(&batch, &report.aborted, false);
     }
     let b = batches.max(1) as f64;
     out.mean_batch_ns /= b;
@@ -230,75 +230,12 @@ pub fn run_stream(
     out
 }
 
-/// Whether the paper-scale grid was requested (`--full` or `LTPG_FULL=1`).
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full") || std::env::var("LTPG_FULL").is_ok_and(|v| v == "1")
-}
-
-/// Print an aligned table: a header row and data rows.
-pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let fmt_row = |row: &[String]| {
-        row.iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("{}", fmt_row(header));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-}
-
-/// Result-file stem for a bench binary: smoke runs write to a separate
-/// `<base>_smoke` stem so a CI smoke pass can never clobber a committed
-/// full-run record under `results/`.
-///
-/// `results/` is the **single canonical location** for every benchmark
-/// artifact. Bench binaries must route all record emission through
-/// [`write_json`] (which only writes under `results/`) and must never
-/// write a copy at the repository root — a root-level duplicate silently
-/// drifts from the canonical record the moment either copy is
-/// regenerated, and CI regression guards only ever read `results/`.
-pub fn results_name(base: &str, smoke: bool) -> String {
-    if smoke {
-        format!("{base}_smoke")
-    } else {
-        base.to_string()
-    }
-}
-
 /// The per-batch latency a table or figure should quote for `out`, in
 /// microseconds: the steady-state *critical-path* cost (what one more
 /// batch adds under phase pipelining), not the serial phase sum — see
 /// [`RunOutcome::mean_critical_ns`].
 pub fn latency_us(out: &RunOutcome) -> f64 {
     out.mean_critical_ns / 1e3
-}
-
-/// Write an experiment record as JSON under `results/`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let body = serde_json::to_string_pretty(value).expect("serialize experiment record");
-            let _ = f.write_all(body.as_bytes());
-            println!("[results written to {}]", path.display());
-        }
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 #[cfg(test)]
@@ -314,14 +251,7 @@ mod tests {
             let db = db0.deep_clone();
             let mut engine = build_tpcc_engine(kind, db, &tables, 128);
             let mut gen = TpccGenerator::from_parts(cfg.clone(), tables);
-            let mut tids = TidGen::new();
-            let out = run_stream(
-                &mut *engine,
-                &mut |n| gen.gen_batch(n),
-                &mut tids,
-                3,
-                64,
-            );
+            let out = run_stream(&mut *engine, &mut |n| gen.gen_batch(n), 3, 64);
             assert!(out.committed > 0, "{} committed nothing", kind.name());
             assert!(out.sim_ns > 0.0, "{} accounted no time", kind.name());
             assert!(
@@ -335,13 +265,6 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn smoke_results_use_a_separate_stem() {
-        assert_eq!(results_name("shard_scaling", false), "shard_scaling");
-        assert_eq!(results_name("shard_scaling", true), "shard_scaling_smoke");
-        assert_eq!(results_name("BENCH_failover", true), "BENCH_failover_smoke");
     }
 
     #[test]

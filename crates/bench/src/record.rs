@@ -1,0 +1,446 @@
+//! The one record every experiment returns.
+//!
+//! An experiment is a plain function from a [`Scale`] to a [`Record`]: the
+//! parameters it ran with, one table of named, typed columns, and a few
+//! summary numbers. The record prints itself and serializes itself, so an
+//! experiment builds each row once. `ltpg-bench check` reads a written
+//! record back and hands it to the experiment's invariants.
+
+use std::path::PathBuf;
+
+use ltpg_telemetry::export::{parse_json, JsonValue as Parsed};
+use serde::json::JsonValue;
+use serde::Serialize;
+
+/// Schema tag of every record this harness writes.
+pub const SCHEMA: &str = "ltpg-bench-v1";
+
+/// Return `Err(format!(..))` from a check unless `cond` holds (a NaN
+/// comparison does not hold).
+macro_rules! ensure {
+    ($cond:expr, $($fmt:tt)+) => {
+        if $cond {
+        } else {
+            return Err(format!($($fmt)+));
+        }
+    };
+}
+pub(crate) use ensure;
+
+/// A row for [`Record::push`]: each value lowered to its JSON kind.
+macro_rules! row {
+    ($($value:expr),+ $(,)?) => {
+        vec![$(serde::Serialize::to_json(&$value)),+]
+    };
+}
+pub(crate) use row;
+
+/// How large a grid an experiment runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// A seconds-long grid for CI (`--smoke`). Experiments without a
+    /// reduced grid run their default one.
+    Smoke,
+    /// The reduced but shape-preserving grid EXPERIMENTS.md reports.
+    Default,
+    /// The paper's grid (`--full`), where it differs from the default.
+    Full,
+}
+
+impl Scale {
+    /// The name written into the record.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Default => "default",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Where records of this scale live. `results/` is the single
+    /// canonical location for committed records; smoke runs write to the
+    /// git-ignored `results/smoke/` so a CI pass can never clobber one.
+    fn dir(self) -> &'static str {
+        if self == Scale::Smoke {
+            "results/smoke"
+        } else {
+            "results"
+        }
+    }
+}
+
+/// One experiment's outcome. See the module docs.
+#[derive(Debug, Clone)]
+pub struct Record {
+    /// Name of the experiment in the harness's table.
+    pub experiment: String,
+    /// The scale it ran at.
+    pub scale: Scale,
+    /// Heading of the printed table.
+    pub title: String,
+    /// What the grid was run with (sizes, seeds, derived policy knobs).
+    pub params: Vec<(String, JsonValue)>,
+    /// Column names; a column's type is the JSON kind of its values.
+    pub columns: Vec<String>,
+    /// One value per column.
+    pub rows: Vec<Vec<JsonValue>>,
+    /// Numbers over the whole table (acceptance ratios and the like).
+    pub summary: Vec<(String, JsonValue)>,
+}
+
+/// "int" | "float" | "str" | "bool": the type names a record declares.
+fn kind(v: &JsonValue) -> &'static str {
+    match v {
+        JsonValue::I64(_) | JsonValue::U64(_) => "int",
+        JsonValue::F64(_) => "float",
+        JsonValue::Str(_) => "str",
+        JsonValue::Bool(_) => "bool",
+        JsonValue::Null | JsonValue::Array(_) | JsonValue::Object(_) => "other",
+    }
+}
+
+fn display(v: &JsonValue) -> String {
+    match v {
+        JsonValue::F64(x) => format!("{x:.3}"),
+        JsonValue::Str(s) => s.clone(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::I64(n) => n.to_string(),
+        JsonValue::U64(n) => n.to_string(),
+        JsonValue::Null | JsonValue::Array(_) | JsonValue::Object(_) => "?".to_string(),
+    }
+}
+
+impl Record {
+    /// An empty record for `experiment` with the given table heading and
+    /// whitespace-separated column names.
+    pub fn new(experiment: &str, scale: Scale, title: &str, columns: &str) -> Self {
+        Record {
+            experiment: experiment.to_string(),
+            scale,
+            title: title.to_string(),
+            params: Vec::new(),
+            columns: columns.split_whitespace().map(str::to_string).collect(),
+            rows: Vec::new(),
+            summary: Vec::new(),
+        }
+    }
+
+    /// Record a parameter of the run.
+    pub fn param(&mut self, name: &str, value: impl Serialize) {
+        self.params.push((name.to_string(), value.to_json()));
+    }
+
+    /// Record a whole-table summary value.
+    pub fn summarize(&mut self, name: &str, value: impl Serialize) {
+        self.summary.push((name.to_string(), value.to_json()));
+    }
+
+    /// Append a row. Panics if it does not have one scalar per column of
+    /// the same type as the rows before it — a bug in the experiment.
+    pub fn push(&mut self, row: Vec<JsonValue>) {
+        assert_eq!(row.len(), self.columns.len(), "{}: row width", self.experiment);
+        for (i, v) in row.iter().enumerate() {
+            let want = self.rows.first().map_or_else(|| kind(v), |first| kind(&first[i]));
+            assert!(
+                want != "other" && kind(v) == want,
+                "{}: column {} holds {want}, got {v:?}",
+                self.experiment,
+                self.columns[i]
+            );
+        }
+        self.rows.push(row);
+    }
+
+    /// Print the parameters, the aligned table and the summary to stdout.
+    pub fn print(&self) {
+        println!("\n== {} [{} / {}] ==", self.title, self.experiment, self.scale.name());
+        for (k, v) in &self.params {
+            println!("{k} = {}", display(v));
+        }
+        let cells: Vec<Vec<String>> =
+            self.rows.iter().map(|r| r.iter().map(display).collect()).collect();
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|i| cells.iter().map(|r| r[i].len()).max().unwrap_or(0).max(self.columns[i].len()))
+            .collect();
+        let line = |row: &[String]| {
+            let padded: Vec<String> =
+                row.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+            println!("{}", padded.join("  "));
+        };
+        line(&self.columns);
+        println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        cells.iter().for_each(|r| line(r));
+        for (k, v) in &self.summary {
+            println!("{k} = {}", display(v));
+        }
+    }
+
+    /// Path of the record file for `experiment` at `scale`.
+    fn path(experiment: &str, scale: Scale) -> PathBuf {
+        PathBuf::from(scale.dir()).join(format!("{experiment}.json"))
+    }
+
+    /// Write the record as JSON under `results/` (see [`Scale::dir`]).
+    pub fn write(&self) -> std::io::Result<PathBuf> {
+        let path = Record::path(&self.experiment, self.scale);
+        std::fs::create_dir_all(self.scale.dir())?;
+        let body = serde_json::to_string_pretty(self).expect("stub serializer is infallible");
+        std::fs::write(&path, body + "\n")?;
+        Ok(path)
+    }
+
+    /// Read back the record `experiment` wrote at `scale`, rejecting a
+    /// file with another schema tag, experiment name or scale class.
+    pub fn load(experiment: &str, scale: Scale) -> Result<Record, String> {
+        let path = Record::path(experiment, scale);
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("{}: {e} (run the experiment first)", path.display()))?;
+        let rec = Record::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        ensure!(rec.experiment == experiment, "{} holds {}", path.display(), rec.experiment);
+        ensure!(
+            (rec.scale == Scale::Smoke) == (scale == Scale::Smoke),
+            "{} holds a {} record",
+            path.display(),
+            rec.scale.name()
+        );
+        Ok(rec)
+    }
+
+    /// Parse a serialized record, checking the envelope: schema tag, the
+    /// declared columns (name → type), and every row holding one value of
+    /// the declared type per column. Numbers come back as floats (integers
+    /// above 2⁵³, i.e. digests, round); checks compare magnitudes, never
+    /// digests.
+    pub fn parse(text: &str) -> Result<Record, String> {
+        let doc = parse_json(text)?;
+        let field = |name: &str| doc.get(name).ok_or_else(|| format!("missing \"{name}\""));
+        let text_of = |name: &str| {
+            field(name)?.as_str().map(str::to_string).ok_or(format!("\"{name}\" is not a string"))
+        };
+        let pairs = |name: &str| match field(name)? {
+            Parsed::Obj(fields) => {
+                Ok(fields.iter().map(|(k, v)| (k.clone(), lift(v))).collect::<Vec<_>>())
+            }
+            _ => Err(format!("\"{name}\" is not an object")),
+        };
+        let schema = text_of("schema")?;
+        ensure!(schema == SCHEMA, "schema is {schema}, not {SCHEMA}");
+        let scale = match text_of("scale")?.as_str() {
+            "smoke" => Scale::Smoke,
+            "default" => Scale::Default,
+            "full" => Scale::Full,
+            other => return Err(format!("unknown scale {other}")),
+        };
+        let columns = pairs("columns")?;
+        let Parsed::Arr(rows) = field("rows")? else {
+            return Err("\"rows\" is not an array".to_string());
+        };
+        let mut table = Vec::new();
+        for (n, row) in rows.iter().enumerate() {
+            let mut values = Vec::new();
+            for (name, ty) in &columns {
+                let v = row.get(name).map(lift).ok_or(format!("row {n} lacks {name}"))?;
+                let ty = match ty {
+                    JsonValue::Str(ty) if ty == "int" => "float",
+                    JsonValue::Str(ty) => ty,
+                    _ => return Err(format!("column {name} declares no type")),
+                };
+                ensure!(kind(&v) == ty, "row {n}: {name} is not {ty}");
+                values.push(v);
+            }
+            table.push(values);
+        }
+        Ok(Record {
+            experiment: text_of("experiment")?,
+            scale,
+            title: text_of("title")?,
+            params: pairs("params")?,
+            columns: columns.into_iter().map(|(name, _)| name).collect(),
+            rows: table,
+            summary: pairs("summary")?,
+        })
+    }
+
+    /// Fail unless the table is non-empty and has every one of the
+    /// whitespace-separated `names` as a column.
+    pub fn require_columns(&self, names: &str) -> Result<(), String> {
+        let missing: Vec<_> =
+            names.split_whitespace().filter(|n| !self.columns.iter().any(|c| c == n)).collect();
+        ensure!(missing.is_empty(), "{}: missing columns {missing:?}", self.experiment);
+        ensure!(!self.rows.is_empty(), "{}: empty table", self.experiment);
+        Ok(())
+    }
+
+    /// The rows, addressable by column name.
+    pub fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        self.rows.iter().map(move |values| Row { rec: self, values })
+    }
+
+    fn scalar(&self, name: &str) -> Option<&JsonValue> {
+        self.params.iter().chain(&self.summary).find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// A numeric parameter or summary value.
+    pub fn num(&self, name: &str) -> Result<f64, String> {
+        as_num(name, self.scalar(name))
+    }
+
+    /// A boolean parameter or summary value.
+    pub fn flag(&self, name: &str) -> Result<bool, String> {
+        as_flag(name, self.scalar(name))
+    }
+}
+
+/// One row of a [`Record`], read by column name.
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    rec: &'a Record,
+    values: &'a [JsonValue],
+}
+
+impl<'a> Row<'a> {
+    fn get(&self, col: &str) -> Option<&'a JsonValue> {
+        self.rec.columns.iter().position(|c| c == col).map(|i| &self.values[i])
+    }
+
+    /// A numeric cell (integer or float).
+    pub fn num(&self, col: &str) -> Result<f64, String> {
+        as_num(col, self.get(col))
+    }
+
+    /// A boolean cell.
+    pub fn flag(&self, col: &str) -> Result<bool, String> {
+        as_flag(col, self.get(col))
+    }
+
+    /// A string cell.
+    pub fn text(&self, col: &str) -> Result<&'a str, String> {
+        match self.get(col) {
+            Some(JsonValue::Str(s)) => Ok(s),
+            _ => Err(format!("{col} is missing or not a string")),
+        }
+    }
+}
+
+fn as_num(name: &str, v: Option<&JsonValue>) -> Result<f64, String> {
+    match v {
+        Some(JsonValue::F64(x)) => Ok(*x),
+        Some(JsonValue::U64(n)) => Ok(*n as f64),
+        Some(JsonValue::I64(n)) => Ok(*n as f64),
+        _ => Err(format!("{name} is missing or not a number")),
+    }
+}
+
+fn as_flag(name: &str, v: Option<&JsonValue>) -> Result<bool, String> {
+    match v {
+        Some(JsonValue::Bool(b)) => Ok(*b),
+        _ => Err(format!("{name} is missing or not a boolean")),
+    }
+}
+
+/// A parsed JSON value in the model records are built from.
+fn lift(v: &Parsed) -> JsonValue {
+    match v {
+        Parsed::Null => JsonValue::Null,
+        Parsed::Bool(b) => JsonValue::Bool(*b),
+        Parsed::Num(x) => JsonValue::F64(*x),
+        Parsed::Str(s) => JsonValue::Str(s.clone()),
+        Parsed::Arr(items) => JsonValue::Array(items.iter().map(lift).collect()),
+        Parsed::Obj(fields) => {
+            JsonValue::Object(fields.iter().map(|(k, v)| (k.clone(), lift(v))).collect())
+        }
+    }
+}
+
+impl Serialize for Record {
+    fn to_json(&self) -> JsonValue {
+        let text = |s: &str| JsonValue::Str(s.to_string());
+        let columns = self.columns.iter().enumerate().map(|(i, name)| {
+            (name.clone(), text(self.rows.first().map_or("other", |r| kind(&r[i]))))
+        });
+        let rows = self.rows.iter().map(|r| {
+            JsonValue::Object(self.columns.iter().cloned().zip(r.iter().cloned()).collect())
+        });
+        JsonValue::Object(vec![
+            ("schema".to_string(), text(SCHEMA)),
+            ("experiment".to_string(), text(&self.experiment)),
+            ("scale".to_string(), text(self.scale.name())),
+            ("title".to_string(), text(&self.title)),
+            ("params".to_string(), JsonValue::Object(self.params.clone())),
+            ("columns".to_string(), JsonValue::Object(columns.collect())),
+            ("rows".to_string(), JsonValue::Array(rows.collect())),
+            ("summary".to_string(), JsonValue::Object(self.summary.clone())),
+        ])
+    }
+}
+
+/// Ways for a test to break one fact of a good record.
+#[cfg(test)]
+impl Record {
+    pub(crate) fn with(&self, col: &str, row: usize, value: impl Serialize) -> Record {
+        let mut rec = self.clone();
+        let i = rec.columns.iter().position(|c| c == col).expect("column to overwrite");
+        rec.rows[row][i] = value.to_json();
+        rec
+    }
+
+    pub(crate) fn with_summary(&self, name: &str, value: impl Serialize) -> Record {
+        let mut rec = self.clone();
+        rec.summary.iter_mut().find(|(k, _)| k == name).expect("summary to overwrite").1 =
+            value.to_json();
+        rec
+    }
+
+    pub(crate) fn without_column(&self, col: &str) -> Record {
+        let mut rec = self.clone();
+        let i = rec.columns.iter().position(|c| c == col).expect("column to drop");
+        rec.columns.remove(i);
+        rec.rows.iter_mut().for_each(|r| drop(r.remove(i)));
+        rec
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> Record {
+        let mut rec = Record::new("sample", Scale::Smoke, "a sample", "name n x ok");
+        rec.param("batch", 64usize);
+        rec.push(row!["a", 3u64, 0.5, true]);
+        rec.push(row!["b", u64::MAX, 2.0, false]);
+        rec.summarize("min_x", 0.5);
+        rec
+    }
+
+    #[test]
+    fn a_record_reads_back_what_it_wrote() {
+        let rec = sample();
+        let back = Record::parse(&serde_json::to_string_pretty(&rec).unwrap()).unwrap();
+        assert_eq!((back.experiment.as_str(), back.scale), ("sample", Scale::Smoke));
+        assert_eq!(back.columns, rec.columns);
+        let rows: Vec<_> = back.rows().collect();
+        assert_eq!(rows[0].text("name"), Ok("a"));
+        assert_eq!(rows[0].num("n"), Ok(3.0));
+        assert_eq!(rows[1].num("x"), Ok(2.0));
+        assert_eq!(rows[1].flag("ok"), Ok(false));
+        assert_eq!((back.num("min_x"), back.num("batch")), (Ok(0.5), Ok(64.0)));
+        assert!(rows[0].num("absent").is_err() && rows[0].flag("n").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_foreign_or_malformed_document() {
+        let good = serde_json::to_string_pretty(&sample()).unwrap();
+        assert!(Record::parse(&good.replace(SCHEMA, "ltpg-front-v1")).is_err());
+        assert!(Record::parse(&good.replace("\"ok\": true", "\"ok\": 1")).is_err());
+        assert!(Record::parse(&good.replace("\"n\": 3,", "")).is_err());
+        assert!(Record::parse("[]").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "column n holds int")]
+    fn a_row_of_another_type_is_a_bug() {
+        let mut rec = sample();
+        rec.push(row!["c", 1.5, 1.0, true]);
+    }
+}

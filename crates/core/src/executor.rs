@@ -222,3 +222,43 @@ impl Executor {
         }
     }
 }
+
+/// The physical devices a server has lost, kept so a timed recovery
+/// ([`ReplicaChaos::device_recovers_after_batches`](crate::ReplicaChaos))
+/// can revive and re-enlist each of them — a list, not a slot, because a
+/// second loss inside the outage window must not forget the first.
+#[derive(Default)]
+pub struct LostDevices {
+    /// `(shard, device, stats.batches at the moment of loss)`, oldest first.
+    lost: Vec<(usize, Arc<Device>, u64)>,
+}
+
+impl LostDevices {
+    /// Remember that `shard` lost `device` after `at_batch` executed batches.
+    pub fn note(&mut self, shard: usize, device: Arc<Device>, at_batch: u64) {
+        self.lost.push((shard, device, at_batch));
+    }
+
+    /// The `(shard, device)` pairs whose outage has ended once `batches`
+    /// have executed, oldest loss first, each revived and reset for reuse;
+    /// the rest keep waiting. With `recovers_after == None` (no timed
+    /// recovery armed — every fault-free tick) this returns at once.
+    pub fn recovered(
+        &mut self,
+        recovers_after: Option<u64>,
+        batches: u64,
+    ) -> Vec<(usize, Arc<Device>)> {
+        let Some(after) = recovers_after else { return Vec::new() };
+        let (back, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.lost)
+            .into_iter()
+            .partition(|(_, _, lost_at)| batches >= lost_at.saturating_add(after));
+        self.lost = waiting;
+        back.into_iter()
+            .map(|(shard, device, _)| {
+                device.revive();
+                device.reset_for_reuse();
+                (shard, device)
+            })
+            .collect()
+    }
+}

@@ -55,6 +55,12 @@ impl Intake {
         self.inbox.len()
     }
 
+    /// Size of the re-entry wave due at the next batch: what a caller that
+    /// feeds the inbox from a generator subtracts from the batch size.
+    pub fn due_len(&self) -> usize {
+        self.requeue.front().map_or(0, Vec::len)
+    }
+
     /// The TID the next fresh admission will receive at batch assembly.
     /// Fresh TIDs are handed out in inbox FIFO order.
     pub fn next_tid(&self) -> u64 {

@@ -82,7 +82,7 @@ pub use engine::{
     cell_accesses, cell_key, commit_decision, flag, stage_effects, CellAccess, ExecScope,
     LtpgEngine, PreparedBatch, Staged,
 };
-pub use executor::{Executor, Prepared};
+pub use executor::{Executor, LostDevices, Prepared};
 pub use faults::{
     FaultHorizon, FaultInjector, FaultPlan, PromotionCrashpoint, ReplicaChaos, WalDamage,
     WalDamageReport,

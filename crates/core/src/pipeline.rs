@@ -8,12 +8,11 @@
 //! *n* (already uploaded) or *n+1* (uploading); they re-execute in batch
 //! *n+2*, with their original TIDs.
 
-use std::collections::VecDeque;
-
 use ltpg_gpu_sim::transfer::{BatchStages, Pipeline};
-use ltpg_txn::{Batch, TidGen, Txn};
+use ltpg_txn::Txn;
 
 use crate::engine::LtpgEngine;
+use crate::intake::{Formed, Intake};
 
 /// Aggregate outcome of a pipelined run.
 #[derive(Debug, Clone)]
@@ -34,8 +33,9 @@ pub struct PipelineOutcome {
     /// the run: their re-execution slot lies past the last batch, so they
     /// leave the pipeline uncommitted.
     pub dropped: u64,
-    /// Largest batch actually executed (≤ the configured batch size: the
-    /// runner clamps re-entry waves to lane capacity).
+    /// Largest batch actually executed (≤ the configured batch size: a
+    /// re-entry wave is one earlier batch's aborts, and a generator's
+    /// surplus waits in the inbox).
     pub max_batch_len: usize,
     /// Makespan without overlap, ns.
     pub serial_ns: f64,
@@ -69,15 +69,23 @@ impl PipelineOutcome {
 /// re-execution schedule of the paper's pipeline model.
 #[derive(Debug)]
 pub struct PipelinedRunner {
-    /// Re-execution delay in batches (2 when pipelined — the paper's
-    /// "scheduled for execution only two batches later" — 1 otherwise).
-    requeue_delay: usize,
+    pipelined: bool,
 }
 
 impl PipelinedRunner {
     /// A runner with pipelining on (`delay = 2`) or off (`delay = 1`).
     pub fn new(pipelined: bool) -> Self {
-        PipelinedRunner { requeue_delay: if pipelined { 2 } else { 1 } }
+        PipelinedRunner { pipelined }
+    }
+
+    /// Re-execution delay in batches (2 when pipelined — the paper's
+    /// "scheduled for execution only two batches later" — 1 otherwise).
+    fn requeue_delay(&self) -> usize {
+        if self.pipelined {
+            2
+        } else {
+            1
+        }
     }
 
     /// Run `batches` batches of `batch_size` transactions. Fresh
@@ -89,52 +97,39 @@ impl PipelinedRunner {
         &self,
         engine: &mut LtpgEngine,
         gen: &mut dyn FnMut(usize) -> Vec<Txn>,
-        tids: &mut TidGen,
         batches: usize,
         batch_size: usize,
     ) -> PipelineOutcome {
-        // requeue_at[i] = transactions scheduled to re-enter at batch i.
-        let mut requeue: VecDeque<Vec<Txn>> = VecDeque::new();
-        // Fresh transactions handed over by `gen` beyond what the current
-        // batch could seat (bursty generators may overshoot the request);
-        // they take the front of the next batch's fresh allotment.
-        let mut fresh_overflow: Vec<Txn> = Vec::new();
+        let mut intake = Intake::new();
         let mut pipe = Pipeline::new();
-        let mut admitted = 0u64;
-        let mut committed = 0u64;
-        let mut abort_events = 0u64;
-        let mut dropped = 0u64;
-        let mut max_batch_len = 0usize;
-        let mut rate_sum = 0.0f64;
-
+        let mut out = PipelineOutcome {
+            batches,
+            admitted: 0,
+            committed: 0,
+            abort_events: 0,
+            still_pending: 0,
+            dropped: 0,
+            max_batch_len: 0,
+            serial_ns: 0.0,
+            overlapped_ns: 0.0,
+            mean_commit_rate: 0.0,
+        };
         for i in 0..batches {
-            let mut requeued = requeue.pop_front().unwrap_or_default();
-            // Clamp the re-entry wave to lane capacity; the overflow
-            // (youngest TIDs last, so they wait) carries to the next batch.
-            if requeued.len() > batch_size {
-                let overflow = requeued.split_off(batch_size);
-                if requeue.is_empty() {
-                    requeue.push_back(Vec::new());
-                }
-                let next = requeue.front_mut().expect("slot just ensured");
-                // Overflow TIDs predate anything already scheduled there.
-                next.splice(0..0, overflow);
+            // Ask for exactly the seats the due wave leaves free. A bursty
+            // generator may hand over more; the surplus waits in the inbox
+            // and takes the front of the next batch's fresh allotment.
+            let due = intake.due_len();
+            let want = batch_size.saturating_sub(due + intake.inbox_len());
+            if want > 0 {
+                gen(want).into_iter().for_each(|t| intake.submit(t));
             }
-            let fresh_needed = batch_size - requeued.len();
-            let mut fresh = std::mem::take(&mut fresh_overflow);
-            if fresh.len() < fresh_needed {
-                fresh.extend(gen(fresh_needed - fresh.len()));
-            }
-            if fresh.len() > fresh_needed {
-                fresh_overflow = fresh.split_off(fresh_needed);
-            }
-            admitted += fresh.len() as u64;
-            let batch = Batch::assemble(requeued, fresh, tids);
-            max_batch_len = max_batch_len.max(batch.len());
+            let Formed::Batch(batch) = intake.next_batch(batch_size) else { continue };
+            out.admitted += (batch.len() - due) as u64;
+            out.max_batch_len = out.max_batch_len.max(batch.len());
             let rws = engine.execute_batch_report(&batch);
-            committed += rws.report.committed.len() as u64;
-            abort_events += rws.report.aborted.len() as u64;
-            rate_sum += rws.report.commit_rate(batch.len());
+            out.committed += rws.report.committed.len() as u64;
+            out.abort_events += rws.report.aborted.len() as u64;
+            out.mean_commit_rate += rws.report.commit_rate(batch.len());
             pipe.push(BatchStages {
                 h2d_ns: rws.stats.h2d_ns,
                 compute_ns: rws.stats.execute_ns
@@ -143,40 +138,20 @@ impl PipelinedRunner {
                     + rws.stats.sync_ns,
                 d2h_ns: rws.stats.d2h_ns,
             });
-            // Schedule aborts for batch i + delay; aborts whose re-entry
-            // slot lies past the last batch leave the pipeline as dropped
-            // (they are still accounted: committed + pending + dropped =
-            // admitted).
-            if !rws.report.aborted.is_empty() {
-                if i + self.requeue_delay < batches {
-                    let retry: Vec<Txn> = rws
-                        .report
-                        .aborted
-                        .iter()
-                        .map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone())
-                        .collect();
-                    while requeue.len() < self.requeue_delay {
-                        requeue.push_back(Vec::new());
-                    }
-                    requeue[self.requeue_delay - 1].extend(retry);
-                } else {
-                    dropped += rws.report.aborted.len() as u64;
-                }
+            // Aborts whose re-entry slot lies past the last batch leave the
+            // pipeline as dropped (they are still accounted: committed +
+            // pending + dropped = admitted).
+            if i + self.requeue_delay() < batches {
+                intake.requeue_aborted(&batch, &rws.report.aborted, self.pipelined);
+            } else {
+                out.dropped += rws.report.aborted.len() as u64;
             }
         }
-        let still_pending = requeue.iter().map(Vec::len).sum();
-        PipelineOutcome {
-            batches,
-            admitted,
-            committed,
-            abort_events,
-            still_pending,
-            dropped,
-            max_batch_len,
-            serial_ns: pipe.serial_makespan_ns(),
-            overlapped_ns: pipe.overlapped_makespan_ns(),
-            mean_commit_rate: if batches == 0 { 0.0 } else { rate_sum / batches as f64 },
-        }
+        out.still_pending = intake.pending() - intake.inbox_len();
+        out.serial_ns = pipe.serial_makespan_ns();
+        out.overlapped_ns = pipe.overlapped_makespan_ns();
+        out.mean_commit_rate /= batches.max(1) as f64;
+        out
     }
 }
 
@@ -219,8 +194,7 @@ mod tests {
     #[test]
     fn aborts_reenter_after_two_batches_and_eventually_commit() {
         let (mut engine, mut gen) = contended_setup();
-        let mut tids = TidGen::new();
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, &mut tids, 12, 32);
+        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, 12, 32);
         assert_eq!(out.batches, 12);
         assert!(out.abort_events > 0, "contention must cause aborts");
         assert!(out.committed > 0);
@@ -233,18 +207,16 @@ mod tests {
     #[test]
     fn non_pipelined_requeues_next_batch() {
         let (mut engine, mut gen) = contended_setup();
-        let mut tids = TidGen::new();
         let runner = PipelinedRunner::new(false);
-        assert_eq!(runner.requeue_delay, 1);
-        let out = runner.run(&mut engine, &mut gen, &mut tids, 6, 16);
+        assert_eq!(runner.requeue_delay(), 1);
+        let out = runner.run(&mut engine, &mut gen, 6, 16);
         assert!(out.committed > 0);
     }
 
     #[test]
     fn conserves_transactions() {
         let (mut engine, mut gen) = contended_setup();
-        let mut tids = TidGen::new();
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, &mut tids, 10, 16);
+        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, 10, 16);
         // Exact conservation: every admitted transaction either committed,
         // is still waiting in a re-entry slot, or was aborted too close to
         // the end to re-enter (dropped). Nothing vanishes silently.
@@ -261,10 +233,9 @@ mod tests {
     #[test]
     fn dropped_counts_tail_aborts() {
         let (mut engine, mut gen) = contended_setup();
-        let mut tids = TidGen::new();
         // delay = 2 with every batch aborting most of its 16 writers over
         // 8 keys: the last two batches' aborts cannot re-enter.
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, &mut tids, 6, 16);
+        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, 6, 16);
         assert!(out.dropped > 0, "tail aborts must be reported as dropped: {out:?}");
         assert_eq!(out.committed + out.still_pending as u64 + out.dropped, out.admitted);
     }
@@ -282,8 +253,7 @@ mod tests {
             }
             gen_one(BATCH * 5 / 2)
         };
-        let mut tids = TidGen::new();
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut bursty, &mut tids, 8, BATCH);
+        let out = PipelinedRunner::new(true).run(&mut engine, &mut bursty, 8, BATCH);
         assert!(
             out.max_batch_len <= BATCH,
             "batch overfilled past lane capacity: {}",

@@ -35,7 +35,7 @@ use ltpg_txn::{Batch, BatchReport, Tid, Txn};
 
 use crate::config::LtpgConfig;
 use crate::engine::LtpgEngine;
-use crate::executor::Executor;
+use crate::executor::{Executor, LostDevices};
 use crate::faults::{PromotionCrashpoint, ReplicaChaos};
 use crate::intake::{Formed, Intake};
 use crate::twin::CpuTwin;
@@ -239,11 +239,8 @@ pub struct LtpgServer {
     /// Armed replication chaos (timed device recovery, promotion-window
     /// crashpoints). Inert by default.
     replica_chaos: ReplicaChaos,
-    /// The physical device lost by the last degradation/failover, kept so
-    /// a timed recovery can revive and re-enlist it.
-    lost_device: Option<Arc<Device>>,
-    /// `stats.batches` at the moment the device was lost.
-    lost_at_batch: Option<u64>,
+    /// Every lost device still waiting out its outage.
+    lost_devices: LostDevices,
 }
 
 impl LtpgServer {
@@ -268,8 +265,7 @@ impl LtpgServer {
             telemetry,
             failover: None,
             replica_chaos: ReplicaChaos::none(),
-            lost_device: None,
-            lost_at_batch: None,
+            lost_devices: LostDevices::default(),
         }
     }
 
@@ -487,8 +483,9 @@ impl LtpgServer {
             // rebuilds exactly the pre-batch state regardless of where
             // mid-batch the device died. Fence the failed primary but keep
             // the handle: a timed recovery may revive it later.
-            self.lost_device = self.executor.gpu().map(LtpgEngine::device_handle);
-            self.lost_at_batch = Some(self.stats.batches);
+            if let Some(engine) = self.executor.gpu() {
+                self.lost_devices.note(0, engine.device_handle(), self.stats.batches);
+            }
             // A promoted standby's catch-up replay stops just short of the
             // in-flight batch; the next iteration re-issues it there.
             if !self.try_failover(batch_id)? {
@@ -497,35 +494,27 @@ impl LtpgServer {
         }
     }
 
-    /// If the chaos schedule says the lost device's outage has ended,
+    /// For every lost device whose outage the chaos schedule says has ended,
     /// revive it and bring it back: a CPU-degraded server re-promotes to a
     /// GPU engine over the fallback's live database (determinism makes the
     /// swap invisible); a server that already failed over offers the device
     /// to the standby pool instead. Runs at batch boundaries only — the
     /// cutover barrier.
-    fn maybe_rejoin_recovered_device(&mut self) {
-        let Some(k) = self.replica_chaos.device_recovers_after_batches else {
-            return;
-        };
-        let Some(lost_at) = self.lost_at_batch else {
-            return;
-        };
-        if self.stats.batches < lost_at.saturating_add(k) {
-            return;
-        }
-        let Some(device) = self.lost_device.take() else {
-            return;
-        };
-        self.lost_at_batch = None;
-        device.revive();
-        device.reset_for_reuse();
-        if self.is_degraded() {
-            // Re-promotion from the CPU twin: the twin's database IS the
-            // current state, so the recovered device just adopts it.
-            self.executor.repromote(self.engine_cfg.clone(), Arc::clone(&self.telemetry), device);
-            self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
-        } else if let Some(provider) = self.failover.as_mut() {
-            provider.reenlist(device, &self.durability);
+    fn maybe_rejoin_recovered_devices(&mut self) {
+        let after = self.replica_chaos.device_recovers_after_batches;
+        for (_, device) in self.lost_devices.recovered(after, self.stats.batches) {
+            if self.is_degraded() {
+                // Re-promotion from the CPU twin: the twin's database IS the
+                // current state, so the recovered device just adopts it.
+                self.executor.repromote(
+                    self.engine_cfg.clone(),
+                    Arc::clone(&self.telemetry),
+                    device,
+                );
+                self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
+            } else if let Some(provider) = self.failover.as_mut() {
+                provider.reenlist(device, &self.durability);
+            }
         }
     }
 
@@ -549,7 +538,7 @@ impl LtpgServer {
     /// errors instead of panicking.
     pub fn try_tick(&mut self) -> Result<Option<BatchSummary>, ServerError> {
         self.telemetry.counter(names::SERVER_TICKS).inc();
-        self.maybe_rejoin_recovered_device();
+        self.maybe_rejoin_recovered_devices();
         let batch = match self.intake.next_batch(self.cfg.batch_size) {
             Formed::Idle => return Ok(None),
             // Work is in a later delay slot: this tick just passes time.

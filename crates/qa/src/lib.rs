@@ -203,6 +203,96 @@ mod tests {
         assert!(reg.counter_value(names::QA_TXNS) > 0);
     }
 
+    /// A case on one 8-row table whose schedule is mostly `Delete` and
+    /// constant-key `Insert` over the same 8 keys. Hand-built rather than a
+    /// generator mode, so no existing seed maps to a new case.
+    ///
+    /// An 8-row table has a 16-slot primary index in which keys 4 and 5
+    /// share a home slot, so one of them sits beyond the other on the probe
+    /// path — where a tombstone once hid the live copy from `insert`. Half
+    /// the key draws are one of the two. Row slots are never reused, so the
+    /// schedule holds at most `8 - rows` inserts.
+    fn insert_after_delete_case(seed: u64) -> QaCase {
+        use ltpg_storage::{ColId, TableId};
+        use ltpg_txn::{IrOp, ProcId, Src, Txn};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x1AD0 ^ seed);
+        let table = TableId(0);
+        let insert =
+            |k: i64, v: i64| IrOp::Insert { table, key: Src::Const(k), values: vec![Src::Const(v)] };
+        let delete = |k: i64| IrOp::Delete { table, key: Src::Const(k) };
+        let read = |k: i64| IrOp::Read { table, key: Src::Const(k), col: ColId(0), out: 0 };
+        let txn = |ops: Vec<IrOp>| Txn::new(ProcId(0), vec![], ops);
+
+        let batch_size = [4usize, 8][(seed % 2) as usize];
+        let mut rows = vec![(4i64, vec![40i64]), (5, vec![50])];
+        if seed % 4 >= 2 {
+            rows.push((rng.gen_range(0..4i64), vec![7]));
+        }
+        let (a, b) = ([4i64, 5][(seed % 2) as usize], [5i64, 4][(seed % 2) as usize]);
+        // Batch 0 deletes `a` and re-inserts it (two transactions, so the
+        // insert re-enters after losing to the delete), and deletes and
+        // re-inserts `b` inside one transaction; batch 1 opens by inserting
+        // `a` again, live or not by then.
+        let mut txns =
+            vec![txn(vec![delete(a)]), txn(vec![insert(a, 10)]), txn(vec![delete(b), insert(b, 11)])];
+        txns.resize_with(batch_size, || txn(vec![read(b)]));
+        txns.push(txn(vec![insert(a, 12)]));
+        let mut inserts_left = 8 - rows.len() - 3;
+        for i in 0..rng.gen_range(8..=16i64) {
+            let ops = (0..rng.gen_range(1..=2))
+                .map(|_| {
+                    let k = if rng.gen_bool(0.5) { [a, b][rng.gen_range(0..2usize)] } else { rng.gen_range(0..8i64) };
+                    match rng.gen_range(0..10u32) {
+                        0..=3 if inserts_left > 0 => {
+                            inserts_left -= 1;
+                            insert(k, 100 + i)
+                        }
+                        0..=8 => delete(k),
+                        _ => read(k),
+                    }
+                })
+                .collect();
+            txns.push(txn(ops));
+        }
+        QaCase {
+            seed,
+            tables: vec![TableSpec {
+                name: "T0".to_string(),
+                cols: 1,
+                capacity: 8,
+                ordered: seed % 8 == 7,
+                rule: [ShardRule::Hash, ShardRule::Stride(1), ShardRule::Replicated][(seed % 3) as usize],
+                rows,
+            }],
+            txns,
+            batch_size,
+            shards: 1,
+            pipelined: seed % 4 >= 2,
+            checkpoint_every: (seed % 5 == 4).then_some(2),
+            fail_shard: None,
+            standbys: 0,
+            commutative_t0c0: false,
+            via_front: seed % 3 == 1,
+            via_schedulers: true,
+            // A cutover migrates rows into tables that have no slots to spare.
+            via_rebalance: false,
+        }
+    }
+
+    #[test]
+    fn insert_after_delete_heavy_cases_run_clean_at_every_shard_count() {
+        for seed in 0..48u64 {
+            for shards in [1u32, 2, 4] {
+                let case = QaCase { shards, ..insert_after_delete_case(seed) };
+                if let Err(d) = run_case(&case) {
+                    panic!("seed {seed} at {shards} shard(s) diverged: {d}\n{}", repro::to_text(&case));
+                }
+            }
+        }
+    }
+
     #[test]
     fn repro_parser_rejects_malformed_input() {
         assert!(repro::from_text("").is_err(), "empty file");

@@ -232,6 +232,44 @@ mod tests {
     }
 
     #[test]
+    fn a_second_loss_inside_the_outage_window_forgets_neither_device() {
+        let (db, txns) = db_and_writers(160, 7);
+        let mut reference = server(db.deep_clone(), 16);
+        reference.submit_all(txns.clone());
+        let ref_stats = reference.drain(200).clone();
+
+        let mut primary = server(db, 16);
+        attach_standbys(&mut primary, 2);
+        primary.arm_replica_chaos(ltpg::ReplicaChaos {
+            device_recovers_after_batches: Some(3),
+            ..ltpg::ReplicaChaos::none()
+        });
+        primary.submit_all(txns);
+        primary.tick().unwrap();
+        primary.force_device_failure(); // the primary's device
+        primary.tick().unwrap();
+        primary.force_device_failure(); // the promoted standby's, one batch into the outage
+        let stats = primary.drain(200).clone();
+
+        assert!(!primary.is_degraded());
+        let reg = primary.telemetry();
+        assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 2);
+        assert_eq!(
+            reg.counter_value(names::REPLICA_REPROMOTIONS),
+            2,
+            "both lost devices must come back, not only the one lost last"
+        );
+        assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 2);
+        assert_eq!(stats.committed, ref_stats.committed);
+        assert_eq!(stats.batches, ref_stats.batches);
+        assert_eq!(
+            primary.database().state_digest(),
+            reference.database().state_digest(),
+            "two failovers and two re-enlistments must leave the fault-free history"
+        );
+    }
+
+    #[test]
     fn promote_row_prefers_the_freshest_row() {
         let (db, txns) = db_and_writers(64, 4);
         let mut primary = server(db, 16);

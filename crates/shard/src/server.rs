@@ -39,10 +39,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ltpg::{
-    commit_decision, CpuTwin, DurabilityManager, Executor, Formed, Intake, LtpgConfig, LtpgEngine,
-    PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
+    commit_decision, CpuTwin, DurabilityManager, Executor, Formed, Intake, LostDevices, LtpgConfig,
+    LtpgEngine, PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
 };
-use ltpg_gpu_sim::{Device, DeviceFaultPlan};
+use ltpg_gpu_sim::DeviceFaultPlan;
 use ltpg_replica::{
     HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet,
 };
@@ -123,15 +123,6 @@ struct Shard {
     telemetry: Arc<Registry>,
 }
 
-/// A physical device a shard lost, kept so a timed recovery
-/// ([`ReplicaChaos::device_recovers_after_batches`]) can revive it.
-struct LostDevice {
-    shard: usize,
-    device: Arc<Device>,
-    /// `stats.batches` at the moment of loss.
-    lost_at_batch: u64,
-}
-
 /// How [`ShardedServer::try_promote_row`] ended.
 enum Promotion {
     /// No pool attached, or no standby row left alive: the caller degrades
@@ -170,7 +161,7 @@ pub struct ShardedServer {
     /// Heartbeat probe counter (drives `heartbeat_drop_ticks`).
     tick_no: u64,
     /// Every lost device still waiting out its outage, oldest first.
-    lost_devices: Vec<LostDevice>,
+    lost_devices: LostDevices,
     /// A validated topology change waiting for its cutover batch id,
     /// with the pre-built post-cutover partitioner.
     pending_rebalance: Option<(RebalancePlan, Partitioner)>,
@@ -220,7 +211,7 @@ impl ShardedServer {
             monitors: Vec::new(),
             replica_chaos: ReplicaChaos::none(),
             tick_no: 0,
-            lost_devices: Vec::new(),
+            lost_devices: LostDevices::default(),
             pending_rebalance: None,
             planner: None,
             replica_cfg: None,
@@ -616,11 +607,7 @@ impl ShardedServer {
     /// revive and re-enlist it.
     fn note_device_loss(&mut self, failed: usize) {
         if let Some(engine) = self.execs[failed].gpu() {
-            self.lost_devices.push(LostDevice {
-                shard: failed,
-                device: engine.device_handle(),
-                lost_at_batch: self.stats.batches,
-            });
+            self.lost_devices.note(failed, engine.device_handle(), self.stats.batches);
         }
     }
 
@@ -723,15 +710,8 @@ impl ShardedServer {
     /// CPU twin (clearing the degraded gauge), or as a fresh standby row
     /// if a failover already healed the topology.
     fn maybe_rejoin_recovered_devices(&mut self) {
-        let Some(after) = self.replica_chaos.device_recovers_after_batches else { return };
-        let batches = self.stats.batches;
-        let (recovered, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.lost_devices)
-            .into_iter()
-            .partition(|l| batches >= l.lost_at_batch.saturating_add(after));
-        self.lost_devices = waiting;
-        for LostDevice { shard: s, device, .. } in recovered {
-            device.revive();
-            device.reset_for_reuse();
+        let after = self.replica_chaos.device_recovers_after_batches;
+        for (s, device) in self.lost_devices.recovered(after, self.stats.batches) {
             if self.execs[s].is_degraded() {
                 self.execs[s].repromote(
                     self.engine_cfg.clone(),

@@ -9,7 +9,6 @@
 //! Run with: `cargo run --release -p ltpg --example pipeline_overlap`
 
 use ltpg::{LtpgConfig, LtpgEngine, OptFlags, PipelinedRunner};
-use ltpg_txn::TidGen;
 use ltpg_workloads::tpcc::cols;
 use ltpg_workloads::{TpccConfig, TpccGenerator};
 
@@ -33,9 +32,8 @@ fn main() {
 
     for pipelined in [false, true] {
         let (mut engine, mut gen) = engine_and_gen(batch);
-        let mut tids = TidGen::new();
         let runner = PipelinedRunner::new(pipelined);
-        let out = runner.run(&mut engine, &mut |n| gen.gen_batch(n), &mut tids, batches, batch);
+        let out = runner.run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch);
         let label = if pipelined { "pipelined " } else { "sequential" };
         let makespan = if pipelined { out.overlapped_ns } else { out.serial_ns };
         println!(

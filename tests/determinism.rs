@@ -103,8 +103,7 @@ fn simulated_time_is_reproducible() {
         let cfg = TpccConfig::new(1, 50).with_headroom(8_192).with_seed(9);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
         let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
-        let mut tids = TidGen::new();
-        run_stream(&mut engine, &mut |n| gen.gen_batch(n), &mut tids, 2, 512).sim_ns
+        run_stream(&mut engine, &mut |n| gen.gen_batch(n), 2, 512).sim_ns
     };
     let a = run();
     let b = run();

@@ -14,8 +14,7 @@ fn invariants_hold_across_batches_with_requeue() {
         let cfg = TpccConfig::new(2, pct).with_headroom(16_384);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
         let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
-        let mut tids = TidGen::new();
-        let out = run_stream(&mut engine, &mut |n| gen.gen_batch(n), &mut tids, 4, 512);
+        let out = run_stream(&mut engine, &mut |n| gen.gen_batch(n), 4, 512);
         assert!(out.committed > 0);
         check_invariants(engine.database(), &tables, 2)
             .unwrap_or_else(|e| panic!("mix {pct}: {e}"));
@@ -29,8 +28,7 @@ fn invariants_hold_without_optimizations() {
     let cfg = TpccConfig::new(2, 50).with_headroom(8_192);
     let (db, tables, mut gen) = TpccGenerator::new(cfg);
     let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::none()));
-    let mut tids = TidGen::new();
-    let out = run_stream(&mut engine, &mut |n| gen.gen_batch(n), &mut tids, 3, 512);
+    let out = run_stream(&mut engine, &mut |n| gen.gen_batch(n), 3, 512);
     assert!(out.abort_events > 0, "unenhanced engine should abort under contention");
     check_invariants(engine.database(), &tables, 2).unwrap();
 }
@@ -41,9 +39,8 @@ fn invariants_hold_under_pipelined_schedule() {
     let cfg = TpccConfig::new(2, 50).with_headroom(16_384);
     let (db, tables, mut gen) = TpccGenerator::new(cfg);
     let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
-    let mut tids = TidGen::new();
     let runner = PipelinedRunner::new(true);
-    let out = runner.run(&mut engine, &mut |n| gen.gen_batch(n), &mut tids, 6, 512);
+    let out = runner.run(&mut engine, &mut |n| gen.gen_batch(n), 6, 512);
     assert!(out.committed > 0);
     assert!(out.overlapped_ns <= out.serial_ns);
     check_invariants(engine.database(), &tables, 2).unwrap();
@@ -90,8 +87,7 @@ fn all_engines_preserve_invariants_over_a_stream() {
         let cfg = TpccConfig::new(2, 50).with_headroom(8_192).with_seed(33);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
         let mut engine = ltpg_bench::build_tpcc_engine(kind, db, &tables, 256);
-        let mut tids = TidGen::new();
-        let out = run_stream(&mut *engine, &mut |n| gen.gen_batch(n), &mut tids, 3, 256);
+        let out = run_stream(&mut *engine, &mut |n| gen.gen_batch(n), 3, 256);
         assert!(out.committed > 0, "{}", kind.name());
         check_invariants(engine.database(), &tables, 2)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
