@@ -200,8 +200,14 @@ impl std::error::Error for ServerError {
 /// swap executors at a batch boundary without any state transfer.
 pub trait FailoverProvider {
     /// The durability log advanced to `dur.logged_batches()`; standbys may
-    /// replay toward the new tail. Called once per executed batch.
+    /// replay toward the new tail, on their own threads. Called once per
+    /// executed batch.
     fn after_batch(&mut self, dur: &DurabilityManager);
+
+    /// The server found nothing to run. Finish whatever replay is still
+    /// outstanding before returning, so a drained server leaves no work
+    /// running behind its caller.
+    fn idle(&mut self);
 
     /// Standbys currently healthy enough to promote.
     fn standbys_available(&self) -> usize;
@@ -540,7 +546,12 @@ impl LtpgServer {
         self.telemetry.counter(names::SERVER_TICKS).inc();
         self.maybe_rejoin_recovered_devices();
         let batch = match self.intake.next_batch(self.cfg.batch_size) {
-            Formed::Idle => return Ok(None),
+            Formed::Idle => {
+                if let Some(provider) = self.failover.as_mut() {
+                    provider.idle();
+                }
+                return Ok(None);
+            }
             // Work is in a later delay slot: this tick just passes time.
             Formed::Waiting => {
                 return Ok(Some(BatchSummary {

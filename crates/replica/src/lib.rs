@@ -12,10 +12,10 @@
 //!
 //! This crate packages that dividend into three pieces:
 //!
-//! - [`ReplicaSet`] — N warm standby rows (one engine per shard) replaying
-//!   the logged batch stream behind the primary, with catch-up replay from
-//!   checkpoint + WAL for lagging rows and promotion of the freshest row
-//!   at a batch boundary. The batch-id alignment machinery of the sharded
+//! - [`ReplicaSet`] — N warm standby rows (one engine per shard), each
+//!   replaying the logged batch stream behind the primary on its own
+//!   worker thread, with catch-up replay from checkpoint + WAL for lagging
+//!   rows and promotion of the freshest row at a batch boundary. The batch-id alignment machinery of the sharded
 //!   server (every shard logs a record for every global batch id, empty
 //!   sub-batches included) is exactly the cutover barrier: "promote at
 //!   batch b" means the same instant on every shard.
@@ -30,10 +30,11 @@
 //!
 //! The single-device case plugs into [`ltpg::LtpgServer`] through the
 //! [`ltpg::FailoverProvider`] trait (implemented for [`ReplicaSet`] when
-//! it has one shard). The sharded server drives the same pool through
-//! [`ReplicaSet::observe`] / [`ReplicaSet::promote_row`] with a joint
-//! lockstep [`ReplayDriver`], because cross-shard transactions need a
-//! remote view over row peers that only the shard layer can build.
+//! it has one shard and was built with [`single_device_applier`]). The
+//! sharded server drives the same pool through [`ReplicaSet::observe`] /
+//! [`ReplicaSet::promote_row`] and hands it a joint lockstep [`Applier`],
+//! because cross-shard transactions need a remote view over row peers
+//! that only the shard layer can build.
 //!
 //! Everything publishes under the `REPLICA_*` names in
 //! [`ltpg_telemetry::names`]: per-standby lag gauges, promotion /
@@ -43,12 +44,16 @@ pub mod health;
 pub mod set;
 
 pub use health::{HealthMonitor, Heartbeat, HealthVerdict};
-pub use set::{MergedWords, ReplayDriver, ReplicaConfig, ReplicaError, ReplicaSet};
+pub use set::{
+    single_device_applier, Applier, Demotion, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet,
+    SHIP_QUEUE_DEPTH,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ltpg::{FailoverProvider, LtpgConfig, LtpgServer, ServerConfig};
+    use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
     use ltpg_storage::{Database, TableBuilder, TableId};
     use ltpg_telemetry::{names, Registry};
     use ltpg_txn::{IrOp, ProcId, Src, Txn};
@@ -92,12 +97,31 @@ mod tests {
             LtpgConfig::default(),
             &ReplicaConfig { standbys: n, ..ReplicaConfig::default() },
             Arc::clone(server.telemetry()),
+            single_device_applier(),
         );
         server.attach_failover(Box::new(set));
     }
 
-    #[test]
-    fn failover_preserves_history_bit_for_bit() {
+    /// Everything the pool publishes that a run's scheduling could not be
+    /// allowed to move.
+    fn replica_telemetry(reg: &Registry) -> [u64; 8] {
+        let lag = reg.histogram(names::REPLICA_LAG_BATCHES).snapshot();
+        let failover = reg.histogram(names::REPLICA_FAILOVER_NS).snapshot();
+        [
+            reg.counter_value(names::REPLICA_PROMOTIONS),
+            reg.counter_value(names::REPLICA_DEMOTIONS),
+            reg.counter_value(names::REPLICA_REPROMOTIONS),
+            reg.counter_value(names::REPLICA_CATCHUP_BATCHES),
+            lag.count,
+            lag.sum,
+            failover.count,
+            failover.sum,
+        ]
+    }
+
+    /// One failover run against its fault-free reference; returns the
+    /// promoted server's state digest and the pool's telemetry.
+    fn failover_run() -> (u64, [u64; 8]) {
         let (db, txns) = db_and_writers(120, 7);
         let mut reference = server(db.deep_clone(), 16);
         reference.submit_all(txns.clone());
@@ -129,6 +153,152 @@ mod tests {
             "the CPU fallback must not have been touched"
         );
         assert!(reg.histogram(names::REPLICA_FAILOVER_NS).snapshot().count >= 1);
+        (primary.database().state_digest(), replica_telemetry(reg))
+    }
+
+    #[test]
+    fn failover_preserves_history_bit_for_bit() {
+        failover_run();
+    }
+
+    /// Replay runs on its own thread, so how far a standby has got when the
+    /// primary dies differs from run to run. Nothing observable may.
+    #[test]
+    fn failover_is_the_same_run_twenty_times() {
+        let first = failover_run();
+        for run in 1..20 {
+            assert_eq!(failover_run(), first, "run {run} differs from run 0");
+        }
+    }
+
+    /// A standby whose own device dies mid-stream: its worker stops, the
+    /// primary keeps shipping past the dead row's queue depth without ever
+    /// waiting on it, and the next join demotes the row — once, with the
+    /// batch and the device error — while the healthy row is untouched.
+    #[test]
+    fn a_standby_device_fault_demotes_the_row_with_its_cause_and_never_blocks_the_primary() {
+        const BATCHES: usize = 3 + 2 * SHIP_QUEUE_DEPTH;
+        let (db, txns) = db_and_writers(16 * BATCHES, 7);
+        let mut primary = server(db, 16);
+        let image = || vec![primary.durability().checkpoint_image()];
+        let mut set = ReplicaSet::new(
+            image(),
+            0,
+            LtpgConfig::default(),
+            &ReplicaConfig { standbys: 1, ..ReplicaConfig::default() },
+            Registry::new_shared(),
+            single_device_applier(),
+        );
+        // Row 1 replays on a device that dies in the middle of its third
+        // batch (a batch is five fallible device operations here).
+        let doomed = Arc::new(Device::new(LtpgConfig::default().device));
+        doomed.arm_faults(DeviceFaultPlan {
+            lost_at_op: Some(12),
+            ..DeviceFaultPlan::none()
+        });
+        set.spawn_row_with_device(image(), 0, doomed);
+
+        primary.submit_all(txns);
+        for _ in 0..BATCHES {
+            primary.tick().expect("a full batch");
+            set.after_batch(primary.durability());
+        }
+        assert_eq!(set.rows_alive(), 1, "the faulted row is demoted by the next join");
+        let demoted = set.demoted();
+        assert_eq!(demoted.len(), 1, "exactly one demotion: {demoted:?}");
+        assert_eq!((demoted[0].row, demoted[0].batch_id), (1, 2));
+        assert!(
+            matches!(demoted[0].cause, ReplicaError::Dead(DeviceError::DeviceLost { .. })),
+            "the cause survives the worker: {}",
+            demoted[0]
+        );
+        let reg = set.registry();
+        assert_eq!(reg.counter_value(names::REPLICA_DEMOTIONS), 1);
+        assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 1);
+        assert_eq!(
+            reg.counter_value(names::REPLICA_CATCHUP_BATCHES),
+            BATCHES as u64 + 2,
+            "the healthy row applied everything, the doomed one its first two batches"
+        );
+        let upto = primary.durability().logged_batches() as u64;
+        let survivor =
+            FailoverProvider::promote(&mut set, primary.durability(), upto).expect("row 0 lives");
+        assert_eq!(survivor.database().state_digest(), primary.database().state_digest());
+        assert_eq!(set.rows_alive(), 0);
+    }
+
+    /// Every running worker holds a clone of the applier, so its reference
+    /// count is a census of the set's threads: dropping the server (and the
+    /// set with it) in mid-stream leaves none.
+    #[test]
+    fn dropping_the_server_mid_stream_leaves_no_worker_running() {
+        let (db, txns) = db_and_writers(64, 4);
+        let mut primary = server(db, 16);
+        let applier = single_device_applier();
+        let set = ReplicaSet::new(
+            vec![primary.durability().checkpoint_image()],
+            primary.durability().checkpoint_batch(),
+            LtpgConfig::default(),
+            &ReplicaConfig { standbys: 2, ..ReplicaConfig::default() },
+            Arc::clone(primary.telemetry()),
+            Arc::clone(&applier),
+        );
+        primary.attach_failover(Box::new(set));
+        primary.submit_all(txns);
+        primary.tick().unwrap();
+        primary.tick().unwrap();
+        assert_eq!(Arc::strong_count(&applier), 2 + 2, "this test, the set, a worker per row");
+        drop(primary);
+        assert_eq!(Arc::strong_count(&applier), 1, "a worker outlived its set");
+    }
+
+    /// A panic on a worker thread surfaces on the serving thread, at the
+    /// first join after it; until then ships to the dead worker are dropped,
+    /// however many there are.
+    #[test]
+    #[should_panic(expected = "the applier blew up")]
+    fn a_worker_panic_is_re_raised_by_the_next_join() {
+        let (db, txns) = db_and_writers(16 * (SHIP_QUEUE_DEPTH + 3), 4);
+        let mut primary = server(db, 16);
+        let mut set = ReplicaSet::new(
+            vec![primary.durability().checkpoint_image()],
+            0,
+            LtpgConfig::default(),
+            &ReplicaConfig::default(),
+            Registry::new_shared(),
+            Arc::new(|_, _| panic!("the applier blew up")),
+        );
+        primary.submit_all(txns);
+        while primary.tick().is_some() {
+            set.after_batch(primary.durability());
+        }
+        set.rows_alive();
+    }
+
+    /// A batch the log cannot produce is a demotion at ship time, after
+    /// everything before the gap has been applied.
+    #[test]
+    fn a_wal_gap_demotes_the_row_where_the_log_ends() {
+        let (db, txns) = db_and_writers(48, 4);
+        let mut primary = server(db, 16);
+        let mut set = ReplicaSet::new(
+            vec![primary.durability().checkpoint_image()],
+            0,
+            LtpgConfig::default(),
+            &ReplicaConfig::default(),
+            Registry::new_shared(),
+            single_device_applier(),
+        );
+        primary.submit_all(txns);
+        primary.drain(10);
+        let logged = primary.durability().logged_batches() as u64;
+        set.observe(logged + 1, std::iter::once(primary.durability()));
+        let demoted = set.demoted();
+        assert_eq!(demoted.len(), 1);
+        assert_eq!((demoted[0].row, demoted[0].batch_id), (0, logged));
+        assert!(matches!(demoted[0].cause, ReplicaError::WalGap { batch_id } if batch_id == logged));
+        assert_eq!(set.registry().counter_value(names::REPLICA_CATCHUP_BATCHES), logged);
+        assert_eq!(set.rows_alive(), 0);
     }
 
     #[test]
@@ -171,6 +341,7 @@ mod tests {
             LtpgConfig::default(),
             &ReplicaConfig { standbys: 1, ..ReplicaConfig::default() },
             Arc::clone(primary.telemetry()),
+            single_device_applier(),
         );
         set.inject_lag(0, 3); // chaos: hold the standby 3 batches behind
         primary.attach_failover(Box::new(set));
@@ -279,6 +450,7 @@ mod tests {
             LtpgConfig::default(),
             &ReplicaConfig { standbys: 2, ..ReplicaConfig::default() },
             Registry::new_shared(),
+            single_device_applier(),
         );
         set.inject_lag(0, 100); // row 0 pinned at the checkpoint
         primary.submit_all(txns);

@@ -5,15 +5,18 @@
 //! and it is the same whether the executors are the live shards, CPU twins
 //! replaying checkpoint + WAL after a device loss, or a standby row
 //! replaying the logged stream. [`lockstep_round`] is that round, written
-//! once over the [`Executor`] seam; [`logged_subs`] reads one logged batch
-//! back from the shards' WALs for the two replaying callers.
+//! once over the [`Executor`] seam. Reading a logged batch back is two
+//! steps because standby replay does them on two threads: the serving
+//! thread fetches the shards' WAL records and a row's worker runs
+//! [`decode_subs`] over them; [`logged_subs`] is both at once, for
+//! degradation replay.
 
 use ltpg::{
     DurabilityManager, ExecScope, Executor, Prepared, RecoveryError, ServerConfig, ServerError,
 };
 use ltpg_gpu_sim::DeviceError;
 use ltpg_replica::MergedWords;
-use ltpg_storage::Database;
+use ltpg_storage::{BatchRecord, Database};
 use ltpg_txn::{decode_batch, Batch, CellStore, Tid};
 
 use crate::partition::Partitioner;
@@ -155,18 +158,27 @@ pub(crate) fn lockstep_round(
     Ok(round)
 }
 
+/// One logged batch's WAL records (`records[s]` is shard `s`'s) as its
+/// per-shard sub-batches: the input of a replayed [`lockstep_round`].
+pub(crate) fn decode_subs(records: &[BatchRecord]) -> Result<Vec<Batch>, RecoveryError> {
+    records
+        .iter()
+        .map(|rec| {
+            let txns = decode_batch(&rec.payload).map_err(RecoveryError::Corrupt)?;
+            Ok(Batch { txns })
+        })
+        .collect()
+}
+
 /// Logged batch `batch_id` as its per-shard sub-batches, read back from
-/// every shard's WAL (`logs[s]` is shard `s`'s durability domain): the
-/// input of a replayed [`lockstep_round`], for degradation replay (CPU
-/// twins over the checkpoint images) and for standby rows.
+/// every shard's WAL (`logs[s]` is shard `s`'s durability domain), for
+/// degradation replay (CPU twins over the checkpoint images).
 pub(crate) fn logged_subs<'a>(
     logs: impl Iterator<Item = &'a DurabilityManager>,
     batch_id: u64,
 ) -> Result<Vec<Batch>, RecoveryError> {
-    logs.map(|dur| {
-        let rec = dur.log().fetch(batch_id).ok_or(RecoveryError::MissingBatch(batch_id))?;
-        let txns = decode_batch(&rec.payload).map_err(RecoveryError::Corrupt)?;
-        Ok(Batch { txns })
-    })
-    .collect()
+    let records: Vec<BatchRecord> = logs
+        .map(|dur| dur.log().fetch(batch_id).ok_or(RecoveryError::MissingBatch(batch_id)))
+        .collect::<Result<_, _>>()?;
+    decode_subs(&records)
 }

@@ -40,17 +40,18 @@ use std::sync::Arc;
 
 use ltpg::{
     commit_decision, CpuTwin, DurabilityManager, Executor, Formed, Intake, LostDevices, LtpgConfig,
-    LtpgEngine, PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
+    LtpgEngine, PromotionCrashpoint, ReplicaChaos, ServerConfig, ServerError,
 };
 use ltpg_gpu_sim::DeviceFaultPlan;
 use ltpg_replica::{
-    HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet,
+    Applier, HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError,
+    ReplicaSet,
 };
 use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::{Batch, Tid, Txn};
 
-use crate::lockstep::{lockstep_round, logged_subs, merged_word};
+use crate::lockstep::{decode_subs, lockstep_round, logged_subs, merged_word};
 use crate::partition::Partitioner;
 use crate::rebalance::{plan_split, PlannerConfig, RebalanceError, RebalancePlan, RebalancePlanner};
 use crate::router::{Route, Router};
@@ -168,9 +169,6 @@ pub struct ShardedServer {
     /// Load-driven rebalance planner; `None` until
     /// [`set_auto_rebalance`](Self::set_auto_rebalance).
     planner: Option<RebalancePlanner>,
-    /// The replica policy from [`attach_replicas`](Self::attach_replicas),
-    /// kept so the pool can be rebuilt over post-cutover checkpoints.
-    replica_cfg: Option<ReplicaConfig>,
 }
 
 impl ShardedServer {
@@ -214,32 +212,47 @@ impl ShardedServer {
             lost_devices: LostDevices::default(),
             pending_rebalance: None,
             planner: None,
-            replica_cfg: None,
         }
     }
 
     /// Attach a warm standby pool: `cfg.standbys` full rows (one engine
     /// per shard) built from the shards' current checkpoint images, plus
     /// one heartbeat monitor per shard. Standbys replay every logged
-    /// batch in lockstep behind the primaries; on device loss (or a
-    /// fenced heartbeat) the freshest row is promoted wholesale at the
-    /// batch boundary. `REPLICA_*` metrics publish on
-    /// [`telemetry`](Self::telemetry).
+    /// batch in lockstep behind the primaries, each row on its own worker
+    /// thread; on device loss (or a fenced heartbeat) the freshest row is
+    /// promoted wholesale at the batch boundary. `REPLICA_*` metrics
+    /// publish on [`telemetry`](Self::telemetry).
     pub fn attach_replicas(&mut self, cfg: &ReplicaConfig) {
-        let images: Vec<Database> =
-            self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
-        let base = self.shards[0].durability.checkpoint_batch();
-        self.replicas = Some(ReplicaSet::new(
-            images,
-            base,
-            self.engine_cfg.clone(),
-            cfg,
-            Arc::clone(&self.telemetry),
-        ));
+        self.replicas = Some(self.build_pool(cfg.standbys));
         self.monitors = (0..self.shards.len())
             .map(|_| HealthMonitor::new(cfg.heartbeat_miss_threshold, &self.telemetry))
             .collect();
-        self.replica_cfg = Some(cfg.clone());
+    }
+
+    /// A pool of `standbys` rows over the shards' current checkpoint
+    /// images, replaying under the current partitioner, with the armed
+    /// chaos lag hold applied. A pool never outlives a rule change — the
+    /// rebalance cutover builds a new one — so its applier can own a copy
+    /// of the rules.
+    fn build_pool(&self, standbys: usize) -> ReplicaSet {
+        self.pool_with(standbys, joint_applier(self.router.partitioner().clone()))
+    }
+
+    /// [`build_pool`](Self::build_pool) with the applier chosen by the
+    /// caller (tests put a latch around the joint applier).
+    fn pool_with(&self, standbys: usize, applier: Applier) -> ReplicaSet {
+        let images: Vec<Database> =
+            self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
+        let mut set = ReplicaSet::new(
+            images,
+            self.shards[0].durability.checkpoint_batch(),
+            self.engine_cfg.clone(),
+            &ReplicaConfig { standbys, ..ReplicaConfig::default() },
+            Arc::clone(&self.telemetry),
+            applier,
+        );
+        hold_armed_lag(&mut set, &self.replica_chaos);
+        set
     }
 
     /// Whether a standby pool is attached.
@@ -247,16 +260,20 @@ impl ShardedServer {
         self.replicas.is_some()
     }
 
-    /// Alive standby rows (0 when no pool is attached).
+    /// Alive standby rows (0 when no pool is attached). Waits for the rows
+    /// to apply what they have been shipped, so a row whose replay failed
+    /// is already counted out.
     pub fn standbys_alive(&self) -> usize {
         self.replicas.as_ref().map_or(0, ReplicaSet::rows_alive)
     }
 
     /// Arm deterministic replication-layer chaos (timed device recovery,
-    /// heartbeat drops, standby lag, promotion crashpoints).
+    /// heartbeat drops, standby lag, promotion crashpoints). The lag hold
+    /// applies to the attached pool and to every pool built later (by
+    /// [`attach_replicas`](Self::attach_replicas) or a rebalance cutover).
     pub fn arm_replica_chaos(&mut self, chaos: ReplicaChaos) {
-        if let (Some(set), Some((row, lag))) = (&mut self.replicas, chaos.standby_lag) {
-            set.inject_lag(row as usize, lag);
+        if let Some(set) = &mut self.replicas {
+            hold_armed_lag(set, &chaos);
         }
         self.replica_chaos = chaos;
     }
@@ -368,6 +385,9 @@ impl ShardedServer {
         let _ = writeln!(out, "rebalances            {}", s.rebalances);
         let _ = writeln!(out, "rows migrated         {}", s.rows_migrated);
         let _ = writeln!(out, "standbys alive        {}", self.standbys_alive());
+        for d in self.replicas.iter().flat_map(ReplicaSet::demoted) {
+            let _ = writeln!(out, "standby demoted       {d}");
+        }
         out
     }
 
@@ -416,11 +436,12 @@ impl ShardedServer {
 
     /// Serve a consistent snapshot read from the standby pool: route
     /// `(table, key)` by the current partitioner and look the row up in
-    /// the owning shard's slice of the freshest standby row — a
-    /// consistent cut a few batches behind the tail, costing the serving
-    /// engines nothing. Returns the row values and the cut's batch id;
-    /// `None` without an attached pool or when the key is absent at the
-    /// cut.
+    /// the owning shard's slice of the freshest standby row. The read
+    /// first waits for that pool to apply what it has been shipped, so the
+    /// cut is the logged tail (less any injected lag) on every run, and
+    /// costs the serving engines nothing. Returns the row values and the
+    /// cut's batch id; `None` without an attached pool or when the key is
+    /// absent at the cut.
     pub fn snapshot_read(&self, table: TableId, key: i64) -> Option<(Vec<i64>, u64)> {
         let set = self.replicas.as_ref()?;
         let home = self.router.partitioner().home(table, key) as usize;
@@ -493,25 +514,16 @@ impl ShardedServer {
                 .into()
             };
         }
+        self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
         self.router = Router::new(new_part);
-        // Standby rows hold pre-cutover slices; rebuild the pool from the
-        // cutover checkpoints, one fresh row per row still alive.
+        // Standby rows hold pre-cutover slices and replay under the old
+        // rules; rebuild the pool from the cutover checkpoints, one fresh
+        // row per row still alive (counting them joins the old pool, and
+        // dropping it ends its workers).
         if let Some(old) = self.replicas.take() {
             let alive = old.rows_alive();
-            let images: Vec<Database> =
-                self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
-            let base = self.shards[0].durability.checkpoint_batch();
-            let cfg = ReplicaConfig {
-                standbys: alive,
-                ..self.replica_cfg.clone().unwrap_or_default()
-            };
-            self.replicas = Some(ReplicaSet::new(
-                images,
-                base,
-                self.engine_cfg.clone(),
-                &cfg,
-                Arc::clone(&self.telemetry),
-            ));
+            drop(old);
+            self.replicas = Some(self.build_pool(alive));
         }
         let (splits, merges, moves, set_rules) = plan.op_counts();
         self.telemetry.counter(names::REBALANCE_PLANS_APPLIED).inc();
@@ -624,7 +636,7 @@ impl ShardedServer {
         if crash == Some(PromotionCrashpoint::BeforeCatchup) {
             return Err(ServerError::InjectedCrash("promotion:before-catchup"));
         }
-        let result = set.promote_row(upto, &mut joint_replay_driver(&self.shards, &self.router));
+        let result = set.promote_row(upto, self.shards.iter().map(|sh| &sh.durability));
         if crash == Some(PromotionCrashpoint::AfterCatchup) {
             return Err(ServerError::InjectedCrash("promotion:after-catchup"));
         }
@@ -732,12 +744,13 @@ impl ShardedServer {
         }
     }
 
-    /// Advance every standby row through the logged tail (one joint
-    /// lockstep replay per row per batch).
+    /// Ship every standby row the logged tail; the rows' workers replay it
+    /// (one joint lockstep round per row per batch) while the next tick
+    /// runs.
     fn replicate_tail(&mut self) {
         let Some(set) = self.replicas.as_mut() else { return };
         let tail = self.shards[0].durability.logged_batches() as u64;
-        set.observe(tail, &mut joint_replay_driver(&self.shards, &self.router));
+        set.observe(tail, self.shards.iter().map(|sh| &sh.durability));
     }
 
     /// Form, route and execute one global batch. Returns `None` when the
@@ -767,7 +780,15 @@ impl ShardedServer {
         // arrived re-slices the topology before the next batch forms.
         self.maybe_apply_rebalance();
         let batch = match self.intake.next_batch(self.cfg.batch_size) {
-            Formed::Idle => return Ok(None),
+            Formed::Idle => {
+                // Nothing to run: let the standby rows finish what they
+                // were shipped, so a drained server leaves a caught-up
+                // pool and no replay running behind its caller.
+                if let Some(set) = &self.replicas {
+                    set.join();
+                }
+                return Ok(None);
+            }
             Formed::Waiting => {
                 return Ok(Some(ShardedBatchSummary {
                     committed: Vec::new(),
@@ -831,14 +852,15 @@ impl ShardedServer {
         self.stats.sim_ns += sim_ns;
         self.telemetry.histogram(names::SHARD_TICK_NS).record_ns(sim_ns);
         self.maybe_plan_rebalance();
-        // Steady-state replication: every standby row replays the batch
-        // just executed (and closes any residual lag) at the boundary.
+        // Steady-state replication: every standby row is shipped the
+        // batch just executed (and any residual lag) at the boundary.
         self.replicate_tail();
         if let Some(every) = self.cfg.checkpoint_every {
             if self.stats.batches.is_multiple_of(every as u64) {
                 for (shard, exec) in self.shards.iter_mut().zip(&self.execs) {
                     shard.durability.checkpoint(exec.database());
                 }
+                self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
             }
         }
 
@@ -879,26 +901,27 @@ fn decide(
     Ok((committed, aborted))
 }
 
-/// The sharded [`ltpg_replica::ReplayDriver`]: apply logged batch
-/// `batch_id` to one standby row by the exact primary protocol — one
-/// lockstep round over every shard's logged sub-batch. Determinism makes
-/// the row bit-identical to the primaries after every batch.
-fn joint_replay_driver<'a>(
-    shards: &'a [Shard],
-    router: &'a Router,
-) -> impl FnMut(&mut [Executor], u64) -> Result<MergedWords, ReplicaError> + 'a {
-    move |row, batch_id| {
-        let logs = shards.iter().map(|sh| &sh.durability);
-        let subs = logged_subs(logs, batch_id).map_err(|e| match e {
-            RecoveryError::MissingBatch(batch_id) => ReplicaError::WalGap { batch_id },
-            e => ReplicaError::Corrupt(format!("{e:?}")),
-        })?;
-        let round = lockstep_round(row, &subs, router.partitioner(), None, &mut 0.0)
+/// The sharded [`Applier`]: apply one logged batch to one standby row by
+/// the exact primary protocol — one lockstep round over every shard's
+/// logged sub-batch, under the rules `part` the batch was routed by.
+/// Determinism makes the row bit-identical to the primaries after every
+/// batch.
+fn joint_applier(part: Partitioner) -> Applier {
+    Arc::new(move |row, records| {
+        let subs = decode_subs(records).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
+        let round = lockstep_round(row, &subs, &part, None, &mut 0.0)
             .map_err(|e| ReplicaError::Corrupt(e.to_string()))?;
         match round.lost {
             Some((_, e)) => Err(ReplicaError::Dead(e)),
             None => Ok(round.merged),
         }
+    })
+}
+
+/// Apply the lag hold `chaos` arms (if any) to `set`.
+fn hold_armed_lag(set: &mut ReplicaSet, chaos: &ReplicaChaos) {
+    if let Some((row, lag)) = chaos.standby_lag {
+        set.inject_lag(row as usize, lag);
     }
 }
 
@@ -1240,6 +1263,204 @@ mod tests {
         assert_eq!(server.telemetry().counter_value(names::REPLICA_PROMOTIONS), 1);
     }
 
+    /// A latch on a pool's replay: the wrapped applier announces every
+    /// batch it is handed and then waits for the latch to open, so a test
+    /// can hold the workers inside a batch — and let their queues fill —
+    /// for as long as it needs the pool in that state.
+    struct Latch {
+        open: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+        entered_tx: std::sync::mpsc::Sender<()>,
+        entered: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Latch {
+        fn new(open: bool) -> Self {
+            let (entered_tx, entered) = std::sync::mpsc::channel();
+            let open = Arc::new((std::sync::Mutex::new(open), std::sync::Condvar::new()));
+            Latch { open, entered_tx, entered }
+        }
+
+        fn around(&self, inner: Applier) -> Applier {
+            let (open, entered) = (Arc::clone(&self.open), self.entered_tx.clone());
+            Arc::new(move |row, records| {
+                let _ = entered.send(());
+                let (flag, opened) = &*open;
+                drop(opened.wait_while(flag.lock().unwrap(), |open| !*open).unwrap());
+                inner(row, records)
+            })
+        }
+
+        /// Block until `workers` workers are inside a batch.
+        fn wait_entered(&self, workers: usize) {
+            for _ in 0..workers {
+                self.entered.recv().expect("a worker holds the sender");
+            }
+        }
+
+        fn open(&self) {
+            *self.open.0.lock().unwrap() = true;
+            self.open.1.notify_all();
+        }
+    }
+
+    /// How the primary is lost.
+    #[derive(Clone, Copy, Debug)]
+    enum Loss {
+        /// The device is dead at the boundary: the heartbeat fences it.
+        Boundary,
+        /// The device is healthy but its probes drop: a false-positive fence.
+        Fence,
+        /// The device dies mid-prepare: the in-flight batch is replayed.
+        InFlight,
+    }
+
+    /// Serve `healthy_ticks` batches, lose shard 2 as `loss` says, drain —
+    /// tick for tick against a fault-free single device — and return the
+    /// slice digests with everything the pool published. With `latched`,
+    /// replay is held inside the first batch until the loss is in place:
+    /// after one tick the workers are mid-batch, after
+    /// `SHIP_QUEUE_DEPTH + 1` their queues are full as well.
+    fn lose_a_primary(
+        standbys: usize,
+        loss: Loss,
+        healthy_ticks: usize,
+        latched: bool,
+    ) -> (Vec<u64>, [u64; 10]) {
+        let (db, txns) = db_and_txns(24 * 10, 32);
+        let mut reference = LtpgServer::new(
+            db.deep_clone(),
+            LtpgConfig::default(),
+            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
+        );
+        reference.submit_all(txns.clone());
+        let mut server = sharded(&db, 4, 24);
+        server.attach_replicas(&ReplicaConfig { standbys, heartbeat_miss_threshold: 1 });
+        let latch = Latch::new(!latched);
+        let applier = latch.around(joint_applier(server.partitioner().clone()));
+        server.replicas = Some(server.pool_with(standbys, applier));
+        if let Loss::Fence = loss {
+            server.arm_replica_chaos(ReplicaChaos {
+                heartbeat_drop_ticks: [healthy_ticks as u64].into_iter().collect(),
+                ..ReplicaChaos::none()
+            });
+        }
+        server.submit_all(txns);
+
+        for tick in 0..healthy_ticks {
+            let (s, r) = (server.tick().unwrap(), reference.tick().unwrap());
+            assert_eq!((s.committed, s.aborted), (r.committed, r.aborted), "tick {tick}");
+        }
+        if latched {
+            latch.wait_entered(standbys);
+        }
+        match loss {
+            Loss::Boundary => server.force_shard_failure(2),
+            Loss::Fence => {}
+            Loss::InFlight => server.arm_shard_faults(
+                2,
+                DeviceFaultPlan { lost_at_op: Some(1), ..DeviceFaultPlan::none() },
+            ),
+        }
+        // The promotion's join needs the workers to finish, so the latch
+        // opens here; whether they are done when the join starts is up to
+        // the scheduler, and must not matter.
+        latch.open();
+        assert_lockstep_identical(&mut server, &mut reference);
+        assert_slices_match_reference(&server, &reference);
+        assert_eq!(server.stats().failovers, 1, "{loss:?}");
+        assert_eq!(server.stats().degraded_shards, 0, "{loss:?}");
+        assert_eq!(server.standbys_alive(), standbys - 1);
+
+        let reg = server.telemetry();
+        let lag = reg.histogram(names::REPLICA_LAG_BATCHES).snapshot();
+        let failover = reg.histogram(names::REPLICA_FAILOVER_NS).snapshot();
+        let digests = (0..4).map(|s| server.database(s).state_digest()).collect();
+        let published = [
+            reg.counter_value(names::REPLICA_PROMOTIONS),
+            reg.counter_value(names::REPLICA_DEMOTIONS),
+            reg.counter_value(names::REPLICA_REPROMOTIONS),
+            reg.counter_value(names::REPLICA_CATCHUP_BATCHES),
+            reg.counter_value(names::REPLICA_HEARTBEAT_MISSES),
+            reg.gauge_value(names::REPLICA_STANDBYS) as u64,
+            lag.count,
+            lag.sum,
+            failover.count,
+            failover.sum,
+        ];
+        // Against a synchronous replay, not only against the other
+        // schedule: the promoted row replayed the batches before the
+        // boundary (and the in-flight one, which is all its catch-up ever
+        // is), a surviving row everything.
+        let in_flight = matches!(loss, Loss::InFlight);
+        let promoted_row = (healthy_ticks + usize::from(in_flight)) as u64;
+        let surviving_rows = (standbys as u64 - 1) * server.stats().batches;
+        assert_eq!(published[3], promoted_row + surviving_rows, "catch-up batches, {loss:?}");
+        assert_eq!(failover.count, 1);
+        assert_eq!(failover.sum > 0, in_flight, "failover latency is the in-flight batch alone");
+        (digests, published)
+    }
+
+    /// ROADMAP item 5's cell "promotion while a standby's replay worker is
+    /// mid-batch", and its neighbour "… while its queue is full": every way
+    /// of losing a primary, 1 and 2 standby rows. The run whose pool was
+    /// held back must be indistinguishable — slices and every `replica.*`
+    /// figure — from the run whose pool replayed freely, and both serve
+    /// the fault-free history.
+    #[test]
+    fn losing_a_primary_while_replay_is_mid_batch_or_backed_up_changes_nothing() {
+        for standbys in [1, 2] {
+            for loss in [Loss::Boundary, Loss::Fence, Loss::InFlight] {
+                for healthy_ticks in [1, ltpg_replica::SHIP_QUEUE_DEPTH + 1] {
+                    let free = lose_a_primary(standbys, loss, healthy_ticks, false);
+                    let held = lose_a_primary(standbys, loss, healthy_ticks, true);
+                    assert_eq!(
+                        held, free,
+                        "{standbys} standbys, {loss:?} after {healthy_ticks} ticks"
+                    );
+                    assert_eq!(held.1[..2], [1, 0], "one promotion, no demotion");
+                }
+            }
+        }
+    }
+
+    /// Dropping a sharded server in mid-stream ends its pool's workers
+    /// (each holds a clone of the applier while it runs).
+    #[test]
+    fn dropping_the_server_mid_stream_leaves_no_worker_running() {
+        let (db, txns) = db_and_txns(96, 32);
+        let mut server = sharded(&db, 4, 24);
+        server.attach_replicas(&ReplicaConfig::default());
+        let applier = joint_applier(server.partitioner().clone());
+        server.replicas = Some(server.pool_with(2, Arc::clone(&applier)));
+        server.submit_all(txns);
+        server.tick().unwrap();
+        server.tick().unwrap();
+        assert_eq!(Arc::strong_count(&applier), 2 + 2, "this test, the set, a worker per row");
+        drop(server);
+        assert_eq!(Arc::strong_count(&applier), 1, "a worker outlived its server");
+    }
+
+    /// A row whose replay fails leaves the pool at the next join, and the
+    /// summary says which row, at which batch, and why.
+    #[test]
+    fn a_failed_standby_row_is_reported_with_its_cause() {
+        let (db, txns) = db_and_txns(96, 32);
+        let mut server = sharded(&db, 4, 24);
+        server.attach_replicas(&ReplicaConfig::default());
+        let refuse: Applier = Arc::new(|_, _| Err(ReplicaError::Corrupt("refused".into())));
+        server.replicas = Some(server.pool_with(1, refuse));
+        server.submit_all(txns);
+        server.drain(100);
+        assert_eq!(server.stats().committed, 96, "a dead standby costs the primary nothing");
+        assert_eq!(server.standbys_alive(), 0);
+        assert_eq!(server.telemetry().counter_value(names::REPLICA_DEMOTIONS), 1);
+        let summary = server.summary();
+        assert!(
+            summary.contains("standby demoted       row 0 at batch 0: corrupt WAL record: refused"),
+            "summary:\n{summary}"
+        );
+    }
+
     #[test]
     fn heartbeat_false_positive_failover_is_safe() {
         let (db, txns) = db_and_txns(240, 32);
@@ -1413,6 +1634,24 @@ mod tests {
         assert!(server.is_degraded(2));
         assert_eq!(server.stats().degraded_shards, 1);
         assert_eq!(server.telemetry().gauge_value(names::SHARD_DEGRADED), 1);
+    }
+
+    #[test]
+    fn joint_checkpoints_are_counted_like_the_single_servers() {
+        let (db, txns) = db_and_txns(120, 32);
+        let part = Partitioner::new(4, TableRule::Stride { stride: 1 });
+        let cfg = ServerConfig {
+            batch_size: 24,
+            pipelined: false,
+            checkpoint_every: Some(2),
+            ..ServerConfig::default()
+        };
+        let mut server = ShardedServer::new(db, part, LtpgConfig::default(), cfg);
+        server.submit_all(txns);
+        let batches = server.drain(100).batches;
+        assert!(batches >= 4);
+        assert_eq!(server.telemetry().counter_value(names::SERVER_CHECKPOINTS), batches / 2);
+        assert_eq!(server.shards[0].durability.checkpoint_batch(), batches - batches % 2);
     }
 
     #[test]

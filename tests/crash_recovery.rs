@@ -313,6 +313,7 @@ fn promotion_crashpoint_sweep_recovers_to_the_uncrashed_digest() {
             cfg.clone(),
             &ReplicaConfig::default(),
             Arc::clone(server.telemetry()),
+            ltpg_replica::single_device_applier(),
         );
         server.attach_failover(Box::new(set));
         server.arm_replica_chaos(ReplicaChaos {

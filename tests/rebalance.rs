@@ -9,13 +9,14 @@
 //! route under the old rules, batches from it under the new ones, and
 //! nothing in the history betrays which path a row took.
 
-use ltpg::{LtpgConfig, ServerConfig};
+use ltpg::{LtpgConfig, ReplicaChaos, ServerConfig};
 use ltpg_replica::ReplicaConfig;
 use ltpg_shard::{
     ycsb_partitioner, Partitioner, PlannerConfig, RebalanceOp, RebalancePlan, ShardedServer,
     TableRule,
 };
 use ltpg_storage::{Database, Table, TableBuilder, TableId};
+use ltpg_telemetry::names;
 use ltpg_txn::{IrOp, ProcId, Src, Txn};
 use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
 use proptest::prelude::*;
@@ -210,6 +211,53 @@ fn snapshot_reads_serve_standby_rows_across_a_cutover() {
         assert_eq!(vals, live, "snapshot of key {key} diverged from the live slice");
         assert!(applied > 0, "snapshot must advertise the batch it reflects");
     }
+}
+
+/// An armed standby lag hold belongs to the server, not to whichever pool
+/// existed when it was armed: arming before `attach_replicas` must take
+/// effect, and the pool the cutover rebuilds must be held back too. The
+/// held-back run still commits bit-identically to an unheld one.
+#[test]
+fn an_armed_standby_lag_survives_attach_order_and_a_cutover() {
+    const HOLD: u64 = 2;
+    let (db, part) = range_fixture();
+    let mut held = server(&db, &part, 16);
+    held.arm_replica_chaos(ReplicaChaos { standby_lag: Some((0, HOLD)), ..ReplicaChaos::none() });
+    held.attach_replicas(&ReplicaConfig::default());
+    let mut free = server(&db, &part, 16);
+    free.attach_replicas(&ReplicaConfig::default());
+    let plan = RebalancePlan {
+        cutover: 4,
+        ops: vec![RebalanceOp::Move { table: T0, at: 100, to: 2 }],
+    };
+    for s in [&mut held, &mut free] {
+        s.submit_all(update_stream(23, 16 * 9, 0..256));
+        s.schedule_rebalance(plan.clone()).expect("move scheduled");
+    }
+    let lag_gauge = names::replica_standby_lag_gauge(0);
+    let lag = |s: &ShardedServer| s.telemetry().gauge_value(&lag_gauge);
+
+    let tick_both = |held: &mut ShardedServer, free: &mut ShardedServer| {
+        assert_eq!(held.tick().map(|t| t.committed), free.tick().map(|t| t.committed));
+    };
+    for _ in 0..4 {
+        tick_both(&mut held, &mut free);
+    }
+    assert_eq!(held.stats().rebalances, 0);
+    assert_eq!(lag(&held), HOLD as i64, "a hold armed before the pool attached was dropped");
+    for _ in 0..HOLD {
+        tick_both(&mut held, &mut free);
+    }
+    assert_eq!(held.stats().rebalances, 1, "the plan cut over at batch 4");
+    assert_eq!(lag(&held), HOLD as i64, "the cutover's pool rebuild reset the hold");
+    assert_eq!(lag(&free), 0);
+
+    assert_lockstep_with_flags(&mut held, &mut free, 64);
+    assert_slices_identical(&held, &free);
+    // The hold is still in force on the drained pool: its cut trails the
+    // unheld pool's by exactly the hold.
+    let cut = |s: &ShardedServer| s.snapshot_read(T0, 3).expect("standby row serves the key").1;
+    assert_eq!(cut(&held) + HOLD, cut(&free));
 }
 
 /// The load-driven planner: with every transaction landing on shard 0,

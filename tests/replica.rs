@@ -60,6 +60,48 @@ fn assert_slices_match(sharded: &ShardedServer, single: &LtpgServer) {
     }
 }
 
+/// What a finished run shows of itself: slice digests, work done, and
+/// everything the standby pool published. Standby replay runs on worker
+/// threads, so two runs of one schedule interleave differently; none of
+/// this may differ between them.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    slice_digests: Vec<u64>,
+    committed: u64,
+    batches: u64,
+    failovers: u64,
+    standbys_alive: usize,
+    /// promotions, demotions, repromotions, catch-up batches, heartbeat
+    /// misses, then count and sum of the lag and failover histograms.
+    replica_telemetry: [u64; 9],
+}
+
+fn observe(sharded: &ShardedServer) -> Observed {
+    let reg = sharded.telemetry();
+    let lag = reg.histogram(names::REPLICA_LAG_BATCHES).snapshot();
+    let failover = reg.histogram(names::REPLICA_FAILOVER_NS).snapshot();
+    Observed {
+        slice_digests: (0..sharded.shard_count())
+            .map(|s| sharded.database(s).state_digest())
+            .collect(),
+        committed: sharded.stats().committed,
+        batches: sharded.stats().batches,
+        failovers: sharded.stats().failovers,
+        standbys_alive: sharded.standbys_alive(),
+        replica_telemetry: [
+            reg.counter_value(names::REPLICA_PROMOTIONS),
+            reg.counter_value(names::REPLICA_DEMOTIONS),
+            reg.counter_value(names::REPLICA_REPROMOTIONS),
+            reg.counter_value(names::REPLICA_CATCHUP_BATCHES),
+            reg.counter_value(names::REPLICA_HEARTBEAT_MISSES),
+            lag.count,
+            lag.sum,
+            failover.count,
+            failover.sum,
+        ],
+    }
+}
+
 /// The acceptance test: 4 shards, one warm standby row, shard 1's device
 /// killed after two batches. Commit stream, conflict-flag words and
 /// final state must all be bit-identical to the fault-free references,
@@ -67,6 +109,10 @@ fn assert_slices_match(sharded: &ShardedServer, single: &LtpgServer) {
 /// `REPLICA_*` telemetry must capture it.
 #[test]
 fn four_shard_failover_is_bit_identical_to_fault_free_run() {
+    four_shard_failover();
+}
+
+fn four_shard_failover() -> Observed {
     let (mut sharded, mut word_ref, mut single) = topologies(4);
     sharded.attach_replicas(&ReplicaConfig::default());
 
@@ -129,6 +175,7 @@ fn four_shard_failover_is_bit_identical_to_fault_free_run() {
     );
     assert!(reg.histogram(names::REPLICA_LAG_BATCHES).snapshot().count > 0);
     assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 0, "the only row was promoted");
+    observe(&sharded)
 }
 
 /// Replica chaos derived from sweep seeds (heartbeat drops, standby lag,
@@ -136,8 +183,18 @@ fn four_shard_failover_is_bit_identical_to_fault_free_run() {
 /// either absorbed or triggers a failover that replays the same stream.
 #[test]
 fn seeded_replica_chaos_is_invisible_to_the_history() {
-    let mut exercised = 0u32;
+    let exercised = seeded_chaos_sweep(usize::MAX).len();
+    assert!(exercised >= 3, "the sweep must exercise several chaotic seeds, got {exercised}");
+}
+
+/// Run the chaotic seeds of the sweep, at most `limit` of them, each
+/// against its fault-free reference.
+fn seeded_chaos_sweep(limit: usize) -> Vec<Observed> {
+    let mut exercised = Vec::new();
     for seed in 0..40u64 {
+        if exercised.len() == limit {
+            break;
+        }
         let plan = FaultPlan::from_seed(seed, FaultHorizon::for_batches(BATCHES as u64));
         let chaos = plan.replica;
         if chaos.is_quiet() {
@@ -165,9 +222,22 @@ fn seeded_replica_chaos_is_invisible_to_the_history() {
             }
         }
         assert_slices_match(&sharded, &single);
-        exercised += 1;
+        exercised.push(observe(&sharded));
     }
-    assert!(exercised >= 3, "the sweep must exercise several chaotic seeds, got {exercised}");
+    exercised
+}
+
+/// The fixed-seed runs above, twenty times over: every digest and every
+/// `replica.*` figure of run N equals run 0's. A debug build repeats the
+/// first three chaotic seeds of the sweep, a release build all of them.
+#[test]
+fn replicated_runs_are_the_same_run_twenty_times() {
+    let sweep = if cfg!(debug_assertions) { 3 } else { usize::MAX };
+    let first = (four_shard_failover(), seeded_chaos_sweep(sweep));
+    for run in 1..20 {
+        let again = (four_shard_failover(), seeded_chaos_sweep(sweep));
+        assert_eq!(again, first, "run {run} differs from run 0");
+    }
 }
 
 /// Replicated chaos schedules route through the QA differential runner:
