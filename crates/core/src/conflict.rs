@@ -15,8 +15,14 @@
 //!
 //! Buckets are addressed by open addressing with linear probing
 //! (`h(key, i) = (h(key) + i) mod s_h`), the same policy the paper states.
-//! Two engineering choices worth calling out:
+//! Three engineering choices worth calling out:
 //!
+//! * **One cache line per bucket.** A bucket's owner tag, its two summary
+//!   marks and its first read and write slot sit together in one 64-byte
+//!   `Bucket`, so a registration or a detection probe of a
+//!   standard-sized bucket touches one line of a log that lives in DRAM
+//!   (WarpSpeed sizes its buckets the same way). Large-sized buckets keep
+//!   slots `1..s_u` in side arrays.
 //! * **Epoch-packed slots.** A slot stores `(epoch', tid)` with
 //!   `epoch' = EPOCH_CEIL − epoch`, so values from the current batch are
 //!   always numerically smaller than stale ones and a plain `atomicMin`
@@ -30,6 +36,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ltpg_gpu_sim::{Lane, SimAtomicU64};
+use ltpg_storage::index::mix_key;
 use ltpg_storage::{ColId, Database, TableId};
 
 use crate::config::LtpgConfig;
@@ -57,19 +64,34 @@ fn decode(v: u64, epoch: u32) -> Option<u64> {
     ((v >> TID_BITS) == EPOCH_CEIL - u64::from(epoch)).then_some(v & TID_MASK)
 }
 
-#[inline]
-fn mix_key(key: i64) -> u64 {
-    let mut z = (key as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Upper bound on the bucket size (the paper's worked example uses
 /// `s_u = 512` for a 2¹⁴ batch over 32 warehouses; beyond this the
 /// detection-phase bucket scan costs more than the serialization it
 /// avoids).
 const S_U_CAP: usize = 512;
+
+/// Which of a bucket's two min-TID records an access addresses; the index
+/// of the record in [`Bucket::mark`], [`Bucket::slot0`] and
+/// [`TableLog::more`].
+#[derive(Clone, Copy)]
+enum Record {
+    Reads = 0,
+    Writes = 1,
+}
+
+/// One bucket: everything an access to a standard-sized bucket reads or
+/// writes, in one cache line (16 + 2 × 8 + 2 × 16 bytes — a
+/// [`SimAtomicU64`] is the value and its contention meter).
+#[repr(C, align(64))]
+struct Bucket {
+    /// Owner tag: `(epoch', key_hash40)`.
+    tag: SimAtomicU64,
+    /// Per record, "one was registered in this epoch": lets the detection
+    /// phase skip scanning untouched buckets with one read.
+    mark: [AtomicU64; 2],
+    /// Per record, min-TID slot 0.
+    slot0: [SimAtomicU64; 2],
+}
 
 /// One hash table of TID records, covering one table (or one split-off hot
 /// column of one table).
@@ -79,17 +101,10 @@ pub struct TableLog {
     mask: usize,
     /// Slots per bucket (1 = standard-sized, ≥ warp size = large-sized).
     s_u: usize,
-    /// Bucket owner tags: `(epoch', key_hash40)`.
-    tags: Vec<SimAtomicU64>,
-    /// Min read-TID slots, `s_h × s_u`.
-    reads: Vec<SimAtomicU64>,
-    /// Min write-TID slots, `s_h × s_u`.
-    writes: Vec<SimAtomicU64>,
-    /// Per-bucket "a read was registered in this epoch" summary, letting
-    /// the detection phase skip scanning untouched buckets with one read.
-    read_mark: Vec<AtomicU64>,
-    /// Per-bucket write summary, ditto.
-    write_mark: Vec<AtomicU64>,
+    buckets: Vec<Bucket>,
+    /// Per record, min-TID slots `1..s_u` of every bucket,
+    /// `s_h × (s_u − 1)`.
+    more: [Vec<SimAtomicU64>; 2],
     /// Accesses observed in the current batch (popularity telemetry).
     accesses: AtomicU64,
     /// `Some(warp_size)` = warp-cooperative probing (WarpSpeed-style): the
@@ -108,17 +123,17 @@ impl TableLog {
     pub fn new(s_h: usize, s_u: usize) -> Self {
         let s_h = s_h.max(16).next_power_of_two();
         let s_u = s_u.max(1);
-        let slot = |n: usize| (0..n).map(|_| SimAtomicU64::new(SLOT_EMPTY)).collect::<Vec<_>>();
-        let mark = |n: usize| (0..n).map(|_| AtomicU64::new(u64::MAX)).collect::<Vec<_>>();
+        let slot = || SimAtomicU64::new(SLOT_EMPTY);
+        let mark = || AtomicU64::new(u64::MAX);
+        let more = || (0..s_h * (s_u - 1)).map(|_| slot()).collect::<Vec<_>>();
         TableLog {
             s_h,
             mask: s_h - 1,
             s_u,
-            tags: slot(s_h),
-            reads: slot(s_h * s_u),
-            writes: slot(s_h * s_u),
-            read_mark: mark(s_h),
-            write_mark: mark(s_h),
+            buckets: (0..s_h)
+                .map(|_| Bucket { tag: slot(), mark: [mark(), mark()], slot0: [slot(), slot()] })
+                .collect(),
+            more: [more(), more()],
             accesses: AtomicU64::new(0),
             ballot: None,
         }
@@ -177,15 +192,23 @@ impl TableLog {
         self.s_u > 1
     }
 
-    /// Device memory footprint of the log.
+    /// Device memory footprint of the log as the cost model accounts it:
+    /// a 16-byte tag, two 8-byte marks and `2 × s_u` 16-byte slots per
+    /// bucket. This feeds `register_allocation` and Table VIII, so it is
+    /// stated by formula rather than read off the host layout.
     pub fn bytes(&self) -> u64 {
-        ((self.tags.len() + self.reads.len() + self.writes.len()) * 16
-            + (self.read_mark.len() + self.write_mark.len()) * 8) as u64
+        (self.s_h * (16 + 2 * 8 + 2 * self.s_u * 16)) as u64
     }
 
     /// Accesses registered since the last [`TableLog::take_accesses`].
     pub fn take_accesses(&self) -> u64 {
         self.accesses.swap(0, Ordering::Relaxed)
+    }
+
+    /// Load `key`'s home bucket and do nothing with it.
+    #[inline]
+    fn touch(&self, key: i64) {
+        std::hint::black_box(self.buckets[mix_key(key) as usize & self.mask].tag.load());
     }
 
     /// Find (or claim) the bucket owning `key` in `epoch`. Returns the
@@ -210,7 +233,7 @@ impl TableLog {
                     }
                 }
             }
-            let tag = &self.tags[b];
+            let tag = &self.buckets[b].tag;
             let mut cur = tag.load();
             loop {
                 if cur == tag_val {
@@ -239,54 +262,48 @@ impl TableLog {
         None
     }
 
+    /// Slots `1..s_u` of `bucket`'s `record` (empty for a standard bucket).
     #[inline]
-    fn slot_of(&self, bucket: usize, tid: u64) -> usize {
+    fn more_slots(&self, bucket: usize, record: Record) -> &[SimAtomicU64] {
+        let run = self.s_u - 1;
+        &self.more[record as usize][bucket * run..(bucket + 1) * run]
+    }
+
+    fn register(&self, lane: &mut Lane<'_>, record: Record, key: i64, tid: u64, epoch: u32) -> bool {
+        self.accesses.fetch_add(1, Ordering::Relaxed);
+        let Some(b) = self.bucket_for(lane, key, epoch, true) else { return false };
+        let bucket = &self.buckets[b];
+        bucket.mark[record as usize].store(u64::from(epoch), Ordering::Release);
         // Large-sized buckets re-hash by TID (paper: h(key) = TID mod s_u).
-        bucket * self.s_u + (tid as usize % self.s_u)
+        let slot = match tid as usize % self.s_u {
+            0 => &bucket.slot0[record as usize],
+            s => &self.more_slots(b, record)[s - 1],
+        };
+        lane.atomic_min_u64(slot, encode(epoch, tid));
+        true
     }
 
     /// Register a read by `tid` against `key`. Returns `false` when the
     /// log is exhausted (caller must abort the transaction).
     #[must_use]
     pub fn register_read(&self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
-        self.accesses.fetch_add(1, Ordering::Relaxed);
-        match self.bucket_for(lane, key, epoch, true) {
-            Some(b) => {
-                self.read_mark[b].store(u64::from(epoch), Ordering::Release);
-                lane.atomic_min_u64(&self.reads[self.slot_of(b, tid)], encode(epoch, tid));
-                true
-            }
-            None => false,
-        }
+        self.register(lane, Record::Reads, key, tid, epoch)
     }
 
     /// Register a write by `tid` against `key`. Returns `false` when the
     /// log is exhausted (caller must abort the transaction).
     #[must_use]
     pub fn register_write(&self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
-        self.accesses.fetch_add(1, Ordering::Relaxed);
-        match self.bucket_for(lane, key, epoch, true) {
-            Some(b) => {
-                self.write_mark[b].store(u64::from(epoch), Ordering::Release);
-                lane.atomic_min_u64(&self.writes[self.slot_of(b, tid)], encode(epoch, tid));
-                true
-            }
-            None => false,
-        }
+        self.register(lane, Record::Writes, key, tid, epoch)
     }
 
-    fn min_over(
-        &self,
-        lane: &mut Lane<'_>,
-        slots: &[SimAtomicU64],
-        marks: &[AtomicU64],
-        bucket: usize,
-        epoch: u32,
-    ) -> Option<u64> {
+    fn min_of(&self, lane: &mut Lane<'_>, record: Record, key: i64, epoch: u32) -> Option<u64> {
+        let b = self.bucket_for(lane, key, epoch, false)?;
+        let bucket = &self.buckets[b];
         // One-word summary check first: untouched buckets cost one cached
         // log read (the conflict log is hot in L2 during detection).
         lane.charge_light(12.0);
-        if marks[bucket].load(Ordering::Acquire) != u64::from(epoch) {
+        if bucket.mark[record as usize].load(Ordering::Acquire) != u64::from(epoch) {
             return None;
         }
         match self.ballot {
@@ -301,20 +318,20 @@ impl TableLog {
                 lane.warp_shuffle((ws as u32).max(2).ilog2());
             }
         }
-        let base = bucket * self.s_u;
-        slots[base..base + self.s_u].iter().filter_map(|s| decode(s.load(), epoch)).min()
+        std::iter::once(&bucket.slot0[record as usize])
+            .chain(self.more_slots(b, record))
+            .filter_map(|s| decode(s.load(), epoch))
+            .min()
     }
 
     /// Minimum read TID recorded for `key` this epoch.
     pub fn min_read(&self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<u64> {
-        let b = self.bucket_for(lane, key, epoch, false)?;
-        self.min_over(lane, &self.reads, &self.read_mark, b, epoch)
+        self.min_of(lane, Record::Reads, key, epoch)
     }
 
     /// Minimum write TID recorded for `key` this epoch.
     pub fn min_write(&self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<u64> {
-        let b = self.bucket_for(lane, key, epoch, false)?;
-        self.min_over(lane, &self.writes, &self.write_mark, b, epoch)
+        self.min_of(lane, Record::Writes, key, epoch)
     }
 }
 
@@ -351,6 +368,10 @@ pub struct ConflictLog {
     popular_hint: Vec<bool>,
     row_logs: Vec<TableLog>,
     split_logs: Vec<((TableId, ColId), TableLog)>,
+    /// `split_route[table][col]` = index into `split_logs` of the column's
+    /// dedicated log. A table without split columns has an empty row, so
+    /// routing is two indexed loads whatever the number of split logs.
+    split_route: Vec<Vec<Option<usize>>>,
     /// One single-key log per table for the membership predicate (ordered
     /// scans read it, inserts/deletes write it). The marker is by
     /// construction the hottest cell of an insert-heavy table, so it gets
@@ -387,7 +408,7 @@ impl ConflictLog {
             rows_per_table.push(rows);
             popular_hint.push(hint);
         }
-        let split_logs = cfg
+        let split_logs: Vec<_> = cfg
             .delayed_cols
             .iter()
             .filter(|_| cfg.opts.conflict_splitting)
@@ -409,6 +430,12 @@ impl ConflictLog {
                 )
             })
             .collect();
+        let mut split_route = vec![Vec::new(); row_logs.len()];
+        for (i, ((t, c), _)) in split_logs.iter().enumerate() {
+            let row = &mut split_route[usize::from(t.0)];
+            row.resize(row.len().max(c.idx() + 1), None);
+            row[c.idx()] = Some(i);
+        }
         let membership_logs = db
             .iter()
             .map(|_| probe(TableLog::new(2_048, if cfg.opts.dynamic_buckets { 512 } else { 1 })))
@@ -422,6 +449,7 @@ impl ConflictLog {
             popular_hint,
             row_logs,
             split_logs,
+            split_route,
             membership_logs,
         }
     }
@@ -504,12 +532,21 @@ impl ConflictLog {
     /// The log an access to `(table, col)` routes to.
     #[inline]
     pub fn route(&self, table: TableId, col: Option<ColId>) -> &TableLog {
-        if let Some(c) = col {
-            if let Some((_, log)) = self.split_logs.iter().find(|((t, sc), _)| *t == table && *sc == c) {
-                return log;
-            }
+        let t = usize::from(table.0);
+        match col.and_then(|c| *self.split_route[t].get(c.idx())?) {
+            Some(i) => &self.split_logs[i].1,
+            None => &self.row_logs[t],
         }
-        &self.row_logs[usize::from(table.0)]
+    }
+
+    /// Bring the home bucket of `(table, col, key)` into the host's cache.
+    /// Charges no lane and changes nothing: the simulated clock cannot see
+    /// it. The log lives in DRAM, so a caller about to register or check a
+    /// group of accesses touches them all first and the misses overlap
+    /// instead of queueing one behind the other (DESIGN.md "Hot path").
+    #[inline]
+    pub fn touch(&self, table: TableId, col: Option<ColId>, key: i64) {
+        self.route(table, col).touch(key);
     }
 
     /// Register a read of `(table, col, key)` by `tid`. `false` = log
@@ -590,6 +627,16 @@ mod tests {
     }
 
     #[test]
+    fn a_bucket_is_one_cache_line_and_bytes_is_the_modelled_footprint() {
+        assert_eq!(std::mem::size_of::<Bucket>(), 64);
+        assert_eq!(std::mem::align_of::<Bucket>(), 64);
+        // The modelled footprint counts every slot, wherever the host
+        // keeps it: tag + 2 marks + 2 x s_u slots per bucket.
+        assert_eq!(TableLog::new(64, 1).bytes(), 64 * 64);
+        assert_eq!(TableLog::new(64, 32).bytes(), 64 * (16 + 16 + 2 * 32 * 16));
+    }
+
+    #[test]
     fn register_and_min_roundtrip() {
         let log = TableLog::new(64, 1);
         on_lane(|lane| {
@@ -601,6 +648,20 @@ mod tests {
             assert_eq!(log.min_read(lane, 999, 1), None);
             assert_eq!(log.min_write(lane, 42, 2), None, "stale epoch invisible");
         });
+    }
+
+    #[test]
+    fn a_touch_leaves_the_log_as_it_was() {
+        let log = TableLog::new(64, 1);
+        on_lane(|lane| {
+            let _ = log.register_write(lane, 42, 9, 1);
+            log.touch(42);
+            log.touch(7); // never registered: must not claim a bucket
+            assert_eq!(log.min_write(lane, 42, 1), Some(9));
+            assert_eq!(log.min_write(lane, 7, 1), None);
+            assert_eq!(log.min_read(lane, 7, 1), None);
+        });
+        assert_eq!(log.take_accesses(), 1, "a touch is not an access");
     }
 
     #[test]

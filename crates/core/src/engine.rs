@@ -29,9 +29,13 @@ use std::time::Instant;
 use ltpg_gpu_sim::{Device, DeviceError, SimAtomicU32};
 use ltpg_storage::{membership_partition, ColId, Database, TableError, TableId, MEMBERSHIP_PARTITION_SHIFT};
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::exec::{execute_speculative, execute_speculative_on, CellStore, Mutation, TxnEffects};
+use ltpg_txn::exec::{
+    execute_speculative, execute_speculative_on, touch_point_rows, CellStore, Mutation, ReadAccess,
+    TxnEffects,
+};
 use ltpg_txn::group::{arrival_order, order_by_proc};
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
+use parking_lot::Mutex;
 
 use crate::config::{LtpgConfig, SyncMode};
 use crate::conflict::ConflictLog;
@@ -125,6 +129,8 @@ pub mod qa_inject {
 /// verdict. Shared by the execute kernel and the sharded CPU twin so both
 /// derive identical staging decisions.
 pub struct Staged {
+    /// Recorded reads, in program order.
+    pub reads: Vec<ReadAccess>,
     /// Non-commutative buffered mutations, in program order.
     pub normal: Vec<Mutation>,
     /// Staged commutative deltas: `(table, col, key, delta)`.
@@ -139,41 +145,38 @@ pub struct Staged {
 /// kernel does: commutative adds are staged for the delayed merge, plain
 /// overwrites of commutative columns (and deletes against their tables,
 /// and reads of them) force-abort, everything else buffers for write-back.
+/// The effects are consumed: what buffers for write-back stays in the
+/// vector speculation built.
 pub fn stage_effects(
     cfg: &LtpgConfig,
     commutative_tables: &HashSet<TableId>,
-    fx: &TxnEffects,
+    fx: TxnEffects,
 ) -> Staged {
+    let TxnEffects { reads, mutations: mut normal, .. } = fx;
     let mut forced = false;
-    let mut normal = Vec::with_capacity(fx.mutations.len());
     let mut delayed = Vec::new();
-    for m in &fx.mutations {
-        match m {
-            Mutation::Add { table, key, col, delta } if cfg.is_commutative(*table, *col) => {
-                delayed.push((*table, *col, *key, *delta));
-            }
-            Mutation::Update { table, col, .. } if cfg.is_commutative(*table, *col) => {
-                // A plain overwrite of a commutative column cannot be
-                // merged — abort for soundness.
-                forced = true;
-            }
-            Mutation::Delete { table, .. } if commutative_tables.contains(table) => {
-                forced = true;
-            }
-            other => normal.push(other.clone()),
+    normal.retain(|m| match m {
+        Mutation::Add { table, key, col, delta } if cfg.is_commutative(*table, *col) => {
+            delayed.push((*table, *col, *key, *delta));
+            false
         }
-    }
+        // A plain overwrite of a commutative column cannot be merged —
+        // abort for soundness.
+        Mutation::Update { table, col, .. } if cfg.is_commutative(*table, *col) => {
+            forced = true;
+            false
+        }
+        Mutation::Delete { table, .. } if commutative_tables.contains(table) => {
+            forced = true;
+            false
+        }
+        _ => true,
+    });
     // Reading a commutatively-maintained column would observe a value that
     // delayed merging later changes; force-abort the reader (sound
     // fallback).
-    for r in &fx.reads {
-        if let Some(c) = r.col {
-            if cfg.is_commutative(r.table, c) {
-                forced = true;
-            }
-        }
-    }
-    Staged { normal, delayed, forced }
+    forced |= reads.iter().any(|r| r.col.is_some_and(|c| cfg.is_commutative(r.table, c)));
+    Staged { reads, normal, delayed, forced }
 }
 
 /// One conflict-log access of a transaction: the unit both registration
@@ -238,9 +241,9 @@ pub enum CellAccess {
 /// recorded reads and staged non-commutative mutations: reads first (in
 /// recording order), then per-mutation write cells (existence + membership
 /// + all columns for deletes). `db` supplies table widths for deletes.
-pub fn cell_accesses(db: &Database, fx: &TxnEffects, normal: &[Mutation]) -> Vec<CellAccess> {
-    let mut out = Vec::with_capacity(fx.reads.len() + normal.len());
-    for r in &fx.reads {
+pub fn cell_accesses(db: &Database, reads: &[ReadAccess], normal: &[Mutation]) -> Vec<CellAccess> {
+    let mut out = Vec::with_capacity(reads.len() + normal.len());
+    for r in reads {
         match membership_partition(r.key) {
             Some(p) => out.push(CellAccess::MembershipRead { table: r.table, partition: p }),
             None => out.push(CellAccess::Read {
@@ -382,17 +385,6 @@ impl CellStore for ScopedStore<'_> {
     }
 }
 
-/// The `(table, row key)` a buffered mutation targets — what ownership
-/// checks at write-back use.
-pub(crate) fn mutation_row(m: &Mutation) -> (TableId, i64) {
-    match m {
-        Mutation::Update { table, key, .. }
-        | Mutation::Add { table, key, .. }
-        | Mutation::Insert { table, key, .. }
-        | Mutation::Delete { table, key } => (*table, *key),
-    }
-}
-
 /// Apply one committed mutation to `db`: the write-back step shared by
 /// the engine's kernel and the CPU twin.
 pub(crate) fn apply_mutation(db: &Database, m: &Mutation) {
@@ -437,49 +429,76 @@ struct ExecOutcome {
     normal: Vec<Mutation>,
     /// Staged commutative deltas: `(table, col, key, delta)`.
     delayed: Vec<(TableId, ColId, i64, i64)>,
-    /// Recorded reads (for conflict detection and R/W-set shipping).
-    effects: TxnEffects,
+    /// Device→host bytes of the read/write set ([`TxnEffects::rw_set_bytes`]).
+    rw_bytes: u64,
 }
 
 /// One conflict-detection work item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DetectItem {
+    /// Encoded cell key — or the key partition, for a membership item.
+    key: i64,
     txn: u32,
     table: TableId,
     col: Option<ColId>,
-    key: i64,
     is_write: bool,
     /// Membership-marker writes (inserts/deletes) commute with each other:
     /// they check WAR (a scanner saw the old membership) but not WAW.
     check_waw: bool,
-    /// `Some(partition)` routes this item to the table's membership log.
-    membership: Option<i64>,
+    /// Routes this item to the table's membership log.
+    membership: bool,
 }
 
 impl DetectItem {
     /// A read or write check of one cell of transaction `txn`.
     fn cell(txn: usize, table: TableId, col: Option<ColId>, key: i64, is_write: bool) -> Self {
         DetectItem {
+            key,
             txn: txn as u32,
             table,
             col,
-            key,
             is_write,
             check_waw: is_write,
-            membership: None,
+            membership: false,
         }
     }
 
     /// A phantom-guard check of one key partition of `table`.
     fn membership(txn: usize, table: TableId, partition: i64, is_write: bool) -> Self {
         DetectItem {
+            key: partition,
             txn: txn as u32,
             table,
             col: None,
-            key: 0,
             is_write,
             check_waw: false,
-            membership: Some(partition),
+            membership: true,
         }
+    }
+}
+
+/// Lay the lanes' detect items out as the detect kernel's dense work
+/// array, in lane index order. With `split_checks` the read checks of every
+/// lane come first and the write checks after them (rcheck warps and
+/// wcheck warps, Algorithm 1 lines 13–16). A lane emits its reads before
+/// its writes, so this is the order a stable sort on `is_write` over the
+/// concatenation gives, from two slice copies per lane.
+fn flatten_detect_items<L: std::ops::Deref<Target = Vec<DetectItem>>>(
+    lanes: impl Iterator<Item = L> + Clone,
+    split_checks: bool,
+    items: &mut Vec<DetectItem>,
+) {
+    items.clear();
+    if !split_checks {
+        lanes.for_each(|lane| items.extend_from_slice(&lane));
+        return;
+    }
+    let reads_of = |lane: &[DetectItem]| lane.partition_point(|i| !i.is_write);
+    for lane in lanes.clone() {
+        items.extend_from_slice(&lane[..reads_of(&lane)]);
+    }
+    for lane in lanes {
+        items.extend_from_slice(&lane[reads_of(&lane)..]);
     }
 }
 
@@ -545,6 +564,9 @@ struct EngineScratch {
     flags: Vec<SimAtomicU32>,
     outcomes: SlotVec<ExecOutcome>,
     items: Vec<DetectItem>,
+    /// One buffer per execute lane for the detect items it emits, kept
+    /// (with its capacity) from batch to batch. A lane locks only its own.
+    lane_items: Vec<Mutex<Vec<DetectItem>>>,
     tids: Vec<u64>,
     committed_flags: Vec<bool>,
     op_items: Vec<(usize, bool)>,
@@ -588,26 +610,7 @@ impl LtpgEngine {
     /// servers in one process do not cross-contaminate).
     pub fn with_telemetry(db: Database, cfg: LtpgConfig, telemetry: Arc<Registry>) -> Self {
         let device = Arc::new(Device::new(cfg.device.clone()));
-        device.set_telemetry(&telemetry);
-        let log = ConflictLog::new(&db, &cfg);
-        device.register_allocation(db.bytes() + log.bytes());
-        let commutative_tables = cfg.commutative_tables();
-        // Pre-touch the abort-taxonomy and retry counters so exports show
-        // them at zero even before any abort or fault occurs.
-        for name in names::ABORT_REASONS {
-            telemetry.counter(name);
-        }
-        telemetry.counter(names::FAULT_TRANSIENT_RETRIES);
-        LtpgEngine {
-            db,
-            cfg,
-            device,
-            log,
-            commutative_tables,
-            telemetry,
-            sim_clock_ns: 0.0,
-            scratch: EngineScratch::default(),
-        }
+        Self::on_device(db, cfg, telemetry, device)
     }
 
     /// Create an engine over `db` that adopts an *existing* device instead
@@ -625,24 +628,32 @@ impl LtpgEngine {
         device: Arc<Device>,
     ) -> Self {
         device.release_allocation(device.allocated_bytes());
-        device.set_telemetry(&telemetry);
+        Self::on_device(db, cfg, telemetry, device)
+    }
+
+    /// The one constructor: size the conflict log, account the working set
+    /// on `device` and pre-touch the counters.
+    fn on_device(
+        db: Database,
+        cfg: LtpgConfig,
+        telemetry: Arc<Registry>,
+        device: Arc<Device>,
+    ) -> Self {
         let log = ConflictLog::new(&db, &cfg);
         device.register_allocation(db.bytes() + log.bytes());
         let commutative_tables = cfg.commutative_tables();
-        for name in names::ABORT_REASONS {
-            telemetry.counter(name);
-        }
-        telemetry.counter(names::FAULT_TRANSIENT_RETRIES);
-        LtpgEngine {
+        let mut engine = LtpgEngine {
             db,
             cfg,
             device,
             log,
             commutative_tables,
-            telemetry,
+            telemetry: Arc::clone(&telemetry),
             sim_clock_ns: 0.0,
             scratch: EngineScratch::default(),
-        }
+        };
+        engine.rebind_telemetry(telemetry);
+        engine
     }
 
     /// The registry this engine publishes to.
@@ -656,6 +667,8 @@ impl LtpgEngine {
     /// server's registry the moment it becomes the primary.
     pub fn rebind_telemetry(&mut self, reg: Arc<Registry>) {
         self.device.set_telemetry(&reg);
+        // Pre-touch the abort-taxonomy and retry counters so exports show
+        // them at zero even before any abort or fault occurs.
         for name in names::ABORT_REASONS {
             reg.counter(name);
         }
@@ -775,12 +788,27 @@ impl LtpgEngine {
         tids.extend(batch.txns.iter().map(|t| t.tid.0));
         // Each execute lane emits its detect items as it registers, so no
         // second scan of the access sets runs between execute and detect.
-        let lane_items: SlotVec<Vec<DetectItem>> = SlotVec::new(n);
+        let mut lane_items = std::mem::take(&mut self.scratch.lane_items);
+        if lane_items.len() < n {
+            lane_items.resize_with(n, Mutex::default);
+        }
 
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
         self.device.check_alive()?;
+        let warp_lanes = self.cfg.device.warp_size as usize;
         let exec_report = self.device.launch("execute", &lane_order, |lane, &idx| {
+            if lane.lane_id == 0 {
+                // The warp's snapshot reads go out together, as they do on
+                // the device (DESIGN.md "Hot path", touch passes).
+                let warp = &lane_order[lane.global_id..];
+                touch_point_rows(
+                    &self.db,
+                    warp[..warp.len().min(warp_lanes)].iter().map(|&i| &batch.txns[i]),
+                );
+            }
             let txn = &batch.txns[idx];
+            let mut local_items = lane_items[idx].lock();
+            local_items.clear();
             lane.branch(u32::from(txn.proc.0));
             lane.charge_alu(txn.ops.len() as u32);
             lane.charge_cycles(lane_proc_overhead);
@@ -794,13 +822,14 @@ impl LtpgEngine {
                     outcomes.set(idx, ExecOutcome {
                         normal: Vec::new(),
                         delayed: Vec::new(),
-                        effects: TxnEffects { tid: txn.tid, ..TxnEffects::default() },
+                        rw_bytes: TxnEffects::default().rw_set_bytes(),
                     });
                 }
                 Ok(fx) => {
                     let tid = txn.tid.0;
-                    let Staged { normal, delayed, forced } =
-                        stage_effects(&self.cfg, &self.commutative_tables, &fx);
+                    let rw_bytes = fx.rw_set_bytes();
+                    let Staged { reads, normal, delayed, forced } =
+                        stage_effects(&self.cfg, &self.commutative_tables, fx);
                     for _ in &delayed {
                         // Staged for the delayed-update merge.
                         lane.write_global(1);
@@ -810,7 +839,7 @@ impl LtpgEngine {
                         outcomes.set(idx, ExecOutcome {
                             normal: Vec::new(),
                             delayed: Vec::new(),
-                            effects: fx,
+                            rw_bytes,
                         });
                         return;
                     }
@@ -826,9 +855,31 @@ impl LtpgEngine {
                     // enumerates them — the dense item array is the local
                     // set laid out linearly, so emission rides the
                     // recordLS writes already charged.
-                    let mut local_items: Vec<DetectItem> = Vec::new();
+                    //
+                    // A registration is a handful of locked read-modify-
+                    // writes on a bucket that is rarely in cache, and a
+                    // locked operation waits for its line before anything
+                    // behind it starts. So the lane first loads the home
+                    // bucket of every access it is about to register, back
+                    // to back: the misses overlap, and the registrations
+                    // then run on cached lines.
+                    for r in &reads {
+                        if membership_partition(r.key).is_none() && owns_row(r.table, r.key) {
+                            self.log.touch(r.table, r.col, cell_key(r.key, r.col));
+                        }
+                    }
+                    for m in &normal {
+                        let (table, key) = m.row();
+                        if owns_row(table, key) {
+                            let col = match m {
+                                Mutation::Update { col, .. } | Mutation::Add { col, .. } => Some(*col),
+                                Mutation::Insert { .. } | Mutation::Delete { .. } => None,
+                            };
+                            self.log.touch(table, col, cell_key(key, col));
+                        }
+                    }
                     let mut registered = true;
-                    for r in &fx.reads {
+                    for r in &reads {
                         lane.read_global_random(2);
                         lane.write_global(1);
                         if let Some(p) = membership_partition(r.key) {
@@ -930,14 +981,13 @@ impl LtpgEngine {
                             }
                         }
                     }
-                    if registered {
-                        lane_items.set(idx, local_items);
-                    } else {
+                    if !registered {
                         // Force-abort: this lane's items must not reach
                         // the detect kernel.
+                        local_items.clear();
                         lane.atomic_or_u32(&flags[idx], flag::LOG_FULL);
                     }
-                    outcomes.set(idx, ExecOutcome { normal, delayed, effects: fx });
+                    outcomes.set(idx, ExecOutcome { normal, delayed, rw_bytes });
                 }
             }
         });
@@ -946,17 +996,14 @@ impl LtpgEngine {
         stats.sync_ns += self.device.cost().device_sync_ns;
 
         // ---- Phase 2: conflict detection. ----
+        // Items were emitted inline during execute.
         let mut items = std::mem::take(&mut self.scratch.items);
-        items.clear();
-        // Items were emitted inline during execute; flatten them in lane
-        // index order.
-        for per in lane_items.into_inner().into_iter().flatten() {
-            items.extend(per);
-        }
-        if self.cfg.opts.warp_division {
-            // rcheck warps and wcheck warps (Algorithm 1 lines 13–16).
-            items.sort_by_key(|i| i.is_write);
-        }
+        flatten_detect_items(
+            lane_items[..n].iter().map(Mutex::lock),
+            self.cfg.opts.warp_division,
+            &mut items,
+        );
+        self.scratch.lane_items = lane_items;
 
         // ---- Simulated device-side buffer (re)allocation. ----
         // Only growth past a high watermark allocates — zero events in
@@ -979,6 +1026,16 @@ impl LtpgEngine {
         }
         self.device.check_alive()?;
         let detect_report = self.device.launch("conflict_d", &items, |lane, item| {
+            if lane.lane_id == 0 {
+                // The warp's checks, like its registrations: every bucket
+                // loaded back to back before the first is inspected.
+                let warp = &items[lane.global_id..];
+                for it in &warp[..warp.len().min(warp_lanes)] {
+                    if !it.membership {
+                        self.log.touch(it.table, it.col, it.key);
+                    }
+                }
+            }
             lane.branch(u32::from(item.is_write));
             // Work-item fetch: the items sit in the dense array execute
             // emitted (one coalesced word).
@@ -986,13 +1043,19 @@ impl LtpgEngine {
             // TID fetch: coalesced from the SoA TID array.
             lane.read_global(1);
             let tid = tids[item.txn as usize];
-            let min_w = |lane: &mut _| match item.membership {
-                Some(p) => self.log.min_membership_write(lane, item.table, p),
-                None => self.log.min_write(lane, item.table, item.col, item.key),
+            let min_w = |lane: &mut _| {
+                if item.membership {
+                    self.log.min_membership_write(lane, item.table, item.key)
+                } else {
+                    self.log.min_write(lane, item.table, item.col, item.key)
+                }
             };
-            let min_r = |lane: &mut _| match item.membership {
-                Some(p) => self.log.min_membership_read(lane, item.table, p),
-                None => self.log.min_read(lane, item.table, item.col, item.key),
+            let min_r = |lane: &mut _| {
+                if item.membership {
+                    self.log.min_membership_read(lane, item.table, item.key)
+                } else {
+                    self.log.min_read(lane, item.table, item.col, item.key)
+                }
             };
             if item.is_write {
                 if item.check_waw && min_w(lane).is_some_and(|m| m < tid) {
@@ -1070,7 +1133,7 @@ impl LtpgEngine {
             }
             let Some(out) = outcomes.peek(idx) else { return };
             for m in &out.normal {
-                let (mt, mk) = mutation_row(m);
+                let (mt, mk) = m.row();
                 if !owns_row(mt, mk) {
                     continue;
                 }
@@ -1158,7 +1221,7 @@ impl LtpgEngine {
                 n as u64
                     + (0..n)
                         .filter_map(|i| outcomes.peek(i))
-                        .map(|o| o.effects.rw_set_bytes())
+                        .map(|o| o.rw_bytes)
                         .sum::<u64>()
             }
             SyncMode::Interval { bytes_per_batch } => n as u64 + bytes_per_batch,
@@ -1866,6 +1929,56 @@ mod tests {
             (0xf619_866b_5ab6_c7c0, 0xcd01_1c0e_6959_8ce1, 0x8904_ce91_d174_5d1c),
             "YCSB-A (history, state, sim-time bits): {ycsb:#x?}"
         );
+    }
+
+    /// The detect work array is laid out without a sort: on a mixed TPC-C
+    /// batch it must still be exactly the stable `sort_by_key(is_write)` of
+    /// the lane-ordered items when the checks are split (warp division
+    /// on), and the lane-ordered items themselves when they are not.
+    #[test]
+    fn flatten_order_is_the_stable_partition_by_is_write() {
+        use ltpg_workloads::{TpccConfig, TpccGenerator};
+        let (db, _tables, mut gen) = TpccGenerator::new(TpccConfig::new(2, 50).with_headroom(4_096));
+        let mut tids = TidGen::new();
+        let batch = Batch::assemble(vec![], gen.gen_batch(256), &mut tids);
+        let lanes: Vec<Vec<DetectItem>> = batch
+            .txns
+            .iter()
+            .enumerate()
+            .map(|(idx, txn)| {
+                let fx = execute_speculative(&db, txn).unwrap();
+                cell_accesses(&db, &fx.reads, &fx.mutations)
+                    .iter()
+                    .map(|a| match *a {
+                        CellAccess::Read { table, col, cell, .. } => {
+                            DetectItem::cell(idx, table, col, cell, false)
+                        }
+                        CellAccess::Write { table, col, cell, .. }
+                        | CellAccess::Rmw { table, col, cell, .. } => {
+                            DetectItem::cell(idx, table, col, cell, true)
+                        }
+                        CellAccess::MembershipRead { table, partition } => {
+                            DetectItem::membership(idx, table, partition, false)
+                        }
+                        CellAccess::MembershipWrite { table, partition } => {
+                            DetectItem::membership(idx, table, partition, true)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let lane_ordered: Vec<DetectItem> = lanes.iter().flatten().copied().collect();
+        assert!(lane_ordered.iter().any(|i| i.is_write) && lane_ordered.iter().any(|i| !i.is_write));
+        assert!(lane_ordered.iter().any(|i| i.membership), "NewOrder inserts guard membership");
+
+        let mut items = vec![lane_ordered[0]; 3]; // stale content must be cleared
+        flatten_detect_items(lanes.iter(), false, &mut items);
+        assert_eq!(items, lane_ordered);
+
+        let mut sorted = lane_ordered;
+        sorted.sort_by_key(|i| i.is_write);
+        flatten_detect_items(lanes.iter(), true, &mut items);
+        assert_eq!(items, sorted);
     }
 
     /// Once the arena has warmed up (first batch), a steady-state batch

@@ -32,7 +32,7 @@ use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
 use crate::config::LtpgConfig;
 use crate::engine::{
-    apply_mutation, cell_accesses, commit_decision, flag, mutation_row, scope_owns_membership,
+    apply_mutation, cell_accesses, commit_decision, flag, scope_owns_membership,
     scope_owns_row, stage_effects, CellAccess, ExecScope, ScopedStore, Staged,
 };
 
@@ -152,14 +152,14 @@ impl CpuTwin {
                 continue;
             };
             let tid = txn.tid.0;
-            let Staged { normal, delayed, forced } =
-                stage_effects(&self.cfg, &self.commutative_tables, &fx);
+            let Staged { reads, normal, delayed, forced } =
+                stage_effects(&self.cfg, &self.commutative_tables, fx);
             if forced {
                 flags[idx] |= flag::FORCED;
                 outcomes.push(None);
                 continue;
             }
-            let accesses = cell_accesses(&self.db, &fx, &normal);
+            let accesses = cell_accesses(&self.db, &reads, &normal);
             for a in &accesses {
                 match *a {
                     CellAccess::Read { table, row, col, cell } => {
@@ -270,7 +270,7 @@ impl CpuTwin {
             committed.push(txn.tid);
             let Some(out) = out else { continue };
             for m in &out.normal {
-                let (mt, mk) = mutation_row(m);
+                let (mt, mk) = m.row();
                 if owns_row(mt, mk) {
                     apply_mutation(&self.db, m);
                 }

@@ -10,8 +10,8 @@ pub(crate) struct SlotVec<T> {
 }
 
 // SAFETY: concurrent access is only through `set` with disjoint indices
-// (enforced by the kernel's one-lane-per-item contract) and `into_inner` /
-// `get` after the kernel barrier.
+// (enforced by the kernel's one-lane-per-item contract) and `peek` / `get`
+// after the kernel barrier.
 unsafe impl<T: Send> Sync for SlotVec<T> {}
 
 impl<T> Default for SlotVec<T> {
@@ -22,6 +22,7 @@ impl<T> Default for SlotVec<T> {
 
 impl<T> SlotVec<T> {
     /// Create `n` empty slots.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub fn new(n: usize) -> Self {
         SlotVec { slots: (0..n).map(|_| UnsafeCell::new(None)).collect() }
     }
@@ -61,11 +62,6 @@ impl<T> SlotVec<T> {
         self.slots[i].get_mut().as_ref()
     }
 
-    /// Consume into a plain vector.
-    pub fn into_inner(self) -> Vec<Option<T>> {
-        self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-
     /// Number of slots.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
@@ -91,8 +87,7 @@ mod tests {
             }
         })
         .unwrap();
-        let v = sv.into_inner();
-        assert!(v.iter().enumerate().all(|(i, x)| *x == Some(i * 2)));
+        assert!((0..1_000).all(|i| sv.peek(i) == Some(&(i * 2))));
     }
 
     #[test]

@@ -184,6 +184,13 @@ impl Table {
         self.primary.get(key)
     }
 
+    /// Bring the primary-index slot a [`lookup`](Self::lookup) of `key`
+    /// starts at into cache ([`PrimaryIndex::touch`]).
+    #[inline]
+    pub fn touch(&self, key: i64) {
+        self.primary.touch(key);
+    }
+
     /// Read one cell.
     #[inline]
     pub fn get(&self, rid: RowId, col: ColId) -> i64 {

@@ -151,23 +151,40 @@ impl IrOp {
         }
     }
 
+    /// Visit every operand source this op consumes, in operand order.
+    pub fn for_each_src(&self, mut f: impl FnMut(Src)) {
+        match self {
+            IrOp::Read { key, .. } | IrOp::Delete { key, .. } => f(*key),
+            IrOp::Update { key, val: b, .. } | IrOp::Add { key, delta: b, .. } => {
+                f(*key);
+                f(*b);
+            }
+            IrOp::Insert { key, values, .. } => {
+                f(*key);
+                values.iter().copied().for_each(f);
+            }
+            IrOp::Compute { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            IrOp::ScanSum { start, .. } => f(*start),
+            IrOp::RangeSum { lo, hi, .. } | IrOp::RangeMinKey { lo, hi, .. } => {
+                f(*lo);
+                f(*hi);
+            }
+            IrOp::RangeCountBelow { lo, hi, threshold, .. } => {
+                f(*lo);
+                f(*hi);
+                f(*threshold);
+            }
+        }
+    }
+
     /// All operand sources this op consumes.
     pub fn srcs(&self) -> Vec<Src> {
-        match self {
-            IrOp::Read { key, .. } => vec![*key],
-            IrOp::Update { key, val, .. } => vec![*key, *val],
-            IrOp::Add { key, delta, .. } => vec![*key, *delta],
-            IrOp::Insert { key, values, .. } => {
-                let mut v = vec![*key];
-                v.extend(values.iter().copied());
-                v
-            }
-            IrOp::Delete { key, .. } => vec![*key],
-            IrOp::Compute { a, b, .. } => vec![*a, *b],
-            IrOp::ScanSum { start, .. } => vec![*start],
-            IrOp::RangeSum { lo, hi, .. } | IrOp::RangeMinKey { lo, hi, .. } => vec![*lo, *hi],
-            IrOp::RangeCountBelow { lo, hi, threshold, .. } => vec![*lo, *hi, *threshold],
-        }
+        let mut v = Vec::new();
+        self.for_each_src(|s| v.push(s));
+        v
     }
 }
 

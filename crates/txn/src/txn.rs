@@ -35,18 +35,19 @@ impl Txn {
 
     /// Number of registers the op list requires (max register index + 1).
     pub fn reg_count(&self) -> usize {
-        let mut max = None::<u8>;
+        // Runs once per speculation: no per-op allocation.
+        let mut count = 0usize;
         for op in &self.ops {
             if let Some(r) = op.out_reg() {
-                max = Some(max.map_or(r, |m| m.max(r)));
+                count = count.max(usize::from(r) + 1);
             }
-            for s in op.srcs() {
+            op.for_each_src(|s| {
                 if let Src::Reg(r) = s {
-                    max = Some(max.map_or(r, |m| m.max(r)));
+                    count = count.max(usize::from(r) + 1);
                 }
-            }
+            });
         }
-        max.map_or(0, |m| usize::from(m) + 1)
+        count
     }
 
     /// Approximate bytes this transaction contributes to the host→device

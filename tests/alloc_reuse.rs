@@ -7,6 +7,12 @@
 //! * **Engine level** — a counting global allocator proves the *net* heap
 //!   delta of a steady-state `execute_batch` round-trip is zero (transient
 //!   allocations are fine; retained growth is the regression).
+//! * **Allocator calls** — net bytes cannot see churn, so the same
+//!   allocator also counts *calls* (alloc + realloc) and
+//!   `steady_state_allocator_calls_per_transaction` pins how many a
+//!   steady-state transaction costs. A count repeats exactly, which makes
+//!   it the regression guard for the per-transaction data path that a
+//!   timing on a shared box cannot be.
 //! * **Server level** — `LtpgServer` and `ShardedServer` retain per-tick
 //!   state the engine does not (WAL, replication log), so raw heap deltas
 //!   are not zero there. Instead the simulated-side watermark is pinned:
@@ -14,22 +20,27 @@
 //!   every steady-state tick is absorbed by the recycled arena.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ltpg::{LtpgConfig, LtpgEngine, LtpgServer, ServerConfig};
+use ltpg::{LtpgConfig, LtpgEngine, LtpgServer, OptFlags, ServerConfig};
+use ltpg_bench::ltpg_tpcc_config;
 use ltpg_shard::{ycsb_partitioner, ShardedServer};
 use ltpg_telemetry::names;
 use ltpg_txn::{Batch, TidGen};
-use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
+use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
-/// Counts the net bytes currently allocated through the global allocator.
+/// Counts the net bytes currently allocated through the global allocator,
+/// and how many times it was asked for memory.
 struct CountingAlloc;
 
 static NET_BYTES: AtomicI64 = AtomicI64::new(0);
+/// `alloc` + `realloc` calls (`alloc_zeroed` defaults to `alloc`).
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.alloc(layout);
         if !p.is_null() {
             NET_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
@@ -43,6 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             NET_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
@@ -99,6 +111,53 @@ fn steady_state_engine_batches_add_zero_net_heap() {
             m
         );
     }
+}
+
+/// Allocator calls per transaction over batches 4..8 of `batches` (0..4
+/// warm the arena), every batch pre-assembled so only the engine allocates
+/// inside the window.
+fn steady_state_calls_per_txn(engine: &mut LtpgEngine, batches: &[Batch]) -> f64 {
+    let (warm, timed) = batches.split_at(4);
+    for batch in warm {
+        drop(engine.execute_batch_report(batch));
+    }
+    let before = CALLS.load(Ordering::Relaxed);
+    for batch in timed {
+        drop(engine.execute_batch_report(batch));
+    }
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    calls as f64 / timed.iter().map(Batch::len).sum::<usize>() as f64
+}
+
+/// At commit d46e7a0 (three `HashMap`s per speculation, a `Vec` per op in
+/// `reg_count`, every inserted row and every mutation cloned once more)
+/// this read 20.18 calls per YCSB-A transaction and 106.91 per TPC-C 50/50
+/// transaction; the data path may use at most half of that. It reads 5.03
+/// and 19.66: registers, the write index's two vectors, the read and write
+/// sets, and one row per insert (the lane's detect items live in the
+/// engine's arena).
+#[test]
+fn steady_state_allocator_calls_per_transaction() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut tids = TidGen::new();
+
+    let (db, _table, mut gen) = YcsbGenerator::new(ycsb(65_536, 1).with_alpha(0.6));
+    let mut engine =
+        LtpgEngine::new(db, LtpgConfig { max_batch: 512, ..LtpgConfig::default() });
+    let batches: Vec<Batch> =
+        (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(512), &mut tids)).collect();
+    let ycsb_calls = steady_state_calls_per_txn(&mut engine, &batches);
+
+    let wl = TpccConfig::new(2, 50).with_headroom(8 * 512 * 20);
+    let (db, tables, mut gen) = TpccGenerator::new(wl);
+    let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
+    let batches: Vec<Batch> =
+        (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(512), &mut tids)).collect();
+    let tpcc_calls = steady_state_calls_per_txn(&mut engine, &batches);
+
+    println!("allocator calls per transaction: YCSB-A {ycsb_calls:.2}, TPC-C {tpcc_calls:.2}");
+    assert!(ycsb_calls <= 20.18 / 2.0, "YCSB-A: {ycsb_calls:.2} allocator calls per transaction");
+    assert!(tpcc_calls <= 106.91 / 2.0, "TPC-C 50/50: {tpcc_calls:.2} allocator calls per transaction");
 }
 
 #[test]
