@@ -1,6 +1,7 @@
 //! Engine configuration: optimization toggles (the axes of the paper's
 //! ablation, Fig. 6b and Table VI), hot-column designations, data
-//! synchronization mode, and the simulated-device setup.
+//! synchronization mode, the simulated-device setup, and the server's
+//! batching and retry policy ([`ServerConfig`]).
 
 use std::collections::HashSet;
 
@@ -148,6 +149,40 @@ impl Default for LtpgConfig {
             delayed_cols: HashSet::new(),
             premarked_popular: HashSet::new(),
             est_accesses_per_txn: 16,
+        }
+    }
+}
+
+/// Server policy knobs.
+#[derive(Debug, Clone)]
+pub struct ServerConfig {
+    /// Transactions per batch (smaller final batches are allowed when
+    /// draining).
+    pub batch_size: usize,
+    /// Pipeline mode: aborted transactions re-enter two batches later
+    /// (their upload slot for the next batch has already left the host);
+    /// otherwise the next batch.
+    pub pipelined: bool,
+    /// Take a durability checkpoint every `n` batches (None = only the
+    /// initial checkpoint).
+    pub checkpoint_every: Option<usize>,
+    /// How many times to re-issue a batch whose upload failed transiently
+    /// before declaring the device unusable.
+    pub max_transient_retries: u32,
+    /// Simulated backoff before the first retry, ns; doubles per attempt
+    /// (the doubling exponent is clamped so arbitrarily high retry limits
+    /// cannot overflow).
+    pub retry_backoff_ns: f64,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            batch_size: 1 << 12,
+            pipelined: true,
+            checkpoint_every: None,
+            max_transient_retries: 4,
+            retry_backoff_ns: 5_000.0,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The executor seam: the one place a batch meets either the (simulated)
 //! GPU engine or its CPU twin.
 //!
-//! Both servers, degradation replay and standby replay drive batches
+//! The server shell, degradation replay and standby replay drive batches
 //! through [`Executor::prepare`] / [`Executor::finish`]; nothing above this
 //! file matches on which kind of executor is serving. Dispatch happens once
 //! per (shard, batch) — never per transaction.
@@ -13,9 +13,8 @@ use ltpg_storage::Database;
 use ltpg_telemetry::names;
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
-use crate::config::LtpgConfig;
+use crate::config::{LtpgConfig, ServerConfig};
 use crate::engine::{ExecScope, LtpgEngine, PreparedBatch};
-use crate::server::ServerConfig;
 use crate::twin::{CpuTwin, TwinPrepared};
 
 /// The executor serving one database (a whole one, or one shard's slice).
@@ -193,18 +192,6 @@ impl Executor {
             (Executor::Cpu(e), Prepared::Cpu(p)) => Ok((e.finish(batch, p, scope), e.finish_ns())),
             _ => panic!("prepared state does not match the executor that must finish it"),
         }
-    }
-
-    /// Both halves over the whole database: what a single-device server
-    /// (or a single-device standby replaying the log) runs per batch.
-    pub fn execute(
-        &mut self,
-        batch: &Batch,
-        retry: Option<&ServerConfig>,
-        backoff_ns: &mut f64,
-    ) -> Result<BatchReport, DeviceError> {
-        let prepared = self.prepare(batch, None, retry, backoff_ns)?;
-        Ok(self.finish(batch, prepared, None)?.0)
     }
 
     /// Re-promotion: a degraded executor hands its live database to a GPU

@@ -263,8 +263,8 @@ impl FaultInjector {
     }
 
     /// The replication/failover chaos knobs, for
-    /// [`crate::LtpgServer::arm_replica_chaos`] and the sharded server's
-    /// equivalent. Inert when no replica layer is attached.
+    /// [`crate::Server::arm_replica_chaos`] (either topology). Inert when
+    /// no replica layer is attached.
     pub fn replica_chaos(&self) -> ReplicaChaos {
         self.plan.replica.clone()
     }

@@ -76,7 +76,7 @@ pub mod twin;
 mod util;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
-pub use config::{LtpgConfig, OptFlags, SyncMode};
+pub use config::{LtpgConfig, OptFlags, ServerConfig, SyncMode};
 pub use conflict::ConflictLog;
 pub use engine::{
     cell_accesses, cell_key, commit_decision, flag, stage_effects, CellAccess, ExecScope,
@@ -92,10 +92,11 @@ pub use pipeline::{PipelineOutcome, PipelinedRunner};
 #[cfg(feature = "qa-inject")]
 pub use engine::qa_inject;
 pub use recovery::{
-    DurabilityManager, RecoveryError, RecoveryOptions, RecoveryOutcome, RecoveryStats, TailPolicy,
+    decode_subs, DurabilityManager, RecoveryError, RecoveryOptions, RecoveryOutcome, RecoveryStats, TailPolicy,
 };
 pub use server::{
-    BatchSummary, FailoverProvider, LtpgServer, ServerConfig, ServerError, ServerStats,
+    BatchSummary, LtpgServer, MergedWords, OneDevice, Replayer, Round, Server,
+    ServerError, ServerStats, Shards, StandbyRows, Topology,
 };
 pub use stats::{FaultStats, LtpgBatchStats};
 pub use twin::{CpuTwin, TwinPrepared};

@@ -267,6 +267,21 @@ impl DurabilityManager {
     }
 }
 
+/// One logged batch's WAL records (`records[s]` is shard `s`'s) as its
+/// per-shard sub-batches: the input of a replayed round.
+pub fn decode_subs(records: &[BatchRecord]) -> Result<Vec<Batch>, RecoveryError> {
+    let decode = |rec: &BatchRecord| decode_batch(&rec.payload).map(|txns| Batch { txns });
+    records.iter().map(decode).collect::<Result<_, _>>().map_err(RecoveryError::Corrupt)
+}
+
+/// Logged batch `batch_id` as its per-shard sub-batches, read back from
+/// every shard's WAL, for degradation replay.
+pub(crate) fn logged_subs(logs: &[DurabilityManager], batch_id: u64) -> Result<Vec<Batch>, RecoveryError> {
+    let fetch = |dur: &DurabilityManager| dur.log().fetch(batch_id);
+    let records: Option<Vec<BatchRecord>> = logs.iter().map(fetch).collect();
+    decode_subs(&records.ok_or(RecoveryError::MissingBatch(batch_id))?)
+}
+
 impl std::fmt::Debug for DurabilityManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurabilityManager")

@@ -1,134 +1,107 @@
-//! The client-facing system layer.
+//! The client-facing system layer: one server shell, two topologies.
 //!
 //! The paper's system (Fig. 2) is more than the three kernels: clients
 //! submit transactions, the CPU side assembles batches, assigns TIDs, logs
 //! batches for durability, streams them to the device, and re-queues
 //! aborted transactions for a later batch (two batches later under the
-//! pipeline model, §V-E). [`LtpgServer`] packages that loop behind a
-//! submit/tick/drain API so applications never touch batch assembly.
+//! pipeline model, §V-E). [`Server`] is that loop behind a
+//! submit/tick/drain API, written once over a [`Topology`]: how a global
+//! batch becomes one sub-batch per shard and how one deterministic round
+//! runs over the shards' executors. [`LtpgServer`] is the one-device
+//! topology; `ltpg_shard::ShardedServer` adds routing, the lockstep round
+//! and rebalance, and delegates everything else here.
 //!
 //! ## Fault handling
 //!
-//! The server is the fault boundary. Each tick logs the batch *before*
-//! executing it, then runs it through the active executor:
+//! The server is the fault boundary. Each tick logs every sub-batch
+//! *before* executing it, then runs the round:
 //!
 //! - a **transient transfer fault** on upload aborts the attempt before
-//!   the device touches anything, so the server retries the whole batch —
-//!   up to [`ServerConfig::max_transient_retries`] times, charging
+//!   the device touches anything, so the executor re-issues the batch — up
+//!   to [`ServerConfig::max_transient_retries`] times, charging
 //!   exponential backoff to simulated time;
-//! - **device loss** (or retry exhaustion) triggers graceful degradation:
-//!   the server rebuilds the pre-batch state from checkpoint + log on the
-//!   deterministic CPU fallback executor, replays the in-flight batch
-//!   there, and keeps serving. Determinism makes the hand-off invisible:
-//!   the fallback derives bit-identical commit decisions, so clients see
-//!   the same history, only slower.
+//! - **device loss** (or retry exhaustion) goes through one protocol, the
+//!   row protocol: promote the freshest standby row, caught up from the
+//!   WAL through the in-flight batch, and take the merged flag words of
+//!   that replay as the batch's verdicts; with no row left, rebuild every
+//!   shard from checkpoint + log by replaying the logged rounds on CPU
+//!   twins and keep the twin on the lost shard. One device is a row of
+//!   one. Determinism makes the hand-off invisible: the verdicts come from
+//!   a replay of the same log, so clients see the same history, only
+//!   slower.
 //!
-//! Counters for all of this are in [`FaultStats`] via
-//! [`LtpgServer::stats`].
+//! Counters for all of this are in [`FaultStats`] via [`Server::stats`].
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ltpg_gpu_sim::{Device, DeviceFaultPlan};
-use ltpg_storage::Database;
+use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
+use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::{Batch, BatchReport, Tid, Txn};
+use ltpg_txn::{Batch, Tid, Txn};
 
-use crate::config::LtpgConfig;
-use crate::engine::LtpgEngine;
+use crate::config::{LtpgConfig, ServerConfig};
+use crate::engine::{commit_decision, LtpgEngine};
 use crate::executor::{Executor, LostDevices};
 use crate::faults::{PromotionCrashpoint, ReplicaChaos};
 use crate::intake::{Formed, Intake};
-use crate::twin::CpuTwin;
-use crate::recovery::{DurabilityManager, RecoveryError, RecoveryOptions};
+use crate::recovery::{logged_subs, DurabilityManager, RecoveryError};
 use crate::stats::FaultStats;
+use crate::twin::CpuTwin;
 
-/// Server policy knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Transactions per batch (smaller final batches are allowed when
-    /// draining).
-    pub batch_size: usize,
-    /// Pipeline mode: aborted transactions re-enter two batches later
-    /// (their upload slot for the next batch has already left the host);
-    /// otherwise the next batch.
-    pub pipelined: bool,
-    /// Take a durability checkpoint every `n` batches (None = only the
-    /// initial checkpoint).
-    pub checkpoint_every: Option<usize>,
-    /// How many times to re-issue a batch whose upload failed transiently
-    /// before declaring the device unusable.
-    pub max_transient_retries: u32,
-    /// Simulated backoff before the first retry, ns; doubles per attempt
-    /// (the doubling exponent is clamped so arbitrarily high retry limits
-    /// cannot overflow).
-    pub retry_backoff_ns: f64,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            batch_size: 1 << 12,
-            pipelined: true,
-            checkpoint_every: None,
-            max_transient_retries: 4,
-            retry_backoff_ns: 5_000.0,
-        }
-    }
-}
-
-/// Cumulative server statistics.
+/// Cumulative server statistics; `X` is what the topology counts on top
+/// (nothing for one device), read through `Deref`.
 #[derive(Debug, Clone, Default)]
-pub struct ServerStats {
-    /// Batches executed.
+pub struct ServerStats<X = ()> {
+    /// Global batches executed.
     pub batches: u64,
-    /// Transactions admitted via [`LtpgServer::submit`].
+    /// Transactions admitted via [`Server::submit`].
     pub admitted: u64,
     /// Transactions committed (each counted once, at commit).
     pub committed: u64,
     /// Abort events (one transaction may abort repeatedly before
     /// committing).
     pub abort_events: u64,
-    /// Total simulated device time, ns.
+    /// Total simulated time, ns: the sum of every tick's
+    /// [`BatchSummary::sim_ns`].
     pub sim_ns: f64,
-    /// Fault-handling counters (all zero in fault-free operation). A view
-    /// over the server's telemetry registry, refreshed every tick.
+    /// Fault-handling counters (all zero in fault-free operation): a view
+    /// over the shards' registries, refreshed every tick.
     pub faults: FaultStats,
+    /// Shards currently degraded to the CPU twin.
+    pub degraded_shards: u32,
+    /// Standby-row promotions (full-topology failovers).
+    pub failovers: u64,
+    /// Simulated ns those promotions spent on catch-up replay.
+    pub failover_ns: f64,
+    /// The topology's own counters.
+    pub topology: X,
 }
 
-impl ServerStats {
-    /// Human-readable end-of-run block. [`LtpgServer::summary`] extends
-    /// this with latency percentiles and the abort-reason taxonomy from
-    /// the registry.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "batches executed      {}", self.batches);
-        let _ = writeln!(out, "txns admitted         {}", self.admitted);
-        let _ = writeln!(out, "txns committed        {}", self.committed);
-        let _ = writeln!(out, "abort events          {}", self.abort_events);
-        let _ = writeln!(out, "simulated time        {:.1} us", self.sim_ns / 1e3);
-        let f = &self.faults;
-        let _ = writeln!(
-            out,
-            "faults                {} retries, {:.1} us backoff, {} fallback(s), {} frame(s) truncated",
-            f.transient_retries,
-            f.backoff_ns / 1e3,
-            f.fallback_activations,
-            f.frames_truncated,
-        );
-        out
+impl<X> std::ops::Deref for ServerStats<X> {
+    type Target = X;
+    fn deref(&self) -> &X {
+        &self.topology
     }
 }
 
-/// Outcome of one [`LtpgServer::tick`].
-#[derive(Debug, Clone)]
+/// One batch's conflict-flag words, OR-merged over the shards, by TID.
+pub type MergedWords = BTreeMap<u64, u32>;
+
+/// Outcome of one [`Server::tick`].
+#[derive(Debug, Clone, Default)]
 pub struct BatchSummary {
-    /// TIDs committed by this batch.
+    /// TIDs committed by this batch (ascending).
     pub committed: Vec<Tid>,
     /// TIDs aborted (scheduled for re-execution).
     pub aborted: Vec<Tid>,
-    /// Simulated batch latency, ns (including any retry backoff).
+    /// Simulated batch latency, ns: the round's critical path, retry
+    /// backoff, and the catch-up of a standby promotion this tick paid.
     pub sim_ns: f64,
+    /// The merged flag words: bit-equal on every topology, so
+    /// differential harnesses compare them.
+    pub flag_words: MergedWords,
 }
 
 /// A fault the server could not absorb.
@@ -183,115 +156,335 @@ impl std::error::Error for ServerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServerError::DegradationFailed(e) => Some(e),
-            ServerError::InjectedCrash(_)
-            | ServerError::PromotionSkippedInFlightBatch { .. }
-            | ServerError::MissingFlagWord { .. } => None,
+            _ => None,
         }
     }
 }
 
-/// Warm-standby supplier the server consults before abandoning the GPU.
-///
-/// The replication layer (`ltpg-replica`) implements this for its
-/// `ReplicaSet`; the trait lives here so the core server can route device
-/// loss through replicas without depending on the replica crate. The
-/// contract leans entirely on determinism: a standby that replayed the
-/// same WAL prefix is bit-identical to the primary, so the server may
-/// swap executors at a batch boundary without any state transfer.
-pub trait FailoverProvider {
-    /// The durability log advanced to `dur.logged_batches()`; standbys may
-    /// replay toward the new tail, on their own threads. Called once per
-    /// executed batch.
-    fn after_batch(&mut self, dur: &DurabilityManager);
-
-    /// The server found nothing to run. Finish whatever replay is still
-    /// outstanding before returning, so a drained server leaves no work
-    /// running behind its caller.
-    fn idle(&mut self);
-
-    /// Standbys currently healthy enough to promote.
-    fn standbys_available(&self) -> usize;
-
-    /// Promote the best standby: catch it up through batches `< upto`
-    /// (the in-flight batch `upto` is re-executed by the server on the
-    /// promoted executor) and surrender it. `None` when the pool is
-    /// exhausted or every standby is dead.
-    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Executor>;
-
-    /// A physically recovered device is offered back to the pool (already
-    /// revived and reset). Returns whether it was re-enlisted as a fresh
-    /// standby.
-    fn reenlist(&mut self, device: Arc<Device>, dur: &DurabilityManager) -> bool;
+/// What one deterministic round over the shards produced.
+#[derive(Debug, Default)]
+pub struct Round {
+    /// Empty unless every prepare succeeded (the merge barrier was reached).
+    pub words: MergedWords,
+    /// Simulated ns of the critical path: slowest prepare + slowest finish.
+    pub sim_ns: f64,
+    /// The first shard whose device died, and how. A loss before the
+    /// barrier mutated nothing; a loss after it may have left that shard's
+    /// slice partly written. Either way the sub-batches were logged before
+    /// execution, so recovery replays them.
+    pub lost: Option<(usize, DeviceError)>,
 }
 
-/// A batching OLTP server over one [`LtpgEngine`], degrading to a
-/// [`CpuTwin`] if the device is lost.
-pub struct LtpgServer {
-    executor: Executor,
-    durability: DurabilityManager,
+/// A topology's round as replay runs it, on standby rows (their worker
+/// threads) and on CPU twins after a loss: no retry — a standby that faults
+/// is demoted, not nursed — under an owned copy of the routing rules.
+pub type Replayer =
+    Arc<dyn Fn(&mut [Executor], &[Batch]) -> Result<Round, ServerError> + Send + Sync>;
+
+/// What differs between one device and N: everything else is [`Server`].
+pub trait Topology {
+    /// Counters the topology keeps in [`ServerStats::topology`].
+    type Stats: Default + Clone + std::fmt::Debug;
+
+    /// The batch boundary, before the next batch forms: the one point
+    /// where the topology may change shape (a rebalance cutover).
+    fn at_boundary(&mut self, _shards: &mut Shards, _stats: &mut Self::Stats) {}
+
+    /// The global batch as one sub-batch per shard, TID order preserved.
+    fn split<'a>(&mut self, batch: &'a Batch, stats: &mut Self::Stats) -> Cow<'a, [Batch]>;
+
+    /// One live round: `subs[s]` on `execs[s]`, transient upload faults
+    /// retried per `retry` with the pauses accumulating into `backoff_ns`.
+    fn round(
+        &mut self,
+        execs: &mut [Executor],
+        subs: &[Batch],
+        retry: &ServerConfig,
+        backoff_ns: &mut f64,
+        stats: &mut Self::Stats,
+    ) -> Result<Round, ServerError>;
+
+    /// The same round for replay, under the rules in force now.
+    fn replayer(&self) -> Replayer;
+
+    /// A batch was executed and decided in `sim_ns`.
+    fn after_batch(&mut self, _shards: &mut Shards, _sim_ns: f64) {}
+
+    /// The topology's lines of [`Server::summary`].
+    fn summarize(&self, _stats: &Self::Stats, _out: &mut String) {}
+}
+
+/// The standby pool as the shell drives it: rows of one warm executor per
+/// shard replaying the logged stream, and a heartbeat monitor per primary.
+/// `ltpg-replica` implements it for its `ReplicaSet`; the trait lives here
+/// so the shell does not depend on that crate. The contract leans entirely
+/// on determinism: a row that replayed the same WAL prefix is bit-identical
+/// to the primaries. `logs[s]` is shard `s`'s durability domain.
+pub trait StandbyRows: Send {
+    /// Ship every row the logged tail; the rows replay on their own threads.
+    fn replicate(&mut self, logs: &[DurabilityManager]);
+    /// Wait for outstanding replay, so a drained server leaves no work
+    /// running behind its caller.
+    fn join(&self);
+    /// Rows alive (promotable). Joins first.
+    fn rows_alive(&self) -> usize;
+    /// Surrender the freshest row, caught up through batches `< upto`: its
+    /// executors, the merged words of batch `upto - 1` if the catch-up
+    /// replayed it, and the catch-up's simulated ns. `None`: no row left.
+    fn promote_row(
+        &mut self,
+        upto: u64,
+        logs: &[DurabilityManager],
+    ) -> Option<(Vec<Executor>, Option<MergedWords>, f64)>;
+    /// A recovered device (revived and reset) rejoins as a fresh row.
+    fn reenlist(&mut self, device: Arc<Device>, logs: &[DurabilityManager]);
+    /// Probe every primary once (`dropped`: chaos lost this tick's probes)
+    /// and return the first shard whose monitor fenced it.
+    fn probe(&mut self, primaries: &[Executor], dropped: bool) -> Option<usize>;
+    /// Re-arm the monitor of `shard`'s new primary (`None`: all of them).
+    fn rearm(&mut self, shard: Option<usize>);
+    /// Chaos: hold row `.0` (pool index) `.1` batches behind the tail, now
+    /// and after a [`rebuild`](Self::rebuild).
+    fn hold_lag(&mut self, hold: Option<(u32, u64)>);
+    /// The routing rules changed at a cutover checkpoint: replace every
+    /// alive row with a fresh one over the new images, replaying `replay`.
+    fn rebuild(&mut self, logs: &[DurabilityManager], replay: Replayer);
+    /// The row values of `(table, key)` in `shard`'s slice of the freshest
+    /// row and the batch id of that consistent cut. Joins first.
+    fn snapshot_read(&self, shard: usize, table: TableId, key: i64) -> Option<(Vec<i64>, u64)>;
+    /// Every row demoted so far and why, rendered, oldest first.
+    fn demotions(&self) -> Vec<String>;
+}
+
+/// The devices under a server, by shard.
+pub struct Shards {
+    /// `execs[s]` serves shard `s`, degraded exactly when it is the twin.
+    pub execs: Vec<Executor>,
+    /// Each shard's checkpoint + WAL.
+    pub durability: Vec<DurabilityManager>,
+    /// Each shard's registry (device, engine, fault counters). One device
+    /// shares the server's, so its whole stack publishes in one place.
+    pub registries: Vec<Arc<Registry>>,
+    /// The server-level registry (`server.*`, topology and pool families).
+    pub telemetry: Arc<Registry>,
+    /// Engine configuration, for replacement engines and replay twins.
+    pub engine_cfg: LtpgConfig,
+    /// Warm standby rows, once attached.
+    pub pool: Option<Box<dyn StandbyRows>>,
+}
+
+impl Shards {
+    /// Shards currently on their CPU twin.
+    pub fn degraded(&self) -> u32 {
+        self.execs.iter().filter(|e| e.is_degraded()).count() as u32
+    }
+
+    /// A fresh engine over `db` publishing to shard `s`'s registry.
+    pub fn engine(&self, s: usize, db: Database) -> Executor {
+        let reg = Arc::clone(&self.registries[s]);
+        LtpgEngine::with_telemetry(db, self.engine_cfg.clone(), reg).into()
+    }
+
+    /// Arm a deterministic fault schedule on shard `s`'s device (testing /
+    /// chaos drills). No-op on a degraded shard.
+    pub fn arm_faults(&self, s: usize, plan: DeviceFaultPlan) {
+        if let Some(engine) = self.execs[s].gpu() {
+            engine.device().arm_faults(plan);
+        }
+    }
+
+    /// Force shard `s`'s device into its failed state at the next batch
+    /// boundary (the hard-crashpoint drill).
+    pub fn fail_device(&self, s: usize) {
+        if let Some(engine) = self.execs[s].gpu() {
+            engine.device().fail_now();
+        }
+    }
+
+    /// Batches logged so far (batch ids are aligned across shards).
+    pub fn logged_batches(&self) -> u64 {
+        self.durability[0].logged_batches() as u64
+    }
+}
+
+/// A batching OLTP server over the executors of one [`Topology`].
+pub struct Server<T: Topology> {
+    topology: T,
+    shards: Shards,
     cfg: ServerConfig,
-    /// Engine configuration, kept for recovery replays and the fallback
-    /// hand-off.
-    engine_cfg: LtpgConfig,
     /// TID assignment, the inbox and the abort re-entry delay slots.
     intake: Intake,
-    stats: ServerStats,
-    /// This server's private metrics registry: every component under the
-    /// server (device, engine, fault handling) publishes here, so two
-    /// servers in one process never cross-contaminate.
-    telemetry: Arc<Registry>,
-    /// Warm standbys to promote on device loss, if attached.
-    failover: Option<Box<dyn FailoverProvider>>,
-    /// Armed replication chaos (timed device recovery, promotion-window
-    /// crashpoints). Inert by default.
+    stats: ServerStats<T::Stats>,
+    /// Armed replication chaos. Inert by default.
     replica_chaos: ReplicaChaos,
-    /// Every lost device still waiting out its outage.
+    /// Heartbeat probe counter (drives `heartbeat_drop_ticks`).
+    probe_no: u64,
+    /// Every lost device still waiting out its outage, oldest first.
     lost_devices: LostDevices,
+    /// Promotion catch-up not yet reported by a tick.
+    unreported_failover_ns: f64,
 }
 
-impl LtpgServer {
-    /// Create a server over `db`.
+/// The one-device topology: the batch is its only sub-batch and the round
+/// is that device's prepare + finish over the whole database.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OneDevice;
+
+/// One round on a lone executor, its flag words standing unmerged.
+fn lone_round(
+    execs: &mut [Executor],
+    subs: &[Batch],
+    retry: Option<&ServerConfig>,
+    backoff_ns: &mut f64,
+) -> Round {
+    let (exec, batch) = (&mut execs[0], &subs[0]);
+    let mut round = Round::default();
+    let report = exec.prepare(batch, None, retry, backoff_ns).and_then(|prepared| {
+        let words = batch.txns.iter().enumerate().map(|(i, t)| (t.tid.0, prepared.flag_word(i)));
+        round.words = words.collect();
+        exec.finish(batch, prepared, None)
+    });
+    match report {
+        // The report's own total, not prepare + finish re-added.
+        Ok((report, _)) => round.sim_ns = report.sim_ns,
+        Err(e) => round.lost = Some((0, e)),
+    }
+    round
+}
+
+impl Topology for OneDevice {
+    type Stats = ();
+
+    fn split<'a>(&mut self, batch: &'a Batch, _: &mut ()) -> Cow<'a, [Batch]> {
+        Cow::Borrowed(std::slice::from_ref(batch))
+    }
+
+    fn round(
+        &mut self,
+        execs: &mut [Executor],
+        subs: &[Batch],
+        retry: &ServerConfig,
+        backoff_ns: &mut f64,
+        _: &mut (),
+    ) -> Result<Round, ServerError> {
+        Ok(lone_round(execs, subs, Some(retry), backoff_ns))
+    }
+
+    fn replayer(&self) -> Replayer {
+        Arc::new(|execs, subs| Ok(lone_round(execs, subs, None, &mut 0.0)))
+    }
+}
+
+/// A batching OLTP server over one [`LtpgEngine`]: the reference the
+/// sharded topology is tested against.
+pub type LtpgServer = Server<OneDevice>;
+
+impl Server<OneDevice> {
+    /// Create a server over `db`, with a private metrics registry: two
+    /// servers in one process never cross-contaminate.
     pub fn new(db: Database, engine_cfg: LtpgConfig, cfg: ServerConfig) -> Self {
-        assert!(cfg.batch_size > 0, "batch size must be positive");
-        let durability = DurabilityManager::new(&db);
         let telemetry = Registry::new_shared();
-        // Pre-touch the fault counters so a fault-free export still shows
-        // the whole family at zero (dashboards alert on any non-zero).
-        for name in names::FAULT_COUNTERS {
-            telemetry.counter(name);
-        }
-        LtpgServer {
-            executor: LtpgEngine::with_telemetry(db, engine_cfg.clone(), Arc::clone(&telemetry))
-                .into(),
-            durability,
-            cfg,
+        Server::over(OneDevice, vec![(db, Arc::clone(&telemetry))], telemetry, engine_cfg, cfg)
+    }
+
+    /// The live database.
+    pub fn database(&self) -> &Database {
+        self.shards.execs[0].database()
+    }
+
+    /// Name of the executor currently serving batches (`"LTPG"` normally,
+    /// `"LTPG-CPU-fallback"` after degradation).
+    pub fn executor_name(&self) -> &'static str {
+        self.shards.execs[0].engine().name()
+    }
+
+    /// Whether the server has degraded to the CPU fallback executor.
+    pub fn is_degraded(&self) -> bool {
+        self.shards.execs[0].is_degraded()
+    }
+
+    /// The durability manager (checkpoint/log inspection, recovery).
+    pub fn durability(&self) -> &DurabilityManager {
+        &self.shards.durability[0]
+    }
+
+    /// Arm a deterministic device-fault schedule (testing / chaos drills).
+    /// No-op when already degraded to the CPU executor.
+    pub fn arm_faults(&self, plan: DeviceFaultPlan) {
+        self.shards.arm_faults(0, plan);
+    }
+
+    /// Force the device into its failed state at the next batch boundary
+    /// (the hard-crashpoint drill).
+    pub fn force_device_failure(&self) {
+        self.shards.fail_device(0);
+    }
+}
+
+impl<T: Topology> Server<T> {
+    /// A server over one `(slice, registry)` per shard, publishing its own
+    /// metrics on `telemetry`.
+    pub fn over(
+        topology: T,
+        slices: Vec<(Database, Arc<Registry>)>,
+        telemetry: Arc<Registry>,
+        engine_cfg: LtpgConfig,
+        cfg: ServerConfig,
+    ) -> Self {
+        assert!(cfg.batch_size > 0, "batch size must be positive");
+        let mut shards = Shards {
+            execs: Vec::new(),
+            durability: slices.iter().map(|(db, _)| DurabilityManager::new(db)).collect(),
+            registries: slices.iter().map(|(_, reg)| Arc::clone(reg)).collect(),
+            telemetry,
             engine_cfg,
+            pool: None,
+        };
+        for (s, (db, reg)) in slices.into_iter().enumerate() {
+            // Pre-touch the fault counters so a fault-free export still
+            // shows the whole family at zero (dashboards alert on any
+            // non-zero).
+            for name in names::FAULT_COUNTERS {
+                reg.counter(name);
+            }
+            let engine = shards.engine(s, db);
+            shards.execs.push(engine);
+        }
+        Server {
+            topology,
+            shards,
+            cfg,
             intake: Intake::new(),
             stats: ServerStats::default(),
-            telemetry,
-            failover: None,
             replica_chaos: ReplicaChaos::none(),
+            probe_no: 0,
             lost_devices: LostDevices::default(),
+            unreported_failover_ns: 0.0,
         }
     }
 
-    /// Attach a warm-standby pool. On device loss the server promotes a
-    /// standby (caught up from the WAL) instead of degrading to the CPU
-    /// fallback; the CPU twin remains the last resort once the pool is
-    /// exhausted.
-    pub fn attach_failover(&mut self, provider: Box<dyn FailoverProvider>) {
-        self.failover = Some(provider);
+    /// Attach a warm-standby pool (`ltpg_replica::attach` builds one). On
+    /// device loss the server promotes a standby row instead of degrading
+    /// to the CPU twin, which remains the last resort.
+    pub fn attach_pool(&mut self, mut pool: Box<dyn StandbyRows>) {
+        pool.hold_lag(self.replica_chaos.standby_lag);
+        self.shards.pool = Some(pool);
     }
 
-    /// Whether a failover provider is attached.
-    pub fn has_failover(&self) -> bool {
-        self.failover.is_some()
+    /// Alive standby rows (0 when no pool is attached). Waits for the rows
+    /// to apply what they have been shipped, so a row whose replay failed
+    /// is already counted out.
+    pub fn standbys_alive(&self) -> usize {
+        self.shards.pool.as_ref().map_or(0, |pool| pool.rows_alive())
     }
 
-    /// Arm replication chaos knobs (timed device recovery, promotion-window
-    /// crashpoints). Heartbeat and standby-lag knobs are consumed by the
-    /// replica layer itself.
+    /// Arm deterministic replication-layer chaos (timed device recovery,
+    /// heartbeat drops, standby lag, promotion crashpoints). The lag hold
+    /// applies to the attached pool and to every pool attached later.
     pub fn arm_replica_chaos(&mut self, chaos: ReplicaChaos) {
+        if let Some(pool) = &mut self.shards.pool {
+            pool.hold_lag(chaos.standby_lag);
+        }
         self.replica_chaos = chaos;
     }
 
@@ -313,12 +506,6 @@ impl LtpgServer {
         self.intake.pending()
     }
 
-    /// Fresh submissions waiting in the inbox (excludes re-queued aborts
-    /// sitting out their retry delay).
-    pub fn inbox_len(&self) -> usize {
-        self.intake.inbox_len()
-    }
-
     /// The TID the next fresh admission will receive at batch assembly.
     /// Fresh TIDs are handed out in inbox FIFO order, so an ingestion layer
     /// can mirror this counter to correlate commits with submissions.
@@ -326,36 +513,70 @@ impl LtpgServer {
         self.intake.next_tid()
     }
 
-    /// The live database.
-    pub fn database(&self) -> &Database {
-        self.executor.database()
-    }
-
     /// Cumulative statistics.
-    pub fn stats(&self) -> &ServerStats {
+    pub fn stats(&self) -> &ServerStats<T::Stats> {
         &self.stats
     }
 
-    /// The server's metrics registry (counters, gauges, histograms, phase
-    /// trace).
+    /// The server-level metrics registry.
     pub fn telemetry(&self) -> &Arc<Registry> {
-        &self.telemetry
+        &self.shards.telemetry
     }
 
-    /// Export every metric and trace span as JSONL (see
-    /// [`ltpg_telemetry::export`] for the line schema).
+    /// The devices under the server, by shard.
+    pub fn shards(&self) -> &Shards {
+        &self.shards
+    }
+
+    /// The topology.
+    pub fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    /// The topology and the shards it may reshape, together.
+    pub fn topology_mut(&mut self) -> (&mut T, &mut Shards) {
+        (&mut self.topology, &mut self.shards)
+    }
+
+    /// Cumulative simulated fault-induced delay, ns: retry backoff,
+    /// in-place download-retry penalties and promotion catch-up. A tick's
+    /// `sim_ns` less its delta of this is a clock faults do not move.
+    pub fn fault_delay_ns(&self) -> f64 {
+        let f = &self.stats.faults;
+        f.backoff_ns + f.retry_penalty_ns + self.stats.failover_ns
+    }
+
+    /// Export every metric and trace span of the server-level registry as
+    /// JSONL (see [`ltpg_telemetry::export`] for the line schema).
     pub fn export_telemetry_jsonl(&self) -> String {
-        self.telemetry.export_jsonl()
+        self.shards.telemetry.export_jsonl()
     }
 
-    /// Human-readable end-of-run summary: the cumulative [`ServerStats`]
-    /// block plus batch-latency percentiles and the abort-reason taxonomy
-    /// from the registry.
+    /// Human-readable end-of-run summary: the cumulative [`ServerStats`],
+    /// batch-latency percentiles, the pool's and the topology's lines, and
+    /// the abort-reason taxonomy over every shard.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = self.stats.summary();
-        let _ = writeln!(out, "executor              {}", self.executor_name());
-        let h = self.telemetry.histogram(names::SERVER_BATCH_NS).snapshot();
+        let (st, f) = (&self.stats, &self.stats.faults);
+        let mut out = String::new();
+        let _ = writeln!(out, "batches executed      {}", st.batches);
+        let _ = writeln!(out, "txns admitted         {}", st.admitted);
+        let _ = writeln!(out, "txns committed        {}", st.committed);
+        let _ = writeln!(out, "abort events          {}", st.abort_events);
+        let _ = writeln!(out, "simulated time        {:.1} us", st.sim_ns / 1e3);
+        let _ = writeln!(
+            out,
+            "faults                {} retries, {:.1} us backoff, {} fallback(s), {} frame(s) truncated",
+            f.transient_retries,
+            f.backoff_ns / 1e3,
+            f.fallback_activations,
+            f.frames_truncated,
+        );
+        let _ = writeln!(out, "degraded shards       {}", st.degraded_shards);
+        let _ = writeln!(out, "failovers             {}", st.failovers);
+        let names: Vec<&str> = self.shards.execs.iter().map(|e| e.engine().name()).collect();
+        let _ = writeln!(out, "executor              {}", names.join(", "));
+        let h = self.shards.telemetry.histogram(names::SERVER_BATCH_NS).snapshot();
         if h.count > 0 {
             let _ = writeln!(
                 out,
@@ -366,176 +587,171 @@ impl LtpgServer {
                 h.count,
             );
         }
+        if let Some(pool) = &self.shards.pool {
+            let _ = writeln!(out, "standbys alive        {}", pool.rows_alive());
+            for d in pool.demotions() {
+                let _ = writeln!(out, "standby demoted       {d}");
+            }
+        }
+        self.topology.summarize(&self.stats.topology, &mut out);
         let _ = writeln!(out, "abort reasons:");
         for name in names::ABORT_REASONS {
-            let _ = writeln!(out, "  {name:<32} {}", self.telemetry.counter_value(name));
+            let n: u64 = self.shards.registries.iter().map(|reg| reg.counter_value(name)).sum();
+            let _ = writeln!(out, "  {name:<32} {n}");
         }
         out
     }
 
-    /// Name of the executor currently serving batches (`"LTPG"` normally,
-    /// `"LTPG-CPU-fallback"` after degradation).
-    pub fn executor_name(&self) -> &'static str {
-        self.executor.engine().name()
+    /// Recompute what depends on which executors serve: the degraded-shard
+    /// count and the summed fault counters.
+    fn refresh_stats(&mut self) {
+        self.stats.degraded_shards = self.shards.degraded();
+        self.stats.faults =
+            FaultStats::from_registries(self.shards.registries.iter().map(|reg| &**reg));
     }
 
-    /// Whether the server has degraded to the CPU fallback executor.
-    pub fn is_degraded(&self) -> bool {
-        self.executor.is_degraded()
+    /// Degrade after shard `failed` lost its device: rebuild every shard
+    /// from its checkpoint + WAL by replaying the logged rounds on CPU
+    /// twins (the in-flight batch was logged before execution, so it is
+    /// replayed too), keep the twin on the failed shard and on shards
+    /// already degraded, put fresh engines (replacement devices) on the
+    /// healthy ones. Returns the last replayed batch's merged words.
+    fn degrade_and_replay(&mut self, failed: usize) -> Result<MergedWords, ServerError> {
+        let shards = &mut self.shards;
+        let mut twins: Vec<Executor> = (shards.durability.iter())
+            .map(|dur| CpuTwin::new(dur.checkpoint_image(), shards.engine_cfg.clone()).into())
+            .collect();
+        // Checkpoints are taken jointly (same tick on every shard), so
+        // every shard replays the same id range.
+        let replay = self.topology.replayer();
+        let mut last_words = MergedWords::new();
+        for b in shards.durability[0].checkpoint_batch()..shards.logged_batches() {
+            let subs = logged_subs(&shards.durability, b).map_err(ServerError::DegradationFailed)?;
+            last_words = replay(&mut twins, &subs)?.words;
+        }
+        shards.registries[failed].counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
+        if let Some(pool) = &mut shards.pool {
+            pool.rearm(Some(failed));
+        }
+        for (s, twin) in twins.into_iter().enumerate() {
+            shards.execs[s] = if s == failed || shards.execs[s].is_degraded() {
+                twin
+            } else {
+                // Fault plans armed on the old device are not carried over.
+                shards.engine(s, twin.into_database())
+            };
+        }
+        self.refresh_stats();
+        Ok(last_words)
     }
 
-    /// The durability manager (checkpoint/log inspection, recovery).
-    pub fn durability(&self) -> &DurabilityManager {
-        &self.durability
-    }
-
-    /// Arm a deterministic device-fault schedule (testing / chaos drills).
-    /// No-op when already degraded to the CPU executor.
-    pub fn arm_faults(&self, plan: DeviceFaultPlan) {
-        if let Some(engine) = self.executor.gpu() {
-            engine.device().arm_faults(plan);
+    /// Remember shard `failed`'s physical device so a later timed recovery
+    /// ([`ReplicaChaos::device_recovers_after_batches`]) can revive and
+    /// re-enlist it.
+    fn note_device_loss(&mut self, failed: usize) {
+        if let Some(engine) = self.shards.execs[failed].gpu() {
+            self.lost_devices.note(failed, engine.device_handle(), self.stats.batches);
         }
     }
 
-    /// Force the device into its failed state at the next batch boundary
-    /// (the hard-crashpoint drill).
-    pub fn force_device_failure(&self) {
-        if let Some(engine) = self.executor.gpu() {
-            engine.device().fail_now();
-        }
-    }
-
-    /// Rebuild a database from the last checkpoint + log (what a restarted
-    /// node would do). The server keeps running; this is a read-only
-    /// operation on the durability state.
-    pub fn simulate_recovery(&self, cfg: LtpgConfig) -> Result<Database, RecoveryError> {
-        self.durability.recover(cfg)
-    }
-
-    /// Abandon the device: rebuild the pre-batch state on the CPU twin by
-    /// replaying checkpoint + log up to (excluding) `batch_id`, then
-    /// install it as the executor.
-    fn degrade_to_cpu(&mut self, batch_id: u64) -> Result<(), ServerError> {
-        let mut cpu = CpuTwin::new(self.durability.checkpoint_image(), self.engine_cfg.clone());
-        let replay = self
-            .durability
-            .replay_onto(&mut cpu, &RecoveryOptions::default(), Some(batch_id))
-            .map_err(ServerError::DegradationFailed)?;
-        self.telemetry.counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
-        if replay.torn_tail {
-            self.telemetry.counter(names::FAULT_FRAMES_TRUNCATED).inc();
-            self.telemetry
-                .counter(names::FAULT_BYTES_TRUNCATED)
-                .add(replay.bytes_truncated);
-        }
-        self.stats.faults = FaultStats::from_registry(&self.telemetry);
-        self.executor = cpu.into();
-        Ok(())
-    }
-
-    /// Try to promote a warm standby after the primary device was lost
-    /// mid-batch `batch_id`. Returns `Ok(true)` when a caught-up standby
-    /// engine was installed as the executor; `Ok(false)` sends the caller
-    /// down the CPU-degradation path. Promotion-window crashpoints fire
-    /// here — the one moment where in-flight state exists only in the WAL.
-    fn try_failover(&mut self, batch_id: u64) -> Result<bool, ServerError> {
-        let Some(provider) = self.failover.as_mut() else {
-            return Ok(false);
+    /// Shard `failed` is lost with `upto` batches logged on every shard —
+    /// the last of them in flight if the loss was found mid-round.
+    /// Preferred path: promote the freshest standby row onto every shard,
+    /// caught up through batches `< upto`. No row left: rebuild from the
+    /// logs on CPU twins. Either way the successor replayed the same WAL,
+    /// wherever mid-batch the device died; the merged words of the last
+    /// batch it replayed stand in for a lost execution (`None`: a row took
+    /// over at a boundary with nothing to replay). Promotion crashpoints
+    /// surface as [`ServerError::InjectedCrash`]: the one moment where
+    /// in-flight state exists only in the WAL.
+    fn fail_over(&mut self, failed: usize) -> Result<Option<MergedWords>, ServerError> {
+        let shards = &mut self.shards;
+        let upto = shards.logged_batches();
+        let Some(pool) = shards.pool.as_mut().filter(|pool| pool.rows_alive() > 0) else {
+            return self.degrade_and_replay(failed).map(Some);
         };
-        if provider.standbys_available() == 0 {
-            return Ok(false);
+        let crash = self.replica_chaos.promotion_crash.take();
+        if crash == Some(PromotionCrashpoint::BeforeCatchup) {
+            return Err(ServerError::InjectedCrash("promotion:before-catchup"));
         }
-        match self.replica_chaos.promotion_crash.take() {
-            Some(PromotionCrashpoint::BeforeCatchup) => {
-                return Err(ServerError::InjectedCrash("promotion:before-catchup"));
-            }
-            Some(PromotionCrashpoint::AfterCatchup) => {
-                // Let the standby do its catch-up replay, then die before it
-                // serves a single batch: all that work must be recoverable
-                // from the WAL alone.
-                let _ = provider.promote(&self.durability, batch_id);
-                return Err(ServerError::InjectedCrash("promotion:after-catchup"));
-            }
-            None => {}
+        // A crash after the catch-up loses all that replay: it must be
+        // recoverable from the WAL alone.
+        let promoted = pool.promote_row(upto, &shards.durability);
+        if crash == Some(PromotionCrashpoint::AfterCatchup) {
+            return Err(ServerError::InjectedCrash("promotion:after-catchup"));
         }
-        let Some(promoted) = provider.promote(&self.durability, batch_id) else {
-            return Ok(false);
+        let Some((row, last_words, ns)) = promoted else {
+            return self.degrade_and_replay(failed).map(Some);
         };
-        self.executor = promoted;
-        self.stats.faults = FaultStats::from_registry(&self.telemetry);
-        Ok(true)
-    }
-
-    /// Execute `batch` (already logged as `batch_id`) on the active
-    /// executor, absorbing transient faults, failing over to a warm
-    /// standby on device loss, and degrading to the CPU twin as the last
-    /// resort. Returns the report and the retry backoff charged.
-    fn execute_resilient(
-        &mut self,
-        batch: &Batch,
-        batch_id: u64,
-    ) -> Result<(BatchReport, f64), ServerError> {
-        let mut backoff_ns = 0.0;
-        loop {
-            // Download (D2H) retries were already counted on the shared
-            // registry by the engine's retry loop — even for attempts that
-            // later died — so nothing to fold here.
-            if let Ok(report) = self.executor.execute(batch, Some(&self.cfg), &mut backoff_ns) {
-                return Ok((report, backoff_ns));
-            }
-            // Device loss, or a device so flaky retries ran out (the twin
-            // cannot fail, and the pool is finite, so this loop ends). The
-            // batch is already logged, so whichever successor takes over
-            // rebuilds exactly the pre-batch state regardless of where
-            // mid-batch the device died. Fence the failed primary but keep
-            // the handle: a timed recovery may revive it later.
-            if let Some(engine) = self.executor.gpu() {
-                self.lost_devices.note(0, engine.device_handle(), self.stats.batches);
-            }
-            // A promoted standby's catch-up replay stops just short of the
-            // in-flight batch; the next iteration re-issues it there.
-            if !self.try_failover(batch_id)? {
-                self.degrade_to_cpu(batch_id)?;
+        // The promoted row replaces the whole topology with healthy GPU
+        // engines, so any CPU-degraded shard is healed by the cutover.
+        pool.rearm(None);
+        shards.execs = row;
+        for (exec, reg) in shards.execs.iter_mut().zip(&shards.registries) {
+            if let Some(engine) = exec.gpu_mut() {
+                engine.rebind_telemetry(Arc::clone(reg));
             }
         }
+        self.stats.failovers += 1;
+        self.stats.failover_ns += ns;
+        self.unreported_failover_ns += ns;
+        self.refresh_stats();
+        Ok(last_words)
     }
 
-    /// For every lost device whose outage the chaos schedule says has ended,
-    /// revive it and bring it back: a CPU-degraded server re-promotes to a
-    /// GPU engine over the fallback's live database (determinism makes the
-    /// swap invisible); a server that already failed over offers the device
-    /// to the standby pool instead. Runs at batch boundaries only — the
-    /// cutover barrier.
+    /// Probe every primary's health once per tick (chaos may drop the
+    /// probes) and fail over when a monitor fences its shard. The monitors
+    /// belong to the pool: without one attached, nothing is probed and a
+    /// dead device is found by the batch that runs into it.
+    fn probe_heartbeats(&mut self) -> Result<(), ServerError> {
+        let Some(pool) = self.shards.pool.as_mut() else { return Ok(()) };
+        let dropped = self.replica_chaos.heartbeat_drop_ticks.contains(&self.probe_no);
+        self.probe_no += 1;
+        let Some(s) = pool.probe(&self.shards.execs, dropped) else { return Ok(()) };
+        // A Dead fence means the device is really gone: note it for a
+        // timed recovery. A Dropped fence is a (safe) false positive — the
+        // healthy device is discarded, not kept.
+        if self.shards.execs[s].gpu().is_some_and(|e| e.device().is_failed()) {
+            self.note_device_loss(s);
+        }
+        self.fail_over(s).map(drop)
+    }
+
+    /// For every lost device whose outage the chaos schedule says has
+    /// ended, revive it and bring it back: as the serving engine of its
+    /// shard if that shard is still limping on the CPU twin (the twin's
+    /// database IS the current state, so the device just adopts it), or as
+    /// a fresh standby row if a failover already healed the topology. Runs
+    /// at batch boundaries only — the cutover barrier.
     fn maybe_rejoin_recovered_devices(&mut self) {
         let after = self.replica_chaos.device_recovers_after_batches;
-        for (_, device) in self.lost_devices.recovered(after, self.stats.batches) {
-            if self.is_degraded() {
-                // Re-promotion from the CPU twin: the twin's database IS the
-                // current state, so the recovered device just adopts it.
-                self.executor.repromote(
-                    self.engine_cfg.clone(),
-                    Arc::clone(&self.telemetry),
-                    device,
-                );
-                self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
-            } else if let Some(provider) = self.failover.as_mut() {
-                provider.reenlist(device, &self.durability);
+        for (s, device) in self.lost_devices.recovered(after, self.stats.batches) {
+            let shards = &mut self.shards;
+            if shards.execs[s].is_degraded() {
+                let reg = Arc::clone(&shards.registries[s]);
+                shards.execs[s].repromote(shards.engine_cfg.clone(), reg, device);
+                shards.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
+                if let Some(pool) = &mut shards.pool {
+                    pool.rearm(Some(s));
+                }
+                self.refresh_stats();
+            } else if let Some(pool) = &mut shards.pool {
+                pool.reenlist(device, &shards.durability);
             }
         }
     }
 
     /// Form and execute one batch. Returns `None` when the server is
-    /// fully idle. An empty summary is returned when nothing is due *yet*
-    /// but aborted transactions are waiting out their re-entry delay (the
-    /// tick advances the delay clock).
+    /// fully idle, and an empty summary when nothing is due *yet* but
+    /// aborted transactions are waiting out their re-entry delay (the tick
+    /// advances the delay clock).
     ///
     /// # Panics
     ///
-    /// If degradation after device loss fails because the log is damaged
-    /// beyond the torn-tail case. Fault-injecting callers use
-    /// [`try_tick`](Self::try_tick).
+    /// If degradation after device loss fails because a log is damaged.
+    /// Fault-injecting callers use [`try_tick`](Self::try_tick).
     pub fn tick(&mut self) -> Option<BatchSummary> {
-        // Invariant: with an undamaged log (nothing corrupts it but
+        // Invariant: with undamaged logs (nothing corrupts them but
         // injection), degradation replay cannot fail.
         self.try_tick().expect("WAL damaged while serving: use try_tick")
     }
@@ -543,68 +759,94 @@ impl LtpgServer {
     /// [`tick`](Self::tick), surfacing unabsorbable faults as typed
     /// errors instead of panicking.
     pub fn try_tick(&mut self) -> Result<Option<BatchSummary>, ServerError> {
-        self.telemetry.counter(names::SERVER_TICKS).inc();
+        self.shards.telemetry.counter(names::SERVER_TICKS).inc();
+        // Batch boundary: recovered devices rejoin, a fenced primary fails
+        // over and a due rebalance cuts over *before* the next batch forms
+        // — none of it interleaves with execution.
         self.maybe_rejoin_recovered_devices();
+        self.probe_heartbeats()?;
+        self.topology.at_boundary(&mut self.shards, &mut self.stats.topology);
         let batch = match self.intake.next_batch(self.cfg.batch_size) {
             Formed::Idle => {
-                if let Some(provider) = self.failover.as_mut() {
-                    provider.idle();
+                if let Some(pool) = &self.shards.pool {
+                    pool.join();
                 }
                 return Ok(None);
             }
             // Work is in a later delay slot: this tick just passes time.
-            Formed::Waiting => {
-                return Ok(Some(BatchSummary {
-                    committed: Vec::new(),
-                    aborted: Vec::new(),
-                    sim_ns: 0.0,
-                }));
-            }
+            Formed::Waiting => return Ok(Some(self.charge(BatchSummary::default()))),
             Formed::Batch(batch) => batch,
         };
-        let batch_id = self.durability.log_batch(&batch);
-        let (report, backoff_ns) = self.execute_resilient(&batch, batch_id)?;
+        let subs = self.topology.split(&batch, &mut self.stats.topology);
+        // Log before execution, on every shard: aligned batch ids give a
+        // consistent cross-shard recovery cut.
+        for (dur, sub) in self.shards.durability.iter_mut().zip(subs.iter()) {
+            dur.log_batch(sub);
+        }
+        let mut backoff_ns = 0.0;
+        let round = self.topology.round(
+            &mut self.shards.execs,
+            &subs,
+            &self.cfg,
+            &mut backoff_ns,
+            &mut self.stats.topology,
+        )?;
+        // A replay that stands in for a lost round is not charged; a
+        // promotion's catch-up is, by `charge`.
+        let (flag_words, round_ns) = match round.lost {
+            None => (round.words, round.sim_ns),
+            Some((failed, _)) => {
+                self.note_device_loss(failed);
+                let batch_id = self.shards.logged_batches() - 1;
+                let skipped = ServerError::PromotionSkippedInFlightBatch { batch_id };
+                (self.fail_over(failed)?.ok_or(skipped)?, 0.0)
+            }
+        };
+        let reordering = self.shards.engine_cfg.opts.logical_reordering;
+        let (committed, aborted) = decide(&batch, &flag_words, reordering)?;
+        let summary =
+            self.charge(BatchSummary { committed, aborted, sim_ns: round_ns + backoff_ns, flag_words });
 
         self.stats.batches += 1;
-        self.stats.committed += report.committed.len() as u64;
-        self.stats.abort_events += report.aborted.len() as u64;
-        self.stats.sim_ns += report.sim_ns + backoff_ns;
-        self.stats.faults = FaultStats::from_registry(&self.telemetry);
-        self.telemetry.counter(names::SERVER_BATCHES).inc();
-        self.telemetry
-            .counter(names::SERVER_COMMITTED)
-            .add(report.committed.len() as u64);
-        self.telemetry
-            .counter(names::SERVER_ABORT_EVENTS)
-            .add(report.aborted.len() as u64);
-        self.telemetry
-            .histogram(names::SERVER_BATCH_NS)
-            .record_ns(report.sim_ns + backoff_ns);
-        self.executor.engine().record_telemetry(&self.telemetry, &report);
-        if let Some(provider) = self.failover.as_mut() {
-            provider.after_batch(&self.durability);
+        self.stats.committed += summary.committed.len() as u64;
+        self.stats.abort_events += summary.aborted.len() as u64;
+        self.refresh_stats();
+        let reg = &self.shards.telemetry;
+        reg.counter(names::SERVER_BATCHES).inc();
+        reg.counter(names::SERVER_COMMITTED).add(summary.committed.len() as u64);
+        reg.counter(names::SERVER_ABORT_EVENTS).add(summary.aborted.len() as u64);
+        reg.histogram(names::SERVER_BATCH_NS).record_ns(summary.sim_ns);
+        self.topology.after_batch(&mut self.shards, summary.sim_ns);
+        // Steady-state replication: every standby row is shipped the batch
+        // just executed (and any residual lag) at the boundary.
+        let Shards { pool, durability, execs, telemetry, .. } = &mut self.shards;
+        if let Some(pool) = pool {
+            pool.replicate(durability);
         }
-        if let Some(every) = self.cfg.checkpoint_every {
-            if self.stats.batches.is_multiple_of(every as u64) {
-                self.durability.checkpoint(self.executor.database());
-                self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
+        if self.cfg.checkpoint_every.is_some_and(|n| self.stats.batches.is_multiple_of(n as u64)) {
+            for (dur, exec) in durability.iter_mut().zip(execs.iter()) {
+                dur.checkpoint(exec.database());
             }
+            telemetry.counter(names::SERVER_CHECKPOINTS).inc();
         }
+        self.intake.requeue_aborted(&batch, &summary.aborted, self.cfg.pipelined);
+        telemetry.gauge(names::SERVER_PENDING).set(self.intake.pending() as i64);
+        Ok(Some(summary))
+    }
 
-        self.intake.requeue_aborted(&batch, &report.aborted, self.cfg.pipelined);
-        self.telemetry.gauge(names::SERVER_PENDING).set(self.pending() as i64);
-        Ok(Some(BatchSummary {
-            committed: report.committed,
-            aborted: report.aborted,
-            sim_ns: report.sim_ns + backoff_ns,
-        }))
+    /// Add the catch-up of a promotion this tick paid for and account the
+    /// total: `stats().sim_ns` is exactly the sum of the ticks' `sim_ns`.
+    fn charge(&mut self, mut summary: BatchSummary) -> BatchSummary {
+        summary.sim_ns += std::mem::take(&mut self.unreported_failover_ns);
+        self.stats.sim_ns += summary.sim_ns;
+        summary
     }
 
     /// Run batches until every admitted transaction has committed (or
-    /// `max_batches` is hit; contention-heavy queues always drain because
-    /// the minimum-TID transaction of each re-entry wave wins its
+    /// `max_batches` ticks elapse; contention-heavy queues always drain
+    /// because the minimum-TID transaction of each re-entry wave wins its
     /// conflicts). Returns the final stats.
-    pub fn drain(&mut self, max_batches: usize) -> &ServerStats {
+    pub fn drain(&mut self, max_batches: usize) -> &ServerStats<T::Stats> {
         for _ in 0..max_batches {
             if self.tick().is_none() {
                 break;
@@ -614,10 +856,31 @@ impl LtpgServer {
     }
 }
 
-impl std::fmt::Debug for LtpgServer {
+/// Split `batch` into `(committed, aborted)` TIDs by the shared commit rule
+/// over each transaction's merged word. `words` comes from the live round
+/// or, after a mid-batch device loss, from a replay of the logged batch; a
+/// replay that returned too few words is a typed error, not a panic.
+fn decide(
+    batch: &Batch,
+    words: &MergedWords,
+    reordering: bool,
+) -> Result<(Vec<Tid>, Vec<Tid>), ServerError> {
+    let (mut committed, mut aborted) = (Vec::new(), Vec::new());
+    for txn in &batch.txns {
+        let word = words.get(&txn.tid.0).ok_or(ServerError::MissingFlagWord { tid: txn.tid.0 })?;
+        if commit_decision(reordering, *word) {
+            committed.push(txn.tid);
+        } else {
+            aborted.push(txn.tid);
+        }
+    }
+    Ok((committed, aborted))
+}
+
+impl<T: Topology> std::fmt::Debug for Server<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LtpgServer")
-            .field("executor", &self.executor_name())
+        f.debug_struct("Server")
+            .field("shards", &self.shards.execs.len())
             .field("pending", &self.pending())
             .field("stats", &self.stats)
             .finish()
@@ -659,6 +922,24 @@ mod tests {
             LtpgConfig::default(),
             ServerConfig { batch_size, pipelined, ..ServerConfig::default() },
         )
+    }
+
+    /// A replay that hands back fewer flag words than the batch has
+    /// transactions is a typed error naming the first transaction without
+    /// a verdict, never an index panic inside the tick.
+    #[test]
+    fn a_short_flag_word_map_is_a_typed_error() {
+        let (_, txns) = db_and_writers(3, 8);
+        let batch = Batch::assemble(Vec::new(), txns, &mut ltpg_txn::TidGen::new());
+        let tids: Vec<Tid> = batch.txns.iter().map(|t| t.tid).collect();
+        let mut merged: MergedWords = tids.iter().map(|t| (t.0, 0)).collect();
+        assert_eq!(decide(&batch, &merged, true).unwrap(), (tids.clone(), Vec::new()));
+        let missing = tids[1].0;
+        merged.remove(&missing);
+        assert!(matches!(
+            decide(&batch, &merged, true),
+            Err(ServerError::MissingFlagWord { tid }) if tid == missing
+        ));
     }
 
     #[test]
@@ -706,7 +987,7 @@ mod tests {
         );
         server.submit_all(txns);
         server.drain(200);
-        let recovered = server.simulate_recovery(LtpgConfig::default()).unwrap();
+        let recovered = server.durability().recover(LtpgConfig::default()).unwrap();
         assert_eq!(recovered.state_digest(), server.database().state_digest());
         assert!(server.durability().logged_batches() > 0);
     }

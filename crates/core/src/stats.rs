@@ -114,7 +114,7 @@ impl LtpgBatchStats {
     }
 }
 
-/// Fault-handling counters, accumulated by [`crate::LtpgServer`] across
+/// Fault-handling counters, accumulated by [`crate::Server`] across
 /// its lifetime. All zeros unless a fault plan is armed (or the log is
 /// damaged), so dashboards can alert on any non-zero value.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -140,13 +140,19 @@ impl FaultStats {
     /// Materialize the struct view from a registry's `faults.*` counters
     /// (the system of record since the telemetry migration).
     pub fn from_registry(reg: &Registry) -> Self {
+        Self::from_registries([reg])
+    }
+
+    /// The same view summed over several registries (one per shard).
+    pub fn from_registries<'a>(regs: impl IntoIterator<Item = &'a Registry> + Clone) -> Self {
+        let sum = |name| regs.clone().into_iter().map(|reg| reg.counter_value(name)).sum::<u64>();
         Self {
-            transient_retries: reg.counter_value(names::FAULT_TRANSIENT_RETRIES),
-            backoff_ns: reg.counter_value(names::FAULT_BACKOFF_NS) as f64,
-            retry_penalty_ns: reg.counter_value(names::FAULT_RETRY_PENALTY_NS) as f64,
-            frames_truncated: reg.counter_value(names::FAULT_FRAMES_TRUNCATED),
-            bytes_truncated: reg.counter_value(names::FAULT_BYTES_TRUNCATED),
-            fallback_activations: reg.counter_value(names::FAULT_FALLBACK_ACTIVATIONS),
+            transient_retries: sum(names::FAULT_TRANSIENT_RETRIES),
+            backoff_ns: sum(names::FAULT_BACKOFF_NS) as f64,
+            retry_penalty_ns: sum(names::FAULT_RETRY_PENALTY_NS) as f64,
+            frames_truncated: sum(names::FAULT_FRAMES_TRUNCATED),
+            bytes_truncated: sum(names::FAULT_BYTES_TRUNCATED),
+            fallback_activations: sum(names::FAULT_FALLBACK_ACTIVATIONS),
         }
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! **Two clocks.** The dispatcher tracks when the engine frees up on a
 //! *steady* clock (`free_ns`, excluding fault-induced delay: retry
-//! backoff pauses and in-place download-retry penalties) and an *actual*
+//! backoff pauses, in-place download-retry penalties and the catch-up of a
+//! standby promotion) and an *actual*
 //! clock (`free_actual_ns`, including it). Admission control,
 //! backpressure, and catch-up ticking read the steady clock, so injected
 //! device transients — which are absorbed by retry and never change
@@ -21,7 +22,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ltpg::LtpgServer;
+use ltpg::{Server, Topology};
 use ltpg_shard::ShardedServer;
 use ltpg_telemetry::{names, Counter, Histogram, Registry};
 use ltpg_txn::{Tid, Txn};
@@ -39,8 +40,9 @@ pub struct TickOutcome {
     pub sim_ns: f64,
 }
 
-/// The server shapes the dispatcher can feed. Implemented for
-/// [`LtpgServer`] and [`ShardedServer`].
+/// The server shapes the dispatcher can feed. Implemented for the server
+/// shell over any topology ([`ltpg::LtpgServer`] is one) and for
+/// [`ShardedServer`].
 pub trait TickSink {
     /// Enqueue transactions into the server inbox (FIFO).
     fn submit_batch(&mut self, txns: Vec<Txn>);
@@ -51,14 +53,15 @@ pub trait TickSink {
     /// The TID the next fresh admission will receive (see module docs).
     fn next_tid(&self) -> u64;
     /// Cumulative simulated fault-induced delay charged so far, ns:
-    /// retry backoff pauses plus in-place download-retry penalties. The
-    /// dispatcher subtracts its per-tick delta from the steady clock.
+    /// retry backoff pauses, in-place download-retry penalties and standby
+    /// promotion catch-up. The dispatcher subtracts its per-tick delta
+    /// from the steady clock.
     fn fault_delay_ns(&self) -> f64;
     /// The server's metrics registry.
     fn registry(&self) -> Arc<Registry>;
 }
 
-impl TickSink for LtpgServer {
+impl<T: Topology> TickSink for Server<T> {
     fn submit_batch(&mut self, txns: Vec<Txn>) {
         self.submit_all(txns);
     }
@@ -76,12 +79,11 @@ impl TickSink for LtpgServer {
     }
 
     fn next_tid(&self) -> u64 {
-        LtpgServer::next_tid(self)
+        Server::next_tid(self)
     }
 
     fn fault_delay_ns(&self) -> f64 {
-        (self.telemetry().counter_value(names::FAULT_BACKOFF_NS)
-            + self.telemetry().counter_value(names::FAULT_RETRY_PENALTY_NS)) as f64
+        Server::fault_delay_ns(self)
     }
 
     fn registry(&self) -> Arc<Registry> {
@@ -89,40 +91,30 @@ impl TickSink for LtpgServer {
     }
 }
 
+/// Forwards to the shell under the sharded server.
 impl TickSink for ShardedServer {
     fn submit_batch(&mut self, txns: Vec<Txn>) {
-        self.submit_all(txns);
+        (**self).submit_batch(txns)
     }
 
     fn tick_outcome(&mut self) -> Option<TickOutcome> {
-        self.tick().map(|s| TickOutcome {
-            committed: s.committed,
-            aborted: s.aborted,
-            sim_ns: s.sim_ns,
-        })
+        (**self).tick_outcome()
     }
 
     fn queued(&self) -> usize {
-        self.pending()
+        (**self).queued()
     }
 
     fn next_tid(&self) -> u64 {
-        ShardedServer::next_tid(self)
+        (**self).next_tid()
     }
 
     fn fault_delay_ns(&self) -> f64 {
-        // Fault delay is charged on the failing shard's private registry.
-        (0..self.shard_count())
-            .map(|s| {
-                let reg = self.shard_telemetry(s);
-                reg.counter_value(names::FAULT_BACKOFF_NS)
-                    + reg.counter_value(names::FAULT_RETRY_PENALTY_NS)
-            })
-            .sum::<u64>() as f64
+        (**self).fault_delay_ns()
     }
 
     fn registry(&self) -> Arc<Registry> {
-        Arc::clone(self.telemetry())
+        (**self).registry()
     }
 }
 

@@ -35,6 +35,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ltpg::{CpuTwin, LtpgEngine, LtpgServer};
 use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
+use ltpg_front::{TickOutcome, TickSink};
+use ltpg_shard::ShardedServer;
 use ltpg_txn::oracle::{check_ordered_serializable, check_snapshot_serializable};
 use ltpg_txn::{execute_serial, Batch, BatchEngine, Tid, TidGen, Txn};
 
@@ -233,6 +235,57 @@ fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
     Ok(())
 }
 
+/// Tick two servers over the same stream for at most `max_ticks`: they
+/// must commit and abort the same TIDs on every tick and go idle on the
+/// same one (a tick returns `None` only when nothing is queued anywhere,
+/// so two `None`s mean both drained). Returns the ticks run and whether
+/// they drained.
+fn lockstep(
+    pass: &str,
+    max_ticks: usize,
+    mut under_test: impl FnMut(usize) -> Option<TickOutcome>,
+    mut reference: impl FnMut(usize) -> Option<TickOutcome>,
+) -> Result<(usize, bool), Divergence> {
+    for step in 0..max_ticks {
+        match (under_test(step), reference(step)) {
+            (Some(a), Some(b)) if a.committed == b.committed && a.aborted == b.aborted => {}
+            (None, None) => return Ok((step + 1, true)),
+            (a, b) => {
+                let show = |o: Option<TickOutcome>| match o {
+                    Some(o) => format!("committed {:?} aborted {:?}", tids(&o.committed), tids(&o.aborted)),
+                    None => "idle".into(),
+                };
+                let detail = format!("{pass}: under test {}; reference {}", show(a), show(b));
+                return Err(Divergence::Lockstep { step, detail });
+            }
+        }
+    }
+    Ok((max_ticks, false))
+}
+
+/// Enough ticks to drain any schedule that *can* drain (re-entry delay ≤ 2
+/// and min-TID winners guarantee progress), while bounding schedules that
+/// re-queue a doomed transaction forever.
+fn tick_cap(case: &QaCase) -> usize {
+    (case.txns.len() / case.batch_size.max(1) + 2) * 12 + 16
+}
+
+/// Every shard's slice must equal the single device's restriction to it.
+fn check_slices(
+    sharded: &ShardedServer,
+    single: &LtpgServer,
+    part: &ltpg_shard::Partitioner,
+) -> Result<(), Divergence> {
+    for s in 0..sharded.shard_count() {
+        let expected = single.database().partition_clone(part.slice_pred(s)).state_digest();
+        let got = sharded.database(s).state_digest();
+        if expected != got {
+            return Err(Divergence::ShardSlice { shard: s, expected, got });
+        }
+    }
+    Ok(())
+}
+
 /// Pass 2 + 3: single vs sharded server lockstep, slice digests, WAL replay.
 fn server_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
     let cfg = case.engine_config();
@@ -240,7 +293,7 @@ fn server_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
     let db = case.build_database();
     let part = case.partitioner();
     let mut single = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
-    let mut sharded = ltpg_shard::ShardedServer::new(db, part.clone(), cfg.clone(), scfg);
+    let mut sharded = ShardedServer::new(db, part.clone(), cfg.clone(), scfg);
     if case.standbys > 0 {
         // Replicated chaos schedule: a `fail_shard` loss now promotes a
         // warm standby row instead of degrading to the CPU twin. Every
@@ -253,69 +306,27 @@ fn server_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
     single.submit_all(case.txns.iter().cloned());
     sharded.submit_all(case.txns.iter().cloned());
 
-    // Enough ticks to drain any schedule that *can* drain (re-entry delay
-    // ≤ 2 and min-TID winners guarantee progress), while bounding
-    // schedules that re-queue a doomed transaction forever.
-    let max_ticks = (case.txns.len() / case.batch_size.max(1) + 2) * 12 + 16;
-    let mut drained = false;
-    let mut ticks = 0usize;
-    for tick in 0..max_ticks {
-        if let Some((s, after)) = case.fail_shard {
-            if tick as u32 == after && s < sharded.shard_count() {
-                sharded.force_shard_failure(s);
-            }
-        }
-        let a = sharded.tick();
-        let b = single.tick();
-        ticks = tick + 1;
-        match (&a, &b) {
-            (Some(sa), Some(sb)) => {
-                if sa.committed != sb.committed || sa.aborted != sb.aborted {
-                    return Err(Divergence::Lockstep {
-                        step: tick,
-                        detail: format!(
-                            "sharded committed {:?} aborted {:?}; single committed {:?} aborted {:?}",
-                            tids(&sa.committed),
-                            tids(&sa.aborted),
-                            tids(&sb.committed),
-                            tids(&sb.aborted)
-                        ),
-                    });
+    let (ticks, drained) = lockstep(
+        "server pass, sharded vs single",
+        tick_cap(case),
+        |tick| {
+            if let Some((s, after)) = case.fail_shard {
+                if tick as u32 == after && s < sharded.shard_count() {
+                    sharded.force_shard_failure(s);
                 }
             }
-            (None, None) => {}
-            _ => {
-                return Err(Divergence::Lockstep {
-                    step: tick,
-                    detail: format!(
-                        "one server idle before the other (sharded idle: {}, single idle: {})",
-                        a.is_none(),
-                        b.is_none()
-                    ),
-                });
-            }
-        }
-        if a.is_none() && b.is_none() && sharded.pending() == 0 && single.pending() == 0 {
-            drained = true;
-            break;
-        }
-    }
+            sharded.tick_outcome()
+        },
+        |_| single.tick_outcome(),
+    )?;
     outcome.ticks = ticks;
     outcome.drained = drained;
     outcome.server_committed = single.stats().committed;
 
-    // Every shard's slice must equal the single device's restriction.
-    for s in 0..sharded.shard_count() {
-        let expected =
-            single.database().partition_clone(part.slice_pred(s)).state_digest();
-        let got = sharded.database(s).state_digest();
-        if expected != got {
-            return Err(Divergence::ShardSlice { shard: s, expected, got });
-        }
-    }
+    check_slices(&sharded, &single, &part)?;
 
     // Pass 3: WAL-replay equivalence on the single device.
-    match single.simulate_recovery(cfg) {
+    match single.durability().recover(cfg) {
         Ok(recovered) => {
             let live = single.database().state_digest();
             let rec = recovered.state_digest();
@@ -409,7 +420,7 @@ fn rebalance_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Diverg
     let db = case.build_database();
     let part = case.partitioner();
     let mut single = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
-    let mut sharded = ltpg_shard::ShardedServer::new(db, part.clone(), cfg, scfg);
+    let mut sharded = ShardedServer::new(db, part.clone(), cfg, scfg);
     let new_rule = match case.tables.first().map(|t| t.rule) {
         Some(crate::ShardRule::Replicated) => TableRule::Hash,
         _ => TableRule::Replicated,
@@ -423,54 +434,14 @@ fn rebalance_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Diverg
     single.submit_all(case.txns.iter().cloned());
     sharded.submit_all(case.txns.iter().cloned());
 
-    let max_ticks = (case.txns.len() / case.batch_size.max(1) + 2) * 12 + 16;
-    for tick in 0..max_ticks {
-        let a = sharded.tick();
-        let b = single.tick();
-        match (&a, &b) {
-            (Some(sa), Some(sb)) => {
-                if sa.committed != sb.committed || sa.aborted != sb.aborted {
-                    return Err(Divergence::Lockstep {
-                        step: tick,
-                        detail: format!(
-                            "rebalance pass: sharded committed {:?} aborted {:?}; \
-                             single committed {:?} aborted {:?}",
-                            tids(&sa.committed),
-                            tids(&sa.aborted),
-                            tids(&sb.committed),
-                            tids(&sb.aborted)
-                        ),
-                    });
-                }
-            }
-            (None, None) => {}
-            _ => {
-                return Err(Divergence::Lockstep {
-                    step: tick,
-                    detail: format!(
-                        "rebalance pass: one server idle before the other \
-                         (sharded idle: {}, single idle: {})",
-                        a.is_none(),
-                        b.is_none()
-                    ),
-                });
-            }
-        }
-        if a.is_none() && b.is_none() && sharded.pending() == 0 && single.pending() == 0 {
-            break;
-        }
-    }
+    lockstep(
+        "rebalance pass, sharded vs single",
+        tick_cap(case),
+        |_| sharded.tick_outcome(),
+        |_| single.tick_outcome(),
+    )?;
     outcome.rebalance_applied = !sharded.rebalance_pending();
-    let live = if sharded.rebalance_pending() { &part } else { &new_part };
-    for s in 0..sharded.shard_count() {
-        let expected =
-            single.database().partition_clone(live.slice_pred(s)).state_digest();
-        let got = sharded.database(s).state_digest();
-        if expected != got {
-            return Err(Divergence::ShardSlice { shard: s, expected, got });
-        }
-    }
-    Ok(())
+    check_slices(&sharded, &single, if sharded.rebalance_pending() { &part } else { &new_part })
 }
 
 /// Pass 4 (cases with `via_front`): the identical schedule flows through
@@ -494,8 +465,7 @@ fn front_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
     for txn in &case.txns {
         front.offer(0, 0, txn.clone());
     }
-    let max_ticks = (case.txns.len() / case.batch_size.max(1) + 2) * 12 + 16;
-    front.finish(max_ticks);
+    front.finish(tick_cap(case));
     if front.stats().shed() != 0 {
         return Err(Divergence::FrontPipeline {
             detail: format!("lossless config shed {} transactions", front.stats().shed()),
@@ -506,35 +476,17 @@ fn front_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
             detail: format!("conservation violated: {:?}", front.stats()),
         });
     }
-    let front_outcomes = front.take_outcomes();
+    let mut front_outcomes = front.take_outcomes().into_iter();
     outcome.front_ticks = front_outcomes.len();
 
     let mut direct = LtpgServer::new(db, cfg, scfg);
     direct.submit_all(case.txns.iter().cloned());
-    for (step, f) in front_outcomes.iter().enumerate() {
-        let Some(d) = direct.tick() else {
-            return Err(Divergence::Lockstep {
-                step,
-                detail: "direct server went idle while the front-fed one ticked".into(),
-            });
-        };
-        if d.committed != f.committed {
-            return Err(Divergence::CommitSet {
-                site: "front-vs-direct".into(),
-                step,
-                expected: tids(&d.committed),
-                got: tids(&f.committed),
-            });
-        }
-        if d.aborted != f.aborted {
-            return Err(Divergence::CommitSet {
-                site: "front-vs-direct-aborts".into(),
-                step,
-                expected: tids(&d.aborted),
-                got: tids(&f.aborted),
-            });
-        }
-    }
+    lockstep(
+        "front pass, front-fed vs direct",
+        outcome.front_ticks,
+        |_| front_outcomes.next(),
+        |_| direct.tick_outcome(),
+    )?;
     let expected = direct.database().state_digest();
     let got = front.sink().database().state_digest();
     if expected != got {

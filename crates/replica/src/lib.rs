@@ -28,13 +28,12 @@
 //!   into a fresh standby row over the current checkpoint instead of
 //!   staying benched forever.
 //!
-//! The single-device case plugs into [`ltpg::LtpgServer`] through the
-//! [`ltpg::FailoverProvider`] trait (implemented for [`ReplicaSet`] when
-//! it has one shard and was built with [`single_device_applier`]). The
-//! sharded server drives the same pool through [`ReplicaSet::observe`] /
-//! [`ReplicaSet::promote_row`] and hands it a joint lockstep [`Applier`],
-//! because cross-shard transactions need a remote view over row peers
-//! that only the shard layer can build.
+//! A server reaches the pool through [`ltpg::StandbyRows`], which
+//! [`ReplicaSet`] implements once, for any number of shards: [`attach`]
+//! builds the pool over a server's shards with [`round_applier`] around the
+//! server's own topology round (a lone device's prepare + finish, or the
+//! sharded lockstep round with its remote view over row peers — only the
+//! shard layer can build that, so the round comes in as a closure).
 //!
 //! Everything publishes under the `REPLICA_*` names in
 //! [`ltpg_telemetry::names`]: per-standby lag gauges, promotion /
@@ -45,14 +44,14 @@ pub mod set;
 
 pub use health::{HealthMonitor, Heartbeat, HealthVerdict};
 pub use set::{
-    single_device_applier, Applier, Demotion, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet,
+    attach, round_applier, Applier, Demotion, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet,
     SHIP_QUEUE_DEPTH,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltpg::{FailoverProvider, LtpgConfig, LtpgServer, ServerConfig};
+    use ltpg::{LtpgConfig, LtpgServer, OneDevice, ServerConfig, StandbyRows, Topology};
     use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
     use ltpg_storage::{Database, TableBuilder, TableId};
     use ltpg_telemetry::{names, Registry};
@@ -91,15 +90,23 @@ mod tests {
     }
 
     fn attach_standbys(server: &mut LtpgServer, n: usize) {
-        let set = ReplicaSet::new(
-            vec![server.durability().checkpoint_image()],
-            server.durability().checkpoint_batch(),
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: n, ..ReplicaConfig::default() },
-            Arc::clone(server.telemetry()),
-            single_device_applier(),
-        );
-        server.attach_failover(Box::new(set));
+        attach(server, &ReplicaConfig { standbys: n, ..ReplicaConfig::default() });
+    }
+
+    /// A pool of `standbys` rows over `primary`, replaying through `applier`.
+    fn pool(primary: &LtpgServer, standbys: usize, applier: Applier) -> ReplicaSet {
+        let cfg = ReplicaConfig { standbys, ..ReplicaConfig::default() };
+        ReplicaSet::over(primary.shards(), &cfg, applier)
+    }
+
+    /// What replays one logged batch on a row of one.
+    fn single_device_applier() -> Applier {
+        round_applier(OneDevice.replayer())
+    }
+
+    /// `dur` as the logs of a one-shard server.
+    fn logs(dur: &ltpg::DurabilityManager) -> &[ltpg::DurabilityManager] {
+        std::slice::from_ref(dur)
     }
 
     /// Everything the pool publishes that a run's scheduling could not be
@@ -180,15 +187,7 @@ mod tests {
         const BATCHES: usize = 3 + 2 * SHIP_QUEUE_DEPTH;
         let (db, txns) = db_and_writers(16 * BATCHES, 7);
         let mut primary = server(db, 16);
-        let image = || vec![primary.durability().checkpoint_image()];
-        let mut set = ReplicaSet::new(
-            image(),
-            0,
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: 1, ..ReplicaConfig::default() },
-            Registry::new_shared(),
-            single_device_applier(),
-        );
+        let mut set = pool(&primary, 1, single_device_applier());
         // Row 1 replays on a device that dies in the middle of its third
         // batch (a batch is five fallible device operations here).
         let doomed = Arc::new(Device::new(LtpgConfig::default().device));
@@ -196,12 +195,12 @@ mod tests {
             lost_at_op: Some(12),
             ..DeviceFaultPlan::none()
         });
-        set.spawn_row_with_device(image(), 0, doomed);
+        set.reenlist(doomed, logs(primary.durability()));
 
         primary.submit_all(txns);
         for _ in 0..BATCHES {
             primary.tick().expect("a full batch");
-            set.after_batch(primary.durability());
+            set.replicate(logs(primary.durability()));
         }
         assert_eq!(set.rows_alive(), 1, "the faulted row is demoted by the next join");
         let demoted = set.demoted();
@@ -212,7 +211,7 @@ mod tests {
             "the cause survives the worker: {}",
             demoted[0]
         );
-        let reg = set.registry();
+        let reg = primary.telemetry();
         assert_eq!(reg.counter_value(names::REPLICA_DEMOTIONS), 1);
         assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 1);
         assert_eq!(
@@ -221,9 +220,8 @@ mod tests {
             "the healthy row applied everything, the doomed one its first two batches"
         );
         let upto = primary.durability().logged_batches() as u64;
-        let survivor =
-            FailoverProvider::promote(&mut set, primary.durability(), upto).expect("row 0 lives");
-        assert_eq!(survivor.database().state_digest(), primary.database().state_digest());
+        let (survivor, _, _) = set.promote_row(upto, logs(primary.durability())).expect("row 0 lives");
+        assert_eq!(survivor[0].database().state_digest(), primary.database().state_digest());
         assert_eq!(set.rows_alive(), 0);
     }
 
@@ -235,15 +233,8 @@ mod tests {
         let (db, txns) = db_and_writers(64, 4);
         let mut primary = server(db, 16);
         let applier = single_device_applier();
-        let set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            primary.durability().checkpoint_batch(),
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: 2, ..ReplicaConfig::default() },
-            Arc::clone(primary.telemetry()),
-            Arc::clone(&applier),
-        );
-        primary.attach_failover(Box::new(set));
+        let set = pool(&primary, 2, Arc::clone(&applier));
+        primary.attach_pool(Box::new(set));
         primary.submit_all(txns);
         primary.tick().unwrap();
         primary.tick().unwrap();
@@ -260,17 +251,10 @@ mod tests {
     fn a_worker_panic_is_re_raised_by_the_next_join() {
         let (db, txns) = db_and_writers(16 * (SHIP_QUEUE_DEPTH + 3), 4);
         let mut primary = server(db, 16);
-        let mut set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            0,
-            LtpgConfig::default(),
-            &ReplicaConfig::default(),
-            Registry::new_shared(),
-            Arc::new(|_, _| panic!("the applier blew up")),
-        );
+        let mut set = pool(&primary, 1, Arc::new(|_, _| panic!("the applier blew up")));
         primary.submit_all(txns);
         while primary.tick().is_some() {
-            set.after_batch(primary.durability());
+            set.replicate(logs(primary.durability()));
         }
         set.rows_alive();
     }
@@ -281,23 +265,16 @@ mod tests {
     fn a_wal_gap_demotes_the_row_where_the_log_ends() {
         let (db, txns) = db_and_writers(48, 4);
         let mut primary = server(db, 16);
-        let mut set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            0,
-            LtpgConfig::default(),
-            &ReplicaConfig::default(),
-            Registry::new_shared(),
-            single_device_applier(),
-        );
+        let mut set = pool(&primary, 1, single_device_applier());
         primary.submit_all(txns);
         primary.drain(10);
         let logged = primary.durability().logged_batches() as u64;
-        set.observe(logged + 1, std::iter::once(primary.durability()));
+        set.observe(logged + 1, logs(primary.durability()));
         let demoted = set.demoted();
         assert_eq!(demoted.len(), 1);
         assert_eq!((demoted[0].row, demoted[0].batch_id), (0, logged));
         assert!(matches!(demoted[0].cause, ReplicaError::WalGap { batch_id } if batch_id == logged));
-        assert_eq!(set.registry().counter_value(names::REPLICA_CATCHUP_BATCHES), logged);
+        assert_eq!(primary.telemetry().counter_value(names::REPLICA_CATCHUP_BATCHES), logged);
         assert_eq!(set.rows_alive(), 0);
     }
 
@@ -335,16 +312,9 @@ mod tests {
         reference.drain(200);
 
         let mut primary = server(db, 16);
-        let mut set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            primary.durability().checkpoint_batch(),
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: 1, ..ReplicaConfig::default() },
-            Arc::clone(primary.telemetry()),
-            single_device_applier(),
-        );
-        set.inject_lag(0, 3); // chaos: hold the standby 3 batches behind
-        primary.attach_failover(Box::new(set));
+        let mut set = pool(&primary, 1, single_device_applier());
+        set.hold_lag(Some((0, 3))); // chaos: hold the standby 3 batches behind
+        primary.attach_pool(Box::new(set));
         primary.submit_all(txns);
         for _ in 0..5 {
             primary.tick().unwrap();
@@ -444,32 +414,22 @@ mod tests {
     fn promote_row_prefers_the_freshest_row() {
         let (db, txns) = db_and_writers(64, 4);
         let mut primary = server(db, 16);
-        let mut set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            primary.durability().checkpoint_batch(),
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: 2, ..ReplicaConfig::default() },
-            Registry::new_shared(),
-            single_device_applier(),
-        );
-        set.inject_lag(0, 100); // row 0 pinned at the checkpoint
+        let mut set = pool(&primary, 2, single_device_applier());
+        set.hold_lag(Some((0, 100))); // row 0 pinned at the checkpoint
         primary.submit_all(txns);
         for _ in 0..3 {
             primary.tick().unwrap();
-            set.after_batch(primary.durability());
+            set.replicate(logs(primary.durability()));
         }
         let lags = set.lags(primary.durability().logged_batches() as u64);
         assert!(lags.iter().any(|&(id, lag)| id == 0 && lag >= 3));
         assert!(lags.iter().any(|&(id, lag)| id == 1 && lag == 0));
         // Promotion picks row 1 (fresh) and costs zero catch-up batches
         // beyond the already-applied tail.
-        let before = set.registry().counter_value(names::REPLICA_CATCHUP_BATCHES);
-        let _ = before;
         let upto = primary.durability().logged_batches() as u64;
-        let promoted =
-            FailoverProvider::promote(&mut set, primary.durability(), upto).expect("promotable");
+        let (promoted, _, _) = set.promote_row(upto, logs(primary.durability())).expect("promotable");
         assert_eq!(
-            promoted.database().state_digest(),
+            promoted[0].database().state_digest(),
             primary.database().state_digest(),
             "fresh standby is already bit-identical to the primary"
         );

@@ -36,32 +36,33 @@
 //! panic is re-raised by the join that meets it.
 //!
 //! The set is deliberately ignorant of *how* a batch is applied: it is
-//! handed an [`Applier`] at construction. [`single_device_applier`] decodes
-//! a WAL record and executes it on the row's lone engine; the sharded
-//! server supplies a joint lockstep applier that prepares every shard's
-//! sub-batch against a remote view of its row peers and merges conflict
-//! words, exactly mirroring primary execution. Keeping the applier outside
-//! the crate keeps the dependency arrow pointing the right way
-//! (`ltpg-shard` → `ltpg-replica` → `ltpg`).
+//! handed an [`Applier`] at construction. [`round_applier`] is the one the
+//! servers use: decode the shards' WAL records and run the serving
+//! topology's own round over the row (`ltpg::Topology::replayer` — a lone
+//! device's prepare + finish, or the sharded lockstep round with its
+//! remote view over row peers), exactly mirroring primary execution. The
+//! round comes in as a closure, which keeps the dependency arrow pointing
+//! the right way (`ltpg-shard` → `ltpg-replica` → `ltpg`).
+//!
+//! The set also owns one [`HealthMonitor`] per primary: heartbeats are
+//! only probed for a server that has rows to fail over to.
 
 use std::cell::{RefCell, RefMut};
-use std::collections::BTreeMap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ltpg::{DurabilityManager, Executor, FailoverProvider, LtpgConfig, LtpgEngine};
+use ltpg::{
+    decode_subs, DurabilityManager, Executor, LtpgConfig, LtpgEngine, Replayer, Server, Shards,
+    StandbyRows, Topology,
+};
+pub use ltpg::MergedWords;
 use ltpg_gpu_sim::{Device, DeviceError};
 use ltpg_storage::wal::BatchRecord;
 use ltpg_storage::Database;
 use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
-use ltpg_txn::codec::decode_batch;
-use ltpg_txn::Batch;
 
-/// Merged per-transaction conflict-flag words produced by replaying one
-/// batch (TID → OR-merged flag word). Single-device appliers may return an
-/// empty map — the caller re-derives verdicts from its own report.
-pub type MergedWords = BTreeMap<u64, u32>;
+use crate::health::{HealthMonitor, HealthVerdict, Heartbeat};
 
 /// Applies one logged batch — `records[s]` is shard `s`'s WAL record of it
 /// — to a standby row's executors (one per shard) and returns the merged
@@ -122,9 +123,7 @@ impl std::fmt::Display for Demotion {
 pub struct ReplicaConfig {
     /// Warm standby rows to maintain.
     pub standbys: usize,
-    /// Consecutive heartbeat misses before a primary is fenced (consumed
-    /// by the callers' [`crate::HealthMonitor`]s, carried here so one
-    /// config travels the stack).
+    /// Consecutive heartbeat misses before a primary is fenced.
     pub heartbeat_miss_threshold: u32,
 }
 
@@ -274,8 +273,11 @@ pub struct ReplicaSet {
     shards: usize,
     engine_cfg: LtpgConfig,
     applier: Applier,
-    /// The serving registry: `REPLICA_*` metrics and, after promotion, the
-    /// promoted engine's own metrics land here.
+    /// One heartbeat monitor per primary.
+    monitors: Vec<HealthMonitor>,
+    /// The armed chaos lag hold, re-applied when the rows are rebuilt.
+    lag_hold: Option<(u32, u64)>,
+    /// The server-level registry: `REPLICA_*` metrics publish here.
     registry: Arc<Registry>,
     /// Detached registry absorbing standby engines' device/phase metrics
     /// so warm replay never pollutes the primary's dashboards.
@@ -296,26 +298,22 @@ impl std::fmt::Debug for ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// Build a pool of `cfg.standbys` rows from per-shard checkpoint
-    /// `images` taken at batch `base_batch` (every shard checkpoints at
-    /// the same aligned batch id). `registry` is the *serving* registry:
-    /// `REPLICA_*` metrics publish there, and a promoted engine is
-    /// rebound to it on the way out. `applier` replays one logged batch on
-    /// a row, for steady-state replay and promotion catch-up alike.
-    pub fn new(
-        images: Vec<Database>,
-        base_batch: u64,
-        engine_cfg: LtpgConfig,
-        cfg: &ReplicaConfig,
-        registry: Arc<Registry>,
-        applier: Applier,
-    ) -> Self {
-        assert!(!images.is_empty(), "a replica set needs at least one shard image");
+    /// A pool of `cfg.standbys` rows over `shards`' current checkpoint
+    /// images (every shard checkpoints at the same aligned batch id).
+    /// `REPLICA_*` metrics publish on the server-level registry, the rows'
+    /// own engines on a detached one. `applier` replays one logged batch
+    /// on a row, for steady-state replay and promotion catch-up alike.
+    pub fn over(shards: &Shards, cfg: &ReplicaConfig, applier: Applier) -> Self {
+        let registry = Arc::clone(&shards.telemetry);
         let mut set = ReplicaSet {
             pool: RefCell::new(Pool { rows: Vec::new(), next_row_id: 0, demoted: Vec::new() }),
-            shards: images.len(),
-            engine_cfg,
+            shards: shards.execs.len(),
+            engine_cfg: shards.engine_cfg.clone(),
             applier,
+            monitors: (shards.execs.iter())
+                .map(|_| HealthMonitor::new(cfg.heartbeat_miss_threshold, &registry))
+                .collect(),
+            lag_hold: None,
             standby_registry: Registry::new_shared(),
             promotions: registry.counter(names::REPLICA_PROMOTIONS),
             demotions: registry.counter(names::REPLICA_DEMOTIONS),
@@ -326,41 +324,33 @@ impl ReplicaSet {
             standbys_gauge: registry.gauge(names::REPLICA_STANDBYS),
             registry,
         };
-        for _ in 0..cfg.standbys {
-            set.spawn_row(images.iter().map(Database::deep_clone).collect(), base_batch);
-        }
+        set.spawn_rows(cfg.standbys, &shards.durability, None);
         set
     }
 
-    /// Add one standby row built from per-shard `images` checkpointed at
-    /// `base_batch`. Used at construction and to replace promoted rows.
-    pub fn spawn_row(&mut self, images: Vec<Database>, base_batch: u64) {
-        let engines = images.into_iter().map(|db| self.standby_engine(db).into()).collect();
-        self.push_row(engines, base_batch);
-    }
-
-    /// Add a standby row whose shard-0 engine adopts a recovered physical
-    /// `device` (already revived and reset). This is the re-enlistment
-    /// path: a device that came back from a timed outage rejoins the pool
-    /// instead of the serving plane.
-    pub fn spawn_row_with_device(
-        &mut self,
-        images: Vec<Database>,
-        base_batch: u64,
-        device: Arc<Device>,
-    ) {
-        let mut images = images.into_iter();
-        let first = images.next().expect("at least one shard");
-        let mut engines: Vec<Executor> = vec![LtpgEngine::with_device(
-            first,
-            self.engine_cfg.clone(),
-            Arc::clone(&self.standby_registry),
-            device,
-        )
-        .into()];
-        engines.extend(images.map(|db| self.standby_engine(db).into()));
-        self.push_row(engines, base_batch);
-        self.repromotions.inc();
+    /// Append `n` rows over `logs`' current checkpoint images. `device` —
+    /// a recovered physical device, already revived and reset — becomes
+    /// the first row's shard-0 engine: it rejoins the pool instead of the
+    /// serving plane. Rows are cloned from one set of images, dropped
+    /// afterwards — one clone more than cloning straight from the logs,
+    /// kept because the direct form measured 7 % slower on
+    /// `fleet_sharded_ycsb` `host_ktps` for a reason not yet established
+    /// (EXPERIMENTS.md, PR 21).
+    fn spawn_rows(&mut self, n: usize, logs: &[DurabilityManager], mut device: Option<Arc<Device>>) {
+        let images: Vec<Database> = logs.iter().map(DurabilityManager::checkpoint_image).collect();
+        for _ in 0..n {
+            let engines = (images.iter())
+                .map(|image| {
+                    let (db, cfg) = (image.deep_clone(), self.engine_cfg.clone());
+                    let reg = Arc::clone(&self.standby_registry);
+                    match device.take() {
+                        Some(device) => LtpgEngine::with_device(db, cfg, reg, device).into(),
+                        None => LtpgEngine::with_telemetry(db, cfg, reg).into(),
+                    }
+                })
+                .collect();
+            self.push_row(engines, logs[0].checkpoint_batch());
+        }
     }
 
     /// The pool changes shape: join it, then append a parked row.
@@ -377,24 +367,6 @@ impl ReplicaSet {
             lag_gauge: self.registry.gauge(&names::replica_standby_lag_gauge(id)),
         });
         self.publish_pool_gauges(&pool);
-    }
-
-    /// A fresh engine over `db` publishing to the detached standby
-    /// registry.
-    fn standby_engine(&self, db: Database) -> LtpgEngine {
-        LtpgEngine::with_telemetry(db, self.engine_cfg.clone(), Arc::clone(&self.standby_registry))
-    }
-
-    /// Wait until every row has applied everything shipped to it, and
-    /// demote the rows that could not. The servers call this when they go
-    /// idle, so a drained server leaves a caught-up pool and no replay
-    /// running behind the caller's back.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of a worker that panicked.
-    pub fn join(&self) {
-        self.joined();
     }
 
     /// The pool, joined: the door every reader of standby state comes in by.
@@ -445,17 +417,17 @@ impl ReplicaSet {
     /// a failed row: its worker has hung up, the send errs, and the batch
     /// is dropped — the row is demoted at the next join. A batch missing
     /// from a log cannot be shipped; that demotes the row here.
-    fn ship<'a>(
+    fn ship(
         &self,
         row: &mut StandbyRow,
         target: u64,
-        logs: impl Iterator<Item = &'a DurabilityManager> + Clone,
+        logs: &[DurabilityManager],
         demoted: &mut Vec<Demotion>,
     ) {
         while row.shipped < target {
             let batch_id = row.shipped;
             let records: Option<Vec<BatchRecord>> =
-                logs.clone().map(|dur| dur.log().fetch(batch_id)).collect();
+                logs.iter().map(|dur| dur.log().fetch(batch_id)).collect();
             let Some(records) = records else {
                 self.join_row(row, demoted);
                 if row.alive() {
@@ -469,60 +441,10 @@ impl ReplicaSet {
         }
     }
 
-    /// Standby rows currently alive (promotable). Joins first.
-    pub fn rows_alive(&self) -> usize {
-        let pool = self.joined();
-        pool.rows.iter().filter(|r| r.alive()).count()
-    }
-
     /// Every row demoted so far, oldest first. Joins first.
     pub fn demoted(&self) -> Vec<Demotion> {
         let pool = self.joined();
         pool.demoted.clone()
-    }
-
-    /// Shards per row.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The serving registry `REPLICA_*` metrics publish to.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// Hold standby row at pool index `row` exactly `batches` behind the
-    /// logged tail (chaos injection; promotion ignores the hold and fully
-    /// catches up). Out-of-range indices are ignored.
-    pub fn inject_lag(&mut self, row: usize, batches: u64) {
-        if let Some(r) = self.pool.get_mut().rows.get_mut(row) {
-            r.lag_hold = batches;
-        }
-    }
-
-    /// Serve a snapshot read from the freshest alive standby row: the row
-    /// values of `(table, key)` in shard `shard`'s slice, together with
-    /// the batch id of the cut (batches `< cut` are applied). The pool is
-    /// joined first, so the cut is exactly what has been shipped — a
-    /// function of the call sequence, not of how far a worker happened to
-    /// get — and **consistent**: a row never holds a partially applied
-    /// batch. `None` when the pool is empty or the key is not present at
-    /// the cut.
-    pub fn snapshot_read(
-        &self,
-        shard: usize,
-        table: ltpg_storage::TableId,
-        key: i64,
-    ) -> Option<(Vec<i64>, u64)> {
-        let pool = self.joined();
-        let (engines, cut) = pool
-            .rows
-            .iter()
-            .filter_map(|r| Some((r.parked()?, r.shipped)))
-            .max_by_key(|&(_, cut)| cut)?;
-        let t = engines.get(shard)?.database().table(table);
-        let rid = t.lookup(key)?;
-        Some((t.row_values(rid), cut))
     }
 
     /// Lag (batches behind `tail`) of every alive row, by stable row id.
@@ -542,65 +464,17 @@ impl ReplicaSet {
     /// not been shipped, i.e. what a hold keeps back — goes to the
     /// histogram and the row's gauge. Does not wait for replay, unless a
     /// row's queue is full.
-    pub fn observe<'a>(
-        &mut self,
-        tail: u64,
-        logs: impl Iterator<Item = &'a DurabilityManager> + Clone,
-    ) {
+    pub fn observe(&mut self, tail: u64, logs: &[DurabilityManager]) {
         let mut pool = self.pool.borrow_mut();
         let Pool { rows, demoted, .. } = &mut *pool;
         for row in rows.iter_mut().filter(|r| r.alive()) {
             let target = tail.saturating_sub(row.lag_hold).max(row.shipped);
-            self.ship(row, target, logs.clone(), demoted);
+            self.ship(row, target, logs, demoted);
             let lag = tail.saturating_sub(row.shipped);
             self.lag_batches.record_ns(lag as f64);
             row.lag_gauge.set(lag as i64);
         }
         self.publish_pool_gauges(&pool);
-    }
-
-    /// Promote the freshest alive row: join the pool, ship the row the
-    /// batches `< upto` it has not seen (ignoring any injected lag hold),
-    /// join it again, remove it from the pool, and return its executors
-    /// rebound to the serving registry, along with the merged conflict
-    /// words of the *last* batch of that catch-up (`upto - 1`) and the
-    /// simulated ns the catch-up cost. Rows that die mid-catch-up are
-    /// demoted and the next-freshest row is tried. `None` when the pool is
-    /// exhausted.
-    pub fn promote_row<'a>(
-        &mut self,
-        upto: u64,
-        logs: impl Iterator<Item = &'a DurabilityManager> + Clone,
-    ) -> Option<(Vec<Executor>, Option<MergedWords>, f64)> {
-        let mut pool = self.joined();
-        loop {
-            // Freshest first: least catch-up work, lowest failover latency.
-            let candidate = pool
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.alive())
-                .max_by_key(|(_, r)| r.shipped)
-                .map(|(i, _)| i)?;
-            let mut row = pool.rows.remove(candidate);
-            // The pool was just joined and the row is alive: it is parked.
-            let before_ns = row.parked().map_or(0.0, device_ns);
-            self.ship(&mut row, upto, logs.clone(), &mut pool.demoted);
-            let last_words = self.join_row(&mut row, &mut pool.demoted);
-            let RowState::Parked(mut engines) = row.state else {
-                self.publish_pool_gauges(&pool);
-                continue;
-            };
-            let catchup_ns = device_ns(&engines) - before_ns;
-            self.failover_ns.record_ns(catchup_ns);
-            self.promotions.inc();
-            row.lag_gauge.set(0);
-            for engine in engines.iter_mut().filter_map(Executor::gpu_mut) {
-                engine.rebind_telemetry(Arc::clone(&self.registry));
-            }
-            self.publish_pool_gauges(&pool);
-            return Some((engines, last_words, catchup_ns));
-        }
     }
 
     fn publish_pool_gauges(&self, pool: &Pool) {
@@ -620,50 +494,158 @@ impl Drop for ReplicaSet {
     }
 }
 
-/// Single-device replay: decode the WAL record and execute it on the
-/// row's lone executor. The standby's report is discarded — determinism
-/// guarantees it matches the primary's, and the promoted engine's state
-/// is what matters. A standby that hits a device fault is demoted, not
+/// The servers' [`Applier`]: decode the shards' records of one logged
+/// batch and run the serving topology's round over the row. The row's
+/// reports are discarded — determinism guarantees they match the
+/// primaries' — and a standby that hits a device fault is demoted, not
 /// retried.
-pub fn single_device_applier() -> Applier {
-    Arc::new(|engines, records| {
-        let txns = decode_batch(&records[0].payload)
-            .map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
-        engines[0].execute(&Batch { txns }, None, &mut 0.0).map_err(ReplicaError::Dead)?;
-        Ok(MergedWords::new())
+pub fn round_applier(replay: Replayer) -> Applier {
+    Arc::new(move |row, records| {
+        let subs = decode_subs(records).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
+        let round = replay(row, &subs).map_err(|e| ReplicaError::Corrupt(e.to_string()))?;
+        match round.lost {
+            Some((_, e)) => Err(ReplicaError::Dead(e)),
+            None => Ok(round.words),
+        }
     })
 }
 
-/// The single-device server integration: a one-shard [`ReplicaSet`] built
-/// with [`single_device_applier`] plugs straight into
-/// [`ltpg::LtpgServer::attach_failover`].
-impl FailoverProvider for ReplicaSet {
-    fn after_batch(&mut self, dur: &DurabilityManager) {
-        assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
-        self.observe(dur.logged_batches() as u64, std::iter::once(dur));
+/// Attach a warm standby pool to `server`: `cfg.standbys` rows over its
+/// shards' current checkpoint images, replaying its topology's round, and
+/// one heartbeat monitor per shard. On device loss (or a fenced heartbeat)
+/// the server promotes the freshest row instead of degrading to the CPU
+/// twin.
+pub fn attach<T: Topology>(server: &mut Server<T>, cfg: &ReplicaConfig) {
+    let applier = round_applier(server.topology().replayer());
+    server.attach_pool(Box::new(ReplicaSet::over(server.shards(), cfg, applier)));
+}
+
+impl StandbyRows for ReplicaSet {
+    fn replicate(&mut self, logs: &[DurabilityManager]) {
+        self.observe(logs[0].logged_batches() as u64, logs);
     }
 
-    fn idle(&mut self) {
-        self.join();
+    /// # Panics
+    ///
+    /// Re-raises the panic of a worker that panicked.
+    fn join(&self) {
+        self.joined();
     }
 
-    fn standbys_available(&self) -> usize {
-        self.rows_alive()
+    fn rows_alive(&self) -> usize {
+        let pool = self.joined();
+        pool.rows.iter().filter(|r| r.alive()).count()
     }
 
-    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Executor> {
-        assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
-        let (mut engines, _, _) = self.promote_row(upto, std::iter::once(dur))?;
-        engines.pop()
+    /// Join the pool, ship the freshest alive row the batches `< upto` it
+    /// has not seen (ignoring any injected lag hold), join it again and
+    /// remove it from the pool. Rows that die mid-catch-up are demoted and
+    /// the next-freshest row is tried.
+    fn promote_row(
+        &mut self,
+        upto: u64,
+        logs: &[DurabilityManager],
+    ) -> Option<(Vec<Executor>, Option<MergedWords>, f64)> {
+        let mut pool = self.joined();
+        loop {
+            // Freshest first: least catch-up work, lowest failover latency.
+            let candidate = pool
+                .rows
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.alive())
+                .max_by_key(|(_, r)| r.shipped)
+                .map(|(i, _)| i)?;
+            let mut row = pool.rows.remove(candidate);
+            // The pool was just joined and the row is alive: it is parked.
+            let before_ns = row.parked().map_or(0.0, device_ns);
+            self.ship(&mut row, upto, logs, &mut pool.demoted);
+            let last_words = self.join_row(&mut row, &mut pool.demoted);
+            self.publish_pool_gauges(&pool);
+            let RowState::Parked(engines) = row.state else { continue };
+            let catchup_ns = device_ns(&engines) - before_ns;
+            self.failover_ns.record_ns(catchup_ns);
+            self.promotions.inc();
+            row.lag_gauge.set(0);
+            return Some((engines, last_words, catchup_ns));
+        }
     }
 
-    fn reenlist(&mut self, device: Arc<Device>, dur: &DurabilityManager) -> bool {
-        assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
-        self.spawn_row_with_device(
-            vec![dur.checkpoint_image()],
-            dur.checkpoint_batch(),
-            device,
-        );
-        true
+    fn reenlist(&mut self, device: Arc<Device>, logs: &[DurabilityManager]) {
+        self.spawn_rows(1, logs, Some(device));
+        self.repromotions.inc();
+    }
+
+    fn probe(&mut self, primaries: &[Executor], dropped: bool) -> Option<usize> {
+        let mut fenced = None;
+        for (s, exec) in primaries.iter().enumerate() {
+            // A shard on its CPU twin has no device to probe.
+            let Some(engine) = exec.gpu() else { continue };
+            let beat = if engine.device().is_failed() {
+                Heartbeat::Dead
+            } else if dropped {
+                Heartbeat::Dropped
+            } else {
+                Heartbeat::Alive
+            };
+            if self.monitors[s].observe(beat) == HealthVerdict::Failed && fenced.is_none() {
+                fenced = Some(s);
+            }
+        }
+        fenced
+    }
+
+    fn rearm(&mut self, shard: Option<usize>) {
+        match shard {
+            Some(s) => self.monitors[s].reset(),
+            None => self.monitors.iter_mut().for_each(HealthMonitor::reset),
+        }
+    }
+
+    /// Promotion ignores the hold and fully catches up. Out-of-range
+    /// indices are ignored.
+    fn hold_lag(&mut self, hold: Option<(u32, u64)>) {
+        self.lag_hold = hold;
+        let row = hold.and_then(|(row, _)| self.pool.get_mut().rows.get_mut(row as usize));
+        if let (Some(row), Some((_, batches))) = (row, hold) {
+            row.lag_hold = batches;
+        }
+    }
+
+    /// The old rows hold pre-cutover slices and replay under the old
+    /// rules; counting them joins their workers, and a parked row ends
+    /// with its executors.
+    fn rebuild(&mut self, logs: &[DurabilityManager], replay: Replayer) {
+        let alive = self.rows_alive();
+        *self.pool.get_mut() = Pool { rows: Vec::new(), next_row_id: 0, demoted: Vec::new() };
+        self.standby_registry = Registry::new_shared();
+        self.applier = round_applier(replay);
+        self.spawn_rows(alive, logs, None);
+        self.hold_lag(self.lag_hold);
+    }
+
+    /// The pool is joined first, so the cut is exactly what has been
+    /// shipped — a function of the call sequence, not of how far a worker
+    /// happened to get — and **consistent**: a row never holds a partially
+    /// applied batch (batches `< cut` are applied).
+    fn snapshot_read(
+        &self,
+        shard: usize,
+        table: ltpg_storage::TableId,
+        key: i64,
+    ) -> Option<(Vec<i64>, u64)> {
+        let pool = self.joined();
+        let (engines, cut) = pool
+            .rows
+            .iter()
+            .filter_map(|r| Some((r.parked()?, r.shipped)))
+            .max_by_key(|&(_, cut)| cut)?;
+        let t = engines.get(shard)?.database().table(table);
+        let rid = t.lookup(key)?;
+        Some((t.row_values(rid), cut))
+    }
+
+    fn demotions(&self) -> Vec<String> {
+        self.demoted().iter().map(Demotion::to_string).collect()
     }
 }

@@ -5,19 +5,12 @@
 //! and it is the same whether the executors are the live shards, CPU twins
 //! replaying checkpoint + WAL after a device loss, or a standby row
 //! replaying the logged stream. [`lockstep_round`] is that round, written
-//! once over the [`Executor`] seam. Reading a logged batch back is two
-//! steps because standby replay does them on two threads: the serving
-//! thread fetches the shards' WAL records and a row's worker runs
-//! [`decode_subs`] over them; [`logged_subs`] is both at once, for
-//! degradation replay.
+//! once over the [`Executor`] seam.
 
-use ltpg::{
-    DurabilityManager, ExecScope, Executor, Prepared, RecoveryError, ServerConfig, ServerError,
-};
+use ltpg::{ExecScope, Executor, MergedWords, Prepared, ServerConfig, ServerError};
 use ltpg_gpu_sim::DeviceError;
-use ltpg_replica::MergedWords;
-use ltpg_storage::{BatchRecord, Database};
-use ltpg_txn::{decode_batch, Batch, CellStore, Tid};
+use ltpg_storage::Database;
+use ltpg_txn::{Batch, CellStore, Tid};
 
 use crate::partition::Partitioner;
 use crate::remote::RemoteView;
@@ -47,10 +40,26 @@ pub(crate) struct Round {
     pub lost: Option<(usize, DeviceError)>,
 }
 
-/// The merged flag word of `tid`. A map that lacks it was not merged for
-/// this batch (a replay that returned too few words); that is an error of
-/// the server, not a panic of the process.
-pub(crate) fn merged_word(merged: &MergedWords, tid: Tid) -> Result<u32, ServerError> {
+impl Round {
+    /// The slowest participant's prepare: when the merge barrier opened.
+    pub fn max_prep_ns(&self) -> f64 {
+        self.participants.iter().map(|p| p.prep_ns).fold(0.0, f64::max)
+    }
+}
+
+/// What the shell needs of a round: the words, the critical path (slowest
+/// prepare + slowest finish) and the loss.
+impl From<Round> for ltpg::Round {
+    fn from(round: Round) -> Self {
+        let max_finish = round.participants.iter().map(|p| p.finish_ns).fold(0.0, f64::max);
+        let sim_ns = round.max_prep_ns() + max_finish;
+        ltpg::Round { words: round.merged, sim_ns, lost: round.lost }
+    }
+}
+
+/// The merged flag word of `tid`: every transaction of a sub-batch was
+/// merged at the barrier, so a miss is a bug surfaced as a server error.
+fn merged_word(merged: &MergedWords, tid: Tid) -> Result<u32, ServerError> {
     merged.get(&tid.0).copied().ok_or(ServerError::MissingFlagWord { tid: tid.0 })
 }
 
@@ -156,29 +165,4 @@ pub(crate) fn lockstep_round(
         }
     }
     Ok(round)
-}
-
-/// One logged batch's WAL records (`records[s]` is shard `s`'s) as its
-/// per-shard sub-batches: the input of a replayed [`lockstep_round`].
-pub(crate) fn decode_subs(records: &[BatchRecord]) -> Result<Vec<Batch>, RecoveryError> {
-    records
-        .iter()
-        .map(|rec| {
-            let txns = decode_batch(&rec.payload).map_err(RecoveryError::Corrupt)?;
-            Ok(Batch { txns })
-        })
-        .collect()
-}
-
-/// Logged batch `batch_id` as its per-shard sub-batches, read back from
-/// every shard's WAL (`logs[s]` is shard `s`'s durability domain), for
-/// degradation replay (CPU twins over the checkpoint images).
-pub(crate) fn logged_subs<'a>(
-    logs: impl Iterator<Item = &'a DurabilityManager>,
-    batch_id: u64,
-) -> Result<Vec<Batch>, RecoveryError> {
-    let records: Vec<BatchRecord> = logs
-        .map(|dur| dur.log().fetch(batch_id).ok_or(RecoveryError::MissingBatch(batch_id)))
-        .collect::<Result<_, _>>()?;
-    decode_subs(&records)
 }

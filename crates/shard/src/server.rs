@@ -1,11 +1,10 @@
 //! The multi-device server: N engines, one deterministic history.
 //!
-//! [`ShardedServer`] wraps N per-shard [`LtpgEngine`]s (each modelling one
-//! GPU with its own WAL + checkpoints) behind the same submit/tick/drain
-//! API as `ltpg::LtpgServer`. Each tick assembles one global batch,
-//! [routes](crate::Router) every transaction to its participant shards,
-//! and runs the **deterministic cross-shard protocol** (one lockstep
-//! round, `lockstep.rs`):
+//! [`ShardedServer`] is `ltpg::Server` — the one submit/tick/drain
+//! lifecycle, WAL, checkpoints, standby rows and device-loss protocol —
+//! over the [`Sharding`] topology: each global batch is
+//! [routed](crate::Router) to its participant shards and runs as one
+//! **deterministic cross-shard round** (`lockstep.rs`):
 //!
 //! 1. every participant logs its sub-batch (empty sub-batches included, so
 //!    batch ids stay aligned across shards — the per-shard WALs always cut
@@ -13,78 +12,49 @@
 //! 2. every participant runs the split *prepare* phase (execute, register,
 //!    detect) over its slice, resolving remote reads through a
 //!    [`RemoteView`](crate::RemoteView) of the other shards' snapshots;
-//! 3. the server OR-merges the per-shard conflict-flag words of each
-//!    transaction — ownership partitions the cell space, so the merged
-//!    word equals the word a single device over the whole database would
-//!    derive — and hands the merged words back;
+//! 3. the per-shard conflict-flag words of each transaction are OR-merged
+//!    — ownership partitions the cell space, so the merged word equals the
+//!    word a single device over the whole database would derive — and
+//!    handed back;
 //! 4. every participant finishes (write-back of owned mutations) and the
-//!    shared [`commit_decision`] over the merged word yields the same
-//!    verdict on every shard. **No second round trip, no 2PC**: the fixed
-//!    TID order is the tie-break, as in Calvin-style deterministic
-//!    databases — but without pre-declared read/write sets.
+//!    shared `commit_decision` over the merged word yields the same verdict
+//!    on every shard. **No second round trip, no 2PC**: the fixed TID order
+//!    is the tie-break, as in Calvin-style deterministic databases — but
+//!    without pre-declared read/write sets.
 //!
-//! ## Degradation
-//!
-//! Device loss on any shard degrades *only that shard* to the scoped CPU
-//! twin ([`CpuTwin`]): the server rebuilds every shard's pre-batch state
-//! from its own checkpoint + WAL by replaying the same lockstep rounds on
-//! twins (the sub-batches were logged before execution, so the in-flight
-//! batch is replayed too), installs the twin on the lost shard and fresh
-//! engines (replacement devices) on the healthy ones, and keeps serving.
-//! Determinism makes the hand-off invisible: the twin votes bit-identical
-//! flag words, so the merged history never changes — only that shard's
-//! simulated latency.
+//! Device loss on any shard degrades *only that shard* to its scoped CPU
+//! twin, or promotes a whole standby row when a pool is attached: the
+//! shell's row protocol. The twin votes bit-identical flag words, so the
+//! merged history never changes — only that shard's simulated latency.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use ltpg::{
-    commit_decision, CpuTwin, DurabilityManager, Executor, Formed, Intake, LostDevices, LtpgConfig,
-    LtpgEngine, PromotionCrashpoint, ReplicaChaos, ServerConfig, ServerError,
+    CpuTwin, Executor, LtpgConfig, Replayer, Round, Server, ServerConfig, ServerError,
+    ServerStats, Shards, Topology,
 };
 use ltpg_gpu_sim::DeviceFaultPlan;
-use ltpg_replica::{
-    Applier, HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError,
-    ReplicaSet,
-};
+use ltpg_replica::ReplicaConfig;
 use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::{Batch, Tid, Txn};
+use ltpg_txn::{Batch, Txn};
 
-use crate::lockstep::{decode_subs, lockstep_round, logged_subs, merged_word};
+use crate::lockstep::lockstep_round;
 use crate::partition::Partitioner;
 use crate::rebalance::{plan_split, PlannerConfig, RebalanceError, RebalancePlan, RebalancePlanner};
 use crate::router::{Route, Router};
 
-/// Outcome of one [`ShardedServer::tick`].
-#[derive(Debug, Clone)]
-pub struct ShardedBatchSummary {
-    /// TIDs committed by this batch (ascending).
-    pub committed: Vec<Tid>,
-    /// TIDs aborted (scheduled for re-execution).
-    pub aborted: Vec<Tid>,
-    /// Simulated batch latency, ns: slowest shard's prepare + merge +
-    /// slowest shard's finish, plus any retry backoff.
-    pub sim_ns: f64,
-    /// OR-merged conflict-flag word per transaction (by TID). Bit-equal
-    /// to the words a single device over the whole database derives, so
-    /// differential harnesses can compare them across topologies.
-    pub flag_words: BTreeMap<u64, u32>,
-}
+/// Outcome of one [`ShardedServer::tick`](Server::tick).
+pub type ShardedBatchSummary = ltpg::BatchSummary;
 
-/// Cumulative sharded-server statistics.
+/// Cumulative sharded-server statistics: the shell's plus [`RouteStats`].
+pub type ShardedStats = ServerStats<RouteStats>;
+
+/// What routing and rebalancing count on top of the shell's statistics.
 #[derive(Debug, Clone, Default)]
-pub struct ShardedStats {
-    /// Global batches executed.
-    pub batches: u64,
-    /// Transactions admitted via [`ShardedServer::submit`].
-    pub admitted: u64,
-    /// Transactions committed (each counted once, at commit).
-    pub committed: u64,
-    /// Abort events (one transaction may abort repeatedly).
-    pub abort_events: u64,
-    /// Total simulated time, ns (critical path across shards, per tick).
-    pub sim_ns: f64,
+pub struct RouteStats {
     /// Transactions routed to exactly one shard.
     pub single_shard_txns: u64,
     /// Transactions routed to more than one (but not all) shards.
@@ -92,20 +62,15 @@ pub struct ShardedStats {
     /// Transactions broadcast to every shard.
     pub broadcast_txns: u64,
     /// Total merge-barrier stall, ns: per tick, each participant's
-    /// `max(prepare) - own prepare` (time spent waiting for the slowest
-    /// shard before verdicts could merge).
+    /// `max(prepare) - own prepare` (waiting for the slowest shard).
     pub merge_stall_ns: f64,
-    /// Shards currently degraded to the CPU twin.
-    pub degraded_shards: u32,
-    /// Standby-row promotions (full-topology failovers).
-    pub failovers: u64,
     /// Rebalance plans applied at cutover boundaries.
     pub rebalances: u64,
     /// Rows copied between shard slices by rebalance cutovers.
     pub rows_migrated: u64,
 }
 
-impl ShardedStats {
+impl RouteStats {
     /// Fraction of routed transactions that needed more than one shard.
     pub fn cross_shard_fraction(&self) -> f64 {
         let total = self.single_shard_txns + self.cross_shard_txns + self.broadcast_txns;
@@ -116,302 +81,29 @@ impl ShardedStats {
     }
 }
 
-/// One shard's durability domain and metrics registry. Its executor
-/// lives beside it, in `ShardedServer::execs`, so a lockstep round can
-/// hold every executor mutably while reading the shards' logs.
-struct Shard {
-    durability: DurabilityManager,
-    telemetry: Arc<Registry>,
-}
-
-/// How [`ShardedServer::try_promote_row`] ended.
-enum Promotion {
-    /// No pool attached, or no standby row left alive: the caller degrades
-    /// to the CPU twin instead.
-    NoPool,
-    /// A row took over at a batch boundary; there was nothing to replay.
-    AtBoundary,
-    /// A row took over and its catch-up replayed up to the in-flight
-    /// batch, whose merged conflict words these are.
-    Replaying(MergedWords),
-}
-
-/// A batching OLTP server over N sharded [`LtpgEngine`]s with the
-/// deterministic no-2PC cross-shard commit protocol.
-pub struct ShardedServer {
-    shards: Vec<Shard>,
-    /// `execs[s]` serves shard `s`; a shard is degraded exactly when its
-    /// executor is the CPU twin.
-    execs: Vec<Executor>,
+/// The N-device topology: routing, the lockstep round, rebalance.
+pub struct Sharding {
     router: Router,
-    cfg: ServerConfig,
-    engine_cfg: LtpgConfig,
-    /// TID assignment, the inbox and the abort re-entry delay slots.
-    intake: Intake,
-    stats: ShardedStats,
-    /// Server-level registry (`shard.*` metrics). Each shard additionally
-    /// owns a private registry for its device/engine metrics.
+    /// The server-level registry (`shard.*`, `rebalance.*`).
     telemetry: Arc<Registry>,
-    /// Warm standby rows replaying the commit stream; `None` until
-    /// [`attach_replicas`](Self::attach_replicas).
-    replicas: Option<ReplicaSet>,
-    /// One heartbeat monitor per shard (empty until replicas attach).
-    monitors: Vec<HealthMonitor>,
-    /// Deterministic replication-layer chaos knobs.
-    replica_chaos: ReplicaChaos,
-    /// Heartbeat probe counter (drives `heartbeat_drop_ticks`).
-    tick_no: u64,
-    /// Every lost device still waiting out its outage, oldest first.
-    lost_devices: LostDevices,
-    /// A validated topology change waiting for its cutover batch id,
-    /// with the pre-built post-cutover partitioner.
+    /// A validated plan waiting for its cutover batch id, with the
+    /// pre-built post-cutover partitioner.
     pending_rebalance: Option<(RebalancePlan, Partitioner)>,
-    /// Load-driven rebalance planner; `None` until
-    /// [`set_auto_rebalance`](Self::set_auto_rebalance).
+    /// The load-driven planner, once `set_auto_rebalance` enabled it.
     planner: Option<RebalancePlanner>,
 }
 
-impl ShardedServer {
-    /// Create a sharded server: `db` is partitioned into per-shard slices
-    /// by `part` (replicated tables are copied to every shard).
-    pub fn new(db: Database, part: Partitioner, engine_cfg: LtpgConfig, cfg: ServerConfig) -> Self {
-        assert!(cfg.batch_size > 0, "batch size must be positive");
-        let n = part.shards();
-        let telemetry = Registry::new_shared();
-        telemetry.counter(names::SHARD_TICKS);
-        telemetry.counter(names::SHARD_SINGLE_TXNS);
-        telemetry.counter(names::SHARD_CROSS_TXNS);
-        telemetry.counter(names::SHARD_BROADCAST_TXNS);
-        telemetry.gauge(names::SHARD_DEGRADED);
-        let (shards, execs) = (0..n)
-            .map(|s| {
-                let slice = db.partition_clone(part.slice_pred(s));
-                let durability = DurabilityManager::new(&slice);
-                let telemetry = Registry::new_shared();
-                for name in names::FAULT_COUNTERS {
-                    telemetry.counter(name);
-                }
-                let engine =
-                    LtpgEngine::with_telemetry(slice, engine_cfg.clone(), Arc::clone(&telemetry));
-                (Shard { durability, telemetry }, engine.into())
-            })
-            .unzip();
-        ShardedServer {
-            shards,
-            execs,
-            router: Router::new(part),
-            cfg,
-            engine_cfg,
-            intake: Intake::new(),
-            stats: ShardedStats::default(),
-            telemetry,
-            replicas: None,
-            monitors: Vec::new(),
-            replica_chaos: ReplicaChaos::none(),
-            tick_no: 0,
-            lost_devices: LostDevices::default(),
-            pending_rebalance: None,
-            planner: None,
-        }
+impl Sharding {
+    fn publish_degraded(&self, shards: &Shards) {
+        self.telemetry.gauge(names::SHARD_DEGRADED).set(shards.degraded() as i64);
     }
 
-    /// Attach a warm standby pool: `cfg.standbys` full rows (one engine
-    /// per shard) built from the shards' current checkpoint images, plus
-    /// one heartbeat monitor per shard. Standbys replay every logged
-    /// batch in lockstep behind the primaries, each row on its own worker
-    /// thread; on device loss (or a fenced heartbeat) the freshest row is
-    /// promoted wholesale at the batch boundary. `REPLICA_*` metrics
-    /// publish on [`telemetry`](Self::telemetry).
-    pub fn attach_replicas(&mut self, cfg: &ReplicaConfig) {
-        self.replicas = Some(self.build_pool(cfg.standbys));
-        self.monitors = (0..self.shards.len())
-            .map(|_| HealthMonitor::new(cfg.heartbeat_miss_threshold, &self.telemetry))
-            .collect();
-    }
-
-    /// A pool of `standbys` rows over the shards' current checkpoint
-    /// images, replaying under the current partitioner, with the armed
-    /// chaos lag hold applied. A pool never outlives a rule change — the
-    /// rebalance cutover builds a new one — so its applier can own a copy
-    /// of the rules.
-    fn build_pool(&self, standbys: usize) -> ReplicaSet {
-        self.pool_with(standbys, joint_applier(self.router.partitioner().clone()))
-    }
-
-    /// [`build_pool`](Self::build_pool) with the applier chosen by the
-    /// caller (tests put a latch around the joint applier).
-    fn pool_with(&self, standbys: usize, applier: Applier) -> ReplicaSet {
-        let images: Vec<Database> =
-            self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
-        let mut set = ReplicaSet::new(
-            images,
-            self.shards[0].durability.checkpoint_batch(),
-            self.engine_cfg.clone(),
-            &ReplicaConfig { standbys, ..ReplicaConfig::default() },
-            Arc::clone(&self.telemetry),
-            applier,
-        );
-        hold_armed_lag(&mut set, &self.replica_chaos);
-        set
-    }
-
-    /// Whether a standby pool is attached.
-    pub fn has_replicas(&self) -> bool {
-        self.replicas.is_some()
-    }
-
-    /// Alive standby rows (0 when no pool is attached). Waits for the rows
-    /// to apply what they have been shipped, so a row whose replay failed
-    /// is already counted out.
-    pub fn standbys_alive(&self) -> usize {
-        self.replicas.as_ref().map_or(0, ReplicaSet::rows_alive)
-    }
-
-    /// Arm deterministic replication-layer chaos (timed device recovery,
-    /// heartbeat drops, standby lag, promotion crashpoints). The lag hold
-    /// applies to the attached pool and to every pool built later (by
-    /// [`attach_replicas`](Self::attach_replicas) or a rebalance cutover).
-    pub fn arm_replica_chaos(&mut self, chaos: ReplicaChaos) {
-        if let Some(set) = &mut self.replicas {
-            hold_armed_lag(set, &chaos);
-        }
-        self.replica_chaos = chaos;
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
-    /// The partitioner the server routes by.
-    pub fn partitioner(&self) -> &Partitioner {
-        self.router.partitioner()
-    }
-
-    /// Shard `s`'s live database slice.
-    pub fn database(&self, s: u32) -> &Database {
-        self.execs[s as usize].database()
-    }
-
-    /// Whether shard `s` has degraded to its CPU twin.
-    pub fn is_degraded(&self, s: u32) -> bool {
-        self.execs[s as usize].is_degraded()
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &ShardedStats {
-        &self.stats
-    }
-
-    /// The server-level metrics registry (`shard.*` family).
-    pub fn telemetry(&self) -> &Arc<Registry> {
-        &self.telemetry
-    }
-
-    /// Shard `s`'s private metrics registry (device/engine/fault family).
-    pub fn shard_telemetry(&self, s: u32) -> &Arc<Registry> {
-        &self.shards[s as usize].telemetry
-    }
-
-    /// Arm a deterministic fault schedule on shard `s`'s device. No-op if
-    /// that shard is already degraded.
-    pub fn arm_shard_faults(&self, s: u32, plan: DeviceFaultPlan) {
-        if let Some(engine) = self.execs[s as usize].gpu() {
-            engine.device().arm_faults(plan);
-        }
-    }
-
-    /// Force shard `s`'s device into its failed state at the next batch
-    /// boundary.
-    pub fn force_shard_failure(&self, s: u32) {
-        if let Some(engine) = self.execs[s as usize].gpu() {
-            engine.device().fail_now();
-        }
-    }
-
-    /// Enqueue one transaction.
-    pub fn submit(&mut self, txn: Txn) {
-        self.stats.admitted += 1;
-        self.intake.submit(txn);
-    }
-
-    /// Enqueue many transactions.
-    pub fn submit_all<I: IntoIterator<Item = Txn>>(&mut self, txns: I) {
-        for t in txns {
-            self.submit(t);
-        }
-    }
-
-    /// Transactions waiting (fresh + re-queued).
-    pub fn pending(&self) -> usize {
-        self.intake.pending()
-    }
-
-    /// Fresh submissions waiting in the inbox (excludes re-queued aborts
-    /// sitting out their retry delay).
-    pub fn inbox_len(&self) -> usize {
-        self.intake.inbox_len()
-    }
-
-    /// The TID the next fresh admission will receive at batch assembly.
-    /// Fresh TIDs are handed out in inbox FIFO order, so an ingestion layer
-    /// can mirror this counter to correlate commits with submissions.
-    pub fn next_tid(&self) -> u64 {
-        self.intake.next_tid()
-    }
-
-    /// Human-readable end-of-run summary.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let s = &self.stats;
-        let mut out = String::new();
-        let _ = writeln!(out, "shards                {}", self.shards.len());
-        let _ = writeln!(out, "batches executed      {}", s.batches);
-        let _ = writeln!(out, "txns admitted         {}", s.admitted);
-        let _ = writeln!(out, "txns committed        {}", s.committed);
-        let _ = writeln!(out, "abort events          {}", s.abort_events);
-        let _ = writeln!(out, "simulated time        {:.1} us", s.sim_ns / 1e3);
-        let _ = writeln!(
-            out,
-            "routing               {} single / {} multi / {} broadcast ({:.1}% cross)",
-            s.single_shard_txns,
-            s.cross_shard_txns,
-            s.broadcast_txns,
-            s.cross_shard_fraction() * 100.0,
-        );
-        let _ = writeln!(out, "merge stall           {:.1} us", s.merge_stall_ns / 1e3);
-        let _ = writeln!(out, "degraded shards       {}", s.degraded_shards);
-        let _ = writeln!(out, "failovers             {}", s.failovers);
-        let _ = writeln!(out, "rebalances            {}", s.rebalances);
-        let _ = writeln!(out, "rows migrated         {}", s.rows_migrated);
-        let _ = writeln!(out, "standbys alive        {}", self.standbys_alive());
-        for d in self.replicas.iter().flat_map(ReplicaSet::demoted) {
-            let _ = writeln!(out, "standby demoted       {d}");
-        }
-        out
-    }
-
-    /// Recompute the degraded-shard count from the live topology and
-    /// publish it to both the stats and the `SHARD_DEGRADED` gauge. The
-    /// single authority for that number — degradation, re-promotion and
-    /// failover all route through here so the two views cannot drift.
-    fn refresh_degraded(&mut self) {
-        self.stats.degraded_shards = self.execs.iter().filter(|e| e.is_degraded()).count() as u32;
-        self.telemetry.gauge(names::SHARD_DEGRADED).set(self.stats.degraded_shards as i64);
-    }
-
-    /// Schedule an online topology change. The plan is validated against
-    /// the live partitioner *now* (a malformed plan never waits at the
-    /// barrier) and applied atomically when the next batch id reaches
-    /// `plan.cutover`: batches before the cutover route under the old
-    /// rules, batches from it under the new ones, with rows migrated
-    /// between slices at the boundary. One plan may be in flight at a
-    /// time.
-    pub fn schedule_rebalance(&mut self, plan: RebalancePlan) -> Result<(), RebalanceError> {
+    /// Validate `plan` against the live partitioner *now* (a malformed
+    /// plan never waits at the barrier) and park it for its cutover.
+    fn schedule(&mut self, plan: RebalancePlan, next: u64) -> Result<(), RebalanceError> {
         if self.pending_rebalance.is_some() {
             return Err(RebalanceError::AlreadyScheduled);
         }
-        let next = self.shards[0].durability.logged_batches() as u64;
         if plan.cutover < next {
             return Err(RebalanceError::CutoverInPast { cutover: plan.cutover, next });
         }
@@ -421,52 +113,22 @@ impl ShardedServer {
         Ok(())
     }
 
-    /// Whether a scheduled plan is still waiting for its cutover batch.
-    pub fn rebalance_pending(&self) -> bool {
-        self.pending_rebalance.is_some()
-    }
-
-    /// Enable the load-driven planner: per-shard engine load (the
-    /// `ltpg.batch.total_ns` histograms) is observed every tick, and once
-    /// imbalance persists past the hysteresis window a median split of
-    /// the hottest shard's range is scheduled automatically.
-    pub fn set_auto_rebalance(&mut self, cfg: PlannerConfig) {
-        self.planner = Some(RebalancePlanner::new(cfg));
-    }
-
-    /// Serve a consistent snapshot read from the standby pool: route
-    /// `(table, key)` by the current partitioner and look the row up in
-    /// the owning shard's slice of the freshest standby row. The read
-    /// first waits for that pool to apply what it has been shipped, so the
-    /// cut is the logged tail (less any injected lag) on every run, and
-    /// costs the serving engines nothing. Returns the row values and the
-    /// cut's batch id; `None` without an attached pool or when the key is
-    /// absent at the cut.
-    pub fn snapshot_read(&self, table: TableId, key: i64) -> Option<(Vec<i64>, u64)> {
-        let set = self.replicas.as_ref()?;
-        let home = self.router.partitioner().home(table, key) as usize;
-        set.snapshot_read(home, table, key)
-    }
-
     /// Feed the planner one observation and schedule the split it asks
     /// for. Skipped while a plan is pending or the topology is degraded
     /// (migration wants every slice healthy).
-    fn maybe_plan_rebalance(&mut self) {
+    fn maybe_plan_rebalance(&mut self, shards: &Shards) {
         let Some(planner) = &mut self.planner else { return };
-        if self.pending_rebalance.is_some() || self.stats.degraded_shards > 0 {
+        if self.pending_rebalance.is_some() || shards.degraded() > 0 {
             return;
         }
-        let loads: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|sh| sh.telemetry.histogram(names::LTPG_BATCH_TOTAL_NS).snapshot().sum as f64)
+        let loads: Vec<f64> = (shards.registries.iter())
+            .map(|reg| reg.histogram(names::LTPG_BATCH_TOTAL_NS).snapshot().sum as f64)
             .collect();
         let Some(imb) = planner.observe(&loads) else { return };
-        let cutover = self.shards[0].durability.logged_batches() as u64 + 1;
-        let part = self.router.partitioner();
-        let db = self.execs[imb.hot as usize].database();
-        let Some(plan) = plan_split(part, db, imb.hot, imb.cold, cutover) else { return };
-        if self.schedule_rebalance(plan).is_ok() {
+        let next = shards.logged_batches();
+        let db = shards.execs[imb.hot as usize].database();
+        let plan = plan_split(self.router.partitioner(), db, imb.hot, imb.cold, next + 1);
+        if plan.is_some_and(|plan| self.schedule(plan, next).is_ok()) {
             self.telemetry.counter(names::REBALANCE_PLANNER_EMITTED).inc();
         }
     }
@@ -477,20 +139,19 @@ impl ShardedServer {
     /// executors over the new slices, take a joint checkpoint at the
     /// cutover id (so WAL replay never crosses a rule change), swap the
     /// router, and rebuild the standby pool over the new checkpoints.
-    fn maybe_apply_rebalance(&mut self) {
-        let next = self.shards[0].durability.logged_batches() as u64;
+    fn maybe_apply_rebalance(&mut self, shards: &mut Shards, stats: &mut RouteStats) {
+        let next = shards.logged_batches();
         let due = self.pending_rebalance.take_if(|(plan, _)| next >= plan.cutover);
         let Some((plan, new_part)) = due else { return };
         let started = std::time::Instant::now();
-        let n = self.shards.len();
         let mut migrated = 0u64;
-        let new_slices: Vec<Database> = (0..n)
+        let new_slices: Vec<Database> = (0..shards.execs.len())
             .map(|s| {
-                let shard_id = s as u32;
-                let base = self.execs[s].database().partition_clone(new_part.slice_pred(shard_id));
-                for (r, peer) in self.execs.iter().enumerate() {
+                let pred = new_part.slice_pred(s as u32);
+                let base = shards.execs[s].database().partition_clone(pred);
+                for (r, peer) in shards.execs.iter().enumerate() {
                     if r != s {
-                        migrated += base.absorb_rows(peer.database(), new_part.slice_pred(shard_id));
+                        migrated += base.absorb_rows(peer.database(), new_part.slice_pred(s as u32));
                     }
                 }
                 base
@@ -500,55 +161,53 @@ impl ShardedServer {
             // Joint checkpoint at the cutover id: degradation replay and
             // failover catch-up start from post-cutover images and never
             // span the rule change.
-            self.shards[s].durability.checkpoint(&slice);
-            self.execs[s] = if self.execs[s].is_degraded() {
-                CpuTwin::new(slice, self.engine_cfg.clone()).into()
+            shards.durability[s].checkpoint(&slice);
+            shards.execs[s] = if shards.execs[s].is_degraded() {
+                CpuTwin::new(slice, shards.engine_cfg.clone()).into()
             } else {
-                // Fresh engines over the new slices (fault plans armed on
-                // the old devices are not carried over, as in degradation).
-                LtpgEngine::with_telemetry(
-                    slice,
-                    self.engine_cfg.clone(),
-                    Arc::clone(&self.shards[s].telemetry),
-                )
-                .into()
+                // Armed fault plans are not carried over, as in degradation.
+                shards.engine(s, slice)
             };
         }
         self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
         self.router = Router::new(new_part);
         // Standby rows hold pre-cutover slices and replay under the old
-        // rules; rebuild the pool from the cutover checkpoints, one fresh
-        // row per row still alive (counting them joins the old pool, and
-        // dropping it ends its workers).
-        if let Some(old) = self.replicas.take() {
-            let alive = old.rows_alive();
-            drop(old);
-            self.replicas = Some(self.build_pool(alive));
+        // rules: a fresh row per row still alive, under the new ones.
+        let replay = self.replayer();
+        if let Some(pool) = &mut shards.pool {
+            pool.rebuild(&shards.durability, replay);
         }
         let (splits, merges, moves, set_rules) = plan.op_counts();
-        self.telemetry.counter(names::REBALANCE_PLANS_APPLIED).inc();
-        self.telemetry.counter(names::REBALANCE_SPLITS).add(splits);
-        self.telemetry.counter(names::REBALANCE_MERGES).add(merges);
-        self.telemetry.counter(names::REBALANCE_MOVES).add(moves);
-        self.telemetry.counter(names::REBALANCE_SET_RULES).add(set_rules);
-        self.telemetry.counter(names::REBALANCE_ROWS_MIGRATED).add(migrated);
-        self.telemetry
-            .histogram(names::REBALANCE_CUTOVER_NS)
-            .record_ns(started.elapsed().as_nanos() as f64);
-        self.telemetry.gauge(names::REBALANCE_PENDING).set(0);
-        self.stats.rebalances += 1;
-        self.stats.rows_migrated += migrated;
+        let reg = &self.telemetry;
+        reg.counter(names::REBALANCE_PLANS_APPLIED).inc();
+        reg.counter(names::REBALANCE_SPLITS).add(splits);
+        reg.counter(names::REBALANCE_MERGES).add(merges);
+        reg.counter(names::REBALANCE_MOVES).add(moves);
+        reg.counter(names::REBALANCE_SET_RULES).add(set_rules);
+        reg.counter(names::REBALANCE_ROWS_MIGRATED).add(migrated);
+        reg.histogram(names::REBALANCE_CUTOVER_NS).record_ns(started.elapsed().as_nanos() as f64);
+        reg.gauge(names::REBALANCE_PENDING).set(0);
+        stats.rebalances += 1;
+        stats.rows_migrated += migrated;
+    }
+}
+
+impl Topology for Sharding {
+    type Stats = RouteStats;
+
+    /// The cutover barrier.
+    fn at_boundary(&mut self, shards: &mut Shards, stats: &mut RouteStats) {
+        self.telemetry.counter(names::SHARD_TICKS).inc();
+        self.maybe_apply_rebalance(shards, stats);
+        self.publish_degraded(shards);
     }
 
-    /// Split the global batch into per-shard sub-batches (global TID order
-    /// preserved), the per-shard global-index mapping, and route counts
-    /// `(single, multi, broadcast)`.
-    fn split_batch(&self, batch: &Batch) -> (Vec<Batch>, (u64, u64, u64)) {
-        let n = self.shards.len();
-        // Size each sub-batch for the expected uniform share up front; a
-        // balanced split then routes with zero mid-loop `Vec` regrowth
-        // (skewed routes still regrow, but only past the hint).
-        let hint = batch.txns.len().div_ceil(n.max(1)) + batch.txns.len() / (4 * n.max(1));
+    /// Every transaction cloned into each participant's sub-batch.
+    fn split<'a>(&mut self, batch: &'a Batch, stats: &mut RouteStats) -> Cow<'a, [Batch]> {
+        let n = self.router.partitioner().shards() as usize;
+        // Sized for the expected uniform share: a balanced split routes
+        // with no `Vec` regrowth, a skewed one regrows only past the hint.
+        let hint = batch.txns.len().div_ceil(n) + batch.txns.len() / (4 * n);
         let mut subs: Vec<Vec<Txn>> = (0..n).map(|_| Vec::with_capacity(hint)).collect();
         let (mut single, mut multi, mut broadcast) = (0u64, 0u64, 0u64);
         for txn in &batch.txns {
@@ -564,374 +223,188 @@ impl ShardedServer {
                 }
             }
         }
-        (subs.into_iter().map(|txns| Batch { txns }).collect(), (single, multi, broadcast))
-    }
-
-    /// Degrade after shard `failed` lost its device: rebuild every shard's
-    /// state from its checkpoint + WAL by replaying the logged rounds on
-    /// CPU twins (the in-flight batch was logged before execution, so it
-    /// is replayed too), keep the twin on the failed shard and on shards
-    /// already degraded, and put fresh engines (replacement devices) on
-    /// the healthy ones. Returns the merged flag words of the final
-    /// (in-flight) replayed batch by TID.
-    fn degrade_and_replay(&mut self, failed: usize) -> Result<MergedWords, ServerError> {
-        let mut twins: Vec<Executor> = self
-            .shards
-            .iter()
-            .map(|sh| CpuTwin::new(sh.durability.checkpoint_image(), self.engine_cfg.clone()).into())
-            .collect();
-        // Checkpoints are taken jointly (same tick on every shard), so
-        // every shard replays the same id range.
-        let start = self.shards[0].durability.checkpoint_batch();
-        let end = self.shards[0].durability.logged_batches() as u64;
-        let part = self.router.partitioner();
-        let mut last_merged = MergedWords::new();
-        for b in start..end {
-            let logs = self.shards.iter().map(|sh| &sh.durability);
-            let subs = logged_subs(logs, b).map_err(ServerError::DegradationFailed)?;
-            last_merged = lockstep_round(&mut twins, &subs, part, None, &mut 0.0)?.merged;
-        }
-        let shards = self.shards.iter().zip(&mut self.execs).zip(twins).enumerate();
-        for (s, ((shard, exec), twin)) in shards {
-            if s == failed {
-                shard.telemetry.counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
-            }
-            *exec = if s == failed || exec.is_degraded() {
-                twin
-            } else {
-                // A healthy shard gets a replacement device over the
-                // replayed state (fault plans armed on the old device are
-                // not carried over).
-                LtpgEngine::with_telemetry(
-                    twin.into_database(),
-                    self.engine_cfg.clone(),
-                    Arc::clone(&shard.telemetry),
-                )
-                .into()
-            };
-        }
-        self.refresh_degraded();
-        Ok(last_merged)
-    }
-
-    /// Remember shard `failed`'s physical device so a later timed
-    /// recovery ([`ReplicaChaos::device_recovers_after_batches`]) can
-    /// revive and re-enlist it.
-    fn note_device_loss(&mut self, failed: usize) {
-        if let Some(engine) = self.execs[failed].gpu() {
-            self.lost_devices.note(failed, engine.device_handle(), self.stats.batches);
-        }
-    }
-
-    /// Promote the freshest standby row onto every shard, catching it up
-    /// through batches `< upto`. Promotion crashpoints surface as
-    /// [`ServerError::InjectedCrash`] ("process death" mid-cutover); the
-    /// WAL already holds everything needed to recover.
-    fn try_promote_row(&mut self, upto: u64) -> Result<Promotion, ServerError> {
-        let Some(set) = self.replicas.as_mut() else { return Ok(Promotion::NoPool) };
-        if set.rows_alive() == 0 {
-            return Ok(Promotion::NoPool);
-        }
-        let crash = self.replica_chaos.promotion_crash.take();
-        if crash == Some(PromotionCrashpoint::BeforeCatchup) {
-            return Err(ServerError::InjectedCrash("promotion:before-catchup"));
-        }
-        let result = set.promote_row(upto, self.shards.iter().map(|sh| &sh.durability));
-        if crash == Some(PromotionCrashpoint::AfterCatchup) {
-            return Err(ServerError::InjectedCrash("promotion:after-catchup"));
-        }
-        let Some((row, last_words, ns)) = result else { return Ok(Promotion::NoPool) };
-        // The promoted row replaces the whole topology with healthy GPU
-        // engines, so any CPU-degraded shard is healed by the cutover.
-        self.execs = row;
-        for (exec, shard) in self.execs.iter_mut().zip(&self.shards) {
-            if let Some(engine) = exec.gpu_mut() {
-                engine.rebind_telemetry(Arc::clone(&shard.telemetry));
-            }
-        }
-        self.refresh_degraded();
-        self.stats.failovers += 1;
-        self.stats.sim_ns += ns;
-        for m in &mut self.monitors {
-            m.reset();
-        }
-        Ok(last_words.map_or(Promotion::AtBoundary, Promotion::Replaying))
-    }
-
-    /// Shard `failed` lost its device while batch `upto - 1` (already
-    /// logged on every shard) was executing. Preferred path: promote a
-    /// standby row — the promotion catch-up replays the in-flight batch
-    /// and its merged words stand in for the lost execution. Exhausted
-    /// pool: rebuild everything from the logs on the CPU twins. Either way
-    /// the verdicts come from a replay of the same WAL.
-    fn recover_in_flight(&mut self, failed: usize) -> Result<MergedWords, ServerError> {
-        self.note_device_loss(failed);
-        let upto = self.shards[0].durability.logged_batches() as u64;
-        match self.try_promote_row(upto)? {
-            Promotion::Replaying(words) => Ok(words),
-            Promotion::AtBoundary => {
-                Err(ServerError::PromotionSkippedInFlightBatch { batch_id: upto - 1 })
-            }
-            Promotion::NoPool => self.degrade_and_replay(failed),
-        }
-    }
-
-    /// Probe every primary's health once per tick (chaos may drop the
-    /// probes) and fail over when a monitor fences its shard. Runs only
-    /// when a standby pool is attached.
-    fn probe_heartbeats(&mut self) -> Result<(), ServerError> {
-        if self.monitors.is_empty() {
-            return Ok(());
-        }
-        let tick = self.tick_no;
-        self.tick_no += 1;
-        let dropped = self.replica_chaos.heartbeat_drop_ticks.contains(&tick);
-        let mut fenced = None;
-        for (s, exec) in self.execs.iter().enumerate() {
-            // A shard on its CPU twin has no device to probe.
-            let Some(engine) = exec.gpu() else { continue };
-            let beat = if engine.device().is_failed() {
-                Heartbeat::Dead
-            } else if dropped {
-                Heartbeat::Dropped
-            } else {
-                Heartbeat::Alive
-            };
-            if self.monitors[s].observe(beat) == HealthVerdict::Failed && fenced.is_none() {
-                fenced = Some(s);
-            }
-        }
-        let Some(s) = fenced else { return Ok(()) };
-        // A Dead fence means the device is really gone: stash it for
-        // timed-recovery re-enlistment. A Dropped fence is a (safe) false
-        // positive — the healthy device is discarded, not stashed.
-        if self.execs[s].gpu().is_some_and(|e| e.device().is_failed()) {
-            self.note_device_loss(s);
-        }
-        let upto = self.shards[0].durability.logged_batches() as u64;
-        if let Promotion::NoPool = self.try_promote_row(upto)? {
-            self.degrade_and_replay(s)?;
-            self.monitors[s].reset();
-        }
-        Ok(())
-    }
-
-    /// Timed-recovery re-promotion: once the chaos plan says a lost
-    /// device has recovered, revive + reset it and bring it back — as the
-    /// serving engine of its shard if that shard is still limping on the
-    /// CPU twin (clearing the degraded gauge), or as a fresh standby row
-    /// if a failover already healed the topology.
-    fn maybe_rejoin_recovered_devices(&mut self) {
-        let after = self.replica_chaos.device_recovers_after_batches;
-        for (s, device) in self.lost_devices.recovered(after, self.stats.batches) {
-            if self.execs[s].is_degraded() {
-                self.execs[s].repromote(
-                    self.engine_cfg.clone(),
-                    Arc::clone(&self.shards[s].telemetry),
-                    device,
-                );
-                self.refresh_degraded();
-                self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
-                if let Some(m) = self.monitors.get_mut(s) {
-                    m.reset();
-                }
-            } else if let Some(set) = &mut self.replicas {
-                let images: Vec<Database> =
-                    self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
-                let base = self.shards[0].durability.checkpoint_batch();
-                set.spawn_row_with_device(images, base, device);
-            }
-        }
-    }
-
-    /// Ship every standby row the logged tail; the rows' workers replay it
-    /// (one joint lockstep round per row per batch) while the next tick
-    /// runs.
-    fn replicate_tail(&mut self) {
-        let Some(set) = self.replicas.as_mut() else { return };
-        let tail = self.shards[0].durability.logged_batches() as u64;
-        set.observe(tail, self.shards.iter().map(|sh| &sh.durability));
-    }
-
-    /// Form, route and execute one global batch. Returns `None` when the
-    /// server is fully idle; an empty summary when aborted transactions
-    /// are still waiting out their re-entry delay.
-    ///
-    /// # Panics
-    ///
-    /// If degradation after device loss fails because a shard's log is
-    /// damaged beyond the torn-tail case; fault-injecting callers use
-    /// [`try_tick`](Self::try_tick).
-    pub fn tick(&mut self) -> Option<ShardedBatchSummary> {
-        // Invariant: with undamaged logs (nothing corrupts them but
-        // injection), degradation replay cannot fail.
-        self.try_tick().expect("shard WAL damaged while serving: use try_tick")
-    }
-
-    /// [`tick`](Self::tick), surfacing unabsorbable faults as errors.
-    pub fn try_tick(&mut self) -> Result<Option<ShardedBatchSummary>, ServerError> {
-        self.telemetry.counter(names::SHARD_TICKS).inc();
-        // Batch boundary: recovered devices rejoin, heartbeats are
-        // probed, and a fenced primary triggers failover *before* the
-        // next batch forms — promotion never interleaves with execution.
-        self.maybe_rejoin_recovered_devices();
-        self.probe_heartbeats()?;
-        // The cutover barrier: a scheduled plan whose batch id has
-        // arrived re-slices the topology before the next batch forms.
-        self.maybe_apply_rebalance();
-        let batch = match self.intake.next_batch(self.cfg.batch_size) {
-            Formed::Idle => {
-                // Nothing to run: let the standby rows finish what they
-                // were shipped, so a drained server leaves a caught-up
-                // pool and no replay running behind its caller.
-                if let Some(set) = &self.replicas {
-                    set.join();
-                }
-                return Ok(None);
-            }
-            Formed::Waiting => {
-                return Ok(Some(ShardedBatchSummary {
-                    committed: Vec::new(),
-                    aborted: Vec::new(),
-                    sim_ns: 0.0,
-                    flag_words: BTreeMap::new(),
-                }));
-            }
-            Formed::Batch(batch) => batch,
-        };
-        let (subs, (single, multi, broadcast)) = self.split_batch(&batch);
         self.telemetry.counter(names::SHARD_SINGLE_TXNS).add(single);
         self.telemetry.counter(names::SHARD_CROSS_TXNS).add(multi);
         self.telemetry.counter(names::SHARD_BROADCAST_TXNS).add(broadcast);
-        self.stats.single_shard_txns += single;
-        self.stats.cross_shard_txns += multi;
-        self.stats.broadcast_txns += broadcast;
-        // Log before execution, on every shard (empty sub-batches too):
-        // aligned batch ids give a consistent cross-shard recovery cut.
-        for (shard, sub) in self.shards.iter_mut().zip(&subs) {
-            shard.durability.log_batch(sub);
-        }
+        stats.single_shard_txns += single;
+        stats.cross_shard_txns += multi;
+        stats.broadcast_txns += broadcast;
+        Cow::Owned(subs.into_iter().map(|txns| Batch { txns }).collect())
+    }
 
-        // ---- Prepare on every participant; merge; finish. ----
-        let mut backoff_ns = 0.0;
-        let round = lockstep_round(
-            &mut self.execs,
-            &subs,
-            self.router.partitioner(),
-            Some(&self.cfg),
-            &mut backoff_ns,
-        )?;
+    fn round(
+        &mut self,
+        execs: &mut [Executor],
+        subs: &[Batch],
+        retry: &ServerConfig,
+        backoff_ns: &mut f64,
+        stats: &mut RouteStats,
+    ) -> Result<Round, ServerError> {
+        let part = self.router.partitioner();
+        let round = lockstep_round(execs, subs, part, Some(retry), backoff_ns)?;
         // Merge barrier: every participant waited for the slowest prepare
         // before its verdicts were complete.
-        let mut max_prep = 0.0f64;
         if !round.merged.is_empty() {
-            max_prep = round.participants.iter().map(|p| p.prep_ns).fold(0.0, f64::max);
+            let max_prep = round.max_prep_ns();
             for p in &round.participants {
                 let stall = max_prep - p.prep_ns;
-                self.stats.merge_stall_ns += stall;
+                stats.merge_stall_ns += stall;
                 self.telemetry.histogram(names::SHARD_MERGE_STALL_NS).record_ns(stall);
             }
         }
-        let (merged, sim_ns) = match round.lost {
-            None => {
-                let max_finish = round.participants.iter().map(|p| p.finish_ns).fold(0.0, f64::max);
-                (round.merged, max_prep + max_finish + backoff_ns)
-            }
-            // Failover latency is accounted by `try_promote_row`; charge
-            // only backoff here.
-            Some((failed, _)) => (self.recover_in_flight(failed)?, backoff_ns),
-        };
+        Ok(round.into())
+    }
 
-        // ---- Global commit decisions from the merged words. ----
-        let (committed, aborted) =
-            decide(&batch, &merged, self.engine_cfg.opts.logical_reordering)?;
+    /// Under an owned copy of the rules the batches were routed by: the
+    /// cutover rebuilds the pool, so it never outlives a rule change.
+    fn replayer(&self) -> Replayer {
+        let part = self.router.partitioner().clone();
+        Arc::new(move |row, subs| Ok(lockstep_round(row, subs, &part, None, &mut 0.0)?.into()))
+    }
 
-        self.stats.batches += 1;
-        self.stats.committed += committed.len() as u64;
-        self.stats.abort_events += aborted.len() as u64;
-        self.stats.sim_ns += sim_ns;
+    fn after_batch(&mut self, shards: &mut Shards, sim_ns: f64) {
         self.telemetry.histogram(names::SHARD_TICK_NS).record_ns(sim_ns);
-        self.maybe_plan_rebalance();
-        // Steady-state replication: every standby row is shipped the
-        // batch just executed (and any residual lag) at the boundary.
-        self.replicate_tail();
-        if let Some(every) = self.cfg.checkpoint_every {
-            if self.stats.batches.is_multiple_of(every as u64) {
-                for (shard, exec) in self.shards.iter_mut().zip(&self.execs) {
-                    shard.durability.checkpoint(exec.database());
-                }
-                self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
-            }
-        }
-
-        self.intake.requeue_aborted(&batch, &aborted, self.cfg.pipelined);
-        Ok(Some(ShardedBatchSummary { committed, aborted, sim_ns, flag_words: merged }))
+        self.publish_degraded(shards);
+        self.maybe_plan_rebalance(shards);
     }
 
-    /// Run batches until every admitted transaction has committed (or
-    /// `max_batches` ticks elapse). Returns the final stats.
-    pub fn drain(&mut self, max_batches: usize) -> &ShardedStats {
-        for _ in 0..max_batches {
-            if self.tick().is_none() {
-                break;
-            }
-        }
-        &self.stats
+    fn summarize(&self, s: &RouteStats, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(out, "shards                {}", self.router.partitioner().shards());
+        let _ = writeln!(
+            out,
+            "routing               {} single / {} multi / {} broadcast ({:.1}% cross)",
+            s.single_shard_txns,
+            s.cross_shard_txns,
+            s.broadcast_txns,
+            s.cross_shard_fraction() * 100.0,
+        );
+        let _ = writeln!(out, "merge stall           {:.1} us", s.merge_stall_ns / 1e3);
+        let _ = writeln!(out, "rebalances            {}", s.rebalances);
+        let _ = writeln!(out, "rows migrated         {}", s.rows_migrated);
     }
 }
 
-/// Split `batch` into `(committed, aborted)` TIDs by the shared commit rule
-/// over each transaction's merged word. `merged` comes from the live round
-/// or, after a mid-batch device loss, from a replay of the logged batch; a
-/// replay that returned too few words is a typed error.
-fn decide(
-    batch: &Batch,
-    merged: &MergedWords,
-    reordering: bool,
-) -> Result<(Vec<Tid>, Vec<Tid>), ServerError> {
-    let mut committed = Vec::new();
-    let mut aborted = Vec::new();
-    for txn in &batch.txns {
-        if commit_decision(reordering, merged_word(merged, txn.tid)?) {
-            committed.push(txn.tid);
-        } else {
-            aborted.push(txn.tid);
-        }
-    }
-    Ok((committed, aborted))
-}
+/// A batching OLTP server over N sharded engines with the deterministic
+/// no-2PC cross-shard commit protocol: the shell over [`Sharding`] plus the
+/// shard-indexed accessors.
+#[derive(Debug)]
+pub struct ShardedServer(Server<Sharding>);
 
-/// The sharded [`Applier`]: apply one logged batch to one standby row by
-/// the exact primary protocol — one lockstep round over every shard's
-/// logged sub-batch, under the rules `part` the batch was routed by.
-/// Determinism makes the row bit-identical to the primaries after every
-/// batch.
-fn joint_applier(part: Partitioner) -> Applier {
-    Arc::new(move |row, records| {
-        let subs = decode_subs(records).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
-        let round = lockstep_round(row, &subs, &part, None, &mut 0.0)
-            .map_err(|e| ReplicaError::Corrupt(e.to_string()))?;
-        match round.lost {
-            Some((_, e)) => Err(ReplicaError::Dead(e)),
-            None => Ok(round.merged),
-        }
-    })
-}
-
-/// Apply the lag hold `chaos` arms (if any) to `set`.
-fn hold_armed_lag(set: &mut ReplicaSet, chaos: &ReplicaChaos) {
-    if let Some((row, lag)) = chaos.standby_lag {
-        set.inject_lag(row as usize, lag);
+impl Deref for ShardedServer {
+    type Target = Server<Sharding>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
-impl std::fmt::Debug for ShardedServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedServer")
-            .field("shards", &self.shards.len())
-            .field("pending", &self.pending())
-            .field("stats", &self.stats)
-            .finish()
+impl DerefMut for ShardedServer {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl ShardedServer {
+    /// Create a sharded server: `db` is partitioned into per-shard slices
+    /// by `part` (replicated tables are copied to every shard), each with
+    /// a private registry for its device/engine/fault metrics.
+    pub fn new(db: Database, part: Partitioner, engine_cfg: LtpgConfig, cfg: ServerConfig) -> Self {
+        let telemetry = Registry::new_shared();
+        telemetry.counter(names::SHARD_TICKS);
+        telemetry.counter(names::SHARD_SINGLE_TXNS);
+        telemetry.counter(names::SHARD_CROSS_TXNS);
+        telemetry.counter(names::SHARD_BROADCAST_TXNS);
+        telemetry.gauge(names::SHARD_DEGRADED);
+        let slices = (0..part.shards())
+            .map(|s| (db.partition_clone(part.slice_pred(s)), Registry::new_shared()))
+            .collect();
+        let topology = Sharding {
+            router: Router::new(part),
+            telemetry: Arc::clone(&telemetry),
+            pending_rebalance: None,
+            planner: None,
+        };
+        ShardedServer(Server::over(topology, slices, telemetry, engine_cfg, cfg))
+    }
+
+    /// Attach a warm standby pool: `cfg.standbys` full rows (one engine
+    /// per shard) over the shards' current checkpoint images, plus one
+    /// heartbeat monitor per shard. Standbys replay every logged batch in
+    /// lockstep behind the primaries, each row on its own worker thread;
+    /// on device loss (or a fenced heartbeat) the freshest row is promoted
+    /// wholesale. `REPLICA_*` metrics publish on `telemetry()`.
+    pub fn attach_replicas(&mut self, cfg: &ReplicaConfig) {
+        ltpg_replica::attach(&mut self.0, cfg);
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> u32 {
+        self.shards().execs.len() as u32
+    }
+
+    /// The partitioner the server routes by.
+    pub fn partitioner(&self) -> &Partitioner {
+        self.topology().router.partitioner()
+    }
+
+    /// Shard `s`'s live database slice.
+    pub fn database(&self, s: u32) -> &Database {
+        self.shards().execs[s as usize].database()
+    }
+
+    /// Whether shard `s` has degraded to its CPU twin.
+    pub fn is_degraded(&self, s: u32) -> bool {
+        self.shards().execs[s as usize].is_degraded()
+    }
+
+    /// Shard `s`'s private metrics registry (device/engine/fault family).
+    pub fn shard_telemetry(&self, s: u32) -> &Arc<Registry> {
+        &self.shards().registries[s as usize]
+    }
+
+    /// Arm a deterministic fault schedule on shard `s`'s device.
+    pub fn arm_shard_faults(&self, s: u32, plan: DeviceFaultPlan) {
+        self.shards().arm_faults(s as usize, plan);
+    }
+
+    /// Fail shard `s`'s device at the next batch boundary.
+    pub fn force_shard_failure(&self, s: u32) {
+        self.shards().fail_device(s as usize);
+    }
+
+    /// Schedule an online topology change, applied atomically when the
+    /// next batch id reaches `plan.cutover`: batches before the cutover
+    /// route under the old rules, batches from it under the new ones, with
+    /// rows migrated between slices at the boundary. One plan may be in
+    /// flight at a time.
+    pub fn schedule_rebalance(&mut self, plan: RebalancePlan) -> Result<(), RebalanceError> {
+        let (topology, shards) = self.0.topology_mut();
+        topology.schedule(plan, shards.logged_batches())
+    }
+
+    /// Whether a scheduled plan is still waiting for its cutover batch.
+    pub fn rebalance_pending(&self) -> bool {
+        self.topology().pending_rebalance.is_some()
+    }
+
+    /// Enable the load-driven planner: per-shard engine load (the
+    /// `ltpg.batch.total_ns` histograms) is observed every tick, and once
+    /// imbalance persists past the hysteresis window a median split of
+    /// the hottest shard's range is scheduled automatically.
+    pub fn set_auto_rebalance(&mut self, cfg: PlannerConfig) {
+        self.0.topology_mut().0.planner = Some(RebalancePlanner::new(cfg));
+    }
+
+    /// Serve a consistent snapshot read from the standby pool: the row of
+    /// `(table, key)` in the owning shard's slice of the freshest standby
+    /// row. The read first waits for the pool to apply what it has been
+    /// shipped, so the cut is the logged tail (less any injected lag) on
+    /// every run, and costs the serving engines nothing. Returns the row
+    /// values and the cut's batch id; `None` without a pool or when the
+    /// key is absent at the cut.
+    pub fn snapshot_read(&self, table: TableId, key: i64) -> Option<(Vec<i64>, u64)> {
+        let home = self.partitioner().home(table, key) as usize;
+        self.shards().pool.as_ref()?.snapshot_read(home, table, key)
     }
 }
 
@@ -939,7 +412,8 @@ impl std::fmt::Debug for ShardedServer {
 mod tests {
     use super::*;
     use crate::partition::TableRule;
-    use ltpg::LtpgServer;
+    use ltpg::{LtpgServer, ReplicaChaos};
+    use ltpg_replica::{round_applier, Applier, ReplicaError, ReplicaSet};
     use ltpg_storage::{ColId, TableBuilder, TableId};
     use ltpg_txn::{IrOp, ProcId, Src};
 
@@ -1001,11 +475,43 @@ mod tests {
         )
     }
 
+    /// The fault-free single device over the same stream.
+    fn reference(db: &Database, batch: usize, txns: &[Txn]) -> LtpgServer {
+        let cfg = ServerConfig { batch_size: batch, pipelined: false, ..ServerConfig::default() };
+        let mut reference = LtpgServer::new(db.deep_clone(), LtpgConfig::default(), cfg);
+        reference.submit_all(txns.iter().cloned());
+        reference
+    }
+
+    /// Replace `server`'s pool with one replaying through `applier` (tests
+    /// put a latch around the server's own, [`joint_applier`]).
+    fn attach_pool_with(server: &mut ShardedServer, cfg: &ReplicaConfig, applier: Applier) {
+        let set = ReplicaSet::over(server.shards(), cfg, applier);
+        server.attach_pool(Box::new(set));
+    }
+
+    fn joint_applier(server: &ShardedServer) -> Applier {
+        round_applier(server.topology().replayer())
+    }
+
     /// Tick both servers in lockstep and assert per-batch decisions match.
     fn assert_lockstep_identical(server: &mut ShardedServer, reference: &mut LtpgServer) {
-        loop {
+        assert_lockstep_around(server, reference, |_, _| {}, |_| {});
+    }
+
+    /// The same, calling `before(tick, server)` ahead of each tick of
+    /// `server` and `after(server)` behind it.
+    fn assert_lockstep_around(
+        server: &mut ShardedServer,
+        reference: &mut LtpgServer,
+        mut before: impl FnMut(usize, &ShardedServer),
+        mut after: impl FnMut(&ShardedServer),
+    ) {
+        for tick in 0.. {
+            before(tick, server);
             let a = server.tick();
             let b = reference.tick();
+            after(server);
             match (&a, &b) {
                 (None, None) => break,
                 (Some(sa), Some(sb)) => {
@@ -1029,33 +535,10 @@ mod tests {
         }
     }
 
-    /// A replay that hands back fewer flag words than the batch has
-    /// transactions is a typed error naming the first transaction without
-    /// a verdict, never an index panic inside the tick.
-    #[test]
-    fn a_short_flag_word_map_is_a_typed_error() {
-        let (_, txns) = db_and_txns(3, 8);
-        let batch = Batch::assemble(Vec::new(), txns, &mut ltpg_txn::TidGen::new());
-        let tids: Vec<Tid> = batch.txns.iter().map(|t| t.tid).collect();
-        let mut merged: MergedWords = tids.iter().map(|t| (t.0, 0)).collect();
-        assert_eq!(decide(&batch, &merged, true).unwrap(), (tids.clone(), Vec::new()));
-        let missing = tids[1].0;
-        merged.remove(&missing);
-        assert!(matches!(
-            decide(&batch, &merged, true),
-            Err(ServerError::MissingFlagWord { tid }) if tid == missing
-        ));
-    }
-
     #[test]
     fn four_shards_decide_bit_identically_to_one_engine() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 48, &txns);
         let mut server = sharded(&db, 4, 48);
         server.submit_all(txns);
         assert_lockstep_identical(&mut server, &mut reference);
@@ -1069,12 +552,7 @@ mod tests {
     #[test]
     fn one_shard_degenerates_to_the_plain_server() {
         let (db, txns) = db_and_txns(100, 16);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 32, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 32, &txns);
         let mut server = sharded(&db, 1, 32);
         server.submit_all(txns);
         assert_lockstep_identical(&mut server, &mut reference);
@@ -1123,12 +601,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 10, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 10, &txns);
         let mut server = sharded(&db, 4, 10);
         server.submit_all(txns);
         assert_lockstep_identical(&mut server, &mut reference);
@@ -1139,12 +612,7 @@ mod tests {
     #[test]
     fn transient_shard_faults_retry_without_degrading() {
         let (db, txns) = db_and_txns(120, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 40, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 40, &txns);
         let mut server = sharded(&db, 4, 40);
         // First upload of shard 2 fails transiently; the retry succeeds.
         server.arm_shard_faults(
@@ -1169,12 +637,7 @@ mod tests {
     #[test]
     fn losing_one_shard_degrades_it_and_keeps_history_identical() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 48, &txns);
         let mut server = sharded(&db, 4, 48);
         server.submit_all(txns);
         // Let one global batch run, then kill shard 1's device at the next
@@ -1200,12 +663,7 @@ mod tests {
     #[test]
     fn failover_replaces_the_topology_and_keeps_history_identical() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 48, &txns);
         let mut server = sharded(&db, 4, 48);
         server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
         server.submit_all(txns);
@@ -1235,12 +693,7 @@ mod tests {
     #[test]
     fn mid_batch_device_loss_fails_over_with_replayed_verdicts() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 48, &txns);
         let mut server = sharded(&db, 4, 48);
         server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
         // Shard 2's device dies mid-prepare of a later batch: the probe at
@@ -1327,17 +780,12 @@ mod tests {
         latched: bool,
     ) -> (Vec<u64>, [u64; 10]) {
         let (db, txns) = db_and_txns(24 * 10, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 24, &txns);
         let mut server = sharded(&db, 4, 24);
-        server.attach_replicas(&ReplicaConfig { standbys, heartbeat_miss_threshold: 1 });
         let latch = Latch::new(!latched);
-        let applier = latch.around(joint_applier(server.partitioner().clone()));
-        server.replicas = Some(server.pool_with(standbys, applier));
+        let applier = latch.around(joint_applier(&server));
+        let pool = ReplicaConfig { standbys, heartbeat_miss_threshold: 1 };
+        attach_pool_with(&mut server, &pool, applier);
         if let Loss::Fence = loss {
             server.arm_replica_chaos(ReplicaChaos {
                 heartbeat_drop_ticks: [healthy_ticks as u64].into_iter().collect(),
@@ -1429,9 +877,9 @@ mod tests {
     fn dropping_the_server_mid_stream_leaves_no_worker_running() {
         let (db, txns) = db_and_txns(96, 32);
         let mut server = sharded(&db, 4, 24);
-        server.attach_replicas(&ReplicaConfig::default());
-        let applier = joint_applier(server.partitioner().clone());
-        server.replicas = Some(server.pool_with(2, Arc::clone(&applier)));
+        let applier = joint_applier(&server);
+        let pool = ReplicaConfig { standbys: 2, ..ReplicaConfig::default() };
+        attach_pool_with(&mut server, &pool, Arc::clone(&applier));
         server.submit_all(txns);
         server.tick().unwrap();
         server.tick().unwrap();
@@ -1446,9 +894,8 @@ mod tests {
     fn a_failed_standby_row_is_reported_with_its_cause() {
         let (db, txns) = db_and_txns(96, 32);
         let mut server = sharded(&db, 4, 24);
-        server.attach_replicas(&ReplicaConfig::default());
         let refuse: Applier = Arc::new(|_, _| Err(ReplicaError::Corrupt("refused".into())));
-        server.replicas = Some(server.pool_with(1, refuse));
+        attach_pool_with(&mut server, &ReplicaConfig::default(), refuse);
         server.submit_all(txns);
         server.drain(100);
         assert_eq!(server.stats().committed, 96, "a dead standby costs the primary nothing");
@@ -1464,12 +911,7 @@ mod tests {
     #[test]
     fn heartbeat_false_positive_failover_is_safe() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 48, &txns);
         let mut server = sharded(&db, 4, 48);
         server.attach_replicas(&ltpg_replica::ReplicaConfig {
             standbys: 1,
@@ -1498,12 +940,7 @@ mod tests {
         // revived device back as the serving engine — and clear the
         // degraded gauge — rather than leaving the shard benched forever.
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 24, &txns);
         let mut server = sharded(&db, 4, 24);
         server.arm_replica_chaos(ReplicaChaos {
             device_recovers_after_batches: Some(2),
@@ -1515,19 +952,8 @@ mod tests {
         assert_eq!(s.committed, r.committed);
         server.force_shard_failure(1);
         let mut saw_degraded = false;
-        loop {
-            let a = server.tick();
-            let b = reference.tick();
-            saw_degraded |= server.is_degraded(1);
-            match (&a, &b) {
-                (None, None) => break,
-                (Some(sa), Some(sb)) => {
-                    assert_eq!(sa.committed, sb.committed);
-                    assert_eq!(sa.aborted, sb.aborted);
-                }
-                _ => panic!("servers went idle at different ticks"),
-            }
-        }
+        let after = |server: &ShardedServer| saw_degraded |= server.is_degraded(1);
+        assert_lockstep_around(&mut server, &mut reference, |_, _| {}, after);
         assert!(saw_degraded, "the loss must first degrade shard 1 to its CPU twin");
         assert!(!server.is_degraded(1), "the revived device must re-promote the shard");
         assert_eq!(server.stats().degraded_shards, 0, "stats must reflect current topology");
@@ -1547,12 +973,7 @@ mod tests {
         // its CPU twin forever. With no pool, shards 0 and 2 are lost a
         // tick apart; both must re-promote once their outages end.
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 24, &txns);
         let mut server = sharded(&db, 4, 24);
         server.arm_replica_chaos(ReplicaChaos {
             device_recovers_after_batches: Some(3),
@@ -1560,24 +981,15 @@ mod tests {
         });
         server.submit_all(txns);
         let mut saw_both_degraded = false;
-        for tick in 0.. {
-            match tick {
-                1 => server.force_shard_failure(0),
-                2 => server.force_shard_failure(2),
-                _ => {}
-            }
-            let a = server.tick();
-            let b = reference.tick();
-            saw_both_degraded |= server.is_degraded(0) && server.is_degraded(2);
-            match (&a, &b) {
-                (None, None) => break,
-                (Some(sa), Some(sb)) => {
-                    assert_eq!(sa.committed, sb.committed);
-                    assert_eq!(sa.aborted, sb.aborted);
-                }
-                _ => panic!("servers went idle at different ticks"),
-            }
-        }
+        let lose = |tick, server: &ShardedServer| match tick {
+            1 => server.force_shard_failure(0),
+            2 => server.force_shard_failure(2),
+            _ => {}
+        };
+        let after = |server: &ShardedServer| {
+            saw_both_degraded |= server.is_degraded(0) && server.is_degraded(2)
+        };
+        assert_lockstep_around(&mut server, &mut reference, lose, after);
         assert!(saw_both_degraded, "both losses must first degrade their shards");
         assert!(!server.is_degraded(0), "the earlier loss must not be forgotten");
         assert!(!server.is_degraded(2));
@@ -1613,12 +1025,7 @@ mod tests {
     #[test]
     fn exhausted_pool_still_degrades_to_the_cpu_twin() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
+        let mut reference = reference(&db, 24, &txns);
         let mut server = sharded(&db, 4, 24);
         server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
         server.submit_all(txns);
@@ -1651,7 +1058,7 @@ mod tests {
         let batches = server.drain(100).batches;
         assert!(batches >= 4);
         assert_eq!(server.telemetry().counter_value(names::SERVER_CHECKPOINTS), batches / 2);
-        assert_eq!(server.shards[0].durability.checkpoint_batch(), batches - batches % 2);
+        assert_eq!(server.shards().durability[0].checkpoint_batch(), batches - batches % 2);
     }
 
     #[test]

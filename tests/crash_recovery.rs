@@ -269,8 +269,7 @@ fn forced_device_loss_drains_remaining_workload_on_cpu_identically() {
 #[test]
 fn promotion_crashpoint_sweep_recovers_to_the_uncrashed_digest() {
     use ltpg::{PromotionCrashpoint, ReplicaChaos, ServerError};
-    use ltpg_replica::{ReplicaConfig, ReplicaSet};
-    use std::sync::Arc;
+    use ltpg_replica::ReplicaConfig;
 
     let mut saw_before = false;
     let mut saw_after = false;
@@ -307,15 +306,7 @@ fn promotion_crashpoint_sweep_recovers_to_the_uncrashed_digest() {
         // Crashing run: a standby attached, the device lost at a batch
         // boundary, and the promotion window armed to die.
         let mut server = LtpgServer::new(db, cfg.clone(), scfg);
-        let set = ReplicaSet::new(
-            vec![server.durability().checkpoint_image()],
-            server.durability().checkpoint_batch(),
-            cfg.clone(),
-            &ReplicaConfig::default(),
-            Arc::clone(server.telemetry()),
-            ltpg_replica::single_device_applier(),
-        );
-        server.attach_failover(Box::new(set));
+        ltpg_replica::attach(&mut server, &ReplicaConfig::default());
         server.arm_replica_chaos(ReplicaChaos {
             promotion_crash: Some(crash),
             ..ReplicaChaos::none()

@@ -3,9 +3,10 @@
 //! under shedding, trigger coverage, the sharded sink, and bit-identity
 //! of front-formed batches against direct feeding via the QA runner.
 
-use ltpg::{LtpgConfig, LtpgServer, ServerConfig};
+use ltpg::{LtpgConfig, LtpgServer, ReplicaChaos, ServerConfig};
 use ltpg_front::{Fleet, FleetConfig, FrontConfig, FrontEnd, RateLimit, TickSink};
 use ltpg_gpu_sim::DeviceFaultPlan;
+use ltpg_replica::ReplicaConfig;
 use ltpg_shard::{ycsb_partitioner, ShardedServer};
 use ltpg_telemetry::names;
 use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
@@ -243,6 +244,52 @@ fn sharded_sink_conserves_and_commits_everything() {
     assert_eq!(s.committed, s.submitted, "every submission must commit: {s:?}");
     assert!(fe.conserves());
     assert_eq!(fe.pending(), 0);
+}
+
+/// A standby promotion is paid for by the tick it happens in: that tick's
+/// outcome carries the catch-up time (so the ticks still sum to the
+/// server's own clock, exactly), the latency histogram sees it, and the
+/// dispatcher's steady clock does not — seal boundaries and the commit
+/// history are those of the fault-free run.
+#[test]
+fn a_failover_is_charged_to_its_tick_and_leaves_the_steady_clock_alone() {
+    let run = |kill_at: Option<usize>| {
+        let cfg = ycsb().with_partitions(2, 10);
+        let (db, table, mut gen) = YcsbGenerator::new(cfg.clone());
+        let scfg = ServerConfig { batch_size: BATCH, pipelined: false, ..ServerConfig::default() };
+        let part = ycsb_partitioner(2, table, &cfg);
+        let mut srv = ShardedServer::new(db, part, LtpgConfig::default(), scfg);
+        srv.attach_replicas(&ReplicaConfig::default());
+        // Held two batches back, the row has real catch-up to pay for.
+        srv.arm_replica_chaos(ReplicaChaos { standby_lag: Some((0, 2)), ..ReplicaChaos::none() });
+        let mut fe = FrontEnd::new(srv, reference_config());
+        let mut fleet =
+            Fleet::new(FleetConfig { clients: 200, offered_tps: 150_000.0, skew: 1.1, seed: 21 });
+        for (i, a) in fleet.schedule(1_500).into_iter().enumerate() {
+            if kill_at == Some(i) {
+                fe.sink().force_shard_failure(1);
+            }
+            fe.offer(a.client, a.at_ns, gen.gen_txn());
+        }
+        fe.finish(1_500 / BATCH * 12 + 64);
+        assert!(fe.conserves());
+        let outcomes = fe.take_outcomes();
+        let ticked_ns = outcomes.iter().fold(0.0, |sum, o| sum + o.sim_ns);
+        assert_eq!(ticked_ns, fe.sink().stats().sim_ns, "the ticks must sum to the server's clock");
+        assert_eq!(fe.sink().stats().failovers, u64::from(kill_at.is_some()));
+        let failover_ns = fe.sink().telemetry().histogram(names::REPLICA_FAILOVER_NS).snapshot().sum;
+        let e2e_ns = fe.telemetry().histogram(names::FRONT_E2E_NS).snapshot().sum;
+        let history: Vec<_> = outcomes.into_iter().map(|o| (o.committed, o.aborted)).collect();
+        ((fe.seal_digest(), history), e2e_ns, failover_ns)
+    };
+    let (clean, clean_e2e_ns, _) = run(None);
+    let (failed, e2e_ns, failover_ns) = run(Some(700));
+    assert!(failover_ns > 0, "the promotion must pay for a catch-up replay");
+    assert!(failed == clean, "a failover moved a seal boundary or a commit/abort decision");
+    assert!(
+        e2e_ns >= clean_e2e_ns + failover_ns,
+        "{failover_ns} ns of catch-up must reach end-to-end latency: {e2e_ns} vs {clean_e2e_ns}"
+    );
 }
 
 /// Routing a generated QA case through the front-end batcher never

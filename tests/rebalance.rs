@@ -76,7 +76,18 @@ fn server(db: &Database, part: &Partitioner, batch: usize) -> ShardedServer {
 /// lockstep until both drain, asserting per-tick commit/abort sequences
 /// AND the merged conflict-flag words stay bit-identical.
 fn assert_lockstep_with_flags(a: &mut ShardedServer, b: &mut ShardedServer, max_ticks: usize) {
+    assert_lockstep_around(a, b, max_ticks, |_| {});
+}
+
+/// The same, calling `before(a)` ahead of each tick.
+fn assert_lockstep_around(
+    a: &mut ShardedServer,
+    b: &mut ShardedServer,
+    max_ticks: usize,
+    mut before: impl FnMut(&mut ShardedServer),
+) {
     for tick in 0..max_ticks {
+        before(a);
         let ra = a.tick();
         let rb = b.tick();
         match (&ra, &rb) {
@@ -151,28 +162,11 @@ fn sixteen_shards_split_and_merge_match_from_scratch_topology() {
 
     rebalanced.schedule_rebalance(split).expect("split scheduled");
     let mut pending_merge = Some(merge);
-    for tick in 0..60 * batches {
+    assert_lockstep_around(&mut rebalanced, &mut fresh, 60 * batches, |rebalanced| {
         if pending_merge.is_some() && !rebalanced.rebalance_pending() {
             rebalanced.schedule_rebalance(pending_merge.take().unwrap()).expect("merge scheduled");
         }
-        let ra = rebalanced.tick();
-        let rb = fresh.tick();
-        match (&ra, &rb) {
-            (Some(sa), Some(sb)) => {
-                assert_eq!(sa.committed, sb.committed, "commit set diverged at tick {tick}");
-                assert_eq!(sa.aborted, sb.aborted, "abort set diverged at tick {tick}");
-                assert_eq!(
-                    sa.flag_words, sb.flag_words,
-                    "merged conflict-flag words diverged at tick {tick}"
-                );
-            }
-            (None, None) => {}
-            _ => panic!("one server went idle before the other at tick {tick}"),
-        }
-        if ra.is_none() && rb.is_none() && rebalanced.pending() == 0 && fresh.pending() == 0 {
-            break;
-        }
-    }
+    });
     assert_eq!(rebalanced.stats().rebalances, 2, "both plans must have cut over mid-stream");
     assert!(rebalanced.stats().rows_migrated > 0, "the split must have migrated rows");
     assert!(!rebalanced.rebalance_pending());

@@ -8,44 +8,38 @@
 //! replay the same deterministic commit stream the primaries executed,
 //! promotion is just a pointer swap at an aligned batch id.
 //!
-//! The suite drives a partitioned YCSB stream through three topologies in
-//! lockstep — the faulted 4-shard server, a fault-free 1-shard server
-//! (the flag-word reference) and a fault-free single-device
-//! [`LtpgServer`] (the history reference) — and also routes replicated
-//! chaos schedules through the `ltpg-qa` differential runner.
+//! The suite drives a partitioned YCSB stream through two topologies in
+//! lockstep — the faulted 4-shard server and a fault-free single-device
+//! [`LtpgServer`], the reference for history and flag words alike — and
+//! also routes replicated chaos schedules through the `ltpg-qa`
+//! differential runner.
 
 use ltpg::{FaultHorizon, FaultPlan, LtpgConfig, LtpgServer, ReplicaChaos, ServerConfig};
 use ltpg_replica::ReplicaConfig;
-use ltpg_shard::{ycsb_partitioner, Partitioner, ShardedServer, TableRule};
+use ltpg_shard::{ycsb_partitioner, ShardedServer};
 use ltpg_telemetry::names;
 use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 const BATCH: usize = 128;
 const BATCHES: usize = 5;
 
-/// A 4-shard-partitionable YCSB stream plus the three servers: the
-/// sharded system under test, the fault-free 1-shard word reference, and
-/// the fault-free single-device history reference.
-fn topologies(shards: u32) -> (ShardedServer, ShardedServer, LtpgServer) {
+/// A 4-shard-partitionable YCSB stream plus the two servers: the sharded
+/// system under test and the fault-free single-device reference.
+fn topologies(shards: u32) -> (ShardedServer, LtpgServer) {
     let cfg = YcsbConfig::new(YcsbWorkload::A, 2_048)
         .with_seed(0xfa11)
         .with_alpha(0.4)
         .with_partitions(shards, 20);
     let (db, table, mut gen) = YcsbGenerator::new(cfg.clone());
     let part = ycsb_partitioner(shards, table, &cfg);
-    // One shard owns everything, so any rule routes the whole stream there.
-    let one = Partitioner::new(1, TableRule::Hash);
     let scfg = ServerConfig { batch_size: BATCH, pipelined: false, ..ServerConfig::default() };
     let mut sharded =
         ShardedServer::new(db.deep_clone(), part, LtpgConfig::default(), scfg.clone());
-    let mut word_ref =
-        ShardedServer::new(db.deep_clone(), one, LtpgConfig::default(), scfg.clone());
     let mut single = LtpgServer::new(db, LtpgConfig::default(), scfg);
     let stream = gen.gen_batch(BATCH * BATCHES);
     sharded.submit_all(stream.iter().cloned());
-    word_ref.submit_all(stream.iter().cloned());
     single.submit_all(stream);
-    (sharded, word_ref, single)
+    (sharded, single)
 }
 
 fn assert_slices_match(sharded: &ShardedServer, single: &LtpgServer) {
@@ -113,7 +107,7 @@ fn four_shard_failover_is_bit_identical_to_fault_free_run() {
 }
 
 fn four_shard_failover() -> Observed {
-    let (mut sharded, mut word_ref, mut single) = topologies(4);
+    let (mut sharded, mut single) = topologies(4);
     sharded.attach_replicas(&ReplicaConfig::default());
 
     let mut ticks = 0usize;
@@ -124,18 +118,17 @@ fn four_shard_failover() -> Observed {
             failed_at = Some(tick);
         }
         let a = sharded.tick();
-        let w = word_ref.tick();
         let b = single.tick();
-        match (&a, &w, &b) {
-            (Some(sa), Some(sw), Some(sb)) => {
+        match (&a, &b) {
+            (Some(sa), Some(sb)) => {
                 assert_eq!(sa.committed, sb.committed, "commit stream diverged at tick {tick}");
                 assert_eq!(sa.aborted, sb.aborted, "abort stream diverged at tick {tick}");
                 assert_eq!(
-                    sa.flag_words, sw.flag_words,
+                    sa.flag_words, sb.flag_words,
                     "merged conflict-flag words diverged at tick {tick}"
                 );
             }
-            (None, None, None) => {}
+            (None, None) => {}
             _ => panic!("topologies went idle at different ticks (tick {tick})"),
         }
         if let Some(f) = failed_at {
@@ -203,7 +196,7 @@ fn seeded_chaos_sweep(limit: usize) -> Vec<Observed> {
         // Promotion crashpoints model process death and are covered by
         // the crash-recovery sweep; here we keep the server alive.
         let chaos = ReplicaChaos { promotion_crash: None, ..chaos };
-        let (mut sharded, _, mut single) = topologies(2);
+        let (mut sharded, mut single) = topologies(2);
         sharded.attach_replicas(&ReplicaConfig { standbys: 2, heartbeat_miss_threshold: 2 });
         sharded.arm_replica_chaos(chaos);
         for tick in 0..60 * BATCHES {
