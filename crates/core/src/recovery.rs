@@ -31,7 +31,7 @@
 //! log contents.
 
 use bytes::Bytes;
-use ltpg_storage::{BatchLog, BatchRecord, Database, FrameError, TailState};
+use ltpg_storage::{BatchLog, BatchRecord, Database, FrameError, ImageCopy, TailState};
 use ltpg_txn::codec::{decode_batch, encode_batch, DecodeError};
 use ltpg_txn::{Batch, BatchEngine};
 
@@ -133,12 +133,18 @@ pub struct DurabilityManager {
     /// The checkpoint image and the id of the first batch *not* covered
     /// by it.
     checkpoint: (u64, Database),
+    /// What the most recent [`checkpoint`](Self::checkpoint) copied.
+    last_checkpoint: ImageCopy,
 }
 
 impl DurabilityManager {
     /// Start with the initial database as checkpoint 0.
     pub fn new(initial: &Database) -> Self {
-        DurabilityManager { log: BatchLog::new(), checkpoint: (0, initial.deep_clone()) }
+        DurabilityManager {
+            log: BatchLog::new(),
+            checkpoint: (0, initial.deep_clone()),
+            last_checkpoint: ImageCopy::default(),
+        }
     }
 
     /// Log a batch (exactly as admitted — requeued transactions keep their
@@ -150,11 +156,24 @@ impl DurabilityManager {
     }
 
     /// Take a checkpoint of `db`, covering everything up to (excluding)
-    /// the next batch to be logged. The new image overwrites the old one
-    /// in place: a checkpoint copies bytes and allocates nothing.
+    /// the next batch to be logged. The image is brought up to date in
+    /// place ([`Database::deep_clone_from`]): when it was last taken from
+    /// this same `db`, only the rows and index slots written since are
+    /// copied and nothing is allocated (bar the node splits of an ordered
+    /// index that took inserts); the first checkpoint, and the first of
+    /// another database (a rebalance cutover's new slice, a rebuilt
+    /// executor), is a full copy into the same arrays. Take it at a batch
+    /// boundary. [`last_checkpoint`](Self::last_checkpoint) says what this
+    /// one copied.
     pub fn checkpoint(&mut self, db: &Database) {
         self.checkpoint.0 = self.log.len() as u64;
-        self.checkpoint.1.deep_clone_from(db);
+        self.last_checkpoint = self.checkpoint.1.deep_clone_from(db);
+    }
+
+    /// What the most recent [`checkpoint`](Self::checkpoint) copied
+    /// (nothing before the first).
+    pub fn last_checkpoint(&self) -> ImageCopy {
+        self.last_checkpoint
     }
 
     /// Bytes written to the simulated log so far.
@@ -359,24 +378,30 @@ mod tests {
         let mut dur = DurabilityManager::new(&db);
         let mut engine = LtpgEngine::new(db, LtpgConfig::default());
         let mut tids = TidGen::new();
-        for round in 0..6 {
+        for round in 0..9 {
             let batch = Batch::assemble(vec![], contended_txns(t, 10, round + 1), &mut tids);
             dur.log_batch(&batch);
             engine.execute_batch(&batch);
-            // The second checkpoint overwrites the first image in place.
-            if round == 0 || round == 2 {
+            // Each checkpoint brings the image before it up to date in
+            // place: the first by a full copy (the image is a clone of the
+            // initial database, which mirrors nothing), the three after it
+            // by copying what their two batches wrote.
+            if round % 2 == 0 && round < 8 {
                 dur.checkpoint(engine.database());
                 assert_eq!(dur.checkpoint_batch(), round as u64 + 1);
                 assert_eq!(
                     dur.checkpoint_image().state_digest(),
                     engine.database().state_digest()
                 );
+                let copied = dur.last_checkpoint();
+                assert_eq!(copied.full, round == 0);
+                assert!(round == 0 || (1..=12).contains(&copied.rows), "{copied:?}");
             }
         }
         let outcome =
             dur.recover_with(LtpgConfig::default(), &RecoveryOptions::default()).unwrap();
         assert_eq!(outcome.db.state_digest(), engine.database().state_digest());
-        assert_eq!(outcome.stats.frames_replayed, 3, "checkpoint covers the first 3 batches");
+        assert_eq!(outcome.stats.frames_replayed, 2, "checkpoint covers the first 7 batches");
         assert!(!outcome.stats.torn_tail);
     }
 

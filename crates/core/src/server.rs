@@ -305,6 +305,18 @@ impl Shards {
     pub fn logged_batches(&self) -> u64 {
         self.durability[0].logged_batches() as u64
     }
+
+    /// Checkpoint shard `s` at its executor's database, counting what the
+    /// image copy took beside `server.checkpoints`.
+    pub fn checkpoint(&mut self, s: usize) {
+        let dur = &mut self.durability[s];
+        dur.checkpoint(self.execs[s].database());
+        let copied = dur.last_checkpoint();
+        let reg = &self.telemetry;
+        reg.counter(names::DURABILITY_CHECKPOINT_ROWS_COPIED).add(copied.rows);
+        reg.counter(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED).add(copied.index_slots);
+        reg.counter(names::DURABILITY_CHECKPOINT_FULL_IMAGES).add(u64::from(copied.full));
+    }
 }
 
 /// A batching OLTP server over the executors of one [`Topology`].
@@ -587,6 +599,15 @@ impl<T: Topology> Server<T> {
                 h.count,
             );
         }
+        let reg = &self.shards.telemetry;
+        let _ = writeln!(
+            out,
+            "checkpoints           {} ({} full image(s), {} rows and {} index slots copied)",
+            reg.counter_value(names::SERVER_CHECKPOINTS),
+            reg.counter_value(names::DURABILITY_CHECKPOINT_FULL_IMAGES),
+            reg.counter_value(names::DURABILITY_CHECKPOINT_ROWS_COPIED),
+            reg.counter_value(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED),
+        );
         if let Some(pool) = &self.shards.pool {
             let _ = writeln!(out, "standbys alive        {}", pool.rows_alive());
             for d in pool.demotions() {
@@ -819,18 +840,18 @@ impl<T: Topology> Server<T> {
         self.topology.after_batch(&mut self.shards, summary.sim_ns);
         // Steady-state replication: every standby row is shipped the batch
         // just executed (and any residual lag) at the boundary.
-        let Shards { pool, durability, execs, telemetry, .. } = &mut self.shards;
+        let Shards { pool, durability, .. } = &mut self.shards;
         if let Some(pool) = pool {
             pool.replicate(durability);
         }
         if self.cfg.checkpoint_every.is_some_and(|n| self.stats.batches.is_multiple_of(n as u64)) {
-            for (dur, exec) in durability.iter_mut().zip(execs.iter()) {
-                dur.checkpoint(exec.database());
+            for s in 0..self.shards.execs.len() {
+                self.shards.checkpoint(s);
             }
-            telemetry.counter(names::SERVER_CHECKPOINTS).inc();
+            self.shards.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
         }
         self.intake.requeue_aborted(&batch, &summary.aborted, self.cfg.pipelined);
-        telemetry.gauge(names::SERVER_PENDING).set(self.intake.pending() as i64);
+        self.shards.telemetry.gauge(names::SERVER_PENDING).set(self.intake.pending() as i64);
         Ok(Some(summary))
     }
 

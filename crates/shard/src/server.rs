@@ -158,16 +158,18 @@ impl Sharding {
             })
             .collect();
         for (s, slice) in new_slices.into_iter().enumerate() {
-            // Joint checkpoint at the cutover id: degradation replay and
-            // failover catch-up start from post-cutover images and never
-            // span the rule change.
-            shards.durability[s].checkpoint(&slice);
             shards.execs[s] = if shards.execs[s].is_degraded() {
                 CpuTwin::new(slice, shards.engine_cfg.clone()).into()
             } else {
                 // Armed fault plans are not carried over, as in degradation.
                 shards.engine(s, slice)
             };
+            // Joint checkpoint at the cutover id: degradation replay and
+            // failover catch-up start from post-cutover images and never
+            // span the rule change. The slice is a new database, so this is
+            // a full copy into the old image's arrays; the periodic
+            // checkpoints after it copy what was written.
+            shards.checkpoint(s);
         }
         self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
         self.router = Router::new(new_part);

@@ -13,6 +13,8 @@
 //! bottom-up insertion with parent stacks, and every structural invariant
 //! is checked by `validate()` under test.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use parking_lot::RwLock;
 
 use crate::table::RowId;
@@ -47,24 +49,29 @@ impl Tree {
         Tree { arena: vec![Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None }], root: 0, len: 0 }
     }
 
-    /// Descend to the leaf that should hold `key`, recording the path.
-    fn find_leaf(&self, key: i64) -> (usize, Vec<(usize, usize)>) {
-        let mut path = Vec::new();
+    /// Descend to the leaf that should hold `key`, telling `visit` each
+    /// internal node passed and the child slot taken.
+    fn descend(&self, key: i64, mut visit: impl FnMut(usize, usize)) -> usize {
         let mut node = self.root;
         loop {
             match &self.arena[node] {
-                Node::Leaf { .. } => return (node, path),
+                Node::Leaf { .. } => return node,
                 Node::Internal { keys, children } => {
                     let slot = keys.partition_point(|&k| k <= key);
-                    path.push((node, slot));
+                    visit(node, slot);
                     node = children[slot];
                 }
             }
         }
     }
 
+    /// The leaf that should hold `key`.
+    fn find_leaf(&self, key: i64) -> usize {
+        self.descend(key, |_, _| {})
+    }
+
     fn insert(&mut self, key: i64, val: RowId) -> Option<RowId> {
-        let (leaf_idx, path) = self.find_leaf(key);
+        let leaf_idx = self.find_leaf(key);
         // Insert into the leaf.
         let (split_key, new_node) = {
             let Node::Leaf { keys, vals, next } = &mut self.arena[leaf_idx] else { unreachable!() };
@@ -96,6 +103,10 @@ impl Tree {
         if let Node::Leaf { next, .. } = &mut self.arena[leaf_idx] {
             *next = Some(right_idx);
         }
+        // Only a split needs the way back up, so only a split records it
+        // (and allocates for it): one insert in seventeen.
+        let mut path = Vec::new();
+        self.descend(key, |node, slot| path.push((node, slot)));
         self.insert_into_parents(path, split_key, right_idx);
         None
     }
@@ -138,7 +149,7 @@ impl Tree {
     }
 
     fn get(&self, key: i64) -> Option<RowId> {
-        let (leaf, _) = self.find_leaf(key);
+        let leaf = self.find_leaf(key);
         let Node::Leaf { keys, vals, .. } = &self.arena[leaf] else { unreachable!() };
         keys.binary_search(&key).ok().map(|i| vals[i])
     }
@@ -148,7 +159,7 @@ impl Tree {
         // may underfill; lookups and scans remain correct, and batch
         // workloads rebuild indexes rarely). Classic trade documented in
         // the module docs.
-        let (leaf, _) = self.find_leaf(key);
+        let leaf = self.find_leaf(key);
         let Node::Leaf { keys, vals, .. } = &mut self.arena[leaf] else { unreachable!() };
         match keys.binary_search(&key) {
             Ok(i) => {
@@ -163,7 +174,7 @@ impl Tree {
 
     /// Visit `(key, rid)` pairs in `[lo, hi)` in key order.
     fn range(&self, lo: i64, hi: i64, out: &mut Vec<(i64, RowId)>) {
-        let (mut leaf, _) = self.find_leaf(lo);
+        let mut leaf = self.find_leaf(lo);
         loop {
             let Node::Leaf { keys, vals, next } = &self.arena[leaf] else { unreachable!() };
             let start = keys.partition_point(|&k| k < lo);
@@ -182,7 +193,7 @@ impl Tree {
 
     /// First `(key, rid)` with `key >= lo`.
     fn first_at_or_after(&self, lo: i64) -> Option<(i64, RowId)> {
-        let (mut leaf, _) = self.find_leaf(lo);
+        let mut leaf = self.find_leaf(lo);
         loop {
             let Node::Leaf { keys, vals, next } = &self.arena[leaf] else { unreachable!() };
             let start = keys.partition_point(|&k| k < lo);
@@ -232,17 +243,40 @@ impl Tree {
 #[derive(Debug)]
 pub struct OrderedIndex {
     tree: RwLock<Tree>,
+    /// Whether an insert or remove ran since an image of the owning table
+    /// was last brought up to date: an untouched tree is skipped outright.
+    /// `Relaxed` throughout — it is read at a batch boundary, like the
+    /// table's dirty bits.
+    touched: AtomicBool,
 }
 
 impl OrderedIndex {
     /// Create an empty index.
     pub fn new() -> Self {
-        OrderedIndex { tree: RwLock::new(Tree::new()) }
+        OrderedIndex { tree: RwLock::new(Tree::new()), touched: AtomicBool::new(false) }
     }
 
     /// Insert `key → rid`; returns the previous mapping if present.
     pub fn insert(&self, key: i64, rid: RowId) -> Option<RowId> {
+        self.touched.store(true, Ordering::Relaxed);
         self.tree.write().insert(key, rid)
+    }
+
+    /// Whether the index was written since this was last asked; asking
+    /// clears it.
+    pub(crate) fn take_touched(&self) -> bool {
+        self.touched.swap(false, Ordering::Relaxed)
+    }
+
+    /// [`insert`](Self::insert) for an exclusive owner: an image being
+    /// brought up to date, whose change is not itself recorded.
+    pub(crate) fn insert_mut(&mut self, key: i64, rid: RowId) {
+        self.tree.get_mut().insert(key, rid);
+    }
+
+    /// [`remove`](Self::remove) for an exclusive owner.
+    pub(crate) fn remove_mut(&mut self, key: i64) {
+        self.tree.get_mut().remove(key);
     }
 
     /// Point lookup.
@@ -252,6 +286,7 @@ impl OrderedIndex {
 
     /// Remove `key`; returns the removed mapping.
     pub fn remove(&self, key: i64) -> Option<RowId> {
+        self.touched.store(true, Ordering::Relaxed);
         self.tree.write().remove(key)
     }
 
@@ -280,10 +315,13 @@ impl OrderedIndex {
 }
 
 /// A copy of the node arena as it stands (same shape, same underfilled
-/// leaves), taken under the read lock.
+/// leaves), taken under the read lock; the copy starts untouched.
 impl Clone for OrderedIndex {
     fn clone(&self) -> Self {
-        OrderedIndex { tree: RwLock::new(self.tree.read().clone()) }
+        OrderedIndex {
+            tree: RwLock::new(self.tree.read().clone()),
+            touched: AtomicBool::new(false),
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 //! (deep clone for oracles, digests for cross-engine comparison, byte
 //! footprint for the device memory model).
 
+use crate::dirty::ImageCopy;
 use crate::schema::{Schema, TableId};
 use crate::table::Table;
 
@@ -68,17 +69,22 @@ impl Database {
         Database { tables: self.tables.iter().map(Table::deep_clone).collect() }
     }
 
-    /// Make `self` a deep copy of `src` in the arrays `self` already owns
-    /// (see [`Table::deep_clone_from`]): what a checkpoint does to the
-    /// image before it. A `self` with another table count is replaced.
-    pub fn deep_clone_from(&mut self, src: &Database) {
+    /// Make `self` a deep copy of `src` in the arrays `self` already owns,
+    /// table by table (see [`Table::deep_clone_from`]: each copies what was
+    /// written since `self` last mirrored it, or everything if it does
+    /// not): what a checkpoint does to the image before it. A `self` with
+    /// another table count is replaced. Returns what was copied.
+    pub fn deep_clone_from(&mut self, src: &Database) -> ImageCopy {
         if self.tables.len() != src.tables.len() {
+            // Copied once more in place below: that second, full pass is
+            // what makes the new image a mirror. Once per image at most.
             *self = src.deep_clone();
-            return;
         }
+        let mut copied = ImageCopy::default();
         for (image, table) in self.tables.iter_mut().zip(&src.tables) {
-            image.deep_clone_from(table);
+            copied += image.deep_clone_from(table);
         }
+        copied
     }
 
     /// Clone the subset of rows for which `keep(table, key)` holds, keeping
@@ -204,6 +210,66 @@ mod tests {
             merged.digest_into(&mut h);
         }
         assert_eq!(h, db.state_digest());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// A database image kept up to date round after round is the
+            /// fresh clone, table for table and bit for bit, across tables
+            /// of different widths, capacities and index kinds; only the
+            /// first refresh (of a fresh clone, or of an image with another
+            /// table count) is a full copy, and a later one copies no more
+            /// rows than the round wrote.
+            #[test]
+            fn a_delta_maintained_database_image_is_the_fresh_clone(
+                starts_empty in any::<bool>(),
+                rounds in proptest::collection::vec(
+                    proptest::collection::vec((0..3usize, 0..3u8, 0..24i64, -9..9i64), 0..40),
+                    2..6,
+                ),
+            ) {
+                let mut db = Database::new();
+                db.add_table(TableBuilder::new("A").column("x").capacity(40).build());
+                let wide = TableBuilder::new("B").columns(["p", "q", "r"]).capacity(64).build();
+                db.add_built_table(Table::new(wide).with_ordered());
+                db.add_table(TableBuilder::new("C").columns(["y", "z"]).capacity(16).build());
+                let mut image = if starts_empty { Database::new() } else { db.deep_clone() };
+                for (round, ops) in rounds.iter().enumerate() {
+                    for &(t, op, k, v) in ops {
+                        let table = &db.tables[t];
+                        match (op, table.lookup(k)) {
+                            (0, _) => {
+                                let _ = table.insert(k, &vec![v; table.width()]);
+                            }
+                            (1, _) => {
+                                table.delete(k);
+                            }
+                            (_, Some(rid)) => table.set(rid, ColId(0), v),
+                            _ => {}
+                        }
+                    }
+                    let copied = image.deep_clone_from(&db);
+                    prop_assert_eq!(copied.full, round == 0);
+                    if round > 0 {
+                        prop_assert!(copied.rows <= ops.len() as u64);
+                    }
+                    let fresh = db.deep_clone();
+                    prop_assert_eq!(image.state_digest(), fresh.state_digest());
+                    for (got, want) in image.tables.iter().zip(&fresh.tables) {
+                        prop_assert!(got.image_bits() == want.image_bits());
+                        if let (Some(a), Some(b)) = (got.ordered(), want.ordered()) {
+                            let all = |t: &crate::OrderedIndex| t.range(i64::MIN, i64::MAX);
+                            prop_assert_eq!(all(a), all(b));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
+use crate::dirty::{in_groups, DirtyBits};
 use crate::table::RowId;
 
 /// Key value meaning "slot never used".
@@ -45,6 +46,9 @@ pub struct PrimaryIndex {
     slots: Box<[Slot]>,
     mask: usize,
     len: AtomicUsize,
+    /// Slots claimed or tombstoned since an image of this index was last
+    /// brought up to date ([`refresh_from`](Self::refresh_from)).
+    dirty: DirtyBits,
 }
 
 impl PrimaryIndex {
@@ -56,7 +60,7 @@ impl PrimaryIndex {
             .map(|_| Slot { key: AtomicI64::new(EMPTY), rid: AtomicU32::new(PENDING) })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        PrimaryIndex { slots, mask: n - 1, len: AtomicUsize::new(0) }
+        PrimaryIndex { slots, mask: n - 1, len: AtomicUsize::new(0), dirty: DirtyBits::new(n) }
     }
 
     /// Number of live keys.
@@ -77,25 +81,26 @@ impl PrimaryIndex {
         // The first tombstone on the probe path is the slot to reclaim, but
         // only once the probe has reached an EMPTY slot and so proved the
         // key absent: a live copy of `key` may sit beyond the tombstone.
-        let mut reclaim: Option<&Slot> = None;
+        let mut reclaim: Option<usize> = None;
         for i in 0..=self.mask {
-            let slot = &self.slots[(start + i) & self.mask];
+            let at = (start + i) & self.mask;
+            let slot = &self.slots[at];
             let mut k = slot.key.load(Ordering::Acquire);
             loop {
                 if k == key {
                     return Err(DuplicateKey { existing: self.wait_rid(slot) });
                 }
                 if k == TOMBSTONE {
-                    reclaim.get_or_insert(slot);
+                    reclaim.get_or_insert(at);
                 }
                 if k != EMPTY {
                     break; // tombstone or another key; probe on
                 }
-                let (target, vacant) = reclaim.map_or((slot, EMPTY), |t| (t, TOMBSTONE));
+                let (target, vacant) = reclaim.map_or((at, EMPTY), |t| (t, TOMBSTONE));
                 match self.claim(target, vacant, key, rid) {
                     Ok(()) => return Ok(()),
                     Err(observed) if observed == key => {
-                        return Err(DuplicateKey { existing: self.wait_rid(target) });
+                        return Err(DuplicateKey { existing: self.wait_rid(&self.slots[target]) });
                     }
                     // Lost the race for the slot to another key; re-examine
                     // this slot with no tombstone in hand.
@@ -115,11 +120,13 @@ impl PrimaryIndex {
         panic!("primary index full ({} slots)", self.slots.len());
     }
 
-    /// Claim `slot` for `key` if it still holds `vacant` (EMPTY or
+    /// Claim slot `at` for `key` if it still holds `vacant` (EMPTY or
     /// TOMBSTONE), publishing `rid`; otherwise return the key found there.
-    fn claim(&self, slot: &Slot, vacant: i64, key: i64, rid: RowId) -> Result<(), i64> {
+    fn claim(&self, at: usize, vacant: i64, key: i64, rid: RowId) -> Result<(), i64> {
+        let slot = &self.slots[at];
         slot.key.compare_exchange(vacant, key, Ordering::AcqRel, Ordering::Acquire)?;
         slot.rid.store(rid.0, Ordering::Release);
+        self.dirty.mark(at);
         self.len.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -175,12 +182,14 @@ impl PrimaryIndex {
         }
         let start = mix_key(key) as usize & self.mask;
         for i in 0..=self.mask {
-            let slot = &self.slots[(start + i) & self.mask];
+            let at = (start + i) & self.mask;
+            let slot = &self.slots[at];
             let k = slot.key.load(Ordering::Acquire);
             if k == key {
                 let rid = self.wait_rid(slot);
                 slot.rid.store(PENDING, Ordering::Release);
                 slot.key.store(TOMBSTONE, Ordering::Release);
+                self.dirty.mark(at);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 return Some(rid);
             }
@@ -212,11 +221,59 @@ impl PrimaryIndex {
     }
 }
 
+impl PrimaryIndex {
+    /// Bring `self`, an image that mirrored `src` when the marks of both
+    /// were last cleared, up to date: the slots either side claimed or
+    /// tombstoned since are copied one for one (an image is not meant to be
+    /// written, but if it was its own marks say where it strayed) and the
+    /// marks cleared. Returns the number of slots copied. Like `clone`,
+    /// must not race a writer.
+    pub(crate) fn refresh_from(&mut self, src: &PrimaryIndex) -> u64 {
+        debug_assert_eq!(self.slots.len(), src.slots.len(), "a mirror has its source's shape");
+        let PrimaryIndex { slots, dirty, len, .. } = self;
+        *len.get_mut() = src.len();
+        in_groups(src.dirty.drain_with(dirty), |group| {
+            for &at in group {
+                std::hint::black_box(src.slots[at].key.load(Ordering::Relaxed));
+                std::hint::black_box(slots[at].key.load(Ordering::Relaxed));
+            }
+            for &at in group {
+                copy_slot(&mut slots[at], &src.slots[at]);
+            }
+        })
+    }
+
+    /// Forget which slots were written: an image was just made a full copy
+    /// of this index.
+    pub(crate) fn clear_dirty(&self) {
+        self.dirty.clear();
+    }
+
+    /// Number of slots (live, tombstoned and empty).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// `(key, row id)` bits of every slot, for tests that hold an image
+    /// slot-equal to a fresh clone.
+    #[cfg(test)]
+    pub(crate) fn slot_bits(&self) -> Vec<(i64, u32)> {
+        let bits = |s: &Slot| (s.key.load(Ordering::Relaxed), s.rid.load(Ordering::Relaxed));
+        self.slots.iter().map(bits).collect()
+    }
+}
+
+fn copy_slot(dst: &mut Slot, src: &Slot) {
+    *dst.key.get_mut() = src.key.load(Ordering::Acquire);
+    *dst.rid.get_mut() = src.rid.load(Ordering::Acquire);
+}
+
 /// A slot-for-slot copy: the same slot array, tombstones included, so every
 /// key probes in the copy exactly as it does in the original and the cost is
-/// one pass over the slots, not one hashed insert per key. Must not race a
-/// writer (a slot caught between its key and row-id stores would be copied
-/// half-published); every caller clones at a batch boundary.
+/// one pass over the slots, not one hashed insert per key. The copy starts
+/// with no slot marked written. Must not race a writer (a slot caught
+/// between its key and row-id stores would be copied half-published); every
+/// caller clones at a batch boundary.
 impl Clone for PrimaryIndex {
     fn clone(&self) -> Self {
         let slots = self
@@ -227,7 +284,12 @@ impl Clone for PrimaryIndex {
                 rid: AtomicU32::new(s.rid.load(Ordering::Acquire)),
             })
             .collect();
-        PrimaryIndex { slots, mask: self.mask, len: AtomicUsize::new(self.len()) }
+        PrimaryIndex {
+            slots,
+            mask: self.mask,
+            len: AtomicUsize::new(self.len()),
+            dirty: DirtyBits::new(self.slots.len()),
+        }
     }
 
     /// The same copy into the slot array `self` already has (nothing is
@@ -238,10 +300,10 @@ impl Clone for PrimaryIndex {
             return;
         }
         for (dst, s) in self.slots.iter_mut().zip(src.slots.iter()) {
-            *dst.key.get_mut() = s.key.load(Ordering::Acquire);
-            *dst.rid.get_mut() = s.rid.load(Ordering::Acquire);
+            copy_slot(dst, s);
         }
         *self.len.get_mut() = src.len();
+        self.dirty.clear();
     }
 }
 

@@ -21,6 +21,7 @@
 
 pub mod btree;
 pub mod database;
+mod dirty;
 pub mod index;
 pub mod schema;
 pub mod table;
@@ -28,6 +29,7 @@ pub mod wal;
 
 pub use btree::OrderedIndex;
 pub use database::Database;
+pub use dirty::ImageCopy;
 pub use index::PrimaryIndex;
 pub use schema::{ColId, Schema, TableBuilder, TableId};
 pub use table::{

@@ -4,9 +4,10 @@
 //! a cell by protocol, and cross-phase ordering comes from barriers.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
 use crate::btree::OrderedIndex;
+use crate::dirty::{in_groups, DirtyBits, ImageCopy};
 use crate::index::{DuplicateKey, PrimaryIndex};
 use crate::schema::{ColId, Schema};
 
@@ -75,6 +76,40 @@ pub struct Table {
     row_count: AtomicU32,
     primary: PrimaryIndex,
     ordered: Option<OrderedIndex>,
+    /// Row slots written (cells or key) since an image of this table was
+    /// last brought up to date by [`deep_clone_from`](Self::deep_clone_from).
+    /// `set`, `add`, `cas` and `delete` mark; only `deep_clone_from` clears.
+    /// `insert` does not: row slots are handed out in order and never
+    /// again, so the slots allocated since are the ones past the count the
+    /// image last saw (lanes inserting side by side would otherwise fight
+    /// over one bitmap word, as they already do over `row_count`).
+    dirty: DirtyBits,
+    /// Names this table *as of the last time its marks were drained*: a
+    /// process-unique number, replaced by a new one at every drain — an
+    /// identity and a generation in one. `Relaxed`: it publishes nothing,
+    /// and is read and replaced only by `deep_clone_from`, which may not
+    /// race a writer anyway.
+    sync: AtomicU64,
+    /// On an image: what it was last refreshed from.
+    mirror: Option<Mirror>,
+}
+
+/// What an image remembers of its last refresh. While `source` is still the
+/// source's `sync` and `own` the image's, the two differ only in marked row
+/// and index slots and in row slots from `rows` up.
+#[derive(Clone, Copy)]
+struct Mirror {
+    source: u64,
+    own: u64,
+    /// Row slots the source had allocated.
+    rows: usize,
+}
+
+/// The next [`Table::sync`] value; 0 is never handed out.
+static NEXT_SYNC: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_sync() -> u64 {
+    NEXT_SYNC.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Table {
@@ -93,6 +128,9 @@ impl Table {
             row_count: AtomicU32::new(0),
             primary: PrimaryIndex::with_capacity(cap),
             ordered: None,
+            dirty: DirtyBits::new(cap),
+            sync: AtomicU64::new(fresh_sync()),
+            mirror: None,
             schema,
         }
     }
@@ -100,6 +138,8 @@ impl Table {
     /// Attach an ordered (B+tree) index, enabling range scans.
     pub fn with_ordered(mut self) -> Self {
         self.ordered = Some(OrderedIndex::new());
+        // Another table as far as any image of the old one is concerned.
+        self.sync = AtomicU64::new(fresh_sync());
         self
     }
 
@@ -138,7 +178,8 @@ impl Table {
         self.width
     }
 
-    /// Bytes of cell + key storage — the device footprint of this table.
+    /// Bytes of cell + key storage — the *modelled* device footprint of
+    /// this table. The host-side dirty bitmaps are not part of it.
     pub fn bytes(&self) -> u64 {
         ((self.data.len() + self.keys.len()) * std::mem::size_of::<i64>()) as u64
     }
@@ -200,6 +241,7 @@ impl Table {
     /// Overwrite one cell.
     #[inline]
     pub fn set(&self, rid: RowId, col: ColId, v: i64) {
+        self.dirty.mark(rid.idx());
         self.cell(rid, col).store(v, Ordering::Release);
     }
 
@@ -207,12 +249,14 @@ impl Table {
     /// Used by the delayed-update write-back and by CPU baselines.
     #[inline]
     pub fn add(&self, rid: RowId, col: ColId, delta: i64) -> i64 {
+        self.dirty.mark(rid.idx());
         self.cell(rid, col).fetch_add(delta, Ordering::AcqRel)
     }
 
     /// Atomic compare-exchange on one cell (TicToc-style lock words).
     #[inline]
     pub fn cas(&self, rid: RowId, col: ColId, expect: i64, new: i64) -> Result<i64, i64> {
+        self.dirty.mark(rid.idx());
         self.cell(rid, col).compare_exchange(expect, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
@@ -233,6 +277,7 @@ impl Table {
         if let Some(ord) = &self.ordered {
             ord.remove(key);
         }
+        self.dirty.mark(rid.idx());
         self.keys[rid.idx()].store(DELETED_KEY, Ordering::Release);
         Some(rid)
     }
@@ -256,31 +301,115 @@ impl Table {
             row_count: AtomicU32::new(n as u32),
             primary: self.primary.clone(),
             ordered: self.ordered.clone(),
+            dirty: DirtyBits::new(self.schema.capacity),
+            sync: AtomicU64::new(fresh_sync()),
+            mirror: None,
         }
     }
 
     /// Make `self` what [`src.deep_clone()`](Self::deep_clone) would
-    /// return, in the arrays `self` already owns: the live prefix of the
-    /// cells and keys is overwritten, row slots `self` had allocated beyond
-    /// `src`'s are vacated, the index slots are overwritten one for one.
-    /// Nothing is allocated, so no page of a 100 MB image is faulted in
-    /// again (on the reference box a fresh image spends three quarters of
-    /// its time in page faults, and that part varies from one image to the
-    /// next). This is how a checkpoint replaces the image before it. A
-    /// `self` whose arrays have another size is replaced by a fresh clone.
-    pub fn deep_clone_from(&mut self, src: &Table) {
+    /// return, in the arrays `self` already owns, and say what that took.
+    /// This is how a checkpoint replaces the image before it.
+    ///
+    /// **Delta.** If `self` was last refreshed from this very `src` and
+    /// nobody else has drained `src`'s marks since (nor `self`'s), the two
+    /// differ only in the row slots marked or allocated since and in the
+    /// marked index slots: those rows' cells and keys and those index slots
+    /// are copied, the ordered index has the keys that left such a row
+    /// removed and the keys that arrived inserted (not at all if it was
+    /// never touched), and nothing is allocated beyond what those tree
+    /// inserts need. The cost is what was written since the last refresh,
+    /// not the table.
+    ///
+    /// **Full.** Anything else — an image of another source, of another
+    /// state of it (a second image was refreshed in between), a fresh
+    /// `deep_clone` — takes the full copy: the live prefix of the cells and
+    /// keys is overwritten, row slots `self` had allocated beyond `src`'s
+    /// are vacated, the index slots are overwritten one for one, the
+    /// ordered index is cloned. No array is allocated, so no page of a
+    /// 100 MB image is faulted in again; a `self` whose arrays have another
+    /// size is replaced by a fresh clone.
+    ///
+    /// Either way `src`'s marks are drained and `self` mirrors `src` for
+    /// the next call. Like `deep_clone`, take it at a batch boundary.
+    pub fn deep_clone_from(&mut self, src: &Table) -> ImageCopy {
+        let (source, own) = (src.sync.load(Ordering::Relaxed), *self.sync.get_mut());
+        let copied = match self.mirror {
+            Some(m) if m.source == source && m.own == own => self.copy_written(src, m.rows),
+            _ => self.copy_all(src),
+        };
+        let source = fresh_sync();
+        src.sync.store(source, Ordering::Relaxed);
+        self.mirror = Some(Mirror { source, own: *self.sync.get_mut(), rows: src.len() });
+        copied
+    }
+
+    /// The full copy of [`deep_clone_from`](Self::deep_clone_from); leaves
+    /// both sides without a mark.
+    fn copy_all(&mut self, src: &Table) -> ImageCopy {
         if self.data.len() != src.data.len() || self.keys.len() != src.keys.len() {
             *self = src.deep_clone();
-            return;
+        } else {
+            let (was, n) = (self.len(), src.len());
+            overwrite(&mut self.data, &src.data, n * src.width, was * self.width, 0);
+            overwrite(&mut self.keys, &src.keys, n, was, DELETED_KEY);
+            *self.row_count.get_mut() = n as u32;
+            self.primary.clone_from(&src.primary);
+            self.ordered.clone_from(&src.ordered);
+            self.schema.clone_from(&src.schema);
+            self.width = src.width;
+            self.dirty.clear();
         }
-        let (was, n) = (self.len(), src.len());
-        overwrite(&mut self.data, &src.data, n * src.width, was * self.width, 0);
-        overwrite(&mut self.keys, &src.keys, n, was, DELETED_KEY);
-        *self.row_count.get_mut() = n as u32;
-        self.primary.clone_from(&src.primary);
-        self.ordered.clone_from(&src.ordered);
-        self.schema.clone_from(&src.schema);
-        self.width = src.width;
+        src.dirty.clear();
+        src.primary.clear_dirty();
+        if let Some(ord) = &src.ordered {
+            ord.take_touched();
+        }
+        let (rows, index_slots) = (src.len() as u64, src.primary.slot_count() as u64);
+        ImageCopy { rows, index_slots, full: true }
+    }
+
+    /// The delta of [`deep_clone_from`](Self::deep_clone_from): `self`
+    /// equals `src` except in slots marked on either side and in row slots
+    /// either side allocated since the source had `synced` of them (the
+    /// image's own writes count too: an image is not meant to be written,
+    /// but if it was, they say where it strayed from the source).
+    fn copy_written(&mut self, src: &Table, synced: usize) -> ImageCopy {
+        let upper = src.len().max(self.len());
+        let Table { data, keys, dirty, primary, ordered, row_count, .. } = self;
+        // A key enters or leaves the key column only together with its
+        // index slot (the burned slot of a duplicate insert ends as vacant
+        // as it began), so a period that wrote no index slot — every
+        // update-only table — has no key to copy, and its scattered rows
+        // cost one cache miss a side instead of two.
+        let index_slots = primary.refresh_from(&src.primary);
+        let keys_moved = index_slots > 0;
+        let mut tree = match (ordered.as_mut(), &src.ordered) {
+            (Some(own), Some(theirs)) => {
+                (theirs.take_touched() | own.take_touched()).then_some(own)
+            }
+            _ => None,
+        };
+        if let Some(tree) = tree.as_deref_mut() {
+            // Every key that left a slot goes before any key arrives (in
+            // `copy_keys_of`): a key deleted from one slot and re-inserted in
+            // another is in the tree once, under the row it moved to.
+            for r in written_rows(src.dirty.marked_with(dirty), synced, upper) {
+                let was = keys[r].load(Ordering::Relaxed);
+                let now = src.keys[r].load(Ordering::Acquire);
+                if was != now && was != DELETED_KEY {
+                    tree.remove_mut(was);
+                }
+            }
+        }
+        let rows = in_groups(written_rows(src.dirty.drain_with(dirty), synced, upper), |group| {
+            copy_cells_of(group, data, src);
+            if keys_moved {
+                copy_keys_of(group, keys, src, tree.as_deref_mut());
+            }
+        });
+        *row_count.get_mut() = src.len() as u32;
+        ImageCopy { rows, index_slots, full: false }
     }
 
     /// Clone only the live rows whose key satisfies `keep`, preserving the
@@ -383,6 +512,70 @@ fn overwrite(dst: &mut [AtomicI64], src: &[AtomicI64], live: usize, stale: usize
     }
     for d in dst.iter_mut().take(stale).skip(live) {
         *d.get_mut() = vacant;
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Every bit an image must share with a fresh clone: all cells, all
+    /// keys, all primary-index slots.
+    pub(crate) fn image_bits(&self) -> (Vec<i64>, Vec<i64>, Vec<(i64, u32)>) {
+        let bits = |x: &[AtomicI64]| x.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        (bits(&self.data), bits(&self.keys), self.primary.slot_bits())
+    }
+}
+
+/// The row slots a delta copies: the `marked` ones below `synced`, then
+/// every slot from `synced` (the first the image's last refresh did not see
+/// allocated) up to `upper`.
+fn written_rows(
+    marked: impl Iterator<Item = usize>,
+    synced: usize,
+    upper: usize,
+) -> impl Iterator<Item = usize> {
+    marked.filter(move |&r| r < synced).chain(synced..upper)
+}
+
+/// Copy the cells of row slots `rows` of `src` into an image's `data`, in
+/// the two passes of [`in_groups`]: touch, then copy.
+fn copy_cells_of(rows: &[usize], data: &mut [AtomicI64], src: &Table) {
+    let width = src.width;
+    let touch = |line: Option<&AtomicI64>| {
+        std::hint::black_box(line.map(|cell| cell.load(Ordering::Relaxed)));
+    };
+    for &r in rows {
+        let cells = r * width..(r + 1) * width;
+        for side in [&src.data[cells.clone()], &data[cells]] {
+            touch(side.first());
+            touch(side.last());
+        }
+    }
+    for &r in rows {
+        let cells = r * width..(r + 1) * width;
+        for (dst, cell) in data[cells.clone()].iter_mut().zip(&src.data[cells]) {
+            *dst.get_mut() = cell.load(Ordering::Acquire);
+        }
+    }
+}
+
+/// Copy the keys of row slots `rows` of `src` into an image's `keys`; a key
+/// that arrives in a slot goes into `tree`. (Rows that change key are
+/// allocated together or deleted in key order: their key slots share cache
+/// lines, and no touch pass is needed.)
+fn copy_keys_of(
+    rows: &[usize],
+    keys: &mut [AtomicI64],
+    src: &Table,
+    mut tree: Option<&mut OrderedIndex>,
+) {
+    for &r in rows {
+        let now = src.keys[r].load(Ordering::Acquire);
+        let was = std::mem::replace(keys[r].get_mut(), now);
+        if let Some(tree) = tree.as_deref_mut() {
+            if was != now && now != DELETED_KEY {
+                tree.insert_mut(now, RowId(r as u32));
+            }
+        }
     }
 }
 
@@ -610,15 +803,97 @@ mod tests {
                     other
                 };
                 apply(&t, &after);
-                image.deep_clone_from(&t);
+                prop_assert!(image.deep_clone_from(&t).full, "never refreshed from `t` before");
                 let fresh = t.deep_clone();
                 assert_same_view(&image, &fresh, -2..50);
-                let bits = |x: &[AtomicI64]| {
-                    x.iter().map(|c| c.load(Ordering::Relaxed)).collect::<Vec<_>>()
-                };
-                assert_eq!(bits(&image.data), bits(&fresh.data));
-                assert_eq!(bits(&image.keys), bits(&fresh.keys));
+                prop_assert!(image.image_bits() == fresh.image_bits());
                 // The two keep agreeing as they grow.
+                for k in 100..110 {
+                    assert_eq!(image.insert(k, &[k, k]), fresh.insert(k, &[k, k]));
+                }
+                assert_same_view(&image, &fresh, -2..120);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+            /// An image kept up to date by `deep_clone_from` round after
+            /// round *is* the fresh clone — cells, keys and index slots bit
+            /// for bit, the ordered index by everything a reader can ask —
+            /// whether the round took the delta (and then it says so, and
+            /// copied no more rows than were written) or one of the ways
+            /// the image can stop mirroring its source happened first and
+            /// it fell back to the full copy.
+            ///
+            /// Mutation check, by hand (PR 22): with the mark taken out of
+            /// any one of `set`, `add`, `cas` or `delete`, or out of
+            /// `PrimaryIndex::claim` / `remove`, with the newly allocated
+            /// row slots (inserts, and the burned slot of a duplicate) left
+            /// out of `written_rows`, with `OrderedIndex::insert` /
+            /// `remove` not setting `touched`, or with a departing key
+            /// removed from the tree only as its slot is copied, this test
+            /// fails.
+            #[test]
+            fn a_delta_maintained_image_is_the_fresh_clone(
+                ordered in any::<bool>(),
+                rounds in proptest::collection::vec(
+                    (proptest::collection::vec((0..5u8, 0..48i64, -9..9i64), 0..60), 0..12u8),
+                    2..7,
+                ),
+            ) {
+                let mut t = scratch_table(96, ordered);
+                let mut image = t.deep_clone();
+                let mut mirrors = false;
+                for (ops, event) in &rounds {
+                    apply(&t, ops);
+                    match event {
+                        // A second image is refreshed in between: it takes
+                        // the marks this image needed.
+                        0 => {
+                            scratch_table(96, ordered).deep_clone_from(&t);
+                            mirrors = false;
+                        }
+                        // The source is replaced by a copy of itself: the
+                        // same rows, another table.
+                        1 => {
+                            t = t.deep_clone();
+                            mirrors = false;
+                        }
+                        2 => {
+                            t = t.filtered_clone(|_| true);
+                            mirrors = false;
+                        }
+                        // The image is replaced by one of another shape.
+                        3 => {
+                            image = scratch_table(40, !ordered);
+                            mirrors = false;
+                        }
+                        // The image itself is written: its own marks say
+                        // where, and the delta repairs it.
+                        4 => apply(&image, &[(0, 60, 1), (1, 7, 0), (2, 9, 5), (0, 7, 3)]),
+                        // The written image is then drained as a source, so
+                        // its marks are gone: it may not take the delta.
+                        5 => {
+                            apply(&image, &[(0, 61, 1), (1, 8, 0), (3, 10, 5)]);
+                            scratch_table(96, ordered).deep_clone_from(&image);
+                            mirrors = false;
+                        }
+                        _ => {}
+                    }
+                    let copied = image.deep_clone_from(&t);
+                    prop_assert_eq!(copied.full, !mirrors, "event {}", event);
+                    if mirrors && *event > 5 {
+                        let written = ops.len() as u64;
+                        prop_assert!(copied.rows <= written && copied.index_slots <= written);
+                    }
+                    mirrors = true;
+                    let fresh = t.deep_clone();
+                    prop_assert!(image.image_bits() == fresh.image_bits(), "event {}", event);
+                    assert_same_view(&image, &fresh, -2..70);
+                }
+                // The two keep agreeing as they grow.
+                let fresh = t.deep_clone();
                 for k in 100..110 {
                     assert_eq!(image.insert(k, &[k, k]), fresh.insert(k, &[k, k]));
                 }
@@ -635,21 +910,26 @@ mod tests {
             }
         }
 
-        /// `(0, k, v)` inserts, `(1, k, _)` deletes, `(2, k, v)` writes a cell.
+        /// `(0, k, v)` inserts, `(1, k, _)` deletes, `(2, k, v)` writes a
+        /// cell, `(3, k, v)` adds to one, `(4, k, v)` compare-exchanges one.
         fn apply(t: &Table, ops: &[(u8, i64, i64)]) {
             for &(op, k, v) in ops {
-                match op {
-                    0 => {
+                let rid = t.lookup(k);
+                match (op, rid) {
+                    (0, _) => {
                         let _ = t.insert(k, &[v, k]);
                     }
-                    1 => {
+                    (1, _) => {
                         t.delete(k);
                     }
-                    _ => {
-                        if let Some(rid) = t.lookup(k) {
-                            t.set(rid, ColId(0), v);
-                        }
+                    (2, Some(rid)) => t.set(rid, ColId(0), v),
+                    (3, Some(rid)) => {
+                        t.add(rid, ColId(1), v);
                     }
+                    (4, Some(rid)) => {
+                        let _ = t.cas(rid, ColId(1), t.get(rid, ColId(1)), v);
+                    }
+                    _ => {}
                 }
             }
         }

@@ -117,6 +117,15 @@ pub const WAL_BYTES_APPENDED: &str = "wal.bytes_appended";
 pub const WAL_FRAMES_REPLAYED: &str = "wal.recovery.frames_replayed";
 /// Counter: torn-tail bytes truncated during crash recovery.
 pub const WAL_BYTES_TRUNCATED: &str = "wal.recovery.bytes_truncated";
+/// Counter: row slots (cells + key) copied into checkpoint images.
+pub const DURABILITY_CHECKPOINT_ROWS_COPIED: &str = "durability.checkpoint_rows_copied";
+/// Counter: primary-index slots copied into checkpoint images.
+pub const DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED: &str =
+    "durability.checkpoint_index_slots_copied";
+/// Counter: per-shard checkpoint images that took the full copy (the image
+/// did not mirror the database: the first checkpoint, a cutover's new
+/// slice, a rebuilt executor) rather than the delta.
+pub const DURABILITY_CHECKPOINT_FULL_IMAGES: &str = "durability.checkpoint_full_images";
 
 // --- fault counters (mirrored by `FaultStats`) ------------------------------
 

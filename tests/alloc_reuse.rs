@@ -13,6 +13,10 @@
 //!   steady-state transaction costs. A count repeats exactly, which makes
 //!   it the regression guard for the per-transaction data path that a
 //!   timing on a shared box cannot be.
+//! * **Checkpoints** — `a_steady_state_checkpoint_allocates_nothing` pins
+//!   the same counter over `DurabilityManager::checkpoint`: none for an
+//!   image without an ordered index, a small bound per inserted row for one
+//!   whose B+tree takes the period's inserts in place.
 //! * **Server level** — `LtpgServer` and `ShardedServer` retain per-tick
 //!   state the engine does not (WAL, replication log), so raw heap deltas
 //!   are not zero there. Instead the simulated-side watermark is pinned:
@@ -23,11 +27,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ltpg::{LtpgConfig, LtpgEngine, LtpgServer, OptFlags, ServerConfig};
+use ltpg::{DurabilityManager, LtpgConfig, LtpgEngine, LtpgServer, OptFlags, ServerConfig};
 use ltpg_bench::ltpg_tpcc_config;
 use ltpg_shard::{ycsb_partitioner, ShardedServer};
 use ltpg_telemetry::names;
-use ltpg_txn::{Batch, TidGen};
+use ltpg_txn::{Batch, BatchEngine, TidGen};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 /// Counts the net bytes currently allocated through the global allocator,
@@ -158,6 +162,71 @@ fn steady_state_allocator_calls_per_transaction() {
     println!("allocator calls per transaction: YCSB-A {ycsb_calls:.2}, TPC-C {tpcc_calls:.2}");
     assert!(ycsb_calls <= 20.18 / 2.0, "YCSB-A: {ycsb_calls:.2} allocator calls per transaction");
     assert!(tpcc_calls <= 106.91 / 2.0, "TPC-C 50/50: {tpcc_calls:.2} allocator calls per transaction");
+}
+
+/// Run `batches` through `engine`, checkpointing after each, and return the
+/// allocator calls the checkpoints after the first made together with the
+/// rows they copied. The first checkpoint is the full copy that makes the
+/// image mirror the engine's database; every later one must be a delta.
+fn steady_state_checkpoint_calls(engine: &mut LtpgEngine, batches: &[Batch]) -> (u64, u64) {
+    let mut dur = DurabilityManager::new(engine.database());
+    let (mut calls, mut rows) = (0, 0);
+    for (i, batch) in batches.iter().enumerate() {
+        drop(engine.execute_batch_report(batch));
+        let before = CALLS.load(Ordering::Relaxed);
+        dur.checkpoint(engine.database());
+        let copied = dur.last_checkpoint();
+        assert_eq!(copied.full, i == 0, "checkpoint {i}: {copied:?}");
+        if i > 0 {
+            calls += CALLS.load(Ordering::Relaxed) - before;
+            rows += copied.rows;
+        }
+    }
+    assert_eq!(dur.checkpoint_image().state_digest(), engine.database().state_digest());
+    (calls, rows)
+}
+
+/// `DurabilityManager::checkpoint` "copies bytes and allocates nothing".
+/// Until PR 22 that held only for images without an ordered index: a
+/// TPC-C image cloned (and dropped) three whole B+trees per checkpoint —
+/// about two allocator calls per 17-key node, ≈ 35 000 calls for the
+/// 300 000-row ORDER_LINE of `tpcc_engine`. Now an update-only image
+/// allocates nothing at all, and an ordered index is brought up to date in
+/// place: it allocates where the live tree did, when a leaf outgrows its
+/// vector or splits — about one call per three inserted rows, one per
+/// seven rows copied; the pin allows one per four rows copied.
+#[test]
+fn a_steady_state_checkpoint_allocates_nothing() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut tids = TidGen::new();
+
+    let (db, _table, mut gen) = YcsbGenerator::new(ycsb(65_536, 1).with_alpha(0.6));
+    let mut engine =
+        LtpgEngine::new(db, LtpgConfig { max_batch: 512, ..LtpgConfig::default() });
+    let batches: Vec<Batch> =
+        (0..6).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(512), &mut tids)).collect();
+    let (ycsb_calls, ycsb_rows) = steady_state_checkpoint_calls(&mut engine, &batches);
+
+    let wl = TpccConfig::new(2, 50).with_headroom(8 * 512 * 20);
+    let (db, tables, mut gen) = TpccGenerator::new(wl);
+    let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
+    let batches: Vec<Batch> =
+        (0..6).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(512), &mut tids)).collect();
+    let order_lines = engine.database().table(tables.order_line).len();
+    let (tpcc_calls, tpcc_rows) = steady_state_checkpoint_calls(&mut engine, &batches);
+    let inserted = engine.database().table(tables.order_line).len() - order_lines;
+
+    println!(
+        "allocator calls per checkpoint-copied row: YCSB-A {ycsb_calls}/{ycsb_rows}, \
+         TPC-C {tpcc_calls}/{tpcc_rows} ({inserted} ORDER_LINE rows inserted)"
+    );
+    assert!(ycsb_rows > 1_000, "the YCSB checkpoints must have had rows to copy");
+    assert_eq!(ycsb_calls, 0, "an image without an ordered index allocates nothing");
+    assert!(inserted > 1_000, "the TPC-C checkpoints must have had ORDER_LINE inserts to apply");
+    assert!(
+        tpcc_calls <= tpcc_rows / 4,
+        "TPC-C: {tpcc_calls} allocator calls to copy {tpcc_rows} rows"
+    );
 }
 
 #[test]

@@ -18,7 +18,9 @@ use ltpg::{
     DurabilityManager, FaultHorizon, FaultInjector, FaultPlan, LtpgConfig, LtpgEngine,
     LtpgServer, RecoveryError, RecoveryOptions, ServerConfig, TailPolicy,
 };
+use ltpg_shard::{Partitioner, RebalanceOp, RebalancePlan, ShardedServer, TableRule};
 use ltpg_storage::{ColId, Database, FrameError, TableBuilder, TableId};
+use ltpg_telemetry::{names, Registry};
 use ltpg_txn::{Batch, BatchEngine, IrOp, ProcId, Src, TidGen, Txn};
 use proptest::prelude::*;
 
@@ -123,6 +125,17 @@ struct SweepObservations {
     torn_tail: bool,
     frame_error: bool,
     quiet: bool,
+    /// Checkpoints after the first that copied only what was written: the
+    /// image recovery started from was maintained by deltas.
+    delta_checkpoints: u64,
+}
+
+/// `(checkpoints, full image copies)` as the server counted them.
+fn checkpoint_counts(reg: &Registry) -> (u64, u64) {
+    (
+        reg.counter_value(names::SERVER_CHECKPOINTS),
+        reg.counter_value(names::DURABILITY_CHECKPOINT_FULL_IMAGES),
+    )
 }
 
 fn run_one_seed(seed: u64) -> SweepObservations {
@@ -135,7 +148,9 @@ fn run_one_seed(seed: u64) -> SweepObservations {
         ServerConfig {
             batch_size: SWEEP_BATCH,
             pipelined: true,
-            checkpoint_every: Some(4),
+            // Odd seeds checkpoint often enough that the image the crash
+            // leaves behind has been through several delta refreshes.
+            checkpoint_every: Some(if seed.is_multiple_of(2) { 4 } else { 2 }),
             ..ServerConfig::default()
         },
     );
@@ -164,6 +179,13 @@ fn run_one_seed(seed: u64) -> SweepObservations {
         }
     }
     obs.degraded = server.is_degraded();
+    // Only the first checkpoint of a database is a full copy: on a run that
+    // kept its device every later one took the delta.
+    let (checkpoints, full) = checkpoint_counts(server.telemetry());
+    if !obs.degraded {
+        assert_eq!(full, checkpoints.min(1), "seed {seed}: a steady-state checkpoint fell back");
+        obs.delta_checkpoints = checkpoints.saturating_sub(1);
+    }
 
     // Crash aftermath: damage the on-disk log the way a dying process
     // would, then recover.
@@ -212,6 +234,7 @@ fn crash_recovery_seed_sweep() {
         seen.torn_tail |= obs.torn_tail;
         seen.frame_error |= obs.frame_error;
         seen.quiet |= obs.quiet;
+        seen.delta_checkpoints = seen.delta_checkpoints.max(obs.delta_checkpoints);
     }
     // The sweep is only meaningful if it actually exercised every failure
     // class at least once.
@@ -220,6 +243,106 @@ fn crash_recovery_seed_sweep() {
     assert!(seen.torn_tail, "no seed tore the WAL tail");
     assert!(seen.frame_error, "no seed corrupted a frame");
     assert!(seen.quiet, "no fault-free control seed");
+    assert!(
+        seen.delta_checkpoints >= 3,
+        "no seed recovered off an image that three or more delta checkpoints maintained"
+    );
+}
+
+/// Recovery off delta-maintained images on a 4-shard server, across a
+/// rebalance cutover. The victim checkpoints every second batch, cuts a
+/// range over to another shard at batch 4 and loses a device after batch
+/// 9; every shard is then rebuilt from its checkpoint image (last brought
+/// up to date by a delta at batch 8) plus its WAL. Commit for commit and
+/// slice for slice it must stay the run that never crashed. Along the way
+/// the image copies are counted: one full copy per shard for the first
+/// checkpoint, one per shard for the cutover's new slices, deltas
+/// otherwise.
+#[test]
+fn sharded_recovery_off_delta_images_across_a_cutover_matches_the_uncrashed_run() {
+    const T: TableId = TableId(0);
+    const SHARDS: u64 = 4;
+    let mut db = Database::new();
+    db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(512).build());
+    for k in 0..256 {
+        db.table(T).insert(k, &[k, -k]).unwrap();
+    }
+    let part = Partitioner::new(SHARDS as u32, TableRule::Hash)
+        .with_rule(T, TableRule::Range { bounds: vec![65, 129, 193] });
+    let mut s = 0x5eed_u64;
+    let mut fresh_key = 1_000;
+    let stream: Vec<Txn> = (0..16 * 14)
+        .map(|_| {
+            let key = Src::Const((splitmix64(&mut s) % 256) as i64);
+            let op = match splitmix64(&mut s) % 4 {
+                0 => IrOp::Update { table: T, key, col: ColId(0), val: Src::Const(7) },
+                1 => IrOp::Add { table: T, key, col: ColId(1), delta: Src::Const(3) },
+                2 => IrOp::Delete { table: T, key },
+                _ => {
+                    fresh_key += 1;
+                    let values = vec![Src::Const(1), Src::Const(2)];
+                    IrOp::Insert { table: T, key: Src::Const(fresh_key), values }
+                }
+            };
+            Txn::new(ProcId(0), vec![], vec![op])
+        })
+        .collect();
+    let plan = RebalancePlan {
+        cutover: 4,
+        ops: vec![RebalanceOp::Move { table: T, at: 100, to: 2 }],
+    };
+    let mut servers = [(); 2].map(|()| {
+        let scfg = ServerConfig {
+            batch_size: 16,
+            pipelined: false,
+            checkpoint_every: Some(2),
+            ..ServerConfig::default()
+        };
+        let mut server =
+            ShardedServer::new(db.deep_clone(), part.clone(), LtpgConfig::default(), scfg);
+        server.submit_all(stream.iter().cloned());
+        server.schedule_rebalance(plan.clone()).expect("move scheduled");
+        server
+    });
+    let [reference, victim] = &mut servers;
+
+    let mut counted = Vec::new();
+    for tick in 0..400 {
+        // Shard 2 is the one the cutover moved rows onto.
+        if victim.stats().batches == 9 && !victim.is_degraded(2) {
+            victim.shards().fail_device(2);
+        }
+        let (a, b) = (reference.tick(), victim.tick());
+        assert_eq!(
+            a.as_ref().map(|t| (&t.committed, &t.aborted)),
+            b.as_ref().map(|t| (&t.committed, &t.aborted)),
+            "tick {tick}: the recovered run left the un-crashed history"
+        );
+        if a.is_none() {
+            break;
+        }
+        counted.push(checkpoint_counts(reference.telemetry()));
+    }
+    assert!(victim.is_degraded(2), "the device loss must have forced a rebuild from the images");
+    assert_eq!(reference.stats().rebalances, 1);
+    assert!(reference.stats().batches >= 12);
+    for shard in 0..SHARDS as u32 {
+        assert_eq!(
+            victim.database(shard).state_digest(),
+            reference.database(shard).state_digest(),
+            "shard {shard}: rebuilt from a delta image + WAL, it must hold the un-crashed slice"
+        );
+    }
+    // After batch 2: the first checkpoint, a full copy per shard. Batch 4's
+    // is a delta; the cutover before batch 5 checkpoints four new slices in
+    // full; batches 6, 8, … are deltas again.
+    assert_eq!(counted[1], (1, SHARDS));
+    assert_eq!(counted[3], (2, SHARDS));
+    assert_eq!(counted[4], (3, 2 * SHARDS));
+    assert_eq!(counted[7], (5, 2 * SHARDS));
+    assert_eq!(*counted.last().unwrap(), (counted.len() as u64 / 2 + 1, 2 * SHARDS));
+    let copied = reference.telemetry().counter_value(names::DURABILITY_CHECKPOINT_ROWS_COPIED);
+    assert!(copied > 2 * 256 && copied < 3 * 256 + 16 * 14, "rows copied: {copied}");
 }
 
 #[test]

@@ -93,7 +93,10 @@ fn ltpg_items(db: Database, batch: &Batch) {
 
     let mut durability: DurabilityManager = DurabilityManager::new(&db);
     let _: u64 = durability.log_batch(batch);
-    durability.checkpoint(&db);
+    // The ledger times it as `median_ms(|| durability.checkpoint(&db))`
+    // with `median_ms(f: impl FnMut())`: it must keep returning `()`.
+    fn takes(_: impl FnMut()) {}
+    takes(|| durability.checkpoint(&db));
     let _: u64 = durability.log_bytes();
 }
 
