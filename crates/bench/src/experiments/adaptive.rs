@@ -19,7 +19,7 @@ use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
 use ltpg_storage::{ColId, Database, TableId};
 use ltpg_txn::{BatchEngine, IrOp, ProcId, Src, Txn};
 use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
-use serde::json::JsonValue;
+use crate::record::JsonValue;
 
 use crate::record::{ensure, row, Record, Scale};
 use crate::{latency_us, run_stream};

@@ -479,7 +479,7 @@ pub fn fig7(scale: Scale) -> Record {
                 lcfg.est_accesses_per_txn = if wl == YcsbWorkload::E { 100 } else { 16 };
                 let mut engine = LtpgEngine::new(db, lcfg);
                 let out = run_stream(&mut engine, &mut |k| gen.gen_batch(k), 3, b);
-                rec.push(row![wl.letter(), n, b, out.mtps(), out.mean_commit_rate]);
+                rec.push(row![wl.letter().to_string(), n, b, out.mtps(), out.mean_commit_rate]);
             }
         }
     }

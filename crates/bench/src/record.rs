@@ -8,9 +8,8 @@
 
 use std::path::PathBuf;
 
-use ltpg_telemetry::export::{parse_json, JsonValue as Parsed};
-use serde::json::JsonValue;
-use serde::Serialize;
+pub use ltpg_telemetry::export::JsonValue;
+use ltpg_telemetry::export::parse_json;
 
 /// Schema tag of every record this harness writes.
 pub const SCHEMA: &str = "ltpg-bench-v1";
@@ -30,7 +29,7 @@ pub(crate) use ensure;
 /// A row for [`Record::push`]: each value lowered to its JSON kind.
 macro_rules! row {
     ($($value:expr),+ $(,)?) => {
-        vec![$(serde::Serialize::to_json(&$value)),+]
+        vec![$($crate::record::JsonValue::from($value)),+]
     };
 }
 pub(crate) use row;
@@ -91,22 +90,22 @@ pub struct Record {
 /// "int" | "float" | "str" | "bool": the type names a record declares.
 fn kind(v: &JsonValue) -> &'static str {
     match v {
-        JsonValue::I64(_) | JsonValue::U64(_) => "int",
-        JsonValue::F64(_) => "float",
+        JsonValue::Int(_) | JsonValue::Uint(_) => "int",
+        JsonValue::Num(_) => "float",
         JsonValue::Str(_) => "str",
         JsonValue::Bool(_) => "bool",
-        JsonValue::Null | JsonValue::Array(_) | JsonValue::Object(_) => "other",
+        JsonValue::Null | JsonValue::Arr(_) | JsonValue::Obj(_) => "other",
     }
 }
 
 fn display(v: &JsonValue) -> String {
     match v {
-        JsonValue::F64(x) => format!("{x:.3}"),
+        JsonValue::Num(x) => format!("{x:.3}"),
         JsonValue::Str(s) => s.clone(),
         JsonValue::Bool(b) => b.to_string(),
-        JsonValue::I64(n) => n.to_string(),
-        JsonValue::U64(n) => n.to_string(),
-        JsonValue::Null | JsonValue::Array(_) | JsonValue::Object(_) => "?".to_string(),
+        JsonValue::Int(n) => n.to_string(),
+        JsonValue::Uint(n) => n.to_string(),
+        JsonValue::Null | JsonValue::Arr(_) | JsonValue::Obj(_) => "?".to_string(),
     }
 }
 
@@ -126,13 +125,13 @@ impl Record {
     }
 
     /// Record a parameter of the run.
-    pub fn param(&mut self, name: &str, value: impl Serialize) {
-        self.params.push((name.to_string(), value.to_json()));
+    pub fn param(&mut self, name: &str, value: impl Into<JsonValue>) {
+        self.params.push((name.to_string(), value.into()));
     }
 
     /// Record a whole-table summary value.
-    pub fn summarize(&mut self, name: &str, value: impl Serialize) {
-        self.summary.push((name.to_string(), value.to_json()));
+    pub fn summarize(&mut self, name: &str, value: impl Into<JsonValue>) {
+        self.summary.push((name.to_string(), value.into()));
     }
 
     /// Append a row. Panics if it does not have one scalar per column of
@@ -184,8 +183,7 @@ impl Record {
     pub fn write(&self) -> std::io::Result<PathBuf> {
         let path = Record::path(&self.experiment, self.scale);
         std::fs::create_dir_all(self.scale.dir())?;
-        let body = serde_json::to_string_pretty(self).expect("stub serializer is infallible");
-        std::fs::write(&path, body + "\n")?;
+        std::fs::write(&path, self.to_json().to_pretty() + "\n")?;
         Ok(path)
     }
 
@@ -218,9 +216,7 @@ impl Record {
             field(name)?.as_str().map(str::to_string).ok_or(format!("\"{name}\" is not a string"))
         };
         let pairs = |name: &str| match field(name)? {
-            Parsed::Obj(fields) => {
-                Ok(fields.iter().map(|(k, v)| (k.clone(), lift(v))).collect::<Vec<_>>())
-            }
+            JsonValue::Obj(fields) => Ok(fields.clone()),
             _ => Err(format!("\"{name}\" is not an object")),
         };
         let schema = text_of("schema")?;
@@ -232,14 +228,14 @@ impl Record {
             other => return Err(format!("unknown scale {other}")),
         };
         let columns = pairs("columns")?;
-        let Parsed::Arr(rows) = field("rows")? else {
+        let JsonValue::Arr(rows) = field("rows")? else {
             return Err("\"rows\" is not an array".to_string());
         };
         let mut table = Vec::new();
         for (n, row) in rows.iter().enumerate() {
             let mut values = Vec::new();
             for (name, ty) in &columns {
-                let v = row.get(name).map(lift).ok_or(format!("row {n} lacks {name}"))?;
+                let v = row.get(name).cloned().ok_or(format!("row {n} lacks {name}"))?;
                 let ty = match ty {
                     JsonValue::Str(ty) if ty == "int" => "float",
                     JsonValue::Str(ty) => ty,
@@ -323,12 +319,7 @@ impl<'a> Row<'a> {
 }
 
 fn as_num(name: &str, v: Option<&JsonValue>) -> Result<f64, String> {
-    match v {
-        Some(JsonValue::F64(x)) => Ok(*x),
-        Some(JsonValue::U64(n)) => Ok(*n as f64),
-        Some(JsonValue::I64(n)) => Ok(*n as f64),
-        _ => Err(format!("{name} is missing or not a number")),
-    }
+    v.and_then(JsonValue::as_f64).ok_or_else(|| format!("{name} is missing or not a number"))
 }
 
 fn as_flag(name: &str, v: Option<&JsonValue>) -> Result<bool, String> {
@@ -338,38 +329,25 @@ fn as_flag(name: &str, v: Option<&JsonValue>) -> Result<bool, String> {
     }
 }
 
-/// A parsed JSON value in the model records are built from.
-fn lift(v: &Parsed) -> JsonValue {
-    match v {
-        Parsed::Null => JsonValue::Null,
-        Parsed::Bool(b) => JsonValue::Bool(*b),
-        Parsed::Num(x) => JsonValue::F64(*x),
-        Parsed::Str(s) => JsonValue::Str(s.clone()),
-        Parsed::Arr(items) => JsonValue::Array(items.iter().map(lift).collect()),
-        Parsed::Obj(fields) => {
-            JsonValue::Object(fields.iter().map(|(k, v)| (k.clone(), lift(v))).collect())
-        }
-    }
-}
-
-impl Serialize for Record {
+impl Record {
+    /// The record as the JSON document [`Record::parse`] reads.
     fn to_json(&self) -> JsonValue {
-        let text = |s: &str| JsonValue::Str(s.to_string());
+        let text = |s: &str| JsonValue::from(s);
         let columns = self.columns.iter().enumerate().map(|(i, name)| {
             (name.clone(), text(self.rows.first().map_or("other", |r| kind(&r[i]))))
         });
         let rows = self.rows.iter().map(|r| {
-            JsonValue::Object(self.columns.iter().cloned().zip(r.iter().cloned()).collect())
+            JsonValue::Obj(self.columns.iter().cloned().zip(r.iter().cloned()).collect())
         });
-        JsonValue::Object(vec![
+        JsonValue::Obj(vec![
             ("schema".to_string(), text(SCHEMA)),
             ("experiment".to_string(), text(&self.experiment)),
             ("scale".to_string(), text(self.scale.name())),
             ("title".to_string(), text(&self.title)),
-            ("params".to_string(), JsonValue::Object(self.params.clone())),
-            ("columns".to_string(), JsonValue::Object(columns.collect())),
-            ("rows".to_string(), JsonValue::Array(rows.collect())),
-            ("summary".to_string(), JsonValue::Object(self.summary.clone())),
+            ("params".to_string(), JsonValue::Obj(self.params.clone())),
+            ("columns".to_string(), JsonValue::Obj(columns.collect())),
+            ("rows".to_string(), JsonValue::Arr(rows.collect())),
+            ("summary".to_string(), JsonValue::Obj(self.summary.clone())),
         ])
     }
 }
@@ -377,17 +355,17 @@ impl Serialize for Record {
 /// Ways for a test to break one fact of a good record.
 #[cfg(test)]
 impl Record {
-    pub(crate) fn with(&self, col: &str, row: usize, value: impl Serialize) -> Record {
+    pub(crate) fn with(&self, col: &str, row: usize, value: impl Into<JsonValue>) -> Record {
         let mut rec = self.clone();
         let i = rec.columns.iter().position(|c| c == col).expect("column to overwrite");
-        rec.rows[row][i] = value.to_json();
+        rec.rows[row][i] = value.into();
         rec
     }
 
-    pub(crate) fn with_summary(&self, name: &str, value: impl Serialize) -> Record {
+    pub(crate) fn with_summary(&self, name: &str, value: impl Into<JsonValue>) -> Record {
         let mut rec = self.clone();
         rec.summary.iter_mut().find(|(k, _)| k == name).expect("summary to overwrite").1 =
-            value.to_json();
+            value.into();
         rec
     }
 
@@ -416,7 +394,7 @@ mod tests {
     #[test]
     fn a_record_reads_back_what_it_wrote() {
         let rec = sample();
-        let back = Record::parse(&serde_json::to_string_pretty(&rec).unwrap()).unwrap();
+        let back = Record::parse(&rec.to_json().to_pretty()).unwrap();
         assert_eq!((back.experiment.as_str(), back.scale), ("sample", Scale::Smoke));
         assert_eq!(back.columns, rec.columns);
         let rows: Vec<_> = back.rows().collect();
@@ -430,7 +408,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_a_foreign_or_malformed_document() {
-        let good = serde_json::to_string_pretty(&sample()).unwrap();
+        let good = sample().to_json().to_pretty();
         assert!(Record::parse(&good.replace(SCHEMA, "ltpg-front-v1")).is_err());
         assert!(Record::parse(&good.replace("\"ok\": true", "\"ok\": 1")).is_err());
         assert!(Record::parse(&good.replace("\"n\": 3,", "")).is_err());

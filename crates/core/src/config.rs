@@ -68,22 +68,6 @@ impl Default for OptFlags {
     }
 }
 
-/// How results return to the host after each batch (paper §IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Only the read/write sets and the conflict-flag table are shipped
-    /// back (the paper's recommended low-volume mode; its overhead is the
-    /// subject of Table V).
-    #[default]
-    RwSet,
-    /// Periodically ship full snapshot deltas at a user-defined interval,
-    /// expressed here as bytes per batch.
-    Interval {
-        /// Bytes of snapshot shipped per batch.
-        bytes_per_batch: u64,
-    },
-}
-
 /// Full engine configuration.
 #[derive(Debug, Clone)]
 pub struct LtpgConfig {
@@ -91,8 +75,6 @@ pub struct LtpgConfig {
     pub opts: OptFlags,
     /// Simulated device setup (warp size, memory mode, host parallelism).
     pub device: DeviceConfig,
-    /// Result synchronization mode.
-    pub sync: SyncMode,
     /// Largest batch the engine will see — sizes the conflict log.
     pub max_batch: usize,
     /// Columns that are *always* maintained commutatively (deterministic
@@ -143,7 +125,6 @@ impl Default for LtpgConfig {
         LtpgConfig {
             opts: OptFlags::all(),
             device: DeviceConfig::default(),
-            sync: SyncMode::default(),
             max_batch: 1 << 14,
             commutative_cols: HashSet::new(),
             delayed_cols: HashSet::new(),

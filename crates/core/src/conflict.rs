@@ -40,6 +40,7 @@ use ltpg_storage::index::mix_key;
 use ltpg_storage::{ColId, Database, TableId};
 
 use crate::config::LtpgConfig;
+use crate::footprint::{Cell, Check, Part, Record};
 
 /// TIDs must fit in 40 bits (≈ 10¹² transactions per engine lifetime).
 const TID_BITS: u32 = 40;
@@ -70,15 +71,6 @@ fn decode(v: u64, epoch: u32) -> Option<u64> {
 /// avoids).
 const S_U_CAP: usize = 512;
 
-/// Which of a bucket's two min-TID records an access addresses; the index
-/// of the record in [`Bucket::mark`], [`Bucket::slot0`] and
-/// [`TableLog::more`].
-#[derive(Clone, Copy)]
-enum Record {
-    Reads = 0,
-    Writes = 1,
-}
-
 /// One bucket: everything an access to a standard-sized bucket reads or
 /// writes, in one cache line (16 + 2 × 8 + 2 × 16 bytes — a
 /// [`SimAtomicU64`] is the value and its contention meter).
@@ -86,8 +78,9 @@ enum Record {
 struct Bucket {
     /// Owner tag: `(epoch', key_hash40)`.
     tag: SimAtomicU64,
-    /// Per record, "one was registered in this epoch": lets the detection
-    /// phase skip scanning untouched buckets with one read.
+    /// Per [`Record`] (indexed by it, as `slot0` and [`TableLog::more`]
+    /// are), "one was registered in this epoch": lets the detection phase
+    /// skip scanning untouched buckets with one read.
     mark: [AtomicU64; 2],
     /// Per record, min-TID slot 0.
     slot0: [SimAtomicU64; 2],
@@ -363,7 +356,6 @@ pub struct ConflictLog {
     epoch: u32,
     warp_size: usize,
     dynamic: bool,
-    est_per_table: Vec<usize>,
     rows_per_table: Vec<usize>,
     popular_hint: Vec<bool>,
     row_logs: Vec<TableLog>,
@@ -383,52 +375,32 @@ impl ConflictLog {
     /// Build logs for every table of `db` per `cfg`.
     pub fn new(db: &Database, cfg: &LtpgConfig) -> Self {
         let warp_size = cfg.device.warp_size as usize;
+        let dynamic = cfg.opts.dynamic_buckets;
         // Every constituent log probes warp-cooperatively.
         let probe = |log: TableLog| log.with_ballot_probe(warp_size);
-        let est_txns = cfg.max_batch;
         let est = cfg.max_batch * cfg.est_accesses_per_txn;
-        let mut row_logs = Vec::new();
-        let mut est_per_table = Vec::new();
-        let mut rows_per_table = Vec::new();
-        let mut popular_hint = Vec::new();
-        for (id, table) in db.iter() {
-            let rows = table.capacity();
-            let cells = rows.saturating_mul(table.width() + 1);
-            let hint = cfg.premarked_popular.contains(&id);
-            row_logs.push(probe(TableLog::sized_for(
+        let hinted = |table: TableId| cfg.premarked_popular.contains(&table);
+        let sized = |table: TableId, rows: usize, cells: usize| {
+            probe(TableLog::sized_for(
                 rows,
                 cells,
-                est_txns,
+                cfg.max_batch,
                 est,
                 warp_size,
-                cfg.opts.dynamic_buckets,
-                hint,
-            )));
-            est_per_table.push(est);
-            rows_per_table.push(rows);
-            popular_hint.push(hint);
-        }
+                dynamic,
+                hinted(table),
+            ))
+        };
+        let row_logs: Vec<_> = db
+            .iter()
+            .map(|(id, t)| sized(id, t.capacity(), t.capacity().saturating_mul(t.width() + 1)))
+            .collect();
+        // A split log covers exactly one column: cells = rows.
         let split_logs: Vec<_> = cfg
             .delayed_cols
             .iter()
             .filter(|_| cfg.opts.conflict_splitting)
-            .map(|&(t, c)| {
-                let rows = db.table(t).capacity();
-                let hint = cfg.premarked_popular.contains(&t);
-                (
-                    (t, c),
-                    // A split log covers exactly one column: cells = rows.
-                    probe(TableLog::sized_for(
-                        rows,
-                        rows,
-                        est_txns,
-                        est,
-                        warp_size,
-                        cfg.opts.dynamic_buckets,
-                        hint,
-                    )),
-                )
-            })
+            .map(|&(t, c)| ((t, c), sized(t, db.table(t).capacity(), db.table(t).capacity())))
             .collect();
         let mut split_route = vec![Vec::new(); row_logs.len()];
         for (i, ((t, c), _)) in split_logs.iter().enumerate() {
@@ -436,63 +408,19 @@ impl ConflictLog {
             row.resize(row.len().max(c.idx() + 1), None);
             row[c.idx()] = Some(i);
         }
-        let membership_logs = db
-            .iter()
-            .map(|_| probe(TableLog::new(2_048, if cfg.opts.dynamic_buckets { 512 } else { 1 })))
-            .collect();
+        let membership_logs =
+            db.iter().map(|_| probe(TableLog::new(2_048, if dynamic { 512 } else { 1 }))).collect();
         ConflictLog {
             epoch: 0,
             warp_size,
-            dynamic: cfg.opts.dynamic_buckets,
-            est_per_table,
-            rows_per_table,
-            popular_hint,
+            dynamic,
+            rows_per_table: db.iter().map(|(_, t)| t.capacity()).collect(),
+            popular_hint: db.iter().map(|(id, _)| hinted(id)).collect(),
             row_logs,
             split_logs,
             split_route,
             membership_logs,
         }
-    }
-
-    /// Register a membership-predicate write (insert/delete of a key in
-    /// `partition`) for `table`.
-    #[must_use]
-    pub fn register_membership_write(
-        &self,
-        lane: &mut Lane<'_>,
-        table: TableId,
-        partition: i64,
-        tid: u64,
-    ) -> bool {
-        self.membership_logs[usize::from(table.0)].register_write(lane, partition, tid, self.epoch)
-    }
-
-    /// Register a membership-predicate read (ordered scan over
-    /// `partition`) for `table`.
-    #[must_use]
-    pub fn register_membership_read(
-        &self,
-        lane: &mut Lane<'_>,
-        table: TableId,
-        partition: i64,
-        tid: u64,
-    ) -> bool {
-        self.membership_logs[usize::from(table.0)].register_read(lane, partition, tid, self.epoch)
-    }
-
-    /// Minimum TID that wrote `table`'s membership `partition` this batch.
-    pub fn min_membership_write(&self, lane: &mut Lane<'_>, table: TableId, partition: i64) -> Option<u64> {
-        self.membership_logs[usize::from(table.0)].min_write(lane, partition, self.epoch)
-    }
-
-    /// Minimum TID that read `table`'s membership `partition` this batch.
-    pub fn min_membership_read(&self, lane: &mut Lane<'_>, table: TableId, partition: i64) -> Option<u64> {
-        self.membership_logs[usize::from(table.0)].min_read(lane, partition, self.epoch)
-    }
-
-    /// Current batch epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Start a new batch: O(1) epoch bump, plus run-time popularity
@@ -510,7 +438,6 @@ impl ConflictLog {
             if observed == 0 {
                 continue;
             }
-            self.est_per_table[i] = observed;
             let e = observed as f64 / self.rows_per_table[i].max(1) as f64;
             let want_large = e > 1.0 || self.popular_hint[i];
             if want_large != log.is_large() {
@@ -529,48 +456,55 @@ impl ConflictLog {
         }
     }
 
-    /// The log an access to `(table, col)` routes to.
+    /// The constituent log `cell` lives in and its key there: the marker
+    /// in the table's membership log under its partition, a split-off hot
+    /// column in its own log, everything else in the table's row log; row
+    /// cells under `key × 64 + (0 for existence, column + 1)`.
     #[inline]
-    pub fn route(&self, table: TableId, col: Option<ColId>) -> &TableLog {
-        let t = usize::from(table.0);
-        match col.and_then(|c| *self.split_route[t].get(c.idx())?) {
-            Some(i) => &self.split_logs[i].1,
-            None => &self.row_logs[t],
+    fn route(&self, cell: Cell) -> (&TableLog, i64) {
+        let t = usize::from(cell.table.0);
+        let row_key = |code: i64| cell.key.wrapping_mul(64).wrapping_add(code);
+        match cell.part {
+            Part::Members => (&self.membership_logs[t], cell.key),
+            Part::Exists => (&self.row_logs[t], row_key(0)),
+            Part::Col(c) => {
+                let log = match self.split_route[t].get(c.idx()).copied().flatten() {
+                    Some(i) => &self.split_logs[i].1,
+                    None => &self.row_logs[t],
+                };
+                (log, row_key(i64::from(c.0) + 1))
+            }
         }
     }
 
-    /// Bring the home bucket of `(table, col, key)` into the host's cache.
-    /// Charges no lane and changes nothing: the simulated clock cannot see
-    /// it. The log lives in DRAM, so a caller about to register or check a
-    /// group of accesses touches them all first and the misses overlap
-    /// instead of queueing one behind the other (DESIGN.md "Hot path").
+    /// Bring the home bucket of `cell` into the host's cache. Charges no
+    /// lane and changes nothing: the simulated clock cannot see it. The
+    /// log lives in DRAM, so a caller about to register or check a group
+    /// of accesses touches them all first and the misses overlap instead
+    /// of queueing one behind the other (DESIGN.md "Hot path").
     #[inline]
-    pub fn touch(&self, table: TableId, col: Option<ColId>, key: i64) {
-        self.route(table, col).touch(key);
+    pub fn touch(&self, cell: Cell) {
+        let (log, key) = self.route(cell);
+        log.touch(key);
     }
 
-    /// Register a read of `(table, col, key)` by `tid`. `false` = log
-    /// exhausted, abort the transaction.
+    /// Register `tid` against `cell` in every record `check` names.
+    /// `false` = log exhausted, abort the transaction; the remaining
+    /// records are still registered (extra TIDs only ever add conflicts).
     #[must_use]
-    pub fn register_read(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64, tid: u64) -> bool {
-        self.route(table, col).register_read(lane, key, tid, self.epoch)
+    pub fn register(&self, lane: &mut Lane<'_>, cell: Cell, check: Check, tid: u64) -> bool {
+        let (log, key) = self.route(cell);
+        let mut registered = true;
+        for &record in check.records() {
+            registered &= log.register(lane, record, key, tid, self.epoch);
+        }
+        registered
     }
 
-    /// Register a write of `(table, col, key)` by `tid`. `false` = log
-    /// exhausted, abort the transaction.
-    #[must_use]
-    pub fn register_write(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64, tid: u64) -> bool {
-        self.route(table, col).register_write(lane, key, tid, self.epoch)
-    }
-
-    /// Minimum read TID recorded against `(table, col, key)`.
-    pub fn min_read(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64) -> Option<u64> {
-        self.route(table, col).min_read(lane, key, self.epoch)
-    }
-
-    /// Minimum write TID recorded against `(table, col, key)`.
-    pub fn min_write(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64) -> Option<u64> {
-        self.route(table, col).min_write(lane, key, self.epoch)
+    /// Minimum TID registered in `record` of `cell` this batch.
+    pub fn min(&self, lane: &mut Lane<'_>, cell: Cell, record: Record) -> Option<u64> {
+        let (log, key) = self.route(cell);
+        log.min_of(lane, record, key, self.epoch)
     }
 
     /// Memory occupancy report (paper Table VIII).
@@ -828,20 +762,21 @@ mod tests {
         let t = db.add_table(TableBuilder::new("H").columns(["a"]).capacity(8).build());
         let cfg = LtpgConfig { max_batch: 1 << 12, ..LtpgConfig::default() };
         let mut log = ConflictLog::new(&db, &cfg);
-        assert!(log.route(t, None).uses_ballot_probe());
+        let cell = Cell { table: t, part: Part::Exists, key: 1 };
+        assert!(log.route(cell).0.uses_ballot_probe());
         // The 8-row table starts large (E = 4096/8 ≫ 1). Observe only a
         // handful of accesses so E drops below 1 and the next begin_batch
         // rebuilds it standard-sized — the rebuild must keep the probing
         // mode.
         let device = Device::new(DeviceConfig::default());
         log.begin_batch();
-        assert!(log.route(t, None).is_large());
+        assert!(log.route(cell).0.is_large());
         device.launch_indexed("trickle", 4, |lane| {
-            let _ = log.register_write(lane, t, None, 1, lane.global_id as u64 + 1);
+            let _ = log.register(lane, cell, Check::Write, lane.global_id as u64 + 1);
         });
         log.begin_batch();
-        assert!(!log.route(t, None).is_large(), "E < 1 must rebuild standard-sized");
-        assert!(log.route(t, None).uses_ballot_probe(), "rebuild dropped ballot probing");
+        assert!(!log.route(cell).0.is_large(), "E < 1 must rebuild standard-sized");
+        assert!(log.route(cell).0.uses_ballot_probe(), "rebuild dropped ballot probing");
     }
 
     #[test]
@@ -869,11 +804,14 @@ mod tests {
         cfg.delayed_cols.insert((t, ColId(1)));
         let mut log = ConflictLog::new(&db, &cfg);
         log.begin_batch();
-        // Column 1 routes to its split log; column 0 to the row log.
-        assert!(std::ptr::eq(log.route(t, Some(ColId(0))), log.route(t, None)));
-        assert!(!std::ptr::eq(log.route(t, Some(ColId(1))), log.route(t, None)));
+        // Column 1 routes to its split log; column 0 to the row log; the
+        // marker to neither.
+        let of = |part| log.route(Cell { table: t, part, key: 0 }).0;
+        assert!(std::ptr::eq(of(Part::Col(ColId(0))), of(Part::Exists)));
+        assert!(!std::ptr::eq(of(Part::Col(ColId(1))), of(Part::Exists)));
+        assert!(!std::ptr::eq(of(Part::Members), of(Part::Exists)));
         // The 32-row table with est 4096*8 accesses must be large-bucketed.
-        assert!(log.route(t, None).is_large());
+        assert!(of(Part::Exists).is_large());
         assert!(log.bytes() > 0);
         assert_eq!(log.memory_report().len(), 2);
     }

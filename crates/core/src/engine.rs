@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ltpg_gpu_sim::{Device, DeviceError, SimAtomicU32};
-use ltpg_storage::{membership_partition, ColId, Database, TableError, TableId, MEMBERSHIP_PARTITION_SHIFT};
+use ltpg_storage::{ColId, Database, TableError, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::exec::{
     execute_speculative, execute_speculative_on, touch_point_rows, CellStore, Mutation, ReadAccess,
@@ -37,22 +37,11 @@ use ltpg_txn::group::{arrival_order, order_by_proc};
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
 use parking_lot::Mutex;
 
-use crate::config::{LtpgConfig, SyncMode};
+use crate::config::LtpgConfig;
 use crate::conflict::ConflictLog;
+use crate::footprint::{self, conflict_flags, mutation_cells, read_cell, Cell, Check};
 use crate::stats::{LtpgBatchStats, ReportWithStats};
 use crate::util::SlotVec;
-
-/// Encode a `(row key, column)` pair into a single conflict-log key.
-/// Column code 0 is the row-existence pseudo-cell (insert/delete/missing-
-/// key probes); column `c` maps to `c + 1`. LTPG's conflict flags are
-/// **cell-granular**: reads of one attribute never conflict with writes of
-/// another — the behaviour the paper's Table VI baseline exhibits (its
-/// unoptimized NewOrder rate is unaffected by Payment's `W_YTD` writes on
-/// the same warehouse rows).
-#[inline]
-pub fn cell_key(key: i64, col: Option<ltpg_storage::ColId>) -> i64 {
-    key.wrapping_mul(64).wrapping_add(col.map_or(0, |c| i64::from(c.0) + 1))
-}
 
 /// Conflict-flag bits per transaction. Public so cooperating executors
 /// (the sharded CPU twin, cross-shard flag merging) can combine per-shard
@@ -179,136 +168,6 @@ pub fn stage_effects(
     Staged { reads, normal, delayed, forced }
 }
 
-/// One conflict-log access of a transaction: the unit both registration
-/// and conflict detection operate over. [`cell_accesses`] enumerates them
-/// in a canonical order shared by the engine's detect-item builder and the
-/// sharded CPU twin, so every executor probes exactly the same cells.
-pub enum CellAccess {
-    /// Snapshot read of one cell.
-    Read {
-        /// Table of the row read.
-        table: TableId,
-        /// Row key (pre-encoding; ownership checks use this).
-        row: i64,
-        /// Column read; `None` is the row-existence pseudo-cell.
-        col: Option<ColId>,
-        /// Encoded conflict-log cell key.
-        cell: i64,
-    },
-    /// Membership (phantom-guard) read of a key partition.
-    MembershipRead {
-        /// Table whose membership was observed.
-        table: TableId,
-        /// Key partition observed.
-        partition: i64,
-    },
-    /// Buffered write of one cell.
-    Write {
-        /// Table of the row written.
-        table: TableId,
-        /// Row key (pre-encoding).
-        row: i64,
-        /// Column written; `None` is the row-existence pseudo-cell.
-        col: Option<ColId>,
-        /// Encoded conflict-log cell key.
-        cell: i64,
-        /// Whether detection checks WAW for this cell (membership-marker
-        /// writes commute and check only WAR).
-        check_waw: bool,
-    },
-    /// Non-commutative read-modify-write: registers as both reader and
-    /// writer of the cell; detection is the write check alone.
-    Rmw {
-        /// Table of the row.
-        table: TableId,
-        /// Row key (pre-encoding).
-        row: i64,
-        /// Column modified.
-        col: Option<ColId>,
-        /// Encoded conflict-log cell key.
-        cell: i64,
-    },
-    /// Membership (phantom-guard) write of a key partition.
-    MembershipWrite {
-        /// Table whose membership changes.
-        table: TableId,
-        /// Key partition written.
-        partition: i64,
-    },
-}
-
-/// Enumerate the conflict-log accesses of one transaction, given its
-/// recorded reads and staged non-commutative mutations: reads first (in
-/// recording order), then per-mutation write cells (existence + membership
-/// + all columns for deletes). `db` supplies table widths for deletes.
-pub fn cell_accesses(db: &Database, reads: &[ReadAccess], normal: &[Mutation]) -> Vec<CellAccess> {
-    let mut out = Vec::with_capacity(reads.len() + normal.len());
-    for r in reads {
-        match membership_partition(r.key) {
-            Some(p) => out.push(CellAccess::MembershipRead { table: r.table, partition: p }),
-            None => out.push(CellAccess::Read {
-                table: r.table,
-                row: r.key,
-                col: r.col,
-                cell: cell_key(r.key, r.col),
-            }),
-        }
-    }
-    for m in normal {
-        match m {
-            Mutation::Update { table, key, col, .. } => out.push(CellAccess::Write {
-                table: *table,
-                row: *key,
-                col: Some(*col),
-                cell: cell_key(*key, Some(*col)),
-                check_waw: true,
-            }),
-            Mutation::Add { table, key, col, .. } => out.push(CellAccess::Rmw {
-                table: *table,
-                row: *key,
-                col: Some(*col),
-                cell: cell_key(*key, Some(*col)),
-            }),
-            Mutation::Insert { table, key, .. } => {
-                out.push(CellAccess::Write {
-                    table: *table,
-                    row: *key,
-                    col: None,
-                    cell: cell_key(*key, None),
-                    check_waw: true,
-                });
-                out.push(CellAccess::MembershipWrite {
-                    table: *table,
-                    partition: *key >> MEMBERSHIP_PARTITION_SHIFT,
-                });
-            }
-            Mutation::Delete { table, key } => {
-                out.push(CellAccess::Write {
-                    table: *table,
-                    row: *key,
-                    col: None,
-                    cell: cell_key(*key, None),
-                    check_waw: true,
-                });
-                out.push(CellAccess::MembershipWrite {
-                    table: *table,
-                    partition: *key >> MEMBERSHIP_PARTITION_SHIFT,
-                });
-                for c in 0..db.table(*table).width() as u16 {
-                    out.push(CellAccess::Write {
-                        table: *table,
-                        row: *key,
-                        col: Some(ColId(c)),
-                        cell: cell_key(*key, Some(ColId(c))),
-                        check_waw: true,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Restricts an engine to the slice of a partitioned database it owns.
 ///
 /// With a scope, the engine still *executes* every transaction of its
@@ -323,13 +182,11 @@ pub struct ExecScope<'a> {
     /// Read view resolving rows this shard does not hold (`None` when the
     /// local database is complete, e.g. a 1-shard scope).
     pub remote: Option<&'a (dyn CellStore + Sync)>,
-    /// Whether this shard owns row `(table, key)` — its existence and
-    /// column cells register here.
+    /// Whether this shard owns row `(table, key)`. A cell registers, is
+    /// checked and is written back where its [`Cell::anchor`] key is
+    /// owned: a row's existence and column cells with the row, a
+    /// membership marker with the smallest key of its partition.
     pub owns_row: &'a (dyn Fn(TableId, i64) -> bool + Sync),
-    /// Whether this shard owns the membership marker of
-    /// `(table, partition)` — phantom-guard reads and writes of that
-    /// partition register here.
-    pub owns_membership: &'a (dyn Fn(TableId, i64) -> bool + Sync),
 }
 
 /// Whether `scope` owns row `(table, key)`; the trivial scope owns
@@ -339,14 +196,10 @@ pub(crate) fn scope_owns_row(scope: Option<&ExecScope<'_>>, table: TableId, key:
     scope.is_none_or(|s| (s.owns_row)(table, key))
 }
 
-/// Whether `scope` owns the membership marker of `(table, partition)`.
+/// Whether `scope` owns `cell`.
 #[inline]
-pub(crate) fn scope_owns_membership(
-    scope: Option<&ExecScope<'_>>,
-    table: TableId,
-    partition: i64,
-) -> bool {
-    scope.is_none_or(|s| (s.owns_membership)(table, partition))
+pub(crate) fn scope_owns(scope: Option<&ExecScope<'_>>, cell: Cell) -> bool {
+    scope_owns_row(scope, cell.table, cell.anchor())
 }
 
 /// Chain of the shard-local slice and the remote view: reads try the local
@@ -433,56 +286,21 @@ struct ExecOutcome {
     rw_bytes: u64,
 }
 
-/// One conflict-detection work item.
+/// One conflict-detection work item: one cell of one transaction's
+/// footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DetectItem {
-    /// Encoded cell key — or the key partition, for a membership item.
-    key: i64,
+    cell: Cell,
     txn: u32,
-    table: TableId,
-    col: Option<ColId>,
-    is_write: bool,
-    /// Membership-marker writes (inserts/deletes) commute with each other:
-    /// they check WAR (a scanner saw the old membership) but not WAW.
-    check_waw: bool,
-    /// Routes this item to the table's membership log.
-    membership: bool,
-}
-
-impl DetectItem {
-    /// A read or write check of one cell of transaction `txn`.
-    fn cell(txn: usize, table: TableId, col: Option<ColId>, key: i64, is_write: bool) -> Self {
-        DetectItem {
-            key,
-            txn: txn as u32,
-            table,
-            col,
-            is_write,
-            check_waw: is_write,
-            membership: false,
-        }
-    }
-
-    /// A phantom-guard check of one key partition of `table`.
-    fn membership(txn: usize, table: TableId, partition: i64, is_write: bool) -> Self {
-        DetectItem {
-            key: partition,
-            txn: txn as u32,
-            table,
-            col: None,
-            is_write,
-            check_waw: false,
-            membership: true,
-        }
-    }
+    check: Check,
 }
 
 /// Lay the lanes' detect items out as the detect kernel's dense work
 /// array, in lane index order. With `split_checks` the read checks of every
 /// lane come first and the write checks after them (rcheck warps and
 /// wcheck warps, Algorithm 1 lines 13–16). A lane emits its reads before
-/// its writes, so this is the order a stable sort on `is_write` over the
-/// concatenation gives, from two slice copies per lane.
+/// its writes, so this is the order a stable sort on `check.is_write()`
+/// over the concatenation gives, from two slice copies per lane.
 fn flatten_detect_items<L: std::ops::Deref<Target = Vec<DetectItem>>>(
     lanes: impl Iterator<Item = L> + Clone,
     split_checks: bool,
@@ -493,7 +311,7 @@ fn flatten_detect_items<L: std::ops::Deref<Target = Vec<DetectItem>>>(
         lanes.for_each(|lane| items.extend_from_slice(&lane));
         return;
     }
-    let reads_of = |lane: &[DetectItem]| lane.partition_point(|i| !i.is_write);
+    let reads_of = |lane: &[DetectItem]| lane.partition_point(|i| !i.check.is_write());
     for lane in lanes.clone() {
         items.extend_from_slice(&lane[..reads_of(&lane)]);
     }
@@ -752,8 +570,7 @@ impl LtpgEngine {
         let wall_start = Instant::now();
         let mut stats = LtpgBatchStats::default();
         let n = batch.len();
-        let owns_row = |t: TableId, k: i64| scope_owns_row(scope, t, k);
-        let owns_mem = |t: TableId, p: i64| scope_owns_membership(scope, t, p);
+        let owns = |cell: Cell| scope_owns(scope, cell);
         let scoped_store = scope
             .and_then(|s| s.remote)
             .map(|remote| ScopedStore { local: &self.db, remote });
@@ -816,14 +633,14 @@ impl LtpgEngine {
                 Some(store) => execute_speculative_on(store, txn),
                 None => execute_speculative(&self.db, txn),
             };
+            // An aborted speculation buffers nothing; its read/write set
+            // still ships back.
+            let nothing =
+                |rw_bytes| ExecOutcome { normal: Vec::new(), delayed: Vec::new(), rw_bytes };
             match speculated {
                 Err(_) => {
                     lane.atomic_or_u32(&flags[idx], flag::USER);
-                    outcomes.set(idx, ExecOutcome {
-                        normal: Vec::new(),
-                        delayed: Vec::new(),
-                        rw_bytes: TxnEffects::default().rw_set_bytes(),
-                    });
+                    outcomes.set(idx, nothing(TxnEffects::default().rw_set_bytes()));
                 }
                 Ok(fx) => {
                     let tid = txn.tid.0;
@@ -836,150 +653,43 @@ impl LtpgEngine {
                     }
                     if forced {
                         lane.atomic_or_u32(&flags[idx], flag::FORCED);
-                        outcomes.set(idx, ExecOutcome {
-                            normal: Vec::new(),
-                            delayed: Vec::new(),
-                            rw_bytes,
-                        });
+                        outcomes.set(idx, nothing(rw_bytes));
                         return;
                     }
-                    // Register TIDs in the conflict log (recordTID), and
-                    // charge the local-set writes (recordLS) and snapshot
-                    // reads (readMem). A `false` return means the log ran
-                    // out of buckets — force-abort this transaction (the
-                    // TIDs already registered only ever *add* conflicts,
-                    // so partial registration is sound).
-                    //
-                    // The lane also emits its detect work items here, in
-                    // the order the canonical `cell_accesses` walk
-                    // enumerates them — the dense item array is the local
-                    // set laid out linearly, so emission rides the
-                    // recordLS writes already charged.
-                    //
-                    // A registration is a handful of locked read-modify-
-                    // writes on a bucket that is rarely in cache, and a
-                    // locked operation waits for its line before anything
-                    // behind it starts. So the lane first loads the home
-                    // bucket of every access it is about to register, back
-                    // to back: the misses overlap, and the registrations
-                    // then run on cached lines.
-                    for r in &reads {
-                        if membership_partition(r.key).is_none() && owns_row(r.table, r.key) {
-                            self.log.touch(r.table, r.col, cell_key(r.key, r.col));
+                    // The footprint is walked twice. A registration is a
+                    // handful of locked read-modify-writes on a bucket that
+                    // is rarely in cache, and a locked operation waits for
+                    // its line before anything behind it starts. So the
+                    // lane first loads the home bucket of every cell it is
+                    // about to register, back to back: the misses overlap.
+                    footprint::walk(&self.db, &reads, &normal, |cell, _| {
+                        if owns(cell) {
+                            self.log.touch(cell);
                         }
-                    }
-                    for m in &normal {
-                        let (table, key) = m.row();
-                        if owns_row(table, key) {
-                            let col = match m {
-                                Mutation::Update { col, .. } | Mutation::Add { col, .. } => Some(*col),
-                                Mutation::Insert { .. } | Mutation::Delete { .. } => None,
-                            };
-                            self.log.touch(table, col, cell_key(key, col));
-                        }
-                    }
+                    });
+                    // Then, per operation, the snapshot read (readMem) and
+                    // the local-set write (recordLS) are charged, and per
+                    // owned cell the TID is registered (recordTID) and the
+                    // detect item emitted — the item array is the local set
+                    // laid out linearly, so emission rides the recordLS
+                    // writes. A failed registration means the log ran out of
+                    // buckets: the walk goes on (registered TIDs only ever
+                    // *add* conflicts) and the transaction aborts below.
                     let mut registered = true;
+                    let mut register = |lane: &mut _, cell: Cell, check: Check| {
+                        if owns(cell) {
+                            registered &= self.log.register(lane, cell, check, tid);
+                            local_items.push(DetectItem { cell, txn: idx as u32, check });
+                        }
+                    };
                     for r in &reads {
                         lane.read_global_random(2);
                         lane.write_global(1);
-                        if let Some(p) = membership_partition(r.key) {
-                            if owns_mem(r.table, p) {
-                                registered &=
-                                    self.log.register_membership_read(lane, r.table, p, tid);
-                                local_items.push(DetectItem::membership(idx, r.table, p, false));
-                            }
-                        } else if owns_row(r.table, r.key) {
-                            let ck = cell_key(r.key, r.col);
-                            registered &= self.log.register_read(lane, r.table, r.col, ck, tid);
-                            local_items.push(DetectItem::cell(idx, r.table, r.col, ck, false));
-                        }
+                        register(lane, read_cell(r), Check::Read);
                     }
                     for m in &normal {
                         lane.write_global(2);
-                        match m {
-                            Mutation::Update { table, key, col, .. } => {
-                                if owns_row(*table, *key) {
-                                    let ck = cell_key(*key, Some(*col));
-                                    registered &= self.log.register_write(
-                                        lane, *table, Some(*col), ck, tid,
-                                    );
-                                    local_items
-                                        .push(DetectItem::cell(idx, *table, Some(*col), ck, true));
-                                }
-                            }
-                            Mutation::Add { table, key, col, .. } => {
-                                // Non-commutative RMW: reader and writer.
-                                let ck = cell_key(*key, Some(*col));
-                                if owns_row(*table, *key) {
-                                    registered &= self.log.register_read(lane, *table, Some(*col), ck, tid);
-                                    registered &= self.log.register_write(lane, *table, Some(*col), ck, tid);
-                                    local_items
-                                        .push(DetectItem::cell(idx, *table, Some(*col), ck, true));
-                                }
-                            }
-                            Mutation::Insert { table, key, .. } => {
-                                let partition = *key >> MEMBERSHIP_PARTITION_SHIFT;
-                                if owns_row(*table, *key) {
-                                    let ck = cell_key(*key, None);
-                                    registered &=
-                                        self.log.register_write(lane, *table, None, ck, tid);
-                                    local_items.push(DetectItem::cell(idx, *table, None, ck, true));
-                                }
-                                // Membership changed: ordered scanners of
-                                // this key partition must see it (phantom
-                                // guard).
-                                if owns_mem(*table, partition) {
-                                    registered &= self
-                                        .log
-                                        .register_membership_write(lane, *table, partition, tid);
-                                    local_items
-                                        .push(DetectItem::membership(idx, *table, partition, true));
-                                }
-                            }
-                            Mutation::Delete { table, key } => {
-                                // A delete writes the existence cell and
-                                // every column cell (readers of any cell
-                                // must order before it).
-                                let or = owns_row(*table, *key);
-                                let partition = *key >> MEMBERSHIP_PARTITION_SHIFT;
-                                let om = owns_mem(*table, partition);
-                                let width = self.db.table(*table).width() as u16;
-                                if or {
-                                    registered &= self.log.register_write(
-                                        lane, *table, None, cell_key(*key, None), tid,
-                                    );
-                                    for c in 0..width {
-                                        let col = ColId(c);
-                                        registered &= self.log.register_write(
-                                            lane, *table, Some(col), cell_key(*key, Some(col)), tid,
-                                        );
-                                    }
-                                }
-                                if om {
-                                    registered &= self
-                                        .log
-                                        .register_membership_write(lane, *table, partition, tid);
-                                }
-                                // Canonical `cell_accesses` order:
-                                // existence, membership, then columns.
-                                if or {
-                                    let ck = cell_key(*key, None);
-                                    local_items.push(DetectItem::cell(idx, *table, None, ck, true));
-                                }
-                                if om {
-                                    local_items
-                                        .push(DetectItem::membership(idx, *table, partition, true));
-                                }
-                                if or {
-                                    for c in 0..width {
-                                        let col = Some(ColId(c));
-                                        let ck = cell_key(*key, col);
-                                        local_items
-                                            .push(DetectItem::cell(idx, *table, col, ck, true));
-                                    }
-                                }
-                            }
-                        }
+                        mutation_cells(&self.db, m, |cell, check| register(lane, cell, check));
                     }
                     if !registered {
                         // Force-abort: this lane's items must not reach
@@ -1030,43 +740,24 @@ impl LtpgEngine {
                 // The warp's checks, like its registrations: every bucket
                 // loaded back to back before the first is inspected.
                 let warp = &items[lane.global_id..];
-                for it in &warp[..warp.len().min(warp_lanes)] {
-                    if !it.membership {
-                        self.log.touch(it.table, it.col, it.key);
-                    }
-                }
+                warp[..warp.len().min(warp_lanes)].iter().for_each(|it| self.log.touch(it.cell));
             }
-            lane.branch(u32::from(item.is_write));
+            lane.branch(u32::from(item.check.is_write()));
             // Work-item fetch: the items sit in the dense array execute
             // emitted (one coalesced word).
             lane.read_global(1);
             // TID fetch: coalesced from the SoA TID array.
             lane.read_global(1);
-            let tid = tids[item.txn as usize];
-            let min_w = |lane: &mut _| {
-                if item.membership {
-                    self.log.min_membership_write(lane, item.table, item.key)
-                } else {
-                    self.log.min_write(lane, item.table, item.col, item.key)
-                }
-            };
-            let min_r = |lane: &mut _| {
-                if item.membership {
-                    self.log.min_membership_read(lane, item.table, item.key)
-                } else {
-                    self.log.min_read(lane, item.table, item.col, item.key)
-                }
-            };
-            if item.is_write {
-                if item.check_waw && min_w(lane).is_some_and(|m| m < tid) {
-                    lane.atomic_or_u32(&flags[item.txn as usize], flag::WAW);
-                }
-                if min_r(lane).is_some_and(|m| m < tid) {
-                    lane.atomic_or_u32(&flags[item.txn as usize], flag::WAR);
-                }
-            } else if min_w(lane).is_some_and(|m| m < tid) {
-                lane.atomic_or_u32(&flags[item.txn as usize], flag::RAW);
-            }
+            let word = &flags[item.txn as usize];
+            conflict_flags(
+                lane,
+                item.check,
+                tids[item.txn as usize],
+                |lane, record| self.log.min(lane, item.cell, record),
+                |lane, bit| {
+                    lane.atomic_or_u32(word, bit);
+                },
+            );
         });
         stats.detect_ns = detect_report.sim_ns;
         self.device.synchronize();
@@ -1216,16 +907,10 @@ impl LtpgEngine {
         stats.sync_ns += self.device.cost().device_sync_ns;
 
         // ---- Download: results / read-write sets to the host. ----
-        stats.bytes_d2h = match self.cfg.sync {
-            SyncMode::RwSet => {
-                n as u64
-                    + (0..n)
-                        .filter_map(|i| outcomes.peek(i))
-                        .map(|o| o.rw_bytes)
-                        .sum::<u64>()
-            }
-            SyncMode::Interval { bytes_per_batch } => n as u64 + bytes_per_batch,
-        };
+        // Only the flag table and the read/write sets are shipped back (the
+        // paper's low-volume mode; Table V measures its overhead).
+        stats.bytes_d2h =
+            n as u64 + (0..n).filter_map(|i| outcomes.peek(i)).map(|o| o.rw_bytes).sum::<u64>();
         // By this point the batch has fully executed on the device; a
         // transient fault here only repeats the copy (re-running the batch
         // would double-apply its writes), so the retry happens in place.
@@ -1860,17 +1545,30 @@ mod tests {
         );
     }
 
+    /// A private-registry engine with the Table II TPC-C configuration.
+    fn tpcc_engine(
+        db: Database,
+        tables: &ltpg_workloads::tpcc::TpccTables,
+        max_batch: usize,
+    ) -> LtpgEngine {
+        use ltpg_workloads::tpcc::cols;
+        let mut cfg = LtpgConfig { max_batch, est_accesses_per_txn: 12, ..LtpgConfig::default() };
+        cfg.commutative_cols.insert((tables.district, cols::D_NEXT_O_ID));
+        cfg.delayed_cols.insert((tables.warehouse, cols::W_YTD));
+        cfg.delayed_cols.insert((tables.district, cols::D_YTD));
+        cfg.premarked_popular.insert(tables.warehouse);
+        cfg.premarked_popular.insert(tables.district);
+        LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared())
+    }
+
     /// Fold of a requeue-driven run: committed-TID history, final state
     /// and the bit patterns of every batch's simulated time.
     fn golden_run(
-        db: Database,
-        cfg: LtpgConfig,
+        engine: &mut LtpgEngine,
         gen: &mut dyn FnMut(usize) -> Vec<Txn>,
         batches: usize,
         batch_size: usize,
     ) -> (u64, u64, u64) {
-        let mut engine =
-            LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared());
         let mut tids = TidGen::new();
         let mut requeued: Vec<Txn> = Vec::new();
         let (mut history, mut sim_bits) = (0xcbf2_9ce4_8422_2325u64, 0u64);
@@ -1897,21 +1595,14 @@ mod tests {
     /// bits. The same constants hold in debug and release builds.
     #[test]
     fn golden_decision_digest_pins_the_shipping_path() {
-        use ltpg_workloads::tpcc::cols;
         use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
         // TPC-C 50/50 on 2 warehouses with the Table II engine config.
         let (batches, batch_size) = (8, 512);
         let wl = TpccConfig::new(2, 50).with_headroom(batches * batch_size * 20);
         let (db, tables, mut gen) = TpccGenerator::new(wl);
-        let mut cfg =
-            LtpgConfig { max_batch: batch_size, est_accesses_per_txn: 12, ..LtpgConfig::default() };
-        cfg.commutative_cols.insert((tables.district, cols::D_NEXT_O_ID));
-        cfg.delayed_cols.insert((tables.warehouse, cols::W_YTD));
-        cfg.delayed_cols.insert((tables.district, cols::D_YTD));
-        cfg.premarked_popular.insert(tables.warehouse);
-        cfg.premarked_popular.insert(tables.district);
-        let tpcc = golden_run(db, cfg, &mut |n| gen.gen_batch(n), batches, batch_size);
+        let mut engine = tpcc_engine(db, &tables, batch_size);
+        let tpcc = golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size);
         assert_eq!(
             tpcc,
             (0x8d28_bd17_3b88_1d35, 0xcca6_4072_3350_5d9e, 0x07a2_e95b_c427_e56a),
@@ -1923,11 +1614,39 @@ mod tests {
         let wl = YcsbConfig::new(YcsbWorkload::A, 10_000).with_alpha(0.6);
         let (db, _table, mut gen) = YcsbGenerator::new(wl);
         let cfg = LtpgConfig { max_batch: batch_size, ..LtpgConfig::default() };
-        let ycsb = golden_run(db, cfg, &mut |n| gen.gen_batch(n), batches, batch_size);
+        let mut engine =
+            LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared());
+        let ycsb = golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size);
         assert_eq!(
             ycsb,
             (0xf619_866b_5ab6_c7c0, 0xcd01_1c0e_6959_8ce1, 0x8904_ce91_d174_5d1c),
             "YCSB-A (history, state, sim-time bits): {ycsb:#x?}"
+        );
+    }
+
+    /// The golden digest's streams never delete a row or scan a range.
+    /// This one does both: in the TPC-C full mix Delivery finds the oldest
+    /// undelivered order with an ordered scan and deletes its NEW_ORDER
+    /// row, StockLevel and OrderStatus scan too, and every scan reads a
+    /// membership marker that NewOrder's inserts and Delivery's deletes
+    /// write. All three values were recorded at commit 555f039, before the
+    /// footprint walk existed; moving a delete's marker registration ahead
+    /// of its column cells changed none of them (EXPERIMENTS.md, "Perf
+    /// ledger — PR 24").
+    #[test]
+    fn full_mix_digest_pins_a_stream_that_deletes_and_scans() {
+        use ltpg_workloads::{TpccConfig, TpccGenerator};
+        let (batches, batch_size) = (8, 512);
+        let wl = TpccConfig::new(2, 50).with_full_mix().with_headroom(batches * batch_size * 20);
+        let (db, tables, mut gen) = TpccGenerator::new(wl);
+        let mut engine = tpcc_engine(db, &tables, batch_size);
+        let full = golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size);
+        let new_order = engine.database().table(tables.new_order);
+        assert!(new_order.live_rows() < new_order.len(), "Delivery deleted no NEW_ORDER row");
+        assert_eq!(
+            full,
+            (0xa030_8b85_5083_7d7d, 0x437e_f805_ce89_a524, 0x07d7_3edd_a98e_f608),
+            "TPC-C full mix (history, state, sim-time bits): {full:#x?}"
         );
     }
 
@@ -1947,36 +1666,27 @@ mod tests {
             .enumerate()
             .map(|(idx, txn)| {
                 let fx = execute_speculative(&db, txn).unwrap();
-                cell_accesses(&db, &fx.reads, &fx.mutations)
-                    .iter()
-                    .map(|a| match *a {
-                        CellAccess::Read { table, col, cell, .. } => {
-                            DetectItem::cell(idx, table, col, cell, false)
-                        }
-                        CellAccess::Write { table, col, cell, .. }
-                        | CellAccess::Rmw { table, col, cell, .. } => {
-                            DetectItem::cell(idx, table, col, cell, true)
-                        }
-                        CellAccess::MembershipRead { table, partition } => {
-                            DetectItem::membership(idx, table, partition, false)
-                        }
-                        CellAccess::MembershipWrite { table, partition } => {
-                            DetectItem::membership(idx, table, partition, true)
-                        }
-                    })
-                    .collect()
+                let mut lane = Vec::new();
+                footprint::walk(&db, &fx.reads, &fx.mutations, |cell, check| {
+                    lane.push(DetectItem { cell, txn: idx as u32, check })
+                });
+                lane
             })
             .collect();
         let lane_ordered: Vec<DetectItem> = lanes.iter().flatten().copied().collect();
-        assert!(lane_ordered.iter().any(|i| i.is_write) && lane_ordered.iter().any(|i| !i.is_write));
-        assert!(lane_ordered.iter().any(|i| i.membership), "NewOrder inserts guard membership");
+        let is_write = |i: &DetectItem| i.check.is_write();
+        assert!(lane_ordered.iter().any(is_write) && !lane_ordered.iter().all(is_write));
+        assert!(
+            lane_ordered.iter().any(|i| i.check == Check::MarkerWrite),
+            "NewOrder inserts guard membership"
+        );
 
         let mut items = vec![lane_ordered[0]; 3]; // stale content must be cleared
         flatten_detect_items(lanes.iter(), false, &mut items);
         assert_eq!(items, lane_ordered);
 
         let mut sorted = lane_ordered;
-        sorted.sort_by_key(|i| i.is_write);
+        sorted.sort_by_key(is_write);
         flatten_detect_items(lanes.iter(), true, &mut items);
         assert_eq!(items, sorted);
     }

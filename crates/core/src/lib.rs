@@ -24,6 +24,11 @@
 //! * [`conflict::ConflictLog`] — dynamic hash buckets (§V-C): popular
 //!   tables get `s_u = ⌈E/WS⌉·WS`-slot buckets so TID registration spreads
 //!   over slots instead of serializing on one atomic.
+//! * [`footprint`] — a transaction's access list as a value (Algorithm
+//!   1's `recordTID` / `rcheck` / `wcheck` all run over one list): which
+//!   conflict cells a read or a buffered mutation touches, in which order,
+//!   with which check, and the WAW / WAR / RAW table. The engine and the
+//!   CPU twin both walk it.
 //! * adaptive warp division (§V-B) — lanes are ordered so each 32-lane warp
 //!   runs one procedure type, eliminating intra-warp divergence.
 //! * the high-contention suite (§V-D) — Aria-style logical reordering
@@ -67,6 +72,7 @@ pub mod conflict;
 pub mod engine;
 pub mod executor;
 pub mod faults;
+pub mod footprint;
 pub mod intake;
 pub mod pipeline;
 pub mod recovery;
@@ -76,11 +82,10 @@ pub mod twin;
 mod util;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
-pub use config::{LtpgConfig, OptFlags, ServerConfig, SyncMode};
+pub use config::{LtpgConfig, OptFlags, ServerConfig};
 pub use conflict::ConflictLog;
 pub use engine::{
-    cell_accesses, cell_key, commit_decision, flag, stage_effects, CellAccess, ExecScope,
-    LtpgEngine, PreparedBatch, Staged,
+    commit_decision, flag, stage_effects, ExecScope, LtpgEngine, PreparedBatch, Staged,
 };
 pub use executor::{Executor, LostDevices, Prepared};
 pub use faults::{

@@ -11,10 +11,11 @@
 //! runs, so WAL replay and single-device degradation use the same code as
 //! a degraded shard.
 //!
-//! Staging, the cell walk and the commit rule are the engine's own
-//! ([`stage_effects`], [`cell_accesses`], [`commit_decision`]); what
-//! differs is the conflict log: exact `BTreeMap` min-TID cells instead of
-//! hashed buckets. Commit decisions are therefore bit-identical to the GPU
+//! Staging, the footprint walk, the conflict table and the commit rule are
+//! the engine's own ([`stage_effects`], [`crate::footprint`],
+//! [`commit_decision`]); what the twin owns is its conflict log — exact
+//! `BTreeMap` min-TID cells instead of hashed buckets — its serial
+//! write-back and its delayed fold. Commit decisions are therefore bit-identical to the GPU
 //! engine's, with one documented exception: the GPU log can run out of
 //! buckets (or collide on its 40-bit key tags) under extreme load and
 //! force-abort transactions the exact maps admit — the twin never raises
@@ -27,36 +28,35 @@ use std::time::Instant;
 use ltpg_baselines::CpuCostModel;
 use ltpg_storage::{ColId, Database, TableId};
 use ltpg_txn::engine::CommitSemantics;
-use ltpg_txn::exec::{execute_speculative, execute_speculative_on, Mutation};
+use ltpg_txn::exec::{execute_speculative, execute_speculative_on, Mutation, ReadAccess};
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
 use crate::config::LtpgConfig;
 use crate::engine::{
-    apply_mutation, cell_accesses, commit_decision, flag, scope_owns_membership,
-    scope_owns_row, stage_effects, CellAccess, ExecScope, ScopedStore, Staged,
+    apply_mutation, commit_decision, flag, scope_owns, scope_owns_row, stage_effects, ExecScope,
+    ScopedStore, Staged,
 };
+use crate::footprint::{self, conflict_flags, Cell, Record};
 
-/// Exact min-TID maps standing in for the GPU conflict log, keyed by the
-/// same encoded cell keys.
+/// Exact min-TID maps standing in for the GPU conflict log: one per
+/// [`Record`], indexed by it.
 #[derive(Default)]
 struct MinTidLog {
-    read_min: BTreeMap<(TableId, Option<ColId>, i64), u64>,
-    write_min: BTreeMap<(TableId, Option<ColId>, i64), u64>,
-    mem_read_min: BTreeMap<(TableId, i64), u64>,
-    mem_write_min: BTreeMap<(TableId, i64), u64>,
+    min: [BTreeMap<Cell, u64>; 2],
 }
 
-/// `atomicMin` on an exact map.
-fn note<K: Ord>(map: &mut BTreeMap<K, u64>, k: K, tid: u64) {
-    map.entry(k).and_modify(|m| *m = (*m).min(tid)).or_insert(tid);
+impl MinTidLog {
+    /// `atomicMin` on an exact map.
+    fn register(&mut self, cell: Cell, record: Record, tid: u64) {
+        self.min[record as usize].entry(cell).and_modify(|m| *m = (*m).min(tid)).or_insert(tid);
+    }
 }
 
 /// Per-transaction result of the twin's execute phase.
 struct ExecOutcome {
+    reads: Vec<ReadAccess>,
     normal: Vec<Mutation>,
     delayed: Vec<(TableId, ColId, i64, i64)>,
-    /// The canonical access walk, shared by registration and detection.
-    accesses: Vec<CellAccess>,
 }
 
 /// State carried between [`CpuTwin::prepare`] and [`CpuTwin::finish`] —
@@ -130,8 +130,6 @@ impl CpuTwin {
     pub fn prepare(&mut self, batch: &Batch, scope: Option<&ExecScope<'_>>) -> TwinPrepared {
         let wall_start = Instant::now();
         let n = batch.len();
-        let owns_row = |t: TableId, k: i64| scope_owns_row(scope, t, k);
-        let owns_mem = |t: TableId, p: i64| scope_owns_membership(scope, t, p);
         let scoped_store =
             scope.and_then(|s| s.remote).map(|remote| ScopedStore { local: &self.db, remote });
         let mut flags = vec![0u32; n];
@@ -159,81 +157,30 @@ impl CpuTwin {
                 outcomes.push(None);
                 continue;
             }
-            let accesses = cell_accesses(&self.db, &reads, &normal);
-            for a in &accesses {
-                match *a {
-                    CellAccess::Read { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            note(&mut log.read_min, (table, col, cell), tid);
-                        }
-                    }
-                    CellAccess::MembershipRead { table, partition } => {
-                        if owns_mem(table, partition) {
-                            note(&mut log.mem_read_min, (table, partition), tid);
-                        }
-                    }
-                    CellAccess::Write { table, row, col, cell, .. } => {
-                        if owns_row(table, row) {
-                            note(&mut log.write_min, (table, col, cell), tid);
-                        }
-                    }
-                    // Non-commutative RMW: reader *and* writer of the cell.
-                    CellAccess::Rmw { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            note(&mut log.read_min, (table, col, cell), tid);
-                            note(&mut log.write_min, (table, col, cell), tid);
-                        }
-                    }
-                    CellAccess::MembershipWrite { table, partition } => {
-                        if owns_mem(table, partition) {
-                            note(&mut log.mem_write_min, (table, partition), tid);
-                        }
-                    }
+            footprint::walk(&self.db, &reads, &normal, |cell, check| {
+                if scope_owns(scope, cell) {
+                    check.records().iter().for_each(|&r| log.register(cell, r, tid));
                 }
-            }
-            outcomes.push(Some(ExecOutcome { normal, delayed, accesses }));
+            });
+            outcomes.push(Some(ExecOutcome { reads, normal, delayed }));
         }
 
-        // ---- Conflict detection over owned cells. ----
+        // ---- Conflict detection over owned cells (the rest are owned by
+        // another shard, which derives their bits). ----
         for (idx, out) in outcomes.iter().enumerate() {
             let Some(out) = out else { continue };
             let tid = batch.txns[idx].tid.0;
-            let bit = |min: Option<&u64>, b: u32| if min.is_some_and(|&m| m < tid) { b } else { 0 };
-            // Write checks flag an earlier writer (WAW, unless the cell
-            // commutes) and an earlier reader (WAR); read checks flag an
-            // earlier writer (RAW).
-            let write_bits = |k: (TableId, Option<ColId>, i64), check_waw: bool| {
-                let waw = if check_waw { bit(log.write_min.get(&k), flag::WAW) } else { 0 };
-                waw | bit(log.read_min.get(&k), flag::WAR)
-            };
-            for a in &out.accesses {
-                flags[idx] |= match *a {
-                    CellAccess::Read { table, row, col, cell } if owns_row(table, row) => {
-                        bit(log.write_min.get(&(table, col, cell)), flag::RAW)
-                    }
-                    CellAccess::MembershipRead { table, partition }
-                        if owns_mem(table, partition) =>
-                    {
-                        bit(log.mem_write_min.get(&(table, partition)), flag::RAW)
-                    }
-                    CellAccess::Write { table, row, col, cell, check_waw }
-                        if owns_row(table, row) =>
-                    {
-                        write_bits((table, col, cell), check_waw)
-                    }
-                    CellAccess::Rmw { table, row, col, cell } if owns_row(table, row) => {
-                        write_bits((table, col, cell), true)
-                    }
-                    // Membership-marker writes commute with each other.
-                    CellAccess::MembershipWrite { table, partition }
-                        if owns_mem(table, partition) =>
-                    {
-                        bit(log.mem_read_min.get(&(table, partition)), flag::WAR)
-                    }
-                    // Owned by another shard, which derives these bits.
-                    _ => 0,
-                };
-            }
+            footprint::walk(&self.db, &out.reads, &out.normal, |cell, check| {
+                if scope_owns(scope, cell) {
+                    conflict_flags(
+                        &mut flags[idx],
+                        check,
+                        tid,
+                        |_, record| log.min[record as usize].get(&cell).copied(),
+                        |word, bit| *word |= bit,
+                    );
+                }
+            });
         }
 
         // Execute + detect span two of the three phase barriers; per-op

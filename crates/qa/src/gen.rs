@@ -34,8 +34,41 @@ struct TableShape {
     inserts: usize,
 }
 
-/// Generate the case for `seed`.
+/// How a schedule's operations are drawn. [`OpMix::BROAD`] holds the
+/// constants [`generate`] has always used, so its seed-to-case mapping (and
+/// every checked-in repro's provenance) stands.
+#[derive(Debug, Clone, Copy)]
+pub struct OpMix {
+    /// Probability that a table carries an ordered index (ordered scans
+    /// run only against those).
+    ordered: f64,
+    /// Probability that an insert is TID-keyed (always fresh) rather than
+    /// a constant key that may collide.
+    fresh_insert: f64,
+    /// Upper bounds, in percent, of the draws that become a read, update,
+    /// add, insert, delete, compute and emulated scan; the rest are
+    /// ordered range scans.
+    cuts: [u32; 7],
+}
+
+impl OpMix {
+    /// The broad mix every QA case has always been drawn from.
+    pub const BROAD: OpMix =
+        OpMix { ordered: 0.3, fresh_insert: 0.6, cuts: [30, 50, 65, 75, 82, 90, 95] };
+    /// Mostly deletes, colliding inserts and ordered scans over ordered
+    /// tables: the operations that read and write membership markers, whose
+    /// owner need not be the owner of any row they guard.
+    pub const MARKER_HEAVY: OpMix =
+        OpMix { ordered: 0.9, fresh_insert: 0.3, cuts: [15, 25, 30, 50, 70, 72, 75] };
+}
+
+/// Generate the case for `seed` from the broad mix.
 pub fn generate(seed: u64) -> QaCase {
+    generate_mix(seed, &OpMix::BROAD)
+}
+
+/// Generate the case for `seed` from `mix`.
+pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
     // Decorrelate consecutive seeds without losing reproducibility.
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed);
 
@@ -44,7 +77,7 @@ pub fn generate(seed: u64) -> QaCase {
         .map(|_| TableShape {
             cols: rng.gen_range(1..=3u16),
             rows: [8i64, 16, 32][rng.gen_range(0..3usize)],
-            ordered: rng.gen_bool(0.3),
+            ordered: rng.gen_bool(mix.ordered),
             rule: match rng.gen_range(0..10u32) {
                 0..=4 => ShardRule::Hash,
                 5..=7 => ShardRule::Stride([1i64, 2, 8][rng.gen_range(0..3usize)]),
@@ -60,7 +93,7 @@ pub fn generate(seed: u64) -> QaCase {
     let ntxns = rng.gen_range(8..=80usize);
     let mut txns = Vec::with_capacity(ntxns);
     for _ in 0..ntxns {
-        txns.push(gen_txn(&mut rng, &mut shapes, alpha));
+        txns.push(gen_txn(&mut rng, &mut shapes, alpha, mix));
     }
 
     let tables = shapes
@@ -146,7 +179,7 @@ fn val_src(rng: &mut StdRng, params: usize, defined: &[u8]) -> Src {
     }
 }
 
-fn gen_txn(rng: &mut StdRng, shapes: &mut [TableShape], alpha: f64) -> Txn {
+fn gen_txn(rng: &mut StdRng, shapes: &mut [TableShape], alpha: f64, mix: &OpMix) -> Txn {
     let params: Vec<i64> =
         (0..rng.gen_range(0..=2usize)).map(|_| rng.gen_range(0..16i64)).collect();
     let nops = rng.gen_range(1..=6usize);
@@ -160,22 +193,23 @@ fn gen_txn(rng: &mut StdRng, shapes: &mut [TableShape], alpha: f64) -> Txn {
         let key = Src::Const(key_for(rng, shape.rows, alpha));
         let rows = shape.rows;
         let ordered = shape.ordered;
-        let op = match rng.gen_range(0..100u32) {
+        let draw = rng.gen_range(0..100u32);
+        let op = match mix.cuts.iter().position(|&cut| draw < cut) {
             // Point read into a register.
-            0..=29 => {
+            Some(0) => {
                 let out = rng.gen_range(0..4u8);
                 defined.push(out);
                 IrOp::Read { table: t, key, col, out }
             }
             // Overwrite (sometimes with dataflow from an earlier read).
-            30..=49 => IrOp::Update {
+            Some(1) => IrOp::Update {
                 table: t,
                 key,
                 col,
                 val: val_src(rng, params.len(), &defined),
             },
             // Commutative read-modify-write.
-            50..=64 => IrOp::Add {
+            Some(2) => IrOp::Add {
                 table: t,
                 key,
                 col,
@@ -184,9 +218,9 @@ fn gen_txn(rng: &mut StdRng, shapes: &mut [TableShape], alpha: f64) -> Txn {
             // Insert: TID-keyed (always fresh — the deterministic-database
             // idiom) or a constant key that may collide for user-abort and
             // phantom coverage.
-            65..=74 => {
+            Some(3) => {
                 shapes[ti].inserts += 1;
-                let ikey = if rng.gen_bool(0.6) {
+                let ikey = if rng.gen_bool(mix.fresh_insert) {
                     Src::Tid
                 } else {
                     Src::Const(key_for(rng, rows, alpha))
@@ -197,9 +231,9 @@ fn gen_txn(rng: &mut StdRng, shapes: &mut [TableShape], alpha: f64) -> Txn {
                 IrOp::Insert { table: t, key: ikey, values }
             }
             // Delete (phantom coverage against scans and inserts).
-            75..=81 => IrOp::Delete { table: t, key },
+            Some(4) => IrOp::Delete { table: t, key },
             // Pure compute over whatever registers exist.
-            82..=89 => {
+            Some(5) => {
                 let f = [ComputeFn::Add, ComputeFn::Sub, ComputeFn::Mul, ComputeFn::Min,
                     ComputeFn::Max][rng.gen_range(0..5usize)];
                 let a = val_src(rng, params.len(), &defined);
@@ -209,7 +243,7 @@ fn gen_txn(rng: &mut StdRng, shapes: &mut [TableShape], alpha: f64) -> Txn {
                 IrOp::Compute { f, a, b, out }
             }
             // Emulated short scan (point-lookup based, any table).
-            90..=94 => {
+            Some(6) => {
                 let out = rng.gen_range(0..4u8);
                 defined.push(out);
                 IrOp::ScanSum {

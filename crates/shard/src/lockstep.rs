@@ -77,12 +77,7 @@ fn with_scope<R>(
     }
     let shard = s as u32;
     let owns_row = move |t, k| part.owns_row(shard, t, k);
-    let owns_membership = move |t, p| part.owns_membership(shard, t, p);
-    f(Some(&ExecScope {
-        remote: remote.map(|v| v as &(dyn CellStore + Sync)),
-        owns_row: &owns_row,
-        owns_membership: &owns_membership,
-    }))
+    f(Some(&ExecScope { remote: remote.map(|v| v as &(dyn CellStore + Sync)), owns_row: &owns_row }))
 }
 
 /// Execute `subs[s]` on `execs[s]` for every shard, as one deterministic

@@ -7,11 +7,13 @@
 //! the [router](crate::Router) classify transactions identically on every
 //! shard and across restarts.
 //!
-//! Ownership extends to membership (phantom-guard) partitions: the owner
-//! of key partition `p` of a table is the home of the smallest key in
-//! that partition (`p << MEMBERSHIP_PARTITION_SHIFT`). For rules whose
+//! Row ownership is the only ownership. The membership (phantom-guard)
+//! marker of key partition `p` of a table is owned with the smallest key
+//! of that partition (`p << MEMBERSHIP_PARTITION_SHIFT`, the marker's
+//! anchor key — `ltpg::footprint::Cell::anchor`), so executors ask
+//! [`Partitioner::owns_row`] about every conflict cell. For rules whose
 //! granularity is at least one membership partition (e.g. the TPC-C
-//! order-table strides, which are multiples of 2⁴⁰), the membership owner
+//! order-table strides, which are multiples of 2⁴⁰), the marker's owner
 //! coincides with the row owner of every key in the partition.
 //!
 //! Rules are **validated at construction** ([`Partitioner::try_new`] /
@@ -280,12 +282,6 @@ impl Partitioner {
     /// everywhere.
     pub fn owns_row(&self, shard: u32, table: TableId, key: i64) -> bool {
         self.is_replicated(table) || self.home(table, key) == shard
-    }
-
-    /// Does `shard` own membership partition `(table, partition)`?
-    /// Replicated tables' membership is owned everywhere.
-    pub fn owns_membership(&self, shard: u32, table: TableId, partition: i64) -> bool {
-        self.is_replicated(table) || self.membership_owner(table, partition) == shard
     }
 
     /// Row predicate for carving shard `shard`'s database slice out of a

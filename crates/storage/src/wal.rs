@@ -213,6 +213,10 @@ impl BatchLog {
 
     /// Append a batch, returning its assigned batch id.
     pub fn append(&self, tids: Vec<u64>, payload: Bytes) -> u64 {
+        // Lock order: disk before records, matching every other method
+        // that takes both. The id is drawn under the lock, so a record's
+        // id is its position in both views whoever else is appending.
+        let mut disk = self.disk.lock();
         let batch_id = self.next_batch_id.fetch_add(1, Ordering::Relaxed);
         let rec = BatchRecord { batch_id, tids, payload };
         let frame = rec.encode();
@@ -220,9 +224,6 @@ impl BatchLog {
         let reg = ltpg_telemetry::global();
         reg.counter(ltpg_telemetry::names::WAL_FRAMES_APPENDED).inc();
         reg.counter(ltpg_telemetry::names::WAL_BYTES_APPENDED).add(frame.len() as u64);
-        // Lock order: disk before records, matching every other method
-        // that takes both.
-        let mut disk = self.disk.lock();
         disk.extend_from_slice(&frame);
         self.records.lock().push(rec);
         batch_id
@@ -232,7 +233,9 @@ impl BatchLog {
     /// Unaffected by injected faults; recovery paths should use
     /// [`BatchLog::scan`] instead.
     pub fn fetch(&self, batch_id: u64) -> Option<BatchRecord> {
-        self.records.lock().iter().find(|r| r.batch_id == batch_id).cloned()
+        // Ids are dense from 0 in append order: index, then check.
+        let records = self.records.lock();
+        records.get(usize::try_from(batch_id).ok()?).filter(|r| r.batch_id == batch_id).cloned()
     }
 
     /// Number of batches appended (logical view).
@@ -397,6 +400,21 @@ mod tests {
         assert_eq!(&r.payload[..], b"abc");
         assert!(log.fetch(99).is_none());
         assert_eq!(log.len(), 2);
+    }
+
+    #[test]
+    fn fetch_finds_every_id_of_a_long_log_and_nothing_else() {
+        let log = BatchLog::new();
+        assert!(log.fetch(0).is_none(), "empty log");
+        for i in 0..2_000u64 {
+            assert_eq!(log.append(vec![i * 3], Bytes::new()), i);
+        }
+        for i in 0..2_000u64 {
+            let r = log.fetch(i).unwrap_or_else(|| panic!("id {i} not found"));
+            assert_eq!((r.batch_id, &r.tids[..]), (i, &[i * 3][..]));
+        }
+        assert!(log.fetch(2_000).is_none(), "one past the end");
+        assert!(log.fetch(u64::MAX).is_none());
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! Histogram `buckets` entries are `[bucket_lower_bound, sample_count]`
 //! pairs for non-empty buckets only, ascending by bound.
 //!
-//! The vendored `serde_json` in this workspace is serialize-only, so the
-//! validator here ([`validate_jsonl`]/[`parse_json`]) is a small hand-rolled
-//! recursive-descent parser — enough for tests and CI smoke jobs to check
-//! that what we emit actually parses and carries the expected keys.
+//! This module is the workspace's one JSON implementation: [`JsonValue`]
+//! is the tree, [`JsonValue::to_pretty`] writes it (the experiment records
+//! under `results/`), and [`parse_json`] / [`validate_jsonl`] read it back
+//! with a small hand-rolled recursive-descent parser — enough for tests
+//! and CI smoke jobs to check that what we emit actually parses and
+//! carries the expected keys.
 
 use std::fmt::Write as _;
 use std::io;
@@ -113,14 +115,20 @@ pub fn write_jsonl(path: &Path, reg: &Registry) -> io::Result<()> {
     std::fs::write(path, export_jsonl(reg))
 }
 
-/// A parsed JSON value — just enough structure for validation.
+/// A JSON value tree, with object fields in source order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// A signed integer, written exactly. Built by writers only: the
+    /// parser reads every number as [`JsonValue::Num`].
+    Int(i64),
+    /// An unsigned integer, written exactly (digests do not fit an `f64`).
+    /// Built by writers only, like [`JsonValue::Int`].
+    Uint(u64),
+    /// A floating-point number; any number, once parsed.
     Num(f64),
     /// A string.
     Str(String),
@@ -128,6 +136,32 @@ pub enum JsonValue {
     Arr(Vec<JsonValue>),
     /// An object, in source order.
     Obj(Vec<(String, JsonValue)>),
+}
+
+macro_rules! json_from {
+    ($variant:ident as $wide:ty: $($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(v: $t) -> Self {
+                JsonValue::$variant(v as $wide)
+            }
+        }
+    )*};
+}
+json_from!(Int as i64: i8, i16, i32, i64, isize);
+json_from!(Uint as u64: u8, u16, u32, u64, usize);
+json_from!(Num as f64: f32, f64);
+json_from!(Bool as bool: bool);
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
 }
 
 impl JsonValue {
@@ -149,13 +183,70 @@ impl JsonValue {
         }
     }
 
-    /// Numeric payload of a `Num`, else `None`.
+    /// A number as `f64` (an integer beyond 2⁵³ rounds), else `None`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
+            JsonValue::Int(n) => Some(*n as f64),
+            JsonValue::Uint(n) => Some(*n as f64),
             _ => None,
         }
     }
+
+    /// Render as pretty-printed JSON: 2-space indent, fields in order,
+    /// integers exact, an integral float with its `.0` so it stays
+    /// distinguishable from an integer, a non-finite float as `null`.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(n) => out.push_str(&n.to_string()),
+            JsonValue::Uint(n) => out.push_str(&n.to_string()),
+            JsonValue::Num(x) if !x.is_finite() => out.push_str("null"),
+            JsonValue::Num(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
+                out.push_str(&format!("{x:.1}"));
+            }
+            JsonValue::Num(x) => out.push_str(&x.to_string()),
+            JsonValue::Str(s) => push_json_str(out, s),
+            JsonValue::Arr(items) => write_block(out, indent, ['[', ']'], items, |out, item| {
+                item.write_pretty(out, indent + 1);
+            }),
+            JsonValue::Obj(fields) => write_block(out, indent, ['{', '}'], fields, |out, (k, v)| {
+                push_json_str(out, k);
+                out.push_str(": ");
+                v.write_pretty(out, indent + 1);
+            }),
+        }
+    }
+}
+
+/// One array or object of the pretty form: an element per line, one level
+/// deeper than the brackets; nothing between the brackets when empty.
+fn write_block<T>(
+    out: &mut String,
+    indent: usize,
+    [open, close]: [char; 2],
+    elements: &[T],
+    write: impl Fn(&mut String, &T),
+) {
+    let pad = |out: &mut String, n: usize| (0..n).for_each(|_| out.push_str("  "));
+    out.push(open);
+    for (i, element) in elements.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        pad(out, indent + 1);
+        write(out, element);
+    }
+    if !elements.is_empty() {
+        out.push('\n');
+        pad(out, indent);
+    }
+    out.push(close);
 }
 
 struct Parser<'a> {
@@ -397,6 +488,36 @@ mod tests {
         let span = find_metric(&lines, "phase.x").unwrap();
         assert_eq!(span.get("type").and_then(JsonValue::as_str), Some("span"));
         assert_eq!(span.get("dur_ns").and_then(JsonValue::as_f64), Some(12.5));
+    }
+
+    #[test]
+    fn pretty_output_is_exact_and_parses_back() {
+        let v = JsonValue::Arr(vec![JsonValue::Obj(vec![
+            ("name".to_string(), "a\"b".into()),
+            ("n".to_string(), u64::MAX.into()),
+            ("i".to_string(), (-3i64).into()),
+            ("x".to_string(), 2.0.into()),
+            ("y".to_string(), 0.125.into()),
+            ("big".to_string(), 1e15.into()),
+            ("nan".to_string(), f64::NAN.into()),
+            ("none".to_string(), JsonValue::Arr(Vec::new())),
+        ])]);
+        let text = v.to_pretty();
+        assert_eq!(
+            text,
+            "[\n  {\n    \"name\": \"a\\\"b\",\n    \"n\": 18446744073709551615,\n    \"i\": -3,\n    \
+             \"x\": 2.0,\n    \"y\": 0.125,\n    \"big\": 1000000000000000,\n    \"nan\": null,\n    \
+             \"none\": []\n  }\n]"
+        );
+        let back = parse_json(&text).unwrap();
+        let row = match &back {
+            JsonValue::Arr(items) => &items[0],
+            other => panic!("expected array, got {other:?}"),
+        };
+        assert_eq!(row.get("name").and_then(JsonValue::as_str), Some("a\"b"));
+        assert_eq!(row.get("i"), Some(&JsonValue::Num(-3.0)));
+        assert_eq!(row.get("y").and_then(JsonValue::as_f64), Some(0.125));
+        assert_eq!(JsonValue::from(7usize).as_f64(), Some(7.0));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * span-style phase tracing over a bounded ring buffer ([`TraceLog`]),
 //!   fed either from simulated-time spans ([`TraceLog::record`]) or from
 //!   wall-clock drop guards ([`Span`]);
-//! * a JSONL exporter ([`Registry::export_jsonl`]) plus a minimal JSON
-//!   validator ([`export::validate_jsonl`]) used by tests and CI smoke jobs
-//!   (the vendored `serde_json` is serialize-only, so validation is local).
+//! * a JSONL exporter ([`Registry::export_jsonl`]) plus the workspace's one
+//!   JSON tree, pretty writer and parser ([`export::JsonValue`],
+//!   [`export::validate_jsonl`]) used by the experiment records, tests and
+//!   CI smoke jobs.
 //!
 //! Metric naming is centralised in [`names`] so every crate that reports a
 //! given quantity agrees on the key that lands in the JSONL stream.

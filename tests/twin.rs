@@ -8,22 +8,28 @@
 //! sets.
 
 use ltpg::{CpuTwin, ExecScope, LtpgEngine};
+use ltpg_qa::gen::{generate_mix, OpMix};
 use ltpg_shard::RemoteView;
 use ltpg_storage::Database;
 use ltpg_txn::{Batch, BatchEngine, TidGen};
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
     fn scoped_twin_words_or_to_the_unscoped_and_engine_words(
         seed in 0u64..100_000,
         ways in prop_oneof![Just(2u32), Just(3), Just(4)],
+        marker_heavy in any::<bool>(),
     ) {
         // A generated QA case (random schema, rules and schedule), re-cut
         // `ways` ways: the case's own per-table rules decide who owns what.
-        let mut case = ltpg_qa::gen::generate(seed);
+        // Half the cases are mostly deletes, colliding inserts and ordered
+        // scans, so that marker cells — owned with their partition's first
+        // key, through the one ownership predicate — carry the conflicts.
+        let mix = if marker_heavy { &OpMix::MARKER_HEAVY } else { &OpMix::BROAD };
+        let mut case = generate_mix(seed, mix);
         case.shards = ways;
         let part = case.partitioner();
         let cfg = case.engine_config();
@@ -52,12 +58,7 @@ proptest! {
                     .collect();
                 let view = RemoteView::new(&part, dbs);
                 let owns_row = |t, k| part.owns_row(s as u32, t, k);
-                let owns_membership = |t, p| part.owns_membership(s as u32, t, p);
-                let scope = ExecScope {
-                    remote: Some(&view),
-                    owns_row: &owns_row,
-                    owns_membership: &owns_membership,
-                };
+                let scope = ExecScope { remote: Some(&view), owns_row: &owns_row };
                 prepared.push(twin.prepare(&batch, Some(&scope)));
             }
             let whole_prepared = whole.prepare(&batch, None);
@@ -86,9 +87,7 @@ proptest! {
                     p.set_flag_word(i, word);
                 }
                 let owns_row = |t, k| part.owns_row(s as u32, t, k);
-                let owns_membership = |t, p| part.owns_membership(s as u32, t, p);
-                let scope =
-                    ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_membership };
+                let scope = ExecScope { remote: None, owns_row: &owns_row };
                 twin.finish(&batch, p, Some(&scope));
             }
             whole.finish(&batch, whole_prepared, None);
