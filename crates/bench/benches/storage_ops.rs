@@ -1,12 +1,16 @@
 //! Criterion micro-bench: the storage substrate's hot paths — primary
-//! index probes, cell access, speculative transaction execution, and the
-//! checkpoint image (`deep_clone`).
+//! index probes, cell access, speculative transaction execution, the
+//! checkpoint image (`deep_clone`) — and the serving tick's host work
+//! around the kernels: the WAL append (`wal`) and routing (`route`).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use ltpg::{DurabilityManager, LtpgConfig, ServerConfig, Topology};
+use ltpg_shard::{ycsb_partitioner, Router, ShardedServer};
+use ltpg_storage::wal::crc32;
 use ltpg_storage::{ColId, Database, PrimaryIndex, RowId, Table, TableBuilder};
-use ltpg_txn::{execute_speculative, IrOp, ProcId, Src, Txn};
+use ltpg_txn::{execute_speculative, Batch, IrOp, ProcId, Src, TidGen, Txn};
 use ltpg_workloads::tpcc::{order_key, orderline_key};
-use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
+use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 fn bench_index(c: &mut Criterion) {
     let idx = PrimaryIndex::with_capacity(100_000);
@@ -173,5 +177,79 @@ fn bench_deep_clone(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_index, bench_speculate, bench_deep_clone);
+/// A batch of `n` fresh transactions with TIDs assigned.
+fn assembled(txns: Vec<Txn>) -> Batch {
+    Batch::assemble(Vec::new(), txns, &mut TidGen::new())
+}
+
+/// The WAL append a serving tick pays before execution:
+/// `DurabilityManager::log_batch` encodes the batch and writes its frame,
+/// CRC included, at the end of the log image. The log lives on across
+/// iterations, as a server's does, and is replaced every `cycle` batches
+/// to bound its memory, so its growth is amortized in. Three shapes: the
+/// fleet server's 256-transaction YCSB-A batch, the sharded fleet's
+/// 2 048, and TPC-C 50/50 at 512 (larger transactions). `crc32/64KiB` is
+/// the checksum alone.
+fn bench_wal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wal");
+    let image = Database::new();
+    let ycsb = |n| {
+        let (_, _, mut gen) = YcsbGenerator::new(YcsbConfig::new(YcsbWorkload::A, 65_536));
+        assembled(gen.gen_batch(n))
+    };
+    let (_, _, mut tpcc) = TpccGenerator::new(TpccConfig::new(2, 50));
+    let batches = [
+        ("log_batch/ycsb_256", ycsb(256), 256),
+        ("log_batch/ycsb_2048", ycsb(2_048), 32),
+        ("log_batch/tpcc_512", assembled(tpcc.gen_batch(512)), 32),
+    ];
+    for (name, batch, cycle) in &batches {
+        let mut dur = DurabilityManager::new(&image);
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                if dur.logged_batches() == *cycle {
+                    dur = DurabilityManager::new(&image);
+                }
+                dur.log_batch(black_box(batch))
+            })
+        });
+    }
+    let bytes: Vec<u8> = (0..64 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    group.bench_function("crc32/64KiB", |b| b.iter(|| crc32(black_box(&bytes))));
+    group.finish();
+}
+
+/// What a transaction pays for being sharded before any engine sees it:
+/// `route/ycsb_4shards` routes one transaction of a 10 %-cross YCSB-A
+/// stream over four range shards (a cycle of 1 024), and
+/// `split/ycsb_4shards_2048` hands a 2 048-transaction batch of that stream
+/// to the sharded topology, which routes each transaction and moves or
+/// clones it into its participants' sub-batches (the sub-batches are
+/// dropped inside the timing, as a tick drops them).
+fn bench_route(c: &mut Criterion) {
+    let mut group = c.benchmark_group("route");
+    let cfg = YcsbConfig::new(YcsbWorkload::A, 65_536).with_alpha(0.8).with_partitions(4, 10);
+    let (db, table, mut gen) = YcsbGenerator::new(cfg.clone());
+    let txns = assembled(gen.gen_batch(1_024)).txns;
+    let router = Router::new(ycsb_partitioner(4, table, &cfg));
+    let mut next = txns.iter().cycle();
+    group.bench_function("route/ycsb_4shards", |b| {
+        b.iter(|| router.route(black_box(next.next().expect("a cycle never ends"))))
+    });
+    let batch = assembled(gen.gen_batch(2_048));
+    let mut server = ShardedServer::new(
+        db,
+        ycsb_partitioner(4, table, &cfg),
+        LtpgConfig::default(),
+        ServerConfig::default(),
+    );
+    let (topology, _) = server.topology_mut();
+    let mut stats = Default::default();
+    group.bench_function("split/ycsb_4shards_2048", |b| {
+        b.iter_batched(|| batch.clone(), |batch| topology.split(batch, &mut stats), BatchSize::LargeInput)
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_index, bench_speculate, bench_deep_clone, bench_wal, bench_route);
 criterion_main!(benches);

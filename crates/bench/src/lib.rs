@@ -208,7 +208,7 @@ pub fn run_stream(
         gen(batch_size.saturating_sub(due + intake.inbox_len()))
             .into_iter()
             .for_each(|t| intake.submit(t));
-        let Formed::Batch(batch) = intake.next_batch(batch_size) else { continue };
+        let Formed::Batch(mut batch) = intake.next_batch(batch_size) else { continue };
         out.admitted += (batch.len() - due) as u64;
         let report = engine.execute_batch(&batch);
         engine.record_telemetry(ltpg_telemetry::global(), &report);
@@ -219,7 +219,7 @@ pub fn run_stream(
         out.mean_critical_ns += report.critical_path_ns;
         out.mean_transfer_ns += report.transfer_ns;
         out.mean_commit_rate += report.commit_rate(batch.len());
-        intake.requeue_aborted(&batch, &report.aborted, false);
+        intake.requeue_aborted(std::slice::from_mut(&mut batch), &report.aborted, false);
     }
     let b = batches.max(1) as f64;
     out.mean_batch_ns /= b;

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use ltpg_txn::{Batch, Tid, TidGen, Txn};
+use ltpg_txn::{Batch, ProcId, Tid, TidGen, Txn};
 
 /// What [`Intake::next_batch`] found.
 pub enum Formed {
@@ -88,9 +88,13 @@ impl Intake {
         Formed::Batch(Batch::assemble(due, fresh, &mut self.tids))
     }
 
-    /// Park the `aborted` transactions of `batch` for re-entry: two
-    /// batches later when `pipelined`, otherwise the next batch.
-    pub fn requeue_aborted(&mut self, batch: &Batch, aborted: &[Tid], pipelined: bool) {
+    /// Park the `aborted` transactions (ascending TIDs) for re-entry: two
+    /// batches later when `pipelined`, otherwise the next batch. They are
+    /// taken out of `subs` — the batch's sub-batches as it ran, each in TID
+    /// order; one device's is the batch itself — each once, from the first
+    /// sub-batch that holds it (a cross-shard transaction's other copies
+    /// stay behind), and parked in TID order.
+    pub fn requeue_aborted(&mut self, subs: &mut [Batch], aborted: &[Tid], pipelined: bool) {
         if aborted.is_empty() {
             return;
         }
@@ -98,10 +102,25 @@ impl Intake {
         while self.requeue.len() < delay {
             self.requeue.push_back(Vec::new());
         }
-        // Invariant: `aborted` is the executor's verdict on `batch`, so
-        // every TID in it names a transaction of that batch.
-        let retry =
-            aborted.iter().map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone());
-        self.requeue[delay - 1].extend(retry);
+        let slot = &mut self.requeue[delay - 1];
+        slot.reserve(aborted.len());
+        // Both lists ascend: one cursor per sub-batch walks it once.
+        let mut cursors = vec![0usize; subs.len()];
+        for &tid in aborted {
+            let mut taken = None;
+            for (sub, at) in subs.iter_mut().zip(&mut cursors) {
+                while sub.txns.get(*at).is_some_and(|t| t.tid < tid) {
+                    *at += 1;
+                }
+                if taken.is_none() && sub.txns.get(*at).is_some_and(|t| t.tid == tid) {
+                    let hole = Txn::new(ProcId(0), Vec::new(), Vec::new());
+                    taken = Some(std::mem::replace(&mut sub.txns[*at], hole));
+                }
+            }
+            // Invariant: `aborted` is the verdict on the batch the
+            // sub-batches were split from, so every TID names one of its
+            // transactions.
+            slot.push(taken.expect("aborted tid in batch"));
+        }
     }
 }

@@ -123,7 +123,7 @@ impl PipelinedRunner {
             if want > 0 {
                 gen(want).into_iter().for_each(|t| intake.submit(t));
             }
-            let Formed::Batch(batch) = intake.next_batch(batch_size) else { continue };
+            let Formed::Batch(mut batch) = intake.next_batch(batch_size) else { continue };
             out.admitted += (batch.len() - due) as u64;
             out.max_batch_len = out.max_batch_len.max(batch.len());
             let rws = engine.execute_batch_report(&batch);
@@ -142,7 +142,8 @@ impl PipelinedRunner {
             // pipeline as dropped (they are still accounted: committed +
             // pending + dropped = admitted).
             if i + self.requeue_delay() < batches {
-                intake.requeue_aborted(&batch, &rws.report.aborted, self.pipelined);
+                let aborted = &rws.report.aborted;
+                intake.requeue_aborted(std::slice::from_mut(&mut batch), aborted, self.pipelined);
             } else {
                 out.dropped += rws.report.aborted.len() as u64;
             }

@@ -32,7 +32,6 @@
 //!
 //! Counters for all of this are in [`FaultStats`] via [`Server::stats`].
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -123,12 +122,13 @@ pub enum ServerError {
         /// The in-flight batch the promotion had to replay.
         batch_id: u64,
     },
-    /// A flag-word map had no word for a transaction of the batch it was
-    /// merged for — a recovery replay of the in-flight batch returned
-    /// verdicts for fewer transactions than the batch holds, so the log it
-    /// replayed is not the log of this batch.
+    /// A flag-word map does not hold exactly one word per transaction of
+    /// the batch it was merged for — a recovery replay of the in-flight
+    /// batch returned verdicts for other transactions than the batch
+    /// holds, so the log it replayed is not the log of this batch.
     MissingFlagWord {
-        /// The transaction without a verdict.
+        /// The first transaction without a verdict, or, when every
+        /// transaction has one, the first verdict without a transaction.
         tid: u64,
     },
 }
@@ -146,7 +146,7 @@ impl std::fmt::Display for ServerError {
                 write!(f, "promoted standby had already passed in-flight batch {batch_id}")
             }
             ServerError::MissingFlagWord { tid } => {
-                write!(f, "no merged flag word for transaction {tid}")
+                write!(f, "merged flag words do not match the batch at transaction {tid}")
             }
         }
     }
@@ -191,7 +191,9 @@ pub trait Topology {
     fn at_boundary(&mut self, _shards: &mut Shards, _stats: &mut Self::Stats) {}
 
     /// The global batch as one sub-batch per shard, TID order preserved.
-    fn split<'a>(&mut self, batch: &'a Batch, stats: &mut Self::Stats) -> Cow<'a, [Batch]>;
+    /// The batch is handed over: a transaction with one participant moves
+    /// into its sub-batch, and only one with several is cloned.
+    fn split(&mut self, batch: Batch, stats: &mut Self::Stats) -> Vec<Batch>;
 
     /// One live round: `subs[s]` on `execs[s]`, transient upload faults
     /// retried per `retry` with the pauses accumulating into `backoff_ns`.
@@ -367,8 +369,8 @@ fn lone_round(
 impl Topology for OneDevice {
     type Stats = ();
 
-    fn split<'a>(&mut self, batch: &'a Batch, _: &mut ()) -> Cow<'a, [Batch]> {
-        Cow::Borrowed(std::slice::from_ref(batch))
+    fn split(&mut self, batch: Batch, _: &mut ()) -> Vec<Batch> {
+        vec![batch]
     }
 
     fn round(
@@ -798,10 +800,11 @@ impl<T: Topology> Server<T> {
             Formed::Waiting => return Ok(Some(self.charge(BatchSummary::default()))),
             Formed::Batch(batch) => batch,
         };
-        let subs = self.topology.split(&batch, &mut self.stats.topology);
+        let tids: Vec<Tid> = batch.txns.iter().map(|t| t.tid).collect();
+        let mut subs = self.topology.split(batch, &mut self.stats.topology);
         // Log before execution, on every shard: aligned batch ids give a
         // consistent cross-shard recovery cut.
-        for (dur, sub) in self.shards.durability.iter_mut().zip(subs.iter()) {
+        for (dur, sub) in self.shards.durability.iter_mut().zip(&subs) {
             dur.log_batch(sub);
         }
         let mut backoff_ns = 0.0;
@@ -824,7 +827,7 @@ impl<T: Topology> Server<T> {
             }
         };
         let reordering = self.shards.engine_cfg.opts.logical_reordering;
-        let (committed, aborted) = decide(&batch, &flag_words, reordering)?;
+        let (committed, aborted) = decide(&tids, &flag_words, reordering)?;
         let summary =
             self.charge(BatchSummary { committed, aborted, sim_ns: round_ns + backoff_ns, flag_words });
 
@@ -850,7 +853,7 @@ impl<T: Topology> Server<T> {
             }
             self.shards.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
         }
-        self.intake.requeue_aborted(&batch, &summary.aborted, self.cfg.pipelined);
+        self.intake.requeue_aborted(&mut subs, &summary.aborted, self.cfg.pipelined);
         self.shards.telemetry.gauge(names::SERVER_PENDING).set(self.intake.pending() as i64);
         Ok(Some(summary))
     }
@@ -877,25 +880,39 @@ impl<T: Topology> Server<T> {
     }
 }
 
-/// Split `batch` into `(committed, aborted)` TIDs by the shared commit rule
-/// over each transaction's merged word. `words` comes from the live round
-/// or, after a mid-batch device loss, from a replay of the logged batch; a
-/// replay that returned too few words is a typed error, not a panic.
+/// Split a batch's `tids` (ascending) into `(committed, aborted)` by the
+/// shared commit rule over each transaction's merged word. `words` comes
+/// from the live round or, after a mid-batch device loss, from a replay of
+/// the logged batch. Both are in TID order, so they are walked together:
+/// one word per transaction, no lookup. A replay that returned a word too
+/// few or too many is a typed error, not a panic.
 fn decide(
-    batch: &Batch,
+    tids: &[Tid],
     words: &MergedWords,
     reordering: bool,
 ) -> Result<(Vec<Tid>, Vec<Tid>), ServerError> {
-    let (mut committed, mut aborted) = (Vec::new(), Vec::new());
-    for txn in &batch.txns {
-        let word = words.get(&txn.tid.0).ok_or(ServerError::MissingFlagWord { tid: txn.tid.0 })?;
-        if commit_decision(reordering, *word) {
-            committed.push(txn.tid);
-        } else {
-            aborted.push(txn.tid);
+    let (mut committed, mut aborted) = (Vec::with_capacity(tids.len()), Vec::new());
+    let mut words = words.iter();
+    for &tid in tids {
+        match words.next() {
+            Some((&t, &word)) if t == tid.0 => {
+                if commit_decision(reordering, word) {
+                    committed.push(tid);
+                } else {
+                    aborted.push(tid);
+                }
+            }
+            // Words are ascending too: a word for a smaller TID than this
+            // transaction's belongs to no transaction, a larger one means
+            // this transaction has none. Either way the first transaction
+            // without its word is named.
+            _ => return Err(ServerError::MissingFlagWord { tid: tid.0 }),
         }
     }
-    Ok((committed, aborted))
+    match words.next() {
+        Some((&extra, _)) => Err(ServerError::MissingFlagWord { tid: extra }),
+        None => Ok((committed, aborted)),
+    }
 }
 
 impl<T: Topology> std::fmt::Debug for Server<T> {
@@ -946,21 +963,36 @@ mod tests {
     }
 
     /// A replay that hands back fewer flag words than the batch has
-    /// transactions is a typed error naming the first transaction without
-    /// a verdict, never an index panic inside the tick.
+    /// transactions — or words for transactions it does not have — is a
+    /// typed error naming the first transaction without a verdict (the
+    /// first stray verdict when none is missing), never an index panic
+    /// inside the tick.
     #[test]
     fn a_short_flag_word_map_is_a_typed_error() {
-        let (_, txns) = db_and_writers(3, 8);
+        let (_, txns) = db_and_writers(4, 8);
         let batch = Batch::assemble(Vec::new(), txns, &mut ltpg_txn::TidGen::new());
         let tids: Vec<Tid> = batch.txns.iter().map(|t| t.tid).collect();
-        let mut merged: MergedWords = tids.iter().map(|t| (t.0, 0)).collect();
-        assert_eq!(decide(&batch, &merged, true).unwrap(), (tids.clone(), Vec::new()));
-        let missing = tids[1].0;
-        merged.remove(&missing);
-        assert!(matches!(
-            decide(&batch, &merged, true),
-            Err(ServerError::MissingFlagWord { tid }) if tid == missing
-        ));
+        let full: MergedWords = tids.iter().map(|t| (t.0, 0)).collect();
+        assert_eq!(decide(&tids, &full, true).unwrap(), (tids.clone(), Vec::new()));
+        let missing_word = |words: &MergedWords| match decide(&tids, words, true) {
+            Err(ServerError::MissingFlagWord { tid }) => tid,
+            other => panic!("expected MissingFlagWord, got {other:?}"),
+        };
+        for gap in [0, 1, 3] {
+            let mut short = full.clone();
+            short.remove(&tids[gap].0);
+            assert_eq!(missing_word(&short), tids[gap].0, "word {gap} missing");
+        }
+        assert_eq!(missing_word(&MergedWords::new()), tids[0].0);
+        let stray_low = full.iter().map(|(t, w)| (t - 1, *w)).chain([(tids[3].0, 0)]).collect();
+        assert_eq!(missing_word(&stray_low), tids[0].0, "a word below the batch");
+        let mut stray_high = full.clone();
+        stray_high.insert(tids[3].0 + 1, 0);
+        assert_eq!(missing_word(&stray_high), tids[3].0 + 1, "a word past the batch");
+        let mut one_aborted = full.clone();
+        one_aborted.insert(tids[2].0, crate::engine::flag::WAW);
+        let (committed, aborted) = decide(&tids, &one_aborted, true).unwrap();
+        assert_eq!((committed.len(), aborted), (3, vec![tids[2]]));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! verdict deterministic.
 
 use ltpg_storage::{membership_partition, MEMBERSHIP_PARTITION_SHIFT};
-use ltpg_txn::{declared_accesses, Txn};
+use ltpg_txn::{visit_declared, Declared, Txn};
 
 use crate::partition::Partitioner;
 
@@ -58,6 +58,45 @@ impl Route {
     }
 }
 
+/// The participant set as it is folded: the first shard seen, and the
+/// others in order of appearance. Nothing is allocated until a second
+/// distinct shard appears.
+#[derive(Default)]
+struct Participants {
+    first: Option<u32>,
+    more: Vec<u32>,
+}
+
+impl Participants {
+    fn add(&mut self, shard: u32) {
+        match self.first {
+            None => self.first = Some(shard),
+            Some(first) if first == shard => {}
+            Some(_) if self.more.contains(&shard) => {}
+            Some(_) => self.more.push(shard),
+        }
+    }
+
+    /// The route of `shards` total shards.
+    fn into_route(self, shards: u32) -> Route {
+        let Participants { first, mut more } = self;
+        let Some(first) = first else {
+            // No partitioned-table access at all (e.g. reads of replicated
+            // tables only): any shard works; pin shard 0 for determinism.
+            return Route::Single(0);
+        };
+        if more.is_empty() {
+            return Route::Single(first);
+        }
+        if more.len() + 1 == shards as usize {
+            return Route::Broadcast;
+        }
+        more.push(first);
+        more.sort_unstable();
+        Route::Multi(more)
+    }
+}
+
 /// Classifies transactions against a [`Partitioner`].
 #[derive(Debug, Clone)]
 pub struct Router {
@@ -79,46 +118,40 @@ impl Router {
     /// on the transaction's statically-declared key set and the
     /// partitioner rules (TIDs only enter through keys derived from
     /// `Src::Tid`, which the declaration pass folds like any constant).
+    /// One walk of the declared accesses, folding each one's shard into the
+    /// participant set as it is visited; a single-shard transaction
+    /// allocates nothing.
     pub fn route(&self, txn: &Txn) -> Route {
-        let Some(acc) = declared_accesses(txn) else {
-            // Ordered scans: the key set is a predicate, not a list.
+        let part = &self.part;
+        let mut to = Participants::default();
+        let mut replicated_write = false;
+        let declared = visit_declared(txn, |access| match access {
+            // Every shard can serve a replicated read locally.
+            Declared::Read(t, _) if part.is_replicated(t) => {}
+            // A read of a membership marker key observes the partition
+            // guard — it must run where that guard registers.
+            Declared::Read(t, k) => to.add(match membership_partition(k) {
+                Some(p) => part.membership_owner(t, p),
+                None => part.home(t, k),
+            }),
+            // Every copy must apply a replicated write.
+            Declared::Write(t, _) | Declared::Insert(t, _) | Declared::Delete(t, _)
+                if part.is_replicated(t) =>
+            {
+                replicated_write = true;
+            }
+            Declared::Write(t, k) => to.add(part.home(t, k)),
+            Declared::Insert(t, k) | Declared::Delete(t, k) => {
+                to.add(part.home(t, k));
+                to.add(part.membership_owner(t, k >> MEMBERSHIP_PARTITION_SHIFT));
+            }
+        });
+        // Undeclarable (an ordered scan, a key read from a register: the
+        // key set is a predicate, not a list) or a replicated write.
+        if declared.is_none() || replicated_write {
             return Route::Broadcast;
-        };
-        let n = self.part.shards();
-        let mut parts: Vec<u32> = Vec::new();
-        for &(t, k) in &acc.reads {
-            if self.part.is_replicated(t) {
-                continue; // every shard can serve the read locally
-            }
-            match membership_partition(k) {
-                // A read of a membership marker key observes the partition
-                // guard — it must run where that guard registers.
-                Some(p) => parts.push(self.part.membership_owner(t, p)),
-                None => parts.push(self.part.home(t, k)),
-            }
         }
-        for (t, k) in acc.all_writes() {
-            if self.part.is_replicated(t) {
-                // Every copy must apply the write.
-                return Route::Broadcast;
-            }
-            parts.push(self.part.home(t, k));
-        }
-        for &(t, k) in acc.inserts.iter().chain(acc.deletes.iter()) {
-            if !self.part.is_replicated(t) {
-                parts.push(self.part.membership_owner(t, k >> MEMBERSHIP_PARTITION_SHIFT));
-            }
-        }
-        parts.sort_unstable();
-        parts.dedup();
-        match parts.len() {
-            // No partitioned-table access at all (e.g. reads of replicated
-            // tables only): any shard works; pin shard 0 for determinism.
-            0 => Route::Single(0),
-            1 => Route::Single(parts[0]),
-            l if l == n as usize => Route::Broadcast,
-            _ => Route::Multi(parts),
-        }
+        to.into_route(part.shards())
     }
 }
 

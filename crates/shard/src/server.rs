@@ -27,7 +27,6 @@
 //! shell's row protocol. The twin votes bit-identical flag words, so the
 //! merged history never changes — only that shard's simulated latency.
 
-use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -204,26 +203,28 @@ impl Topology for Sharding {
         self.publish_degraded(shards);
     }
 
-    /// Every transaction cloned into each participant's sub-batch.
-    fn split<'a>(&mut self, batch: &'a Batch, stats: &mut RouteStats) -> Cow<'a, [Batch]> {
+    /// Each transaction routed once and moved into its first participant's
+    /// sub-batch; the other participants of a cross-shard one get clones.
+    fn split(&mut self, batch: Batch, stats: &mut RouteStats) -> Vec<Batch> {
         let n = self.router.partitioner().shards() as usize;
         // Sized for the expected uniform share: a balanced split routes
         // with no `Vec` regrowth, a skewed one regrows only past the hint.
         let hint = batch.txns.len().div_ceil(n) + batch.txns.len() / (4 * n);
         let mut subs: Vec<Vec<Txn>> = (0..n).map(|_| Vec::with_capacity(hint)).collect();
         let (mut single, mut multi, mut broadcast) = (0u64, 0u64, 0u64);
-        for txn in &batch.txns {
-            let route = self.router.route(txn);
+        for txn in batch.txns {
+            let route = self.router.route(&txn);
             match &route {
                 Route::Single(_) => single += 1,
                 Route::Multi(_) => multi += 1,
                 Route::Broadcast => broadcast += 1,
             }
-            for (s, sub) in subs.iter_mut().enumerate() {
-                if route.includes(s as u32) {
-                    sub.push(txn.clone());
-                }
+            let mut participants = (0..n).filter(|&s| route.includes(s as u32));
+            let first = participants.next().expect("every route has a participant");
+            for s in participants {
+                subs[s].push(txn.clone());
             }
+            subs[first].push(txn);
         }
         self.telemetry.counter(names::SHARD_SINGLE_TXNS).add(single);
         self.telemetry.counter(names::SHARD_CROSS_TXNS).add(multi);
@@ -231,7 +232,7 @@ impl Topology for Sharding {
         stats.single_shard_txns += single;
         stats.cross_shard_txns += multi;
         stats.broadcast_txns += broadcast;
-        Cow::Owned(subs.into_iter().map(|txns| Batch { txns }).collect())
+        subs.into_iter().map(|txns| Batch { txns }).collect()
     }
 
     fn round(

@@ -4,7 +4,7 @@
 //! the system pulls the transactions from the log, while preserving their
 //! original TIDs").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use ltpg_storage::{ColId, TableId};
 
 use crate::ir::{ComputeFn, IrOp, Src};
@@ -22,7 +22,7 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_src(buf: &mut BytesMut, s: Src) {
+fn put_src(buf: &mut Vec<u8>, s: Src) {
     match s {
         Src::Const(v) => {
             buf.put_u8(0);
@@ -90,7 +90,7 @@ fn compute_fn_from(code: u8) -> Result<ComputeFn, DecodeError> {
     })
 }
 
-fn put_op(buf: &mut BytesMut, op: &IrOp) {
+fn put_op(buf: &mut Vec<u8>, op: &IrOp) {
     match op {
         IrOp::Read { table, key, col, out } => {
             buf.put_u8(0);
@@ -257,9 +257,20 @@ fn get_op(buf: &mut &[u8]) -> Result<IrOp, DecodeError> {
     })
 }
 
-/// Encode one transaction.
-pub fn encode_txn(txn: &Txn) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + txn.params.len() * 8 + txn.ops.len() * 16);
+/// The longest op encoding without a value list: `RangeCountBelow` with
+/// three constant operands. Only an insert of more than two values is
+/// longer.
+const MAX_OP_LEN: usize = 33;
+
+/// Room for `txn`'s encoding and its length prefix, from its op and
+/// parameter counts alone (no walk over the ops): enough unless it
+/// inserts more than two values per op, and then the buffer grows.
+fn room_for(txn: &Txn) -> usize {
+    4 + 16 + 8 * txn.params.len() + MAX_OP_LEN * txn.ops.len()
+}
+
+/// The one transaction writer: append `txn`'s encoding to `buf`.
+fn put_txn(buf: &mut Vec<u8>, txn: &Txn) {
     buf.put_u64(txn.tid.0);
     buf.put_u16(txn.proc.0);
     buf.put_u16(txn.params.len() as u16);
@@ -268,18 +279,15 @@ pub fn encode_txn(txn: &Txn) -> Bytes {
     }
     buf.put_u32(txn.ops.len() as u32);
     for op in &txn.ops {
-        if let IrOp::Compute { f, a, b, out } = op {
-            // Compute has no table field; encoded with a distinct layout.
-            buf.put_u8(5);
-            buf.put_u8(compute_fn_code(*f));
-            put_src(&mut buf, *a);
-            put_src(&mut buf, *b);
-            buf.put_u8(*out);
-        } else {
-            put_op(&mut buf, op);
-        }
+        put_op(buf, op);
     }
-    buf.freeze()
+}
+
+/// Encode one transaction.
+pub fn encode_txn(txn: &Txn) -> Bytes {
+    let mut buf = Vec::with_capacity(room_for(txn));
+    put_txn(&mut buf, txn);
+    Bytes::from(buf)
 }
 
 /// Decode one transaction from the front of `buf`, advancing it.
@@ -327,16 +335,21 @@ pub fn decode_txn(buf: &mut &[u8]) -> Result<Txn, DecodeError> {
     Ok(t)
 }
 
-/// Encode a whole batch (length-prefixed transactions).
+/// Encode a whole batch: a count, then each transaction behind its length.
+/// One buffer, sized from the batch's op and parameter counts; each
+/// transaction is written straight into it and its length prefix
+/// back-patched.
 pub fn encode_batch(txns: &[Txn]) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::with_capacity(4 + txns.iter().map(room_for).sum::<usize>());
     buf.put_u32(txns.len() as u32);
     for t in txns {
-        let enc = encode_txn(t);
-        buf.put_u32(enc.len() as u32);
-        buf.put_slice(&enc);
+        let prefix = buf.len();
+        buf.put_u32(0);
+        put_txn(&mut buf, t);
+        let txn_len = (buf.len() - prefix - 4) as u32;
+        buf[prefix..prefix + 4].copy_from_slice(&txn_len.to_be_bytes());
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a whole batch.
@@ -432,6 +445,9 @@ mod tests {
             let mut t = Txn::new(ProcId(proc), params, ops);
             t.tid = Tid(tid);
             let enc = encode_txn(&t);
+            let long_insert =
+                t.ops.iter().any(|op| matches!(op, IrOp::Insert { values, .. } if values.len() > 2));
+            prop_assert!(long_insert || enc.len() + 4 <= room_for(&t), "room_for is a bound");
             let mut slice = &enc[..];
             let dec = decode_txn(&mut slice).unwrap();
             prop_assert!(slice.is_empty(), "all bytes consumed");
@@ -449,6 +465,19 @@ mod tests {
             let dec = decode_batch(&enc).unwrap();
             prop_assert_eq!(dec, txns);
         }
+    }
+
+    /// `MAX_OP_LEN` is the longest op without a value list, and an insert
+    /// outgrows it only past two values — so `room_for` bounds every
+    /// transaction whose inserts carry at most two.
+    #[test]
+    fn max_op_len_is_the_longest_op_short_of_a_long_insert() {
+        let c = Src::Const(-1);
+        let op_len = |op: IrOp| encode_txn(&Txn::new(ProcId(0), vec![], vec![op])).len() - 16;
+        let range = IrOp::RangeCountBelow { table: TableId(1), lo: c, hi: c, col: ColId(2), threshold: c, out: 3 };
+        assert_eq!(op_len(range), MAX_OP_LEN);
+        let insert = |n| IrOp::Insert { table: TableId(1), key: c, values: vec![c; n] };
+        assert!(op_len(insert(2)) <= MAX_OP_LEN && op_len(insert(3)) > MAX_OP_LEN);
     }
 
     #[test]

@@ -38,61 +38,78 @@ impl DeclaredAccess {
     }
 }
 
-fn push_unique(v: &mut Vec<(TableId, i64)>, item: (TableId, i64)) {
-    if !v.contains(&item) {
-        v.push(item);
+/// One constant-folded row access, as [`visit_declared`] hands it over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Declared {
+    /// A row read: a `Read`, or one key of a `ScanSum`.
+    Read(TableId, i64),
+    /// A row updated or added to.
+    Write(TableId, i64),
+    /// A row inserted.
+    Insert(TableId, i64),
+    /// A row deleted (it contends like any write).
+    Delete(TableId, i64),
+}
+
+/// The register lattice: `Some(v)` = statically known, `None` = dynamic.
+/// Every register starts dynamic and only a `Compute` over known operands
+/// makes one known, so the table is allocated at the first such `Compute`
+/// — a transaction without one never allocates it.
+struct Registers(Vec<Option<i64>>);
+
+impl Registers {
+    fn get(&self, r: u8) -> Option<i64> {
+        self.0.get(usize::from(r)).copied().flatten()
+    }
+
+    fn set(&mut self, txn: &Txn, r: u8, v: Option<i64>) {
+        if v.is_some() && self.0.is_empty() {
+            self.0 = vec![None; txn.reg_count()];
+        }
+        if let Some(slot) = self.0.get_mut(usize::from(r)) {
+            *slot = v;
+        }
     }
 }
 
-/// Constant-fold the transaction and extract its access sets. Returns
-/// `None` if any data access has a key that depends on a read result.
-pub fn declared_accesses(txn: &Txn) -> Option<DeclaredAccess> {
-    // Lattice per register: Some(v) = statically known, None = dynamic.
-    let mut regs: Vec<Option<i64>> = vec![None; txn.reg_count()];
-    let fold = |s: Src, regs: &[Option<i64>]| -> Option<i64> {
+/// Constant-fold `txn` and hand each of its row accesses to `visit`, in
+/// program order, duplicates included; no vector is built. Returns `None`
+/// — after visiting the accesses before it — at the first access whose key
+/// depends on a read result, or at an ordered scan: the transaction is
+/// undeclarable. This is the one folding definition; [`declared_accesses`]
+/// and the shard router both walk it.
+pub fn visit_declared(txn: &Txn, mut visit: impl FnMut(Declared)) -> Option<()> {
+    let mut regs = Registers(Vec::new());
+    let fold = |s: Src, regs: &Registers| -> Option<i64> {
         match s {
             Src::Const(v) => Some(v),
             Src::Param(p) => txn.params.get(usize::from(p)).copied(),
-            Src::Reg(r) => regs[usize::from(r)],
+            Src::Reg(r) => regs.get(r),
             Src::Tid => Some(txn.tid.0 as i64),
         }
     };
-    let mut acc = DeclaredAccess::default();
     for op in &txn.ops {
         match op {
             IrOp::Read { table, key, out, .. } => {
-                let k = fold(*key, &regs)?;
-                push_unique(&mut acc.reads, (*table, k));
+                visit(Declared::Read(*table, fold(*key, &regs)?));
                 // The value read is dynamic.
-                regs[usize::from(*out)] = None;
+                regs.set(txn, *out, None);
             }
             IrOp::Update { table, key, .. } | IrOp::Add { table, key, .. } => {
-                let k = fold(*key, &regs)?;
-                push_unique(&mut acc.writes, (*table, k));
+                visit(Declared::Write(*table, fold(*key, &regs)?));
             }
-            IrOp::Insert { table, key, .. } => {
-                let k = fold(*key, &regs)?;
-                push_unique(&mut acc.inserts, (*table, k));
-            }
-            IrOp::Delete { table, key } => {
-                let k = fold(*key, &regs)?;
-                push_unique(&mut acc.writes, (*table, k));
-                push_unique(&mut acc.deletes, (*table, k));
-            }
+            IrOp::Insert { table, key, .. } => visit(Declared::Insert(*table, fold(*key, &regs)?)),
+            IrOp::Delete { table, key } => visit(Declared::Delete(*table, fold(*key, &regs)?)),
             IrOp::Compute { f, a, b, out } => {
-                let av = fold(*a, &regs);
-                let bv = fold(*b, &regs);
-                regs[usize::from(*out)] = match (av, bv) {
-                    (Some(x), Some(y)) => Some(f.apply(x, y)),
-                    _ => None,
-                };
+                let v = fold(*a, &regs).zip(fold(*b, &regs)).map(|(x, y)| f.apply(x, y));
+                regs.set(txn, *out, v);
             }
             IrOp::ScanSum { table, start, count, out, .. } => {
                 let s = fold(*start, &regs)?;
                 for i in 0..i64::from(*count) {
-                    push_unique(&mut acc.reads, (*table, s + i));
+                    visit(Declared::Read(*table, s + i));
                 }
-                regs[usize::from(*out)] = None;
+                regs.set(txn, *out, None);
             }
             // Ordered scans read a predicate, not an enumerable key set —
             // undeclarable, exactly the class of transaction that
@@ -102,6 +119,28 @@ pub fn declared_accesses(txn: &Txn) -> Option<DeclaredAccess> {
             }
         }
     }
+    Some(())
+}
+
+fn push_unique(v: &mut Vec<(TableId, i64)>, item: (TableId, i64)) {
+    if !v.contains(&item) {
+        v.push(item);
+    }
+}
+
+/// Constant-fold the transaction and extract its access sets. Returns
+/// `None` if any data access has a key that depends on a read result.
+pub fn declared_accesses(txn: &Txn) -> Option<DeclaredAccess> {
+    let mut acc = DeclaredAccess::default();
+    visit_declared(txn, |access| match access {
+        Declared::Read(t, k) => push_unique(&mut acc.reads, (t, k)),
+        Declared::Write(t, k) => push_unique(&mut acc.writes, (t, k)),
+        Declared::Insert(t, k) => push_unique(&mut acc.inserts, (t, k)),
+        Declared::Delete(t, k) => {
+            push_unique(&mut acc.writes, (t, k));
+            push_unique(&mut acc.deletes, (t, k));
+        }
+    })?;
     Some(acc)
 }
 

@@ -17,6 +17,11 @@
 //!   the same counter over `DurabilityManager::checkpoint`: none for an
 //!   image without an ordered index, a small bound per inserted row for one
 //!   whose B+tree takes the period's inserts in place.
+//! * **Around the kernels** — the same counter over the serving tick's own
+//!   host work: routing a single-shard transaction allocates nothing,
+//!   logging a batch takes a fixed number of calls whatever its size, and a
+//!   steady-state 4-shard tick (route, split, log, round, decide, requeue)
+//!   is pinned per transaction.
 //! * **Server level** — `LtpgServer` and `ShardedServer` retain per-tick
 //!   state the engine does not (WAL, replication log), so raw heap deltas
 //!   are not zero there. Instead the simulated-side watermark is pinned:
@@ -29,7 +34,7 @@ use std::sync::Mutex;
 
 use ltpg::{DurabilityManager, LtpgConfig, LtpgEngine, LtpgServer, OptFlags, ServerConfig};
 use ltpg_bench::ltpg_tpcc_config;
-use ltpg_shard::{ycsb_partitioner, ShardedServer};
+use ltpg_shard::{ycsb_partitioner, Route, Router, ShardedServer};
 use ltpg_telemetry::names;
 use ltpg_txn::{Batch, BatchEngine, TidGen};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
@@ -227,6 +232,105 @@ fn a_steady_state_checkpoint_allocates_nothing() {
         tpcc_calls <= tpcc_rows / 4,
         "TPC-C: {tpcc_calls} allocator calls to copy {tpcc_rows} rows"
     );
+}
+
+/// Routing a transaction whose accesses all live on one shard walks its
+/// constant-folded keys without building a vector: no allocator call. At
+/// commit 077ecc4 (four declared-access vectors, a register vector and a
+/// sorted participant list per transaction) this read 1 853 calls for the
+/// 256 transactions below, 7.24 each.
+#[test]
+fn routing_a_single_shard_transaction_allocates_nothing() {
+    let _guard = SERIAL.lock().unwrap();
+    let cfg = ycsb(65_536, 4).with_alpha(0.8);
+    let (_db, table, mut gen) = YcsbGenerator::new(cfg.clone());
+    let router = Router::new(ycsb_partitioner(4, table, &cfg));
+    let txns = gen.gen_batch(256);
+    let before = CALLS.load(Ordering::Relaxed);
+    let single = txns.iter().filter(|t| matches!(router.route(t), Route::Single(_))).count();
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    println!("allocator calls routing {} single-shard YCSB-A transactions: {calls}", txns.len());
+    assert_eq!(single, txns.len(), "a 0 %-cross stream routes single-shard");
+    assert_eq!(calls, 0);
+}
+
+/// Allocator calls of one steady-state `DurabilityManager::log_batch` of
+/// `batch_size` YCSB-A transactions: the median over sixteen batches, so
+/// the occasional regrowth of the disk image and of the record list (both
+/// amortized over the log's life) is not counted.
+fn log_batch_calls(batch_size: usize) -> u64 {
+    let (db, _table, mut gen) = YcsbGenerator::new(ycsb(4_096, 1));
+    let mut dur = DurabilityManager::new(&db);
+    let mut tids = TidGen::new();
+    let batches: Vec<Batch> =
+        (0..20).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(batch_size), &mut tids)).collect();
+    let mut calls: Vec<u64> = batches
+        .iter()
+        .map(|batch| {
+            let before = CALLS.load(Ordering::Relaxed);
+            dur.log_batch(batch);
+            CALLS.load(Ordering::Relaxed) - before
+        })
+        .skip(4)
+        .collect();
+    calls.sort_unstable();
+    calls[calls.len() / 2]
+}
+
+/// Logging a batch encodes it into one buffer sized from the batch and
+/// writes the frame in place: a fixed number of allocator calls per batch,
+/// whatever its size. At commit 077ecc4 (a buffer per transaction, copied
+/// into a regrowing batch buffer) this read 741 calls for 256
+/// transactions and 5 815 for 2 048; it reads 3 for both (the TID list, the
+/// payload buffer and the `Bytes` it is frozen into).
+#[test]
+fn log_batch_allocator_calls_do_not_grow_with_the_batch() {
+    let _guard = SERIAL.lock().unwrap();
+    let (small, large) = (log_batch_calls(256), log_batch_calls(2_048));
+    println!("allocator calls per log_batch: {small} (256 transactions), {large} (2 048)");
+    assert_eq!(small, large, "log_batch allocates per transaction");
+    assert!(small <= 4, "{small} allocator calls per logged batch");
+}
+
+/// Allocator calls per transaction of a steady-state 4-shard tick over a
+/// 10 %-cross YCSB-A stream (routing, split, WAL, the round, decision and
+/// requeue; no standby rows, whose replay threads would be counted too).
+fn four_shard_tick_calls_per_txn() -> f64 {
+    const BATCH: usize = 1_024;
+    let cfg = YcsbConfig::new(YcsbWorkload::A, 65_536)
+        .with_seed(0xa1_10_c8)
+        .with_alpha(0.8)
+        .with_partitions(4, 10);
+    let (db, table, mut gen) = YcsbGenerator::new(cfg.clone());
+    let mut server = ShardedServer::new(
+        db,
+        ycsb_partitioner(4, table, &cfg),
+        LtpgConfig { max_batch: BATCH, ..LtpgConfig::default() },
+        ServerConfig { batch_size: BATCH, pipelined: false, ..ServerConfig::default() },
+    );
+    server.submit_all(gen.gen_batch(BATCH * 14));
+    for _ in 0..8 {
+        assert!(server.tick().is_some());
+    }
+    let (before, mut txns) = (CALLS.load(Ordering::Relaxed), 0);
+    for _ in 0..4 {
+        let summary = server.tick().expect("work queued");
+        txns += summary.committed.len() + summary.aborted.len();
+    }
+    (CALLS.load(Ordering::Relaxed) - before) as f64 / txns as f64
+}
+
+/// A 4-shard tick moves each single-shard transaction into its sub-batch
+/// and each aborted one back into the intake, where it cloned both, and
+/// routes and logs without per-transaction buffers. At commit 077ecc4 this
+/// read 20.38 allocator calls per transaction; it reads 6.11, and may read
+/// at most a third of the old figure.
+#[test]
+fn a_steady_state_four_shard_tick_allocates_less_than_before() {
+    let _guard = SERIAL.lock().unwrap();
+    let calls = four_shard_tick_calls_per_txn();
+    println!("allocator calls per transaction of a 4-shard tick: {calls:.2}");
+    assert!(calls <= 20.38 / 3.0, "{calls:.2} allocator calls per transaction");
 }
 
 #[test]
