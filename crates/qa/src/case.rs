@@ -68,28 +68,26 @@ pub struct QaCase {
     pub txns: Vec<Txn>,
     /// Transactions per batch.
     pub batch_size: usize,
-    /// Shard count for the sharded pass (1, 2 or 4).
+    /// Shard count of the server under test (1, 2 or 4).
     pub shards: u32,
     /// Whether the servers run in pipelined mode (re-entry delay 2).
     pub pipelined: bool,
-    /// Checkpoint cadence for the durability pass.
+    /// Checkpoint cadence of both servers.
     pub checkpoint_every: Option<usize>,
-    /// Fault plan: kill shard `.0`'s device after tick `.1` of the sharded
-    /// pass, forcing its CPU-twin fallback mid-run.
+    /// Fault layer: shard `.0`'s device fails before tick `.1` of the
+    /// server under test, however it is fed.
     pub fail_shard: Option<(u32, u32)>,
-    /// Warm standby rows attached to the sharded pass. With a pool, a
-    /// `fail_shard` loss promotes a standby row instead of degrading to
-    /// the CPU twin — and every differential assertion (lockstep, slice
-    /// digests, WAL replay) must hold regardless, because failover is
-    /// replay of the same deterministic commit stream.
+    /// Warm standby rows attached to the server under test: a loss then
+    /// promotes a row instead of degrading to the CPU twin, and every
+    /// differential assertion must hold regardless.
     pub standbys: u32,
     /// Treat column 0 of table 0 as always-commutative (exercises the
     /// delayed-merge and forced-abort paths).
     pub commutative_t0c0: bool,
-    /// Also drive the schedule through the `ltpg-front` ingestion
-    /// pipeline (lossless config) and compare tick-for-tick against a
-    /// directly fed server: batch *formation* must never change commit
-    /// decisions, and final digests must be bit-identical.
+    /// Ingress layer: the `ltpg-front` pipeline (lossless config) forms the
+    /// batches of the server under test instead of direct submission. It
+    /// selects this layer; it does not add a pass beside a directly fed
+    /// sharded server.
     pub via_front: bool,
     /// Also run the batches through the two competing schedulers
     /// (Block-STM and the address graph): both promise bit-identical
@@ -97,12 +95,13 @@ pub struct QaCase {
     /// and final digests are differentially compared against a serial
     /// replay and the ordered-serializability oracle.
     pub via_schedulers: bool,
-    /// Also run the sharded pass a second time with one mid-stream
-    /// rebalance plan scheduled at an aligned batch boundary (table 0's
-    /// rule is swapped): the topology cutover must be invisible to the
-    /// commit history and to the final slice digests. Only meaningful
-    /// when `shards > 1`.
+    /// Rebalance layer: a plan swapping table 0's rule cuts over at batch 1
+    /// of the server under test. Only meaningful when `shards > 1`. It
+    /// selects this layer; it does not add a second sharded run.
     pub via_rebalance: bool,
+    /// Host threads the engines under test fan warps out over (the
+    /// references stay at one).
+    pub host_threads: u32,
 }
 
 impl QaCase {
@@ -129,7 +128,7 @@ impl QaCase {
         db
     }
 
-    /// Engine configuration shared by every execution path of the case.
+    /// Engine configuration of the references (one host thread).
     pub fn engine_config(&self) -> LtpgConfig {
         let mut cfg = LtpgConfig { max_batch: self.batch_size.max(64), ..LtpgConfig::default() };
         if self.commutative_t0c0 && !self.tables.is_empty() {
@@ -138,7 +137,15 @@ impl QaCase {
         cfg
     }
 
-    /// Server configuration shared by the single-device and sharded passes.
+    /// Engine configuration of the engines under test: the references' on
+    /// `host_threads`.
+    pub fn under_test_config(&self) -> LtpgConfig {
+        let mut cfg = self.engine_config();
+        cfg.device.parallel_host_threads = self.host_threads as usize;
+        cfg
+    }
+
+    /// Server configuration shared by the reference and the server under test.
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig {
             batch_size: self.batch_size,
@@ -148,7 +155,7 @@ impl QaCase {
         }
     }
 
-    /// Partitioner for the sharded pass.
+    /// Partitioner of the server under test.
     pub fn partitioner(&self) -> Partitioner {
         let mut p = Partitioner::new(self.shards, TableRule::Hash);
         for (i, spec) in self.tables.iter().enumerate() {

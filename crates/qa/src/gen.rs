@@ -1,9 +1,11 @@
 //! The seeded case generator.
 //!
 //! Everything a case contains — schema shape, initial rows, transaction
-//! schedule, sharding, fault plan — is derived from one `u64` seed via
-//! `StdRng`, so a seed is a complete, replayable description of a case.
-//! Coverage is deliberately broad and adversarial:
+//! schedule, and each layer of the stack it runs on — is derived from one
+//! `u64` seed, so a seed is a complete, replayable description of a case.
+//! Each layer draws from its own `StdRng`, keyed by the seed and the
+//! layer's tag (`stream`): adding, dropping or re-tuning one layer never
+//! moves another's draws. Coverage is deliberately broad and adversarial:
 //!
 //! * 1–3 tables, 1–3 columns, optionally carrying an ordered index, with
 //!   per-table shard rules (hash / stride / replicated, i.e. broadcast
@@ -14,8 +16,9 @@
 //!   user-abort coverage, and range scans against ordered tables;
 //! * batch sizes small enough that schedules span many batches, 1/2/4
 //!   shards, pipelined re-execution (re-entry delay 2), checkpoint
-//!   cadences, mid-run shard loss, and a commutative (delayed-merge)
-//!   column in one fifth of the cases.
+//!   cadences, mid-run shard loss, standby rows, front-end ingress, a
+//!   rebalance cutover, two host threads, and a commutative
+//!   (delayed-merge) column in one fifth of the cases.
 
 use ltpg_storage::{ColId, TableId};
 use ltpg_txn::{ComputeFn, IrOp, ProcId, Src, Txn};
@@ -34,9 +37,8 @@ struct TableShape {
     inserts: usize,
 }
 
-/// How a schedule's operations are drawn. [`OpMix::BROAD`] holds the
-/// constants [`generate`] has always used, so its seed-to-case mapping (and
-/// every checked-in repro's provenance) stands.
+/// How a schedule's operations are drawn. [`OpMix::BROAD`] is what
+/// [`generate`] draws from.
 #[derive(Debug, Clone, Copy)]
 pub struct OpMix {
     /// Probability that a table carries an ordered index (ordered scans
@@ -67,11 +69,17 @@ pub fn generate(seed: u64) -> QaCase {
     generate_mix(seed, &OpMix::BROAD)
 }
 
-/// Generate the case for `seed` from `mix`.
-pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
-    // Decorrelate consecutive seeds without losing reproducibility.
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed);
+/// Layer `tag`'s own draw stream for `seed`: the seed, decorrelated from
+/// its neighbours, mixed with an FNV-1a hash of the tag.
+fn stream(seed: u64, tag: &str) -> StdRng {
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
+    let tag = tag.bytes().fold(0xCBF2_9CE4_8422_2325, fnv);
+    StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed ^ tag)
+}
 
+/// Generate the case for `seed` from `mix` (which shapes only the schedule).
+pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
+    let mut rng = stream(seed, "workload");
     let ntables = rng.gen_range(1..=3usize);
     let mut shapes: Vec<TableShape> = (0..ntables)
         .map(|_| TableShape {
@@ -117,46 +125,29 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
         })
         .collect();
 
-    let shards = [1u32, 2, 4][rng.gen_range(0..3usize)];
-    let fail_shard = if shards > 1 && rng.gen_bool(0.2) {
-        Some((rng.gen_range(0..shards), rng.gen_range(0..3u32)))
-    } else {
-        None
-    };
-    let batch_size = [4usize, 8, 16, 32][rng.gen_range(0..4usize)];
-    let pipelined = rng.gen_bool(0.5);
-    let checkpoint_every = if rng.gen_bool(0.3) { Some(2) } else { None };
-    let commutative_t0c0 = rng.gen_bool(0.2);
-    // Drawn last so pre-replication seeds map to the same cases they
-    // always did. A pool turns any `fail_shard` loss into a failover; it
-    // also rides along fault-free runs to cover steady-state replay.
-    let standbys = if rng.gen_bool(0.25) { rng.gen_range(1..=2u32) } else { 0 };
-    // Drawn after `standbys` for the same seed-stability reason: route a
-    // third of cases through the ingestion front-end's batcher too.
-    let via_front = rng.gen_bool(0.33);
-    // Drawn after `via_front`, again for seed stability: half the cases
-    // also cross-check the Block-STM and address-graph schedulers.
-    let via_schedulers = rng.gen_bool(0.5);
-    // Drawn last (after `via_schedulers`) for the same seed-stability
-    // reason: a third of the multi-shard cases also replay the schedule
-    // with one mid-stream rebalance plan, requiring the topology cutover
-    // to be invisible. The draw always happens so the stream stays
-    // aligned; it only takes effect when there is more than one shard.
-    let via_rebalance = rng.gen_bool(0.33) && shards > 1;
+    let mut batching = stream(seed, "batching");
+    let shards = [1u32, 2, 4][stream(seed, "shards").gen_range(0..3usize)];
+    // A loss and a cutover need a second shard; the rebalance cutover and
+    // a loss before tick 1 coincide.
+    let mut fault = stream(seed, "fault");
+    let fail_shard = (shards > 1 && fault.gen_bool(0.4))
+        .then(|| (fault.gen_range(0..shards), fault.gen_range(0..3u32)));
+    let mut standby = stream(seed, "standbys");
     QaCase {
         seed,
         tables,
         txns,
-        batch_size,
+        batch_size: [4usize, 8, 16, 32][batching.gen_range(0..4usize)],
         shards,
-        pipelined,
-        checkpoint_every,
+        pipelined: batching.gen_bool(0.5),
+        checkpoint_every: stream(seed, "checkpoint").gen_bool(0.3).then_some(2),
         fail_shard,
-        commutative_t0c0,
-        standbys,
-        via_front,
-        via_schedulers,
-        via_rebalance,
+        commutative_t0c0: stream(seed, "commutative").gen_bool(0.2),
+        standbys: if standby.gen_bool(0.3) { standby.gen_range(1..=2u32) } else { 0 },
+        via_front: stream(seed, "ingress").gen_bool(0.33),
+        via_schedulers: stream(seed, "schedulers").gen_bool(0.5),
+        via_rebalance: shards > 1 && stream(seed, "rebalance").gen_bool(0.5),
+        host_threads: if stream(seed, "host_threads").gen_bool(0.3) { 2 } else { 1 },
     }
 }
 

@@ -2,14 +2,18 @@
 //!
 //! A seeded generator ([`gen::generate`]) produces self-contained cases —
 //! random schemas, mixed YCSB/TPC-C-fragment schedules with inserts and
-//! deletes, batching/sharding/fault/checkpoint configuration — and the
-//! runner ([`run::run_case`]) pushes each case through four execution
-//! paths that must agree bit-for-bit:
+//! deletes, and the layers of the stack to run them on — and the runner
+//! ([`run::run_case`]) pushes each case through execution paths that must
+//! agree bit-for-bit:
 //!
-//! * the simulated-GPU [`LtpgEngine`](ltpg::LtpgEngine),
-//! * the unscoped [`CpuTwin`](ltpg::CpuTwin),
-//! * the single-device vs sharded server pair in lockstep, and
-//! * WAL replay of the single device's log,
+//! * the simulated-GPU [`LtpgEngine`](ltpg::LtpgEngine) and the unscoped
+//!   [`CpuTwin`](ltpg::CpuTwin),
+//! * a directly fed single-device server and the system under test built
+//!   from the case's layers (front-end or direct ingress × 1/2/4 shards ×
+//!   standbys × rebalance cutover × device loss × host threads), in
+//!   lockstep,
+//! * WAL replay of the single device's log, and
+//! * the Block-STM and address-graph schedulers against serial replay,
 //!
 //! with the serializability oracle auditing every committed batch. Any
 //! disagreement is a typed [`Divergence`]; the shrinker ([`shrink::shrink`])
@@ -29,7 +33,7 @@ pub mod run;
 pub mod shrink;
 
 pub use case::{QaCase, ShardRule, TableSpec};
-pub use run::{run_case, CaseOutcome, Divergence};
+pub use run::{run_case, CaseOutcome, Cell, Divergence};
 pub use shrink::{shrink, Shrunk};
 
 use std::path::{Path, PathBuf};
@@ -46,15 +50,8 @@ pub struct FuzzOptions {
     pub seeds: u64,
     /// Where to write minimized repro files (`None` disables writing).
     pub repro_dir: Option<PathBuf>,
-    /// Telemetry registry for the `qa.*` counters (`None` uses the
-    /// process-global registry).
-    pub registry: Option<Arc<Registry>>,
-}
-
-impl Default for FuzzOptions {
-    fn default() -> Self {
-        FuzzOptions { start_seed: 0, seeds: 50, repro_dir: None, registry: None }
-    }
+    /// Telemetry registry for the `qa.*` counters.
+    pub registry: Arc<Registry>,
 }
 
 /// One divergence found (and minimized) during a fuzzing run.
@@ -81,13 +78,14 @@ pub struct FuzzReport {
     pub txns: u64,
     /// Every divergence found, minimized.
     pub divergences: Vec<FoundDivergence>,
+    /// Clean cases that fired each cell, indexed by `cell as usize`.
+    pub cell_cases: [u64; Cell::ALL.len()],
 }
 
 /// Run `opts.seeds` consecutive cases, shrinking and persisting every
 /// divergence. Deterministic in `opts`.
 pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
-    let registry =
-        opts.registry.clone().unwrap_or_else(|| Arc::clone(ltpg_telemetry::global()));
+    let registry = &opts.registry;
     let mut report = FuzzReport::default();
     for seed in opts.start_seed..opts.start_seed + opts.seeds {
         let case = gen::generate(seed);
@@ -95,7 +93,8 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
         registry.counter(names::QA_TXNS).add(case.txns.len() as u64);
         report.cases += 1;
         report.txns += case.txns.len() as u64;
-        if run_case(&case).is_ok() {
+        if let Ok(outcome) = run_case(&case) {
+            outcome.cells.into_iter().for_each(|cell| report.cell_cases[cell as usize] += 1);
             continue;
         }
         registry.counter(names::QA_DIVERGENCES).inc();
@@ -181,7 +180,7 @@ mod tests {
             start_seed: 0,
             seeds: 10,
             repro_dir: None,
-            registry: Some(Registry::new_shared()),
+            registry: Registry::new_shared(),
         });
         assert_eq!(report.cases, 10);
         assert!(report.txns > 0);
@@ -197,7 +196,7 @@ mod tests {
             start_seed: 100,
             seeds: 3,
             repro_dir: None,
-            registry: Some(Arc::clone(&reg)),
+            registry: Arc::clone(&reg),
         });
         assert_eq!(reg.counter_value(names::QA_CASES), 3);
         assert!(reg.counter_value(names::QA_TXNS) > 0);
@@ -278,6 +277,7 @@ mod tests {
             via_schedulers: true,
             // A cutover migrates rows into tables that have no slots to spare.
             via_rebalance: false,
+            host_threads: 1,
         }
     }
 
@@ -307,5 +307,14 @@ mod tests {
                 .is_err(),
             "unterminated txn"
         );
+        // A zero count is named on its line rather than failing later:
+        // zero shards panics building the partitioner, a zero batch size
+        // forms empty batches until the tick cap.
+        let table = "table T0 cols=1 capacity=8 ordered=false rule=hash\n";
+        for directive in ["shards 0", "batch_size 0", "host_threads 0"] {
+            let e = repro::from_text(&format!("version 1\n{table}{directive}\n"))
+                .expect_err(directive);
+            assert_eq!(e.line, 3, "{directive}: {e}");
+        }
     }
 }

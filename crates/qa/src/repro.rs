@@ -15,6 +15,10 @@
 //! pipelined true
 //! checkpoint_every 2
 //! fail_shard 1 2
+//! standbys 1
+//! via_front
+//! via_rebalance
+//! host_threads 2
 //! commutative_t0c0
 //! table T0 cols=2 capacity=40 ordered=false rule=hash
 //! row 0 3 = 7 -2
@@ -25,7 +29,8 @@
 //! ```
 //!
 //! Operand sources: `c:<n>` literal, `p:<n>` parameter slot, `r:<n>`
-//! register, `tid` the transaction's own TID.
+//! register, `tid` the transaction's own TID. Absent layer directives are
+//! off (`host_threads` then means 1).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -52,6 +57,9 @@ pub fn to_text(case: &QaCase) -> String {
     }
     if case.standbys > 0 {
         let _ = writeln!(s, "standbys {}", case.standbys);
+    }
+    if case.host_threads != 1 {
+        let _ = writeln!(s, "host_threads {}", case.host_threads);
     }
     if case.via_front {
         let _ = writeln!(s, "via_front");
@@ -329,6 +337,7 @@ pub fn from_text(text: &str) -> Result<QaCase, ParseError> {
         via_front: false,
         via_schedulers: false,
         via_rebalance: false,
+        host_threads: 1,
     };
     // (proc, params, ops) of the txn currently being collected.
     let mut open_txn: Option<(u16, Vec<i64>, Vec<IrOp>)> = None;
@@ -352,8 +361,9 @@ pub fn from_text(text: &str) -> Result<QaCase, ParseError> {
                 saw_version = true;
             }
             "seed" => case.seed = num(lineno, toks.get(1))?,
-            "batch_size" => case.batch_size = num(lineno, toks.get(1))?,
-            "shards" => case.shards = num(lineno, toks.get(1))?,
+            "batch_size" => case.batch_size = positive(lineno, toks.get(1))? as usize,
+            "shards" => case.shards = positive(lineno, toks.get(1))?,
+            "host_threads" => case.host_threads = positive(lineno, toks.get(1))?,
             "pipelined" => {
                 case.pipelined = match toks.get(1).copied() {
                     Some("true") => true,
@@ -462,6 +472,12 @@ pub fn from_text(text: &str) -> Result<QaCase, ParseError> {
 
 fn num<T: std::str::FromStr>(line: usize, tok: Option<&&str>) -> Result<T, ParseError> {
     tok.and_then(|v| v.parse().ok()).ok_or_else(|| err(line, "missing/bad number"))
+}
+
+/// A count of shards, batch slots or threads: zero would leave nothing to
+/// compare.
+fn positive(line: usize, tok: Option<&&str>) -> Result<u32, ParseError> {
+    num(line, tok).and_then(|v| if v > 0 { Ok(v) } else { Err(err(line, "must be at least 1")) })
 }
 
 /// Read and parse a repro file.

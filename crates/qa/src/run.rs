@@ -1,5 +1,5 @@
-//! The differential runner: one [`QaCase`](crate::QaCase), four execution
-//! paths, byte-level agreement or a typed [`Divergence`].
+//! The differential runner: one [`QaCase`](crate::QaCase), byte-level
+//! agreement between every execution path or a typed [`Divergence`].
 //!
 //! Three passes per case:
 //!
@@ -8,48 +8,47 @@
 //!    sets must match batch-for-batch, the serializability oracle must
 //!    accept every committed set against the pre-batch snapshot, and the
 //!    final state digests must be bit-identical.
-//! 2. **Server pass** — a single-device [`LtpgServer`] and a
-//!    [`ShardedServer`] (with the case's partitioner and optional
-//!    mid-run shard loss) tick in lockstep over the identical stream:
-//!    per-tick commit/abort TID sequences must agree, and every shard's
-//!    final slice must equal the single device's database restricted to
-//!    that shard's ownership predicate. Ticks are capped, not drained:
-//!    schedules that re-queue a doomed transaction forever (duplicate-key
-//!    inserts) still compare exactly over the executed prefix.
-//! 3. **Durability pass** — the single server's WAL is replayed from the
-//!    last checkpoint; the recovered database must digest-match the live
-//!    one.
-//!
-//! Cases with `via_front` add a fourth pass through the ingestion
-//! front-end, and cases with `via_schedulers` a fifth: the Block-STM and
-//! address-graph schedulers against a serial TID-order replay and the
-//! ordered-serializability oracle. Cases with `via_rebalance` add a
-//! sixth: the sharded pass replayed with one mid-stream rebalance plan,
-//! whose batch-boundary cutover must be invisible to the commit history.
+//! 2. **Stack pass** — the system under test is built from the case's
+//!    layers: ingress (direct, or the lossless front-end) into a
+//!    [`ShardedServer`] of 1/2/4 shards, with standby rows, a rebalance
+//!    plan cutting over at batch 1, a device loss before tick t, and the
+//!    engines on one or two host threads. It ticks in lockstep with one
+//!    directly fed [`LtpgServer`]: per-tick commit/abort TID sequences
+//!    must agree, and every shard's final slice must equal the reference's
+//!    database restricted to that shard under the live partitioner. Ticks
+//!    are capped, not drained: schedules that re-queue a doomed
+//!    transaction forever (duplicate-key inserts) still compare exactly
+//!    over the executed prefix. The reference's WAL is then replayed from
+//!    the last checkpoint and must digest-match its live database.
+//! 3. **Scheduler pass** (cases with `via_schedulers`) — the Block-STM and
+//!    address-graph schedulers against a serial TID-order replay and the
+//!    ordered-serializability oracle.
 //!
 //! The whole case runs under `catch_unwind`: an engine panic on generated
 //! input is itself a reportable (and shrinkable) divergence, not a harness
 //! crash.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use ltpg::{CpuTwin, LtpgEngine, LtpgServer};
+use ltpg::{CpuTwin, Executor, LtpgEngine, LtpgServer};
 use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
-use ltpg_front::{TickOutcome, TickSink};
-use ltpg_shard::ShardedServer;
+use ltpg_front::{FrontConfig, FrontEnd, TickOutcome, TickSink};
+use ltpg_shard::{RebalanceOp, RebalancePlan, ShardedServer, TableRule};
+use ltpg_telemetry::{names, Registry};
 use ltpg_txn::oracle::{check_ordered_serializable, check_snapshot_serializable};
 use ltpg_txn::{execute_serial, Batch, BatchEngine, Tid, TidGen, Txn};
 
-use crate::QaCase;
+use crate::{QaCase, ShardRule};
 
 /// How two execution paths disagreed on a case.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Divergence {
-    /// Two paths committed different TID sets for the same batch/tick.
+    /// Two paths committed different TID sets for the same batch.
     CommitSet {
-        /// Which comparison failed (e.g. `engine-vs-cpu`, `sharded-vs-single`).
+        /// Which comparison failed (e.g. `engine-vs-cpu`).
         site: String,
-        /// Batch (engine pass) or tick (server pass) index.
+        /// Batch index.
         step: usize,
         /// What the reference path decided.
         expected: Vec<u64>,
@@ -72,18 +71,18 @@ pub enum Divergence {
         /// The oracle's violation, rendered.
         violation: String,
     },
-    /// The sharded and single-device servers fell out of lockstep.
+    /// The server under test and the reference fell out of lockstep.
     Lockstep {
         /// Tick index.
         step: usize,
         /// What differed.
         detail: String,
     },
-    /// A shard's final slice does not equal the single device's restriction.
+    /// A shard's final slice does not equal the reference's restriction.
     ShardSlice {
         /// The diverging shard.
         shard: u32,
-        /// Digest of the single device's slice.
+        /// Digest of the reference's slice.
         expected: u64,
         /// Digest of the shard's database.
         got: u64,
@@ -136,27 +135,61 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// A cell of the layer cross-product, as it fired on a run rather than
+/// as drawn: a loss drawn for a tick after the schedule drained fires none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell {
+    /// A rebalance plan cut over mid-stream.
+    RebalanceApplied,
+    /// A device loss promoted a standby row.
+    Promotion,
+    /// A device loss degraded a shard to its CPU twin.
+    TwinDegradation,
+    /// A device was failed right before the tick the cutover applied on.
+    LossAtCutover,
+    /// The front-end handed the server under test at least one batch.
+    FrontIngress,
+    /// A device loss fired while the front-end fed the server under test.
+    LossUnderFront,
+    /// A serving engine of the server under test reports two host threads
+    /// in its device config (whether a kernel had a second warp to fan
+    /// out depends on the batch).
+    HostThreads2,
+    /// A checkpoint was taken with a standby row attached.
+    CheckpointWithStandbys,
+}
+
+impl Cell {
+    /// Every cell, in declaration order (`cell as usize` indexes it).
+    pub const ALL: [Cell; 8] = [
+        Cell::RebalanceApplied,
+        Cell::Promotion,
+        Cell::TwinDegradation,
+        Cell::LossAtCutover,
+        Cell::FrontIngress,
+        Cell::LossUnderFront,
+        Cell::HostThreads2,
+        Cell::CheckpointWithStandbys,
+    ];
+}
+
 /// Summary of a case that ran clean.
 #[derive(Debug, Clone, Default)]
 pub struct CaseOutcome {
     /// Transactions the engine pass committed.
     pub engine_committed: usize,
-    /// Transactions the server pass committed (re-executions count once).
+    /// Transactions the stack pass committed (re-executions count once).
     pub server_committed: u64,
-    /// Server-pass ticks executed.
+    /// Stack-pass ticks executed.
     pub ticks: usize,
     /// Whether both servers fully drained within the tick cap (schedules
     /// with permanently re-queued user aborts legitimately do not).
     pub drained: bool,
-    /// Ticks the front-end pass drove (0 unless the case sets `via_front`).
-    pub front_ticks: usize,
     /// Transactions the scheduler pass committed on each competing
     /// scheduler (0 unless the case sets `via_schedulers`).
     pub scheduler_committed: usize,
-    /// Whether the rebalance pass reached its cutover and swapped the
-    /// topology mid-stream (always false unless the case sets
-    /// `via_rebalance`; short schedules may drain before the cutover).
-    pub rebalance_applied: bool,
+    /// The cells of the layer cross-product the stack pass exercised.
+    pub cells: Vec<Cell>,
 }
 
 fn tids(v: &[Tid]) -> Vec<u64> {
@@ -181,15 +214,9 @@ pub fn run_case(case: &QaCase) -> Result<CaseOutcome, Divergence> {
 fn run_case_inner(case: &QaCase) -> Result<CaseOutcome, Divergence> {
     let mut outcome = CaseOutcome::default();
     engine_pass(case, &mut outcome)?;
-    server_pass(case, &mut outcome)?;
-    if case.via_front {
-        front_pass(case, &mut outcome)?;
-    }
+    stack_pass(case, &mut outcome)?;
     if case.via_schedulers {
         scheduler_pass(case, &mut outcome)?;
-    }
-    if case.via_rebalance && case.shards > 1 {
-        rebalance_pass(case, &mut outcome)?;
     }
     Ok(outcome)
 }
@@ -200,10 +227,9 @@ fn run_case_inner(case: &QaCase) -> Result<CaseOutcome, Divergence> {
 /// final digest compare (the twin's write-back and exact min-TID maps are
 /// its own).
 fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
-    let cfg = case.engine_config();
     let db = case.build_database();
-    let mut gpu = LtpgEngine::new(db.deep_clone(), cfg.clone());
-    let mut cpu = CpuTwin::new(db, cfg);
+    let mut gpu = LtpgEngine::new(db.deep_clone(), case.under_test_config());
+    let mut cpu = CpuTwin::new(db, case.engine_config());
     let mut tidgen = TidGen::new();
     for (step, chunk) in case.batches().enumerate() {
         let pre = gpu.database().deep_clone();
@@ -235,34 +261,6 @@ fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
     Ok(())
 }
 
-/// Tick two servers over the same stream for at most `max_ticks`: they
-/// must commit and abort the same TIDs on every tick and go idle on the
-/// same one (a tick returns `None` only when nothing is queued anywhere,
-/// so two `None`s mean both drained). Returns the ticks run and whether
-/// they drained.
-fn lockstep(
-    pass: &str,
-    max_ticks: usize,
-    mut under_test: impl FnMut(usize) -> Option<TickOutcome>,
-    mut reference: impl FnMut(usize) -> Option<TickOutcome>,
-) -> Result<(usize, bool), Divergence> {
-    for step in 0..max_ticks {
-        match (under_test(step), reference(step)) {
-            (Some(a), Some(b)) if a.committed == b.committed && a.aborted == b.aborted => {}
-            (None, None) => return Ok((step + 1, true)),
-            (a, b) => {
-                let show = |o: Option<TickOutcome>| match o {
-                    Some(o) => format!("committed {:?} aborted {:?}", tids(&o.committed), tids(&o.aborted)),
-                    None => "idle".into(),
-                };
-                let detail = format!("{pass}: under test {}; reference {}", show(a), show(b));
-                return Err(Divergence::Lockstep { step, detail });
-            }
-        }
-    }
-    Ok((max_ticks, false))
-}
-
 /// Enough ticks to drain any schedule that *can* drain (re-entry delay ≤ 2
 /// and min-TID winners guarantee progress), while bounding schedules that
 /// re-queue a doomed transaction forever.
@@ -270,80 +268,172 @@ fn tick_cap(case: &QaCase) -> usize {
     (case.txns.len() / case.batch_size.max(1) + 2) * 12 + 16
 }
 
-/// Every shard's slice must equal the single device's restriction to it.
-fn check_slices(
-    sharded: &ShardedServer,
-    single: &LtpgServer,
-    part: &ltpg_shard::Partitioner,
-) -> Result<(), Divergence> {
-    for s in 0..sharded.shard_count() {
+/// The fault layer over the server under test: it fails shard `fail.0`'s
+/// device before tick `fail.1`, counting the ticks it is asked for
+/// itself, so the loss lands on the same tick whichever ingress drives it.
+struct FaultLayer {
+    server: ShardedServer,
+    fail: Option<(u32, u32)>,
+    ticks: u32,
+    /// The tick the device was failed before, once it was.
+    lost_at: Option<u32>,
+    /// The tick the rebalance cutover applied on, once it has.
+    cutover: Option<u32>,
+    /// Batches the front-end handed over.
+    fronted: u64,
+}
+
+/// Borrowed, so the front-end hands the server back when it is dropped;
+/// the direct ingress ticks through it too. Everything but the tick
+/// forwards to the server.
+impl TickSink for &mut FaultLayer {
+    fn submit_batch(&mut self, txns: Vec<Txn>) {
+        self.fronted += 1;
+        self.server.submit_all(txns);
+    }
+
+    fn tick_outcome(&mut self) -> Option<TickOutcome> {
+        if let Some((s, _)) = self.fail.filter(|&(s, t)| t == self.ticks && s < self.server.shard_count()) {
+            self.server.force_shard_failure(s);
+            self.lost_at = Some(self.ticks);
+        }
+        let pending = self.server.rebalance_pending();
+        let out = self.server.tick_outcome();
+        if pending && !self.server.rebalance_pending() {
+            self.cutover = Some(self.ticks);
+        }
+        self.ticks += 1;
+        out
+    }
+
+    fn queued(&self) -> usize {
+        self.server.pending()
+    }
+
+    fn next_tid(&self) -> u64 {
+        self.server.next_tid()
+    }
+
+    fn fault_delay_ns(&self) -> f64 {
+        self.server.fault_delay_ns()
+    }
+
+    fn registry(&self) -> Arc<Registry> {
+        Arc::clone(self.server.telemetry())
+    }
+}
+
+/// Feed the schedule through the lossless front-end, every offer at time
+/// 0 (so one tick per sealed batch, then the drain), and return the ticks
+/// it drove. The pipeline may shed or lose nothing on this config.
+fn front_fed(case: &QaCase, sut: &mut FaultLayer) -> Result<Vec<TickOutcome>, Divergence> {
+    let mut front = FrontEnd::new(sut, FrontConfig::lossless(case.batch_size));
+    for txn in &case.txns {
+        front.offer(0, 0, txn.clone());
+    }
+    front.finish(tick_cap(case));
+    if front.stats().shed() != 0 || !front.conserves() {
+        let detail = format!("lossless config shed or lost transactions: {:?}", front.stats());
+        return Err(Divergence::FrontPipeline { detail });
+    }
+    Ok(front.take_outcomes())
+}
+
+/// Pass 2: the stacked server under test in lockstep with a directly fed
+/// single device, then slice digests and the reference's WAL replay.
+fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
+    let cfg = case.engine_config();
+    let db = case.build_database();
+    let mut single = LtpgServer::new(db.deep_clone(), cfg.clone(), case.server_config());
+    let mut server =
+        ShardedServer::new(db, case.partitioner(), case.under_test_config(), case.server_config());
+    if case.standbys > 0 {
+        let standbys = case.standbys as usize;
+        server.attach_replicas(&ltpg_replica::ReplicaConfig { standbys, ..Default::default() });
+    }
+    if case.via_rebalance && case.shards > 1 {
+        // Table 0 becomes replicated, or hashed if it was replicated.
+        let rule = match case.tables[0].rule {
+            ShardRule::Replicated => TableRule::Hash,
+            _ => TableRule::Replicated,
+        };
+        let ops = vec![RebalanceOp::SetRule { table: ltpg_storage::TableId(0), rule }];
+        server.schedule_rebalance(RebalancePlan { cutover: 1, ops }).expect("plan validates");
+    }
+    let mut sut = FaultLayer { server, fail: case.fail_shard, ticks: 0, lost_at: None, cutover: None, fronted: 0 };
+    let mut front_ticks = if case.via_front {
+        Some(front_fed(case, &mut sut)?.into_iter())
+    } else {
+        sut.server.submit_all(case.txns.iter().cloned());
+        None
+    };
+    single.submit_all(case.txns.iter().cloned());
+    // Both sides must commit and abort the same TIDs on every tick and go
+    // idle on the same one (a tick is `None` only when nothing is queued
+    // anywhere, so two `None`s mean both drained).
+    let cap = tick_cap(case);
+    (outcome.ticks, outcome.drained) = (cap, false);
+    for step in 0..cap {
+        let under_test = match &mut front_ticks {
+            Some(ticks) => ticks.next(),
+            None => (&mut sut).tick_outcome(),
+        };
+        match (under_test, single.tick_outcome()) {
+            (Some(a), Some(b)) if a.committed == b.committed && a.aborted == b.aborted => {}
+            (None, None) => {
+                (outcome.ticks, outcome.drained) = (step + 1, true);
+                break;
+            }
+            (a, b) => {
+                let show = |o: Option<TickOutcome>| match o {
+                    Some(o) => format!("committed {:?} aborted {:?}", tids(&o.committed), tids(&o.aborted)),
+                    None => "idle".into(),
+                };
+                let detail = format!("under test {}; reference {}", show(a), show(b));
+                return Err(Divergence::Lockstep { step, detail });
+            }
+        }
+    }
+    outcome.server_committed = single.stats().committed;
+
+    let part = sut.server.partitioner();
+    for s in 0..sut.server.shard_count() {
         let expected = single.database().partition_clone(part.slice_pred(s)).state_digest();
-        let got = sharded.database(s).state_digest();
+        let got = sut.server.database(s).state_digest();
         if expected != got {
             return Err(Divergence::ShardSlice { shard: s, expected, got });
         }
     }
+    let recovered = single.durability().recover(cfg).map_err(|e| Divergence::WalReplay {
+        detail: format!("recovery failed: {e:?}"),
+    })?;
+    let (rec, live) = (recovered.state_digest(), single.database().state_digest());
+    if rec != live {
+        let detail = format!("recovered digest {rec:#018x} != live {live:#018x}");
+        return Err(Divergence::WalReplay { detail });
+    }
+
+    let stats = sut.server.stats();
+    let lost = stats.failovers > 0 || stats.faults.fallback_activations > 0;
+    let checkpoints = sut.server.telemetry().counter_value(names::SERVER_CHECKPOINTS);
+    let mut gpus = sut.server.shards().execs.iter().filter_map(Executor::gpu);
+    let two_threads = gpus.any(|e| e.device().config().parallel_host_threads == 2);
+    let fired = [
+        (Cell::RebalanceApplied, sut.cutover.is_some()),
+        (Cell::Promotion, stats.failovers > 0),
+        (Cell::TwinDegradation, stats.faults.fallback_activations > 0),
+        (Cell::LossAtCutover, sut.lost_at.is_some() && sut.lost_at == sut.cutover),
+        (Cell::FrontIngress, sut.fronted > 0),
+        (Cell::LossUnderFront, lost && sut.fronted > 0),
+        (Cell::HostThreads2, two_threads),
+        // A promotion takes its row out of the pool.
+        (Cell::CheckpointWithStandbys, checkpoints > 0 && u64::from(case.standbys) > stats.failovers),
+    ];
+    outcome.cells = fired.into_iter().filter_map(|(c, f)| f.then_some(c)).collect();
     Ok(())
 }
 
-/// Pass 2 + 3: single vs sharded server lockstep, slice digests, WAL replay.
-fn server_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
-    let cfg = case.engine_config();
-    let scfg = case.server_config();
-    let db = case.build_database();
-    let part = case.partitioner();
-    let mut single = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
-    let mut sharded = ShardedServer::new(db, part.clone(), cfg.clone(), scfg);
-    if case.standbys > 0 {
-        // Replicated chaos schedule: a `fail_shard` loss now promotes a
-        // warm standby row instead of degrading to the CPU twin. Every
-        // assertion below is unchanged — failover must be invisible.
-        sharded.attach_replicas(&ltpg_replica::ReplicaConfig {
-            standbys: case.standbys as usize,
-            ..ltpg_replica::ReplicaConfig::default()
-        });
-    }
-    single.submit_all(case.txns.iter().cloned());
-    sharded.submit_all(case.txns.iter().cloned());
-
-    let (ticks, drained) = lockstep(
-        "server pass, sharded vs single",
-        tick_cap(case),
-        |tick| {
-            if let Some((s, after)) = case.fail_shard {
-                if tick as u32 == after && s < sharded.shard_count() {
-                    sharded.force_shard_failure(s);
-                }
-            }
-            sharded.tick_outcome()
-        },
-        |_| single.tick_outcome(),
-    )?;
-    outcome.ticks = ticks;
-    outcome.drained = drained;
-    outcome.server_committed = single.stats().committed;
-
-    check_slices(&sharded, &single, &part)?;
-
-    // Pass 3: WAL-replay equivalence on the single device.
-    match single.durability().recover(cfg) {
-        Ok(recovered) => {
-            let live = single.database().state_digest();
-            let rec = recovered.state_digest();
-            if live != rec {
-                return Err(Divergence::WalReplay {
-                    detail: format!("recovered digest {rec:#018x} != live {live:#018x}"),
-                });
-            }
-        }
-        Err(e) => {
-            return Err(Divergence::WalReplay { detail: format!("recovery failed: {e:?}") })
-        }
-    }
-    Ok(())
-}
-
-/// Pass 5 (cases with `via_schedulers`): the same batches run through the
+/// Pass 3 (cases with `via_schedulers`): the same batches run through the
 /// Block-STM and address-graph schedulers, each over its own clone of the
 /// initial database. Both promise exact equivalence to serial TID-order
 /// execution — aborting precisely the user aborts — so a serial replay is
@@ -398,99 +488,6 @@ fn scheduler_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Diverg
         if got != expected {
             return Err(Divergence::Digest { site: site.into(), expected, got });
         }
-    }
-    Ok(())
-}
-
-/// Pass 6 (cases with `via_rebalance`): the sharded pass replayed with
-/// one mid-stream topology change. A plan swapping table 0's rule
-/// (replicated if it wasn't, hash if it was) is scheduled before the run
-/// with cutover at batch 1, so the first batch routes under the old
-/// rules and everything after the cutover under the new ones, with rows
-/// migrated between slices at the barrier. The differential contract is
-/// the point: against an untouched single-device reference, per-tick
-/// commit/abort sequences must stay identical through the cutover, and
-/// every final slice must equal the reference's restriction under
-/// whichever partitioner is live at the end (the new one once the
-/// cutover fired; the old one if the schedule drained first).
-fn rebalance_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
-    use ltpg_shard::{RebalanceOp, RebalancePlan, TableRule};
-    let cfg = case.engine_config();
-    let scfg = case.server_config();
-    let db = case.build_database();
-    let part = case.partitioner();
-    let mut single = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
-    let mut sharded = ShardedServer::new(db, part.clone(), cfg, scfg);
-    let new_rule = match case.tables.first().map(|t| t.rule) {
-        Some(crate::ShardRule::Replicated) => TableRule::Hash,
-        _ => TableRule::Replicated,
-    };
-    let plan = RebalancePlan {
-        cutover: 1,
-        ops: vec![RebalanceOp::SetRule { table: ltpg_storage::TableId(0), rule: new_rule }],
-    };
-    let new_part = plan.apply_to(&part).expect("rule-swap plan validates");
-    sharded.schedule_rebalance(plan).expect("plan scheduled before any batch logs");
-    single.submit_all(case.txns.iter().cloned());
-    sharded.submit_all(case.txns.iter().cloned());
-
-    lockstep(
-        "rebalance pass, sharded vs single",
-        tick_cap(case),
-        |_| sharded.tick_outcome(),
-        |_| single.tick_outcome(),
-    )?;
-    outcome.rebalance_applied = !sharded.rebalance_pending();
-    check_slices(&sharded, &single, if sharded.rebalance_pending() { &part } else { &new_part })
-}
-
-/// Pass 4 (cases with `via_front`): the identical schedule flows through
-/// the `ltpg-front` ingestion pipeline on a lossless config (unbounded
-/// queues, no rate limit, far deadline) into one server, while a second
-/// server is fed the pre-formed stream directly. Both are compared
-/// tick-for-tick — batch *formation* must never change commit decisions —
-/// and the final state digests must be bit-identical. The front-end's
-/// structural invariants (zero shed, end-to-end conservation) are also
-/// divergences here: the whole point of the lossless config is that every
-/// submission reaches the engine.
-fn front_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
-    let cfg = case.engine_config();
-    let scfg = case.server_config();
-    let db = case.build_database();
-    let fcfg = ltpg_front::FrontConfig::lossless(case.batch_size);
-    let mut front = ltpg_front::FrontEnd::new(
-        LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone()),
-        fcfg,
-    );
-    for txn in &case.txns {
-        front.offer(0, 0, txn.clone());
-    }
-    front.finish(tick_cap(case));
-    if front.stats().shed() != 0 {
-        return Err(Divergence::FrontPipeline {
-            detail: format!("lossless config shed {} transactions", front.stats().shed()),
-        });
-    }
-    if !front.conserves() {
-        return Err(Divergence::FrontPipeline {
-            detail: format!("conservation violated: {:?}", front.stats()),
-        });
-    }
-    let mut front_outcomes = front.take_outcomes().into_iter();
-    outcome.front_ticks = front_outcomes.len();
-
-    let mut direct = LtpgServer::new(db, cfg, scfg);
-    direct.submit_all(case.txns.iter().cloned());
-    lockstep(
-        "front pass, front-fed vs direct",
-        outcome.front_ticks,
-        |_| front_outcomes.next(),
-        |_| direct.tick_outcome(),
-    )?;
-    let expected = direct.database().state_digest();
-    let got = front.sink().database().state_digest();
-    if expected != got {
-        return Err(Divergence::Digest { site: "front-vs-direct".into(), expected, got });
     }
     Ok(())
 }

@@ -12,8 +12,9 @@
 //!    transaction (skipping removals that would break register dataflow).
 //! 3. **Domain shrinking** — drop seed rows, then drop trailing tables no
 //!    transaction references.
-//! 4. **Config simplification** — fewer shards, no pipeline, no fault
-//!    plan, no checkpointing, one big batch.
+//! 4. **Layer removal** — each layer of the stack off in turn (one shard,
+//!    no pipeline, no fault, no standbys, no front-end, no cutover, one
+//!    host thread, no checkpointing, one big batch).
 
 use ltpg_txn::{IrOp, Txn};
 
@@ -36,54 +37,58 @@ pub struct Shrunk {
 /// cannot wedge the fuzzer.
 const MAX_STEPS: u64 = 3_000;
 
+/// The shrink in progress: the smallest case seen to diverge so far, its
+/// divergence, and the runs spent.
 struct Ctx {
+    cur: QaCase,
+    div: Divergence,
     steps: u64,
 }
 
 impl Ctx {
-    /// Run a candidate; `Some(divergence)` keeps it.
-    fn diverges(&mut self, case: &QaCase) -> Option<Divergence> {
-        if self.steps >= MAX_STEPS {
-            return None;
+    /// Run `cand` (within the budget); keep it iff it differs and still
+    /// diverges.
+    fn keep(&mut self, cand: QaCase) -> bool {
+        if self.steps >= MAX_STEPS || cand == self.cur {
+            return false;
         }
         self.steps += 1;
-        run_case(case).err()
+        let Err(div) = run_case(&cand) else { return false };
+        (self.cur, self.div) = (cand, div);
+        true
     }
 }
 
 /// Minimize `case`. Returns `None` if the case does not diverge at all.
 pub fn shrink(case: &QaCase) -> Option<Shrunk> {
-    let mut ctx = Ctx { steps: 0 };
-    let mut div = ctx.diverges(case)?;
-    let mut cur = case.clone();
+    let div = run_case(case).err()?;
+    let mut ctx = Ctx { cur: case.clone(), div, steps: 1 };
     loop {
         let mut progress = false;
-        progress |= shrink_txns(&mut cur, &mut div, &mut ctx);
-        progress |= shrink_ops(&mut cur, &mut div, &mut ctx);
-        progress |= shrink_rows(&mut cur, &mut div, &mut ctx);
-        progress |= shrink_config(&mut cur, &mut div, &mut ctx);
+        progress |= shrink_txns(&mut ctx);
+        progress |= shrink_ops(&mut ctx);
+        progress |= shrink_rows(&mut ctx);
+        progress |= shrink_config(&mut ctx);
         if !progress || ctx.steps >= MAX_STEPS {
             break;
         }
     }
-    Some(Shrunk { case: cur, divergence: div, steps: ctx.steps })
+    Some(Shrunk { case: ctx.cur, divergence: ctx.div, steps: ctx.steps })
 }
 
 /// Classic ddmin over the transaction schedule.
-fn shrink_txns(cur: &mut QaCase, div: &mut Divergence, ctx: &mut Ctx) -> bool {
+fn shrink_txns(ctx: &mut Ctx) -> bool {
     let mut progress = false;
-    let mut chunk = (cur.txns.len() / 2).max(1);
+    let mut chunk = (ctx.cur.txns.len() / 2).max(1);
     loop {
         let mut i = 0;
-        while i < cur.txns.len() && cur.txns.len() > 1 {
-            let mut cand = cur.clone();
+        while i < ctx.cur.txns.len() && ctx.cur.txns.len() > 1 {
+            let mut cand = ctx.cur.clone();
             let end = (i + chunk).min(cand.txns.len());
             cand.txns.drain(i..end);
-            if let Some(d) = ctx.diverges(&cand) {
-                *cur = cand;
-                *div = d;
-                progress = true;
+            if ctx.keep(cand) {
                 // Same index now holds the next chunk.
+                progress = true;
             } else {
                 i += chunk;
             }
@@ -107,21 +112,19 @@ fn without_op(txn: &Txn, oi: usize) -> Option<Txn> {
     cand.validate().ok().map(|()| cand)
 }
 
-fn shrink_ops(cur: &mut QaCase, div: &mut Divergence, ctx: &mut Ctx) -> bool {
+fn shrink_ops(ctx: &mut Ctx) -> bool {
     let mut progress = false;
     let mut ti = 0;
-    while ti < cur.txns.len() {
+    while ti < ctx.cur.txns.len() {
         let mut oi = 0;
-        while oi < cur.txns[ti].ops.len() {
-            let Some(cand_txn) = without_op(&cur.txns[ti], oi) else {
+        while oi < ctx.cur.txns[ti].ops.len() {
+            let Some(cand_txn) = without_op(&ctx.cur.txns[ti], oi) else {
                 oi += 1;
                 continue;
             };
-            let mut cand = cur.clone();
+            let mut cand = ctx.cur.clone();
             cand.txns[ti] = cand_txn;
-            if let Some(d) = ctx.diverges(&cand) {
-                *cur = cand;
-                *div = d;
+            if ctx.keep(cand) {
                 progress = true;
             } else {
                 oi += 1;
@@ -132,16 +135,14 @@ fn shrink_ops(cur: &mut QaCase, div: &mut Divergence, ctx: &mut Ctx) -> bool {
     progress
 }
 
-fn shrink_rows(cur: &mut QaCase, div: &mut Divergence, ctx: &mut Ctx) -> bool {
+fn shrink_rows(ctx: &mut Ctx) -> bool {
     let mut progress = false;
-    for t in 0..cur.tables.len() {
+    for t in 0..ctx.cur.tables.len() {
         let mut ri = 0;
-        while ri < cur.tables[t].rows.len() {
-            let mut cand = cur.clone();
+        while ri < ctx.cur.tables[t].rows.len() {
+            let mut cand = ctx.cur.clone();
             cand.tables[t].rows.remove(ri);
-            if let Some(d) = ctx.diverges(&cand) {
-                *cur = cand;
-                *div = d;
+            if ctx.keep(cand) {
                 progress = true;
             } else {
                 ri += 1;
@@ -152,16 +153,13 @@ fn shrink_rows(cur: &mut QaCase, div: &mut Divergence, ctx: &mut Ctx) -> bool {
     // renumber `TableId`s referenced by the surviving ops) — but only ones
     // no op references, or the candidate is malformed and its
     // out-of-bounds panic would masquerade as the divergence under test.
-    while cur.tables.len() > 1 && !references_table(cur, cur.tables.len() - 1) {
-        let mut cand = cur.clone();
+    while ctx.cur.tables.len() > 1 && !references_table(&ctx.cur, ctx.cur.tables.len() - 1) {
+        let mut cand = ctx.cur.clone();
         cand.tables.pop();
-        if let Some(d) = ctx.diverges(&cand) {
-            *cur = cand;
-            *div = d;
-            progress = true;
-        } else {
+        if !ctx.keep(cand) {
             break;
         }
+        progress = true;
     }
     progress
 }
@@ -185,31 +183,27 @@ fn references_table(case: &QaCase, ti: usize) -> bool {
     })
 }
 
-fn shrink_config(cur: &mut QaCase, div: &mut Divergence, ctx: &mut Ctx) -> bool {
-    let mut progress = false;
-    let candidates: Vec<fn(&mut QaCase)> = vec![
+/// One candidate per layer, turning it off. One shard takes the loss and
+/// the cutover with it, which need a second shard to fire.
+fn shrink_config(ctx: &mut Ctx) -> bool {
+    let candidates: [fn(&mut QaCase); 11] = [
         |c| c.via_rebalance = false,
         |c| c.via_schedulers = false,
         |c| c.via_front = false,
         |c| c.standbys = 0,
         |c| c.fail_shard = None,
-        |c| c.shards = 1,
+        |c| c.host_threads = 1,
+        |c| (c.shards, c.fail_shard, c.via_rebalance) = (1, None, false),
         |c| c.pipelined = false,
         |c| c.checkpoint_every = None,
         |c| c.commutative_t0c0 = false,
         |c| c.batch_size = c.txns.len().max(1),
     ];
+    let mut progress = false;
     for f in candidates {
-        let mut cand = cur.clone();
+        let mut cand = ctx.cur.clone();
         f(&mut cand);
-        if cand == *cur {
-            continue;
-        }
-        if let Some(d) = ctx.diverges(&cand) {
-            *cur = cand;
-            *div = d;
-            progress = true;
-        }
+        progress |= ctx.keep(cand);
     }
     progress
 }

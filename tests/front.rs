@@ -293,10 +293,12 @@ fn a_failover_is_charged_to_its_tick_and_leaves_the_steady_clock_alone() {
 }
 
 /// Routing a generated QA case through the front-end batcher never
-/// changes commit decisions: the QA runner replays the front-fed tick
-/// outcomes against a directly fed server and requires bit-identical
-/// commit/abort sets and a bit-identical final state digest. Swept over
-/// many seeds so schemas, workloads, shard counts and fault plans vary.
+/// changes commit decisions: the QA runner's server under test is the
+/// case's sharded server fed by the front-end, ticked in lockstep with a
+/// directly fed single-device reference, and it must match the reference's
+/// commit/abort sets tick for tick and its final database slice by slice.
+/// Swept over many seeds so schemas, workloads, shard counts and fault
+/// plans vary.
 #[test]
 fn front_formed_batches_match_direct_feeding_bitwise() {
     let mut ran = 0u32;

@@ -234,20 +234,32 @@ fn replicated_runs_are_the_same_run_twenty_times() {
 }
 
 /// Replicated chaos schedules route through the QA differential runner:
-/// a standby pool plus a mid-run shard kill must pass every differential
-/// assertion (engine vs CPU twin, lockstep, slice digests, WAL replay).
+/// on 2 and 4 shards, {direct, front-end} ingress × {no plan, a cutover at
+/// batch 1} × a shard kill before tick {0, 1, 2} × {0, 1} standby rows must
+/// pass every differential assertion (engine vs CPU twin, lockstep, slice
+/// digests, WAL replay, and the rival schedulers where the seed draws
+/// them). The sweep holds a loss exactly at the cutover tick and a
+/// failover under front-end ingress.
 #[test]
 fn qa_runner_accepts_replicated_chaos_schedules() {
-    let mut with_failover = 0u32;
-    for seed in 100..112u64 {
-        let mut case = ltpg_qa::gen::generate(seed);
-        case.shards = 4;
-        case.standbys = 1;
-        case.fail_shard = Some((1, 1));
-        if let Err(d) = ltpg_qa::run_case(&case) {
-            panic!("seed {seed}: replicated chaos schedule diverged: {d}");
+    use ltpg_qa::{Cell, QaCase};
+    let mut fired = [0u32; Cell::ALL.len()];
+    for run in 0..48u32 {
+        let (shards, standbys, combo) = ([2u32, 4][run as usize / 24], run / 12 % 2, run % 12);
+        let (via_front, via_rebalance, tick) = (combo & 1 == 1, combo & 2 == 2, combo >> 2);
+        // Each of the 12 generated schedules (seeds 100..112) meets four
+        // layer combinations, one per (shards, standbys) block. Cut to three
+        // batches of eight so every kill tick lands inside the schedule.
+        let mut base = ltpg_qa::gen::generate(100 + u64::from((combo + 5 * (run / 12)) % 12));
+        base.txns.truncate(24);
+        let fail_shard = Some((1, tick));
+        let case = QaCase { batch_size: 8, shards, via_front, via_rebalance, fail_shard, standbys, ..base };
+        match ltpg_qa::run_case(&case) {
+            Ok(outcome) => outcome.cells.iter().for_each(|&c| fired[c as usize] += 1),
+            Err(d) => panic!("replicated chaos schedule diverged: {d}\n{}", ltpg_qa::repro::to_text(&case)),
         }
-        with_failover += 1;
     }
-    assert!(with_failover > 0);
+    for cell in [Cell::Promotion, Cell::TwinDegradation, Cell::LossAtCutover, Cell::LossUnderFront] {
+        assert!(fired[cell as usize] > 0, "no case fired {cell:?}: {fired:?}");
+    }
 }
