@@ -8,7 +8,9 @@
 //! ```
 //!
 //! Tables go to stdout and progress to stderr, so
-//! `ltpg-bench all > results/all_default.txt` regenerates that file.
+//! `ltpg-bench all > results/all_default.txt` regenerates that file. `run`
+//! and `all` end by printing the process's peak resident set (`VmHWM`) to
+//! stderr, which CI holds `all --smoke` to.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -45,6 +47,13 @@ fn check(e: &Experiment, scale: Scale) -> Result<(), String> {
     Ok(())
 }
 
+/// The process's peak resident set in kB (`VmHWM`, Linux only).
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
 fn main() -> ExitCode {
     let mut scale = Scale::Default;
     let mut words = Vec::new();
@@ -76,6 +85,9 @@ fn main() -> ExitCode {
         ("check", [e]) => check(e, scale),
         _ => return usage(&format!("cannot `{command}` {} experiment(s)", chosen.len())),
     };
+    if let (Some(kb), "all" | "run") = (peak_rss_kb(), command.as_str()) {
+        eprintln!("[ltpg-bench] VmHWM: {kb} kB");
+    }
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(problem) => {

@@ -1021,10 +1021,11 @@ impl LtpgEngine {
         reg.counter(names::ABORT_CONFLICT_LOSER).add(conflict_loser);
         reg.counter(names::ABORT_REORDER_REJECTED).add(reorder_rejected);
 
-        // Conflict-log occupancy: device bytes held right now (gauge) and
-        // accesses recorded this batch (one detect item per registered
-        // access).
+        // Conflict-log occupancy: device bytes as modelled and host bytes
+        // held right now (gauges), and accesses recorded this batch (one
+        // detect item per registered access).
         reg.gauge(names::LTPG_CONFLICT_LOG_BYTES).set(self.log.bytes() as i64);
+        reg.gauge(names::LTPG_CONFLICT_LOG_RESIDENT_BYTES).set(self.log.resident_bytes() as i64);
         reg.counter(names::LTPG_CONFLICT_LOG_ACCESSES).add(detect_items);
 
         // Phase trace: consecutive spans on the engine's simulated clock.
@@ -1648,6 +1649,30 @@ mod tests {
             (0xa030_8b85_5083_7d7d, 0x437e_f805_ce89_a524, 0x07d7_3edd_a98e_f608),
             "TPC-C full mix (history, state, sim-time bits): {full:#x?}"
         );
+    }
+
+    /// The conflict log's epoch space wraps after 2²⁴ − 3 batches, about
+    /// four hours of a server ticking 1 100 batches a second. The golden
+    /// TPC-C stream started three batches below the top crosses the wrap in
+    /// its fourth batch and must fold to the history, state and
+    /// simulated-time bits of the same stream started at epoch 0. Without
+    /// the clear at the wrap, the slots stamped in the highest epochs hide
+    /// fresh TIDs from every later batch, and the histories part.
+    #[test]
+    fn a_stream_across_the_epoch_wrap_is_the_stream_from_epoch_zero() {
+        use crate::conflict::LAST_EPOCH;
+        use ltpg_workloads::{TpccConfig, TpccGenerator};
+        let run = |resume: Option<u32>| {
+            let (batches, batch_size) = (8, 512);
+            let wl = TpccConfig::new(2, 50).with_headroom(batches * batch_size * 20);
+            let (db, tables, mut gen) = TpccGenerator::new(wl);
+            let mut engine = tpcc_engine(db, &tables, batch_size);
+            if let Some(epoch) = resume {
+                engine.log.resume_at(epoch);
+            }
+            golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size)
+        };
+        assert_eq!(run(Some(LAST_EPOCH - 3)), run(None));
     }
 
     /// The detect work array is laid out without a sort: on a mixed TPC-C

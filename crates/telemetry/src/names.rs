@@ -64,6 +64,9 @@ pub const LTPG_BYTES_D2H: &str = "ltpg.bytes_d2h";
 pub const LTPG_DELAYED_OPS_APPLIED: &str = "ltpg.delayed_ops_applied";
 /// Gauge: bytes currently allocated to the device-resident conflict log.
 pub const LTPG_CONFLICT_LOG_BYTES: &str = "ltpg.conflict_log.bytes";
+/// Gauge: host bytes the conflict log holds — its tables of claimed
+/// buckets and slot-run arenas — beside the modelled `bytes`.
+pub const LTPG_CONFLICT_LOG_RESIDENT_BYTES: &str = "ltpg.conflict_log.resident_bytes";
 /// Counter: conflict-log bucket registrations (host-observed accesses).
 pub const LTPG_CONFLICT_LOG_ACCESSES: &str = "ltpg.conflict_log.accesses";
 

@@ -5,12 +5,15 @@
 //! which transactions committed, which aborted, and how the aborted one
 //! succeeds on re-execution with its original TID. Finishes with the
 //! server API and its telemetry: an end-of-run summary plus a JSONL
-//! metrics export (validated on the spot, and by the CI smoke job).
+//! metrics export, read back and checked for the metrics a dashboard needs
+//! (the CI telemetry-smoke job runs this example for that check).
 //!
 //! Run with: `cargo run -p ltpg --example quickstart`
 
 use ltpg::{LtpgConfig, LtpgEngine, LtpgServer, ServerConfig};
 use ltpg_storage::{ColId, Database, TableBuilder};
+use ltpg_telemetry::export::{self, JsonValue};
+use ltpg_telemetry::names;
 use ltpg_txn::{Batch, BatchEngine, IrOp, ProcId, Src, TidGen, Txn};
 
 fn main() {
@@ -91,27 +94,41 @@ fn main() {
     server.drain(64);
     println!("\n-- server summary --\n{}", server.summary());
 
-    // 8. Export the run's metrics as JSONL and validate the document —
-    //    exactly what a dashboard (or the CI smoke job) consumes.
-    let jsonl = server.export_telemetry_jsonl();
+    // 8. Export the run's metrics as JSONL, read the file back and check
+    //    it — exactly what a dashboard (or the CI smoke job) consumes.
     let path = std::path::Path::new("results").join("telemetry-quickstart.jsonl");
-    ltpg_telemetry::export::write_jsonl(&path, server.telemetry())
-        .expect("write telemetry export");
-    let lines = ltpg_telemetry::export::validate_jsonl(&jsonl).expect("export must be valid JSONL");
+    export::write_jsonl(&path, server.telemetry()).expect("write telemetry export");
+    let text = std::fs::read_to_string(&path).expect("read telemetry export back");
+    let lines = export::validate_jsonl(&text).expect("export must be valid JSONL");
+    assert_eq!(lines[0].get("type").and_then(JsonValue::as_str), Some("meta"));
+    assert_eq!(lines[0].get("schema").and_then(JsonValue::as_str), Some(export::SCHEMA));
     for required in [
-        "ltpg.phase.execute_ns",
-        "ltpg.phase.detect_ns",
-        "ltpg.phase.writeback_ns",
-        "ltpg.bytes_h2d",
-        "ltpg.aborts.conflict_loser",
-        "faults.transient_retries",
-        "server.batch_ns",
+        names::LTPG_PHASE_H2D_NS,
+        names::LTPG_PHASE_EXECUTE_NS,
+        names::LTPG_PHASE_DETECT_NS,
+        names::LTPG_PHASE_WRITEBACK_NS,
+        names::LTPG_PHASE_D2H_NS,
+        names::LTPG_BYTES_H2D,
+        names::LTPG_BYTES_D2H,
+        names::ABORT_CONFLICT_LOSER,
+        names::ABORT_LOG_EXHAUSTED,
+        names::ABORT_DELAYED_READ,
+        names::ABORT_REORDER_REJECTED,
+        names::FAULT_TRANSIENT_RETRIES,
+        names::FAULT_FALLBACK_ACTIVATIONS,
+        names::SERVER_BATCH_NS,
+        names::GPU_KERNEL_LAUNCHES,
+        names::LTPG_CONFLICT_LOG_RESIDENT_BYTES,
     ] {
-        assert!(
-            ltpg_telemetry::export::find_metric(&lines, required).is_some(),
-            "export is missing {required}"
-        );
+        assert!(export::find_metric(&lines, required).is_some(), "export is missing {required}");
     }
-    println!("[telemetry written to {} — {} lines, validated]", path.display(), lines.len());
+    let batch = export::find_metric(&lines, names::SERVER_BATCH_NS).expect("server.batch_ns");
+    let num = |key| batch.get(key).and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
+    assert!(num("count") > 0.0, "no batch latency recorded");
+    assert!(
+        num("p50") <= num("p95") && num("p95") <= num("p99"),
+        "batch latency percentiles out of order: {batch:?}"
+    );
+    println!("[telemetry written to {} — {} lines, checked]", path.display(), lines.len());
     println!("quickstart OK");
 }

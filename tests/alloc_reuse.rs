@@ -22,6 +22,9 @@
 //!   logging a batch takes a fixed number of calls whatever its size, and a
 //!   steady-state 4-shard tick (route, split, log, round, decide, requeue)
 //!   is pinned per transaction.
+//! * **Conflict-log residency** — the host bytes a steady-state engine's
+//!   conflict log holds are pinned for the TPC-C and YCSB-A engines the
+//!   ledger runs: what their batches claim, not the modelled geometry.
 //! * **Server level** — `LtpgServer` and `ShardedServer` retain per-tick
 //!   state the engine does not (WAL, replication log), so raw heap deltas
 //!   are not zero there. Instead the simulated-side watermark is pinned:
@@ -36,7 +39,7 @@ use ltpg::{DurabilityManager, LtpgConfig, LtpgEngine, LtpgServer, OptFlags, Serv
 use ltpg_bench::ltpg_tpcc_config;
 use ltpg_shard::{ycsb_partitioner, Route, Router, ShardedServer};
 use ltpg_telemetry::names;
-use ltpg_txn::{Batch, BatchEngine, TidGen};
+use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 /// Counts the net bytes currently allocated through the global allocator,
@@ -167,6 +170,37 @@ fn steady_state_allocator_calls_per_transaction() {
     println!("allocator calls per transaction: YCSB-A {ycsb_calls:.2}, TPC-C {tpcc_calls:.2}");
     assert!(ycsb_calls <= 20.18 / 2.0, "YCSB-A: {ycsb_calls:.2} allocator calls per transaction");
     assert!(tpcc_calls <= 106.91 / 2.0, "TPC-C 50/50: {tpcc_calls:.2} allocator calls per transaction");
+}
+
+/// The conflict log holds only the buckets a batch claims, in tables that
+/// grow between batches to two or three times what one claims. At commit
+/// c973947 every engine held its whole modelled log in host memory: 409.6
+/// MiB for the 8-warehouse TPC-C engine below, 96.1 MiB for the YCSB-A one.
+/// After eight steady-state batches of 4 096 they may hold 32 and 16 MiB.
+#[test]
+fn a_steady_state_conflict_log_holds_what_its_batches_claim() {
+    const MIB: f64 = (1 << 20) as f64;
+    let _guard = SERIAL.lock().unwrap();
+    let mut tids = TidGen::new();
+    let mut resident_after_8 = |engine: &mut LtpgEngine, gen: &mut dyn FnMut(usize) -> Vec<Txn>| {
+        for _ in 0..8 {
+            drop(engine.execute_batch_report(&Batch::assemble(Vec::new(), gen(4_096), &mut tids)));
+        }
+        engine.conflict_log().resident_bytes() as f64 / MIB
+    };
+
+    let wl = TpccConfig::new(8, 50).with_headroom(8 * 4_096 * 2);
+    let (db, tables, mut gen) = TpccGenerator::new(wl);
+    let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 4_096, OptFlags::all()));
+    let tpcc = resident_after_8(&mut engine, &mut |n| gen.gen_batch(n));
+
+    let (db, _table, mut gen) = YcsbGenerator::new(ycsb(1 << 20, 1).with_alpha(0.6));
+    let mut engine = LtpgEngine::new(db, LtpgConfig::default());
+    let ycsb = resident_after_8(&mut engine, &mut |n| gen.gen_batch(n));
+
+    println!("conflict-log resident MiB after 8 batches: TPC-C {tpcc:.1}, YCSB-A {ycsb:.1}");
+    assert!(tpcc <= 32.0, "TPC-C: {tpcc:.1} MiB resident");
+    assert!(ycsb <= 16.0, "YCSB-A: {ycsb:.1} MiB resident");
 }
 
 /// Run `batches` through `engine`, checkpointing after each, and return the

@@ -1,10 +1,13 @@
 //! Cross-crate property tests on substrate invariants.
 
 use ltpg::conflict::TableLog;
-use ltpg_gpu_sim::{Device, DeviceConfig};
+use ltpg::footprint::{Cell, Check, Part, Record};
+use ltpg::{ConflictLog, LtpgConfig};
+use ltpg_gpu_sim::{Device, DeviceConfig, KernelReport, Lane};
 use ltpg_storage::{ColId, Database, TableBuilder};
 use ltpg_txn::exec::execute_range_direct;
 use ltpg_txn::{execute_serial, ComputeFn, IrOp, ProcId, Src, Tid, Txn};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,6 +40,302 @@ impl LogModel {
         let min = if is_write { &mut self.write_min } else { &mut self.read_min };
         min.entry(key).and_modify(|m| *m = (*m).min(tid)).or_insert(tid);
         true
+    }
+}
+
+/// The conflict log as it was built before it stored only the buckets an
+/// epoch claims: every modelled bucket one host cache line, slots `1..s_u`
+/// of every bucket in two side arrays. The reference a [`TableLog`] must be
+/// indistinguishable from on the simulated clock.
+mod dense {
+    use ltpg_gpu_sim::{Lane, SimAtomicU64};
+    use ltpg_storage::index::mix_key;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const TID_BITS: u32 = 40;
+    const TID_MASK: u64 = (1 << TID_BITS) - 1;
+    const EPOCH_CEIL: u64 = (1 << 24) - 1;
+    const SLOT_EMPTY: u64 = u64::MAX;
+
+    fn encode(epoch: u32, tid: u64) -> u64 {
+        ((EPOCH_CEIL - u64::from(epoch)) << TID_BITS) | tid
+    }
+
+    fn decode(v: u64, epoch: u32) -> Option<u64> {
+        (v != SLOT_EMPTY && (v >> TID_BITS) == EPOCH_CEIL - u64::from(epoch)).then_some(v & TID_MASK)
+    }
+
+    struct Bucket {
+        tag: SimAtomicU64,
+        mark: [AtomicU64; 2],
+        slot0: [SimAtomicU64; 2],
+    }
+
+    pub struct DenseLog {
+        mask: usize,
+        s_u: usize,
+        buckets: Vec<Bucket>,
+        more: [Vec<SimAtomicU64>; 2],
+        ballot: Option<usize>,
+    }
+
+    impl DenseLog {
+        pub fn new(s_h: usize, s_u: usize, ballot: Option<usize>) -> Self {
+            let slot = || SimAtomicU64::new(SLOT_EMPTY);
+            let mark = || AtomicU64::new(u64::MAX);
+            let more = || (0..s_h * (s_u - 1)).map(|_| slot()).collect::<Vec<_>>();
+            DenseLog {
+                mask: s_h - 1,
+                s_u,
+                buckets: (0..s_h)
+                    .map(|_| Bucket { tag: slot(), mark: [mark(), mark()], slot0: [slot(), slot()] })
+                    .collect(),
+                more: [more(), more()],
+                ballot,
+            }
+        }
+
+        fn bucket_for(&self, lane: &mut Lane<'_>, key: i64, epoch: u32, claim: bool) -> Option<usize> {
+            let h = mix_key(key);
+            let tag_val = encode(epoch, h & TID_MASK);
+            let start = (h as usize) & self.mask;
+            for i in 0..=self.mask {
+                let b = (start + i) & self.mask;
+                match self.ballot {
+                    None => lane.charge_light(12.0),
+                    Some(ws) => {
+                        if i % ws == 0 {
+                            lane.charge_light(12.0);
+                            lane.warp_shuffle(1);
+                        }
+                    }
+                }
+                let tag = &self.buckets[b].tag;
+                let mut cur = tag.load();
+                loop {
+                    if cur == tag_val {
+                        return Some(b);
+                    }
+                    if decode(cur, epoch).is_some() {
+                        break;
+                    }
+                    if !claim {
+                        return None;
+                    }
+                    match lane.atomic_cas_u64(tag, cur, tag_val) {
+                        Ok(_) => return Some(b),
+                        Err(observed) => cur = observed,
+                    }
+                }
+            }
+            None
+        }
+
+        fn more_slots(&self, b: usize, record: usize) -> &[SimAtomicU64] {
+            let run = self.s_u - 1;
+            &self.more[record][b * run..(b + 1) * run]
+        }
+
+        pub fn register(
+            &self,
+            lane: &mut Lane<'_>,
+            record: usize,
+            key: i64,
+            tid: u64,
+            epoch: u32,
+        ) -> bool {
+            let Some(b) = self.bucket_for(lane, key, epoch, true) else { return false };
+            let bucket = &self.buckets[b];
+            bucket.mark[record].store(u64::from(epoch), Ordering::Release);
+            let slot = match tid as usize % self.s_u {
+                0 => &bucket.slot0[record],
+                s => &self.more_slots(b, record)[s - 1],
+            };
+            lane.atomic_min_u64(slot, encode(epoch, tid));
+            true
+        }
+
+        pub fn min(&self, lane: &mut Lane<'_>, record: usize, key: i64, epoch: u32) -> Option<u64> {
+            let b = self.bucket_for(lane, key, epoch, false)?;
+            let bucket = &self.buckets[b];
+            lane.charge_light(12.0);
+            if bucket.mark[record].load(Ordering::Acquire) != u64::from(epoch) {
+                return None;
+            }
+            match self.ballot {
+                None => lane.charge_light(4.0 * self.s_u as f64),
+                Some(ws) => {
+                    lane.charge_light(4.0 * (self.s_u as f64 / ws as f64).ceil());
+                    lane.warp_shuffle((ws as u32).max(2).ilog2());
+                }
+            }
+            std::iter::once(&bucket.slot0[record])
+                .chain(self.more_slots(b, record))
+                .filter_map(|s| decode(s.load(), epoch))
+                .min()
+        }
+    }
+}
+
+/// Everything the simulated clock and the decisions see of one epoch: the
+/// charges of the registration and probe kernels (simulated time, the
+/// slowest warp's and all warps' cycles as bit patterns, atomics, their
+/// serialization depth), every registration's return, and both minima of
+/// every probed key.
+type EpochTrace = ([[u64; 5]; 2], Vec<bool>, Vec<(Option<u64>, Option<u64>)>);
+
+/// Run one epoch of `ops` (key, TID, is-write) through a log on `device`,
+/// then read both records of every key in `probe`.
+fn epoch_trace(
+    device: &Device,
+    ops: &[(i64, u64, bool)],
+    probe: &[i64],
+    register: impl Fn(&mut Lane<'_>, i64, u64, Record) -> bool + Sync,
+    min: impl Fn(&mut Lane<'_>, i64, Record) -> Option<u64> + Sync,
+) -> EpochTrace {
+    let charges = |r: &KernelReport| {
+        let bits = [r.sim_ns, r.critical_warp_cycles, r.total_warp_cycles].map(f64::to_bits);
+        [bits[0], bits[1], bits[2], r.atomic_ops, r.atomic_serial_depth]
+    };
+    let record = |write| if write { Record::Writes } else { Record::Reads };
+    let landed = Mutex::new(vec![false; ops.len()]);
+    let registered = device.launch("register", ops, |lane, &(key, tid, write)| {
+        let ok = register(lane, key, tid, record(write));
+        landed.lock()[lane.global_id] = ok;
+    });
+    let mins = Mutex::new(vec![(None, None); probe.len()]);
+    let probed = device.launch("probe", probe, |lane, &key| {
+        let both = (min(lane, key, Record::Reads), min(lane, key, Record::Writes));
+        mins.lock()[lane.global_id] = both;
+    });
+    ([charges(&registered), charges(&probed)], landed.into_inner(), mins.into_inner())
+}
+
+/// Every key `ops` names plus the first 32 (some of them unregistered).
+fn probe_keys(ops: &[(i64, u64, bool)]) -> Vec<i64> {
+    let keys: BTreeSet<i64> = ops.iter().map(|&(k, ..)| k).chain(0..32).collect();
+    keys.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// A log that stores only the buckets an epoch claims is the dense log
+    /// it replaced, as far as the simulated clock and the decisions can
+    /// tell: over three or four epochs, with one, 32 or 512 slots per
+    /// bucket, ballot probing on or off, 16 buckets (whose keys overflow
+    /// it, so registrations fail) or 1 024 (whose claims overflow the
+    /// physical table's first size, so they spill and the table grows at
+    /// `settle`), every kernel's charges are bit-equal, and so are every
+    /// registration's return and every minimum.
+    #[test]
+    fn a_log_of_claimed_buckets_charges_what_the_dense_log_did(
+        epochs in proptest::collection::vec(
+            proptest::collection::vec((0..1_000_000i64, 1..1_000u64, proptest::bool::ANY), 1..400),
+            3..5,
+        ),
+        s_h in prop_oneof![Just(16usize), Just(1_024)],
+        wide in proptest::bool::ANY,
+        s_u in prop_oneof![Just(1usize), Just(32), Just(512)],
+        ballot in proptest::bool::ANY,
+    ) {
+        // Keys below or above the bucket count.
+        let key_space = if wide { s_h as i64 * 5 / 2 } else { s_h as i64 / 2 };
+        let ws = ballot.then_some(32);
+        let mut sparse = TableLog::new(s_h, s_u);
+        if let Some(ws) = ws {
+            sparse = sparse.with_ballot_probe(ws);
+        }
+        let dense = dense::DenseLog::new(s_h, s_u, ws);
+        // One host thread each: lanes run in item order on both sides.
+        let (on_sparse, on_dense) =
+            (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
+        for (e, ops) in epochs.iter().enumerate() {
+            let epoch = e as u32 + 1;
+            let ops: Vec<(i64, u64, bool)> =
+                ops.iter().map(|&(k, tid, w)| (k % key_space, tid, w)).collect();
+            let probe = probe_keys(&ops);
+            let got = epoch_trace(
+                &on_sparse,
+                &ops,
+                &probe,
+                |lane, key, tid, record| match record {
+                    Record::Reads => sparse.register_read(lane, key, tid, epoch),
+                    Record::Writes => sparse.register_write(lane, key, tid, epoch),
+                },
+                |lane, key, record| match record {
+                    Record::Reads => sparse.min_read(lane, key, epoch),
+                    Record::Writes => sparse.min_write(lane, key, epoch),
+                },
+            );
+            let want = epoch_trace(
+                &on_dense,
+                &ops,
+                &probe,
+                |lane, key, tid, record| dense.register(lane, record as usize, key, tid, epoch),
+                |lane, key, record| dense.min(lane, record as usize, key, epoch),
+            );
+            prop_assert_eq!(got, want, "epoch {}", epoch);
+            sparse.settle();
+        }
+    }
+
+    /// The same equality through a `ConflictLog` whose one 8-row table is
+    /// remodelled by popularity twice: large-bucketed while the first epoch
+    /// registers at least 16 accesses, standard after a second epoch of at
+    /// most four, large again after a third of at least 16. A remodel
+    /// changes only the modelled geometry, and must charge what a freshly
+    /// built dense log of the new geometry charged.
+    #[test]
+    fn a_popularity_rebuild_charges_what_a_fresh_dense_log_did(
+        epochs in (
+            proptest::collection::vec((0..40i64, 1..1_000u64, proptest::bool::ANY), 16..120),
+            proptest::collection::vec((0..40i64, 1..1_000u64, proptest::bool::ANY), 1..5),
+            proptest::collection::vec((0..40i64, 1..1_000u64, proptest::bool::ANY), 16..120),
+            proptest::collection::vec((0..40i64, 1..1_000u64, proptest::bool::ANY), 1..120),
+        ),
+    ) {
+        let mut db = Database::new();
+        let t = db.add_table(TableBuilder::new("H").columns(["a"]).capacity(8).build());
+        let cfg = LtpgConfig { max_batch: 1 << 12, ..LtpgConfig::default() };
+        let mut log = ConflictLog::new(&db, &cfg);
+        let cell = |key| Cell { table: t, part: Part::Exists, key };
+        let (on_sparse, on_dense) =
+            (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
+        let mut geometry = (0, 0);
+        let mut dense = dense::DenseLog::new(16, 1, None);
+        let mut remodels = 0;
+        for (e, ops) in [&epochs.0, &epochs.1, &epochs.2, &epochs.3].into_iter().enumerate() {
+            let epoch = e as u32 + 1;
+            log.begin_batch();
+            // The row log's modelled geometry, read off its Table VIII row.
+            let report = log.memory_report();
+            let s_u = report[0].bucket_size;
+            let now = (report[0].bytes as usize / (32 + 32 * s_u), s_u);
+            if now != geometry {
+                remodels += usize::from(e > 0);
+                geometry = now;
+                dense = dense::DenseLog::new(now.0, now.1, Some(32));
+            }
+            let probe = probe_keys(ops);
+            let check = |record| if record == Record::Writes { Check::Write } else { Check::Read };
+            let got = epoch_trace(
+                &on_sparse,
+                ops,
+                &probe,
+                |lane, key, tid, record| log.register(lane, cell(key), check(record), tid),
+                |lane, key, record| log.min(lane, cell(key), record),
+            );
+            let want = epoch_trace(
+                &on_dense,
+                ops,
+                &probe,
+                |lane, key, tid, record| dense.register(lane, record as usize, key * 64, tid, epoch),
+                |lane, key, record| dense.min(lane, record as usize, key * 64, epoch),
+            );
+            prop_assert_eq!(got, want, "epoch {} at geometry {:?}", epoch, geometry);
+        }
+        prop_assert_eq!(remodels, 2);
     }
 }
 
