@@ -284,7 +284,7 @@ impl FaultInjector {
         for d in &self.plan.wal {
             match *d {
                 WalDamage::CorruptFrame { frame_index, xor } => {
-                    let frames = log.frame_spans().len();
+                    let frames = log.len();
                     if frames > 0 && log.corrupt_frame(frame_index % frames, xor.max(1)) {
                         report.frames_corrupted += 1;
                     }
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn damage_clamps_to_log_contents() {
         let log = BatchLog::new();
-        log.append(vec![1, 2], bytes::Bytes::from_static(b"payload"));
+        log.append(&[1, 2], b"payload");
         let inj = FaultInjector::new(FaultPlan {
             seed: 0,
             device: DeviceFaultPlan::none(),

@@ -97,7 +97,8 @@ pub use pipeline::{PipelineOutcome, PipelinedRunner};
 #[cfg(feature = "qa-inject")]
 pub use engine::qa_inject;
 pub use recovery::{
-    decode_subs, DurabilityManager, RecoveryError, RecoveryOptions, RecoveryOutcome, RecoveryStats, TailPolicy,
+    recover, replay_frames, replay_logged, DurabilityManager, RecoveryError, RecoveryOutcome,
+    RecoveryStats,
 };
 pub use server::{
     BatchSummary, LtpgServer, MergedWords, OneDevice, Replayer, Round, Server,

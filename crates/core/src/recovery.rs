@@ -8,35 +8,44 @@
 //! bit-for-bit — no per-transaction redo/undo logging, the signature
 //! economy of deterministic databases.
 //!
-//! [`DurabilityManager`] provides that surface. The "disk" is the simulated
-//! WAL of `ltpg-storage` (real checksummed frames via the binary codec of
+//! [`DurabilityManager`] provides that surface for one durability domain
+//! (the database, or one shard's slice). The "disk" is the simulated WAL of
+//! `ltpg-storage` (real checksummed frames via the binary codec of
 //! `ltpg-txn`, byte-accounted; only the medium is simulated) plus an
 //! in-memory checkpoint image.
 //!
-//! Recovery is *scan-based*: it walks the physical disk image frame by
-//! frame, so it sees exactly what a crash (or an injected fault) left
-//! behind. Three kinds of damage are distinguished:
+//! There is one replay ([`replay_logged`]; one batch, [`replay_frames`]):
+//! from the checkpoint images, each logged batch's frames are read through
+//! the WAL's one checked reader and run as a round of the topology's
+//! [`Replayer`]. Crash [`recover`]y, the degradation rebuild and standby
+//! rows all run it, so each meets what a crash (or an injected fault) left
+//! in the log. Three kinds of damage are distinguished:
 //!
 //! - a **torn tail** — the last frame is incomplete because the process
-//!   died mid-write. This is expected crash damage; the default
-//!   [`TailPolicy::Truncate`] drops it and replays the intact prefix.
-//!   [`TailPolicy::Strict`] reports it as [`RecoveryError::TornTail`].
-//! - a **corrupt frame** — a complete frame whose magic or CRC does not
-//!   match. This is never expected; it surfaces as
-//!   [`RecoveryError::Frame`] under every policy.
-//! - a **missing batch** — the frame sequence has a gap below the log's
-//!   logical tail; surfaces as [`RecoveryError::MissingBatch`].
+//!   died mid-write. This is expected crash damage: recovery drops it,
+//!   replays the intact prefix and reports it in [`RecoveryStats`].
+//! - a **corrupt frame** — a complete frame whose magic, length or CRC does
+//!   not check out. This is never expected; it surfaces as
+//!   [`RecoveryError::Frame`], from recovery (which checks every frame of
+//!   the image before it replays any) and from any replay that reads it.
+//! - a **missing batch** — a log holds no frame for a batch the replay
+//!   needs; surfaces as [`RecoveryError::MissingBatch`].
 //!
 //! All damage is reported through typed errors — recovery never panics on
 //! log contents.
 
-use bytes::Bytes;
-use ltpg_storage::{BatchLog, BatchRecord, Database, FrameError, ImageCopy, TailState};
+use std::ops::Range;
+use std::sync::Arc;
+
+use ltpg_storage::{BatchLog, Database, Frame, FrameError, ImageCopy, TailState};
+use ltpg_telemetry::{names, Registry};
 use ltpg_txn::codec::{decode_batch, encode_batch, DecodeError};
-use ltpg_txn::{Batch, BatchEngine};
+use ltpg_txn::Batch;
 
 use crate::config::LtpgConfig;
 use crate::engine::LtpgEngine;
+use crate::executor::Executor;
+use crate::server::{MergedWords, OneDevice, Replayer, Round, ServerError, Topology};
 
 /// Why recovery failed.
 #[derive(Debug)]
@@ -44,29 +53,22 @@ pub enum RecoveryError {
     /// A logged payload did not decode (the frame passed its CRC, so this
     /// indicates a codec mismatch, not disk damage).
     Corrupt(DecodeError),
-    /// The log is missing a batch between the checkpoint and the tail.
+    /// A log holds no complete frame for a batch the replay needs.
     MissingBatch(u64),
-    /// A complete frame failed its integrity checks (bad magic or CRC).
+    /// A complete frame failed its integrity checks (magic, length or CRC).
     Frame(FrameError),
-    /// The log ends in a partial frame and the caller asked for
-    /// [`TailPolicy::Strict`].
-    TornTail {
-        /// Byte offset at which the partial frame starts.
-        offset: usize,
-        /// Length of the partial frame, bytes.
-        bytes: usize,
-    },
+    /// The replayed round failed: its merged flag words do not match the
+    /// batch it was handed.
+    Round(Box<ServerError>),
 }
 
 impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecoveryError::Corrupt(e) => write!(f, "recovery failed: {e}"),
-            RecoveryError::MissingBatch(id) => write!(f, "recovery failed: batch {id} missing"),
-            RecoveryError::Frame(e) => write!(f, "recovery failed: {e}"),
-            RecoveryError::TornTail { offset, bytes } => {
-                write!(f, "recovery failed: torn tail of {bytes} bytes at offset {offset}")
-            }
+            RecoveryError::Corrupt(e) => write!(f, "logged payload does not decode: {e}"),
+            RecoveryError::MissingBatch(id) => write!(f, "batch {id} missing from the log"),
+            RecoveryError::Frame(e) => write!(f, "{e}"),
+            RecoveryError::Round(e) => write!(f, "replayed round failed: {e}"),
         }
     }
 }
@@ -76,7 +78,8 @@ impl std::error::Error for RecoveryError {
         match self {
             RecoveryError::Corrupt(e) => Some(e),
             RecoveryError::Frame(e) => Some(e),
-            _ => None,
+            RecoveryError::Round(e) => Some(&**e),
+            RecoveryError::MissingBatch(_) => None,
         }
     }
 }
@@ -87,34 +90,15 @@ impl From<FrameError> for RecoveryError {
     }
 }
 
-/// What to do about a partial frame at the end of the log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TailPolicy {
-    /// Drop the torn tail and replay the intact prefix (normal crash
-    /// recovery — the tail's batch never acknowledged durability).
-    #[default]
-    Truncate,
-    /// Treat a torn tail as an error. For callers that know the log was
-    /// cleanly closed and want silence to mean completeness.
-    Strict,
-}
-
-/// Recovery policy knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoveryOptions {
-    /// Torn-tail handling.
-    pub tail_policy: TailPolicy,
-}
-
 /// Counters describing one recovery pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Batches re-executed from the log.
+    /// Logged batches re-executed (a frame of every log apiece).
     pub frames_replayed: u64,
-    /// Bytes of torn tail dropped (0 when the log ended cleanly).
+    /// Bytes of torn tail dropped, over every log (0 when each ended
+    /// cleanly).
     pub bytes_truncated: u64,
-    /// Whether a torn tail was encountered (and, under
-    /// [`TailPolicy::Truncate`], dropped).
+    /// Whether a log ended in a torn frame, which was dropped.
     pub torn_tail: bool,
 }
 
@@ -151,8 +135,8 @@ impl DurabilityManager {
     /// original TIDs). Must be called once per executed batch, in order.
     /// Returns the assigned batch id.
     pub fn log_batch(&mut self, batch: &Batch) -> u64 {
-        let payload: Bytes = encode_batch(&batch.txns);
-        self.log.append(batch.txns.iter().map(|t| t.tid.0).collect(), payload)
+        let tids: Vec<u64> = batch.txns.iter().map(|t| t.tid.0).collect();
+        self.log.append(&tids, &encode_batch(&batch.txns))
     }
 
     /// Take a checkpoint of `db`, covering everything up to (excluding)
@@ -196,79 +180,14 @@ impl DurabilityManager {
         self.checkpoint.0
     }
 
-    /// Scan the physical log image, applying `opts.tail_policy`. Returns
-    /// the intact records plus tail accounting.
-    fn scan_disk(
-        &self,
-        opts: &RecoveryOptions,
-    ) -> Result<(Vec<BatchRecord>, RecoveryStats), RecoveryError> {
-        let scan = self.log.scan()?;
-        let mut stats = RecoveryStats::default();
-        if let TailState::Torn { offset, bytes } = scan.tail {
-            match opts.tail_policy {
-                TailPolicy::Strict => return Err(RecoveryError::TornTail { offset, bytes }),
-                TailPolicy::Truncate => {
-                    stats.torn_tail = true;
-                    stats.bytes_truncated = bytes as u64;
-                }
-            }
-        }
-        Ok((scan.records, stats))
-    }
-
-    /// Replay the logged batches after the checkpoint onto `engine`, which
-    /// must already hold the checkpoint image. `upto` bounds the replay to
-    /// batch ids `< upto` (None = everything intact on disk). This is the
-    /// engine-agnostic core of recovery: the same log replays onto the GPU
-    /// engine or the CPU fallback and — determinism — yields the same
-    /// database.
-    pub fn replay_onto<E: BatchEngine>(
-        &self,
-        engine: &mut E,
-        opts: &RecoveryOptions,
-        upto: Option<u64>,
-    ) -> Result<RecoveryStats, RecoveryError> {
-        let (records, mut stats) = self.scan_disk(opts)?;
-        let from = self.checkpoint.0;
-        let end = upto.unwrap_or(records.len() as u64);
-        for id in from..end {
-            let record = records
-                .get(id as usize)
-                .filter(|r| r.batch_id == id)
-                .ok_or(RecoveryError::MissingBatch(id))?;
-            let txns = decode_batch(&record.payload).map_err(RecoveryError::Corrupt)?;
-            let batch = Batch { txns };
-            // Replay: the commit rule re-derives the same committed set;
-            // aborted transactions were re-logged in their retry batches,
-            // so no extra scheduling is needed here.
-            let _ = engine.execute_batch(&batch);
-            stats.frames_replayed += 1;
-        }
-        let reg = ltpg_telemetry::global();
-        reg.counter(ltpg_telemetry::names::WAL_FRAMES_REPLAYED)
-            .add(stats.frames_replayed);
-        reg.counter(ltpg_telemetry::names::WAL_BYTES_TRUNCATED)
-            .add(stats.bytes_truncated);
-        Ok(stats)
-    }
-
-    /// Rebuild the database: clone the checkpoint, then re-execute every
-    /// intact logged batch after it through a fresh engine with `cfg`.
-    /// Determinism guarantees the result equals the lost live state.
-    pub fn recover(&self, cfg: LtpgConfig) -> Result<Database, RecoveryError> {
-        self.recover_with(cfg, &RecoveryOptions::default()).map(|o| o.db)
-    }
-
-    /// [`recover`](Self::recover) with explicit options and full
-    /// accounting of what the scan found.
-    pub fn recover_with(
-        &self,
-        cfg: LtpgConfig,
-        opts: &RecoveryOptions,
-    ) -> Result<RecoveryOutcome, RecoveryError> {
-        let mut engine = LtpgEngine::new(self.checkpoint.1.deep_clone(), cfg);
-        let stats = self.replay_onto(&mut engine, opts, None)?;
-        Ok(RecoveryOutcome { db: engine.into_database(), stats })
+    /// Crash recovery of this log alone ([`recover`] with the one-device
+    /// round): the checkpoint image plus every intact logged batch after
+    /// it, re-executed through a fresh engine with `cfg`. Determinism
+    /// guarantees the result equals the lost live state.
+    pub fn recover(&self, cfg: LtpgConfig) -> Result<RecoveryOutcome, RecoveryError> {
+        let (dbs, stats) = recover(std::slice::from_ref(self), &cfg, &OneDevice.replayer())?;
+        let db = dbs.into_iter().next().expect("one database per log");
+        Ok(RecoveryOutcome { db, stats })
     }
 
     /// A deep clone of the current checkpoint image (the starting point
@@ -286,19 +205,77 @@ impl DurabilityManager {
     }
 }
 
-/// One logged batch's WAL records (`records[s]` is shard `s`'s) as its
-/// per-shard sub-batches: the input of a replayed round.
-pub fn decode_subs(records: &[BatchRecord]) -> Result<Vec<Batch>, RecoveryError> {
-    let decode = |rec: &BatchRecord| decode_batch(&rec.payload).map(|txns| Batch { txns });
-    records.iter().map(decode).collect::<Result<_, _>>().map_err(RecoveryError::Corrupt)
+/// Crash recovery of a topology from its durability domains (`logs[s]` is
+/// shard `s`'s). Every image is checked frame by frame first — a damaged
+/// frame anywhere is an error, a torn tail is dropped and reported — then
+/// the joint checkpoint is replayed up to the joint cut (the fewest
+/// complete frames over the logs) through `replay`, on fresh engines that
+/// publish to a private registry. Returns each shard's rebuilt database.
+pub fn recover(
+    logs: &[DurabilityManager],
+    cfg: &LtpgConfig,
+    replay: &Replayer,
+) -> Result<(Vec<Database>, RecoveryStats), RecoveryError> {
+    let mut stats = RecoveryStats::default();
+    for dur in logs {
+        if let TailState::Torn { bytes, .. } = dur.log.verify()? {
+            stats.torn_tail = true;
+            stats.bytes_truncated += bytes as u64;
+        }
+    }
+    // Checkpoints are joint: every shard's is at the same batch id.
+    let from = logs.first().map_or(0, DurabilityManager::checkpoint_batch);
+    let cut = logs.iter().map(|dur| dur.logged_batches() as u64).min().unwrap_or(0).max(from);
+    let reg = Registry::new_shared();
+    let mut row: Vec<Executor> = (logs.iter())
+        .map(|dur| {
+            let db = dur.checkpoint_image();
+            LtpgEngine::with_telemetry(db, cfg.clone(), Arc::clone(&reg)).into()
+        })
+        .collect();
+    replay_logged(&mut row, logs, from..cut, replay, &reg)?;
+    stats.frames_replayed = cut - from;
+    Ok((row.into_iter().map(Executor::into_database).collect(), stats))
 }
 
-/// Logged batch `batch_id` as its per-shard sub-batches, read back from
-/// every shard's WAL, for degradation replay.
-pub(crate) fn logged_subs(logs: &[DurabilityManager], batch_id: u64) -> Result<Vec<Batch>, RecoveryError> {
-    let fetch = |dur: &DurabilityManager| dur.log().fetch(batch_id);
-    let records: Option<Vec<BatchRecord>> = logs.iter().map(fetch).collect();
-    decode_subs(&records.ok_or(RecoveryError::MissingBatch(batch_id))?)
+/// The one replay loop: logged batches `ids` of `logs` (one WAL per shard)
+/// onto `row` (one executor per shard, holding the state the range starts
+/// from) by [`replay_frames`]. Counts `wal.recovery.frames_replayed` on
+/// `reg`; returns the last batch's merged words. The executors must not
+/// lose their device (CPU twins, or engines with no fault plan armed): a
+/// lost round has no words.
+pub fn replay_logged(
+    row: &mut [Executor],
+    logs: &[DurabilityManager],
+    ids: Range<u64>,
+    replay: &Replayer,
+    reg: &Registry,
+) -> Result<MergedWords, RecoveryError> {
+    let replayed = reg.counter(names::WAL_FRAMES_REPLAYED);
+    let mut words = MergedWords::new();
+    for id in ids {
+        let frames: Option<Vec<Frame>> = logs.iter().map(|dur| dur.log.frame(id as usize)).collect();
+        let frames = frames.ok_or(RecoveryError::MissingBatch(id))?;
+        words = replay_frames(row, &frames, replay)?.words;
+        replayed.add(frames.len() as u64);
+    }
+    Ok(words)
+}
+
+/// One logged batch replayed: `frames[s]`, shard `s`'s frame of it as the
+/// log holds it (or as it was shipped), checked and decoded by the WAL's
+/// one reader, then one round of `replay` over `row`.
+pub fn replay_frames(
+    row: &mut [Executor],
+    frames: &[Frame],
+    replay: &Replayer,
+) -> Result<Round, RecoveryError> {
+    let sub = |frame: &Frame| -> Result<Batch, RecoveryError> {
+        let txns = decode_batch(&frame.decode()?.payload).map_err(RecoveryError::Corrupt)?;
+        Ok(Batch { txns })
+    };
+    let subs = frames.iter().map(sub).collect::<Result<Vec<_>, _>>()?;
+    replay(row, &subs).map_err(|e| RecoveryError::Round(Box::new(e)))
 }
 
 impl std::fmt::Debug for DurabilityManager {
@@ -313,8 +290,9 @@ impl std::fmt::Debug for DurabilityManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::twin::CpuTwin;
     use ltpg_storage::{ColId, TableBuilder};
-    use ltpg_txn::{IrOp, ProcId, Src, TidGen, Txn};
+    use ltpg_txn::{BatchEngine, IrOp, ProcId, Src, TidGen, Txn};
 
     fn contended_txns(t: ltpg_storage::TableId, n: usize, salt: i64) -> Vec<Txn> {
         (0..n as i64)
@@ -367,7 +345,7 @@ mod tests {
     fn recovery_reproduces_the_live_state_bit_for_bit() {
         let (dur, engine) = run_logged(5, 20);
         let live = engine.database().state_digest();
-        let recovered = dur.recover(LtpgConfig::default()).unwrap();
+        let recovered = dur.recover(LtpgConfig::default()).unwrap().db;
         assert_eq!(recovered.state_digest(), live);
         assert!(dur.log_bytes() > 0);
     }
@@ -398,8 +376,7 @@ mod tests {
                 assert!(round == 0 || (1..=12).contains(&copied.rows), "{copied:?}");
             }
         }
-        let outcome =
-            dur.recover_with(LtpgConfig::default(), &RecoveryOptions::default()).unwrap();
+        let outcome = dur.recover(LtpgConfig::default()).unwrap();
         assert_eq!(outcome.db.state_digest(), engine.database().state_digest());
         assert_eq!(outcome.stats.frames_replayed, 2, "checkpoint covers the first 7 batches");
         assert!(!outcome.stats.torn_tail);
@@ -410,28 +387,19 @@ mod tests {
         let (dur, engine) = run_logged(3, 16);
         let mut par_cfg = LtpgConfig::default();
         par_cfg.device.parallel_host_threads = 4;
-        let recovered = dur.recover(par_cfg).unwrap();
+        let recovered = dur.recover(par_cfg).unwrap().db;
         assert_eq!(recovered.state_digest(), engine.database().state_digest());
     }
 
     #[test]
-    fn torn_tail_truncates_by_default_and_errors_in_strict_mode() {
+    fn torn_tail_is_dropped_and_reported() {
         let (dur, _engine) = run_logged(4, 12);
         let torn = 5;
         assert_eq!(dur.log().tear_tail(torn), torn);
-
-        let outcome =
-            dur.recover_with(LtpgConfig::default(), &RecoveryOptions::default()).unwrap();
+        let outcome = dur.recover(LtpgConfig::default()).unwrap();
         assert!(outcome.stats.torn_tail);
         assert_eq!(outcome.stats.frames_replayed, 3, "the torn 4th frame is dropped");
         assert!(outcome.stats.bytes_truncated > 0);
-
-        let strict =
-            RecoveryOptions { tail_policy: TailPolicy::Strict };
-        match dur.recover_with(LtpgConfig::default(), &strict) {
-            Err(RecoveryError::TornTail { bytes, .. }) => assert!(bytes > 0),
-            other => panic!("expected TornTail, got {other:?}"),
-        }
     }
 
     #[test]
@@ -453,7 +421,7 @@ mod tests {
             }
         }
         dur.log().tear_tail(3);
-        let recovered = dur.recover(LtpgConfig::default()).unwrap();
+        let recovered = dur.recover(LtpgConfig::default()).unwrap().db;
         assert_eq!(recovered.state_digest(), reference.database().state_digest());
     }
 
@@ -469,13 +437,21 @@ mod tests {
         }
     }
 
+    /// The loop replays exactly its range, and names the first batch a log
+    /// does not hold.
     #[test]
-    fn replay_onto_respects_the_upto_bound() {
+    fn replay_logged_replays_exactly_its_range() {
         let (dur, _engine) = run_logged(5, 10);
-        let mut replayer = LtpgEngine::new(dur.checkpoint_image(), LtpgConfig::default());
-        let stats =
-            dur.replay_onto(&mut replayer, &RecoveryOptions::default(), Some(2)).unwrap();
-        assert_eq!(stats.frames_replayed, 2);
+        let (_, two) = run_logged(2, 10);
+        let (logs, replay, reg) = (std::slice::from_ref(&dur), OneDevice.replayer(), Registry::new());
+        let mut row = [Executor::from(CpuTwin::new(dur.checkpoint_image(), LtpgConfig::default()))];
+        replay_logged(&mut row, logs, 0..2, &replay, &reg).unwrap();
+        assert_eq!(row[0].database().state_digest(), two.database().state_digest());
+        assert_eq!(reg.counter_value(names::WAL_FRAMES_REPLAYED), 2);
+        match replay_logged(&mut row, logs, 2..7, &replay, &reg) {
+            Err(RecoveryError::MissingBatch(5)) => {}
+            other => panic!("expected batch 5 missing, got {other:?}"),
+        }
     }
 
     #[test]
@@ -494,8 +470,6 @@ mod tests {
     /// the log geometry of `run_logged(3, 10)`.
     fn dur_tail_len() -> usize {
         let (dur, _e) = run_logged(3, 10);
-        let spans = dur.log().frame_spans();
-        let (_, len) = spans[2];
-        len - 2
+        dur.log().frame(2).unwrap().bytes.len() - 2
     }
 }

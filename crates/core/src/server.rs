@@ -45,7 +45,7 @@ use crate::engine::{commit_decision, LtpgEngine};
 use crate::executor::{Executor, LostDevices};
 use crate::faults::{PromotionCrashpoint, ReplicaChaos};
 use crate::intake::{Formed, Intake};
-use crate::recovery::{logged_subs, DurabilityManager, RecoveryError};
+use crate::recovery::{replay_logged, DurabilityManager, RecoveryError};
 use crate::stats::FaultStats;
 use crate::twin::CpuTwin;
 
@@ -580,11 +580,10 @@ impl<T: Topology> Server<T> {
         let _ = writeln!(out, "simulated time        {:.1} us", st.sim_ns / 1e3);
         let _ = writeln!(
             out,
-            "faults                {} retries, {:.1} us backoff, {} fallback(s), {} frame(s) truncated",
+            "faults                {} retries, {:.1} us backoff, {} fallback(s)",
             f.transient_retries,
             f.backoff_ns / 1e3,
             f.fallback_activations,
-            f.frames_truncated,
         );
         let _ = writeln!(out, "degraded shards       {}", st.degraded_shards);
         let _ = writeln!(out, "failovers             {}", st.failovers);
@@ -646,12 +645,11 @@ impl<T: Topology> Server<T> {
             .collect();
         // Checkpoints are taken jointly (same tick on every shard), so
         // every shard replays the same id range.
+        let ids = shards.durability[0].checkpoint_batch()..shards.logged_batches();
         let replay = self.topology.replayer();
-        let mut last_words = MergedWords::new();
-        for b in shards.durability[0].checkpoint_batch()..shards.logged_batches() {
-            let subs = logged_subs(&shards.durability, b).map_err(ServerError::DegradationFailed)?;
-            last_words = replay(&mut twins, &subs)?.words;
-        }
+        let last_words =
+            replay_logged(&mut twins, &shards.durability, ids, &replay, &shards.telemetry)
+                .map_err(ServerError::DegradationFailed)?;
         shards.registries[failed].counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
         if let Some(pool) = &mut shards.pool {
             pool.rearm(Some(failed));
@@ -1040,7 +1038,7 @@ mod tests {
         );
         server.submit_all(txns);
         server.drain(200);
-        let recovered = server.durability().recover(LtpgConfig::default()).unwrap();
+        let recovered = server.durability().recover(LtpgConfig::default()).unwrap().db;
         assert_eq!(recovered.state_digest(), server.database().state_digest());
         assert!(server.durability().logged_batches() > 0);
     }

@@ -115,8 +115,8 @@ impl LtpgBatchStats {
 }
 
 /// Fault-handling counters, accumulated by [`crate::Server`] across
-/// its lifetime. All zeros unless a fault plan is armed (or the log is
-/// damaged), so dashboards can alert on any non-zero value.
+/// its lifetime. All zeros unless a fault plan is armed, so dashboards can
+/// alert on any non-zero value.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultStats {
     /// Batch or transfer attempts re-issued after a transient device
@@ -127,10 +127,6 @@ pub struct FaultStats {
     /// Simulated nanoseconds of wasted transfer time from in-place
     /// download retries (one PCIe round trip per retry).
     pub retry_penalty_ns: f64,
-    /// Torn WAL tails dropped during degradation replay.
-    pub frames_truncated: u64,
-    /// Bytes of torn WAL tail dropped during degradation replay.
-    pub bytes_truncated: u64,
     /// Times the server abandoned the device and rebuilt state on the CPU
     /// fallback executor.
     pub fallback_activations: u64,
@@ -150,8 +146,6 @@ impl FaultStats {
             transient_retries: sum(names::FAULT_TRANSIENT_RETRIES),
             backoff_ns: sum(names::FAULT_BACKOFF_NS) as f64,
             retry_penalty_ns: sum(names::FAULT_RETRY_PENALTY_NS) as f64,
-            frames_truncated: sum(names::FAULT_FRAMES_TRUNCATED),
-            bytes_truncated: sum(names::FAULT_BYTES_TRUNCATED),
             fallback_activations: sum(names::FAULT_FALLBACK_ACTIVATIONS),
         }
     }
@@ -216,7 +210,6 @@ mod tests {
         assert_eq!(f.transient_retries, 3);
         assert!((f.backoff_ns - 5_000.0).abs() < 1e-12);
         assert_eq!(f.fallback_activations, 1);
-        assert_eq!(f.frames_truncated, 0);
         // A registry with no fault activity reads back as the default view.
         assert_eq!(FaultStats::from_registry(&Registry::new()), FaultStats::default());
     }

@@ -406,7 +406,7 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
     }
     let recovered = single.durability().recover(cfg).map_err(|e| Divergence::WalReplay {
         detail: format!("recovery failed: {e:?}"),
-    })?;
+    })?.db;
     let (rec, live) = (recovered.state_digest(), single.database().state_digest());
     if rec != live {
         let detail = format!("recovered digest {rec:#018x} != live {live:#018x}");

@@ -13,9 +13,9 @@
 //!
 //! Replay needs nothing from the primary once a batch is in the WAL, so it
 //! does not run on the serving thread. [`ReplicaSet::observe`] only *ships*:
-//! it fetches the logged records of the batches a row is due (a refcount
-//! bump per payload) and sends them down the row's bounded channel. A
-//! worker thread per row owns the row's executors, decodes and applies.
+//! it copies the due batches' frames, damage included, out of the shards'
+//! logs and sends them down the row's bounded channel. A worker thread per
+//! row owns the row's executors, checks, decodes and applies.
 //! A full channel blocks the shipper, so a slow standby back-pressures the
 //! primary by at most [`SHIP_QUEUE_DEPTH`] batches instead of lagging
 //! without bound.
@@ -37,7 +37,7 @@
 //!
 //! The set is deliberately ignorant of *how* a batch is applied: it is
 //! handed an [`Applier`] at construction. [`round_applier`] is the one the
-//! servers use: decode the shards' WAL records and run the serving
+//! servers use: check and decode the shards' WAL frames and run the serving
 //! topology's own round over the row (`ltpg::Topology::replayer` — a lone
 //! device's prepare + finish, or the sharded lockstep round with its
 //! remote view over row peers), exactly mirroring primary execution. The
@@ -53,23 +53,22 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ltpg::{
-    decode_subs, DurabilityManager, Executor, LtpgConfig, LtpgEngine, Replayer, Server, Shards,
+    replay_frames, DurabilityManager, Executor, LtpgConfig, LtpgEngine, Replayer, Server, Shards,
     StandbyRows, Topology,
 };
 pub use ltpg::MergedWords;
 use ltpg_gpu_sim::{Device, DeviceError};
-use ltpg_storage::wal::BatchRecord;
-use ltpg_storage::Database;
+use ltpg_storage::{Database, Frame};
 use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
 
 use crate::health::{HealthMonitor, HealthVerdict, Heartbeat};
 
-/// Applies one logged batch — `records[s]` is shard `s`'s WAL record of it
-/// — to a standby row's executors (one per shard) and returns the merged
-/// conflict-flag words. Owned and thread-safe: every row's worker holds a
-/// clone and calls it off the serving thread.
+/// Applies one logged batch — `frames[s]` is shard `s`'s WAL frame of it,
+/// as shipped — to a standby row's executors (one per shard) and returns
+/// the merged conflict-flag words. Owned and thread-safe: every row's
+/// worker holds a clone and calls it off the serving thread.
 pub type Applier =
-    Arc<dyn Fn(&mut [Executor], &[BatchRecord]) -> Result<MergedWords, ReplicaError> + Send + Sync>;
+    Arc<dyn Fn(&mut [Executor], &[Frame]) -> Result<MergedWords, ReplicaError> + Send + Sync>;
 
 /// Batches a row's channel buffers before [`ReplicaSet::observe`] blocks.
 pub const SHIP_QUEUE_DEPTH: usize = 4;
@@ -77,13 +76,13 @@ pub const SHIP_QUEUE_DEPTH: usize = 4;
 /// Why a standby row could not apply a batch.
 #[derive(Debug, Clone)]
 pub enum ReplicaError {
-    /// The WAL has no record for this batch id (log damage or a torn
-    /// prefix — the row cannot safely continue).
+    /// The WAL has no complete frame for this batch id (log damage or a
+    /// torn prefix — the row cannot safely continue).
     WalGap {
         /// The missing batch id.
         batch_id: u64,
     },
-    /// The record decoded to garbage.
+    /// A frame failed its checks or decoded to garbage.
     Corrupt(String),
     /// The standby's own device died during replay.
     Dead(DeviceError),
@@ -136,8 +135,8 @@ impl Default for ReplicaConfig {
 /// One logged batch on its way to a row's worker.
 struct Shipment {
     batch_id: u64,
-    /// One record per shard.
-    records: Vec<BatchRecord>,
+    /// One frame per shard, its bytes as the log held them.
+    frames: Vec<Frame>,
 }
 
 /// What a worker hands back when it is joined.
@@ -182,8 +181,8 @@ impl Worker {
 /// failed row gets an error instead of a full queue.
 fn replay(mut engines: Vec<Executor>, rx: Receiver<Shipment>, applier: Applier) -> WorkerExit {
     let (mut applied, mut last_words, mut failure) = (0, None, None);
-    for Shipment { batch_id, records } in rx {
-        match applier(&mut engines, &records) {
+    for Shipment { batch_id, frames } in rx {
+        match applier(&mut engines, &frames) {
             Ok(words) => {
                 applied += 1;
                 last_words = Some(words);
@@ -426,9 +425,9 @@ impl ReplicaSet {
     ) {
         while row.shipped < target {
             let batch_id = row.shipped;
-            let records: Option<Vec<BatchRecord>> =
-                logs.iter().map(|dur| dur.log().fetch(batch_id)).collect();
-            let Some(records) = records else {
+            let frames: Option<Vec<Frame>> =
+                logs.iter().map(|dur| dur.log().frame(batch_id as usize)).collect();
+            let Some(frames) = frames else {
                 self.join_row(row, demoted);
                 if row.alive() {
                     self.demote(row, batch_id, ReplicaError::WalGap { batch_id }, demoted);
@@ -436,7 +435,7 @@ impl ReplicaSet {
                 return;
             };
             let Some(tx) = row.sender(&self.applier) else { return };
-            let _ = tx.send(Shipment { batch_id, records });
+            let _ = tx.send(Shipment { batch_id, frames });
             row.shipped += 1;
         }
     }
@@ -494,15 +493,14 @@ impl Drop for ReplicaSet {
     }
 }
 
-/// The servers' [`Applier`]: decode the shards' records of one logged
-/// batch and run the serving topology's round over the row. The row's
-/// reports are discarded — determinism guarantees they match the
-/// primaries' — and a standby that hits a device fault is demoted, not
-/// retried.
+/// The servers' [`Applier`]: `ltpg::replay_frames`, the replay recovery
+/// runs, with the serving topology's round. The row's reports are
+/// discarded — determinism guarantees they match the primaries' — and a
+/// standby that hits a device fault is demoted, not retried.
 pub fn round_applier(replay: Replayer) -> Applier {
-    Arc::new(move |row, records| {
-        let subs = decode_subs(records).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
-        let round = replay(row, &subs).map_err(|e| ReplicaError::Corrupt(e.to_string()))?;
+    Arc::new(move |row, frames| {
+        let round = replay_frames(row, frames, &replay)
+            .map_err(|e| ReplicaError::Corrupt(e.to_string()))?;
         match round.lost {
             Some((_, e)) => Err(ReplicaError::Dead(e)),
             None => Ok(round.words),

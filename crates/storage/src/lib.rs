@@ -36,4 +36,4 @@ pub use table::{
     membership_key, membership_partition, RowId, Table, TableError, MEMBERSHIP_MARKER_KEY,
     MEMBERSHIP_PARTITION_SHIFT,
 };
-pub use wal::{BatchLog, BatchRecord, FrameError, TailState, WalScan};
+pub use wal::{BatchLog, BatchRecord, Frame, FrameError, TailState};

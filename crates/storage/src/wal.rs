@@ -5,10 +5,10 @@
 //! TIDs** to keep re-execution deterministic (§IV). This module provides
 //! that durability surface with a real on-disk format over a simulated
 //! medium: every appended batch is encoded as a checksummed frame into a
-//! byte image (`disk`), and recovery re-parses that image. Only the
-//! physical medium is simulated — the parsing, checksums, and torn-tail
-//! handling are the real thing, which is what makes fault injection
-//! ([`BatchLog::corrupt_byte`], [`BatchLog::tear_tail`]) meaningful.
+//! byte image, the log's only copy. Only the physical medium is simulated
+//! — the framing, checksums and torn-tail handling are the real thing, so
+//! fault injection ([`BatchLog::corrupt_byte`], [`BatchLog::tear_tail`])
+//! reaches every reader: recovery, a degradation rebuild, a standby.
 //!
 //! ## Frame format (big-endian)
 //!
@@ -20,11 +20,14 @@
 //! crc       u32   CRC-32 (IEEE) over `body`
 //! ```
 //!
-//! A frame is written once, in place at the end of the image: no body or
-//! frame buffer is built on the way.
+//! A frame is written once, in place at the end of the image, and found by
+//! the end offsets kept beside it. [`Frame::decode`] is the one checked
+//! reader (magic, body length against the frame's extent, CRC, then the
+//! body), over the copy [`BatchLog::frame`] hands out.
+
+use std::ops::Range;
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{Buf, BufMut, Bytes};
 
@@ -161,7 +164,51 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_combine(!ca, !cb, b.len())
 }
 
-/// One durable batch record.
+/// Append one batch's checksummed frame to `image` in place — magic, body
+/// length, body, CRC-32 of the body — and return the frame's length.
+fn write_frame(image: &mut Vec<u8>, batch_id: u64, tids: &[u64], payload: &[u8]) -> usize {
+    let body_len = 8 + 4 + 8 * tids.len() + 4 + payload.len();
+    image.reserve(FRAME_OVERHEAD + body_len);
+    image.put_u32(FRAME_MAGIC);
+    image.put_u32(body_len as u32);
+    let body = image.len();
+    image.put_u64(batch_id);
+    image.put_u32(tids.len() as u32);
+    for t in tids {
+        image.put_u64(*t);
+    }
+    image.put_u32(payload.len() as u32);
+    image.put_slice(payload);
+    let crc = crc32(&image[body..]);
+    image.put_u32(crc);
+    FRAME_OVERHEAD + body_len
+}
+
+/// The body of `frame` (frame `frame_index`, at byte `offset`), once its
+/// magic, a body length spanning exactly the frame and its CRC check out.
+fn check_frame(frame: &[u8], frame_index: usize, offset: usize) -> Result<&[u8], FrameError> {
+    let bad_body = FrameError::BadBody { frame_index, offset };
+    if frame.len() < FRAME_OVERHEAD {
+        return Err(bad_body);
+    }
+    let word = |at: usize| u32::from_be_bytes(frame[at..at + 4].try_into().expect("four bytes"));
+    let found = word(0);
+    if found != FRAME_MAGIC {
+        return Err(FrameError::BadMagic { frame_index, offset, found });
+    }
+    let body_len = word(4) as usize;
+    if body_len != frame.len() - FRAME_OVERHEAD {
+        return Err(bad_body);
+    }
+    let body = &frame[8..8 + body_len];
+    let (stored, computed) = (word(8 + body_len), crc32(body));
+    if stored != computed {
+        return Err(FrameError::ChecksumMismatch { frame_index, offset, stored, computed });
+    }
+    Ok(body)
+}
+
+/// One durable batch record: a checked frame's body, decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchRecord {
     /// Monotonic batch sequence number.
@@ -173,27 +220,6 @@ pub struct BatchRecord {
 }
 
 impl BatchRecord {
-    /// Append this record's checksummed frame to `image` in place —
-    /// magic, body length, body, CRC-32 of the body — and return the
-    /// frame's length.
-    fn write_frame(&self, image: &mut Vec<u8>) -> usize {
-        let body_len = 8 + 4 + 8 * self.tids.len() + 4 + self.payload.len();
-        image.reserve(FRAME_OVERHEAD + body_len);
-        image.put_u32(FRAME_MAGIC);
-        image.put_u32(body_len as u32);
-        let body = image.len();
-        image.put_u64(self.batch_id);
-        image.put_u32(self.tids.len() as u32);
-        for t in &self.tids {
-            image.put_u64(*t);
-        }
-        image.put_u32(self.payload.len() as u32);
-        image.put_slice(&self.payload);
-        let crc = crc32(&image[body..]);
-        image.put_u32(crc);
-        FRAME_OVERHEAD + body_len
-    }
-
     /// Decode a CRC-verified frame body. Internal length fields are
     /// re-validated so a hostile (or buggy) body can never cause a panic.
     fn decode_body(mut body: &[u8]) -> Option<BatchRecord> {
@@ -215,8 +241,8 @@ impl BatchRecord {
     }
 }
 
-/// A frame that failed validation during a scan. Torn tails are *not*
-/// frame errors — they are reported separately via [`WalScan::tail`].
+/// A complete frame that failed its checks. Torn tails are *not* frame
+/// errors — [`BatchLog::verify`] reports them as [`TailState::Torn`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// The bytes at `offset` do not start with [`FRAME_MAGIC`].
@@ -239,8 +265,10 @@ pub enum FrameError {
         /// Checksum recomputed over the body.
         computed: u32,
     },
-    /// The CRC verified but the body's internal length fields are
-    /// inconsistent (writer bug or checksum collision).
+    /// A length field is inconsistent: the header's body length does not
+    /// span the frame (a damaged header), or the CRC verified but the
+    /// body's own tid and payload lengths do not add up (writer bug or
+    /// checksum collision).
     BadBody {
         /// Index of the frame that failed (0-based).
         frame_index: usize,
@@ -269,7 +297,7 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// State of the log image's tail after a scan.
+/// State of the log image's tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TailState {
     /// The image ends exactly on a frame boundary.
@@ -284,25 +312,67 @@ pub enum TailState {
     },
 }
 
-/// Result of parsing the physical log image.
-#[derive(Debug, Clone)]
-pub struct WalScan {
-    /// Every frame that validated, in log order.
-    pub records: Vec<BatchRecord>,
-    /// Whether the image ends cleanly or with a torn (partial) frame.
-    pub tail: TailState,
+/// One complete frame's bytes as they lie in the image, damage included,
+/// copied out with where they lay: what a standby is shipped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// Position of the frame in the log — the batch id it was appended
+    /// under, unless a torn tail was truncated and appended over.
+    pub index: usize,
+    /// Byte offset of the frame in the log image.
+    pub offset: usize,
+    /// The frame: magic, body length, body, CRC.
+    pub bytes: Vec<u8>,
+}
+
+impl Frame {
+    /// The one checked reader: check the frame's magic, length and CRC,
+    /// then decode its body.
+    pub fn decode(&self) -> Result<BatchRecord, FrameError> {
+        let body = check_frame(&self.bytes, self.index, self.offset)?;
+        BatchRecord::decode_body(body)
+            .ok_or(FrameError::BadBody { frame_index: self.index, offset: self.offset })
+    }
+}
+
+/// The physical log: the frames back to back, where each complete one ends
+/// (frame `i` starts where `i - 1` ends; bytes past the last end are a torn
+/// tail), the next batch id, and the bytes ever appended (a tear shrinks
+/// the image, not that count).
+#[derive(Debug, Default)]
+struct Image {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    next_batch_id: u64,
+    bytes_written: u64,
+}
+
+impl Image {
+    /// Byte range of frame `index`, if it is complete.
+    fn span(&self, index: usize) -> Option<Range<usize>> {
+        let end = *self.ends.get(index)?;
+        Some(index.checked_sub(1).map_or(0, |prev| self.ends[prev])..end)
+    }
+
+    /// Check every complete frame in order, stopping at the first damaged
+    /// one, and report what follows the last.
+    fn verify(&self) -> Result<TailState, FrameError> {
+        let mut start = 0;
+        for (index, &end) in self.ends.iter().enumerate() {
+            check_frame(&self.bytes[start..end], index, start)?;
+            start = end;
+        }
+        Ok(match self.bytes.len() - start {
+            0 => TailState::Clean,
+            bytes => TailState::Torn { offset: start, bytes },
+        })
+    }
 }
 
 /// An append-only batch log over a simulated disk image.
 #[derive(Debug, Default)]
 pub struct BatchLog {
-    /// Logical view: what the writer appended (undamaged).
-    records: Mutex<Vec<BatchRecord>>,
-    /// Physical view: the encoded byte image. Fault injection mutates
-    /// this; recovery parses it.
-    disk: Mutex<Vec<u8>>,
-    bytes_written: AtomicU64,
-    next_batch_id: AtomicU64,
+    image: Mutex<Image>,
 }
 
 impl BatchLog {
@@ -311,78 +381,58 @@ impl BatchLog {
         BatchLog::default()
     }
 
-    /// Append a batch, returning its assigned batch id.
-    pub fn append(&self, tids: Vec<u64>, payload: Bytes) -> u64 {
-        // Lock order: disk before records, matching every other method
-        // that takes both. The id is drawn under the lock, so a record's
-        // id is its position in both views whoever else is appending.
-        let mut disk = self.disk.lock();
-        let batch_id = self.next_batch_id.fetch_add(1, Ordering::Relaxed);
-        let rec = BatchRecord { batch_id, tids, payload };
-        let frame_len = rec.write_frame(&mut disk) as u64;
-        self.bytes_written.fetch_add(frame_len, Ordering::Relaxed);
+    /// Append a batch — its TIDs in assignment order and its serialized
+    /// parameters — as one frame, returning its batch id. The id is drawn
+    /// under the image's lock, so ids follow the frames' order whoever else
+    /// is appending.
+    pub fn append(&self, tids: &[u64], payload: &[u8]) -> u64 {
+        let mut image = self.image.lock();
+        let Image { bytes, ends, next_batch_id, bytes_written } = &mut *image;
+        let batch_id = *next_batch_id;
+        *next_batch_id += 1;
+        let frame_len = write_frame(bytes, batch_id, tids, payload) as u64;
+        ends.push(bytes.len());
+        *bytes_written += frame_len;
         let reg = ltpg_telemetry::global();
         reg.counter(ltpg_telemetry::names::WAL_FRAMES_APPENDED).inc();
         reg.counter(ltpg_telemetry::names::WAL_BYTES_APPENDED).add(frame_len);
-        self.records.lock().push(rec);
         batch_id
     }
 
-    /// Fetch a batch from the *logical* view (original TIDs preserved).
-    /// Unaffected by injected faults; recovery paths should use
-    /// [`BatchLog::scan`] instead.
-    pub fn fetch(&self, batch_id: u64) -> Option<BatchRecord> {
-        // Ids are dense from 0 in append order: index, then check.
-        let records = self.records.lock();
-        records.get(usize::try_from(batch_id).ok()?).filter(|r| r.batch_id == batch_id).cloned()
+    /// A copy of frame `index`'s bytes as the image holds them, damage
+    /// included; `None` when the image holds no complete frame there
+    /// (never written, or torn off). Read it with [`Frame::decode`].
+    pub fn frame(&self, index: usize) -> Option<Frame> {
+        let image = self.image.lock();
+        let span = image.span(index)?;
+        Some(Frame { index, offset: span.start, bytes: image.bytes[span].to_vec() })
     }
 
-    /// Number of batches appended (logical view).
+    /// Number of complete frames in the image.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.image.lock().ends.len()
     }
 
-    /// Whether the log is empty.
+    /// Whether the image holds no complete frame.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Total encoded bytes "written to disk".
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
+        self.image.lock().bytes_written
     }
 
     /// Size of the physical image right now (shrinks under
     /// [`BatchLog::tear_tail`] / [`BatchLog::truncate_torn_tail`]).
     pub fn disk_len(&self) -> usize {
-        self.disk.lock().len()
-    }
-
-    /// Byte spans `(offset, len)` of each complete frame in the image,
-    /// derived from frame headers without validating checksums.
-    pub fn frame_spans(&self) -> Vec<(usize, usize)> {
-        let disk = self.disk.lock();
-        let mut spans = Vec::new();
-        let mut off = 0usize;
-        while disk.len() - off >= FRAME_OVERHEAD {
-            let body_len =
-                u32::from_be_bytes([disk[off + 4], disk[off + 5], disk[off + 6], disk[off + 7]])
-                    as usize;
-            let frame_len = body_len + FRAME_OVERHEAD;
-            if disk.len() - off < frame_len {
-                break;
-            }
-            spans.push((off, frame_len));
-            off += frame_len;
-        }
-        spans
+        self.image.lock().bytes.len()
     }
 
     /// Fault injection: XOR one byte of the physical image.
     /// Out-of-range positions are ignored (the injector may race a tear).
     pub fn corrupt_byte(&self, pos: usize, xor: u8) {
-        let mut disk = self.disk.lock();
-        if let Some(b) = disk.get_mut(pos) {
+        if let Some(b) = self.image.lock().bytes.get_mut(pos) {
             *b ^= xor;
         }
     }
@@ -391,94 +441,46 @@ impl BatchLog {
     /// `frame_index`, so the damage is caught by the CRC rather than the
     /// magic check. Returns `false` if no such frame exists.
     pub fn corrupt_frame(&self, frame_index: usize, xor: u8) -> bool {
-        let spans = self.frame_spans();
-        let Some(&(off, len)) = spans.get(frame_index) else {
-            return false;
-        };
-        debug_assert!(len > FRAME_OVERHEAD);
+        let mut image = self.image.lock();
+        let Some(span) = image.span(frame_index) else { return false };
         // First body byte (the batch id's high byte).
-        self.corrupt_byte(off + 8, if xor == 0 { 0xFF } else { xor });
+        image.bytes[span.start + 8] ^= if xor == 0 { 0xFF } else { xor };
         true
     }
 
     /// Fault injection: a torn write — drop the last `drop_bytes` bytes of
-    /// the physical image, as if the machine died mid-`write(2)`. Returns
-    /// the number of bytes actually dropped.
+    /// the physical image, as if the machine died mid-`write(2)`. A frame
+    /// the tear reaches is no longer complete. Returns the number of bytes
+    /// actually dropped.
     pub fn tear_tail(&self, drop_bytes: usize) -> usize {
-        let mut disk = self.disk.lock();
-        let dropped = drop_bytes.min(disk.len());
-        let keep = disk.len() - dropped;
-        disk.truncate(keep);
+        let mut image = self.image.lock();
+        let dropped = drop_bytes.min(image.bytes.len());
+        let keep = image.bytes.len() - dropped;
+        image.bytes.truncate(keep);
+        while image.ends.last().is_some_and(|&end| end > keep) {
+            image.ends.pop();
+        }
         dropped
     }
 
-    /// Parse the physical image. Stops at the first invalid frame
-    /// (`Err`), or returns every valid record plus the tail state. A
-    /// partial trailing frame is *not* an error — it is reported as
-    /// [`TailState::Torn`] for the caller's truncation policy.
-    pub fn scan(&self) -> Result<WalScan, FrameError> {
-        let disk = self.disk.lock();
-        let mut records = Vec::new();
-        let mut off = 0usize;
-        let mut frame_index = 0usize;
-        while off < disk.len() {
-            let remaining = disk.len() - off;
-            if remaining < FRAME_OVERHEAD {
-                return Ok(WalScan { records, tail: TailState::Torn { offset: off, bytes: remaining } });
-            }
-            let magic = u32::from_be_bytes([disk[off], disk[off + 1], disk[off + 2], disk[off + 3]]);
-            if magic != FRAME_MAGIC {
-                return Err(FrameError::BadMagic { frame_index, offset: off, found: magic });
-            }
-            let body_len =
-                u32::from_be_bytes([disk[off + 4], disk[off + 5], disk[off + 6], disk[off + 7]])
-                    as usize;
-            if remaining < body_len + FRAME_OVERHEAD {
-                return Ok(WalScan { records, tail: TailState::Torn { offset: off, bytes: remaining } });
-            }
-            let body = &disk[off + 8..off + 8 + body_len];
-            let crc_off = off + 8 + body_len;
-            let stored = u32::from_be_bytes([
-                disk[crc_off],
-                disk[crc_off + 1],
-                disk[crc_off + 2],
-                disk[crc_off + 3],
-            ]);
-            let computed = crc32(body);
-            if stored != computed {
-                return Err(FrameError::ChecksumMismatch {
-                    frame_index,
-                    offset: off,
-                    stored,
-                    computed,
-                });
-            }
-            let record = BatchRecord::decode_body(body)
-                .ok_or(FrameError::BadBody { frame_index, offset: off })?;
-            records.push(record);
-            off += body_len + FRAME_OVERHEAD;
-            frame_index += 1;
-        }
-        Ok(WalScan { records, tail: TailState::Clean })
+    /// Check every complete frame of the image — magic, length, CRC — and
+    /// decode none. Stops at the first damaged frame (`Err`); otherwise
+    /// reports the tail. A partial trailing frame is *not* an error — it is
+    /// [`TailState::Torn`], for the caller to drop.
+    pub fn verify(&self) -> Result<TailState, FrameError> {
+        self.image.lock().verify()
     }
 
-    /// Detect-and-truncate recovery policy: if the image ends with a
-    /// partial frame, drop those bytes and return how many were dropped.
-    /// Complete-but-corrupt frames are left untouched (they surface as
-    /// `Err` from [`BatchLog::scan`]).
+    /// Detect-and-truncate: verify every complete frame, then drop a torn
+    /// tail and return how many bytes were dropped. A damaged complete
+    /// frame fails the call and nothing is dropped.
     pub fn truncate_torn_tail(&self) -> Result<usize, FrameError> {
-        let scan = self.scan()?;
-        match scan.tail {
+        let mut image = self.image.lock();
+        match image.verify()? {
             TailState::Clean => Ok(0),
             TailState::Torn { offset, bytes } => {
-                let mut disk = self.disk.lock();
-                // Re-check under the lock: the tail may have changed.
-                if disk.len() == offset + bytes {
-                    disk.truncate(offset);
-                    Ok(bytes)
-                } else {
-                    Ok(0)
-                }
+                image.bytes.truncate(offset);
+                Ok(bytes)
             }
         }
     }
@@ -488,112 +490,162 @@ impl BatchLog {
 mod tests {
     use super::*;
 
+    /// Frame `index` of `log`, read back through the checked reader.
+    fn read(log: &BatchLog, index: usize) -> Option<Result<BatchRecord, FrameError>> {
+        log.frame(index).map(|frame| frame.decode())
+    }
+
     #[test]
     fn append_assigns_monotonic_ids_and_fetch_roundtrips() {
         let log = BatchLog::new();
-        let id0 = log.append(vec![1, 2, 3], Bytes::from_static(b"abc"));
-        let id1 = log.append(vec![4], Bytes::from_static(b"d"));
+        let id0 = log.append(&[1, 2, 3], b"abc");
+        let id1 = log.append(&[4], b"d");
         assert_eq!((id0, id1), (0, 1));
-        let r = log.fetch(0).unwrap();
+        let r = read(&log, 0).unwrap().unwrap();
         assert_eq!(r.tids, vec![1, 2, 3]);
         assert_eq!(&r.payload[..], b"abc");
-        assert!(log.fetch(99).is_none());
+        assert!(log.frame(99).is_none());
         assert_eq!(log.len(), 2);
     }
 
     #[test]
     fn fetch_finds_every_id_of_a_long_log_and_nothing_else() {
         let log = BatchLog::new();
-        assert!(log.fetch(0).is_none(), "empty log");
+        assert!(log.frame(0).is_none(), "empty log");
         for i in 0..2_000u64 {
-            assert_eq!(log.append(vec![i * 3], Bytes::new()), i);
+            assert_eq!(log.append(&[i * 3], &[]), i);
         }
         for i in 0..2_000u64 {
-            let r = log.fetch(i).unwrap_or_else(|| panic!("id {i} not found"));
+            let r = read(&log, i as usize).unwrap_or_else(|| panic!("id {i} not found"));
+            let r = r.unwrap_or_else(|e| panic!("id {i}: {e}"));
             assert_eq!((r.batch_id, &r.tids[..]), (i, &[i * 3][..]));
         }
-        assert!(log.fetch(2_000).is_none(), "one past the end");
-        assert!(log.fetch(u64::MAX).is_none());
+        assert!(log.frame(2_000).is_none(), "one past the end");
+        assert!(log.frame(usize::MAX).is_none());
+    }
+
+    /// Damage is met by whoever reads the damaged frame: in a 2 000-frame
+    /// log a corrupted frame reads as a checksum mismatch and a torn one is
+    /// not there, while every other frame still reads as appended.
+    #[test]
+    fn damaged_and_torn_frames_are_errors_where_they_lie() {
+        let log = BatchLog::new();
+        for i in 0..2_000u64 {
+            log.append(&[i], &i.to_be_bytes());
+        }
+        let shipped = log.frame(1_999).unwrap();
+        assert!(log.corrupt_frame(700, 0x40));
+        assert_eq!(log.tear_tail(3), 3);
+        let offset = log.frame(700).unwrap().offset;
+        match read(&log, 700) {
+            Some(Err(FrameError::ChecksumMismatch { frame_index: 700, offset: at, .. })) => {
+                assert_eq!(at, offset);
+            }
+            other => panic!("expected a checksum mismatch at frame 700, got {other:?}"),
+        }
+        assert!(log.frame(1_999).is_none(), "the torn frame is not complete");
+        assert_eq!(log.len(), 1_999);
+        for i in (0..700).chain(701..1_999) {
+            let r = read(&log, i).unwrap().unwrap_or_else(|e| panic!("frame {i}: {e}"));
+            let id = i as u64;
+            assert_eq!((r.batch_id, &r.tids[..], &r.payload[..]), (id, &[id][..], &id.to_be_bytes()[..]));
+        }
+        assert!(matches!(log.verify(), Err(FrameError::ChecksumMismatch { frame_index: 700, .. })));
+        // A copy taken before the damage reads as it was taken.
+        assert_eq!(shipped.decode().unwrap().batch_id, 1_999);
     }
 
     #[test]
     fn byte_accounting_matches_frame_sizes() {
         let log = BatchLog::new();
-        log.append(vec![7, 8], Bytes::from_static(b"xyzw"));
+        log.append(&[7, 8], b"xyzw");
         // Body: 8 (batch id) + 4 (tid count) + 16 (tids) + 4 (len)
         // + 4 (payload) = 36; frame adds magic + body_len + crc = 12.
         assert_eq!(log.bytes_written(), 48);
         assert_eq!(log.disk_len(), 48);
-        assert_eq!(log.frame_spans(), vec![(0, 48)]);
+        let frame = log.frame(0).unwrap();
+        assert_eq!((frame.offset, frame.bytes.len()), (0, 48));
     }
 
     #[test]
     fn scan_roundtrips_clean_image() {
         let log = BatchLog::new();
-        log.append(vec![1], Bytes::from_static(b"a"));
-        log.append(vec![2, 3], Bytes::from_static(b"bc"));
-        let scan = log.scan().unwrap();
-        assert_eq!(scan.tail, TailState::Clean);
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.records[0].tids, vec![1]);
-        assert_eq!(scan.records[1].batch_id, 1);
-        assert_eq!(&scan.records[1].payload[..], b"bc");
+        assert_eq!(log.verify(), Ok(TailState::Clean), "empty log");
+        log.append(&[1], b"a");
+        log.append(&[2, 3], b"bc");
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        assert_eq!(read(&log, 0).unwrap().unwrap().tids, vec![1]);
+        let r = read(&log, 1).unwrap().unwrap();
+        assert_eq!((r.batch_id, &r.payload[..]), (1, &b"bc"[..]));
     }
 
     #[test]
     fn corrupt_body_is_a_checksum_mismatch() {
         let log = BatchLog::new();
-        log.append(vec![1], Bytes::from_static(b"a"));
-        log.append(vec![2], Bytes::from_static(b"b"));
+        log.append(&[1], b"a");
+        log.append(&[2], b"b");
         assert!(log.corrupt_frame(0, 0x40));
-        match log.scan() {
+        match log.verify() {
             Err(FrameError::ChecksumMismatch { frame_index: 0, .. }) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
+        assert!(matches!(read(&log, 0), Some(Err(FrameError::ChecksumMismatch { .. }))));
+        assert!(read(&log, 1).unwrap().is_ok(), "the next frame still reads");
     }
 
     #[test]
     fn corrupt_magic_is_bad_magic() {
         let log = BatchLog::new();
-        log.append(vec![1], Bytes::from_static(b"a"));
+        log.append(&[1], b"a");
         log.corrupt_byte(0, 0xFF);
-        match log.scan() {
+        match log.verify() {
             Err(FrameError::BadMagic { frame_index: 0, offset: 0, .. }) => {}
             other => panic!("expected bad magic, got {other:?}"),
         }
     }
 
+    /// A flipped body-length field no longer spans its frame: the header is
+    /// damaged, and the frame after it is still found.
+    #[test]
+    fn corrupt_length_is_a_bad_body() {
+        let log = BatchLog::new();
+        log.append(&[1], b"a");
+        log.append(&[2], b"b");
+        log.corrupt_byte(7, 0x01);
+        let bad = FrameError::BadBody { frame_index: 0, offset: 0 };
+        assert_eq!(log.verify(), Err(bad.clone()));
+        assert_eq!(read(&log, 0), Some(Err(bad)));
+        assert_eq!(read(&log, 1).unwrap().unwrap().tids, vec![2]);
+    }
+
     #[test]
     fn torn_tail_detected_and_truncated() {
         let log = BatchLog::new();
-        log.append(vec![1], Bytes::from_static(b"a"));
-        log.append(vec![2], Bytes::from_static(b"b"));
+        log.append(&[1], b"a");
+        log.append(&[2], b"b");
         let torn = 5;
         log.tear_tail(torn);
-        let scan = log.scan().unwrap();
-        assert_eq!(scan.records.len(), 1, "partial second frame must not decode");
-        match scan.tail {
-            TailState::Torn { bytes, .. } => assert!(bytes > 0),
-            TailState::Clean => panic!("tail should be torn"),
+        assert_eq!(log.len(), 1, "partial second frame must not read");
+        match log.verify() {
+            Ok(TailState::Torn { bytes, .. }) => assert!(bytes > 0),
+            other => panic!("tail should be torn, got {other:?}"),
         }
         let dropped = log.truncate_torn_tail().unwrap();
         assert!(dropped > 0);
-        let rescan = log.scan().unwrap();
-        assert_eq!(rescan.tail, TailState::Clean);
-        assert_eq!(rescan.records.len(), 1);
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        assert_eq!(log.len(), 1);
     }
 
     #[test]
     fn tear_of_whole_frames_leaves_clean_shorter_log() {
         let log = BatchLog::new();
-        log.append(vec![1], Bytes::from_static(b"a"));
+        log.append(&[1], b"a");
         let first = log.disk_len();
-        log.append(vec![2], Bytes::from_static(b"b"));
+        log.append(&[2], b"b");
         let second = log.disk_len() - first;
         log.tear_tail(second);
-        let scan = log.scan().unwrap();
-        assert_eq!(scan.tail, TailState::Clean);
-        assert_eq!(scan.records.len(), 1);
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        assert_eq!(log.len(), 1);
     }
 
     #[test]
@@ -671,25 +723,24 @@ mod tests {
     fn disk_image_bytes_are_pinned() {
         let log = BatchLog::new();
         let image = |log: &BatchLog| {
-            let disk = log.disk.lock();
-            (disk.len(), fnv64(&disk))
+            let image = log.image.lock();
+            (image.bytes.len(), fnv64(&image.bytes))
         };
-        log.append(vec![], Bytes::new());
-        log.append(vec![1, 2, 3], Bytes::from_static(b"abc"));
-        log.append((10..300).collect(), Bytes::from(pseudo_random_bytes(1_000)));
-        log.append(vec![u64::MAX], Bytes::from_static(b"\x00\xff"));
+        log.append(&[], &[]);
+        log.append(&[1, 2, 3], b"abc");
+        log.append(&(10..300).collect::<Vec<u64>>(), &pseudo_random_bytes(1_000));
+        log.append(&[u64::MAX], b"\x00\xff");
         let appended = image(&log);
         assert_eq!(log.tear_tail(7), 7);
         let dropped = log.truncate_torn_tail().unwrap();
         let truncated = image(&log);
-        log.append(vec![5], Bytes::from_static(b"after a tear"));
+        log.append(&[5], b"after a tear");
         assert_eq!(appended, (3_469, 0xdea5_c400_1a83_f2a8));
         assert_eq!(dropped, 31, "the last frame is 38 bytes");
         assert_eq!(truncated, (3_431, 0x727b_b64c_7f99_1633));
         assert_eq!(image(&log), (3_479, 0xa90b_80ed_7ec8_3d00));
-        let scan = log.scan().unwrap();
-        assert_eq!(scan.tail, TailState::Clean);
-        assert_eq!(scan.records.len(), 4);
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        assert_eq!(log.len(), 4);
     }
 
     #[test]
@@ -700,16 +751,15 @@ mod tests {
                 let log = &log;
                 s.spawn(move |_| {
                     for _ in 0..100 {
-                        log.append(vec![], Bytes::new());
+                        log.append(&[], &[]);
                     }
                 });
             }
         })
         .unwrap();
         assert_eq!(log.len(), 800);
-        let mut ids: Vec<u64> = log.records.lock().iter().map(|r| r.batch_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 800);
+        for i in 0..800 {
+            assert_eq!(read(&log, i).unwrap().unwrap().batch_id, i as u64, "an id is its position");
+        }
     }
 }

@@ -116,10 +116,9 @@ pub const SERVER_CHECKPOINTS: &str = "server.checkpoints";
 pub const WAL_FRAMES_APPENDED: &str = "wal.frames_appended";
 /// Counter: bytes appended to the write-ahead log.
 pub const WAL_BYTES_APPENDED: &str = "wal.bytes_appended";
-/// Counter: frames replayed during crash recovery.
+/// Counter: WAL frames replayed by crash recovery or a degradation rebuild,
+/// on the registry the replay is handed.
 pub const WAL_FRAMES_REPLAYED: &str = "wal.recovery.frames_replayed";
-/// Counter: torn-tail bytes truncated during crash recovery.
-pub const WAL_BYTES_TRUNCATED: &str = "wal.recovery.bytes_truncated";
 /// Counter: row slots (cells + key) copied into checkpoint images.
 pub const DURABILITY_CHECKPOINT_ROWS_COPIED: &str = "durability.checkpoint_rows_copied";
 /// Counter: primary-index slots copied into checkpoint images.
@@ -143,20 +142,14 @@ pub const FAULT_BACKOFF_NS: &str = "faults.backoff_ns";
 /// fault-invariant view of engine time (the ingestion front-end's steady
 /// clock) subtract both.
 pub const FAULT_RETRY_PENALTY_NS: &str = "faults.retry_penalty_ns";
-/// Counter: torn WAL frames dropped during degraded recovery.
-pub const FAULT_FRAMES_TRUNCATED: &str = "faults.frames_truncated";
-/// Counter: bytes truncated from the WAL during degraded recovery.
-pub const FAULT_BYTES_TRUNCATED: &str = "faults.bytes_truncated";
 /// Counter: graceful degradations to the CPU fallback engine.
 pub const FAULT_FALLBACK_ACTIVATIONS: &str = "faults.fallback_activations";
 
 /// All fault counters, in export order.
-pub const FAULT_COUNTERS: [&str; 6] = [
+pub const FAULT_COUNTERS: [&str; 4] = [
     FAULT_TRANSIENT_RETRIES,
     FAULT_BACKOFF_NS,
     FAULT_RETRY_PENALTY_NS,
-    FAULT_FRAMES_TRUNCATED,
-    FAULT_BYTES_TRUNCATED,
     FAULT_FALLBACK_ACTIVATIONS,
 ];
 

@@ -83,7 +83,7 @@ fn main() {
 
     // Crash! Rebuild from the checkpoint + log and compare.
     let live_digest = engine.database().state_digest();
-    let recovered = dur.recover(lcfg).expect("recovery");
+    let recovered = dur.recover(lcfg).expect("recovery").db;
     println!(
         "recovery: {} batches logged ({} KB), recovered digest {} live digest {}",
         dur.logged_batches(),

@@ -290,7 +290,7 @@ fn routing_a_single_shard_transaction_allocates_nothing() {
 
 /// Allocator calls of one steady-state `DurabilityManager::log_batch` of
 /// `batch_size` YCSB-A transactions: the median over sixteen batches, so
-/// the occasional regrowth of the disk image and of the record list (both
+/// the occasional regrowth of the disk image and of its frame-end list (both
 /// amortized over the log's life) is not counted.
 fn log_batch_calls(batch_size: usize) -> u64 {
     let (db, _table, mut gen) = YcsbGenerator::new(ycsb(4_096, 1));

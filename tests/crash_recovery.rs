@@ -15,8 +15,8 @@
 //!   fallback with bit-identical commit history.
 
 use ltpg::{
-    DurabilityManager, FaultHorizon, FaultInjector, FaultPlan, LtpgConfig, LtpgEngine,
-    LtpgServer, RecoveryError, RecoveryOptions, ServerConfig, TailPolicy,
+    DurabilityManager, Executor, FaultHorizon, FaultInjector, FaultPlan, LtpgConfig, LtpgEngine,
+    LtpgServer, OneDevice, RecoveryError, ServerConfig, Topology,
 };
 use ltpg_shard::{Partitioner, RebalanceOp, RebalancePlan, ShardedServer, TableRule};
 use ltpg_storage::{ColId, Database, FrameError, TableBuilder, TableId};
@@ -190,9 +190,7 @@ fn run_one_seed(seed: u64) -> SweepObservations {
     // Crash aftermath: damage the on-disk log the way a dying process
     // would, then recover.
     let damage = injector.damage_wal(server.durability().log());
-    let outcome =
-        server.durability().recover_with(cfg, &RecoveryOptions { tail_policy: TailPolicy::Truncate });
-    match outcome {
+    match server.durability().recover(cfg) {
         Ok(o) => {
             assert_eq!(
                 damage.frames_corrupted, 0,
@@ -345,6 +343,99 @@ fn sharded_recovery_off_delta_images_across_a_cutover_matches_the_uncrashed_run(
     assert!(copied > 2 * 256 && copied < 3 * 256 + 16 * 14, "rows copied: {copied}");
 }
 
+/// Crash recovery of a sharded server through the one replay loop. A
+/// 4-shard server that checkpoints every second batch dies one batch past
+/// its last checkpoint; shard 1's tail is torn (or left whole) and all four
+/// logs are recovered with the server's own sharding replayer. Every shard
+/// lands on the un-crashed run's slice at the joint cut — the fewest
+/// complete frames over the shards — so a batch one shard lost is replayed
+/// on none.
+#[test]
+fn sharded_recovery_replays_every_log_to_the_joint_cut() {
+    const T: TableId = TableId(0);
+    let mut db = Database::new();
+    db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(512).build());
+    for k in 0..256 {
+        db.table(T).insert(k, &[k, -k]).unwrap();
+    }
+    let part = Partitioner::new(4, TableRule::Hash);
+    let mut s = 0x00c0_ffee_u64;
+    let stream: Vec<Txn> = (0..16 * 12)
+        .map(|_| {
+            let (k1, k2) = ((splitmix64(&mut s) % 256) as i64, (splitmix64(&mut s) % 256) as i64);
+            let ops = vec![
+                IrOp::Read { table: T, key: Src::Const(k1), col: ColId(0), out: 0 },
+                IrOp::Add { table: T, key: Src::Const(k2), col: ColId(1), delta: Src::Const(3) },
+            ];
+            Txn::new(ProcId(0), vec![], ops)
+        })
+        .collect();
+    let slices = |server: &ShardedServer| -> Vec<u64> {
+        (0..4).map(|s| server.database(s).state_digest()).collect()
+    };
+    for tear in [0, 5] {
+        let scfg = ServerConfig {
+            batch_size: 16,
+            pipelined: false,
+            checkpoint_every: Some(2),
+            ..ServerConfig::default()
+        };
+        let mut server =
+            ShardedServer::new(db.deep_clone(), part.clone(), LtpgConfig::default(), scfg);
+        server.submit_all(stream.iter().cloned());
+        // The slices after every batch: the run that never crashed.
+        let mut digests = vec![slices(&server)];
+        while server.stats().batches < 7 {
+            let before = server.stats().batches;
+            server.tick().expect("work is queued");
+            if server.stats().batches > before {
+                digests.push(slices(&server));
+            }
+        }
+        let logs = &server.shards().durability;
+        assert_eq!((logs[0].checkpoint_batch(), logs[0].logged_batches()), (6, 7));
+        logs[1].log().tear_tail(tear);
+        let cut = logs.iter().map(DurabilityManager::logged_batches).min().unwrap();
+        assert_eq!(cut, if tear == 0 { 7 } else { 6 });
+        let replay = server.topology().replayer();
+        let (dbs, stats) = ltpg::recover(logs, &LtpgConfig::default(), &replay)
+            .unwrap_or_else(|e| panic!("tear {tear}: a torn tail is not damage: {e}"));
+        assert_eq!((stats.torn_tail, stats.frames_replayed), (tear > 0, cut as u64 - 6));
+        let recovered: Vec<u64> = dbs.iter().map(Database::state_digest).collect();
+        assert_eq!(recovered, digests[cut], "tear {tear}: every slice at batch {cut}");
+    }
+}
+
+/// The degradation rebuild reads the log as it lies: a frame corrupted
+/// behind the last checkpoint of a live server stops the rebuild a device
+/// loss starts, as a typed error out of the tick — it is never rebuilt from
+/// a copy the damage missed.
+#[test]
+fn degradation_rebuild_reads_the_damaged_log() {
+    let (db, plain, hot) = build_db();
+    let scfg = ServerConfig {
+        batch_size: SWEEP_BATCH,
+        pipelined: false,
+        checkpoint_every: Some(4),
+        ..ServerConfig::default()
+    };
+    let mut server = LtpgServer::new(db, engine_cfg(hot), scfg);
+    server.submit_all(mixed_txns(plain, hot, 7, SWEEP_TXNS));
+    while server.stats().batches < 6 {
+        server.tick().expect("work is queued");
+    }
+    let dur = server.durability();
+    assert_eq!((dur.checkpoint_batch(), dur.logged_batches()), (4, 6));
+    assert!(dur.log().corrupt_frame(5, 0x10));
+    server.force_device_failure();
+    match server.try_tick() {
+        Err(ltpg::ServerError::DegradationFailed(RecoveryError::Frame(
+            FrameError::ChecksumMismatch { frame_index, .. },
+        ))) => assert_eq!(frame_index, 5),
+        other => panic!("expected the rebuild to meet the corrupt frame, got {other:?}"),
+    }
+}
+
 #[test]
 fn forced_device_loss_drains_remaining_workload_on_cpu_identically() {
     let (db, plain, hot) = build_db();
@@ -467,10 +558,7 @@ fn promotion_crashpoint_sweep_recovers_to_the_uncrashed_digest() {
         // The "process" died mid-cutover. Recovery replays checkpoint +
         // WAL (which includes the in-flight batch, logged before
         // execution) and must land exactly on the un-crashed history.
-        let out = server
-            .durability()
-            .recover_with(cfg, &RecoveryOptions { tail_policy: TailPolicy::Truncate })
-            .expect("seed {seed}: the log is undamaged");
+        let out = server.durability().recover(cfg).expect("seed {seed}: the log is undamaged");
         let total = server.durability().checkpoint_batch() + out.stats.frames_replayed;
         assert!(total > 0, "seed {seed}: the crashed run must have logged batches");
         assert_eq!(
@@ -519,8 +607,8 @@ fn recovery_error_frame_checksum() {
 fn recovery_error_frame_bad_magic() {
     let (dur, _engine, cfg) = logged_history(2, 2);
     // Flip a byte of frame 1's magic (first byte of the frame).
-    let spans = dur.log().frame_spans();
-    dur.log().corrupt_byte(spans[1].0, 0xFF);
+    let offset = dur.log().frame(1).expect("frame 1 is logged").offset;
+    dur.log().corrupt_byte(offset, 0xFF);
     match dur.recover(cfg) {
         Err(RecoveryError::Frame(FrameError::BadMagic { frame_index, .. })) => {
             assert_eq!(frame_index, 1)
@@ -530,23 +618,27 @@ fn recovery_error_frame_bad_magic() {
 }
 
 #[test]
-fn recovery_error_torn_tail_strict() {
-    let (dur, _engine, cfg) = logged_history(3, 3);
-    dur.log().tear_tail(7);
-    match dur.recover_with(cfg, &RecoveryOptions { tail_policy: TailPolicy::Strict }) {
-        Err(RecoveryError::TornTail { bytes, .. }) => assert!(bytes > 0),
-        other => panic!("expected TornTail, got {other:?}"),
+fn recovery_error_missing_batch() {
+    let (dur, _engine, cfg) = logged_history(2, 4);
+    let mut row = [Executor::from(LtpgEngine::new(dur.checkpoint_image(), cfg))];
+    let beyond = dur.logged_batches() as u64 + 1;
+    let (logs, replay) = (std::slice::from_ref(&dur), OneDevice.replayer());
+    match ltpg::replay_logged(&mut row, logs, 0..beyond, &replay, &Registry::new()) {
+        Err(RecoveryError::MissingBatch(id)) => assert_eq!(id, beyond - 1),
+        other => panic!("expected MissingBatch, got {other:?}"),
     }
 }
 
 #[test]
-fn recovery_error_missing_batch() {
-    let (dur, _engine, cfg) = logged_history(2, 4);
-    let mut replayer = LtpgEngine::new(dur.checkpoint_image(), cfg);
-    let beyond = dur.logged_batches() as u64 + 1;
-    match dur.replay_onto(&mut replayer, &RecoveryOptions::default(), Some(beyond)) {
-        Err(RecoveryError::MissingBatch(id)) => assert_eq!(id, beyond - 1),
-        other => panic!("expected MissingBatch, got {other:?}"),
+fn recovery_error_round() {
+    let (dur, _engine, cfg) = logged_history(2, 5);
+    let refuse: ltpg::Replayer =
+        std::sync::Arc::new(|_, _| Err(ltpg::ServerError::MissingFlagWord { tid: 7 }));
+    match ltpg::recover(std::slice::from_ref(&dur), &cfg, &refuse) {
+        Err(RecoveryError::Round(e)) => {
+            assert!(matches!(*e, ltpg::ServerError::MissingFlagWord { tid: 7 }), "{e}")
+        }
+        other => panic!("expected a failed round, got {other:?}"),
     }
 }
 
@@ -556,7 +648,7 @@ fn recovery_error_corrupt_payload() {
     let dur = DurabilityManager::new(&db);
     // A frame whose CRC is fine but whose payload is not a batch encoding:
     // codec-level corruption, distinct from disk damage.
-    dur.log().append(vec![1], bytes::Bytes::copy_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF]));
+    dur.log().append(&[1], &[0xDE, 0xAD, 0xBE, 0xEF]);
     match dur.recover(engine_cfg(hot)) {
         Err(RecoveryError::Corrupt(_)) => {}
         other => panic!("expected Corrupt, got {other:?}"),
@@ -575,16 +667,15 @@ proptest! {
     fn recovery_is_idempotent(seed in 0u64..1_000, rounds in 1usize..4, tear in 0usize..64) {
         let (dur, _engine, cfg) = logged_history(rounds, seed);
         dur.log().tear_tail(tear);
-        let opts = RecoveryOptions { tail_policy: TailPolicy::Truncate };
-        let once = dur.recover_with(cfg.clone(), &opts).unwrap();
-        let twice = dur.recover_with(cfg.clone(), &opts).unwrap();
+        let once = dur.recover(cfg.clone()).unwrap();
+        let twice = dur.recover(cfg.clone()).unwrap();
         prop_assert_eq!(once.db.state_digest(), twice.db.state_digest());
         prop_assert_eq!(once.stats, twice.stats);
 
         // Physical repair: drops the torn tail, keeps the replayable set.
         let dropped = dur.repair_wal().unwrap();
         prop_assert_eq!(dur.repair_wal().unwrap(), 0, "repair is idempotent");
-        let repaired = dur.recover_with(cfg, &opts).unwrap();
+        let repaired = dur.recover(cfg).unwrap();
         prop_assert_eq!(once.db.state_digest(), repaired.db.state_digest());
         prop_assert!(!repaired.stats.torn_tail);
         if once.stats.torn_tail {

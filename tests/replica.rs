@@ -263,3 +263,54 @@ fn qa_runner_accepts_replicated_chaos_schedules() {
         assert!(fired[cell as usize] > 0, "no case fired {cell:?}: {fired:?}");
     }
 }
+
+/// A standby row is shipped the log's bytes, damage included. A row held
+/// three batches behind meets a frame corrupted inside the held window when
+/// the primary's loss makes it catch up, and is demoted with that cause,
+/// which the summary names. The rebuild that takes over then starts at the
+/// checkpoint past the damage, so the fault-free history is still served.
+#[test]
+fn a_standby_catching_up_over_a_corrupt_frame_is_demoted_with_its_cause() {
+    let cfg = YcsbConfig::new(YcsbWorkload::A, 2_048).with_seed(0xfa11).with_alpha(0.4);
+    let (db, _table, mut gen) = YcsbGenerator::new(cfg);
+    let scfg = ServerConfig {
+        batch_size: BATCH,
+        pipelined: false,
+        checkpoint_every: Some(2),
+        ..ServerConfig::default()
+    };
+    let stream = gen.gen_batch(BATCH * 2 * BATCHES);
+    let mut reference = LtpgServer::new(db.deep_clone(), LtpgConfig::default(), scfg.clone());
+    reference.submit_all(stream.iter().cloned());
+    reference.drain(400);
+
+    let mut server = LtpgServer::new(db, LtpgConfig::default(), scfg);
+    ltpg_replica::attach(&mut server, &ReplicaConfig::default());
+    server.arm_replica_chaos(ReplicaChaos { standby_lag: Some((0, 3)), ..ReplicaChaos::none() });
+    server.submit_all(stream);
+    while server.stats().batches < 4 {
+        server.tick().expect("work is queued");
+    }
+    // Batches 0..4 are logged and checkpointed; the held row was shipped
+    // batch 0 alone, so frame 2 lies inside its window.
+    assert_eq!(server.durability().checkpoint_batch(), 4);
+    assert!(server.durability().log().corrupt_frame(2, 0x10));
+    server.force_device_failure();
+    server.drain(400);
+
+    assert!(server.is_degraded(), "the only row was demoted, so the twin took over");
+    assert_eq!(server.database().state_digest(), reference.database().state_digest());
+    let reg = server.telemetry();
+    assert_eq!(reg.counter_value(names::REPLICA_DEMOTIONS), 1);
+    assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 0);
+    let summary = server.summary();
+    let demoted = summary
+        .lines()
+        .find(|line| line.starts_with("standby demoted"))
+        .unwrap_or_else(|| panic!("no demotion in the summary:\n{summary}"));
+    assert!(
+        demoted.contains("row 0 at batch 2: corrupt WAL record: frame 2 at byte ")
+            && demoted.contains("checksum mismatch"),
+        "{demoted}"
+    );
+}
