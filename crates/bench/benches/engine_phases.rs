@@ -10,13 +10,19 @@
 //!   execute kernel, staging, conflict-log registration, the detect-item
 //!   flatten and the detect kernel;
 //! * `finish` — `try_finish_batch`: write-back, delayed-update merge and
-//!   report assembly (dropping the batch's buffered outcomes included).
+//!   report assembly (dropping the batch's buffered outcomes included);
+//! * `prepare_2_threads` — `prepare` again on an engine whose device has two
+//!   host threads: a helper runs the execute kernel's pre-pass (the warp's
+//!   row touch, speculation and staging) ahead of the lanes.
 //!
-//! `prepare − speculate` is registration + detection + staging; the split
-//! quoted in DESIGN.md "Hot path" comes from here, so it can be regenerated
-//! without patching timers into the engine. Every sample runs a fresh batch
-//! (a finished TPC-C batch cannot be finished twice); batches are generated
-//! and dropped outside the timed region.
+//! The first three run on one host thread. `prepare − speculate` is
+//! registration + detection + staging, and `prepare − prepare_2_threads`
+//! what the helper takes off the launching thread; the split quoted in
+//! DESIGN.md "Hot path" comes from here, so it can be regenerated without
+//! patching timers into the engine. Every sample runs a fresh batch (a
+//! finished TPC-C batch cannot be finished twice); batches are generated and
+//! dropped outside the timed region. The two-thread engine is built after
+//! the one-thread one is dropped, over the same generated database.
 
 use std::cell::RefCell;
 
@@ -32,75 +38,88 @@ const BATCH: usize = 4_096;
 /// batches `finish` applies, which the TPC-C insert headroom must cover.
 const SAMPLES: usize = 10;
 
-fn bench_workload(
-    c: &mut Criterion,
-    name: &str,
-    engine: LtpgEngine,
-    mut gen: impl FnMut(usize) -> Vec<Txn>,
-) {
-    let engine = RefCell::new(engine);
-    let mut tids = TidGen::new();
-    let mut fresh = move || Batch::assemble(Vec::new(), gen(BATCH), &mut tids);
+/// Build an engine on `threads` host threads with its transaction generator.
+type Build<G> = fn(usize) -> (LtpgEngine, G);
+
+fn bench_workload<G: FnMut(usize) -> Vec<Txn>>(c: &mut Criterion, name: &str, build: Build<G>) {
     let mut group = c.benchmark_group(format!("engine_phases/{name}").as_str());
     group.sample_size(SAMPLES);
-
-    let batch = fresh();
-    group.bench_function(BenchmarkId::from_parameter("speculate"), |b| {
-        let engine = engine.borrow();
-        b.iter(|| {
-            for txn in &batch.txns {
-                black_box(execute_speculative(engine.database(), txn).ok());
-            }
-        });
-    });
-
-    // What a sample produced is parked here and dropped by the next
-    // set-up, outside the timed region.
-    let parked = RefCell::new(Vec::new());
-    group.bench_function(BenchmarkId::from_parameter("prepare"), |b| {
-        b.iter_batched(
-            || {
-                parked.borrow_mut().clear();
-                fresh()
-            },
-            |batch| {
-                let prepared = engine.borrow_mut().try_prepare_batch(&batch, None).unwrap();
-                parked.borrow_mut().push((batch, Some(prepared)));
-            },
-            BatchSize::PerIteration,
-        );
-    });
-    group.bench_function(BenchmarkId::from_parameter("finish"), |b| {
-        b.iter_batched(
-            || {
-                parked.borrow_mut().clear();
-                let batch = fresh();
-                let prepared = engine.borrow_mut().try_prepare_batch(&batch, None).unwrap();
-                (batch, prepared)
-            },
-            |(batch, prepared)| {
-                let report = engine.borrow_mut().try_finish_batch(&batch, prepared, None).unwrap();
-                assert!(!report.report.committed.is_empty());
-                parked.borrow_mut().push((batch, None));
-            },
-            BatchSize::PerIteration,
-        );
-    });
+    let phases: [(usize, &[&str]); 2] =
+        [(1, &["speculate", "prepare", "finish"]), (2, &["prepare_2_threads"])];
+    for (threads, labels) in phases {
+        let (engine, mut gen) = build(threads);
+        let engine = RefCell::new(engine);
+        let mut tids = TidGen::new();
+        let mut fresh = move || Batch::assemble(Vec::new(), gen(BATCH), &mut tids);
+        // What a sample produced is parked here and dropped by the next
+        // set-up, outside the timed region.
+        let parked = RefCell::new(Vec::new());
+        let batch = fresh();
+        for &label in labels {
+            match label {
+                "speculate" => group.bench_function(BenchmarkId::from_parameter(label), |b| {
+                    let engine = engine.borrow();
+                    b.iter(|| {
+                        for txn in &batch.txns {
+                            black_box(execute_speculative(engine.database(), txn).ok());
+                        }
+                    });
+                }),
+                "prepare" | "prepare_2_threads" => {
+                    group.bench_function(BenchmarkId::from_parameter(label), |b| {
+                        b.iter_batched(
+                            || {
+                                parked.borrow_mut().clear();
+                                fresh()
+                            },
+                            |batch| {
+                                let prepared = engine.borrow_mut().try_prepare_batch(&batch, None).unwrap();
+                                parked.borrow_mut().push((batch, Some(prepared)));
+                            },
+                            BatchSize::PerIteration,
+                        );
+                    })
+                }
+                _ => group.bench_function(BenchmarkId::from_parameter(label), |b| {
+                    b.iter_batched(
+                        || {
+                            parked.borrow_mut().clear();
+                            let batch = fresh();
+                            let prepared = engine.borrow_mut().try_prepare_batch(&batch, None).unwrap();
+                            (batch, prepared)
+                        },
+                        |(batch, prepared)| {
+                            let report = engine.borrow_mut().try_finish_batch(&batch, prepared, None).unwrap();
+                            assert!(!report.report.committed.is_empty());
+                            parked.borrow_mut().push((batch, None));
+                        },
+                        BatchSize::PerIteration,
+                    );
+                }),
+            };
+        }
+    }
     group.finish();
 }
 
 fn bench_tpcc(c: &mut Criterion) {
-    let wl = TpccConfig::new(8, 50).with_headroom(4 * SAMPLES * BATCH);
-    let (db, tables, mut gen) = TpccGenerator::new(wl);
-    let engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, BATCH, OptFlags::all()));
-    bench_workload(c, "tpcc_8wh", engine, move |n| gen.gen_batch(n));
+    bench_workload(c, "tpcc_8wh", |threads| {
+        let wl = TpccConfig::new(8, 50).with_headroom(4 * SAMPLES * BATCH);
+        let (db, tables, mut gen) = TpccGenerator::new(wl);
+        let mut cfg = ltpg_tpcc_config(&tables, BATCH, OptFlags::all());
+        cfg.device.parallel_host_threads = threads;
+        (LtpgEngine::new(db, cfg), move |n| gen.gen_batch(n))
+    });
 }
 
 fn bench_ycsb(c: &mut Criterion) {
-    let wl = YcsbConfig::new(YcsbWorkload::A, 1_000_000).with_alpha(0.6);
-    let (db, _table, mut gen) = YcsbGenerator::new(wl);
-    let engine = LtpgEngine::new(db, LtpgConfig { max_batch: BATCH, ..LtpgConfig::default() });
-    bench_workload(c, "ycsb_a_1m_zipf06", engine, move |n| gen.gen_batch(n));
+    bench_workload(c, "ycsb_a_1m_zipf06", |threads| {
+        let wl = YcsbConfig::new(YcsbWorkload::A, 1_000_000).with_alpha(0.6);
+        let (db, _table, mut gen) = YcsbGenerator::new(wl);
+        let mut cfg = LtpgConfig { max_batch: BATCH, ..LtpgConfig::default() };
+        cfg.device.parallel_host_threads = threads;
+        (LtpgEngine::new(db, cfg), move |n| gen.gen_batch(n))
+    });
 }
 
 criterion_group!(benches, bench_tpcc, bench_ycsb);

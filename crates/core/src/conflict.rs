@@ -282,9 +282,10 @@ impl Claimed {
                 }
                 match key.compare_exchange(cur, want, Ordering::AcqRel, Ordering::Acquire) {
                     Ok(_) => {
-                        // A statistic for sizing, so not a locked add: with
-                        // two host threads an increment may be lost, which
-                        // only delays the table's growth by a batch.
+                        // A statistic for sizing, so not a locked add:
+                        // lanes run on one host thread, and were two to
+                        // race, a lost increment would only delay the
+                        // table's growth by a batch.
                         let claims = &self.claims;
                         claims.store(claims.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
                         return Some(Held { entry: &self.entries[p], runs: self.runs.get(p) });
@@ -1040,25 +1041,28 @@ mod tests {
         assert_eq!(extreme.bucket_size(), 512);
     }
 
+    /// Registration stays on the lanes when a pre-pass (here: each lane's
+    /// key and TID) runs on helper threads, so the minima and every charge
+    /// are those of one thread.
     #[test]
     fn parallel_registration_is_deterministic() {
-        let items: Vec<u64> = (1..=4_096).collect();
         let run = |threads: usize| {
             let device = Device::new(DeviceConfig::parallel(threads));
             let log = TableLog::new(1 << 13, 32);
-            device.launch("reg", &items, |lane, &tid| {
-                let _ = log.register_write(lane, (tid % 64) as i64, tid, 1);
+            let mut slots = ltpg_gpu_sim::PreSlots::default();
+            let keyed = |k: usize| ((k as u64 + 1) % 64, k as u64 + 1);
+            let report = device.launch_with_pre("reg", 4_096, &mut slots, keyed, |lane, (key, tid)| {
+                let _ = log.register_write(lane, key as i64, tid, 1);
             });
-            let mins = parking_lot::Mutex::new(Vec::new());
-            let device2 = Device::new(DeviceConfig::default());
-            device2.launch_indexed("read", 1, |lane| {
-                *mins.lock() = (0..64i64).map(|k| log.min_write(lane, k, 1)).collect();
+            let mut mins = Vec::new();
+            Device::new(DeviceConfig::default()).launch_indexed("read", 1, |lane| {
+                mins = (0..64i64).map(|k| log.min_write(lane, k, 1)).collect();
             });
-            mins.into_inner()
+            (mins, report.sim_ns.to_bits(), report.atomic_serial_depth)
         };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq, par);
+        let (seq, seq_ns, seq_depth) = run(1);
+        let (par, par_ns, par_depth) = run(4);
+        assert_eq!((&seq, seq_ns, seq_depth), (&par, par_ns, par_depth));
         // Key k's writers are {k+64n}; min is the smallest, i.e. k (or 64 for k=0).
         assert_eq!(seq[1], Some(1));
         assert_eq!(seq[0], Some(64));

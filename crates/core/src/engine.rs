@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ltpg_gpu_sim::{Device, DeviceError, SimAtomicU32};
+use ltpg_gpu_sim::{Device, DeviceError, PreSlots, SimAtomicU32};
 use ltpg_storage::{ColId, Database, TableError, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::exec::{
@@ -35,13 +35,11 @@ use ltpg_txn::exec::{
 };
 use ltpg_txn::group::{arrival_order, order_by_proc};
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
-use parking_lot::Mutex;
 
 use crate::config::LtpgConfig;
 use crate::conflict::ConflictLog;
 use crate::footprint::{self, conflict_flags, mutation_cells, read_cell, Cell, Check};
 use crate::stats::{LtpgBatchStats, ReportWithStats};
-use crate::util::SlotVec;
 
 /// Conflict-flag bits per transaction. Public so cooperating executors
 /// (the sharded CPU twin, cross-shard flag merging) can combine per-shard
@@ -286,6 +284,11 @@ struct ExecOutcome {
     rw_bytes: u64,
 }
 
+/// What the execute kernel's pre-pass hands a lane: its transaction's
+/// speculation, staged, with the read/write-set bytes it ships back, or
+/// `None` when speculation aborted.
+type Speculated = Option<(Staged, u64)>;
+
 /// One conflict-detection work item: one cell of one transaction's
 /// footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,22 +304,18 @@ struct DetectItem {
 /// wcheck warps, Algorithm 1 lines 13–16). A lane emits its reads before
 /// its writes, so this is the order a stable sort on `check.is_write()`
 /// over the concatenation gives, from two slice copies per lane.
-fn flatten_detect_items<L: std::ops::Deref<Target = Vec<DetectItem>>>(
-    lanes: impl Iterator<Item = L> + Clone,
-    split_checks: bool,
-    items: &mut Vec<DetectItem>,
-) {
+fn flatten_detect_items(lanes: &[Vec<DetectItem>], split_checks: bool, items: &mut Vec<DetectItem>) {
     items.clear();
     if !split_checks {
-        lanes.for_each(|lane| items.extend_from_slice(&lane));
+        lanes.iter().for_each(|lane| items.extend_from_slice(lane));
         return;
     }
     let reads_of = |lane: &[DetectItem]| lane.partition_point(|i| !i.check.is_write());
-    for lane in lanes.clone() {
-        items.extend_from_slice(&lane[..reads_of(&lane)]);
+    for lane in lanes {
+        items.extend_from_slice(&lane[..reads_of(lane)]);
     }
     for lane in lanes {
-        items.extend_from_slice(&lane[reads_of(&lane)..]);
+        items.extend_from_slice(&lane[reads_of(lane)..]);
     }
 }
 
@@ -328,7 +327,7 @@ fn flatten_detect_items<L: std::ops::Deref<Target = Vec<DetectItem>>>(
 /// participant shards before finishing.
 pub struct PreparedBatch {
     lane_order: Vec<usize>,
-    outcomes: SlotVec<ExecOutcome>,
+    outcomes: Vec<Option<ExecOutcome>>,
     flags: Vec<SimAtomicU32>,
     /// Dense TID array (structure-of-arrays layout): `tids[i]` mirrors
     /// `batch.txns[i].tid.0` so the detect kernel reads TIDs coalesced
@@ -380,11 +379,13 @@ impl PreparedBatch {
 #[derive(Default)]
 struct EngineScratch {
     flags: Vec<SimAtomicU32>,
-    outcomes: SlotVec<ExecOutcome>,
+    outcomes: Vec<Option<ExecOutcome>>,
+    /// The execute kernel's pre-pass results, one slot per lane.
+    speculated: PreSlots<Speculated>,
     items: Vec<DetectItem>,
     /// One buffer per execute lane for the detect items it emits, kept
-    /// (with its capacity) from batch to batch. A lane locks only its own.
-    lane_items: Vec<Mutex<Vec<DetectItem>>>,
+    /// (with its capacity) from batch to batch.
+    lane_items: Vec<Vec<DetectItem>>,
     tids: Vec<u64>,
     committed_flags: Vec<bool>,
     op_items: Vec<(usize, bool)>,
@@ -590,7 +591,8 @@ impl LtpgEngine {
         // handed back by `try_finish_batch`. Steady-state batches touch no
         // allocator (see `EngineScratch`).
         let mut outcomes = std::mem::take(&mut self.scratch.outcomes);
-        outcomes.reset(n);
+        outcomes.clear();
+        outcomes.resize_with(n, || None);
         let mut flags = std::mem::take(&mut self.scratch.flags);
         if flags.len() < n {
             flags.resize_with(n, || SimAtomicU32::new(0));
@@ -607,100 +609,103 @@ impl LtpgEngine {
         // second scan of the access sets runs between execute and detect.
         let mut lane_items = std::mem::take(&mut self.scratch.lane_items);
         if lane_items.len() < n {
-            lane_items.resize_with(n, Mutex::default);
+            lane_items.resize_with(n, Vec::new);
         }
 
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
         self.device.check_alive()?;
         let warp_lanes = self.cfg.device.warp_size as usize;
-        let exec_report = self.device.launch("execute", &lane_order, |lane, &idx| {
-            if lane.lane_id == 0 {
+        let (db, cfg, commutative_tables) = (&self.db, &self.cfg, &self.commutative_tables);
+        // The pure half of a lane: it reads the snapshot and charges
+        // nothing, so helper threads may run it ahead of the lanes
+        // (DESIGN.md "Hot path", the pre-pass).
+        let speculate = |k: usize| -> Speculated {
+            if k.is_multiple_of(warp_lanes) {
                 // The warp's snapshot reads go out together, as they do on
                 // the device (DESIGN.md "Hot path", touch passes).
-                let warp = &lane_order[lane.global_id..];
-                touch_point_rows(
-                    &self.db,
-                    warp[..warp.len().min(warp_lanes)].iter().map(|&i| &batch.txns[i]),
-                );
+                let warp = &lane_order[k..];
+                touch_point_rows(db, warp[..warp.len().min(warp_lanes)].iter().map(|&i| &batch.txns[i]));
             }
+            let txn = &batch.txns[lane_order[k]];
+            let fx = match &scoped_store {
+                Some(store) => execute_speculative_on(store, txn),
+                None => execute_speculative(db, txn),
+            }
+            .ok()?;
+            let rw_bytes = fx.rw_set_bytes();
+            Some((stage_effects(cfg, commutative_tables, fx), rw_bytes))
+        };
+        let mut speculated = std::mem::take(&mut self.scratch.speculated);
+        let exec_report = self.device.launch_with_pre("execute", n, &mut speculated, speculate, |lane, spec| {
+            let idx = lane_order[lane.global_id];
             let txn = &batch.txns[idx];
-            let mut local_items = lane_items[idx].lock();
+            let local_items = &mut lane_items[idx];
             local_items.clear();
             lane.branch(u32::from(txn.proc.0));
             lane.charge_alu(txn.ops.len() as u32);
             lane.charge_cycles(lane_proc_overhead);
-            let speculated = match &scoped_store {
-                Some(store) => execute_speculative_on(store, txn),
-                None => execute_speculative(&self.db, txn),
-            };
             // An aborted speculation buffers nothing; its read/write set
             // still ships back.
             let nothing =
-                |rw_bytes| ExecOutcome { normal: Vec::new(), delayed: Vec::new(), rw_bytes };
-            match speculated {
-                Err(_) => {
-                    lane.atomic_or_u32(&flags[idx], flag::USER);
-                    outcomes.set(idx, nothing(TxnEffects::default().rw_set_bytes()));
-                }
-                Ok(fx) => {
-                    let tid = txn.tid.0;
-                    let rw_bytes = fx.rw_set_bytes();
-                    let Staged { reads, normal, delayed, forced } =
-                        stage_effects(&self.cfg, &self.commutative_tables, fx);
-                    for _ in &delayed {
-                        // Staged for the delayed-update merge.
-                        lane.write_global(1);
-                    }
-                    if forced {
-                        lane.atomic_or_u32(&flags[idx], flag::FORCED);
-                        outcomes.set(idx, nothing(rw_bytes));
-                        return;
-                    }
-                    // The footprint is walked twice. A registration is a
-                    // handful of locked read-modify-writes on a bucket that
-                    // is rarely in cache, and a locked operation waits for
-                    // its line before anything behind it starts. So the
-                    // lane first loads the home bucket of every cell it is
-                    // about to register, back to back: the misses overlap.
-                    footprint::walk(&self.db, &reads, &normal, |cell, _| {
-                        if owns(cell) {
-                            self.log.touch(cell);
-                        }
-                    });
-                    // Then, per operation, the snapshot read (readMem) and
-                    // the local-set write (recordLS) are charged, and per
-                    // owned cell the TID is registered (recordTID) and the
-                    // detect item emitted — the item array is the local set
-                    // laid out linearly, so emission rides the recordLS
-                    // writes. A failed registration means the log ran out of
-                    // buckets: the walk goes on (registered TIDs only ever
-                    // *add* conflicts) and the transaction aborts below.
-                    let mut registered = true;
-                    let mut register = |lane: &mut _, cell: Cell, check: Check| {
-                        if owns(cell) {
-                            registered &= self.log.register(lane, cell, check, tid);
-                            local_items.push(DetectItem { cell, txn: idx as u32, check });
-                        }
-                    };
-                    for r in &reads {
-                        lane.read_global_random(2);
-                        lane.write_global(1);
-                        register(lane, read_cell(r), Check::Read);
-                    }
-                    for m in &normal {
-                        lane.write_global(2);
-                        mutation_cells(&self.db, m, |cell, check| register(lane, cell, check));
-                    }
-                    if !registered {
-                        // Force-abort: this lane's items must not reach
-                        // the detect kernel.
-                        local_items.clear();
-                        lane.atomic_or_u32(&flags[idx], flag::LOG_FULL);
-                    }
-                    outcomes.set(idx, ExecOutcome { normal, delayed, rw_bytes });
-                }
+                |rw_bytes| Some(ExecOutcome { normal: Vec::new(), delayed: Vec::new(), rw_bytes });
+            let Some((Staged { reads, normal, delayed, forced }, rw_bytes)) = spec else {
+                lane.atomic_or_u32(&flags[idx], flag::USER);
+                outcomes[idx] = nothing(TxnEffects::default().rw_set_bytes());
+                return;
+            };
+            let tid = txn.tid.0;
+            for _ in &delayed {
+                // Staged for the delayed-update merge.
+                lane.write_global(1);
             }
+            if forced {
+                lane.atomic_or_u32(&flags[idx], flag::FORCED);
+                outcomes[idx] = nothing(rw_bytes);
+                return;
+            }
+            // The footprint is walked twice. A registration is a handful of
+            // locked read-modify-writes on a bucket that is rarely in cache,
+            // and a locked operation waits for its line before anything
+            // behind it starts. So the lane first loads the home bucket of
+            // every cell it is about to register, back to back: the misses
+            // overlap.
+            footprint::walk(db, &reads, &normal, |cell, _| {
+                if owns(cell) {
+                    self.log.touch(cell);
+                }
+            });
+            // Then, per operation, the snapshot read (readMem) and the
+            // local-set write (recordLS) are charged, and per owned cell the
+            // TID is registered (recordTID) and the detect item emitted —
+            // the item array is the local set laid out linearly, so emission
+            // rides the recordLS writes. A failed registration means the log
+            // ran out of buckets: the walk goes on (registered TIDs only
+            // ever *add* conflicts) and the transaction aborts below.
+            let mut registered = true;
+            let mut register = |lane: &mut _, cell: Cell, check: Check| {
+                if owns(cell) {
+                    registered &= self.log.register(lane, cell, check, tid);
+                    local_items.push(DetectItem { cell, txn: idx as u32, check });
+                }
+            };
+            for r in &reads {
+                lane.read_global_random(2);
+                lane.write_global(1);
+                register(lane, read_cell(r), Check::Read);
+            }
+            for m in &normal {
+                lane.write_global(2);
+                mutation_cells(db, m, |cell, check| register(lane, cell, check));
+            }
+            if !registered {
+                // Force-abort: this lane's items must not reach the detect
+                // kernel.
+                local_items.clear();
+                lane.atomic_or_u32(&flags[idx], flag::LOG_FULL);
+            }
+            outcomes[idx] = Some(ExecOutcome { normal, delayed, rw_bytes });
         });
+        self.scratch.speculated = speculated;
         stats.execute_ns = exec_report.sim_ns;
         self.device.synchronize();
         stats.sync_ns += self.device.cost().device_sync_ns;
@@ -708,11 +713,7 @@ impl LtpgEngine {
         // ---- Phase 2: conflict detection. ----
         // Items were emitted inline during execute.
         let mut items = std::mem::take(&mut self.scratch.items);
-        flatten_detect_items(
-            lane_items[..n].iter().map(Mutex::lock),
-            self.cfg.opts.warp_division,
-            &mut items,
-        );
+        flatten_detect_items(&lane_items[..n], self.cfg.opts.warp_division, &mut items);
         self.scratch.lane_items = lane_items;
 
         // ---- Simulated device-side buffer (re)allocation. ----
@@ -822,7 +823,7 @@ impl LtpgEngine {
             if !commit_ok(f) {
                 return;
             }
-            let Some(out) = outcomes.peek(idx) else { return };
+            let Some(out) = &outcomes[idx] else { return };
             for m in &out.normal {
                 let (mt, mk) = m.row();
                 if !owns_row(mt, mk) {
@@ -852,7 +853,7 @@ impl LtpgEngine {
             if !committed {
                 continue;
             }
-            let Some(out) = outcomes.peek(idx) else { continue };
+            let Some(out) = &outcomes[idx] else { continue };
             for &(t, c, k, d) in &out.delayed {
                 if !owns_row(t, k) {
                     continue;
@@ -910,7 +911,7 @@ impl LtpgEngine {
         // Only the flag table and the read/write sets are shipped back (the
         // paper's low-volume mode; Table V measures its overhead).
         stats.bytes_d2h =
-            n as u64 + (0..n).filter_map(|i| outcomes.peek(i)).map(|o| o.rw_bytes).sum::<u64>();
+            n as u64 + outcomes.iter().flatten().map(|o| o.rw_bytes).sum::<u64>();
         // By this point the batch has fully executed on the device; a
         // transient fault here only repeats the copy (re-running the batch
         // would double-apply its writes), so the retry happens in place.
@@ -963,10 +964,10 @@ impl LtpgEngine {
             wall_ns: wall_start.elapsed().as_nanos() as u64,
             semantics: ltpg_txn::engine::CommitSemantics::SnapshotBatch,
         };
-        // Hand the batch buffers back to the arena. `reset(0)` drops the
-        // held outcomes (their inner vectors are per-transaction and not
+        // Hand the batch buffers back to the arena. `clear` drops the held
+        // outcomes (their inner vectors are per-transaction and not
         // reusable) but keeps every outer allocation.
-        outcomes.reset(0);
+        outcomes.clear();
         self.scratch.outcomes = outcomes;
         self.scratch.flags = flags;
         tids.clear();
@@ -1258,6 +1259,9 @@ mod tests {
         assert_eq!(same_cell.committed.len(), 1);
     }
 
+    /// The execute kernel's pre-pass (speculation and staging) may run on
+    /// helper threads; the decisions, the state and every simulated figure
+    /// must not notice.
     #[test]
     fn engine_is_deterministic_across_parallelism() {
         let mk = |threads: usize| {
@@ -1274,12 +1278,22 @@ mod tests {
                 })
                 .collect();
             let (engine, _b, report, _p) = run(db, cfg, txns);
-            (report.committed, engine.database().state_digest())
+            let stats = engine.device().stats();
+            let simulated = (
+                report.sim_ns.to_bits(),
+                report.critical_path_ns.to_bits(),
+                stats.busy_ns.to_bits(),
+                stats.atomic_serial_depth,
+                stats.divergent_warps,
+            );
+            (report.committed, engine.database().state_digest(), simulated, stats.helper_lanes)
         };
-        let (c1, d1) = mk(1);
-        let (c4, d4) = mk(4);
-        assert_eq!(c1, c4);
-        assert_eq!(d1, d4);
+        let (c1, d1, s1, h1) = mk(1);
+        assert_eq!(h1, 0, "one host thread has no helper");
+        for threads in [2, 4] {
+            let (c, d, s, _) = mk(threads);
+            assert_eq!((&c, d, s), (&c1, d1, s1), "{threads} host threads");
+        }
     }
 
     #[test]
@@ -1707,12 +1721,12 @@ mod tests {
         );
 
         let mut items = vec![lane_ordered[0]; 3]; // stale content must be cleared
-        flatten_detect_items(lanes.iter(), false, &mut items);
+        flatten_detect_items(&lanes, false, &mut items);
         assert_eq!(items, lane_ordered);
 
         let mut sorted = lane_ordered;
         sorted.sort_by_key(is_write);
-        flatten_detect_items(lanes.iter(), true, &mut items);
+        flatten_detect_items(&lanes, true, &mut items);
         assert_eq!(items, sorted);
     }
 

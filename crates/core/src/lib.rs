@@ -79,7 +79,6 @@ pub mod recovery;
 pub mod server;
 pub mod stats;
 pub mod twin;
-mod util;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
 pub use config::{LtpgConfig, OptFlags, ServerConfig};

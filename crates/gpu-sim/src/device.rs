@@ -2,8 +2,8 @@
 //! allocation footprint used by the unified-memory fault model.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use ltpg_telemetry::{names, Counter, Histogram, Registry};
 
@@ -33,10 +33,11 @@ pub enum MemoryMode {
 pub struct DeviceConfig {
     /// Lanes per warp. CUDA fixes this at 32; tests may shrink it.
     pub warp_size: u32,
-    /// Host threads used to fan warps out. `1` (the default) executes warps
-    /// sequentially in a fixed order, making simulated timing bit-for-bit
-    /// reproducible; larger values speed up wall-clock without changing any
-    /// data-race-free kernel's results.
+    /// Host threads a launch may use: the launching thread, which runs
+    /// every lane in warp order, plus up to this many − 1 helpers, less the
+    /// threads a [`HostThreadLease`] holds, that run a launch's pre-pass
+    /// ahead of it ([`Device::launch_with_pre`]). No simulated figure
+    /// depends on it. Defaults to the host's `available_parallelism`.
     pub parallel_host_threads: usize,
     /// Simulated device memory capacity in bytes (A6000: 48 GiB).
     pub device_mem_bytes: u64,
@@ -54,7 +55,7 @@ impl Default for DeviceConfig {
     fn default() -> Self {
         DeviceConfig {
             warp_size: 32,
-            parallel_host_threads: 1,
+            parallel_host_threads: host_parallelism(),
             device_mem_bytes: 48 * (1 << 30),
             memory_mode: MemoryMode::DeviceResident,
             fault_overlap: 3_500.0,
@@ -63,8 +64,43 @@ impl Default for DeviceConfig {
     }
 }
 
+/// Host threads held by [`HostThreadLease`]s.
+static LEASED_HOST_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// A host thread the process keeps busy beside its launches — a standby
+/// row's replay worker — taken out of the threads that launches draw
+/// pre-pass helpers from, for as long as the lease lives: a helper on that
+/// thread's CPU would only slow it down.
+#[derive(Debug)]
+pub struct HostThreadLease(());
+
+impl HostThreadLease {
+    /// Lease one host thread until the returned value is dropped.
+    pub fn take() -> Self {
+        LEASED_HOST_THREADS.fetch_add(1, Ordering::Relaxed);
+        HostThreadLease(())
+    }
+}
+
+impl Drop for HostThreadLease {
+    fn drop(&mut self) {
+        LEASED_HOST_THREADS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Host threads currently leased, process-wide.
+pub(crate) fn leased_host_threads() -> usize {
+    LEASED_HOST_THREADS.load(Ordering::Relaxed)
+}
+
+/// The host's `available_parallelism`, read once (it parses cgroup files).
+fn host_parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl DeviceConfig {
-    /// A convenience constructor that fans warps out over `n` host threads.
+    /// A convenience constructor for a launch on `n` host threads.
     pub fn parallel(n: usize) -> Self {
         DeviceConfig { parallel_host_threads: n.max(1), ..Self::default() }
     }

@@ -8,8 +8,18 @@
 //! lanes on different paths serialize. Kernel time is
 //! `max(critical_warp, total_warp_cycles / warp_parallelism)` — bounded both
 //! by the slowest warp and by how many warps the device can keep in flight.
+//!
+//! Every launch runs its lanes in warp order on the launching thread, so
+//! the atomics' contention meters, the order of the `f64` sums and whatever
+//! a lane writes see one interleaving at any host thread count. What the
+//! host's other threads may do is a launch's *pre-pass*
+//! ([`Device::launch_with_pre`]): a pure function of the lane index, run
+//! ahead by helper threads and consumed by the lanes in lane order.
 
-use std::sync::atomic::Ordering;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+
+use parking_lot::Mutex;
 
 use crate::atomic::{SimAtomicU32, SimAtomicU64};
 use crate::cost::CostModel;
@@ -241,9 +251,9 @@ pub struct KernelReport {
     pub page_faults: u64,
 }
 
-/// Aggregate produced by executing a contiguous range of warps.
+/// Running totals of one launch's warps, folded in warp order.
 #[derive(Debug, Default, Clone, Copy)]
-struct WarpRangeAgg {
+struct WarpTotals {
     total_cycles: f64,
     total_light_cycles: f64,
     critical_cycles: f64,
@@ -252,133 +262,258 @@ struct WarpRangeAgg {
     counters: LaneCounters,
 }
 
-impl WarpRangeAgg {
-    fn merge(&mut self, other: &WarpRangeAgg) {
-        self.total_cycles += other.total_cycles;
-        self.total_light_cycles += other.total_light_cycles;
-        self.critical_cycles = self.critical_cycles.max(other.critical_cycles);
-        self.lanes += other.lanes;
-        self.divergent += other.divergent;
-        self.counters.atomic_ops += other.counters.atomic_ops;
-        self.counters.serial_depth += other.counters.serial_depth;
-        self.counters.words_read += other.counters.words_read;
-        self.counters.words_written += other.counters.words_written;
-        self.counters.random_words += other.counters.random_words;
+/// Slot states of [`PreSlots`]: nobody has the lane yet, a helper is
+/// computing it, a helper's value waits in the slot, the launching thread
+/// has the lane.
+const FREE: u8 = 0;
+const CLAIMED: u8 = 1;
+const READY: u8 = 2;
+const TAKEN: u8 = 3;
+
+/// Per-lane result slots of a launch's pre-pass (see
+/// [`Device::launch_with_pre`]). The caller keeps them from launch to
+/// launch, so a launch no larger than an earlier one allocates nothing for
+/// them.
+pub struct PreSlots<P> {
+    slots: Vec<PreSlot<P>>,
+}
+
+struct PreSlot<P> {
+    state: AtomicU8,
+    value: Mutex<Option<P>>,
+}
+
+impl<P> Default for PreSlots<P> {
+    fn default() -> Self {
+        PreSlots { slots: Vec::new() }
+    }
+}
+
+impl<P> PreSlots<P> {
+    /// At least `lanes` free, empty slots.
+    fn reset(&mut self, lanes: usize) {
+        if self.slots.len() < lanes {
+            self.slots.resize_with(lanes, || PreSlot { state: AtomicU8::new(FREE), value: Mutex::new(None) });
+        }
+        for slot in &mut self.slots[..lanes] {
+            *slot.state.get_mut() = FREE;
+            *slot.value.get_mut() = None;
+        }
+    }
+
+    /// A helper's turn at lane `k`: compute it unless another thread has it.
+    fn offer(&self, k: usize, pre: &impl Fn(usize) -> P) {
+        let slot = &self.slots[k];
+        if slot.state.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed).is_err() {
+            return;
+        }
+        *slot.value.lock() = Some(pre(k));
+        if slot.state.compare_exchange(CLAIMED, READY, Ordering::Release, Ordering::Relaxed).is_err() {
+            // The launching thread reached the lane first and computed it.
+            slot.value.lock().take();
+        }
+    }
+
+    /// The launching thread's turn at lane `k`: a helper's value if one is
+    /// ready. No helper touches the lane afterwards.
+    fn take(&self, k: usize) -> Option<P> {
+        let slot = &self.slots[k];
+        if slot.state.swap(TAKEN, Ordering::AcqRel) == READY {
+            slot.value.lock().take()
+        } else {
+            None
+        }
+    }
+}
+
+/// Tells the helpers to stop once the launching thread is past the last
+/// lane, or unwinds out of one.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
 impl Device {
     /// Launch a kernel over `items`, one lane per item. Returns the kernel
     /// report; device clock and statistics are updated.
-    pub fn launch<I, F>(&self, name: &'static str, items: &[I], f: F) -> KernelReport
+    pub fn launch<I, F>(&self, name: &'static str, items: &[I], mut f: F) -> KernelReport
     where
-        I: Sync,
-        F: Fn(&mut Lane<'_>, &I) + Sync,
+        F: FnMut(&mut Lane<'_>, &I),
     {
         self.launch_indexed(name, items.len(), |lane| f(lane, &items[lane.global_id]))
     }
 
-    /// Launch a kernel of `lanes` lanes identified only by `Lane::global_id`.
-    pub fn launch_indexed<F>(&self, name: &'static str, lanes: usize, f: F) -> KernelReport
+    /// Launch a kernel whose lanes each start from `pre(global_id)`: a pure
+    /// function of the lane index, given no [`Lane`] and so unable to charge
+    /// the simulated clock. Up to `parallel_host_threads − 1` helper threads,
+    /// less those a [`crate::HostThreadLease`] holds (one scoped spawn per
+    /// launch of more than one warp), compute it ahead of the launching
+    /// thread into `slots`; the launching thread runs `f` over the lanes in
+    /// warp order, as every launch does, taking each lane's value from its
+    /// slot, or computing it inline when no helper has finished it — it
+    /// never waits for a lane. Everything the report and the device's
+    /// counters hold is therefore independent of the thread count; only
+    /// [`crate::DeviceStats::helper_lanes`] says how the work was shared. A
+    /// panic in `pre` on a helper surfaces here once the lanes have run.
+    pub fn launch_with_pre<P, G, F>(
+        &self,
+        name: &'static str,
+        lanes: usize,
+        slots: &mut PreSlots<P>,
+        pre: G,
+        mut f: F,
+    ) -> KernelReport
     where
-        F: Fn(&mut Lane<'_>) + Sync,
+        P: Send,
+        G: Fn(usize) -> P + Sync,
+        F: FnMut(&mut Lane<'_>, P),
     {
-        let warp_size = self.cfg.warp_size as usize;
+        let warp_size = self.cfg.warp_size.max(1) as usize;
+        let n_warps = lanes.div_ceil(warp_size);
+        let spare = self.cfg.parallel_host_threads.saturating_sub(1 + crate::device::leased_host_threads());
+        let helpers = spare.min(n_warps.saturating_sub(1));
+        if helpers == 0 {
+            return self.launch_indexed(name, lanes, |lane| f(lane, pre(lane.global_id)));
+        }
+        slots.reset(lanes);
+        let slots = &*slots;
+        // The warp the launching thread is in, and the next warp a helper
+        // may start (the launching thread moves it past each warp it
+        // reaches).
+        let (at, next) = (AtomicUsize::new(0), AtomicUsize::new(1));
+        let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+        let launcher = std::thread::current();
+        let helper = || {
+            started.store(true, Ordering::Release);
+            launcher.unpark();
+            // Sharing the launching thread's CPU, let it run on.
+            std::thread::yield_now();
+            while !stop.load(Ordering::Relaxed) {
+                let w = next.fetch_add(1, Ordering::Relaxed);
+                if w >= n_warps {
+                    break;
+                }
+                for k in w * warp_size..((w + 1) * warp_size).min(lanes) {
+                    // Claim only lanes at least half a warp past the
+                    // launching thread's warp: it then cannot reach a lane
+                    // a helper is still computing (and compute it twice)
+                    // unless that one lane's pre-pass outlasts half a warp
+                    // of lanes. Passed-over lanes run inline.
+                    if k >= (at.load(Ordering::Relaxed) + 1) * warp_size + warp_size / 2 {
+                        slots.offer(k, &pre);
+                    }
+                }
+            }
+        };
+        let mut helper_lanes = 0u64;
+        let scoped = crossbeam::scope(|s| {
+            let helper = &helper;
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(move |_| helper())).collect();
+            // Linux queues a new thread on the spawning thread's CPU and may
+            // move it to an idle one only at its next balancing tick:
+            // milliseconds, longer than a small launch. Blocking until a
+            // helper runs lets the launching thread be woken on the idle CPU
+            // instead. This is the one wait of a launch.
+            while !started.load(Ordering::Acquire) {
+                std::thread::park();
+            }
+            let stopping = StopOnDrop(&stop);
+            let report = self.launch_indexed(name, lanes, |lane| {
+                if lane.lane_id == 0 {
+                    at.store(lane.warp_id, Ordering::Relaxed);
+                    next.fetch_max(lane.warp_id + 1, Ordering::Relaxed);
+                }
+                let p = match slots.take(lane.global_id) {
+                    Some(p) => {
+                        helper_lanes += 1;
+                        p
+                    }
+                    None => pre(lane.global_id),
+                };
+                f(lane, p);
+            });
+            drop(stopping);
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    resume_unwind(payload);
+                }
+            }
+            report
+        });
+        let report = scoped.unwrap_or_else(|payload| resume_unwind(payload));
+        self.stats.lock().helper_lanes += helper_lanes;
+        report
+    }
+
+    /// Launch a kernel of `lanes` lanes identified only by `Lane::global_id`:
+    /// the one lane loop, every lane warp by warp on the calling thread.
+    pub fn launch_indexed<F>(&self, name: &'static str, lanes: usize, mut f: F) -> KernelReport
+    where
+        F: FnMut(&mut Lane<'_>),
+    {
+        let warp_size = self.cfg.warp_size.max(1) as usize;
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        let n_warps = lanes.div_ceil(warp_size.max(1));
+        let n_warps = lanes.div_ceil(warp_size);
         let surcharge = match self.cfg.memory_mode {
             crate::device::MemoryMode::ZeroCopy => self.cfg.cost.zero_copy_access_cycles,
             _ => 0.0,
         };
 
-        let run_range = |warp_lo: usize, warp_hi: usize| -> WarpRangeAgg {
-            let mut agg = WarpRangeAgg::default();
-            // Per branch tag: (tag, max heavy work, max light work,
-            // max total latency).
-            let mut tag_max: Vec<(u32, f64, f64, f64)> = Vec::with_capacity(4);
-            for w in warp_lo..warp_hi {
-                tag_max.clear();
-                let lo = w * warp_size;
-                let hi = ((w + 1) * warp_size).min(lanes);
-                for g in lo..hi {
-                    let mut lane = Lane {
-                        warp_id: w,
-                        lane_id: (g - lo) as u32,
-                        global_id: g,
-                        cycles: 0.0,
-                        light_cycles: 0.0,
-                        wait_cycles: 0.0,
-                        tag: 0,
-                        epoch,
-                        cost: &self.cfg.cost,
-                        access_surcharge: surcharge,
-                        counters: LaneCounters::default(),
-                    };
-                    f(&mut lane);
-                    let lat = lane.cycles + lane.light_cycles + lane.wait_cycles;
-                    match tag_max.iter_mut().find(|(t, ..)| *t == lane.tag) {
-                        Some((_, work, light, l)) => {
-                            *work = work.max(lane.cycles);
-                            *light = light.max(lane.light_cycles);
-                            *l = l.max(lat);
-                        }
-                        None => tag_max.push((lane.tag, lane.cycles, lane.light_cycles, lat)),
+        let mut agg = WarpTotals::default();
+        // Per branch tag: (tag, max heavy work, max light work, max total
+        // latency).
+        let mut tag_max: Vec<(u32, f64, f64, f64)> = Vec::with_capacity(4);
+        for w in 0..n_warps {
+            tag_max.clear();
+            let lo = w * warp_size;
+            let hi = ((w + 1) * warp_size).min(lanes);
+            for g in lo..hi {
+                let mut lane = Lane {
+                    warp_id: w,
+                    lane_id: (g - lo) as u32,
+                    global_id: g,
+                    cycles: 0.0,
+                    light_cycles: 0.0,
+                    wait_cycles: 0.0,
+                    tag: 0,
+                    epoch,
+                    cost: &self.cfg.cost,
+                    access_surcharge: surcharge,
+                    counters: LaneCounters::default(),
+                };
+                f(&mut lane);
+                let lat = lane.cycles + lane.light_cycles + lane.wait_cycles;
+                match tag_max.iter_mut().find(|(t, ..)| *t == lane.tag) {
+                    Some((_, work, light, l)) => {
+                        *work = work.max(lane.cycles);
+                        *light = light.max(lane.light_cycles);
+                        *l = l.max(lat);
                     }
-                    agg.counters.atomic_ops += lane.counters.atomic_ops;
-                    agg.counters.serial_depth += lane.counters.serial_depth;
-                    agg.counters.words_read += lane.counters.words_read;
-                    agg.counters.words_written += lane.counters.words_written;
-                    agg.counters.random_words += lane.counters.random_words;
-                    agg.lanes += 1;
+                    None => tag_max.push((lane.tag, lane.cycles, lane.light_cycles, lat)),
                 }
-                // SIMT lockstep: same-tag lanes run together (max), distinct
-                // tags serialize (sum). Heavy/light work feed the two
-                // throughput bounds; work + wait feeds the critical path.
-                let warp_work: f64 = tag_max.iter().map(|(_, w, _, _)| w).sum();
-                let warp_light: f64 = tag_max.iter().map(|(_, _, l, _)| l).sum();
-                let warp_lat: f64 = tag_max.iter().map(|(_, _, _, l)| l).sum();
-                if tag_max.len() > 1 {
-                    agg.divergent += 1;
-                }
-                agg.total_cycles += warp_work;
-                agg.total_light_cycles += warp_light;
-                agg.critical_cycles = agg.critical_cycles.max(warp_lat);
+                agg.counters.atomic_ops += lane.counters.atomic_ops;
+                agg.counters.serial_depth += lane.counters.serial_depth;
+                agg.counters.words_read += lane.counters.words_read;
+                agg.counters.words_written += lane.counters.words_written;
+                agg.counters.random_words += lane.counters.random_words;
+                agg.lanes += 1;
             }
-            agg
-        };
-
-        let threads = self.cfg.parallel_host_threads.max(1).min(n_warps.max(1));
-        let agg = if threads <= 1 || n_warps <= 1 {
-            run_range(0, n_warps)
-        } else {
-            let chunk = n_warps.div_ceil(threads);
-            let partials = crossbeam::scope(|s| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n_warps);
-                    if lo >= hi {
-                        break;
-                    }
-                    let run_range = &run_range;
-                    handles.push(s.spawn(move |_| run_range(lo, hi)));
-                }
-                // Invariant: a worker panic means a kernel closure (user
-                // code) panicked — there is no partial result to salvage,
-                // so the panic is re-raised on the host thread rather
-                // than converted into a device error the fault model
-                // would mistake for injected failure.
-                handles.into_iter().map(|h| h.join().expect("kernel worker panicked")).collect::<Vec<_>>()
-            })
-            // Invariant: `crossbeam::scope` only errors when a child
-            // panicked, which the join above already surfaces.
-            .expect("crossbeam scope failed");
-            let mut merged = WarpRangeAgg::default();
-            for p in &partials {
-                merged.merge(p);
+            // SIMT lockstep: same-tag lanes run together (max), distinct
+            // tags serialize (sum). Heavy/light work feed the two
+            // throughput bounds; work + wait feeds the critical path.
+            let warp_work: f64 = tag_max.iter().map(|(_, w, _, _)| w).sum();
+            let warp_light: f64 = tag_max.iter().map(|(_, _, l, _)| l).sum();
+            let warp_lat: f64 = tag_max.iter().map(|(_, _, _, l)| l).sum();
+            if tag_max.len() > 1 {
+                agg.divergent += 1;
             }
-            merged
-        };
+            agg.total_cycles += warp_work;
+            agg.total_light_cycles += warp_light;
+            agg.critical_cycles = agg.critical_cycles.max(warp_lat);
+        }
 
         // Kernel duration: critical warp latency vs. the memory-bound and
         // light-work throughput limits.
@@ -447,6 +582,7 @@ impl Device {
 mod tests {
     use super::*;
     use crate::device::{DeviceConfig, MemoryMode};
+    use crate::DeviceStats;
 
     fn device() -> Device {
         Device::new(DeviceConfig::default())
@@ -516,27 +652,160 @@ mod tests {
         assert_eq!(r_hot.atomic_serial_depth, (n as u64) * (n as u64 - 1) / 2);
     }
 
+    /// Everything a launch reports, bit for bit.
+    fn simulated(r: &KernelReport) -> (u64, u64, u64, u64, u64, u64) {
+        let bits = |x: f64| x.to_bits();
+        (
+            bits(r.sim_ns),
+            bits(r.critical_warp_cycles),
+            bits(r.total_warp_cycles),
+            r.divergent_warps,
+            r.atomic_ops,
+            r.atomic_serial_depth,
+        )
+    }
+
+    /// A pre-pass launch over 10 000 lanes at `threads`: each lane's value
+    /// (a pure function of its index) drives its branch, its charges and
+    /// two hot atomics. Returns the report, the atomics' final values and
+    /// the device's stats.
+    fn pre_pass_run(
+        threads: usize,
+        pre: impl Fn(usize) -> u64 + Sync,
+    ) -> (KernelReport, u64, u64, DeviceStats) {
+        let d = Device::new(DeviceConfig::parallel(threads));
+        let (acc, min) = (SimAtomicU64::new(0), SimAtomicU64::new(u64::MAX));
+        let mut slots = PreSlots::default();
+        let r = d.launch_with_pre("pre", 10_000, &mut slots, pre, |lane, v| {
+            lane.branch((v % 3) as u32);
+            lane.charge_cycles((v % 17) as f64 * 0.1);
+            lane.atomic_add_u64(&acc, v);
+            lane.atomic_min_u64(&min, v);
+            lane.read_global(2);
+        });
+        (r, acc.load(), min.load(), d.stats())
+    }
+
+    fn mix(k: usize) -> u64 {
+        (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40
+    }
+
     #[test]
     fn parallel_execution_matches_sequential_results() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let run = |threads: usize| {
-            let d = Device::new(DeviceConfig::parallel(threads));
-            let acc = SimAtomicU64::new(0);
-            let min = SimAtomicU64::new(u64::MAX);
-            let r = d.launch("par", &items, |lane, &v| {
-                lane.atomic_add_u64(&acc, v);
-                lane.atomic_min_u64(&min, v);
-                lane.read_global(2);
-            });
-            (acc.load(), min.load(), r.atomic_serial_depth, r.total_warp_cycles)
+        let (one, acc, min, stats) = pre_pass_run(1, mix);
+        assert_eq!(stats.helper_lanes, 0);
+        for threads in [2, 4] {
+            let (r, a, m, s) = pre_pass_run(threads, mix);
+            assert_eq!(simulated(&r), simulated(&one), "{threads} threads");
+            assert_eq!((a, m), (acc, min));
+            assert_eq!(s.busy_ns.to_bits(), stats.busy_ns.to_bits());
+            assert_eq!(DeviceStats { helper_lanes: 0, ..s }, stats);
+        }
+    }
+
+    #[test]
+    fn a_pre_pass_stalled_on_its_helpers_is_taken_over_inline() {
+        let launcher = std::thread::current().id();
+        let (stalled, released) = (AtomicBool::new(false), AtomicBool::new(false));
+        // Off the launching thread the pre-pass does not return until the
+        // launching thread has run every lane: only inline values can land.
+        let stalling = |k: usize| {
+            if std::thread::current().id() != launcher {
+                stalled.store(true, Ordering::Release);
+                while !released.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            mix(k)
         };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq.0, par.0);
-        assert_eq!(seq.1, par.1);
-        // Total serialization depth per address is schedule-independent.
-        assert_eq!(seq.2, par.2);
-        assert!((seq.3 - par.3).abs() < 1e-6);
+        // Three threads: the lease a concurrent test holds may take one.
+        let d = Device::new(DeviceConfig::parallel(3));
+        let mut slots = PreSlots::default();
+        let r = d.launch_with_pre("stall", 10_000, &mut slots, stalling, |lane, v| {
+            // The test waits (a launch never does) until a helper is stuck
+            // inside a lane of its own.
+            while lane.global_id == 0 && !stalled.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            lane.charge_cycles((v % 17) as f64 * 0.1);
+            if lane.global_id == 9_999 {
+                released.store(true, Ordering::Release);
+            }
+        });
+        assert_eq!(d.stats().helper_lanes, 0);
+        let reference = Device::new(DeviceConfig::parallel(1))
+            .launch_with_pre("stall", 10_000, &mut PreSlots::default(), mix, |lane, v| {
+                lane.charge_cycles((v % 17) as f64 * 0.1);
+            });
+        assert_eq!(simulated(&r), simulated(&reference));
+    }
+
+    #[test]
+    fn a_panic_in_a_helpers_pre_pass_surfaces_on_the_launching_thread() {
+        let launcher = std::thread::current().id();
+        let entered = AtomicBool::new(false);
+        let run = std::panic::catch_unwind(|| {
+            let d = Device::new(DeviceConfig::parallel(3));
+            d.launch_with_pre(
+                "boom",
+                10_000,
+                &mut PreSlots::default(),
+                |k| {
+                    if std::thread::current().id() != launcher {
+                        entered.store(true, Ordering::Release);
+                        panic!("pre-pass failed on a helper");
+                    }
+                    k
+                },
+                |lane, _| {
+                    // Hold the first lane until a helper has run a lane.
+                    while lane.global_id == 0 && !entered.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    lane.charge_alu(1);
+                },
+            )
+        });
+        let payload = run.expect_err("the helper's panic must reach the launching thread");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"pre-pass failed on a helper"));
+    }
+
+    #[test]
+    fn a_leased_thread_is_no_helper() {
+        let launcher = std::thread::current().id();
+        let lease = crate::HostThreadLease::take();
+        let d = Device::new(DeviceConfig::parallel(2));
+        let r = d.launch_with_pre(
+            "leased",
+            10_000,
+            &mut PreSlots::default(),
+            |k| {
+                assert_eq!(std::thread::current().id(), launcher);
+                k
+            },
+            |lane, k| assert_eq!(lane.global_id, k),
+        );
+        drop(lease);
+        assert_eq!((r.lanes, d.stats().helper_lanes), (10_000, 0));
+    }
+
+    #[test]
+    fn a_one_warp_launch_spawns_nothing() {
+        let launcher = std::thread::current().id();
+        let d = Device::new(DeviceConfig::parallel(4));
+        let mut slots: PreSlots<usize> = PreSlots::default();
+        let r = d.launch_with_pre(
+            "one-warp",
+            32,
+            &mut slots,
+            |k| {
+                assert_eq!(std::thread::current().id(), launcher);
+                k
+            },
+            |lane, k| assert_eq!(lane.global_id, k),
+        );
+        assert_eq!((r.warps, d.stats().helper_lanes), (1, 0));
+        assert!(slots.slots.is_empty(), "a launch without helpers needs no slots");
     }
 
     #[test]

@@ -28,12 +28,12 @@
 //!   costs (paper Table IX).
 //!
 //! Simulated time is the primary clock for the paper-shaped experiments; the
-//! harness also records host wall-clock as a sanity metric. The default
-//! execution mode runs warps sequentially in a fixed order so that every
-//! simulated-time figure is reproducible bit-for-bit; setting
-//! `parallel_host_threads` above 1 fans warps out over host threads
-//! (results stay identical for data-race-free kernels, and timing
-//! attribution may shift by scheduling — totals do not).
+//! harness also records host wall-clock as a sanity metric. Every launch
+//! runs its lanes in warp order on the launching thread, so every
+//! simulated-time figure is reproducible bit-for-bit at any host thread
+//! count. The other `parallel_host_threads − 1` threads only run a launch's
+//! *pre-pass* ahead of it: a pure function of the lane index that cannot
+//! reach the simulated clock ([`Device::launch_with_pre`]).
 //!
 //! ## Quick example
 //!
@@ -63,9 +63,9 @@ pub mod transfer;
 
 pub use atomic::{SimAtomicU32, SimAtomicU64};
 pub use cost::CostModel;
-pub use device::{Device, DeviceConfig, MemoryMode};
+pub use device::{Device, DeviceConfig, HostThreadLease, MemoryMode};
 pub use faults::{DeviceError, DeviceFaultPlan};
-pub use kernel::{KernelReport, Lane};
+pub use kernel::{KernelReport, Lane, PreSlots};
 pub use memory::DeviceAllocator;
 pub use stats::DeviceStats;
 pub use transfer::{Pipeline, TransferDirection};

@@ -36,6 +36,10 @@ pub struct DeviceStats {
     /// Transient (retryable) transfer faults injected by an armed
     /// [`crate::faults::DeviceFaultPlan`].
     pub transient_faults: u64,
+    /// Lanes whose pre-pass value a helper thread produced
+    /// ([`crate::Device::launch_with_pre`]). The one host-side count here:
+    /// it depends on scheduling, and nothing else in this struct does.
+    pub helper_lanes: u64,
 }
 
 impl DeviceStats {
@@ -56,6 +60,7 @@ impl DeviceStats {
             bytes_d2h: self.bytes_d2h - earlier.bytes_d2h,
             page_faults: self.page_faults - earlier.page_faults,
             transient_faults: self.transient_faults - earlier.transient_faults,
+            helper_lanes: self.helper_lanes - earlier.helper_lanes,
         }
     }
 

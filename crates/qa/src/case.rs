@@ -99,8 +99,9 @@ pub struct QaCase {
     /// of the server under test. Only meaningful when `shards > 1`. It
     /// selects this layer; it does not add a second sharded run.
     pub via_rebalance: bool,
-    /// Host threads the engines under test fan warps out over (the
-    /// references stay at one).
+    /// Host threads of the engines under test: above one, helpers run the
+    /// execute kernel's pre-pass ahead of its lanes (the references stay at
+    /// one).
     pub host_threads: u32,
 }
 
@@ -131,6 +132,7 @@ impl QaCase {
     /// Engine configuration of the references (one host thread).
     pub fn engine_config(&self) -> LtpgConfig {
         let mut cfg = LtpgConfig { max_batch: self.batch_size.max(64), ..LtpgConfig::default() };
+        cfg.device.parallel_host_threads = 1;
         if self.commutative_t0c0 && !self.tables.is_empty() {
             cfg.commutative_cols.insert((TableId(0), ColId(0)));
         }

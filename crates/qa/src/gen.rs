@@ -17,7 +17,8 @@
 //! * batch sizes small enough that schedules span many batches, 1/2/4
 //!   shards, pipelined re-execution (re-entry delay 2), checkpoint
 //!   cadences, mid-run shard loss, standby rows, front-end ingress, a
-//!   rebalance cutover, two host threads, and a commutative
+//!   rebalance cutover, two host threads (on batches of two or three
+//!   warps), and a commutative
 //!   (delayed-merge) column in one fifth of the cases.
 
 use ltpg_storage::{ColId, TableId};
@@ -103,6 +104,17 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
     for _ in 0..ntxns {
         txns.push(gen_txn(&mut rng, &mut shapes, alpha, mix));
     }
+    // Two host threads only act past one warp: a one-warp launch spawns no
+    // helper, and a helper claims lanes half a warp past the launching
+    // thread's warp. So that layer adds transactions from its own stream and
+    // draws batches of two or three warps.
+    let mut threads = stream(seed, "host_threads");
+    let host_threads = if threads.gen_bool(0.3) { 2 } else { 1 };
+    if host_threads > 1 {
+        for _ in 0..threads.gen_range(128..=192usize) {
+            txns.push(gen_txn(&mut threads, &mut shapes, alpha, mix));
+        }
+    }
 
     let tables = shapes
         .iter()
@@ -133,11 +145,12 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
     let fail_shard = (shards > 1 && fault.gen_bool(0.4))
         .then(|| (fault.gen_range(0..shards), fault.gen_range(0..3u32)));
     let mut standby = stream(seed, "standbys");
+    let small_batch = [4usize, 8, 16, 32][batching.gen_range(0..4usize)];
     QaCase {
         seed,
         tables,
         txns,
-        batch_size: [4usize, 8, 16, 32][batching.gen_range(0..4usize)],
+        batch_size: if host_threads > 1 { [64, 96][threads.gen_range(0..2usize)] } else { small_batch },
         shards,
         pipelined: batching.gen_bool(0.5),
         checkpoint_every: stream(seed, "checkpoint").gen_bool(0.3).then_some(2),
@@ -147,7 +160,7 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
         via_front: stream(seed, "ingress").gen_bool(0.33),
         via_schedulers: stream(seed, "schedulers").gen_bool(0.5),
         via_rebalance: shards > 1 && stream(seed, "rebalance").gen_bool(0.5),
-        host_threads: if stream(seed, "host_threads").gen_bool(0.3) { 2 } else { 1 },
+        host_threads,
     }
 }
 

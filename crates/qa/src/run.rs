@@ -7,7 +7,9 @@
 //!    unscoped [`CpuTwin`] in parallel (no re-execution): commit
 //!    sets must match batch-for-batch, the serializability oracle must
 //!    accept every committed set against the pre-batch snapshot, and the
-//!    final state digests must be bit-identical.
+//!    final state digests must be bit-identical. On more than one host
+//!    thread, an engine on one runs beside it and every batch's simulated
+//!    time must match to the bit.
 //! 2. **Stack pass** — the system under test is built from the case's
 //!    layers: ingress (direct, or the lossless front-end) into a
 //!    [`ShardedServer`] of 1/2/4 shards, with standby rows, a rebalance
@@ -92,6 +94,16 @@ pub enum Divergence {
         /// What went wrong (digest pair or recovery error).
         detail: String,
     },
+    /// The engine under test charged a batch a different simulated time
+    /// than the same engine on one host thread.
+    SimClock {
+        /// Batch index within the engine pass.
+        step: usize,
+        /// `sim_ns` on one host thread.
+        expected: f64,
+        /// `sim_ns` on the engine under test.
+        got: f64,
+    },
     /// An execution path panicked on the case.
     Panic {
         /// The panic payload, if it was a string.
@@ -127,6 +139,10 @@ impl std::fmt::Display for Divergence {
                 "shard {shard} slice digest {got:#018x} != single-device slice {expected:#018x}"
             ),
             Divergence::WalReplay { detail } => write!(f, "WAL replay divergence: {detail}"),
+            Divergence::SimClock { step, expected, got } => write!(
+                f,
+                "simulated-clock divergence at batch {step}: {got} ns under test, {expected} ns on one host thread"
+            ),
             Divergence::Panic { detail } => write!(f, "execution path panicked: {detail}"),
             Divergence::FrontPipeline { detail } => {
                 write!(f, "front-end pipeline divergence: {detail}")
@@ -151,9 +167,8 @@ pub enum Cell {
     FrontIngress,
     /// A device loss fired while the front-end fed the server under test.
     LossUnderFront,
-    /// A serving engine of the server under test reports two host threads
-    /// in its device config (whether a kernel had a second warp to fan
-    /// out depends on the batch).
+    /// A helper thread produced a lane of an engine under test: it ran the
+    /// execute kernel's pre-pass ahead of the lanes.
     HostThreads2,
     /// A checkpoint was taken with a standby row attached.
     CheckpointWithStandbys,
@@ -188,6 +203,9 @@ pub struct CaseOutcome {
     /// Transactions the scheduler pass committed on each competing
     /// scheduler (0 unless the case sets `via_schedulers`).
     pub scheduler_committed: usize,
+    /// Lanes a helper thread produced for the engines under test, in the
+    /// engine pass and on the stack's final executors.
+    pub helper_lanes: u64,
     /// The cells of the layer cross-product the stack pass exercised.
     pub cells: Vec<Cell>,
 }
@@ -229,12 +247,20 @@ fn run_case_inner(case: &QaCase) -> Result<CaseOutcome, Divergence> {
 fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
     let db = case.build_database();
     let mut gpu = LtpgEngine::new(db.deep_clone(), case.under_test_config());
+    let mut one_thread =
+        (case.host_threads > 1).then(|| LtpgEngine::new(db.deep_clone(), case.engine_config()));
     let mut cpu = CpuTwin::new(db, case.engine_config());
     let mut tidgen = TidGen::new();
     for (step, chunk) in case.batches().enumerate() {
         let pre = gpu.database().deep_clone();
         let batch = Batch::assemble(Vec::new(), chunk.to_vec(), &mut tidgen);
         let grep = gpu.execute_batch_report(&batch).report;
+        if let Some(one) = &mut one_thread {
+            let expected = one.execute_batch_report(&batch).report.sim_ns;
+            if expected.to_bits() != grep.sim_ns.to_bits() {
+                return Err(Divergence::SimClock { step, expected, got: grep.sim_ns });
+            }
+        }
         let crep = cpu.execute_batch(&batch);
         if grep.committed != crep.committed {
             return Err(Divergence::CommitSet {
@@ -254,6 +280,7 @@ fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
             Divergence::Oracle { step, violation: format!("{v:?}") }
         })?;
     }
+    outcome.helper_lanes += gpu.device().stats().helper_lanes;
     let (gd, cd) = (gpu.database().state_digest(), cpu.database().state_digest());
     if gd != cd {
         return Err(Divergence::Digest { site: "engine-vs-cpu".into(), expected: gd, got: cd });
@@ -370,8 +397,11 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
     single.submit_all(case.txns.iter().cloned());
     // Both sides must commit and abort the same TIDs on every tick and go
     // idle on the same one (a tick is `None` only when nothing is queued
-    // anywhere, so two `None`s mean both drained).
-    let cap = tick_cap(case);
+    // anywhere, so two `None`s mean both drained). The front-end ticks once
+    // per sealed batch and then up to the cap, so its ticks may outnumber
+    // the cap: the reference runs as many, or the final slices would
+    // compare a longer history with a shorter one.
+    let cap = tick_cap(case).max(front_ticks.as_ref().map_or(0, ExactSizeIterator::len));
     (outcome.ticks, outcome.drained) = (cap, false);
     for step in 0..cap {
         let under_test = match &mut front_ticks {
@@ -416,8 +446,8 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
     let stats = sut.server.stats();
     let lost = stats.failovers > 0 || stats.faults.fallback_activations > 0;
     let checkpoints = sut.server.telemetry().counter_value(names::SERVER_CHECKPOINTS);
-    let mut gpus = sut.server.shards().execs.iter().filter_map(Executor::gpu);
-    let two_threads = gpus.any(|e| e.device().config().parallel_host_threads == 2);
+    let gpus = sut.server.shards().execs.iter().filter_map(Executor::gpu);
+    outcome.helper_lanes += gpus.map(|e| e.device().stats().helper_lanes).sum::<u64>();
     let fired = [
         (Cell::RebalanceApplied, sut.cutover.is_some()),
         (Cell::Promotion, stats.failovers > 0),
@@ -425,7 +455,7 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
         (Cell::LossAtCutover, sut.lost_at.is_some() && sut.lost_at == sut.cutover),
         (Cell::FrontIngress, sut.fronted > 0),
         (Cell::LossUnderFront, lost && sut.fronted > 0),
-        (Cell::HostThreads2, two_threads),
+        (Cell::HostThreads2, outcome.helper_lanes > 0),
         // A promotion takes its row out of the pool.
         (Cell::CheckpointWithStandbys, checkpoints > 0 && u64::from(case.standbys) > stats.failovers),
     ];

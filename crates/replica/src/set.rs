@@ -57,7 +57,7 @@ use ltpg::{
     StandbyRows, Topology,
 };
 pub use ltpg::MergedWords;
-use ltpg_gpu_sim::{Device, DeviceError};
+use ltpg_gpu_sim::{Device, DeviceError, HostThreadLease};
 use ltpg_storage::{Database, Frame};
 use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
 
@@ -162,7 +162,12 @@ impl Worker {
         let (tx, rx) = sync_channel(SHIP_QUEUE_DEPTH);
         let handle = std::thread::Builder::new()
             .name(format!("ltpg-standby-{row}"))
-            .spawn(move || replay(engines, rx, applier))
+            .spawn(move || {
+                // The worker replays every batch the primary serves: its CPU
+                // has no spare cycles for a launch's helpers.
+                let _lease = HostThreadLease::take();
+                replay(engines, rx, applier)
+            })
             // Invariant: the process can start a thread; a host that cannot
             // is out of resources the serving path needs as well.
             .expect("spawn standby replay worker");

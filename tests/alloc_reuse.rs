@@ -172,6 +172,34 @@ fn steady_state_allocator_calls_per_transaction() {
     assert!(tpcc_calls <= 106.91 / 2.0, "TPC-C 50/50: {tpcc_calls:.2} allocator calls per transaction");
 }
 
+/// The execute kernel's pre-pass (the warp's row touch, speculation and
+/// staging) allocates on a helper thread what it would have allocated
+/// inline, and its result slots are kept in the engine's arena. So per
+/// steady-state transaction of 4 096-lane TPC-C batches, an engine on two
+/// host threads may exceed the one-thread figure only by the helper's
+/// spawn, once per batch: 0.01 calls per transaction.
+#[test]
+fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
+    let _guard = SERIAL.lock().unwrap();
+    let calls_at = |threads: usize| {
+        let wl = TpccConfig::new(2, 50).with_headroom(8 * 4_096 * 2);
+        let (db, tables, mut gen) = TpccGenerator::new(wl);
+        let mut cfg = ltpg_tpcc_config(&tables, 4_096, OptFlags::all());
+        cfg.device.parallel_host_threads = threads;
+        let mut engine = LtpgEngine::new(db, cfg);
+        let mut tids = TidGen::new();
+        let batches: Vec<Batch> =
+            (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(4_096), &mut tids)).collect();
+        let calls = steady_state_calls_per_txn(&mut engine, &batches);
+        (calls, engine.device().stats().helper_lanes)
+    };
+    let (one, _) = calls_at(1);
+    let (two, helped) = calls_at(2);
+    println!("allocator calls per TPC-C transaction: {one:.3} on one host thread, {two:.3} on two");
+    assert!(helped > 0, "no helper produced a lane");
+    assert!(two <= one + 0.01, "two host threads: {two:.3} calls per transaction against {one:.3}");
+}
+
 /// The conflict log holds only the buckets a batch claims, in tables that
 /// grow between batches to two or three times what one claims. At commit
 /// c973947 every engine held its whole modelled log in host memory: 409.6

@@ -3,12 +3,12 @@
 //! (that is what makes replica-free re-execution and log-based recovery
 //! work). These tests re-run identical streams through fresh engines and
 //! demand bit-identical outcomes — including across simulator host-thread
-//! counts for LTPG.
+//! counts for LTPG, down to every flag word and simulated-clock bit.
 
 use ltpg::{LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_bench::{build_tpcc_engine, ltpg_tpcc_config, run_stream, SystemKind};
 use ltpg_txn::{Batch, BatchEngine, Tid, TidGen};
-use ltpg_workloads::{TpccConfig, TpccGenerator};
+use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 fn tpcc_stream(
     kind: SystemKind,
@@ -44,24 +44,77 @@ fn ltpg_is_deterministic_across_runs() {
     assert_ne!(a.1, c.1);
 }
 
+/// What one batch decided and what the simulated device charged for it,
+/// bit for bit: commits, every flag word, the state digest, both clocks,
+/// the atomics' serial depth and the divergent warps.
+#[derive(Debug, PartialEq)]
+struct BatchBits {
+    committed: Vec<Tid>,
+    flags: Vec<u32>,
+    digest: u64,
+    sim_ns: u64,
+    critical_path_ns: u64,
+    atomic_serial_depth: u64,
+    divergent_warps: u64,
+}
+
+/// A fresh engine on the given host threads, and the batch to run on it.
+type Build = dyn Fn(usize) -> (LtpgEngine, Batch);
+
+/// One 4 096-lane batch through a fresh engine on `threads` host threads,
+/// and the lanes whose pre-pass a helper thread produced.
+fn batch_bits(threads: usize, build: &Build) -> (BatchBits, u64) {
+    let (mut engine, batch) = build(threads);
+    assert_eq!(batch.len(), 4_096);
+    let prepared = engine.try_prepare_batch(&batch, None).unwrap();
+    let flags = (0..prepared.len()).map(|i| prepared.flag_word(i)).collect();
+    let rws = engine.try_finish_batch(&batch, prepared, None).unwrap();
+    let bits = BatchBits {
+        committed: rws.report.committed,
+        flags,
+        digest: engine.database().state_digest(),
+        sim_ns: rws.report.sim_ns.to_bits(),
+        critical_path_ns: rws.report.critical_path_ns.to_bits(),
+        atomic_serial_depth: rws.stats.atomic_serial_depth,
+        divergent_warps: rws.stats.divergent_warps,
+    };
+    assert_eq!(engine.device().config().parallel_host_threads, threads);
+    (bits, engine.device().stats().helper_lanes)
+}
+
+/// The execute kernel's pre-pass runs on helper threads; nothing the batch
+/// decides or charges may depend on how many. Each batch spans 128 warps,
+/// so at two threads a helper must have produced some lanes.
 #[test]
 fn ltpg_is_deterministic_across_host_parallelism() {
-    let run = |threads: usize| {
-        let cfg = TpccConfig::new(2, 50).with_headroom(8_192).with_seed(3);
+    let tpcc = |threads: usize| {
+        let cfg = TpccConfig::new(2, 50).with_headroom(4 * 4_096).with_seed(3);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
-        let mut lcfg = ltpg_tpcc_config(&tables, 512, OptFlags::all());
+        let mut lcfg = ltpg_tpcc_config(&tables, 4_096, OptFlags::all());
         lcfg.device.parallel_host_threads = threads;
-        let mut engine = LtpgEngine::new(db, lcfg);
-        let mut tids = TidGen::new();
-        let batch = Batch::assemble(vec![], gen.gen_batch(512), &mut tids);
-        let report = engine.execute_batch(&batch);
-        (report.committed.clone(), engine.database().state_digest())
+        let batch = Batch::assemble(vec![], gen.gen_batch(4_096), &mut TidGen::new());
+        (LtpgEngine::new(db, lcfg), batch)
     };
-    let seq = run(1);
-    for threads in [2, 4] {
-        let par = run(threads);
-        assert_eq!(seq.0, par.0, "commit set must not depend on host threading ({threads})");
-        assert_eq!(seq.1, par.1, "state must not depend on host threading ({threads})");
+    let ycsb = |threads: usize| {
+        let cfg = YcsbConfig::new(YcsbWorkload::A, 65_536).with_alpha(0.6).with_seed(3);
+        let (db, _table, mut gen) = YcsbGenerator::new(cfg);
+        let mut lcfg = LtpgConfig { max_batch: 4_096, ..LtpgConfig::default() };
+        lcfg.device.parallel_host_threads = threads;
+        let batch = Batch::assemble(vec![], gen.gen_batch(4_096), &mut TidGen::new());
+        (LtpgEngine::new(db, lcfg), batch)
+    };
+    let workloads: [(&str, &Build); 2] = [("TPC-C", &tpcc), ("YCSB-A", &ycsb)];
+    for (name, build) in workloads {
+        let (one, helped) = batch_bits(1, build);
+        assert_eq!(helped, 0, "{name}: one host thread has no helper");
+        assert!(one.flags.iter().any(|&f| f != 0), "{name}: the batch must conflict");
+        for threads in [2, 4] {
+            let (bits, helped) = batch_bits(threads, build);
+            assert_eq!(bits, one, "{name}: the batch depends on host threading ({threads})");
+            if threads == 2 {
+                assert!(helped > 0, "{name}: no helper produced a lane at two threads");
+            }
+        }
     }
 }
 
