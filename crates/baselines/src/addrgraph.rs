@@ -190,28 +190,22 @@ impl AddrGraphCore {
         let mut committed: Vec<Tid> = Vec::with_capacity(n);
         let mut aborted: Vec<Tid> = Vec::new();
         for r in 1..=max_rank {
-            let layer: Vec<(usize, usize)> =
-                (0..n).filter(|&i| rank[i] == r).enumerate().collect();
+            let layer: Vec<usize> = (0..n).filter(|&i| rank[i] == r).collect();
             if layer.is_empty() {
                 continue;
             }
-            let results: Vec<_> = {
-                let slots: Vec<parking_lot::Mutex<Option<_>>> =
-                    layer.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-                self.device.launch("ag_exec_layer", &layer, |lane, &(pos, i)| {
-                    let txn = &batch.txns[i];
-                    lane.branch(u32::from(txn.proc.0));
-                    lane.charge_alu(txn.ops.len() as u32);
-                    lane.charge_cycles(lane_proc_overhead);
-                    lane.read_global_random(2 * txn.ops.len() as u32);
-                    lane.write_global(txn.ops.len() as u32);
-                    *slots[pos].lock() = Some(execute_speculative(db, txn));
-                });
-                slots.into_iter().map(|s| s.into_inner()).collect()
-            };
-            for (pos, res) in results.into_iter().enumerate() {
-                let i = layer[pos].1;
-                match res.expect("lane ran") {
+            let mut results = Vec::with_capacity(layer.len());
+            self.device.launch("ag_exec_layer", &layer, |lane, &i| {
+                let txn = &batch.txns[i];
+                lane.branch(u32::from(txn.proc.0));
+                lane.charge_alu(txn.ops.len() as u32);
+                lane.charge_cycles(lane_proc_overhead);
+                lane.read_global_random(2 * txn.ops.len() as u32);
+                lane.write_global(txn.ops.len() as u32);
+                results.push(execute_speculative(db, txn));
+            });
+            for (res, i) in results.into_iter().zip(layer) {
+                match res {
                     Ok(fx) => {
                         apply_effects(db, &fx).expect("address-graph apply");
                         committed.push(batch.txns[i].tid);

@@ -191,20 +191,16 @@ impl BlockStmCore {
 
             // ---- Optimistic execution: one lane per unfinalized txn,
             // all reading the same committed snapshot. ----
-            let results: Vec<Result<TxnEffects, ExecError>> = {
-                let slots: Vec<parking_lot::Mutex<Option<_>>> =
-                    active.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-                self.device.launch("bstm_exec", &active, |lane, &(pos, i)| {
-                    let txn = &batch.txns[i];
-                    lane.branch(u32::from(txn.proc.0));
-                    lane.charge_alu(txn.ops.len() as u32);
-                    lane.charge_cycles(lane_proc_overhead);
-                    lane.read_global_random(2 * txn.ops.len() as u32);
-                    lane.write_global(txn.ops.len() as u32);
-                    *slots[pos].lock() = Some(execute_speculative(db, txn));
-                });
-                slots.into_iter().map(|s| s.into_inner().expect("lane ran")).collect()
-            };
+            let mut results: Vec<Result<TxnEffects, ExecError>> = Vec::with_capacity(active.len());
+            self.device.launch("bstm_exec", &active, |lane, &(_, i)| {
+                let txn = &batch.txns[i];
+                lane.branch(u32::from(txn.proc.0));
+                lane.charge_alu(txn.ops.len() as u32);
+                lane.charge_cycles(lane_proc_overhead);
+                lane.read_global_random(2 * txn.ops.len() as u32);
+                lane.write_global(txn.ops.len() as u32);
+                results.push(execute_speculative(db, txn));
+            });
             self.device.synchronize();
 
             // ---- Validation kernel: each lane rescans its read set

@@ -256,14 +256,12 @@ impl BatchEngine for GaccoEngine {
         let mut aborted = Vec::new();
         let db = &self.db;
         for w in 0..=max_wave {
-            let layer: Vec<(usize, usize)> =
-                (0..n).filter(|&i| wave[i] == w).enumerate().collect();
+            let layer: Vec<usize> = (0..n).filter(|&i| wave[i] == w).collect();
             if layer.is_empty() {
                 continue;
             }
-            let slots: Vec<parking_lot::Mutex<Option<_>>> =
-                layer.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-            self.device.launch("exec_wave", &layer, |lane, &(pos, i)| {
+            let mut results = Vec::with_capacity(layer.len());
+            self.device.launch("exec_wave", &layer, |lane, &i| {
                 let txn = &batch.txns[i];
                 lane.branch(u32::from(txn.proc.0));
                 lane.charge_alu(txn.ops.len() as u32);
@@ -279,13 +277,12 @@ impl BatchEngine for GaccoEngine {
                     lane.read_global_random(2 * txn.ops.len() as u32);
                     lane.write_global(txn.ops.len() as u32);
                 }
-                *slots[pos].lock() = Some(execute_speculative(db, txn));
+                results.push(execute_speculative(db, txn));
             });
             // Waves apply in TID order; within a wave rows are disjoint
             // except commutative adds, which commute.
-            for (pos, slot) in slots.into_iter().enumerate() {
-                let i = layer[pos].1;
-                match slot.into_inner().expect("lane ran") {
+            for (res, i) in results.into_iter().zip(layer) {
+                match res {
                     Ok(fx) => {
                         apply_effects(db, &fx).expect("GaccO apply");
                         committed.push(batch.txns[i].tid);

@@ -132,27 +132,21 @@ impl BatchEngine for GputxEngine {
         let mut committed = Vec::with_capacity(n);
         let mut aborted = Vec::new();
         for r in 1..=max_rank {
-            let layer: Vec<(usize, usize)> =
-                (0..n).filter(|&i| rank[i] == r).enumerate().collect();
+            let layer: Vec<usize> = (0..n).filter(|&i| rank[i] == r).collect();
             // Conflict-free within a layer: speculate on lanes, apply after.
             let db = &self.db;
-            let results: Vec<_> = {
-                let slots: Vec<parking_lot::Mutex<Option<_>>> =
-                    layer.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-                self.device.launch("exec_rank", &layer, |lane, &(pos, i)| {
-                    let txn = &batch.txns[i];
-                    lane.branch(u32::from(txn.proc.0));
-                    lane.charge_alu(txn.ops.len() as u32);
+            let mut results = Vec::with_capacity(layer.len());
+            self.device.launch("exec_rank", &layer, |lane, &i| {
+                let txn = &batch.txns[i];
+                lane.branch(u32::from(txn.proc.0));
+                lane.charge_alu(txn.ops.len() as u32);
                 lane.charge_cycles(lane_proc_overhead);
-                    lane.read_global_random(2 * txn.ops.len() as u32);
-                    lane.write_global(txn.ops.len() as u32);
-                    *slots[pos].lock() = Some(execute_speculative(db, txn));
-                });
-                slots.into_iter().map(|s| s.into_inner()).collect()
-            };
-            for (pos, res) in results.into_iter().enumerate() {
-                let i = layer[pos].1;
-                match res.expect("lane ran") {
+                lane.read_global_random(2 * txn.ops.len() as u32);
+                lane.write_global(txn.ops.len() as u32);
+                results.push(execute_speculative(db, txn));
+            });
+            for (res, i) in results.into_iter().zip(layer) {
+                match res {
                     Ok(fx) => {
                         apply_effects(&self.db, &fx).expect("GPUTx apply");
                         committed.push(batch.txns[i].tid);

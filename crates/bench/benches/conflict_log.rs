@@ -40,7 +40,7 @@ fn bench_detect(c: &mut Criterion) {
     let device = Device::new(DeviceConfig::default());
     let mut group = c.benchmark_group("conflict_log/min_write_4096");
     for (label, s_u) in [("su1", 1usize), ("su32", 32)] {
-        let log = TableLog::new(1 << 13, s_u);
+        let mut log = TableLog::new(1 << 13, s_u);
         device.launch_indexed("seed", 4_096, |lane| {
             let _ = log.register_write(lane, (lane.global_id % 512) as i64, lane.global_id as u64 + 1, 1);
         });

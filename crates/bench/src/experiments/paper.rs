@@ -246,7 +246,7 @@ pub fn table7(scale: Scale) -> Record {
         for s_h in [1usize, 32, 512] {
             for s_u in [1usize, 32] {
                 let device = Device::new(DeviceConfig::default());
-                let log = TableLog::new(s_h, s_u);
+                let mut log = TableLog::new(s_h, s_u);
                 // Mark: every lane registers its TID against key (lane % s_h) —
                 // the distinct-key count equals the hash-table size, as in the
                 // paper.

@@ -22,17 +22,19 @@
 //!   probe charged, every collision and when the log is full. The host
 //!   stores only the buckets claimed in the current epoch, in a small
 //!   open-addressed table keyed by `(epoch, modelled bucket index)` that
-//!   grows between epochs with what they claimed. Finding a bucket's
-//!   entry is host bookkeeping on plain atomics and charges no lane; the
-//!   charged operations land on the entry's own [`SimAtomicU64`]s, which
-//!   see exactly the operations the modelled bucket would.
+//!   doubles, within the epoch, before a claim fills it past half. Finding
+//!   a bucket's entry is host bookkeeping on plain data and charges no
+//!   lane; the charged operations land on the entry's own
+//!   [`SimAtomicU64`]s, which see exactly the operations the modelled
+//!   bucket would. Registering takes the log by `&mut` and a lookup by
+//!   `&`, so only the launching thread's lanes ever change it.
 //! * **One cache line per claimed bucket.** An entry's physical key, owner
 //!   tag, two summary marks and first read and write slot sit together in
 //!   one 64-byte `Entry` (WarpSpeed sizes its buckets the same way), so a
 //!   registration or detection probe of a standard-sized bucket touches
 //!   one line. Large-sized buckets take slots `1..s_u` of a record as one
 //!   run, on the record's first registration, from a grow-only arena
-//!   recycled between epochs.
+//!   handed out again from its start each epoch.
 //! * **Epoch-packed slots.** A slot stores `(epoch', tid)` with
 //!   `epoch' = EPOCH_CEIL − epoch`, so values from the current batch are
 //!   always numerically smaller than stale ones and a plain `atomicMin`
@@ -44,14 +46,9 @@
 //!   A tag collision merges two rows' records, which can only *add*
 //!   conflicts (extra aborts), never hide one — safe, and vanishingly rare.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
 use ltpg_gpu_sim::{Lane, SimAtomicU64};
 use ltpg_storage::index::mix_key;
 use ltpg_storage::{ColId, Database, TableId};
-use parking_lot::Mutex;
 
 use crate::config::LtpgConfig;
 use crate::footprint::{Cell, Check, Part, Record};
@@ -106,27 +103,20 @@ const S_U_CAP: usize = 512;
 /// Entries a log's physical table starts with (fewer when the modelled
 /// log is smaller).
 const PHYSICAL_FLOOR: usize = 1_024;
-/// Entries a lookup inspects before it takes the locked spill path.
-const PROBE_WINDOW: usize = 64;
-/// Spilled entries an epoch may leave behind for reuse; a wholesale spill
-/// (a first batch) hands its memory back instead.
-const SPILL_KEEP: usize = 1_024;
 
 /// One claimed bucket: everything an access to a standard-sized bucket
 /// reads or writes, in one cache line (8 + 16 + 2 × 4 + 2 × 16 bytes — a
 /// [`SimAtomicU64`] is the value and its contention meter).
 #[repr(C, align(64))]
 struct Entry {
-    /// The modelled bucket held: `stamp(epoch, bucket index)`, taken by a
-    /// compare-and-swap (`AcqRel`) that lookups read with `Acquire`. It
-    /// publishes nothing else: every other field is epoch-stamped itself.
-    key: AtomicU64,
+    /// The modelled bucket held: `stamp(epoch, bucket index)`.
+    key: u64,
     /// Owner tag: `(epoch', key_hash40)`.
     tag: SimAtomicU64,
     /// Per [`Record`] (indexed by it, as `slot0` and the runs are), the
     /// epoch one was last registered in: lets the detection phase skip
     /// scanning an untouched record with one read.
-    mark: [AtomicU32; 2],
+    mark: [u32; 2],
     /// Per record, min-TID slot 0.
     slot0: [SimAtomicU64; 2],
 }
@@ -134,109 +124,37 @@ struct Entry {
 impl Entry {
     fn new() -> Self {
         let slot = || SimAtomicU64::new(SLOT_EMPTY);
-        let mark = || AtomicU32::new(u32::MAX);
-        let key = AtomicU64::new(UNSTAMPED);
-        Entry { key, tag: slot(), mark: [mark(), mark()], slot0: [slot(), slot()] }
+        Entry { key: UNSTAMPED, tag: slot(), mark: [u32::MAX; 2], slot0: [slot(), slot()] }
     }
 }
 
 /// Per [`Record`], the word naming the slot run a large bucket's record
 /// was handed this epoch: `stamp(epoch, arena unit)`.
-type Runs = [AtomicU64; 2];
-
-fn unstamped_runs() -> Runs {
-    [AtomicU64::new(UNSTAMPED), AtomicU64::new(UNSTAMPED)]
-}
-
-/// An entry taken on the locked spill path, with its own run words.
-struct Spilled {
-    entry: Entry,
-    runs: Runs,
-}
-
-impl Spilled {
-    fn new() -> Self {
-        Spilled { entry: Entry::new(), runs: unstamped_runs() }
-    }
-}
-
-/// A claimed bucket's entry and, in a large-bucket log, its run words.
-#[derive(Clone, Copy)]
-struct Held<'a> {
-    entry: &'a Entry,
-    runs: Option<&'a Runs>,
-}
-
-/// Number of chunks a [`Pool`] can grow to (chunk `k` holds `4 << k` units).
-const POOL_CHUNKS: usize = 40;
-
-/// Grow-only storage handed out in fixed-size units and recycled whole
-/// between epochs. Chunk `k` holds `4 << k` units, so a unit never moves
-/// once handed out, and a pool back at its high-water mark allocates
-/// nothing.
-struct Pool<T> {
-    /// Items per unit.
-    unit: usize,
-    fresh: fn() -> T,
-    chunks: [OnceLock<Box<[T]>>; POOL_CHUNKS],
-    /// Units handed out since the last recycle.
-    next: AtomicUsize,
-}
-
-impl<T> Pool<T> {
-    fn new(unit: usize, fresh: fn() -> T) -> Self {
-        let chunks = std::array::from_fn(|_| OnceLock::new());
-        Pool { unit, fresh, chunks, next: AtomicUsize::new(0) }
-    }
-
-    /// Hand out a unit.
-    fn take(&self) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Unit `i`, its chunk allocated on first use.
-    fn unit(&self, i: usize) -> &[T] {
-        let k = (i / 4 + 1).ilog2() as usize;
-        let len = (4 << k) * self.unit;
-        let chunk = self.chunks[k].get_or_init(|| (0..len).map(|_| (self.fresh)()).collect());
-        let at = (i - 4 * ((1 << k) - 1)) * self.unit;
-        &chunk[at..at + self.unit]
-    }
-
-    /// Take every unit back; returns how many were handed out.
-    fn recycle(&mut self) -> usize {
-        std::mem::take(self.next.get_mut())
-    }
-
-    fn bytes(&self) -> usize {
-        self.chunks.iter().filter_map(OnceLock::get).map(|c| std::mem::size_of_val(&**c)).sum()
-    }
-}
+type Runs = [u64; 2];
 
 /// The buckets one log claimed in the current epoch. Entries live in an
 /// open-addressed table keyed by `stamp(epoch, b)`, with linear probing
 /// from home `b × len / s_h` (order-preserving, so a modelled probe run
 /// walks adjacent entries, and no division on the path). An entry stamped
 /// in another epoch is free, so a new epoch starts empty without a reset.
-/// A lookup that finds a whole [`PROBE_WINDOW`] taken by other buckets
-/// goes to a locked spill map, so a batch that claims more than the table
-/// holds never runs out of room; [`Claimed::settle`] then grows the table
-/// before the next epoch.
+/// A claim that would fill the table past half doubles it first, up to
+/// the `s_h` entries that hold every modelled bucket, so a lookup always
+/// ends at its key or at a free entry.
 struct Claimed {
-    entries: Box<[Entry]>,
+    entries: Vec<Entry>,
     /// `log₂ s_h` of the modelled log.
     s_h_bits: u32,
     /// Per entry of a large-bucket log, its run words; empty for a
     /// standard log.
-    runs: Box<[Runs]>,
-    /// Entries taken this epoch, spilled ones included (lost increments
-    /// allowed: see [`Claimed::entry`]).
-    claims: AtomicUsize,
-    /// Spilled entries by key: their units in `spilled`.
-    spill: Mutex<HashMap<u64, usize>>,
-    spilled: Pool<Spilled>,
-    /// Slot runs: per unit, slots `1..s_u` of one record.
-    arena: Pool<SimAtomicU64>,
+    runs: Vec<Runs>,
+    /// Entries taken this epoch.
+    claims: usize,
+    /// Slot runs of `unit = s_u − 1` slots: per unit, slots `1..s_u` of
+    /// one record.
+    arena: Vec<SimAtomicU64>,
+    unit: usize,
+    /// Units handed out this epoch.
+    units: usize,
 }
 
 impl Claimed {
@@ -244,11 +162,11 @@ impl Claimed {
         Claimed {
             entries: (0..len).map(|_| Entry::new()).collect(),
             s_h_bits: s_h.trailing_zeros(),
-            runs: (0..if s_u > 1 { len } else { 0 }).map(|_| unstamped_runs()).collect(),
-            claims: AtomicUsize::new(0),
-            spill: Mutex::new(HashMap::new()),
-            spilled: Pool::new(1, Spilled::new),
-            arena: Pool::new(s_u - 1, || SimAtomicU64::new(SLOT_EMPTY)),
+            runs: vec![[UNSTAMPED; 2]; if s_u > 1 { len } else { 0 }],
+            claims: 0,
+            arena: Vec::new(),
+            unit: s_u - 1,
+            units: 0,
         }
     }
 
@@ -260,112 +178,102 @@ impl Claimed {
         ((b as u64 * self.entries.len() as u64) >> self.s_h_bits) as usize
     }
 
-    /// The entry holding modelled bucket `b` in `epoch`; with `claim`, one
-    /// is taken for it if there is none.
+    /// `Ok(entry)` holding modelled bucket `b` in `epoch`, or `Err(entry)`:
+    /// the free one a claim of it would take.
     #[inline]
-    fn entry(&self, b: usize, epoch: u32, claim: bool) -> Option<Held<'_>> {
-        let want = stamp(epoch, b);
-        let n = self.entries.len();
+    fn find(&self, b: usize, epoch: u32) -> Result<usize, usize> {
+        let (want, n) = (stamp(epoch, b), self.entries.len());
         let mut p = self.home(b);
-        for _ in 0..n.min(PROBE_WINDOW) {
-            let key = &self.entries[p].key;
-            let mut cur = key.load(Ordering::Acquire);
-            loop {
-                if cur == want {
-                    return Some(Held { entry: &self.entries[p], runs: self.runs.get(p) });
-                }
-                if stamped_in(cur, epoch) {
-                    break; // another bucket's this epoch: probe on
-                }
-                if !claim {
-                    return None;
-                }
-                match key.compare_exchange(cur, want, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        // A statistic for sizing, so not a locked add:
-                        // lanes run on one host thread, and were two to
-                        // race, a lost increment would only delay the
-                        // table's growth by a batch.
-                        let claims = &self.claims;
-                        claims.store(claims.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-                        return Some(Held { entry: &self.entries[p], runs: self.runs.get(p) });
-                    }
-                    Err(seen) => cur = seen,
-                }
+        loop {
+            match self.entries[p].key {
+                key if key == want => return Ok(p),
+                key if !stamped_in(key, epoch) => return Err(p),
+                _ => p = if p + 1 == n { 0 } else { p + 1 },
             }
-            p = if p + 1 == n { 0 } else { p + 1 };
         }
-        self.spill_entry(want, claim)
     }
 
-    /// The entry for `want` past a window of other buckets' entries: the
-    /// rare locked path. A key spills only past a full window, and entries
-    /// are never freed within an epoch, so a lookup that met a free entry
-    /// in its window knew the key is not here.
+    /// The entry holding modelled bucket `b` in `epoch`, taken now if
+    /// there is none.
+    #[inline]
+    fn claim(&mut self, b: usize, epoch: u32) -> usize {
+        let free = match self.find(b, epoch) {
+            Ok(p) => return p,
+            Err(p)
+                if 2 * (self.claims + 1) <= self.entries.len()
+                    || self.entries.len() == 1 << self.s_h_bits =>
+            {
+                p
+            }
+            Err(_) => {
+                self.grow(epoch);
+                self.find(b, epoch).expect_err("a growth claims no bucket")
+            }
+        };
+        self.entries[free].key = stamp(epoch, b);
+        self.claims += 1;
+        free
+    }
+
+    /// Double the table within the epoch: this epoch's entries, with their
+    /// run words, move to their homes in the larger one.
     #[cold]
     #[inline(never)]
-    fn spill_entry(&self, want: u64, claim: bool) -> Option<Held<'_>> {
-        let mut spill = self.spill.lock();
-        let i = match spill.get(&want) {
-            Some(&i) => i,
-            None if claim => {
-                self.claims.fetch_add(1, Ordering::Relaxed);
-                let i = self.spilled.take();
-                spill.insert(want, i);
-                i
+    fn grow(&mut self, epoch: u32) {
+        let len = (2 * self.entries.len()).min(1 << self.s_h_bits);
+        let entries = std::mem::replace(&mut self.entries, (0..len).map(|_| Entry::new()).collect());
+        let runs = if self.runs.is_empty() { Vec::new() } else { vec![[UNSTAMPED; 2]; len] };
+        let runs = std::mem::replace(&mut self.runs, runs);
+        for (p, entry) in entries.into_iter().enumerate() {
+            if stamped_in(entry.key, epoch) {
+                let b = (entry.key & TID_MASK) as usize;
+                let q = self.find(b, epoch).expect_err("a bucket has one entry");
+                self.entries[q] = entry;
+                if let Some(&r) = runs.get(p) {
+                    self.runs[q] = r;
+                }
             }
-            None => return None,
-        };
-        drop(spill);
-        let s = &self.spilled.unit(i)[0];
-        Some(Held { entry: &s.entry, runs: Some(&s.runs) })
+        }
     }
 
-    /// Slots `1..s_u` of `held`'s `record`, if it was handed a run this
+    /// Slots `1..s_u` of entry `p`'s `record`, if it was handed a run this
     /// epoch (none of them registered otherwise).
-    fn run(&self, held: Held<'_>, record: Record, epoch: u32) -> &[SimAtomicU64] {
-        match held.runs.map(|r| r[record as usize].load(Ordering::Acquire)) {
-            Some(w) if stamped_in(w, epoch) => self.arena.unit((w & TID_MASK) as usize),
+    fn run(&self, p: usize, record: Record, epoch: u32) -> &[SimAtomicU64] {
+        match self.runs.get(p).map(|r| r[record as usize]) {
+            Some(w) if stamped_in(w, epoch) => {
+                let at = (w & TID_MASK) as usize * self.unit;
+                &self.arena[at..at + self.unit]
+            }
             _ => &[],
         }
     }
 
-    /// Slots `1..s_u` of `held`'s `record`, handed out on first use this
-    /// epoch. A lane that loses the race leaves its unit unused until the
-    /// recycle.
-    fn run_or_take(&self, held: Held<'_>, record: Record, epoch: u32) -> &[SimAtomicU64] {
-        let word = &held.runs.expect("a large bucket's entry has run words")[record as usize];
-        let mut cur = word.load(Ordering::Acquire);
-        if !stamped_in(cur, epoch) {
-            let mine = stamp(epoch, self.arena.take());
-            cur = match word.compare_exchange(cur, mine, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => mine,
-                Err(seen) => seen,
-            };
+    /// Slots `1..s_u` of entry `p`'s `record`, handed out on first use
+    /// this epoch.
+    fn run_or_take(&mut self, p: usize, record: Record, epoch: u32) -> &mut [SimAtomicU64] {
+        let word = &mut self.runs[p][record as usize];
+        if !stamped_in(*word, epoch) {
+            *word = stamp(epoch, self.units);
+            self.units += 1;
+            let len = self.units * self.unit;
+            if self.arena.len() < len {
+                self.arena.resize_with(len, || SimAtomicU64::new(SLOT_EMPTY));
+            }
         }
-        self.arena.unit((cur & TID_MASK) as usize)
+        let at = (*word & TID_MASK) as usize * self.unit;
+        &mut self.arena[at..at + self.unit]
     }
 
-    /// Between epochs: take back the spill path and the arena, and when
-    /// the last epoch filled more than half the table, rebuild it at three
-    /// times its claims (never more than the `s_h` modelled buckets), so a
-    /// lookup walks about 1.25 entries and an insert 1.6.
-    fn settle(&mut self, s_h: usize, s_u: usize) {
-        let claims = std::mem::take(self.claims.get_mut());
-        let spilled = self.spilled.recycle();
-        self.spill.get_mut().clear();
-        self.arena.recycle();
-        let (len, grown) = (self.entries.len(), (3 * claims).min(s_h));
-        if (2 * claims > len && grown > len) || spilled > SPILL_KEEP {
-            *self = Claimed::new(grown.max(len), s_h, s_u);
-        }
+    /// Between epochs: count claims afresh and hand the arena's units out
+    /// again (the last epoch's entries already read as free).
+    fn settle(&mut self) {
+        (self.claims, self.units) = (0, 0);
     }
 
     fn bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.entries)
-            + std::mem::size_of_val(&*self.runs)
-            + self.spilled.bytes()
-            + self.arena.bytes()
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+            + self.runs.capacity() * std::mem::size_of::<Runs>()
+            + self.arena.capacity() * std::mem::size_of::<SimAtomicU64>()
     }
 }
 
@@ -379,7 +287,7 @@ pub struct TableLog {
     /// large-sized).
     s_u: usize,
     /// Accesses observed in the current batch (popularity telemetry).
-    accesses: AtomicU64,
+    accesses: u64,
     /// `Some(warp_size)` = warp-cooperative probing (WarpSpeed-style): the
     /// warp ballots over `warp_size` buckets (or slots) at once — one
     /// cached inspection plus one shuffle step per *group*, instead of one
@@ -428,7 +336,7 @@ impl TableLog {
             s_h,
             mask: s_h - 1,
             s_u,
-            accesses: AtomicU64::new(0),
+            accesses: 0,
             ballot: None,
             claimed: Claimed::new(s_h.min(PHYSICAL_FLOOR), s_h, s_u),
         }
@@ -475,12 +383,11 @@ impl TableLog {
         self.clear();
     }
 
-    /// Between two epochs: recycle what the last one claimed and grow the
-    /// physical table if it claimed more than the table comfortably holds.
-    /// A log that is never settled stays correct; its claims beyond the
-    /// first table only take the slower locked path.
+    /// Between two epochs: hand every entry and slot run out again. A log
+    /// that is never settled stays correct; it only grows its table and
+    /// arena further than its epochs need.
     pub fn settle(&mut self) {
-        self.claimed.settle(self.s_h, self.s_u);
+        self.claimed.settle();
     }
 
     /// Forget every claim, stale ones included: the epoch space wrapped.
@@ -511,15 +418,15 @@ impl TableLog {
         (self.s_h * (16 + 2 * 8 + 2 * self.s_u * 16)) as u64
     }
 
-    /// Host memory the log holds: its table of claimed buckets, spill path
-    /// and slot-run arena.
+    /// Host memory the log holds: its table of claimed buckets and
+    /// slot-run arena.
     pub fn resident_bytes(&self) -> u64 {
         self.claimed.bytes() as u64
     }
 
     /// Accesses registered since the last [`TableLog::take_accesses`].
-    pub fn take_accesses(&self) -> u64 {
-        self.accesses.swap(0, Ordering::Relaxed)
+    pub fn take_accesses(&mut self) -> u64 {
+        std::mem::take(&mut self.accesses)
     }
 
     /// Load the entry `key`'s home bucket would live in and do nothing
@@ -527,52 +434,66 @@ impl TableLog {
     #[inline]
     fn touch(&self, key: i64) {
         let home = self.claimed.home(mix_key(key) as usize & self.mask);
-        std::hint::black_box(self.claimed.entries[home].key.load(Ordering::Relaxed));
+        std::hint::black_box(self.claimed.entries[home].key);
     }
 
-    /// Find (or claim) the bucket owning `key` in `epoch`. `claim = false`
-    /// only locates existing buckets.
-    fn bucket_for(&self, lane: &mut Lane<'_>, key: i64, epoch: u32, claim: bool) -> Option<Held<'_>> {
-        let h = mix_key(key);
-        let tag_val = encode(epoch, h & TID_MASK);
-        let start = (h as usize) & self.mask;
-        for i in 0..self.s_h {
-            let b = (start + i) & self.mask;
-            match self.ballot {
-                // Serial probing: one cached inspection per bucket.
-                None => lane.charge_light(12.0),
-                // Cooperative probing: the warp ballots over `ws` buckets
-                // at once (`__ballot_sync` + `__popc` on the tag matches),
-                // so the inspection cost lands once per group, plus one
-                // shuffle to broadcast the winning bucket.
-                Some(ws) => {
-                    if i % ws == 0 {
-                        lane.charge_light(12.0);
-                        lane.warp_shuffle(1);
-                    }
+    /// Charge the inspection of bucket `i` of a probe run.
+    #[inline]
+    fn charge_probe(&self, lane: &mut Lane<'_>, i: usize) {
+        match self.ballot {
+            // Serial probing: one cached inspection per bucket.
+            None => lane.charge_light(12.0),
+            // Cooperative probing: the warp ballots over `ws` buckets at
+            // once (`__ballot_sync` + `__popc` on the tag matches), so the
+            // inspection cost lands once per group, plus one shuffle to
+            // broadcast the winning bucket.
+            Some(ws) => {
+                if i.is_multiple_of(ws) {
+                    lane.charge_light(12.0);
+                    lane.warp_shuffle(1);
                 }
             }
-            // A bucket without an entry is stale or empty: it holds no
+        }
+    }
+
+    /// The entry of the bucket `key` owns in `epoch`, if it has one.
+    fn bucket_of(&self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<usize> {
+        let h = mix_key(key);
+        let (tag_val, start) = (encode(epoch, h & TID_MASK), h as usize & self.mask);
+        for i in 0..self.s_h {
+            self.charge_probe(lane, i);
+            // A bucket without an entry, or with a stale tag, holds no
             // record this epoch.
-            let held = self.claimed.entry(b, epoch, claim)?;
-            let tag = &held.entry.tag;
-            let mut cur = tag.load();
-            loop {
-                if cur == tag_val {
-                    return Some(held); // our key owns this bucket
-                }
-                if decode(cur, epoch).is_some() {
-                    break; // owned by another key this epoch: probe on
-                }
-                if !claim {
-                    return None; // stale/empty bucket: no record this epoch
-                }
-                // Stale or empty: try to claim it for this key. Its stale
-                // slots self-neutralize via epoch encoding.
-                match lane.atomic_cas_u64(tag, cur, tag_val) {
-                    Ok(_) => return Some(held),
-                    Err(observed) => cur = observed,
-                }
+            let p = self.claimed.find((start + i) & self.mask, epoch).ok()?;
+            let tag = self.claimed.entries[p].tag.load();
+            if tag == tag_val {
+                return Some(p);
+            }
+            decode(tag, epoch)?; // owned by another key this epoch: probe on
+        }
+        None
+    }
+
+    /// The entry of the bucket `key` owns in `epoch`, claiming the first
+    /// stale or empty bucket of its probe run if it owns none. `None`: the
+    /// log is exhausted.
+    fn claim_bucket(&mut self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<usize> {
+        let h = mix_key(key);
+        let (tag_val, start) = (encode(epoch, h & TID_MASK), h as usize & self.mask);
+        for i in 0..self.s_h {
+            self.charge_probe(lane, i);
+            let p = self.claimed.claim((start + i) & self.mask, epoch);
+            let tag = &mut self.claimed.entries[p].tag;
+            let cur = tag.load();
+            if cur == tag_val {
+                return Some(p); // our key owns this bucket
+            }
+            if decode(cur, epoch).is_none() {
+                // Stale or empty: claim it for this key. Its stale slots
+                // self-neutralize via epoch encoding.
+                let won = lane.atomic_cas_u64(tag, cur, tag_val);
+                debug_assert_eq!(won, Ok(cur));
+                return Some(p);
             }
         }
         // Log exhausted: the caller treats a failed registration as a
@@ -580,14 +501,15 @@ impl TableLog {
         None
     }
 
-    fn register(&self, lane: &mut Lane<'_>, record: Record, key: i64, tid: u64, epoch: u32) -> bool {
-        self.accesses.fetch_add(1, Ordering::Relaxed);
-        let Some(held) = self.bucket_for(lane, key, epoch, true) else { return false };
-        held.entry.mark[record as usize].store(epoch, Ordering::Release);
+    fn register(&mut self, lane: &mut Lane<'_>, record: Record, key: i64, tid: u64, epoch: u32) -> bool {
+        self.accesses += 1;
+        let Some(p) = self.claim_bucket(lane, key, epoch) else { return false };
+        let claimed = &mut self.claimed;
+        claimed.entries[p].mark[record as usize] = epoch;
         // Large-sized buckets re-hash by TID (paper: h(key) = TID mod s_u).
         let slot = match tid as usize % self.s_u {
-            0 => &held.entry.slot0[record as usize],
-            s => &self.claimed.run_or_take(held, record, epoch)[s - 1],
+            0 => &mut claimed.entries[p].slot0[record as usize],
+            s => &mut claimed.run_or_take(p, record, epoch)[s - 1],
         };
         lane.atomic_min_u64(slot, encode(epoch, tid));
         true
@@ -596,23 +518,24 @@ impl TableLog {
     /// Register a read by `tid` against `key`. Returns `false` when the
     /// log is exhausted (caller must abort the transaction).
     #[must_use]
-    pub fn register_read(&self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
+    pub fn register_read(&mut self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
         self.register(lane, Record::Reads, key, tid, epoch)
     }
 
     /// Register a write by `tid` against `key`. Returns `false` when the
     /// log is exhausted (caller must abort the transaction).
     #[must_use]
-    pub fn register_write(&self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
+    pub fn register_write(&mut self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
         self.register(lane, Record::Writes, key, tid, epoch)
     }
 
     fn min_of(&self, lane: &mut Lane<'_>, record: Record, key: i64, epoch: u32) -> Option<u64> {
-        let held = self.bucket_for(lane, key, epoch, false)?;
+        let p = self.bucket_of(lane, key, epoch)?;
+        let entry = &self.claimed.entries[p];
         // One-word summary check first: untouched buckets cost one cached
         // log read (the conflict log is hot in L2 during detection).
         lane.charge_light(12.0);
-        if held.entry.mark[record as usize].load(Ordering::Acquire) != epoch {
+        if entry.mark[record as usize] != epoch {
             return None;
         }
         match self.ballot {
@@ -627,8 +550,8 @@ impl TableLog {
                 lane.warp_shuffle((ws as u32).max(2).ilog2());
             }
         }
-        std::iter::once(&held.entry.slot0[record as usize])
-            .chain(self.claimed.run(held, record, epoch))
+        std::iter::once(&entry.slot0[record as usize])
+            .chain(self.claimed.run(p, record, epoch))
             .filter_map(|s| decode(s.load(), epoch))
             .min()
     }
@@ -674,17 +597,18 @@ pub struct ConflictLog {
     dynamic: bool,
     rows_per_table: Vec<usize>,
     popular_hint: Vec<bool>,
-    row_logs: Vec<TableLog>,
-    split_logs: Vec<((TableId, ColId), TableLog)>,
-    /// `split_route[table][col]` = index into `split_logs` of the column's
+    /// Every constituent log: one row log per table (indexed by table),
+    /// then one per split-off column of `split_cols`, then one membership
+    /// log per table. The marker is by construction the hottest cell of an
+    /// insert-heavy table, so a membership log (a single-key log for the
+    /// membership predicate: ordered scans read it, inserts and deletes
+    /// write it) gets a maximal bucket unconditionally.
+    logs: Vec<TableLog>,
+    split_cols: Vec<(TableId, ColId)>,
+    /// `split_route[table][col]` = index into `logs` of the column's
     /// dedicated log. A table without split columns has an empty row, so
     /// routing is two indexed loads whatever the number of split logs.
     split_route: Vec<Vec<Option<usize>>>,
-    /// One single-key log per table for the membership predicate (ordered
-    /// scans read it, inserts/deletes write it). The marker is by
-    /// construction the hottest cell of an insert-heavy table, so it gets
-    /// a maximal bucket unconditionally.
-    membership_logs: Vec<TableLog>,
 }
 
 impl ConflictLog {
@@ -707,42 +631,31 @@ impl ConflictLog {
                 hinted(table),
             ))
         };
-        let row_logs: Vec<_> = db
+        let mut logs: Vec<_> = db
             .iter()
             .map(|(id, t)| sized(id, t.capacity(), t.capacity().saturating_mul(t.width() + 1)))
             .collect();
-        // A split log covers exactly one column: cells = rows.
-        let split_logs: Vec<_> = cfg
-            .delayed_cols
-            .iter()
-            .filter(|_| cfg.opts.conflict_splitting)
-            .map(|&(t, c)| ((t, c), sized(t, db.table(t).capacity(), db.table(t).capacity())))
-            .collect();
-        let mut split_route = vec![Vec::new(); row_logs.len()];
-        for (i, ((t, c), _)) in split_logs.iter().enumerate() {
+        let split_cols: Vec<_> =
+            cfg.delayed_cols.iter().copied().filter(|_| cfg.opts.conflict_splitting).collect();
+        let mut split_route = vec![Vec::new(); logs.len()];
+        for &(t, c) in &split_cols {
             let row = &mut split_route[usize::from(t.0)];
             row.resize(row.len().max(c.idx() + 1), None);
-            row[c.idx()] = Some(i);
+            row[c.idx()] = Some(logs.len());
+            // A split log covers exactly one column: cells = rows.
+            logs.push(sized(t, db.table(t).capacity(), db.table(t).capacity()));
         }
-        let membership_logs =
-            db.iter().map(|_| probe(TableLog::new(2_048, if dynamic { 512 } else { 1 }))).collect();
+        logs.extend(db.iter().map(|_| probe(TableLog::new(2_048, if dynamic { 512 } else { 1 }))));
         ConflictLog {
             epoch: 0,
             warp_size,
             dynamic,
             rows_per_table: db.iter().map(|(_, t)| t.capacity()).collect(),
             popular_hint: db.iter().map(|(id, _)| hinted(id)).collect(),
-            row_logs,
-            split_logs,
+            logs,
+            split_cols,
             split_route,
-            membership_logs,
         }
-    }
-
-    /// Every constituent log.
-    fn logs(&self) -> impl Iterator<Item = &TableLog> {
-        let split = self.split_logs.iter().map(|(_, log)| log);
-        self.row_logs.iter().chain(split).chain(&self.membership_logs)
     }
 
     /// Start a new batch: an epoch bump that leaves every claim of the last
@@ -758,8 +671,7 @@ impl ConflictLog {
     pub fn begin_batch(&mut self) {
         let wrapped = self.epoch == LAST_EPOCH;
         self.epoch = if wrapped { 1 } else { self.epoch + 1 };
-        let logs = self.row_logs.iter_mut().chain(self.split_logs.iter_mut().map(|(_, log)| log));
-        for log in logs.chain(&mut self.membership_logs) {
+        for log in &mut self.logs {
             if wrapped {
                 log.clear();
             } else {
@@ -769,7 +681,7 @@ impl ConflictLog {
         if !self.dynamic {
             return;
         }
-        for (i, log) in self.row_logs.iter_mut().enumerate() {
+        for (i, log) in self.logs[..self.rows_per_table.len()].iter_mut().enumerate() {
             let observed = log.take_accesses() as usize;
             if observed == 0 {
                 continue;
@@ -796,25 +708,30 @@ impl ConflictLog {
         self.epoch = epoch;
     }
 
-    /// The constituent log `cell` lives in and its key there: the marker
-    /// in the table's membership log under its partition, a split-off hot
-    /// column in its own log, everything else in the table's row log; row
-    /// cells under `key × 64 + (0 for existence, column + 1)`.
+    /// The index in `logs` of the constituent log `cell` lives in, and its
+    /// key there: the marker in the table's membership log under its
+    /// partition, a split-off hot column in its own log, everything else
+    /// in the table's row log; row cells under `key × 64 + (0 for
+    /// existence, column + 1)`.
     #[inline]
-    fn route(&self, cell: Cell) -> (&TableLog, i64) {
+    fn locate(&self, cell: Cell) -> (usize, i64) {
         let t = usize::from(cell.table.0);
         let row_key = |code: i64| cell.key.wrapping_mul(64).wrapping_add(code);
         match cell.part {
-            Part::Members => (&self.membership_logs[t], cell.key),
-            Part::Exists => (&self.row_logs[t], row_key(0)),
+            Part::Members => (self.logs.len() - self.rows_per_table.len() + t, cell.key),
+            Part::Exists => (t, row_key(0)),
             Part::Col(c) => {
-                let log = match self.split_route[t].get(c.idx()).copied().flatten() {
-                    Some(i) => &self.split_logs[i].1,
-                    None => &self.row_logs[t],
-                };
+                let log = self.split_route[t].get(c.idx()).copied().flatten().unwrap_or(t);
                 (log, row_key(i64::from(c.0) + 1))
             }
         }
+    }
+
+    /// The constituent log `cell` lives in and its key there.
+    #[inline]
+    fn route(&self, cell: Cell) -> (&TableLog, i64) {
+        let (log, key) = self.locate(cell);
+        (&self.logs[log], key)
     }
 
     /// Bring the entry of `cell`'s home bucket into the host's cache.
@@ -832,11 +749,12 @@ impl ConflictLog {
     /// `false` = log exhausted, abort the transaction; the remaining
     /// records are still registered (extra TIDs only ever add conflicts).
     #[must_use]
-    pub fn register(&self, lane: &mut Lane<'_>, cell: Cell, check: Check, tid: u64) -> bool {
-        let (log, key) = self.route(cell);
+    pub fn register(&mut self, lane: &mut Lane<'_>, cell: Cell, check: Check, tid: u64) -> bool {
+        let (log, key) = self.locate(cell);
+        let (log, epoch) = (&mut self.logs[log], self.epoch);
         let mut registered = true;
         for &record in check.records() {
-            registered &= log.register(lane, record, key, tid, self.epoch);
+            registered &= log.register(lane, record, key, tid, epoch);
         }
         registered
     }
@@ -847,26 +765,20 @@ impl ConflictLog {
         log.min_of(lane, record, key, self.epoch)
     }
 
-    /// Memory occupancy report (paper Table VIII).
+    /// Memory occupancy report (paper Table VIII): the row logs, then the
+    /// split-off column logs.
     pub fn memory_report(&self) -> Vec<LogMemory> {
-        let mut out = Vec::new();
-        for (i, log) in self.row_logs.iter().enumerate() {
-            out.push(LogMemory {
-                table: TableId(i as u16),
-                split_col: None,
+        let rows = (0..self.rows_per_table.len()).map(|t| (TableId(t as u16), None));
+        let split = self.split_cols.iter().map(|&(t, c)| (t, Some(c)));
+        rows.chain(split)
+            .zip(&self.logs)
+            .map(|((table, split_col), log)| LogMemory {
+                table,
+                split_col,
                 bytes: log.bytes(),
                 bucket_size: log.bucket_size(),
-            });
-        }
-        for ((t, c), log) in &self.split_logs {
-            out.push(LogMemory {
-                table: *t,
-                split_col: Some(*c),
-                bytes: log.bytes(),
-                bucket_size: log.bucket_size(),
-            });
-        }
-        out
+            })
+            .collect()
     }
 
     /// Total device bytes across all constituent logs, as modelled.
@@ -877,7 +789,7 @@ impl ConflictLog {
     /// Host bytes every constituent log holds
     /// ([`TableLog::resident_bytes`]).
     pub fn resident_bytes(&self) -> u64 {
-        self.logs().map(TableLog::resident_bytes).sum()
+        self.logs.iter().map(TableLog::resident_bytes).sum()
     }
 }
 
@@ -885,8 +797,8 @@ impl std::fmt::Debug for ConflictLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConflictLog")
             .field("epoch", &self.epoch)
-            .field("row_logs", &self.row_logs.len())
-            .field("split_logs", &self.split_logs.len())
+            .field("row_logs", &self.rows_per_table.len())
+            .field("split_logs", &self.split_cols.len())
             .finish()
     }
 }
@@ -897,13 +809,18 @@ mod tests {
     use ltpg_gpu_sim::{Device, DeviceConfig};
 
     /// Run `f` on a single-lane kernel and return its result.
-    fn on_lane<T: Send>(f: impl Fn(&mut Lane<'_>) -> T + Sync) -> T {
-        let device = Device::new(DeviceConfig::default());
-        let out = parking_lot::Mutex::new(None);
-        device.launch_indexed("test", 1, |lane| {
-            *out.lock() = Some(f(lane));
-        });
-        out.into_inner().unwrap()
+    fn on_lane<T>(mut f: impl FnMut(&mut Lane<'_>) -> T) -> T {
+        let mut out = None;
+        Device::new(DeviceConfig::default()).launch_indexed("test", 1, |lane| out = Some(f(lane)));
+        out.unwrap()
+    }
+
+    /// Plain data throughout: a detect pass on other threads could share
+    /// the log between epochs' registrations.
+    #[test]
+    fn a_conflict_log_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<ConflictLog>();
     }
 
     #[test]
@@ -921,7 +838,7 @@ mod tests {
 
     #[test]
     fn register_and_min_roundtrip() {
-        let log = TableLog::new(64, 1);
+        let mut log = TableLog::new(64, 1);
         on_lane(|lane| {
             let _ = log.register_read(lane, 42, 7, 1);
             let _ = log.register_read(lane, 42, 3, 1);
@@ -935,7 +852,7 @@ mod tests {
 
     #[test]
     fn a_touch_leaves_the_log_as_it_was() {
-        let log = TableLog::new(64, 1);
+        let mut log = TableLog::new(64, 1);
         on_lane(|lane| {
             let _ = log.register_write(lane, 42, 9, 1);
             log.touch(42);
@@ -949,7 +866,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_is_an_implicit_reset() {
-        let log = TableLog::new(64, 4);
+        let mut log = TableLog::new(64, 4);
         on_lane(|lane| {
             let _ = log.register_write(lane, 5, 100, 1);
             assert_eq!(log.min_write(lane, 5, 1), Some(100));
@@ -962,7 +879,7 @@ mod tests {
 
     #[test]
     fn large_bucket_spreads_tids_across_slots() {
-        let log = TableLog::new(16, 8);
+        let mut log = TableLog::new(16, 8);
         on_lane(|lane| {
             for tid in 1..=20u64 {
                 let _ = log.register_write(lane, 7, tid, 3);
@@ -973,7 +890,7 @@ mod tests {
 
     #[test]
     fn colliding_keys_probe_to_distinct_buckets() {
-        let log = TableLog::new(16, 1);
+        let mut log = TableLog::new(16, 1);
         on_lane(|lane| {
             // More keys than buckets would fail; use enough distinct keys
             // to force probing while staying under s_h.
@@ -986,38 +903,42 @@ mod tests {
         });
     }
 
-    /// An epoch that claims far more buckets than the physical table holds
-    /// takes the spill path and loses nothing; settling grows the table so
-    /// the next such epoch does not spill, and a later, smaller epoch keeps
-    /// the grown table instead of reallocating.
+    /// An epoch that claims three times the buckets the physical table
+    /// starts with grows it within the epoch, to hold its claims at most
+    /// half full, and loses no minimum; a quieter next epoch neither
+    /// rebuilds nor shrinks the grown table.
     #[test]
-    fn claims_beyond_the_table_spill_and_the_table_grows_between_epochs() {
+    fn claims_past_half_the_table_grow_it_within_the_epoch() {
         let mut log = TableLog::new(1 << 16, 32).with_ballot_probe(32);
         let keys = 3_000usize;
         let device = Device::new(DeviceConfig::default());
+        // The table's length after each registration of one epoch.
         let epoch_with = |log: &mut TableLog, epoch: u32, keys: usize| {
+            let mut lens = Vec::new();
             device.launch_indexed("reg", 2 * keys, |lane| {
                 let key = (lane.global_id % keys) as i64;
                 assert!(log.register_write(lane, key, lane.global_id as u64 + 1, epoch));
+                lens.push(log.claimed.entries.len());
             });
-            let spilled = log.claimed.spill.lock().len();
-            let wrong = parking_lot::Mutex::new(0);
+            let mut wrong = 0;
             device.launch_indexed("probe", keys, |lane| {
                 let key = lane.global_id as i64;
-                if log.min_write(lane, key, epoch) != Some(key as u64 + 1) {
-                    *wrong.lock() += 1;
-                }
+                wrong += usize::from(log.min_write(lane, key, epoch) != Some(key as u64 + 1));
             });
-            assert_eq!(wrong.into_inner(), 0, "epoch {epoch}: a spilled claim lost its minimum");
+            assert_eq!(wrong, 0, "epoch {epoch}: a claim lost its minimum");
             log.settle();
-            spilled
+            lens
         };
-        assert!(epoch_with(&mut log, 1, keys) > keys / 2, "a floor-sized table must spill");
+        assert_eq!(log.claimed.entries.len(), PHYSICAL_FLOOR);
+        let lens = epoch_with(&mut log, 1, keys);
         let grown = log.claimed.entries.len();
-        assert!(grown >= 2 * keys, "settle must grow the table to twice the claims: {grown}");
-        assert_eq!(epoch_with(&mut log, 2, keys), 0, "the grown table holds the epoch");
-        assert_eq!(epoch_with(&mut log, 3, keys / 10), 0);
-        assert_eq!(log.claimed.entries.len(), grown, "a quieter epoch must not shrink or rebuild");
+        assert!((2 * keys..4 * keys).contains(&grown), "claims at most half the table: {grown}");
+        assert_eq!(lens[keys - 1], grown, "the epoch's last claim finds the table grown");
+        assert!(lens.windows(2).all(|w| w[0] <= w[1]), "the table never shrinks");
+        let at = log.claimed.entries.as_ptr();
+        let quiet = epoch_with(&mut log, 2, keys / 10);
+        assert!(quiet.iter().all(|&len| len == grown), "a quieter epoch must not shrink the table");
+        assert_eq!(log.claimed.entries.as_ptr(), at, "a quieter epoch must not rebuild the table");
         assert!(log.resident_bytes() < log.bytes() / 8);
     }
 
@@ -1048,7 +969,7 @@ mod tests {
     fn parallel_registration_is_deterministic() {
         let run = |threads: usize| {
             let device = Device::new(DeviceConfig::parallel(threads));
-            let log = TableLog::new(1 << 13, 32);
+            let mut log = TableLog::new(1 << 13, 32);
             let mut slots = ltpg_gpu_sim::PreSlots::default();
             let keyed = |k: usize| ((k as u64 + 1) % 64, k as u64 + 1);
             let report = device.launch_with_pre("reg", 4_096, &mut slots, keyed, |lane, (key, tid)| {
@@ -1070,7 +991,7 @@ mod tests {
 
     #[test]
     fn take_accesses_resets_on_read() {
-        let log = TableLog::new(64, 1);
+        let mut log = TableLog::new(64, 1);
         on_lane(|lane| {
             let _ = log.register_read(lane, 1, 1, 1);
             let _ = log.register_write(lane, 2, 1, 1);
@@ -1094,13 +1015,13 @@ mod tests {
         // now lands once per bucket inspected — so even a missing-key
         // lookup on an empty log (one bucket inspected, then "no record
         // this epoch") must cost more than not touching the log at all.
-        let cycles_for = |f: &(dyn Fn(&mut Lane<'_>) + Sync)| {
+        let cycles_for = |f: &mut dyn FnMut(&mut Lane<'_>)| {
             let device = Device::new(DeviceConfig::default());
             device.launch_indexed("probe", 1, f).sim_ns
         };
         let log = TableLog::new(64, 1);
-        let baseline = cycles_for(&|_lane| {});
-        let miss = cycles_for(&|lane: &mut Lane<'_>| {
+        let baseline = cycles_for(&mut |_lane| {});
+        let miss = cycles_for(&mut |lane: &mut Lane<'_>| {
             assert_eq!(log.min_read(lane, 10, 1), None);
         });
         assert!(
@@ -1124,13 +1045,10 @@ mod tests {
             device.launch("mark", &items, |lane, &tid| {
                 let _ = log.register_write(lane, (tid % 8) as i64, tid, 1);
             });
-            let mins = parking_lot::Mutex::new(Vec::new());
+            let mut mins = Vec::new();
             let read = device.launch_indexed("read", 64, |lane| {
-                let m = log.min_write(lane, (lane.global_id % 8) as i64, 1);
-                mins.lock().push((lane.global_id, m));
+                mins.push(log.min_write(lane, (lane.global_id % 8) as i64, 1));
             });
-            let mut mins = mins.into_inner();
-            mins.sort_unstable();
             (mins, read.sim_ns)
         };
         let (serial_mins, serial_ns) = run(false);
@@ -1211,21 +1129,20 @@ mod tests {
                     true
                 })
                 .collect();
-            let landed = parking_lot::Mutex::new(vec![false; ops.len()]);
+            let mut landed = Vec::new();
             device.launch("register", &ops, |lane, &(key, tid)| {
-                landed.lock()[lane.global_id] = log.register(lane, cell(key), Check::Write, tid);
+                landed.push(log.register(lane, cell(key), Check::Write, tid));
             });
-            let landed = landed.into_inner();
             assert_eq!(landed, expected, "exhaustion in batch {batch}");
             exhausted += landed.iter().filter(|ok| !**ok).count();
-            let mins = parking_lot::Mutex::new(BTreeMap::new());
+            let mut mins = BTreeMap::new();
             device.launch_indexed("probe", keys as usize, |lane| {
                 let key = lane.global_id as i64;
                 if let Some(m) = log.min(lane, cell(key), Record::Writes) {
-                    mins.lock().insert(key, m);
+                    mins.insert(key, m);
                 }
             });
-            assert_eq!(mins.into_inner(), min, "minima in batch {batch}");
+            assert_eq!(mins, min, "minima in batch {batch}");
         }
         assert!(exhausted > 0, "the later batches must exhaust the log");
     }
@@ -1235,7 +1152,7 @@ mod tests {
         let items: Vec<u64> = (1..=2_048).collect();
         let run = |s_u: usize| {
             let device = Device::new(DeviceConfig::default());
-            let log = TableLog::new(64, s_u);
+            let mut log = TableLog::new(64, s_u);
             let r = device.launch("hot", &items, |lane, &tid| {
                 let _ = log.register_write(lane, 1, tid, 1);
             });

@@ -357,7 +357,7 @@ impl PreparedBatch {
 
     /// Overwrite the flag word of transaction `i` with a merged verdict
     /// (the OR over every participant shard's [`Self::flag_word`]).
-    pub fn set_flag_word(&self, i: usize, word: u32) {
+    pub fn set_flag_word(&mut self, i: usize, word: u32) {
         self.flags[i].store(word);
     }
 
@@ -599,7 +599,7 @@ impl LtpgEngine {
         } else {
             flags.truncate(n);
         }
-        for f in &flags {
+        for f in &mut flags {
             f.store(0);
         }
         let mut tids = std::mem::take(&mut self.scratch.tids);
@@ -616,6 +616,7 @@ impl LtpgEngine {
         self.device.check_alive()?;
         let warp_lanes = self.cfg.device.warp_size as usize;
         let (db, cfg, commutative_tables) = (&self.db, &self.cfg, &self.commutative_tables);
+        let log = &mut self.log;
         // The pure half of a lane: it reads the snapshot and charges
         // nothing, so helper threads may run it ahead of the lanes
         // (DESIGN.md "Hot path", the pre-pass).
@@ -649,7 +650,7 @@ impl LtpgEngine {
             let nothing =
                 |rw_bytes| Some(ExecOutcome { normal: Vec::new(), delayed: Vec::new(), rw_bytes });
             let Some((Staged { reads, normal, delayed, forced }, rw_bytes)) = spec else {
-                lane.atomic_or_u32(&flags[idx], flag::USER);
+                lane.atomic_or_u32(&mut flags[idx], flag::USER);
                 outcomes[idx] = nothing(TxnEffects::default().rw_set_bytes());
                 return;
             };
@@ -659,19 +660,18 @@ impl LtpgEngine {
                 lane.write_global(1);
             }
             if forced {
-                lane.atomic_or_u32(&flags[idx], flag::FORCED);
+                lane.atomic_or_u32(&mut flags[idx], flag::FORCED);
                 outcomes[idx] = nothing(rw_bytes);
                 return;
             }
-            // The footprint is walked twice. A registration is a handful of
-            // locked read-modify-writes on a bucket that is rarely in cache,
-            // and a locked operation waits for its line before anything
-            // behind it starts. So the lane first loads the home bucket of
+            // The footprint is walked twice. A registration reads and writes
+            // a bucket that is rarely in cache, and the next one depends on
+            // what it found. So the lane first loads the home bucket of
             // every cell it is about to register, back to back: the misses
             // overlap.
             footprint::walk(db, &reads, &normal, |cell, _| {
                 if owns(cell) {
-                    self.log.touch(cell);
+                    log.touch(cell);
                 }
             });
             // Then, per operation, the snapshot read (readMem) and the
@@ -684,7 +684,7 @@ impl LtpgEngine {
             let mut registered = true;
             let mut register = |lane: &mut _, cell: Cell, check: Check| {
                 if owns(cell) {
-                    registered &= self.log.register(lane, cell, check, tid);
+                    registered &= log.register(lane, cell, check, tid);
                     local_items.push(DetectItem { cell, txn: idx as u32, check });
                 }
             };
@@ -701,7 +701,7 @@ impl LtpgEngine {
                 // Force-abort: this lane's items must not reach the detect
                 // kernel.
                 local_items.clear();
-                lane.atomic_or_u32(&flags[idx], flag::LOG_FULL);
+                lane.atomic_or_u32(&mut flags[idx], flag::LOG_FULL);
             }
             outcomes[idx] = Some(ExecOutcome { normal, delayed, rw_bytes });
         });
@@ -749,7 +749,7 @@ impl LtpgEngine {
             lane.read_global(1);
             // TID fetch: coalesced from the SoA TID array.
             lane.read_global(1);
-            let word = &flags[item.txn as usize];
+            let word = &mut flags[item.txn as usize];
             conflict_flags(
                 lane,
                 item.check,
@@ -789,6 +789,8 @@ impl LtpgEngine {
         prepared: PreparedBatch,
         scope: Option<&ExecScope<'_>>,
     ) -> Result<ReportWithStats, DeviceError> {
+        #[cfg(feature = "qa-inject")]
+        let mut prepared = prepared;
         #[cfg(feature = "qa-inject")]
         if qa_inject::waw_blind_spot() {
             for (i, txn) in batch.txns.iter().enumerate() {

@@ -109,7 +109,7 @@ pub fn conflict_flags<C>(
     check: Check,
     tid: u64,
     min: impl Fn(&mut C, Record) -> Option<u64>,
-    raise: impl Fn(&mut C, u32),
+    mut raise: impl FnMut(&mut C, u32),
 ) {
     let mut probe = |record, bit| {
         if min(ctx, record).is_some_and(|earliest| earliest < tid) {

@@ -1,174 +1,125 @@
 //! Simulated device atomics.
 //!
-//! A [`SimAtomicU64`] is a real host atomic plus a *contention meter*: a
-//! second atomic word packing `(kernel epoch, access count)`. Every device
-//! atomic op bumps the count for the current kernel epoch and learns how many
-//! prior ops already hit this address in this kernel; the lane is charged
-//! `atomic_base + prior * atomic_serial` cycles. The epoch tag means counters
-//! never need a reset sweep between kernels — a new kernel simply observes a
-//! stale epoch and restarts the count at zero.
+//! A [`SimAtomicU64`] is a plain value word plus a *contention meter*: the
+//! kernel epoch it was last hit in and how many ops hit it then. Every
+//! device atomic op bumps the count for the current kernel epoch and learns
+//! how many prior ops already hit this address in this kernel; the lane is
+//! charged `atomic_base + prior * atomic_serial` cycles. The epoch tag means
+//! counters never need a reset sweep between kernels — a new kernel simply
+//! observes a stale epoch and restarts the count at zero.
 //!
-//! The *values* are maintained with genuine `SeqCst`-free (`AcqRel`) host
-//! atomics, so kernels that run with host-thread parallelism stay correct.
-//! The *contention totals* per address are schedule-independent (each op
-//! observes exactly its arrival index), which keeps total serialization cost
-//! deterministic even under parallel execution.
+//! Every op takes the word by `&mut`: lanes run one after another on the
+//! launching thread, and the borrow checker keeps anything else — a
+//! launch's pre-pass on a helper thread — from reading a word a lane of the
+//! same launch writes. Each op therefore observes exactly its arrival index
+//! in lane order, and the serialization charged is a pure function of the
+//! launch.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Packs `(epoch, count)` into one `u64`: high 32 bits epoch, low 32 count.
-#[inline]
-fn pack(epoch: u32, count: u32) -> u64 {
-    (u64::from(epoch) << 32) | u64::from(count)
+/// Which kernel last hit a word, and how many times.
+#[derive(Debug, Default, Clone, Copy)]
+struct Meter {
+    epoch: u32,
+    count: u32,
 }
 
-#[inline]
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-/// Bump the contention meter `meta` for `epoch`, returning how many prior
-/// same-kernel ops this address had already absorbed.
-fn bump_meter(meta: &AtomicU64, epoch: u32) -> u32 {
-    let mut cur = meta.load(Ordering::Relaxed);
-    loop {
-        let (e, c) = unpack(cur);
-        let next = if e == epoch { pack(epoch, c.saturating_add(1)) } else { pack(epoch, 1) };
-        match meta.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return if e == epoch { c } else { 0 },
-            Err(observed) => cur = observed,
+impl Meter {
+    /// Count one op in kernel `epoch`, returning how many prior same-kernel
+    /// ops this address had already absorbed.
+    #[inline]
+    fn bump(&mut self, epoch: u32) -> u32 {
+        if self.epoch != epoch {
+            *self = Meter { epoch, count: 0 };
         }
+        let prior = self.count;
+        self.count = prior.saturating_add(1);
+        prior
     }
 }
 
 /// A 64-bit device atomic with a per-kernel contention meter.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimAtomicU64 {
-    value: AtomicU64,
-    meter: AtomicU64,
+    value: u64,
+    meter: Meter,
 }
 
 impl SimAtomicU64 {
     /// Create with an initial value.
     pub fn new(v: u64) -> Self {
-        SimAtomicU64 { value: AtomicU64::new(v), meter: AtomicU64::new(0) }
+        SimAtomicU64 { value: v, meter: Meter::default() }
     }
 
     /// Plain (host-side / non-charged) load.
     #[inline]
     pub fn load(&self) -> u64 {
-        self.value.load(Ordering::Acquire)
-    }
-
-    /// Plain (host-side / non-charged) store. Not an atomic RMW; use from
-    /// single-owner contexts such as between-batch resets.
-    #[inline]
-    pub fn store(&self, v: u64) {
-        self.value.store(v, Ordering::Release);
+        self.value
     }
 
     /// `atomicMin`; returns the previous value and the number of prior
     /// same-kernel ops on this address (the serialization depth).
     #[inline]
-    pub(crate) fn fetch_min_metered(&self, v: u64, epoch: u32) -> (u64, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        (self.value.fetch_min(v, Ordering::AcqRel), prior)
-    }
-
-    /// `atomicAdd`; returns previous value and serialization depth.
-    #[inline]
-    pub(crate) fn fetch_add_metered(&self, v: u64, epoch: u32) -> (u64, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        (self.value.fetch_add(v, Ordering::AcqRel), prior)
+    pub(crate) fn fetch_min_metered(&mut self, v: u64, epoch: u32) -> (u64, u32) {
+        let prev = self.value;
+        self.value = prev.min(v);
+        (prev, self.meter.bump(epoch))
     }
 
     /// `atomicCAS`; returns `Ok(previous)` on success and serialization depth.
     #[inline]
-    pub(crate) fn cas_metered(
-        &self,
-        expect: u64,
-        new: u64,
-        epoch: u32,
-    ) -> (Result<u64, u64>, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        let r = self
-            .value
-            .compare_exchange(expect, new, Ordering::AcqRel, Ordering::Acquire);
-        (r, prior)
-    }
-
-    /// `atomicExch`; returns previous value and serialization depth.
-    #[inline]
-    pub(crate) fn swap_metered(&self, v: u64, epoch: u32) -> (u64, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        (self.value.swap(v, Ordering::AcqRel), prior)
+    pub(crate) fn cas_metered(&mut self, expect: u64, new: u64, epoch: u32) -> (Result<u64, u64>, u32) {
+        let prev = self.value;
+        let r = if prev == expect {
+            self.value = new;
+            Ok(prev)
+        } else {
+            Err(prev)
+        };
+        (r, self.meter.bump(epoch))
     }
 
     /// How many device atomics hit this address during kernel `epoch`.
-    pub fn contention_in_epoch(&self, epoch: u32) -> u32 {
-        let (e, c) = unpack(self.meter.load(Ordering::Acquire));
-        if e == epoch {
-            c
+    #[cfg(test)]
+    pub(crate) fn contention_in_epoch(&self, epoch: u32) -> u32 {
+        if self.meter.epoch == epoch {
+            self.meter.count
         } else {
             0
         }
     }
 }
 
-impl Default for SimAtomicU64 {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 /// A 32-bit device atomic with the same contention metering as
-/// [`SimAtomicU64`]. Used for compact per-row flags and counters.
-#[derive(Debug)]
+/// [`SimAtomicU64`]. Used for compact per-row flags.
+#[derive(Debug, Default)]
 pub struct SimAtomicU32 {
-    value: AtomicU32,
-    meter: AtomicU64,
+    value: u32,
+    meter: Meter,
 }
 
 impl SimAtomicU32 {
     /// Create with an initial value.
     pub fn new(v: u32) -> Self {
-        SimAtomicU32 { value: AtomicU32::new(v), meter: AtomicU64::new(0) }
+        SimAtomicU32 { value: v, meter: Meter::default() }
     }
 
     /// Plain (non-charged) load.
     #[inline]
     pub fn load(&self) -> u32 {
-        self.value.load(Ordering::Acquire)
+        self.value
     }
 
-    /// Plain (non-charged) store; single-owner contexts only.
+    /// Plain (non-charged) store.
     #[inline]
-    pub fn store(&self, v: u32) {
-        self.value.store(v, Ordering::Release);
+    pub fn store(&mut self, v: u32) {
+        self.value = v;
     }
 
+    /// `atomicOr`; returns the previous value and serialization depth.
     #[inline]
-    pub(crate) fn fetch_min_metered(&self, v: u32, epoch: u32) -> (u32, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        (self.value.fetch_min(v, Ordering::AcqRel), prior)
-    }
-
-    #[inline]
-    pub(crate) fn fetch_add_metered(&self, v: u32, epoch: u32) -> (u32, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        (self.value.fetch_add(v, Ordering::AcqRel), prior)
-    }
-
-    #[inline]
-    pub(crate) fn fetch_or_metered(&self, v: u32, epoch: u32) -> (u32, u32) {
-        let prior = bump_meter(&self.meter, epoch);
-        (self.value.fetch_or(v, Ordering::AcqRel), prior)
-    }
-}
-
-impl Default for SimAtomicU32 {
-    fn default() -> Self {
-        Self::new(0)
+    pub(crate) fn fetch_or_metered(&mut self, v: u32, epoch: u32) -> (u32, u32) {
+        let prev = self.value;
+        self.value = prev | v;
+        (prev, self.meter.bump(epoch))
     }
 }
 
@@ -178,7 +129,7 @@ mod tests {
 
     #[test]
     fn meter_counts_within_epoch_and_resets_across_epochs() {
-        let a = SimAtomicU64::new(100);
+        let mut a = SimAtomicU64::new(100);
         let (_, p0) = a.fetch_min_metered(50, 7);
         let (_, p1) = a.fetch_min_metered(40, 7);
         let (_, p2) = a.fetch_min_metered(60, 7);
@@ -186,7 +137,7 @@ mod tests {
         assert_eq!(a.contention_in_epoch(7), 3);
         assert_eq!(a.load(), 40);
         // New kernel epoch: depth restarts without any reset pass.
-        let (_, p) = a.fetch_add_metered(1, 8);
+        let (_, p) = a.fetch_min_metered(1, 8);
         assert_eq!(p, 0);
         assert_eq!(a.contention_in_epoch(8), 1);
         assert_eq!(a.contention_in_epoch(7), 0);
@@ -194,7 +145,7 @@ mod tests {
 
     #[test]
     fn fetch_min_keeps_minimum() {
-        let a = SimAtomicU64::new(u64::MAX);
+        let mut a = SimAtomicU64::new(u64::MAX);
         for v in [9, 3, 7, 3, 12] {
             a.fetch_min_metered(v, 1);
         }
@@ -203,7 +154,7 @@ mod tests {
 
     #[test]
     fn cas_success_and_failure() {
-        let a = SimAtomicU64::new(5);
+        let mut a = SimAtomicU64::new(5);
         let (r, _) = a.cas_metered(5, 6, 1);
         assert_eq!(r, Ok(5));
         let (r, _) = a.cas_metered(5, 7, 1);
@@ -213,29 +164,10 @@ mod tests {
 
     #[test]
     fn u32_or_accumulates_flags() {
-        let a = SimAtomicU32::new(0);
+        let mut a = SimAtomicU32::new(0);
         a.fetch_or_metered(0b001, 1);
-        a.fetch_or_metered(0b100, 1);
+        let (prev, prior) = a.fetch_or_metered(0b100, 1);
+        assert_eq!((prev, prior), (0b001, 1));
         assert_eq!(a.load(), 0b101);
-    }
-
-    #[test]
-    fn metering_is_total_under_parallel_hammering() {
-        let a = SimAtomicU64::new(u64::MAX);
-        let threads = 8;
-        let per = 1000u32;
-        crossbeam::scope(|s| {
-            for t in 0..threads {
-                let a = &a;
-                s.spawn(move |_| {
-                    for i in 0..per {
-                        a.fetch_min_metered(u64::from(t * per + i), 3);
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(a.contention_in_epoch(3), threads * per);
-        assert_eq!(a.load(), 0);
     }
 }

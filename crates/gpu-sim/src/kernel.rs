@@ -169,55 +169,23 @@ impl<'k> Lane<'k> {
 
     /// `atomicMin` on a 64-bit cell; returns the previous value.
     #[inline]
-    pub fn atomic_min_u64(&mut self, cell: &SimAtomicU64, v: u64) -> u64 {
+    pub fn atomic_min_u64(&mut self, cell: &mut SimAtomicU64, v: u64) -> u64 {
         let (prev, prior) = cell.fetch_min_metered(v, self.epoch);
-        self.charge_atomic(prior);
-        prev
-    }
-
-    /// `atomicAdd` on a 64-bit cell; returns the previous value.
-    #[inline]
-    pub fn atomic_add_u64(&mut self, cell: &SimAtomicU64, v: u64) -> u64 {
-        let (prev, prior) = cell.fetch_add_metered(v, self.epoch);
         self.charge_atomic(prior);
         prev
     }
 
     /// `atomicCAS` on a 64-bit cell; `Ok(previous)` on success.
     #[inline]
-    pub fn atomic_cas_u64(&mut self, cell: &SimAtomicU64, expect: u64, new: u64) -> Result<u64, u64> {
+    pub fn atomic_cas_u64(&mut self, cell: &mut SimAtomicU64, expect: u64, new: u64) -> Result<u64, u64> {
         let (r, prior) = cell.cas_metered(expect, new, self.epoch);
         self.charge_atomic(prior);
         r
     }
 
-    /// `atomicExch` on a 64-bit cell; returns the previous value.
-    #[inline]
-    pub fn atomic_exch_u64(&mut self, cell: &SimAtomicU64, v: u64) -> u64 {
-        let (prev, prior) = cell.swap_metered(v, self.epoch);
-        self.charge_atomic(prior);
-        prev
-    }
-
-    /// `atomicMin` on a 32-bit cell; returns the previous value.
-    #[inline]
-    pub fn atomic_min_u32(&mut self, cell: &SimAtomicU32, v: u32) -> u32 {
-        let (prev, prior) = cell.fetch_min_metered(v, self.epoch);
-        self.charge_atomic(prior);
-        prev
-    }
-
-    /// `atomicAdd` on a 32-bit cell; returns the previous value.
-    #[inline]
-    pub fn atomic_add_u32(&mut self, cell: &SimAtomicU32, v: u32) -> u32 {
-        let (prev, prior) = cell.fetch_add_metered(v, self.epoch);
-        self.charge_atomic(prior);
-        prev
-    }
-
     /// `atomicOr` on a 32-bit cell; returns the previous value.
     #[inline]
-    pub fn atomic_or_u32(&mut self, cell: &SimAtomicU32, v: u32) -> u32 {
+    pub fn atomic_or_u32(&mut self, cell: &mut SimAtomicU32, v: u32) -> u32 {
         let (prev, prior) = cell.fetch_or_metered(v, self.epoch);
         self.charge_atomic(prior);
         prev
@@ -358,6 +326,32 @@ impl Device {
     /// counters hold is therefore independent of the thread count; only
     /// [`crate::DeviceStats::helper_lanes`] says how the work was shared. A
     /// panic in `pre` on a helper surfaces here once the lanes have run.
+    ///
+    /// The lanes' atomics take their words by `&mut`, so `pre` can share
+    /// only what no lane of the launch writes:
+    ///
+    /// ```
+    /// use ltpg_gpu_sim::{Device, DeviceConfig, PreSlots, SimAtomicU64};
+    ///
+    /// let device = Device::new(DeviceConfig::default());
+    /// let (base, mut hot) = (7u64, SimAtomicU64::new(u64::MAX));
+    /// device.launch_with_pre("min", 64, &mut PreSlots::default(), |k| base + k as u64, |lane, v| {
+    ///     lane.atomic_min_u64(&mut hot, v);
+    /// });
+    /// assert_eq!(hot.load(), 7);
+    /// ```
+    ///
+    /// A pre-pass that reads a word the lanes update does not compile:
+    ///
+    /// ```compile_fail,E0502
+    /// use ltpg_gpu_sim::{Device, DeviceConfig, PreSlots, SimAtomicU64};
+    ///
+    /// let device = Device::new(DeviceConfig::default());
+    /// let mut hot = SimAtomicU64::new(u64::MAX);
+    /// device.launch_with_pre("min", 64, &mut PreSlots::default(), |k| hot.load() + k as u64, |lane, v| {
+    ///     lane.atomic_min_u64(&mut hot, v);
+    /// });
+    /// ```
     pub fn launch_with_pre<P, G, F>(
         &self,
         name: &'static str,
@@ -592,12 +586,14 @@ mod tests {
     fn every_lane_runs_exactly_once() {
         let d = device();
         let items: Vec<usize> = (0..1000).collect();
-        let hits = SimAtomicU64::new(0);
+        let (mut order, mut min) = (Vec::new(), SimAtomicU64::new(u64::MAX));
         let r = d.launch("count", &items, |lane, &i| {
             assert_eq!(lane.global_id, i);
-            lane.atomic_add_u64(&hits, 1);
+            order.push(i);
+            lane.atomic_min_u64(&mut min, i as u64 + 1);
         });
-        assert_eq!(hits.load(), 1000);
+        assert_eq!(order, items, "every lane once, in lane order");
+        assert_eq!((min.load(), r.atomic_ops), (1, 1000));
         assert_eq!(r.lanes, 1000);
         assert_eq!(r.warps, 1000usize.div_ceil(32));
     }
@@ -637,13 +633,13 @@ mod tests {
     fn hot_address_atomics_cost_more_than_spread_atomics() {
         let d = device();
         let n = 4096usize;
-        let hot = SimAtomicU64::new(u64::MAX);
+        let mut hot = SimAtomicU64::new(u64::MAX);
         let r_hot = d.launch_indexed("hot", n, |lane| {
-            lane.atomic_min_u64(&hot, lane.global_id as u64);
+            lane.atomic_min_u64(&mut hot, lane.global_id as u64);
         });
-        let spread: Vec<SimAtomicU64> = (0..n).map(|_| SimAtomicU64::new(u64::MAX)).collect();
+        let mut spread: Vec<SimAtomicU64> = (0..n).map(|_| SimAtomicU64::new(u64::MAX)).collect();
         let r_spread = d.launch_indexed("spread", n, |lane| {
-            lane.atomic_min_u64(&spread[lane.global_id], lane.global_id as u64);
+            lane.atomic_min_u64(&mut spread[lane.global_id], lane.global_id as u64);
         });
         assert!(r_hot.atomic_serial_depth > r_spread.atomic_serial_depth);
         assert_eq!(r_spread.atomic_serial_depth, 0);
@@ -672,18 +668,18 @@ mod tests {
     fn pre_pass_run(
         threads: usize,
         pre: impl Fn(usize) -> u64 + Sync,
-    ) -> (KernelReport, u64, u64, DeviceStats) {
+    ) -> (KernelReport, u32, u64, DeviceStats) {
         let d = Device::new(DeviceConfig::parallel(threads));
-        let (acc, min) = (SimAtomicU64::new(0), SimAtomicU64::new(u64::MAX));
+        let (mut bits, mut min) = (SimAtomicU32::new(0), SimAtomicU64::new(u64::MAX));
         let mut slots = PreSlots::default();
         let r = d.launch_with_pre("pre", 10_000, &mut slots, pre, |lane, v| {
             lane.branch((v % 3) as u32);
             lane.charge_cycles((v % 17) as f64 * 0.1);
-            lane.atomic_add_u64(&acc, v);
-            lane.atomic_min_u64(&min, v);
+            lane.atomic_or_u32(&mut bits, 1 << (v % 32));
+            lane.atomic_min_u64(&mut min, v);
             lane.read_global(2);
         });
-        (r, acc.load(), min.load(), d.stats())
+        (r, bits.load(), min.load(), d.stats())
     }
 
     fn mix(k: usize) -> u64 {
@@ -861,11 +857,11 @@ mod tests {
     #[test]
     fn partial_last_warp_runs_remaining_lanes() {
         let d = device();
-        let hits = SimAtomicU64::new(0);
+        let mut last = SimAtomicU32::new(0);
         let r = d.launch_indexed("partial", 33, |lane| {
-            lane.atomic_add_u64(&hits, 1);
+            lane.atomic_or_u32(&mut last, u32::from(lane.global_id == 32));
         });
-        assert_eq!(hits.load(), 33);
+        assert_eq!((last.load(), r.atomic_ops), (1, 33));
         assert_eq!(r.warps, 2);
     }
 }

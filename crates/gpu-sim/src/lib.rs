@@ -33,7 +33,9 @@
 //! simulated-time figure is reproducible bit-for-bit at any host thread
 //! count. The other `parallel_host_threads − 1` threads only run a launch's
 //! *pre-pass* ahead of it: a pure function of the lane index that cannot
-//! reach the simulated clock ([`Device::launch_with_pre`]).
+//! reach the simulated clock ([`Device::launch_with_pre`]). Simulated
+//! atomics are plain words that a lane updates through `&mut`, so the
+//! compiler rejects a pre-pass that reads one the lanes write.
 //!
 //! ## Quick example
 //!
@@ -42,10 +44,10 @@
 //! use ltpg_gpu_sim::atomic::SimAtomicU64;
 //!
 //! let device = Device::new(DeviceConfig::default());
-//! let hot = SimAtomicU64::new(u64::MAX);
+//! let mut hot = SimAtomicU64::new(u64::MAX);
 //! let items: Vec<u64> = (0..1024).collect();
 //! device.launch("min-reduce", &items, |lane, &tid| {
-//!     lane.atomic_min_u64(&hot, tid);
+//!     lane.atomic_min_u64(&mut hot, tid);
 //! });
 //! device.synchronize();
 //! assert_eq!(hot.load(), 0);

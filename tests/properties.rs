@@ -7,7 +7,6 @@ use ltpg_gpu_sim::{Device, DeviceConfig, KernelReport, Lane};
 use ltpg_storage::{ColId, Database, TableBuilder};
 use ltpg_txn::exec::execute_range_direct;
 use ltpg_txn::{execute_serial, ComputeFn, IrOp, ProcId, Src, Tid, Txn};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -50,7 +49,7 @@ impl LogModel {
 mod dense {
     use ltpg_gpu_sim::{Lane, SimAtomicU64};
     use ltpg_storage::index::mix_key;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::ops::Range;
 
     const TID_BITS: u32 = 40;
     const TID_MASK: u64 = (1 << TID_BITS) - 1;
@@ -67,7 +66,7 @@ mod dense {
 
     struct Bucket {
         tag: SimAtomicU64,
-        mark: [AtomicU64; 2],
+        mark: [u64; 2],
         slot0: [SimAtomicU64; 2],
     }
 
@@ -82,20 +81,19 @@ mod dense {
     impl DenseLog {
         pub fn new(s_h: usize, s_u: usize, ballot: Option<usize>) -> Self {
             let slot = || SimAtomicU64::new(SLOT_EMPTY);
-            let mark = || AtomicU64::new(u64::MAX);
             let more = || (0..s_h * (s_u - 1)).map(|_| slot()).collect::<Vec<_>>();
             DenseLog {
                 mask: s_h - 1,
                 s_u,
                 buckets: (0..s_h)
-                    .map(|_| Bucket { tag: slot(), mark: [mark(), mark()], slot0: [slot(), slot()] })
+                    .map(|_| Bucket { tag: slot(), mark: [u64::MAX; 2], slot0: [slot(), slot()] })
                     .collect(),
                 more: [more(), more()],
                 ballot,
             }
         }
 
-        fn bucket_for(&self, lane: &mut Lane<'_>, key: i64, epoch: u32, claim: bool) -> Option<usize> {
+        fn bucket_for(&mut self, lane: &mut Lane<'_>, key: i64, epoch: u32, claim: bool) -> Option<usize> {
             let h = mix_key(key);
             let tag_val = encode(epoch, h & TID_MASK);
             let start = (h as usize) & self.mask;
@@ -110,7 +108,7 @@ mod dense {
                         }
                     }
                 }
-                let tag = &self.buckets[b].tag;
+                let tag = &mut self.buckets[b].tag;
                 let mut cur = tag.load();
                 loop {
                     if cur == tag_val {
@@ -131,13 +129,14 @@ mod dense {
             None
         }
 
-        fn more_slots(&self, b: usize, record: usize) -> &[SimAtomicU64] {
+        /// Where slots `1..s_u` of bucket `b` sit in `more`.
+        fn more_slots(&self, b: usize) -> Range<usize> {
             let run = self.s_u - 1;
-            &self.more[record][b * run..(b + 1) * run]
+            b * run..(b + 1) * run
         }
 
         pub fn register(
-            &self,
+            &mut self,
             lane: &mut Lane<'_>,
             record: usize,
             key: i64,
@@ -145,21 +144,21 @@ mod dense {
             epoch: u32,
         ) -> bool {
             let Some(b) = self.bucket_for(lane, key, epoch, true) else { return false };
-            let bucket = &self.buckets[b];
-            bucket.mark[record].store(u64::from(epoch), Ordering::Release);
+            self.buckets[b].mark[record] = u64::from(epoch);
+            let more = self.more_slots(b);
             let slot = match tid as usize % self.s_u {
-                0 => &bucket.slot0[record],
-                s => &self.more_slots(b, record)[s - 1],
+                0 => &mut self.buckets[b].slot0[record],
+                s => &mut self.more[record][more][s - 1],
             };
             lane.atomic_min_u64(slot, encode(epoch, tid));
             true
         }
 
-        pub fn min(&self, lane: &mut Lane<'_>, record: usize, key: i64, epoch: u32) -> Option<u64> {
+        pub fn min(&mut self, lane: &mut Lane<'_>, record: usize, key: i64, epoch: u32) -> Option<u64> {
             let b = self.bucket_for(lane, key, epoch, false)?;
             let bucket = &self.buckets[b];
             lane.charge_light(12.0);
-            if bucket.mark[record].load(Ordering::Acquire) != u64::from(epoch) {
+            if bucket.mark[record] != u64::from(epoch) {
                 return None;
             }
             match self.ballot {
@@ -170,7 +169,7 @@ mod dense {
                 }
             }
             std::iter::once(&bucket.slot0[record])
-                .chain(self.more_slots(b, record))
+                .chain(&self.more[record][self.more_slots(b)])
                 .filter_map(|s| decode(s.load(), epoch))
                 .min()
         }
@@ -184,31 +183,30 @@ mod dense {
 /// every probed key.
 type EpochTrace = ([[u64; 5]; 2], Vec<bool>, Vec<(Option<u64>, Option<u64>)>);
 
-/// Run one epoch of `ops` (key, TID, is-write) through a log on `device`,
+/// Run one epoch of `ops` (key, TID, is-write) through `log` on `device`,
 /// then read both records of every key in `probe`.
-fn epoch_trace(
+fn epoch_trace<L>(
     device: &Device,
     ops: &[(i64, u64, bool)],
     probe: &[i64],
-    register: impl Fn(&mut Lane<'_>, i64, u64, Record) -> bool + Sync,
-    min: impl Fn(&mut Lane<'_>, i64, Record) -> Option<u64> + Sync,
+    log: &mut L,
+    mut register: impl FnMut(&mut L, &mut Lane<'_>, i64, u64, Record) -> bool,
+    mut min: impl FnMut(&mut L, &mut Lane<'_>, i64, Record) -> Option<u64>,
 ) -> EpochTrace {
     let charges = |r: &KernelReport| {
         let bits = [r.sim_ns, r.critical_warp_cycles, r.total_warp_cycles].map(f64::to_bits);
         [bits[0], bits[1], bits[2], r.atomic_ops, r.atomic_serial_depth]
     };
     let record = |write| if write { Record::Writes } else { Record::Reads };
-    let landed = Mutex::new(vec![false; ops.len()]);
+    let mut landed = Vec::new();
     let registered = device.launch("register", ops, |lane, &(key, tid, write)| {
-        let ok = register(lane, key, tid, record(write));
-        landed.lock()[lane.global_id] = ok;
+        landed.push(register(log, lane, key, tid, record(write)));
     });
-    let mins = Mutex::new(vec![(None, None); probe.len()]);
+    let mut mins = Vec::new();
     let probed = device.launch("probe", probe, |lane, &key| {
-        let both = (min(lane, key, Record::Reads), min(lane, key, Record::Writes));
-        mins.lock()[lane.global_id] = both;
+        mins.push((min(log, lane, key, Record::Reads), min(log, lane, key, Record::Writes)));
     });
-    ([charges(&registered), charges(&probed)], landed.into_inner(), mins.into_inner())
+    ([charges(&registered), charges(&probed)], landed, mins)
 }
 
 /// Every key `ops` names plus the first 32 (some of them unregistered).
@@ -224,10 +222,10 @@ proptest! {
     /// it replaced, as far as the simulated clock and the decisions can
     /// tell: over three or four epochs, with one, 32 or 512 slots per
     /// bucket, ballot probing on or off, 16 buckets (whose keys overflow
-    /// it, so registrations fail) or 1 024 (whose claims overflow the
-    /// physical table's first size, so they spill and the table grows at
-    /// `settle`), every kernel's charges are bit-equal, and so are every
-    /// registration's return and every minimum.
+    /// it, so registrations fail) or 1 024 (the physical table's first
+    /// size, so the table holds every modelled bucket), every kernel's
+    /// charges are bit-equal, and so are every registration's return and
+    /// every minimum.
     #[test]
     fn a_log_of_claimed_buckets_charges_what_the_dense_log_did(
         epochs in proptest::collection::vec(
@@ -246,7 +244,7 @@ proptest! {
         if let Some(ws) = ws {
             sparse = sparse.with_ballot_probe(ws);
         }
-        let dense = dense::DenseLog::new(s_h, s_u, ws);
+        let mut dense = dense::DenseLog::new(s_h, s_u, ws);
         // One host thread each: lanes run in item order on both sides.
         let (on_sparse, on_dense) =
             (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
@@ -259,11 +257,12 @@ proptest! {
                 &on_sparse,
                 &ops,
                 &probe,
-                |lane, key, tid, record| match record {
+                &mut sparse,
+                |sparse, lane, key, tid, record| match record {
                     Record::Reads => sparse.register_read(lane, key, tid, epoch),
                     Record::Writes => sparse.register_write(lane, key, tid, epoch),
                 },
-                |lane, key, record| match record {
+                |sparse, lane, key, record| match record {
                     Record::Reads => sparse.min_read(lane, key, epoch),
                     Record::Writes => sparse.min_write(lane, key, epoch),
                 },
@@ -272,8 +271,9 @@ proptest! {
                 &on_dense,
                 &ops,
                 &probe,
-                |lane, key, tid, record| dense.register(lane, record as usize, key, tid, epoch),
-                |lane, key, record| dense.min(lane, record as usize, key, epoch),
+                &mut dense,
+                |dense, lane, key, tid, record| dense.register(lane, record as usize, key, tid, epoch),
+                |dense, lane, key, record| dense.min(lane, record as usize, key, epoch),
             );
             prop_assert_eq!(got, want, "epoch {}", epoch);
             sparse.settle();
@@ -323,19 +323,67 @@ proptest! {
                 &on_sparse,
                 ops,
                 &probe,
-                |lane, key, tid, record| log.register(lane, cell(key), check(record), tid),
-                |lane, key, record| log.min(lane, cell(key), record),
+                &mut log,
+                |log, lane, key, tid, record| log.register(lane, cell(key), check(record), tid),
+                |log, lane, key, record| log.min(lane, cell(key), record),
             );
             let want = epoch_trace(
                 &on_dense,
                 ops,
                 &probe,
-                |lane, key, tid, record| dense.register(lane, record as usize, key * 64, tid, epoch),
-                |lane, key, record| dense.min(lane, record as usize, key * 64, epoch),
+                &mut dense,
+                |dense, lane, key, tid, record| dense.register(lane, record as usize, key * 64, tid, epoch),
+                |dense, lane, key, record| dense.min(lane, record as usize, key * 64, epoch),
             );
             prop_assert_eq!(got, want, "epoch {} at geometry {:?}", epoch, geometry);
         }
         prop_assert_eq!(remodels, 2);
+    }
+}
+
+/// The same equality where the physical table grows: an epoch claims
+/// 3 000 buckets of 8 192, so the table doubles from 1 024 entries three
+/// times while the registration kernel runs, and a quieter second epoch
+/// runs on the grown table.
+#[test]
+fn growth_within_an_epoch_charges_what_the_dense_log_did() {
+    for s_u in [1, 32] {
+        let mut sparse = TableLog::new(1 << 13, s_u).with_ballot_probe(32);
+        let mut dense = dense::DenseLog::new(1 << 13, s_u, Some(32));
+        let (on_sparse, on_dense) =
+            (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
+        for (epoch, keys) in [(1u32, 3_000u64), (2, 300)] {
+            // Three passes over the keys, TIDs rising: each key's minimum
+            // is its first registration, made before the table last grew.
+            let ops: Vec<(i64, u64, bool)> =
+                (0..3 * keys).map(|i| ((i * 7_919 % keys) as i64, i + 1, i % 7 == 0)).collect();
+            let probe = probe_keys(&ops);
+            let got = epoch_trace(
+                &on_sparse,
+                &ops,
+                &probe,
+                &mut sparse,
+                |sparse, lane, key, tid, record| match record {
+                    Record::Reads => sparse.register_read(lane, key, tid, epoch),
+                    Record::Writes => sparse.register_write(lane, key, tid, epoch),
+                },
+                |sparse, lane, key, record| match record {
+                    Record::Reads => sparse.min_read(lane, key, epoch),
+                    Record::Writes => sparse.min_write(lane, key, epoch),
+                },
+            );
+            let want = epoch_trace(
+                &on_dense,
+                &ops,
+                &probe,
+                &mut dense,
+                |dense, lane, key, tid, record| dense.register(lane, record as usize, key, tid, epoch),
+                |dense, lane, key, record| dense.min(lane, record as usize, key, epoch),
+            );
+            assert_eq!(got, want, "s_u {s_u}, epoch {epoch}");
+            sparse.settle();
+        }
+        assert!(sparse.resident_bytes() >= 8_192 * 64, "the table must have grown");
     }
 }
 
@@ -371,23 +419,21 @@ proptest! {
             let mut model = LogModel::new(log.bucket_count());
             let expected: Vec<bool> =
                 ops.iter().map(|&(k, tid, w)| model.register(k, tid, w)).collect();
-            let landed = parking_lot::Mutex::new(vec![false; ops.len()]);
+            let mut landed = Vec::new();
             device.launch("register", &ops, |lane, &(key, tid, is_write)| {
-                let ok = if is_write {
+                landed.push(if is_write {
                     log.register_write(lane, key, tid, epoch)
                 } else {
                     log.register_read(lane, key, tid, epoch)
-                };
-                landed.lock()[lane.global_id] = ok;
+                });
             });
-            prop_assert_eq!(landed.into_inner(), expected, "exhaustion in epoch {}", epoch);
-            let results = parking_lot::Mutex::new(Vec::new());
+            prop_assert_eq!(landed, expected, "exhaustion in epoch {}", epoch);
+            let mut results = Vec::new();
             device.launch_indexed("probe", 40, |lane| {
                 let k = lane.global_id as i64;
-                let mins = (log.min_read(lane, k, epoch), log.min_write(lane, k, epoch));
-                results.lock().push((k, mins.0, mins.1));
+                results.push((k, log.min_read(lane, k, epoch), log.min_write(lane, k, epoch)));
             });
-            for (k, r, w) in results.into_inner() {
+            for (k, r, w) in results {
                 prop_assert_eq!(r, model.read_min.get(&k).copied(), "epoch {} read min, key {}", epoch, k);
                 prop_assert_eq!(w, model.write_min.get(&k).copied(), "epoch {} write min, key {}", epoch, k);
             }
