@@ -236,6 +236,33 @@ impl CellStore for ScopedStore<'_> {
     }
 }
 
+/// Make room in `db`'s primary indexes for the committed inserts among
+/// `normal` whose row `owns_row` says is written here, counted per table
+/// into `counts`: the `&mut` step before a write-back, which inserts
+/// through `&Database` and never grows an index. Shared by the engine and
+/// the CPU twin.
+pub(crate) fn reserve_inserts<'m>(
+    db: &mut Database,
+    counts: &mut Vec<usize>,
+    normal: impl Iterator<Item = &'m Mutation>,
+    owns_row: impl Fn(TableId, i64) -> bool,
+) {
+    counts.clear();
+    counts.resize(db.table_count(), 0);
+    for m in normal {
+        if let Mutation::Insert { table, key, .. } = m {
+            if owns_row(*table, *key) {
+                counts[usize::from(table.0)] += 1;
+            }
+        }
+    }
+    for (t, &n) in counts.iter().enumerate() {
+        if n > 0 {
+            db.reserve(TableId(t as u16), n);
+        }
+    }
+}
+
 /// Apply one committed mutation to `db`: the write-back step shared by
 /// the engine's kernel and the CPU twin.
 pub(crate) fn apply_mutation(db: &Database, m: &Mutation) {
@@ -260,10 +287,11 @@ pub(crate) fn apply_mutation(db: &Database, m: &Mutation) {
             Err(TableError::Duplicate(_)) => {
                 unreachable!("committed duplicate insert: WAW detection failed for key {key}")
             }
-            // Invariant: capacity is provisioned at load time
-            // (TableBuilder::capacity) to cover the workload's maximum
-            // insert headroom; running out mid-writeback is a sizing bug,
-            // and there is no transactional way to un-commit here.
+            // Invariant: the schema's modelled capacity
+            // (TableBuilder::capacity) covers the workload's maximum insert
+            // headroom, and the index was reserved for this batch's inserts
+            // before the write-back; running out mid-writeback is a sizing
+            // bug, and there is no transactional way to un-commit here.
             Err(TableError::Full) => {
                 panic!("table {} out of insert headroom", db.table(*table).schema().name)
             }
@@ -388,6 +416,8 @@ struct EngineScratch {
     lane_items: Vec<Vec<DetectItem>>,
     tids: Vec<u64>,
     committed_flags: Vec<bool>,
+    /// Committed inserts per table of the batch being finished.
+    insert_counts: Vec<usize>,
     op_items: Vec<(usize, bool)>,
     /// High-watermark (in transactions) of the batch-sized device buffers.
     wm_txns: usize,
@@ -814,6 +844,16 @@ impl LtpgEngine {
         // ---- Phase 3: write-back. ----
         let reordering = self.cfg.opts.logical_reordering;
         let commit_ok = |f: u32| commit_decision(reordering, f);
+        let mut committed_flags = std::mem::take(&mut self.scratch.committed_flags);
+        committed_flags.clear();
+        committed_flags.extend((0..n).map(|i| commit_ok(flags[i].load())));
+        let committed = committed_flags.iter().zip(&outcomes).filter(|(&ok, _)| ok);
+        reserve_inserts(
+            &mut self.db,
+            &mut self.scratch.insert_counts,
+            committed.filter_map(|(_, out)| out.as_ref()).flat_map(|out| &out.normal),
+            owns_row,
+        );
         self.device.check_alive()?;
         let wb_report = self.device.launch("writeback", &lane_order, |lane, &idx| {
             let txn = &batch.txns[idx];
@@ -846,9 +886,6 @@ impl LtpgEngine {
         stats.writeback_ns = wb_report.sim_ns;
 
         // ---- Delayed-update merge (paper Example 3). ----
-        let mut committed_flags = std::mem::take(&mut self.scratch.committed_flags);
-        committed_flags.clear();
-        committed_flags.extend((0..n).map(|i| commit_ok(flags[i].load())));
         let mut merge_map: std::collections::HashMap<(TableId, ColId, i64), (i64, u32)> =
             std::collections::HashMap::new();
         for (idx, committed) in committed_flags.iter().enumerate().take(n) {

@@ -33,8 +33,8 @@ use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
 use crate::config::LtpgConfig;
 use crate::engine::{
-    apply_mutation, commit_decision, flag, scope_owns, scope_owns_row, stage_effects, ExecScope,
-    ScopedStore, Staged,
+    apply_mutation, commit_decision, flag, reserve_inserts, scope_owns, scope_owns_row,
+    stage_effects, ExecScope, ScopedStore, Staged,
 };
 use crate::footprint::{self, conflict_flags, Cell, Record};
 
@@ -204,6 +204,13 @@ impl CpuTwin {
         let TwinPrepared { outcomes, flags, work_ns, wall_start, .. } = prepared;
         let owns_row = |t: TableId, k: i64| scope_owns_row(scope, t, k);
         let reordering = self.cfg.opts.logical_reordering;
+        let writes = flags.iter().zip(&outcomes).filter(|(&f, _)| commit_decision(reordering, f));
+        reserve_inserts(
+            &mut self.db,
+            &mut Vec::new(),
+            writes.filter_map(|(_, out)| out.as_ref()).flat_map(|out| &out.normal),
+            owns_row,
+        );
         let mut committed = Vec::new();
         let mut aborted = Vec::new();
         // Delayed-update merge over owned cells, applied in sorted cell

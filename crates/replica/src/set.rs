@@ -58,7 +58,7 @@ use ltpg::{
 };
 pub use ltpg::MergedWords;
 use ltpg_gpu_sim::{Device, DeviceError, HostThreadLease};
-use ltpg_storage::{Database, Frame};
+use ltpg_storage::Frame;
 use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
 
 use crate::health::{HealthMonitor, HealthVerdict, Heartbeat};
@@ -335,17 +335,13 @@ impl ReplicaSet {
     /// Append `n` rows over `logs`' current checkpoint images. `device` —
     /// a recovered physical device, already revived and reset — becomes
     /// the first row's shard-0 engine: it rejoins the pool instead of the
-    /// serving plane. Rows are cloned from one set of images, dropped
-    /// afterwards — one clone more than cloning straight from the logs,
-    /// kept because the direct form measured 7 % slower on
-    /// `fleet_sharded_ycsb` `host_ktps` for a reason not yet established
-    /// (EXPERIMENTS.md, PR 21).
+    /// serving plane. Each row's databases are cloned straight from the
+    /// logs' images.
     fn spawn_rows(&mut self, n: usize, logs: &[DurabilityManager], mut device: Option<Arc<Device>>) {
-        let images: Vec<Database> = logs.iter().map(DurabilityManager::checkpoint_image).collect();
         for _ in 0..n {
-            let engines = (images.iter())
-                .map(|image| {
-                    let (db, cfg) = (image.deep_clone(), self.engine_cfg.clone());
+            let engines = (logs.iter())
+                .map(|log| {
+                    let (db, cfg) = (log.checkpoint_image(), self.engine_cfg.clone());
                     let reg = Arc::clone(&self.standby_registry);
                     match device.take() {
                         Some(device) => LtpgEngine::with_device(db, cfg, reg, device).into(),

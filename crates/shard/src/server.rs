@@ -147,7 +147,7 @@ impl Sharding {
         let new_slices: Vec<Database> = (0..shards.execs.len())
             .map(|s| {
                 let pred = new_part.slice_pred(s as u32);
-                let base = shards.execs[s].database().partition_clone(pred);
+                let mut base = shards.execs[s].database().partition_clone(pred);
                 for (r, peer) in shards.execs.iter().enumerate() {
                     if r != s {
                         migrated += base.absorb_rows(peer.database(), new_part.slice_pred(s as u32));

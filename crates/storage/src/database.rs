@@ -4,7 +4,7 @@
 
 use crate::dirty::ImageCopy;
 use crate::schema::{Schema, TableId};
-use crate::table::Table;
+use crate::table::{RowId, Table};
 
 /// A set of tables addressed by [`TableId`]. This *is* the "database
 /// snapshot" of the paper: LTPG keeps it device-resident and the write-back
@@ -38,6 +38,12 @@ impl Database {
     #[inline]
     pub fn table(&self, id: TableId) -> &Table {
         &self.tables[usize::from(id.0)]
+    }
+
+    /// Make room in table `id`'s primary index for `n` more inserts
+    /// ([`Table::reserve`]).
+    pub fn reserve(&mut self, id: TableId, n: usize) {
+        self.tables[usize::from(id.0)].reserve(n);
     }
 
     /// Find a table by name.
@@ -115,21 +121,19 @@ impl Database {
     /// under the new rules) plus the rows absorbed from every other
     /// shard's slice. The presence check makes replicated tables — whose
     /// rows exist identically on every source — merge first-wins instead
-    /// of burning duplicate slots.
-    pub fn absorb_rows(&self, other: &Database, keep: impl Fn(TableId, i64) -> bool) -> u64 {
+    /// of burning duplicate slots. Each table's index is
+    /// [reserved](Table::reserve) for exactly the rows it absorbs.
+    pub fn absorb_rows(&mut self, other: &Database, keep: impl Fn(TableId, i64) -> bool) -> u64 {
         assert_eq!(self.table_count(), other.table_count(), "table layouts must line up");
         let mut copied = 0;
-        for (id, src) in other.iter() {
-            let dst = self.table(id);
-            for r in 0..src.len() {
-                let rid = crate::table::RowId(r as u32);
-                let Some(k) = src.key_of(rid) else { continue };
-                if !keep(id, k) || dst.lookup(k).is_some() {
-                    continue;
-                }
+        for ((id, src), dst) in other.iter().zip(&mut self.tables) {
+            let moving: Vec<(RowId, i64)> =
+                src.live_keys().filter(|&(_, k)| keep(id, k) && dst.lookup(k).is_none()).collect();
+            dst.reserve(moving.len());
+            for &(rid, k) in &moving {
                 dst.insert(k, &src.row_values(rid)).expect("absorb_rows insert");
-                copied += 1;
             }
+            copied += moving.len() as u64;
         }
         copied
     }

@@ -6,6 +6,10 @@
 //! NewOrder inserting orders and order lines). Linear probing is used, the
 //! same collision policy the paper adopts for its conflict-log hash tables
 //! (§V-C: `h(key, i) = (key + i) mod s_h`).
+//!
+//! An index never grows on its own: inserts through `&self` assume room,
+//! and [`PrimaryIndex::reserve`] (`&mut`, so never during a launch) makes it
+//! for a known number of inserts before they happen.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
@@ -46,21 +50,74 @@ pub struct PrimaryIndex {
     slots: Box<[Slot]>,
     mask: usize,
     len: AtomicUsize,
+    /// Tombstoned slots. Probes cross them as they cross live keys, so
+    /// [`reserve`](Self::reserve) keeps the two together at or below half
+    /// the slots. Counted on remove and reclaim, so an insert into an
+    /// empty slot pays for `len` alone.
+    tombstones: AtomicUsize,
     /// Slots claimed or tombstoned since an image of this index was last
     /// brought up to date ([`refresh_from`](Self::refresh_from)).
     dirty: DirtyBits,
 }
 
 impl PrimaryIndex {
-    /// Create an index able to hold `expected` keys comfortably (the slot
-    /// array is the next power of two above `2 * expected`).
+    /// Create an index that takes `expected` inserts before it must
+    /// [`reserve`](Self::reserve) more: the slot array is the next power of
+    /// two at or above `2 * expected` (16 at least), so it is at most half
+    /// full. A fresh table sizes it for its whole schema capacity; a shard
+    /// slice for the rows it was cut with.
     pub fn with_capacity(expected: usize) -> Self {
-        let n = (expected.max(8) * 2).next_power_of_two();
+        PrimaryIndex::of_slots((expected.max(8) * 2).next_power_of_two())
+    }
+
+    /// An empty index of `n` slots (a power of two).
+    fn of_slots(n: usize) -> Self {
         let slots = (0..n)
             .map(|_| Slot { key: AtomicI64::new(EMPTY), rid: AtomicU32::new(PENDING) })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        PrimaryIndex { slots, mask: n - 1, len: AtomicUsize::new(0), dirty: DirtyBits::new(n) }
+        PrimaryIndex {
+            slots,
+            mask: n - 1,
+            len: AtomicUsize::new(0),
+            tombstones: AtomicUsize::new(0),
+            dirty: DirtyBits::new(n),
+        }
+    }
+
+    /// Make room for `n` more inserts: if they could take the used slots
+    /// (live keys and tombstones) past half the array, rebuild it with
+    /// every live key under the same [`RowId`], no tombstone, and at least
+    /// twice as many slots as live keys plus `n` (never fewer than now).
+    /// Returns whether it rebuilt: a rebuilt index has another slot layout,
+    /// so no image of it can be brought up to date slot by slot.
+    pub fn reserve(&mut self, n: usize) -> bool {
+        let used = self.len() + *self.tombstones.get_mut();
+        if 2 * (used + n) <= self.slots.len() {
+            return false;
+        }
+        let want = ((self.len() + n).max(8) * 2).next_power_of_two();
+        let mut grown = PrimaryIndex::of_slots(want.max(self.slots.len()));
+        for slot in self.slots.iter_mut() {
+            let key = *slot.key.get_mut();
+            if key != EMPTY && key != TOMBSTONE {
+                grown.place(key, *slot.rid.get_mut());
+            }
+        }
+        *self = grown;
+        true
+    }
+
+    /// Put `key`, known absent, into the first `EMPTY` slot of its probe.
+    fn place(&mut self, key: i64, rid: u32) {
+        let mut at = mix_key(key) as usize & self.mask;
+        while *self.slots[at].key.get_mut() != EMPTY {
+            at = (at + 1) & self.mask;
+        }
+        let slot = &mut self.slots[at];
+        *slot.key.get_mut() = key;
+        *slot.rid.get_mut() = rid;
+        *self.len.get_mut() += 1;
     }
 
     /// Number of live keys.
@@ -127,7 +184,15 @@ impl PrimaryIndex {
         slot.key.compare_exchange(vacant, key, Ordering::AcqRel, Ordering::Acquire)?;
         slot.rid.store(rid.0, Ordering::Release);
         self.dirty.mark(at);
-        self.len.fetch_add(1, Ordering::Relaxed);
+        if vacant == TOMBSTONE {
+            self.tombstones.fetch_sub(1, Ordering::Relaxed);
+        }
+        let live = self.len.fetch_add(1, Ordering::Relaxed) + 1;
+        debug_assert!(
+            2 * live <= self.slots.len(),
+            "insert past half load of a {}-slot primary index: reserve first",
+            self.slots.len()
+        );
         Ok(())
     }
 
@@ -191,6 +256,7 @@ impl PrimaryIndex {
                 slot.key.store(TOMBSTONE, Ordering::Release);
                 self.dirty.mark(at);
                 self.len.fetch_sub(1, Ordering::Relaxed);
+                self.tombstones.fetch_add(1, Ordering::Relaxed);
                 return Some(rid);
             }
             if k == EMPTY {
@@ -230,8 +296,9 @@ impl PrimaryIndex {
     /// must not race a writer.
     pub(crate) fn refresh_from(&mut self, src: &PrimaryIndex) -> u64 {
         debug_assert_eq!(self.slots.len(), src.slots.len(), "a mirror has its source's shape");
-        let PrimaryIndex { slots, dirty, len, .. } = self;
+        let PrimaryIndex { slots, dirty, len, tombstones, .. } = self;
         *len.get_mut() = src.len();
+        *tombstones.get_mut() = src.tombstones.load(Ordering::Relaxed);
         in_groups(src.dirty.drain_with(dirty), |group| {
             for &at in group {
                 std::hint::black_box(src.slots[at].key.load(Ordering::Relaxed));
@@ -288,6 +355,7 @@ impl Clone for PrimaryIndex {
             slots,
             mask: self.mask,
             len: AtomicUsize::new(self.len()),
+            tombstones: AtomicUsize::new(self.tombstones.load(Ordering::Relaxed)),
             dirty: DirtyBits::new(self.slots.len()),
         }
     }
@@ -303,6 +371,7 @@ impl Clone for PrimaryIndex {
             copy_slot(dst, s);
         }
         *self.len.get_mut() = src.len();
+        *self.tombstones.get_mut() = src.tombstones.load(Ordering::Relaxed);
         self.dirty.clear();
     }
 }
@@ -380,6 +449,67 @@ mod tests {
             }
             assert_eq!(idx.len(), 7);
             idx.insert(gone, RowId(gone as u32)).unwrap();
+        }
+    }
+
+    /// `reserve` rebuilds only when the inserts it is told of could take
+    /// the used slots (tombstones count) past half load; a rebuild keeps
+    /// every key's row id, drops the tombstones and keeps the rules pinned
+    /// above: a removed key is absent, a present one is a duplicate of its
+    /// row, and a key past a former tombstone is still found.
+    #[test]
+    fn reserve_keeps_every_row_id_and_the_duplicate_rules() {
+        let mut idx = PrimaryIndex::with_capacity(8);
+        assert_eq!(idx.slot_count(), 16);
+        for k in 0..8i64 {
+            idx.insert(k * 5, RowId(k as u32)).unwrap();
+        }
+        for k in (0..8i64).step_by(3) {
+            assert_eq!(idx.remove(k * 5), Some(RowId(k as u32)));
+        }
+        let check = |idx: &PrimaryIndex| {
+            for k in 0..8i64 {
+                let want = (k % 3 != 0).then_some(RowId(k as u32));
+                assert_eq!(idx.get(k * 5), want, "key {}", k * 5);
+                if let Some(existing) = want {
+                    assert_eq!(idx.insert(k * 5, RowId(99)), Err(DuplicateKey { existing }));
+                }
+            }
+            assert_eq!(idx.len(), 5);
+        };
+        assert!(!idx.reserve(0), "eight used slots of sixteen is half load, not past it");
+        check(&idx);
+        // Three tombstones push one more insert past half: rebuilt at the
+        // same size, without them.
+        assert!(idx.reserve(1));
+        assert_eq!((idx.slot_count(), *idx.tombstones.get_mut()), (16, 0));
+        check(&idx);
+        // Eight more keys: doubled.
+        assert!(idx.reserve(8));
+        assert_eq!(idx.slot_count(), 32);
+        check(&idx);
+        for k in 100..108i64 {
+            idx.insert(k, RowId(k as u32)).unwrap();
+        }
+        assert!(!idx.reserve(0));
+        for gone in 100..108i64 {
+            assert_eq!(idx.remove(gone), Some(RowId(gone as u32)));
+            for k in (100..108i64).filter(|&k| k != gone) {
+                let existing = RowId(k as u32);
+                assert_eq!(idx.insert(k, RowId(7)), Err(DuplicateKey { existing }));
+            }
+            idx.insert(gone, RowId(gone as u32)).unwrap();
+        }
+        assert_eq!(idx.len(), 13);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reserve first")]
+    fn an_insert_past_half_load_without_a_reserve_panics() {
+        let idx = PrimaryIndex::with_capacity(8);
+        for k in 0..9i64 {
+            idx.insert(k, RowId(k as u32)).unwrap();
         }
     }
 

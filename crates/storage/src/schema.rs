@@ -24,9 +24,15 @@ pub struct Schema {
     pub name: String,
     /// One name per column; the column count is `columns.len()`.
     pub columns: Vec<String>,
-    /// Row capacity the table is created with. Tables do not grow: the
-    /// workload sizes them with headroom for the inserts it will perform,
-    /// matching the preallocated device-buffer discipline of a GPU engine.
+    /// Row capacity the table is modelled with. Tables do not grow past
+    /// it: the workload sizes them with headroom for the inserts it will
+    /// perform, matching the preallocated device-buffer discipline of a GPU
+    /// engine, and every modelled figure (`Table::bytes`, conflict-log
+    /// sizing, [`TableError::Full`]) reads it. The host holds only what a
+    /// table occupies (see [`Table`]).
+    ///
+    /// [`Table`]: crate::Table
+    /// [`TableError::Full`]: crate::TableError::Full
     pub capacity: usize,
 }
 

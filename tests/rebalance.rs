@@ -175,6 +175,44 @@ fn sixteen_shards_split_and_merge_match_from_scratch_topology() {
     assert_slices_identical(&rebalanced, &fresh);
 }
 
+/// A 4→2 merge: shards 1 and 3 hand their ranges to 0 and 2. Each
+/// survivor's new slice is cut from its own ~64 rows, with an index sized
+/// for them, and `absorb_rows` must reserve room for the ~64 arriving ones:
+/// the index grows to what a slice cut with all of them has, and the run
+/// stays bit-identical to a cluster built at the final topology.
+#[test]
+fn a_four_to_two_merge_grows_the_surviving_slices_indexes() {
+    let (db, part) = range_fixture();
+    let plan = RebalancePlan {
+        cutover: 3,
+        ops: vec![
+            RebalanceOp::Merge { table: T0, from: 1, to: 0 },
+            RebalanceOp::Merge { table: T0, from: 3, to: 2 },
+        ],
+    };
+    let final_part = plan.apply_to(&part).expect("merges validate");
+    let mut merged = server(&db, &part, 16);
+    let mut fresh = server(&db, &final_part, 16);
+    let slots = |s: &ShardedServer, shard: u32| s.database(shard).table(T0).index_slots();
+    let before = [0, 2].map(|shard| slots(&merged, shard));
+    let stream = update_stream(31, 16 * 8, 0..256);
+    merged.submit_all(stream.iter().cloned());
+    fresh.submit_all(stream);
+    merged.schedule_rebalance(plan).expect("merge scheduled");
+    assert_lockstep_with_flags(&mut merged, &mut fresh, 64);
+    assert_eq!(merged.stats().rebalances, 1);
+    // Shard 1 owned keys 65..=128, shard 3 keys 193..=255.
+    assert_eq!(merged.stats().rows_migrated, 64 + 63);
+    assert_slices_identical(&merged, &fresh);
+    for (i, shard) in [0, 2].into_iter().enumerate() {
+        assert!(slots(&merged, shard) > before[i], "shard {shard}'s index did not grow");
+        assert_eq!(slots(&merged, shard), slots(&fresh, shard));
+    }
+    for shard in [1, 3] {
+        assert_eq!(merged.database(shard).table(T0).live_rows(), 0);
+    }
+}
+
 /// Consistent snapshot reads come from the standby pool: after a cutover
 /// the pool is rebuilt from the cutover checkpoints, so `snapshot_read`
 /// serves the committed value for any key under the *new* routing.

@@ -9,11 +9,16 @@
 //! key set (property-tested below), or replicas and WAL replay would
 //! classify transactions differently and the determinism argument breaks.
 
-use ltpg::{LtpgConfig, LtpgServer, ServerConfig};
-use ltpg_shard::{ycsb_partitioner, Partitioner, Route, Router, ShardedServer, TableRule};
-use ltpg_storage::{ColId, TableId};
+use ltpg::{LtpgConfig, LtpgServer, OptFlags, ServerConfig, Topology};
+use ltpg_bench::ltpg_tpcc_config;
+use ltpg_replica::ReplicaConfig;
+use ltpg_shard::{
+    tpcc_partitioner, ycsb_partitioner, Partitioner, Route, Router, ShardedServer, TableRule,
+};
+use ltpg_storage::{ColId, Database, TableId};
+use ltpg_telemetry::names;
 use ltpg_txn::{IrOp, ProcId, Src, Txn};
-use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
+use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 use proptest::prelude::*;
 
 const BATCH: usize = 256;
@@ -109,6 +114,162 @@ fn four_shards_match_single_device_after_losing_one() {
         assert!(!sharded.is_degraded(s), "healthy shard {s} must stay on its device");
     }
     assert_slices_match(&sharded, &single);
+}
+
+/// Primary-index slots of every table of `db`.
+fn index_slots(db: &Database) -> Vec<usize> {
+    db.iter().map(|(_, t)| t.index_slots()).collect()
+}
+
+/// TPC-C 50/50 on four warehouses, one per shard: NewOrder inserts into
+/// every slice's ORDERS, NEW_ORDER and ORDER_LINE, Payment into HISTORY
+/// (hash-routed, so into every slice too). The slices start with those
+/// tables empty and indexes of 16 slots, so each grows through
+/// `Table::reserve` again and again, and the run must stay bit-identical to
+/// the one-device server — every tick's commits, aborts and flag words, and
+/// every final slice — while
+/// - a periodic checkpoint follows a growth (it must then be the full
+///   copy, and only then),
+/// - a standby row, attached to the empty slices, replays the growths and
+///   is promoted when shard 1's device is lost,
+/// - shard 2, lost with the pool spent, is rebuilt on the CPU twin and
+///   grows its slice there, and
+/// - crash recovery replays, from the last checkpoint, batches that grow
+///   the image's indexes again.
+#[test]
+fn four_tpcc_shards_grow_their_slice_indexes_and_match_one_device() {
+    const TPCC_BATCH: usize = 128;
+    const FAIL_AT: usize = 5;
+    const DEGRADE_AT: usize = 7;
+    let wl = TpccConfig::new(4, 50).with_headroom(4_096).with_partitions(4, 10);
+    let (db, tables, mut gen) = TpccGenerator::new(wl);
+    let cfg = ltpg_tpcc_config(&tables, TPCC_BATCH, OptFlags::all());
+    let scfg = ServerConfig {
+        batch_size: TPCC_BATCH,
+        pipelined: false,
+        checkpoint_every: Some(3),
+        ..ServerConfig::default()
+    };
+    let part = tpcc_partitioner(4, &tables);
+    let mut sharded = ShardedServer::new(db.deep_clone(), part.clone(), cfg.clone(), scfg.clone());
+    let mut single = LtpgServer::new(db, cfg.clone(), scfg);
+    sharded.attach_replicas(&ReplicaConfig { standbys: 1, ..ReplicaConfig::default() });
+    let stream = gen.gen_batch(TPCC_BATCH * 10);
+    sharded.submit_all(stream.iter().cloned());
+    single.submit_all(stream);
+
+    let inserted = [tables.orders, tables.new_order, tables.order_line, tables.history];
+    let slots = |s: &ShardedServer| (0..4).map(|i| index_slots(s.database(i))).collect::<Vec<_>>();
+    let at_start = slots(&sharded);
+    for shard in &at_start {
+        assert!(inserted.iter().all(|t| shard[usize::from(t.0)] == 16), "{shard:?}");
+    }
+    let mut at_checkpoint = at_start.clone();
+    let mut cut = [0; 4];
+    let mut full_after_growth = 0;
+    let mut recovered = false;
+    for tick in 0.. {
+        assert!(tick < 200, "servers did not drain");
+        if tick == FAIL_AT {
+            sharded.force_shard_failure(1);
+        }
+        if tick == DEGRADE_AT {
+            sharded.force_shard_failure(2);
+        }
+        let (a, b) = (sharded.tick(), single.tick());
+        match (&a, &b) {
+            (Some(sa), Some(sb)) => {
+                assert_eq!(sa.committed, sb.committed, "commit set diverged at tick {tick}");
+                assert_eq!(sa.aborted, sb.aborted, "abort set diverged at tick {tick}");
+                assert_eq!(sa.flag_words, sb.flag_words, "flag words diverged at tick {tick}");
+            }
+            (None, None) => {}
+            _ => panic!("one server went idle before the other at tick {tick}"),
+        }
+        let now = slots(&sharded);
+        let durability = &sharded.shards().durability;
+        // Shards 1 and 2 move to another database (the promoted standby's,
+        // the twin's rebuild): another table to its image, whatever the
+        // indexes did.
+        for s in [0, 3] {
+            let dur = &durability[s];
+            if dur.checkpoint_batch() != cut[s] {
+                cut[s] = dur.checkpoint_batch();
+                let grew = now[s] != at_checkpoint[s];
+                assert_eq!(dur.last_checkpoint().full, grew, "shard {s}, tick {tick}");
+                full_after_growth += usize::from(grew);
+                let image = dur.checkpoint_image();
+                assert_eq!(image.state_digest(), sharded.database(s as u32).state_digest());
+                assert_eq!(index_slots(&image), now[s], "an image has its source's index size");
+                at_checkpoint[s] = now[s].clone();
+            }
+        }
+        // Crash recovery, once a slice has grown since a periodic joint
+        // checkpoint: replaying from it must grow the images' indexes as
+        // the live ones grew, to the same sizes.
+        if !recovered && [0, 3].iter().any(|&s| cut[s] > 0 && now[s] != at_checkpoint[s]) {
+            let replayer = sharded.topology().replayer();
+            let (dbs, _) = ltpg::recover(durability, &cfg, &replayer).expect("recover");
+            for (s, db) in dbs.iter().enumerate() {
+                let live = sharded.database(s as u32);
+                assert_eq!(db.state_digest(), live.state_digest(), "shard {s}");
+                assert_eq!(index_slots(db), now[s], "shard {s}");
+            }
+            recovered = true;
+        }
+        if a.is_none() && b.is_none() && sharded.pending() == 0 && single.pending() == 0 {
+            break;
+        }
+    }
+    assert!(full_after_growth > 0, "no checkpoint followed a growth");
+    assert!(sharded.stats().committed > 0);
+    assert_eq!(sharded.telemetry().counter_value(names::REPLICA_PROMOTIONS), 1);
+    assert!(sharded.is_degraded(2) && !sharded.is_degraded(1));
+    let end = slots(&sharded);
+    for s in 0..4u32 {
+        let reference = single.database().partition_clone(part.slice_pred(s));
+        assert_eq!(sharded.database(s).state_digest(), reference.state_digest(), "shard {s}");
+        for t in inserted {
+            let (i, s) = (usize::from(t.0), s as usize);
+            assert!(end[s][i] > at_start[s][i], "shard {s} table {i} never grew");
+        }
+    }
+    assert!(recovered, "no slice grew between checkpoints");
+}
+
+/// The sharded fleet's set-up in miniature (a quarter of its 1 M rows per
+/// shard there, 16 384 here; `setup_peak` guards the full size's memory):
+/// each slice keeps the table's schema capacity, so every modelled figure
+/// is the one-device one, but its primary index is sized to the rows it
+/// was cut with — the next power of two at or above twice them — and the
+/// checkpoint images inherit that size.
+#[test]
+fn slice_indexes_are_sized_to_their_rows() {
+    let wl = YcsbConfig::new(YcsbWorkload::A, 65_536)
+        .with_alpha(0.4)
+        .with_seed(1)
+        .with_partitions(4, 10);
+    let (db, table, _gen) = YcsbGenerator::new(wl.clone());
+    let whole = db.table(table);
+    let (capacity, bytes) = (whole.capacity(), whole.bytes());
+    assert_eq!(whole.index_slots(), (2 * capacity).next_power_of_two());
+    let scfg = ServerConfig {
+        batch_size: 2_048,
+        pipelined: false,
+        checkpoint_every: Some(16),
+        ..ServerConfig::default()
+    };
+    let mut sharded =
+        ShardedServer::new(db, ycsb_partitioner(4, table, &wl), LtpgConfig::default(), scfg);
+    sharded.attach_replicas(&ReplicaConfig { standbys: 1, ..ReplicaConfig::default() });
+    for s in 0..4u32 {
+        let slice = sharded.database(s).table(table);
+        assert_eq!((slice.capacity(), slice.bytes()), (capacity, bytes));
+        assert_eq!(slice.live_rows(), 16_384);
+        assert_eq!(slice.index_slots(), 32_768);
+        let image = sharded.shards().durability[s as usize].checkpoint_image();
+        assert_eq!(image.table(table).index_slots(), 32_768);
+    }
 }
 
 #[test]
