@@ -1704,6 +1704,48 @@ mod tests {
         );
     }
 
+    /// Fresh tables are sized to what they hold. The TPC-C loader lays its
+    /// loaded tables' indexes out for their rows (STOCK's row count is its
+    /// capacity, so its index keeps the placeholder's size), and the insert
+    /// tables keep their placeholders — indexes for 15× or 1× the insert
+    /// headroom — until the engine reserves the first batch's inserts. The
+    /// first layout has room for eight such batches
+    /// (`next_pow2(2 × first inserts) × 8` slots), and growth doubles past
+    /// half load, so after every batch an insert table's index is at most
+    /// the larger of that and `next_pow2(2 × (live + the last batch's
+    /// inserts))`, and below its placeholder's size.
+    #[test]
+    fn tpcc_insert_tables_index_what_they_hold() {
+        use ltpg_workloads::{TpccConfig, TpccGenerator};
+        let (batches, batch_size) = (4, 512);
+        let wl = TpccConfig::new(2, 50).with_headroom(batches * batch_size * 20);
+        let (db, tables, mut gen) = TpccGenerator::new(wl);
+        let inserted = [tables.orders, tables.new_order, tables.order_line, tables.history];
+        let placeholder = inserted.map(|t| db.table(t).index_slots());
+        let stock = db.table(tables.stock);
+        assert_eq!(stock.index_slots(), (2 * stock.capacity()).next_power_of_two());
+        let stock_slots = stock.index_slots();
+        let mut engine = tpcc_engine(db, &tables, batch_size);
+        let mut tids = TidGen::new();
+        let (mut live_before, mut first_layout) = ([0; 4], [0; 4]);
+        for _ in 0..batches {
+            engine.execute_batch(&Batch::assemble(vec![], gen.gen_batch(batch_size), &mut tids));
+            for (i, &t) in inserted.iter().enumerate() {
+                let table = engine.database().table(t);
+                let (live, last) = (table.live_rows(), table.live_rows() - live_before[i]);
+                assert!(last > 0, "table {i} took no insert");
+                if first_layout[i] == 0 {
+                    first_layout[i] = 8 * (2 * live).next_power_of_two();
+                }
+                let bound = first_layout[i].max((2 * (live + last)).next_power_of_two());
+                let slots = table.index_slots();
+                assert!(slots <= bound && slots < placeholder[i], "table {i}: {slots} slots");
+                live_before[i] = live;
+            }
+            assert_eq!(engine.database().table(tables.stock).index_slots(), stock_slots);
+        }
+    }
+
     /// The conflict log's epoch space wraps after 2²⁴ − 3 batches, about
     /// four hours of a server ticking 1 100 batches a second. The golden
     /// TPC-C stream started three batches below the top crosses the wrap in

@@ -1043,6 +1043,45 @@ mod tests {
         assert!(server.durability().logged_batches() > 0);
     }
 
+    /// A fresh TPC-C server's first checkpoint copies no index slot of a
+    /// table nothing was inserted into. Payment alone inserts only into
+    /// HISTORY, so ORDERS, NEW_ORDER and ORDER_LINE keep their placeholder
+    /// indexes (sized for the insert headroom, holding nothing); their
+    /// copies in the initial image and in the checkpoint are placeholders
+    /// of the same size, and `durability.checkpoint_index_slots_copied`
+    /// counts the slots of the other tables alone.
+    #[test]
+    fn a_first_checkpoint_copies_no_placeholder_index() {
+        use ltpg_workloads::{TpccConfig, TpccGenerator};
+        let (db, tables, mut gen) = TpccGenerator::new(TpccConfig::new(1, 0).with_headroom(4_096));
+        let cfg = LtpgConfig { max_batch: 64, ..LtpgConfig::default() };
+        let scfg = ServerConfig {
+            batch_size: 64,
+            pipelined: false,
+            checkpoint_every: Some(1),
+            ..ServerConfig::default()
+        };
+        let mut server = LtpgServer::new(db, cfg, scfg);
+        server.submit_all(gen.gen_batch(64));
+        assert!(!server.tick().expect("a batch ran").committed.is_empty());
+        let db = server.database();
+        let untouched = [tables.orders, tables.new_order, tables.order_line];
+        assert!(untouched.iter().all(|&t| db.table(t).is_empty()));
+        assert!(db.table(tables.history).live_rows() > 0);
+        let written: usize =
+            db.iter().filter(|(_, t)| t.live_rows() > 0).map(|(_, t)| t.index_slots()).sum();
+        let reg = server.telemetry();
+        assert_eq!(reg.counter_value(names::SERVER_CHECKPOINTS), 1);
+        assert_eq!(
+            reg.counter_value(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED),
+            written as u64
+        );
+        let image = server.shards().durability[0].checkpoint_image();
+        for t in untouched {
+            assert_eq!(image.table(t).index_slots(), db.table(t).index_slots());
+        }
+    }
+
     #[test]
     fn empty_server_ticks_none() {
         let (db, _) = db_and_writers(0, 3);

@@ -15,6 +15,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::zeroed::zeroed;
+
 /// One dirty bit per slot of some array.
 ///
 /// Every access is `Relaxed`: a bit publishes no other data. It is read only
@@ -26,9 +28,10 @@ pub(crate) struct DirtyBits {
 }
 
 impl DirtyBits {
-    /// All-clean bits for `slots` slots.
+    /// All-clean bits for `slots` slots, from `alloc_zeroed`: a page of
+    /// them costs memory only once a slot it covers is marked.
     pub(crate) fn new(slots: usize) -> Self {
-        DirtyBits { words: (0..slots.div_ceil(64)).map(|_| AtomicU64::new(0)).collect() }
+        DirtyBits { words: zeroed(slots.div_ceil(64)) }
     }
 
     /// Mark `slot` written. The common case — the slot was already written

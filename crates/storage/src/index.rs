@@ -7,22 +7,44 @@
 //! same collision policy the paper adopts for its conflict-log hash tables
 //! (§V-C: `h(key, i) = (key + i) mod s_h`).
 //!
-//! An index never grows on its own: inserts through `&self` assume room,
-//! and [`PrimaryIndex::reserve`] (`&mut`, so never during a launch) makes it
-//! for a known number of inserts before they happen.
+//! A slot stores its key as `key ^ i64::MIN` and its row id plus one, so
+//! the all-zero slot is an empty one. A fresh table's index
+//! ([`PrimaryIndex::with_capacity`]) is therefore a *placeholder*: its slots
+//! come from `alloc_zeroed` and are never written, and however many there
+//! are they cost no memory until something is inserted. A copy of an index
+//! with no used slot is zeroed memory too, with nothing copied.
+//!
+//! [`PrimaryIndex::reserve`] is what lays an index out for the rows it will
+//! hold. The first reservation of a placeholder lays it out for the count
+//! reserved, with room for seven more reservations like it; later ones
+//! grow it. Every array it lays out is written front to
+//! back before any key is placed. An index never grows on its own: inserts
+//! through `&self` assume room, and `reserve` (`&mut`, so never during a
+//! launch) makes it for a known number of inserts before they happen. A
+//! placeholder nobody reserves fills in place.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
 use crate::dirty::{in_groups, DirtyBits};
 use crate::table::RowId;
+use crate::zeroed::{stored, zeroed, Zeroed};
 
-/// Key value meaning "slot never used".
-const EMPTY: i64 = i64::MIN;
-/// Key value meaning "slot used, then deleted" — probes continue past it,
-/// inserts may reclaim it.
-const TOMBSTONE: i64 = i64::MIN + 1;
-/// RowId value meaning "slot claimed, row id not yet published".
-const PENDING: u32 = u32::MAX;
+/// Stored key of a slot never used: the zero word (key `i64::MIN`).
+const EMPTY: i64 = stored(i64::MIN);
+/// Stored key of a slot used, then deleted (key `i64::MIN + 1`) — probes
+/// continue past it, inserts may reclaim it.
+const TOMBSTONE: i64 = stored(i64::MIN + 1);
+/// Stored row id of a slot claimed whose row id is not yet published (and
+/// of an empty or deleted one): zero, since a slot stores its row id plus
+/// one.
+const PENDING: u32 = 0;
+
+/// The stored word of row id `rid`.
+#[inline]
+fn stored_rid(rid: RowId) -> u32 {
+    debug_assert!(rid.0 != u32::MAX, "row id {} is reserved", rid.0);
+    rid.0.wrapping_add(1)
+}
 
 /// Finalizer-quality mix of an `i64` key (splitmix64 finalizer).
 #[inline]
@@ -33,10 +55,14 @@ pub fn mix_key(key: i64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One slot: a [`stored`] key and a [`stored_rid`] row id.
 struct Slot {
     key: AtomicI64,
     rid: AtomicU32,
 }
+
+// SAFETY: two atomics (and padding), each valid at zero.
+unsafe impl Zeroed for Slot {}
 
 /// Error returned when inserting a key that is already present.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,46 +84,117 @@ pub struct PrimaryIndex {
     /// Slots claimed or tombstoned since an image of this index was last
     /// brought up to date ([`refresh_from`](Self::refresh_from)).
     dirty: DirtyBits,
+    /// Whether the slots are a placeholder's, never laid out by
+    /// [`reserve`](Self::reserve). Copies keep it, so an image or a replay
+    /// reserves to the sizes its source did.
+    placeholder: bool,
 }
 
+/// Slots of an index laid out for `keys` keys: the next power of two at or
+/// above twice them, 16 at least, so it is at most half full.
+fn slots_for(keys: usize) -> usize {
+    (keys.max(8) * 2).next_power_of_two()
+}
+
+/// Reservations like the first that a placeholder's first layout holds.
+/// The first is usually one batch's inserts, and every batch after it
+/// inserts about as many: with room for one, the index would grow after the
+/// second batch, the fourth, the eighth — each growth a rebuild, and the
+/// next checkpoint a full copy — just as the run settles.
+const FIRST_ROOM: usize = 8;
+
 impl PrimaryIndex {
-    /// Create an index that takes `expected` inserts before it must
-    /// [`reserve`](Self::reserve) more: the slot array is the next power of
-    /// two at or above `2 * expected` (16 at least), so it is at most half
-    /// full. A fresh table sizes it for its whole schema capacity; a shard
-    /// slice for the rows it was cut with.
+    /// A placeholder for `expected` inserts: `next_pow2(2 * expected)`
+    /// slots (16 at least), never written and so never resident. Inserts
+    /// may fill it in place up to half load; a [`reserve`](Self::reserve)
+    /// before any insert lays it out for the count it is given. A fresh
+    /// table makes one for its whole schema capacity.
     pub fn with_capacity(expected: usize) -> Self {
-        PrimaryIndex::of_slots((expected.max(8) * 2).next_power_of_two())
+        PrimaryIndex::over(zeroed(slots_for(expected)), true)
     }
 
-    /// An empty index of `n` slots (a power of two).
-    fn of_slots(n: usize) -> Self {
-        let slots = (0..n)
-            .map(|_| Slot { key: AtomicI64::new(EMPTY), rid: AtomicU32::new(PENDING) })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    /// An empty index laid out for `keys` keys: the shard cut's index,
+    /// sized to the rows it keeps.
+    pub(crate) fn for_keys(keys: usize) -> Self {
+        PrimaryIndex::laid_out(slots_for(keys))
+    }
+
+    /// An empty index of `n` slots (a power of two), laid out.
+    fn laid_out(n: usize) -> Self {
+        let mut index = PrimaryIndex::over(zeroed(n), true);
+        index.lay_out();
+        index
+    }
+
+    /// Lay a placeholder out where it is: write one slot a page, front to
+    /// back, so every page is resident before keys are placed. Hashed
+    /// inserts would otherwise fault the pages in one by one in random
+    /// order, at several times the cost of a fault each. Nothing is used,
+    /// so every slot is `EMPTY` and stays so; the stores are atomic so that
+    /// they are not dropped as writes of what zeroed memory already holds.
+    fn lay_out(&mut self) {
+        debug_assert_eq!(self.used(), 0, "only an empty index is laid out");
+        let per_page = 4_096 / std::mem::size_of::<Slot>();
+        for slot in self.slots.iter().step_by(per_page) {
+            slot.key.store(EMPTY, Ordering::Relaxed);
+        }
+        self.placeholder = false;
+    }
+
+    /// An index over `slots`, all empty or all copied from an index whose
+    /// counters the caller then sets.
+    fn over(slots: Box<[Slot]>, placeholder: bool) -> Self {
+        let n = slots.len();
+        debug_assert!(n.is_power_of_two());
         PrimaryIndex {
             slots,
             mask: n - 1,
             len: AtomicUsize::new(0),
             tombstones: AtomicUsize::new(0),
             dirty: DirtyBits::new(n),
+            placeholder,
         }
     }
 
-    /// Make room for `n` more inserts: if they could take the used slots
-    /// (live keys and tombstones) past half the array, rebuild it with
-    /// every live key under the same [`RowId`], no tombstone, and at least
-    /// twice as many slots as live keys plus `n` (never fewer than now).
-    /// Returns whether it rebuilt: a rebuilt index has another slot layout,
-    /// so no image of it can be brought up to date slot by slot.
+    /// Slots holding a key or a tombstone. While it is zero every slot is
+    /// all-zero.
+    fn used(&self) -> usize {
+        self.len() + self.tombstones.load(Ordering::Relaxed)
+    }
+
+    /// Make room for `n` more inserts, laying the index out as it goes.
+    ///
+    /// - A placeholder nothing was inserted into is replaced by an empty
+    ///   index laid out for [`FIRST_ROOM`] reservations of `n`:
+    ///   `next_pow2(2n) × FIRST_ROOM` slots, but no more than the
+    ///   placeholder had (a loader reserving a table's whole contents keeps
+    ///   its size) and never too few for `n`.
+    /// - Otherwise, if the `n` inserts could take the used slots (live keys
+    ///   and tombstones) past half the array, it is rebuilt with every live
+    ///   key under the same [`RowId`], no tombstone, and at least twice as
+    ///   many slots as live keys plus `n` (never fewer than now).
+    ///
+    /// Returns whether the slot count or layout changed: a replaced index
+    /// has another shape, so no image of it can be brought up to date slot
+    /// by slot. (A placeholder laid out at its own size is laid out where
+    /// it is: all-zero on both sides, it still mirrors its images.)
     pub fn reserve(&mut self, n: usize) -> bool {
-        let used = self.len() + *self.tombstones.get_mut();
+        let used = self.used();
+        if self.placeholder && used == 0 {
+            let need = slots_for(n);
+            let want = (need * FIRST_ROOM).min(self.slots.len()).max(need);
+            if want == self.slots.len() {
+                self.lay_out();
+                return false;
+            }
+            *self = PrimaryIndex::laid_out(want);
+            return true;
+        }
         if 2 * (used + n) <= self.slots.len() {
             return false;
         }
-        let want = ((self.len() + n).max(8) * 2).next_power_of_two();
-        let mut grown = PrimaryIndex::of_slots(want.max(self.slots.len()));
+        let want = slots_for(self.len() + n);
+        let mut grown = PrimaryIndex::laid_out(want.max(self.slots.len()));
         for slot in self.slots.iter_mut() {
             let key = *slot.key.get_mut();
             if key != EMPTY && key != TOMBSTONE {
@@ -108,14 +205,15 @@ impl PrimaryIndex {
         true
     }
 
-    /// Put `key`, known absent, into the first `EMPTY` slot of its probe.
-    fn place(&mut self, key: i64, rid: u32) {
-        let mut at = mix_key(key) as usize & self.mask;
+    /// Put the stored key `word`, known absent, into the first `EMPTY`
+    /// slot of its probe, with the stored row id `rid`.
+    fn place(&mut self, word: i64, rid: u32) {
+        let mut at = mix_key(stored(word)) as usize & self.mask;
         while *self.slots[at].key.get_mut() != EMPTY {
             at = (at + 1) & self.mask;
         }
         let slot = &mut self.slots[at];
-        *slot.key.get_mut() = key;
+        *slot.key.get_mut() = word;
         *slot.rid.get_mut() = rid;
         *self.len.get_mut() += 1;
     }
@@ -133,7 +231,8 @@ impl PrimaryIndex {
     /// Insert `key → rid`. `key` must not be `i64::MIN` or `i64::MIN + 1`
     /// (reserved sentinels). Returns `Err(DuplicateKey)` if present.
     pub fn insert(&self, key: i64, rid: RowId) -> Result<(), DuplicateKey> {
-        assert!(key != EMPTY && key != TOMBSTONE, "reserved key value");
+        let word = stored(key);
+        assert!(word != EMPTY && word != TOMBSTONE, "reserved key value");
         let start = mix_key(key) as usize & self.mask;
         // The first tombstone on the probe path is the slot to reclaim, but
         // only once the probe has reached an EMPTY slot and so proved the
@@ -144,7 +243,7 @@ impl PrimaryIndex {
             let slot = &self.slots[at];
             let mut k = slot.key.load(Ordering::Acquire);
             loop {
-                if k == key {
+                if k == word {
                     return Err(DuplicateKey { existing: self.wait_rid(slot) });
                 }
                 if k == TOMBSTONE {
@@ -154,9 +253,9 @@ impl PrimaryIndex {
                     break; // tombstone or another key; probe on
                 }
                 let (target, vacant) = reclaim.map_or((at, EMPTY), |t| (t, TOMBSTONE));
-                match self.claim(target, vacant, key, rid) {
+                match self.claim(target, vacant, word, rid) {
                     Ok(()) => return Ok(()),
-                    Err(observed) if observed == key => {
+                    Err(observed) if observed == word => {
                         return Err(DuplicateKey { existing: self.wait_rid(&self.slots[target]) });
                     }
                     // Lost the race for the slot to another key; re-examine
@@ -170,19 +269,20 @@ impl PrimaryIndex {
         }
         // No EMPTY slot left anywhere: the whole table was probed.
         if let Some(target) = reclaim {
-            if self.claim(target, TOMBSTONE, key, rid).is_ok() {
+            if self.claim(target, TOMBSTONE, word, rid).is_ok() {
                 return Ok(());
             }
         }
         panic!("primary index full ({} slots)", self.slots.len());
     }
 
-    /// Claim slot `at` for `key` if it still holds `vacant` (EMPTY or
-    /// TOMBSTONE), publishing `rid`; otherwise return the key found there.
-    fn claim(&self, at: usize, vacant: i64, key: i64, rid: RowId) -> Result<(), i64> {
+    /// Claim slot `at` for the stored key `word` if it still holds `vacant`
+    /// (EMPTY or TOMBSTONE), publishing `rid`; otherwise return the stored
+    /// key found there.
+    fn claim(&self, at: usize, vacant: i64, word: i64, rid: RowId) -> Result<(), i64> {
         let slot = &self.slots[at];
-        slot.key.compare_exchange(vacant, key, Ordering::AcqRel, Ordering::Acquire)?;
-        slot.rid.store(rid.0, Ordering::Release);
+        slot.key.compare_exchange(vacant, word, Ordering::AcqRel, Ordering::Acquire)?;
+        slot.rid.store(stored_rid(rid), Ordering::Release);
         self.dirty.mark(at);
         if vacant == TOMBSTONE {
             self.tombstones.fetch_sub(1, Ordering::Relaxed);
@@ -203,7 +303,7 @@ impl PrimaryIndex {
         loop {
             let r = slot.rid.load(Ordering::Acquire);
             if r != PENDING {
-                return RowId(r);
+                return RowId(r - 1);
             }
             std::hint::spin_loop();
         }
@@ -222,14 +322,15 @@ impl PrimaryIndex {
 
     /// Look `key` up.
     pub fn get(&self, key: i64) -> Option<RowId> {
-        if key == EMPTY || key == TOMBSTONE {
+        let word = stored(key);
+        if word == EMPTY || word == TOMBSTONE {
             return None;
         }
         let start = mix_key(key) as usize & self.mask;
         for i in 0..=self.mask {
             let slot = &self.slots[(start + i) & self.mask];
             let k = slot.key.load(Ordering::Acquire);
-            if k == key {
+            if k == word {
                 return Some(self.wait_rid(slot));
             }
             if k == EMPTY {
@@ -242,7 +343,8 @@ impl PrimaryIndex {
 
     /// Remove `key`, leaving a tombstone. Returns the row it mapped to.
     pub fn remove(&self, key: i64) -> Option<RowId> {
-        if key == EMPTY || key == TOMBSTONE {
+        let word = stored(key);
+        if word == EMPTY || word == TOMBSTONE {
             return None;
         }
         let start = mix_key(key) as usize & self.mask;
@@ -250,7 +352,7 @@ impl PrimaryIndex {
             let at = (start + i) & self.mask;
             let slot = &self.slots[at];
             let k = slot.key.load(Ordering::Acquire);
-            if k == key {
+            if k == word {
                 let rid = self.wait_rid(slot);
                 slot.rid.store(PENDING, Ordering::Release);
                 slot.key.store(TOMBSTONE, Ordering::Release);
@@ -277,7 +379,7 @@ impl PrimaryIndex {
             if k == EMPTY || k == TOMBSTONE {
                 continue;
             }
-            let home = mix_key(k) as usize & self.mask;
+            let home = mix_key(stored(k)) as usize & self.mask;
             let dist = (idx + self.slots.len() - home) & self.mask;
             total += dist;
             worst = worst.max(dist);
@@ -321,6 +423,16 @@ impl PrimaryIndex {
         self.slots.len()
     }
 
+    /// Slots a full copy of this index copies: none if no slot is used
+    /// (the copy is a placeholder), all of them otherwise.
+    pub(crate) fn slots_to_copy(&self) -> usize {
+        if self.used() == 0 {
+            0
+        } else {
+            self.slots.len()
+        }
+    }
+
     /// `(key, row id)` bits of every slot, for tests that hold an image
     /// slot-equal to a fresh clone.
     #[cfg(test)]
@@ -337,42 +449,42 @@ fn copy_slot(dst: &mut Slot, src: &Slot) {
 
 /// A slot-for-slot copy: the same slot array, tombstones included, so every
 /// key probes in the copy exactly as it does in the original and the cost is
-/// one pass over the slots, not one hashed insert per key. The copy starts
-/// with no slot marked written. Must not race a writer (a slot caught
-/// between its key and row-id stores would be copied half-published); every
-/// caller clones at a batch boundary.
+/// one pass over the slots, not one hashed insert per key. The copy of an
+/// index with no used slot is a placeholder of its size: zeroed memory,
+/// nothing copied. The copy starts with no slot marked written. Must not
+/// race a writer (a slot caught between its key and row-id stores would be
+/// copied half-published); every caller clones at a batch boundary.
 impl Clone for PrimaryIndex {
     fn clone(&self) -> Self {
-        let slots = self
-            .slots
-            .iter()
-            .map(|s| Slot {
-                key: AtomicI64::new(s.key.load(Ordering::Acquire)),
-                rid: AtomicU32::new(s.rid.load(Ordering::Acquire)),
-            })
-            .collect();
-        PrimaryIndex {
-            slots,
-            mask: self.mask,
-            len: AtomicUsize::new(self.len()),
-            tombstones: AtomicUsize::new(self.tombstones.load(Ordering::Relaxed)),
-            dirty: DirtyBits::new(self.slots.len()),
+        let mut copy = PrimaryIndex::over(zeroed(self.slots.len()), self.placeholder);
+        if self.used() > 0 {
+            for (dst, s) in copy.slots.iter_mut().zip(self.slots.iter()) {
+                copy_slot(dst, s);
+            }
+            *copy.len.get_mut() = self.len();
+            *copy.tombstones.get_mut() = self.tombstones.load(Ordering::Relaxed);
         }
+        copy
     }
 
     /// The same copy into the slot array `self` already has (nothing is
-    /// allocated); a `self` of another size is replaced by a fresh clone.
+    /// allocated, and from a source with no used slot over a `self` with
+    /// none, nothing copied); a `self` of another size, or with used slots
+    /// where the source has none, is replaced by a fresh clone.
     fn clone_from(&mut self, src: &Self) {
-        if self.slots.len() != src.slots.len() {
+        if self.slots.len() != src.slots.len() || (src.used() == 0 && self.used() > 0) {
             *self = src.clone();
             return;
         }
-        for (dst, s) in self.slots.iter_mut().zip(src.slots.iter()) {
-            copy_slot(dst, s);
+        if src.used() > 0 {
+            for (dst, s) in self.slots.iter_mut().zip(src.slots.iter()) {
+                copy_slot(dst, s);
+            }
         }
         *self.len.get_mut() = src.len();
         *self.tombstones.get_mut() = src.tombstones.load(Ordering::Relaxed);
         self.dirty.clear();
+        self.placeholder = src.placeholder;
     }
 }
 
@@ -501,6 +613,86 @@ mod tests {
             idx.insert(gone, RowId(gone as u32)).unwrap();
         }
         assert_eq!(idx.len(), 13);
+    }
+
+    /// Slots store `key ^ i64::MIN` and the row id plus one: key 0 and the
+    /// negative keys next to the reserved pair, `RowId(0)` and the largest
+    /// row id (`u32::MAX` is not one) survive insert, lookup, a duplicate
+    /// insert, a clone, a rebuild and removal, and a new placeholder is
+    /// all-zero slots. The reserved keys are still refused.
+    #[test]
+    fn zero_encoded_slots_round_trip_every_key_and_row_id() {
+        let mut idx = PrimaryIndex::with_capacity(8);
+        assert!(idx.slot_bits().iter().all(|&slot| slot == (0, 0)));
+        let top = RowId(u32::MAX - 1);
+        let pairs = [
+            (0, RowId(0)),
+            (-1, top),
+            (i64::MIN + 2, RowId(1)),
+            (i64::MAX, RowId(2)),
+            (1, RowId(u32::MAX >> 1)),
+        ];
+        for (k, rid) in pairs {
+            idx.insert(k, rid).unwrap();
+        }
+        let check = |idx: &PrimaryIndex| {
+            assert_eq!(idx.len(), pairs.len());
+            for (k, rid) in pairs {
+                assert_eq!(idx.get(k), Some(rid), "key {k}");
+                assert_eq!(idx.insert(k, RowId(7)), Err(DuplicateKey { existing: rid }));
+            }
+            assert_eq!(idx.get(2), None);
+        };
+        check(&idx);
+        check(&idx.clone());
+        assert!(idx.reserve(16));
+        check(&idx);
+        assert_eq!(idx.remove(-1), Some(top));
+        assert_eq!((idx.get(-1), idx.remove(-1)), (None, None));
+        for reserved in [i64::MIN, i64::MIN + 1] {
+            assert_eq!((idx.get(reserved), idx.remove(reserved)), (None, None));
+            let insert = std::panic::AssertUnwindSafe(|| idx.insert(reserved, RowId(3)));
+            let refused = std::panic::catch_unwind(insert).expect_err("reserved key inserted");
+            assert_eq!(refused.downcast_ref::<&str>(), Some(&"reserved key value"));
+        }
+        assert_eq!(idx.len(), pairs.len() - 1);
+    }
+
+    /// A placeholder's first `reserve` lays it out for eight reservations
+    /// of the count (`next_pow2(2n) × 8` slots), never more than the
+    /// placeholder had nor fewer than the count needs, and says whether the
+    /// size changed; copies of a placeholder are reserved the same way.
+    /// After that `reserve` only grows it, and every row id survives.
+    #[test]
+    fn a_first_reserve_lays_a_placeholder_out_and_later_ones_only_grow_it() {
+        let mut idx = PrimaryIndex::with_capacity(1_000);
+        assert_eq!(idx.slot_count(), 2_048);
+        let mut copy = idx.clone();
+        assert!(idx.reserve(10));
+        assert_eq!(idx.slot_count(), 256);
+        assert!(copy.reserve(10));
+        assert_eq!(copy.slot_count(), 256);
+        assert!(!idx.reserve(128), "laid out: room for 128 keys");
+        for k in 0..128i64 {
+            idx.insert(k, RowId(k as u32)).unwrap();
+        }
+        assert!(!idx.reserve(0));
+        assert!(idx.reserve(1));
+        assert_eq!(idx.slot_count(), 512);
+        for k in 0..128i64 {
+            assert_eq!(idx.get(k), Some(RowId(k as u32)));
+        }
+
+        let mut whole = PrimaryIndex::with_capacity(1_000);
+        assert!(!whole.reserve(1_000), "a loader's reservation keeps the placeholder's size");
+        assert_eq!(whole.slot_count(), 2_048);
+        let mut small = PrimaryIndex::with_capacity(8);
+        assert!(small.reserve(100), "more than the placeholder was made for");
+        assert_eq!(small.slot_count(), 256);
+        // An empty index that is not a placeholder only grows.
+        let mut cut = PrimaryIndex::for_keys(100);
+        assert!(!cut.reserve(10));
+        assert_eq!(cut.slot_count(), 256);
     }
 
     #[test]

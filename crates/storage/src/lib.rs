@@ -26,6 +26,7 @@ pub mod index;
 pub mod schema;
 pub mod table;
 pub mod wal;
+mod zeroed;
 
 pub use btree::OrderedIndex;
 pub use database::Database;

@@ -3,13 +3,13 @@
 //! workspace: readers and writers of the *same* batch phase never overlap on
 //! a cell by protocol, and cross-phase ordering comes from barriers.
 
-use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
 use crate::btree::OrderedIndex;
 use crate::dirty::{in_groups, DirtyBits, ImageCopy};
 use crate::index::{DuplicateKey, PrimaryIndex};
 use crate::schema::{ColId, Schema};
+use crate::zeroed::{stored, zeroed};
 
 /// Base of the reserved key range standing for "membership of this
 /// table's key partitions" — the predicate cells that ordered range scans
@@ -55,18 +55,13 @@ impl RowId {
 /// Key sentinel for a row slot that has been deleted.
 const DELETED_KEY: i64 = i64::MIN;
 
-/// The key column holds `key ^ DELETED_KEY`: the all-zero word of a row
-/// slot straight from `alloc_zeroed` — every slot past [`Table::len`] —
-/// then reads as deleted, and no key column is ever written to say so.
-#[inline]
-fn stored(key: i64) -> i64 {
-    key ^ DELETED_KEY
-}
-
-/// The key a key-column word holds ([`stored`] undone).
+/// The key a key-column word holds. The column holds [`stored`] keys: the
+/// all-zero word of a row slot straight from `alloc_zeroed` — every slot
+/// past [`Table::len`] — then reads as deleted, and no key column is ever
+/// written to say so.
 #[inline]
 fn loaded(word: &AtomicI64) -> i64 {
-    word.load(Ordering::Acquire) ^ DELETED_KEY
+    stored(word.load(Ordering::Acquire))
 }
 
 /// Errors raised by table mutation.
@@ -84,10 +79,12 @@ pub enum TableError {
 /// ([`bytes`](Self::bytes), [`TableError::Full`]); the host pays for what
 /// the table holds. The cell and key arrays span the capacity but come
 /// zeroed from the allocator and are written only up to [`len`](Self::len),
-/// so the pages past it are never faulted in. The primary index is sized
-/// for what the table may receive: its whole capacity when created, the
-/// rows it was cut with for a [`filtered_clone`](Self::filtered_clone),
-/// and it grows only through [`reserve`](Self::reserve).
+/// so the pages past it are never faulted in. The primary index of a new
+/// table is a never-written placeholder for the whole capacity;
+/// [`reserve`](Self::reserve) lays it out for the rows the table will hold
+/// (a loader's row count, a batch's inserts) and is the one way it grows.
+/// A [`filtered_clone`](Self::filtered_clone)'s is laid out for the rows it
+/// keeps.
 pub struct Table {
     schema: Schema,
     width: usize,
@@ -137,24 +134,27 @@ fn fresh_sync() -> u64 {
 }
 
 impl Table {
-    /// Create an empty table from `schema`, its index sized for the
-    /// whole capacity: it never needs a [`reserve`](Self::reserve).
+    /// Create an empty table from `schema`. Nothing of it is written:
+    /// cells, keys, dirty bits and the primary index all come from
+    /// `alloc_zeroed`, and the index is a placeholder for the whole capacity
+    /// ([`PrimaryIndex::with_capacity`]). The first
+    /// [`reserve`](Self::reserve) lays it out for the count reserved; a
+    /// table nobody reserves fills the placeholder in place.
     pub fn new(schema: Schema) -> Self {
         let cap = schema.capacity;
-        Table::with_index_for(schema, cap)
+        Table::with_primary(schema, PrimaryIndex::with_capacity(cap))
     }
 
-    /// An empty table whose primary index takes `keys` inserts before it
-    /// must grow.
-    fn with_index_for(schema: Schema, keys: usize) -> Self {
+    /// An empty table over `primary`, an empty index.
+    fn with_primary(schema: Schema, primary: PrimaryIndex) -> Self {
         let width = schema.width();
         let cap = schema.capacity;
         Table {
             width,
-            data: zeroed_words(cap * width),
-            keys: zeroed_words(cap),
+            data: zeroed(cap * width),
+            keys: zeroed(cap),
             row_count: AtomicU32::new(0),
-            primary: PrimaryIndex::with_capacity(keys),
+            primary,
             ordered: None,
             dirty: DirtyBits::new(cap),
             sync: AtomicU64::new(fresh_sync()),
@@ -214,20 +214,21 @@ impl Table {
         ((self.data.len() + self.keys.len()) * std::mem::size_of::<i64>()) as u64
     }
 
-    /// Slots of the primary index as the host holds it (live, tombstoned
-    /// and empty): the schema capacity's worth for a table created with
-    /// [`new`](Self::new), what was cut or reserved for a slice. Nothing
-    /// modelled reads it.
+    /// Slots of the primary index (live, tombstoned and empty): the
+    /// schema capacity's worth for a table created with [`new`](Self::new)
+    /// and never reserved (a placeholder, resident only as far as inserts
+    /// filled it), what was reserved otherwise. Nothing modelled reads it.
     pub fn index_slots(&self) -> usize {
         self.primary.slot_count()
     }
 
-    /// Make room in the primary index for `n` more inserts, the one way it
-    /// grows ([`PrimaryIndex::reserve`]): call it, with the exact count, at
-    /// the `&mut` point before inserts into a table that was not created at
-    /// its full capacity — a write-back launch inserts through `&self` and
-    /// never grows anything. A growth lays the index out anew, so the table
-    /// is another table to its images: the next
+    /// Make room in the primary index for `n` more inserts
+    /// ([`PrimaryIndex::reserve`]): a fresh table's first reservation lays
+    /// its placeholder index out for `n` keys and room for more, and later
+    /// ones grow it. Call it, with the exact count, at the `&mut` point
+    /// before inserts — a write-back launch inserts through `&self` and
+    /// never grows anything. A reservation that reshapes the index makes
+    /// the table another table to its images: the next
     /// [`deep_clone_from`](Self::deep_clone_from) takes the full copy.
     /// Returns whether it did.
     pub fn reserve(&mut self, n: usize) -> bool {
@@ -428,7 +429,7 @@ impl Table {
         if let Some(ord) = &src.ordered {
             ord.take_touched();
         }
-        let (rows, index_slots) = (src.len() as u64, src.primary.slot_count() as u64);
+        let (rows, index_slots) = (src.len() as u64, src.primary.slots_to_copy() as u64);
         ImageCopy { rows, index_slots, full: true }
     }
 
@@ -482,11 +483,12 @@ impl Table {
     /// capacity — what every modelled figure reads, so each shard is
     /// charged as the single-device engine is — but holds only what it
     /// was cut with: cells and keys past its rows stay untouched zero
-    /// pages, and its primary index is sized for the kept rows, to grow by
-    /// [`reserve`](Self::reserve) as inserts arrive.
+    /// pages, and its primary index is laid out for the kept rows, to grow
+    /// by [`reserve`](Self::reserve) as inserts arrive.
     pub fn filtered_clone(&self, keep: impl Fn(i64) -> bool) -> Table {
         let kept: Vec<(RowId, i64)> = self.live_keys().filter(|&(_, k)| keep(k)).collect();
-        let mut clone = Table::with_index_for(self.schema.clone(), kept.len());
+        let primary = PrimaryIndex::for_keys(kept.len());
+        let mut clone = Table::with_primary(self.schema.clone(), primary);
         if self.ordered.is_some() {
             clone = clone.with_ordered();
         }
@@ -526,31 +528,11 @@ impl Table {
 /// slice occupies a quarter of its table's capacity, and writing (and
 /// page-faulting) the other three quarters was most of its image's cost.
 fn copy_prefix(src: &[AtomicI64], live: usize) -> Box<[AtomicI64]> {
-    let words = zeroed_words(src.len());
+    let words: Box<[AtomicI64]> = zeroed(src.len());
     for (dst, word) in words.iter().zip(&src[..live]) {
         dst.store(word.load(Ordering::Acquire), Ordering::Relaxed);
     }
     words
-}
-
-/// `len` zero words straight from `alloc_zeroed` (for a large array: fresh
-/// zero pages, untouched until first written).
-fn zeroed_words(len: usize) -> Box<[AtomicI64]> {
-    if len == 0 {
-        return Box::default();
-    }
-    let layout = Layout::array::<AtomicI64>(len).expect("cell array exceeds the address space");
-    // SAFETY: `layout` has non-zero size (`len > 0`). `AtomicI64` has the
-    // bit validity of `i64`, so all-zero bytes are `len` initialised cells.
-    // The pointer comes from the global allocator with exactly the layout a
-    // `Box<[AtomicI64]>` of this length is freed with.
-    unsafe {
-        let ptr = alloc_zeroed(layout).cast::<AtomicI64>();
-        if ptr.is_null() {
-            handle_alloc_error(layout);
-        }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len))
-    }
 }
 
 /// Bring `dst`, an array of `src`'s length whose first `stale` entries may
@@ -849,6 +831,39 @@ mod tests {
         assert_eq!(image.image_bits(), slice.deep_clone().image_bits());
     }
 
+    /// A fresh table's index is a placeholder for its capacity. Its copies
+    /// are placeholders of the same size, so a full refresh from it copies
+    /// no index slot, and a slice of it is laid out for no rows; once a key
+    /// is in, a full copy takes every slot.
+    #[test]
+    fn copies_of_a_placeholder_copy_no_index_slot() {
+        let t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(10_000).build());
+        assert_eq!(t.index_slots(), 32_768);
+        let mut image = t.deep_clone();
+        assert_eq!(image.index_slots(), 32_768);
+        let copied = image.deep_clone_from(&t);
+        assert_eq!((copied.full, copied.rows, copied.index_slots), (true, 0, 0));
+        assert_eq!(t.filtered_clone(|_| true).index_slots(), 16);
+        assert_eq!(image.image_bits(), t.deep_clone().image_bits());
+        // A laid-out index refreshed from a placeholder becomes one, so the
+        // two are reserved alike.
+        let mut laid_out = Table::new(t.schema.clone());
+        assert!(!laid_out.reserve(10_000));
+        laid_out.deep_clone_from(&t);
+        assert!(laid_out.reserve(10) && t.deep_clone().reserve(10));
+
+        t.insert(7, &[1, 2]).unwrap();
+        let mut fresh = Table::new(t.schema.clone());
+        let copied = fresh.deep_clone_from(&t);
+        assert_eq!((copied.full, copied.rows, copied.index_slots), (true, 1, 32_768));
+        assert_eq!(fresh.lookup(7), t.lookup(7));
+        // Emptied through a rebuild, it copies nothing again.
+        let mut emptied = t.deep_clone();
+        emptied.delete(7).unwrap();
+        assert!(emptied.reserve(16_384));
+        assert_eq!(image.deep_clone_from(&emptied).index_slots, 0);
+    }
+
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "reserve first")]
@@ -908,10 +923,12 @@ mod tests {
                 };
                 apply(&mut t, &after);
                 prop_assert!(image.deep_clone_from(&t).full, "never refreshed from `t` before");
-                let fresh = t.deep_clone();
+                let mut fresh = t.deep_clone();
                 assert_same_view(&image, &fresh, -2..50);
                 prop_assert!(image.image_bits() == fresh.image_bits());
-                // The two keep agreeing as they grow.
+                // The two keep agreeing as they grow, through the same
+                // reservation.
+                prop_assert_eq!(image.reserve(10), fresh.reserve(10));
                 for k in 100..110 {
                     assert_eq!(image.insert(k, &[k, k]), fresh.insert(k, &[k, k]));
                 }
@@ -930,10 +947,14 @@ mod tests {
             /// the image can stop mirroring its source happened first and
             /// it fell back to the full copy.
             ///
-            /// A source cut by `filtered_clone` has an index sized to its
-            /// rows, so its inserts grow it (`apply` reserves first), and
-            /// one event grows it outright: a grown index is laid out anew,
-            /// and the refresh after it must be the full copy.
+            /// `apply` reserves before it inserts, so a fresh table's first
+            /// reservation replaces its placeholder index with one sized to
+            /// the round's inserts, and later rounds grow it; one event
+            /// grows it outright, and one starts the source over as a fresh
+            /// table whose first reservation lays its index out. A reshaped
+            /// index is laid out anew, and the refresh after it must be the
+            /// full copy. A full copy of an index with no used slot copies
+            /// none.
             ///
             /// Mutation check, by hand (PR 22): with the mark taken out of
             /// any one of `set`, `add`, `cas` or `delete`, or out of
@@ -943,7 +964,8 @@ mod tests {
             /// `remove` not setting `touched`, or with a departing key
             /// removed from the tree only as its slot is copied, this test
             /// fails; so it does with `Table::reserve` not replacing the
-            /// table's `sync` when the index grows.
+            /// table's `sync` when the index grows or a first reservation
+            /// replaces a placeholder.
             #[test]
             fn a_delta_maintained_image_is_the_fresh_clone(
                 ordered in any::<bool>(),
@@ -997,14 +1019,27 @@ mod tests {
                             prop_assert!(t.index_slots() > slots);
                             mirrors = false;
                         }
+                        // The source starts over as a fresh table, the
+                        // image is refreshed from it, and its first
+                        // reservation replaces the placeholder index.
+                        7 => {
+                            t = scratch_table(96, ordered);
+                            image.deep_clone_from(&t);
+                            prop_assert!(t.reserve(1));
+                            prop_assert_eq!(t.index_slots(), 128);
+                            apply(&mut t, ops);
+                            mirrors = false;
+                        }
                         _ => {}
                     }
                     let copied = image.deep_clone_from(&t);
                     prop_assert_eq!(copied.full, !mirrors, "event {}", event);
                     if copied.full {
-                        prop_assert_eq!(copied.index_slots, t.index_slots() as u64);
+                        let unused = t.primary.slot_bits().iter().all(|&slot| slot == (0, 0));
+                        let slots = if unused { 0 } else { t.index_slots() as u64 };
+                        prop_assert_eq!(copied.index_slots, slots);
                     }
-                    if mirrors && *event > 6 {
+                    if mirrors && *event > 7 {
                         let written = ops.len() as u64;
                         prop_assert!(copied.rows <= written && copied.index_slots <= written);
                     }

@@ -179,6 +179,18 @@ pub fn build_database_with(
             .build(),
     );
 
+    // Lay the loaded tables' indexes out for their rows before loading;
+    // the insert tables keep their placeholders until the first batch's
+    // inserts are reserved.
+    for (table, rows) in [
+        (warehouse, w_cnt),
+        (district, d_cnt),
+        (customer, c_cnt),
+        (item, ITEMS as usize),
+        (stock, s_cnt),
+    ] {
+        db.reserve(table, rows);
+    }
     for w in 1..=warehouses {
         db.table(warehouse)
             .insert(wh_key(w), &[rng.gen_range(0..=2_000), INIT_W_YTD, rng.gen_range(10_000..=99_999)])

@@ -208,6 +208,9 @@ impl YcsbGenerator {
         } else {
             db.add_table(schema)
         };
+        // Lay the index out for the records and the inserts the generator
+        // may add (workloads D and E) before loading.
+        db.reserve(table, cap);
         let mut load_rng = StdRng::seed_from_u64(cfg.seed ^ 0x6c6f_6164);
         let t = db.table(table);
         for k in 1..=cfg.records as i64 {
