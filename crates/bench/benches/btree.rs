@@ -1,8 +1,12 @@
 //! Criterion micro-bench: the ordered-index (B+tree) substrate — insert,
-//! point get, and range-scan throughput.
+//! point get, range-scan throughput, and the bulk load a table's first
+//! range scan pays.
+
+use std::cell::RefCell;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ltpg_storage::{OrderedIndex, RowId};
+use ltpg_workloads::tpcc::{order_key, orderline_key};
 
 fn bench_btree(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree");
@@ -54,6 +58,28 @@ fn bench_btree(c: &mut Criterion) {
             });
         });
     }
+
+    // The one-off cost of a table's first range scan after a copy or a
+    // recovery: bulk-loading ORDER_LINE's tree at the size a `tpcc_engine`
+    // run leaves it (8 warehouses x 10 districts x 1 750 orders x 10
+    // lines, 1.4 M keys), from keys already sorted. The tree a sample
+    // built is dropped outside the timed region.
+    let mut lines: Vec<(i64, RowId)> = (1..=8)
+        .flat_map(|w| (1..=10).flat_map(move |d| (0..1_750).map(move |o| order_key(w, d, o))))
+        .flat_map(|order| (1..=10).map(move |ol| orderline_key(order, ol)))
+        .zip(0..)
+        .map(|(key, row)| (key, RowId(row)))
+        .collect();
+    lines.sort_unstable();
+    let built = RefCell::new(None);
+    group.bench_function("bulk_load_order_line_1_4m", |b| {
+        b.iter_batched(
+            || drop(built.borrow_mut().take()),
+            |()| *built.borrow_mut() = Some(OrderedIndex::from_sorted(black_box(&lines))),
+            criterion::BatchSize::PerIteration,
+        );
+    });
+    assert_eq!(built.borrow().as_ref().map(OrderedIndex::len), Some(1_400_000));
     group.finish();
 }
 

@@ -72,9 +72,12 @@ fn bench_speculate(c: &mut Criterion) {
 /// region). Two shapes: the ledger's YCSB table (1 M rows x 4 columns and a
 /// quarter as much insert headroom, hash index only; a checkpoint period of
 /// `fleet_server_ycsb` writes about 4 % of it) and an ORDER_LINE-shaped
-/// table (composite keys, ordered index, 2x insert headroom, a tenth of the
-/// rows deleted so the index carries tombstones; a period inserts 1 % and
-/// deletes 0.1 %).
+/// table (composite keys, 2x insert headroom, a tenth of the rows deleted
+/// so the index carries tombstones; a period inserts 1 % and deletes
+/// 0.1 %). It declares an ordered index, as TPC-C's does, but nothing here
+/// scans it, so it is never built: the three `…_ordered…` cases copy no
+/// tree, only cells, keys and hash-index slots (a copy leaves its tree for
+/// its own first scan to build; the `btree` bench times that bulk load).
 fn bench_deep_clone(c: &mut Criterion) {
     let mut group = c.benchmark_group("deep_clone");
     group.sample_size(10);

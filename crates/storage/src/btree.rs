@@ -4,16 +4,19 @@
 //! readily extended to support range queries, by integrating indexing,
 //! such as B-trees" (§VI-A, future work). This module provides that
 //! extension: a classic arena-allocated B+tree (leaves linked for range
-//! scans) guarded by an `RwLock` — batch engines only mutate indexes in
-//! the write-back phase, so readers run lock-free in practice and the
-//! write lock is held for one insert at a time.
+//! scans) behind an `RwLock`. Readers take the read lock and writers the
+//! write lock, one insert at a time; batch engines scan only in the execute
+//! phase and write only in write-back, so neither waits in practice. A
+//! table bulk-loads its tree from sorted keys on its first range scan
+//! ([`OrderedIndex::from_sorted`]). Deletion is lazy: nothing is
+//! rebalanced, so nodes may underfill; lookups and scans stay correct.
 //!
 //! The tree is deliberately simple and verifiable rather than clever:
 //! fixed fan-out, top-down splitting is avoided in favour of classic
 //! bottom-up insertion with parent stacks, and every structural invariant
 //! is checked by `validate()` under test.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Range;
 
 use parking_lot::RwLock;
 
@@ -22,7 +25,7 @@ use crate::table::RowId;
 /// Maximum keys per node (order). Splits produce ⌈B/2⌉-filled nodes.
 const B: usize = 32;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Node {
     Leaf {
         keys: Vec<i64>,
@@ -37,7 +40,7 @@ enum Node {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Tree {
     arena: Vec<Node>,
     root: usize,
@@ -47,6 +50,44 @@ struct Tree {
 impl Tree {
     fn new() -> Self {
         Tree { arena: vec![Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None }], root: 0, len: 0 }
+    }
+
+    /// A tree holding `pairs`, whose keys strictly ascend, built bottom up:
+    /// leaves of up to `B` keys linked in order, then levels of internal
+    /// nodes of up to `B + 1` children until one node is left, the root.
+    fn from_sorted(pairs: &[(i64, RowId)]) -> Self {
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "bulk load needs ascending keys");
+        if pairs.is_empty() {
+            return Tree::new();
+        }
+        let leaves = even_runs(pairs.len(), B);
+        let count = leaves.len();
+        let mut arena = Vec::with_capacity(count + count / B + 2);
+        // Each node of the level being built on, with the smallest key
+        // below it: the separator its parent files it under.
+        let mut level: Vec<(usize, i64)> = Vec::with_capacity(count);
+        for (i, run) in leaves.enumerate() {
+            let run = &pairs[run];
+            level.push((i, run[0].0));
+            arena.push(Node::Leaf {
+                keys: run.iter().map(|&(k, _)| k).collect(),
+                vals: run.iter().map(|&(_, v)| v).collect(),
+                next: (i + 1 < count).then_some(i + 1),
+            });
+        }
+        while level.len() > 1 {
+            let mut above = Vec::with_capacity(level.len() / B + 1);
+            for run in even_runs(level.len(), B + 1) {
+                let run = &level[run];
+                above.push((arena.len(), run[0].1));
+                arena.push(Node::Internal {
+                    keys: run[1..].iter().map(|&(_, k)| k).collect(),
+                    children: run.iter().map(|&(node, _)| node).collect(),
+                });
+            }
+            level = above;
+        }
+        Tree { arena, root: level[0].0, len: pairs.len() }
     }
 
     /// Descend to the leaf that should hold `key`, telling `visit` each
@@ -155,10 +196,7 @@ impl Tree {
     }
 
     fn remove(&mut self, key: i64) -> Option<RowId> {
-        // Lazy deletion: remove from the leaf without rebalancing (nodes
-        // may underfill; lookups and scans remain correct, and batch
-        // workloads rebuild indexes rarely). Classic trade documented in
-        // the module docs.
+        // Lazy deletion (module docs): the leaf may underfill.
         let leaf = self.find_leaf(key);
         let Node::Leaf { keys, vals, .. } = &mut self.arena[leaf] else { unreachable!() };
         match keys.binary_search(&key) {
@@ -239,44 +277,35 @@ impl Tree {
     }
 }
 
+/// `0..len` cut into the fewest runs of at most `cap`, as even as they go
+/// (lengths differ by at most one). No run is empty.
+fn even_runs(len: usize, cap: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let n = len.div_ceil(cap);
+    (0..n).map(move |i| i * len / n..(i + 1) * len / n)
+}
+
 /// A concurrent ordered index: the B+tree behind an `RwLock`.
 #[derive(Debug)]
 pub struct OrderedIndex {
     tree: RwLock<Tree>,
-    /// Whether an insert or remove ran since an image of the owning table
-    /// was last brought up to date: an untouched tree is skipped outright.
-    /// `Relaxed` throughout — it is read at a batch boundary, like the
-    /// table's dirty bits.
-    touched: AtomicBool,
 }
 
 impl OrderedIndex {
     /// Create an empty index.
     pub fn new() -> Self {
-        OrderedIndex { tree: RwLock::new(Tree::new()), touched: AtomicBool::new(false) }
+        OrderedIndex { tree: RwLock::new(Tree::new()) }
+    }
+
+    /// An index holding `pairs` (sorted by key, each key once), bulk-loaded
+    /// with every node full: half the leaves of one grown by ascending
+    /// inserts, as TPC-C's order keys arrive within a district.
+    pub fn from_sorted(pairs: &[(i64, RowId)]) -> Self {
+        OrderedIndex { tree: RwLock::new(Tree::from_sorted(pairs)) }
     }
 
     /// Insert `key → rid`; returns the previous mapping if present.
     pub fn insert(&self, key: i64, rid: RowId) -> Option<RowId> {
-        self.touched.store(true, Ordering::Relaxed);
         self.tree.write().insert(key, rid)
-    }
-
-    /// Whether the index was written since this was last asked; asking
-    /// clears it.
-    pub(crate) fn take_touched(&self) -> bool {
-        self.touched.swap(false, Ordering::Relaxed)
-    }
-
-    /// [`insert`](Self::insert) for an exclusive owner: an image being
-    /// brought up to date, whose change is not itself recorded.
-    pub(crate) fn insert_mut(&mut self, key: i64, rid: RowId) {
-        self.tree.get_mut().insert(key, rid);
-    }
-
-    /// [`remove`](Self::remove) for an exclusive owner.
-    pub(crate) fn remove_mut(&mut self, key: i64) {
-        self.tree.get_mut().remove(key);
     }
 
     /// Point lookup.
@@ -286,7 +315,6 @@ impl OrderedIndex {
 
     /// Remove `key`; returns the removed mapping.
     pub fn remove(&self, key: i64) -> Option<RowId> {
-        self.touched.store(true, Ordering::Relaxed);
         self.tree.write().remove(key)
     }
 
@@ -311,17 +339,6 @@ impl OrderedIndex {
     /// "oldest undelivered order" probe).
     pub fn first_at_or_after(&self, lo: i64) -> Option<(i64, RowId)> {
         self.tree.read().first_at_or_after(lo)
-    }
-}
-
-/// A copy of the node arena as it stands (same shape, same underfilled
-/// leaves), taken under the read lock; the copy starts untouched.
-impl Clone for OrderedIndex {
-    fn clone(&self) -> Self {
-        OrderedIndex {
-            tree: RwLock::new(self.tree.read().clone()),
-            touched: AtomicBool::new(false),
-        }
     }
 }
 
@@ -390,42 +407,92 @@ mod tests {
         assert_eq!(r.last().unwrap().0, 1_100);
     }
 
+    /// Bulk loads of every size around the node boundaries give a valid
+    /// tree of exactly the keys given, every leaf full but the runs the
+    /// evening-out shortened by one.
+    #[test]
+    fn bulk_load_builds_a_full_valid_tree() {
+        for n in [0usize, 1, 2, 31, 32, 33, 64, 65, 1_056, 1_057, 1_089, 40_000] {
+            let pairs: Vec<(i64, RowId)> =
+                (0..n as i64).map(|k| (3 * k - 7, RowId(k as u32))).collect();
+            let idx = OrderedIndex::from_sorted(&pairs);
+            let tree = idx.tree.read();
+            tree.validate();
+            assert_eq!(idx.len(), n);
+            assert_eq!(idx.range(i64::MIN, i64::MAX), pairs, "n = {n}");
+            let leaves = tree.arena.iter().filter(|node| matches!(node, Node::Leaf { .. })).count();
+            assert_eq!(leaves, n.div_ceil(B).max(1), "n = {n}");
+        }
+    }
+
+    /// Apply `ops` — `(0, k, v)` insert, `(1, k, _)` remove, `(2, k, _)`
+    /// get, `(3, lo, width)` range — to the index and to the model, and
+    /// require the same answer from both every time.
+    fn follow_model(
+        idx: &OrderedIndex,
+        model: &mut BTreeMap<i64, RowId>,
+        ops: &[(u8, i64, u32)],
+    ) {
+        for &(op, k, v) in ops {
+            match op {
+                0 => {
+                    prop_assert_eq!(idx.insert(k, RowId(v)), model.insert(k, RowId(v)));
+                }
+                1 => {
+                    prop_assert_eq!(idx.remove(k), model.remove(&k));
+                }
+                2 => {
+                    prop_assert_eq!(idx.get(k), model.get(&k).copied());
+                }
+                _ => {
+                    let hi = k + i64::from(v);
+                    let got = idx.range(k, hi);
+                    let pair = |(a, b): (&i64, &RowId)| (*a, *b);
+                    let want: Vec<(i64, RowId)> = model.range(k..hi).map(pair).collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(idx.first_at_or_after(k), model.range(k..).next().map(pair));
+                }
+            }
+        }
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<(u8, i64, u32)>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (-500..500i64, 0..1_000u32).prop_map(|(k, v)| (0u8, k, v)),
+                (-500..500i64,).prop_map(|(k,)| (1u8, k, 0)),
+                (-500..500i64,).prop_map(|(k,)| (2u8, k, 0)),
+                (-500..400i64, 1..120i64).prop_map(|(lo, w)| (3u8, lo, w as u32)),
+            ],
+            1..400,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// The B+tree behaves exactly like a `BTreeMap` under arbitrary
         /// interleavings of insert/remove/get/range.
         #[test]
-        fn matches_btreemap_model(ops in proptest::collection::vec(
-            prop_oneof![
-                (-500..500i64, 0..1_000u32).prop_map(|(k, v)| (0u8, k, v)),
-                (-500..500i64,).prop_map(|(k,)| (1u8, k, 0)),
-                (-500..500i64,).prop_map(|(k,)| (2u8, k, 0)),
-                (-500..400i64, 1..120i64).prop_map(|(lo, w)| (3u8, lo, w as u32)),
-            ], 1..400)
-        ) {
+        fn matches_btreemap_model(ops in ops()) {
             let idx = OrderedIndex::new();
             let mut model: BTreeMap<i64, RowId> = BTreeMap::new();
-            for (op, k, v) in ops {
-                match op {
-                    0 => {
-                        prop_assert_eq!(idx.insert(k, RowId(v)), model.insert(k, RowId(v)));
-                    }
-                    1 => {
-                        prop_assert_eq!(idx.remove(k), model.remove(&k));
-                    }
-                    2 => {
-                        prop_assert_eq!(idx.get(k), model.get(&k).copied());
-                    }
-                    _ => {
-                        let hi = k + i64::from(v);
-                        let got = idx.range(k, hi);
-                        let want: Vec<(i64, RowId)> =
-                            model.range(k..hi).map(|(a, b)| (*a, *b)).collect();
-                        prop_assert_eq!(got, want);
-                    }
-                }
-            }
+            follow_model(&idx, &mut model, &ops);
+            idx.tree.read().validate();
+            prop_assert_eq!(idx.len(), model.len());
+        }
+
+        /// So does a tree bulk-loaded from the model's keys after one
+        /// history, through a second: the full nodes it starts with split
+        /// and underfill like any other.
+        #[test]
+        fn a_bulk_loaded_tree_matches_btreemap_model(before in ops(), after in ops()) {
+            let mut model: BTreeMap<i64, RowId> = BTreeMap::new();
+            follow_model(&OrderedIndex::new(), &mut model, &before);
+            let pairs: Vec<(i64, RowId)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+            let idx = OrderedIndex::from_sorted(&pairs);
+            idx.tree.read().validate();
+            follow_model(&idx, &mut model, &after);
             idx.tree.read().validate();
             prop_assert_eq!(idx.len(), model.len());
         }

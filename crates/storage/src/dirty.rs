@@ -47,32 +47,16 @@ impl DirtyBits {
     }
 
     /// The slots marked here or in `other` — the same slots' bits on the
-    /// other side of a refresh — lowest first, the marks left standing.
-    pub(crate) fn marked_with<'a>(
-        &'a self,
-        other: &'a DirtyBits,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.either(other, |word| word.load(Ordering::Relaxed))
-    }
-
-    /// The same slots, each word's marks cleared on both sides as the
-    /// iterator reaches it.
+    /// other side of a refresh — lowest first, each word's marks cleared on
+    /// both sides as the iterator reaches it.
     pub(crate) fn drain_with<'a>(
         &'a self,
         other: &'a DirtyBits,
     ) -> impl Iterator<Item = usize> + 'a {
-        self.either(other, take)
-    }
-
-    fn either<'a>(
-        &'a self,
-        other: &'a DirtyBits,
-        read: impl Fn(&AtomicU64) -> u64 + 'a,
-    ) -> impl Iterator<Item = usize> + 'a {
         debug_assert_eq!(self.words.len(), other.words.len(), "bitmaps over the same slots");
         let words = self.words.iter().zip(other.words.iter()).enumerate();
         words.flat_map(move |(w, (a, b))| {
-            let mut marks = read(a) | read(b);
+            let mut marks = take(a) | take(b);
             std::iter::from_fn(move || {
                 (marks != 0).then(|| {
                     let bit = marks.trailing_zeros() as usize;
@@ -163,11 +147,10 @@ mod tests {
         }
         theirs.mark(0);
         theirs.mark(64);
-        assert_eq!(ours.marked_with(&theirs).collect::<Vec<_>>(), [0, 3, 64, 129]);
         assert_eq!(ours.drain_with(&theirs).collect::<Vec<_>>(), [0, 3, 64, 129]);
-        assert_eq!(theirs.marked_with(&ours).count(), 0);
+        assert_eq!(theirs.drain_with(&ours).count(), 0);
         ours.mark(7);
         ours.clear();
-        assert_eq!(ours.marked_with(&theirs).count(), 0);
+        assert_eq!(ours.drain_with(&theirs).count(), 0);
     }
 }

@@ -4,6 +4,7 @@
 //! a cell by protocol, and cross-phase ordering comes from barriers.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::btree::OrderedIndex;
 use crate::dirty::{in_groups, DirtyBits, ImageCopy};
@@ -96,7 +97,8 @@ pub struct Table {
     keys: Box<[AtomicI64]>,
     row_count: AtomicU32,
     primary: PrimaryIndex,
-    ordered: Option<OrderedIndex>,
+    /// Declared by `with_ordered`, built by [`ordered`](Self::ordered).
+    ordered: Option<OnceLock<OrderedIndex>>,
     /// Row slots written (cells or key) since an image of this table was
     /// last brought up to date by [`deep_clone_from`](Self::deep_clone_from).
     /// `set`, `add`, `cas` and `delete` mark; only `deep_clone_from` clears.
@@ -163,17 +165,44 @@ impl Table {
         }
     }
 
-    /// Attach an ordered (B+tree) index, enabling range scans.
+    /// Declare an ordered (B+tree) index, enabling range scans; the first
+    /// [`ordered`](Self::ordered) call builds it.
     pub fn with_ordered(mut self) -> Self {
-        self.ordered = Some(OrderedIndex::new());
+        self.ordered = Some(OnceLock::new());
         // Another table as far as any image of the old one is concerned.
         self.sync = AtomicU64::new(fresh_sync());
         self
     }
 
-    /// The ordered index, if the table was built with one.
+    /// The ordered index, if the table was declared with one: every range
+    /// scan's way in. The first call bulk-loads it from the sorted live keys
+    /// while any other caller waits, and `insert` and `delete` maintain it
+    /// from then on; until then they skip it, and no copy of a table carries
+    /// one, so a table nobody scans (TPC-C's 50/50 mix) never pays for a
+    /// tree. Nothing modelled reads it (not [`bytes`](Self::bytes), not any
+    /// charge), so when it is built moves no simulated figure.
+    ///
+    /// Like `deep_clone`, the build must not race a writer. Scans run only
+    /// in an engine's read-only execute phase (possibly on a pre-pass
+    /// helper thread, which then builds) and in serial interpreters.
     pub fn ordered(&self) -> Option<&OrderedIndex> {
-        self.ordered.as_ref()
+        let tree = self.ordered.as_ref()?;
+        Some(tree.get_or_init(|| {
+            let mut live = Vec::with_capacity(self.live_rows());
+            live.extend(self.live_keys().map(|(rid, k)| (k, rid)));
+            live.sort_unstable_by_key(|&(k, _)| k);
+            OrderedIndex::from_sorted(&live)
+        }))
+    }
+
+    /// Whether [`ordered`](Self::ordered) has built the index; builds nothing.
+    pub fn ordered_is_built(&self) -> bool {
+        self.built_ordered().is_some()
+    }
+
+    /// The ordered index if it has been built: the one writes maintain.
+    fn built_ordered(&self) -> Option<&OrderedIndex> {
+        self.ordered.as_ref().and_then(OnceLock::get)
     }
 
     /// The table's schema.
@@ -263,7 +292,7 @@ impl Table {
         self.keys[rid.idx()].store(stored(key), Ordering::Release);
         match self.primary.insert(key, rid) {
             Ok(()) => {
-                if let Some(ord) = &self.ordered {
+                if let Some(ord) = self.built_ordered() {
                     ord.insert(key, rid);
                 }
                 Ok(rid)
@@ -337,7 +366,7 @@ impl Table {
     /// Delete the row under `key`. Returns the freed row id.
     pub fn delete(&self, key: i64) -> Option<RowId> {
         let rid = self.primary.remove(key)?;
-        if let Some(ord) = &self.ordered {
+        if let Some(ord) = self.built_ordered() {
             ord.remove(key);
         }
         self.dirty.mark(rid.idx());
@@ -347,9 +376,9 @@ impl Table {
 
     /// Deep copy, structural: the cells and keys of the `len` allocated
     /// row slots are copied into the clone's arrays (the never-allocated
-    /// tail of either is not even written), the primary index slot for slot
-    /// (tombstones included, at the source's size) and the ordered index
-    /// node for node.
+    /// tail of either is not even written) and the primary index slot for
+    /// slot (tombstones included, at the source's size); an ordered index
+    /// is left for the clone's first range scan to build.
     /// The cost is bytes copied, never rows re-inserted, and the clone
     /// resolves every key to the same [`RowId`] by the same probe sequence
     /// as the original. This is the checkpoint image, the standby-row seed
@@ -364,7 +393,7 @@ impl Table {
             keys: copy_prefix(&self.keys, n),
             row_count: AtomicU32::new(n as u32),
             primary: self.primary.clone(),
-            ordered: self.ordered.clone(),
+            ordered: self.ordered.as_ref().map(|_| OnceLock::new()),
             dirty: DirtyBits::new(self.schema.capacity),
             sync: AtomicU64::new(fresh_sync()),
             mirror: None,
@@ -379,23 +408,20 @@ impl Table {
     /// nobody else has drained `src`'s marks since (nor `self`'s), the two
     /// differ only in the row slots marked or allocated since and in the
     /// marked index slots: those rows' cells and keys and those index slots
-    /// are copied, the ordered index has the keys that left such a row
-    /// removed and the keys that arrived inserted (not at all if it was
-    /// never touched), and nothing is allocated beyond what those tree
-    /// inserts need. The cost is what was written since the last refresh,
-    /// not the table.
+    /// are copied, and nothing is allocated. The cost is what was written
+    /// since the last refresh, not the table.
     ///
     /// **Full.** Anything else — an image of another source, of another
     /// state of it (a second image was refreshed in between), a fresh
     /// `deep_clone` — takes the full copy: the live prefix of the cells and
     /// keys is overwritten, row slots `self` had allocated beyond `src`'s
-    /// are vacated, the index slots are overwritten one for one, the
-    /// ordered index is cloned. No array is allocated, so no page of a
-    /// 100 MB image is faulted in again; a `self` whose arrays have another
-    /// size is replaced by a fresh clone.
+    /// are vacated, the index slots are overwritten one for one. No array is
+    /// allocated, so no page of a 100 MB image is faulted in again; a `self`
+    /// whose arrays have another size is replaced by a fresh clone.
     ///
-    /// Either way `src`'s marks are drained and `self` mirrors `src` for
-    /// the next call. Like `deep_clone`, take it at a batch boundary.
+    /// Either way `src`'s marks are drained, `self` mirrors `src` for the
+    /// next call, and `self`'s ordered index is unbuilt (one a reader of the
+    /// image built is dropped). Like `deep_clone`, take it at a batch boundary.
     pub fn deep_clone_from(&mut self, src: &Table) -> ImageCopy {
         let (source, own) = (src.sync.load(Ordering::Relaxed), *self.sync.get_mut());
         let copied = match self.mirror {
@@ -419,16 +445,13 @@ impl Table {
             overwrite(&mut self.keys, &src.keys, n, was);
             *self.row_count.get_mut() = n as u32;
             self.primary.clone_from(&src.primary);
-            self.ordered.clone_from(&src.ordered);
+            self.ordered = src.ordered.as_ref().map(|_| OnceLock::new());
             self.schema.clone_from(&src.schema);
             self.width = src.width;
             self.dirty.clear();
         }
         src.dirty.clear();
         src.primary.clear_dirty();
-        if let Some(ord) = &src.ordered {
-            ord.take_touched();
-        }
         let (rows, index_slots) = (src.len() as u64, src.primary.slots_to_copy() as u64);
         ImageCopy { rows, index_slots, full: true }
     }
@@ -448,27 +471,13 @@ impl Table {
         // cost one cache miss a side instead of two.
         let index_slots = primary.refresh_from(&src.primary);
         let keys_moved = index_slots > 0;
-        let mut tree = match (ordered.as_mut(), &src.ordered) {
-            (Some(own), Some(theirs)) => {
-                (theirs.take_touched() | own.take_touched()).then_some(own)
-            }
-            _ => None,
-        };
-        if let Some(tree) = tree.as_deref_mut() {
-            // Every key that left a slot goes before any key arrives (in
-            // `copy_keys_of`): a key deleted from one slot and re-inserted in
-            // another is in the tree once, under the row it moved to.
-            for r in written_rows(src.dirty.marked_with(dirty), synced, upper) {
-                let (was, now) = (loaded(&keys[r]), loaded(&src.keys[r]));
-                if was != now && was != DELETED_KEY {
-                    tree.remove_mut(was);
-                }
-            }
+        if let Some(tree) = ordered.as_mut() {
+            tree.take();
         }
         let rows = in_groups(written_rows(src.dirty.drain_with(dirty), synced, upper), |group| {
             copy_cells_of(group, data, src);
             if keys_moved {
-                copy_keys_of(group, keys, src, tree.as_deref_mut());
+                copy_keys_of(group, keys, src);
             }
         });
         *row_count.get_mut() = src.len() as u32;
@@ -590,24 +599,12 @@ fn copy_cells_of(rows: &[usize], data: &mut [AtomicI64], src: &Table) {
     }
 }
 
-/// Copy the keys of row slots `rows` of `src` into an image's `keys`; a key
-/// that arrives in a slot goes into `tree`. (Rows that change key are
-/// allocated together or deleted in key order: their key slots share cache
-/// lines, and no touch pass is needed.)
-fn copy_keys_of(
-    rows: &[usize],
-    keys: &mut [AtomicI64],
-    src: &Table,
-    mut tree: Option<&mut OrderedIndex>,
-) {
+/// Copy the keys of row slots `rows` of `src` into an image's `keys`. (Rows
+/// that change key are allocated together or deleted in key order: their
+/// key slots share cache lines, and no touch pass is needed.)
+fn copy_keys_of(rows: &[usize], keys: &mut [AtomicI64], src: &Table) {
     for &r in rows {
-        let (was, now) = (loaded(&keys[r]), loaded(&src.keys[r]));
-        *keys[r].get_mut() = stored(now);
-        if let Some(tree) = tree.as_deref_mut() {
-            if was != now && now != DELETED_KEY {
-                tree.insert_mut(now, RowId(r as u32));
-            }
-        }
+        *keys[r].get_mut() = src.keys[r].load(Ordering::Acquire);
     }
 }
 
@@ -683,7 +680,8 @@ mod tests {
 
     /// The reference model for [`Table::deep_clone`]: the rebuild it
     /// replaced — a fresh table, cells copied row by row, every live key
-    /// re-inserted into fresh indexes.
+    /// re-inserted into a fresh primary index (an ordered one is built from
+    /// them when first read).
     fn rebuild_clone(t: &Table) -> Table {
         let mut clone = Table::new(t.schema.clone());
         if t.ordered.is_some() {
@@ -699,9 +697,6 @@ mod tests {
             clone.keys[r].store(stored(k), Ordering::Relaxed);
             if k != DELETED_KEY {
                 clone.primary.insert(k, rid).expect("clone index insert");
-                if let Some(ord) = &clone.ordered {
-                    ord.insert(k, rid);
-                }
             }
         }
         clone.row_count.store(n as u32, Ordering::Release);
@@ -752,8 +747,9 @@ mod tests {
 
     /// A table that has been through deletes (tombstoned index slots,
     /// dead row slots), a burned duplicate slot and re-inserts, with an
-    /// ordered index: the structural clone reads exactly like the
-    /// original, row ids included, and the two then grow independently.
+    /// ordered index a scan built halfway: the structural clone reads
+    /// exactly like the original, row ids included — its own ordered index,
+    /// unbuilt until it is read, too — and the two then grow independently.
     #[test]
     fn deep_clone_carries_tombstones_dead_slots_and_the_ordered_index() {
         let t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build())
@@ -761,12 +757,14 @@ mod tests {
         for k in 0..40 {
             t.insert(k * 3, &[k, -k]).unwrap();
         }
+        assert_eq!(t.ordered().unwrap().len(), 40);
         for k in (0..40).step_by(4) {
             t.delete(k * 3).unwrap();
         }
         assert!(t.insert(3, &[0, 0]).is_err(), "duplicate burns a slot");
         t.insert(12, &[99, 98]).unwrap(); // re-insert over a tombstone
         let c = t.deep_clone();
+        assert!(t.ordered_is_built() && !c.ordered_is_built());
         assert_same_view(&t, &c, -5..130);
         assert_eq!(t.ordered().unwrap().range(10, 40), c.ordered().unwrap().range(10, 40));
         assert_eq!(
@@ -789,6 +787,46 @@ mod tests {
         // Both fill up at the same point.
         let room = |x: &Table| (0..).take_while(|i| x.insert(5_000 + i, &[0, 0]).is_ok()).count();
         assert_eq!(room(&t), room(&c) + 1);
+    }
+
+    /// A table's ordered index is built by its first reader, from the rows
+    /// it holds by then, and kept up to date from there; until then writes
+    /// skip it. Copies leave it unbuilt, and a refreshed image drops the
+    /// one a reader of it built rather than keep it stale.
+    #[test]
+    fn the_ordered_index_is_built_by_its_first_reader() {
+        let scanned = |t: &Table| t.ordered().unwrap().range(i64::MIN, i64::MAX);
+        let live = |t: &Table| {
+            let mut keys: Vec<_> = t.live_keys().map(|(rid, k)| (k, rid)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let t = small().with_ordered();
+        for k in (0..60).rev() {
+            t.insert(k, &[k, 0]).unwrap();
+        }
+        t.delete(7).unwrap();
+        let mut image = t.deep_clone();
+        assert!(!t.ordered_is_built() && !image.ordered_is_built());
+        assert_eq!(scanned(&t), live(&t));
+        assert!(t.ordered_is_built());
+        t.insert(-3, &[0, 0]).unwrap();
+        t.delete(40).unwrap();
+        assert_eq!(scanned(&t), live(&t));
+        assert_eq!(t.ordered().unwrap().first_at_or_after(40), Some((41, t.lookup(41).unwrap())));
+
+        assert!(!t.deep_clone().ordered_is_built());
+        assert!(!t.filtered_clone(|_| true).ordered_is_built());
+        image.deep_clone_from(&t);
+        assert_eq!(scanned(&image), live(&t));
+        t.delete(41).unwrap();
+        assert!(!image.deep_clone_from(&t).full);
+        assert!(!image.ordered_is_built(), "a delta keeps no tree it did not maintain");
+        assert_eq!(scanned(&image), live(&t));
+        // An index declared on a table that already holds rows has them.
+        let late = Table::new(t.schema.clone());
+        late.insert(5, &[1, 1]).unwrap();
+        assert_eq!(late.with_ordered().ordered().unwrap().get(5), Some(RowId(0)));
     }
 
     /// A slice cut from a quarter of a table's rows keeps the table's
@@ -947,6 +985,10 @@ mod tests {
             /// the image can stop mirroring its source happened first and
             /// it fell back to the full copy.
             ///
+            /// Every round reads the image's ordered index (building it), and
+            /// one event builds the source's, which its writes then keep up
+            /// to date.
+            ///
             /// `apply` reserves before it inserts, so a fresh table's first
             /// reservation replaces its placeholder index with one sized to
             /// the round's inserts, and later rounds grow it; one event
@@ -960,12 +1002,11 @@ mod tests {
             /// any one of `set`, `add`, `cas` or `delete`, or out of
             /// `PrimaryIndex::claim` / `remove`, with the newly allocated
             /// row slots (inserts, and the burned slot of a duplicate) left
-            /// out of `written_rows`, with `OrderedIndex::insert` /
-            /// `remove` not setting `touched`, or with a departing key
-            /// removed from the tree only as its slot is copied, this test
-            /// fails; so it does with `Table::reserve` not replacing the
-            /// table's `sync` when the index grows or a first reservation
-            /// replaces a placeholder.
+            /// out of `written_rows`, or with an image's ordered index, once
+            /// a reader built it, kept through a delta, this test fails; so
+            /// it does with `Table::reserve` not replacing the table's
+            /// `sync` when the index grows or a first reservation replaces a
+            /// placeholder.
             #[test]
             fn a_delta_maintained_image_is_the_fresh_clone(
                 ordered in any::<bool>(),
@@ -1030,6 +1071,11 @@ mod tests {
                             apply(&mut t, ops);
                             mirrors = false;
                         }
+                        // The source is scanned: its tree is built, and
+                        // the next rounds' writes maintain it.
+                        8 => {
+                            let _ = t.ordered();
+                        }
                         _ => {}
                     }
                     let copied = image.deep_clone_from(&t);
@@ -1047,6 +1093,9 @@ mod tests {
                     let fresh = t.deep_clone();
                     prop_assert!(image.image_bits() == fresh.image_bits(), "event {}", event);
                     assert_same_view(&image, &fresh, -2..70);
+                    if t.ordered_is_built() {
+                        assert_same_view(&t, &fresh, -2..70);
+                    }
                 }
                 // The two keep agreeing as they grow, through the same
                 // reservation.

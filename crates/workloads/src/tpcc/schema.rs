@@ -98,8 +98,10 @@ pub(crate) fn build_database(warehouses: i64, insert_headroom: usize, seed: u64)
 
 /// [`build_database`] with optional ordered (B+tree) indexing of the STOCK
 /// table, needed by the full-mix StockLevel transaction. NEW_ORDER and
-/// ORDER_LINE always carry ordered indexes (they start empty, so the cost
-/// is nil; Delivery and OrderStatus range over them).
+/// ORDER_LINE always declare ordered indexes, for Delivery and OrderStatus
+/// to range over. A table's tree is built by its first range scan
+/// (`Table::ordered`), so a mix without those transactions never builds
+/// one.
 pub fn build_database_with(
     warehouses: i64,
     insert_headroom: usize,

@@ -15,13 +15,15 @@
 //!   fallback with bit-identical commit history.
 
 use ltpg::{
-    DurabilityManager, Executor, FaultHorizon, FaultInjector, FaultPlan, LtpgConfig, LtpgEngine,
-    LtpgServer, OneDevice, RecoveryError, ServerConfig, Topology,
+    BatchSummary, DurabilityManager, Executor, FaultHorizon, FaultInjector, FaultPlan, LtpgConfig,
+    LtpgEngine, LtpgServer, OneDevice, OptFlags, RecoveryError, ServerConfig, Topology,
 };
+use ltpg_bench::ltpg_tpcc_config;
 use ltpg_shard::{Partitioner, RebalanceOp, RebalancePlan, ShardedServer, TableRule};
 use ltpg_storage::{ColId, Database, FrameError, TableBuilder, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::{Batch, BatchEngine, IrOp, ProcId, Src, TidGen, Txn};
+use ltpg_workloads::{TpccConfig, TpccGenerator};
 use proptest::prelude::*;
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -436,39 +438,90 @@ fn degradation_rebuild_reads_the_damaged_log() {
     }
 }
 
-#[test]
-fn forced_device_loss_drains_remaining_workload_on_cpu_identically() {
-    let (db, plain, hot) = build_db();
-    let cfg = engine_cfg(hot);
-    let txns = mixed_txns(plain, hot, 99, 200);
+/// Every batch a server ran from here until its queue ran dry: what it
+/// committed and aborted, its merged flag words, and the state digest after
+/// it.
+fn drain_bits(server: &mut LtpgServer) -> Vec<(BatchSummary, u64)> {
+    let mut out = Vec::new();
+    while let Some(summary) = server.tick() {
+        out.push((summary, server.database().state_digest()));
+        assert!(out.len() < 400, "the queue does not drain");
+    }
+    out
+}
 
-    let mut reference = LtpgServer::new(
-        db.deep_clone(),
-        cfg.clone(),
-        ServerConfig { batch_size: 20, ..ServerConfig::default() },
-    );
+/// Serve `txns` twice: once on a device that never fails, and once on one
+/// lost after `lose_after` ticks, which rebuilds from its last checkpoint
+/// image and WAL on the CPU fallback and drains the rest there. Every batch
+/// must commit, flag and leave the state as the uncrashed run's did. Returns
+/// the degraded server and the batch its last checkpoint before the loss
+/// was taken at.
+fn lose_device_and_drain(
+    db: Database,
+    cfg: LtpgConfig,
+    scfg: ServerConfig,
+    txns: Vec<Txn>,
+    lose_after: usize,
+) -> (LtpgServer, u64) {
+    let mut reference = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
     reference.submit_all(txns.clone());
-    let ref_stats = reference.drain(400).clone();
+    let want = drain_bits(&mut reference);
     assert!(!reference.is_degraded());
 
-    let mut server =
-        LtpgServer::new(db, cfg, ServerConfig { batch_size: 20, ..ServerConfig::default() });
+    let mut server = LtpgServer::new(db, cfg, scfg);
     server.submit_all(txns);
-    server.tick().unwrap();
-    server.tick().unwrap();
+    let mut got = Vec::new();
+    for _ in 0..lose_after {
+        let summary = server.tick().expect("work is queued");
+        got.push((summary, server.database().state_digest()));
+    }
+    let checkpointed = server.durability().checkpoint_batch();
     server.force_device_failure(); // hard crashpoint at a batch boundary
-    let stats = server.drain(400).clone();
+    got.extend(drain_bits(&mut server));
 
     assert!(server.is_degraded());
     assert_eq!(server.executor_name(), "LTPG-CPU-fallback");
-    assert_eq!(stats.faults.fallback_activations, 1);
-    assert_eq!(stats.committed, ref_stats.committed);
-    assert_eq!(stats.batches, ref_stats.batches);
-    assert_eq!(
-        server.database().state_digest(),
-        reference.database().state_digest(),
-        "the degraded run's commit decisions must be bit-identical to all-GPU"
-    );
+    assert_eq!(server.stats().faults.fallback_activations, 1);
+    assert_eq!(server.stats().committed, reference.stats().committed);
+    assert_eq!(server.stats().batches, reference.stats().batches);
+    assert_eq!(got.len(), want.len());
+    for (i, ((g, g_digest), (w, w_digest))) in got.iter().zip(&want).enumerate() {
+        assert_eq!((&g.committed, &g.aborted), (&w.committed, &w.aborted), "tick {i}");
+        assert_eq!(g.flag_words, w.flag_words, "tick {i}: merged flag words");
+        assert_eq!(g_digest, w_digest, "tick {i}: the degraded run's state must be bit-identical");
+    }
+    (server, checkpointed)
+}
+
+/// A device lost at a batch boundary degrades the server to the CPU
+/// fallback, which drains the rest of the workload with every decision,
+/// flag word and state bit-identical to the all-GPU run. Two cases: the
+/// mixed workload, lost two batches in with no checkpoint taken, and
+/// full-mix TPC-C, lost one batch past its second checkpoint. Its images
+/// carry no B+tree: the rebuild's replay of the logged batch and the
+/// Delivery, OrderStatus and StockLevel scans served after it build the
+/// rebuilt tables' own.
+#[test]
+fn forced_device_loss_drains_remaining_workload_on_cpu_identically() {
+    let (db, plain, hot) = build_db();
+    let scfg = ServerConfig { batch_size: 20, ..ServerConfig::default() };
+    lose_device_and_drain(db, engine_cfg(hot), scfg, mixed_txns(plain, hot, 99, 200), 2);
+
+    let (batch, batches) = (256, 8);
+    let wl = TpccConfig::new(2, 50).with_full_mix().with_headroom(batch * batches * 4);
+    let (db, tables, mut gen) = TpccGenerator::new(wl.with_seed(33));
+    let mut cfg = ltpg_tpcc_config(&tables, batch, OptFlags::all());
+    cfg.est_accesses_per_txn = 24;
+    let scfg =
+        ServerConfig { batch_size: batch, checkpoint_every: Some(2), ..ServerConfig::default() };
+    let (server, checkpointed) =
+        lose_device_and_drain(db, cfg, scfg, gen.gen_batch(batch * batches), 5);
+    assert_eq!(checkpointed, 4, "the rebuild starts from the second checkpoint's image");
+    let db = server.database();
+    for t in [tables.new_order, tables.order_line, tables.stock] {
+        let table = db.table(t);
+        assert!(table.ordered_is_built(), "{}: never scanned", table.schema().name);
+    }
 }
 
 /// Satellite of the replication work (ISSUE 6): crashes *inside the

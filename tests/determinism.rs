@@ -61,14 +61,12 @@ struct BatchBits {
 /// A fresh engine on the given host threads, and the batch to run on it.
 type Build = dyn Fn(usize) -> (LtpgEngine, Batch);
 
-/// One 4 096-lane batch through a fresh engine on `threads` host threads,
-/// and the lanes whose pre-pass a helper thread produced.
-fn batch_bits(threads: usize, build: &Build) -> (BatchBits, u64) {
-    let (mut engine, batch) = build(threads);
-    assert_eq!(batch.len(), 4_096);
-    let prepared = engine.try_prepare_batch(&batch, None).unwrap();
+/// Run `batch` through `engine`, prepare and finish, and read it back bit
+/// for bit; its aborted transactions are the second half.
+fn run_batch(engine: &mut LtpgEngine, batch: &Batch) -> (BatchBits, Vec<Tid>) {
+    let prepared = engine.try_prepare_batch(batch, None).unwrap();
     let flags = (0..prepared.len()).map(|i| prepared.flag_word(i)).collect();
-    let rws = engine.try_finish_batch(&batch, prepared, None).unwrap();
+    let rws = engine.try_finish_batch(batch, prepared, None).unwrap();
     let bits = BatchBits {
         committed: rws.report.committed,
         flags,
@@ -78,6 +76,15 @@ fn batch_bits(threads: usize, build: &Build) -> (BatchBits, u64) {
         atomic_serial_depth: rws.stats.atomic_serial_depth,
         divergent_warps: rws.stats.divergent_warps,
     };
+    (bits, rws.report.aborted)
+}
+
+/// One 4 096-lane batch through a fresh engine on `threads` host threads,
+/// and the lanes whose pre-pass a helper thread produced.
+fn batch_bits(threads: usize, build: &Build) -> (BatchBits, u64) {
+    let (mut engine, batch) = build(threads);
+    assert_eq!(batch.len(), 4_096);
+    let (bits, _) = run_batch(&mut engine, &batch);
     assert_eq!(engine.device().config().parallel_host_threads, threads);
     (bits, engine.device().stats().helper_lanes)
 }
@@ -114,6 +121,57 @@ fn ltpg_is_deterministic_across_host_parallelism() {
             if threads == 2 {
                 assert!(helped > 0, "{name}: no helper produced a lane at two threads");
             }
+        }
+    }
+}
+
+/// A table's ordered index is built by its first range scan, and nothing
+/// the engine decides or charges may depend on when. A full-mix TPC-C
+/// database is served two 50/50 batches first (NewOrder inserts into
+/// NEW_ORDER and ORDER_LINE, and nothing scans, so neither tree is built),
+/// then full-mix batches, whose Delivery and OrderStatus scans build both
+/// trees in the third batch's execute phase — where a helper thread runs
+/// speculation, possibly on it. Every batch's flag words and clock bits and
+/// the final digest must equal those of the run whose two trees were built
+/// (`Table::ordered`) before the first batch, at 1, 2 and 4 host threads.
+#[test]
+fn when_an_ordered_index_is_built_changes_nothing() {
+    const BATCH: usize = 1_024;
+    let run = |threads: usize, built_first: bool| {
+        let cfg = TpccConfig::new(2, 50).with_full_mix().with_headroom(6 * BATCH * 4).with_seed(21);
+        let (db, tables, _) = TpccGenerator::new(cfg.clone());
+        let trees = [tables.new_order, tables.order_line];
+        if built_first {
+            trees.iter().for_each(|&t| assert!(db.table(t).ordered().is_some()));
+        }
+        let fifty = TpccConfig { full_mix: false, ..cfg.clone() };
+        let mut gens =
+            [TpccGenerator::from_parts(fifty, tables), TpccGenerator::from_parts(cfg, tables)];
+        let mut lcfg = ltpg_tpcc_config(&tables, BATCH, OptFlags::all());
+        lcfg.est_accesses_per_txn = 24;
+        lcfg.device.parallel_host_threads = threads;
+        let mut engine = LtpgEngine::new(db, lcfg);
+        let (mut tids, mut requeued) = (TidGen::new(), Vec::new());
+        let mut history = Vec::new();
+        for i in 0..6 {
+            let fresh = gens[usize::from(i >= 2)].gen_batch(BATCH - requeued.len());
+            let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
+            let (bits, aborted) = run_batch(&mut engine, &batch);
+            requeued = aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
+            let built = trees.map(|t| engine.database().table(t).ordered_is_built());
+            assert_eq!(built, [built_first || i >= 2; 2], "batch {i}, built first: {built_first}");
+            history.push(bits);
+        }
+        (history, engine.device().stats().helper_lanes)
+    };
+    let (reference, _) = run(1, true);
+    assert!(reference.iter().any(|b| b.flags.iter().any(|&f| f != 0)), "the stream must conflict");
+    for threads in [1, 2, 4] {
+        let (lazy, helped) = run(threads, false);
+        assert_eq!(lazy, reference, "a first build mid-run moved the stream ({threads} threads)");
+        assert_eq!(helped > 0, threads > 1, "{threads} threads: helper lanes {helped}");
+        if threads > 1 {
+            assert_eq!(run(threads, true).0, reference, "built first, {threads} threads");
         }
     }
 }
