@@ -276,16 +276,18 @@ impl FaultInjector {
     }
 
     /// Apply the plan's WAL damage to `log`'s disk image (the injected
-    /// analogue of what a crash does to a half-flushed file). Damage that
-    /// cannot land — a frame index beyond the log, a tear longer than the
-    /// image — is clamped, never an error.
+    /// analogue of what a crash does to a half-flushed file). A corrupted
+    /// frame is drawn among the frames the image holds, retired ones never.
+    /// Damage that cannot land — a frame index beyond them, a tear longer
+    /// than the image — is clamped, never an error.
     pub fn damage_wal(&self, log: &BatchLog) -> WalDamageReport {
         let mut report = WalDamageReport::default();
         for d in &self.plan.wal {
             match *d {
                 WalDamage::CorruptFrame { frame_index, xor } => {
-                    let frames = log.len();
-                    if frames > 0 && log.corrupt_frame(frame_index % frames, xor.max(1)) {
+                    let first = log.first_retained();
+                    let frames = log.len() - first;
+                    if frames > 0 && log.corrupt_frame(first + frame_index % frames, xor.max(1)) {
                         report.frames_corrupted += 1;
                     }
                 }
@@ -383,5 +385,26 @@ mod tests {
         assert_eq!(report.frames_corrupted, 1, "frame index wraps into range");
         assert_eq!(report.bytes_torn, image_len, "a tear longer than the image drops all of it");
         assert_eq!(log.disk_len(), 0);
+    }
+
+    /// A corrupted frame is one the image holds: with frames 0..3 of five
+    /// retired, every draw lands on frame 3 or 4.
+    #[test]
+    fn corruption_lands_on_a_retained_frame() {
+        for frame_index in 0..6 {
+            let log = BatchLog::new();
+            for i in 0..5u64 {
+                log.append(&[i], b"payload");
+            }
+            log.retire_below(3);
+            let inj = FaultInjector::new(FaultPlan {
+                wal: vec![WalDamage::CorruptFrame { frame_index, xor: 0x01 }],
+                ..FaultPlan::quiet(0)
+            });
+            assert_eq!(inj.damage_wal(&log).frames_corrupted, 1);
+            let hit = 3 + frame_index % 2;
+            assert!(log.frame(hit).unwrap().decode().is_err(), "draw {frame_index}");
+            assert!(log.frame(7 - hit).unwrap().decode().is_ok(), "draw {frame_index}");
+        }
     }
 }

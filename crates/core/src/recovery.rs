@@ -26,10 +26,16 @@
 //!   replays the intact prefix and reports it in [`RecoveryStats`].
 //! - a **corrupt frame** — a complete frame whose magic, length or CRC does
 //!   not check out. This is never expected; it surfaces as
-//!   [`RecoveryError::Frame`], from recovery (which checks every frame of
-//!   the image before it replays any) and from any replay that reads it.
+//!   [`RecoveryError::Frame`], from recovery (which checks every frame the
+//!   image holds before it replays any) and from any replay that reads it.
 //! - a **missing batch** — a log holds no frame for a batch the replay
-//!   needs; surfaces as [`RecoveryError::MissingBatch`].
+//!   needs (never written, torn off, or retired); surfaces as
+//!   [`RecoveryError::MissingBatch`].
+//!
+//! A log is shortened by checkpoints: once one commits, the server shell
+//! retires the frames below it ([`DurabilityManager::retire_below`]), or
+//! below the cursor of a standby row still to be shipped them. No replay
+//! starts below the checkpoint, so every reader finds the frames it reads.
 //!
 //! All damage is reported through typed errors — recovery never panics on
 //! log contents.
@@ -160,12 +166,20 @@ impl DurabilityManager {
         self.last_checkpoint
     }
 
-    /// Bytes written to the simulated log so far.
+    /// Retire the log's frames below batch `watermark`, never past the
+    /// checkpoint: no replay starts below it, so those frames are read
+    /// again only by a standby row still to be shipped them, which the
+    /// caller lowers the watermark for. The image keeps its buffer.
+    pub fn retire_below(&mut self, watermark: u64) {
+        self.log.retire_below(watermark.min(self.checkpoint.0) as usize);
+    }
+
+    /// Bytes written to the simulated log so far, retired frames included.
     pub fn log_bytes(&self) -> u64 {
         self.log.bytes_written()
     }
 
-    /// Batches currently in the log.
+    /// Batches logged so far, retired ones included.
     pub fn logged_batches(&self) -> usize {
         self.log.len()
     }
@@ -196,10 +210,11 @@ impl DurabilityManager {
         self.checkpoint.1.deep_clone()
     }
 
-    /// Repair the physical log in place: verify every complete frame and
-    /// drop a torn tail if present. Returns the number of bytes dropped.
-    /// Fails (without modifying anything) if a complete frame is corrupt —
-    /// truncating *that* would silently lose acknowledged batches.
+    /// Repair the physical log in place: verify every retained complete
+    /// frame and drop a torn tail if present. Returns the number of bytes
+    /// dropped. Fails (without modifying anything) if a complete frame is
+    /// corrupt — truncating *that* would silently lose acknowledged
+    /// batches.
     pub fn repair_wal(&self) -> Result<usize, FrameError> {
         self.log.truncate_torn_tail()
     }
@@ -207,7 +222,7 @@ impl DurabilityManager {
 
 /// Crash recovery of a topology from its durability domains (`logs[s]` is
 /// shard `s`'s). Every image is checked frame by frame first — a damaged
-/// frame anywhere is an error, a torn tail is dropped and reported — then
+/// frame it holds is an error, a torn tail is dropped and reported — then
 /// the joint checkpoint is replayed up to the joint cut (the fewest
 /// complete frames over the logs) through `replay`, on fresh engines that
 /// publish to a private registry. Returns each shard's rebuilt database.

@@ -230,6 +230,10 @@ pub trait StandbyRows: Send {
     fn join(&self);
     /// Rows alive (promotable). Joins first.
     fn rows_alive(&self) -> usize;
+    /// The next batch the slowest alive row is to be shipped (`None`: no
+    /// row alive): the log must still hold every frame from it on. Reads
+    /// the cursors the serving thread keeps, so it joins nothing.
+    fn slowest_cursor(&self) -> Option<u64>;
     /// Surrender the freshest row, caught up through batches `< upto`: its
     /// executors, the merged words of batch `upto - 1` if the catch-up
     /// replayed it, and the catch-up's simulated ns. `None`: no row left.
@@ -609,6 +613,14 @@ impl<T: Topology> Server<T> {
             reg.counter_value(names::DURABILITY_CHECKPOINT_ROWS_COPIED),
             reg.counter_value(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED),
         );
+        let logs = &self.shards.durability;
+        let _ = writeln!(
+            out,
+            "wal resident          {} bytes from batch {} ({} bytes logged)",
+            logs.iter().map(|dur| dur.log().disk_len()).sum::<usize>(),
+            logs[0].log().first_retained(),
+            logs.iter().map(DurabilityManager::log_bytes).sum::<u64>(),
+        );
         if let Some(pool) = &self.shards.pool {
             let _ = writeln!(out, "standbys alive        {}", pool.rows_alive());
             for d in pool.demotions() {
@@ -630,6 +642,24 @@ impl<T: Topology> Server<T> {
         self.stats.degraded_shards = self.shards.degraded();
         self.stats.faults =
             FaultStats::from_registries(self.shards.registries.iter().map(|reg| &**reg));
+    }
+
+    /// Retire every shard's log below one watermark, after a checkpoint:
+    /// the checkpoint id, lowered to the cursor of the slowest alive
+    /// standby row. Crash recovery, a degradation rebuild and a promotion
+    /// replay from the checkpoint or from a row's cursor, so every frame
+    /// they read is kept. Publishes `wal.resident_bytes`.
+    fn retire_logs(&mut self) {
+        let shards = &mut self.shards;
+        let checkpoint = shards.durability[0].checkpoint_batch();
+        let cursor = shards.pool.as_ref().and_then(|pool| pool.slowest_cursor());
+        let watermark = cursor.map_or(checkpoint, |cursor| cursor.min(checkpoint));
+        let mut resident = 0;
+        for dur in &mut shards.durability {
+            dur.retire_below(watermark);
+            resident += dur.log().disk_len();
+        }
+        shards.telemetry.gauge(names::WAL_RESIDENT_BYTES).set(resident as i64);
     }
 
     /// Degrade after shard `failed` lost its device: rebuild every shard
@@ -786,7 +816,12 @@ impl<T: Topology> Server<T> {
         // — none of it interleaves with execution.
         self.maybe_rejoin_recovered_devices();
         self.probe_heartbeats()?;
+        let checkpointed = self.shards.durability[0].checkpoint_batch();
         self.topology.at_boundary(&mut self.shards, &mut self.stats.topology);
+        // A rebalance cutover checkpoints the new slices.
+        if self.shards.durability[0].checkpoint_batch() != checkpointed {
+            self.retire_logs();
+        }
         let batch = match self.intake.next_batch(self.cfg.batch_size) {
             Formed::Idle => {
                 if let Some(pool) = &self.shards.pool {
@@ -850,6 +885,7 @@ impl<T: Topology> Server<T> {
                 self.shards.checkpoint(s);
             }
             self.shards.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
+            self.retire_logs();
         }
         self.intake.requeue_aborted(&mut subs, &summary.aborted, self.cfg.pipelined);
         self.shards.telemetry.gauge(names::SERVER_PENDING).set(self.intake.pending() as i64);

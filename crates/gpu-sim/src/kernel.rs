@@ -17,7 +17,7 @@
 //! ahead by helper threads and consumed by the lanes in lane order.
 
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -270,16 +270,20 @@ impl<P> PreSlots<P> {
     }
 
     /// A helper's turn at lane `k`: compute it unless another thread has it.
-    fn offer(&self, k: usize, pre: &impl Fn(usize) -> P) {
+    /// Returns whether the launching thread computed it too, having reached
+    /// the lane while the helper was at it.
+    fn offer(&self, k: usize, pre: &impl Fn(usize) -> P) -> bool {
         let slot = &self.slots[k];
         if slot.state.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed).is_err() {
-            return;
+            return false;
         }
         *slot.value.lock() = Some(pre(k));
         if slot.state.compare_exchange(CLAIMED, READY, Ordering::Release, Ordering::Relaxed).is_err() {
             // The launching thread reached the lane first and computed it.
             slot.value.lock().take();
+            return true;
         }
+        false
     }
 
     /// The launching thread's turn at lane `k`: a helper's value if one is
@@ -377,7 +381,7 @@ impl Device {
         // The warp the launching thread is in, and the next warp a helper
         // may start (the launching thread moves it past each warp it
         // reaches).
-        let (at, next) = (AtomicUsize::new(0), AtomicUsize::new(1));
+        let (at, next, twice) = (AtomicUsize::new(0), AtomicUsize::new(1), AtomicU64::new(0));
         let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
         let launcher = std::thread::current();
         let helper = || {
@@ -396,8 +400,10 @@ impl Device {
                     // a helper is still computing (and compute it twice)
                     // unless that one lane's pre-pass outlasts half a warp
                     // of lanes. Passed-over lanes run inline.
-                    if k >= (at.load(Ordering::Relaxed) + 1) * warp_size + warp_size / 2 {
-                        slots.offer(k, &pre);
+                    if k >= (at.load(Ordering::Relaxed) + 1) * warp_size + warp_size / 2
+                        && slots.offer(k, &pre)
+                    {
+                        twice.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -438,7 +444,10 @@ impl Device {
             report
         });
         let report = scoped.unwrap_or_else(|payload| resume_unwind(payload));
-        self.stats.lock().helper_lanes += helper_lanes;
+        let mut stats = self.stats.lock();
+        stats.helper_lanes += helper_lanes;
+        stats.lanes_computed_twice += twice.into_inner();
+        drop(stats);
         report
     }
 
@@ -695,7 +704,7 @@ mod tests {
             assert_eq!(simulated(&r), simulated(&one), "{threads} threads");
             assert_eq!((a, m), (acc, min));
             assert_eq!(s.busy_ns.to_bits(), stats.busy_ns.to_bits());
-            assert_eq!(DeviceStats { helper_lanes: 0, ..s }, stats);
+            assert_eq!(DeviceStats { helper_lanes: 0, lanes_computed_twice: 0, ..s }, stats);
         }
     }
 

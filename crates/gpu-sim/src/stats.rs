@@ -38,8 +38,13 @@ pub struct DeviceStats {
     pub transient_faults: u64,
     /// Lanes whose pre-pass value a helper thread produced
     /// ([`crate::Device::launch_with_pre`]). The one host-side count here:
-    /// it depends on scheduling, and nothing else in this struct does.
+    /// it depends on scheduling, and nothing else in this struct does
+    /// bar the next count.
     pub helper_lanes: u64,
+    /// Lanes whose pre-pass value a helper thread computed after the
+    /// launching thread had reached the lane and computed it inline: the
+    /// helper's value was dropped, so the lane's pre-pass ran twice.
+    pub lanes_computed_twice: u64,
 }
 
 impl DeviceStats {
@@ -61,6 +66,7 @@ impl DeviceStats {
             page_faults: self.page_faults - earlier.page_faults,
             transient_faults: self.transient_faults - earlier.transient_faults,
             helper_lanes: self.helper_lanes - earlier.helper_lanes,
+            lanes_computed_twice: self.lanes_computed_twice - earlier.lanes_computed_twice,
         }
     }
 

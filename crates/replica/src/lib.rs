@@ -278,6 +278,38 @@ mod tests {
         assert_eq!(set.rows_alive(), 0);
     }
 
+    /// A batch the log has retired is a gap like one it never held: a row
+    /// still to be shipped batches a server has retired below (this pool
+    /// is not attached to the server, so its cursor does not hold the
+    /// frames back) is demoted at the first of them, never a panic.
+    #[test]
+    fn a_retired_batch_is_a_wal_gap() {
+        let (db, txns) = db_and_writers(64, 4);
+        let mut primary = LtpgServer::new(
+            db,
+            LtpgConfig::default(),
+            ServerConfig {
+                batch_size: 16,
+                pipelined: false,
+                checkpoint_every: Some(2),
+                ..ServerConfig::default()
+            },
+        );
+        let mut set = pool(&primary, 1, single_device_applier());
+        primary.submit_all(txns);
+        for _ in 0..4 {
+            primary.tick().expect("a full batch");
+        }
+        let dur = primary.durability();
+        assert_eq!((dur.checkpoint_batch(), dur.log().first_retained()), (4, 4));
+        set.observe(dur.logged_batches() as u64, logs(dur));
+        let demoted = set.demoted();
+        assert_eq!(demoted.len(), 1);
+        assert_eq!((demoted[0].row, demoted[0].batch_id), (0, 0));
+        assert!(matches!(demoted[0].cause, ReplicaError::WalGap { batch_id: 0 }));
+        assert_eq!(set.rows_alive(), 0);
+    }
+
     #[test]
     fn exhausted_pool_falls_back_to_cpu() {
         let (db, txns) = db_and_writers(80, 5);

@@ -536,6 +536,13 @@ impl StandbyRows for ReplicaSet {
         pool.rows.iter().filter(|r| r.alive()).count()
     }
 
+    /// A row whose worker failed but has not been joined still counts: it
+    /// holds frames a little longer, and is demoted at the next join.
+    fn slowest_cursor(&self) -> Option<u64> {
+        let pool = self.pool.borrow();
+        pool.rows.iter().filter(|r| r.alive()).map(|r| r.shipped).min()
+    }
+
     /// Join the pool, ship the freshest alive row the batches `< upto` it
     /// has not seen (ignoring any injected lag hold), join it again and
     /// remove it from the pool. Rows that die mid-catch-up are demoted and

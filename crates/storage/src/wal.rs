@@ -24,6 +24,17 @@
 //! the end offsets kept beside it. [`Frame::decode`] is the one checked
 //! reader (magic, body length against the frame's extent, CRC, then the
 //! body), over the copy [`BatchLog::frame`] hands out.
+//!
+//! ## Retirement
+//!
+//! The image holds the frames from a retired base on: [`BatchLog::retire_below`]
+//! drops the frames no reader can still ask for (those a checkpoint covers
+//! and every standby has been shipped) by moving what follows them to the
+//! front of the same buffer, so the image's capacity is what one window of
+//! frames needs, not what the log's life has written. Frame indexes, byte
+//! offsets (in [`Frame`] and [`FrameError`]) and [`BatchLog::bytes_written`]
+//! count from the log's start, retired frames included; a retired frame
+//! reads as absent, like one never written.
 
 use std::ops::Range;
 
@@ -319,7 +330,8 @@ pub struct Frame {
     /// Position of the frame in the log — the batch id it was appended
     /// under, unless a torn tail was truncated and appended over.
     pub index: usize,
-    /// Byte offset of the frame in the log image.
+    /// Byte offset of the frame from the log's start (retired frames
+    /// included).
     pub offset: usize,
     /// The frame: magic, body length, body, CRC.
     pub bytes: Vec<u8>,
@@ -335,34 +347,58 @@ impl Frame {
     }
 }
 
-/// The physical log: the frames back to back, where each complete one ends
-/// (frame `i` starts where `i - 1` ends; bytes past the last end are a torn
-/// tail), the next batch id, and the bytes ever appended (a tear shrinks
-/// the image, not that count).
+/// The physical log: the retained frames back to back, where each complete
+/// one ends (frame `i` starts where `i - 1` ends, the first where the
+/// retired ones did; bytes past the last end are a torn tail), the next
+/// batch id, and the bytes ever appended (a tear or a retirement shrinks
+/// the image, not that count). Offsets in `ends` and `retired` count from
+/// the log's start: `bytes[0]` lies at `retired.offset`.
 #[derive(Debug, Default)]
 struct Image {
     bytes: Vec<u8>,
     ends: Vec<usize>,
+    retired: Retired,
     next_batch_id: u64,
     bytes_written: u64,
 }
 
+/// The retired prefix of a log: how many frames, and the offset where the
+/// first retained one starts.
+#[derive(Debug, Default, Clone, Copy)]
+struct Retired {
+    frames: usize,
+    offset: usize,
+}
+
 impl Image {
-    /// Byte range of frame `index`, if it is complete.
-    fn span(&self, index: usize) -> Option<Range<usize>> {
-        let end = *self.ends.get(index)?;
-        Some(index.checked_sub(1).map_or(0, |prev| self.ends[prev])..end)
+    /// Complete frames written: the retired ones and those the image holds.
+    fn len(&self) -> usize {
+        self.retired.frames + self.ends.len()
     }
 
-    /// Check every complete frame in order, stopping at the first damaged
-    /// one, and report what follows the last.
+    /// Byte range of frame `index` in the log, if the image holds it
+    /// complete.
+    fn span(&self, index: usize) -> Option<Range<usize>> {
+        let local = index.checked_sub(self.retired.frames)?;
+        let end = *self.ends.get(local)?;
+        Some(local.checked_sub(1).map_or(self.retired.offset, |prev| self.ends[prev])..end)
+    }
+
+    /// The image's bytes of the log's range `span`.
+    fn at(&self, span: Range<usize>) -> &[u8] {
+        let base = self.retired.offset;
+        &self.bytes[span.start - base..span.end - base]
+    }
+
+    /// Check every retained complete frame in order, stopping at the first
+    /// damaged one, and report what follows the last.
     fn verify(&self) -> Result<TailState, FrameError> {
-        let mut start = 0;
-        for (index, &end) in self.ends.iter().enumerate() {
-            check_frame(&self.bytes[start..end], index, start)?;
+        let mut start = self.retired.offset;
+        for (local, &end) in self.ends.iter().enumerate() {
+            check_frame(self.at(start..end), self.retired.frames + local, start)?;
             start = end;
         }
-        Ok(match self.bytes.len() - start {
+        Ok(match self.retired.offset + self.bytes.len() - start {
             0 => TailState::Clean,
             bytes => TailState::Torn { offset: start, bytes },
         })
@@ -387,11 +423,11 @@ impl BatchLog {
     /// is appending.
     pub fn append(&self, tids: &[u64], payload: &[u8]) -> u64 {
         let mut image = self.image.lock();
-        let Image { bytes, ends, next_batch_id, bytes_written } = &mut *image;
+        let Image { bytes, ends, retired, next_batch_id, bytes_written } = &mut *image;
         let batch_id = *next_batch_id;
         *next_batch_id += 1;
         let frame_len = write_frame(bytes, batch_id, tids, payload) as u64;
-        ends.push(bytes.len());
+        ends.push(retired.offset + bytes.len());
         *bytes_written += frame_len;
         let reg = ltpg_telemetry::global();
         reg.counter(ltpg_telemetry::names::WAL_FRAMES_APPENDED).inc();
@@ -401,21 +437,47 @@ impl BatchLog {
 
     /// A copy of frame `index`'s bytes as the image holds them, damage
     /// included; `None` when the image holds no complete frame there
-    /// (never written, or torn off). Read it with [`Frame::decode`].
+    /// (never written, torn off, or retired). Read it with
+    /// [`Frame::decode`].
     pub fn frame(&self, index: usize) -> Option<Frame> {
         let image = self.image.lock();
         let span = image.span(index)?;
-        Some(Frame { index, offset: span.start, bytes: image.bytes[span].to_vec() })
+        Some(Frame { index, offset: span.start, bytes: image.at(span).to_vec() })
     }
 
-    /// Number of complete frames in the image.
+    /// Number of complete frames written, retired ones included: the
+    /// index the next frame will take.
     pub fn len(&self) -> usize {
-        self.image.lock().ends.len()
+        self.image.lock().len()
     }
 
-    /// Whether the image holds no complete frame.
+    /// Whether no complete frame was ever written.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Index of the first frame the image holds: the frames below it are
+    /// retired.
+    pub fn first_retained(&self) -> usize {
+        self.image.lock().retired.frames
+    }
+
+    /// Retire every complete frame below index `below` (at most every
+    /// complete frame): the frames that follow, and a torn tail, move to
+    /// the front of the image's buffer, which keeps its capacity. Nothing
+    /// moves when no frame follows — the usual case, a retirement right
+    /// after the checkpoint that covers the whole log.
+    pub fn retire_below(&self, below: usize) {
+        let mut image = self.image.lock();
+        let n = below.min(image.len()).saturating_sub(image.retired.frames);
+        if n == 0 {
+            return;
+        }
+        let end = image.ends[n - 1];
+        let cut = end - image.retired.offset;
+        image.bytes.drain(..cut);
+        image.ends.drain(..n);
+        image.retired = Retired { frames: image.retired.frames + n, offset: end };
     }
 
     /// Total encoded bytes "written to disk".
@@ -423,63 +485,70 @@ impl BatchLog {
         self.image.lock().bytes_written
     }
 
-    /// Size of the physical image right now (shrinks under
-    /// [`BatchLog::tear_tail`] / [`BatchLog::truncate_torn_tail`]).
+    /// Size of the physical image right now: the retained frames and any
+    /// torn tail (shrinks under [`BatchLog::retire_below`],
+    /// [`BatchLog::tear_tail`] and [`BatchLog::truncate_torn_tail`]).
     pub fn disk_len(&self) -> usize {
         self.image.lock().bytes.len()
     }
 
-    /// Fault injection: XOR one byte of the physical image.
-    /// Out-of-range positions are ignored (the injector may race a tear).
+    /// Fault injection: XOR the byte at offset `pos` of the log. Positions
+    /// the image does not hold (retired, or past its end) are ignored (the
+    /// injector may race a tear).
     pub fn corrupt_byte(&self, pos: usize, xor: u8) {
-        if let Some(b) = self.image.lock().bytes.get_mut(pos) {
+        let mut image = self.image.lock();
+        let Some(local) = pos.checked_sub(image.retired.offset) else { return };
+        if let Some(b) = image.bytes.get_mut(local) {
             *b ^= xor;
         }
     }
 
     /// Fault injection: flip a byte inside the *body* of frame
     /// `frame_index`, so the damage is caught by the CRC rather than the
-    /// magic check. Returns `false` if no such frame exists.
+    /// magic check. Returns `false` if the image holds no such frame.
     pub fn corrupt_frame(&self, frame_index: usize, xor: u8) -> bool {
         let mut image = self.image.lock();
         let Some(span) = image.span(frame_index) else { return false };
         // First body byte (the batch id's high byte).
-        image.bytes[span.start + 8] ^= if xor == 0 { 0xFF } else { xor };
+        let at = span.start - image.retired.offset + 8;
+        image.bytes[at] ^= if xor == 0 { 0xFF } else { xor };
         true
     }
 
     /// Fault injection: a torn write — drop the last `drop_bytes` bytes of
     /// the physical image, as if the machine died mid-`write(2)`. A frame
-    /// the tear reaches is no longer complete. Returns the number of bytes
-    /// actually dropped.
+    /// the tear reaches is no longer complete; a tear never reaches past
+    /// the retired base. Returns the number of bytes actually dropped.
     pub fn tear_tail(&self, drop_bytes: usize) -> usize {
         let mut image = self.image.lock();
         let dropped = drop_bytes.min(image.bytes.len());
         let keep = image.bytes.len() - dropped;
         image.bytes.truncate(keep);
-        while image.ends.last().is_some_and(|&end| end > keep) {
+        let end = image.retired.offset + keep;
+        while image.ends.last().is_some_and(|&e| e > end) {
             image.ends.pop();
         }
         dropped
     }
 
-    /// Check every complete frame of the image — magic, length, CRC — and
-    /// decode none. Stops at the first damaged frame (`Err`); otherwise
+    /// Check every complete frame the image holds — magic, length, CRC —
+    /// and decode none. Stops at the first damaged frame (`Err`); otherwise
     /// reports the tail. A partial trailing frame is *not* an error — it is
     /// [`TailState::Torn`], for the caller to drop.
     pub fn verify(&self) -> Result<TailState, FrameError> {
         self.image.lock().verify()
     }
 
-    /// Detect-and-truncate: verify every complete frame, then drop a torn
-    /// tail and return how many bytes were dropped. A damaged complete
-    /// frame fails the call and nothing is dropped.
+    /// Detect-and-truncate: verify every retained complete frame, then drop
+    /// a torn tail and return how many bytes were dropped. A damaged
+    /// complete frame fails the call and nothing is dropped.
     pub fn truncate_torn_tail(&self) -> Result<usize, FrameError> {
         let mut image = self.image.lock();
         match image.verify()? {
             TailState::Clean => Ok(0),
             TailState::Torn { offset, bytes } => {
-                image.bytes.truncate(offset);
+                let keep = offset - image.retired.offset;
+                image.bytes.truncate(keep);
                 Ok(bytes)
             }
         }
@@ -741,6 +810,83 @@ mod tests {
         assert_eq!(image(&log), (3_479, 0xa90b_80ed_7ec8_3d00));
         assert_eq!(log.verify(), Ok(TailState::Clean));
         assert_eq!(log.len(), 4);
+    }
+
+    /// Retiring a prefix keeps what every reader sees of the rest: indexes,
+    /// offsets and bytes of the retained frames, `len`, `bytes_written`,
+    /// damage by absolute position, a torn tail and its truncation. A
+    /// retired frame reads as absent and takes no damage.
+    #[test]
+    fn retired_frames_are_absent_and_the_rest_keep_their_positions() {
+        let log = BatchLog::new();
+        for i in 0..10u64 {
+            log.append(&[i], &i.to_be_bytes());
+        }
+        let before: Vec<Frame> = (0..10).map(|i| log.frame(i).unwrap()).collect();
+        let written = log.bytes_written();
+        log.retire_below(6);
+        assert_eq!((log.first_retained(), log.len(), log.bytes_written()), (6, 10, written));
+        assert_eq!(log.disk_len(), before[6..].iter().map(|f| f.bytes.len()).sum::<usize>());
+        assert!((0..6).all(|i| log.frame(i).is_none()));
+        for frame in &before[6..] {
+            assert_eq!(log.frame(frame.index).as_ref(), Some(frame));
+        }
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        assert!(!log.corrupt_frame(5, 0x40), "a retired frame takes no damage");
+        log.corrupt_byte(before[5].offset, 0xFF);
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        log.corrupt_byte(before[7].offset, 0xFF);
+        let (index, offset) = (7, before[7].offset);
+        assert!(matches!(log.verify(), Err(FrameError::BadMagic { frame_index, offset: at, .. })
+            if (frame_index, at) == (index, offset)));
+        log.corrupt_byte(before[7].offset, 0xFF);
+        assert_eq!(log.tear_tail(3), 3);
+        let torn = Ok(TailState::Torn { offset: before[9].offset, bytes: before[9].bytes.len() - 3 });
+        assert_eq!(log.verify(), torn);
+        assert_eq!(log.truncate_torn_tail(), Ok(before[9].bytes.len() - 3));
+        assert_eq!(log.len(), 9);
+        assert_eq!(log.append(&[99], b"next"), 10);
+        let next = log.frame(9).unwrap();
+        assert_eq!(next.offset, before[9].offset);
+        assert_eq!(next.decode().unwrap().tids, vec![99]);
+        // Below the base, and past the complete frames, is a no-op.
+        log.retire_below(3);
+        assert_eq!(log.first_retained(), 6);
+        log.retire_below(usize::MAX);
+        assert_eq!((log.first_retained(), log.len(), log.disk_len()), (10, 10, 0));
+        assert_eq!(log.verify(), Ok(TailState::Clean));
+        assert_eq!(log.append(&[], &[]), 11);
+        assert_eq!(log.frame(10).unwrap().offset, next.offset + next.bytes.len());
+    }
+
+    /// Retiring everything below each checkpoint-like cut keeps the image's
+    /// buffer at what one window needs: after the first windows, appends
+    /// and retirements run in the capacity they left.
+    #[test]
+    fn retirement_stops_the_image_from_growing() {
+        let log = BatchLog::new();
+        let payload = pseudo_random_bytes(4_000);
+        let capacity = |log: &BatchLog| {
+            let image = log.image.lock();
+            (image.bytes.capacity(), image.ends.capacity())
+        };
+        let mut steady = None;
+        for window in 0..64 {
+            for i in 0..8 {
+                // A window keeps its last frame or two past the cut, as a
+                // lagging reader would, so retirements move bytes as well.
+                log.append(&[window, i], &payload[..1_000 + 300 * i as usize]);
+            }
+            log.retire_below(log.len() - (window as usize % 3));
+            if window == 4 {
+                steady = Some(capacity(&log));
+            }
+        }
+        assert_eq!(Some(capacity(&log)), steady);
+        assert_eq!(log.len(), 512);
+        for index in log.first_retained()..log.len() {
+            assert!(read(&log, index).unwrap().is_ok(), "frame {index}");
+        }
     }
 
     #[test]

@@ -119,6 +119,10 @@ pub const WAL_BYTES_APPENDED: &str = "wal.bytes_appended";
 /// Counter: WAL frames replayed by crash recovery or a degradation rebuild,
 /// on the registry the replay is handed.
 pub const WAL_FRAMES_REPLAYED: &str = "wal.recovery.frames_replayed";
+/// Gauge: bytes the server's WAL images hold, over every shard, set after
+/// each retirement: the frames no checkpoint covers or a standby row is
+/// still to be shipped, not every frame ever appended.
+pub const WAL_RESIDENT_BYTES: &str = "wal.resident_bytes";
 /// Counter: row slots (cells + key) copied into checkpoint images.
 pub const DURABILITY_CHECKPOINT_ROWS_COPIED: &str = "durability.checkpoint_rows_copied";
 /// Counter: primary-index slots copied into checkpoint images.

@@ -77,7 +77,10 @@ fn main() {
         check_invariants(engine.database(), &tables, warehouses).expect("TPC-C invariants");
         if i == 3 {
             dur.checkpoint(engine.database());
-            println!("  -- checkpoint taken after batch 3 --");
+            // No standby is shipped these frames: the checkpoint is the
+            // watermark below which no reader asks for one.
+            dur.retire_below(dur.checkpoint_batch());
+            println!("  -- checkpoint taken after batch 3, the frames it covers retired --");
         }
     }
 
@@ -85,9 +88,11 @@ fn main() {
     let live_digest = engine.database().state_digest();
     let recovered = dur.recover(lcfg).expect("recovery").db;
     println!(
-        "recovery: {} batches logged ({} KB), recovered digest {} live digest {}",
+        "recovery: {} batches logged ({} KB, {} KB resident from batch {}), recovered digest {} live digest {}",
         dur.logged_batches(),
         dur.log_bytes() / 1024,
+        dur.log().disk_len() / 1024,
+        dur.log().first_retained(),
         recovered.state_digest(),
         live_digest,
     );

@@ -16,6 +16,8 @@
 //! * **Checkpoints** — `a_steady_state_checkpoint_allocates_nothing` pins
 //!   the same counter over `DurabilityManager::checkpoint`: none, for a
 //!   YCSB-A image and for a TPC-C one whose tables declare ordered indexes.
+//!   `a_checkpointed_log_reuses_its_image` pins that a log whose covered
+//!   frames each checkpoint retires stops allocating for its disk image.
 //! * **Around the kernels** — the same counter over the serving tick's own
 //!   host work: routing a single-shard transaction allocates nothing,
 //!   logging a batch takes a fixed number of calls whatever its size, and a
@@ -32,7 +34,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ltpg::{DurabilityManager, LtpgConfig, LtpgEngine, LtpgServer, OptFlags, ServerConfig};
 use ltpg_bench::ltpg_tpcc_config;
@@ -81,6 +83,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// not run concurrently with a measurement window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Hold [`SERIAL`] for a measurement window. A test that failed while
+/// holding it poisoned it; the guard is taken all the same, so each test
+/// reports its own result rather than the first failure's.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn ycsb(records: u64, shards: u32) -> YcsbConfig {
     let cfg = YcsbConfig::new(YcsbWorkload::A, records).with_seed(0xa1_10_c8);
     if shards > 1 {
@@ -92,7 +101,7 @@ fn ycsb(records: u64, shards: u32) -> YcsbConfig {
 
 #[test]
 fn steady_state_engine_batches_add_zero_net_heap() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (db, _table, mut gen) = YcsbGenerator::new(ycsb(4_096, 1));
     let cfg = LtpgConfig { max_batch: 512, ..LtpgConfig::default() };
     let mut engine = LtpgEngine::new(db, cfg);
@@ -149,7 +158,7 @@ fn steady_state_calls_per_txn(engine: &mut LtpgEngine, batches: &[Batch]) -> f64
 /// engine's arena).
 #[test]
 fn steady_state_allocator_calls_per_transaction() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut tids = TidGen::new();
 
     let (db, _table, mut gen) = YcsbGenerator::new(ycsb(65_536, 1).with_alpha(0.6));
@@ -176,10 +185,12 @@ fn steady_state_allocator_calls_per_transaction() {
 /// inline, and its result slots are kept in the engine's arena. So per
 /// steady-state transaction of 4 096-lane TPC-C batches, an engine on two
 /// host threads may exceed the one-thread figure only by the helper's
-/// spawn, once per batch: 0.01 calls per transaction.
+/// spawn, once per batch: 0.01 calls per transaction. A lane whose helper
+/// was overtaken by the launching thread runs its pre-pass twice and
+/// allocates twice; the failure message says how many there were.
 #[test]
 fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let calls_at = |threads: usize| {
         let wl = TpccConfig::new(2, 50).with_headroom(8 * 4_096 * 2);
         let (db, tables, mut gen) = TpccGenerator::new(wl);
@@ -190,13 +201,21 @@ fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
         let batches: Vec<Batch> =
             (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(4_096), &mut tids)).collect();
         let calls = steady_state_calls_per_txn(&mut engine, &batches);
-        (calls, engine.device().stats().helper_lanes)
+        (calls, engine.device().stats())
     };
     let (one, _) = calls_at(1);
-    let (two, helped) = calls_at(2);
-    println!("allocator calls per TPC-C transaction: {one:.3} on one host thread, {two:.3} on two");
+    let (two, stats) = calls_at(2);
+    let (helped, twice) = (stats.helper_lanes, stats.lanes_computed_twice);
+    println!(
+        "allocator calls per TPC-C transaction: {one:.3} on one host thread, {two:.3} on two \
+         ({helped} lanes from the helper, {twice} computed twice)"
+    );
     assert!(helped > 0, "no helper produced a lane");
-    assert!(two <= one + 0.01, "two host threads: {two:.3} calls per transaction against {one:.3}");
+    assert!(
+        two <= one + 0.01,
+        "two host threads: {two:.3} calls per transaction against {one:.3}; \
+         {twice} lanes were computed twice"
+    );
 }
 
 /// The conflict log holds only the buckets a batch claims, in tables that
@@ -207,7 +226,7 @@ fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
 #[test]
 fn a_steady_state_conflict_log_holds_what_its_batches_claim() {
     const MIB: f64 = (1 << 20) as f64;
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut tids = TidGen::new();
     let mut resident_after_8 = |engine: &mut LtpgEngine, gen: &mut dyn FnMut(usize) -> Vec<Txn>| {
         for _ in 0..8 {
@@ -264,7 +283,7 @@ fn steady_state_checkpoint_calls(engine: &mut LtpgEngine, batches: &[Batch]) -> 
 /// else.
 #[test]
 fn a_steady_state_checkpoint_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut tids = TidGen::new();
 
     let (db, _table, mut gen) = YcsbGenerator::new(ycsb(65_536, 1).with_alpha(0.6));
@@ -300,7 +319,7 @@ fn a_steady_state_checkpoint_allocates_nothing() {
 /// 256 transactions below, 7.24 each.
 #[test]
 fn routing_a_single_shard_transaction_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let cfg = ycsb(65_536, 4).with_alpha(0.8);
     let (_db, table, mut gen) = YcsbGenerator::new(cfg.clone());
     let router = Router::new(ycsb_partitioner(4, table, &cfg));
@@ -315,8 +334,9 @@ fn routing_a_single_shard_transaction_allocates_nothing() {
 
 /// Allocator calls of one steady-state `DurabilityManager::log_batch` of
 /// `batch_size` YCSB-A transactions: the median over sixteen batches, so
-/// the occasional regrowth of the disk image and of its frame-end list (both
-/// amortized over the log's life) is not counted.
+/// the regrowth of a log no checkpoint shortens — its disk image and its
+/// frame-end list — is not counted (a log that checkpoints stops
+/// regrowing: `a_checkpointed_log_reuses_its_image`).
 fn log_batch_calls(batch_size: usize) -> u64 {
     let (db, _table, mut gen) = YcsbGenerator::new(ycsb(4_096, 1));
     let mut dur = DurabilityManager::new(&db);
@@ -344,11 +364,50 @@ fn log_batch_calls(batch_size: usize) -> u64 {
 /// payload buffer and the `Bytes` it is frozen into).
 #[test]
 fn log_batch_allocator_calls_do_not_grow_with_the_batch() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (small, large) = (log_batch_calls(256), log_batch_calls(2_048));
     println!("allocator calls per log_batch: {small} (256 transactions), {large} (2 048)");
     assert_eq!(small, large, "log_batch allocates per transaction");
     assert!(small <= 4, "{small} allocator calls per logged batch");
+}
+
+/// A checkpoint retires the frames it covers and the image's buffer keeps
+/// its capacity, so once the image has reached its steady size a
+/// `log_batch` makes only the calls for its own buffers (the TID list, the
+/// payload and its `Bytes`: the same count every batch) and a checkpoint
+/// with its retirement makes none. Without retirement the image regrows
+/// as the log does, and some batches in the window would make one more.
+#[test]
+fn a_checkpointed_log_reuses_its_image() {
+    const PERIOD: usize = 4;
+    let _guard = serial();
+    let (db, _table, mut gen) = YcsbGenerator::new(ycsb(4_096, 1));
+    let mut dur = DurabilityManager::new(&db);
+    let mut tids = TidGen::new();
+    let batches: Vec<Batch> =
+        (0..48).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(256), &mut tids)).collect();
+    let (mut logged, mut checkpointed) = (Vec::with_capacity(batches.len()), 0);
+    for (i, batch) in batches.iter().enumerate() {
+        let before = CALLS.load(Ordering::Relaxed);
+        dur.log_batch(batch);
+        let after_log = CALLS.load(Ordering::Relaxed);
+        if (i + 1) % PERIOD == 0 {
+            dur.checkpoint(&db);
+            dur.retire_below(dur.checkpoint_batch());
+        }
+        let after_checkpoint = CALLS.load(Ordering::Relaxed);
+        // Four periods warm the image to its steady size.
+        if i >= 4 * PERIOD {
+            logged.push(after_log - before);
+            checkpointed += after_checkpoint - after_log;
+        }
+    }
+    let disk = dur.log().disk_len();
+    println!("allocator calls per log_batch with a checkpoint every {PERIOD}: {logged:?}");
+    assert_eq!(disk, 0, "every frame is retired at the last checkpoint");
+    assert_eq!(dur.logged_batches(), batches.len());
+    assert!(logged.iter().all(|&n| n == logged[0] && n <= 4), "log_batch calls: {logged:?}");
+    assert_eq!(checkpointed, 0, "checkpoints and retirements made {checkpointed} calls");
 }
 
 /// Allocator calls per transaction of a steady-state 4-shard tick over a
@@ -386,7 +445,7 @@ fn four_shard_tick_calls_per_txn() -> f64 {
 /// at most a third of the old figure.
 #[test]
 fn a_steady_state_four_shard_tick_allocates_less_than_before() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let calls = four_shard_tick_calls_per_txn();
     println!("allocator calls per transaction of a 4-shard tick: {calls:.2}");
     assert!(calls <= 20.38 / 3.0, "{calls:.2} allocator calls per transaction");
@@ -394,7 +453,7 @@ fn a_steady_state_four_shard_tick_allocates_less_than_before() {
 
 #[test]
 fn steady_state_server_ticks_charge_zero_alloc_events() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (db, _table, mut gen) = YcsbGenerator::new(ycsb(4_096, 1));
     let mut server = LtpgServer::new(
         db,
@@ -417,7 +476,7 @@ fn steady_state_server_ticks_charge_zero_alloc_events() {
 
 #[test]
 fn steady_state_sharded_ticks_charge_zero_alloc_events() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let shards = 2;
     let cfg = ycsb(4_096, shards);
     let (db, table, mut gen) = YcsbGenerator::new(cfg.clone());

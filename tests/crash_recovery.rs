@@ -682,6 +682,37 @@ fn recovery_error_missing_batch() {
     }
 }
 
+/// A batch the log has retired is missing like one it never held: a replay
+/// that starts below the retired base names the first batch it cannot
+/// read, and crash recovery, which starts at the checkpoint, never asks.
+#[test]
+fn recovery_error_missing_retired_batch() {
+    let (db, plain, hot) = build_db();
+    let cfg = engine_cfg(hot);
+    let mut dur = DurabilityManager::new(&db);
+    let mut engine = LtpgEngine::new(db, cfg.clone());
+    let mut tids = TidGen::new();
+    for round in 0..5 {
+        let batch = Batch::assemble(vec![], mixed_txns(plain, hot, 40 + round, 12), &mut tids);
+        dur.log_batch(&batch);
+        engine.execute_batch(&batch);
+        if round == 2 {
+            dur.checkpoint(engine.database());
+        }
+    }
+    dur.retire_below(u64::MAX);
+    assert_eq!((dur.checkpoint_batch(), dur.log().first_retained()), (3, 3), "never past the checkpoint");
+    let recovered = dur.recover(cfg.clone()).expect("recovery starts at the checkpoint");
+    assert_eq!(recovered.stats.frames_replayed, 2);
+    assert_eq!(recovered.db.state_digest(), engine.database().state_digest());
+    let mut row = [Executor::from(LtpgEngine::new(dur.checkpoint_image(), cfg))];
+    let (logs, replay) = (std::slice::from_ref(&dur), OneDevice.replayer());
+    match ltpg::replay_logged(&mut row, logs, 1..5, &replay, &Registry::new()) {
+        Err(RecoveryError::MissingBatch(1)) => {}
+        other => panic!("expected batch 1 missing, got {other:?}"),
+    }
+}
+
 #[test]
 fn recovery_error_round() {
     let (dur, _engine, cfg) = logged_history(2, 5);

@@ -314,3 +314,70 @@ fn a_standby_catching_up_over_a_corrupt_frame_is_demoted_with_its_cause() {
         "{demoted}"
     );
 }
+
+/// A held standby keeps its frames. The log retires below the checkpoint
+/// lowered to the slowest alive row's cursor, so a row held five batches —
+/// more than two checkpoint periods — behind keeps the frames it still
+/// needs across every checkpoint of the hold. Released, it is shipped to
+/// the tail and the next checkpoint retires what it had held back. Held
+/// again and promoted, it catches up over retained frames only: no
+/// `WalGap` demotion, and tick for tick the reference history.
+#[test]
+fn a_held_standby_keeps_its_frames_and_is_promoted_without_a_gap() {
+    const HOLD: u64 = 5;
+    let cfg = YcsbConfig::new(YcsbWorkload::A, 2_048).with_seed(0xfa11).with_alpha(0.4);
+    let (db, _table, mut gen) = YcsbGenerator::new(cfg);
+    let scfg = ServerConfig {
+        batch_size: BATCH,
+        pipelined: false,
+        checkpoint_every: Some(2),
+        ..ServerConfig::default()
+    };
+    let mut reference = LtpgServer::new(db.deep_clone(), LtpgConfig::default(), scfg.clone());
+    let mut server = LtpgServer::new(db, LtpgConfig::default(), scfg);
+    ltpg_replica::attach(&mut server, &ReplicaConfig::default());
+    let hold = |batches| ReplicaChaos { standby_lag: Some((0, batches)), ..ReplicaChaos::none() };
+    server.arm_replica_chaos(hold(HOLD));
+    let stream = gen.gen_batch(BATCH * 30);
+    reference.submit_all(stream.iter().cloned());
+    server.submit_all(stream);
+    let mut tick = |server: &mut LtpgServer, tick: u64| {
+        let (a, b) = (server.tick().expect("work is queued"), reference.tick().expect("work is queued"));
+        assert_eq!((&a.committed, &a.aborted), (&b.committed, &b.aborted), "tick {tick}");
+        assert_eq!(a.flag_words, b.flag_words, "tick {tick}");
+    };
+    // Five checkpoints (batches 2..=10) with the row held behind each.
+    for t in 0..10 {
+        tick(&mut server, t);
+        let dur = server.durability();
+        let (logged, checkpoint) = (dur.logged_batches() as u64, dur.checkpoint_batch());
+        if logged == checkpoint && checkpoint > HOLD {
+            assert_eq!(dur.log().first_retained() as u64, checkpoint - HOLD, "batch {logged}");
+        }
+        let first = dur.log().first_retained();
+        assert!((first..logged as usize).all(|i| dur.log().frame(i).is_some()));
+    }
+    // Released: shipped to the tail, then retired past at the checkpoint.
+    server.arm_replica_chaos(hold(0));
+    for t in 10..12 {
+        tick(&mut server, t);
+    }
+    let dur = server.durability();
+    assert_eq!((dur.checkpoint_batch(), dur.log().first_retained()), (12, 12));
+    assert_eq!(dur.log().disk_len(), 0, "nothing is held back any more");
+    // Held again over three checkpoints, then promoted.
+    server.arm_replica_chaos(hold(HOLD));
+    for t in 12..18 {
+        tick(&mut server, t);
+    }
+    assert_eq!(server.durability().log().first_retained(), 18 - HOLD as usize);
+    server.force_device_failure();
+    for t in 18..24 {
+        tick(&mut server, t);
+    }
+    let reg = server.telemetry();
+    assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
+    assert_eq!(reg.counter_value(names::REPLICA_DEMOTIONS), 0, "{}", server.summary());
+    assert!(!server.is_degraded(), "the held row took over");
+    assert_eq!(server.database().state_digest(), reference.database().state_digest());
+}
