@@ -1,13 +1,14 @@
 //! Criterion micro-bench: the storage substrate's hot paths — primary
-//! index probes, cell access, speculative transaction execution, the
-//! checkpoint image (`deep_clone`) — and the serving tick's host work
+//! index probes, cell access, speculative transaction execution, copies of
+//! a database (`deep_clone`) and the checkpoint image (`image`) — and the
+//! serving tick's host work
 //! around the kernels: the WAL append (`wal`) and routing (`route`).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ltpg::{DurabilityManager, LtpgConfig, ServerConfig, Topology};
 use ltpg_shard::{ycsb_partitioner, Router, ShardedServer};
 use ltpg_storage::wal::crc32;
-use ltpg_storage::{ColId, Database, PrimaryIndex, RowId, Table, TableBuilder};
+use ltpg_storage::{ColId, Database, Image, PrimaryIndex, RowId, Table, TableBuilder};
 use ltpg_txn::{execute_speculative, Batch, IrOp, ProcId, Src, TidGen, Txn};
 use ltpg_workloads::tpcc::{order_key, orderline_key};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
@@ -59,68 +60,43 @@ fn bench_speculate(c: &mut Criterion) {
     });
 }
 
-/// The checkpoint image. `deep_clone` is the first image (and every
-/// standby seed and oracle snapshot): fresh arrays, so page faults included.
-/// `deep_clone_from` is what `DurabilityManager::checkpoint` pays every
-/// `checkpoint_every` batches, and it has two costs. `…_into_previous_image`
-/// is the full copy into the image's own arrays — what the first checkpoint
-/// and the first after a cutover or a rebuilt executor take — measured by
-/// refreshing one image from two unrelated tables of the same shape in
-/// turn, so it never mirrors the one it is refreshed from. `…_delta…` is
-/// the steady state: the image mirrors its source and copies what was
-/// written since the refresh before (the writes are made outside the timed
-/// region). Two shapes: the ledger's YCSB table (1 M rows x 4 columns and a
-/// quarter as much insert headroom, hash index only; a checkpoint period of
+/// Copies of a database. `deep_clone` (`deep_clone/…`) is the test
+/// oracles' snapshot and the ledger's probe: fresh arrays, so page faults
+/// included, index slots copied one for one. The checkpoint image
+/// (`image/…`) copies rows alone. `…_fresh` is a new image (fresh arrays).
+/// `refresh_from` is what `DurabilityManager::checkpoint` pays every
+/// `checkpoint_every` batches, and it has two costs. `…_full_in_place` is
+/// the full copy into the image's own arrays — what the first checkpoint
+/// after a cutover or a rebuilt executor takes — measured by refreshing one
+/// image from two unrelated databases of the same shape in turn, so it
+/// never mirrors the one it is refreshed from. `…_delta…` is the steady
+/// state: the image mirrors its source and copies what was written since
+/// the refresh before (the writes are made outside the timed region).
+/// `image/reindex` is `to_database`: what crash recovery, the degradation
+/// rebuild and a standby spawn pay to start a replay — the rows copied
+/// into fresh tables and each primary index rebuilt from the live keys.
+/// Two shapes: the ledger's YCSB table (1 M rows x 4 columns and a quarter
+/// as much insert headroom, hash index only; a checkpoint period of
 /// `fleet_server_ycsb` writes about 4 % of it) and an ORDER_LINE-shaped
-/// table (composite keys, 2x insert headroom, a tenth of the rows deleted
-/// so the index carries tombstones; a period inserts 1 % and deletes
-/// 0.1 %). It declares an ordered index, as TPC-C's does, but nothing here
-/// scans it, so it is never built: the three `…_ordered…` cases copy no
-/// tree, only cells, keys and hash-index slots (a copy leaves its tree for
-/// its own first scan to build; the `btree` bench times that bulk load).
-fn bench_deep_clone(c: &mut Criterion) {
-    let mut group = c.benchmark_group("deep_clone");
-    group.sample_size(10);
-
+/// table (composite keys, 2x insert headroom, a tenth of the rows deleted;
+/// a period inserts 1 % and deletes 0.1 %). It declares an ordered index,
+/// as TPC-C's does, but nothing here scans it, so it is never built (a
+/// copy leaves its tree for its own first scan to build; the `btree` bench
+/// times that bulk load).
+fn bench_images(c: &mut Criterion) {
     let (ycsb, usertable, _) = YcsbGenerator::new(YcsbConfig::new(YcsbWorkload::A, 1_000_000));
-    group.bench_function("ycsb_1m_x4", |b| b.iter(|| black_box(ycsb.deep_clone())));
-    let mut image = ycsb.deep_clone();
-    let unrelated = ycsb.deep_clone();
-    let mut turn = 0usize;
-    group.bench_function("ycsb_1m_x4_into_previous_image", |b| {
-        b.iter(|| {
-            turn += 1;
-            let copied = image.deep_clone_from(black_box([&ycsb, &unrelated][turn % 2]));
-            assert!(copied.full);
-        })
-    });
-    let mut image = ycsb.deep_clone();
-    image.deep_clone_from(&ycsb);
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    group.bench_function("ycsb_1m_x4_delta_4pct", |b| {
-        b.iter_batched(
-            || {
-                for _ in 0..40_000 {
-                    rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    let rid = RowId(((rng >> 33) % 1_000_000) as u32);
-                    ycsb.table(usertable).set(rid, ColId((rng >> 20) as u16 % 4), rng as i64);
-                }
-            },
-            |()| {
-                let copied = image.deep_clone_from(black_box(&ycsb));
-                assert!(!copied.full && copied.rows > 39_000 && copied.index_slots == 0);
-            },
-            BatchSize::PerIteration,
+    let mut order_line_db = Database::new();
+    let order_line_id = order_line_db.add_built_table(
+        Table::new(
+            TableBuilder::new("ORDER_LINE")
+                .columns(["OL_I_ID", "OL_SUPPLY_W", "OL_QUANTITY", "OL_AMOUNT", "OL_DELIVERY_D"])
+                .capacity(600_000)
+                .build(),
         )
-    });
-
-    let order_line = Table::new(
-        TableBuilder::new("ORDER_LINE")
-            .columns(["OL_I_ID", "OL_SUPPLY_W", "OL_QUANTITY", "OL_AMOUNT", "OL_DELIVERY_D"])
-            .capacity(600_000)
-            .build(),
-    )
-    .with_ordered();
+        .with_ordered(),
+    );
+    order_line_db.reserve(order_line_id, 600_000);
+    let order_line = order_line_db.table(order_line_id);
     let lines = |o: i64| {
         let order = order_key(1 + o % 8, 1 + o % 10, o);
         (1..=10).map(move |ol| (orderline_key(order, ol), [o, 1, 5, o * ol, 0]))
@@ -141,25 +117,57 @@ fn bench_deep_clone(c: &mut Criterion) {
             delete_order(o);
         }
     }
+
+    let mut group = c.benchmark_group("deep_clone");
+    group.sample_size(10);
+    group.bench_function("ycsb_1m_x4", |b| b.iter(|| black_box(ycsb.deep_clone())));
     group.bench_function("tpcc_order_line_300k_ordered", |b| {
         b.iter(|| black_box(order_line.deep_clone()))
     });
-    let mut image = order_line.deep_clone();
-    let unrelated = order_line.deep_clone();
-    group.bench_function("tpcc_order_line_300k_ordered_into_previous_image", |b| {
-        b.iter(|| {
-            turn += 1;
-            let copied = image.deep_clone_from(black_box([&order_line, &unrelated][turn % 2]));
-            assert!(copied.full);
-        })
+    group.finish();
+
+    let mut group = c.benchmark_group("image");
+    group.sample_size(10);
+    let mut full_in_place = |name: &str, db: &Database| {
+        let unrelated = db.deep_clone();
+        let mut image = Image::of(&unrelated);
+        let mut turn = 0usize;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let copied = image.refresh_from(black_box([db, &unrelated][turn % 2]));
+                turn += 1;
+                assert!(copied.full);
+            })
+        });
+    };
+    full_in_place("ycsb_1m_x4_full_in_place", &ycsb);
+    full_in_place("tpcc_order_line_300k_full_in_place", &order_line_db);
+    group.bench_function("ycsb_1m_x4_fresh", |b| b.iter(|| black_box(Image::of(&ycsb))));
+    let mut image = Image::of(&ycsb);
+    group.bench_function("reindex", |b| b.iter(|| black_box(image.to_database())));
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    group.bench_function("ycsb_1m_x4_delta_4pct", |b| {
+        b.iter_batched(
+            || {
+                for _ in 0..40_000 {
+                    rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let rid = RowId(((rng >> 33) % 1_000_000) as u32);
+                    ycsb.table(usertable).set(rid, ColId((rng >> 20) as u16 % 4), rng as i64);
+                }
+            },
+            |()| {
+                let copied = image.refresh_from(black_box(&ycsb));
+                assert!(!copied.full && copied.rows > 39_000 && copied.rows <= 40_000);
+            },
+            BatchSize::PerIteration,
+        )
     });
     // A period takes 300 new orders of ten lines and delivers (deletes)
     // thirty of the period before. The headroom holds 100 periods; the
     // harness takes a warm-up and ten samples.
-    let mut image = order_line.deep_clone();
-    image.deep_clone_from(&order_line);
+    let mut image = Image::of(&order_line_db);
     let mut next_order = 30_000i64;
-    group.bench_function("tpcc_order_line_300k_ordered_delta", |b| {
+    group.bench_function("tpcc_order_line_300k_delta", |b| {
         b.iter_batched(
             || {
                 for o in next_order..next_order + 300 {
@@ -171,8 +179,8 @@ fn bench_deep_clone(c: &mut Criterion) {
                 next_order += 300;
             },
             |()| {
-                let copied = image.deep_clone_from(black_box(&order_line));
-                assert!(!copied.full && copied.rows == 3_300 && copied.index_slots >= 3_000);
+                let copied = image.refresh_from(black_box(&order_line_db));
+                assert!(!copied.full && copied.rows == 3_300);
             },
             BatchSize::PerIteration,
         )
@@ -254,5 +262,5 @@ fn bench_route(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_index, bench_speculate, bench_deep_clone, bench_wal, bench_route);
+criterion_group!(benches, bench_index, bench_speculate, bench_images, bench_wal, bench_route);
 criterion_main!(benches);

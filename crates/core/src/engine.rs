@@ -263,6 +263,45 @@ pub(crate) fn reserve_inserts<'m>(
     }
 }
 
+/// The cell a delayed add folds into.
+pub(crate) type DelayedCell = (TableId, ColId, i64);
+
+/// The delayed-update fold (paper Example 3), shared by the engine and the
+/// CPU twin: the owned delayed adds of a batch's committing transactions,
+/// summed per cell (wrapping) and counted, in cell order. Sorting a
+/// vector kept from batch to batch, not iterating a hash map, is what makes
+/// the order the cells' own.
+#[derive(Default)]
+pub(crate) struct DelayedFold {
+    adds: Vec<(DelayedCell, i64)>,
+    merged: Vec<(DelayedCell, i64, u32)>,
+}
+
+impl DelayedFold {
+    /// One delayed add of `delta` to `cell`.
+    pub(crate) fn push(&mut self, cell: DelayedCell, delta: i64) {
+        self.adds.push((cell, delta));
+    }
+
+    /// Fold the adds pushed since the last call: `(cell, sum, adds)` per
+    /// cell, in cell order.
+    pub(crate) fn fold(&mut self) -> &[(DelayedCell, i64, u32)] {
+        self.adds.sort_unstable_by_key(|&(cell, _)| cell);
+        self.merged.clear();
+        for &(cell, delta) in &self.adds {
+            match self.merged.last_mut() {
+                Some((last, sum, adds)) if *last == cell => {
+                    *sum = sum.wrapping_add(delta);
+                    *adds += 1;
+                }
+                _ => self.merged.push((cell, delta, 1)),
+            }
+        }
+        self.adds.clear();
+        &self.merged
+    }
+}
+
 /// Apply one committed mutation to `db`: the write-back step shared by
 /// the engine's kernel and the CPU twin.
 pub(crate) fn apply_mutation(db: &Database, m: &Mutation) {
@@ -419,6 +458,7 @@ struct EngineScratch {
     /// Committed inserts per table of the batch being finished.
     insert_counts: Vec<usize>,
     op_items: Vec<(usize, bool)>,
+    delayed: DelayedFold,
     /// High-watermark (in transactions) of the batch-sized device buffers.
     wm_txns: usize,
     /// High-watermark (in items) of the detect work-item buffer.
@@ -886,8 +926,7 @@ impl LtpgEngine {
         stats.writeback_ns = wb_report.sim_ns;
 
         // ---- Delayed-update merge (paper Example 3). ----
-        let mut merge_map: std::collections::HashMap<(TableId, ColId, i64), (i64, u32)> =
-            std::collections::HashMap::new();
+        let mut delayed = std::mem::take(&mut self.scratch.delayed);
         for (idx, committed) in committed_flags.iter().enumerate().take(n) {
             if !committed {
                 continue;
@@ -898,14 +937,10 @@ impl LtpgEngine {
                     continue;
                 }
                 stats.delayed_ops_applied += 1;
-                let e = merge_map.entry((t, c, k)).or_insert((0, 0));
-                e.0 = e.0.wrapping_add(d);
-                e.1 += 1;
+                delayed.push((t, c, k), d);
             }
         }
-        let mut merged: Vec<((TableId, ColId, i64), i64, u32)> =
-            merge_map.into_iter().map(|(cell, (sum, cnt))| (cell, sum, cnt)).collect();
-        merged.sort_unstable_by_key(|(cell, ..)| *cell);
+        let merged = delayed.fold();
         // One lane per delayed *op* (grouped by cell into warps, as the
         // paper's Example 3 assigns same-row ops to one warp); the cell's
         // last lane writes the merged result. `(cell idx, is_last)`.
@@ -1014,6 +1049,7 @@ impl LtpgEngine {
         self.scratch.committed_flags = committed_flags;
         op_items.clear();
         self.scratch.op_items = op_items;
+        self.scratch.delayed = delayed;
         Ok(ReportWithStats { report, stats })
     }
 
@@ -1114,6 +1150,23 @@ mod tests {
     use ltpg_storage::TableBuilder;
     use ltpg_txn::oracle::check_snapshot_serializable;
     use ltpg_txn::{IrOp, ProcId, Src, Tid, TidGen, Txn};
+
+    /// The delayed-update fold is the sorted, wrapping, per-cell sum the
+    /// hash-map merge it replaced produced, with each cell's add count, and
+    /// a fold starts from nothing however much the previous one held.
+    #[test]
+    fn the_delayed_fold_sums_each_cell_in_cell_order() {
+        let (t, u) = (TableId(1), TableId(0));
+        let (hot, cold, other) = ((t, ColId(0), 5), (u, ColId(1), 9), (t, ColId(0), 4));
+        let mut fold = DelayedFold::default();
+        for (cell, delta) in [(hot, 2), (cold, i64::MAX), (hot, -7), (cold, 2), (other, 1)] {
+            fold.push(cell, delta);
+        }
+        assert_eq!(fold.fold(), [(cold, i64::MIN + 1, 2), (other, 1, 1), (hot, -5, 2)]);
+        assert_eq!(fold.fold(), []);
+        fold.push((t, ColId(1), 0), 3);
+        assert_eq!(fold.fold(), [((t, ColId(1), 0), 3, 1)]);
+    }
 
     fn small_db() -> (Database, TableId) {
         let mut db = Database::new();

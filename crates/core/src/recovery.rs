@@ -12,7 +12,8 @@
 //! (the database, or one shard's slice). The "disk" is the simulated WAL of
 //! `ltpg-storage` (real checksummed frames via the binary codec of
 //! `ltpg-txn`, byte-accounted; only the medium is simulated) plus an
-//! in-memory checkpoint image.
+//! in-memory checkpoint image: the rows alone ([`Image`]), each primary
+//! index rebuilt from them when a replay starts.
 //!
 //! There is one replay ([`replay_logged`]; one batch, [`replay_frames`]):
 //! from the checkpoint images, each logged batch's frames are read through
@@ -43,7 +44,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use ltpg_storage::{BatchLog, Database, Frame, FrameError, ImageCopy, TailState};
+use ltpg_storage::{BatchLog, Database, Frame, FrameError, Image, ImageCopy, TailState};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::codec::{decode_batch, encode_batch, DecodeError};
 use ltpg_txn::Batch;
@@ -122,17 +123,19 @@ pub struct DurabilityManager {
     log: BatchLog,
     /// The checkpoint image and the id of the first batch *not* covered
     /// by it.
-    checkpoint: (u64, Database),
+    checkpoint: (u64, Image),
     /// What the most recent [`checkpoint`](Self::checkpoint) copied.
     last_checkpoint: ImageCopy,
 }
 
 impl DurabilityManager {
-    /// Start with the initial database as checkpoint 0.
+    /// Start with the initial database as checkpoint 0. The image mirrors
+    /// `initial`, so the first [`checkpoint`](Self::checkpoint) of it is a
+    /// delta.
     pub fn new(initial: &Database) -> Self {
         DurabilityManager {
             log: BatchLog::new(),
-            checkpoint: (0, initial.deep_clone()),
+            checkpoint: (0, Image::of(initial)),
             last_checkpoint: ImageCopy::default(),
         }
     }
@@ -147,17 +150,17 @@ impl DurabilityManager {
 
     /// Take a checkpoint of `db`, covering everything up to (excluding)
     /// the next batch to be logged. The image is brought up to date in
-    /// place ([`Database::deep_clone_from`]): when it was last taken from
-    /// this same `db`, only the rows and index slots written since are
-    /// copied and nothing is allocated (bar the node splits of an ordered
-    /// index that took inserts); the first checkpoint, and the first of
-    /// another database (a rebalance cutover's new slice, a rebuilt
-    /// executor), is a full copy into the same arrays. Take it at a batch
+    /// place ([`Image::refresh_from`]): when it was last taken from this
+    /// same `db` (or `db` is the one [`new`](Self::new) started from), only
+    /// the rows written since are copied and nothing is allocated; the
+    /// first of another database (a rebalance cutover's new slice, a
+    /// rebuilt executor) is a full copy into the same arrays. No index slot
+    /// is copied, so an index growth costs nothing here. Take it at a batch
     /// boundary. [`last_checkpoint`](Self::last_checkpoint) says what this
     /// one copied.
     pub fn checkpoint(&mut self, db: &Database) {
         self.checkpoint.0 = self.log.len() as u64;
-        self.last_checkpoint = self.checkpoint.1.deep_clone_from(db);
+        self.last_checkpoint = self.checkpoint.1.refresh_from(db);
     }
 
     /// What the most recent [`checkpoint`](Self::checkpoint) copied
@@ -204,10 +207,17 @@ impl DurabilityManager {
         Ok(RecoveryOutcome { db, stats })
     }
 
-    /// A deep clone of the current checkpoint image (the starting point
-    /// for any replay).
+    /// The database of the current checkpoint (the starting point for any
+    /// replay): fresh tables holding the image's rows, each primary index
+    /// rebuilt from the live keys under the same row ids, at the slot
+    /// count its source had ([`Image::to_database`]).
     pub fn checkpoint_image(&self) -> Database {
-        self.checkpoint.1.deep_clone()
+        self.checkpoint.1.to_database()
+    }
+
+    /// Bytes of cells and keys the checkpoint image holds.
+    pub fn image_resident_bytes(&self) -> u64 {
+        self.checkpoint.1.resident_bytes()
     }
 
     /// Repair the physical log in place: verify every retained complete
@@ -376,9 +386,9 @@ mod tests {
             dur.log_batch(&batch);
             engine.execute_batch(&batch);
             // Each checkpoint brings the image before it up to date in
-            // place: the first by a full copy (the image is a clone of the
-            // initial database, which mirrors nothing), the three after it
-            // by copying what their two batches wrote.
+            // place by copying what its batches wrote: the image `new`
+            // took mirrors the initial database, so the first is a delta
+            // too.
             if round % 2 == 0 && round < 8 {
                 dur.checkpoint(engine.database());
                 assert_eq!(dur.checkpoint_batch(), round as u64 + 1);
@@ -387,8 +397,8 @@ mod tests {
                     engine.database().state_digest()
                 );
                 let copied = dur.last_checkpoint();
-                assert_eq!(copied.full, round == 0);
-                assert!(round == 0 || (1..=12).contains(&copied.rows), "{copied:?}");
+                assert!(!copied.full, "{copied:?}");
+                assert!((1..=12).contains(&copied.rows), "{copied:?}");
             }
         }
         let outcome = dur.recover(LtpgConfig::default()).unwrap();

@@ -313,15 +313,17 @@ impl Shards {
     }
 
     /// Checkpoint shard `s` at its executor's database, counting what the
-    /// image copy took beside `server.checkpoints`.
+    /// image copy took beside `server.checkpoints` and publishing what the
+    /// images hold (`durability.image_resident_bytes`).
     pub fn checkpoint(&mut self, s: usize) {
         let dur = &mut self.durability[s];
         dur.checkpoint(self.execs[s].database());
         let copied = dur.last_checkpoint();
         let reg = &self.telemetry;
         reg.counter(names::DURABILITY_CHECKPOINT_ROWS_COPIED).add(copied.rows);
-        reg.counter(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED).add(copied.index_slots);
         reg.counter(names::DURABILITY_CHECKPOINT_FULL_IMAGES).add(u64::from(copied.full));
+        let images: u64 = self.durability.iter().map(DurabilityManager::image_resident_bytes).sum();
+        reg.gauge(names::DURABILITY_IMAGE_RESIDENT_BYTES).set(images as i64);
     }
 }
 
@@ -607,11 +609,10 @@ impl<T: Topology> Server<T> {
         let reg = &self.shards.telemetry;
         let _ = writeln!(
             out,
-            "checkpoints           {} ({} full image(s), {} rows and {} index slots copied)",
+            "checkpoints           {} ({} full image(s), {} rows copied)",
             reg.counter_value(names::SERVER_CHECKPOINTS),
             reg.counter_value(names::DURABILITY_CHECKPOINT_FULL_IMAGES),
             reg.counter_value(names::DURABILITY_CHECKPOINT_ROWS_COPIED),
-            reg.counter_value(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED),
         );
         let logs = &self.shards.durability;
         let _ = writeln!(
@@ -620,6 +621,11 @@ impl<T: Topology> Server<T> {
             logs.iter().map(|dur| dur.log().disk_len()).sum::<usize>(),
             logs[0].log().first_retained(),
             logs.iter().map(DurabilityManager::log_bytes).sum::<u64>(),
+        );
+        let _ = writeln!(
+            out,
+            "image resident        {} bytes",
+            logs.iter().map(DurabilityManager::image_resident_bytes).sum::<u64>(),
         );
         if let Some(pool) = &self.shards.pool {
             let _ = writeln!(out, "standbys alive        {}", pool.rows_alive());
@@ -1079,13 +1085,15 @@ mod tests {
         assert!(server.durability().logged_batches() > 0);
     }
 
-    /// A fresh TPC-C server's first checkpoint copies no index slot of a
-    /// table nothing was inserted into. Payment alone inserts only into
+    /// A fresh TPC-C server's first checkpoint is a delta: the image
+    /// `DurabilityManager::new` took mirrors the database the server
+    /// serves, so the checkpoint copies the rows the batch wrote, and no
+    /// index slot — an image holds none. Payment alone inserts only into
     /// HISTORY, so ORDERS, NEW_ORDER and ORDER_LINE keep their placeholder
-    /// indexes (sized for the insert headroom, holding nothing); their
-    /// copies in the initial image and in the checkpoint are placeholders
-    /// of the same size, and `durability.checkpoint_index_slots_copied`
-    /// counts the slots of the other tables alone.
+    /// indexes; the database the image rebuilds has every index at its
+    /// source's size, placeholders included, and
+    /// `durability.image_resident_bytes` is the live prefix of every
+    /// table's cells and keys.
     #[test]
     fn a_first_checkpoint_copies_no_placeholder_index() {
         use ltpg_workloads::{TpccConfig, TpccGenerator};
@@ -1104,17 +1112,17 @@ mod tests {
         let untouched = [tables.orders, tables.new_order, tables.order_line];
         assert!(untouched.iter().all(|&t| db.table(t).is_empty()));
         assert!(db.table(tables.history).live_rows() > 0);
-        let written: usize =
-            db.iter().filter(|(_, t)| t.live_rows() > 0).map(|(_, t)| t.index_slots()).sum();
         let reg = server.telemetry();
         assert_eq!(reg.counter_value(names::SERVER_CHECKPOINTS), 1);
-        assert_eq!(
-            reg.counter_value(names::DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED),
-            written as u64
-        );
+        assert_eq!(reg.counter_value(names::DURABILITY_CHECKPOINT_FULL_IMAGES), 0);
+        let copied = reg.counter_value(names::DURABILITY_CHECKPOINT_ROWS_COPIED);
+        assert!(copied > 0 && copied <= 4 * 64, "a 64-Payment batch's rows: {copied}");
+        let held: usize = db.iter().map(|(_, t)| t.len() * (t.width() + 1) * 8).sum();
+        assert_eq!(reg.gauge_value(names::DURABILITY_IMAGE_RESIDENT_BYTES), held as i64);
         let image = server.shards().durability[0].checkpoint_image();
-        for t in untouched {
-            assert_eq!(image.table(t).index_slots(), db.table(t).index_slots());
+        assert_eq!(image.state_digest(), db.state_digest());
+        for (t, table) in db.iter() {
+            assert_eq!(image.table(t).index_slots(), table.index_slots());
         }
     }
 

@@ -22,7 +22,7 @@
 //! `LOG_FULL`. Workloads below that capacity (all of this repository's)
 //! decide identically; see DESIGN.md for the caveat.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 
 use ltpg_baselines::CpuCostModel;
@@ -34,7 +34,7 @@ use ltpg_txn::{Batch, BatchEngine, BatchReport};
 use crate::config::LtpgConfig;
 use crate::engine::{
     apply_mutation, commit_decision, flag, reserve_inserts, scope_owns, scope_owns_row,
-    stage_effects, ExecScope, ScopedStore, Staged,
+    stage_effects, DelayedFold, ExecScope, ScopedStore, Staged,
 };
 use crate::footprint::{self, conflict_flags, Cell, Record};
 
@@ -97,6 +97,7 @@ pub struct CpuTwin {
     /// Tables containing at least one commutatively-maintained column
     /// (mirrors the GPU engine's delete force-abort rule).
     commutative_tables: HashSet<TableId>,
+    delayed: DelayedFold,
 }
 
 impl CpuTwin {
@@ -104,7 +105,8 @@ impl CpuTwin {
     /// the engine configuration whose decisions it must reproduce.
     pub fn new(db: Database, cfg: LtpgConfig) -> Self {
         let commutative_tables = cfg.commutative_tables();
-        CpuTwin { db, cfg, cost: CpuCostModel::xeon30(), commutative_tables }
+        let delayed = DelayedFold::default();
+        CpuTwin { db, cfg, cost: CpuCostModel::xeon30(), commutative_tables, delayed }
     }
 
     /// Consume the twin, returning its database.
@@ -215,7 +217,6 @@ impl CpuTwin {
         let mut aborted = Vec::new();
         // Delayed-update merge over owned cells, applied in sorted cell
         // order after the plain write-back.
-        let mut merge_map: HashMap<(TableId, ColId, i64), i64> = HashMap::new();
         for ((txn, &f), out) in batch.txns.iter().zip(&flags).zip(&outcomes) {
             if !commit_decision(reordering, f) {
                 aborted.push(txn.tid);
@@ -231,14 +232,11 @@ impl CpuTwin {
             }
             for &(t, c, k, d) in &out.delayed {
                 if owns_row(t, k) {
-                    let e = merge_map.entry((t, c, k)).or_insert(0);
-                    *e = e.wrapping_add(d);
+                    self.delayed.push((t, c, k), d);
                 }
             }
         }
-        let mut merged: Vec<((TableId, ColId, i64), i64)> = merge_map.into_iter().collect();
-        merged.sort_unstable_by_key(|(cell, _)| *cell);
-        for ((t, c, k), sum) in merged {
+        for &((t, c, k), sum, _) in self.delayed.fold() {
             let table = self.db.table(t);
             if let Some(rid) = table.lookup(k) {
                 table.add(rid, c, sum);

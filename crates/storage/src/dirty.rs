@@ -1,17 +1,15 @@
-//! Which slots of an array were written since an image of it was last
-//! brought up to date, and what such a refresh copied.
+//! Which row slots of a table were written since an image of it was last
+//! brought up to date.
 //!
-//! A [`DirtyBits`] is one bit per slot (row slot of a [`Table`], slot of a
-//! [`PrimaryIndex`]). Writers mark through `&self`; the refresh
-//! ([`Table::deep_clone_from`]) takes the marks word by word. The bitmaps
-//! are host-side bookkeeping: they are not part of the modelled device
-//! footprint ([`Table::bytes`]) and nothing charged to the simulated clock
-//! reads them.
+//! A [`DirtyBits`] is one bit per row slot of a [`Table`]. Writers mark
+//! through `&self`; the refresh ([`Image::refresh_from`]) takes the marks
+//! word by word. The bitmaps are host-side bookkeeping: they are not part
+//! of the modelled device footprint ([`Table::bytes`]) and nothing charged
+//! to the simulated clock reads them.
 //!
 //! [`Table`]: crate::Table
 //! [`Table::bytes`]: crate::Table::bytes
-//! [`Table::deep_clone_from`]: crate::Table::deep_clone_from
-//! [`PrimaryIndex`]: crate::PrimaryIndex
+//! [`Image::refresh_from`]: crate::Image::refresh_from
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,17 +44,14 @@ impl DirtyBits {
         }
     }
 
-    /// The slots marked here or in `other` — the same slots' bits on the
-    /// other side of a refresh — lowest first, each word's marks cleared on
-    /// both sides as the iterator reaches it.
-    pub(crate) fn drain_with<'a>(
-        &'a self,
-        other: &'a DirtyBits,
-    ) -> impl Iterator<Item = usize> + 'a {
-        debug_assert_eq!(self.words.len(), other.words.len(), "bitmaps over the same slots");
-        let words = self.words.iter().zip(other.words.iter()).enumerate();
-        words.flat_map(move |(w, (a, b))| {
-            let mut marks = take(a) | take(b);
+    /// The marked slots, lowest first, each word's marks cleared as the
+    /// iterator reaches it.
+    pub(crate) fn drain(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, word)| {
+            // The load keeps a clean word's cache line shared: most words
+            // of most periods are clean.
+            let clean = word.load(Ordering::Relaxed) == 0;
+            let mut marks = if clean { 0 } else { word.swap(0, Ordering::Relaxed) };
             std::iter::from_fn(move || {
                 (marks != 0).then(|| {
                     let bit = marks.trailing_zeros() as usize;
@@ -66,23 +61,6 @@ impl DirtyBits {
             })
         })
     }
-
-    /// Forget every mark.
-    pub(crate) fn clear(&self) {
-        self.words.iter().for_each(|word| {
-            take(word);
-        });
-    }
-}
-
-/// `word`'s marks, cleared.
-fn take(word: &AtomicU64) -> u64 {
-    // The load keeps a clean word's cache line shared: most words of most
-    // periods are clean.
-    if word.load(Ordering::Relaxed) == 0 {
-        return 0;
-    }
-    word.swap(0, Ordering::Relaxed)
 }
 
 /// Slots a refresh handles at a time: enough that a group's cache misses
@@ -111,46 +89,21 @@ pub(crate) fn in_groups(
     }
 }
 
-/// What one refresh of an image ([`Table::deep_clone_from`],
-/// [`Database::deep_clone_from`]) copied.
-///
-/// [`Table::deep_clone_from`]: crate::Table::deep_clone_from
-/// [`Database::deep_clone_from`]: crate::Database::deep_clone_from
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ImageCopy {
-    /// Row slots whose cells and key were copied.
-    pub rows: u64,
-    /// Primary-index slots copied.
-    pub index_slots: u64,
-    /// Whether the full copy was taken (for a database: by any table)
-    /// because the image did not mirror the source as of its last drain.
-    pub full: bool,
-}
-
-impl std::ops::AddAssign for ImageCopy {
-    fn add_assign(&mut self, other: ImageCopy) {
-        self.rows += other.rows;
-        self.index_slots += other.index_slots;
-        self.full |= other.full;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn marks_of_both_sides_are_drained_once_and_in_slot_order() {
-        let (ours, theirs) = (DirtyBits::new(130), DirtyBits::new(130));
-        for slot in [129, 3, 64, 3] {
-            ours.mark(slot);
+    fn marks_are_drained_once_and_in_slot_order() {
+        let bits = DirtyBits::new(130);
+        for slot in [129, 3, 64, 3, 0] {
+            bits.mark(slot);
         }
-        theirs.mark(0);
-        theirs.mark(64);
-        assert_eq!(ours.drain_with(&theirs).collect::<Vec<_>>(), [0, 3, 64, 129]);
-        assert_eq!(theirs.drain_with(&ours).count(), 0);
-        ours.mark(7);
-        ours.clear();
-        assert_eq!(ours.drain_with(&theirs).count(), 0);
+        assert_eq!(bits.drain().collect::<Vec<_>>(), [0, 3, 64, 129]);
+        assert_eq!(bits.drain().count(), 0);
+        bits.mark(7);
+        bits.mark(100);
+        assert_eq!(bits.drain().next(), Some(7), "a word is cleared as it is reached");
+        assert_eq!(bits.drain().collect::<Vec<_>>(), [100]);
     }
 }

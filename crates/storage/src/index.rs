@@ -14,6 +14,10 @@
 //! are they cost no memory until something is inserted. A copy of an index
 //! with no used slot is zeroed memory too, with nothing copied.
 //!
+//! A checkpoint image holds no index, only the slot count of its source's
+//! ([`crate::Image`]); [`PrimaryIndex::rebuilt`] lays one out at that count
+//! from the image's key column, every key under its own row id.
+//!
 //! [`PrimaryIndex::reserve`] is what lays an index out for the rows it will
 //! hold. The first reservation of a placeholder lays it out for the count
 //! reserved, with room for seven more reservations like it; later ones
@@ -25,7 +29,6 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
-use crate::dirty::{in_groups, DirtyBits};
 use crate::table::RowId;
 use crate::zeroed::{stored, zeroed, Zeroed};
 
@@ -81,12 +84,10 @@ pub struct PrimaryIndex {
     /// the slots. Counted on remove and reclaim, so an insert into an
     /// empty slot pays for `len` alone.
     tombstones: AtomicUsize,
-    /// Slots claimed or tombstoned since an image of this index was last
-    /// brought up to date ([`refresh_from`](Self::refresh_from)).
-    dirty: DirtyBits,
     /// Whether the slots are a placeholder's, never laid out by
-    /// [`reserve`](Self::reserve). Copies keep it, so an image or a replay
-    /// reserves to the sizes its source did.
+    /// [`reserve`](Self::reserve). Copies keep it, and an image records
+    /// whether it still applies ([`unlaid`](Self::unlaid)), so a copy or a
+    /// replay reserves to the sizes its source did.
     placeholder: bool,
 }
 
@@ -99,8 +100,8 @@ fn slots_for(keys: usize) -> usize {
 /// Reservations like the first that a placeholder's first layout holds.
 /// The first is usually one batch's inserts, and every batch after it
 /// inserts about as many: with room for one, the index would grow after the
-/// second batch, the fourth, the eighth — each growth a rebuild, and the
-/// next checkpoint a full copy — just as the run settles.
+/// second batch, the fourth, the eighth — each growth a rebuild of every
+/// live key — just as the run settles.
 const FIRST_ROOM: usize = 8;
 
 impl PrimaryIndex {
@@ -151,7 +152,6 @@ impl PrimaryIndex {
             mask: n - 1,
             len: AtomicUsize::new(0),
             tombstones: AtomicUsize::new(0),
-            dirty: DirtyBits::new(n),
             placeholder,
         }
     }
@@ -174,10 +174,8 @@ impl PrimaryIndex {
     ///   key under the same [`RowId`], no tombstone, and at least twice as
     ///   many slots as live keys plus `n` (never fewer than now).
     ///
-    /// Returns whether the slot count or layout changed: a replaced index
-    /// has another shape, so no image of it can be brought up to date slot
-    /// by slot. (A placeholder laid out at its own size is laid out where
-    /// it is: all-zero on both sides, it still mirrors its images.)
+    /// Returns whether the index was replaced (a placeholder laid out at
+    /// its own size is laid out where it is).
     pub fn reserve(&mut self, n: usize) -> bool {
         let used = self.used();
         if self.placeholder && used == 0 {
@@ -283,7 +281,6 @@ impl PrimaryIndex {
         let slot = &self.slots[at];
         slot.key.compare_exchange(vacant, word, Ordering::AcqRel, Ordering::Acquire)?;
         slot.rid.store(stored_rid(rid), Ordering::Release);
-        self.dirty.mark(at);
         if vacant == TOMBSTONE {
             self.tombstones.fetch_sub(1, Ordering::Relaxed);
         }
@@ -356,7 +353,6 @@ impl PrimaryIndex {
                 let rid = self.wait_rid(slot);
                 slot.rid.store(PENDING, Ordering::Release);
                 slot.key.store(TOMBSTONE, Ordering::Release);
-                self.dirty.mark(at);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 self.tombstones.fetch_add(1, Ordering::Relaxed);
                 return Some(rid);
@@ -390,32 +386,39 @@ impl PrimaryIndex {
 }
 
 impl PrimaryIndex {
-    /// Bring `self`, an image that mirrored `src` when the marks of both
-    /// were last cleared, up to date: the slots either side claimed or
-    /// tombstoned since are copied one for one (an image is not meant to be
-    /// written, but if it was its own marks say where it strayed) and the
-    /// marks cleared. Returns the number of slots copied. Like `clone`,
-    /// must not race a writer.
-    pub(crate) fn refresh_from(&mut self, src: &PrimaryIndex) -> u64 {
-        debug_assert_eq!(self.slots.len(), src.slots.len(), "a mirror has its source's shape");
-        let PrimaryIndex { slots, dirty, len, tombstones, .. } = self;
-        *len.get_mut() = src.len();
-        *tombstones.get_mut() = src.tombstones.load(Ordering::Relaxed);
-        in_groups(src.dirty.drain_with(dirty), |group| {
-            for &at in group {
-                std::hint::black_box(src.slots[at].key.load(Ordering::Relaxed));
-                std::hint::black_box(slots[at].key.load(Ordering::Relaxed));
+    /// An index of `slots` slots (a power of two, at least twice the live
+    /// keys) over a key column: every live word of `keys` (a [`stored`]
+    /// key; zero is a vacant row slot) is placed under the row id of its
+    /// position. With `unlaid` it is the placeholder its source was, holding
+    /// nothing; otherwise it is laid out first, and reserves from here as
+    /// its source did: the same slot count, no tombstone. The placement
+    /// touches each group's home slots before it probes any, so the group's
+    /// cache misses overlap.
+    pub(crate) fn rebuilt(slots: usize, unlaid: bool, keys: &[AtomicI64]) -> Self {
+        if unlaid {
+            return PrimaryIndex::over(zeroed(slots), true);
+        }
+        let mut index = PrimaryIndex::laid_out(slots);
+        const GROUP: usize = 32;
+        let mut group = [EMPTY; GROUP];
+        for (g, words) in keys.chunks(GROUP).enumerate() {
+            let group = &mut group[..words.len()];
+            for (word, key) in group.iter_mut().zip(words) {
+                *word = key.load(Ordering::Acquire);
+                index.touch(stored(*word));
             }
-            for &at in group {
-                copy_slot(&mut slots[at], &src.slots[at]);
+            for (i, &word) in group.iter().enumerate().filter(|&(_, &w)| w != EMPTY) {
+                index.place(word, stored_rid(RowId((g * GROUP + i) as u32)));
             }
-        })
+        }
+        debug_assert!(2 * index.len() <= slots, "an index at most half full");
+        index
     }
 
-    /// Forget which slots were written: an image was just made a full copy
-    /// of this index.
-    pub(crate) fn clear_dirty(&self) {
-        self.dirty.clear();
+    /// Whether this is a placeholder nothing was put in: its first
+    /// [`reserve`](Self::reserve) lays it out for the count reserved.
+    pub(crate) fn unlaid(&self) -> bool {
+        self.placeholder && self.used() == 0
     }
 
     /// Number of slots (live, tombstoned and empty).
@@ -423,18 +426,7 @@ impl PrimaryIndex {
         self.slots.len()
     }
 
-    /// Slots a full copy of this index copies: none if no slot is used
-    /// (the copy is a placeholder), all of them otherwise.
-    pub(crate) fn slots_to_copy(&self) -> usize {
-        if self.used() == 0 {
-            0
-        } else {
-            self.slots.len()
-        }
-    }
-
-    /// `(key, row id)` bits of every slot, for tests that hold an image
-    /// slot-equal to a fresh clone.
+    /// `(key, row id)` bits of every slot, for tests.
     #[cfg(test)]
     pub(crate) fn slot_bits(&self) -> Vec<(i64, u32)> {
         let bits = |s: &Slot| (s.key.load(Ordering::Relaxed), s.rid.load(Ordering::Relaxed));
@@ -451,8 +443,7 @@ fn copy_slot(dst: &mut Slot, src: &Slot) {
 /// key probes in the copy exactly as it does in the original and the cost is
 /// one pass over the slots, not one hashed insert per key. The copy of an
 /// index with no used slot is a placeholder of its size: zeroed memory,
-/// nothing copied. The copy starts with no slot marked written. Must not
-/// race a writer (a slot caught between its key and row-id stores would be
+/// nothing copied. Must not race a writer (a slot caught between its key and row-id stores would be
 /// copied half-published); every caller clones at a batch boundary.
 impl Clone for PrimaryIndex {
     fn clone(&self) -> Self {
@@ -465,26 +456,6 @@ impl Clone for PrimaryIndex {
             *copy.tombstones.get_mut() = self.tombstones.load(Ordering::Relaxed);
         }
         copy
-    }
-
-    /// The same copy into the slot array `self` already has (nothing is
-    /// allocated, and from a source with no used slot over a `self` with
-    /// none, nothing copied); a `self` of another size, or with used slots
-    /// where the source has none, is replaced by a fresh clone.
-    fn clone_from(&mut self, src: &Self) {
-        if self.slots.len() != src.slots.len() || (src.used() == 0 && self.used() > 0) {
-            *self = src.clone();
-            return;
-        }
-        if src.used() > 0 {
-            for (dst, s) in self.slots.iter_mut().zip(src.slots.iter()) {
-                copy_slot(dst, s);
-            }
-        }
-        *self.len.get_mut() = src.len();
-        *self.tombstones.get_mut() = src.tombstones.load(Ordering::Relaxed);
-        self.dirty.clear();
-        self.placeholder = src.placeholder;
     }
 }
 

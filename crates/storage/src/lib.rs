@@ -17,11 +17,13 @@
 //!
 //! The crate also provides a simulated write-ahead batch log
 //! ([`wal::BatchLog`]) standing in for the paper's "batch of transactions
-//! recorded on the hard drive as logs".
+//! recorded on the hard drive as logs", and the checkpoint image that log
+//! is replayed from ([`image::Image`]: a database's rows, no index).
 
 pub mod btree;
 pub mod database;
 mod dirty;
+pub mod image;
 pub mod index;
 pub mod schema;
 pub mod table;
@@ -30,7 +32,7 @@ mod zeroed;
 
 pub use btree::OrderedIndex;
 pub use database::Database;
-pub use dirty::ImageCopy;
+pub use image::{Image, ImageCopy};
 pub use index::PrimaryIndex;
 pub use schema::{ColId, Schema, TableBuilder, TableId};
 pub use table::{

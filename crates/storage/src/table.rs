@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::btree::OrderedIndex;
-use crate::dirty::{in_groups, DirtyBits, ImageCopy};
+use crate::dirty::DirtyBits;
 use crate::index::{DuplicateKey, PrimaryIndex};
 use crate::schema::{ColId, Schema};
 use crate::zeroed::{stored, zeroed};
@@ -92,16 +92,17 @@ pub struct Table {
     /// Row-major cell storage, `capacity * width` atomics; zero past `len`.
     data: Box<[AtomicI64]>,
     /// Primary key of each row slot ([`stored`]; `DELETED_KEY` when removed
-    /// or never allocated); lets the table be deep-cloned and digested
-    /// without walking the index.
+    /// or never allocated); lets the table be deep-cloned, imaged and
+    /// digested without walking the index.
     keys: Box<[AtomicI64]>,
     row_count: AtomicU32,
     primary: PrimaryIndex,
     /// Declared by `with_ordered`, built by [`ordered`](Self::ordered).
     ordered: Option<OnceLock<OrderedIndex>>,
     /// Row slots written (cells or key) since an image of this table was
-    /// last brought up to date by [`deep_clone_from`](Self::deep_clone_from).
-    /// `set`, `add`, `cas` and `delete` mark; only `deep_clone_from` clears.
+    /// last brought up to date ([`Image::refresh_from`](crate::Image::refresh_from)).
+    /// `set`, `add`, `cas` and `delete` mark; only
+    /// [`sync_image`](Self::sync_image) clears.
     /// `insert` does not: row slots are handed out in order and never
     /// again, so the slots allocated since are the ones past the count the
     /// image last saw (lanes inserting side by side would otherwise fight
@@ -110,22 +111,28 @@ pub struct Table {
     /// Names this table *as of the last time its marks were drained*: a
     /// process-unique number, replaced by a new one at every drain — an
     /// identity and a generation in one. `Relaxed`: it publishes nothing,
-    /// and is read and replaced only by `deep_clone_from`, which may not
-    /// race a writer anyway.
+    /// and is read and replaced only by `sync_image`, which may not race a
+    /// writer anyway.
     sync: AtomicU64,
-    /// On an image: what it was last refreshed from.
-    mirror: Option<Mirror>,
+    /// Rows deleted so far. Below the row count an image last saw, only a
+    /// delete changes a key, so an image copies keys there only when this
+    /// moved. `Relaxed`, read at a batch boundary like the marks.
+    deletes: AtomicU64,
 }
 
-/// What an image remembers of its last refresh. While `source` is still the
-/// source's `sync` and `own` the image's, the two differ only in marked row
-/// and index slots and in row slots from `rows` up.
-#[derive(Clone, Copy)]
-struct Mirror {
-    source: u64,
-    own: u64,
-    /// Row slots the source had allocated.
-    rows: usize,
+/// What an image last took of a table ([`Table::sync_image`]): the `sync`
+/// it handed the table, and the table's counts and index shape then (the
+/// default names no table).
+#[derive(Default, Clone, Copy)]
+pub(crate) struct Synced {
+    sync: u64,
+    deletes: u64,
+    pub(crate) rows: usize,
+    pub(crate) index_slots: usize,
+    /// Whether the primary index was a placeholder nothing was put in.
+    pub(crate) index_unlaid: bool,
+    /// Whether an ordered index was declared.
+    pub(crate) ordered: bool,
 }
 
 /// The next [`Table::sync`] value; 0 is never handed out.
@@ -144,23 +151,38 @@ impl Table {
     /// table nobody reserves fills the placeholder in place.
     pub fn new(schema: Schema) -> Self {
         let cap = schema.capacity;
-        Table::with_primary(schema, PrimaryIndex::with_capacity(cap))
+        Table::with_primary(schema, PrimaryIndex::with_capacity(cap), false)
     }
 
     /// An empty table over `primary`, an empty index.
-    fn with_primary(schema: Schema, primary: PrimaryIndex) -> Self {
-        let width = schema.width();
+    fn with_primary(schema: Schema, primary: PrimaryIndex, ordered: bool) -> Self {
+        let (cap, width) = (schema.capacity, schema.width());
+        Table::from_parts(schema, zeroed(cap * width), zeroed(cap), 0, primary, ordered)
+    }
+
+    /// A table over arrays that hold `rows` allocated row slots and an
+    /// index over their live keys, with an ordered index declared (unbuilt)
+    /// if `ordered`. Nothing is marked written.
+    pub(crate) fn from_parts(
+        schema: Schema,
+        data: Box<[AtomicI64]>,
+        keys: Box<[AtomicI64]>,
+        rows: usize,
+        primary: PrimaryIndex,
+        ordered: bool,
+    ) -> Self {
         let cap = schema.capacity;
+        debug_assert_eq!((data.len(), keys.len()), (cap * schema.width(), cap));
         Table {
-            width,
-            data: zeroed(cap * width),
-            keys: zeroed(cap),
-            row_count: AtomicU32::new(0),
+            width: schema.width(),
+            data,
+            keys,
+            row_count: AtomicU32::new(rows as u32),
             primary,
-            ordered: None,
+            ordered: ordered.then(OnceLock::new),
             dirty: DirtyBits::new(cap),
             sync: AtomicU64::new(fresh_sync()),
-            mirror: None,
+            deletes: AtomicU64::new(0),
             schema,
         }
     }
@@ -169,8 +191,6 @@ impl Table {
     /// [`ordered`](Self::ordered) call builds it.
     pub fn with_ordered(mut self) -> Self {
         self.ordered = Some(OnceLock::new());
-        // Another table as far as any image of the old one is concerned.
-        self.sync = AtomicU64::new(fresh_sync());
         self
     }
 
@@ -251,21 +271,42 @@ impl Table {
         self.primary.slot_count()
     }
 
+    /// Drain the marks for an image that last took this table as `seen`, and
+    /// make `seen` this table now. While the image mirrors the table (it
+    /// took this one, and no other image drained it since) that yields the
+    /// marked row slots below `seen`'s old row count, and whether a row was
+    /// deleted since (below that count nothing else changes a key); `None`
+    /// — the marks dropped — when it must take the full copy. Take it at a
+    /// batch boundary: it must not race a writer.
+    pub(crate) fn sync_image(
+        &self,
+        seen: &mut Synced,
+    ) -> Option<(impl Iterator<Item = usize> + '_, bool)> {
+        let (last, rows, deletes) = (*seen, self.len(), self.deletes.load(Ordering::Relaxed));
+        let (index_slots, index_unlaid) = (self.primary.slot_count(), self.primary.unlaid());
+        let ordered = self.ordered.is_some();
+        *seen = Synced { sync: fresh_sync(), deletes, rows, index_slots, index_unlaid, ordered };
+        if self.sync.swap(seen.sync, Ordering::Relaxed) != last.sync {
+            self.dirty.drain().for_each(drop);
+            return None;
+        }
+        Some((self.dirty.drain().filter(move |&r| r < last.rows), deletes != last.deletes))
+    }
+
+    /// The cell and key arrays, `capacity * width` and `capacity` words.
+    pub(crate) fn words(&self) -> (&[AtomicI64], &[AtomicI64]) {
+        (&self.data, &self.keys)
+    }
+
     /// Make room in the primary index for `n` more inserts
     /// ([`PrimaryIndex::reserve`]): a fresh table's first reservation lays
     /// its placeholder index out for `n` keys and room for more, and later
     /// ones grow it. Call it, with the exact count, at the `&mut` point
     /// before inserts — a write-back launch inserts through `&self` and
-    /// never grows anything. A reservation that reshapes the index makes
-    /// the table another table to its images: the next
-    /// [`deep_clone_from`](Self::deep_clone_from) takes the full copy.
-    /// Returns whether it did.
+    /// never grows anything. The rows do not move, so an image of the
+    /// table stays a mirror of it. Returns whether the index was replaced.
     pub fn reserve(&mut self, n: usize) -> bool {
-        let rebuilt = self.primary.reserve(n);
-        if rebuilt {
-            *self.sync.get_mut() = fresh_sync();
-        }
-        rebuilt
+        self.primary.reserve(n)
     }
 
     #[inline]
@@ -370,6 +411,7 @@ impl Table {
             ord.remove(key);
         }
         self.dirty.mark(rid.idx());
+        self.deletes.fetch_add(1, Ordering::Relaxed);
         self.keys[rid.idx()].store(stored(DELETED_KEY), Ordering::Release);
         Some(rid)
     }
@@ -381,107 +423,19 @@ impl Table {
     /// is left for the clone's first range scan to build.
     /// The cost is bytes copied, never rows re-inserted, and the clone
     /// resolves every key to the same [`RowId`] by the same probe sequence
-    /// as the original. This is the checkpoint image, the standby-row seed
-    /// and the test oracles' pre-batch snapshot; take it at a batch
-    /// boundary (it must not race a writer).
+    /// as the original. This is the test oracles' pre-batch snapshot (a
+    /// checkpoint image copies rows alone: [`crate::Image`]); take it at a
+    /// batch boundary (it must not race a writer).
     pub fn deep_clone(&self) -> Table {
         let n = self.len();
-        Table {
-            schema: self.schema.clone(),
-            width: self.width,
-            data: copy_prefix(&self.data, n * self.width),
-            keys: copy_prefix(&self.keys, n),
-            row_count: AtomicU32::new(n as u32),
-            primary: self.primary.clone(),
-            ordered: self.ordered.as_ref().map(|_| OnceLock::new()),
-            dirty: DirtyBits::new(self.schema.capacity),
-            sync: AtomicU64::new(fresh_sync()),
-            mirror: None,
-        }
-    }
-
-    /// Make `self` what [`src.deep_clone()`](Self::deep_clone) would
-    /// return, in the arrays `self` already owns, and say what that took.
-    /// This is how a checkpoint replaces the image before it.
-    ///
-    /// **Delta.** If `self` was last refreshed from this very `src` and
-    /// nobody else has drained `src`'s marks since (nor `self`'s), the two
-    /// differ only in the row slots marked or allocated since and in the
-    /// marked index slots: those rows' cells and keys and those index slots
-    /// are copied, and nothing is allocated. The cost is what was written
-    /// since the last refresh, not the table.
-    ///
-    /// **Full.** Anything else — an image of another source, of another
-    /// state of it (a second image was refreshed in between), a fresh
-    /// `deep_clone` — takes the full copy: the live prefix of the cells and
-    /// keys is overwritten, row slots `self` had allocated beyond `src`'s
-    /// are vacated, the index slots are overwritten one for one. No array is
-    /// allocated, so no page of a 100 MB image is faulted in again; a `self`
-    /// whose arrays have another size is replaced by a fresh clone.
-    ///
-    /// Either way `src`'s marks are drained, `self` mirrors `src` for the
-    /// next call, and `self`'s ordered index is unbuilt (one a reader of the
-    /// image built is dropped). Like `deep_clone`, take it at a batch boundary.
-    pub fn deep_clone_from(&mut self, src: &Table) -> ImageCopy {
-        let (source, own) = (src.sync.load(Ordering::Relaxed), *self.sync.get_mut());
-        let copied = match self.mirror {
-            Some(m) if m.source == source && m.own == own => self.copy_written(src, m.rows),
-            _ => self.copy_all(src),
-        };
-        let source = fresh_sync();
-        src.sync.store(source, Ordering::Relaxed);
-        self.mirror = Some(Mirror { source, own: *self.sync.get_mut(), rows: src.len() });
-        copied
-    }
-
-    /// The full copy of [`deep_clone_from`](Self::deep_clone_from); leaves
-    /// both sides without a mark.
-    fn copy_all(&mut self, src: &Table) -> ImageCopy {
-        if self.data.len() != src.data.len() || self.keys.len() != src.keys.len() {
-            *self = src.deep_clone();
-        } else {
-            let (was, n) = (self.len(), src.len());
-            overwrite(&mut self.data, &src.data, n * src.width, was * self.width);
-            overwrite(&mut self.keys, &src.keys, n, was);
-            *self.row_count.get_mut() = n as u32;
-            self.primary.clone_from(&src.primary);
-            self.ordered = src.ordered.as_ref().map(|_| OnceLock::new());
-            self.schema.clone_from(&src.schema);
-            self.width = src.width;
-            self.dirty.clear();
-        }
-        src.dirty.clear();
-        src.primary.clear_dirty();
-        let (rows, index_slots) = (src.len() as u64, src.primary.slots_to_copy() as u64);
-        ImageCopy { rows, index_slots, full: true }
-    }
-
-    /// The delta of [`deep_clone_from`](Self::deep_clone_from): `self`
-    /// equals `src` except in slots marked on either side and in row slots
-    /// either side allocated since the source had `synced` of them (the
-    /// image's own writes count too: an image is not meant to be written,
-    /// but if it was, they say where it strayed from the source).
-    fn copy_written(&mut self, src: &Table, synced: usize) -> ImageCopy {
-        let upper = src.len().max(self.len());
-        let Table { data, keys, dirty, primary, ordered, row_count, .. } = self;
-        // A key enters or leaves the key column only together with its
-        // index slot (the burned slot of a duplicate insert ends as vacant
-        // as it began), so a period that wrote no index slot — every
-        // update-only table — has no key to copy, and its scattered rows
-        // cost one cache miss a side instead of two.
-        let index_slots = primary.refresh_from(&src.primary);
-        let keys_moved = index_slots > 0;
-        if let Some(tree) = ordered.as_mut() {
-            tree.take();
-        }
-        let rows = in_groups(written_rows(src.dirty.drain_with(dirty), synced, upper), |group| {
-            copy_cells_of(group, data, src);
-            if keys_moved {
-                copy_keys_of(group, keys, src);
-            }
-        });
-        *row_count.get_mut() = src.len() as u32;
-        ImageCopy { rows, index_slots, full: false }
+        Table::from_parts(
+            self.schema.clone(),
+            copy_prefix(&self.data, n * self.width),
+            copy_prefix(&self.keys, n),
+            n,
+            self.primary.clone(),
+            self.ordered.is_some(),
+        )
     }
 
     /// Clone only the live rows whose key satisfies `keep`, preserving the
@@ -497,10 +451,7 @@ impl Table {
     pub fn filtered_clone(&self, keep: impl Fn(i64) -> bool) -> Table {
         let kept: Vec<(RowId, i64)> = self.live_keys().filter(|&(_, k)| keep(k)).collect();
         let primary = PrimaryIndex::for_keys(kept.len());
-        let mut clone = Table::with_primary(self.schema.clone(), primary);
-        if self.ordered.is_some() {
-            clone = clone.with_ordered();
-        }
+        let clone = Table::with_primary(self.schema.clone(), primary, self.ordered.is_some());
         for (rid, k) in kept {
             clone.insert(k, &self.row_values(rid)).expect("filtered clone insert");
         }
@@ -536,76 +487,12 @@ impl Table {
 /// zeroed from the allocator, so the tail is never written — a shard's
 /// slice occupies a quarter of its table's capacity, and writing (and
 /// page-faulting) the other three quarters was most of its image's cost.
-fn copy_prefix(src: &[AtomicI64], live: usize) -> Box<[AtomicI64]> {
+pub(crate) fn copy_prefix(src: &[AtomicI64], live: usize) -> Box<[AtomicI64]> {
     let words: Box<[AtomicI64]> = zeroed(src.len());
     for (dst, word) in words.iter().zip(&src[..live]) {
         dst.store(word.load(Ordering::Acquire), Ordering::Relaxed);
     }
     words
-}
-
-/// Bring `dst`, an array of `src`'s length whose first `stale` entries may
-/// hold anything and whose rest are zero, to what a fresh copy would be:
-/// the first `live` entries from `src`, everything after them zero.
-fn overwrite(dst: &mut [AtomicI64], src: &[AtomicI64], live: usize, stale: usize) {
-    for (d, s) in dst.iter_mut().zip(&src[..live]) {
-        *d.get_mut() = s.load(Ordering::Acquire);
-    }
-    for d in dst.iter_mut().take(stale).skip(live) {
-        *d.get_mut() = 0;
-    }
-}
-
-#[cfg(test)]
-impl Table {
-    /// Every bit an image must share with a fresh clone: all cells, all
-    /// keys, all primary-index slots.
-    pub(crate) fn image_bits(&self) -> (Vec<i64>, Vec<i64>, Vec<(i64, u32)>) {
-        let bits = |x: &[AtomicI64]| x.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        (bits(&self.data), bits(&self.keys), self.primary.slot_bits())
-    }
-}
-
-/// The row slots a delta copies: the `marked` ones below `synced`, then
-/// every slot from `synced` (the first the image's last refresh did not see
-/// allocated) up to `upper`.
-fn written_rows(
-    marked: impl Iterator<Item = usize>,
-    synced: usize,
-    upper: usize,
-) -> impl Iterator<Item = usize> {
-    marked.filter(move |&r| r < synced).chain(synced..upper)
-}
-
-/// Copy the cells of row slots `rows` of `src` into an image's `data`, in
-/// the two passes of [`in_groups`]: touch, then copy.
-fn copy_cells_of(rows: &[usize], data: &mut [AtomicI64], src: &Table) {
-    let width = src.width;
-    let touch = |line: Option<&AtomicI64>| {
-        std::hint::black_box(line.map(|cell| cell.load(Ordering::Relaxed)));
-    };
-    for &r in rows {
-        let cells = r * width..(r + 1) * width;
-        for side in [&src.data[cells.clone()], &data[cells]] {
-            touch(side.first());
-            touch(side.last());
-        }
-    }
-    for &r in rows {
-        let cells = r * width..(r + 1) * width;
-        for (dst, cell) in data[cells.clone()].iter_mut().zip(&src.data[cells]) {
-            *dst.get_mut() = cell.load(Ordering::Acquire);
-        }
-    }
-}
-
-/// Copy the keys of row slots `rows` of `src` into an image's `keys`. (Rows
-/// that change key are allocated together or deleted in key order: their
-/// key slots share cache lines, and no touch pass is needed.)
-fn copy_keys_of(rows: &[usize], keys: &mut [AtomicI64], src: &Table) {
-    for &r in rows {
-        *keys[r].get_mut() = src.keys[r].load(Ordering::Acquire);
-    }
 }
 
 impl std::fmt::Debug for Table {
@@ -622,6 +509,7 @@ impl std::fmt::Debug for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::{ImageCopy, TableImage};
     use crate::schema::TableBuilder;
 
     fn small() -> Table {
@@ -791,8 +679,8 @@ mod tests {
 
     /// A table's ordered index is built by its first reader, from the rows
     /// it holds by then, and kept up to date from there; until then writes
-    /// skip it. Copies leave it unbuilt, and a refreshed image drops the
-    /// one a reader of it built rather than keep it stale.
+    /// skip it. Copies leave it unbuilt, and so does the table an image
+    /// rebuilds: an image keeps no tree.
     #[test]
     fn the_ordered_index_is_built_by_its_first_reader() {
         let scanned = |t: &Table| t.ordered().unwrap().range(i64::MIN, i64::MAX);
@@ -806,8 +694,8 @@ mod tests {
             t.insert(k, &[k, 0]).unwrap();
         }
         t.delete(7).unwrap();
-        let mut image = t.deep_clone();
-        assert!(!t.ordered_is_built() && !image.ordered_is_built());
+        let copy = t.deep_clone();
+        assert!(!t.ordered_is_built() && !copy.ordered_is_built());
         assert_eq!(scanned(&t), live(&t));
         assert!(t.ordered_is_built());
         t.insert(-3, &[0, 0]).unwrap();
@@ -817,12 +705,14 @@ mod tests {
 
         assert!(!t.deep_clone().ordered_is_built());
         assert!(!t.filtered_clone(|_| true).ordered_is_built());
-        image.deep_clone_from(&t);
-        assert_eq!(scanned(&image), live(&t));
+        let mut image = TableImage::default();
+        image.refresh_from(&t);
+        let rebuilt = image.to_table();
+        assert!(!rebuilt.ordered_is_built());
+        assert_eq!(scanned(&rebuilt), live(&t));
         t.delete(41).unwrap();
-        assert!(!image.deep_clone_from(&t).full);
-        assert!(!image.ordered_is_built(), "a delta keeps no tree it did not maintain");
-        assert_eq!(scanned(&image), live(&t));
+        assert!(!image.refresh_from(&t).full);
+        assert_eq!(scanned(&image.to_table()), live(&t));
         // An index declared on a table that already holds rows has them.
         let late = Table::new(t.schema.clone());
         late.insert(5, &[1, 1]).unwrap();
@@ -832,8 +722,10 @@ mod tests {
     /// A slice cut from a quarter of a table's rows keeps the table's
     /// modelled capacity and bytes, but gets an index for what it holds:
     /// at most the next power of two at or above twice the kept rows. Its
-    /// copies inherit that size; `reserve` grows it and every row keeps its
-    /// id.
+    /// copies inherit that size, and so does the index an image of it
+    /// rebuilds. `reserve` grows it and every row keeps its id; the growth
+    /// moves no row, so the image's next refresh is the delta of the rows
+    /// inserted, and its rebuild is laid out at the grown size.
     #[test]
     fn a_quarter_slice_gets_an_index_for_its_rows() {
         let t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(4_000).build());
@@ -846,10 +738,11 @@ mod tests {
         assert_eq!(kept, 250);
         assert!(slice.index_slots() <= (2 * kept).next_power_of_two(), "{}", slice.index_slots());
         assert_eq!((slice.capacity(), slice.bytes()), (t.capacity(), t.bytes()));
-        let mut image = slice.deep_clone();
-        assert_eq!(image.index_slots(), slice.index_slots());
-        assert!(image.deep_clone_from(&slice).full);
-        assert!(!image.deep_clone_from(&slice).full);
+        assert_eq!(slice.deep_clone().index_slots(), slice.index_slots());
+        let mut image = TableImage::default();
+        assert!(image.refresh_from(&slice).full);
+        assert!(!image.refresh_from(&slice).full);
+        assert_eq!(image.to_table().index_slots(), slice.index_slots());
 
         let rows: Vec<_> = (0..1_000i64).step_by(4).map(|k| (k, slice.lookup(k))).collect();
         let slots = slice.index_slots();
@@ -861,45 +754,44 @@ mod tests {
         for k in 5_000..6_000i64 {
             slice.insert(k, &[k, k]).unwrap();
         }
-        // The grown index is another table to the image: a full copy, the
-        // source's new size.
-        let copied = image.deep_clone_from(&slice);
-        assert!(copied.full);
-        assert_eq!(copied.index_slots, slice.index_slots() as u64);
-        assert_eq!(image.image_bits(), slice.deep_clone().image_bits());
+        assert_eq!(image.refresh_from(&slice), ImageCopy { rows: 1_000, full: false });
+        let rebuilt = image.to_table();
+        assert_eq!(rebuilt.index_slots(), slice.index_slots());
+        assert_same_view(&rebuilt, &slice, 0..6_000);
     }
 
     /// A fresh table's index is a placeholder for its capacity. Its copies
-    /// are placeholders of the same size, so a full refresh from it copies
-    /// no index slot, and a slice of it is laid out for no rows; once a key
-    /// is in, a full copy takes every slot.
+    /// are placeholders of the same size, and so is the index an image of it
+    /// rebuilds, which the first reservation lays out as it lays out the
+    /// source's; a slice of it is laid out for no rows. Once a key is in,
+    /// the rebuild is laid out at the source's size with the key under its
+    /// row id; and a placeholder emptied by a delete is none any more, on
+    /// either side.
     #[test]
     fn copies_of_a_placeholder_copy_no_index_slot() {
         let t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(10_000).build());
         assert_eq!(t.index_slots(), 32_768);
-        let mut image = t.deep_clone();
-        assert_eq!(image.index_slots(), 32_768);
-        let copied = image.deep_clone_from(&t);
-        assert_eq!((copied.full, copied.rows, copied.index_slots), (true, 0, 0));
+        assert_eq!(t.deep_clone().index_slots(), 32_768);
         assert_eq!(t.filtered_clone(|_| true).index_slots(), 16);
-        assert_eq!(image.image_bits(), t.deep_clone().image_bits());
-        // A laid-out index refreshed from a placeholder becomes one, so the
-        // two are reserved alike.
-        let mut laid_out = Table::new(t.schema.clone());
-        assert!(!laid_out.reserve(10_000));
-        laid_out.deep_clone_from(&t);
-        assert!(laid_out.reserve(10) && t.deep_clone().reserve(10));
+        let mut image = TableImage::default();
+        assert_eq!(image.refresh_from(&t), ImageCopy { rows: 0, full: true });
+        let reserved_alike = |image: &TableImage, t: &Table, n: usize| {
+            let (mut a, mut b) = (image.to_table(), t.deep_clone());
+            assert_eq!(a.index_slots(), b.index_slots());
+            a.reserve(n);
+            b.reserve(n);
+            assert_eq!(a.index_slots(), b.index_slots());
+            a.index_slots()
+        };
+        assert_eq!(reserved_alike(&image, &t, 10), 256);
 
         t.insert(7, &[1, 2]).unwrap();
-        let mut fresh = Table::new(t.schema.clone());
-        let copied = fresh.deep_clone_from(&t);
-        assert_eq!((copied.full, copied.rows, copied.index_slots), (true, 1, 32_768));
-        assert_eq!(fresh.lookup(7), t.lookup(7));
-        // Emptied through a rebuild, it copies nothing again.
-        let mut emptied = t.deep_clone();
-        emptied.delete(7).unwrap();
-        assert!(emptied.reserve(16_384));
-        assert_eq!(image.deep_clone_from(&emptied).index_slots, 0);
+        assert_eq!(image.refresh_from(&t), ImageCopy { rows: 1, full: false });
+        let rebuilt = image.to_table();
+        assert_eq!((rebuilt.index_slots(), rebuilt.lookup(7)), (32_768, t.lookup(7)));
+        t.delete(7).unwrap();
+        image.refresh_from(&t);
+        assert_eq!(reserved_alike(&image, &t, 100), 32_768);
     }
 
     #[test]
@@ -938,12 +830,14 @@ mod tests {
                 assert_same_view(&c, &t, -2..50);
             }
 
-            /// An image of any table of the same shape — an earlier state
-            /// of the source, or an unrelated history with more or fewer
-            /// row slots allocated — refreshed in place is, cell for cell,
-            /// the fresh clone; an image of another shape is replaced.
+            /// An image of another table — an earlier state of the source
+            /// that a second image drained since, or an unrelated history
+            /// with more or fewer row slots allocated, of the same shape or
+            /// another — refreshed from the source takes the full copy and
+            /// is then, bit for bit, the fresh image; the table it rebuilds
+            /// reads like the source and grows like it.
             #[test]
-            fn deep_clone_from_matches_a_fresh_clone(
+            fn an_image_of_another_table_refreshes_to_the_fresh_image(
                 ordered in any::<bool>(),
                 related in any::<bool>(),
                 image_capacity in prop_oneof![Just(96usize), Just(96usize), Just(40usize)],
@@ -951,80 +845,68 @@ mod tests {
                 after in proptest::collection::vec((0..3u8, 0..48i64, -9..9i64), 0..200),
             ) {
                 let mut t = scratch_table(96, ordered);
-                let mut image = if related {
+                let mut image = TableImage::default();
+                if related {
                     apply(&mut t, &before);
-                    t.deep_clone()
+                    image.refresh_from(&t);
+                    TableImage::default().refresh_from(&t);
                 } else {
                     let mut other = scratch_table(image_capacity, !ordered);
                     apply(&mut other, &before);
-                    other
-                };
-                apply(&mut t, &after);
-                prop_assert!(image.deep_clone_from(&t).full, "never refreshed from `t` before");
-                let mut fresh = t.deep_clone();
-                assert_same_view(&image, &fresh, -2..50);
-                prop_assert!(image.image_bits() == fresh.image_bits());
-                // The two keep agreeing as they grow, through the same
-                // reservation.
-                prop_assert_eq!(image.reserve(10), fresh.reserve(10));
-                for k in 100..110 {
-                    assert_eq!(image.insert(k, &[k, k]), fresh.insert(k, &[k, k]));
+                    image.refresh_from(&other);
                 }
-                assert_same_view(&image, &fresh, -2..120);
+                apply(&mut t, &after);
+                prop_assert!(image.refresh_from(&t).full, "does not mirror `t`");
+                prop_assert!(image.bits() == fresh_image(&t).bits());
+                assert_grows_like(image.to_table(), t.deep_clone());
             }
         }
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
-            /// An image kept up to date by `deep_clone_from` round after
-            /// round *is* the fresh clone — cells, keys and index slots bit
-            /// for bit, the ordered index by everything a reader can ask —
-            /// whether the round took the delta (and then it says so, and
-            /// copied no more rows than were written) or one of the ways
-            /// the image can stop mirroring its source happened first and
-            /// it fell back to the full copy.
-            ///
-            /// Every round reads the image's ordered index (building it), and
-            /// one event builds the source's, which its writes then keep up
-            /// to date.
+            /// An image kept up to date by `refresh_from` round after round
+            /// *is* the fresh rows-only copy — cells, keys, row count and
+            /// the source's index shape, bit for bit — whether the round
+            /// took the delta (and then it says so, and copied no more rows
+            /// than were written) or one of the ways the image can stop
+            /// mirroring its source happened first and it fell back to the
+            /// full copy. The table it rebuilds resolves every live key to
+            /// its source's row id, has the source's digest and slot count,
+            /// reads like it in every slot and ordered scan, and grows like
+            /// it.
             ///
             /// `apply` reserves before it inserts, so a fresh table's first
             /// reservation replaces its placeholder index with one sized to
             /// the round's inserts, and later rounds grow it; one event
             /// grows it outright, and one starts the source over as a fresh
-            /// table whose first reservation lays its index out. A reshaped
-            /// index is laid out anew, and the refresh after it must be the
-            /// full copy. A full copy of an index with no used slot copies
-            /// none.
+            /// table whose first reservation lays its index out. A growth
+            /// moves no row: the refresh after it is a delta.
             ///
-            /// Mutation check, by hand (PR 22): with the mark taken out of
-            /// any one of `set`, `add`, `cas` or `delete`, or out of
-            /// `PrimaryIndex::claim` / `remove`, with the newly allocated
-            /// row slots (inserts, and the burned slot of a duplicate) left
-            /// out of `written_rows`, or with an image's ordered index, once
-            /// a reader built it, kept through a delta, this test fails; so
-            /// it does with `Table::reserve` not replacing the table's
-            /// `sync` when the index grows or a first reservation replaces a
-            /// placeholder.
+            /// Mutation check, by hand: with the mark taken out of any one of
+            /// `set`, `add`, `cas` or `delete`, with the newly allocated
+            /// row slots left out of the delta, with the delta's keys
+            /// skipped after a delete (`keys_moved` held false), or with the
+            /// rebuild laid out at another size than the recorded one, this
+            /// test fails.
             #[test]
             fn a_delta_maintained_image_is_the_fresh_clone(
                 ordered in any::<bool>(),
                 rounds in proptest::collection::vec(
-                    (proptest::collection::vec((0..5u8, 0..48i64, -9..9i64), 0..60), 0..12u8),
+                    (proptest::collection::vec((0..5u8, 0..48i64, -9..9i64), 0..60), 0..10u8),
                     2..7,
                 ),
             ) {
                 let mut t = scratch_table(96, ordered);
-                let mut image = t.deep_clone();
+                let mut image = TableImage::default();
                 let mut mirrors = false;
                 for (ops, event) in &rounds {
-                    mirrors &= !apply(&mut t, ops);
+                    apply(&mut t, ops);
                     match event {
                         // A second image is refreshed in between: it takes
                         // the marks this image needed.
                         0 => {
-                            scratch_table(96, ordered).deep_clone_from(&t);
+                            TableImage::default().refresh_from(&t);
                             mirrors = false;
                         }
                         // The source is replaced by a copy of itself: the
@@ -1039,74 +921,67 @@ mod tests {
                         }
                         // The image is replaced by one of another shape.
                         3 => {
-                            image = scratch_table(40, !ordered);
+                            image = fresh_image(&scratch_table(40, !ordered));
                             mirrors = false;
                         }
-                        // The image itself is written: its own marks say
-                        // where, and the delta repairs it.
-                        // (Unless the write grew the image's index.)
-                        4 => mirrors &= !apply(&mut image, &[(0, 60, 1), (1, 7, 0), (2, 9, 5), (0, 7, 3)]),
-                        // The written image is then drained as a source, so
-                        // its marks are gone: it may not take the delta.
-                        5 => {
-                            apply(&mut image, &[(0, 61, 1), (1, 8, 0), (3, 10, 5)]);
-                            scratch_table(96, ordered).deep_clone_from(&image);
-                            mirrors = false;
-                        }
-                        // The source index grew between refreshes.
-                        6 => {
+                        // The source index grows between refreshes.
+                        4 => {
                             let slots = t.index_slots();
                             prop_assert!(t.reserve(slots));
                             prop_assert!(t.index_slots() > slots);
-                            mirrors = false;
                         }
                         // The source starts over as a fresh table, the
                         // image is refreshed from it, and its first
                         // reservation replaces the placeholder index.
-                        7 => {
+                        5 => {
                             t = scratch_table(96, ordered);
-                            image.deep_clone_from(&t);
+                            prop_assert!(image.refresh_from(&t).full);
                             prop_assert!(t.reserve(1));
                             prop_assert_eq!(t.index_slots(), 128);
                             apply(&mut t, ops);
-                            mirrors = false;
+                            mirrors = true;
                         }
                         // The source is scanned: its tree is built, and
                         // the next rounds' writes maintain it.
-                        8 => {
+                        6 => {
                             let _ = t.ordered();
                         }
                         _ => {}
                     }
-                    let copied = image.deep_clone_from(&t);
+                    let copied = image.refresh_from(&t);
                     prop_assert_eq!(copied.full, !mirrors, "event {}", event);
-                    if copied.full {
-                        let unused = t.primary.slot_bits().iter().all(|&slot| slot == (0, 0));
-                        let slots = if unused { 0 } else { t.index_slots() as u64 };
-                        prop_assert_eq!(copied.index_slots, slots);
-                    }
-                    if mirrors && *event > 7 {
-                        let written = ops.len() as u64;
-                        prop_assert!(copied.rows <= written && copied.index_slots <= written);
+                    if mirrors {
+                        prop_assert!(copied.rows <= ops.len() as u64, "event {}", event);
                     }
                     mirrors = true;
-                    let fresh = t.deep_clone();
-                    prop_assert!(image.image_bits() == fresh.image_bits(), "event {}", event);
-                    assert_same_view(&image, &fresh, -2..70);
-                    if t.ordered_is_built() {
-                        assert_same_view(&t, &fresh, -2..70);
-                    }
+                    prop_assert!(image.bits() == fresh_image(&t).bits(), "event {}", event);
+                    let rebuilt = image.to_table();
+                    prop_assert_eq!(rebuilt.index_slots(), t.index_slots());
+                    assert_same_view(&rebuilt, &t, -2..70);
                 }
-                // The two keep agreeing as they grow, through the same
-                // reservation.
-                let mut fresh = t.deep_clone();
-                assert_eq!(image.reserve(10), fresh.reserve(10));
-                for k in 100..110 {
-                    assert_eq!(image.insert(k, &[k, k]), fresh.insert(k, &[k, k]));
-                }
-                assert_same_view(&image, &fresh, -2..120);
-                prop_assert!(image.image_bits() == fresh.image_bits());
+                assert_grows_like(image.to_table(), t.deep_clone());
             }
+        }
+
+        /// A fresh rows-only image of `t`, taken from a copy so that `t`'s
+        /// marks stay where they are.
+        fn fresh_image(t: &Table) -> TableImage {
+            let mut image = TableImage::default();
+            image.refresh_from(&t.deep_clone());
+            image
+        }
+
+        /// `a` and `b` read alike, and keep doing so through the same
+        /// reservation and inserts.
+        fn assert_grows_like(mut a: Table, mut b: Table) {
+            assert_same_view(&a, &b, -2..120);
+            a.reserve(10);
+            b.reserve(10);
+            assert_eq!(a.index_slots(), b.index_slots());
+            for k in 100..110 {
+                assert_eq!(a.insert(k, &[k, k]), b.insert(k, &[k, k]));
+            }
+            assert_same_view(&a, &b, -2..120);
         }
 
         fn scratch_table(capacity: usize, ordered: bool) -> Table {
@@ -1120,10 +995,9 @@ mod tests {
 
         /// `(0, k, v)` inserts, `(1, k, _)` deletes, `(2, k, v)` writes a
         /// cell, `(3, k, v)` adds to one, `(4, k, v)` compare-exchanges one.
-        /// The index is reserved for the inserts first; returns whether
-        /// that rebuilt it.
-        fn apply(t: &mut Table, ops: &[(u8, i64, i64)]) -> bool {
-            let rebuilt = t.reserve(ops.iter().filter(|&&(op, ..)| op == 0).count());
+        /// The index is reserved for the inserts first.
+        fn apply(t: &mut Table, ops: &[(u8, i64, i64)]) {
+            t.reserve(ops.iter().filter(|&&(op, ..)| op == 0).count());
             for &(op, k, v) in ops {
                 let rid = t.lookup(k);
                 match (op, rid) {
@@ -1143,7 +1017,6 @@ mod tests {
                     _ => {}
                 }
             }
-            rebuilt
         }
     }
 

@@ -3,8 +3,9 @@
 //! Every array of this crate is encoded so that all-zero bytes mean
 //! "nothing here": a cell or key-column word past a table's `len()` (the key
 //! column stores `key ^ i64::MIN`), a primary-index slot (`EMPTY`, row id
-//! `PENDING`), a clean word of dirty bits. Taken from `alloc_zeroed`, a
-//! large array is fresh zero pages that cost no memory until first written.
+//! `PENDING`), a clean word of dirty bits, a checkpoint image's cell or key.
+//! Taken from `alloc_zeroed`, a large array is fresh zero pages that cost no
+//! memory until first written.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicI64, AtomicU64};

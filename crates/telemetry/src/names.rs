@@ -123,15 +123,17 @@ pub const WAL_FRAMES_REPLAYED: &str = "wal.recovery.frames_replayed";
 /// each retirement: the frames no checkpoint covers or a standby row is
 /// still to be shipped, not every frame ever appended.
 pub const WAL_RESIDENT_BYTES: &str = "wal.resident_bytes";
-/// Counter: row slots (cells + key) copied into checkpoint images.
+/// Counter: row slots (cells, and a key where it could have changed) copied
+/// into checkpoint images.
 pub const DURABILITY_CHECKPOINT_ROWS_COPIED: &str = "durability.checkpoint_rows_copied";
-/// Counter: primary-index slots copied into checkpoint images.
-pub const DURABILITY_CHECKPOINT_INDEX_SLOTS_COPIED: &str =
-    "durability.checkpoint_index_slots_copied";
 /// Counter: per-shard checkpoint images that took the full copy (the image
-/// did not mirror the database: the first checkpoint, a cutover's new
-/// slice, a rebuilt executor) rather than the delta.
+/// did not mirror the database: a cutover's new slice, or a rebuilt or
+/// promoted executor's database) rather than the delta.
 pub const DURABILITY_CHECKPOINT_FULL_IMAGES: &str = "durability.checkpoint_full_images";
+/// Gauge: bytes of cells and keys the server's checkpoint images hold,
+/// over every shard, set at each shard's checkpoint. An image holds rows
+/// only: no index slot.
+pub const DURABILITY_IMAGE_RESIDENT_BYTES: &str = "durability.image_resident_bytes";
 
 // --- fault counters (mirrored by `FaultStats`) ------------------------------
 

@@ -80,7 +80,14 @@ fn main() {
             // No standby is shipped these frames: the checkpoint is the
             // watermark below which no reader asks for one.
             dur.retire_below(dur.checkpoint_batch());
-            println!("  -- checkpoint taken after batch 3, the frames it covers retired --");
+            let copied = dur.last_checkpoint();
+            println!(
+                "  -- checkpoint taken after batch 3 ({} rows copied, {}), the frames it \
+                 covers retired; the image holds {} KB of rows and no index --",
+                copied.rows,
+                if copied.full { "full copy" } else { "delta" },
+                dur.image_resident_bytes() / 1024,
+            );
         }
     }
 

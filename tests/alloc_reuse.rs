@@ -250,9 +250,9 @@ fn a_steady_state_conflict_log_holds_what_its_batches_claim() {
 }
 
 /// Run `batches` through `engine`, checkpointing after each, and return the
-/// allocator calls the checkpoints after the first made together with the
-/// rows they copied. The first checkpoint is the full copy that makes the
-/// image mirror the engine's database; every later one must be a delta.
+/// allocator calls every checkpoint made together with the rows they
+/// copied. The image `DurabilityManager::new` takes mirrors the engine's
+/// database, so every checkpoint, the first included, must be a delta.
 fn steady_state_checkpoint_calls(engine: &mut LtpgEngine, batches: &[Batch]) -> (u64, u64) {
     let mut dur = DurabilityManager::new(engine.database());
     let (mut calls, mut rows) = (0, 0);
@@ -261,11 +261,9 @@ fn steady_state_checkpoint_calls(engine: &mut LtpgEngine, batches: &[Batch]) -> 
         let before = CALLS.load(Ordering::Relaxed);
         dur.checkpoint(engine.database());
         let copied = dur.last_checkpoint();
-        assert_eq!(copied.full, i == 0, "checkpoint {i}: {copied:?}");
-        if i > 0 {
-            calls += CALLS.load(Ordering::Relaxed) - before;
-            rows += copied.rows;
-        }
+        assert!(!copied.full, "checkpoint {i}: {copied:?}");
+        calls += CALLS.load(Ordering::Relaxed) - before;
+        rows += copied.rows;
     }
     assert_eq!(dur.checkpoint_image().state_digest(), engine.database().state_digest());
     (calls, rows)
@@ -279,8 +277,7 @@ fn steady_state_checkpoint_calls(engine: &mut LtpgEngine, batches: &[Batch]) -> 
 /// tree did (about one call per seven rows copied; the pin allowed one per
 /// four). No image carries a tree any more: NEW_ORDER's and ORDER_LINE's
 /// are built by a table's first range scan, which the 50/50 mix never
-/// runs, so its checkpoints copy cells, keys and index slots and nothing
-/// else.
+/// runs, so its checkpoints copy cells and keys and nothing else.
 #[test]
 fn a_steady_state_checkpoint_allocates_nothing() {
     let _guard = serial();

@@ -19,22 +19,13 @@
 //! cargo test --release -p ltpg-bench --test engine_peak -- --ignored
 //! ```
 
+mod common;
+
+use common::peak_rss_mb;
 use ltpg::{LtpgConfig, LtpgEngine};
 use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
 use ltpg_workloads::tpcc::cols;
 use ltpg_workloads::{TpccConfig, TpccGenerator};
-
-/// The process's peak resident set in MB of 1 024 kB (`VmHWM`), the
-/// ledger's unit.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
-    let kb = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .expect("a VmHWM line");
-    kb / 1_024.0
-}
 
 /// Batches the ledger plans for `tpcc_engine`, which size its headroom.
 const LEDGER_BATCHES: usize = 74;
@@ -50,7 +41,7 @@ const BATCHES: usize = 36;
 /// 16 777 216 slots), 286–287 MB with placeholder indexes laid out by
 /// reservation (ORDER_LINE's 524 288 slots, grown to 2 097 152), and
 /// 270–271 MB with the B+trees of NEW_ORDER and ORDER_LINE left unbuilt
-/// until a first scan.
+/// until a first scan (the same since; the run takes no checkpoint).
 #[test]
 #[ignore = "release-only memory guard: run with --release -- --ignored"]
 fn the_tpcc_engine_run_peaks_under_400_mb() {

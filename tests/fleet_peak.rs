@@ -5,8 +5,9 @@
 //! standby row) served for the ledger's 171 batches. Each shard's WAL frame
 //! is ≈96 KB; a log that kept every batch since start-up held ≈83 MB over
 //! the four shards by the end and the run peaked at 327–351 MB. A log that
-//! checkpoints shorten holds under one period of frames per shard, and the
-//! run's `VmHWM` is the guard.
+//! checkpoints shorten holds under one period of frames per shard: the run
+//! read ≈259 MB, and ≈222 MB once checkpoint images held the rows alone (on
+//! a 2-vCPU x86-64 VM, release build). The run's `VmHWM` is the guard.
 //!
 //! The one test is `#[ignore]`d (a release build takes seconds, a debug
 //! one much longer) and alone in its target, so the peak it reads is its
@@ -16,6 +17,9 @@
 //! cargo test --release -p ltpg-bench --test fleet_peak -- --ignored
 //! ```
 
+mod common;
+
+use common::peak_rss_mb;
 use ltpg::{LtpgConfig, ServerConfig};
 use ltpg_replica::ReplicaConfig;
 use ltpg_shard::{ycsb_partitioner, ShardedServer};
@@ -24,18 +28,6 @@ use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
 const BATCH: usize = 2_048;
 const CHECKPOINT_EVERY: usize = 16;
 const TICKS: u64 = 171;
-
-/// The process's peak resident set in MB of 1 024 kB (`VmHWM`), the
-/// ledger's unit.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
-    let kb = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .expect("a VmHWM line");
-    kb / 1_024.0
-}
 
 #[test]
 #[ignore = "release-only memory guard: run with --release -- --ignored"]
