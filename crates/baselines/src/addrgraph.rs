@@ -92,9 +92,9 @@ impl AddrGraphCore {
         self.last
     }
 
-    /// Execute one batch against `db` (mutating it through the tables'
-    /// interior mutability) and report the outcome.
-    pub fn execute(&mut self, db: &Database, batch: &Batch) -> BatchReport {
+    /// Execute one batch against `db`, writing each transaction's effects
+    /// once it is decided, and report the outcome.
+    pub fn execute(&mut self, db: &mut Database, batch: &Batch) -> BatchReport {
         let wall = Instant::now();
         self.device.reset();
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
@@ -281,7 +281,7 @@ impl BatchEngine for AddrGraphEngine {
     }
 
     fn execute_batch(&mut self, batch: &Batch) -> BatchReport {
-        self.core.execute(&self.db, batch)
+        self.core.execute(&mut self.db, batch)
     }
 
     fn record_telemetry(&self, registry: &Registry, report: &BatchReport) {
@@ -314,7 +314,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         for k in 0..50 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }
@@ -369,9 +369,9 @@ mod tests {
         let schema = TableBuilder::new("T").columns(["a", "b"]).capacity(256).build();
         let t = db.add_built_table(Table::new(schema).with_ordered());
         for k in 0..50 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
-        let serial_db = db.deep_clone();
+        let mut serial_db = db.deep_clone();
         let mut engine = AddrGraphEngine::new(db);
         let mut gen = TidGen::new();
         let scan = |lo: i64| {
@@ -390,7 +390,7 @@ mod tests {
         assert_eq!(report.committed.len(), 5);
         assert_eq!(engine.last_stats().undeclared, 2);
         for txn in &batch.txns {
-            execute_serial(&serial_db, txn).unwrap();
+            execute_serial(&mut serial_db, txn).unwrap();
         }
         assert_eq!(engine.database().state_digest(), serial_db.state_digest());
     }

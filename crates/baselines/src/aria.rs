@@ -145,7 +145,7 @@ impl BatchEngine for AriaEngine {
             let ok = !waw && if self.reorder { !raw || !war } else { !raw };
             if ok {
                 ns += fx.mutations.len() as f64 * (self.cost.index_ns + self.cost.write_ns);
-                apply_effects(&self.db, fx).expect("Aria commit apply");
+                apply_effects(&mut self.db, fx).expect("Aria commit apply");
                 committed.push(txn.tid);
             } else {
                 ns += self.cost.abort_ns;
@@ -184,7 +184,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(128).build());
         for k in 0..50 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         (db, t)
     }

@@ -8,11 +8,14 @@
 //!
 //! This reproduction keeps that essence while avoiding deadlock machinery:
 //! declared row locks are acquired in a global row order (deadlock-free, so
-//! no wound/cascade path is ever taken), the transaction's serialization
-//! point is fixed while all locks are held, writes apply row-by-row, and
-//! the lock on a row classified **hot** is released immediately after that
-//! row's writes are applied — everything else is held to the end, as strict
-//! 2PL would. Real worker threads execute the batch; everything commits.
+//! no wound/cascade path is ever taken), and the lock on a row classified
+//! **hot** is released right after that row's writes, everything else being
+//! held to the end, as strict 2PL would. Under such locks every schedule is
+//! equivalent to running the transactions one after another, and nothing
+//! aborts but a user abort; so the host runs the batch on one thread, in
+//! batch order, and the locking lives where it costs: in the simulated
+//! clock, which charges each transaction's declared locks and each hot
+//! row's chain of holders.
 //!
 //! Hot rows are detected per batch from declared access frequency (the
 //! analogue of Bamboo's hotspot targeting). The simulated-time model shows
@@ -21,65 +24,19 @@
 //! transaction body.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-use parking_lot::{Condvar, Mutex};
 
 use ltpg_storage::Database;
 use ltpg_txn::engine::CommitSemantics;
-use ltpg_txn::exec::{execute_speculative_on, Mutation};
-use ltpg_txn::{declared_accesses, Batch, BatchEngine, BatchReport, Tid};
+use ltpg_txn::exec::apply_effects;
+use ltpg_txn::{declared_accesses, execute_speculative, Batch, BatchEngine, BatchReport};
 
 use crate::cpu::{CpuCostModel, ParallelClock};
-
-/// A FIFO row lock (writer-exclusive; readers share).
-#[derive(Default)]
-struct RowLock {
-    state: Mutex<LockState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct LockState {
-    /// Number of shared holders.
-    readers: u32,
-    /// Exclusive holder present?
-    writer: bool,
-}
-
-impl RowLock {
-    fn lock(&self, write: bool) {
-        let mut st = self.state.lock();
-        if write {
-            while st.writer || st.readers > 0 {
-                self.cv.wait(&mut st);
-            }
-            st.writer = true;
-        } else {
-            while st.writer {
-                self.cv.wait(&mut st);
-            }
-            st.readers += 1;
-        }
-    }
-
-    fn unlock(&self, write: bool) {
-        let mut st = self.state.lock();
-        if write {
-            st.writer = false;
-        } else {
-            st.readers -= 1;
-        }
-        self.cv.notify_all();
-    }
-}
 
 /// The Bamboo engine.
 pub struct BambooEngine {
     db: Database,
     cost: CpuCostModel,
-    threads: usize,
     /// A row is hot if at least this many transactions of the batch
     /// declare access to it.
     hot_threshold: usize,
@@ -90,14 +47,7 @@ pub struct BambooEngine {
 impl BambooEngine {
     /// Create an engine over `db` with early release enabled.
     pub fn new(db: Database) -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-        BambooEngine {
-            db,
-            cost: CpuCostModel::default(),
-            threads,
-            hot_threshold: 16,
-            early_release: true,
-        }
+        BambooEngine { db, cost: CpuCostModel::default(), hot_threshold: 16, early_release: true }
     }
 
     /// Toggle early release (plain 2PL when off).
@@ -118,157 +68,63 @@ impl BatchEngine for BambooEngine {
 
     fn execute_batch(&mut self, batch: &Batch) -> BatchReport {
         let wall = Instant::now();
-        let n = batch.len();
 
-        // ---- Declared locks, strongest mode, global row order. ----
-        // (row, write) per txn, sorted by row so acquisition is deadlock-free.
-        let mut plans: Vec<Vec<((u16, i64), bool)>> = Vec::with_capacity(n);
+        // ---- Declared locks: one per distinct row a transaction names. ----
+        let mut locks: Vec<usize> = Vec::with_capacity(batch.len());
         let mut freq: HashMap<(u16, i64), usize> = HashMap::new();
         for txn in &batch.txns {
             let acc =
                 declared_accesses(txn).expect("Bamboo requires declarable transactions");
-            let mut modes: Vec<((u16, i64), bool)> = Vec::new();
-            for (t, k) in &acc.reads {
-                if !modes.iter().any(|(row, _)| *row == (t.0, *k)) {
-                    modes.push(((t.0, *k), false));
-                }
-            }
-            for (t, k) in acc.all_writes() {
-                match modes.iter_mut().find(|(row, _)| *row == (t.0, k)) {
-                    Some((_, w)) => *w = true,
-                    None => modes.push(((t.0, k), true)),
-                }
-            }
-            modes.sort_unstable_by_key(|(row, _)| *row);
-            for (row, _) in &modes {
+            let mut rows: Vec<(u16, i64)> =
+                acc.reads.iter().map(|&(t, k)| (t.0, k)).chain(acc.all_writes().map(|(t, k)| (t.0, k))).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            for row in &rows {
                 *freq.entry(*row).or_default() += 1;
             }
-            plans.push(modes);
+            locks.push(rows.len());
         }
-        let hot: std::collections::HashSet<(u16, i64)> = freq
-            .iter()
-            .filter(|(_, &c)| c >= self.hot_threshold)
-            .map(|(row, _)| *row)
-            .collect();
 
-        // One lock object per distinct row in the batch.
-        let locks: HashMap<(u16, i64), RowLock> =
-            freq.keys().map(|&row| (row, RowLock::default())).collect();
-
-        // ---- Threaded execution. ----
-        let seq = AtomicU64::new(0);
-        let commit_seq: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let threads = self.threads.min(n.max(1));
-        crossbeam::scope(|s| {
-            for th in 0..threads {
-                let db = &self.db;
-                let plans = &plans;
-                let locks = &locks;
-                let hot = &hot;
-                let batch = &batch;
-                let seq = &seq;
-                let commit_seq = &commit_seq;
-                let early = self.early_release;
-                s.spawn(move |_| {
-                    let mut i = th;
-                    while i < n {
-                        let txn = &batch.txns[i];
-                        for (row, write) in &plans[i] {
-                            locks[row].lock(*write);
-                        }
-                        // Serialization point: all locks held.
-                        commit_seq[i].store(seq.fetch_add(1, Ordering::AcqRel), Ordering::Release);
-                        // Reads under locks see a state consistent with the
-                        // serialization order; buffered execution then
-                        // row-ordered apply.
-                        let fx = execute_speculative_on(db, txn);
-                        match fx {
-                            Ok(fx) => {
-                                // Apply writes grouped by row, in the same
-                                // global row order as acquisition; retire
-                                // hot rows as soon as their writes land.
-                                let mut released: Vec<(u16, i64)> = Vec::new();
-                                for (row, write) in &plans[i] {
-                                    if !*write {
-                                        continue;
-                                    }
-                                    for m in &fx.mutations {
-                                        let (mt, mk) = match m {
-                                            Mutation::Update { table, key, .. }
-                                            | Mutation::Add { table, key, .. }
-                                            | Mutation::Insert { table, key, .. }
-                                            | Mutation::Delete { table, key } => (table.0, *key),
-                                        };
-                                        if (mt, mk) != *row {
-                                            continue;
-                                        }
-                                        apply_one(db, m);
-                                    }
-                                    if early && hot.contains(row) {
-                                        locks[row].unlock(true);
-                                        released.push(*row);
-                                    }
-                                }
-                                for (row, write) in &plans[i] {
-                                    if !released.contains(row) {
-                                        locks[row].unlock(*write);
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                // User abort: release everything untouched.
-                                for (row, write) in &plans[i] {
-                                    locks[row].unlock(*write);
-                                }
-                                commit_seq[i].store(u64::MAX, Ordering::Release);
-                            }
-                        }
-                        i += threads;
-                    }
-                });
+        // ---- Execution: the equivalent serial order, batch order. ----
+        let mut committed = Vec::with_capacity(batch.len());
+        let mut aborted = Vec::new();
+        for txn in &batch.txns {
+            match execute_speculative(&self.db, txn) {
+                Ok(fx) => {
+                    apply_effects(&mut self.db, &fx).expect("Bamboo insert (unique keys)");
+                    committed.push(txn.tid);
+                }
+                // User abort: nothing was written.
+                Err(_) => aborted.push(txn.tid),
             }
-        })
-        .expect("Bamboo worker panicked");
+        }
 
         // ---- Simulated time: parallel work + hot-row serial chains. ----
         let mut clock = ParallelClock::new(self.cost.workers);
-        for (i, txn) in batch.txns.iter().enumerate() {
+        for (txn, &locks) in batch.txns.iter().zip(&locks) {
             // Bamboo's code path is lean (no validation, no versioning,
             // inlined lock words): a quarter of the generic interpreter
             // cost per op — calibrated against its Table II numbers,
             // which beat every other CPU system.
             clock.assign(
                 txn.ops.len() as f64 * 0.25 * (self.cost.index_ns + self.cost.read_ns)
-                    + plans[i].len() as f64 * self.cost.lock_ns,
+                    + locks as f64 * self.cost.lock_ns,
             );
         }
         // Each hot row is a serial chain; its per-holder cost is one write
         // plus a lock handoff (early release) or a whole transaction body
         // (plain 2PL).
-        let mut chain_ns = 0.0f64;
-        for (row, &count) in freq.iter().filter(|(row, _)| hot.contains(*row)) {
-            let _ = row;
-            let per_holder = if self.early_release {
-                self.cost.write_ns + self.cost.lock_ns
-            } else {
-                // Approximate full-body hold time.
-                12.0 * (self.cost.index_ns + self.cost.read_ns)
-            };
-            chain_ns = chain_ns.max(count as f64 * per_holder);
-        }
-        clock.serial(chain_ns);
+        let per_holder = if self.early_release {
+            self.cost.write_ns + self.cost.lock_ns
+        } else {
+            // Approximate full-body hold time.
+            12.0 * (self.cost.index_ns + self.cost.read_ns)
+        };
+        let hottest = freq.values().copied().filter(|&c| c >= self.hot_threshold).max();
+        clock.serial(hottest.map_or(0.0, |count| count as f64 * per_holder));
 
-        let mut order: Vec<(u64, Tid)> = Vec::new();
-        let mut aborted = Vec::new();
-        for (i, txn) in batch.txns.iter().enumerate() {
-            match commit_seq[i].load(Ordering::Acquire) {
-                u64::MAX => aborted.push(txn.tid),
-                s => order.push((s, txn.tid)),
-            }
-        }
-        order.sort_unstable();
         BatchReport {
-            committed: order.into_iter().map(|(_, tid)| tid).collect(),
+            committed,
             aborted,
             sim_ns: clock.makespan_ns(),
             critical_path_ns: clock.makespan_ns(),
@@ -279,35 +135,9 @@ impl BatchEngine for BambooEngine {
     }
 }
 
-fn apply_one(db: &Database, m: &Mutation) {
-    match m {
-        Mutation::Update { table, key, col, value } => {
-            let t = db.table(*table);
-            if let Some(rid) = t.lookup(*key) {
-                t.set(rid, *col, *value);
-            }
-        }
-        Mutation::Add { table, key, col, delta } => {
-            let t = db.table(*table);
-            if let Some(rid) = t.lookup(*key) {
-                t.add(rid, *col, *delta);
-            }
-        }
-        Mutation::Insert { table, key, values } => {
-            db.table(*table).insert(*key, values).expect("Bamboo insert (unique keys)");
-        }
-        Mutation::Delete { table, key } => {
-            db.table(*table).delete(*key);
-        }
-    }
-}
-
 impl std::fmt::Debug for BambooEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BambooEngine")
-            .field("threads", &self.threads)
-            .field("early_release", &self.early_release)
-            .finish()
+        f.debug_struct("BambooEngine").field("early_release", &self.early_release).finish()
     }
 }
 
@@ -322,7 +152,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(1024).build());
         for k in 0..32 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }

@@ -165,9 +165,9 @@ impl BlockStmCore {
         self.last
     }
 
-    /// Execute one batch against `db` (mutating it through the tables'
-    /// interior mutability) and report the outcome.
-    pub fn execute(&mut self, db: &Database, batch: &Batch) -> BatchReport {
+    /// Execute one batch against `db`, writing each transaction's effects
+    /// once it is decided, and report the outcome.
+    pub fn execute(&mut self, db: &mut Database, batch: &Batch) -> BatchReport {
         let wall = Instant::now();
         self.device.reset();
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
@@ -370,7 +370,7 @@ impl BatchEngine for BlockStmEngine {
     }
 
     fn execute_batch(&mut self, batch: &Batch) -> BatchReport {
-        self.core.execute(&self.db, batch)
+        self.core.execute(&mut self.db, batch)
     }
 
     fn record_telemetry(&self, registry: &Registry, report: &BatchReport) {
@@ -403,7 +403,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         for k in 0..50 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn mixed_contention_is_bit_identical_to_serial_execution() {
         let (db, t) = setup();
-        let serial_db = db.deep_clone();
+        let mut serial_db = db.deep_clone();
         let mut engine = BlockStmEngine::new(db);
         let mut gen = TidGen::new();
         // Readers, blind writers, RMWs, inserts (one duplicate) interleaved.
@@ -508,7 +508,7 @@ mod tests {
         // Reference: serial execution in TID order.
         let mut serial_committed = 0;
         for txn in &batch.txns {
-            if execute_serial(&serial_db, txn).is_ok() {
+            if execute_serial(&mut serial_db, txn).is_ok() {
                 serial_committed += 1;
             }
         }

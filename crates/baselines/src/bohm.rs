@@ -260,7 +260,7 @@ impl BatchEngine for BohmEngine {
         // ---- Merge newest versions + inserts into the base table. ----
         for (t, k) in self.mvcc.keys() {
             if let Some((_, row)) = self.mvcc.newest_filled(t, k) {
-                let table = self.db.table(t);
+                let table = self.db.table_mut(t);
                 if let Some(rid) = table.lookup(k) {
                     for (c, v) in row.iter().enumerate() {
                         table.set(rid, ColId(c as u16), *v);
@@ -274,7 +274,7 @@ impl BatchEngine for BohmEngine {
         pending_inserts.sort_by_key(|(k, _)| **k);
         for ((t, k), (_, row)) in pending_inserts {
             self.db
-                .table(TableId(*t))
+                .table_mut(TableId(*t))
                 .insert(*k, row)
                 .expect("BOHM insert merge (keys are unique by construction)");
         }
@@ -314,7 +314,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(128).build());
         for k in 0..20 {
-            db.table(t).insert(k, &[k * 10, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k * 10, 0]).unwrap();
         }
         (db, t)
     }

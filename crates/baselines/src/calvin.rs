@@ -117,7 +117,7 @@ impl BatchEngine for CalvinEngine {
                 let ns = txn.ops.len() as f64 * (self.cost.index_ns + self.cost.read_ns)
                     + rows_of[i].len() as f64 * self.cost.lock_ns;
                 clock.assign(ns);
-                let _ = execute_serial(&self.db, txn);
+                let _ = execute_serial(&mut self.db, txn);
                 for row in &rows_of[i] {
                     if let Some(q) = queues.get_mut(row) {
                         q.retain(|r| r.txn != i);
@@ -161,7 +161,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(128).build());
         for k in 0..20 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         (db, t)
     }

@@ -4,28 +4,38 @@
 //!
 //! TicToc is a nondeterministic OCC with **per-row timestamp words**
 //! packing a write timestamp and an rts delta (`rts = wts + delta`).
-//! Readers snapshot the word around the data read (lock-free, retrying on
-//! torn reads); writers lock their rows at validation, derive
-//! `commit_ts = max(read wts, written rts + 1)`, revalidate the read set
-//! (extending `rts` where possible — the trick that lets TicToc commit
-//! schedules plain OCC would abort), apply, and release by storing the new
-//! timestamp word. Aborted attempts retry with bounded backoff.
+//! Readers record the word of each row they read; at commit a writer locks
+//! its rows, derives `commit_ts = max(read wts, written rts + 1)`,
+//! revalidates the read set (extending `rts` where possible — the trick
+//! that lets TicToc commit schedules plain OCC would abort), applies, and
+//! releases by storing the new timestamp word. Aborted attempts retry.
 //!
-//! Real worker threads execute the batch; the claimed equivalent serial
-//! order is `(commit_ts, commit sequence)`, which the ordered-replay
-//! oracle validates.
+//! [`WORKERS`] modelled workers run the batch, interleaved round-robin on
+//! one host thread, so a run is a pure function of its batch. Each attempt
+//! takes two turns of its worker: the read phase on one, and lock →
+//! validate → apply → release on the next. Between the two, every other
+//! worker takes a turn, so a commit can invalidate what a worker read and
+//! send it round again. A commit turn runs whole, so no worker ever finds
+//! a row locked. The claimed equivalent serial order is `(commit_ts,
+//! commit sequence)`, which the ordered-replay oracle validates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
 use std::time::Instant;
 
 use ltpg_storage::{Database, RowId, TableError, TableId};
 use ltpg_txn::engine::CommitSemantics;
-use ltpg_txn::exec::{execute_speculative_on, CellStore, Mutation, TxnEffects};
-use ltpg_txn::{Batch, BatchEngine, BatchReport, Tid};
+use ltpg_txn::exec::{apply_mutation, execute_speculative_on, CellStore, Mutation, TxnEffects};
+use ltpg_txn::{Batch, BatchEngine, BatchReport, Txn};
 
 use crate::cpu::{CpuCostModel, ParallelClock};
 
-const LOCK_BIT: u64 = 1 << 63;
+/// Modelled workers interleaved over a batch. Chosen by measurement on
+/// the default Table II grid (EXPERIMENTS.md, Table II): the most workers
+/// that keep every cell's ranking with room to spare. At 4 every DBx1000
+/// row is within 6 % of what two real threads measured; at 6 DBx1000 leads
+/// PWV by 1 % at 50 % NewOrder and 8 warehouses, and at 8 it falls behind.
+pub const WORKERS: usize = 4;
+
 const WTS_MASK: u64 = (1 << 48) - 1;
 const DELTA_MAX: u64 = (1 << 15) - 1;
 
@@ -36,10 +46,6 @@ fn wts_of(w: u64) -> u64 {
 #[inline]
 fn rts_of(w: u64) -> u64 {
     wts_of(w) + ((w >> 48) & DELTA_MAX)
-}
-#[inline]
-fn locked(w: u64) -> bool {
-    w & LOCK_BIT != 0
 }
 #[inline]
 fn pack(wts: u64, rts: u64) -> u64 {
@@ -56,40 +62,23 @@ struct ReadEntry {
     observed: u64,
 }
 
-/// Lock-free read view: snapshots timestamp words around each cell read.
+/// Read view: records each row's timestamp word as its cell is read.
 struct TicTocView<'a> {
     db: &'a Database,
-    ts: &'a [Vec<AtomicU64>],
-    reads: std::cell::RefCell<Vec<ReadEntry>>,
-}
-
-impl TicTocView<'_> {
-    fn record(&self, table: u16, rid: RowId, word: u64) {
-        let mut reads = self.reads.borrow_mut();
-        if !reads.iter().any(|r| r.table == table && r.rid == rid) {
-            reads.push(ReadEntry { table, rid, observed: word });
-        }
-    }
+    ts: &'a [Vec<u64>],
+    reads: RefCell<Vec<ReadEntry>>,
 }
 
 impl CellStore for TicTocView<'_> {
     fn cell(&self, table: TableId, key: i64, col: ltpg_storage::ColId) -> Option<i64> {
         let t = self.db.table(table);
         let rid = t.lookup(key)?;
-        let word = &self.ts[usize::from(table.0)][rid.idx()];
-        loop {
-            let w1 = word.load(Ordering::Acquire);
-            if locked(w1) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let v = t.get(rid, col);
-            let w2 = word.load(Ordering::Acquire);
-            if w1 == w2 {
-                self.record(table.0, rid, w1);
-                return Some(v);
-            }
+        let observed = self.ts[usize::from(table.0)][rid.idx()];
+        let mut reads = self.reads.borrow_mut();
+        if !reads.iter().any(|r| r.table == table.0 && r.rid == rid) {
+            reads.push(ReadEntry { table: table.0, rid, observed });
         }
+        Some(t.get(rid, col))
     }
 
     fn row_exists(&self, table: TableId, key: i64) -> bool {
@@ -101,56 +90,59 @@ impl CellStore for TicTocView<'_> {
     }
 }
 
+/// What a worker's read turn leaves for its commit turn.
+struct ReadPhase {
+    fx: TxnEffects,
+    reads: Vec<ReadEntry>,
+}
+
 /// The DBx1000/TicToc engine.
 pub struct Dbx1000Engine {
     db: Database,
     /// Per-table, per-row timestamp words.
-    ts: Vec<Vec<AtomicU64>>,
+    ts: Vec<Vec<u64>>,
     cost: CpuCostModel,
-    /// Real host threads used to execute the batch.
-    threads: usize,
     /// Retries before a transaction is reported aborted.
     max_retries: usize,
+    /// Attempts made so far, over every batch.
+    attempts: u64,
 }
 
 impl Dbx1000Engine {
     /// Create an engine over `db`.
     pub fn new(db: Database) -> Self {
-        let ts = db
-            .iter()
-            .map(|(_, t)| (0..t.capacity()).map(|_| AtomicU64::new(0)).collect())
-            .collect();
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-        Dbx1000Engine { db, ts, cost: CpuCostModel::default(), threads, max_retries: 100 }
+        let ts = db.iter().map(|(_, t)| vec![0; t.capacity()]).collect();
+        Dbx1000Engine { db, ts, cost: CpuCostModel::default(), max_retries: 100, attempts: 0 }
     }
 
-    /// Attempt one transaction; returns `(commit_ts, commit_seq, effects)`
-    /// or `None` on an abort that should retry. `Err(())` is a user abort.
-    /// `seq` is drawn *while the write locks are still held*, so that any
-    /// reader of this transaction's writes observes a later sequence — the
-    /// tie-breaker that makes `(commit_ts, seq)` a valid serial order.
-    #[allow(clippy::result_unit_err)]
-    fn attempt(
-        &self,
-        txn: &ltpg_txn::Txn,
-        seq: &AtomicU64,
-    ) -> Result<Option<(u64, u64, TxnEffects)>, ()> {
-        let view = TicTocView { db: &self.db, ts: &self.ts, reads: Default::default() };
-        let fx = match execute_speculative_on(&view, txn) {
-            Ok(fx) => fx,
-            Err(_) => return Err(()),
-        };
-        let reads = view.reads.into_inner();
+    /// Attempts made so far, over every batch: the transactions executed
+    /// plus every retry.
+    pub fn attempts(&self) -> u64 {
+        self.attempts
+    }
 
+    /// A read turn: execute `txn` against the current state, recording the
+    /// timestamp word of every row read. `Err(())` is a user abort.
+    fn read(&self, txn: &Txn) -> Result<ReadPhase, ()> {
+        let view = TicTocView { db: &self.db, ts: &self.ts, reads: RefCell::default() };
+        let fx = execute_speculative_on(&view, txn).map_err(drop)?;
+        Ok(ReadPhase { fx, reads: view.reads.into_inner() })
+    }
+
+    /// A commit turn: lock the written rows, validate the reads (extending
+    /// their `rts` where that suffices), apply and release. Returns the
+    /// commit timestamp, or `None` when validation fails and the
+    /// transaction must run again; `Err(())` is a user abort (an insert
+    /// of a key another worker inserted since the read turn).
+    fn commit(&mut self, phase: ReadPhase) -> Result<Option<u64>, ()> {
+        let ReadPhase { fx, reads } = phase;
         // Write rows (existing rows only; inserts are fresh keys).
         let mut write_rows: Vec<(u16, RowId)> = Vec::new();
         for m in &fx.mutations {
             match m {
                 Mutation::Update { table, key, .. } | Mutation::Add { table, key, .. } => {
                     if let Some(rid) = self.db.table(*table).lookup(*key) {
-                        if !write_rows.contains(&(table.0, rid)) {
-                            write_rows.push((table.0, rid));
-                        }
+                        write_rows.push((table.0, rid));
                     }
                 }
                 Mutation::Insert { .. } => {}
@@ -160,117 +152,56 @@ impl Dbx1000Engine {
             }
         }
         write_rows.sort_unstable();
-
-        // Lock write rows in order.
-        let mut held: Vec<(u16, RowId)> = Vec::new();
-        let unlock_held = |held: &[(u16, RowId)], ts: &[Vec<AtomicU64>]| {
-            for &(t, rid) in held {
-                ts[usize::from(t)][rid.idx()].fetch_and(!LOCK_BIT, Ordering::Release);
-            }
-        };
-        for &(t, rid) in &write_rows {
-            let word = &self.ts[usize::from(t)][rid.idx()];
-            let mut spins = 0u32;
-            loop {
-                let w = word.load(Ordering::Acquire);
-                if !locked(w)
-                    && word
-                        .compare_exchange(w, w | LOCK_BIT, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    held.push((t, rid));
-                    break;
-                }
-                spins += 1;
-                if spins > 2_000 {
-                    unlock_held(&held, &self.ts);
-                    return Ok(None);
-                }
-                std::hint::spin_loop();
-            }
-        }
+        write_rows.dedup();
+        let word = |ts: &[Vec<u64>], t: u16, rid: RowId| ts[usize::from(t)][rid.idx()];
 
         // Commit timestamp.
-        let mut commit_ts = 0u64;
-        for r in &reads {
-            commit_ts = commit_ts.max(wts_of(r.observed));
-        }
+        let mut commit_ts = reads.iter().map(|r| wts_of(r.observed)).max().unwrap_or(0);
         for &(t, rid) in &write_rows {
-            let w = self.ts[usize::from(t)][rid.idx()].load(Ordering::Acquire);
-            commit_ts = commit_ts.max(rts_of(w) + 1);
+            commit_ts = commit_ts.max(rts_of(word(&self.ts, t, rid)) + 1);
         }
 
         // Validate the read set, extending rts where possible.
-        for r in &reads {
-            if commit_ts <= rts_of(r.observed) {
-                continue;
+        for r in reads.iter().filter(|r| commit_ts > rts_of(r.observed)) {
+            let cur = word(&self.ts, r.table, r.rid);
+            if wts_of(cur) != wts_of(r.observed) {
+                return Ok(None); // someone overwrote our read
             }
-            let word = &self.ts[usize::from(r.table)][r.rid.idx()];
-            loop {
-                let cur = word.load(Ordering::Acquire);
-                let in_write_set = write_rows.contains(&(r.table, r.rid));
-                if wts_of(cur) != wts_of(r.observed) {
-                    unlock_held(&held, &self.ts);
-                    return Ok(None); // someone overwrote our read
-                }
-                if locked(cur) && !in_write_set {
-                    unlock_held(&held, &self.ts);
-                    return Ok(None); // a writer is mid-commit on our read
-                }
-                if commit_ts <= rts_of(cur) {
-                    break; // already extended far enough
-                }
+            if commit_ts > rts_of(cur) {
                 if commit_ts - wts_of(cur) > DELTA_MAX {
-                    unlock_held(&held, &self.ts);
                     return Ok(None); // delta overflow: rare, retry
                 }
-                let next = (cur & LOCK_BIT) | pack(wts_of(cur), commit_ts);
-                if word.compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                    break;
-                }
+                self.ts[usize::from(r.table)][r.rid.idx()] = pack(wts_of(cur), commit_ts);
             }
         }
 
-        // Apply: cells first, then inserts, then release with the new wts.
+        // Apply, then release every written row with wts = rts = commit_ts.
+        let released = pack(commit_ts, commit_ts);
         for m in &fx.mutations {
-            match m {
-                Mutation::Update { table, key, col, value } => {
-                    let t = self.db.table(*table);
-                    if let Some(rid) = t.lookup(*key) {
-                        t.set(rid, *col, *value);
-                    }
-                }
-                Mutation::Add { table, key, col, delta } => {
-                    let t = self.db.table(*table);
-                    if let Some(rid) = t.lookup(*key) {
-                        t.add(rid, *col, *delta);
-                    }
-                }
-                Mutation::Insert { table, key, values } => {
-                    match self.db.table(*table).insert(*key, values) {
-                        Ok(rid) => {
-                            self.ts[usize::from(table.0)][rid.idx()]
-                                .store(pack(commit_ts, commit_ts), Ordering::Release);
-                        }
-                        Err(TableError::Duplicate(_)) => {
-                            // Another thread created the key concurrently;
-                            // treat as a user abort of this attempt.
-                            unlock_held(&held, &self.ts);
-                            return Err(());
-                        }
-                        Err(TableError::Full) => panic!("table out of insert headroom"),
-                    }
-                }
-                Mutation::Delete { .. } => unreachable!(),
+            match apply_mutation(&mut self.db, m) {
+                Ok(()) => {}
+                Err(TableError::Duplicate(_)) => return Err(()),
+                Err(TableError::Full) => panic!("table out of insert headroom"),
+            }
+            if let Mutation::Insert { table, key, .. } = m {
+                let rid = self.db.table(*table).lookup(*key).expect("the row just inserted");
+                self.ts[usize::from(table.0)][rid.idx()] = released;
             }
         }
-        let my_seq = seq.fetch_add(1, Ordering::AcqRel);
-        for &(t, rid) in &held {
-            // Store wts = rts = commit_ts and clear the lock in one go.
-            self.ts[usize::from(t)][rid.idx()].store(pack(commit_ts, commit_ts), Ordering::Release);
+        for &(t, rid) in &write_rows {
+            self.ts[usize::from(t)][rid.idx()] = released;
         }
-        Ok(Some((commit_ts, my_seq, fx)))
+        Ok(Some(commit_ts))
     }
+}
+
+/// One modelled worker: the index of the transaction it runs (it runs
+/// those congruent to its own index modulo [`WORKERS`]), the retries that
+/// transaction took, and the read phase awaiting its commit turn.
+struct Worker {
+    txn: usize,
+    retries: usize,
+    pending: Option<ReadPhase>,
 }
 
 impl BatchEngine for Dbx1000Engine {
@@ -285,55 +216,46 @@ impl BatchEngine for Dbx1000Engine {
     fn execute_batch(&mut self, batch: &Batch) -> BatchReport {
         let wall = Instant::now();
         let n = batch.len();
-        let seq = AtomicU64::new(0);
-        // (commit_ts, seq, tid) per committed txn; attempts for costing.
-        let commits: Vec<parking_lot::Mutex<Option<(u64, u64)>>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        let attempts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let user_aborts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-        let threads = self.threads.min(n.max(1));
-        crossbeam::scope(|s| {
-            for th in 0..threads {
-                let engine = &*self;
-                let batch = &batch;
-                let commits = &commits;
-                let attempts = &attempts;
-                let user_aborts = &user_aborts;
-                let seq = &seq;
-                s.spawn(move |_| {
-                    let mut i = th;
-                    while i < n {
-                        let txn = &batch.txns[i];
-                        let mut tries = 0usize;
-                        loop {
-                            attempts[i].fetch_add(1, Ordering::Relaxed);
-                            match engine.attempt(txn, seq) {
-                                Ok(Some((cts, s, _fx))) => {
-                                    *commits[i].lock() = Some((cts, s));
-                                    break;
-                                }
-                                Ok(None) => {
-                                    tries += 1;
-                                    if tries > engine.max_retries {
-                                        break;
-                                    }
-                                    for _ in 0..(tries * 17) % 511 {
-                                        std::hint::spin_loop();
-                                    }
-                                }
-                                Err(()) => {
-                                    user_aborts[i].store(1, Ordering::Relaxed);
-                                    break;
-                                }
+        // (commit_ts, commit sequence) per committed txn; attempts for
+        // costing.
+        let mut commits: Vec<Option<(u64, u64)>> = vec![None; n];
+        let mut attempts = vec![0u32; n];
+        let mut seq = 0u64;
+        let mut workers: Vec<Worker> =
+            (0..WORKERS.min(n)).map(|txn| Worker { txn, retries: 0, pending: None }).collect();
+        while workers.iter().any(|w| w.txn < n) {
+            for w in workers.iter_mut().filter(|w| w.txn < n) {
+                let i = w.txn;
+                let done = match w.pending.take() {
+                    None => {
+                        attempts[i] += 1;
+                        match self.read(&batch.txns[i]) {
+                            Ok(phase) => {
+                                w.pending = Some(phase);
+                                false
                             }
+                            Err(()) => true,
                         }
-                        i += threads;
                     }
-                });
+                    Some(phase) => match self.commit(phase) {
+                        Ok(Some(commit_ts)) => {
+                            commits[i] = Some((commit_ts, seq));
+                            seq += 1;
+                            true
+                        }
+                        Ok(None) => {
+                            w.retries += 1;
+                            w.retries > self.max_retries
+                        }
+                        Err(()) => true,
+                    },
+                };
+                if done {
+                    (w.txn, w.retries) = (w.txn + WORKERS, 0);
+                }
             }
-        })
-        .expect("TicToc worker panicked");
+        }
+        self.attempts += attempts.iter().map(|&a| u64::from(a)).sum::<u64>();
 
         // Simulated time: per-attempt costs on the modelled 30-core pool,
         // plus the serial chain through the batch's hottest RMW row (the
@@ -341,8 +263,8 @@ impl BatchEngine for Dbx1000Engine {
         // counts, Table II).
         let mut clock = ParallelClock::new(self.cost.workers);
         let mut row_writes: std::collections::HashMap<(u16, i64), u32> = std::collections::HashMap::new();
-        for (i, txn) in batch.txns.iter().enumerate() {
-            let tries = attempts[i].load(Ordering::Relaxed) as f64;
+        for (txn, &tries) in batch.txns.iter().zip(&attempts) {
+            let tries = f64::from(tries);
             let per_attempt = txn.ops.len() as f64
                 * (self.cost.index_ns + self.cost.read_ns + self.cost.validate_ns)
                 + self.cost.write_ns * 2.0;
@@ -356,10 +278,10 @@ impl BatchEngine for Dbx1000Engine {
         let hottest = row_writes.values().copied().max().unwrap_or(0);
         clock.serial(f64::from(hottest) * self.cost.hot_rmw_ns);
 
-        let mut order: Vec<(u64, u64, Tid)> = Vec::new();
+        let mut order: Vec<(u64, u64, _)> = Vec::new();
         let mut aborted = Vec::new();
-        for (i, txn) in batch.txns.iter().enumerate() {
-            match *commits[i].lock() {
+        for (txn, commit) in batch.txns.iter().zip(commits) {
+            match commit {
                 Some((cts, s)) => order.push((cts, s, txn.tid)),
                 None => aborted.push(txn.tid),
             }
@@ -379,7 +301,7 @@ impl BatchEngine for Dbx1000Engine {
 
 impl std::fmt::Debug for Dbx1000Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Dbx1000Engine").field("threads", &self.threads).finish()
+        f.debug_struct("Dbx1000Engine").field("attempts", &self.attempts).finish()
     }
 }
 
@@ -394,7 +316,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(4096).build());
         for k in 0..64 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }
@@ -417,7 +339,7 @@ mod tests {
         let pre = db.deep_clone();
         let mut engine = Dbx1000Engine::new(db);
         let mut gen = TidGen::new();
-        // 200 RMWs over 4 keys from up to 8 real threads.
+        // 200 RMWs over 4 keys from the interleaved workers.
         let txns: Vec<Txn> = (0..200).map(|i| rmw(t, (i % 4) as i64)).collect();
         let batch = Batch::assemble(vec![], txns, &mut gen);
         let report = engine.execute_batch(&batch);
@@ -463,9 +385,6 @@ mod tests {
         let w = pack(1234, 1234 + 77);
         assert_eq!(wts_of(w), 1234);
         assert_eq!(rts_of(w), 1311);
-        assert!(!locked(w));
-        assert!(locked(w | LOCK_BIT));
-        assert_eq!(wts_of(w | LOCK_BIT), 1234);
         // Delta saturates.
         let big = pack(10, 10 + DELTA_MAX + 500);
         assert_eq!(rts_of(big), 10 + DELTA_MAX);

@@ -254,7 +254,6 @@ impl BatchEngine for GaccoEngine {
         let max_wave = wave.iter().copied().max().unwrap_or(0);
         let mut committed = Vec::with_capacity(n);
         let mut aborted = Vec::new();
-        let db = &self.db;
         for w in 0..=max_wave {
             let layer: Vec<usize> = (0..n).filter(|&i| wave[i] == w).collect();
             if layer.is_empty() {
@@ -277,14 +276,14 @@ impl BatchEngine for GaccoEngine {
                     lane.read_global_random(2 * txn.ops.len() as u32);
                     lane.write_global(txn.ops.len() as u32);
                 }
-                results.push(execute_speculative(db, txn));
+                results.push(execute_speculative(&self.db, txn));
             });
             // Waves apply in TID order; within a wave rows are disjoint
             // except commutative adds, which commute.
             for (res, i) in results.into_iter().zip(layer) {
                 match res {
                     Ok(fx) => {
-                        apply_effects(db, &fx).expect("GaccO apply");
+                        apply_effects(&mut self.db, &fx).expect("GaccO apply");
                         committed.push(batch.txns[i].tid);
                     }
                     Err(_) => aborted.push(batch.txns[i].tid),
@@ -330,7 +329,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         for k in 0..50 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }

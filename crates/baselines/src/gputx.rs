@@ -134,7 +134,6 @@ impl BatchEngine for GputxEngine {
         for r in 1..=max_rank {
             let layer: Vec<usize> = (0..n).filter(|&i| rank[i] == r).collect();
             // Conflict-free within a layer: speculate on lanes, apply after.
-            let db = &self.db;
             let mut results = Vec::with_capacity(layer.len());
             self.device.launch("exec_rank", &layer, |lane, &i| {
                 let txn = &batch.txns[i];
@@ -143,12 +142,12 @@ impl BatchEngine for GputxEngine {
                 lane.charge_cycles(lane_proc_overhead);
                 lane.read_global_random(2 * txn.ops.len() as u32);
                 lane.write_global(txn.ops.len() as u32);
-                results.push(execute_speculative(db, txn));
+                results.push(execute_speculative(&self.db, txn));
             });
             for (res, i) in results.into_iter().zip(layer) {
                 match res {
                     Ok(fx) => {
-                        apply_effects(&self.db, &fx).expect("GPUTx apply");
+                        apply_effects(&mut self.db, &fx).expect("GPUTx apply");
                         committed.push(batch.txns[i].tid);
                     }
                     Err(_) => aborted.push(batch.txns[i].tid),
@@ -191,7 +190,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         for k in 0..50 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }

@@ -173,7 +173,7 @@ impl BatchEngine for PwvEngine {
                     let ns = (f.hi - f.lo) as f64
                         * (self.cost.index_ns + self.cost.read_ns + self.cost.write_ns);
                     clock.assign_to(p, ns);
-                    execute_range_direct(&self.db, txn, f.lo..f.hi, &mut regs[f.txn])
+                    execute_range_direct(&mut self.db, txn, f.lo..f.hi, &mut regs[f.txn])
                         .expect("PWV fragment execution");
                     frags_done[f.txn] += 1;
                     heads[p] += 1;
@@ -213,7 +213,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         for k in 0..100 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         (db, t)
     }

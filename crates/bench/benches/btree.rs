@@ -13,7 +13,7 @@ fn bench_btree(c: &mut Criterion) {
     group.bench_function("insert_sequential", |b| {
         b.iter_batched(
             OrderedIndex::new,
-            |idx| {
+            |mut idx| {
                 for k in 0..4_096i64 {
                     idx.insert(k, RowId(k as u32));
                 }
@@ -26,7 +26,7 @@ fn bench_btree(c: &mut Criterion) {
         // A fixed pseudo-random permutation (LCG) of 4096 keys.
         b.iter_batched(
             OrderedIndex::new,
-            |idx| {
+            |mut idx| {
                 let mut k = 1u64;
                 for _ in 0..4_096 {
                     k = k.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
@@ -38,7 +38,7 @@ fn bench_btree(c: &mut Criterion) {
         );
     });
 
-    let idx = OrderedIndex::new();
+    let mut idx = OrderedIndex::new();
     for k in 0..100_000i64 {
         idx.insert(k * 2, RowId(k as u32));
     }

@@ -4,6 +4,8 @@
 //! serving tick's host work
 //! around the kernels: the WAL append (`wal`) and routing (`route`).
 
+use std::cell::RefCell;
+
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ltpg::{DurabilityManager, LtpgConfig, ServerConfig, Topology};
 use ltpg_shard::{ycsb_partitioner, Router, ShardedServer};
@@ -14,7 +16,7 @@ use ltpg_workloads::tpcc::{order_key, orderline_key};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 fn bench_index(c: &mut Criterion) {
-    let idx = PrimaryIndex::with_capacity(100_000);
+    let mut idx = PrimaryIndex::with_capacity(100_000);
     for k in 0..100_000i64 {
         idx.insert(k, RowId(k as u32)).unwrap();
     }
@@ -40,7 +42,7 @@ fn bench_speculate(c: &mut Criterion) {
     let mut db = Database::new();
     let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(10_000).build());
     for k in 0..10_000 {
-        db.table(t).insert(k, &[k, 0]).unwrap();
+        db.table_mut(t).insert(k, &[k, 0]).unwrap();
     }
     let txn = Txn::new(
         ProcId(0),
@@ -96,25 +98,25 @@ fn bench_images(c: &mut Criterion) {
         .with_ordered(),
     );
     order_line_db.reserve(order_line_id, 600_000);
-    let order_line = order_line_db.table(order_line_id);
     let lines = |o: i64| {
         let order = order_key(1 + o % 8, 1 + o % 10, o);
         (1..=10).map(move |ol| (orderline_key(order, ol), [o, 1, 5, o * ol, 0]))
     };
-    let insert_order = |o: i64| {
+    let insert_order = |order_line: &mut Table, o: i64| {
         for (key, row) in lines(o) {
             order_line.insert(key, &row).unwrap();
         }
     };
-    let delete_order = |o: i64| {
+    let delete_order = |order_line: &mut Table, o: i64| {
         for (key, _) in lines(o) {
             order_line.delete(key).unwrap();
         }
     };
+    let order_line = order_line_db.table_mut(order_line_id);
     for o in 0..30_000i64 {
-        insert_order(o);
+        insert_order(order_line, o);
         if o % 10 == 0 {
-            delete_order(o);
+            delete_order(order_line, o);
         }
     }
 
@@ -122,7 +124,7 @@ fn bench_images(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("ycsb_1m_x4", |b| b.iter(|| black_box(ycsb.deep_clone())));
     group.bench_function("tpcc_order_line_300k_ordered", |b| {
-        b.iter(|| black_box(order_line.deep_clone()))
+        b.iter(|| black_box(order_line_db.table(order_line_id).deep_clone()))
     });
     group.finish();
 
@@ -145,18 +147,22 @@ fn bench_images(c: &mut Criterion) {
     group.bench_function("ycsb_1m_x4_fresh", |b| b.iter(|| black_box(Image::of(&ycsb))));
     let mut image = Image::of(&ycsb);
     group.bench_function("reindex", |b| b.iter(|| black_box(image.to_database())));
+    // The writes between refreshes borrow the database mutably, the
+    // refresh shares it.
+    let ycsb = RefCell::new(ycsb);
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     group.bench_function("ycsb_1m_x4_delta_4pct", |b| {
         b.iter_batched(
             || {
+                let mut ycsb = ycsb.borrow_mut();
                 for _ in 0..40_000 {
                     rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                     let rid = RowId(((rng >> 33) % 1_000_000) as u32);
-                    ycsb.table(usertable).set(rid, ColId((rng >> 20) as u16 % 4), rng as i64);
+                    ycsb.table_mut(usertable).set(rid, ColId((rng >> 20) as u16 % 4), rng as i64);
                 }
             },
             |()| {
-                let copied = image.refresh_from(black_box(&ycsb));
+                let copied = image.refresh_from(black_box(&ycsb.borrow()));
                 assert!(!copied.full && copied.rows > 39_000 && copied.rows <= 40_000);
             },
             BatchSize::PerIteration,
@@ -166,20 +172,23 @@ fn bench_images(c: &mut Criterion) {
     // thirty of the period before. The headroom holds 100 periods; the
     // harness takes a warm-up and ten samples.
     let mut image = Image::of(&order_line_db);
+    let order_line_db = RefCell::new(order_line_db);
     let mut next_order = 30_000i64;
     group.bench_function("tpcc_order_line_300k_delta", |b| {
         b.iter_batched(
             || {
+                let mut db = order_line_db.borrow_mut();
+                let order_line = db.table_mut(order_line_id);
                 for o in next_order..next_order + 300 {
-                    insert_order(o);
+                    insert_order(order_line, o);
                     if o % 10 == 5 {
-                        delete_order(o - 300);
+                        delete_order(order_line, o - 300);
                     }
                 }
                 next_order += 300;
             },
             |()| {
-                let copied = image.refresh_from(black_box(&order_line_db));
+                let copied = image.refresh_from(black_box(&order_line_db.borrow()));
                 assert!(!copied.full && copied.rows == 3_300);
             },
             BatchSize::PerIteration,

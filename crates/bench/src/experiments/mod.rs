@@ -33,7 +33,12 @@ const fn paper(name: &'static str, about: &'static str, run: fn(Scale) -> Record
 
 /// Every experiment, in the order `ltpg-bench all` runs them.
 pub static EXPERIMENTS: [Experiment; 17] = [
-    paper("table2", "Table II: TPC-C throughput of all nine systems", paper::table2),
+    Experiment {
+        name: "table2",
+        about: "Table II: TPC-C throughput of all nine systems",
+        run: paper::table2,
+        check: Some(paper::check_table2),
+    },
     paper("table3", "Table III: LTPG throughput vs batch size", paper::table3),
     paper("table4", "Table IV: batch and transfer latency, LTPG vs GaccO", paper::table4),
     paper("table5", "Table V: read/write-set copy overhead", paper::table5),

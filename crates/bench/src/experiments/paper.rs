@@ -10,7 +10,7 @@ use ltpg_txn::{Batch, TidGen};
 use ltpg_workloads::tpcc::{TpccTables, PROC_NEWORDER, PROC_PAYMENT};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
-use crate::record::{row, Record, Scale};
+use crate::record::{ensure, row, Record, Scale};
 use crate::{build_tpcc_engine, latency_us, ltpg_tpcc_config, run_stream, RunOutcome, SystemKind};
 
 /// NewOrder percentages of the TPC-C mixes, in the paper's column order.
@@ -70,6 +70,42 @@ pub fn table2(scale: Scale) -> Record {
         }
     }
     rec
+}
+
+/// The systems the paper's own Table II puts above LTPG in the all-Payment
+/// mix, where the work is commutative adds to hot rows (EXPERIMENTS.md,
+/// Table II): Bamboo's early release and GaccO's exchange fast path.
+const PAYMENT_LEADERS: [&str; 2] = ["Bamboo", "GaccO"];
+
+/// Table II's invariant, the paper's shape: in every (NewOrder share,
+/// warehouses) cell LTPG has the highest throughput of the nine systems,
+/// except that in the all-Payment mix [`PAYMENT_LEADERS`] may pass it.
+pub fn check_table2(rec: &Record) -> Result<(), String> {
+    rec.require_columns("system neworder_pct warehouses mtps")?;
+    let cell = |r: &crate::record::Row<'_>| Ok::<_, String>((r.num("neworder_pct")?, r.num("warehouses")?));
+    let mut cells = Vec::new();
+    for r in rec.rows() {
+        let at = cell(&r)?;
+        if !cells.contains(&at) {
+            cells.push(at);
+        }
+    }
+    for (pct, w) in cells {
+        let rows: Vec<_> = rec.rows().filter(|r| cell(r) == Ok((pct, w))).collect();
+        let ltpg = rows.iter().find(|r| r.text("system") == Ok("LTPG"));
+        let ltpg = ltpg.ok_or(format!("{pct}% NewOrder, {w} warehouses: no LTPG row"))?.num("mtps")?;
+        for r in rows.iter().filter(|r| r.text("system") != Ok("LTPG")) {
+            let (system, mtps) = (r.text("system")?, r.num("mtps")?);
+            if pct == 0.0 && PAYMENT_LEADERS.contains(&system) {
+                continue;
+            }
+            ensure!(
+                mtps < ltpg,
+                "{pct}% NewOrder, {w} warehouses: {system} at {mtps:.3} Mtxn/s is not behind LTPG at {ltpg:.3}"
+            );
+        }
+    }
+    Ok(())
 }
 
 /// **Table III** — LTPG processing capability: throughput (10⁶ TXs/s) as
@@ -508,4 +544,25 @@ pub fn timing_probe(scale: Scale) -> Record {
         }
     }
     rec
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed Table II passes; LTPG falling behind one system in
+    /// one cell, or missing from one, fails, and so does Bamboo passing it
+    /// in a mix with NewOrder.
+    #[test]
+    fn check_table2_holds_ltpg_ahead_in_every_cell() {
+        let good = Record::parse(include_str!("../../../../results/table2.json")).unwrap();
+        check_table2(&good).expect("the committed record passes");
+        let ltpg = good.rows().position(|r| r.text("system") == Ok("LTPG")).unwrap();
+        let bamboo = good.rows().position(|r| r.text("system") == Ok("Bamboo")).unwrap();
+        assert_eq!(good.rows().nth(bamboo).unwrap().num("neworder_pct"), Ok(50.0));
+        assert!(check_table2(&good.with("mtps", ltpg, 0.01)).is_err());
+        assert!(check_table2(&good.with("mtps", bamboo, 1_000.0)).is_err());
+        assert!(check_table2(&good.with("system", ltpg, "renamed")).is_err());
+        assert!(check_table2(&good.without_column("mtps")).is_err());
+    }
 }

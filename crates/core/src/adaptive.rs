@@ -390,12 +390,12 @@ impl BatchEngine for AdaptiveEngine {
                 report
             }
             EngineChoice::BlockStm => {
-                let report = self.blockstm.execute(self.ltpg.database(), batch);
+                let report = self.blockstm.execute(self.ltpg.database_mut(), batch);
                 fb.deferral_frac = self.blockstm.last_stats().deferral_frac();
                 report
             }
             EngineChoice::AddrGraph => {
-                let report = self.addrgraph.execute(self.ltpg.database(), batch);
+                let report = self.addrgraph.execute(self.ltpg.database_mut(), batch);
                 fb.depth_frac = self.addrgraph.last_stats().depth_frac();
                 report
             }
@@ -443,7 +443,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(4096).build());
         for k in 0..1024 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }

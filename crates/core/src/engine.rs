@@ -30,8 +30,8 @@ use ltpg_gpu_sim::{Device, DeviceError, PreSlots, SimAtomicU32};
 use ltpg_storage::{ColId, Database, TableError, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::exec::{
-    execute_speculative, execute_speculative_on, touch_point_rows, CellStore, Mutation, ReadAccess,
-    TxnEffects,
+    self, execute_speculative, execute_speculative_on, touch_point_rows, CellStore, Mutation,
+    ReadAccess, TxnEffects,
 };
 use ltpg_txn::group::{arrival_order, order_by_proc};
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
@@ -302,41 +302,25 @@ impl DelayedFold {
     }
 }
 
-/// Apply one committed mutation to `db`: the write-back step shared by
-/// the engine's kernel and the CPU twin.
-pub(crate) fn apply_mutation(db: &Database, m: &Mutation) {
-    match m {
-        Mutation::Update { table, key, col, value } => {
-            let t = db.table(*table);
-            if let Some(rid) = t.lookup(*key) {
-                t.set(rid, *col, *value);
-            }
+/// Apply one committed mutation to `db` ([`exec::apply_mutation`]): the
+/// write-back step shared by the engine's kernel and the CPU twin.
+pub(crate) fn write_back(db: &mut Database, m: &Mutation) {
+    let (table, key) = m.row();
+    match exec::apply_mutation(db, m) {
+        Ok(()) => {}
+        // Invariant: two committed inserts of one key would be a WAW
+        // pair, and WAW always aborts the younger — a duplicate here
+        // means the conflict log itself is broken, not the input.
+        Err(TableError::Duplicate(_)) => {
+            unreachable!("committed duplicate insert: WAW detection failed for key {key}")
         }
-        Mutation::Add { table, key, col, delta } => {
-            let t = db.table(*table);
-            if let Some(rid) = t.lookup(*key) {
-                t.add(rid, *col, *delta);
-            }
-        }
-        Mutation::Insert { table, key, values } => match db.table(*table).insert(*key, values) {
-            Ok(_) => {}
-            // Invariant: two committed inserts of one key would be a WAW
-            // pair, and WAW always aborts the younger — a duplicate here
-            // means the conflict log itself is broken, not the input.
-            Err(TableError::Duplicate(_)) => {
-                unreachable!("committed duplicate insert: WAW detection failed for key {key}")
-            }
-            // Invariant: the schema's modelled capacity
-            // (TableBuilder::capacity) covers the workload's maximum insert
-            // headroom, and the index was reserved for this batch's inserts
-            // before the write-back; running out mid-writeback is a sizing
-            // bug, and there is no transactional way to un-commit here.
-            Err(TableError::Full) => {
-                panic!("table {} out of insert headroom", db.table(*table).schema().name)
-            }
-        },
-        Mutation::Delete { table, key } => {
-            db.table(*table).delete(*key);
+        // Invariant: the schema's modelled capacity
+        // (TableBuilder::capacity) covers the workload's maximum insert
+        // headroom, and the index was reserved for this batch's inserts
+        // before the write-back; running out mid-writeback is a sizing
+        // bug, and there is no transactional way to un-commit here.
+        Err(TableError::Full) => {
+            panic!("table {} out of insert headroom", db.table(table).schema().name)
         }
     }
 }
@@ -590,6 +574,11 @@ impl LtpgEngine {
     /// Consume the engine, returning the final database.
     pub fn into_database(self) -> Database {
         self.db
+    }
+
+    /// The database, to write it outside a batch of this engine's.
+    pub(crate) fn database_mut(&mut self) -> &mut Database {
+        &mut self.db
     }
 
     /// Execute one batch and return the report with the full phase
@@ -920,7 +909,7 @@ impl LtpgEngine {
                     }
                     Mutation::Delete { .. } => lane.write_global(1),
                 }
-                apply_mutation(&self.db, m);
+                write_back(&mut self.db, m);
             }
         });
         stats.writeback_ns = wb_report.sim_ns;
@@ -970,7 +959,7 @@ impl LtpgEngine {
                 if is_last {
                     lane.read_global_random(1);
                     lane.write_global(1);
-                    let table = self.db.table(*t);
+                    let table = self.db.table_mut(*t);
                     if let Some(rid) = table.lookup(*k) {
                         table.add(rid, *c, *sum);
                     }
@@ -1172,7 +1161,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         for k in 0..100 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         (db, t)
     }
@@ -1475,7 +1464,7 @@ mod tests {
             .with_ordered(),
         );
         for k in 0..10 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         let scanner = Txn::new(
             ProcId(0),
@@ -1514,7 +1503,7 @@ mod tests {
             .with_ordered(),
         );
         for k in 0..10 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         let inserter = Txn::new(
             ProcId(1),
@@ -1546,7 +1535,7 @@ mod tests {
             ltpg_storage::TableBuilder::new("T").columns(["a", "b"]).capacity(1024).build(),
         );
         for k in 0..600 {
-            db.table(t).insert(k, &[k, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         // Log sized for ~4*2 accesses: 128 buckets.
         let cfg =

@@ -280,7 +280,7 @@ impl FaultInjector {
     /// frame is drawn among the frames the image holds, retired ones never.
     /// Damage that cannot land — a frame index beyond them, a tear longer
     /// than the image — is clamped, never an error.
-    pub fn damage_wal(&self, log: &BatchLog) -> WalDamageReport {
+    pub fn damage_wal(&self, log: &mut BatchLog) -> WalDamageReport {
         let mut report = WalDamageReport::default();
         for d in &self.plan.wal {
             match *d {
@@ -362,13 +362,13 @@ mod tests {
         assert!(p.is_quiet());
         let inj = FaultInjector::new(p);
         assert!(!inj.should_kill_after_batch(0));
-        let log = BatchLog::new();
-        assert_eq!(inj.damage_wal(&log), WalDamageReport::default());
+        let mut log = BatchLog::new();
+        assert_eq!(inj.damage_wal(&mut log), WalDamageReport::default());
     }
 
     #[test]
     fn damage_clamps_to_log_contents() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[1, 2], b"payload");
         let inj = FaultInjector::new(FaultPlan {
             seed: 0,
@@ -381,7 +381,7 @@ mod tests {
             replica: ReplicaChaos::none(),
         });
         let image_len = log.disk_len() as u64;
-        let report = inj.damage_wal(&log);
+        let report = inj.damage_wal(&mut log);
         assert_eq!(report.frames_corrupted, 1, "frame index wraps into range");
         assert_eq!(report.bytes_torn, image_len, "a tear longer than the image drops all of it");
         assert_eq!(log.disk_len(), 0);
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn corruption_lands_on_a_retained_frame() {
         for frame_index in 0..6 {
-            let log = BatchLog::new();
+            let mut log = BatchLog::new();
             for i in 0..5u64 {
                 log.append(&[i], b"payload");
             }
@@ -401,7 +401,7 @@ mod tests {
                 wal: vec![WalDamage::CorruptFrame { frame_index, xor: 0x01 }],
                 ..FaultPlan::quiet(0)
             });
-            assert_eq!(inj.damage_wal(&log).frames_corrupted, 1);
+            assert_eq!(inj.damage_wal(&mut log).frames_corrupted, 1);
             let hit = 3 + frame_index % 2;
             assert!(log.frame(hit).unwrap().decode().is_err(), "draw {frame_index}");
             assert!(log.frame(7 - hit).unwrap().decode().is_ok(), "draw {frame_index}");

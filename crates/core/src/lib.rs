@@ -52,7 +52,7 @@
 //!
 //! let mut db = Database::new();
 //! let t = db.add_table(TableBuilder::new("T").column("v").capacity(16).build());
-//! db.table(t).insert(1, &[10]).unwrap();
+//! db.table_mut(t).insert(1, &[10]).unwrap();
 //!
 //! let mut engine = LtpgEngine::new(db, LtpgConfig::default());
 //! let mut tids = TidGen::new();

@@ -167,7 +167,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").column("v").capacity(64).build());
         for k in 0..8 {
-            db.table(t).insert(k, &[0]).unwrap();
+            db.table_mut(t).insert(k, &[0]).unwrap();
         }
         let engine = LtpgEngine::new(db, LtpgConfig::default());
         let mut i = 0i64;

@@ -187,9 +187,14 @@ impl DurabilityManager {
         self.log.len()
     }
 
-    /// The underlying write-ahead log (inspection, fault injection).
+    /// The underlying write-ahead log (inspection).
     pub fn log(&self) -> &BatchLog {
         &self.log
+    }
+
+    /// The underlying write-ahead log, to damage it (fault injection).
+    pub fn log_mut(&mut self) -> &mut BatchLog {
+        &mut self.log
     }
 
     /// Id of the first batch *not* covered by the current checkpoint.
@@ -225,7 +230,7 @@ impl DurabilityManager {
     /// dropped. Fails (without modifying anything) if a complete frame is
     /// corrupt — truncating *that* would silently lose acknowledged
     /// batches.
-    pub fn repair_wal(&self) -> Result<usize, FrameError> {
+    pub fn repair_wal(&mut self) -> Result<usize, FrameError> {
         self.log.truncate_torn_tail()
     }
 }
@@ -340,7 +345,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
         for k in 0..12 {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         (db, t)
     }
@@ -418,9 +423,9 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_reported() {
-        let (dur, _engine) = run_logged(4, 12);
+        let (mut dur, _engine) = run_logged(4, 12);
         let torn = 5;
-        assert_eq!(dur.log().tear_tail(torn), torn);
+        assert_eq!(dur.log_mut().tear_tail(torn), torn);
         let outcome = dur.recover(LtpgConfig::default()).unwrap();
         assert!(outcome.stats.torn_tail);
         assert_eq!(outcome.stats.frames_replayed, 3, "the torn 4th frame is dropped");
@@ -445,15 +450,15 @@ mod tests {
                 reference.execute_batch(&batch);
             }
         }
-        dur.log().tear_tail(3);
+        dur.log_mut().tear_tail(3);
         let recovered = dur.recover(LtpgConfig::default()).unwrap().db;
         assert_eq!(recovered.state_digest(), reference.database().state_digest());
     }
 
     #[test]
     fn corrupt_frame_is_a_typed_error_never_a_panic() {
-        let (dur, _engine) = run_logged(3, 10);
-        assert!(dur.log().corrupt_frame(1, 0x40));
+        let (mut dur, _engine) = run_logged(3, 10);
+        assert!(dur.log_mut().corrupt_frame(1, 0x40));
         match dur.recover(LtpgConfig::default()) {
             Err(RecoveryError::Frame(FrameError::ChecksumMismatch { frame_index, .. })) => {
                 assert_eq!(frame_index, 1);
@@ -481,13 +486,13 @@ mod tests {
 
     #[test]
     fn repair_wal_drops_the_tail_and_rejects_mid_log_corruption() {
-        let (dur, _engine) = run_logged(3, 10);
-        dur.log().tear_tail(2);
+        let (mut dur, _engine) = run_logged(3, 10);
+        dur.log_mut().tear_tail(2);
         assert_eq!(dur.repair_wal().unwrap(), dur_tail_len(), "whole torn frame dropped");
         assert_eq!(dur.repair_wal().unwrap(), 0, "repair is idempotent");
 
-        let (dur2, _engine2) = run_logged(3, 10);
-        dur2.log().corrupt_frame(0, 0x01);
+        let (mut dur2, _engine2) = run_logged(3, 10);
+        dur2.log_mut().corrupt_frame(0, 0x01);
         assert!(dur2.repair_wal().is_err(), "complete-frame corruption is not repairable");
     }
 

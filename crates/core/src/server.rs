@@ -428,6 +428,11 @@ impl Server<OneDevice> {
         &self.shards.durability[0]
     }
 
+    /// The durability manager, to damage its log (fault injection).
+    pub fn durability_mut(&mut self) -> &mut DurabilityManager {
+        &mut self.shards.durability[0]
+    }
+
     /// Arm a deterministic device-fault schedule (testing / chaos drills).
     /// No-op when already degraded to the CPU executor.
     pub fn arm_faults(&self, plan: DeviceFaultPlan) {
@@ -975,7 +980,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
         for k in 0..keys {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         let txns = (0..n as i64)
             .map(|i| {

@@ -33,8 +33,8 @@ use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
 use crate::config::LtpgConfig;
 use crate::engine::{
-    apply_mutation, commit_decision, flag, reserve_inserts, scope_owns, scope_owns_row,
-    stage_effects, DelayedFold, ExecScope, ScopedStore, Staged,
+    commit_decision, flag, reserve_inserts, scope_owns, scope_owns_row,
+    stage_effects, write_back, DelayedFold, ExecScope, ScopedStore, Staged,
 };
 use crate::footprint::{self, conflict_flags, Cell, Record};
 
@@ -227,7 +227,7 @@ impl CpuTwin {
             for m in &out.normal {
                 let (mt, mk) = m.row();
                 if owns_row(mt, mk) {
-                    apply_mutation(&self.db, m);
+                    write_back(&mut self.db, m);
                 }
             }
             for &(t, c, k, d) in &out.delayed {
@@ -237,7 +237,7 @@ impl CpuTwin {
             }
         }
         for &((t, c, k), sum, _) in self.delayed.fold() {
-            let table = self.db.table(t);
+            let table = self.db.table_mut(t);
             if let Some(rid) = table.lookup(k) {
                 table.add(rid, c, sum);
             }
@@ -281,7 +281,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
         for k in 0..8 {
-            db.table(t).insert(k, &[10, 0]).unwrap();
+            db.table_mut(t).insert(k, &[10, 0]).unwrap();
         }
         (db, t)
     }

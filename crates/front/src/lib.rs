@@ -380,7 +380,7 @@ mod tests {
         let t = db.add_table(TableBuilder::new("T").columns(["a"]).capacity(1024).build());
         assert_eq!(t, T);
         for k in 0..keys {
-            db.table(T).insert(k, &[k]).unwrap();
+            db.table_mut(T).insert(k, &[k]).unwrap();
         }
         db
     }

@@ -123,7 +123,7 @@ impl QaCase {
             };
             let id = db.add_built_table(table);
             for (key, vals) in &spec.rows {
-                db.table(id).insert(*key, vals).expect("seed row insert");
+                db.table_mut(id).insert(*key, vals).expect("seed row insert");
             }
         }
         db

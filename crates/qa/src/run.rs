@@ -471,7 +471,7 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
 /// sequence must satisfy the ordered-serializability oracle, and the final
 /// digests of all three paths must be bit-identical.
 fn scheduler_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
-    let serial = case.build_database();
+    let mut serial = case.build_database();
     let mut bstm = BlockStmEngine::new(serial.deep_clone());
     let mut agraph = AddrGraphEngine::new(serial.deep_clone());
     let mut tidgen = TidGen::new();
@@ -480,7 +480,7 @@ fn scheduler_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Diverg
         let batch = Batch::assemble(Vec::new(), chunk.to_vec(), &mut tidgen);
         let mut serial_committed: Vec<Tid> = Vec::new();
         for txn in &batch.txns {
-            if execute_serial(&serial, txn).is_ok() {
+            if execute_serial(&mut serial, txn).is_ok() {
                 serial_committed.push(txn.tid);
             }
         }

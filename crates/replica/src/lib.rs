@@ -62,7 +62,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
         for k in 0..keys {
-            db.table(t).insert(k, &[0, 0]).unwrap();
+            db.table_mut(t).insert(k, &[0, 0]).unwrap();
         }
         let txns = (0..n as i64)
             .map(|i| {

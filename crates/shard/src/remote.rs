@@ -96,7 +96,7 @@ mod tests {
         );
         assert_eq!(t, T);
         for &k in keys {
-            db.table(T).insert(k, &[k * 10]).unwrap();
+            db.table_mut(T).insert(k, &[k * 10]).unwrap();
         }
         db
     }

@@ -430,7 +430,7 @@ mod tests {
         let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
         assert_eq!(t, T);
         for k in 0..keys {
-            db.table(T).insert(k, &[k, 0]).unwrap();
+            db.table_mut(T).insert(k, &[k, 0]).unwrap();
         }
         let txns = (0..n as i64)
             .map(|i| {
@@ -574,7 +574,7 @@ mod tests {
         );
         assert_eq!(t, T);
         for k in 0..24 {
-            db.table(T).insert(k, &[k]).unwrap();
+            db.table_mut(T).insert(k, &[k]).unwrap();
         }
         let txns: Vec<Txn> = (0..40i64)
             .map(|i| {

@@ -4,10 +4,10 @@
 //! readily extended to support range queries, by integrating indexing,
 //! such as B-trees" (§VI-A, future work). This module provides that
 //! extension: a classic arena-allocated B+tree (leaves linked for range
-//! scans) behind an `RwLock`. Readers take the read lock and writers the
-//! write lock, one insert at a time; batch engines scan only in the execute
-//! phase and write only in write-back, so neither waits in practice. A
-//! table bulk-loads its tree from sorted keys on its first range scan
+//! scans). Reads take `&`, inserts and removals `&mut`: batch engines scan
+//! only in the execute phase and write only in write-back, so the borrow
+//! that ends one phase is what orders it before the next. A table
+//! bulk-loads its tree from sorted keys on its first range scan
 //! ([`OrderedIndex::from_sorted`]). Deletion is lazy: nothing is
 //! rebalanced, so nodes may underfill; lookups and scans stay correct.
 //!
@@ -17,8 +17,6 @@
 //! is checked by `validate()` under test.
 
 use std::ops::Range;
-
-use parking_lot::RwLock;
 
 use crate::table::RowId;
 
@@ -40,25 +38,29 @@ enum Node {
     },
 }
 
+/// An ordered index: `i64` key → [`RowId`], in key order.
 #[derive(Debug)]
-struct Tree {
+pub struct OrderedIndex {
     arena: Vec<Node>,
     root: usize,
     len: usize,
 }
 
-impl Tree {
-    fn new() -> Self {
-        Tree { arena: vec![Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None }], root: 0, len: 0 }
+impl OrderedIndex {
+    /// Create an empty index.
+    pub fn new() -> Self {
+        OrderedIndex { arena: vec![Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None }], root: 0, len: 0 }
     }
 
-    /// A tree holding `pairs`, whose keys strictly ascend, built bottom up:
-    /// leaves of up to `B` keys linked in order, then levels of internal
+    /// An index holding `pairs` (sorted by key, each key once), bulk-loaded
+    /// with every node full: half the leaves of one grown by ascending
+    /// inserts, as TPC-C's order keys arrive within a district. Built bottom
+    /// up: leaves of up to `B` keys linked in order, then levels of internal
     /// nodes of up to `B + 1` children until one node is left, the root.
-    fn from_sorted(pairs: &[(i64, RowId)]) -> Self {
+    pub fn from_sorted(pairs: &[(i64, RowId)]) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "bulk load needs ascending keys");
         if pairs.is_empty() {
-            return Tree::new();
+            return OrderedIndex::new();
         }
         let leaves = even_runs(pairs.len(), B);
         let count = leaves.len();
@@ -87,7 +89,7 @@ impl Tree {
             }
             level = above;
         }
-        Tree { arena, root: level[0].0, len: pairs.len() }
+        OrderedIndex { arena, root: level[0].0, len: pairs.len() }
     }
 
     /// Descend to the leaf that should hold `key`, telling `visit` each
@@ -111,7 +113,8 @@ impl Tree {
         self.descend(key, |_, _| {})
     }
 
-    fn insert(&mut self, key: i64, val: RowId) -> Option<RowId> {
+    /// Insert `key → val`; returns the previous mapping if present.
+    pub fn insert(&mut self, key: i64, val: RowId) -> Option<RowId> {
         let leaf_idx = self.find_leaf(key);
         // Insert into the leaf.
         let (split_key, new_node) = {
@@ -189,13 +192,15 @@ impl Tree {
         }
     }
 
-    fn get(&self, key: i64) -> Option<RowId> {
+    /// Point lookup.
+    pub fn get(&self, key: i64) -> Option<RowId> {
         let leaf = self.find_leaf(key);
         let Node::Leaf { keys, vals, .. } = &self.arena[leaf] else { unreachable!() };
         keys.binary_search(&key).ok().map(|i| vals[i])
     }
 
-    fn remove(&mut self, key: i64) -> Option<RowId> {
+    /// Remove `key`; returns the removed mapping.
+    pub fn remove(&mut self, key: i64) -> Option<RowId> {
         // Lazy deletion (module docs): the leaf may underfill.
         let leaf = self.find_leaf(key);
         let Node::Leaf { keys, vals, .. } = &mut self.arena[leaf] else { unreachable!() };
@@ -210,27 +215,39 @@ impl Tree {
         }
     }
 
-    /// Visit `(key, rid)` pairs in `[lo, hi)` in key order.
-    fn range(&self, lo: i64, hi: i64, out: &mut Vec<(i64, RowId)>) {
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// All `(key, rid)` pairs with `lo <= key < hi`, in key order.
+    pub fn range(&self, lo: i64, hi: i64) -> Vec<(i64, RowId)> {
+        let mut out = Vec::new();
         let mut leaf = self.find_leaf(lo);
         loop {
             let Node::Leaf { keys, vals, next } = &self.arena[leaf] else { unreachable!() };
             let start = keys.partition_point(|&k| k < lo);
             for i in start..keys.len() {
                 if keys[i] >= hi {
-                    return;
+                    return out;
                 }
                 out.push((keys[i], vals[i]));
             }
             match next {
                 Some(n) => leaf = *n,
-                None => return,
+                None => return out,
             }
         }
     }
 
-    /// First `(key, rid)` with `key >= lo`.
-    fn first_at_or_after(&self, lo: i64) -> Option<(i64, RowId)> {
+    /// The smallest entry with `key >= lo` (TPC-C Delivery's
+    /// "oldest undelivered order" probe).
+    pub fn first_at_or_after(&self, lo: i64) -> Option<(i64, RowId)> {
         let mut leaf = self.find_leaf(lo);
         loop {
             let Node::Leaf { keys, vals, next } = &self.arena[leaf] else { unreachable!() };
@@ -249,7 +266,7 @@ impl Tree {
     /// separation, leaf chain ordering.
     #[cfg(test)]
     fn validate(&self) {
-        fn check(tree: &Tree, node: usize, lo: Option<i64>, hi: Option<i64>) -> usize {
+        fn check(tree: &OrderedIndex, node: usize, lo: Option<i64>, hi: Option<i64>) -> usize {
             match &tree.arena[node] {
                 Node::Leaf { keys, vals, .. } => {
                     assert_eq!(keys.len(), vals.len());
@@ -284,64 +301,6 @@ fn even_runs(len: usize, cap: usize) -> impl ExactSizeIterator<Item = Range<usiz
     (0..n).map(move |i| i * len / n..(i + 1) * len / n)
 }
 
-/// A concurrent ordered index: the B+tree behind an `RwLock`.
-#[derive(Debug)]
-pub struct OrderedIndex {
-    tree: RwLock<Tree>,
-}
-
-impl OrderedIndex {
-    /// Create an empty index.
-    pub fn new() -> Self {
-        OrderedIndex { tree: RwLock::new(Tree::new()) }
-    }
-
-    /// An index holding `pairs` (sorted by key, each key once), bulk-loaded
-    /// with every node full: half the leaves of one grown by ascending
-    /// inserts, as TPC-C's order keys arrive within a district.
-    pub fn from_sorted(pairs: &[(i64, RowId)]) -> Self {
-        OrderedIndex { tree: RwLock::new(Tree::from_sorted(pairs)) }
-    }
-
-    /// Insert `key → rid`; returns the previous mapping if present.
-    pub fn insert(&self, key: i64, rid: RowId) -> Option<RowId> {
-        self.tree.write().insert(key, rid)
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: i64) -> Option<RowId> {
-        self.tree.read().get(key)
-    }
-
-    /// Remove `key`; returns the removed mapping.
-    pub fn remove(&self, key: i64) -> Option<RowId> {
-        self.tree.write().remove(key)
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.tree.read().len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All `(key, rid)` pairs with `lo <= key < hi`, in key order.
-    pub fn range(&self, lo: i64, hi: i64) -> Vec<(i64, RowId)> {
-        let mut out = Vec::new();
-        self.tree.read().range(lo, hi, &mut out);
-        out
-    }
-
-    /// The smallest entry with `key >= lo` (TPC-C Delivery's
-    /// "oldest undelivered order" probe).
-    pub fn first_at_or_after(&self, lo: i64) -> Option<(i64, RowId)> {
-        self.tree.read().first_at_or_after(lo)
-    }
-}
-
 impl Default for OrderedIndex {
     fn default() -> Self {
         Self::new()
@@ -356,11 +315,11 @@ mod tests {
 
     #[test]
     fn insert_get_range_roundtrip() {
-        let idx = OrderedIndex::new();
+        let mut idx = OrderedIndex::new();
         for k in (0..1_000).rev() {
             assert_eq!(idx.insert(k, RowId(k as u32)), None);
         }
-        idx.tree.read().validate();
+        idx.validate();
         assert_eq!(idx.len(), 1_000);
         assert_eq!(idx.get(437), Some(RowId(437)));
         assert_eq!(idx.get(10_000), None);
@@ -372,7 +331,7 @@ mod tests {
 
     #[test]
     fn duplicate_insert_replaces() {
-        let idx = OrderedIndex::new();
+        let mut idx = OrderedIndex::new();
         assert_eq!(idx.insert(5, RowId(1)), None);
         assert_eq!(idx.insert(5, RowId(2)), Some(RowId(1)));
         assert_eq!(idx.get(5), Some(RowId(2)));
@@ -381,7 +340,7 @@ mod tests {
 
     #[test]
     fn remove_and_first_at_or_after() {
-        let idx = OrderedIndex::new();
+        let mut idx = OrderedIndex::new();
         for k in [10, 20, 30, 40] {
             idx.insert(k, RowId(k as u32));
         }
@@ -390,16 +349,16 @@ mod tests {
         assert_eq!(idx.remove(20), None);
         assert_eq!(idx.first_at_or_after(15), Some((30, RowId(30))));
         assert_eq!(idx.first_at_or_after(45), None);
-        idx.tree.read().validate();
+        idx.validate();
     }
 
     #[test]
     fn range_spans_leaf_boundaries() {
-        let idx = OrderedIndex::new();
+        let mut idx = OrderedIndex::new();
         for k in 0..10_000 {
             idx.insert(k * 2, RowId(k as u32)); // even keys only
         }
-        idx.tree.read().validate();
+        idx.validate();
         let r = idx.range(1_001, 1_101);
         // Even keys in [1001, 1101): 1002..1100 step 2 = 50 keys.
         assert_eq!(r.len(), 50);
@@ -416,11 +375,10 @@ mod tests {
             let pairs: Vec<(i64, RowId)> =
                 (0..n as i64).map(|k| (3 * k - 7, RowId(k as u32))).collect();
             let idx = OrderedIndex::from_sorted(&pairs);
-            let tree = idx.tree.read();
-            tree.validate();
+            idx.validate();
             assert_eq!(idx.len(), n);
             assert_eq!(idx.range(i64::MIN, i64::MAX), pairs, "n = {n}");
-            let leaves = tree.arena.iter().filter(|node| matches!(node, Node::Leaf { .. })).count();
+            let leaves = idx.arena.iter().filter(|node| matches!(node, Node::Leaf { .. })).count();
             assert_eq!(leaves, n.div_ceil(B).max(1), "n = {n}");
         }
     }
@@ -429,7 +387,7 @@ mod tests {
     /// get, `(3, lo, width)` range — to the index and to the model, and
     /// require the same answer from both every time.
     fn follow_model(
-        idx: &OrderedIndex,
+        idx: &mut OrderedIndex,
         model: &mut BTreeMap<i64, RowId>,
         ops: &[(u8, i64, u32)],
     ) {
@@ -475,10 +433,10 @@ mod tests {
         /// interleavings of insert/remove/get/range.
         #[test]
         fn matches_btreemap_model(ops in ops()) {
-            let idx = OrderedIndex::new();
+            let mut idx = OrderedIndex::new();
             let mut model: BTreeMap<i64, RowId> = BTreeMap::new();
-            follow_model(&idx, &mut model, &ops);
-            idx.tree.read().validate();
+            follow_model(&mut idx, &mut model, &ops);
+            idx.validate();
             prop_assert_eq!(idx.len(), model.len());
         }
 
@@ -488,12 +446,12 @@ mod tests {
         #[test]
         fn a_bulk_loaded_tree_matches_btreemap_model(before in ops(), after in ops()) {
             let mut model: BTreeMap<i64, RowId> = BTreeMap::new();
-            follow_model(&OrderedIndex::new(), &mut model, &before);
+            follow_model(&mut OrderedIndex::new(), &mut model, &before);
             let pairs: Vec<(i64, RowId)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-            let idx = OrderedIndex::from_sorted(&pairs);
-            idx.tree.read().validate();
-            follow_model(&idx, &mut model, &after);
-            idx.tree.read().validate();
+            let mut idx = OrderedIndex::from_sorted(&pairs);
+            idx.validate();
+            follow_model(&mut idx, &mut model, &after);
+            idx.validate();
             prop_assert_eq!(idx.len(), model.len());
         }
     }

@@ -39,6 +39,12 @@ impl Database {
         &self.tables[usize::from(id.0)]
     }
 
+    /// Access a table to write it.
+    #[inline]
+    pub fn table_mut(&mut self, id: TableId) -> &mut Table {
+        &mut self.tables[usize::from(id.0)]
+    }
+
     /// Make room in table `id`'s primary index for `n` more inserts
     /// ([`Table::reserve`]).
     pub fn reserve(&mut self, id: TableId, n: usize) {
@@ -153,31 +159,31 @@ mod tests {
 
     #[test]
     fn digest_covers_all_tables() {
-        let (db, a, b) = two_table_db();
-        db.table(a).insert(1, &[5]).unwrap();
+        let (mut db, a, b) = two_table_db();
+        db.table_mut(a).insert(1, &[5]).unwrap();
         let d1 = db.state_digest();
-        db.table(b).insert(1, &[5, 6]).unwrap();
+        db.table_mut(b).insert(1, &[5, 6]).unwrap();
         let d2 = db.state_digest();
         assert_ne!(d1, d2);
     }
 
     #[test]
     fn deep_clone_matches_then_diverges() {
-        let (db, a, _) = two_table_db();
-        db.table(a).insert(3, &[30]).unwrap();
-        let clone = db.deep_clone();
+        let (mut db, a, _) = two_table_db();
+        db.table_mut(a).insert(3, &[30]).unwrap();
+        let mut clone = db.deep_clone();
         assert_eq!(db.state_digest(), clone.state_digest());
         let rid = clone.table(a).lookup(3).unwrap();
-        clone.table(a).set(rid, ColId(0), 31);
+        clone.table_mut(a).set(rid, ColId(0), 31);
         assert_ne!(db.state_digest(), clone.state_digest());
     }
 
     #[test]
     fn partition_clone_splits_rows_without_losing_any() {
-        let (db, a, b) = two_table_db();
+        let (mut db, a, b) = two_table_db();
         for k in 1..=6 {
-            db.table(a).insert(k, &[k * 10]).unwrap();
-            db.table(b).insert(k, &[k, -k]).unwrap();
+            db.table_mut(a).insert(k, &[k * 10]).unwrap();
+            db.table_mut(b).insert(k, &[k, -k]).unwrap();
         }
         let even = db.partition_clone(|_, k| k % 2 == 0);
         let odd = db.partition_clone(|_, k| k % 2 != 0);
@@ -226,7 +232,7 @@ mod tests {
                 let mut image = Image::default();
                 for (round, ops) in rounds.iter().enumerate() {
                     for &(t, op, k, v) in ops {
-                        let table = &db.tables[t];
+                        let table = &mut db.tables[t];
                         match (op, table.lookup(k)) {
                             (0, _) => {
                                 let _ = table.insert(k, &vec![v; table.width()]);

@@ -2,10 +2,10 @@
 //! brought up to date.
 //!
 //! A [`DirtyBits`] is one bit per row slot of a [`Table`]. Writers mark
-//! through `&self`; the refresh ([`Image::refresh_from`]) takes the marks
-//! word by word. The bitmaps are host-side bookkeeping: they are not part
-//! of the modelled device footprint ([`Table::bytes`]) and nothing charged
-//! to the simulated clock reads them.
+//! through `&mut`; the refresh ([`Image::refresh_from`]) takes the marks
+//! word by word through `&`. The bitmaps are host-side bookkeeping: they
+//! are not part of the modelled device footprint ([`Table::bytes`]) and
+//! nothing charged to the simulated clock reads them.
 //!
 //! [`Table`]: crate::Table
 //! [`Table::bytes`]: crate::Table::bytes
@@ -17,10 +17,12 @@ use crate::zeroed::zeroed;
 
 /// One dirty bit per slot of some array.
 ///
-/// Every access is `Relaxed`: a bit publishes no other data. It is read only
-/// by a refresh, and a refresh runs at a batch boundary — the barrier that
-/// ends the writing phase is what orders the writers' cell stores (and these
-/// marks) before it.
+/// The words are atomics for one reason: a refresh clears them through a
+/// shared borrow of the table, because a checkpoint images a database it
+/// is handed by `&` (`DurabilityManager::checkpoint(&mut self, &Database)`).
+/// No two threads ever touch one bitmap — a writer marks through `&mut`
+/// with a plain `or`, and a refresh runs between batches — so every access
+/// is a `Relaxed` load or store, never a read-modify-write.
 pub(crate) struct DirtyBits {
     words: Box<[AtomicU64]>,
 }
@@ -32,26 +34,22 @@ impl DirtyBits {
         DirtyBits { words: zeroed(slots.div_ceil(64)) }
     }
 
-    /// Mark `slot` written. The common case — the slot was already written
-    /// this period — is one load of a bitmap small enough to stay cached
-    /// (128 KB per million slots); the read-modify-write happens once per
-    /// slot per period.
+    /// Mark `slot` written.
     #[inline]
-    pub(crate) fn mark(&self, slot: usize) {
-        let (word, bit) = (&self.words[slot / 64], 1u64 << (slot % 64));
-        if word.load(Ordering::Relaxed) & bit == 0 {
-            word.fetch_or(bit, Ordering::Relaxed);
-        }
+    pub(crate) fn mark(&mut self, slot: usize) {
+        *self.words[slot / 64].get_mut() |= 1u64 << (slot % 64);
     }
 
     /// The marked slots, lowest first, each word's marks cleared as the
     /// iterator reaches it.
     pub(crate) fn drain(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, word)| {
-            // The load keeps a clean word's cache line shared: most words
-            // of most periods are clean.
-            let clean = word.load(Ordering::Relaxed) == 0;
-            let mut marks = if clean { 0 } else { word.swap(0, Ordering::Relaxed) };
+            // A clean word is only loaded: most words of most periods are
+            // clean, and their cache lines stay unwritten.
+            let mut marks = word.load(Ordering::Relaxed);
+            if marks != 0 {
+                word.store(0, Ordering::Relaxed);
+            }
             std::iter::from_fn(move || {
                 (marks != 0).then(|| {
                     let bit = marks.trailing_zeros() as usize;
@@ -95,7 +93,7 @@ mod tests {
 
     #[test]
     fn marks_are_drained_once_and_in_slot_order() {
-        let bits = DirtyBits::new(130);
+        let mut bits = DirtyBits::new(130);
         for slot in [129, 3, 64, 3, 0] {
             bits.mark(slot);
         }

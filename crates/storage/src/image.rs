@@ -11,14 +11,12 @@
 //! and the live prefix otherwise. An index growth moves no row: it costs
 //! the next refresh nothing.
 
-use std::sync::atomic::{AtomicI64, Ordering};
-
 use crate::database::Database;
 use crate::dirty::in_groups;
 use crate::index::PrimaryIndex;
 use crate::schema::Schema;
 use crate::table::{copy_prefix, Synced, Table};
-use crate::zeroed::zeroed;
+use crate::zeroed::{copy_to_fresh, zeroed};
 
 /// What one refresh of an image ([`Image::refresh_from`]) copied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,8 +46,7 @@ impl Image {
 
     /// Make `self` an image of `src` as it is now, in the arrays `self`
     /// already owns (an image with another table count starts over), and
-    /// say what that copied. Drains `src`'s marks; take it at a batch
-    /// boundary, as it must not race a writer.
+    /// say what that copied. Drains `src`'s marks.
     pub fn refresh_from(&mut self, src: &Database) -> ImageCopy {
         if self.tables.len() != src.table_count() {
             self.tables = src.iter().map(|_| TableImage::default()).collect();
@@ -86,8 +83,8 @@ impl Image {
 pub(crate) struct TableImage {
     schema: Option<Schema>,
     /// The source's arrays' lengths; zero past `seen.rows`.
-    cells: Box<[AtomicI64]>,
-    keys: Box<[AtomicI64]>,
+    cells: Box<[i64]>,
+    keys: Box<[i64]>,
     /// What the last refresh took of the source. While the source still
     /// has its `sync`, the two differ only in the row slots marked since
     /// and those from its row count up.
@@ -112,11 +109,14 @@ impl TableImage {
     /// larger table stays behind.
     fn copy_all(&mut self, src: &Table, held: usize) -> ImageCopy {
         let ((cells, keys), n, width) = (src.words(), src.len(), src.width());
-        if self.cells.len() != cells.len() || self.keys.len() != keys.len() || held > n {
+        let copy = if self.cells.len() != cells.len() || self.keys.len() != keys.len() || held > n {
             (self.cells, self.keys) = (zeroed(cells.len()), zeroed(keys.len()));
-        }
-        copy_words(&mut self.cells[..n * width], cells);
-        copy_words(&mut self.keys[..n], keys);
+            copy_to_fresh
+        } else {
+            <[i64]>::copy_from_slice
+        };
+        copy(&mut self.cells[..n * width], &cells[..n * width]);
+        copy(&mut self.keys[..n], &keys[..n]);
         self.schema = Some(src.schema().clone());
         ImageCopy { rows: n as u64, full: true }
     }
@@ -137,11 +137,11 @@ impl TableImage {
         let updated = in_groups(marked, |group| {
             copy_cells_of(group, cells, src_cells, width);
             if keys_moved {
-                group.iter().for_each(|&r| copy_words(&mut keys[r..=r], &src_keys[r..]));
+                group.iter().for_each(|&r| keys[r] = src_keys[r]);
             }
         });
-        copy_words(&mut cells[synced * width..n * width], &src_cells[synced * width..]);
-        copy_words(&mut keys[synced..n], &src_keys[synced..]);
+        cells[synced * width..n * width].copy_from_slice(&src_cells[synced * width..n * width]);
+        keys[synced..n].copy_from_slice(&src_keys[synced..n]);
         ImageCopy { rows: updated + (n - synced) as u64, full: false }
     }
 
@@ -156,19 +156,12 @@ impl TableImage {
     }
 }
 
-/// `dst[i] = src[i]` over `dst`'s length.
-fn copy_words(dst: &mut [AtomicI64], src: &[AtomicI64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d.get_mut() = s.load(Ordering::Acquire);
-    }
-}
-
 /// Copy the cells of row slots `rows` of `src`, a table's cells `width`
 /// words a row, into an image's `cells`, in the two passes of
 /// [`in_groups`]: touch, then copy.
-fn copy_cells_of(rows: &[usize], cells: &mut [AtomicI64], src: &[AtomicI64], width: usize) {
-    let touch = |line: Option<&AtomicI64>| {
-        std::hint::black_box(line.map(|cell| cell.load(Ordering::Relaxed)));
+fn copy_cells_of(rows: &[usize], cells: &mut [i64], src: &[i64], width: usize) {
+    let touch = |line: Option<&i64>| {
+        std::hint::black_box(line.copied());
     };
     for &r in rows {
         let at = r * width..(r + 1) * width;
@@ -179,7 +172,7 @@ fn copy_cells_of(rows: &[usize], cells: &mut [AtomicI64], src: &[AtomicI64], wid
     }
     for &r in rows {
         let at = r * width..(r + 1) * width;
-        copy_words(&mut cells[at.clone()], &src[at]);
+        cells[at.clone()].copy_from_slice(&src[at]);
     }
 }
 
@@ -205,7 +198,7 @@ mod tests {
     #[test]
     fn a_full_copy_of_fewer_rows_leaves_no_page_behind() {
         let table = |rows: i64, capacity: usize| {
-            let t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(capacity).build());
+            let mut t = Table::new(TableBuilder::new("T").columns(["a", "b"]).capacity(capacity).build());
             for k in 0..rows {
                 t.insert(k, &[k, k]).unwrap();
             }
@@ -229,9 +222,8 @@ mod tests {
 
     impl TableImage {
         pub(crate) fn bits(&self) -> ImageBits {
-            let words = |x: &[AtomicI64]| x.iter().map(|w| w.load(Ordering::Relaxed)).collect();
             let seen = self.seen;
-            (words(&self.cells), words(&self.keys), seen.rows, seen.index_slots, seen.index_unlaid)
+            (self.cells.to_vec(), self.keys.to_vec(), seen.rows, seen.index_slots, seen.index_unlaid)
         }
     }
 }

@@ -1,11 +1,12 @@
 //! The hash index.
 //!
-//! [`PrimaryIndex`] is a lock-free open-addressing table from `i64` key to
-//! [`RowId`], safe for concurrent inserts and lookups — it is what the
-//! write-back kernel's lanes use when transactions insert rows (TPC-C
-//! NewOrder inserting orders and order lines). Linear probing is used, the
-//! same collision policy the paper adopts for its conflict-log hash tables
-//! (§V-C: `h(key, i) = (key + i) mod s_h`).
+//! [`PrimaryIndex`] is an open-addressing table from `i64` key to [`RowId`]:
+//! lookups through `&`, inserts and removals through `&mut`. One thread
+//! writes a database at a time — write-back runs on the launching thread —
+//! so the lanes' concurrent inserts (TPC-C NewOrder inserting orders and
+//! order lines) are modelled by their charges, not raced on the host.
+//! Linear probing is used, the same collision policy the paper adopts for
+//! its conflict-log hash tables (§V-C: `h(key, i) = (key + i) mod s_h`).
 //!
 //! A slot stores its key as `key ^ i64::MIN` and its row id plus one, so
 //! the all-zero slot is an empty one. A fresh table's index
@@ -23,24 +24,17 @@
 //! reserved, with room for seven more reservations like it; later ones
 //! grow it. Every array it lays out is written front to
 //! back before any key is placed. An index never grows on its own: inserts
-//! through `&self` assume room, and `reserve` (`&mut`, so never during a
-//! launch) makes it for a known number of inserts before they happen. A
-//! placeholder nobody reserves fills in place.
-
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
+//! assume room, and `reserve` makes it for a known number of inserts before
+//! they happen. A placeholder nobody reserves fills in place.
 
 use crate::table::RowId;
-use crate::zeroed::{stored, zeroed, Zeroed};
+use crate::zeroed::{copy_to_fresh, stored, zeroed, Zeroed};
 
 /// Stored key of a slot never used: the zero word (key `i64::MIN`).
 const EMPTY: i64 = stored(i64::MIN);
 /// Stored key of a slot used, then deleted (key `i64::MIN + 1`) — probes
 /// continue past it, inserts may reclaim it.
 const TOMBSTONE: i64 = stored(i64::MIN + 1);
-/// Stored row id of a slot claimed whose row id is not yet published (and
-/// of an empty or deleted one): zero, since a slot stores its row id plus
-/// one.
-const PENDING: u32 = 0;
 
 /// The stored word of row id `rid`.
 #[inline]
@@ -58,14 +52,23 @@ pub fn mix_key(key: i64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One slot: a [`stored`] key and a [`stored_rid`] row id.
+/// One slot: a [`stored`] key and a [`stored_rid`] row id (zero in an
+/// empty or deleted slot).
+#[derive(Clone, Copy)]
 struct Slot {
-    key: AtomicI64,
-    rid: AtomicU32,
+    key: i64,
+    rid: u32,
 }
 
-// SAFETY: two atomics (and padding), each valid at zero.
+// SAFETY: two integers (and padding), each valid at zero.
 unsafe impl Zeroed for Slot {}
+
+impl Slot {
+    /// The row id a used slot maps its key to.
+    fn row(self) -> RowId {
+        RowId(self.rid - 1)
+    }
+}
 
 /// Error returned when inserting a key that is already present.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,16 +77,15 @@ pub struct DuplicateKey {
     pub existing: RowId,
 }
 
-/// Lock-free unique index: `i64` key → [`RowId`].
+/// Unique index: `i64` key → [`RowId`].
 pub struct PrimaryIndex {
     slots: Box<[Slot]>,
     mask: usize,
-    len: AtomicUsize,
+    len: usize,
     /// Tombstoned slots. Probes cross them as they cross live keys, so
     /// [`reserve`](Self::reserve) keeps the two together at or below half
-    /// the slots. Counted on remove and reclaim, so an insert into an
-    /// empty slot pays for `len` alone.
-    tombstones: AtomicUsize,
+    /// the slots.
+    tombstones: usize,
     /// Whether the slots are a placeholder's, never laid out by
     /// [`reserve`](Self::reserve). Copies keep it, and an image records
     /// whether it still applies ([`unlaid`](Self::unlaid)), so a copy or a
@@ -131,13 +133,14 @@ impl PrimaryIndex {
     /// back, so every page is resident before keys are placed. Hashed
     /// inserts would otherwise fault the pages in one by one in random
     /// order, at several times the cost of a fault each. Nothing is used,
-    /// so every slot is `EMPTY` and stays so; the stores are atomic so that
-    /// they are not dropped as writes of what zeroed memory already holds.
+    /// so every slot is `EMPTY` and stays so; the value stored is opaque to
+    /// the compiler so that the stores are not dropped as writes of what
+    /// zeroed memory already holds.
     fn lay_out(&mut self) {
         debug_assert_eq!(self.used(), 0, "only an empty index is laid out");
         let per_page = 4_096 / std::mem::size_of::<Slot>();
-        for slot in self.slots.iter().step_by(per_page) {
-            slot.key.store(EMPTY, Ordering::Relaxed);
+        for slot in self.slots.iter_mut().step_by(per_page) {
+            slot.key = std::hint::black_box(EMPTY);
         }
         self.placeholder = false;
     }
@@ -147,19 +150,13 @@ impl PrimaryIndex {
     fn over(slots: Box<[Slot]>, placeholder: bool) -> Self {
         let n = slots.len();
         debug_assert!(n.is_power_of_two());
-        PrimaryIndex {
-            slots,
-            mask: n - 1,
-            len: AtomicUsize::new(0),
-            tombstones: AtomicUsize::new(0),
-            placeholder,
-        }
+        PrimaryIndex { slots, mask: n - 1, len: 0, tombstones: 0, placeholder }
     }
 
     /// Slots holding a key or a tombstone. While it is zero every slot is
     /// all-zero.
     fn used(&self) -> usize {
-        self.len() + self.tombstones.load(Ordering::Relaxed)
+        self.len + self.tombstones
     }
 
     /// Make room for `n` more inserts, laying the index out as it goes.
@@ -191,44 +188,41 @@ impl PrimaryIndex {
         if 2 * (used + n) <= self.slots.len() {
             return false;
         }
-        let want = slots_for(self.len() + n);
+        let want = slots_for(self.len + n);
         let mut grown = PrimaryIndex::laid_out(want.max(self.slots.len()));
-        for slot in self.slots.iter_mut() {
-            let key = *slot.key.get_mut();
-            if key != EMPTY && key != TOMBSTONE {
-                grown.place(key, *slot.rid.get_mut());
-            }
+        for slot in self.slots.iter().filter(|s| s.key != EMPTY && s.key != TOMBSTONE) {
+            grown.place(*slot);
         }
         *self = grown;
         true
     }
 
-    /// Put the stored key `word`, known absent, into the first `EMPTY`
-    /// slot of its probe, with the stored row id `rid`.
-    fn place(&mut self, word: i64, rid: u32) {
-        let mut at = mix_key(stored(word)) as usize & self.mask;
-        while *self.slots[at].key.get_mut() != EMPTY {
+    /// Put `slot`, whose key is known absent, into the first `EMPTY` slot
+    /// of its probe.
+    fn place(&mut self, slot: Slot) {
+        let mut at = mix_key(stored(slot.key)) as usize & self.mask;
+        while self.slots[at].key != EMPTY {
             at = (at + 1) & self.mask;
         }
-        let slot = &mut self.slots[at];
-        *slot.key.get_mut() = word;
-        *slot.rid.get_mut() = rid;
-        *self.len.get_mut() += 1;
+        self.slots[at] = slot;
+        self.len += 1;
     }
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len
     }
 
     /// Whether the index holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Insert `key → rid`. `key` must not be `i64::MIN` or `i64::MIN + 1`
-    /// (reserved sentinels). Returns `Err(DuplicateKey)` if present.
-    pub fn insert(&self, key: i64, rid: RowId) -> Result<(), DuplicateKey> {
+    /// (reserved sentinels). Returns `Err(DuplicateKey)` if present. The
+    /// index must have room ([`reserve`](Self::reserve)); an insert past
+    /// half load panics under `debug_assertions`.
+    pub fn insert(&mut self, key: i64, rid: RowId) -> Result<(), DuplicateKey> {
         let word = stored(key);
         assert!(word != EMPTY && word != TOMBSTONE, "reserved key value");
         let start = mix_key(key) as usize & self.mask;
@@ -236,74 +230,36 @@ impl PrimaryIndex {
         // only once the probe has reached an EMPTY slot and so proved the
         // key absent: a live copy of `key` may sit beyond the tombstone.
         let mut reclaim: Option<usize> = None;
+        let mut target = None;
         for i in 0..=self.mask {
             let at = (start + i) & self.mask;
-            let slot = &self.slots[at];
-            let mut k = slot.key.load(Ordering::Acquire);
-            loop {
-                if k == word {
-                    return Err(DuplicateKey { existing: self.wait_rid(slot) });
-                }
-                if k == TOMBSTONE {
+            match self.slots[at].key {
+                k if k == word => return Err(DuplicateKey { existing: self.slots[at].row() }),
+                TOMBSTONE => {
                     reclaim.get_or_insert(at);
                 }
-                if k != EMPTY {
-                    break; // tombstone or another key; probe on
+                EMPTY => {
+                    target = Some(reclaim.unwrap_or(at));
+                    break;
                 }
-                let (target, vacant) = reclaim.map_or((at, EMPTY), |t| (t, TOMBSTONE));
-                match self.claim(target, vacant, word, rid) {
-                    Ok(()) => return Ok(()),
-                    Err(observed) if observed == word => {
-                        return Err(DuplicateKey { existing: self.wait_rid(&self.slots[target]) });
-                    }
-                    // Lost the race for the slot to another key; re-examine
-                    // this slot with no tombstone in hand.
-                    Err(_) => {
-                        reclaim = None;
-                        k = slot.key.load(Ordering::Acquire);
-                    }
-                }
+                _ => {}
             }
         }
-        // No EMPTY slot left anywhere: the whole table was probed.
-        if let Some(target) = reclaim {
-            if self.claim(target, TOMBSTONE, word, rid).is_ok() {
-                return Ok(());
-            }
+        // No EMPTY slot anywhere: the whole table was probed.
+        let Some(at) = target.or(reclaim) else {
+            panic!("primary index full ({} slots)", self.slots.len())
+        };
+        if self.slots[at].key == TOMBSTONE {
+            self.tombstones -= 1;
         }
-        panic!("primary index full ({} slots)", self.slots.len());
-    }
-
-    /// Claim slot `at` for the stored key `word` if it still holds `vacant`
-    /// (EMPTY or TOMBSTONE), publishing `rid`; otherwise return the stored
-    /// key found there.
-    fn claim(&self, at: usize, vacant: i64, word: i64, rid: RowId) -> Result<(), i64> {
-        let slot = &self.slots[at];
-        slot.key.compare_exchange(vacant, word, Ordering::AcqRel, Ordering::Acquire)?;
-        slot.rid.store(stored_rid(rid), Ordering::Release);
-        if vacant == TOMBSTONE {
-            self.tombstones.fetch_sub(1, Ordering::Relaxed);
-        }
-        let live = self.len.fetch_add(1, Ordering::Relaxed) + 1;
+        self.slots[at] = Slot { key: word, rid: stored_rid(rid) };
+        self.len += 1;
         debug_assert!(
-            2 * live <= self.slots.len(),
+            2 * self.len <= self.slots.len(),
             "insert past half load of a {}-slot primary index: reserve first",
             self.slots.len()
         );
         Ok(())
-    }
-
-    /// A claimed slot publishes its row id momentarily after the key; spin
-    /// for it (bounded by one store on the writer side).
-    #[inline]
-    fn wait_rid(&self, slot: &Slot) -> RowId {
-        loop {
-            let r = slot.rid.load(Ordering::Acquire);
-            if r != PENDING {
-                return RowId(r - 1);
-            }
-            std::hint::spin_loop();
-        }
     }
 
     /// Load the slot a probe for `key` starts at and decide nothing from
@@ -313,33 +269,11 @@ impl PrimaryIndex {
     /// on.
     #[inline]
     pub fn touch(&self, key: i64) {
-        let slot = &self.slots[mix_key(key) as usize & self.mask];
-        std::hint::black_box(slot.key.load(Ordering::Relaxed));
+        std::hint::black_box(self.slots[mix_key(key) as usize & self.mask].key);
     }
 
-    /// Look `key` up.
-    pub fn get(&self, key: i64) -> Option<RowId> {
-        let word = stored(key);
-        if word == EMPTY || word == TOMBSTONE {
-            return None;
-        }
-        let start = mix_key(key) as usize & self.mask;
-        for i in 0..=self.mask {
-            let slot = &self.slots[(start + i) & self.mask];
-            let k = slot.key.load(Ordering::Acquire);
-            if k == word {
-                return Some(self.wait_rid(slot));
-            }
-            if k == EMPTY {
-                return None;
-            }
-            // TOMBSTONE or a different key: probe on.
-        }
-        None
-    }
-
-    /// Remove `key`, leaving a tombstone. Returns the row it mapped to.
-    pub fn remove(&self, key: i64) -> Option<RowId> {
+    /// The slot holding `key`, if any.
+    fn find(&self, key: i64) -> Option<usize> {
         let word = stored(key);
         if word == EMPTY || word == TOMBSTONE {
             return None;
@@ -347,21 +281,29 @@ impl PrimaryIndex {
         let start = mix_key(key) as usize & self.mask;
         for i in 0..=self.mask {
             let at = (start + i) & self.mask;
-            let slot = &self.slots[at];
-            let k = slot.key.load(Ordering::Acquire);
-            if k == word {
-                let rid = self.wait_rid(slot);
-                slot.rid.store(PENDING, Ordering::Release);
-                slot.key.store(TOMBSTONE, Ordering::Release);
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                self.tombstones.fetch_add(1, Ordering::Relaxed);
-                return Some(rid);
-            }
-            if k == EMPTY {
-                return None;
+            match self.slots[at].key {
+                k if k == word => return Some(at),
+                EMPTY => return None,
+                // TOMBSTONE or a different key: probe on.
+                _ => {}
             }
         }
         None
+    }
+
+    /// Look `key` up.
+    pub fn get(&self, key: i64) -> Option<RowId> {
+        self.find(key).map(|at| self.slots[at].row())
+    }
+
+    /// Remove `key`, leaving a tombstone. Returns the row it mapped to.
+    pub fn remove(&mut self, key: i64) -> Option<RowId> {
+        let at = self.find(key)?;
+        let rid = self.slots[at].row();
+        self.slots[at] = Slot { key: TOMBSTONE, rid: 0 };
+        self.len -= 1;
+        self.tombstones += 1;
+        Some(rid)
     }
 
     /// Probe distance statistics `(mean, max)` — used by tests to sanity
@@ -371,11 +313,10 @@ impl PrimaryIndex {
         let mut worst = 0usize;
         let mut n = 0usize;
         for (idx, slot) in self.slots.iter().enumerate() {
-            let k = slot.key.load(Ordering::Relaxed);
-            if k == EMPTY || k == TOMBSTONE {
+            if slot.key == EMPTY || slot.key == TOMBSTONE {
                 continue;
             }
-            let home = mix_key(stored(k)) as usize & self.mask;
+            let home = mix_key(stored(slot.key)) as usize & self.mask;
             let dist = (idx + self.slots.len() - home) & self.mask;
             total += dist;
             worst = worst.max(dist);
@@ -394,24 +335,21 @@ impl PrimaryIndex {
     /// its source did: the same slot count, no tombstone. The placement
     /// touches each group's home slots before it probes any, so the group's
     /// cache misses overlap.
-    pub(crate) fn rebuilt(slots: usize, unlaid: bool, keys: &[AtomicI64]) -> Self {
+    pub(crate) fn rebuilt(slots: usize, unlaid: bool, keys: &[i64]) -> Self {
         if unlaid {
             return PrimaryIndex::over(zeroed(slots), true);
         }
         let mut index = PrimaryIndex::laid_out(slots);
         const GROUP: usize = 32;
-        let mut group = [EMPTY; GROUP];
         for (g, words) in keys.chunks(GROUP).enumerate() {
-            let group = &mut group[..words.len()];
-            for (word, key) in group.iter_mut().zip(words) {
-                *word = key.load(Ordering::Acquire);
-                index.touch(stored(*word));
+            for &word in words {
+                index.touch(stored(word));
             }
-            for (i, &word) in group.iter().enumerate().filter(|&(_, &w)| w != EMPTY) {
-                index.place(word, stored_rid(RowId((g * GROUP + i) as u32)));
+            for (i, &key) in words.iter().enumerate().filter(|&(_, &w)| w != EMPTY) {
+                index.place(Slot { key, rid: stored_rid(RowId((g * GROUP + i) as u32)) });
             }
         }
-        debug_assert!(2 * index.len() <= slots, "an index at most half full");
+        debug_assert!(2 * index.len <= slots, "an index at most half full");
         index
     }
 
@@ -429,31 +367,21 @@ impl PrimaryIndex {
     /// `(key, row id)` bits of every slot, for tests.
     #[cfg(test)]
     pub(crate) fn slot_bits(&self) -> Vec<(i64, u32)> {
-        let bits = |s: &Slot| (s.key.load(Ordering::Relaxed), s.rid.load(Ordering::Relaxed));
-        self.slots.iter().map(bits).collect()
+        self.slots.iter().map(|s| (s.key, s.rid)).collect()
     }
-}
-
-fn copy_slot(dst: &mut Slot, src: &Slot) {
-    *dst.key.get_mut() = src.key.load(Ordering::Acquire);
-    *dst.rid.get_mut() = src.rid.load(Ordering::Acquire);
 }
 
 /// A slot-for-slot copy: the same slot array, tombstones included, so every
 /// key probes in the copy exactly as it does in the original and the cost is
 /// one pass over the slots, not one hashed insert per key. The copy of an
 /// index with no used slot is a placeholder of its size: zeroed memory,
-/// nothing copied. Must not race a writer (a slot caught between its key and row-id stores would be
-/// copied half-published); every caller clones at a batch boundary.
+/// nothing copied.
 impl Clone for PrimaryIndex {
     fn clone(&self) -> Self {
         let mut copy = PrimaryIndex::over(zeroed(self.slots.len()), self.placeholder);
         if self.used() > 0 {
-            for (dst, s) in copy.slots.iter_mut().zip(self.slots.iter()) {
-                copy_slot(dst, s);
-            }
-            *copy.len.get_mut() = self.len();
-            *copy.tombstones.get_mut() = self.tombstones.load(Ordering::Relaxed);
+            copy_to_fresh(&mut copy.slots, &self.slots);
+            (copy.len, copy.tombstones) = (self.len, self.tombstones);
         }
         copy
     }
@@ -463,7 +391,7 @@ impl std::fmt::Debug for PrimaryIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrimaryIndex")
             .field("slots", &self.slots.len())
-            .field("len", &self.len())
+            .field("len", &self.len)
             .finish()
     }
 }
@@ -474,7 +402,7 @@ mod tests {
 
     #[test]
     fn insert_get_roundtrip() {
-        let idx = PrimaryIndex::with_capacity(100);
+        let mut idx = PrimaryIndex::with_capacity(100);
         for k in 0..100i64 {
             idx.insert(k * 7 - 50, RowId(k as u32)).unwrap();
         }
@@ -487,7 +415,7 @@ mod tests {
 
     #[test]
     fn duplicate_insert_reports_existing_row() {
-        let idx = PrimaryIndex::with_capacity(8);
+        let mut idx = PrimaryIndex::with_capacity(8);
         idx.insert(42, RowId(1)).unwrap();
         assert_eq!(idx.insert(42, RowId(2)), Err(DuplicateKey { existing: RowId(1) }));
         assert_eq!(idx.get(42), Some(RowId(1)));
@@ -496,7 +424,7 @@ mod tests {
 
     #[test]
     fn remove_leaves_probe_chain_intact() {
-        let idx = PrimaryIndex::with_capacity(4);
+        let mut idx = PrimaryIndex::with_capacity(4);
         // Force collisions in a tiny table: many keys, small slot count.
         for k in 0..8i64 {
             idx.insert(k, RowId(k as u32)).unwrap();
@@ -517,7 +445,7 @@ mod tests {
     /// into the tombstone before it has looked further.
     #[test]
     fn duplicate_past_a_tombstone_is_rejected() {
-        let idx = PrimaryIndex::with_capacity(4);
+        let mut idx = PrimaryIndex::with_capacity(4);
         for k in 0..8i64 {
             idx.insert(k, RowId(k as u32)).unwrap();
         }
@@ -550,7 +478,7 @@ mod tests {
         for k in (0..8i64).step_by(3) {
             assert_eq!(idx.remove(k * 5), Some(RowId(k as u32)));
         }
-        let check = |idx: &PrimaryIndex| {
+        let check = |idx: &mut PrimaryIndex| {
             for k in 0..8i64 {
                 let want = (k % 3 != 0).then_some(RowId(k as u32));
                 assert_eq!(idx.get(k * 5), want, "key {}", k * 5);
@@ -561,16 +489,16 @@ mod tests {
             assert_eq!(idx.len(), 5);
         };
         assert!(!idx.reserve(0), "eight used slots of sixteen is half load, not past it");
-        check(&idx);
+        check(&mut idx);
         // Three tombstones push one more insert past half: rebuilt at the
         // same size, without them.
         assert!(idx.reserve(1));
-        assert_eq!((idx.slot_count(), *idx.tombstones.get_mut()), (16, 0));
-        check(&idx);
+        assert_eq!((idx.slot_count(), idx.tombstones), (16, 0));
+        check(&mut idx);
         // Eight more keys: doubled.
         assert!(idx.reserve(8));
         assert_eq!(idx.slot_count(), 32);
-        check(&idx);
+        check(&mut idx);
         for k in 100..108i64 {
             idx.insert(k, RowId(k as u32)).unwrap();
         }
@@ -606,7 +534,7 @@ mod tests {
         for (k, rid) in pairs {
             idx.insert(k, rid).unwrap();
         }
-        let check = |idx: &PrimaryIndex| {
+        let check = |idx: &mut PrimaryIndex| {
             assert_eq!(idx.len(), pairs.len());
             for (k, rid) in pairs {
                 assert_eq!(idx.get(k), Some(rid), "key {k}");
@@ -614,10 +542,10 @@ mod tests {
             }
             assert_eq!(idx.get(2), None);
         };
-        check(&idx);
-        check(&idx.clone());
+        check(&mut idx);
+        check(&mut idx.clone());
         assert!(idx.reserve(16));
-        check(&idx);
+        check(&mut idx);
         assert_eq!(idx.remove(-1), Some(top));
         assert_eq!((idx.get(-1), idx.remove(-1)), (None, None));
         for reserved in [i64::MIN, i64::MIN + 1] {
@@ -670,60 +598,15 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "reserve first")]
     fn an_insert_past_half_load_without_a_reserve_panics() {
-        let idx = PrimaryIndex::with_capacity(8);
+        let mut idx = PrimaryIndex::with_capacity(8);
         for k in 0..9i64 {
             idx.insert(k, RowId(k as u32)).unwrap();
         }
     }
 
     #[test]
-    fn concurrent_inserts_all_land() {
-        let idx = PrimaryIndex::with_capacity(8_000);
-        let threads = 8i64;
-        let per = 1_000i64;
-        crossbeam::scope(|s| {
-            for t in 0..threads {
-                let idx = &idx;
-                s.spawn(move |_| {
-                    for i in 0..per {
-                        let k = t * per + i;
-                        idx.insert(k, RowId(k as u32)).unwrap();
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(idx.len(), (threads * per) as usize);
-        for k in 0..threads * per {
-            assert_eq!(idx.get(k), Some(RowId(k as u32)));
-        }
-    }
-
-    #[test]
-    fn racing_inserts_of_same_key_admit_exactly_one() {
-        for _ in 0..20 {
-            let idx = PrimaryIndex::with_capacity(64);
-            let winners = std::sync::atomic::AtomicUsize::new(0);
-            crossbeam::scope(|s| {
-                for t in 0..8u32 {
-                    let idx = &idx;
-                    let winners = &winners;
-                    s.spawn(move |_| {
-                        if idx.insert(7, RowId(t)).is_ok() {
-                            winners.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            })
-            .unwrap();
-            assert_eq!(winners.load(Ordering::Relaxed), 1);
-            assert!(idx.get(7).is_some());
-        }
-    }
-
-    #[test]
     fn probe_stats_reasonable_at_half_load() {
-        let idx = PrimaryIndex::with_capacity(10_000);
+        let mut idx = PrimaryIndex::with_capacity(10_000);
         for k in 0..10_000i64 {
             idx.insert(k, RowId(k as u32)).unwrap();
         }

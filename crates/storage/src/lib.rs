@@ -11,9 +11,11 @@
 //! * **Hash indexing only.** Each table has a primary open-addressing hash
 //!   index (key → row). Range support is emulated over predefined keys,
 //!   exactly as the paper does for TPC-C's range-dependent transactions.
-//! * **Concurrent write-back.** Row payloads are atomic cells so that the
-//!   write-back kernel's lanes (and multithreaded CPU baselines) can commit
-//!   in parallel without locks; phase barriers provide the ordering.
+//! * **One writer per database.** Cells, keys and index slots are plain
+//!   words. Reads take `&` and may be shared (an engine's pre-pass helpers
+//!   read during execute); every write takes `&mut`, so the borrow checker
+//!   proves the execute → write-back barrier. The write-back kernel's
+//!   parallel lanes are modelled by their charges, not raced on the host.
 //!
 //! The crate also provides a simulated write-ahead batch log
 //! ([`wal::BatchLog`]) standing in for the paper's "batch of transactions

@@ -38,8 +38,6 @@
 
 use std::ops::Range;
 
-use parking_lot::Mutex;
-
 use bytes::{Buf, BufMut, Bytes};
 
 /// Frame magic: `"LTPG"` as a big-endian `u32`.
@@ -347,14 +345,16 @@ impl Frame {
     }
 }
 
-/// The physical log: the retained frames back to back, where each complete
-/// one ends (frame `i` starts where `i - 1` ends, the first where the
-/// retired ones did; bytes past the last end are a torn tail), the next
-/// batch id, and the bytes ever appended (a tear or a retirement shrinks
-/// the image, not that count). Offsets in `ends` and `retired` count from
-/// the log's start: `bytes[0]` lies at `retired.offset`.
+/// An append-only batch log over a simulated disk image: the retained
+/// frames back to back, where each complete one ends (frame `i` starts
+/// where `i - 1` ends, the first where the retired ones did; bytes past the
+/// last end are a torn tail), the next batch id, and the bytes ever
+/// appended (a tear or a retirement shrinks the image, not that count).
+/// Offsets in `ends` and `retired` count from the log's start: `bytes[0]`
+/// lies at `retired.offset`. One owner writes it (`&mut`); a standby is
+/// shipped copies of its frames.
 #[derive(Debug, Default)]
-struct Image {
+pub struct BatchLog {
     bytes: Vec<u8>,
     ends: Vec<usize>,
     retired: Retired,
@@ -370,10 +370,10 @@ struct Retired {
     offset: usize,
 }
 
-impl Image {
-    /// Complete frames written: the retired ones and those the image holds.
-    fn len(&self) -> usize {
-        self.retired.frames + self.ends.len()
+impl BatchLog {
+    /// Create an empty log.
+    pub fn new() -> Self {
+        BatchLog::default()
     }
 
     /// Byte range of frame `index` in the log, if the image holds it
@@ -390,45 +390,14 @@ impl Image {
         &self.bytes[span.start - base..span.end - base]
     }
 
-    /// Check every retained complete frame in order, stopping at the first
-    /// damaged one, and report what follows the last.
-    fn verify(&self) -> Result<TailState, FrameError> {
-        let mut start = self.retired.offset;
-        for (local, &end) in self.ends.iter().enumerate() {
-            check_frame(self.at(start..end), self.retired.frames + local, start)?;
-            start = end;
-        }
-        Ok(match self.retired.offset + self.bytes.len() - start {
-            0 => TailState::Clean,
-            bytes => TailState::Torn { offset: start, bytes },
-        })
-    }
-}
-
-/// An append-only batch log over a simulated disk image.
-#[derive(Debug, Default)]
-pub struct BatchLog {
-    image: Mutex<Image>,
-}
-
-impl BatchLog {
-    /// Create an empty log.
-    pub fn new() -> Self {
-        BatchLog::default()
-    }
-
     /// Append a batch — its TIDs in assignment order and its serialized
-    /// parameters — as one frame, returning its batch id. The id is drawn
-    /// under the image's lock, so ids follow the frames' order whoever else
-    /// is appending.
-    pub fn append(&self, tids: &[u64], payload: &[u8]) -> u64 {
-        let mut image = self.image.lock();
-        let Image { bytes, ends, retired, next_batch_id, bytes_written } = &mut *image;
-        let batch_id = *next_batch_id;
-        *next_batch_id += 1;
-        let frame_len = write_frame(bytes, batch_id, tids, payload) as u64;
-        ends.push(retired.offset + bytes.len());
-        *bytes_written += frame_len;
+    /// parameters — as one frame, returning its batch id.
+    pub fn append(&mut self, tids: &[u64], payload: &[u8]) -> u64 {
+        let batch_id = self.next_batch_id;
+        self.next_batch_id += 1;
+        let frame_len = write_frame(&mut self.bytes, batch_id, tids, payload) as u64;
+        self.ends.push(self.retired.offset + self.bytes.len());
+        self.bytes_written += frame_len;
         let reg = ltpg_telemetry::global();
         reg.counter(ltpg_telemetry::names::WAL_FRAMES_APPENDED).inc();
         reg.counter(ltpg_telemetry::names::WAL_BYTES_APPENDED).add(frame_len);
@@ -440,15 +409,14 @@ impl BatchLog {
     /// (never written, torn off, or retired). Read it with
     /// [`Frame::decode`].
     pub fn frame(&self, index: usize) -> Option<Frame> {
-        let image = self.image.lock();
-        let span = image.span(index)?;
-        Some(Frame { index, offset: span.start, bytes: image.at(span).to_vec() })
+        let span = self.span(index)?;
+        Some(Frame { index, offset: span.start, bytes: self.at(span).to_vec() })
     }
 
     /// Number of complete frames written, retired ones included: the
     /// index the next frame will take.
     pub fn len(&self) -> usize {
-        self.image.lock().len()
+        self.retired.frames + self.ends.len()
     }
 
     /// Whether no complete frame was ever written.
@@ -459,7 +427,7 @@ impl BatchLog {
     /// Index of the first frame the image holds: the frames below it are
     /// retired.
     pub fn first_retained(&self) -> usize {
-        self.image.lock().retired.frames
+        self.retired.frames
     }
 
     /// Retire every complete frame below index `below` (at most every
@@ -467,38 +435,35 @@ impl BatchLog {
     /// the front of the image's buffer, which keeps its capacity. Nothing
     /// moves when no frame follows — the usual case, a retirement right
     /// after the checkpoint that covers the whole log.
-    pub fn retire_below(&self, below: usize) {
-        let mut image = self.image.lock();
-        let n = below.min(image.len()).saturating_sub(image.retired.frames);
+    pub fn retire_below(&mut self, below: usize) {
+        let n = below.min(self.len()).saturating_sub(self.retired.frames);
         if n == 0 {
             return;
         }
-        let end = image.ends[n - 1];
-        let cut = end - image.retired.offset;
-        image.bytes.drain(..cut);
-        image.ends.drain(..n);
-        image.retired = Retired { frames: image.retired.frames + n, offset: end };
+        let end = self.ends[n - 1];
+        self.bytes.drain(..end - self.retired.offset);
+        self.ends.drain(..n);
+        self.retired = Retired { frames: self.retired.frames + n, offset: end };
     }
 
     /// Total encoded bytes "written to disk".
     pub fn bytes_written(&self) -> u64 {
-        self.image.lock().bytes_written
+        self.bytes_written
     }
 
     /// Size of the physical image right now: the retained frames and any
     /// torn tail (shrinks under [`BatchLog::retire_below`],
     /// [`BatchLog::tear_tail`] and [`BatchLog::truncate_torn_tail`]).
     pub fn disk_len(&self) -> usize {
-        self.image.lock().bytes.len()
+        self.bytes.len()
     }
 
     /// Fault injection: XOR the byte at offset `pos` of the log. Positions
     /// the image does not hold (retired, or past its end) are ignored (the
     /// injector may race a tear).
-    pub fn corrupt_byte(&self, pos: usize, xor: u8) {
-        let mut image = self.image.lock();
-        let Some(local) = pos.checked_sub(image.retired.offset) else { return };
-        if let Some(b) = image.bytes.get_mut(local) {
+    pub fn corrupt_byte(&mut self, pos: usize, xor: u8) {
+        let Some(local) = pos.checked_sub(self.retired.offset) else { return };
+        if let Some(b) = self.bytes.get_mut(local) {
             *b ^= xor;
         }
     }
@@ -506,12 +471,11 @@ impl BatchLog {
     /// Fault injection: flip a byte inside the *body* of frame
     /// `frame_index`, so the damage is caught by the CRC rather than the
     /// magic check. Returns `false` if the image holds no such frame.
-    pub fn corrupt_frame(&self, frame_index: usize, xor: u8) -> bool {
-        let mut image = self.image.lock();
-        let Some(span) = image.span(frame_index) else { return false };
+    pub fn corrupt_frame(&mut self, frame_index: usize, xor: u8) -> bool {
+        let Some(span) = self.span(frame_index) else { return false };
         // First body byte (the batch id's high byte).
-        let at = span.start - image.retired.offset + 8;
-        image.bytes[at] ^= if xor == 0 { 0xFF } else { xor };
+        let at = span.start - self.retired.offset + 8;
+        self.bytes[at] ^= if xor == 0 { 0xFF } else { xor };
         true
     }
 
@@ -519,14 +483,13 @@ impl BatchLog {
     /// the physical image, as if the machine died mid-`write(2)`. A frame
     /// the tear reaches is no longer complete; a tear never reaches past
     /// the retired base. Returns the number of bytes actually dropped.
-    pub fn tear_tail(&self, drop_bytes: usize) -> usize {
-        let mut image = self.image.lock();
-        let dropped = drop_bytes.min(image.bytes.len());
-        let keep = image.bytes.len() - dropped;
-        image.bytes.truncate(keep);
-        let end = image.retired.offset + keep;
-        while image.ends.last().is_some_and(|&e| e > end) {
-            image.ends.pop();
+    pub fn tear_tail(&mut self, drop_bytes: usize) -> usize {
+        let dropped = drop_bytes.min(self.bytes.len());
+        let keep = self.bytes.len() - dropped;
+        self.bytes.truncate(keep);
+        let end = self.retired.offset + keep;
+        while self.ends.last().is_some_and(|&e| e > end) {
+            self.ends.pop();
         }
         dropped
     }
@@ -536,19 +499,25 @@ impl BatchLog {
     /// reports the tail. A partial trailing frame is *not* an error — it is
     /// [`TailState::Torn`], for the caller to drop.
     pub fn verify(&self) -> Result<TailState, FrameError> {
-        self.image.lock().verify()
+        let mut start = self.retired.offset;
+        for (local, &end) in self.ends.iter().enumerate() {
+            check_frame(self.at(start..end), self.retired.frames + local, start)?;
+            start = end;
+        }
+        Ok(match self.retired.offset + self.bytes.len() - start {
+            0 => TailState::Clean,
+            bytes => TailState::Torn { offset: start, bytes },
+        })
     }
 
     /// Detect-and-truncate: verify every retained complete frame, then drop
     /// a torn tail and return how many bytes were dropped. A damaged
     /// complete frame fails the call and nothing is dropped.
-    pub fn truncate_torn_tail(&self) -> Result<usize, FrameError> {
-        let mut image = self.image.lock();
-        match image.verify()? {
+    pub fn truncate_torn_tail(&mut self) -> Result<usize, FrameError> {
+        match self.verify()? {
             TailState::Clean => Ok(0),
             TailState::Torn { offset, bytes } => {
-                let keep = offset - image.retired.offset;
-                image.bytes.truncate(keep);
+                self.bytes.truncate(offset - self.retired.offset);
                 Ok(bytes)
             }
         }
@@ -566,7 +535,7 @@ mod tests {
 
     #[test]
     fn append_assigns_monotonic_ids_and_fetch_roundtrips() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         let id0 = log.append(&[1, 2, 3], b"abc");
         let id1 = log.append(&[4], b"d");
         assert_eq!((id0, id1), (0, 1));
@@ -579,7 +548,7 @@ mod tests {
 
     #[test]
     fn fetch_finds_every_id_of_a_long_log_and_nothing_else() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         assert!(log.frame(0).is_none(), "empty log");
         for i in 0..2_000u64 {
             assert_eq!(log.append(&[i * 3], &[]), i);
@@ -598,7 +567,7 @@ mod tests {
     /// not there, while every other frame still reads as appended.
     #[test]
     fn damaged_and_torn_frames_are_errors_where_they_lie() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         for i in 0..2_000u64 {
             log.append(&[i], &i.to_be_bytes());
         }
@@ -626,7 +595,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_matches_frame_sizes() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[7, 8], b"xyzw");
         // Body: 8 (batch id) + 4 (tid count) + 16 (tids) + 4 (len)
         // + 4 (payload) = 36; frame adds magic + body_len + crc = 12.
@@ -638,7 +607,7 @@ mod tests {
 
     #[test]
     fn scan_roundtrips_clean_image() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         assert_eq!(log.verify(), Ok(TailState::Clean), "empty log");
         log.append(&[1], b"a");
         log.append(&[2, 3], b"bc");
@@ -650,7 +619,7 @@ mod tests {
 
     #[test]
     fn corrupt_body_is_a_checksum_mismatch() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[1], b"a");
         log.append(&[2], b"b");
         assert!(log.corrupt_frame(0, 0x40));
@@ -664,7 +633,7 @@ mod tests {
 
     #[test]
     fn corrupt_magic_is_bad_magic() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[1], b"a");
         log.corrupt_byte(0, 0xFF);
         match log.verify() {
@@ -677,7 +646,7 @@ mod tests {
     /// damaged, and the frame after it is still found.
     #[test]
     fn corrupt_length_is_a_bad_body() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[1], b"a");
         log.append(&[2], b"b");
         log.corrupt_byte(7, 0x01);
@@ -689,7 +658,7 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_and_truncated() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[1], b"a");
         log.append(&[2], b"b");
         let torn = 5;
@@ -707,7 +676,7 @@ mod tests {
 
     #[test]
     fn tear_of_whole_frames_leaves_clean_shorter_log() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         log.append(&[1], b"a");
         let first = log.disk_len();
         log.append(&[2], b"b");
@@ -790,11 +759,8 @@ mod tests {
     /// truncation, and an append after that.
     #[test]
     fn disk_image_bytes_are_pinned() {
-        let log = BatchLog::new();
-        let image = |log: &BatchLog| {
-            let image = log.image.lock();
-            (image.bytes.len(), fnv64(&image.bytes))
-        };
+        let mut log = BatchLog::new();
+        let image = |log: &BatchLog| (log.bytes.len(), fnv64(&log.bytes));
         log.append(&[], &[]);
         log.append(&[1, 2, 3], b"abc");
         log.append(&(10..300).collect::<Vec<u64>>(), &pseudo_random_bytes(1_000));
@@ -818,7 +784,7 @@ mod tests {
     /// retired frame reads as absent and takes no damage.
     #[test]
     fn retired_frames_are_absent_and_the_rest_keep_their_positions() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         for i in 0..10u64 {
             log.append(&[i], &i.to_be_bytes());
         }
@@ -864,12 +830,9 @@ mod tests {
     /// and retirements run in the capacity they left.
     #[test]
     fn retirement_stops_the_image_from_growing() {
-        let log = BatchLog::new();
+        let mut log = BatchLog::new();
         let payload = pseudo_random_bytes(4_000);
-        let capacity = |log: &BatchLog| {
-            let image = log.image.lock();
-            (image.bytes.capacity(), image.ends.capacity())
-        };
+        let capacity = |log: &BatchLog| (log.bytes.capacity(), log.ends.capacity());
         let mut steady = None;
         for window in 0..64 {
             for i in 0..8 {
@@ -886,26 +849,6 @@ mod tests {
         assert_eq!(log.len(), 512);
         for index in log.first_retained()..log.len() {
             assert!(read(&log, index).unwrap().is_ok(), "frame {index}");
-        }
-    }
-
-    #[test]
-    fn concurrent_appends_get_distinct_ids() {
-        let log = BatchLog::new();
-        crossbeam::scope(|s| {
-            for _ in 0..8 {
-                let log = &log;
-                s.spawn(move |_| {
-                    for _ in 0..100 {
-                        log.append(&[], &[]);
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(log.len(), 800);
-        for i in 0..800 {
-            assert_eq!(read(&log, i).unwrap().unwrap().batch_id, i as u64, "an id is its position");
         }
     }
 }

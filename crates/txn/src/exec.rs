@@ -8,7 +8,7 @@
 //! executor ([`execute_serial`]) and of the serializability oracle.
 
 use ltpg_storage::index::mix_key;
-use ltpg_storage::{ColId, Database, TableId};
+use ltpg_storage::{ColId, Database, TableError, TableId};
 
 use crate::ir::{IrOp, Src};
 use crate::txn::{Tid, Txn};
@@ -567,7 +567,7 @@ pub fn execute_speculative(db: &Database, txn: &Txn) -> Result<TxnEffects, ExecE
 /// primitive. Reads of missing rows yield 0; updates/adds/deletes of
 /// missing rows are no-ops, as in the reference semantics.
 pub fn execute_range_direct(
-    db: &Database,
+    db: &mut Database,
     txn: &Txn,
     range: std::ops::Range<usize>,
     regs: &mut [i64],
@@ -590,32 +590,22 @@ pub fn execute_range_direct(
                     t.lookup(k).map(|rid| t.get(rid, *col)).unwrap_or(0);
             }
             IrOp::Update { table, key, col, val } => {
-                let k = resolve(*key, regs);
-                let v = resolve(*val, regs);
-                let t = db.table(*table);
-                if let Some(rid) = t.lookup(k) {
-                    t.set(rid, *col, v);
-                }
+                let (key, value) = (resolve(*key, regs), resolve(*val, regs));
+                let _ = apply_mutation(db, &Mutation::Update { table: *table, key, col: *col, value });
             }
             IrOp::Add { table, key, col, delta } => {
-                let k = resolve(*key, regs);
-                let d = resolve(*delta, regs);
-                let t = db.table(*table);
-                if let Some(rid) = t.lookup(k) {
-                    t.add(rid, *col, d);
-                }
+                let (key, delta) = (resolve(*key, regs), resolve(*delta, regs));
+                let _ = apply_mutation(db, &Mutation::Add { table: *table, key, col: *col, delta });
             }
             IrOp::Insert { table, key, values } => {
-                let k = resolve(*key, regs);
-                let row: Vec<i64> = values.iter().map(|s| resolve(*s, regs)).collect();
-                match db.table(*table).insert(k, &row) {
-                    Ok(_) => {}
-                    Err(_) => return Err(ExecError::DuplicateInsert { table: *table, key: k }),
-                }
+                let key = resolve(*key, regs);
+                let values = values.iter().map(|s| resolve(*s, regs)).collect();
+                apply_mutation(db, &Mutation::Insert { table: *table, key, values })
+                    .map_err(|_| ExecError::DuplicateInsert { table: *table, key })?;
             }
             IrOp::Delete { table, key } => {
-                let k = resolve(*key, regs);
-                db.table(*table).delete(k);
+                let key = resolve(*key, regs);
+                let _ = apply_mutation(db, &Mutation::Delete { table: *table, key });
             }
             IrOp::Compute { f, a, b, out } => {
                 let av = resolve(*a, regs);
@@ -676,39 +666,49 @@ pub enum ApplyError {
     },
 }
 
-/// Apply a transaction's buffered mutations to `db`, in program order.
-/// Updates/adds/deletes of rows that vanished meanwhile are no-ops.
-pub fn apply_effects(db: &Database, effects: &TxnEffects) -> Result<(), ApplyError> {
-    for m in &effects.mutations {
-        match m {
-            Mutation::Update { table, key, col, value } => {
-                let t = db.table(*table);
-                if let Some(rid) = t.lookup(*key) {
-                    t.set(rid, *col, *value);
-                }
-            }
-            Mutation::Add { table, key, col, delta } => {
-                let t = db.table(*table);
-                if let Some(rid) = t.lookup(*key) {
-                    t.add(rid, *col, *delta);
-                }
-            }
-            Mutation::Insert { table, key, values } => {
-                db.table(*table)
-                    .insert(*key, values)
-                    .map_err(|_| ApplyError::InsertFailed { table: *table, key: *key })?;
-            }
-            Mutation::Delete { table, key } => {
-                db.table(*table).delete(*key);
+/// Apply one mutation to `db`: the one write path of every engine and
+/// interpreter. An update, add or delete of a row that is not there is a
+/// no-op; an insert reports what refused it, and each caller says what that
+/// means to it.
+pub fn apply_mutation(db: &mut Database, m: &Mutation) -> Result<(), TableError> {
+    match m {
+        Mutation::Update { table, key, col, value } => {
+            let t = db.table_mut(*table);
+            if let Some(rid) = t.lookup(*key) {
+                t.set(rid, *col, *value);
             }
         }
+        Mutation::Add { table, key, col, delta } => {
+            let t = db.table_mut(*table);
+            if let Some(rid) = t.lookup(*key) {
+                t.add(rid, *col, *delta);
+            }
+        }
+        Mutation::Insert { table, key, values } => {
+            db.table_mut(*table).insert(*key, values)?;
+        }
+        Mutation::Delete { table, key } => {
+            db.table_mut(*table).delete(*key);
+        }
+    }
+    Ok(())
+}
+
+/// Apply a transaction's buffered mutations to `db`, in program order.
+/// Updates/adds/deletes of rows that vanished meanwhile are no-ops.
+pub fn apply_effects(db: &mut Database, effects: &TxnEffects) -> Result<(), ApplyError> {
+    for m in &effects.mutations {
+        apply_mutation(db, m).map_err(|_| {
+            let (table, key) = m.row();
+            ApplyError::InsertFailed { table, key }
+        })?;
     }
     Ok(())
 }
 
 /// Execute `txn` serially: speculate, then apply. The canonical semantics
 /// every engine must be equivalent to (per committed transaction).
-pub fn execute_serial(db: &Database, txn: &Txn) -> Result<TxnEffects, ExecError> {
+pub fn execute_serial(db: &mut Database, txn: &Txn) -> Result<TxnEffects, ExecError> {
     let effects = execute_speculative(db, txn)?;
     apply_effects(db, &effects).expect("serial apply cannot fail after speculation");
     Ok(effects)
@@ -737,8 +737,8 @@ mod tests {
     /// execution can know, and leaves the database as it found it.
     #[test]
     fn touching_rows_changes_nothing_and_skips_what_it_cannot_know() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[10, 20]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[10, 20]).unwrap();
         let before = db.state_digest();
         let tx = txn(
             vec![
@@ -759,8 +759,8 @@ mod tests {
 
     #[test]
     fn speculative_execution_does_not_touch_db() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[10, 20]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[10, 20]).unwrap();
         let tx = txn(
             vec![IrOp::Update { table: t, key: Src::Const(1), col: ColId(0), val: Src::Const(99) }],
             vec![],
@@ -772,8 +772,8 @@ mod tests {
 
     #[test]
     fn read_your_own_writes() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[10, 20]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[10, 20]).unwrap();
         let tx = txn(
             vec![
                 IrOp::Update { table: t, key: Src::Const(1), col: ColId(0), val: Src::Const(50) },
@@ -815,8 +815,8 @@ mod tests {
     /// add on the deleted row is a no-op — as direct execution has it.
     #[test]
     fn a_delete_hides_the_rows_earlier_writes() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[10, 20]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[10, 20]).unwrap();
         let key = Src::Const(1);
         let tx = txn(
             vec![
@@ -854,17 +854,17 @@ mod tests {
         assert_eq!(fx.mutations.len(), 6, "the add on the deleted row buffers nothing");
 
         let mut regs = vec![0; tx.reg_count()];
-        let direct = db.deep_clone();
-        execute_range_direct(&direct, &tx, 0..tx.ops.len(), &mut regs).unwrap();
+        let mut direct = db.deep_clone();
+        execute_range_direct(&mut direct, &tx, 0..tx.ops.len(), &mut regs).unwrap();
         assert_eq!(regs, vec![0, 7, 6]);
-        apply_effects(&db, &fx).unwrap();
+        apply_effects(&mut db, &fx).unwrap();
         assert_eq!(db.state_digest(), direct.state_digest());
     }
 
     #[test]
     fn duplicate_insert_is_user_abort() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(5, &[0, 0]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(5, &[0, 0]).unwrap();
         let tx = txn(
             vec![IrOp::Insert { table: t, key: Src::Const(5), values: vec![Src::Const(1), Src::Const(1)] }],
             vec![],
@@ -889,8 +889,8 @@ mod tests {
 
     #[test]
     fn add_accumulates_through_buffer() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[100, 0]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[100, 0]).unwrap();
         let tx = txn(
             vec![
                 IrOp::Add { table: t, key: Src::Const(1), col: ColId(0), delta: Src::Const(5) },
@@ -901,14 +901,14 @@ mod tests {
         );
         let fx = execute_speculative(&db, &tx).unwrap();
         assert_eq!(fx.reads.last().unwrap().value, 112);
-        apply_effects(&db, &fx).unwrap();
+        apply_effects(&mut db, &fx).unwrap();
         assert_eq!(db.table(t).get(db.table(t).lookup(1).unwrap(), ColId(0)), 112);
     }
 
     #[test]
     fn serial_execution_applies_register_dataflow() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[3, 0]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[3, 0]).unwrap();
         // b = a * 10 + 4
         let tx = txn(
             vec![
@@ -919,15 +919,15 @@ mod tests {
             ],
             vec![],
         );
-        execute_serial(&db, &tx).unwrap();
+        execute_serial(&mut db, &tx).unwrap();
         assert_eq!(db.table(t).get(db.table(t).lookup(1).unwrap(), ColId(1)), 34);
     }
 
     #[test]
     fn scan_sum_emulates_range_over_point_lookups() {
-        let (db, t) = db_one_table();
+        let (mut db, t) = db_one_table();
         for k in 0..5 {
-            db.table(t).insert(k, &[k * 10, 0]).unwrap();
+            db.table_mut(t).insert(k, &[k * 10, 0]).unwrap();
         }
         let tx = txn(
             vec![
@@ -936,7 +936,7 @@ mod tests {
             ],
             vec![],
         );
-        let fx = execute_serial(&db, &tx).unwrap();
+        let fx = execute_serial(&mut db, &tx).unwrap();
         // Keys 2,3,4 exist (20+30+40); 5,6 are misses.
         assert_eq!(db.table(t).get(db.table(t).lookup(0).unwrap(), ColId(1)), 90);
         assert_eq!(fx.reads.iter().filter(|r| r.col.is_none()).count(), 2);
@@ -944,8 +944,8 @@ mod tests {
 
     #[test]
     fn rw_set_bytes_counts_all_accesses() {
-        let (db, t) = db_one_table();
-        db.table(t).insert(1, &[0, 0]).unwrap();
+        let (mut db, t) = db_one_table();
+        db.table_mut(t).insert(1, &[0, 0]).unwrap();
         let tx = txn(
             vec![
                 IrOp::Read { table: t, key: Src::Const(1), col: ColId(0), out: 0 },

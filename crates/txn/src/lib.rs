@@ -36,6 +36,6 @@ pub mod txn;
 pub use codec::{decode_batch, decode_txn, encode_batch, encode_txn};
 pub use declared::{declared_accesses, visit_declared, Declared, DeclaredAccess};
 pub use engine::{BatchEngine, BatchReport};
-pub use exec::{execute_serial, execute_speculative, CellStore, TxnEffects};
+pub use exec::{apply_mutation, execute_serial, execute_speculative, CellStore, TxnEffects};
 pub use ir::{ComputeFn, IrOp, OpKind, Src};
 pub use txn::{Batch, ProcId, Tid, TidGen, Txn};

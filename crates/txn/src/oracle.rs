@@ -251,9 +251,9 @@ pub fn check_snapshot_serializable(
     // been overwritten by a predecessor, so applying the snapshot-derived
     // effects in topo order reproduces exactly what a serial execution
     // in that order would do.
-    let replay = pre.deep_clone();
+    let mut replay = pre.deep_clone();
     for &i in &order {
-        apply_effects(&replay, &all_fx[i]).map_err(|_| Violation::StateMismatch {
+        apply_effects(&mut replay, &all_fx[i]).map_err(|_| Violation::StateMismatch {
             expected: 0,
             actual: final_db.state_digest(),
         })?;
@@ -273,9 +273,9 @@ pub fn check_ordered_serializable(
     committed: &[&Txn],
     final_db: &Database,
 ) -> Result<(), Violation> {
-    let replay = pre.deep_clone();
+    let mut replay = pre.deep_clone();
     for t in committed {
-        if execute_serial(&replay, t).is_err() {
+        if execute_serial(&mut replay, t).is_err() {
             return Err(Violation::CommittedUserAbort { tid: t.tid });
         }
     }
@@ -298,7 +298,7 @@ mod tests {
         let mut d = Database::new();
         let t = d.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
         for k in 0..10 {
-            d.table(t).insert(k, &[k, 0]).unwrap();
+            d.table_mut(t).insert(k, &[k, 0]).unwrap();
         }
         (d, t)
     }
@@ -322,10 +322,10 @@ mod tests {
     /// Commit a snapshot batch the way LTPG/Aria would: every txn reads the
     /// pre state, then all write-sets apply.
     fn run_snapshot_batch(pre: &Database, txns: &[&Txn]) -> Database {
-        let after = pre.deep_clone();
+        let mut after = pre.deep_clone();
         let fx: Vec<_> = txns.iter().map(|t| execute_speculative(pre, t).unwrap()).collect();
         for f in &fx {
-            apply_effects(&after, f).unwrap();
+            apply_effects(&mut after, f).unwrap();
         }
         after
     }
@@ -411,10 +411,10 @@ mod tests {
     fn state_mismatch_detected() {
         let (pre, t) = db();
         let t1 = txn(1, vec![write(t, 1, 0, 42)]);
-        let after = run_snapshot_batch(&pre, &[&t1]);
+        let mut after = run_snapshot_batch(&pre, &[&t1]);
         // Corrupt the "engine" state.
         let rid = after.table(t).lookup(2).unwrap();
-        after.table(t).set(rid, ColId(0), 12345);
+        after.table_mut(t).set(rid, ColId(0), 12345);
         let v = check_snapshot_serializable(&pre, &[&t1], &after).unwrap_err();
         assert!(matches!(v, Violation::StateMismatch { .. }));
     }
@@ -459,9 +459,9 @@ mod tests {
         let t1 = txn(1, vec![read(t, 1, 0, 0), IrOp::Update { table: t, key: Src::Const(2), col: ColId(1), val: Src::Reg(0) }]);
         let t2 = txn(2, vec![write(t, 1, 0, 500)]);
         // Execute serially in order (t2, t1): t1 sees 500.
-        let eng = pre.deep_clone();
-        execute_serial(&eng, &t2).unwrap();
-        execute_serial(&eng, &t1).unwrap();
+        let mut eng = pre.deep_clone();
+        execute_serial(&mut eng, &t2).unwrap();
+        execute_serial(&mut eng, &t1).unwrap();
         check_ordered_serializable(&pre, &[&t2, &t1], &eng).unwrap();
         // The other order does not reproduce this state.
         let v = check_ordered_serializable(&pre, &[&t1, &t2], &eng).unwrap_err();

@@ -577,12 +577,12 @@ mod tests {
 
     #[test]
     fn serial_execution_of_a_batch_succeeds_and_grows_tables() {
-        let (db, t, mut g) = generator(50);
+        let (mut db, t, mut g) = generator(50);
         let mut gen = TidGen::new();
         let batch = Batch::assemble(vec![], g.gen_batch(100), &mut gen);
         let mut orders = 0;
         for txn in &batch.txns {
-            execute_serial(&db, txn).expect("serial TPC-C txn");
+            execute_serial(&mut db, txn).expect("serial TPC-C txn");
             if txn.proc == PROC_NEWORDER {
                 orders += 1;
             }
@@ -595,11 +595,11 @@ mod tests {
 
     #[test]
     fn neworder_order_keys_are_unique_per_tid() {
-        let (db, t, mut g) = generator(100);
+        let (mut db, t, mut g) = generator(100);
         let mut gen = TidGen::new();
         let batch = Batch::assemble(vec![], g.gen_batch(50), &mut gen);
         for txn in &batch.txns {
-            execute_serial(&db, txn).unwrap();
+            execute_serial(&mut db, txn).unwrap();
         }
         // 50 orders, all distinct keys (insert would have failed otherwise).
         assert_eq!(db.table(t.orders).live_rows(), 50);

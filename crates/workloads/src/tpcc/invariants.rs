@@ -118,13 +118,13 @@ mod tests {
 
     #[test]
     fn invariants_hold_after_serial_batches() {
-        let (db, t, mut g) = TpccGenerator::new(TpccConfig::new(2, 50).with_headroom(2_048));
+        let (mut db, t, mut g) = TpccGenerator::new(TpccConfig::new(2, 50).with_headroom(2_048));
         check_invariants(&db, &t, 2).unwrap();
         let mut gen = TidGen::new();
         for _ in 0..3 {
             let batch = Batch::assemble(vec![], g.gen_batch(100), &mut gen);
             for txn in &batch.txns {
-                execute_serial(&db, txn).unwrap();
+                execute_serial(&mut db, txn).unwrap();
             }
             check_invariants(&db, &t, 2).unwrap();
         }
@@ -132,8 +132,8 @@ mod tests {
 
     #[test]
     fn ytd_corruption_is_detected() {
-        let (db, t, _g) = TpccGenerator::new(TpccConfig::new(1, 50).with_headroom(64));
-        let wt = db.table(t.warehouse);
+        let (mut db, t, _g) = TpccGenerator::new(TpccConfig::new(1, 50).with_headroom(64));
+        let wt = db.table_mut(t.warehouse);
         let rid = wt.lookup(1).unwrap();
         wt.add(rid, cols::W_YTD, 5);
         let err = check_invariants(&db, &t, 1).unwrap_err();
@@ -142,9 +142,9 @@ mod tests {
 
     #[test]
     fn dangling_order_is_detected() {
-        let (db, t, _g) = TpccGenerator::new(TpccConfig::new(1, 50).with_headroom(64));
+        let (mut db, t, _g) = TpccGenerator::new(TpccConfig::new(1, 50).with_headroom(64));
         // An order without NEW_ORDER row / district count.
-        db.table(t.orders)
+        db.table_mut(t.orders)
             .insert(super::super::keys::order_key(1, 1, 7), &[1, 1, 0, 5, 1])
             .unwrap();
         assert!(check_invariants(&db, &t, 1).is_err());

@@ -194,18 +194,18 @@ pub fn build_database_with(
         db.reserve(table, rows);
     }
     for w in 1..=warehouses {
-        db.table(warehouse)
+        db.table_mut(warehouse)
             .insert(wh_key(w), &[rng.gen_range(0..=2_000), INIT_W_YTD, rng.gen_range(10_000..=99_999)])
             .expect("warehouse insert");
         for d in 1..=DISTRICTS_PER_W {
-            db.table(district)
+            db.table_mut(district)
                 .insert(
                     dist_key(w, d),
                     &[rng.gen_range(0..=2_000), INIT_D_YTD, 1, rng.gen_range(10_000..=99_999)],
                 )
                 .expect("district insert");
             for c in 1..=CUSTOMERS_PER_D {
-                db.table(customer)
+                db.table_mut(customer)
                     .insert(
                         cust_key(w, d, c),
                         &[
@@ -221,13 +221,13 @@ pub fn build_database_with(
             }
         }
         for i in 1..=ITEMS {
-            db.table(stock)
+            db.table_mut(stock)
                 .insert(stock_key(w, i), &[rng.gen_range(10..=100), 0, 0, 0])
                 .expect("stock insert");
         }
     }
     for i in 1..=ITEMS {
-        db.table(item)
+        db.table_mut(item)
             .insert(i, &[rng.gen_range(100..=10_000), rng.gen_range(1..=10_000), rng.gen::<u32>() as i64])
             .expect("item insert");
     }

@@ -212,7 +212,7 @@ impl YcsbGenerator {
         // may add (workloads D and E) before loading.
         db.reserve(table, cap);
         let mut load_rng = StdRng::seed_from_u64(cfg.seed ^ 0x6c6f_6164);
-        let t = db.table(table);
+        let t = db.table_mut(table);
         for k in 1..=cfg.records as i64 {
             t.insert(k, &[load_rng.gen(), load_rng.gen(), load_rng.gen(), load_rng.gen()])
                 .expect("usertable insert");
@@ -417,11 +417,11 @@ mod tests {
 
     #[test]
     fn inserted_keys_are_fresh_and_serial_execution_works() {
-        let (db, t, mut g) = YcsbGenerator::new(config(YcsbWorkload::D));
+        let (mut db, t, mut g) = YcsbGenerator::new(config(YcsbWorkload::D));
         let mut gen = TidGen::new();
         let batch = Batch::assemble(vec![], g.gen_batch(100), &mut gen);
         for txn in &batch.txns {
-            execute_serial(&db, txn).expect("YCSB-D txn must not user-abort");
+            execute_serial(&mut db, txn).expect("YCSB-D txn must not user-abort");
         }
         assert!(db.table(t).live_rows() > 1_000);
     }

@@ -23,7 +23,7 @@ fn main() {
         TableBuilder::new("ACCOUNTS").columns(["BALANCE", "FLAGS"]).capacity(64).build(),
     );
     for id in 1..=10 {
-        db.table(accounts).insert(id, &[1_000, 0]).unwrap();
+        db.table_mut(accounts).insert(id, &[1_000, 0]).unwrap();
     }
 
     // 2. An engine with all optimizations on (the default).
@@ -80,7 +80,7 @@ fn main() {
         TableBuilder::new("ACCOUNTS").columns(["BALANCE", "FLAGS"]).capacity(64).build(),
     );
     for id in 1..=10 {
-        db.table(accounts).insert(id, &[1_000, 0]).unwrap();
+        db.table_mut(accounts).insert(id, &[1_000, 0]).unwrap();
     }
     let mut server = LtpgServer::new(
         db,

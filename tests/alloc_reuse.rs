@@ -135,18 +135,21 @@ fn steady_state_engine_batches_add_zero_net_heap() {
 
 /// Allocator calls per transaction over batches 4..8 of `batches` (0..4
 /// warm the arena), every batch pre-assembled so only the engine allocates
-/// inside the window.
-fn steady_state_calls_per_txn(engine: &mut LtpgEngine, batches: &[Batch]) -> f64 {
+/// inside the window, and the lanes whose pre-pass ran twice in it
+/// (`DeviceStats::lanes_computed_twice`).
+fn steady_state_calls_per_txn(engine: &mut LtpgEngine, batches: &[Batch]) -> (f64, u64) {
     let (warm, timed) = batches.split_at(4);
     for batch in warm {
         drop(engine.execute_batch_report(batch));
     }
+    let twice = engine.device().stats().lanes_computed_twice;
     let before = CALLS.load(Ordering::Relaxed);
     for batch in timed {
         drop(engine.execute_batch_report(batch));
     }
     let calls = CALLS.load(Ordering::Relaxed) - before;
-    calls as f64 / timed.iter().map(Batch::len).sum::<usize>() as f64
+    let txns = timed.iter().map(Batch::len).sum::<usize>() as f64;
+    (calls as f64 / txns, engine.device().stats().lanes_computed_twice - twice)
 }
 
 /// At commit d46e7a0 (three `HashMap`s per speculation, a `Vec` per op in
@@ -166,14 +169,14 @@ fn steady_state_allocator_calls_per_transaction() {
         LtpgEngine::new(db, LtpgConfig { max_batch: 512, ..LtpgConfig::default() });
     let batches: Vec<Batch> =
         (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(512), &mut tids)).collect();
-    let ycsb_calls = steady_state_calls_per_txn(&mut engine, &batches);
+    let (ycsb_calls, _) = steady_state_calls_per_txn(&mut engine, &batches);
 
     let wl = TpccConfig::new(2, 50).with_headroom(8 * 512 * 20);
     let (db, tables, mut gen) = TpccGenerator::new(wl);
     let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
     let batches: Vec<Batch> =
         (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(512), &mut tids)).collect();
-    let tpcc_calls = steady_state_calls_per_txn(&mut engine, &batches);
+    let (tpcc_calls, _) = steady_state_calls_per_txn(&mut engine, &batches);
 
     println!("allocator calls per transaction: YCSB-A {ycsb_calls:.2}, TPC-C {tpcc_calls:.2}");
     assert!(ycsb_calls <= 20.18 / 2.0, "YCSB-A: {ycsb_calls:.2} allocator calls per transaction");
@@ -187,9 +190,12 @@ fn steady_state_allocator_calls_per_transaction() {
 /// host threads may exceed the one-thread figure only by the helper's
 /// spawn, once per batch: 0.01 calls per transaction. A lane whose helper
 /// was overtaken by the launching thread runs its pre-pass twice and
-/// allocates twice; the failure message says how many there were.
+/// allocates twice. How many do is up to the scheduler (none on an idle
+/// box, 20–35 a window on a busy one), so each is charged apart: at most
+/// what one transaction allocates on one thread, the pre-pass included.
 #[test]
 fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
+    const TIMED_TXNS: f64 = (4 * 4_096) as f64;
     let _guard = serial();
     let calls_at = |threads: usize| {
         let wl = TpccConfig::new(2, 50).with_headroom(8 * 4_096 * 2);
@@ -200,19 +206,19 @@ fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
         let mut tids = TidGen::new();
         let batches: Vec<Batch> =
             (0..8).map(|_| Batch::assemble(Vec::new(), gen.gen_batch(4_096), &mut tids)).collect();
-        let calls = steady_state_calls_per_txn(&mut engine, &batches);
-        (calls, engine.device().stats())
+        let (calls, twice) = steady_state_calls_per_txn(&mut engine, &batches);
+        (calls, twice, engine.device().stats().helper_lanes)
     };
-    let (one, _) = calls_at(1);
-    let (two, stats) = calls_at(2);
-    let (helped, twice) = (stats.helper_lanes, stats.lanes_computed_twice);
+    let (one, ..) = calls_at(1);
+    let (two, twice, helped) = calls_at(2);
+    let recomputed = twice as f64 * one / TIMED_TXNS;
     println!(
         "allocator calls per TPC-C transaction: {one:.3} on one host thread, {two:.3} on two \
-         ({helped} lanes from the helper, {twice} computed twice)"
+         ({helped} lanes from the helper, {twice} computed twice: {recomputed:.3} allowed for them)"
     );
     assert!(helped > 0, "no helper produced a lane");
     assert!(
-        two <= one + 0.01,
+        two <= one + 0.01 + recomputed,
         "two host threads: {two:.3} calls per transaction against {one:.3}; \
          {twice} lanes were computed twice"
     );

@@ -48,10 +48,10 @@ fn build_db() -> (Database, TableId, TableId) {
     );
     let hot = db.add_table(TableBuilder::new("hot").columns(["x", "y"]).capacity(64).build());
     for k in 0..PLAIN_KEYS {
-        db.table(plain).insert(k, &[k, 0]).unwrap();
+        db.table_mut(plain).insert(k, &[k, 0]).unwrap();
     }
     for k in 0..HOT_KEYS {
-        db.table(hot).insert(k, &[0, 0]).unwrap();
+        db.table_mut(hot).insert(k, &[0, 0]).unwrap();
     }
     (db, plain, hot)
 }
@@ -192,7 +192,7 @@ fn run_one_seed(seed: u64) -> SweepObservations {
 
     // Crash aftermath: damage the on-disk log the way a dying process
     // would, then recover.
-    let damage = injector.damage_wal(server.durability().log());
+    let damage = injector.damage_wal(server.durability_mut().log_mut());
     match server.durability().recover(cfg) {
         Ok(o) => {
             assert_eq!(
@@ -266,7 +266,7 @@ fn sharded_recovery_off_delta_images_across_a_cutover_matches_the_uncrashed_run(
     let mut db = Database::new();
     db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(512).build());
     for k in 0..256 {
-        db.table(T).insert(k, &[k, -k]).unwrap();
+        db.table_mut(T).insert(k, &[k, -k]).unwrap();
     }
     let part = Partitioner::new(SHARDS as u32, TableRule::Hash)
         .with_rule(T, TableRule::Range { bounds: vec![65, 129, 193] });
@@ -359,7 +359,7 @@ fn sharded_recovery_replays_every_log_to_the_joint_cut() {
     let mut db = Database::new();
     db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(512).build());
     for k in 0..256 {
-        db.table(T).insert(k, &[k, -k]).unwrap();
+        db.table_mut(T).insert(k, &[k, -k]).unwrap();
     }
     let part = Partitioner::new(4, TableRule::Hash);
     let mut s = 0x00c0_ffee_u64;
@@ -395,9 +395,9 @@ fn sharded_recovery_replays_every_log_to_the_joint_cut() {
                 digests.push(slices(&server));
             }
         }
+        server.topology_mut().1.durability[1].log_mut().tear_tail(tear);
         let logs = &server.shards().durability;
         assert_eq!((logs[0].checkpoint_batch(), logs[0].logged_batches()), (6, 7));
-        logs[1].log().tear_tail(tear);
         let cut = logs.iter().map(DurabilityManager::logged_batches).min().unwrap();
         assert_eq!(cut, if tear == 0 { 7 } else { 6 });
         let replay = server.topology().replayer();
@@ -427,9 +427,9 @@ fn degradation_rebuild_reads_the_damaged_log() {
     while server.stats().batches < 6 {
         server.tick().expect("work is queued");
     }
-    let dur = server.durability();
+    let dur = server.durability_mut();
     assert_eq!((dur.checkpoint_batch(), dur.logged_batches()), (4, 6));
-    assert!(dur.log().corrupt_frame(5, 0x10));
+    assert!(dur.log_mut().corrupt_frame(5, 0x10));
     server.force_device_failure();
     match server.try_tick() {
         Err(ltpg::ServerError::DegradationFailed(RecoveryError::Frame(
@@ -647,8 +647,8 @@ fn logged_history(rounds: usize, seed: u64) -> (DurabilityManager, LtpgEngine, L
 
 #[test]
 fn recovery_error_frame_checksum() {
-    let (dur, _engine, cfg) = logged_history(3, 1);
-    assert!(dur.log().corrupt_frame(1, 0x10));
+    let (mut dur, _engine, cfg) = logged_history(3, 1);
+    assert!(dur.log_mut().corrupt_frame(1, 0x10));
     match dur.recover(cfg) {
         Err(RecoveryError::Frame(FrameError::ChecksumMismatch { frame_index, .. })) => {
             assert_eq!(frame_index, 1)
@@ -659,10 +659,10 @@ fn recovery_error_frame_checksum() {
 
 #[test]
 fn recovery_error_frame_bad_magic() {
-    let (dur, _engine, cfg) = logged_history(2, 2);
+    let (mut dur, _engine, cfg) = logged_history(2, 2);
     // Flip a byte of frame 1's magic (first byte of the frame).
     let offset = dur.log().frame(1).expect("frame 1 is logged").offset;
-    dur.log().corrupt_byte(offset, 0xFF);
+    dur.log_mut().corrupt_byte(offset, 0xFF);
     match dur.recover(cfg) {
         Err(RecoveryError::Frame(FrameError::BadMagic { frame_index, .. })) => {
             assert_eq!(frame_index, 1)
@@ -730,10 +730,10 @@ fn recovery_error_round() {
 #[test]
 fn recovery_error_corrupt_payload() {
     let (db, _plain, hot) = build_db();
-    let dur = DurabilityManager::new(&db);
+    let mut dur = DurabilityManager::new(&db);
     // A frame whose CRC is fine but whose payload is not a batch encoding:
     // codec-level corruption, distinct from disk damage.
-    dur.log().append(&[1], &[0xDE, 0xAD, 0xBE, 0xEF]);
+    dur.log_mut().append(&[1], &[0xDE, 0xAD, 0xBE, 0xEF]);
     match dur.recover(engine_cfg(hot)) {
         Err(RecoveryError::Corrupt(_)) => {}
         other => panic!("expected Corrupt, got {other:?}"),
@@ -750,8 +750,8 @@ proptest! {
     /// the recovered state.
     #[test]
     fn recovery_is_idempotent(seed in 0u64..1_000, rounds in 1usize..4, tear in 0usize..64) {
-        let (dur, _engine, cfg) = logged_history(rounds, seed);
-        dur.log().tear_tail(tear);
+        let (mut dur, _engine, cfg) = logged_history(rounds, seed);
+        dur.log_mut().tear_tail(tear);
         let once = dur.recover(cfg.clone()).unwrap();
         let twice = dur.recover(cfg.clone()).unwrap();
         prop_assert_eq!(once.db.state_digest(), twice.db.state_digest());

@@ -4,12 +4,13 @@
 //! and the engines that commit everything (the deterministic baselines)
 //! must agree with each other bit-for-bit.
 
+use ltpg_baselines::{BambooEngine, Dbx1000Engine};
 use ltpg_bench::{build_tpcc_engine, SystemKind};
 use ltpg_txn::engine::CommitSemantics;
 use ltpg_txn::oracle::{check_ordered_serializable, check_snapshot_serializable};
-use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
+use ltpg_txn::{Batch, BatchEngine, Tid, TidGen, Txn};
 use ltpg_workloads::tpcc::check_invariants;
-use ltpg_workloads::{TpccConfig, TpccGenerator};
+use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 const W: i64 = 2;
 const BATCH: usize = 384;
@@ -74,20 +75,50 @@ fn commit_everything_engines_agree_bit_for_bit() {
     }
 }
 
+/// What one run of an engine over one batch decided: the commit order,
+/// the aborts, the simulated time's bits and the final state's digest.
+type Outcome = (Vec<Tid>, Vec<Tid>, u64, u64);
+
+fn outcome(engine: &mut dyn BatchEngine, batch: &Batch) -> Outcome {
+    let r = engine.execute_batch(batch);
+    (r.committed, r.aborted, r.sim_ns.to_bits(), engine.database().state_digest())
+}
+
 #[test]
-fn nondeterministic_engines_commit_everything_too() {
-    // TicToc and Bamboo retry until done on this workload; they must end
-    // at the same logical state as the deterministic engines *if* their
-    // equivalent serial order is also TID order — it generally is not, so
-    // only the per-engine oracle (above) and the invariants constrain
-    // them. Here we check full commitment and invariants.
-    let (db0, tables, _cfg, batch) = shared_batch();
-    for kind in [SystemKind::Dbx1000, SystemKind::Bamboo] {
-        let db = db0.deep_clone();
-        let mut engine = build_tpcc_engine(kind, db, &tables, BATCH);
-        let report = engine.execute_batch(&batch);
-        assert_eq!(report.committed.len(), BATCH, "{} left transactions behind", kind.name());
-        check_invariants(engine.database(), &tables, W).unwrap();
+fn dbx1000_and_bamboo_are_deterministic() {
+    // TicToc's modelled workers and Bamboo's locked schedule run on one
+    // host thread, so a run is a function of its input: two runs over one
+    // stream are one run. Their equivalent serial order is not TID order,
+    // so only the per-engine oracle (above) and the invariants constrain
+    // their state. One TPC-C stream, which both commit whole, and one
+    // YCSB-A stream at Zipf 0.99, on which TicToc's workers must really
+    // interleave: some of its attempts fail validation and run again.
+    let (tpcc_db, tables, _cfg, tpcc) = shared_batch();
+    let ycsb_cfg = YcsbConfig::new(YcsbWorkload::A, 10_000).with_alpha(0.99).with_seed(5);
+    let (ycsb_db, _table, mut gen) = YcsbGenerator::new(ycsb_cfg);
+    let ycsb = Batch::assemble(vec![], gen.gen_batch(BATCH), &mut TidGen::new());
+    for (stream, db0, batch) in [("TPC-C", &tpcc_db, &tpcc), ("YCSB-A", &ycsb_db, &ycsb)] {
+        let run = || {
+            let mut dbx = Dbx1000Engine::new(db0.deep_clone());
+            let mut bamboo = BambooEngine::new(db0.deep_clone());
+            let dbx_outcome = outcome(&mut dbx, batch);
+            (dbx_outcome, dbx.attempts(), outcome(&mut bamboo, batch), dbx, bamboo)
+        };
+        let (dbx, attempts, bamboo, dbx_engine, bamboo_engine) = run();
+        let again = run();
+        assert_eq!((&dbx, attempts), (&again.0, again.1), "{stream}: DBx1000 ran differently twice");
+        assert_eq!(bamboo, again.2, "{stream}: Bamboo ran differently twice");
+        if stream == "TPC-C" {
+            for (name, committed, db) in [
+                ("DBx1000", dbx.0.len(), dbx_engine.database()),
+                ("Bamboo", bamboo.0.len(), bamboo_engine.database()),
+            ] {
+                assert_eq!(committed, BATCH, "{name} left transactions behind");
+                check_invariants(db, &tables, W).unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
+        } else {
+            assert!(attempts > BATCH as u64, "YCSB-A: {attempts} DBx1000 attempts, no retry");
+        }
     }
 }
 
@@ -104,7 +135,7 @@ fn schedulers_match_serial_commit_sets_on_seeded_schedules() {
         let db0 = case.build_database();
         let mut stm = ltpg_baselines::BlockStmEngine::new(db0.deep_clone());
         let mut ag = ltpg_baselines::AddrGraphEngine::new(db0.deep_clone());
-        let serial_db = db0.deep_clone();
+        let mut serial_db = db0.deep_clone();
         let mut tids = TidGen::new();
         for chunk in case.batches() {
             let batch = Batch::assemble(Vec::new(), chunk.to_vec(), &mut tids);
@@ -112,7 +143,7 @@ fn schedulers_match_serial_commit_sets_on_seeded_schedules() {
             let ag_report = ag.execute_batch(&batch);
             let mut serial_committed = Vec::new();
             for txn in &batch.txns {
-                if ltpg_txn::execute_serial(&serial_db, txn).is_ok() {
+                if ltpg_txn::execute_serial(&mut serial_db, txn).is_ok() {
                     serial_committed.push(txn.tid);
                 }
             }

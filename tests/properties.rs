@@ -475,7 +475,7 @@ proptest! {
             let mut db = Database::new();
             let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
             for k in [0, 1, 2, 3, 9] {
-                db.table(t).insert(k, &[k, -k]).unwrap();
+                db.table_mut(t).insert(k, &[k, -k]).unwrap();
             }
             db
         };
@@ -491,11 +491,11 @@ proptest! {
         v.push(IrOp::Update { table, key: sink, col: ColId(1), val: Src::Reg(1) });
         let mut txn = Txn::new(ProcId(0), vec![], v);
         txn.tid = Tid(1);
-        let a = build();
-        let buffered = execute_serial(&a, &txn);
-        let b = build();
+        let mut a = build();
+        let buffered = execute_serial(&mut a, &txn);
+        let mut b = build();
         let mut regs = vec![0i64; txn.reg_count()];
-        let direct = execute_range_direct(&b, &txn, 0..txn.ops.len(), &mut regs);
+        let direct = execute_range_direct(&mut b, &txn, 0..txn.ops.len(), &mut regs);
         match (buffered, direct) {
             (Ok(_), Ok(())) => prop_assert_eq!(a.state_digest(), b.state_digest()),
             // Duplicate inserts abort in both paths; direct may have

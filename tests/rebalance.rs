@@ -33,7 +33,7 @@ fn range_fixture() -> (Database, Partitioner) {
     let schema = TableBuilder::new("T").columns(["a", "b"]).capacity(512).build();
     let id = db.add_built_table(Table::new(schema));
     for k in 0..256 {
-        db.table(id).insert(k, &[k, -k]).expect("seed row");
+        db.table_mut(id).insert(k, &[k, -k]).expect("seed row");
     }
     let part = Partitioner::new(4, TableRule::Hash)
         .with_rule(id, TableRule::Range { bounds: vec![65, 129, 193] });

@@ -294,7 +294,7 @@ fn a_standby_catching_up_over_a_corrupt_frame_is_demoted_with_its_cause() {
     // Batches 0..4 are logged and checkpointed; the held row was shipped
     // batch 0 alone, so frame 2 lies inside its window.
     assert_eq!(server.durability().checkpoint_batch(), 4);
-    assert!(server.durability().log().corrupt_frame(2, 0x10));
+    assert!(server.durability_mut().log_mut().corrupt_frame(2, 0x10));
     server.force_device_failure();
     server.drain(400);
 

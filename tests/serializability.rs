@@ -16,7 +16,7 @@ fn tiny_db() -> (Database, TableId) {
     let mut db = Database::new();
     let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(512).build());
     for k in 0..ROWS {
-        db.table(t).insert(k, &[k * 10, 0]).unwrap();
+        db.table_mut(t).insert(k, &[k * 10, 0]).unwrap();
     }
     (db, t)
 }

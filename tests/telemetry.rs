@@ -14,7 +14,7 @@ fn contended_server(txns: usize, keys: i64, batch: usize) -> LtpgServer {
     let mut db = Database::new();
     let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
     for k in 0..keys {
-        db.table(t).insert(k, &[0, 0]).unwrap();
+        db.table_mut(t).insert(k, &[0, 0]).unwrap();
     }
     let mut server = LtpgServer::new(
         db,

@@ -65,7 +65,7 @@ fn db_and_txns() -> (Database, Vec<Txn>) {
     let mut db = Database::new();
     db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(256).build());
     for k in 0..32 {
-        db.table(T).insert(k, &[k, 0]).unwrap();
+        db.table_mut(T).insert(k, &[k, 0]).unwrap();
     }
     let write = |key, val| IrOp::Update { table: T, key: Src::Const(key), col: ColId(0), val: Src::Const(val) };
     let txns = (0..240i64)
