@@ -20,7 +20,6 @@
 //! `addrgraph.undeclared_txns` telemetry so the adaptive policy can see it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ltpg_gpu_sim::{Device, DeviceConfig};
@@ -61,7 +60,7 @@ impl AddrGraphStats {
 /// adaptive engine drives the core directly against the LTPG engine's
 /// database.
 pub struct AddrGraphCore {
-    device: Arc<Device>,
+    device: Device,
     last: AddrGraphStats,
 }
 
@@ -79,7 +78,7 @@ impl AddrGraphCore {
 
     /// A core with an explicit device configuration.
     pub fn with_device(cfg: DeviceConfig) -> Self {
-        AddrGraphCore { device: Arc::new(Device::new(cfg)), last: AddrGraphStats::default() }
+        AddrGraphCore { device: Device::new(cfg), last: AddrGraphStats::default() }
     }
 
     /// The simulated device.
@@ -255,7 +254,7 @@ impl AddrGraphEngine {
 
     /// Create with an explicit device configuration.
     pub fn with_device(db: Database, cfg: DeviceConfig) -> Self {
-        let core = AddrGraphCore::with_device(cfg);
+        let mut core = AddrGraphCore::with_device(cfg);
         core.device.register_allocation(db.bytes());
         AddrGraphEngine { db, core }
     }

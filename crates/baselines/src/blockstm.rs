@@ -25,7 +25,6 @@
 //! abort-based schemes throw work away.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ltpg_gpu_sim::{Device, DeviceConfig};
@@ -134,7 +133,7 @@ impl BlockStmStats {
 /// with an owned database for standalone [`BatchEngine`] use; the adaptive
 /// engine drives the core directly against the LTPG engine's database.
 pub struct BlockStmCore {
-    device: Arc<Device>,
+    device: Device,
     last: BlockStmStats,
 }
 
@@ -152,7 +151,7 @@ impl BlockStmCore {
 
     /// A core with an explicit device configuration.
     pub fn with_device(cfg: DeviceConfig) -> Self {
-        BlockStmCore { device: Arc::new(Device::new(cfg)), last: BlockStmStats::default() }
+        BlockStmCore { device: Device::new(cfg), last: BlockStmStats::default() }
     }
 
     /// The simulated device.
@@ -344,7 +343,7 @@ impl BlockStmEngine {
 
     /// Create with an explicit device configuration.
     pub fn with_device(db: Database, cfg: DeviceConfig) -> Self {
-        let core = BlockStmCore::with_device(cfg);
+        let mut core = BlockStmCore::with_device(cfg);
         core.device.register_allocation(db.bytes());
         BlockStmEngine { db, core }
     }

@@ -21,7 +21,6 @@
 //!   transfer latencies of Table IV.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ltpg_gpu_sim::{Device, DeviceConfig};
@@ -33,7 +32,7 @@ use ltpg_txn::{declared_accesses, Batch, BatchEngine, BatchReport, IrOp};
 /// The GaccO engine.
 pub struct GaccoEngine {
     db: Database,
-    device: Arc<Device>,
+    device: Device,
 }
 
 impl GaccoEngine {
@@ -44,7 +43,7 @@ impl GaccoEngine {
 
     /// Create with an explicit device configuration.
     pub fn with_device(db: Database, cfg: DeviceConfig) -> Self {
-        let device = Arc::new(Device::new(cfg));
+        let mut device = Device::new(cfg);
         device.register_allocation(db.bytes());
         GaccoEngine { db, device }
     }

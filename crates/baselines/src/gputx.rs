@@ -15,7 +15,6 @@
 //! systems (and the reason for GPUTx's Table II numbers).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ltpg_gpu_sim::{Device, DeviceConfig};
@@ -27,7 +26,7 @@ use ltpg_txn::{declared_accesses, Batch, BatchEngine, BatchReport};
 /// The GPUTx engine.
 pub struct GputxEngine {
     db: Database,
-    device: Arc<Device>,
+    device: Device,
 }
 
 impl GputxEngine {
@@ -38,7 +37,7 @@ impl GputxEngine {
 
     /// Create with an explicit device configuration.
     pub fn with_device(db: Database, cfg: DeviceConfig) -> Self {
-        let device = Arc::new(Device::new(cfg));
+        let mut device = Device::new(cfg);
         device.register_allocation(db.bytes());
         GputxEngine { db, device }
     }

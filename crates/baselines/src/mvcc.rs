@@ -9,10 +9,8 @@
 //! filling in its own placeholders. A read that lands on an unfilled
 //! placeholder is a data dependency: the reader must wait for the writer.
 
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use ltpg_storage::index::mix_key;
 use ltpg_storage::TableId;
 
 /// One version of a record within a batch.
@@ -35,34 +33,25 @@ pub enum VisibleRead {
     Base,
 }
 
-/// One shard of version chains.
-type Shard = RwLock<HashMap<(u16, i64), Vec<Version>>>;
-
-/// Multi-version store keyed by `(table, key)`.
+/// Multi-version store keyed by `(table, key)`: one ordered map of
+/// version chains, written by the one thread that runs the batch.
 #[derive(Debug, Default)]
 pub struct MultiVersionStore {
-    shards: Vec<Shard>,
+    chains: BTreeMap<(u16, i64), Vec<Version>>,
 }
 
 impl MultiVersionStore {
-    /// Create with a default shard count.
+    /// An empty store.
     pub fn new() -> Self {
-        MultiVersionStore { shards: (0..16).map(|_| RwLock::new(HashMap::new())).collect() }
-    }
-
-    #[inline]
-    fn shard(&self, table: TableId, key: i64) -> &Shard {
-        let h = mix_key(key ^ (i64::from(table.0) << 48));
-        &self.shards[h as usize % self.shards.len()]
+        Self::default()
     }
 
     /// CC step: insert a placeholder for `(table, key)` written by `tid`.
     /// Versions for one key must be inserted in increasing TID order within
     /// a partition (BOHM partitions keys across CC threads to guarantee it);
     /// out-of-order inserts are sorted defensively.
-    pub fn insert_placeholder(&self, table: TableId, key: i64, tid: u64) {
-        let mut shard = self.shard(table, key).write();
-        let chain = shard.entry((table.0, key)).or_default();
+    pub fn insert_placeholder(&mut self, table: TableId, key: i64, tid: u64) {
+        let chain = self.chains.entry((table.0, key)).or_default();
         chain.push(Version { tid, row: None });
         if chain.len() >= 2 {
             let n = chain.len();
@@ -74,9 +63,8 @@ impl MultiVersionStore {
 
     /// Execution step: fill `tid`'s placeholder with the produced row.
     /// Panics if the placeholder does not exist (a CC-step bug).
-    pub fn fill(&self, table: TableId, key: i64, tid: u64, row: Vec<i64>) {
-        let mut shard = self.shard(table, key).write();
-        let chain = shard.get_mut(&(table.0, key)).expect("fill without placeholder");
+    pub fn fill(&mut self, table: TableId, key: i64, tid: u64, row: Vec<i64>) {
+        let chain = self.chains.get_mut(&(table.0, key)).expect("fill without placeholder");
         let v = chain
             .iter_mut()
             .find(|v| v.tid == tid)
@@ -86,9 +74,8 @@ impl MultiVersionStore {
 
     /// Remove `tid`'s placeholder (the writer aborted; readers fall through
     /// to the next older version).
-    pub fn retract(&self, table: TableId, key: i64, tid: u64) {
-        let mut shard = self.shard(table, key).write();
-        if let Some(chain) = shard.get_mut(&(table.0, key)) {
+    pub fn retract(&mut self, table: TableId, key: i64, tid: u64) {
+        if let Some(chain) = self.chains.get_mut(&(table.0, key)) {
             chain.retain(|v| v.tid != tid);
         }
     }
@@ -96,8 +83,7 @@ impl MultiVersionStore {
     /// What does a reader with `reader_tid` see for `(table, key)`? The
     /// version with the largest TID `< reader_tid`, per BOHM's rule.
     pub fn read_visible(&self, table: TableId, key: i64, reader_tid: u64) -> VisibleRead {
-        let shard = self.shard(table, key).read();
-        let Some(chain) = shard.get(&(table.0, key)) else {
+        let Some(chain) = self.chains.get(&(table.0, key)) else {
             return VisibleRead::Base;
         };
         // Chains are sorted ascending by TID; scan from the back.
@@ -115,26 +101,19 @@ impl MultiVersionStore {
     /// The newest filled version of a key, if any (used at batch end to
     /// migrate final versions into the base table).
     pub fn newest_filled(&self, table: TableId, key: i64) -> Option<(u64, Vec<i64>)> {
-        let shard = self.shard(table, key).read();
-        let chain = shard.get(&(table.0, key))?;
+        let chain = self.chains.get(&(table.0, key))?;
         chain.iter().rev().find_map(|v| v.row.as_ref().map(|r| (v.tid, r.clone())))
     }
 
-    /// All keys currently holding chains (batch-end migration sweep).
+    /// All keys currently holding chains, in `(table, key)` order
+    /// (batch-end migration sweep).
     pub fn keys(&self) -> Vec<(TableId, i64)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.read().keys().map(|&(t, k)| (TableId(t), k)));
-        }
-        out.sort_unstable_by_key(|&(t, k)| (t.0, k));
-        out
+        self.chains.keys().map(|&(t, k)| (TableId(t), k)).collect()
     }
 
     /// Drop all chains (between batches).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.write().clear();
-        }
+    pub fn clear(&mut self) {
+        self.chains.clear();
     }
 }
 
@@ -146,7 +125,7 @@ mod tests {
 
     #[test]
     fn visibility_follows_largest_tid_below_reader() {
-        let mv = MultiVersionStore::new();
+        let mut mv = MultiVersionStore::new();
         mv.insert_placeholder(T, 1, 10);
         mv.insert_placeholder(T, 1, 20);
         mv.fill(T, 1, 10, vec![100]);
@@ -160,7 +139,7 @@ mod tests {
 
     #[test]
     fn unfilled_placeholder_reports_pending() {
-        let mv = MultiVersionStore::new();
+        let mut mv = MultiVersionStore::new();
         mv.insert_placeholder(T, 9, 3);
         assert_eq!(mv.read_visible(T, 9, 7), VisibleRead::Pending(3));
         mv.fill(T, 9, 3, vec![1, 2]);
@@ -169,7 +148,7 @@ mod tests {
 
     #[test]
     fn retract_exposes_older_version() {
-        let mv = MultiVersionStore::new();
+        let mut mv = MultiVersionStore::new();
         mv.insert_placeholder(T, 4, 1);
         mv.insert_placeholder(T, 4, 2);
         mv.fill(T, 4, 1, vec![10]);
@@ -179,7 +158,7 @@ mod tests {
 
     #[test]
     fn out_of_order_placeholder_insertion_is_sorted() {
-        let mv = MultiVersionStore::new();
+        let mut mv = MultiVersionStore::new();
         mv.insert_placeholder(T, 5, 30);
         mv.insert_placeholder(T, 5, 10); // arrives late
         mv.fill(T, 5, 10, vec![1]);
@@ -189,12 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_clear_cover_all_shards() {
-        let mv = MultiVersionStore::new();
+    fn keys_are_ordered_and_clear_empties_the_store() {
+        let mut mv = MultiVersionStore::new();
         for k in 0..100 {
             mv.insert_placeholder(TableId((k % 3) as u16), k, 1);
         }
-        assert_eq!(mv.keys().len(), 100);
+        let keys = mv.keys();
+        assert_eq!(keys.len(), 100);
+        assert!(keys.windows(2).all(|w| (w[0].0 .0, w[0].1) < (w[1].0 .0, w[1].1)));
         mv.clear();
         assert!(mv.keys().is_empty());
         assert_eq!(mv.read_visible(T, 0, 10), VisibleRead::Base);

@@ -14,7 +14,7 @@ use ltpg::conflict::TableLog;
 use ltpg_gpu_sim::{Device, DeviceConfig};
 
 fn bench_register(c: &mut Criterion) {
-    let device = Device::new(DeviceConfig::default());
+    let mut device = Device::new(DeviceConfig::default());
     let mut group = c.benchmark_group("conflict_log/register_4096");
     for (label, s_u, hot) in
         [("spread_su1", 1usize, false), ("hot_su1", 1, true), ("hot_su32", 32, true)]
@@ -37,7 +37,7 @@ fn bench_register(c: &mut Criterion) {
 }
 
 fn bench_detect(c: &mut Criterion) {
-    let device = Device::new(DeviceConfig::default());
+    let mut device = Device::new(DeviceConfig::default());
     let mut group = c.benchmark_group("conflict_log/min_write_4096");
     for (label, s_u) in [("su1", 1usize), ("su32", 32)] {
         let mut log = TableLog::new(1 << 13, s_u);
@@ -61,11 +61,11 @@ fn bench_detect(c: &mut Criterion) {
 /// `min_write` probes 40 000 keys registered up front (every probe a hit).
 fn bench_engine_shaped(c: &mut Criterion) {
     const CLAIMS: usize = 40_000;
-    let device = Device::new(DeviceConfig::default());
+    let mut device = Device::new(DeviceConfig::default());
     let mut log = TableLog::new(1 << 20, 1).with_ballot_probe(32);
     let mut group = c.benchmark_group("conflict_log/engine_su1");
     let mut epoch = 0u32;
-    let epoch_of_claims = |log: &mut TableLog, epoch: u32| {
+    let epoch_of_claims = |device: &mut Device, log: &mut TableLog, epoch: u32| {
         let base = i64::from(epoch) * CLAIMS as i64;
         device.launch_indexed("reg", CLAIMS, |lane| {
             let key = base + lane.global_id as i64;
@@ -75,12 +75,12 @@ fn bench_engine_shaped(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("register_40000"), |b| {
         b.iter(|| {
             epoch += 1;
-            epoch_of_claims(&mut log, epoch);
+            epoch_of_claims(&mut device, &mut log, epoch);
             log.settle();
         });
     });
     epoch += 1;
-    epoch_of_claims(&mut log, epoch);
+    epoch_of_claims(&mut device, &mut log, epoch);
     group.bench_function(BenchmarkId::from_parameter("min_write_40000"), |b| {
         let base = i64::from(epoch) * CLAIMS as i64;
         b.iter(|| {
@@ -99,16 +99,16 @@ fn bench_engine_shaped(c: &mut Criterion) {
 /// and slot are all read).
 fn bench_dram(c: &mut Criterion) {
     const REGISTERED: usize = 1 << 20;
-    let device = Device::new(DeviceConfig::default());
+    let mut device = Device::new(DeviceConfig::default());
     let mut log = TableLog::new(1 << 21, 1);
-    let seed = |log: &mut TableLog, epoch: u32| {
+    let seed = |device: &mut Device, log: &mut TableLog, epoch: u32| {
         device.launch_indexed("seed", REGISTERED, |lane| {
             let id = lane.global_id;
             let _ = log.register_write(lane, id as i64, id as u64 + 1, epoch);
         });
     };
     // A first epoch of a million claims grows the table to hold them.
-    seed(&mut log, 1);
+    seed(&mut device, &mut log, 1);
     log.settle();
     let mut group = c.benchmark_group("conflict_log/dram_su1");
     let mut epoch = 1u32;
@@ -124,7 +124,7 @@ fn bench_dram(c: &mut Criterion) {
         });
     });
     epoch += 1;
-    seed(&mut log, epoch);
+    seed(&mut device, &mut log, epoch);
     let mut round = 0usize;
     group.bench_function(BenchmarkId::from_parameter("min_write_4096"), |b| {
         b.iter(|| {

@@ -281,7 +281,7 @@ pub fn table7(scale: Scale) -> Record {
     for threads in [1024 * 1024usize, 512 * 512] {
         for s_h in [1usize, 32, 512] {
             for s_u in [1usize, 32] {
-                let device = Device::new(DeviceConfig::default());
+                let mut device = Device::new(DeviceConfig::default());
                 let mut log = TableLog::new(s_h, s_u);
                 // Mark: every lane registers its TID against key (lane % s_h) —
                 // the distinct-key count equals the hash-table size, as in the
@@ -372,7 +372,7 @@ pub fn table9(scale: Scale) -> Record {
         let mut engine = LtpgEngine::new(db, lcfg);
         let emulated = emulated_warehouses as u64 * bytes_per_warehouse;
         let real = engine.device().allocated_bytes();
-        engine.device().register_allocation(emulated.saturating_sub(real));
+        engine.device_mut().register_allocation(emulated.saturating_sub(real));
         let b = Batch::assemble(vec![], gen.gen_batch(batch), &mut TidGen::new());
         let s = engine.execute_batch_report(&b).stats;
         rec.push(row![

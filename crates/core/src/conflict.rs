@@ -911,9 +911,9 @@ mod tests {
     fn claims_past_half_the_table_grow_it_within_the_epoch() {
         let mut log = TableLog::new(1 << 16, 32).with_ballot_probe(32);
         let keys = 3_000usize;
-        let device = Device::new(DeviceConfig::default());
+        let mut device = Device::new(DeviceConfig::default());
         // The table's length after each registration of one epoch.
-        let epoch_with = |log: &mut TableLog, epoch: u32, keys: usize| {
+        let mut epoch_with = |log: &mut TableLog, epoch: u32, keys: usize| {
             let mut lens = Vec::new();
             device.launch_indexed("reg", 2 * keys, |lane| {
                 let key = (lane.global_id % keys) as i64;
@@ -968,7 +968,7 @@ mod tests {
     #[test]
     fn parallel_registration_is_deterministic() {
         let run = |threads: usize| {
-            let device = Device::new(DeviceConfig::parallel(threads));
+            let mut device = Device::new(DeviceConfig::parallel(threads));
             let mut log = TableLog::new(1 << 13, 32);
             let mut slots = ltpg_gpu_sim::PreSlots::default();
             let keyed = |k: usize| ((k as u64 + 1) % 64, k as u64 + 1);
@@ -1016,7 +1016,7 @@ mod tests {
         // lookup on an empty log (one bucket inspected, then "no record
         // this epoch") must cost more than not touching the log at all.
         let cycles_for = |f: &mut dyn FnMut(&mut Lane<'_>)| {
-            let device = Device::new(DeviceConfig::default());
+            let mut device = Device::new(DeviceConfig::default());
             device.launch_indexed("probe", 1, f).sim_ns
         };
         let log = TableLog::new(64, 1);
@@ -1037,7 +1037,7 @@ mod tests {
         // of a large bucket charges far fewer cycles.
         let items: Vec<u64> = (1..=2_048).collect();
         let run = |ballot: bool| {
-            let device = Device::new(DeviceConfig::default());
+            let mut device = Device::new(DeviceConfig::default());
             let mut log = TableLog::new(64, 512);
             if ballot {
                 log = log.with_ballot_probe(32);
@@ -1073,7 +1073,7 @@ mod tests {
         // handful of accesses so E drops below 1 and the next begin_batch
         // rebuilds it standard-sized — the rebuild must keep the probing
         // mode.
-        let device = Device::new(DeviceConfig::default());
+        let mut device = Device::new(DeviceConfig::default());
         log.begin_batch();
         assert!(log.route(cell).0.is_large());
         device.launch_indexed("trickle", 4, |lane| {
@@ -1104,7 +1104,7 @@ mod tests {
         };
         let mut log = ConflictLog::new(&db, &cfg);
         log.resume_at(LAST_EPOCH - 3);
-        let device = Device::new(DeviceConfig::default());
+        let mut device = Device::new(DeviceConfig::default());
         let mut exhausted = 0;
         for batch in 0..6u64 {
             log.begin_batch();
@@ -1151,7 +1151,7 @@ mod tests {
     fn large_buckets_reduce_atomic_serialization() {
         let items: Vec<u64> = (1..=2_048).collect();
         let run = |s_u: usize| {
-            let device = Device::new(DeviceConfig::default());
+            let mut device = Device::new(DeviceConfig::default());
             let mut log = TableLog::new(64, s_u);
             let r = device.launch("hot", &items, |lane, &tid| {
                 let _ = log.register_write(lane, 1, tid, 1);

@@ -456,7 +456,7 @@ struct EngineScratch {
 pub struct LtpgEngine {
     db: Database,
     cfg: LtpgConfig,
-    device: Arc<Device>,
+    device: Device,
     log: ConflictLog,
     /// Tables containing at least one commutatively-maintained column —
     /// deletes against them are force-aborted for soundness.
@@ -482,35 +482,22 @@ impl LtpgEngine {
     /// caller-owned registry (used by [`crate::LtpgServer`] so concurrent
     /// servers in one process do not cross-contaminate).
     pub fn with_telemetry(db: Database, cfg: LtpgConfig, telemetry: Arc<Registry>) -> Self {
-        let device = Arc::new(Device::new(cfg.device.clone()));
-        Self::on_device(db, cfg, telemetry, device)
+        let device = Device::new(cfg.device.clone());
+        Self::with_device(db, cfg, telemetry, device)
     }
 
-    /// Create an engine over `db` that adopts an *existing* device instead
-    /// of allocating a fresh one. This is the re-promotion path: a device
-    /// that recovered from a timed outage is handed back (after
-    /// [`Device::revive`] + [`Device::reset_for_reuse`]) and becomes the
-    /// substrate for a new engine over the fallback's live database. The
-    /// previous owner's allocation footprint is released and replaced by
-    /// this engine's working set, as a real re-initialization would remap
-    /// device memory from scratch.
+    /// The one constructor: an engine over `db` that owns `device`. It
+    /// sizes the conflict log, accounts the working set on the device,
+    /// binds the device's metrics to `telemetry` and pre-touches the
+    /// counters. Besides a fresh device, this takes one that recovered
+    /// from a timed outage ([`Device::revive`] +
+    /// [`Device::reset_for_reuse`]): re-promotion builds the new engine
+    /// over the fallback's live database on it.
     pub fn with_device(
         db: Database,
         cfg: LtpgConfig,
         telemetry: Arc<Registry>,
-        device: Arc<Device>,
-    ) -> Self {
-        device.release_allocation(device.allocated_bytes());
-        Self::on_device(db, cfg, telemetry, device)
-    }
-
-    /// The one constructor: size the conflict log, account the working set
-    /// on `device` and pre-touch the counters.
-    fn on_device(
-        db: Database,
-        cfg: LtpgConfig,
-        telemetry: Arc<Registry>,
-        device: Arc<Device>,
+        mut device: Device,
     ) -> Self {
         let log = ConflictLog::new(&db, &cfg);
         device.register_allocation(db.bytes() + log.bytes());
@@ -554,11 +541,16 @@ impl LtpgEngine {
         &self.device
     }
 
-    /// A shared handle to the simulated device, outliving the engine. The
-    /// failover layer stashes this when a device is lost so a later timed
-    /// recovery can revive and re-enlist the same physical device.
-    pub fn device_handle(&self) -> Arc<Device> {
-        Arc::clone(&self.device)
+    /// The simulated device, to arm faults, fail it or register a
+    /// footprint.
+    pub fn device_mut(&mut self) -> &mut Device {
+        &mut self.device
+    }
+
+    /// Consume the engine, returning its device: the failover layer keeps
+    /// a lost one so a later timed recovery can revive and re-enlist it.
+    pub(crate) fn into_device(self) -> Device {
+        self.device
     }
 
     /// The engine configuration.
@@ -1599,7 +1591,7 @@ mod tests {
         // Engine fault ordinals within one batch: h2d=0, the three
         // check_alive probes=1..=3, d2h=4. Transients at {4, 5} force the
         // download to fail twice and succeed on the third attempt.
-        engine.device().arm_faults(DeviceFaultPlan {
+        engine.device_mut().arm_faults(DeviceFaultPlan {
             transient_ops: [4u64, 5].into_iter().collect(),
             lost_at_op: None,
             recover_at_op: None,

@@ -201,7 +201,7 @@ impl Executor {
         &mut self,
         cfg: LtpgConfig,
         telemetry: Arc<ltpg_telemetry::Registry>,
-        device: Arc<Device>,
+        device: Device,
     ) {
         if let Executor::Cpu(twin) = self {
             let db = twin.take_database();
@@ -213,35 +213,35 @@ impl Executor {
 /// The physical devices a server has lost, kept so a timed recovery
 /// ([`ReplicaChaos::device_recovers_after_batches`](crate::ReplicaChaos))
 /// can revive and re-enlist each of them — a list, not a slot, because a
-/// second loss inside the outage window must not forget the first.
+/// second loss inside the outage window must not forget the first. A
+/// device comes here from the executor a failover replaced.
 #[derive(Default)]
 pub struct LostDevices {
     /// `(shard, device, stats.batches at the moment of loss)`, oldest first.
-    lost: Vec<(usize, Arc<Device>, u64)>,
+    lost: Vec<(usize, Device, u64)>,
 }
 
 impl LostDevices {
-    /// Remember that `shard` lost `device` after `at_batch` executed batches.
-    pub fn note(&mut self, shard: usize, device: Arc<Device>, at_batch: u64) {
-        self.lost.push((shard, device, at_batch));
+    /// Keep the device of `exec`, which served `shard` until its loss
+    /// after `at_batch` executed batches. A CPU twin has none to keep.
+    pub fn note(&mut self, shard: usize, exec: Executor, at_batch: u64) {
+        if let Executor::Gpu(engine) = exec {
+            self.lost.push((shard, engine.into_device(), at_batch));
+        }
     }
 
     /// The `(shard, device)` pairs whose outage has ended once `batches`
     /// have executed, oldest loss first, each revived and reset for reuse;
     /// the rest keep waiting. With `recovers_after == None` (no timed
     /// recovery armed — every fault-free tick) this returns at once.
-    pub fn recovered(
-        &mut self,
-        recovers_after: Option<u64>,
-        batches: u64,
-    ) -> Vec<(usize, Arc<Device>)> {
+    pub fn recovered(&mut self, recovers_after: Option<u64>, batches: u64) -> Vec<(usize, Device)> {
         let Some(after) = recovers_after else { return Vec::new() };
         let (back, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.lost)
             .into_iter()
             .partition(|(_, _, lost_at)| batches >= lost_at.saturating_add(after));
         self.lost = waiting;
         back.into_iter()
-            .map(|(shard, device, _)| {
+            .map(|(shard, mut device, _)| {
                 device.revive();
                 device.reset_for_reuse();
                 (shard, device)

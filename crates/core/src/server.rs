@@ -243,7 +243,7 @@ pub trait StandbyRows: Send {
         logs: &[DurabilityManager],
     ) -> Option<(Vec<Executor>, Option<MergedWords>, f64)>;
     /// A recovered device (revived and reset) rejoins as a fresh row.
-    fn reenlist(&mut self, device: Arc<Device>, logs: &[DurabilityManager]);
+    fn reenlist(&mut self, device: Device, logs: &[DurabilityManager]);
     /// Probe every primary once (`dropped`: chaos lost this tick's probes)
     /// and return the first shard whose monitor fenced it.
     fn probe(&mut self, primaries: &[Executor], dropped: bool) -> Option<usize>;
@@ -293,17 +293,17 @@ impl Shards {
 
     /// Arm a deterministic fault schedule on shard `s`'s device (testing /
     /// chaos drills). No-op on a degraded shard.
-    pub fn arm_faults(&self, s: usize, plan: DeviceFaultPlan) {
-        if let Some(engine) = self.execs[s].gpu() {
-            engine.device().arm_faults(plan);
+    pub fn arm_faults(&mut self, s: usize, plan: DeviceFaultPlan) {
+        if let Some(engine) = self.execs[s].gpu_mut() {
+            engine.device_mut().arm_faults(plan);
         }
     }
 
     /// Force shard `s`'s device into its failed state at the next batch
     /// boundary (the hard-crashpoint drill).
-    pub fn fail_device(&self, s: usize) {
-        if let Some(engine) = self.execs[s].gpu() {
-            engine.device().fail_now();
+    pub fn fail_device(&mut self, s: usize) {
+        if let Some(engine) = self.execs[s].gpu_mut() {
+            engine.device_mut().fail_now();
         }
     }
 
@@ -435,13 +435,13 @@ impl Server<OneDevice> {
 
     /// Arm a deterministic device-fault schedule (testing / chaos drills).
     /// No-op when already degraded to the CPU executor.
-    pub fn arm_faults(&self, plan: DeviceFaultPlan) {
+    pub fn arm_faults(&mut self, plan: DeviceFaultPlan) {
         self.shards.arm_faults(0, plan);
     }
 
     /// Force the device into its failed state at the next batch boundary
     /// (the hard-crashpoint drill).
-    pub fn force_device_failure(&self) {
+    pub fn force_device_failure(&mut self) {
         self.shards.fail_device(0);
     }
 }
@@ -551,6 +551,11 @@ impl<T: Topology> Server<T> {
     /// The devices under the server, by shard.
     pub fn shards(&self) -> &Shards {
         &self.shards
+    }
+
+    /// The devices under the server, to arm faults or fail one.
+    pub fn shards_mut(&mut self) -> &mut Shards {
+        &mut self.shards
     }
 
     /// The topology.
@@ -678,8 +683,9 @@ impl<T: Topology> Server<T> {
     /// twins (the in-flight batch was logged before execution, so it is
     /// replayed too), keep the twin on the failed shard and on shards
     /// already degraded, put fresh engines (replacement devices) on the
-    /// healthy ones. Returns the last replayed batch's merged words.
-    fn degrade_and_replay(&mut self, failed: usize) -> Result<MergedWords, ServerError> {
+    /// healthy ones. With `stash`, the failed shard's device is kept for a
+    /// timed recovery. Returns the last replayed batch's merged words.
+    fn degrade_and_replay(&mut self, failed: usize, stash: bool) -> Result<MergedWords, ServerError> {
         let shards = &mut self.shards;
         let mut twins: Vec<Executor> = (shards.durability.iter())
             .map(|dur| CpuTwin::new(dur.checkpoint_image(), shards.engine_cfg.clone()).into())
@@ -696,24 +702,19 @@ impl<T: Topology> Server<T> {
             pool.rearm(Some(failed));
         }
         for (s, twin) in twins.into_iter().enumerate() {
-            shards.execs[s] = if s == failed || shards.execs[s].is_degraded() {
+            let successor = if s == failed || shards.execs[s].is_degraded() {
                 twin
             } else {
                 // Fault plans armed on the old device are not carried over.
                 shards.engine(s, twin.into_database())
             };
+            let lost = std::mem::replace(&mut shards.execs[s], successor);
+            if s == failed && stash {
+                self.lost_devices.note(failed, lost, self.stats.batches);
+            }
         }
         self.refresh_stats();
         Ok(last_words)
-    }
-
-    /// Remember shard `failed`'s physical device so a later timed recovery
-    /// ([`ReplicaChaos::device_recovers_after_batches`]) can revive and
-    /// re-enlist it.
-    fn note_device_loss(&mut self, failed: usize) {
-        if let Some(engine) = self.shards.execs[failed].gpu() {
-            self.lost_devices.note(failed, engine.device_handle(), self.stats.batches);
-        }
     }
 
     /// Shard `failed` is lost with `upto` batches logged on every shard —
@@ -725,12 +726,15 @@ impl<T: Topology> Server<T> {
     /// batch it replayed stand in for a lost execution (`None`: a row took
     /// over at a boundary with nothing to replay). Promotion crashpoints
     /// surface as [`ServerError::InjectedCrash`]: the one moment where
-    /// in-flight state exists only in the WAL.
-    fn fail_over(&mut self, failed: usize) -> Result<Option<MergedWords>, ServerError> {
+    /// in-flight state exists only in the WAL. With `stash`, the failed
+    /// shard's device leaves its replaced executor for
+    /// [`ReplicaChaos::device_recovers_after_batches`] to revive and
+    /// re-enlist; without, it is dropped with it.
+    fn fail_over(&mut self, failed: usize, stash: bool) -> Result<Option<MergedWords>, ServerError> {
         let shards = &mut self.shards;
         let upto = shards.logged_batches();
         let Some(pool) = shards.pool.as_mut().filter(|pool| pool.rows_alive() > 0) else {
-            return self.degrade_and_replay(failed).map(Some);
+            return self.degrade_and_replay(failed, stash).map(Some);
         };
         let crash = self.replica_chaos.promotion_crash.take();
         if crash == Some(PromotionCrashpoint::BeforeCatchup) {
@@ -743,12 +747,15 @@ impl<T: Topology> Server<T> {
             return Err(ServerError::InjectedCrash("promotion:after-catchup"));
         }
         let Some((row, last_words, ns)) = promoted else {
-            return self.degrade_and_replay(failed).map(Some);
+            return self.degrade_and_replay(failed, stash).map(Some);
         };
         // The promoted row replaces the whole topology with healthy GPU
         // engines, so any CPU-degraded shard is healed by the cutover.
         pool.rearm(None);
-        shards.execs = row;
+        let lost = std::mem::replace(&mut shards.execs, row).swap_remove(failed);
+        if stash {
+            self.lost_devices.note(failed, lost, self.stats.batches);
+        }
         for (exec, reg) in shards.execs.iter_mut().zip(&shards.registries) {
             if let Some(engine) = exec.gpu_mut() {
                 engine.rebind_telemetry(Arc::clone(reg));
@@ -770,13 +777,11 @@ impl<T: Topology> Server<T> {
         let dropped = self.replica_chaos.heartbeat_drop_ticks.contains(&self.probe_no);
         self.probe_no += 1;
         let Some(s) = pool.probe(&self.shards.execs, dropped) else { return Ok(()) };
-        // A Dead fence means the device is really gone: note it for a
+        // A Dead fence means the device is really gone: keep it for a
         // timed recovery. A Dropped fence is a (safe) false positive — the
         // healthy device is discarded, not kept.
-        if self.shards.execs[s].gpu().is_some_and(|e| e.device().is_failed()) {
-            self.note_device_loss(s);
-        }
-        self.fail_over(s).map(drop)
+        let dead = self.shards.execs[s].gpu().is_some_and(|e| e.device().is_failed());
+        self.fail_over(s, dead).map(drop)
     }
 
     /// For every lost device whose outage the chaos schedule says has
@@ -863,11 +868,12 @@ impl<T: Topology> Server<T> {
         // promotion's catch-up is, by `charge`.
         let (flag_words, round_ns) = match round.lost {
             None => (round.words, round.sim_ns),
+            // The device behind a lost round is kept even if its retries
+            // ran out before it died.
             Some((failed, _)) => {
-                self.note_device_loss(failed);
                 let batch_id = self.shards.logged_batches() - 1;
                 let skipped = ServerError::PromotionSkippedInFlightBatch { batch_id };
-                (self.fail_over(failed)?.ok_or(skipped)?, 0.0)
+                (self.fail_over(failed, true)?.ok_or(skipped)?, 0.0)
             }
         };
         let reordering = self.shards.engine_cfg.opts.logical_reordering;

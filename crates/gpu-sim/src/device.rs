@@ -1,8 +1,7 @@
 //! The simulated device: configuration, clock, statistics, and the
 //! allocation footprint used by the unified-memory fault model.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ltpg_telemetry::{names, Counter, Histogram, Registry};
@@ -145,24 +144,26 @@ impl std::fmt::Debug for DeviceTelemetry {
     }
 }
 
-/// A simulated GPU. Cheap to share by reference; all mutation is interior.
+/// A simulated GPU: plain data with one owner (an engine, or the server
+/// that keeps a lost device for a timed recovery). Every call that charges
+/// the clock, consumes a fault ordinal or changes state takes `&mut self`.
 #[derive(Debug)]
 pub struct Device {
     pub(crate) cfg: DeviceConfig,
-    pub(crate) stats: Mutex<DeviceStats>,
+    pub(crate) stats: DeviceStats,
     /// Monotonic kernel-epoch counter feeding the atomic contention meters.
-    pub(crate) epoch: AtomicU32,
+    pub(crate) epoch: u32,
     /// Bytes currently allocated on (or managed by) the device.
-    allocated: AtomicU64,
+    allocated: u64,
     /// Armed fault schedule (empty by default — fallible APIs never fail).
-    fault_plan: Mutex<DeviceFaultPlan>,
+    fault_plan: DeviceFaultPlan,
     /// Ordinal counter for fallible operations, consumed by the plan.
-    fault_op: AtomicU64,
+    fault_op: u64,
     /// Sticky device-lost flag.
-    failed: AtomicBool,
+    failed: bool,
     /// Where device-level metrics are published (defaults to the process
-    /// global registry until a server rebinds it to its own).
-    pub(crate) telemetry: Mutex<DeviceTelemetry>,
+    /// global registry until its owner rebinds it to its own).
+    pub(crate) telemetry: DeviceTelemetry,
 }
 
 impl Device {
@@ -170,72 +171,69 @@ impl Device {
     pub fn new(cfg: DeviceConfig) -> Self {
         Device {
             cfg,
-            stats: Mutex::new(DeviceStats::default()),
-            epoch: AtomicU32::new(0),
-            allocated: AtomicU64::new(0),
-            fault_plan: Mutex::new(DeviceFaultPlan::none()),
-            fault_op: AtomicU64::new(0),
-            failed: AtomicBool::new(false),
-            telemetry: Mutex::new(DeviceTelemetry::bind(ltpg_telemetry::global())),
+            stats: DeviceStats::default(),
+            epoch: 0,
+            allocated: 0,
+            fault_plan: DeviceFaultPlan::none(),
+            fault_op: 0,
+            failed: false,
+            telemetry: DeviceTelemetry::bind(ltpg_telemetry::global()),
         }
     }
 
     /// Rebind device metrics to `reg` (e.g. a server instance's registry).
     /// Counts published before the rebind stay in the previous registry.
-    pub fn set_telemetry(&self, reg: &Registry) {
-        *self.telemetry.lock() = DeviceTelemetry::bind(reg);
+    pub fn set_telemetry(&mut self, reg: &Registry) {
+        self.telemetry = DeviceTelemetry::bind(reg);
     }
 
     /// Arm a deterministic fault schedule. Replaces any previous plan and
     /// restarts the fallible-operation ordinal at zero (a cleared sticky
     /// failure is *not* implied — use a fresh device to model replacement).
-    pub fn arm_faults(&self, plan: DeviceFaultPlan) {
-        *self.fault_plan.lock() = plan;
-        self.fault_op.store(0, Ordering::Relaxed);
+    pub fn arm_faults(&mut self, plan: DeviceFaultPlan) {
+        self.fault_plan = plan;
+        self.fault_op = 0;
     }
 
     /// Whether the device has entered the sticky lost state.
     pub fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
+        self.failed
     }
 
     /// Force the sticky lost state now (a crashpoint at a batch boundary,
     /// as opposed to one scheduled by ordinal inside the plan).
-    pub fn fail_now(&self) {
-        self.failed.store(true, Ordering::Relaxed);
+    pub fn fail_now(&mut self) {
+        self.failed = true;
     }
 
     /// Clear the sticky lost flag: the device reset, re-enumerated, and is
     /// healthy again. This is the *repair* half of timed device recovery —
-    /// the replica/failover layer calls it when a chaos schedule says the
-    /// outage has ended, then hands the device to its next owner via
+    /// the failover layer calls it when a chaos schedule says the outage
+    /// has ended, then hands the device to its next owner, which calls
     /// [`Device::reset_for_reuse`]. A plan-scheduled permanent loss is not
     /// un-scheduled by this; re-arm or disarm the plan for that.
-    pub fn revive(&self) {
-        self.failed.store(false, Ordering::Relaxed);
+    pub fn revive(&mut self) {
+        self.failed = false;
     }
 
     /// Consume one fallible-operation ordinal and apply the armed plan.
-    fn fault_check(&self) -> Result<(), DeviceError> {
-        let op = self.fault_op.fetch_add(1, Ordering::Relaxed);
-        if self.failed.load(Ordering::Relaxed) {
+    fn fault_check(&mut self) -> Result<(), DeviceError> {
+        let op = self.fault_op;
+        self.fault_op += 1;
+        if self.failed {
             return Err(DeviceError::DeviceLost { op });
         }
-        let (verdict, permanent) = {
-            let mut plan = self.fault_plan.lock();
-            (plan.classify(op), plan.loss_is_permanent())
-        };
-        match verdict {
+        match self.fault_plan.classify(op) {
             Some(DeviceError::DeviceLost { op }) => {
                 // A timed outage (loss window with a recovery point) heals
                 // by itself; only a permanent loss latches the sticky flag.
-                if permanent {
-                    self.failed.store(true, Ordering::Relaxed);
+                if self.fault_plan.loss_is_permanent() {
+                    self.failed = true;
                 }
                 Err(DeviceError::DeviceLost { op })
             }
             Some(err @ DeviceError::TransientTransfer { .. }) => {
-                self.stats.lock().transient_faults += 1;
+                self.stats.transient_faults += 1;
                 Err(err)
             }
             None => Ok(()),
@@ -245,13 +243,13 @@ impl Device {
     /// Liveness probe for non-transfer points (e.g. between phase
     /// kernels). Consumes an ordinal; transient entries landing on it are
     /// ignored — only device loss fails a launch.
-    pub fn check_alive(&self) -> Result<(), DeviceError> {
+    pub fn check_alive(&mut self) -> Result<(), DeviceError> {
         match self.fault_check() {
             Err(e @ DeviceError::DeviceLost { .. }) => Err(e),
             // A transient scheduled on a non-transfer ordinal is a no-op,
             // but it was still consumed from the plan — undo the count.
             Err(DeviceError::TransientTransfer { .. }) => {
-                self.stats.lock().transient_faults -= 1;
+                self.stats.transient_faults -= 1;
                 Ok(())
             }
             Ok(()) => Ok(()),
@@ -264,12 +262,12 @@ impl Device {
     /// simulated clock *and* the transfer histogram so the two stay in
     /// agreement on retried transfers. Device loss charges nothing (the
     /// link is gone, there is no device clock left to advance).
-    fn transfer_fault_check(&self) -> Result<(), DeviceError> {
+    fn transfer_fault_check(&mut self) -> Result<(), DeviceError> {
         match self.fault_check() {
             Err(e @ DeviceError::TransientTransfer { .. }) => {
                 let ns = self.cfg.cost.pcie_latency_ns;
-                self.stats.lock().busy_ns += ns;
-                self.telemetry.lock().transfer_ns.record_ns(ns);
+                self.stats.busy_ns += ns;
+                self.telemetry.transfer_ns.record_ns(ns);
                 Err(e)
             }
             other => other,
@@ -279,7 +277,7 @@ impl Device {
     /// Fallible host→device copy: like [`Device::h2d`] but consults the
     /// armed fault plan first. A transiently failed attempt charges one
     /// PCIe latency (the wasted round trip); no bytes are counted.
-    pub fn try_h2d(&self, bytes: u64) -> Result<f64, DeviceError> {
+    pub fn try_h2d(&mut self, bytes: u64) -> Result<f64, DeviceError> {
         self.transfer_fault_check()?;
         Ok(self.h2d(bytes))
     }
@@ -287,7 +285,7 @@ impl Device {
     /// Fallible device→host copy: like [`Device::d2h`] but consults the
     /// armed fault plan first. A transiently failed attempt charges one
     /// PCIe latency (the wasted round trip); no bytes are counted.
-    pub fn try_d2h(&self, bytes: u64) -> Result<f64, DeviceError> {
+    pub fn try_d2h(&mut self, bytes: u64) -> Result<f64, DeviceError> {
         self.transfer_fault_check()?;
         Ok(self.d2h(bytes))
     }
@@ -304,108 +302,85 @@ impl Device {
 
     /// Simulated nanoseconds of device busy time accumulated so far.
     pub fn elapsed_ns(&self) -> f64 {
-        self.stats.lock().busy_ns
+        self.stats.busy_ns
     }
 
     /// Snapshot the cumulative counters.
     pub fn stats(&self) -> DeviceStats {
-        self.stats.lock().clone()
+        self.stats.clone()
     }
 
     /// Zero the clock and counters (allocation footprint is preserved).
     ///
     /// This is a *stats* reset only: an armed fault plan, the
     /// fallible-operation ordinal, the sticky lost flag, and any telemetry
-    /// rebinding all survive. Code that reuses a `Device` for a new logical
-    /// owner (e.g. rebuilding the engines of a multi-device shard set) must
-    /// call [`Device::reset_for_reuse`] instead, or stale fault schedules
-    /// leak into the next owner's run.
-    pub fn reset(&self) {
-        *self.stats.lock() = DeviceStats::default();
+    /// rebinding all survive. A new logical owner of the device calls
+    /// [`Device::reset_for_reuse`] instead, or stale fault schedules leak
+    /// into its run.
+    pub fn reset(&mut self) {
+        self.stats = DeviceStats::default();
     }
 
-    /// Full reuse reset for handing the device to a new logical owner:
-    /// zeroes the stats clock *and* disarms the fault plan, restarts the
-    /// fallible-operation ordinal, and rebinds telemetry back to the
-    /// process-global registry so per-launch metrics from the previous
-    /// owner's registry stop receiving this device's counts. The sticky
-    /// lost flag is deliberately preserved (matching [`Device::arm_faults`]:
-    /// a lost device stays lost until physically replaced), as is the
-    /// allocation footprint.
-    pub fn reset_for_reuse(&self) {
-        *self.stats.lock() = DeviceStats::default();
-        *self.fault_plan.lock() = DeviceFaultPlan::none();
-        self.fault_op.store(0, Ordering::Relaxed);
-        *self.telemetry.lock() = DeviceTelemetry::bind(ltpg_telemetry::global());
+    /// Full reset for a new logical owner: zeroes the stats clock, disarms
+    /// the fault plan, restarts the fallible-operation ordinal and releases
+    /// the allocation footprint (the owner registers its own working set,
+    /// as a real re-initialization remaps device memory from scratch). The
+    /// sticky lost flag is deliberately preserved (matching
+    /// [`Device::arm_faults`]: a lost device stays lost until
+    /// [`Device::revive`]), and so is the telemetry binding, which the new
+    /// owner replaces with its own.
+    pub fn reset_for_reuse(&mut self) {
+        self.stats = DeviceStats::default();
+        self.fault_plan = DeviceFaultPlan::none();
+        self.fault_op = 0;
+        self.allocated = 0;
     }
 
     /// Advance the simulated clock by `ns` of device-serial work that is not
     /// a kernel (e.g. a non-overlapped transfer).
-    pub fn advance(&self, ns: f64) {
-        self.stats.lock().busy_ns += ns;
+    pub fn advance(&mut self, ns: f64) {
+        self.stats.busy_ns += ns;
     }
 
     /// Record a `cudaDeviceSynchronize()`-style barrier. LTPG calls this
     /// between its three phase kernels (paper Algorithm 1, lines 2/4/6).
-    pub fn synchronize(&self) {
-        {
-            let mut s = self.stats.lock();
-            s.syncs += 1;
-            s.busy_ns += self.cfg.cost.device_sync_ns;
-        }
-        self.telemetry.lock().syncs.inc();
+    pub fn synchronize(&mut self) {
+        self.stats.syncs += 1;
+        self.stats.busy_ns += self.cfg.cost.device_sync_ns;
+        self.telemetry.syncs.inc();
     }
 
     /// Charge a host→device copy of `bytes`; returns its simulated duration.
     /// The clock advances (non-overlapped transfer); overlapped pipelines
     /// should instead combine durations through [`crate::transfer::Pipeline`].
-    pub fn h2d(&self, bytes: u64) -> f64 {
+    pub fn h2d(&mut self, bytes: u64) -> f64 {
         let ns = self.cfg.cost.transfer_ns(bytes);
-        {
-            let mut s = self.stats.lock();
-            s.bytes_h2d += bytes;
-            s.busy_ns += ns;
-        }
-        let t = self.telemetry.lock();
-        t.bytes_h2d.add(bytes);
-        t.transfer_ns.record_ns(ns);
+        self.stats.bytes_h2d += bytes;
+        self.stats.busy_ns += ns;
+        self.telemetry.bytes_h2d.add(bytes);
+        self.telemetry.transfer_ns.record_ns(ns);
         ns
     }
 
     /// Charge a device→host copy of `bytes`; returns its simulated duration.
-    pub fn d2h(&self, bytes: u64) -> f64 {
+    pub fn d2h(&mut self, bytes: u64) -> f64 {
         let ns = self.cfg.cost.transfer_ns(bytes);
-        {
-            let mut s = self.stats.lock();
-            s.bytes_d2h += bytes;
-            s.busy_ns += ns;
-        }
-        let t = self.telemetry.lock();
-        t.bytes_d2h.add(bytes);
-        t.transfer_ns.record_ns(ns);
+        self.stats.bytes_d2h += bytes;
+        self.stats.busy_ns += ns;
+        self.telemetry.bytes_d2h.add(bytes);
+        self.telemetry.transfer_ns.record_ns(ns);
         ns
-    }
-
-    /// Cost of a transfer without advancing the clock (for pipelined stages
-    /// whose overlap is computed separately).
-    pub fn transfer_cost_ns(&self, bytes: u64) -> f64 {
-        self.cfg.cost.transfer_ns(bytes)
     }
 
     /// Register `bytes` of device allocation (affects the unified-memory
     /// fault model).
-    pub fn register_allocation(&self, bytes: u64) {
-        self.allocated.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Release `bytes` of previously registered allocation.
-    pub fn release_allocation(&self, bytes: u64) {
-        self.allocated.fetch_sub(bytes, Ordering::Relaxed);
+    pub fn register_allocation(&mut self, bytes: u64) {
+        self.allocated += bytes;
     }
 
     /// Bytes currently registered as allocated.
     pub fn allocated_bytes(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
+        self.allocated
     }
 
     /// Fraction of accesses that miss device memory under the unified-memory
@@ -415,7 +390,7 @@ impl Device {
         if self.cfg.memory_mode != MemoryMode::Unified {
             return 0.0;
         }
-        let foot = self.allocated.load(Ordering::Relaxed) as f64;
+        let foot = self.allocated as f64;
         let cap = self.cfg.device_mem_bytes as f64;
         if foot <= cap {
             0.0
@@ -431,7 +406,7 @@ mod tests {
 
     #[test]
     fn sync_charges_overhead() {
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.synchronize();
         d.synchronize();
         let s = d.stats();
@@ -441,7 +416,7 @@ mod tests {
 
     #[test]
     fn transfers_accumulate_bytes_and_time() {
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         let up = d.h2d(1 << 20);
         let down = d.d2h(1 << 10);
         let s = d.stats();
@@ -458,12 +433,12 @@ mod tests {
             device_mem_bytes: 1000,
             ..DeviceConfig::default()
         };
-        let d = Device::new(cfg);
+        let mut d = Device::new(cfg);
         d.register_allocation(500);
         assert_eq!(d.fault_fraction(), 0.0);
         d.register_allocation(1500); // total 2000: half the pages can't fit
         assert!((d.fault_fraction() - 0.5).abs() < 1e-12);
-        d.release_allocation(1500);
+        d.reset_for_reuse(); // a new owner starts from no footprint
         assert_eq!(d.fault_fraction(), 0.0);
     }
 
@@ -474,14 +449,14 @@ mod tests {
             memory_mode: MemoryMode::DeviceResident,
             ..DeviceConfig::default()
         };
-        let d = Device::new(cfg);
+        let mut d = Device::new(cfg);
         d.register_allocation(100);
         assert_eq!(d.fault_fraction(), 0.0);
     }
 
     #[test]
     fn unarmed_device_never_fails() {
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         for _ in 0..100 {
             d.try_h2d(64).unwrap();
             d.check_alive().unwrap();
@@ -494,7 +469,7 @@ mod tests {
     #[test]
     fn transient_fault_fails_once_then_retry_succeeds() {
         use crate::faults::{DeviceError, DeviceFaultPlan};
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.arm_faults(DeviceFaultPlan {
             transient_ops: [1u64].into_iter().collect(),
             lost_at_op: None,
@@ -528,7 +503,7 @@ mod tests {
         // consistently in simulated time AND telemetry — previously the
         // clock charged nothing while the retry counter moved.
         let reg = Registry::new_shared();
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.set_telemetry(&reg);
         d.arm_faults(DeviceFaultPlan {
             transient_ops: [0u64].into_iter().collect(),
@@ -547,7 +522,7 @@ mod tests {
     #[test]
     fn device_loss_is_sticky() {
         use crate::faults::{DeviceError, DeviceFaultPlan};
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.arm_faults(DeviceFaultPlan {
             transient_ops: Default::default(),
             lost_at_op: Some(2),
@@ -564,7 +539,7 @@ mod tests {
     #[test]
     fn forced_failure_and_transient_on_launch_point() {
         use crate::faults::DeviceFaultPlan;
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.arm_faults(DeviceFaultPlan {
             transient_ops: [0u64].into_iter().collect(),
             lost_at_op: None,
@@ -584,7 +559,7 @@ mod tests {
         // Regression: `reset()` used to be the only reset, and it leaves an
         // armed fault plan live — a rebuilt shard inheriting the device
         // would hit the previous owner's scheduled faults.
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.arm_faults(DeviceFaultPlan {
             transient_ops: [2u64, 3, 4].into_iter().collect(),
             lost_at_op: Some(50),
@@ -612,7 +587,7 @@ mod tests {
     #[test]
     fn timed_loss_window_is_not_sticky() {
         use crate::faults::{DeviceError, DeviceFaultPlan};
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.arm_faults(DeviceFaultPlan {
             transient_ops: Default::default(),
             lost_at_op: Some(1),
@@ -630,7 +605,7 @@ mod tests {
 
     #[test]
     fn revive_clears_forced_failure() {
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.fail_now();
         assert!(d.is_failed());
         assert!(d.try_h2d(8).is_err());
@@ -642,23 +617,24 @@ mod tests {
     }
 
     #[test]
-    fn reset_for_reuse_unbinds_previous_owner_telemetry() {
+    fn set_telemetry_unbinds_previous_owner() {
         use ltpg_telemetry::{names, Registry};
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         let owner_a = Registry::new_shared();
         d.set_telemetry(&owner_a);
         d.h2d(1 << 10);
         let before = owner_a.counter(names::GPU_BYTES_H2D).get();
         assert_eq!(before, 1 << 10);
-        d.reset_for_reuse();
-        // Post-reuse traffic must not keep flowing into owner A's registry.
+        // The next owner binds its own registry (`LtpgEngine::with_device`):
+        // its traffic must not keep flowing into owner A's.
+        d.set_telemetry(&Registry::new_shared());
         d.h2d(1 << 10);
         assert_eq!(owner_a.counter(names::GPU_BYTES_H2D).get(), before);
     }
 
     #[test]
     fn reset_preserves_allocation_footprint() {
-        let d = Device::new(DeviceConfig::default());
+        let mut d = Device::new(DeviceConfig::default());
         d.register_allocation(4096);
         d.advance(10.0);
         d.reset();

@@ -18,8 +18,7 @@
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::atomic::{SimAtomicU32, SimAtomicU64};
 use crate::cost::CostModel;
@@ -251,6 +250,14 @@ struct PreSlot<P> {
     value: Mutex<Option<P>>,
 }
 
+impl<P> PreSlot<P> {
+    /// The value cell. Every update is one store or take, so the value
+    /// is whole even if a panic poisoned the lock.
+    fn value(&self) -> MutexGuard<'_, Option<P>> {
+        self.value.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl<P> Default for PreSlots<P> {
     fn default() -> Self {
         PreSlots { slots: Vec::new() }
@@ -265,7 +272,7 @@ impl<P> PreSlots<P> {
         }
         for slot in &mut self.slots[..lanes] {
             *slot.state.get_mut() = FREE;
-            *slot.value.get_mut() = None;
+            *slot.value.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
 
@@ -277,10 +284,11 @@ impl<P> PreSlots<P> {
         if slot.state.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed).is_err() {
             return false;
         }
-        *slot.value.lock() = Some(pre(k));
+        let value = pre(k);
+        *slot.value() = Some(value);
         if slot.state.compare_exchange(CLAIMED, READY, Ordering::Release, Ordering::Relaxed).is_err() {
             // The launching thread reached the lane first and computed it.
-            slot.value.lock().take();
+            slot.value().take();
             return true;
         }
         false
@@ -291,7 +299,7 @@ impl<P> PreSlots<P> {
     fn take(&self, k: usize) -> Option<P> {
         let slot = &self.slots[k];
         if slot.state.swap(TAKEN, Ordering::AcqRel) == READY {
-            slot.value.lock().take()
+            slot.value().take()
         } else {
             None
         }
@@ -311,7 +319,7 @@ impl Drop for StopOnDrop<'_> {
 impl Device {
     /// Launch a kernel over `items`, one lane per item. Returns the kernel
     /// report; device clock and statistics are updated.
-    pub fn launch<I, F>(&self, name: &'static str, items: &[I], mut f: F) -> KernelReport
+    pub fn launch<I, F>(&mut self, name: &'static str, items: &[I], mut f: F) -> KernelReport
     where
         F: FnMut(&mut Lane<'_>, &I),
     {
@@ -337,7 +345,7 @@ impl Device {
     /// ```
     /// use ltpg_gpu_sim::{Device, DeviceConfig, PreSlots, SimAtomicU64};
     ///
-    /// let device = Device::new(DeviceConfig::default());
+    /// let mut device = Device::new(DeviceConfig::default());
     /// let (base, mut hot) = (7u64, SimAtomicU64::new(u64::MAX));
     /// device.launch_with_pre("min", 64, &mut PreSlots::default(), |k| base + k as u64, |lane, v| {
     ///     lane.atomic_min_u64(&mut hot, v);
@@ -350,14 +358,14 @@ impl Device {
     /// ```compile_fail,E0502
     /// use ltpg_gpu_sim::{Device, DeviceConfig, PreSlots, SimAtomicU64};
     ///
-    /// let device = Device::new(DeviceConfig::default());
+    /// let mut device = Device::new(DeviceConfig::default());
     /// let mut hot = SimAtomicU64::new(u64::MAX);
     /// device.launch_with_pre("min", 64, &mut PreSlots::default(), |k| hot.load() + k as u64, |lane, v| {
     ///     lane.atomic_min_u64(&mut hot, v);
     /// });
     /// ```
     pub fn launch_with_pre<P, G, F>(
-        &self,
+        &mut self,
         name: &'static str,
         lanes: usize,
         slots: &mut PreSlots<P>,
@@ -409,9 +417,8 @@ impl Device {
             }
         };
         let mut helper_lanes = 0u64;
-        let scoped = crossbeam::scope(|s| {
-            let helper = &helper;
-            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(move |_| helper())).collect();
+        let report = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(helper)).collect();
             // Linux queues a new thread on the spawning thread's CPU and may
             // move it to an idle one only at its next balancing tick:
             // milliseconds, longer than a small launch. Blocking until a
@@ -443,22 +450,20 @@ impl Device {
             }
             report
         });
-        let report = scoped.unwrap_or_else(|payload| resume_unwind(payload));
-        let mut stats = self.stats.lock();
-        stats.helper_lanes += helper_lanes;
-        stats.lanes_computed_twice += twice.into_inner();
-        drop(stats);
+        self.stats.helper_lanes += helper_lanes;
+        self.stats.lanes_computed_twice += twice.into_inner();
         report
     }
 
     /// Launch a kernel of `lanes` lanes identified only by `Lane::global_id`:
     /// the one lane loop, every lane warp by warp on the calling thread.
-    pub fn launch_indexed<F>(&self, name: &'static str, lanes: usize, mut f: F) -> KernelReport
+    pub fn launch_indexed<F>(&mut self, name: &'static str, lanes: usize, mut f: F) -> KernelReport
     where
         F: FnMut(&mut Lane<'_>),
     {
         let warp_size = self.cfg.warp_size.max(1) as usize;
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        self.epoch = self.epoch.wrapping_add(1);
+        let epoch = self.epoch;
         let n_warps = lanes.div_ceil(warp_size);
         let surcharge = match self.cfg.memory_mode {
             crate::device::MemoryMode::ZeroCopy => self.cfg.cost.zero_copy_access_cycles,
@@ -545,7 +550,7 @@ impl Device {
         }
 
         {
-            let mut s = self.stats.lock();
+            let s = &mut self.stats;
             s.busy_ns += sim_ns;
             s.kernels += 1;
             s.lanes_run += agg.lanes;
@@ -557,7 +562,7 @@ impl Device {
             s.page_faults += faults;
         }
         {
-            let t = self.telemetry.lock();
+            let t = &self.telemetry;
             t.kernel_launches.inc();
             t.kernel_ns.record_ns(sim_ns);
             t.atomic_ops.add(agg.counters.atomic_ops);
@@ -593,7 +598,7 @@ mod tests {
 
     #[test]
     fn every_lane_runs_exactly_once() {
-        let d = device();
+        let mut d = device();
         let items: Vec<usize> = (0..1000).collect();
         let (mut order, mut min) = (Vec::new(), SimAtomicU64::new(u64::MAX));
         let r = d.launch("count", &items, |lane, &i| {
@@ -609,7 +614,7 @@ mod tests {
 
     #[test]
     fn uniform_warp_is_not_divergent() {
-        let d = device();
+        let mut d = device();
         let items = vec![0u8; 64];
         let r = d.launch("uniform", &items, |lane, _| {
             lane.branch(3);
@@ -622,7 +627,7 @@ mod tests {
 
     #[test]
     fn divergent_warp_serializes_branch_paths() {
-        let d = device();
+        let mut d = device();
         let items: Vec<usize> = (0..32).collect();
         let r = d.launch("diverge", &items, |lane, &i| {
             if i % 2 == 0 {
@@ -640,7 +645,7 @@ mod tests {
 
     #[test]
     fn hot_address_atomics_cost_more_than_spread_atomics() {
-        let d = device();
+        let mut d = device();
         let n = 4096usize;
         let mut hot = SimAtomicU64::new(u64::MAX);
         let r_hot = d.launch_indexed("hot", n, |lane| {
@@ -678,7 +683,7 @@ mod tests {
         threads: usize,
         pre: impl Fn(usize) -> u64 + Sync,
     ) -> (KernelReport, u32, u64, DeviceStats) {
-        let d = Device::new(DeviceConfig::parallel(threads));
+        let mut d = Device::new(DeviceConfig::parallel(threads));
         let (mut bits, mut min) = (SimAtomicU32::new(0), SimAtomicU64::new(u64::MAX));
         let mut slots = PreSlots::default();
         let r = d.launch_with_pre("pre", 10_000, &mut slots, pre, |lane, v| {
@@ -724,7 +729,7 @@ mod tests {
             mix(k)
         };
         // Three threads: the lease a concurrent test holds may take one.
-        let d = Device::new(DeviceConfig::parallel(3));
+        let mut d = Device::new(DeviceConfig::parallel(3));
         let mut slots = PreSlots::default();
         let r = d.launch_with_pre("stall", 10_000, &mut slots, stalling, |lane, v| {
             // The test waits (a launch never does) until a helper is stuck
@@ -750,7 +755,7 @@ mod tests {
         let launcher = std::thread::current().id();
         let entered = AtomicBool::new(false);
         let run = std::panic::catch_unwind(|| {
-            let d = Device::new(DeviceConfig::parallel(3));
+            let mut d = Device::new(DeviceConfig::parallel(3));
             d.launch_with_pre(
                 "boom",
                 10_000,
@@ -779,7 +784,7 @@ mod tests {
     fn a_leased_thread_is_no_helper() {
         let launcher = std::thread::current().id();
         let lease = crate::HostThreadLease::take();
-        let d = Device::new(DeviceConfig::parallel(2));
+        let mut d = Device::new(DeviceConfig::parallel(2));
         let r = d.launch_with_pre(
             "leased",
             10_000,
@@ -797,7 +802,7 @@ mod tests {
     #[test]
     fn a_one_warp_launch_spawns_nothing() {
         let launcher = std::thread::current().id();
-        let d = Device::new(DeviceConfig::parallel(4));
+        let mut d = Device::new(DeviceConfig::parallel(4));
         let mut slots: PreSlots<usize> = PreSlots::default();
         let r = d.launch_with_pre(
             "one-warp",
@@ -815,7 +820,7 @@ mod tests {
 
     #[test]
     fn occupancy_limits_kernel_time_for_many_warps() {
-        let d = device();
+        let mut d = device();
         // Memory-bound (heavy) work is throughput-limited.
         let small = d.launch_indexed("small", 32, |lane| lane.charge_cycles(100.0));
         let big = d.launch_indexed("big", 32 * 10_000, |lane| lane.charge_cycles(100.0));
@@ -831,7 +836,7 @@ mod tests {
     fn zero_copy_mode_surcharges_global_accesses() {
         let run = |mode: MemoryMode| {
             let cfg = DeviceConfig { memory_mode: mode, ..DeviceConfig::default() };
-            let d = Device::new(cfg);
+            let mut d = Device::new(cfg);
             d.launch_indexed("t", 1024, |lane| lane.read_global(4)).sim_ns
         };
         assert!(run(MemoryMode::ZeroCopy) > run(MemoryMode::DeviceResident));
@@ -844,7 +849,7 @@ mod tests {
             device_mem_bytes: 1 << 20,
             ..DeviceConfig::default()
         };
-        let d = Device::new(cfg);
+        let mut d = Device::new(cfg);
         d.register_allocation(4 << 20); // 4x over capacity
         let r = d.launch_indexed("faulty", 65_536, |lane| {
             lane.read_global(8);
@@ -856,7 +861,7 @@ mod tests {
 
     #[test]
     fn empty_launch_is_wellformed() {
-        let d = device();
+        let mut d = device();
         let r = d.launch_indexed("empty", 0, |_| {});
         assert_eq!(r.lanes, 0);
         assert_eq!(r.warps, 0);
@@ -865,7 +870,7 @@ mod tests {
 
     #[test]
     fn partial_last_warp_runs_remaining_lanes() {
-        let d = device();
+        let mut d = device();
         let mut last = SimAtomicU32::new(0);
         let r = d.launch_indexed("partial", 33, |lane| {
             lane.atomic_or_u32(&mut last, u32::from(lane.global_id == 32));

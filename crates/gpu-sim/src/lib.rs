@@ -35,7 +35,9 @@
 //! *pre-pass* ahead of it: a pure function of the lane index that cannot
 //! reach the simulated clock ([`Device::launch_with_pre`]). Simulated
 //! atomics are plain words that a lane updates through `&mut`, so the
-//! compiler rejects a pre-pass that reads one the lanes write.
+//! compiler rejects a pre-pass that reads one the lanes write. The
+//! [`Device`] is plain data too, with one owner: every launch, transfer
+//! and fault check takes it by `&mut`.
 //!
 //! ## Quick example
 //!
@@ -43,7 +45,7 @@
 //! use ltpg_gpu_sim::{Device, DeviceConfig};
 //! use ltpg_gpu_sim::atomic::SimAtomicU64;
 //!
-//! let device = Device::new(DeviceConfig::default());
+//! let mut device = Device::new(DeviceConfig::default());
 //! let mut hot = SimAtomicU64::new(u64::MAX);
 //! let items: Vec<u64> = (0..1024).collect();
 //! device.launch("min-reduce", &items, |lane, &tid| {
@@ -59,7 +61,6 @@ pub mod cost;
 pub mod device;
 pub mod faults;
 pub mod kernel;
-pub mod memory;
 pub mod stats;
 pub mod transfer;
 
@@ -68,6 +69,5 @@ pub use cost::CostModel;
 pub use device::{Device, DeviceConfig, HostThreadLease, MemoryMode};
 pub use faults::{DeviceError, DeviceFaultPlan};
 pub use kernel::{KernelReport, Lane, PreSlots};
-pub use memory::DeviceAllocator;
 pub use stats::DeviceStats;
 pub use transfer::{Pipeline, TransferDirection};

@@ -190,7 +190,7 @@ mod tests {
         let mut set = pool(&primary, 1, single_device_applier());
         // Row 1 replays on a device that dies in the middle of its third
         // batch (a batch is five fallible device operations here).
-        let doomed = Arc::new(Device::new(LtpgConfig::default().device));
+        let mut doomed = Device::new(LtpgConfig::default().device);
         doomed.arm_faults(DeviceFaultPlan {
             lost_at_op: Some(12),
             ..DeviceFaultPlan::none()

@@ -337,7 +337,7 @@ impl ReplicaSet {
     /// the first row's shard-0 engine: it rejoins the pool instead of the
     /// serving plane. Each row's databases are cloned straight from the
     /// logs' images.
-    fn spawn_rows(&mut self, n: usize, logs: &[DurabilityManager], mut device: Option<Arc<Device>>) {
+    fn spawn_rows(&mut self, n: usize, logs: &[DurabilityManager], mut device: Option<Device>) {
         for _ in 0..n {
             let engines = (logs.iter())
                 .map(|log| {
@@ -577,7 +577,7 @@ impl StandbyRows for ReplicaSet {
         }
     }
 
-    fn reenlist(&mut self, device: Arc<Device>, logs: &[DurabilityManager]) {
+    fn reenlist(&mut self, device: Device, logs: &[DurabilityManager]) {
         self.spawn_rows(1, logs, Some(device));
         self.repromotions.inc();
     }

@@ -366,13 +366,13 @@ impl ShardedServer {
     }
 
     /// Arm a deterministic fault schedule on shard `s`'s device.
-    pub fn arm_shard_faults(&self, s: u32, plan: DeviceFaultPlan) {
-        self.shards().arm_faults(s as usize, plan);
+    pub fn arm_shard_faults(&mut self, s: u32, plan: DeviceFaultPlan) {
+        self.shards_mut().arm_faults(s as usize, plan);
     }
 
     /// Fail shard `s`'s device at the next batch boundary.
-    pub fn force_shard_failure(&self, s: u32) {
-        self.shards().fail_device(s as usize);
+    pub fn force_shard_failure(&mut self, s: u32) {
+        self.shards_mut().fail_device(s as usize);
     }
 
     /// Schedule an online topology change, applied atomically when the
@@ -507,7 +507,7 @@ mod tests {
     fn assert_lockstep_around(
         server: &mut ShardedServer,
         reference: &mut LtpgServer,
-        mut before: impl FnMut(usize, &ShardedServer),
+        mut before: impl FnMut(usize, &mut ShardedServer),
         mut after: impl FnMut(&ShardedServer),
     ) {
         for tick in 0.. {
@@ -984,7 +984,7 @@ mod tests {
         });
         server.submit_all(txns);
         let mut saw_both_degraded = false;
-        let lose = |tick, server: &ShardedServer| match tick {
+        let lose = |tick, server: &mut ShardedServer| match tick {
             1 => server.force_shard_failure(0),
             2 => server.force_shard_failure(2),
             _ => {}

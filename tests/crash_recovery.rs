@@ -311,7 +311,7 @@ fn sharded_recovery_off_delta_images_across_a_cutover_matches_the_uncrashed_run(
     for tick in 0..400 {
         // Shard 2 is the one the cutover moved rows onto.
         if victim.stats().batches == 9 && !victim.is_degraded(2) {
-            victim.shards().fail_device(2);
+            victim.shards_mut().fail_device(2);
         }
         let (a, b) = (reference.tick(), victim.tick());
         assert_eq!(

@@ -97,7 +97,7 @@ struct TransientRun {
 #[test]
 fn transients_do_not_move_seal_boundaries_or_commits() {
     let run = |transients: &[u64]| {
-        let (srv, _) = ltpg_server(BATCH);
+        let (mut srv, _) = ltpg_server(BATCH);
         if !transients.is_empty() {
             srv.arm_faults(DeviceFaultPlan {
                 transient_ops: transients.iter().copied().collect(),
@@ -267,7 +267,7 @@ fn a_failover_is_charged_to_its_tick_and_leaves_the_steady_clock_alone() {
             Fleet::new(FleetConfig { clients: 200, offered_tps: 150_000.0, skew: 1.1, seed: 21 });
         for (i, a) in fleet.schedule(1_500).into_iter().enumerate() {
             if kill_at == Some(i) {
-                fe.sink().force_shard_failure(1);
+                fe.sink_mut().force_shard_failure(1);
             }
             fe.offer(a.client, a.at_ns, gen.gen_txn());
         }

@@ -186,7 +186,7 @@ type EpochTrace = ([[u64; 5]; 2], Vec<bool>, Vec<(Option<u64>, Option<u64>)>);
 /// Run one epoch of `ops` (key, TID, is-write) through `log` on `device`,
 /// then read both records of every key in `probe`.
 fn epoch_trace<L>(
-    device: &Device,
+    device: &mut Device,
     ops: &[(i64, u64, bool)],
     probe: &[i64],
     log: &mut L,
@@ -246,7 +246,7 @@ proptest! {
         }
         let mut dense = dense::DenseLog::new(s_h, s_u, ws);
         // One host thread each: lanes run in item order on both sides.
-        let (on_sparse, on_dense) =
+        let (mut on_sparse, mut on_dense) =
             (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
         for (e, ops) in epochs.iter().enumerate() {
             let epoch = e as u32 + 1;
@@ -254,7 +254,7 @@ proptest! {
                 ops.iter().map(|&(k, tid, w)| (k % key_space, tid, w)).collect();
             let probe = probe_keys(&ops);
             let got = epoch_trace(
-                &on_sparse,
+                &mut on_sparse,
                 &ops,
                 &probe,
                 &mut sparse,
@@ -268,7 +268,7 @@ proptest! {
                 },
             );
             let want = epoch_trace(
-                &on_dense,
+                &mut on_dense,
                 &ops,
                 &probe,
                 &mut dense,
@@ -300,7 +300,7 @@ proptest! {
         let cfg = LtpgConfig { max_batch: 1 << 12, ..LtpgConfig::default() };
         let mut log = ConflictLog::new(&db, &cfg);
         let cell = |key| Cell { table: t, part: Part::Exists, key };
-        let (on_sparse, on_dense) =
+        let (mut on_sparse, mut on_dense) =
             (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
         let mut geometry = (0, 0);
         let mut dense = dense::DenseLog::new(16, 1, None);
@@ -320,7 +320,7 @@ proptest! {
             let probe = probe_keys(ops);
             let check = |record| if record == Record::Writes { Check::Write } else { Check::Read };
             let got = epoch_trace(
-                &on_sparse,
+                &mut on_sparse,
                 ops,
                 &probe,
                 &mut log,
@@ -328,7 +328,7 @@ proptest! {
                 |log, lane, key, record| log.min(lane, cell(key), record),
             );
             let want = epoch_trace(
-                &on_dense,
+                &mut on_dense,
                 ops,
                 &probe,
                 &mut dense,
@@ -350,7 +350,7 @@ fn growth_within_an_epoch_charges_what_the_dense_log_did() {
     for s_u in [1, 32] {
         let mut sparse = TableLog::new(1 << 13, s_u).with_ballot_probe(32);
         let mut dense = dense::DenseLog::new(1 << 13, s_u, Some(32));
-        let (on_sparse, on_dense) =
+        let (mut on_sparse, mut on_dense) =
             (Device::new(DeviceConfig::default()), Device::new(DeviceConfig::default()));
         for (epoch, keys) in [(1u32, 3_000u64), (2, 300)] {
             // Three passes over the keys, TIDs rising: each key's minimum
@@ -359,7 +359,7 @@ fn growth_within_an_epoch_charges_what_the_dense_log_did() {
                 (0..3 * keys).map(|i| ((i * 7_919 % keys) as i64, i + 1, i % 7 == 0)).collect();
             let probe = probe_keys(&ops);
             let got = epoch_trace(
-                &on_sparse,
+                &mut on_sparse,
                 &ops,
                 &probe,
                 &mut sparse,
@@ -373,7 +373,7 @@ fn growth_within_an_epoch_charges_what_the_dense_log_did() {
                 },
             );
             let want = epoch_trace(
-                &on_dense,
+                &mut on_dense,
                 &ops,
                 &probe,
                 &mut dense,
@@ -407,7 +407,7 @@ proptest! {
         ballot in proptest::bool::ANY,
     ) {
         // One host thread: lanes register in item order, as the model does.
-        let device = Device::new(DeviceConfig::default());
+        let mut device = Device::new(DeviceConfig::default());
         let mut log = TableLog::new(16, s_u);
         if ballot {
             log = log.with_ballot_probe(32);

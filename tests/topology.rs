@@ -47,6 +47,10 @@ fn rows() -> Vec<Row> {
     // batch the device runs (five fallible operations per batch).
     let transient = DeviceFaultPlan { transient_ops: BTreeSet::from([0]), ..DeviceFaultPlan::none() };
     let mid_batch = DeviceFaultPlan { lost_at_op: Some(6), ..DeviceFaultPlan::none() };
+    // Every upload of the first batch faults until its retries run out:
+    // the round is lost on a device that never failed.
+    let retries = u64::from(ServerConfig::default().max_transient_retries);
+    let exhausted = DeviceFaultPlan { transient_ops: (0..=retries).collect(), ..DeviceFaultPlan::none() };
     vec![
         quiet(),
         Row { name: "transient upload fault", plan: transient, ..quiet() },
@@ -55,6 +59,12 @@ fn rows() -> Vec<Row> {
         Row { name: "lost at a boundary, one standby row", fail_after: Some(2), standbys: 1, ..quiet() },
         Row { name: "lost mid-batch, one standby row", plan: mid_batch, standbys: 1, ..quiet() },
         Row { name: "timed device recovery", fail_after: Some(1), recovers_after: Some(2), ..quiet() },
+        Row {
+            name: "retries exhausted, timed recovery",
+            plan: exhausted,
+            recovers_after: Some(2),
+            ..quiet()
+        },
     ]
 }
 
@@ -107,12 +117,12 @@ fn run<X: Topology>(server: &mut Server<X>, victim: usize, row: &Row, txns: &[Tx
         device_recovers_after_batches: row.recovers_after,
         ..ReplicaChaos::none()
     });
-    server.shards().arm_faults(victim, row.plan.clone());
+    server.shards_mut().arm_faults(victim, row.plan.clone());
     server.submit_all(txns.iter().cloned());
     let mut ticks = Vec::new();
     loop {
         if row.fail_after == Some(ticks.len()) {
-            server.shards().fail_device(victim);
+            server.shards_mut().fail_device(victim);
         }
         match server.tick() {
             Some(summary) => ticks.push(summary),
@@ -160,7 +170,9 @@ fn every_row_leaves_the_same_history_on_every_topology() {
         // fault accounting, pool traffic and, on the device, clock (the
         // lockstep round re-adds the CPU twin's total from its halves,
         // which may differ from its report in the last bit).
-        let lost = row.fail_after.is_some() || row.plan.lost_at_op.is_some();
+        let retries = u64::from(scfg.max_transient_retries);
+        let exhausted = (0..=retries).all(|op| row.plan.transient_ops.contains(&op));
+        let lost = row.fail_after.is_some() || row.plan.lost_at_op.is_some() || exhausted;
         let bits = |run: &Run| run.ticks.iter().map(|t| t.sim_ns.to_bits()).collect::<Vec<_>>();
         if !lost {
             assert_eq!(bits(&p), bits(&o), "{name}: sim_ns, plain vs 1 shard");
@@ -179,7 +191,8 @@ fn every_row_leaves_the_same_history_on_every_topology() {
                 );
             }
         }
-        // The row did what it says.
+        // The row did what it says. A device behind a lost round is kept
+        // for its timed recovery even when it never failed.
         assert_eq!(p.replica[0], u64::from(lost && row.standbys > 0), "{name}: promotions");
         assert_eq!(p.replica[2], u64::from(row.recovers_after.is_some()), "{name}: repromotions");
         let on_twin = lost && row.standbys == 0 && row.recovers_after.is_none();
@@ -188,6 +201,7 @@ fn every_row_leaves_the_same_history_on_every_topology() {
             (u32::from(on_twin), u32::from(on_twin), u64::from(lost && row.standbys == 0)),
             "{name}: degradation"
         );
-        assert_eq!(p.faults.transient_retries, row.plan.transient_ops.len() as u64, "{name}");
+        let retried = row.plan.transient_ops.len() as u64 - u64::from(exhausted);
+        assert_eq!(p.faults.transient_retries, retried, "{name}");
     }
 }
