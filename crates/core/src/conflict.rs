@@ -429,12 +429,11 @@ impl TableLog {
         std::mem::take(&mut self.accesses)
     }
 
-    /// Load the entry `key`'s home bucket would live in and do nothing
-    /// with it.
+    /// Prefetch the entry `key`'s home bucket would live in.
     #[inline]
     fn touch(&self, key: i64) {
         let home = self.claimed.home(mix_key(key) as usize & self.mask);
-        std::hint::black_box(self.claimed.entries[home].key);
+        ltpg_storage::hint::prefetch(&self.claimed.entries[home].key);
     }
 
     /// Charge the inspection of bucket `i` of a probe run.
@@ -734,11 +733,11 @@ impl ConflictLog {
         (&self.logs[log], key)
     }
 
-    /// Bring the entry of `cell`'s home bucket into the host's cache.
+    /// Prefetch the entry of `cell`'s home bucket into the host's cache.
     /// Charges no lane and changes nothing: the simulated clock cannot see
     /// it. A caller about to register or check a group of accesses touches
-    /// them all first and the misses overlap instead of queueing one
-    /// behind the other (DESIGN.md "Hot path").
+    /// them all first and the misses are in flight together instead of
+    /// queueing one behind the other (DESIGN.md "Hot path").
     #[inline]
     pub fn touch(&self, cell: Cell) {
         let (log, key) = self.route(cell);

@@ -789,10 +789,13 @@ impl LtpgEngine {
         self.device.check_alive()?;
         let detect_report = self.device.launch("conflict_d", &items, |lane, item| {
             if lane.lane_id == 0 {
-                // The warp's checks, like its registrations: every bucket
-                // loaded back to back before the first is inspected.
-                let warp = &items[lane.global_id..];
-                warp[..warp.len().min(warp_lanes)].iter().for_each(|it| self.log.touch(it.cell));
+                // The checks' buckets are prefetched a warp ahead: lane 0
+                // of warp w asks for warp w + 1's, which then arrive while
+                // warp w inspects its own (warp 0 asks for its own too).
+                let at = lane.global_id;
+                let end = (at + 2 * warp_lanes).min(items.len());
+                let ahead = if at == 0 { 0 } else { (at + warp_lanes).min(end) };
+                items[ahead..end].iter().for_each(|it| self.log.touch(it.cell));
             }
             lane.branch(u32::from(item.check.is_write()));
             // Work-item fetch: the items sit in the dense array execute
@@ -876,7 +879,22 @@ impl LtpgEngine {
             owns_row,
         );
         self.device.check_alive()?;
+        let warp_lanes = self.cfg.device.warp_size as usize;
         let wb_report = self.device.launch("writeback", &lane_order, |lane, &idx| {
+            if lane.lane_id == 0 {
+                // Every row the warp writes is resolved again, so lane 0
+                // prefetches their index slots before any lane of the warp
+                // looks one up.
+                let warp = &lane_order[lane.global_id..];
+                for &i in &warp[..warp.len().min(warp_lanes)] {
+                    let Some(out) = outcomes[i].as_ref().filter(|_| committed_flags[i]) else { continue };
+                    for (t, key) in out.normal.iter().map(Mutation::row) {
+                        if owns_row(t, key) {
+                            self.db.table(t).touch(key);
+                        }
+                    }
+                }
+            }
             let txn = &batch.txns[idx];
             lane.branch(u32::from(txn.proc.0));
             // Flag-word fetch: one coalesced word from the dense SoA flag

@@ -30,7 +30,10 @@
 //! `Drop`. Every pool counter moves on the caller's thread, at a ship or
 //! at a join, so telemetry is the same function of the call sequence
 //! whatever the scheduler does; a joined pool is bit-for-bit the pool a
-//! synchronous replay would have left. A replay failure ends the worker,
+//! synchronous replay would have left. The one exception is the host
+//! clock: a worker records each batch it applies on
+//! `replica.replay_host_ns`, whose count, once joined, is the batches
+//! applied as well. A replay failure ends the worker,
 //! which hangs up its end: later ships to that row fail fast and are
 //! dropped, and the next join demotes the row with its cause. A worker
 //! panic is re-raised by the join that meets it.
@@ -51,6 +54,7 @@ use std::cell::{RefCell, RefMut};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use ltpg::{
     replay_frames, DurabilityManager, Executor, LtpgConfig, LtpgEngine, Replayer, Server, Shards,
@@ -158,7 +162,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn spawn(row: usize, engines: Vec<Executor>, applier: Applier) -> Self {
+    fn spawn(row: usize, engines: Vec<Executor>, applier: Applier, replay_ns: Arc<Histogram>) -> Self {
         let (tx, rx) = sync_channel(SHIP_QUEUE_DEPTH);
         let handle = std::thread::Builder::new()
             .name(format!("ltpg-standby-{row}"))
@@ -166,7 +170,7 @@ impl Worker {
                 // The worker replays every batch the primary serves: its CPU
                 // has no spare cycles for a launch's helpers.
                 let _lease = HostThreadLease::take();
-                replay(engines, rx, applier)
+                replay(engines, rx, applier, &replay_ns)
             })
             // Invariant: the process can start a thread; a host that cannot
             // is out of resources the serving path needs as well.
@@ -182,13 +186,21 @@ impl Worker {
 }
 
 /// The worker body: apply shipments in order until the set hangs up or a
-/// batch fails. Returning drops the receiver, so a set still shipping to a
-/// failed row gets an error instead of a full queue.
-fn replay(mut engines: Vec<Executor>, rx: Receiver<Shipment>, applier: Applier) -> WorkerExit {
+/// batch fails, recording each applied batch's host time on `replay_ns`.
+/// Returning drops the receiver, so a set still shipping to a failed row
+/// gets an error instead of a full queue.
+fn replay(
+    mut engines: Vec<Executor>,
+    rx: Receiver<Shipment>,
+    applier: Applier,
+    replay_ns: &Histogram,
+) -> WorkerExit {
     let (mut applied, mut last_words, mut failure) = (0, None, None);
     for Shipment { batch_id, frames } in rx {
+        let start = Instant::now();
         match applier(&mut engines, &frames) {
             Ok(words) => {
+                replay_ns.record(start.elapsed().as_nanos() as u64);
                 applied += 1;
                 last_words = Some(words);
             }
@@ -243,11 +255,14 @@ impl StandbyRow {
 
     /// The channel into this row's worker, starting one if the row is
     /// parked. `None` for a dead row.
-    fn sender(&mut self, applier: &Applier) -> Option<&SyncSender<Shipment>> {
+    fn sender(&mut self, applier: &Applier, replay_ns: &Arc<Histogram>) -> Option<&SyncSender<Shipment>> {
         self.state = match std::mem::replace(&mut self.state, RowState::Dead) {
-            RowState::Parked(engines) => {
-                RowState::Running(Worker::spawn(self.id, engines, Arc::clone(applier)))
-            }
+            RowState::Parked(engines) => RowState::Running(Worker::spawn(
+                self.id,
+                engines,
+                Arc::clone(applier),
+                Arc::clone(replay_ns),
+            )),
             other => other,
         };
         match &self.state {
@@ -292,6 +307,8 @@ pub struct ReplicaSet {
     catchup_batches: Arc<Counter>,
     failover_ns: Arc<Histogram>,
     lag_batches: Arc<Histogram>,
+    /// Recorded by the workers, once per applied batch.
+    replay_ns: Arc<Histogram>,
     standbys_gauge: Arc<Gauge>,
 }
 
@@ -325,6 +342,7 @@ impl ReplicaSet {
             catchup_batches: registry.counter(names::REPLICA_CATCHUP_BATCHES),
             failover_ns: registry.histogram(names::REPLICA_FAILOVER_NS),
             lag_batches: registry.histogram(names::REPLICA_LAG_BATCHES),
+            replay_ns: registry.histogram(names::REPLICA_REPLAY_HOST_NS),
             standbys_gauge: registry.gauge(names::REPLICA_STANDBYS),
             registry,
         };
@@ -435,7 +453,7 @@ impl ReplicaSet {
                 }
                 return;
             };
-            let Some(tx) = row.sender(&self.applier) else { return };
+            let Some(tx) = row.sender(&self.applier, &self.replay_ns) else { return };
             let _ = tx.send(Shipment { batch_id, frames });
             row.shipped += 1;
         }

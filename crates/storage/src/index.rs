@@ -262,14 +262,13 @@ impl PrimaryIndex {
         Ok(())
     }
 
-    /// Load the slot a probe for `key` starts at and decide nothing from
-    /// it. A caller about to look a group of keys up touches them all
-    /// first: no branch waits on a touch, so the group's misses overlap,
-    /// where [`get`](Self::get) compares each slot it loads before it goes
-    /// on.
+    /// Prefetch the slot a probe for `key` starts at ([`crate::hint`]). A
+    /// caller about to look a group of keys up touches them all first: the
+    /// group's misses are in flight together, where [`get`](Self::get)
+    /// compares each slot it loads before it goes on.
     #[inline]
     pub fn touch(&self, key: i64) {
-        std::hint::black_box(self.slots[mix_key(key) as usize & self.mask].key);
+        crate::hint::prefetch(&self.slots[mix_key(key) as usize & self.mask].key);
     }
 
     /// The slot holding `key`, if any.

@@ -25,6 +25,7 @@
 pub mod btree;
 pub mod database;
 mod dirty;
+pub mod hint;
 pub mod image;
 pub mod index;
 pub mod schema;

@@ -344,11 +344,18 @@ impl Table {
         self.primary.get(key)
     }
 
-    /// Bring the primary-index slot a [`lookup`](Self::lookup) of `key`
-    /// starts at into cache ([`PrimaryIndex::touch`]).
+    /// Prefetch the primary-index slot a [`lookup`](Self::lookup) of `key`
+    /// starts at ([`PrimaryIndex::touch`]).
     #[inline]
     pub fn touch(&self, key: i64) {
         self.primary.touch(key);
+    }
+
+    /// Prefetch the cell a [`get`](Self::get) of `(rid, col)` reads
+    /// ([`crate::hint`]).
+    #[inline]
+    pub fn prefetch(&self, rid: RowId, col: ColId) {
+        crate::hint::prefetch(&self.data[self.at(rid, col)]);
     }
 
     /// Read one cell.

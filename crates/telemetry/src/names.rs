@@ -322,6 +322,11 @@ pub const REPLICA_FAILOVER_NS: &str = "replica.failover_ns";
 pub const REPLICA_LAG_BATCHES: &str = "replica.lag_batches";
 /// Gauge: standby rows currently alive and promotable.
 pub const REPLICA_STANDBYS: &str = "replica.standbys";
+/// Histogram: host ns a standby row's worker spent applying one batch
+/// (check, decode and the round), recorded by the worker once per applied
+/// batch. Its count equals `replica.catchup_batches` once the pool is
+/// joined.
+pub const REPLICA_REPLAY_HOST_NS: &str = "replica.replay_host_ns";
 
 /// Per-standby lag gauge name: `replica.standby.<row>.lag_batches`.
 /// Dynamic (allocated) names are supported by the registry; this helper

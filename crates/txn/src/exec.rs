@@ -516,14 +516,14 @@ pub fn execute_speculative_on<S: CellStore + ?Sized>(
     Ok(sp.effects)
 }
 
-/// Bring into the host's cache what speculating `txns` will read from `db`:
-/// for every point op whose key is known before execution (a constant, a
-/// parameter, the TID), first the primary-index slot, then — in a second
-/// pass, when the slots have arrived — the cell a `Read` or `Add` loads.
-/// Nothing is recorded and nothing changes; the caller only gets its misses
-/// overlapped instead of taking them one at a time inside the interpreter,
-/// where each op's bookkeeping separates them. Keys computed from a read
-/// result are skipped, as are the range and scan ops.
+/// Prefetch into the host's cache what speculating `txns` will read from
+/// `db`: for every point op whose key is known before execution (a
+/// constant, a parameter, the TID), first the primary-index slot, then — in
+/// a second pass, when the slots have arrived — the cell a `Read` or `Add`
+/// loads. Nothing is recorded and nothing changes; the caller only gets its
+/// misses in flight together instead of taking them one at a time inside
+/// the interpreter, where each op's bookkeeping separates them. Keys
+/// computed from a read result are skipped, as are the range and scan ops.
 pub fn touch_point_rows<'a>(db: &Database, txns: impl Iterator<Item = &'a Txn> + Clone) {
     for cells in [false, true] {
         for txn in txns.clone() {
@@ -548,7 +548,7 @@ pub fn touch_point_rows<'a>(db: &Database, txns: impl Iterator<Item = &'a Txn> +
                     t.touch(key);
                 } else if let Some(col) = col {
                     if let Some(rid) = t.lookup(key) {
-                        std::hint::black_box(t.get(rid, col));
+                        t.prefetch(rid, col);
                     }
                 }
             }

@@ -5,8 +5,11 @@
 //! demand bit-identical outcomes — including across simulator host-thread
 //! counts for LTPG, down to every flag word and simulated-clock bit.
 
-use ltpg::{LtpgConfig, LtpgEngine, OptFlags};
+use ltpg::{CpuTwin, ExecScope, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_bench::{build_tpcc_engine, ltpg_tpcc_config, run_stream, SystemKind};
+use ltpg_storage::TableId;
+use ltpg_telemetry::{names, Registry};
+use ltpg_txn::group::order_by_proc;
 use ltpg_txn::{Batch, BatchEngine, Tid, TidGen};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
@@ -61,12 +64,13 @@ struct BatchBits {
 /// A fresh engine on the given host threads, and the batch to run on it.
 type Build = dyn Fn(usize) -> (LtpgEngine, Batch);
 
-/// Run `batch` through `engine`, prepare and finish, and read it back bit
-/// for bit; its aborted transactions are the second half.
-fn run_batch(engine: &mut LtpgEngine, batch: &Batch) -> (BatchBits, Vec<Tid>) {
-    let prepared = engine.try_prepare_batch(batch, None).unwrap();
+/// Run `batch` through `engine`, prepare and finish (within `scope`, if
+/// any), and read it back bit for bit; its aborted transactions are the
+/// second half.
+fn run_batch(engine: &mut LtpgEngine, batch: &Batch, scope: Option<&ExecScope<'_>>) -> (BatchBits, Vec<Tid>) {
+    let prepared = engine.try_prepare_batch(batch, scope).unwrap();
     let flags = (0..prepared.len()).map(|i| prepared.flag_word(i)).collect();
-    let rws = engine.try_finish_batch(batch, prepared, None).unwrap();
+    let rws = engine.try_finish_batch(batch, prepared, scope).unwrap();
     let bits = BatchBits {
         committed: rws.report.committed,
         flags,
@@ -84,7 +88,7 @@ fn run_batch(engine: &mut LtpgEngine, batch: &Batch) -> (BatchBits, Vec<Tid>) {
 fn batch_bits(threads: usize, build: &Build) -> (BatchBits, u64) {
     let (mut engine, batch) = build(threads);
     assert_eq!(batch.len(), 4_096);
-    let (bits, _) = run_batch(&mut engine, &batch);
+    let (bits, _) = run_batch(&mut engine, &batch, None);
     assert_eq!(engine.device().config().parallel_host_threads, threads);
     (bits, engine.device().stats().helper_lanes)
 }
@@ -156,7 +160,7 @@ fn when_an_ordered_index_is_built_changes_nothing() {
         for i in 0..6 {
             let fresh = gens[usize::from(i >= 2)].gen_batch(BATCH - requeued.len());
             let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-            let (bits, aborted) = run_batch(&mut engine, &batch);
+            let (bits, aborted) = run_batch(&mut engine, &batch, None);
             requeued = aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
             let built = trees.map(|t| engine.database().table(t).ordered_is_built());
             assert_eq!(built, [built_first || i >= 2; 2], "batch {i}, built first: {built_first}");
@@ -221,4 +225,74 @@ fn simulated_time_is_reproducible() {
     let a = run();
     let b = run();
     assert_eq!(a.to_bits(), b.to_bits(), "simulated time must be reproducible");
+}
+
+/// A row-ownership rule, as a shard's [`ExecScope`] carries it.
+type Owns = dyn Fn(TableId, i64) -> bool + Sync;
+
+/// The kernels prefetch ahead of the lane that uses a line: detect a warp
+/// ahead, write-back over the lane's whole warp. So a launch's edges are
+/// where an index could run past an array: batches of one lane, one short
+/// of a warp, one warp, one past it, two warps and one, at warps of 1, 7 and
+/// 32 lanes, on a contended YCSB-A table (Zipf 2.5), so that detect arrays
+/// end mid-warp and whole write-back warps abort. Whole, scoped to a shard
+/// owning a third of the rows, and scoped to one owning none (no
+/// write-back warp of it owns a row), every commit, flag word and state
+/// digest must equal the CPU twin's, and both clocks at two host threads
+/// the one-thread engine's.
+#[test]
+fn warp_edges_move_no_decision_and_no_charge() {
+    const SIZES: [usize; 7] = [1, 31, 32, 33, 65, 33, 1];
+    let thirds = |_: TableId, key: i64| key % 3 == 0;
+    let nothing = |_: TableId, _: i64| false;
+    let owners: [(&str, Option<&Owns>); 3] = [("whole", None), ("a third", Some(&thirds)), ("no row", Some(&nothing))];
+    let (mut mid_warp, mut dead_warp) = (false, false);
+    for warp in [1u32, 7, 32] {
+        for (who, owns_row) in owners {
+            let scope = owns_row.map(|owns_row| ExecScope { remote: None, owns_row });
+            let setup = || {
+                let cfg = YcsbConfig::new(YcsbWorkload::A, 2_048).with_seed(17);
+                let (db, _table, gen) = YcsbGenerator::new(cfg);
+                let mut lcfg = LtpgConfig { max_batch: 65, ..LtpgConfig::default() };
+                lcfg.device.warp_size = warp;
+                (db, gen, lcfg)
+            };
+            // Per batch: the batch, its bits and its detect items.
+            let engine_run = |threads: usize| {
+                let (db, mut gen, mut lcfg) = setup();
+                lcfg.device.parallel_host_threads = threads;
+                let mut engine = LtpgEngine::with_telemetry(db, lcfg, Registry::new_shared());
+                let items = engine.telemetry().counter(names::LTPG_CONFLICT_LOG_ACCESSES);
+                let mut tids = TidGen::new();
+                let mut history = Vec::new();
+                for n in SIZES {
+                    let batch = Batch::assemble(vec![], gen.gen_batch(n), &mut tids);
+                    let before = items.get();
+                    let (bits, _) = run_batch(&mut engine, &batch, scope.as_ref());
+                    history.push((batch, bits, items.get() - before));
+                }
+                history
+            };
+            let (one, two) = (engine_run(1), engine_run(2));
+            let (db, _, lcfg) = setup();
+            let mut twin = CpuTwin::new(db, lcfg);
+            for (k, (batch, bits, items)) in one.iter().enumerate() {
+                let at = format!("warp {warp}, {who}, batch {k} of {}", batch.len());
+                assert_eq!(bits, &two[k].1, "{at}: two host threads moved the batch");
+                let prepared = twin.prepare(batch, scope.as_ref());
+                let flags: Vec<u32> = (0..batch.len()).map(|i| prepared.flag_word(i)).collect();
+                assert_eq!(flags, bits.flags, "{at}: flag words against the twin");
+                let report = twin.finish(batch, prepared, scope.as_ref());
+                assert_eq!(report.committed, bits.committed, "{at}: commits against the twin");
+                assert_eq!(twin.database().state_digest(), bits.digest, "{at}: state against the twin");
+                mid_warp |= warp > 1 && items % u64::from(warp) != 0;
+                dead_warp |= scope.is_none()
+                    && order_by_proc(batch)
+                        .chunks(warp as usize)
+                        .any(|w| w.iter().all(|&i| !bits.committed.contains(&batch.txns[i].tid)));
+            }
+        }
+    }
+    assert!(mid_warp, "no detect array ended mid-warp");
+    assert!(dead_warp, "no write-back warp had every lane abort");
 }

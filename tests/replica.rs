@@ -167,6 +167,12 @@ fn four_shard_failover() -> Observed {
         "failover latency must be recorded"
     );
     assert!(reg.histogram(names::REPLICA_LAG_BATCHES).snapshot().count > 0);
+    // The workers time their own replay, once per batch they apply.
+    assert_eq!(
+        reg.histogram(names::REPLICA_REPLAY_HOST_NS).snapshot().count,
+        reg.counter_value(names::REPLICA_CATCHUP_BATCHES),
+        "replay host time must be recorded once per replayed batch"
+    );
     assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 0, "the only row was promoted");
     observe(&sharded)
 }
