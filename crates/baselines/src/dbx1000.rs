@@ -178,7 +178,7 @@ impl Dbx1000Engine {
         // Apply, then release every written row with wts = rts = commit_ts.
         let released = pack(commit_ts, commit_ts);
         for m in &fx.mutations {
-            match apply_mutation(&mut self.db, m) {
+            match apply_mutation(&mut self.db, m, None) {
                 Ok(()) => {}
                 Err(TableError::Duplicate(_)) => return Err(()),
                 Err(TableError::Full) => panic!("table out of insert headroom"),

@@ -6,23 +6,30 @@
 //!
 //! * `speculate` — `execute_speculative` over the batch alone: index and
 //!   row lookups plus building the read and write sets, no engine;
-//! * `prepare` — `try_prepare_batch`: the same speculation inside the
-//!   execute kernel, staging, conflict-log registration, the detect-item
+//! * `prepare` — `try_prepare_batch`: the execute kernel's pre-pass (the
+//!   warp's row touch, speculation into the lane's recycled plan, staging
+//!   and row resolution), conflict-log registration, the detect-item
 //!   flatten and the detect kernel;
-//! * `finish` — `try_finish_batch`: write-back, delayed-update merge and
-//!   report assembly (dropping the batch's buffered outcomes included);
+//! * `finish` — `try_finish_batch`: write-back through the plans' rows,
+//!   delayed-update merge and report assembly;
 //! * `prepare_2_threads` — `prepare` again on an engine whose device has two
-//!   host threads: a helper runs the execute kernel's pre-pass (the warp's
-//!   row touch, speculation and staging) ahead of the lanes.
+//!   host threads: a helper runs the execute kernel's pre-pass ahead of the
+//!   lanes.
 //!
 //! The first three run on one host thread. `prepare − speculate` is
 //! registration + detection + staging, and `prepare − prepare_2_threads`
 //! what the helper takes off the launching thread; the split quoted in
 //! DESIGN.md "Hot path" comes from here, so it can be regenerated without
-//! patching timers into the engine. Every sample runs a fresh batch (a
-//! finished TPC-C batch cannot be finished twice); batches are generated and
-//! dropped outside the timed region. The two-thread engine is built after
-//! the one-thread one is dropped, over the same generated database.
+//! patching timers into the engine (the engine's `ltpg.host.*` histograms
+//! give the same split per launch from any run). `prepare` writes no row,
+//! so `prepare` and `prepare_2_threads` re-run one generated batch against
+//! an unchanged database, abandoning each sample's prepared batch
+//! (`LtpgEngine::abandon_batch`) outside the timed region: every sample
+//! sees the same database and recycled plans, and two runs of the binary
+//! read alike. `finish` writes, so each of its samples prepares a fresh
+//! batch outside the timed region (a finished TPC-C batch cannot be
+//! finished twice). The two-thread engine is built after the one-thread
+//! one is dropped, over the same generated database.
 
 use std::cell::RefCell;
 
@@ -51,8 +58,8 @@ fn bench_workload<G: FnMut(usize) -> Vec<Txn>>(c: &mut Criterion, name: &str, bu
         let engine = RefCell::new(engine);
         let mut tids = TidGen::new();
         let mut fresh = move || Batch::assemble(Vec::new(), gen(BATCH), &mut tids);
-        // What a sample produced is parked here and dropped by the next
-        // set-up, outside the timed region.
+        // What a `finish` sample produced is parked here and dropped by the
+        // next set-up, outside the timed region.
         let parked = RefCell::new(Vec::new());
         let batch = fresh();
         for &label in labels {
@@ -66,19 +73,25 @@ fn bench_workload<G: FnMut(usize) -> Vec<Txn>>(c: &mut Criterion, name: &str, bu
                     });
                 }),
                 "prepare" | "prepare_2_threads" => {
-                    group.bench_function(BenchmarkId::from_parameter(label), |b| {
+                    let abandoned = RefCell::new(None);
+                    let group = group.bench_function(BenchmarkId::from_parameter(label), |b| {
                         b.iter_batched(
                             || {
-                                parked.borrow_mut().clear();
-                                fresh()
+                                if let Some(prepared) = abandoned.borrow_mut().take() {
+                                    engine.borrow_mut().abandon_batch(prepared);
+                                }
                             },
-                            |batch| {
+                            |()| {
                                 let prepared = engine.borrow_mut().try_prepare_batch(&batch, None).unwrap();
-                                parked.borrow_mut().push((batch, Some(prepared)));
+                                *abandoned.borrow_mut() = Some(prepared);
                             },
                             BatchSize::PerIteration,
                         );
-                    })
+                    });
+                    if let Some(prepared) = abandoned.into_inner() {
+                        engine.borrow_mut().abandon_batch(prepared);
+                    }
+                    group
                 }
                 _ => group.bench_function(BenchmarkId::from_parameter(label), |b| {
                     b.iter_batched(
@@ -91,7 +104,7 @@ fn bench_workload<G: FnMut(usize) -> Vec<Txn>>(c: &mut Criterion, name: &str, bu
                         |(batch, prepared)| {
                             let report = engine.borrow_mut().try_finish_batch(&batch, prepared, None).unwrap();
                             assert!(!report.report.committed.is_empty());
-                            parked.borrow_mut().push((batch, None));
+                            parked.borrow_mut().push(batch);
                         },
                         BatchSize::PerIteration,
                     );

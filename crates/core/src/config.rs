@@ -120,6 +120,53 @@ impl LtpgConfig {
     }
 }
 
+/// A configuration's commutative columns as one column bitmask per table,
+/// built once per engine: [`crate::stage_effects`] asks it per read and per
+/// mutation where [`LtpgConfig::is_commutative`] and
+/// [`LtpgConfig::commutative_tables`] would hash. The configuration's sets
+/// stay what is configured.
+#[derive(Debug, Clone, Default)]
+pub struct CommutativeMask {
+    /// Per table id: bit `c` is set when column `c` is commutative under
+    /// the configuration's flags.
+    cols: Vec<u128>,
+    /// Per table id: whether the table holds a commutatively-maintained
+    /// column, whatever the flags say.
+    tables: Vec<bool>,
+}
+
+impl CommutativeMask {
+    /// The mask of `cfg`'s sets under its flags.
+    pub fn new(cfg: &LtpgConfig) -> Self {
+        let mut mask = CommutativeMask::default();
+        for &(t, c) in cfg.commutative_cols.iter().chain(&cfg.delayed_cols) {
+            assert!(c.0 < 128, "commutative column {} of table {} is past the mask's 128", c.0, t.0);
+            let t = usize::from(t.0);
+            if mask.tables.len() <= t {
+                mask.tables.resize(t + 1, false);
+                mask.cols.resize(t + 1, 0);
+            }
+            mask.tables[t] = true;
+            if cfg.is_commutative(TableId(t as u16), c) {
+                mask.cols[t] |= 1 << c.0;
+            }
+        }
+        mask
+    }
+
+    /// [`LtpgConfig::is_commutative`].
+    #[inline]
+    pub fn col(&self, table: TableId, col: ColId) -> bool {
+        self.cols.get(usize::from(table.0)).is_some_and(|&m| col.0 < 128 && m >> col.0 & 1 == 1)
+    }
+
+    /// Whether [`LtpgConfig::commutative_tables`] holds `table`.
+    #[inline]
+    pub fn table(&self, table: TableId) -> bool {
+        self.tables.get(usize::from(table.0)).is_some_and(|&t| t)
+    }
+}
+
 impl Default for LtpgConfig {
     fn default() -> Self {
         LtpgConfig {
@@ -192,6 +239,27 @@ mod tests {
         // Sequencer columns stay commutative regardless.
         cfg.commutative_cols.insert(cell);
         assert!(cfg.is_commutative(cell.0, cell.1));
+    }
+
+    /// The mask answers what the configuration's sets answer, for every
+    /// table and column, a table past the last configured one included,
+    /// with the delayed-update flag on and off.
+    #[test]
+    fn the_commutative_mask_is_the_configured_sets() {
+        let mut cfg = LtpgConfig::default();
+        cfg.commutative_cols.insert((TableId(3), ColId(0)));
+        cfg.delayed_cols.extend([(TableId(1), ColId(2)), (TableId(1), ColId(100)), (TableId(3), ColId(5))]);
+        for delayed in [true, false] {
+            cfg.opts.delayed_update = delayed;
+            let mask = CommutativeMask::new(&cfg);
+            let tables = cfg.commutative_tables();
+            for t in (0..6).map(TableId) {
+                assert_eq!(mask.table(t), tables.contains(&t), "table {}", t.0);
+                for c in (0..130).map(ColId) {
+                    assert_eq!(mask.col(t, c), cfg.is_commutative(t, c), "table {} col {}", t.0, c.0);
+                }
+            }
+        }
     }
 
     #[test]

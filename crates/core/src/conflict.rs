@@ -970,8 +970,8 @@ mod tests {
             let mut device = Device::new(DeviceConfig::parallel(threads));
             let mut log = TableLog::new(1 << 13, 32);
             let mut slots = ltpg_gpu_sim::PreSlots::default();
-            let keyed = |k: usize| ((k as u64 + 1) % 64, k as u64 + 1);
-            let report = device.launch_with_pre("reg", 4_096, &mut slots, keyed, |lane, (key, tid)| {
+            let keyed = |k: usize, v: &mut (u64, u64)| *v = ((k as u64 + 1) % 64, k as u64 + 1);
+            let report = device.launch_with_pre("reg", 4_096, &mut slots, keyed, |lane, &mut (key, tid)| {
                 let _ = log.register_write(lane, key as i64, tid, 1);
             });
             let mut mins = Vec::new();

@@ -22,21 +22,20 @@
 //! so the committed set is a pure function of (snapshot, batch, TIDs) —
 //! deterministic regardless of device scheduling.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ltpg_gpu_sim::{Device, DeviceError, PreSlots, SimAtomicU32};
-use ltpg_storage::{ColId, Database, TableError, TableId};
+use ltpg_storage::{ColId, Database, RowId, TableError, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::exec::{
-    self, execute_speculative, execute_speculative_on, touch_point_rows, CellStore, Mutation,
-    ReadAccess, TxnEffects,
+    self, execute_speculative_into, touch_point_rows, CellStore, Mutation, ReadAccess,
+    SpecBuffers, TxnEffects,
 };
 use ltpg_txn::group::{arrival_order, order_by_proc};
-use ltpg_txn::{Batch, BatchEngine, BatchReport};
+use ltpg_txn::{Batch, BatchEngine, BatchReport, Txn};
 
-use crate::config::LtpgConfig;
+use crate::config::{CommutativeMask, LtpgConfig};
 use crate::conflict::ConflictLog;
 use crate::footprint::{self, conflict_flags, mutation_cells, read_cell, Cell, Check};
 use crate::stats::{LtpgBatchStats, ReportWithStats};
@@ -111,49 +110,34 @@ pub mod qa_inject {
     }
 }
 
-/// Result of [`stage_effects`]: speculation output split into plain
-/// buffered mutations, staged commutative deltas, and the forced-abort
-/// verdict. Shared by the execute kernel and the sharded CPU twin so both
-/// derive identical staging decisions.
-pub struct Staged {
-    /// Recorded reads, in program order.
-    pub reads: Vec<ReadAccess>,
-    /// Non-commutative buffered mutations, in program order.
-    pub normal: Vec<Mutation>,
-    /// Staged commutative deltas: `(table, col, key, delta)`.
-    pub delayed: Vec<(TableId, ColId, i64, i64)>,
-    /// Whether the transaction must be force-aborted (it read or plainly
-    /// overwrote a commutatively-maintained column, or deleted from a
-    /// table containing one).
-    pub forced: bool,
-}
-
 /// Classify one transaction's speculation effects exactly as the execute
-/// kernel does: commutative adds are staged for the delayed merge, plain
-/// overwrites of commutative columns (and deletes against their tables,
-/// and reads of them) force-abort, everything else buffers for write-back.
-/// The effects are consumed: what buffers for write-back stays in the
-/// vector speculation built.
+/// kernel does: commutative adds move from `normal` to `delayed` (`(table,
+/// col, key, delta)`) for the delayed merge, plain overwrites of
+/// commutative columns (and deletes against their tables, and reads of
+/// them) force-abort, and everything else stays in `normal`, in program
+/// order, for write-back. Returns whether the transaction must be
+/// force-aborted. Shared by the execute kernel's pre-pass and the CPU twin
+/// so both derive identical staging decisions; each asks the
+/// [`CommutativeMask`] it built once.
 pub fn stage_effects(
-    cfg: &LtpgConfig,
-    commutative_tables: &HashSet<TableId>,
-    fx: TxnEffects,
-) -> Staged {
-    let TxnEffects { reads, mutations: mut normal, .. } = fx;
+    commutative: &CommutativeMask,
+    reads: &[ReadAccess],
+    normal: &mut Vec<Mutation>,
+    delayed: &mut Vec<(TableId, ColId, i64, i64)>,
+) -> bool {
     let mut forced = false;
-    let mut delayed = Vec::new();
     normal.retain(|m| match m {
-        Mutation::Add { table, key, col, delta } if cfg.is_commutative(*table, *col) => {
+        Mutation::Add { table, key, col, delta } if commutative.col(*table, *col) => {
             delayed.push((*table, *col, *key, *delta));
             false
         }
         // A plain overwrite of a commutative column cannot be merged —
         // abort for soundness.
-        Mutation::Update { table, col, .. } if cfg.is_commutative(*table, *col) => {
+        Mutation::Update { table, col, .. } if commutative.col(*table, *col) => {
             forced = true;
             false
         }
-        Mutation::Delete { table, .. } if commutative_tables.contains(table) => {
+        Mutation::Delete { table, .. } if commutative.table(*table) => {
             forced = true;
             false
         }
@@ -162,8 +146,7 @@ pub fn stage_effects(
     // Reading a commutatively-maintained column would observe a value that
     // delayed merging later changes; force-abort the reader (sound
     // fallback).
-    forced |= reads.iter().any(|r| r.col.is_some_and(|c| cfg.is_commutative(r.table, c)));
-    Staged { reads, normal, delayed, forced }
+    forced || reads.iter().any(|r| r.col.is_some_and(|c| commutative.col(r.table, c)))
 }
 
 /// Restricts an engine to the slice of a partitioned database it owns.
@@ -302,11 +285,12 @@ impl DelayedFold {
     }
 }
 
-/// Apply one committed mutation to `db` ([`exec::apply_mutation`]): the
-/// write-back step shared by the engine's kernel and the CPU twin.
-pub(crate) fn write_back(db: &mut Database, m: &Mutation) {
+/// Apply one committed mutation to `db` ([`exec::apply_mutation`]),
+/// through `row` when the caller resolved it: the write-back step shared by
+/// the engine's kernel and the CPU twin.
+pub(crate) fn write_back(db: &mut Database, m: &Mutation, row: Option<RowId>) {
     let (table, key) = m.row();
-    match exec::apply_mutation(db, m) {
+    match exec::apply_mutation(db, m, row) {
         Ok(()) => {}
         // Invariant: two committed inserts of one key would be a WAW
         // pair, and WAW always aborts the younger — a duplicate here
@@ -325,20 +309,82 @@ pub(crate) fn write_back(db: &mut Database, m: &Mutation) {
     }
 }
 
-/// Outcome of one transaction's execute phase.
-struct ExecOutcome {
-    /// Non-commutative buffered mutations, in program order.
-    normal: Vec<Mutation>,
+/// One execute lane's access plan: its transaction's speculation, staged,
+/// built by the lane's pre-pass into the buffers of the lane's slot, which
+/// the engine keeps from batch to batch. The lane registers from it and
+/// write-back stores through it, both by reference.
+#[derive(Default)]
+struct LanePlan {
+    /// The read set, and the plain mutations (`normal`): staging moved the
+    /// commutative adds out.
+    spec: SpecBuffers,
+    /// Per plain mutation: the row an owned update or add writes, resolved
+    /// against the snapshot, or `None` where write-back resolves the key
+    /// itself (inserts, deletes, rows another scope owns, and tables the
+    /// transaction inserts into or deletes from).
+    rows: Vec<Option<RowId>>,
     /// Staged commutative deltas: `(table, col, key, delta)`.
     delayed: Vec<(TableId, ColId, i64, i64)>,
+    /// Speculation ended in a user abort.
+    aborted: bool,
+    /// Staging force-aborts the transaction.
+    forced: bool,
     /// Device→host bytes of the read/write set ([`TxnEffects::rw_set_bytes`]).
     rw_bytes: u64,
 }
 
-/// What the execute kernel's pre-pass hands a lane: its transaction's
-/// speculation, staged, with the read/write-set bytes it ships back, or
-/// `None` when speculation aborted.
-type Speculated = Option<(Staged, u64)>;
+impl LanePlan {
+    /// Speculate `txn` against `store`, stage it against `commutative` and
+    /// resolve the rows of its owned updates and adds in `db`, the
+    /// engine's own database (`store` reads it, and a scope's remote view).
+    fn fill(
+        &mut self,
+        store: &(impl CellStore + ?Sized),
+        db: &Database,
+        txn: &Txn,
+        commutative: &CommutativeMask,
+        owns_row: impl Fn(TableId, i64) -> bool,
+    ) {
+        self.delayed.clear();
+        self.rows.clear();
+        self.aborted = execute_speculative_into(store, txn, &mut self.spec).is_err();
+        if self.aborted {
+            // An aborted speculation buffers nothing; its read/write set
+            // still ships back.
+            self.forced = false;
+            self.rw_bytes = TxnEffects::default().rw_set_bytes();
+            return;
+        }
+        self.rw_bytes = self.spec.rw_set_bytes();
+        let SpecBuffers { reads, mutations, .. } = &mut self.spec;
+        self.forced = stage_effects(commutative, reads, mutations, &mut self.delayed);
+        // Rows never move (an index rebuild moves only slots), and a row a
+        // committed update or add saw in the snapshot is still there at
+        // write-back: whoever deleted it would be its WAW pair. The rows
+        // take the mutations' reserve, so they too stop growing once the
+        // slot has held the transaction's shape.
+        self.rows.reserve_exact(self.spec.mutations.capacity());
+        let spec = &self.spec;
+        self.rows.extend(spec.mutations.iter().map(|m| match *m {
+            Mutation::Update { table, key, .. } | Mutation::Add { table, key, .. }
+                if spec.writes_snapshot_rows(table) && owns_row(table, key) =>
+            {
+                db.table(table).lookup(key)
+            }
+            _ => None,
+        }));
+    }
+}
+
+/// The plans of the lanes whose transaction commits (`committed`, in batch
+/// order), in lane order.
+fn committed_plans<'a>(
+    plans: &'a mut PreSlots<LanePlan>,
+    lane_order: &'a [usize],
+    committed: &'a [bool],
+) -> impl Iterator<Item = &'a LanePlan> {
+    plans.values_mut(lane_order.len()).zip(lane_order).filter(|(_, &idx)| committed[idx]).map(|(plan, _)| &*plan)
+}
 
 /// One conflict-detection work item: one cell of one transaction's
 /// footprint.
@@ -371,14 +417,15 @@ fn flatten_detect_items(lanes: &[Vec<DetectItem>], split_checks: bool, items: &m
 }
 
 /// Per-batch state carried from [`LtpgEngine::try_prepare_batch`] to
-/// [`LtpgEngine::try_finish_batch`]: buffered execution outcomes, the
+/// [`LtpgEngine::try_finish_batch`]: the execute lanes' plans, the
 /// per-transaction conflict-flag words, and the phase-stats accumulated so
 /// far. A sharded caller reads and rewrites the flag words (indexed by
 /// position in the batch, i.e. TID order) to merge verdicts across
 /// participant shards before finishing.
 pub struct PreparedBatch {
     lane_order: Vec<usize>,
-    outcomes: Vec<Option<ExecOutcome>>,
+    /// Lane k's [`LanePlan`] in slot k, lanes in `lane_order`.
+    plans: PreSlots<LanePlan>,
     flags: Vec<SimAtomicU32>,
     /// Dense TID array (structure-of-arrays layout): `tids[i]` mirrors
     /// `batch.txns[i].tid.0` so the detect kernel reads TIDs coalesced
@@ -386,6 +433,9 @@ pub struct PreparedBatch {
     tids: Vec<u64>,
     detect_items: u64,
     stats: LtpgBatchStats,
+    /// Host nanoseconds of the execute and detect launches, as the
+    /// launching thread saw them.
+    host_ns: [u64; 2],
     wall_start: Instant,
 }
 
@@ -430,9 +480,9 @@ impl PreparedBatch {
 #[derive(Default)]
 struct EngineScratch {
     flags: Vec<SimAtomicU32>,
-    outcomes: Vec<Option<ExecOutcome>>,
-    /// The execute kernel's pre-pass results, one slot per lane.
-    speculated: PreSlots<Speculated>,
+    /// The execute lanes' plans, one slot per lane, each keeping its
+    /// buffers for the next batch's lane in that slot.
+    plans: PreSlots<LanePlan>,
     items: Vec<DetectItem>,
     /// One buffer per execute lane for the detect items it emits, kept
     /// (with its capacity) from batch to batch.
@@ -458,9 +508,9 @@ pub struct LtpgEngine {
     cfg: LtpgConfig,
     device: Device,
     log: ConflictLog,
-    /// Tables containing at least one commutatively-maintained column —
-    /// deletes against them are force-aborted for soundness.
-    commutative_tables: HashSet<TableId>,
+    /// The configuration's commutative columns, and the tables containing
+    /// one (deletes against them are force-aborted for soundness).
+    commutative: CommutativeMask,
     /// Metrics registry every batch publishes to (phase histograms, abort
     /// taxonomy, transfer counters, trace spans).
     telemetry: Arc<Registry>,
@@ -501,13 +551,13 @@ impl LtpgEngine {
     ) -> Self {
         let log = ConflictLog::new(&db, &cfg);
         device.register_allocation(db.bytes() + log.bytes());
-        let commutative_tables = cfg.commutative_tables();
+        let commutative = CommutativeMask::new(&cfg);
         let mut engine = LtpgEngine {
             db,
             cfg,
             device,
             log,
-            commutative_tables,
+            commutative,
             telemetry: Arc::clone(&telemetry),
             sim_clock_ns: 0.0,
             scratch: EngineScratch::default(),
@@ -641,9 +691,6 @@ impl LtpgEngine {
         // Per-batch buffers come from the engine arena: reset in place,
         // handed back by `try_finish_batch`. Steady-state batches touch no
         // allocator (see `EngineScratch`).
-        let mut outcomes = std::mem::take(&mut self.scratch.outcomes);
-        outcomes.clear();
-        outcomes.resize_with(n, || None);
         let mut flags = std::mem::take(&mut self.scratch.flags);
         if flags.len() < n {
             flags.resize_with(n, || SimAtomicU32::new(0));
@@ -666,12 +713,13 @@ impl LtpgEngine {
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
         self.device.check_alive()?;
         let warp_lanes = self.cfg.device.warp_size as usize;
-        let (db, cfg, commutative_tables) = (&self.db, &self.cfg, &self.commutative_tables);
+        let (db, commutative) = (&self.db, &self.commutative);
         let log = &mut self.log;
         // The pure half of a lane: it reads the snapshot and charges
         // nothing, so helper threads may run it ahead of the lanes
-        // (DESIGN.md "Hot path", the pre-pass).
-        let speculate = |k: usize| -> Speculated {
+        // (DESIGN.md "Hot path", the pre-pass). It builds the lane's plan
+        // in the buffers of the lane's slot.
+        let plan_lane = |k: usize, plan: &mut LanePlan| {
             if k.is_multiple_of(warp_lanes) {
                 // The warp's snapshot reads go out together, as they do on
                 // the device (DESIGN.md "Hot path", touch passes).
@@ -679,16 +727,15 @@ impl LtpgEngine {
                 touch_point_rows(db, warp[..warp.len().min(warp_lanes)].iter().map(|&i| &batch.txns[i]));
             }
             let txn = &batch.txns[lane_order[k]];
-            let fx = match &scoped_store {
-                Some(store) => execute_speculative_on(store, txn),
-                None => execute_speculative(db, txn),
+            let owns_row = |t, key| scope_owns_row(scope, t, key);
+            match &scoped_store {
+                Some(store) => plan.fill(store, db, txn, commutative, owns_row),
+                None => plan.fill(db, db, txn, commutative, owns_row),
             }
-            .ok()?;
-            let rw_bytes = fx.rw_set_bytes();
-            Some((stage_effects(cfg, commutative_tables, fx), rw_bytes))
         };
-        let mut speculated = std::mem::take(&mut self.scratch.speculated);
-        let exec_report = self.device.launch_with_pre("execute", n, &mut speculated, speculate, |lane, spec| {
+        let mut plans = std::mem::take(&mut self.scratch.plans);
+        let host_at = Instant::now();
+        let exec_report = self.device.launch_with_pre("execute", n, &mut plans, plan_lane, |lane, plan| {
             let idx = lane_order[lane.global_id];
             let txn = &batch.txns[idx];
             let local_items = &mut lane_items[idx];
@@ -696,35 +743,34 @@ impl LtpgEngine {
             lane.branch(u32::from(txn.proc.0));
             lane.charge_alu(txn.ops.len() as u32);
             lane.charge_cycles(lane_proc_overhead);
-            // An aborted speculation buffers nothing; its read/write set
-            // still ships back.
-            let nothing =
-                |rw_bytes| Some(ExecOutcome { normal: Vec::new(), delayed: Vec::new(), rw_bytes });
-            let Some((Staged { reads, normal, delayed, forced }, rw_bytes)) = spec else {
+            if plan.aborted {
                 lane.atomic_or_u32(&mut flags[idx], flag::USER);
-                outcomes[idx] = nothing(TxnEffects::default().rw_set_bytes());
                 return;
-            };
+            }
             let tid = txn.tid.0;
-            for _ in &delayed {
+            for _ in &plan.delayed {
                 // Staged for the delayed-update merge.
                 lane.write_global(1);
             }
-            if forced {
+            if plan.forced {
                 lane.atomic_or_u32(&mut flags[idx], flag::FORCED);
-                outcomes[idx] = nothing(rw_bytes);
                 return;
             }
+            let (reads, normal) = (&plan.spec.reads, &plan.spec.mutations);
             // The footprint is walked twice. A registration reads and writes
             // a bucket that is rarely in cache, and the next one depends on
             // what it found. So the lane first loads the home bucket of
             // every cell it is about to register, back to back: the misses
-            // overlap.
-            footprint::walk(db, &reads, &normal, |cell, _| {
+            // overlap. The walk also counts the items the lane will emit,
+            // so that its item buffer is sized to the most it has held.
+            let mut cells = 0;
+            footprint::walk(db, reads, normal, |cell, _| {
                 if owns(cell) {
                     log.touch(cell);
+                    cells += 1;
                 }
             });
+            local_items.reserve_exact(cells);
             // Then, per operation, the snapshot read (readMem) and the
             // local-set write (recordLS) are charged, and per owned cell the
             // TID is registered (recordTID) and the detect item emitted —
@@ -739,12 +785,12 @@ impl LtpgEngine {
                     local_items.push(DetectItem { cell, txn: idx as u32, check });
                 }
             };
-            for r in &reads {
+            for r in reads {
                 lane.read_global_random(2);
                 lane.write_global(1);
                 register(lane, read_cell(r), Check::Read);
             }
-            for m in &normal {
+            for m in normal {
                 lane.write_global(2);
                 mutation_cells(db, m, |cell, check| register(lane, cell, check));
             }
@@ -754,9 +800,8 @@ impl LtpgEngine {
                 local_items.clear();
                 lane.atomic_or_u32(&mut flags[idx], flag::LOG_FULL);
             }
-            outcomes[idx] = Some(ExecOutcome { normal, delayed, rw_bytes });
         });
-        self.scratch.speculated = speculated;
+        let execute_host_ns = host_at.elapsed().as_nanos() as u64;
         stats.execute_ns = exec_report.sim_ns;
         self.device.synchronize();
         stats.sync_ns += self.device.cost().device_sync_ns;
@@ -770,7 +815,7 @@ impl LtpgEngine {
         // ---- Simulated device-side buffer (re)allocation. ----
         // Only growth past a high watermark allocates — zero events in
         // steady state. The batch-sized buffers are the lane order, flag
-        // words, outcome slots and the SoA TID array.
+        // words, lane plans and the SoA TID array.
         let mut alloc_events = 0u64;
         if n > self.scratch.wm_txns {
             self.scratch.wm_txns = n;
@@ -787,6 +832,7 @@ impl LtpgEngine {
             self.device.advance(ns);
         }
         self.device.check_alive()?;
+        let host_at = Instant::now();
         let detect_report = self.device.launch("conflict_d", &items, |lane, item| {
             if lane.lane_id == 0 {
                 // The checks' buckets are prefetched a warp ahead: lane 0
@@ -814,6 +860,7 @@ impl LtpgEngine {
                 },
             );
         });
+        let detect_host_ns = host_at.elapsed().as_nanos() as u64;
         stats.detect_ns = detect_report.sim_ns;
         self.device.synchronize();
         stats.sync_ns += self.device.cost().device_sync_ns;
@@ -828,7 +875,16 @@ impl LtpgEngine {
         items.clear();
         self.scratch.items = items;
 
-        Ok(PreparedBatch { lane_order, outcomes, flags, tids, detect_items, stats, wall_start })
+        Ok(PreparedBatch {
+            lane_order,
+            plans,
+            flags,
+            tids,
+            detect_items,
+            stats,
+            host_ns: [execute_host_ns, detect_host_ns],
+            wall_start,
+        })
     }
 
     /// Second half of a batch: write-back of committing transactions, the
@@ -855,11 +911,12 @@ impl LtpgEngine {
         }
         let PreparedBatch {
             lane_order,
-            mut outcomes,
+            mut plans,
             flags,
             mut tids,
             detect_items,
             mut stats,
+            host_ns: [execute_host_ns, detect_host_ns],
             wall_start,
         } = prepared;
         let n = batch.len();
@@ -871,26 +928,41 @@ impl LtpgEngine {
         let mut committed_flags = std::mem::take(&mut self.scratch.committed_flags);
         committed_flags.clear();
         committed_flags.extend((0..n).map(|i| commit_ok(flags[i].load())));
-        let committed = committed_flags.iter().zip(&outcomes).filter(|(&ok, _)| ok);
         reserve_inserts(
             &mut self.db,
             &mut self.scratch.insert_counts,
-            committed.filter_map(|(_, out)| out.as_ref()).flat_map(|out| &out.normal),
+            committed_plans(&mut plans, &lane_order, &committed_flags).flat_map(|plan| &plan.spec.mutations),
             owns_row,
         );
         self.device.check_alive()?;
         let warp_lanes = self.cfg.device.warp_size as usize;
+        let host_at = Instant::now();
         let wb_report = self.device.launch("writeback", &lane_order, |lane, &idx| {
             if lane.lane_id == 0 {
-                // Every row the warp writes is resolved again, so lane 0
-                // prefetches their index slots before any lane of the warp
-                // looks one up.
-                let warp = &lane_order[lane.global_id..];
-                for &i in &warp[..warp.len().min(warp_lanes)] {
-                    let Some(out) = outcomes[i].as_ref().filter(|_| committed_flags[i]) else { continue };
-                    for (t, key) in out.normal.iter().map(Mutation::row) {
-                        if owns_row(t, key) {
-                            self.db.table(t).touch(key);
+                // What the next warp writes is prefetched a warp ahead, as
+                // detect does (warp 0 asks for its own too): the cells of
+                // the rows its plans carry, and the index slots of the keys
+                // write-back resolves itself.
+                let at = lane.global_id;
+                let end = (at + 2 * warp_lanes).min(n);
+                let ahead = if at == 0 { 0 } else { (at + warp_lanes).min(end) };
+                for k in ahead..end {
+                    if !committed_flags[lane_order[k]] {
+                        continue;
+                    }
+                    let plan = plans.get_mut(k);
+                    for (m, &row) in plan.spec.mutations.iter().zip(&plan.rows) {
+                        match (m, row) {
+                            (Mutation::Update { table, col, .. } | Mutation::Add { table, col, .. }, Some(rid)) => {
+                                self.db.table(*table).prefetch(rid, *col)
+                            }
+                            (_, None) => {
+                                let (t, key) = m.row();
+                                if owns_row(t, key) {
+                                    self.db.table(t).touch(key);
+                                }
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -904,11 +976,15 @@ impl LtpgEngine {
             if !commit_ok(f) {
                 return;
             }
-            let Some(out) = &outcomes[idx] else { return };
-            for m in &out.normal {
-                let (mt, mk) = m.row();
-                if !owns_row(mt, mk) {
-                    continue;
+            let plan = plans.get_mut(lane.global_id);
+            debug_assert_eq!(plan.rows.len(), plan.spec.mutations.len(), "a committed plan resolved every row");
+            for (m, &row) in plan.spec.mutations.iter().zip(&plan.rows) {
+                // A carried row is an owned one.
+                if row.is_none() {
+                    let (mt, mk) = m.row();
+                    if !owns_row(mt, mk) {
+                        continue;
+                    }
                 }
                 // Row ids were resolved during execute and carried in the
                 // local set; write-back only stores.
@@ -919,19 +995,15 @@ impl LtpgEngine {
                     }
                     Mutation::Delete { .. } => lane.write_global(1),
                 }
-                write_back(&mut self.db, m);
+                write_back(&mut self.db, m, row);
             }
         });
         stats.writeback_ns = wb_report.sim_ns;
 
         // ---- Delayed-update merge (paper Example 3). ----
         let mut delayed = std::mem::take(&mut self.scratch.delayed);
-        for (idx, committed) in committed_flags.iter().enumerate().take(n) {
-            if !committed {
-                continue;
-            }
-            let Some(out) = &outcomes[idx] else { continue };
-            for &(t, c, k, d) in &out.delayed {
+        for plan in committed_plans(&mut plans, &lane_order, &committed_flags) {
+            for &(t, c, k, d) in &plan.delayed {
                 if !owns_row(t, k) {
                     continue;
                 }
@@ -977,14 +1049,14 @@ impl LtpgEngine {
             });
             stats.writeback_ns += merge_report.sim_ns;
         }
+        let writeback_host_ns = host_at.elapsed().as_nanos() as u64;
         self.device.synchronize();
         stats.sync_ns += self.device.cost().device_sync_ns;
 
         // ---- Download: results / read-write sets to the host. ----
         // Only the flag table and the read/write sets are shipped back (the
         // paper's low-volume mode; Table V measures its overhead).
-        stats.bytes_d2h =
-            n as u64 + outcomes.iter().flatten().map(|o| o.rw_bytes).sum::<u64>();
+        stats.bytes_d2h = n as u64 + plans.values_mut(n).map(|plan| plan.rw_bytes).sum::<u64>();
         // By this point the batch has fully executed on the device; a
         // transient fault here only repeats the copy (re-running the batch
         // would double-apply its writes), so the retry happens in place.
@@ -1028,6 +1100,13 @@ impl LtpgEngine {
             }
         }
         self.publish_batch(&stats, &flags, &committed_flags, detect_items);
+        for (name, ns) in [
+            (names::LTPG_HOST_EXECUTE_NS, execute_host_ns),
+            (names::LTPG_HOST_DETECT_NS, detect_host_ns),
+            (names::LTPG_HOST_WRITEBACK_NS, writeback_host_ns),
+        ] {
+            self.telemetry.histogram(name).record(ns);
+        }
         let report = BatchReport {
             committed,
             aborted,
@@ -1037,11 +1116,9 @@ impl LtpgEngine {
             wall_ns: wall_start.elapsed().as_nanos() as u64,
             semantics: ltpg_txn::engine::CommitSemantics::SnapshotBatch,
         };
-        // Hand the batch buffers back to the arena. `clear` drops the held
-        // outcomes (their inner vectors are per-transaction and not
-        // reusable) but keeps every outer allocation.
-        outcomes.clear();
-        self.scratch.outcomes = outcomes;
+        // Hand the batch buffers back to the arena; the plans keep theirs
+        // for the next batch's lanes.
+        self.scratch.plans = plans;
         self.scratch.flags = flags;
         tids.clear();
         self.scratch.tids = tids;
@@ -1050,6 +1127,17 @@ impl LtpgEngine {
         self.scratch.op_items = op_items;
         self.scratch.delayed = delayed;
         Ok(ReportWithStats { report, stats })
+    }
+
+    /// Drop a prepared batch without finishing it: nothing is written, and
+    /// its buffers (the lanes' plans among them) return to the engine's
+    /// arena, so the next prepare reuses them as it would after a finish.
+    pub fn abandon_batch(&mut self, prepared: PreparedBatch) {
+        let PreparedBatch { plans, flags, mut tids, .. } = prepared;
+        self.scratch.plans = plans;
+        self.scratch.flags = flags;
+        tids.clear();
+        self.scratch.tids = tids;
     }
 
     /// Publish one batch's phase breakdown, abort taxonomy, conflict-log
@@ -1147,6 +1235,7 @@ mod tests {
     use super::*;
     use crate::config::OptFlags;
     use ltpg_storage::TableBuilder;
+    use ltpg_txn::exec::execute_speculative;
     use ltpg_txn::oracle::check_snapshot_serializable;
     use ltpg_txn::{IrOp, ProcId, Src, Tid, TidGen, Txn};
 

@@ -81,10 +81,10 @@ pub mod stats;
 pub mod twin;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
-pub use config::{LtpgConfig, OptFlags, ServerConfig};
+pub use config::{CommutativeMask, LtpgConfig, OptFlags, ServerConfig};
 pub use conflict::ConflictLog;
 pub use engine::{
-    commit_decision, flag, stage_effects, ExecScope, LtpgEngine, PreparedBatch, Staged,
+    commit_decision, flag, stage_effects, ExecScope, LtpgEngine, PreparedBatch,
 };
 pub use executor::{Executor, LostDevices, Prepared};
 pub use faults::{

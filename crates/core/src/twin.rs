@@ -22,7 +22,7 @@
 //! `LOG_FULL`. Workloads below that capacity (all of this repository's)
 //! decide identically; see DESIGN.md for the caveat.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ltpg_baselines::CpuCostModel;
@@ -31,10 +31,10 @@ use ltpg_txn::engine::CommitSemantics;
 use ltpg_txn::exec::{execute_speculative, execute_speculative_on, Mutation, ReadAccess};
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
-use crate::config::LtpgConfig;
+use crate::config::{CommutativeMask, LtpgConfig};
 use crate::engine::{
-    commit_decision, flag, reserve_inserts, scope_owns, scope_owns_row,
-    stage_effects, write_back, DelayedFold, ExecScope, ScopedStore, Staged,
+    commit_decision, flag, reserve_inserts, scope_owns, scope_owns_row, stage_effects,
+    write_back, DelayedFold, ExecScope, ScopedStore,
 };
 use crate::footprint::{self, conflict_flags, Cell, Record};
 
@@ -94,9 +94,9 @@ pub struct CpuTwin {
     db: Database,
     cfg: LtpgConfig,
     cost: CpuCostModel,
-    /// Tables containing at least one commutatively-maintained column
-    /// (mirrors the GPU engine's delete force-abort rule).
-    commutative_tables: HashSet<TableId>,
+    /// The configuration's commutative columns and the tables holding one
+    /// (mirrors the GPU engine's staging).
+    commutative: CommutativeMask,
     delayed: DelayedFold,
 }
 
@@ -104,9 +104,9 @@ impl CpuTwin {
     /// A twin over `db` (the whole database, or one shard's slice) with
     /// the engine configuration whose decisions it must reproduce.
     pub fn new(db: Database, cfg: LtpgConfig) -> Self {
-        let commutative_tables = cfg.commutative_tables();
+        let commutative = CommutativeMask::new(&cfg);
         let delayed = DelayedFold::default();
-        CpuTwin { db, cfg, cost: CpuCostModel::xeon30(), commutative_tables, delayed }
+        CpuTwin { db, cfg, cost: CpuCostModel::xeon30(), commutative, delayed }
     }
 
     /// Consume the twin, returning its database.
@@ -152,9 +152,8 @@ impl CpuTwin {
                 continue;
             };
             let tid = txn.tid.0;
-            let Staged { reads, normal, delayed, forced } =
-                stage_effects(&self.cfg, &self.commutative_tables, fx);
-            if forced {
+            let (reads, mut normal, mut delayed) = (fx.reads, fx.mutations, Vec::new());
+            if stage_effects(&self.commutative, &reads, &mut normal, &mut delayed) {
                 flags[idx] |= flag::FORCED;
                 outcomes.push(None);
                 continue;
@@ -227,7 +226,7 @@ impl CpuTwin {
             for m in &out.normal {
                 let (mt, mk) = m.row();
                 if owns_row(mt, mk) {
-                    write_back(&mut self.db, m);
+                    write_back(&mut self.db, m, None);
                 }
             }
             for &(t, c, k, d) in &out.delayed {

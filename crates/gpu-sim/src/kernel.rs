@@ -14,7 +14,8 @@
 //! a lane writes see one interleaving at any host thread count. What the
 //! host's other threads may do is a launch's *pre-pass*
 //! ([`Device::launch_with_pre`]): a pure function of the lane index, run
-//! ahead by helper threads and consumed by the lanes in lane order.
+//! ahead by helper threads into per-lane slots the caller keeps, and
+//! borrowed by the lanes in lane order.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -237,72 +238,84 @@ const CLAIMED: u8 = 1;
 const READY: u8 = 2;
 const TAKEN: u8 = 3;
 
-/// Per-lane result slots of a launch's pre-pass (see
-/// [`Device::launch_with_pre`]). The caller keeps them from launch to
-/// launch, so a launch no larger than an earlier one allocates nothing for
-/// them.
+/// Per-lane values of a launch's pre-pass (see [`Device::launch_with_pre`]).
+/// The caller keeps them from launch to launch: the pre-pass fills each
+/// lane's value in place, so whatever buffers a value owns are reused by
+/// the next launch's lane in its slot, and a launch no larger than an
+/// earlier one allocates nothing for the slots themselves. After a launch,
+/// slot *k* holds lane *k*'s value until the next launch
+/// ([`get_mut`](Self::get_mut), [`values_mut`](Self::values_mut)).
 pub struct PreSlots<P> {
     slots: Vec<PreSlot<P>>,
+    /// Values the launching thread filled for lanes a helper was still
+    /// filling. They are swapped into those lanes' slots once the helpers
+    /// are joined, and the helpers' values they get in exchange serve the
+    /// next such lane.
+    spare: Vec<P>,
+    /// The lane of each spare value in use in this launch.
+    spare_lanes: Vec<usize>,
 }
 
 struct PreSlot<P> {
     state: AtomicU8,
-    value: Mutex<Option<P>>,
+    value: Mutex<P>,
 }
 
 impl<P> PreSlot<P> {
-    /// The value cell. Every update is one store or take, so the value
-    /// is whole even if a panic poisoned the lock.
-    fn value(&self) -> MutexGuard<'_, Option<P>> {
+    /// The value cell. A panic inside the pre-pass poisons it, and the
+    /// next pre-pass of the lane overwrites whatever it left.
+    fn value(&self) -> MutexGuard<'_, P> {
         self.value.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn value_mut(&mut self) -> &mut P {
+        self.value.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper's turn at lane `k`, this slot's: fill it unless another
+    /// thread has it. Returns whether the launching thread filled the lane
+    /// too, having reached it while the helper was at it.
+    fn offer(&self, k: usize, pre: &impl Fn(usize, &mut P)) -> bool {
+        if self.state.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed).is_err() {
+            return false;
+        }
+        pre(k, &mut *self.value());
+        // Fails when the launching thread reached the lane first and
+        // filled a spare value for it.
+        self.state.compare_exchange(CLAIMED, READY, Ordering::Release, Ordering::Relaxed).is_err()
     }
 }
 
 impl<P> Default for PreSlots<P> {
     fn default() -> Self {
-        PreSlots { slots: Vec::new() }
+        PreSlots { slots: Vec::new(), spare: Vec::new(), spare_lanes: Vec::new() }
     }
 }
 
 impl<P> PreSlots<P> {
-    /// At least `lanes` free, empty slots.
+    /// Lane `k`'s value, as the last launch over at least `k + 1` lanes
+    /// left it.
+    pub fn get_mut(&mut self, k: usize) -> &mut P {
+        self.slots[k].value_mut()
+    }
+
+    /// The values of lanes `0..lanes`, in lane order.
+    pub fn values_mut(&mut self, lanes: usize) -> impl Iterator<Item = &mut P> {
+        self.slots[..lanes].iter_mut().map(PreSlot::value_mut)
+    }
+}
+
+impl<P: Default> PreSlots<P> {
+    /// At least `lanes` free slots, each value as its last lane left it.
     fn reset(&mut self, lanes: usize) {
         if self.slots.len() < lanes {
-            self.slots.resize_with(lanes, || PreSlot { state: AtomicU8::new(FREE), value: Mutex::new(None) });
+            self.slots.resize_with(lanes, || PreSlot { state: AtomicU8::new(FREE), value: Mutex::default() });
         }
         for slot in &mut self.slots[..lanes] {
             *slot.state.get_mut() = FREE;
-            *slot.value.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
         }
-    }
-
-    /// A helper's turn at lane `k`: compute it unless another thread has it.
-    /// Returns whether the launching thread computed it too, having reached
-    /// the lane while the helper was at it.
-    fn offer(&self, k: usize, pre: &impl Fn(usize) -> P) -> bool {
-        let slot = &self.slots[k];
-        if slot.state.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed).is_err() {
-            return false;
-        }
-        let value = pre(k);
-        *slot.value() = Some(value);
-        if slot.state.compare_exchange(CLAIMED, READY, Ordering::Release, Ordering::Relaxed).is_err() {
-            // The launching thread reached the lane first and computed it.
-            slot.value().take();
-            return true;
-        }
-        false
-    }
-
-    /// The launching thread's turn at lane `k`: a helper's value if one is
-    /// ready. No helper touches the lane afterwards.
-    fn take(&self, k: usize) -> Option<P> {
-        let slot = &self.slots[k];
-        if slot.state.swap(TAKEN, Ordering::AcqRel) == READY {
-            slot.value().take()
-        } else {
-            None
-        }
+        // A launch that unwound left its spare lanes unswapped.
+        self.spare_lanes.clear();
     }
 }
 
@@ -326,18 +339,27 @@ impl Device {
         self.launch_indexed(name, items.len(), |lane| f(lane, &items[lane.global_id]))
     }
 
-    /// Launch a kernel whose lanes each start from `pre(global_id)`: a pure
-    /// function of the lane index, given no [`Lane`] and so unable to charge
-    /// the simulated clock. Up to `parallel_host_threads − 1` helper threads,
-    /// less those a [`crate::HostThreadLease`] holds (one scoped spawn per
-    /// launch of more than one warp), compute it ahead of the launching
-    /// thread into `slots`; the launching thread runs `f` over the lanes in
-    /// warp order, as every launch does, taking each lane's value from its
-    /// slot, or computing it inline when no helper has finished it — it
-    /// never waits for a lane. Everything the report and the device's
-    /// counters hold is therefore independent of the thread count; only
+    /// Launch a kernel whose lanes each start from a value `pre` fills in
+    /// place: `pre(global_id, value)` is a pure function of the lane index,
+    /// given no [`Lane`] and so unable to charge the simulated clock. It
+    /// writes into lane *k*'s slot of `slots`, whose value the caller keeps
+    /// from launch to launch, so a value that owns buffers fills the ones
+    /// the slot's last lane left. Up to `parallel_host_threads − 1` helper
+    /// threads, less those a [`crate::HostThreadLease`] holds (one scoped
+    /// spawn per launch of more than one warp), fill slots ahead of the
+    /// launching thread; the launching thread runs `f` over the lanes in
+    /// warp order, as every launch does, each lane borrowing its slot's
+    /// value, filled by a helper or inline when no helper has it — it never
+    /// waits for a lane. A lane a helper is still filling when the
+    /// launching thread reaches it is filled again inline, into a spare
+    /// value that takes the slot's place once the helpers are joined; only
+    /// such a lane can need a value the slots have not held before.
+    /// Everything the report and the device's counters hold is therefore
+    /// independent of the thread count; only
     /// [`crate::DeviceStats::helper_lanes`] says how the work was shared. A
     /// panic in `pre` on a helper surfaces here once the lanes have run.
+    /// After the launch, slot *k* holds lane *k*'s value
+    /// ([`PreSlots::get_mut`]).
     ///
     /// The lanes' atomics take their words by `&mut`, so `pre` can share
     /// only what no lane of the launch writes:
@@ -347,10 +369,11 @@ impl Device {
     ///
     /// let mut device = Device::new(DeviceConfig::default());
     /// let (base, mut hot) = (7u64, SimAtomicU64::new(u64::MAX));
-    /// device.launch_with_pre("min", 64, &mut PreSlots::default(), |k| base + k as u64, |lane, v| {
-    ///     lane.atomic_min_u64(&mut hot, v);
+    /// let mut slots = PreSlots::default();
+    /// device.launch_with_pre("min", 64, &mut slots, |k, v: &mut u64| *v = base + k as u64, |lane, v| {
+    ///     lane.atomic_min_u64(&mut hot, *v);
     /// });
-    /// assert_eq!(hot.load(), 7);
+    /// assert_eq!((hot.load(), *slots.get_mut(63)), (7, 70));
     /// ```
     ///
     /// A pre-pass that reads a word the lanes update does not compile:
@@ -360,8 +383,9 @@ impl Device {
     ///
     /// let mut device = Device::new(DeviceConfig::default());
     /// let mut hot = SimAtomicU64::new(u64::MAX);
-    /// device.launch_with_pre("min", 64, &mut PreSlots::default(), |k| hot.load() + k as u64, |lane, v| {
-    ///     lane.atomic_min_u64(&mut hot, v);
+    /// let mut slots = PreSlots::default();
+    /// device.launch_with_pre("min", 64, &mut slots, |k, v: &mut u64| *v = hot.load() + k as u64, |lane, v| {
+    ///     lane.atomic_min_u64(&mut hot, *v);
     /// });
     /// ```
     pub fn launch_with_pre<P, G, F>(
@@ -373,19 +397,24 @@ impl Device {
         mut f: F,
     ) -> KernelReport
     where
-        P: Send,
-        G: Fn(usize) -> P + Sync,
-        F: FnMut(&mut Lane<'_>, P),
+        P: Default + Send,
+        G: Fn(usize, &mut P) + Sync,
+        F: FnMut(&mut Lane<'_>, &mut P),
     {
         let warp_size = self.cfg.warp_size.max(1) as usize;
         let n_warps = lanes.div_ceil(warp_size);
         let spare = self.cfg.parallel_host_threads.saturating_sub(1 + crate::device::leased_host_threads());
         let helpers = spare.min(n_warps.saturating_sub(1));
-        if helpers == 0 {
-            return self.launch_indexed(name, lanes, |lane| f(lane, pre(lane.global_id)));
-        }
         slots.reset(lanes);
-        let slots = &*slots;
+        let PreSlots { slots: cells, spare, spare_lanes } = slots;
+        if helpers == 0 {
+            return self.launch_indexed(name, lanes, |lane| {
+                let value = cells[lane.global_id].value_mut();
+                pre(lane.global_id, value);
+                f(lane, value);
+            });
+        }
+        let shared = &**cells;
         // The warp the launching thread is in, and the next warp a helper
         // may start (the launching thread moves it past each warp it
         // reaches).
@@ -402,14 +431,15 @@ impl Device {
                 if w >= n_warps {
                     break;
                 }
-                for k in w * warp_size..((w + 1) * warp_size).min(lanes) {
+                let lo = w * warp_size;
+                for (k, slot) in (lo..).zip(&shared[lo..((w + 1) * warp_size).min(lanes)]) {
                     // Claim only lanes at least half a warp past the
                     // launching thread's warp: it then cannot reach a lane
-                    // a helper is still computing (and compute it twice)
+                    // a helper is still filling (and fill it twice)
                     // unless that one lane's pre-pass outlasts half a warp
                     // of lanes. Passed-over lanes run inline.
                     if k >= (at.load(Ordering::Relaxed) + 1) * warp_size + warp_size / 2
-                        && slots.offer(k, &pre)
+                        && slot.offer(k, &pre)
                     {
                         twice.fetch_add(1, Ordering::Relaxed);
                     }
@@ -417,7 +447,7 @@ impl Device {
             }
         };
         let mut helper_lanes = 0u64;
-        let report = std::thread::scope(|s| {
+        let outcome = std::thread::scope(|s| {
             let handles: Vec<_> = (0..helpers).map(|_| s.spawn(helper)).collect();
             // Linux queues a new thread on the spawning thread's CPU and may
             // move it to an idle one only at its next balancing tick:
@@ -433,25 +463,41 @@ impl Device {
                     at.store(lane.warp_id, Ordering::Relaxed);
                     next.fetch_max(lane.warp_id + 1, Ordering::Relaxed);
                 }
-                let p = match slots.take(lane.global_id) {
-                    Some(p) => {
+                let k = lane.global_id;
+                let slot = &shared[k];
+                match slot.state.swap(TAKEN, Ordering::AcqRel) {
+                    READY => {
                         helper_lanes += 1;
-                        p
+                        f(lane, &mut *slot.value());
                     }
-                    None => pre(lane.global_id),
-                };
-                f(lane, p);
+                    // No helper claimed the lane, and none will now.
+                    FREE => {
+                        let mut value = slot.value();
+                        pre(k, &mut *value);
+                        f(lane, &mut *value);
+                    }
+                    // A helper is filling the slot.
+                    _ => {
+                        if spare_lanes.len() == spare.len() {
+                            spare.push(P::default());
+                        }
+                        let value = &mut spare[spare_lanes.len()];
+                        spare_lanes.push(k);
+                        pre(k, value);
+                        f(lane, value);
+                    }
+                }
             });
             drop(stopping);
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    resume_unwind(payload);
-                }
-            }
-            report
+            let joined: Result<(), _> = handles.into_iter().try_for_each(|h| h.join());
+            joined.map(|()| report)
         });
         self.stats.helper_lanes += helper_lanes;
         self.stats.lanes_computed_twice += twice.into_inner();
+        let report = outcome.unwrap_or_else(|payload| resume_unwind(payload));
+        for (j, k) in spare_lanes.drain(..).enumerate() {
+            std::mem::swap(cells[k].value_mut(), &mut spare[j]);
+        }
         report
     }
 
@@ -686,7 +732,7 @@ mod tests {
         let mut d = Device::new(DeviceConfig::parallel(threads));
         let (mut bits, mut min) = (SimAtomicU32::new(0), SimAtomicU64::new(u64::MAX));
         let mut slots = PreSlots::default();
-        let r = d.launch_with_pre("pre", 10_000, &mut slots, pre, |lane, v| {
+        let r = d.launch_with_pre("pre", 10_000, &mut slots, fill(pre), |lane, &mut v| {
             lane.branch((v % 3) as u32);
             lane.charge_cycles((v % 17) as f64 * 0.1);
             lane.atomic_or_u32(&mut bits, 1 << (v % 32));
@@ -698,6 +744,11 @@ mod tests {
 
     fn mix(k: usize) -> u64 {
         (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40
+    }
+
+    /// The in-place pre-pass that stores `value(k)` in lane k's slot.
+    fn fill<P>(value: impl Fn(usize) -> P + Sync) -> impl Fn(usize, &mut P) + Sync {
+        move |k, slot| *slot = value(k)
     }
 
     #[test]
@@ -731,7 +782,7 @@ mod tests {
         // Three threads: the lease a concurrent test holds may take one.
         let mut d = Device::new(DeviceConfig::parallel(3));
         let mut slots = PreSlots::default();
-        let r = d.launch_with_pre("stall", 10_000, &mut slots, stalling, |lane, v| {
+        let r = d.launch_with_pre("stall", 10_000, &mut slots, fill(stalling), |lane, &mut v| {
             // The test waits (a launch never does) until a helper is stuck
             // inside a lane of its own.
             while lane.global_id == 0 && !stalled.load(Ordering::Acquire) {
@@ -743,8 +794,12 @@ mod tests {
             }
         });
         assert_eq!(d.stats().helper_lanes, 0);
+        // The lanes the stuck helpers held were filled into spare values,
+        // which then took their slots.
+        assert!(d.stats().lanes_computed_twice > 0);
+        assert!(slots.values_mut(10_000).enumerate().all(|(k, v)| *v == mix(k)));
         let reference = Device::new(DeviceConfig::parallel(1))
-            .launch_with_pre("stall", 10_000, &mut PreSlots::default(), mix, |lane, v| {
+            .launch_with_pre("stall", 10_000, &mut PreSlots::default(), fill(mix), |lane, &mut v| {
                 lane.charge_cycles((v % 17) as f64 * 0.1);
             });
         assert_eq!(simulated(&r), simulated(&reference));
@@ -760,13 +815,13 @@ mod tests {
                 "boom",
                 10_000,
                 &mut PreSlots::default(),
-                |k| {
+                fill(|k| {
                     if std::thread::current().id() != launcher {
                         entered.store(true, Ordering::Release);
                         panic!("pre-pass failed on a helper");
                     }
                     k
-                },
+                }),
                 |lane, _| {
                     // Hold the first lane until a helper has run a lane.
                     while lane.global_id == 0 && !entered.load(Ordering::Acquire) {
@@ -789,14 +844,47 @@ mod tests {
             "leased",
             10_000,
             &mut PreSlots::default(),
-            |k| {
+            fill(|k| {
                 assert_eq!(std::thread::current().id(), launcher);
                 k
-            },
-            |lane, k| assert_eq!(lane.global_id, k),
+            }),
+            |lane, &mut k| assert_eq!(lane.global_id, k),
         );
         drop(lease);
         assert_eq!((r.lanes, d.stats().helper_lanes), (10_000, 0));
+    }
+
+    /// A slot's value outlives its launch: the caller reads lane k's value
+    /// afterwards, and the next launch's lane k fills the buffers it left,
+    /// so only a lane computed twice can come back with another one.
+    #[test]
+    fn slots_keep_each_lanes_value_and_its_buffers() {
+        const LANES: usize = 4_096;
+        let pre = |k: usize, v: &mut Vec<usize>| {
+            v.clear();
+            v.extend(0..k % 7 + 1);
+        };
+        for threads in [1, 2] {
+            let mut d = Device::new(DeviceConfig::parallel(threads));
+            let mut slots = PreSlots::default();
+            let buffers = |slots: &mut PreSlots<Vec<usize>>| {
+                slots.values_mut(LANES).map(|v| v.as_ptr()).collect::<Vec<_>>()
+            };
+            d.launch_with_pre("first", LANES, &mut slots, pre, |lane, v| {
+                assert_eq!(v.len(), lane.global_id % 7 + 1);
+            });
+            let first = buffers(&mut slots);
+            let twice = d.stats().lanes_computed_twice;
+            d.launch_with_pre("again", LANES, &mut slots, pre, |lane, v| {
+                assert_eq!(v.len(), lane.global_id % 7 + 1);
+            });
+            for k in [0, 31, 32, LANES - 1] {
+                assert_eq!(slots.get_mut(k).len(), k % 7 + 1, "{threads} threads: lane {k}");
+            }
+            let moved = buffers(&mut slots).iter().zip(&first).filter(|(a, b)| a != b).count();
+            let twice = d.stats().lanes_computed_twice - twice;
+            assert!(moved as u64 <= twice, "{threads} threads: {moved} buffers moved, {twice} lanes twice");
+        }
     }
 
     #[test]
@@ -808,14 +896,14 @@ mod tests {
             "one-warp",
             32,
             &mut slots,
-            |k| {
+            fill(|k| {
                 assert_eq!(std::thread::current().id(), launcher);
                 k
-            },
-            |lane, k| assert_eq!(lane.global_id, k),
+            }),
+            |lane, &mut k| assert_eq!(lane.global_id, k),
         );
         assert_eq!((r.warps, d.stats().helper_lanes), (1, 0));
-        assert!(slots.slots.is_empty(), "a launch without helpers needs no slots");
+        assert_eq!(slots.values_mut(32).map(|v| *v).collect::<Vec<_>>(), (0..32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub struct DeviceStats {
     /// bar the next count.
     pub helper_lanes: u64,
     /// Lanes whose pre-pass value a helper thread computed after the
-    /// launching thread had reached the lane and computed it inline: the
-    /// helper's value was dropped, so the lane's pre-pass ran twice.
+    /// launching thread had reached the lane and computed it inline, into
+    /// a spare value: the helper's value was set aside, so the lane's
+    /// pre-pass ran twice.
     pub lanes_computed_twice: u64,
 }
 

@@ -69,6 +69,14 @@ pub const LTPG_CONFLICT_LOG_BYTES: &str = "ltpg.conflict_log.bytes";
 pub const LTPG_CONFLICT_LOG_RESIDENT_BYTES: &str = "ltpg.conflict_log.resident_bytes";
 /// Counter: conflict-log bucket registrations (host-observed accesses).
 pub const LTPG_CONFLICT_LOG_ACCESSES: &str = "ltpg.conflict_log.accesses";
+/// Histogram: host ns of a batch's execute launch (pre-pass included) as
+/// the launching thread sees it, one sample per batch.
+pub const LTPG_HOST_EXECUTE_NS: &str = "ltpg.host.execute_ns";
+/// Histogram: host ns of a batch's detect launch, one sample per batch.
+pub const LTPG_HOST_DETECT_NS: &str = "ltpg.host.detect_ns";
+/// Histogram: host ns of a batch's write-back and delayed-merge launches,
+/// one sample per batch.
+pub const LTPG_HOST_WRITEBACK_NS: &str = "ltpg.host.writeback_ns";
 
 // --- abort-reason taxonomy --------------------------------------------------
 

@@ -6,9 +6,14 @@
 //! in a [`TxnEffects`]. This is precisely what a deterministic-OCC execute
 //! phase does; it is also the building block of the serial reference
 //! executor ([`execute_serial`]) and of the serializability oracle.
+//! [`execute_speculative_into`] is the same interpreter writing into
+//! buffers its caller keeps from transaction to transaction, for a hot path
+//! that must not allocate per transaction.
+
+use std::cell::RefCell;
 
 use ltpg_storage::index::mix_key;
-use ltpg_storage::{ColId, Database, TableError, TableId};
+use ltpg_storage::{ColId, Database, RowId, TableError, TableId};
 
 use crate::ir::{IrOp, Src};
 use crate::txn::{Tid, Txn};
@@ -177,6 +182,7 @@ impl CellStore for Database {
 /// 1.39 ms (0.23 ms with `std` hash maps keyed by cell and by row, 0.05 ms
 /// with this index), and at TPC-C NewOrder's ~75 writes it was already no
 /// faster than the maps.
+#[derive(Default)]
 struct WriteIndex {
     /// `heads[slot]` = 1 + index of the newest mutation of the row that
     /// probes to `slot`; 0 = free. Power-of-two length, at least twice the
@@ -188,10 +194,13 @@ struct WriteIndex {
 }
 
 impl WriteIndex {
-    /// An index for a transaction with `writes` write ops.
-    fn new(writes: usize) -> Self {
+    /// Empty the index for a transaction with `writes` write ops, keeping
+    /// its vectors.
+    fn reset(&mut self, writes: usize) {
         let slots = if writes == 0 { 0 } else { (2 * writes).next_power_of_two() };
-        WriteIndex { heads: vec![0; slots], prev: Vec::with_capacity(writes) }
+        self.heads.clear();
+        self.heads.resize(slots, 0);
+        self.prev.clear();
     }
 
     /// The slot holding the chain head of row `(table, key)`, or the free
@@ -227,13 +236,82 @@ impl WriteIndex {
     }
 }
 
-/// Executes ops against a [`CellStore`] with buffered writes.
+/// A speculation's register file and write index: per thread, kept from
+/// transaction to transaction ([`SCRATCH`]).
+#[derive(Default)]
+struct Scratch {
+    regs: Vec<i64>,
+    index: WriteIndex,
+}
+
+thread_local! {
+    /// This thread's [`Scratch`]. Speculation never re-enters itself (a
+    /// [`CellStore`] only reads), so one per thread is enough.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Buffers a speculation writes into ([`execute_speculative_into`]). The
+/// caller keeps them from transaction to transaction: each speculation
+/// empties them and refills them in place, so once they have held a
+/// transaction of some shape the next one of that shape allocates nothing.
+#[derive(Debug, Default)]
+pub struct SpecBuffers {
+    /// All reads, in program order.
+    pub reads: Vec<ReadAccess>,
+    /// All buffered mutations, in program order. A caller may drop
+    /// mutations from it (staging does); the rows of the inserts it keeps
+    /// return to the pool at the next speculation.
+    pub mutations: Vec<Mutation>,
+    /// Tables a buffered insert or delete reshapes, as bit `t % 64` of
+    /// table id `t` ([`Self::writes_snapshot_rows`]).
+    reshaped: u64,
+    /// Row vectors for the next speculation's inserts: the ones the
+    /// previous occupant's inserts held.
+    rows: Vec<Vec<i64>>,
+}
+
+impl SpecBuffers {
+    /// Empty the buffers, keeping their capacity: the rows of the buffered
+    /// inserts go back to the pool.
+    pub fn clear(&mut self) {
+        self.reads.clear();
+        self.reshaped = 0;
+        for m in self.mutations.drain(..) {
+            if let Mutation::Insert { values, .. } = m {
+                self.rows.push(values);
+            }
+        }
+    }
+
+    /// [`TxnEffects::rw_set_bytes`] of what the buffers held when the
+    /// speculation ended, before any mutation was dropped.
+    pub fn rw_set_bytes(&self) -> u64 {
+        (self.mutations.len() * 4 + self.reads.len() + 8) as u64
+    }
+
+    /// Whether every buffered update or add of `table` writes the row its
+    /// key resolves to in the store the speculation read: true unless the
+    /// transaction also inserts into or deletes from a table whose id is
+    /// `table`'s modulo 64, and so may have replaced the row first.
+    #[inline]
+    pub fn writes_snapshot_rows(&self, table: TableId) -> bool {
+        self.reshaped & (1 << (table.0 % 64)) == 0
+    }
+}
+
+/// Executes ops against a [`CellStore`] with buffered writes, into
+/// buffers it borrows.
 struct Speculator<'a, S: CellStore + ?Sized> {
     db: &'a S,
     tid: Tid,
-    regs: Vec<i64>,
-    index: WriteIndex,
-    effects: TxnEffects,
+    regs: &'a mut [i64],
+    index: &'a mut WriteIndex,
+    reads: &'a mut Vec<ReadAccess>,
+    mutations: &'a mut Vec<Mutation>,
+    reshaped: &'a mut u64,
+    /// Row vectors for inserts; popped, refilled, pushed back on a
+    /// duplicate.
+    rows: &'a mut Vec<Vec<i64>>,
 }
 
 impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
@@ -249,13 +327,16 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
     /// This transaction's buffered writes to row `(table, key)`, newest
     /// first.
     fn row_writes(&self, table: TableId, key: i64) -> impl Iterator<Item = &Mutation> {
-        self.index.row_writes(&self.effects.mutations, table, key)
+        self.index.row_writes(self.mutations, table, key)
     }
 
     /// Buffer `m`, a write to row `(table, key)`.
     fn buffer(&mut self, table: TableId, key: i64, m: Mutation) {
-        self.index.note(&self.effects.mutations, table, key);
-        self.effects.mutations.push(m);
+        if matches!(m, Mutation::Insert { .. } | Mutation::Delete { .. }) {
+            *self.reshaped |= 1 << (table.0 % 64);
+        }
+        self.index.note(self.mutations, table, key);
+        self.mutations.push(m);
     }
 
     /// Whether this transaction's own writes decide that `key` exists:
@@ -293,11 +374,11 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
     }
 
     fn record_cell_read(&mut self, table: TableId, key: i64, col: ColId, value: i64) {
-        self.effects.reads.push(ReadAccess { table, key, col: Some(col), value });
+        self.reads.push(ReadAccess { table, key, col: Some(col), value });
     }
 
     fn record_existence_read(&mut self, table: TableId, key: i64, existed: bool) {
-        self.effects.reads.push(ReadAccess { table, key, col: None, value: i64::from(existed) });
+        self.reads.push(ReadAccess { table, key, col: None, value: i64::from(existed) });
     }
 
     /// Record reads of the membership predicate cells covering `[lo, hi)`
@@ -313,7 +394,7 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
             p_hi - p_lo + 1
         );
         for p in p_lo..=p_hi {
-            self.effects.reads.push(ReadAccess {
+            self.reads.push(ReadAccess {
                 table,
                 key: ltpg_storage::membership_key(p),
                 col: None,
@@ -330,7 +411,7 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
             .range_keys(table, lo, hi)
             .unwrap_or_else(|| panic!("table {} has no ordered index (RangeSum/RangeMinKey/RangeCountBelow need Table::with_ordered)", table.0));
         keys.retain(|k| self.exists_locally(table, *k) != Some(false));
-        for m in &self.effects.mutations {
+        for m in self.mutations.iter() {
             if let Mutation::Insert { table: t, key: k, .. } = m {
                 if *t == table
                     && (lo..hi).contains(k)
@@ -394,8 +475,9 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
                 }
                 IrOp::Insert { table, key, values } => {
                     let k = self.resolve(*key, &txn.params);
-                    let row: Vec<i64> =
-                        values.iter().map(|s| self.resolve(*s, &txn.params)).collect();
+                    let mut row = self.rows.pop().unwrap_or_default();
+                    row.clear();
+                    row.extend(values.iter().map(|s| self.resolve(*s, &txn.params)));
                     assert_eq!(
                         row.len(),
                         self.db.row_width(*table),
@@ -405,6 +487,7 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
                     let existed = self.exists(*table, k);
                     self.record_existence_read(*table, k, existed);
                     if existed {
+                        self.rows.push(row);
                         return Err(ExecError::DuplicateInsert { table: *table, key: k });
                     }
                     self.buffer(*table, k, Mutation::Insert { table: *table, key: k, values: row });
@@ -481,6 +564,44 @@ impl<'a, S: CellStore + ?Sized> Speculator<'a, S> {
     }
 }
 
+/// Run `txn` against `store`, appending its reads and buffered mutations
+/// to `reads` and `mutations` (and setting `reshaped`), inserted rows taken
+/// from `rows`. The register file and write index are this thread's.
+fn speculate<S: CellStore + ?Sized>(
+    store: &S,
+    txn: &Txn,
+    reads: &mut Vec<ReadAccess>,
+    mutations: &mut Vec<Mutation>,
+    reshaped: &mut u64,
+    rows: &mut Vec<Vec<i64>>,
+) -> Result<(), ExecError> {
+    SCRATCH.with_borrow_mut(|Scratch { regs, index }| {
+        regs.clear();
+        regs.resize(txn.reg_count(), 0);
+        index.reset(write_ops(txn));
+        Speculator { db: store, tid: txn.tid, regs, index, reads, mutations, reshaped, rows }.run(txn)
+    })
+}
+
+/// `txn`'s write ops: at most one buffered mutation each.
+fn write_ops(txn: &Txn) -> usize {
+    txn.ops
+        .iter()
+        .filter(|op| {
+            matches!(
+                op,
+                IrOp::Update { .. } | IrOp::Add { .. } | IrOp::Insert { .. } | IrOp::Delete { .. }
+            )
+        })
+        .count()
+}
+
+/// `txn`'s ops other than computations. Each records at most one read and
+/// buffers at most one mutation, bar the multi-key scans' extra reads.
+fn access_ops(txn: &Txn) -> usize {
+    txn.ops.iter().filter(|op| !matches!(op, IrOp::Compute { .. })).count()
+}
+
 /// Run `txn` against any [`CellStore`] without mutating it; return the
 /// recorded effects. This is the OCC "execute phase" semantics: all reads
 /// observe the store as a snapshot (plus the transaction's own buffered
@@ -491,29 +612,32 @@ pub fn execute_speculative_on<S: CellStore + ?Sized>(
 ) -> Result<TxnEffects, ExecError> {
     // Sized up front: at most one buffered mutation per write op, and one
     // recorded read per remaining op (only multi-key scans record more).
-    let writes = txn
-        .ops
-        .iter()
-        .filter(|op| {
-            matches!(
-                op,
-                IrOp::Update { .. } | IrOp::Add { .. } | IrOp::Insert { .. } | IrOp::Delete { .. }
-            )
-        })
-        .count();
-    let mut sp = Speculator {
-        db: store,
-        tid: txn.tid,
-        regs: vec![0; txn.reg_count()],
-        index: WriteIndex::new(writes),
-        effects: TxnEffects {
-            tid: txn.tid,
-            reads: Vec::with_capacity(txn.ops.len() - writes),
-            mutations: Vec::with_capacity(writes),
-        },
-    };
-    sp.run(txn)?;
-    Ok(sp.effects)
+    let writes = write_ops(txn);
+    let mut reads = Vec::with_capacity(txn.ops.len() - writes);
+    let mut mutations = Vec::with_capacity(writes);
+    speculate(store, txn, &mut reads, &mut mutations, &mut 0, &mut Vec::new())?;
+    Ok(TxnEffects { tid: txn.tid, reads, mutations })
+}
+
+/// [`execute_speculative_on`] into `buf`, which the caller keeps: the
+/// buffers are emptied ([`SpecBuffers::clear`]) and refilled, and an insert
+/// takes a row vector an earlier occupant's insert returned. Both sets are
+/// reserved for `txn`'s count of ops other than computations, which bounds
+/// each before speculation runs (only multi-key scans record more reads),
+/// so buffers that have held a transaction with as many grow no more, how
+/// ever its reads and writes split. On an error the buffers hold what ran
+/// before it.
+pub fn execute_speculative_into<S: CellStore + ?Sized>(
+    store: &S,
+    txn: &Txn,
+    buf: &mut SpecBuffers,
+) -> Result<(), ExecError> {
+    buf.clear();
+    let bound = access_ops(txn);
+    buf.reads.reserve_exact(bound);
+    buf.mutations.reserve_exact(bound);
+    let SpecBuffers { reads, mutations, reshaped, rows } = buf;
+    speculate(store, txn, reads, mutations, reshaped, rows)
 }
 
 /// Prefetch into the host's cache what speculating `txns` will read from
@@ -591,21 +715,21 @@ pub fn execute_range_direct(
             }
             IrOp::Update { table, key, col, val } => {
                 let (key, value) = (resolve(*key, regs), resolve(*val, regs));
-                let _ = apply_mutation(db, &Mutation::Update { table: *table, key, col: *col, value });
+                let _ = apply_mutation(db, &Mutation::Update { table: *table, key, col: *col, value }, None);
             }
             IrOp::Add { table, key, col, delta } => {
                 let (key, delta) = (resolve(*key, regs), resolve(*delta, regs));
-                let _ = apply_mutation(db, &Mutation::Add { table: *table, key, col: *col, delta });
+                let _ = apply_mutation(db, &Mutation::Add { table: *table, key, col: *col, delta }, None);
             }
             IrOp::Insert { table, key, values } => {
                 let key = resolve(*key, regs);
                 let values = values.iter().map(|s| resolve(*s, regs)).collect();
-                apply_mutation(db, &Mutation::Insert { table: *table, key, values })
+                apply_mutation(db, &Mutation::Insert { table: *table, key, values }, None)
                     .map_err(|_| ExecError::DuplicateInsert { table: *table, key })?;
             }
             IrOp::Delete { table, key } => {
                 let key = resolve(*key, regs);
-                let _ = apply_mutation(db, &Mutation::Delete { table: *table, key });
+                let _ = apply_mutation(db, &Mutation::Delete { table: *table, key }, None);
             }
             IrOp::Compute { f, a, b, out } => {
                 let av = resolve(*a, regs);
@@ -669,18 +793,29 @@ pub enum ApplyError {
 /// Apply one mutation to `db`: the one write path of every engine and
 /// interpreter. An update, add or delete of a row that is not there is a
 /// no-op; an insert reports what refused it, and each caller says what that
-/// means to it.
-pub fn apply_mutation(db: &mut Database, m: &Mutation) -> Result<(), TableError> {
+/// means to it. `row` is the row an update or add writes when the caller
+/// resolved its key already (it must be the row the key resolves to in
+/// `db`); with `None` the key is looked up here. Inserts and deletes
+/// ignore it.
+pub fn apply_mutation(db: &mut Database, m: &Mutation, row: Option<RowId>) -> Result<(), TableError> {
+    let resolve = |t: &ltpg_storage::Table, key: i64| {
+        debug_assert!(
+            row.is_none_or(|rid| t.key_of(rid) == Some(key)),
+            "a carried row of {} does not hold key {key}",
+            t.schema().name
+        );
+        row.or_else(|| t.lookup(key))
+    };
     match m {
         Mutation::Update { table, key, col, value } => {
             let t = db.table_mut(*table);
-            if let Some(rid) = t.lookup(*key) {
+            if let Some(rid) = resolve(t, *key) {
                 t.set(rid, *col, *value);
             }
         }
         Mutation::Add { table, key, col, delta } => {
             let t = db.table_mut(*table);
-            if let Some(rid) = t.lookup(*key) {
+            if let Some(rid) = resolve(t, *key) {
                 t.add(rid, *col, *delta);
             }
         }
@@ -698,7 +833,7 @@ pub fn apply_mutation(db: &mut Database, m: &Mutation) -> Result<(), TableError>
 /// Updates/adds/deletes of rows that vanished meanwhile are no-ops.
 pub fn apply_effects(db: &mut Database, effects: &TxnEffects) -> Result<(), ApplyError> {
     for m in &effects.mutations {
-        apply_mutation(db, m).map_err(|_| {
+        apply_mutation(db, m, None).map_err(|_| {
             let (table, key) = m.row();
             ApplyError::InsertFailed { table, key }
         })?;
@@ -859,6 +994,85 @@ mod tests {
         assert_eq!(regs, vec![0, 7, 6]);
         apply_effects(&mut db, &fx).unwrap();
         assert_eq!(db.state_digest(), direct.state_digest());
+    }
+
+    /// Speculating into kept buffers records what a fresh speculation
+    /// records, transaction after transaction, a user abort in between; the
+    /// rows of one occupant's inserts serve the next one's; and buffers
+    /// that have held a transaction grow no more for one with as many
+    /// accesses. Only an insert or a delete marks its table reshaped.
+    #[test]
+    fn speculating_into_kept_buffers_records_what_a_fresh_speculation_does() {
+        let (mut db, t) = db_one_table();
+        let u = db.add_table(TableBuilder::new("U").columns(["a"]).capacity(64).build());
+        db.table_mut(t).insert(1, &[10, 20]).unwrap();
+        db.table_mut(u).insert(9, &[1]).unwrap();
+        let row = |k: i64| vec![Src::Const(k), Src::Const(k + 1)];
+        let txns = [
+            txn(
+                vec![
+                    IrOp::Insert { table: t, key: Src::Const(5), values: row(5) },
+                    IrOp::Insert { table: t, key: Src::Const(6), values: row(6) },
+                    IrOp::Read { table: t, key: Src::Const(5), col: ColId(1), out: 0 },
+                    IrOp::Update { table: u, key: Src::Const(9), col: ColId(0), val: Src::Reg(0) },
+                ],
+                vec![],
+            ),
+            // A duplicate insert: a user abort, after one insert.
+            txn(
+                vec![
+                    IrOp::Insert { table: t, key: Src::Const(7), values: row(7) },
+                    IrOp::Insert { table: t, key: Src::Const(1), values: row(1) },
+                ],
+                vec![],
+            ),
+            txn(
+                vec![
+                    IrOp::Add { table: u, key: Src::Const(9), col: ColId(0), delta: Src::Const(2) },
+                    IrOp::Delete { table: u, key: Src::Const(9) },
+                    IrOp::Insert { table: t, key: Src::Const(8), values: row(8) },
+                    IrOp::Compute { f: ComputeFn::Add, a: Src::Const(1), b: Src::Const(2), out: 0 },
+                ],
+                vec![],
+            ),
+        ];
+        let mut buf = SpecBuffers::default();
+        for _ in 0..2 {
+            for tx in &txns {
+                let into = execute_speculative_into(&db, tx, &mut buf);
+                match execute_speculative(&db, tx) {
+                    Ok(fx) => {
+                        assert_eq!(into, Ok(()));
+                        assert_eq!((&buf.reads, &buf.mutations), (&fx.reads, &fx.mutations));
+                        assert_eq!(buf.rw_set_bytes(), fx.rw_set_bytes());
+                    }
+                    Err(e) => assert_eq!(into, Err(e)),
+                }
+            }
+        }
+        // The last transaction deletes from U and inserts into T, and its
+        // add of U's row writes before its own delete reshapes U.
+        assert!(!buf.writes_snapshot_rows(t) && !buf.writes_snapshot_rows(u));
+        execute_speculative_into(&db, &txns[0], &mut buf).unwrap();
+        assert!(!buf.writes_snapshot_rows(t) && buf.writes_snapshot_rows(u));
+        // A second run of the first transaction takes its rows from the
+        // pool and needs no more room.
+        let rows_of = |buf: &SpecBuffers| -> Vec<*const i64> {
+            buf.mutations
+                .iter()
+                .filter_map(|m| match m {
+                    Mutation::Insert { values, .. } => Some(values.as_ptr()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (rows, caps) = (rows_of(&buf), (buf.reads.capacity(), buf.mutations.capacity()));
+        execute_speculative_into(&db, &txns[0], &mut buf).unwrap();
+        let mut again = rows_of(&buf);
+        again.reverse();
+        assert_eq!(again, rows, "the pool hands the rows back, last in first out");
+        assert_eq!((buf.reads.capacity(), buf.mutations.capacity()), caps);
+        assert_eq!(caps, (4, 4), "reserved for the ops that access, exactly");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 
 use ltpg::{CpuTwin, ExecScope, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_bench::{build_tpcc_engine, ltpg_tpcc_config, run_stream, SystemKind};
-use ltpg_storage::TableId;
+use ltpg_storage::{ColId, Database, TableBuilder, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::group::order_by_proc;
-use ltpg_txn::{Batch, BatchEngine, Tid, TidGen};
+use ltpg_txn::{Batch, BatchEngine, IrOp, ProcId, Src, Tid, TidGen, Txn};
+use ltpg_workloads::tpcc::PROC_DELIVERY;
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
 fn tpcc_stream(
@@ -295,4 +296,215 @@ fn warp_edges_move_no_decision_and_no_charge() {
     }
     assert!(mid_warp, "no detect array ended mid-warp");
     assert!(dead_warp, "no write-back warp had every lane abort");
+}
+
+/// The engine at one and two host threads against the CPU twin over
+/// `batches` (fresh, nothing requeued), from copies of `db`, every engine
+/// batch within `scope`: each batch's commits, flag words and state digest
+/// must equal the twin's, and everything the engine decided or charged
+/// must be bit-equal at the two thread counts. With `heavy` lanes, a
+/// helper thread must have produced some (cheap ones may all run inline
+/// while other tests hold the second CPU). Returns the one-thread engine's
+/// bits and the index slots of every table after each batch.
+fn against_the_twin(
+    at: &str,
+    db: &Database,
+    lcfg: &LtpgConfig,
+    batches: &[Batch],
+    scope: Option<&ExecScope<'_>>,
+    heavy: bool,
+) -> (Vec<BatchBits>, Vec<Vec<usize>>) {
+    let engine_run = |threads: usize| {
+        let mut cfg = lcfg.clone();
+        cfg.device.parallel_host_threads = threads;
+        let mut engine = LtpgEngine::with_telemetry(db.deep_clone(), cfg, Registry::new_shared());
+        let mut history = Vec::new();
+        let mut slots = Vec::new();
+        for batch in batches {
+            history.push(run_batch(&mut engine, batch, scope).0);
+            let db = engine.database();
+            slots.push((0..db.table_count()).map(|t| db.table(TableId(t as u16)).index_slots()).collect());
+        }
+        (history, slots, engine.device().stats().helper_lanes)
+    };
+    let (one, slots, _) = engine_run(1);
+    let (two, _, helped) = engine_run(2);
+    assert!(helped > 0 || !heavy, "{at}: no helper produced a lane at two threads");
+    let mut twin = CpuTwin::new(db.deep_clone(), lcfg.clone());
+    for (k, batch) in batches.iter().enumerate() {
+        let at = format!("{at}, batch {k}");
+        assert_eq!(one[k], two[k], "{at}: two host threads moved the batch");
+        let prepared = twin.prepare(batch, scope);
+        let flags: Vec<u32> = (0..batch.len()).map(|i| prepared.flag_word(i)).collect();
+        assert_eq!(flags, one[k].flags, "{at}: flag words against the twin");
+        let report = twin.finish(batch, prepared, scope);
+        assert_eq!(report.committed, one[k].committed, "{at}: commits against the twin");
+        assert_eq!(twin.database().state_digest(), one[k].digest, "{at}: state against the twin");
+    }
+    (one, slots)
+}
+
+/// Keys of the churn table.
+const CHURN_KEYS: i64 = 48;
+
+/// A two-column table of [`CHURN_KEYS`] rows and `batches` batches of `n`
+/// transactions that read, update, add to, delete and insert its keys at
+/// random, one in eight of them deleting, re-inserting and then updating
+/// one key. Rows die and come back under their keys, so a key's row moves
+/// between batches and inside a transaction. Keys are constants, so the
+/// test can see what meets where.
+fn churn_stream(seed: u64, batches: usize, n: usize) -> (Database, TableId, Vec<Batch>) {
+    let mut db = Database::new();
+    let t = db.add_table(TableBuilder::new("CHURN").columns(["a", "b"]).capacity(1 << 16).build());
+    for k in 1..=CHURN_KEYS {
+        db.table_mut(t).insert(k, &[k, 0]).unwrap();
+    }
+    let mut x = seed | 1;
+    let mut next = move |bound: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % bound
+    };
+    let mut tids = TidGen::new();
+    let batches = (0..batches)
+        .map(|_| {
+            let txns = (0..n)
+                .map(|_| {
+                    let key = |k: u64| Src::Const(k as i64 + 1);
+                    let ops = if next(8) == 0 {
+                        let k = key(next(CHURN_KEYS as u64));
+                        vec![
+                            IrOp::Delete { table: t, key: k },
+                            IrOp::Insert { table: t, key: k, values: vec![Src::Const(7), Src::Const(7)] },
+                            IrOp::Update { table: t, key: k, col: ColId(0), val: Src::Tid },
+                        ]
+                    } else {
+                        (0..1 + next(3))
+                            .map(|_| {
+                                let k = key(next(CHURN_KEYS as u64));
+                                match next(6) {
+                                    0 => IrOp::Read { table: t, key: k, col: ColId(1), out: 0 },
+                                    1 | 2 => IrOp::Update { table: t, key: k, col: ColId(0), val: Src::Tid },
+                                    3 => IrOp::Add { table: t, key: k, col: ColId(1), delta: Src::Const(3) },
+                                    4 => IrOp::Delete { table: t, key: k },
+                                    _ => IrOp::Insert { table: t, key: k, values: vec![Src::Tid, Src::Const(1)] },
+                                }
+                            })
+                            .collect()
+                    };
+                    Txn::new(ProcId(0), vec![], ops)
+                })
+                .collect();
+            Batch::assemble(vec![], txns, &mut tids)
+        })
+        .collect();
+    (db, t, batches)
+}
+
+/// The keys a transaction deletes and the keys it updates or adds to.
+fn deleted_and_written(txn: &Txn) -> (Vec<i64>, Vec<i64>) {
+    let (mut deleted, mut written) = (Vec::new(), Vec::new());
+    for op in &txn.ops {
+        match op {
+            IrOp::Delete { key: Src::Const(k), .. } => deleted.push(*k),
+            IrOp::Update { key: Src::Const(k), .. } | IrOp::Add { key: Src::Const(k), .. } => written.push(*k),
+            _ => {}
+        }
+    }
+    (deleted, written)
+}
+
+/// Write-back stores an update or add through the row the execute
+/// pre-pass resolved in the snapshot. Under a stream whose rows die and
+/// come back (deleted, re-inserted, updated, within a transaction and
+/// across batches), where a delete and an update of one row meet in a
+/// batch, every decision and every state must be the CPU twin's, which
+/// resolves each key at write-back, at one and two host threads. A row
+/// resolved against a stale copy of the database, or carried across the
+/// transaction's own delete and re-insert, writes a dead row.
+#[test]
+fn rows_that_die_and_come_back_are_written_where_they_live() {
+    let (db, t, batches) = churn_stream(0x5eed, 8, 1_024);
+    let lcfg = LtpgConfig { max_batch: 1_024, ..LtpgConfig::default() };
+    against_the_twin("churn", &db, &lcfg, &batches, None, false);
+    // The stream did what it is for: a delete and an update of one key met
+    // in a batch.
+    let met = batches.iter().any(|batch| {
+        let keys: Vec<_> = batch.txns.iter().map(deleted_and_written).collect();
+        keys.iter().any(|(deleted, _)| deleted.iter().any(|k| keys.iter().any(|(_, w)| w.contains(k))))
+    });
+    assert!(met, "no delete and update of one row met in a batch");
+    // And a key whose row had come back committed an update or add in a
+    // later batch, from a transaction that did not delete it itself.
+    let mut engine = LtpgEngine::with_telemetry(db.deep_clone(), lcfg, Registry::new_shared());
+    let mut reborn_then_written = false;
+    for batch in &batches {
+        let table = engine.database().table(t);
+        let moved: Vec<i64> = (1..=CHURN_KEYS)
+            .filter(|&k| table.lookup(k).is_some_and(|rid| Some(rid) != db.table(t).lookup(k)))
+            .collect();
+        let committed = engine.execute_batch(batch).committed;
+        reborn_then_written |= batch.txns.iter().filter(|txn| committed.contains(&txn.tid)).any(|txn| {
+            let (deleted, written) = deleted_and_written(txn);
+            deleted.is_empty() && written.iter().any(|k| moved.contains(k))
+        });
+    }
+    assert!(reborn_then_written, "no key was written after its row came back");
+}
+
+/// A shard carries rows only for what it owns: a scope owning every other
+/// key, over a database holding all of them, must write back exactly what
+/// the twin under that scope writes, and the rows it does not own stay as
+/// they were.
+#[test]
+fn a_scoped_shard_carries_rows_only_for_what_it_owns() {
+    let (db, t, batches) = churn_stream(0xface, 6, 1_024);
+    let lcfg = LtpgConfig { max_batch: 1_024, ..LtpgConfig::default() };
+    let evens = |_: TableId, key: i64| key % 2 == 0;
+    let scope = ExecScope { remote: None, owns_row: &evens };
+    let (history, _) = against_the_twin("evens", &db, &lcfg, &batches, Some(&scope), false);
+    assert!(history.iter().any(|bits| !bits.committed.is_empty()));
+    let mut twin = CpuTwin::new(db.deep_clone(), lcfg);
+    for batch in &batches {
+        let prepared = twin.prepare(batch, Some(&scope));
+        twin.finish(batch, prepared, Some(&scope));
+    }
+    let out = twin.database().table(t);
+    for k in (1..=CHURN_KEYS).filter(|k| k % 2 == 1) {
+        let row = |table: &ltpg_storage::Table| table.lookup(k).map(|rid| table.row_values(rid));
+        assert_eq!(row(out), row(db.table(t)), "key {k} is not the shard's");
+    }
+}
+
+/// Rows never move when an index grows: TPC-C full-mix batches whose
+/// write-back first grows insert tables' indexes (`reserve_inserts`, after
+/// the execute pre-pass resolved its rows) while Delivery updates ORDERS
+/// and ORDER_LINE rows through rows resolved before the growth, decide and
+/// write what the twin does, at one and two host threads. A small first
+/// batch lays the insert tables' indexes out small, so later ones grow.
+#[test]
+fn a_grown_index_keeps_the_carried_rows() {
+    const BATCH: usize = 512;
+    let cfg = TpccConfig::new(1, 50).with_full_mix().with_headroom(8 * BATCH * 4).with_seed(43);
+    let (db, tables, mut gen) = TpccGenerator::new(cfg);
+    let mut lcfg = ltpg_tpcc_config(&tables, BATCH, OptFlags::all());
+    lcfg.est_accesses_per_txn = 24;
+    let mut tids = TidGen::new();
+    let batches: Vec<Batch> = [32, BATCH, BATCH, BATCH, BATCH, BATCH]
+        .map(|n| Batch::assemble(vec![], gen.gen_batch(n), &mut tids))
+        .into();
+    let before: Vec<usize> = (0..db.table_count()).map(|t| db.table(TableId(t as u16)).index_slots()).collect();
+    let (history, slots) = against_the_twin("TPC-C full mix", &db, &lcfg, &batches, None, true);
+    assert!(history.iter().all(|bits| !bits.committed.is_empty()));
+    // A batch after the first grew ORDERS' or ORDER_LINE's index and
+    // committed a Delivery, whose updates of those tables carried rows.
+    let layouts: Vec<&Vec<usize>> = std::iter::once(&before).chain(&slots).collect();
+    let grew_under_delivery = (1..batches.len()).any(|k| {
+        let grew = [tables.orders, tables.order_line]
+            .iter()
+            .any(|&t| layouts[k + 1][usize::from(t.0)] > layouts[k][usize::from(t.0)]);
+        grew && batches[k].txns.iter().any(|txn| txn.proc == PROC_DELIVERY && history[k].committed.contains(&txn.tid))
+    });
+    assert!(grew_under_delivery, "no batch grew ORDERS' or ORDER_LINE's index under a committed Delivery");
 }

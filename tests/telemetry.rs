@@ -1,8 +1,8 @@
 //! End-to-end telemetry acceptance: one server run must produce a valid
-//! JSONL export covering all three LTPG phases, transfer bytes, the abort
-//! taxonomy and the fault counters — with batch-latency percentiles
-//! derivable from the histogram — and a fault-free run must report
-//! all-zero fault counters through the registry view.
+//! JSONL export covering all three LTPG phases on both clocks, transfer
+//! bytes, the abort taxonomy and the fault counters — with batch-latency
+//! percentiles derivable from the histogram — and a fault-free run must
+//! report all-zero fault counters through the registry view.
 
 use ltpg::{FaultStats, LtpgConfig, LtpgServer, ServerConfig};
 use ltpg_storage::{ColId, Database, TableBuilder, TableId};
@@ -68,6 +68,18 @@ fn server_run_exports_complete_valid_jsonl() {
         assert_eq!(h.get("type").and_then(JsonValue::as_str), Some("histogram"));
         assert_eq!(num(h, "count") as u64, stats.batches, "{phase} samples != batches");
         assert!(num(h, "sum") > 0.0, "{phase} accounted no time");
+    }
+
+    // The launching thread's host split of the same three launches: one
+    // sample per batch each.
+    for launch in [
+        names::LTPG_HOST_EXECUTE_NS,
+        names::LTPG_HOST_DETECT_NS,
+        names::LTPG_HOST_WRITEBACK_NS,
+    ] {
+        let h = find_metric(&lines, launch).unwrap_or_else(|| panic!("missing {launch}"));
+        assert_eq!(h.get("type").and_then(JsonValue::as_str), Some("histogram"));
+        assert_eq!(num(h, "count") as u64, stats.batches, "{launch} samples != batches");
     }
 
     // Transfer bytes in both directions.
