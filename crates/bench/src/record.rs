@@ -421,4 +421,46 @@ mod tests {
         let mut rec = sample();
         rec.push(row!["c", 1.5, 1.0, true]);
     }
+
+    /// `results/trajectory.jsonl` holds one row per (PR, side, workload,
+    /// metric) of a measured set of alternating ledger pairs: q1 / median /
+    /// q3 over the side's runs, its commit, the seeds, the set id and the
+    /// side's median `host.speed_factor_p50`. A ratio is read only within
+    /// a set, so every line must parse with its fields, its quartiles in
+    /// order, and every (set, workload, metric) must have both sides.
+    #[test]
+    fn the_trajectory_parses_and_every_set_has_both_sides() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/trajectory.jsonl");
+        let text = std::fs::read_to_string(path).expect("results/trajectory.jsonl");
+        let rows: Vec<JsonValue> = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| parse_json(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1)))
+            .collect();
+        assert!(!rows.is_empty(), "an empty trajectory");
+        let mut sides: BTreeMap<(String, String, String), BTreeSet<String>> = BTreeMap::new();
+        for (i, row) in rows.iter().enumerate() {
+            let line = i + 1;
+            let text = |k: &str| {
+                row.get(k).and_then(JsonValue::as_str).unwrap_or_else(|| panic!("line {line}: no {k}")).to_string()
+            };
+            let num = |k: &str| row.get(k).and_then(JsonValue::as_f64).unwrap_or_else(|| panic!("line {line}: no {k}"));
+            let (q1, median, q3) = (num("q1"), num("median"), num("q3"));
+            assert!(q1 <= median && median <= q3, "line {line}: quartiles out of order");
+            assert!(num("pr") >= 1.0 && num("host_speed_factor_p50") > 0.0, "line {line}");
+            assert!(!text("commit").is_empty(), "line {line}: no commit");
+            let seeds = match row.get("seeds") {
+                Some(JsonValue::Arr(seeds)) => seeds.len(),
+                _ => 0,
+            };
+            assert!(seeds > 0, "line {line}: no seeds");
+            let side = text("side");
+            assert!(side == "parent" || side == "change", "line {line}: side {side}");
+            sides.entry((text("set"), text("workload"), text("metric"))).or_default().insert(side);
+        }
+        for (key, got) in sides {
+            assert_eq!(got.len(), 2, "{key:?} has only {got:?}");
+        }
+    }
 }

@@ -11,7 +11,8 @@
 //!   a registering thread re-hashes to slot `TID mod s_u`, spreading the
 //!   atomics across slots. Detection scans all slots and takes the min —
 //!   reads are cheap and coalesced; it is the *serialized atomic writes*
-//!   the design avoids (paper Table VII).
+//!   the design avoids (paper Table VII). The scan is charged; the host
+//!   keeps a running minimum per large record instead of performing it.
 //!
 //! Buckets are addressed by open addressing with linear probing
 //! (`h(key, i) = (h(key) + i) mod s_h`), the same policy the paper states.
@@ -34,7 +35,18 @@
 //!   registration or detection probe of a standard-sized bucket touches
 //!   one line. Large-sized buckets take slots `1..s_u` of a record as one
 //!   run, on the record's first registration, from a grow-only arena
-//!   handed out again from its start each epoch.
+//!   handed out again from its start each epoch. Beside the entry's run
+//!   words sits each record's running minimum: every registration folds
+//!   its slot value in, so detection reads one word where the device
+//!   scans `s_u` slots. The entry table of a log past 2 MiB is advised
+//!   onto huge pages (`ltpg_storage::hint::huge_pages`).
+//! * **A probe is found once.** A registration returns where it settled
+//!   ([`Settled`]: the log, the modelled bucket and its probe position).
+//!   The detect kernel carries that pair and looks the entry up once,
+//!   charging the probe run the by-key walk charges. The pair, not the
+//!   entry's position, is carried: a growth moves entries within an
+//!   epoch, but a key's modelled bucket stays where it settled, since the
+//!   run's earlier buckets stay owned by other keys.
 //! * **Epoch-packed slots.** A slot stores `(epoch', tid)` with
 //!   `epoch' = EPOCH_CEIL − epoch`, so values from the current batch are
 //!   always numerically smaller than stale ones and a plain `atomicMin`
@@ -128,9 +140,28 @@ impl Entry {
     }
 }
 
-/// Per [`Record`], the word naming the slot run a large bucket's record
-/// was handed this epoch: `stamp(epoch, arena unit)`.
-type Runs = [u64; 2];
+/// Per [`Record`] of a large bucket (indexed by it): the word naming the
+/// slot run the record was handed this epoch, `stamp(epoch, arena unit)`,
+/// and the smallest slot value registered in it. A stale minimum encodes
+/// larger than any registration of a later epoch, so it needs no reset
+/// until the epoch space wraps.
+#[derive(Clone, Copy)]
+struct Runs {
+    run: [u64; 2],
+    min: [u64; 2],
+}
+
+impl Runs {
+    const FREE: Runs = Runs { run: [UNSTAMPED; 2], min: [SLOT_EMPTY; 2] };
+}
+
+/// `len` free entries, advised onto huge pages before any is written.
+fn entry_table(len: usize) -> Vec<Entry> {
+    let mut entries = Vec::with_capacity(len);
+    ltpg_storage::hint::huge_pages(entries.spare_capacity_mut());
+    entries.resize_with(len, Entry::new);
+    entries
+}
 
 /// The buckets one log claimed in the current epoch. Entries live in an
 /// open-addressed table keyed by `stamp(epoch, b)`, with linear probing
@@ -144,8 +175,8 @@ struct Claimed {
     entries: Vec<Entry>,
     /// `log₂ s_h` of the modelled log.
     s_h_bits: u32,
-    /// Per entry of a large-bucket log, its run words; empty for a
-    /// standard log.
+    /// Per entry of a large-bucket log, its run words and running minima;
+    /// empty for a standard log.
     runs: Vec<Runs>,
     /// Entries taken this epoch.
     claims: usize,
@@ -160,9 +191,9 @@ struct Claimed {
 impl Claimed {
     fn new(len: usize, s_h: usize, s_u: usize) -> Self {
         Claimed {
-            entries: (0..len).map(|_| Entry::new()).collect(),
+            entries: entry_table(len),
             s_h_bits: s_h.trailing_zeros(),
-            runs: vec![[UNSTAMPED; 2]; if s_u > 1 { len } else { 0 }],
+            runs: vec![Runs::FREE; if s_u > 1 { len } else { 0 }],
             claims: 0,
             arena: Vec::new(),
             unit: s_u - 1,
@@ -216,13 +247,13 @@ impl Claimed {
     }
 
     /// Double the table within the epoch: this epoch's entries, with their
-    /// run words, move to their homes in the larger one.
+    /// run words and minima, move to their homes in the larger one.
     #[cold]
     #[inline(never)]
     fn grow(&mut self, epoch: u32) {
         let len = (2 * self.entries.len()).min(1 << self.s_h_bits);
-        let entries = std::mem::replace(&mut self.entries, (0..len).map(|_| Entry::new()).collect());
-        let runs = if self.runs.is_empty() { Vec::new() } else { vec![[UNSTAMPED; 2]; len] };
+        let entries = std::mem::replace(&mut self.entries, entry_table(len));
+        let runs = if self.runs.is_empty() { Vec::new() } else { vec![Runs::FREE; len] };
         let runs = std::mem::replace(&mut self.runs, runs);
         for (p, entry) in entries.into_iter().enumerate() {
             if stamped_in(entry.key, epoch) {
@@ -236,22 +267,10 @@ impl Claimed {
         }
     }
 
-    /// Slots `1..s_u` of entry `p`'s `record`, if it was handed a run this
-    /// epoch (none of them registered otherwise).
-    fn run(&self, p: usize, record: Record, epoch: u32) -> &[SimAtomicU64] {
-        match self.runs.get(p).map(|r| r[record as usize]) {
-            Some(w) if stamped_in(w, epoch) => {
-                let at = (w & TID_MASK) as usize * self.unit;
-                &self.arena[at..at + self.unit]
-            }
-            _ => &[],
-        }
-    }
-
     /// Slots `1..s_u` of entry `p`'s `record`, handed out on first use
     /// this epoch.
     fn run_or_take(&mut self, p: usize, record: Record, epoch: u32) -> &mut [SimAtomicU64] {
-        let word = &mut self.runs[p][record as usize];
+        let word = &mut self.runs[p].run[record as usize];
         if !stamped_in(*word, epoch) {
             *word = stamp(epoch, self.units);
             self.units += 1;
@@ -296,8 +315,43 @@ pub struct TableLog {
     /// serial per-lane loop. Timing-only: claims, registrations and
     /// minima are identical either way.
     ballot: Option<usize>,
+    /// The light cycles of one detection scan of a bucket, and the
+    /// shuffle steps that fold it under ballot probing: priced once per
+    /// geometry and probing mode.
+    scan: (f64, Option<u32>),
     /// What the current epoch claimed.
     claimed: Claimed,
+}
+
+/// Where a registration settled: the constituent log, the modelled bucket
+/// its key owns there, and that bucket's position in the key's probe run.
+/// The detect kernel carries it and finds the bucket with one lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Settled {
+    log: u16,
+    bucket: u32,
+    probe: u32,
+}
+
+/// A bucket a registration settled on, looked up for detection: its
+/// records are read without another lookup.
+pub(crate) struct Found<'a> {
+    log: &'a TableLog,
+    entry: usize,
+    probe: usize,
+    epoch: u32,
+}
+
+impl Found<'_> {
+    /// Minimum TID in `record` of the bucket, charged as the by-key lookup
+    /// is: the probe run up to the bucket, then the record.
+    #[inline]
+    pub(crate) fn min(&self, lane: &mut Lane<'_>, record: Record) -> Option<u64> {
+        for i in 0..=self.probe {
+            self.log.charge_probe(lane, i);
+        }
+        self.log.min_of(lane, self.entry, record, self.epoch)
+    }
 }
 
 /// `(s_h, s_u)` as a log holds them: at least 16 buckets, a power of two,
@@ -327,6 +381,16 @@ fn sized_geometry(
     (s_h, s_u)
 }
 
+/// What one detection scan of an `s_u`-slot bucket charges: a streaming
+/// read of `s_u` words by one lane, or under ballot probing a `ws`-slot
+/// stride per step folded by a log₂(ws) shuffle-XOR tree.
+fn scan_price(s_u: usize, ballot: Option<usize>) -> (f64, Option<u32>) {
+    match ballot {
+        None => (4.0 * s_u as f64, None),
+        Some(ws) => (4.0 * (s_u as f64 / ws as f64).ceil(), Some((ws as u32).max(2).ilog2())),
+    }
+}
+
 impl TableLog {
     /// Create a log with `s_h` buckets (rounded up to a power of two) of
     /// `s_u` slots each.
@@ -338,6 +402,7 @@ impl TableLog {
             s_u,
             accesses: 0,
             ballot: None,
+            scan: scan_price(s_u, None),
             claimed: Claimed::new(s_h.min(PHYSICAL_FLOOR), s_h, s_u),
         }
     }
@@ -346,6 +411,7 @@ impl TableLog {
     /// warp size. Returns `self` for builder-style use.
     pub fn with_ballot_probe(mut self, warp_size: usize) -> Self {
         self.ballot = (warp_size > 1).then_some(warp_size);
+        self.scan = scan_price(self.s_u, self.ballot);
         self
     }
 
@@ -380,6 +446,7 @@ impl TableLog {
     fn remodel(&mut self, (s_h, s_u): (usize, usize)) {
         (self.s_h, self.s_u) = normalized(s_h, s_u);
         self.mask = self.s_h - 1;
+        self.scan = scan_price(self.s_u, self.ballot);
         self.clear();
     }
 
@@ -432,8 +499,13 @@ impl TableLog {
     /// Prefetch the entry `key`'s home bucket would live in.
     #[inline]
     fn touch(&self, key: i64) {
-        let home = self.claimed.home(mix_key(key) as usize & self.mask);
-        ltpg_storage::hint::prefetch(&self.claimed.entries[home].key);
+        self.touch_bucket(mix_key(key) as usize & self.mask);
+    }
+
+    /// Prefetch the entry modelled bucket `b` is first looked for in.
+    #[inline]
+    fn touch_bucket(&self, b: usize) {
+        ltpg_storage::hint::prefetch(&self.claimed.entries[self.claimed.home(b)].key);
     }
 
     /// Charge the inspection of bucket `i` of a probe run.
@@ -474,25 +546,26 @@ impl TableLog {
     }
 
     /// The entry of the bucket `key` owns in `epoch`, claiming the first
-    /// stale or empty bucket of its probe run if it owns none. `None`: the
-    /// log is exhausted.
-    fn claim_bucket(&mut self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<usize> {
+    /// stale or empty bucket of its probe run if it owns none, with that
+    /// bucket and its probe position. `None`: the log is exhausted.
+    fn claim_bucket(&mut self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<(usize, usize, usize)> {
         let h = mix_key(key);
         let (tag_val, start) = (encode(epoch, h & TID_MASK), h as usize & self.mask);
         for i in 0..self.s_h {
             self.charge_probe(lane, i);
-            let p = self.claimed.claim((start + i) & self.mask, epoch);
+            let b = (start + i) & self.mask;
+            let p = self.claimed.claim(b, epoch);
             let tag = &mut self.claimed.entries[p].tag;
             let cur = tag.load();
             if cur == tag_val {
-                return Some(p); // our key owns this bucket
+                return Some((p, b, i)); // our key owns this bucket
             }
             if decode(cur, epoch).is_none() {
                 // Stale or empty: claim it for this key. Its stale slots
                 // self-neutralize via epoch encoding.
                 let won = lane.atomic_cas_u64(tag, cur, tag_val);
                 debug_assert_eq!(won, Ok(cur));
-                return Some(p);
+                return Some((p, b, i));
             }
         }
         // Log exhausted: the caller treats a failed registration as a
@@ -500,36 +573,63 @@ impl TableLog {
         None
     }
 
-    fn register(&mut self, lane: &mut Lane<'_>, record: Record, key: i64, tid: u64, epoch: u32) -> bool {
+    /// Register `tid` in `record` of the bucket `key` owns: the modelled
+    /// bucket and probe position it settled on, or `None` when the log is
+    /// exhausted.
+    fn register(
+        &mut self,
+        lane: &mut Lane<'_>,
+        record: Record,
+        key: i64,
+        tid: u64,
+        epoch: u32,
+    ) -> Option<(usize, usize)> {
         self.accesses += 1;
-        let Some(p) = self.claim_bucket(lane, key, epoch) else { return false };
+        let (p, b, probe) = self.claim_bucket(lane, key, epoch)?;
         let claimed = &mut self.claimed;
         claimed.entries[p].mark[record as usize] = epoch;
+        let value = encode(epoch, tid);
         // Large-sized buckets re-hash by TID (paper: h(key) = TID mod s_u).
         let slot = match tid as usize % self.s_u {
             0 => &mut claimed.entries[p].slot0[record as usize],
             s => &mut claimed.run_or_take(p, record, epoch)[s - 1],
         };
-        lane.atomic_min_u64(slot, encode(epoch, tid));
-        true
+        lane.atomic_min_u64(slot, value);
+        if let Some(runs) = claimed.runs.get_mut(p) {
+            let min = &mut runs.min[record as usize];
+            *min = (*min).min(value);
+        }
+        Some((b, probe))
     }
 
     /// Register a read by `tid` against `key`. Returns `false` when the
     /// log is exhausted (caller must abort the transaction).
     #[must_use]
     pub fn register_read(&mut self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
-        self.register(lane, Record::Reads, key, tid, epoch)
+        self.register(lane, Record::Reads, key, tid, epoch).is_some()
     }
 
     /// Register a write by `tid` against `key`. Returns `false` when the
     /// log is exhausted (caller must abort the transaction).
     #[must_use]
     pub fn register_write(&mut self, lane: &mut Lane<'_>, key: i64, tid: u64, epoch: u32) -> bool {
-        self.register(lane, Record::Writes, key, tid, epoch)
+        self.register(lane, Record::Writes, key, tid, epoch).is_some()
     }
 
-    fn min_of(&self, lane: &mut Lane<'_>, record: Record, key: i64, epoch: u32) -> Option<u64> {
-        let p = self.bucket_of(lane, key, epoch)?;
+    /// The bucket a registration in `epoch` settled on, at probe position
+    /// `probe` of its key's run: one lookup, charged nothing.
+    #[inline]
+    fn found(&self, bucket: usize, probe: usize, epoch: u32) -> Found<'_> {
+        let entry = self.claimed.find(bucket, epoch).expect("a settled bucket holds an entry all epoch");
+        Found { log: self, entry, probe, epoch }
+    }
+
+    /// Minimum TID in `record` of the bucket entry `p` holds. The device
+    /// checks the record's one-word summary, then scans the bucket's `s_u`
+    /// slots; the host reads slot 0 of a standard bucket, and a large
+    /// bucket's running minimum.
+    #[inline]
+    fn min_of(&self, lane: &mut Lane<'_>, p: usize, record: Record, epoch: u32) -> Option<u64> {
         let entry = &self.claimed.entries[p];
         // One-word summary check first: untouched buckets cost one cached
         // log read (the conflict log is hot in L2 during detection).
@@ -537,32 +637,32 @@ impl TableLog {
         if entry.mark[record as usize] != epoch {
             return None;
         }
-        match self.ballot {
-            // Scanning the bucket is a streaming read of s_u contiguous
-            // words, one lane walking them serially.
-            None => lane.charge_light(4.0 * self.s_u as f64),
-            // Cooperative scan: the warp strides the bucket `ws` slots per
-            // step, then folds the per-lane minima with a log₂(ws)
-            // shuffle-XOR tree reduction.
-            Some(ws) => {
-                lane.charge_light(4.0 * (self.s_u as f64 / ws as f64).ceil());
-                lane.warp_shuffle((ws as u32).max(2).ilog2());
-            }
+        let (scan, fold) = self.scan;
+        lane.charge_light(scan);
+        if let Some(steps) = fold {
+            lane.warp_shuffle(steps);
         }
-        std::iter::once(&entry.slot0[record as usize])
-            .chain(self.claimed.run(p, record, epoch))
-            .filter_map(|s| decode(s.load(), epoch))
-            .min()
+        let min = match self.claimed.runs.get(p) {
+            Some(runs) => runs.min[record as usize],
+            None => entry.slot0[record as usize].load(),
+        };
+        decode(min, epoch)
+    }
+
+    /// Minimum TID in `record` of the bucket `key` owns in `epoch`.
+    fn min_by_key(&self, lane: &mut Lane<'_>, record: Record, key: i64, epoch: u32) -> Option<u64> {
+        let p = self.bucket_of(lane, key, epoch)?;
+        self.min_of(lane, p, record, epoch)
     }
 
     /// Minimum read TID recorded for `key` this epoch.
     pub fn min_read(&self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<u64> {
-        self.min_of(lane, Record::Reads, key, epoch)
+        self.min_by_key(lane, Record::Reads, key, epoch)
     }
 
     /// Minimum write TID recorded for `key` this epoch.
     pub fn min_write(&self, lane: &mut Lane<'_>, key: i64, epoch: u32) -> Option<u64> {
-        self.min_of(lane, Record::Writes, key, epoch)
+        self.min_by_key(lane, Record::Writes, key, epoch)
     }
 }
 
@@ -744,24 +844,45 @@ impl ConflictLog {
         log.touch(key);
     }
 
-    /// Register `tid` against `cell` in every record `check` names.
-    /// `false` = log exhausted, abort the transaction; the remaining
-    /// records are still registered (extra TIDs only ever add conflicts).
-    #[must_use]
-    pub fn register(&mut self, lane: &mut Lane<'_>, cell: Cell, check: Check, tid: u64) -> bool {
-        let (log, key) = self.locate(cell);
-        let (log, epoch) = (&mut self.logs[log], self.epoch);
-        let mut registered = true;
-        for &record in check.records() {
-            registered &= log.register(lane, record, key, tid, epoch);
-        }
-        registered
+    /// Prefetch the entry a registration settled on, as [`Self::touch`]
+    /// does for a cell.
+    #[inline]
+    pub(crate) fn touch_settled(&self, at: Settled) {
+        self.logs[usize::from(at.log)].touch_bucket(at.bucket as usize);
     }
 
-    /// Minimum TID registered in `record` of `cell` this batch.
+    /// Register `tid` against `cell` in every record `check` names, and
+    /// return where it settled. `None` = log exhausted, abort the
+    /// transaction; the remaining records are still registered (extra TIDs
+    /// only ever add conflicts).
+    #[must_use]
+    pub fn register(&mut self, lane: &mut Lane<'_>, cell: Cell, check: Check, tid: u64) -> Option<Settled> {
+        let (log, key) = self.locate(cell);
+        let (table_log, epoch) = (&mut self.logs[log], self.epoch);
+        let mut settled = Some((0, 0));
+        for &record in check.records() {
+            // Every record of one key settles on the same bucket.
+            let at = table_log.register(lane, record, key, tid, epoch);
+            settled = settled.and(at);
+        }
+        let (bucket, probe) = settled?;
+        Some(Settled { log: log as u16, bucket: bucket as u32, probe: probe as u32 })
+    }
+
+    /// The bucket a registration of this batch settled on, looked up once
+    /// for both its records. Charges nothing: [`Found::min`] charges the
+    /// probe run.
+    #[inline]
+    pub(crate) fn found(&self, at: Settled) -> Found<'_> {
+        self.logs[usize::from(at.log)].found(at.bucket as usize, at.probe as usize, self.epoch)
+    }
+
+    /// Minimum TID registered in `record` of `cell` this batch, found by
+    /// walking `cell`'s probe run: for a caller that holds no
+    /// [`Settled`] (the detect kernel carries one).
     pub fn min(&self, lane: &mut Lane<'_>, cell: Cell, record: Record) -> Option<u64> {
         let (log, key) = self.route(cell);
-        log.min_of(lane, record, key, self.epoch)
+        log.min_by_key(lane, record, key, self.epoch)
     }
 
     /// Memory occupancy report (paper Table VIII): the row logs, then the
@@ -832,7 +953,7 @@ mod tests {
         assert_eq!(TableLog::new(64, 32).bytes(), 64 * (16 + 16 + 2 * 32 * 16));
         let big = TableLog::new(1 << 20, 512);
         assert_eq!(big.bytes(), (1 << 20) * (16 + 16 + 2 * 512 * 16));
-        assert_eq!(big.resident_bytes(), (PHYSICAL_FLOOR * (64 + 16)) as u64, "nothing claimed yet");
+        assert_eq!(big.resident_bytes(), (PHYSICAL_FLOOR * (64 + 32)) as u64, "nothing claimed yet");
     }
 
     #[test]
@@ -939,6 +1060,104 @@ mod tests {
         assert!(quiet.iter().all(|&len| len == grown), "a quieter epoch must not shrink the table");
         assert_eq!(log.claimed.entries.as_ptr(), at, "a quieter epoch must not rebuild the table");
         assert!(log.resident_bytes() < log.bytes() / 8);
+    }
+
+    /// The by-key lookup as it was before detection carried buckets: the
+    /// walk of `key`'s probe run, then the record's summary check and a
+    /// scan of every slot of the bucket, charged as the scan was priced.
+    fn scanned_min(log: &TableLog, lane: &mut Lane<'_>, record: Record, key: i64, epoch: u32) -> Option<u64> {
+        let p = log.bucket_of(lane, key, epoch)?;
+        let entry = &log.claimed.entries[p];
+        lane.charge_light(12.0);
+        if entry.mark[record as usize] != epoch {
+            return None;
+        }
+        match log.ballot {
+            None => lane.charge_light(4.0 * log.s_u as f64),
+            Some(ws) => {
+                lane.charge_light(4.0 * (log.s_u as f64 / ws as f64).ceil());
+                lane.warp_shuffle((ws as u32).max(2).ilog2());
+            }
+        }
+        let claimed = &log.claimed;
+        let run = match claimed.runs.get(p).map(|r| r.run[record as usize]) {
+            Some(w) if stamped_in(w, epoch) => {
+                let at = (w & TID_MASK) as usize * claimed.unit;
+                &claimed.arena[at..at + claimed.unit]
+            }
+            _ => &[],
+        };
+        std::iter::once(&entry.slot0[record as usize]).chain(run).filter_map(|s| decode(s.load(), epoch)).min()
+    }
+
+    /// Every registration's carried bucket finds what the by-key lookup
+    /// found, charged the same to the bit: after the table grew under the
+    /// registrations (3 000 claims of 8 192 buckets), at probe positions
+    /// past 1 and past the ballot width (a 64-bucket log filled to
+    /// exhaustion), with one, 32 and 512 slots per bucket — where the
+    /// running minimum must equal the slot scan, slot 0 included — and
+    /// across the wrap of the epoch space, which must reset the minima. It
+    /// fails if an item carries the entry's position instead of its
+    /// modelled bucket, or if a registration into slot 0 skips the minimum.
+    #[test]
+    fn a_carried_bucket_finds_what_the_key_walk_found() {
+        let mut device = Device::new(DeviceConfig::default());
+        let (mut grew, mut far, mut near) = (false, false, false);
+        for (s_h, keys, s_u, ballot) in [
+            (1 << 13, 3_000u64, 1, true),
+            (1 << 13, 3_000, 32, true),
+            (1 << 13, 3_000, 512, false),
+            (64, 80, 1, true),
+            (64, 80, 32, false),
+            (64, 80, 512, true),
+        ] {
+            let mut log = TableLog::new(s_h, s_u);
+            if ballot {
+                log = log.with_ballot_probe(32);
+            }
+            let first = log.claimed.entries.len();
+            // Two epochs below the top of the epoch space, then the wrap.
+            for epoch in [LAST_EPOCH - 1, LAST_EPOCH, 1, 2] {
+                if epoch == 1 {
+                    log.clear();
+                }
+                let at = format!("s_h {s_h}, s_u {s_u}, ballot {ballot}, epoch {epoch}");
+                // Three passes over the keys, TIDs falling: every slot a
+                // registration lands in, slot 0 too, takes a new minimum.
+                // A stale minimum of the epoch before the wrap encodes
+                // smaller than any fresh one, and would hide it.
+                let ops: Vec<(i64, u64, Record)> = (0..3 * keys)
+                    .map(|i| {
+                        let record = if i % 3 == 0 { Record::Writes } else { Record::Reads };
+                        ((i * 7_919 % keys) as i64, 3 * keys - i, record)
+                    })
+                    .collect();
+                let mut settled = Vec::new();
+                device.launch("register", &ops, |lane, &(key, tid, record)| {
+                    if let Some(at) = log.register(lane, record, key, tid, epoch) {
+                        settled.push((key, at));
+                    }
+                });
+                assert!(settled.len() < ops.len() || s_h > 64, "{at}: the small log must run out");
+                grew |= log.claimed.entries.len() > first;
+                far |= settled.iter().any(|&(_, (_, probe))| probe >= 32);
+                near |= settled.iter().any(|&(_, (_, probe))| (1..32).contains(&probe));
+                let both = |min: &mut dyn FnMut(Record) -> Option<u64>| [min(Record::Reads), min(Record::Writes)];
+                let mut walked = Vec::new();
+                let by_key = device.launch("by key", &settled, |lane, &(key, _)| {
+                    walked.push(both(&mut |record| scanned_min(&log, lane, record, key, epoch)));
+                });
+                let mut carried = Vec::new();
+                let found = device.launch("carried", &settled, |lane, &(_, (bucket, probe))| {
+                    let found = log.found(bucket, probe, epoch);
+                    carried.push(both(&mut |record| found.min(lane, record)));
+                });
+                assert_eq!(carried, walked, "{at}: minima");
+                assert_eq!(found.sim_ns.to_bits(), by_key.sim_ns.to_bits(), "{at}: sim_ns");
+                log.settle();
+            }
+        }
+        assert!(grew && far && near, "grew {grew}, a probe past the ballot width {far}, one within it {near}");
     }
 
     #[test]
@@ -1130,7 +1349,7 @@ mod tests {
                 .collect();
             let mut landed = Vec::new();
             device.launch("register", &ops, |lane, &(key, tid)| {
-                landed.push(log.register(lane, cell(key), Check::Write, tid));
+                landed.push(log.register(lane, cell(key), Check::Write, tid).is_some());
             });
             assert_eq!(landed, expected, "exhaustion in batch {batch}");
             exhausted += landed.iter().filter(|ok| !**ok).count();

@@ -36,7 +36,7 @@ use ltpg_txn::group::{arrival_order, order_by_proc};
 use ltpg_txn::{Batch, BatchEngine, BatchReport, Txn};
 
 use crate::config::{CommutativeMask, LtpgConfig};
-use crate::conflict::ConflictLog;
+use crate::conflict::{ConflictLog, Settled};
 use crate::footprint::{self, conflict_flags, mutation_cells, read_cell, Cell, Check};
 use crate::stats::{LtpgBatchStats, ReportWithStats};
 
@@ -386,33 +386,71 @@ fn committed_plans<'a>(
     plans.values_mut(lane_order.len()).zip(lane_order).filter(|(_, &idx)| committed[idx]).map(|(plan, _)| &*plan)
 }
 
-/// One conflict-detection work item: one cell of one transaction's
-/// footprint.
+/// One conflict-detection work item: one owned cell of one transaction's
+/// footprint, as the bucket its registration settled on. A transaction's
+/// k-th item is its k-th owned cell in [`footprint::walk`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DetectItem {
-    cell: Cell,
     txn: u32,
     check: Check,
+    at: Settled,
 }
 
-/// Lay the lanes' detect items out as the detect kernel's dense work
-/// array, in lane index order. With `split_checks` the read checks of every
-/// lane come first and the write checks after them (rcheck warps and
-/// wcheck warps, Algorithm 1 lines 13–16). A lane emits its reads before
-/// its writes, so this is the order a stable sort on `check.is_write()`
-/// over the concatenation gives, from two slice copies per lane.
-fn flatten_detect_items(lanes: &[Vec<DetectItem>], split_checks: bool, items: &mut Vec<DetectItem>) {
-    items.clear();
-    if !split_checks {
-        lanes.iter().for_each(|lane| items.extend_from_slice(lane));
-        return;
+/// The detect items the execute lanes emit, staged in one buffer in lane
+/// order, and where each transaction's sit in it. Both are kept, with
+/// their capacity, from batch to batch.
+#[derive(Default)]
+struct StagedItems {
+    items: Vec<DetectItem>,
+    /// Per transaction (batch order): its items' span in `items`.
+    spans: Vec<Span>,
+}
+
+/// One transaction's detect items in [`StagedItems::items`]: `len` from
+/// `start`, the first `reads` of them read checks.
+#[derive(Debug, Default, Clone, Copy)]
+struct Span {
+    start: u32,
+    reads: u32,
+    len: u32,
+}
+
+impl StagedItems {
+    /// Start a batch of `n` transactions: nothing staged, every span empty.
+    fn reset(&mut self, n: usize) {
+        self.items.clear();
+        self.spans.clear();
+        self.spans.resize(n, Span::default());
     }
-    let reads_of = |lane: &[DetectItem]| lane.partition_point(|i| !i.check.is_write());
-    for lane in lanes {
-        items.extend_from_slice(&lane[..reads_of(lane)]);
+
+    /// Close transaction `txn`'s items, staged from `start` on: kept as its
+    /// span, or dropped when `keep` is false.
+    fn close(&mut self, txn: usize, start: usize, keep: bool) {
+        if !keep {
+            self.items.truncate(start);
+            return;
+        }
+        let own = &self.items[start..];
+        let reads = own.partition_point(|i| !i.check.is_write());
+        self.spans[txn] = Span { start: start as u32, reads: reads as u32, len: own.len() as u32 };
     }
-    for lane in lanes {
-        items.extend_from_slice(&lane[reads_of(lane)..]);
+
+    /// Lay the staged items out as the detect kernel's dense work array, in
+    /// transaction order. With `split_checks` the read checks of every
+    /// transaction come first and the write checks after them (rcheck warps
+    /// and wcheck warps, Algorithm 1 lines 13–16). A lane emits its reads
+    /// before its writes, so this is the order a stable sort on
+    /// `check.is_write()` over the concatenation gives, from two slice
+    /// copies per transaction.
+    fn flatten(&self, split_checks: bool, out: &mut Vec<DetectItem>) {
+        out.clear();
+        let span = |s: &Span, from: u32, to: u32| &self.items[(s.start + from) as usize..(s.start + to) as usize];
+        if !split_checks {
+            self.spans.iter().for_each(|s| out.extend_from_slice(span(s, 0, s.len)));
+            return;
+        }
+        self.spans.iter().for_each(|s| out.extend_from_slice(span(s, 0, s.reads)));
+        self.spans.iter().for_each(|s| out.extend_from_slice(span(s, s.reads, s.len)));
     }
 }
 
@@ -484,9 +522,8 @@ struct EngineScratch {
     /// buffers for the next batch's lane in that slot.
     plans: PreSlots<LanePlan>,
     items: Vec<DetectItem>,
-    /// One buffer per execute lane for the detect items it emits, kept
-    /// (with its capacity) from batch to batch.
-    lane_items: Vec<Vec<DetectItem>>,
+    /// The detect items the execute lanes emit, in lane order.
+    staged: StagedItems,
     tids: Vec<u64>,
     committed_flags: Vec<bool>,
     /// Committed inserts per table of the batch being finished.
@@ -705,10 +742,8 @@ impl LtpgEngine {
         tids.extend(batch.txns.iter().map(|t| t.tid.0));
         // Each execute lane emits its detect items as it registers, so no
         // second scan of the access sets runs between execute and detect.
-        let mut lane_items = std::mem::take(&mut self.scratch.lane_items);
-        if lane_items.len() < n {
-            lane_items.resize_with(n, Vec::new);
-        }
+        let mut staged = std::mem::take(&mut self.scratch.staged);
+        staged.reset(n);
 
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
         self.device.check_alive()?;
@@ -738,8 +773,6 @@ impl LtpgEngine {
         let exec_report = self.device.launch_with_pre("execute", n, &mut plans, plan_lane, |lane, plan| {
             let idx = lane_order[lane.global_id];
             let txn = &batch.txns[idx];
-            let local_items = &mut lane_items[idx];
-            local_items.clear();
             lane.branch(u32::from(txn.proc.0));
             lane.charge_alu(txn.ops.len() as u32);
             lane.charge_cycles(lane_proc_overhead);
@@ -761,28 +794,28 @@ impl LtpgEngine {
             // a bucket that is rarely in cache, and the next one depends on
             // what it found. So the lane first loads the home bucket of
             // every cell it is about to register, back to back: the misses
-            // overlap. The walk also counts the items the lane will emit,
-            // so that its item buffer is sized to the most it has held.
-            let mut cells = 0;
+            // overlap.
             footprint::walk(db, reads, normal, |cell, _| {
                 if owns(cell) {
                     log.touch(cell);
-                    cells += 1;
                 }
             });
-            local_items.reserve_exact(cells);
             // Then, per operation, the snapshot read (readMem) and the
             // local-set write (recordLS) are charged, and per owned cell the
-            // TID is registered (recordTID) and the detect item emitted —
-            // the item array is the local set laid out linearly, so emission
-            // rides the recordLS writes. A failed registration means the log
-            // ran out of buckets: the walk goes on (registered TIDs only
-            // ever *add* conflicts) and the transaction aborts below.
+            // TID is registered (recordTID) and the detect item emitted,
+            // carrying the bucket the registration settled on — the item
+            // array is the local set laid out linearly, so emission rides
+            // the recordLS writes. A failed registration means the log ran
+            // out of buckets: the walk goes on (registered TIDs only ever
+            // *add* conflicts) and the transaction aborts below.
+            let start = staged.items.len();
             let mut registered = true;
             let mut register = |lane: &mut _, cell: Cell, check: Check| {
                 if owns(cell) {
-                    registered &= log.register(lane, cell, check, tid);
-                    local_items.push(DetectItem { cell, txn: idx as u32, check });
+                    match log.register(lane, cell, check, tid) {
+                        Some(at) => staged.items.push(DetectItem { txn: idx as u32, check, at }),
+                        None => registered = false,
+                    }
                 }
             };
             for r in reads {
@@ -794,10 +827,9 @@ impl LtpgEngine {
                 lane.write_global(2);
                 mutation_cells(db, m, |cell, check| register(lane, cell, check));
             }
+            // A force-aborted lane's items must not reach the detect kernel.
+            staged.close(idx, start, registered);
             if !registered {
-                // Force-abort: this lane's items must not reach the detect
-                // kernel.
-                local_items.clear();
                 lane.atomic_or_u32(&mut flags[idx], flag::LOG_FULL);
             }
         });
@@ -809,8 +841,8 @@ impl LtpgEngine {
         // ---- Phase 2: conflict detection. ----
         // Items were emitted inline during execute.
         let mut items = std::mem::take(&mut self.scratch.items);
-        flatten_detect_items(&lane_items[..n], self.cfg.opts.warp_division, &mut items);
-        self.scratch.lane_items = lane_items;
+        staged.flatten(self.cfg.opts.warp_division, &mut items);
+        self.scratch.staged = staged;
 
         // ---- Simulated device-side buffer (re)allocation. ----
         // Only growth past a high watermark allocates — zero events in
@@ -833,6 +865,7 @@ impl LtpgEngine {
         }
         self.device.check_alive()?;
         let host_at = Instant::now();
+        let log = &self.log;
         let detect_report = self.device.launch("conflict_d", &items, |lane, item| {
             if lane.lane_id == 0 {
                 // The checks' buckets are prefetched a warp ahead: lane 0
@@ -841,7 +874,7 @@ impl LtpgEngine {
                 let at = lane.global_id;
                 let end = (at + 2 * warp_lanes).min(items.len());
                 let ahead = if at == 0 { 0 } else { (at + warp_lanes).min(end) };
-                items[ahead..end].iter().for_each(|it| self.log.touch(it.cell));
+                items[ahead..end].iter().for_each(|it| log.touch_settled(it.at));
             }
             lane.branch(u32::from(item.check.is_write()));
             // Work-item fetch: the items sit in the dense array execute
@@ -850,11 +883,14 @@ impl LtpgEngine {
             // TID fetch: coalesced from the SoA TID array.
             lane.read_global(1);
             let word = &mut flags[item.txn as usize];
+            // The bucket the registration settled on, found once for both
+            // of a write check's records; each probe charges its run.
+            let bucket = log.found(item.at);
             conflict_flags(
                 lane,
                 item.check,
                 tids[item.txn as usize],
-                |lane, record| self.log.min(lane, item.cell, record),
+                |lane, record| bucket.min(lane, record),
                 |lane, bit| {
                     lane.atomic_or_u32(word, bit);
                 },
@@ -1911,44 +1947,57 @@ mod tests {
         assert_eq!(run(Some(LAST_EPOCH - 3)), run(None));
     }
 
-    /// The detect work array is laid out without a sort: on a mixed TPC-C
-    /// batch it must still be exactly the stable `sort_by_key(is_write)` of
-    /// the lane-ordered items when the checks are split (warp division
-    /// on), and the lane-ordered items themselves when they are not.
+    /// The detect work array is laid out without a sort, from items staged
+    /// in lane order: on a mixed TPC-C batch whose lanes run in procedure
+    /// order, with every fifth lane's items dropped as a force-aborted
+    /// lane's are, it must be exactly the kept transactions' items in batch
+    /// order when the checks are not split, and their stable
+    /// `sort_by_key(is_write)` when they are (warp division on).
     #[test]
     fn flatten_order_is_the_stable_partition_by_is_write() {
+        use ltpg_gpu_sim::DeviceConfig;
         use ltpg_workloads::{TpccConfig, TpccGenerator};
         let (db, _tables, mut gen) = TpccGenerator::new(TpccConfig::new(2, 50).with_headroom(4_096));
         let mut tids = TidGen::new();
         let batch = Batch::assemble(vec![], gen.gen_batch(256), &mut tids);
-        let lanes: Vec<Vec<DetectItem>> = batch
-            .txns
-            .iter()
-            .enumerate()
-            .map(|(idx, txn)| {
-                let fx = execute_speculative(&db, txn).unwrap();
-                let mut lane = Vec::new();
-                footprint::walk(&db, &fx.reads, &fx.mutations, |cell, check| {
-                    lane.push(DetectItem { cell, txn: idx as u32, check })
-                });
-                lane
-            })
-            .collect();
-        let lane_ordered: Vec<DetectItem> = lanes.iter().flatten().copied().collect();
+        let lane_order = order_by_proc(&batch);
+        assert_ne!(lane_order, arrival_order(&batch), "lanes must run out of batch order");
+        let mut log = ConflictLog::new(&db, &LtpgConfig::default());
+        log.begin_batch();
+        let mut staged = StagedItems::default();
+        staged.reset(batch.len());
+        let mut kept = vec![Vec::new(); batch.len()];
+        Device::new(DeviceConfig::default()).launch_indexed("stage", batch.len(), |lane| {
+            let idx = lane_order[lane.global_id];
+            let txn = &batch.txns[idx];
+            let fx = execute_speculative(&db, txn).unwrap();
+            let start = staged.items.len();
+            footprint::walk(&db, &fx.reads, &fx.mutations, |cell, check| {
+                let at = log.register(lane, cell, check, txn.tid.0).expect("the log has room");
+                staged.items.push(DetectItem { txn: idx as u32, check, at });
+            });
+            let keep = lane.global_id % 5 != 4;
+            if keep {
+                kept[idx] = staged.items[start..].to_vec();
+            }
+            staged.close(idx, start, keep);
+        });
+        let batch_ordered: Vec<DetectItem> = kept.iter().flatten().copied().collect();
         let is_write = |i: &DetectItem| i.check.is_write();
-        assert!(lane_ordered.iter().any(is_write) && !lane_ordered.iter().all(is_write));
+        assert!(batch_ordered.iter().any(is_write) && !batch_ordered.iter().all(is_write));
         assert!(
-            lane_ordered.iter().any(|i| i.check == Check::MarkerWrite),
+            batch_ordered.iter().any(|i| i.check == Check::MarkerWrite),
             "NewOrder inserts guard membership"
         );
+        assert_eq!(staged.items.len(), batch_ordered.len(), "a dropped lane's items are gone");
 
-        let mut items = vec![lane_ordered[0]; 3]; // stale content must be cleared
-        flatten_detect_items(&lanes, false, &mut items);
-        assert_eq!(items, lane_ordered);
+        let mut items = vec![batch_ordered[0]; 3]; // stale content must be cleared
+        staged.flatten(false, &mut items);
+        assert_eq!(items, batch_ordered);
 
-        let mut sorted = lane_ordered;
+        let mut sorted = batch_ordered;
         sorted.sort_by_key(is_write);
-        flatten_detect_items(&lanes, true, &mut items);
+        staged.flatten(true, &mut items);
         assert_eq!(items, sorted);
     }
 

@@ -489,7 +489,10 @@ impl Device {
                 }
             });
             drop(stopping);
-            let joined: Result<(), _> = handles.into_iter().try_for_each(|h| h.join());
+            // Join every helper, keeping the first panic: a helper left
+            // unjoined that panicked makes the scope panic with a payload of
+            // its own, and the helper's would be lost.
+            let joined: Result<(), _> = handles.into_iter().map(|h| h.join()).fold(Ok(()), Result::and);
             joined.map(|()| report)
         });
         self.stats.helper_lanes += helper_lanes;

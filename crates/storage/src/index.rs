@@ -28,6 +28,7 @@
 //! they happen. A placeholder nobody reserves fills in place.
 
 use crate::table::RowId;
+use crate::hint;
 use crate::zeroed::{copy_to_fresh, stored, zeroed, Zeroed};
 
 /// Stored key of a slot never used: the zero word (key `i64::MIN`).
@@ -68,6 +69,15 @@ impl Slot {
     fn row(self) -> RowId {
         RowId(self.rid - 1)
     }
+}
+
+/// `n` empty slots from `alloc_zeroed`, advised onto huge pages before any
+/// is written: lookups and inserts land on random slots, and a large index
+/// would otherwise take a TLB miss on most of them.
+fn slot_array(n: usize) -> Box<[Slot]> {
+    let slots = zeroed(n);
+    hint::huge_pages(&slots);
+    slots
 }
 
 /// Error returned when inserting a key that is already present.
@@ -113,7 +123,7 @@ impl PrimaryIndex {
     /// before any insert lays it out for the count it is given. A fresh
     /// table makes one for its whole schema capacity.
     pub fn with_capacity(expected: usize) -> Self {
-        PrimaryIndex::over(zeroed(slots_for(expected)), true)
+        PrimaryIndex::over(slot_array(slots_for(expected)), true)
     }
 
     /// An empty index laid out for `keys` keys: the shard cut's index,
@@ -124,7 +134,7 @@ impl PrimaryIndex {
 
     /// An empty index of `n` slots (a power of two), laid out.
     fn laid_out(n: usize) -> Self {
-        let mut index = PrimaryIndex::over(zeroed(n), true);
+        let mut index = PrimaryIndex::over(slot_array(n), true);
         index.lay_out();
         index
     }
@@ -336,7 +346,7 @@ impl PrimaryIndex {
     /// cache misses overlap.
     pub(crate) fn rebuilt(slots: usize, unlaid: bool, keys: &[i64]) -> Self {
         if unlaid {
-            return PrimaryIndex::over(zeroed(slots), true);
+            return PrimaryIndex::over(slot_array(slots), true);
         }
         let mut index = PrimaryIndex::laid_out(slots);
         const GROUP: usize = 32;
@@ -377,7 +387,7 @@ impl PrimaryIndex {
 /// nothing copied.
 impl Clone for PrimaryIndex {
     fn clone(&self) -> Self {
-        let mut copy = PrimaryIndex::over(zeroed(self.slots.len()), self.placeholder);
+        let mut copy = PrimaryIndex::over(slot_array(self.slots.len()), self.placeholder);
         if self.used() > 0 {
             copy_to_fresh(&mut copy.slots, &self.slots);
             (copy.len, copy.tombstones) = (self.len, self.tombstones);

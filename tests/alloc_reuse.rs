@@ -259,6 +259,40 @@ fn a_steady_state_conflict_log_holds_what_its_batches_claim() {
     assert!(ycsb <= 16.0, "YCSB-A: {ycsb:.1} MiB resident");
 }
 
+/// The huge-page advice lands: a 1 M-row YCSB-A engine that ran one batch
+/// of 4 096 holds at least its conflict-log entry table's aligned 2 MiB
+/// pages as `AnonHugePages`, where transparent huge pages are `madvise` or
+/// `always` (elsewhere the advice does nothing and the test says so). The
+/// log's resident bytes are the row log's entry table, a multiple of 2 MiB
+/// here, and under 2 MiB of the membership log's, so the table holds at
+/// least `⌊resident / 2 MiB⌋ − 1` aligned huge pages. It reads only this
+/// process's `/proc/self/smaps_rollup` and the setting's file in `/sys`.
+#[test]
+#[ignore = "release-only: run with --release -- --ignored"]
+fn the_conflict_log_entry_table_sits_on_huge_pages() {
+    const HUGE_PAGE: u64 = 2 << 20;
+    let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").unwrap_or_default();
+    if !(mode.contains("[madvise]") || mode.contains("[always]")) {
+        println!("skipped: transparent huge pages are not offered here ({})", mode.trim());
+        return;
+    }
+    let (db, _table, mut gen) = YcsbGenerator::new(ycsb(1 << 20, 1).with_alpha(0.6));
+    let mut engine = LtpgEngine::new(db, LtpgConfig::default());
+    let mut tids = TidGen::new();
+    drop(engine.execute_batch_report(&Batch::assemble(Vec::new(), gen.gen_batch(4_096), &mut tids)));
+    let aligned = (engine.conflict_log().resident_bytes() / HUGE_PAGE).saturating_sub(1) * HUGE_PAGE;
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").expect("/proc/self/smaps_rollup");
+    let huge = rollup
+        .lines()
+        .find_map(|l| l.strip_prefix("AnonHugePages:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .expect("an AnonHugePages line")
+        * 1_024;
+    println!("AnonHugePages {} MiB; the entry table's aligned huge pages {} MiB", huge >> 20, aligned >> 20);
+    assert!(aligned > 0, "the entry table must span a whole huge page");
+    assert!(huge >= aligned, "{} MiB on huge pages, want at least {} MiB", huge >> 20, aligned >> 20);
+}
+
 /// Run `batches` through `engine`, checkpointing after each, and return the
 /// allocator calls every checkpoint made together with the rows they
 /// copied. The image `DurabilityManager::new` takes mirrors the engine's

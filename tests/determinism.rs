@@ -508,3 +508,94 @@ fn a_grown_index_keeps_the_carried_rows() {
     });
     assert!(grew_under_delivery, "no batch grew ORDERS' or ORDER_LINE's index under a committed Delivery");
 }
+
+/// A conflict log that runs out mid-batch force-aborts the lanes it cannot
+/// hold, and only those. Every transaction reads and updates rows of HOT,
+/// whose log is large-bucketed (32 slots) and grows within each batch;
+/// one in three also reads a dozen private missing keys of the 8-row
+/// TINY, whose 128-bucket log runs out a few dozen lanes into each batch.
+/// So `LOG_FULL` lanes sit between kept ones in the staged detect items,
+/// each dropped back to its start. At one and two host threads the batch
+/// bits must be equal, and against the CPU twin (which never runs out) a
+/// `LOG_FULL` word must carry no other bit, every other word must be the
+/// twin's, and with the engine's `LOG_FULL` words the twin must commit and
+/// write what the engine did. It fails if a lane's items are kept past a
+/// failed registration, if an item carries its entry's position rather
+/// than its modelled bucket, or if a registration into slot 0 skips a
+/// large record's running minimum.
+#[test]
+fn a_log_that_runs_out_mid_batch_drops_only_its_lanes() {
+    const HOT_KEYS: u64 = 2_048;
+    let mut db = Database::new();
+    let hot = db.add_table(TableBuilder::new("HOT").columns(["a", "b"]).capacity(4_096).build());
+    let tiny = db.add_table(TableBuilder::new("TINY").columns(["a"]).capacity(8).build());
+    db.reserve(hot, HOT_KEYS as usize);
+    for k in 0..HOT_KEYS as i64 {
+        db.table_mut(hot).insert(k, &[k, 0]).unwrap();
+    }
+    let mut lcfg = LtpgConfig { max_batch: 256, est_accesses_per_txn: 8, ..LtpgConfig::default() };
+    lcfg.premarked_popular.insert(hot);
+    let mut x = 0x10f_u64;
+    let mut next = move |bound: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % bound
+    };
+    let mut tids = TidGen::new();
+    let mut private = 1_000;
+    let batches: Vec<Batch> = (0..4)
+        .map(|_| {
+            let txns = (0..256)
+                .map(|i| {
+                    let key = |k: u64| Src::Const(k as i64);
+                    let mut ops = vec![
+                        IrOp::Read { table: hot, key: key(next(HOT_KEYS)), col: ColId(0), out: 0 },
+                        IrOp::Read { table: hot, key: key(next(HOT_KEYS)), col: ColId(0), out: 1 },
+                        IrOp::Read { table: hot, key: key(next(HOT_KEYS)), col: ColId(1), out: 2 },
+                        IrOp::Update { table: hot, key: key(next(HOT_KEYS)), col: ColId(0), val: Src::Tid },
+                    ];
+                    if i % 3 == 1 {
+                        for _ in 0..12 {
+                            private += 1;
+                            ops.push(IrOp::Read { table: tiny, key: Src::Const(private), col: ColId(0), out: 3 });
+                        }
+                    }
+                    Txn::new(ProcId(0), vec![], ops)
+                })
+                .collect();
+            Batch::assemble(vec![], txns, &mut tids)
+        })
+        .collect();
+    let engine_run = |threads: usize| {
+        let mut cfg = lcfg.clone();
+        cfg.device.parallel_host_threads = threads;
+        let mut engine = LtpgEngine::with_telemetry(db.deep_clone(), cfg, Registry::new_shared());
+        let fresh = engine.conflict_log().resident_bytes();
+        let history: Vec<BatchBits> = batches.iter().map(|batch| run_batch(&mut engine, batch, None).0).collect();
+        assert!(engine.conflict_log().resident_bytes() > fresh, "HOT's log must grow");
+        history
+    };
+    let (one, two) = (engine_run(1), engine_run(2));
+    let mut twin = CpuTwin::new(db.deep_clone(), lcfg.clone());
+    let mut kept_after_full = 0;
+    for (k, batch) in batches.iter().enumerate() {
+        assert_eq!(one[k], two[k], "batch {k}: two host threads moved the batch");
+        let mut prepared = twin.prepare(batch, None);
+        let mut full_seen = false;
+        for (i, &word) in one[k].flags.iter().enumerate() {
+            if word & ltpg::flag::LOG_FULL != 0 {
+                assert_eq!(word, ltpg::flag::LOG_FULL, "batch {k}, txn {i}: a dropped lane raised a flag");
+                prepared.set_flag_word(i, word);
+                full_seen = true;
+            } else {
+                assert_eq!(word, prepared.flag_word(i), "batch {k}, txn {i}: flag word against the twin");
+                kept_after_full += usize::from(full_seen && word != 0);
+            }
+        }
+        let report = twin.finish(batch, prepared, None);
+        assert_eq!(report.committed, one[k].committed, "batch {k}: commits against the twin");
+        assert_eq!(twin.database().state_digest(), one[k].digest, "batch {k}: state against the twin");
+    }
+    assert!(kept_after_full > 0, "no kept lane after a LOG_FULL one raised a conflict");
+}

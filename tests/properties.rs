@@ -324,7 +324,7 @@ proptest! {
                 ops,
                 &probe,
                 &mut log,
-                |log, lane, key, tid, record| log.register(lane, cell(key), check(record), tid),
+                |log, lane, key, tid, record| log.register(lane, cell(key), check(record), tid).is_some(),
                 |log, lane, key, record| log.min(lane, cell(key), record),
             );
             let want = epoch_trace(
