@@ -372,15 +372,7 @@ impl BatchEngine for BlockStmEngine {
         self.core.execute(&mut self.db, batch)
     }
 
-    fn record_telemetry(&self, registry: &Registry, report: &BatchReport) {
-        let n = self.name();
-        registry.counter(&format!("engine.{n}.batches")).inc();
-        registry.counter(&format!("engine.{n}.committed")).add(report.committed.len() as u64);
-        registry.counter(&format!("engine.{n}.abort_events")).add(report.aborted.len() as u64);
-        registry.histogram(&format!("engine.{n}.batch_sim_ns")).record_ns(report.sim_ns);
-        registry
-            .histogram(&format!("engine.{n}.critical_path_ns"))
-            .record_ns(report.critical_path_ns);
+    fn record_extra_telemetry(&self, registry: &Registry) {
         self.core.publish_stats(registry);
     }
 }

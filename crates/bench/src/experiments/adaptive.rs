@@ -17,6 +17,7 @@ use ltpg::adaptive::{AdaptiveEngine, EngineChoice};
 use ltpg::{LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
 use ltpg_storage::{ColId, Database, TableId};
+use ltpg_telemetry::Registry;
 use ltpg_txn::{BatchEngine, IrOp, ProcId, Src, Txn};
 use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
 use crate::record::JsonValue;
@@ -109,7 +110,7 @@ fn run_regime(
     let mut mtps = Vec::new();
     let mut run = |engine: &mut dyn BatchEngine| {
         assert_eq!(engine.name(), ENGINES[mtps.len()], "ENGINES lists the engines in run order");
-        let out = run_stream(engine, &mut *stream_for(), batches, batch_size);
+        let out = run_stream(engine, &Registry::new(), &mut *stream_for(), batches, batch_size);
         mtps.push(out.mtps());
         row.extend(row![out.mtps(), out.mean_commit_rate, latency_us(&out)]);
     };

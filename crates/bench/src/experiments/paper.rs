@@ -3,9 +3,10 @@
 //! the default grid.
 
 use ltpg::conflict::TableLog;
-use ltpg::{LtpgConfig, LtpgEngine, OptFlags, PipelinedRunner};
-use ltpg_gpu_sim::{Device, DeviceConfig, MemoryMode};
+use ltpg::{drive_stream, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg_gpu_sim::{Device, DeviceConfig, MemoryMode, Pipeline};
 use ltpg_storage::Database;
+use ltpg_telemetry::Registry;
 use ltpg_txn::{Batch, TidGen};
 use ltpg_workloads::tpcc::{TpccTables, PROC_NEWORDER, PROC_PAYMENT};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
@@ -29,7 +30,7 @@ fn run_tpcc(
 ) -> RunOutcome {
     let mut engine = build_tpcc_engine(kind, db0.deep_clone(), tables, max_batch);
     let mut gen = TpccGenerator::from_parts(cfg.clone(), *tables);
-    run_stream(&mut *engine, &mut |n| gen.gen_batch(n), batches, batch_size)
+    run_stream(&mut *engine, &Registry::new(), &mut |n| gen.gen_batch(n), batches, batch_size)
 }
 
 /// **Table II** — throughput (10⁶ TXs/s) of all nine systems on TPC-C,
@@ -460,11 +461,16 @@ pub fn fig6b(scale: Scale) -> Record {
         let mut gen = |n| gen.gen_batch(n);
         let mtps = if pipelined {
             // Overlapped makespan over the same stream.
-            let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, batches, batch);
-            rec.summarize("pipeline_overlap_speedup", out.speedup());
-            out.committed_tps() / 1e6
+            let mut pipe = Pipeline::new();
+            let out = drive_stream(gen, batches, batch, true, |b| {
+                let rws = engine.execute_batch_report(b);
+                pipe.push(rws.stats.stages());
+                rws.report
+            });
+            rec.summarize("pipeline_overlap_speedup", pipe.speedup());
+            out.committed as f64 / (pipe.overlapped_makespan_ns() * 1e-9) / 1e6
         } else {
-            run_stream(&mut engine, &mut gen, batches, batch).mtps()
+            run_stream(&mut engine, &Registry::new(), &mut gen, batches, batch).mtps()
         };
         let speedup = if prev > 0.0 { mtps / prev } else { 1.0 };
         rec.push(row![name, mtps, speedup]);
@@ -514,7 +520,7 @@ pub fn fig7(scale: Scale) -> Record {
                 // aborts at large cardinalities.
                 lcfg.est_accesses_per_txn = if wl == YcsbWorkload::E { 100 } else { 16 };
                 let mut engine = LtpgEngine::new(db, lcfg);
-                let out = run_stream(&mut engine, &mut |k| gen.gen_batch(k), 3, b);
+                let out = run_stream(&mut engine, &Registry::new(), &mut |k| gen.gen_batch(k), 3, b);
                 rec.push(row![wl.letter().to_string(), n, b, out.mtps(), out.mean_commit_rate]);
             }
         }

@@ -7,8 +7,9 @@
 //! index) and one per later subsystem sweep — plus Criterion
 //! micro-benchmarks. Every experiment is a function from a
 //! [`record::Scale`] to one [`record::Record`]. This library also holds the
-//! machinery they share: the engine factory over all nine systems and the
-//! batch-stream runner with abort requeuing.
+//! machinery they share: the engine factory over all nine systems and
+//! [`run_stream`], the per-batch fold every experiment runs over
+//! `ltpg::drive_stream`.
 //!
 //! ## Scales
 //!
@@ -23,12 +24,13 @@ pub mod record;
 
 use std::time::Instant;
 
-use ltpg::{Formed, Intake, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg::{drive_stream, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_baselines::{
     AriaEngine, BambooEngine, BohmEngine, CalvinEngine, Dbx1000Engine, GaccoEngine, GputxEngine,
     PwvEngine,
 };
 use ltpg_storage::Database;
+use ltpg_telemetry::Registry;
 use ltpg_txn::{BatchEngine, Txn};
 use ltpg_workloads::tpcc::{cols, TpccTables};
 
@@ -138,7 +140,7 @@ pub fn build_tpcc_engine(
 /// Aggregate outcome of running a transaction stream through an engine.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// Batches executed.
+    /// Batches executed (rounds with nothing to run execute none).
     pub batches: usize,
     /// Fresh transactions admitted.
     pub admitted: u64,
@@ -180,54 +182,42 @@ impl RunOutcome {
     }
 }
 
-/// Run `batches` batches of `batch_size` through `engine`. Fresh
-/// transactions come from `gen`; aborted ones requeue into the next batch
-/// with their original TIDs (an [`Intake`] with the unpipelined delay).
+/// Run `batches` rounds of `batch_size` through `engine` in the closed
+/// loop of [`drive_stream`]: fresh transactions come from `gen`, aborted
+/// ones re-enter the next batch with their original TIDs. Each batch's
+/// outcome is published to `registry`; the means are over the batches
+/// executed.
 pub fn run_stream(
     engine: &mut dyn BatchEngine,
+    registry: &Registry,
     gen: &mut dyn FnMut(usize) -> Vec<Txn>,
     batches: usize,
     batch_size: usize,
 ) -> RunOutcome {
     let wall = Instant::now();
-    let mut intake = Intake::new();
-    let mut out = RunOutcome {
-        batches,
-        admitted: 0,
-        committed: 0,
-        abort_events: 0,
-        sim_ns: 0.0,
-        mean_batch_ns: 0.0,
-        mean_critical_ns: 0.0,
-        mean_transfer_ns: 0.0,
-        mean_commit_rate: 0.0,
-        wall_ns: 0,
-    };
-    for _ in 0..batches {
-        let due = intake.due_len();
-        gen(batch_size.saturating_sub(due + intake.inbox_len()))
-            .into_iter()
-            .for_each(|t| intake.submit(t));
-        let Formed::Batch(mut batch) = intake.next_batch(batch_size) else { continue };
-        out.admitted += (batch.len() - due) as u64;
-        let report = engine.execute_batch(&batch);
-        engine.record_telemetry(ltpg_telemetry::global(), &report);
-        out.committed += report.committed.len() as u64;
-        out.abort_events += report.aborted.len() as u64;
-        out.sim_ns += report.sim_ns;
-        out.mean_batch_ns += report.sim_ns;
-        out.mean_critical_ns += report.critical_path_ns;
-        out.mean_transfer_ns += report.transfer_ns;
-        out.mean_commit_rate += report.commit_rate(batch.len());
-        intake.requeue_aborted(std::slice::from_mut(&mut batch), &report.aborted, false);
+    let (mut sim_ns, mut critical_ns, mut transfer_ns, mut commit_rate) = (0.0, 0.0, 0.0, 0.0);
+    let stream = drive_stream(gen, batches, batch_size, false, |batch| {
+        let report = engine.execute_batch(batch);
+        engine.record_telemetry(registry, &report);
+        sim_ns += report.sim_ns;
+        critical_ns += report.critical_path_ns;
+        transfer_ns += report.transfer_ns;
+        commit_rate += report.commit_rate(batch.len());
+        report
+    });
+    let b = stream.batches.max(1) as f64;
+    RunOutcome {
+        batches: stream.batches,
+        admitted: stream.admitted,
+        committed: stream.committed,
+        abort_events: stream.abort_events,
+        sim_ns,
+        mean_batch_ns: sim_ns / b,
+        mean_critical_ns: critical_ns / b,
+        mean_transfer_ns: transfer_ns / b,
+        mean_commit_rate: commit_rate / b,
+        wall_ns: wall.elapsed().as_nanos() as u64,
     }
-    let b = batches.max(1) as f64;
-    out.mean_batch_ns /= b;
-    out.mean_critical_ns /= b;
-    out.mean_transfer_ns /= b;
-    out.mean_commit_rate /= b;
-    out.wall_ns = wall.elapsed().as_nanos() as u64;
-    out
 }
 
 /// The per-batch latency a table or figure should quote for `out`, in
@@ -251,8 +241,16 @@ mod tests {
             let db = db0.deep_clone();
             let mut engine = build_tpcc_engine(kind, db, &tables, 128);
             let mut gen = TpccGenerator::from_parts(cfg.clone(), tables);
-            let out = run_stream(&mut *engine, &mut |n| gen.gen_batch(n), 3, 64);
+            let registry = Registry::new();
+            let out = run_stream(&mut *engine, &registry, &mut |n| gen.gen_batch(n), 3, 64);
             assert!(out.committed > 0, "{} committed nothing", kind.name());
+            let counter = |m: &str| registry.counter_value(&format!("engine.{}.{m}", kind.name()));
+            assert_eq!(
+                (counter("batches"), counter("committed"), counter("abort_events")),
+                (out.batches as u64, out.committed, out.abort_events),
+                "{} published another run than it folded",
+                kind.name()
+            );
             assert!(out.sim_ns > 0.0, "{} accounted no time", kind.name());
             assert!(
                 out.mean_critical_ns > 0.0 && out.mean_critical_ns <= out.mean_batch_ns + 1e-9,
@@ -265,6 +263,26 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    /// A generator that runs dry ends the run's batches early: the means
+    /// are over the batches that ran, not over the rounds asked for.
+    #[test]
+    fn a_dry_generator_averages_over_the_batches_that_ran() {
+        let cfg = TpccConfig::new(1, 50).with_headroom(4_096);
+        let (db, tables, mut gen) = TpccGenerator::new(cfg);
+        let mut engine = build_tpcc_engine(SystemKind::Ltpg, db, &tables, 128);
+        let mut left = 2 * 64;
+        let mut dry = |n: usize| {
+            let n = n.min(left);
+            left -= n;
+            gen.gen_batch(n)
+        };
+        let out = run_stream(&mut *engine, &Registry::new(), &mut dry, 8, 64);
+        assert!(out.batches >= 2 && out.batches < 8, "{out:?}");
+        assert_eq!(out.admitted, 2 * 64);
+        assert_eq!(out.mean_batch_ns, out.sim_ns / out.batches as f64);
+        assert!(out.mean_commit_rate > 0.0 && out.mean_commit_rate <= 1.0, "{out:?}");
     }
 
     #[test]

@@ -1792,30 +1792,27 @@ mod tests {
         LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared())
     }
 
-    /// Fold of a requeue-driven run: committed-TID history, final state
-    /// and the bit patterns of every batch's simulated time.
+    /// Fold of a closed-loop run (aborted transactions re-enter the next
+    /// batch with the TID they were first assigned): committed-TID
+    /// history, final state and the bit patterns of every batch's
+    /// simulated time.
     fn golden_run(
         engine: &mut LtpgEngine,
-        gen: &mut dyn FnMut(usize) -> Vec<Txn>,
+        gen: impl FnMut(usize) -> Vec<Txn>,
         batches: usize,
         batch_size: usize,
     ) -> (u64, u64, u64) {
-        let mut tids = TidGen::new();
-        let mut requeued: Vec<Txn> = Vec::new();
-        let (mut history, mut sim_bits) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+        let (mut history, mut sim_bits, mut b) = (0xcbf2_9ce4_8422_2325u64, 0u64, 0u64);
         let mut fold = |x: u64| history = (history ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        for b in 0..batches {
-            let fresh = gen(batch_size - requeued.len());
-            // Sticky TIDs: aborted transactions re-enter with the TID they
-            // were first assigned.
-            let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-            let report = engine.execute_batch(&batch);
-            fold(b as u64);
+        let out = crate::intake::drive_stream(gen, batches, batch_size, false, |batch| {
+            let report = engine.execute_batch(batch);
+            fold(b);
             report.committed.iter().for_each(|t| fold(t.0));
             sim_bits = sim_bits.wrapping_add(report.sim_ns.to_bits());
-            requeued =
-                report.aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
-        }
+            b += 1;
+            report
+        });
+        assert_eq!(out.batches, batches, "every round ran a batch");
         (history, engine.database().state_digest(), sim_bits)
     }
 
@@ -1833,7 +1830,7 @@ mod tests {
         let wl = TpccConfig::new(2, 50).with_headroom(batches * batch_size * 20);
         let (db, tables, mut gen) = TpccGenerator::new(wl);
         let mut engine = tpcc_engine(db, &tables, batch_size);
-        let tpcc = golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size);
+        let tpcc = golden_run(&mut engine, |n| gen.gen_batch(n), batches, batch_size);
         assert_eq!(
             tpcc,
             (0x8d28_bd17_3b88_1d35, 0xcca6_4072_3350_5d9e, 0x07a2_e95b_c427_e56a),
@@ -1847,7 +1844,7 @@ mod tests {
         let cfg = LtpgConfig { max_batch: batch_size, ..LtpgConfig::default() };
         let mut engine =
             LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared());
-        let ycsb = golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size);
+        let ycsb = golden_run(&mut engine, |n| gen.gen_batch(n), batches, batch_size);
         assert_eq!(
             ycsb,
             (0xf619_866b_5ab6_c7c0, 0xcd01_1c0e_6959_8ce1, 0x8904_ce91_d174_5d1c),
@@ -1871,7 +1868,7 @@ mod tests {
         let wl = TpccConfig::new(2, 50).with_full_mix().with_headroom(batches * batch_size * 20);
         let (db, tables, mut gen) = TpccGenerator::new(wl);
         let mut engine = tpcc_engine(db, &tables, batch_size);
-        let full = golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size);
+        let full = golden_run(&mut engine, |n| gen.gen_batch(n), batches, batch_size);
         let new_order = engine.database().table(tables.new_order);
         assert!(new_order.live_rows() < new_order.len(), "Delivery deleted no NEW_ORDER row");
         assert_eq!(
@@ -1942,7 +1939,7 @@ mod tests {
             if let Some(epoch) = resume {
                 engine.log.resume_at(epoch);
             }
-            golden_run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch_size)
+            golden_run(&mut engine, |n| gen.gen_batch(n), batches, batch_size)
         };
         assert_eq!(run(Some(LAST_EPOCH - 3)), run(None));
     }

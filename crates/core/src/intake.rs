@@ -6,10 +6,15 @@
 //! and — once the batch has executed — parks its aborted transactions for
 //! re-entry one batch later, or two under the pipeline model (§V-E: the
 //! next batch's upload slot has already left the host).
+//!
+//! A server feeds its intake from client submissions. Every closed loop fed
+//! by a generator instead — the experiments, the examples, the tests that
+//! replay a stream — runs through [`drive_stream`], so two schemes driven
+//! by the same generator see the same stream.
 
 use std::collections::VecDeque;
 
-use ltpg_txn::{Batch, ProcId, Tid, TidGen, Txn};
+use ltpg_txn::{Batch, BatchReport, ProcId, Tid, TidGen, Txn};
 
 /// What [`Intake::next_batch`] found.
 pub enum Formed {
@@ -51,13 +56,13 @@ impl Intake {
 
     /// Fresh submissions waiting in the inbox (excludes re-queued aborts
     /// sitting out their retry delay).
-    pub fn inbox_len(&self) -> usize {
+    fn inbox_len(&self) -> usize {
         self.inbox.len()
     }
 
-    /// Size of the re-entry wave due at the next batch: what a caller that
-    /// feeds the inbox from a generator subtracts from the batch size.
-    pub fn due_len(&self) -> usize {
+    /// Size of the re-entry wave due at the next batch: what
+    /// [`drive_stream`] subtracts from the batch size.
+    fn due_len(&self) -> usize {
         self.requeue.front().map_or(0, Vec::len)
     }
 
@@ -123,4 +128,70 @@ impl Intake {
             slot.push(taken.expect("aborted tid in batch"));
         }
     }
+}
+
+/// What [`drive_stream`] counted over a run. Every admitted transaction is
+/// accounted for: `committed + still_pending + dropped == admitted`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamOutcome {
+    /// Batches executed; a round with nothing due and nothing generated
+    /// executes none.
+    pub batches: usize,
+    /// Fresh transactions admitted into some batch (re-executions are not
+    /// re-admissions).
+    pub admitted: u64,
+    /// Transactions committed (a re-executed one counts once, at commit).
+    pub committed: u64,
+    /// Abort events (a transaction aborted twice counts twice).
+    pub abort_events: u64,
+    /// Transactions aborted within the re-entry delay of the last round:
+    /// their re-entry slot lies past the run, so they leave it uncommitted.
+    pub dropped: u64,
+    /// Aborted transactions still waiting out their delay when the run
+    /// ended.
+    pub still_pending: usize,
+    /// Largest batch executed (≤ the batch size: a re-entry wave is one
+    /// earlier batch's aborts, and a generator's surplus waits in the
+    /// inbox).
+    pub max_batch_len: usize,
+}
+
+/// Drive `rounds` rounds of a closed loop. Each round asks `gen` for the
+/// seats the due re-entry wave and any earlier surplus leave free (it may
+/// be asked for 0, and may hand over more or fewer), forms a batch of at
+/// most `batch_size` with TIDs assigned, and runs it through `step`, which
+/// folds whatever per-batch figures its caller keeps. The batch's aborted
+/// transactions re-enter with their original TIDs one round later, or two
+/// when `pipelined` (§V-E); aborts too close to the end to re-enter are
+/// counted as dropped.
+pub fn drive_stream(
+    mut gen: impl FnMut(usize) -> Vec<Txn>,
+    rounds: usize,
+    batch_size: usize,
+    pipelined: bool,
+    mut step: impl FnMut(&Batch) -> BatchReport,
+) -> StreamOutcome {
+    let delay = if pipelined { 2 } else { 1 };
+    let mut intake = Intake::new();
+    let mut out = StreamOutcome::default();
+    for round in 0..rounds {
+        let due = intake.due_len();
+        gen(batch_size.saturating_sub(due + intake.inbox_len()))
+            .into_iter()
+            .for_each(|t| intake.submit(t));
+        let Formed::Batch(mut batch) = intake.next_batch(batch_size) else { continue };
+        let report = step(&batch);
+        out.batches += 1;
+        out.admitted += (batch.len() - due) as u64;
+        out.max_batch_len = out.max_batch_len.max(batch.len());
+        out.committed += report.committed.len() as u64;
+        out.abort_events += report.aborted.len() as u64;
+        if round + delay < rounds {
+            intake.requeue_aborted(std::slice::from_mut(&mut batch), &report.aborted, pipelined);
+        } else {
+            out.dropped += report.aborted.len() as u64;
+        }
+    }
+    out.still_pending = intake.pending() - intake.inbox_len();
+    out
 }

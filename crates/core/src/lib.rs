@@ -36,9 +36,11 @@
 //!   (hot columns get their own conflict log), and delayed updates
 //!   (commutative hot-column adds skip conflict detection entirely and
 //!   fold at write-back via an intra-warp merge).
-//! * [`pipeline::PipelinedRunner`] — batch-to-batch overlap of upload /
-//!   compute / download (§V-E), with aborts of batch *n−1* re-entering at
-//!   batch *n+2*.
+//! * [`intake::drive_stream`] — the closed loop every generator-fed run
+//!   goes through: aborted transactions re-enter with their original TIDs
+//!   one batch later, or two under batch-to-batch pipelining (§V-E), whose
+//!   upload / compute / download overlap is [`ltpg_gpu_sim::Pipeline`]
+//!   over [`LtpgBatchStats::stages`].
 //!
 //! The "GPU" is the functional SIMT simulator of [`ltpg_gpu_sim`]; see
 //! DESIGN.md for why that substitution preserves the paper's behaviour.
@@ -74,7 +76,8 @@ pub mod executor;
 pub mod faults;
 pub mod footprint;
 pub mod intake;
-pub mod pipeline;
+#[cfg(test)]
+mod pipeline;
 pub mod recovery;
 pub mod server;
 pub mod stats;
@@ -91,8 +94,7 @@ pub use faults::{
     FaultHorizon, FaultInjector, FaultPlan, PromotionCrashpoint, ReplicaChaos, WalDamage,
     WalDamageReport,
 };
-pub use intake::{Formed, Intake};
-pub use pipeline::{PipelineOutcome, PipelinedRunner};
+pub use intake::{drive_stream, Formed, Intake, StreamOutcome};
 #[cfg(feature = "qa-inject")]
 pub use engine::qa_inject;
 pub use recovery::{

@@ -1,270 +1,177 @@
-//! Batch-to-batch pipelining (paper §V-E).
-//!
-//! With inter-batch pipeline execution, while batch *n* computes on the
-//! device, batch *n+1*'s parameters upload and batch *n−1*'s results
-//! download — three CUDA streams in the real system, the three-stage
-//! [`ltpg_gpu_sim::Pipeline`] recurrence here. The documented drawback is
-//! reproduced too: transactions aborted in batch *n−1* cannot re-enter at
-//! *n* (already uploaded) or *n+1* (uploading); they re-execute in batch
-//! *n+2*, with their original TIDs.
+//! Tests of batch-to-batch pipelining (§V-E) through `drive_stream`:
+//! aborts re-enter with their original TIDs one batch later, or two when
+//! pipelined, and the overlap is a `Pipeline` over `LtpgBatchStats::stages`.
 
-use ltpg_gpu_sim::transfer::{BatchStages, Pipeline};
-use ltpg_txn::Txn;
-
-use crate::engine::LtpgEngine;
-use crate::intake::{Formed, Intake};
-
-/// Aggregate outcome of a pipelined run.
-#[derive(Debug, Clone)]
-pub struct PipelineOutcome {
-    /// Batches executed.
-    pub batches: usize,
-    /// Fresh transactions admitted into some batch (re-executions are not
-    /// re-admissions). Every admitted transaction is accounted for:
-    /// `committed + still_pending + dropped == admitted`.
-    pub admitted: u64,
-    /// Total transactions committed (re-executions count once, at commit).
-    pub committed: u64,
-    /// Total abort events (a transaction aborted twice counts twice).
-    pub abort_events: u64,
-    /// Transactions still awaiting re-execution when the run ended.
-    pub still_pending: usize,
-    /// Transactions aborted within `requeue_delay` batches of the end of
-    /// the run: their re-execution slot lies past the last batch, so they
-    /// leave the pipeline uncommitted.
-    pub dropped: u64,
-    /// Largest batch actually executed (≤ the configured batch size: a
-    /// re-entry wave is one earlier batch's aborts, and a generator's
-    /// surplus waits in the inbox).
-    pub max_batch_len: usize,
-    /// Makespan without overlap, ns.
-    pub serial_ns: f64,
-    /// Makespan with upload/compute/download overlapped, ns.
-    pub overlapped_ns: f64,
-    /// Mean per-batch commit rate.
-    pub mean_commit_rate: f64,
-}
-
-impl PipelineOutcome {
-    /// Pipeline speedup (serial / overlapped).
-    pub fn speedup(&self) -> f64 {
-        if self.overlapped_ns == 0.0 {
-            1.0
-        } else {
-            self.serial_ns / self.overlapped_ns
-        }
-    }
-
-    /// Committed transactions per second under the overlapped makespan.
-    pub fn committed_tps(&self) -> f64 {
-        if self.overlapped_ns == 0.0 {
-            0.0
-        } else {
-            self.committed as f64 / (self.overlapped_ns * 1e-9)
-        }
-    }
-}
-
-/// Drives an [`LtpgEngine`] through a stream of batches with the
-/// re-execution schedule of the paper's pipeline model.
-#[derive(Debug)]
-pub struct PipelinedRunner {
-    pipelined: bool,
-}
-
-impl PipelinedRunner {
-    /// A runner with pipelining on (`delay = 2`) or off (`delay = 1`).
-    pub fn new(pipelined: bool) -> Self {
-        PipelinedRunner { pipelined }
-    }
-
-    /// Re-execution delay in batches (2 when pipelined — the paper's
-    /// "scheduled for execution only two batches later" — 1 otherwise).
-    fn requeue_delay(&self) -> usize {
-        if self.pipelined {
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Run `batches` batches of `batch_size` transactions. Fresh
-    /// transactions come from `gen`; aborted ones re-enter after the
-    /// configured delay with their original TIDs. Returns the aggregate
-    /// outcome (the overlapped makespan is only meaningful for the
-    /// pipelined configuration but is computed for both).
-    pub fn run(
-        &self,
-        engine: &mut LtpgEngine,
-        gen: &mut dyn FnMut(usize) -> Vec<Txn>,
-        batches: usize,
-        batch_size: usize,
-    ) -> PipelineOutcome {
-        let mut intake = Intake::new();
-        let mut pipe = Pipeline::new();
-        let mut out = PipelineOutcome {
-            batches,
-            admitted: 0,
-            committed: 0,
-            abort_events: 0,
-            still_pending: 0,
-            dropped: 0,
-            max_batch_len: 0,
-            serial_ns: 0.0,
-            overlapped_ns: 0.0,
-            mean_commit_rate: 0.0,
-        };
-        for i in 0..batches {
-            // Ask for exactly the seats the due wave leaves free. A bursty
-            // generator may hand over more; the surplus waits in the inbox
-            // and takes the front of the next batch's fresh allotment.
-            let due = intake.due_len();
-            let want = batch_size.saturating_sub(due + intake.inbox_len());
-            if want > 0 {
-                gen(want).into_iter().for_each(|t| intake.submit(t));
-            }
-            let Formed::Batch(mut batch) = intake.next_batch(batch_size) else { continue };
-            out.admitted += (batch.len() - due) as u64;
-            out.max_batch_len = out.max_batch_len.max(batch.len());
-            let rws = engine.execute_batch_report(&batch);
-            out.committed += rws.report.committed.len() as u64;
-            out.abort_events += rws.report.aborted.len() as u64;
-            out.mean_commit_rate += rws.report.commit_rate(batch.len());
-            pipe.push(BatchStages {
-                h2d_ns: rws.stats.h2d_ns,
-                compute_ns: rws.stats.execute_ns
-                    + rws.stats.detect_ns
-                    + rws.stats.writeback_ns
-                    + rws.stats.sync_ns,
-                d2h_ns: rws.stats.d2h_ns,
-            });
-            // Aborts whose re-entry slot lies past the last batch leave the
-            // pipeline as dropped (they are still accounted: committed +
-            // pending + dropped = admitted).
-            if i + self.requeue_delay() < batches {
-                let aborted = &rws.report.aborted;
-                intake.requeue_aborted(std::slice::from_mut(&mut batch), aborted, self.pipelined);
-            } else {
-                out.dropped += rws.report.aborted.len() as u64;
-            }
-        }
-        out.still_pending = intake.pending() - intake.inbox_len();
-        out.serial_ns = pipe.serial_makespan_ns();
-        out.overlapped_ns = pipe.overlapped_makespan_ns();
-        out.mean_commit_rate /= batches.max(1) as f64;
-        out
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::LtpgConfig;
+    use ltpg_gpu_sim::Pipeline;
     use ltpg_storage::{ColId, Database, TableBuilder};
-    use ltpg_txn::{IrOp, ProcId, Src};
+    use ltpg_txn::{IrOp, ProcId, Src, Tid, Txn};
 
-    fn contended_setup() -> (LtpgEngine, impl FnMut(usize) -> Vec<Txn>) {
+    use crate::config::LtpgConfig;
+    use crate::engine::LtpgEngine;
+    use crate::intake::{drive_stream, StreamOutcome};
+
+    /// An engine over 8 rows and a generator of blind writers of key
+    /// `i % 8`: heavy WAW contention, so every batch of more than 8 aborts.
+    fn contended() -> (LtpgEngine, impl FnMut(usize) -> Vec<Txn>) {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("T").column("v").capacity(64).build());
         for k in 0..8 {
             db.table_mut(t).insert(k, &[0]).unwrap();
         }
-        let engine = LtpgEngine::new(db, LtpgConfig::default());
         let mut i = 0i64;
         let gen = move |n: usize| {
             (0..n)
                 .map(|_| {
                     i += 1;
-                    // All writers of key (i % 8): heavy WAW contention.
-                    Txn::new(
-                        ProcId(0),
-                        vec![],
-                        vec![IrOp::Update {
-                            table: t,
-                            key: Src::Const(i % 8),
-                            col: ColId(0),
-                            val: Src::Const(i),
-                        }],
-                    )
+                    let op =
+                        IrOp::Update { table: t, key: Src::Const(i % 8), col: ColId(0), val: Src::Const(i) };
+                    Txn::new(ProcId(0), vec![], vec![op])
                 })
                 .collect()
         };
-        (engine, gen)
+        (LtpgEngine::new(db, LtpgConfig::default()), gen)
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Arrivals {
+        /// Exactly the seats asked for.
+        Steady,
+        /// 2.5 batches' worth of writers whenever any seat is asked for.
+        Bursty,
+        /// Two batches' worth, then nothing.
+        Dry,
+    }
+
+    struct Run {
+        out: StreamOutcome,
+        /// Per executed batch: its TIDs and its aborted TIDs.
+        ran: Vec<(Vec<Tid>, Vec<Tid>)>,
+        pipe: Pipeline,
+        mean_commit_rate: f64,
+        /// Aborts of the last `delay` batches: their re-entry slot lies
+        /// past the end of the run.
+        tail_aborts: u64,
+    }
+
+    /// Drive `rounds` rounds of the contended stream and check what every
+    /// run keeps: one report per executed batch, no batch past the batch
+    /// size, conservation (`committed + still_pending + dropped ==
+    /// admitted`), and the re-entry wave of batch j being exactly batch
+    /// j − delay's aborts under their original TIDs (executed batches are
+    /// rounds here: every round has fresh or due work).
+    fn stream(arrivals: Arrivals, rounds: usize, batch_size: usize, pipelined: bool) -> Run {
+        let case = format!("{arrivals:?}, {rounds} rounds of {batch_size}, pipelined {pipelined}");
+        let (mut engine, mut gen_one) = contended();
+        let mut calls = 0usize;
+        let gen = |n: usize| {
+            calls += 1;
+            match arrivals {
+                Arrivals::Steady => gen_one(n),
+                Arrivals::Bursty if n > 0 => gen_one(batch_size * 5 / 2),
+                Arrivals::Dry if calls == 1 => gen_one(2 * batch_size),
+                _ => Vec::new(),
+            }
+        };
+        let mut ran: Vec<(Vec<Tid>, Vec<Tid>)> = Vec::new();
+        let mut pipe = Pipeline::new();
+        let mut rate = 0.0;
+        let out = drive_stream(gen, rounds, batch_size, pipelined, |batch| {
+            let rws = engine.execute_batch_report(batch);
+            pipe.push(rws.stats.stages());
+            rate += rws.report.commit_rate(batch.len());
+            ran.push((batch.txns.iter().map(|t| t.tid).collect(), rws.report.aborted.clone()));
+            rws.report
+        });
+        assert_eq!(out.batches, ran.len(), "{case}");
+        assert!(out.max_batch_len <= batch_size, "{case}: overfilled to {}", out.max_batch_len);
+        assert_eq!(
+            out.committed + out.still_pending as u64 + out.dropped,
+            out.admitted,
+            "{case}: the run lost transactions: {out:?}"
+        );
+        let delay = if pipelined { 2 } else { 1 };
+        for (j, (tids, _)) in ran.iter().enumerate() {
+            let seen: Vec<Tid> = ran[..j].iter().flat_map(|(t, _)| t).copied().collect();
+            let again: Vec<Tid> = tids.iter().filter(|t| seen.contains(t)).copied().collect();
+            let due = if j >= delay { ran[j - delay].1.clone() } else { Vec::new() };
+            assert_eq!(again, due, "{case}: batch {j}'s re-entry wave");
+        }
+        let tail_aborts = ran.iter().rev().take(delay).map(|(_, a)| a.len() as u64).sum();
+        Run { mean_commit_rate: rate / out.batches.max(1) as f64, out, ran, pipe, tail_aborts }
     }
 
     #[test]
     fn aborts_reenter_after_two_batches_and_eventually_commit() {
-        let (mut engine, mut gen) = contended_setup();
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, 12, 32);
+        let run = stream(Arrivals::Steady, 12, 32, true);
+        let out = &run.out;
         assert_eq!(out.batches, 12);
         assert!(out.abort_events > 0, "contention must cause aborts");
         assert!(out.committed > 0);
         // Every batch can commit at most 8 txns (8 keys): rate well below 1.
-        assert!(out.mean_commit_rate < 0.7);
-        assert!(out.speedup() >= 1.0);
-        assert!(out.overlapped_ns <= out.serial_ns);
+        assert!(run.mean_commit_rate < 0.7, "{}", run.mean_commit_rate);
+        assert!(run.pipe.speedup() >= 1.0);
+        assert!(run.pipe.overlapped_makespan_ns() <= run.pipe.serial_makespan_ns());
     }
 
     #[test]
     fn non_pipelined_requeues_next_batch() {
-        let (mut engine, mut gen) = contended_setup();
-        let runner = PipelinedRunner::new(false);
-        assert_eq!(runner.requeue_delay(), 1);
-        let out = runner.run(&mut engine, &mut gen, 6, 16);
-        assert!(out.committed > 0);
+        let run = stream(Arrivals::Steady, 6, 16, false);
+        assert!(run.out.committed > 0);
+        // `stream` checked that batch 1's re-entry wave is batch 0's aborts.
+        assert!(!run.ran[0].1.is_empty(), "batch 0 must abort for the check to bite");
     }
 
     #[test]
     fn conserves_transactions() {
-        let (mut engine, mut gen) = contended_setup();
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, 10, 16);
-        // Exact conservation: every admitted transaction either committed,
-        // is still waiting in a re-entry slot, or was aborted too close to
-        // the end to re-enter (dropped). Nothing vanishes silently.
-        assert_eq!(
-            out.committed + out.still_pending as u64 + out.dropped,
-            out.admitted,
-            "pipeline lost transactions: {out:?}"
-        );
-        // Heavy WAW contention near the tail must surface as drops or
-        // pending work, never as a shortfall.
-        assert!(out.admitted <= 10 * 16);
+        for pipelined in [false, true] {
+            // `stream` asserts exact conservation: every admitted
+            // transaction committed, is still waiting out its delay, or
+            // was aborted too close to the end to re-enter (dropped).
+            let out = stream(Arrivals::Steady, 10, 16, pipelined).out;
+            assert!(out.abort_events > 0 && out.committed > 0, "{out:?}");
+            assert!(out.admitted <= 10 * 16, "{out:?}");
+        }
     }
 
     #[test]
     fn dropped_counts_tail_aborts() {
-        let (mut engine, mut gen) = contended_setup();
-        // delay = 2 with every batch aborting most of its 16 writers over
-        // 8 keys: the last two batches' aborts cannot re-enter.
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut gen, 6, 16);
-        assert!(out.dropped > 0, "tail aborts must be reported as dropped: {out:?}");
-        assert_eq!(out.committed + out.still_pending as u64 + out.dropped, out.admitted);
+        for pipelined in [false, true] {
+            // Every batch aborts most of its 16 writers over 8 keys: the
+            // last `delay` batches' aborts cannot re-enter.
+            let run = stream(Arrivals::Steady, 6, 16, pipelined);
+            assert!(run.out.dropped > 0, "tail aborts must be reported as dropped: {:?}", run.out);
+            assert_eq!(run.out.dropped, run.tail_aborts, "pipelined {pipelined}");
+        }
     }
 
     #[test]
     fn bursty_generator_never_overfills_a_batch() {
         const BATCH: usize = 16;
-        let (mut engine, mut gen_one) = contended_setup();
-        // An arrival process that delivers whole bursts: every request is
-        // answered with 2.5 batches' worth of conflicting writers, so the
-        // runner sees abort storms bigger than one batch and must clamp.
-        let mut bursty = |n: usize| {
-            if n == 0 {
-                return Vec::new();
-            }
-            gen_one(BATCH * 5 / 2)
-        };
-        let out = PipelinedRunner::new(true).run(&mut engine, &mut bursty, 8, BATCH);
-        assert!(
-            out.max_batch_len <= BATCH,
-            "batch overfilled past lane capacity: {}",
-            out.max_batch_len
-        );
-        assert!(out.abort_events > 0, "storm must cause aborts");
-        assert_eq!(
-            out.committed + out.still_pending as u64 + out.dropped,
-            out.admitted,
-            "overflow carry lost transactions: {out:?}"
-        );
+        for pipelined in [false, true] {
+            // Every request is answered with 2.5 batches' worth of
+            // conflicting writers: abort storms bigger than one batch, and
+            // a surplus that must wait in the inbox.
+            let run = stream(Arrivals::Bursty, 8, BATCH, pipelined);
+            let out = &run.out;
+            assert!(out.max_batch_len <= BATCH, "overfilled past lane capacity: {}", out.max_batch_len);
+            assert!(out.abort_events > 0, "storm must cause aborts");
+            assert_eq!(out.batches, 8);
+            assert_eq!(out.dropped, run.tail_aborts);
+        }
+    }
+
+    #[test]
+    fn a_dry_generator_executes_only_the_batches_that_had_work() {
+        const BATCH: usize = 16;
+        for pipelined in [false, true] {
+            // 32 writers over 8 keys drain in a few waves, well inside the
+            // run, so nothing is dropped and the idle rounds run nothing.
+            let out = stream(Arrivals::Dry, 10, BATCH, pipelined).out;
+            assert!(out.batches < 10, "{out:?}");
+            assert_eq!(out.admitted, 2 * BATCH as u64);
+            assert_eq!(out.dropped, 0, "{out:?}");
+            assert_eq!(out.still_pending, 0, "{out:?}");
+        }
     }
 }

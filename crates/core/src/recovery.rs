@@ -355,19 +355,17 @@ mod tests {
         let (db, t) = build();
         let mut dur = DurabilityManager::new(&db);
         let mut engine = LtpgEngine::new(db, LtpgConfig::default());
-        let mut tids = TidGen::new();
-        let mut requeued: Vec<Txn> = Vec::new();
-        for round in 0..rounds {
-            let batch = Batch::assemble(
-                std::mem::take(&mut requeued),
-                contended_txns(t, per_round, round as i64 + 3),
-                &mut tids,
-            );
-            dur.log_batch(&batch);
-            let report = engine.execute_batch(&batch);
-            requeued =
-                report.aborted.iter().map(|x| batch.by_tid(*x).unwrap().clone()).collect();
-        }
+        // Every round adds `per_round` fresh writers to its re-entry wave:
+        // no batch size caps it.
+        let mut salt = 2;
+        let gen = |_| {
+            salt += 1;
+            contended_txns(t, per_round, salt)
+        };
+        crate::intake::drive_stream(gen, rounds, usize::MAX, false, |batch| {
+            dur.log_batch(batch);
+            engine.execute_batch(batch)
+        });
         (dur, engine)
     }
 

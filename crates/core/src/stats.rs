@@ -7,6 +7,7 @@
 //! convert between the per-batch structs bench tables consume and the
 //! dashboard-facing metric stream.
 
+use ltpg_gpu_sim::transfer::BatchStages;
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::BatchReport;
 
@@ -87,6 +88,17 @@ impl LtpgBatchStats {
     /// Transfer-only portion (paper Table IV's second number).
     pub fn transfer_ns(&self) -> f64 {
         self.h2d_ns + self.d2h_ns
+    }
+
+    /// The batch's three stages in the inter-batch pipeline (§V-E): upload,
+    /// the kernels plus synchronization, download. Allocation stalls sit
+    /// in no stage.
+    pub fn stages(&self) -> BatchStages {
+        BatchStages {
+            h2d_ns: self.h2d_ns,
+            compute_ns: self.execute_ns + self.detect_ns + self.writeback_ns + self.sync_ns,
+            d2h_ns: self.d2h_ns,
+        }
     }
 
     /// Publish this batch's breakdown to a metrics registry: per-phase

@@ -280,10 +280,6 @@ pub const ADAPTIVE_CHOICE_ADDRGRAPH: &str = "adaptive.choice.addrgraph";
 /// than the previous batch.
 pub const ADAPTIVE_SWITCHES: &str = "adaptive.switches";
 
-/// All adaptive per-engine choice counters, in export order.
-pub const ADAPTIVE_CHOICES: [&str; 3] =
-    [ADAPTIVE_CHOICE_LTPG, ADAPTIVE_CHOICE_BLOCKSTM, ADAPTIVE_CHOICE_ADDRGRAPH];
-
 // --- elastic sharding (`ltpg-shard` rebalance) -------------------------------
 
 /// Counter: rebalance plans applied at a cutover boundary.

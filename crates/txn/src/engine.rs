@@ -78,10 +78,10 @@ pub trait BatchEngine {
     fn execute_batch(&mut self, batch: &Batch) -> BatchReport;
 
     /// Publish one batch's outcome to a metrics registry under
-    /// `engine.<name>.*`. The default covers every engine — including the
-    /// CPU baselines — with batch/commit/abort counters and latency
-    /// histograms; engines with richer internals (LTPG) additionally
-    /// publish their own `ltpg.*` metrics.
+    /// `engine.<name>.*`: batch/commit/abort counters and latency
+    /// histograms for every engine, CPU baselines included, then whatever
+    /// [`Self::record_extra_telemetry`] adds. (LTPG publishes its own
+    /// `ltpg.*` metrics as it runs.)
     fn record_telemetry(&self, registry: &Registry, report: &BatchReport) {
         let n = self.name();
         registry.counter(&format!("engine.{n}.batches")).inc();
@@ -97,7 +97,12 @@ pub trait BatchEngine {
         registry
             .histogram(&format!("engine.{n}.critical_path_ns"))
             .record_ns(report.critical_path_ns);
+        self.record_extra_telemetry(registry);
     }
+
+    /// An engine's own signals for the batch it last ran, published after
+    /// the `engine.<name>.*` family. None by default.
+    fn record_extra_telemetry(&self, _registry: &Registry) {}
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!
 //! Run with: `cargo run --release -p ltpg --example full_mix_recovery`
 
-use ltpg::{DurabilityManager, LtpgConfig, LtpgEngine, OptFlags};
-use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
+use ltpg::{drive_stream, DurabilityManager, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg_txn::BatchEngine;
 use ltpg_workloads::tpcc::{
     check_invariants, cols, PROC_DELIVERY, PROC_NEWORDER, PROC_ORDERSTATUS, PROC_PAYMENT,
     PROC_STOCKLEVEL,
@@ -40,14 +40,11 @@ fn main() {
 
     let mut dur = DurabilityManager::new(&db);
     let mut engine = LtpgEngine::new(db, lcfg.clone());
-    let mut tids = TidGen::new();
-    let mut requeued: Vec<Txn> = Vec::new();
-
-    for i in 1..=5 {
-        let fresh = gen.gen_batch(batch_size - requeued.len());
-        let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-        dur.log_batch(&batch);
-        let report = engine.execute_batch_report(&batch);
+    let mut i = 0;
+    drive_stream(|n| gen.gen_batch(n), 5, batch_size, false, |batch| {
+        i += 1;
+        dur.log_batch(batch);
+        let report = engine.execute_batch_report(batch);
         let mut per_proc = [0usize; 5];
         for tid in &report.report.committed {
             let p = batch.by_tid(*tid).unwrap().proc;
@@ -72,8 +69,6 @@ fn main() {
             per_proc[4],
             report.stats.total_ns() / 1e3,
         );
-        requeued =
-            report.report.aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
         check_invariants(engine.database(), &tables, warehouses).expect("TPC-C invariants");
         if i == 3 {
             dur.checkpoint(engine.database());
@@ -89,7 +84,8 @@ fn main() {
                 dur.image_resident_bytes() / 1024,
             );
         }
-    }
+        report.report
+    });
 
     // Crash! Rebuild from the checkpoint + log and compare.
     let live_digest = engine.database().state_digest();

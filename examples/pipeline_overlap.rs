@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release -p ltpg --example pipeline_overlap`
 
-use ltpg::{LtpgConfig, LtpgEngine, OptFlags, PipelinedRunner};
+use ltpg::{drive_stream, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg_gpu_sim::Pipeline;
 use ltpg_workloads::tpcc::cols;
 use ltpg_workloads::{TpccConfig, TpccGenerator};
 
@@ -32,10 +33,15 @@ fn main() {
 
     for pipelined in [false, true] {
         let (mut engine, mut gen) = engine_and_gen(batch);
-        let runner = PipelinedRunner::new(pipelined);
-        let out = runner.run(&mut engine, &mut |n| gen.gen_batch(n), batches, batch);
+        let mut pipe = Pipeline::new();
+        let out = drive_stream(|n| gen.gen_batch(n), batches, batch, pipelined, |b| {
+            let rws = engine.execute_batch_report(b);
+            pipe.push(rws.stats.stages());
+            rws.report
+        });
         let label = if pipelined { "pipelined " } else { "sequential" };
-        let makespan = if pipelined { out.overlapped_ns } else { out.serial_ns };
+        let makespan =
+            if pipelined { pipe.overlapped_makespan_ns() } else { pipe.serial_makespan_ns() };
         println!(
             "{label}: {} batches, {} committed, makespan {:.0} µs ({:.2} MTPS), abort re-entry delay {} batch(es)",
             out.batches,
@@ -47,7 +53,7 @@ fn main() {
         if pipelined {
             println!(
                 "overlap speedup vs its own serial schedule: {:.2}x (paper reports 10-15%)",
-                out.speedup()
+                pipe.speedup()
             );
         }
     }

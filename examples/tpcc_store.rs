@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release -p ltpg --example tpcc_store`
 
-use ltpg::{LtpgEngine, OptFlags, LtpgConfig};
-use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
+use ltpg::{drive_stream, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg_txn::BatchEngine;
 use ltpg_workloads::tpcc::{check_invariants, cols, PROC_NEWORDER};
 use ltpg_workloads::{TpccConfig, TpccGenerator};
 
@@ -33,13 +33,11 @@ fn main() {
     lcfg.premarked_popular.insert(tables.district);
     let mut engine = LtpgEngine::new(db, lcfg);
 
-    let mut tids = TidGen::new();
-    let mut requeued: Vec<Txn> = Vec::new();
     let mut committed_total = 0usize;
-    for i in 1..=batches {
-        let fresh = gen.gen_batch(batch_size - requeued.len());
-        let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-        let rws = engine.execute_batch_report(&batch);
+    let mut i = 0;
+    drive_stream(|n| gen.gen_batch(n), batches, batch_size, false, |batch| {
+        i += 1;
+        let rws = engine.execute_batch_report(batch);
         committed_total += rws.report.committed.len();
         let neworders = rws
             .report
@@ -55,14 +53,9 @@ fn main() {
             rws.stats.total_ns() / 1e3,
             rws.stats.delayed_ops_applied,
         );
-        requeued = rws
-            .report
-            .aborted
-            .iter()
-            .map(|t| batch.by_tid(*t).unwrap().clone())
-            .collect();
         // The books must balance after every batch.
         check_invariants(engine.database(), &tables, warehouses).expect("TPC-C invariants");
-    }
+        rws.report
+    });
     println!("total committed: {committed_total}; invariants held after every batch");
 }

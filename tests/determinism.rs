@@ -5,12 +5,12 @@
 //! demand bit-identical outcomes — including across simulator host-thread
 //! counts for LTPG, down to every flag word and simulated-clock bit.
 
-use ltpg::{CpuTwin, ExecScope, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg::{drive_stream, CpuTwin, ExecScope, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_bench::{build_tpcc_engine, ltpg_tpcc_config, run_stream, SystemKind};
 use ltpg_storage::{ColId, Database, TableBuilder, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::group::order_by_proc;
-use ltpg_txn::{Batch, BatchEngine, IrOp, ProcId, Src, Tid, TidGen, Txn};
+use ltpg_txn::{Batch, BatchEngine, BatchReport, IrOp, ProcId, Src, Tid, TidGen, Txn};
 use ltpg_workloads::tpcc::PROC_DELIVERY;
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
@@ -23,17 +23,12 @@ fn tpcc_stream(
     let cfg = TpccConfig::new(2, 50).with_headroom(batch_size * batches * 4).with_seed(seed);
     let (db, tables, mut gen) = TpccGenerator::new(cfg);
     let mut engine = build_tpcc_engine(kind, db, &tables, batch_size);
-    let mut tids = TidGen::new();
     let mut committed = Vec::new();
-    let mut requeued = Vec::new();
-    for _ in 0..batches {
-        let fresh = gen.gen_batch(batch_size - requeued.len());
-        let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-        let report = engine.execute_batch(&batch);
+    drive_stream(|n| gen.gen_batch(n), batches, batch_size, false, |batch| {
+        let report = engine.execute_batch(batch);
         committed.extend(report.committed.iter().copied());
-        requeued =
-            report.aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
-    }
+        report
+    });
     (committed, engine.database().state_digest())
 }
 
@@ -66,14 +61,14 @@ struct BatchBits {
 type Build = dyn Fn(usize) -> (LtpgEngine, Batch);
 
 /// Run `batch` through `engine`, prepare and finish (within `scope`, if
-/// any), and read it back bit for bit; its aborted transactions are the
-/// second half.
-fn run_batch(engine: &mut LtpgEngine, batch: &Batch, scope: Option<&ExecScope<'_>>) -> (BatchBits, Vec<Tid>) {
+/// any), and read it back bit for bit; the batch's report is the second
+/// half.
+fn run_batch(engine: &mut LtpgEngine, batch: &Batch, scope: Option<&ExecScope<'_>>) -> (BatchBits, BatchReport) {
     let prepared = engine.try_prepare_batch(batch, scope).unwrap();
     let flags = (0..prepared.len()).map(|i| prepared.flag_word(i)).collect();
     let rws = engine.try_finish_batch(batch, prepared, scope).unwrap();
     let bits = BatchBits {
-        committed: rws.report.committed,
+        committed: rws.report.committed.clone(),
         flags,
         digest: engine.database().state_digest(),
         sim_ns: rws.report.sim_ns.to_bits(),
@@ -81,7 +76,7 @@ fn run_batch(engine: &mut LtpgEngine, batch: &Batch, scope: Option<&ExecScope<'_
         atomic_serial_depth: rws.stats.atomic_serial_depth,
         divergent_warps: rws.stats.divergent_warps,
     };
-    (bits, rws.report.aborted)
+    (bits, rws.report)
 }
 
 /// One 4 096-lane batch through a fresh engine on `threads` host threads,
@@ -156,17 +151,20 @@ fn when_an_ordered_index_is_built_changes_nothing() {
         lcfg.est_accesses_per_txn = 24;
         lcfg.device.parallel_host_threads = threads;
         let mut engine = LtpgEngine::new(db, lcfg);
-        let (mut tids, mut requeued) = (TidGen::new(), Vec::new());
+        let mut calls = 0;
+        let gen = |n| {
+            calls += 1;
+            gens[usize::from(calls > 2)].gen_batch(n)
+        };
         let mut history = Vec::new();
-        for i in 0..6 {
-            let fresh = gens[usize::from(i >= 2)].gen_batch(BATCH - requeued.len());
-            let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-            let (bits, aborted) = run_batch(&mut engine, &batch, None);
-            requeued = aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
+        drive_stream(gen, 6, BATCH, false, |batch| {
+            let i = history.len();
+            let (bits, report) = run_batch(&mut engine, batch, None);
             let built = trees.map(|t| engine.database().table(t).ordered_is_built());
             assert_eq!(built, [built_first || i >= 2; 2], "batch {i}, built first: {built_first}");
             history.push(bits);
-        }
+            report
+        });
         (history, engine.device().stats().helper_lanes)
     };
     let (reference, _) = run(1, true);
@@ -221,7 +219,7 @@ fn simulated_time_is_reproducible() {
         let cfg = TpccConfig::new(1, 50).with_headroom(8_192).with_seed(9);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
         let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
-        run_stream(&mut engine, &mut |n| gen.gen_batch(n), 2, 512).sim_ns
+        run_stream(&mut engine, &Registry::new(), &mut |n| gen.gen_batch(n), 2, 512).sim_ns
     };
     let a = run();
     let b = run();

@@ -22,8 +22,8 @@
 mod common;
 
 use common::peak_rss_mb;
-use ltpg::{LtpgConfig, LtpgEngine};
-use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
+use ltpg::{drive_stream, LtpgConfig, LtpgEngine};
+use ltpg_txn::BatchEngine;
 use ltpg_workloads::tpcc::cols;
 use ltpg_workloads::{TpccConfig, TpccGenerator};
 
@@ -57,19 +57,15 @@ fn the_tpcc_engine_run_peaks_under_400_mb() {
     cfg.premarked_popular.insert(tables.district);
     let mut engine = LtpgEngine::new(db, cfg);
 
-    let mut tids = TidGen::new();
-    let mut requeued: Vec<Txn> = Vec::new();
     let mut sizes = Vec::new();
-    for _ in 0..BATCHES {
-        let fresh = gen.gen_batch(BATCH - requeued.len());
-        let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-        let report = engine.execute_batch(&batch);
-        requeued = report.aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
+    drive_stream(|n| gen.gen_batch(n), BATCHES, BATCH, false, |batch| {
+        let report = engine.execute_batch(batch);
         let slots = engine.database().table(tables.order_line).index_slots();
         if sizes.last() != Some(&slots) {
             sizes.push(slots);
         }
-    }
+        report
+    });
     let peak = peak_rss_mb();
     println!("tpcc_engine, {BATCHES} batches: VmHWM {peak:.1} MB; ORDER_LINE index {sizes:?}");
     assert!(sizes.len() >= 3, "ORDER_LINE's index grew fewer than twice: {sizes:?}");

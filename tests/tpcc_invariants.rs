@@ -2,8 +2,10 @@
 //! re-queuing, for LTPG in several configurations and under the pipelined
 //! batch schedule.
 
-use ltpg::{LtpgEngine, OptFlags, PipelinedRunner};
+use ltpg::{drive_stream, LtpgEngine, OptFlags};
 use ltpg_bench::{ltpg_tpcc_config, run_stream, SystemKind};
+use ltpg_gpu_sim::Pipeline;
+use ltpg_telemetry::Registry;
 use ltpg_txn::{BatchEngine, TidGen};
 use ltpg_workloads::tpcc::check_invariants;
 use ltpg_workloads::{TpccConfig, TpccGenerator};
@@ -14,7 +16,7 @@ fn invariants_hold_across_batches_with_requeue() {
         let cfg = TpccConfig::new(2, pct).with_headroom(16_384);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
         let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
-        let out = run_stream(&mut engine, &mut |n| gen.gen_batch(n), 4, 512);
+        let out = run_stream(&mut engine, &Registry::new(), &mut |n| gen.gen_batch(n), 4, 512);
         assert!(out.committed > 0);
         check_invariants(engine.database(), &tables, 2)
             .unwrap_or_else(|e| panic!("mix {pct}: {e}"));
@@ -28,7 +30,7 @@ fn invariants_hold_without_optimizations() {
     let cfg = TpccConfig::new(2, 50).with_headroom(8_192);
     let (db, tables, mut gen) = TpccGenerator::new(cfg);
     let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::none()));
-    let out = run_stream(&mut engine, &mut |n| gen.gen_batch(n), 3, 512);
+    let out = run_stream(&mut engine, &Registry::new(), &mut |n| gen.gen_batch(n), 3, 512);
     assert!(out.abort_events > 0, "unenhanced engine should abort under contention");
     check_invariants(engine.database(), &tables, 2).unwrap();
 }
@@ -39,10 +41,14 @@ fn invariants_hold_under_pipelined_schedule() {
     let cfg = TpccConfig::new(2, 50).with_headroom(16_384);
     let (db, tables, mut gen) = TpccGenerator::new(cfg);
     let mut engine = LtpgEngine::new(db, ltpg_tpcc_config(&tables, 512, OptFlags::all()));
-    let runner = PipelinedRunner::new(true);
-    let out = runner.run(&mut engine, &mut |n| gen.gen_batch(n), 6, 512);
+    let mut pipe = Pipeline::new();
+    let out = drive_stream(|n| gen.gen_batch(n), 6, 512, true, |batch| {
+        let rws = engine.execute_batch_report(batch);
+        pipe.push(rws.stats.stages());
+        rws.report
+    });
     assert!(out.committed > 0);
-    assert!(out.overlapped_ns <= out.serial_ns);
+    assert!(pipe.overlapped_makespan_ns() <= pipe.serial_makespan_ns());
     check_invariants(engine.database(), &tables, 2).unwrap();
 }
 
@@ -87,7 +93,7 @@ fn all_engines_preserve_invariants_over_a_stream() {
         let cfg = TpccConfig::new(2, 50).with_headroom(8_192).with_seed(33);
         let (db, tables, mut gen) = TpccGenerator::new(cfg);
         let mut engine = ltpg_bench::build_tpcc_engine(kind, db, &tables, 256);
-        let out = run_stream(&mut *engine, &mut |n| gen.gen_batch(n), 3, 256);
+        let out = run_stream(&mut *engine, &Registry::new(), &mut |n| gen.gen_batch(n), 3, 256);
         assert!(out.committed > 0, "{}", kind.name());
         check_invariants(engine.database(), &tables, 2)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));

@@ -2,7 +2,7 @@
 //! behavioural expectations the paper states (read-only C has no aborts,
 //! scans make E the slowest, inserts land exactly once).
 
-use ltpg::{LtpgConfig, LtpgEngine, OptFlags};
+use ltpg::{drive_stream, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_txn::oracle::check_snapshot_serializable;
 use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
 use ltpg_workloads::{YcsbConfig, YcsbGenerator, YcsbWorkload};
@@ -63,13 +63,9 @@ fn workload_d_inserts_land_exactly_once_across_batches() {
     let mut lcfg = LtpgConfig::with_opts(OptFlags::all());
     lcfg.max_batch = 256;
     let mut engine = LtpgEngine::new(db, lcfg);
-    let mut tids = TidGen::new();
     let mut committed_inserts = 0usize;
-    let mut requeued: Vec<Txn> = Vec::new();
-    for _ in 0..4 {
-        let fresh = gen.gen_batch(256 - requeued.len());
-        let batch = Batch::assemble(std::mem::take(&mut requeued), fresh, &mut tids);
-        let report = engine.execute_batch(&batch);
+    drive_stream(|n| gen.gen_batch(n), 4, 256, false, |batch| {
+        let report = engine.execute_batch(batch);
         for tid in &report.committed {
             let txn = batch.by_tid(*tid).unwrap();
             committed_inserts += txn
@@ -78,8 +74,8 @@ fn workload_d_inserts_land_exactly_once_across_batches() {
                 .filter(|o| matches!(o, ltpg_txn::IrOp::Insert { .. }))
                 .count();
         }
-        requeued = report.aborted.iter().map(|t| batch.by_tid(*t).unwrap().clone()).collect();
-    }
+        report
+    });
     let grown = engine.database().table(t).live_rows() - 1_000;
     assert_eq!(grown, committed_inserts, "every committed insert lands exactly once");
 }
