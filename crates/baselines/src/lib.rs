@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ltpg-baselines — the paper's comparison systems
 //!

@@ -16,6 +16,12 @@
 //!   host threads: a helper runs the execute kernel's pre-pass ahead of the
 //!   lanes.
 //!
+//! A `launch` group times what a pre-pass launch costs the host by itself:
+//! 256 and 4 096 lanes whose pre-pass and lanes do next to nothing, on a
+//! device of one host thread and of two. The two-thread figure less the
+//! one-thread one is what posting the pre-pass to the device's parked
+//! helper costs a launch (the helper is started by the first sample).
+//!
 //! The first three run on one host thread. `prepare − speculate` is
 //! registration + detection + staging, and `prepare − prepare_2_threads`
 //! what the helper takes off the launching thread; the split quoted in
@@ -36,6 +42,7 @@ use std::cell::RefCell;
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ltpg::{LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_bench::ltpg_tpcc_config;
+use ltpg_gpu_sim::{Device, DeviceConfig, PreSlots};
 use ltpg_txn::exec::execute_speculative;
 use ltpg_txn::{Batch, BatchEngine, TidGen, Txn};
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
@@ -135,5 +142,23 @@ fn bench_ycsb(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_tpcc, bench_ycsb);
+fn bench_launch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_phases/launch");
+    for lanes in [256, BATCH] {
+        for threads in [1, 2] {
+            let mut device = Device::new(DeviceConfig::parallel(threads));
+            let mut slots = PreSlots::default();
+            let label = format!("{lanes}_lanes_{threads}_threads");
+            group.bench_function(BenchmarkId::from_parameter(label), |b| {
+                b.iter(|| {
+                    let pre = |k: usize, v: &mut u64| *v = k as u64;
+                    device.launch_with_pre("trivial", lanes, &mut slots, pre, |lane, v| lane.charge_alu(*v as u32 & 1))
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_launch, bench_tpcc, bench_ycsb);
 criterion_main!(benches);

@@ -12,6 +12,8 @@
 //! and `all` end by printing the process's peak resident set (`VmHWM`) to
 //! stderr, which CI holds `all --smoke` to.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 

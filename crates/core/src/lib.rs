@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # LTPG — Large-batch Transaction Processing on GPUs
 //!

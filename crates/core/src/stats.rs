@@ -91,14 +91,10 @@ impl LtpgBatchStats {
     }
 
     /// The batch's three stages in the inter-batch pipeline (§V-E): upload,
-    /// the kernels plus synchronization, download. Allocation stalls sit
-    /// in no stage.
+    /// compute ([`Self::compute_ns`]: the kernels, synchronization and any
+    /// allocation stall), download.
     pub fn stages(&self) -> BatchStages {
-        BatchStages {
-            h2d_ns: self.h2d_ns,
-            compute_ns: self.execute_ns + self.detect_ns + self.writeback_ns + self.sync_ns,
-            d2h_ns: self.d2h_ns,
-        }
+        BatchStages { h2d_ns: self.h2d_ns, compute_ns: self.compute_ns(), d2h_ns: self.d2h_ns }
     }
 
     /// Publish this batch's breakdown to a metrics registry: per-phase

@@ -25,6 +25,7 @@
 //! bucket.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod batcher;

@@ -8,6 +8,7 @@ use ltpg_telemetry::{names, Counter, Histogram, Registry};
 
 use crate::cost::CostModel;
 use crate::faults::{DeviceError, DeviceFaultPlan};
+use crate::helpers::Helpers;
 use crate::stats::DeviceStats;
 
 /// Where the working set lives, mirroring the paper's "selective memory
@@ -35,8 +36,12 @@ pub struct DeviceConfig {
     /// Host threads a launch may use: the launching thread, which runs
     /// every lane in warp order, plus up to this many − 1 helpers, less the
     /// threads a [`HostThreadLease`] holds, that run a launch's pre-pass
-    /// ahead of it ([`Device::launch_with_pre`]). No simulated figure
-    /// depends on it. Defaults to the host's `available_parallelism`.
+    /// ahead of it ([`Device::launch_with_pre`]). The helpers are the
+    /// device's: started by the first launch that asks for them, parked
+    /// between launches and joined when the device is dropped, so an
+    /// owner of several devices keeps this many − 1 per device. No
+    /// simulated figure depends on it. Defaults to the host's
+    /// `available_parallelism`.
     pub parallel_host_threads: usize,
     /// Simulated device memory capacity in bytes (A6000: 48 GiB).
     pub device_mem_bytes: u64,
@@ -147,6 +152,8 @@ impl std::fmt::Debug for DeviceTelemetry {
 /// A simulated GPU: plain data with one owner (an engine, or the server
 /// that keeps a lost device for a timed recovery). Every call that charges
 /// the clock, consumes a fault ordinal or changes state takes `&mut self`.
+/// Beside its data the device owns the helper threads its launches post
+/// pre-passes to, which never touch the data.
 #[derive(Debug)]
 pub struct Device {
     pub(crate) cfg: DeviceConfig,
@@ -164,6 +171,8 @@ pub struct Device {
     /// Where device-level metrics are published (defaults to the process
     /// global registry until its owner rebinds it to its own).
     pub(crate) telemetry: DeviceTelemetry,
+    /// Parked pre-pass helpers, none until a launch asks for one.
+    pub(crate) helpers: Helpers,
 }
 
 impl Device {
@@ -178,6 +187,7 @@ impl Device {
             fault_op: 0,
             failed: false,
             telemetry: DeviceTelemetry::bind(ltpg_telemetry::global()),
+            helpers: Helpers::default(),
         }
     }
 

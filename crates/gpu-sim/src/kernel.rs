@@ -14,12 +14,16 @@
 //! a lane writes see one interleaving at any host thread count. What the
 //! host's other threads may do is a launch's *pre-pass*
 //! ([`Device::launch_with_pre`]): a pure function of the lane index, run
-//! ahead by helper threads into per-lane slots the caller keeps, and
-//! borrowed by the lanes in lane order.
+//! ahead by the device's parked helper threads into per-lane slots the
+//! caller keeps, and borrowed by the lanes in lane order. The device's
+//! first launch that asks for helpers starts them; from then on a launch
+//! only posts its pre-pass to them and, once its lanes have run, waits
+//! for any helper still inside the pre-pass to leave it.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::atomic::{SimAtomicU32, SimAtomicU64};
 use crate::cost::CostModel;
@@ -230,13 +234,15 @@ struct WarpTotals {
     counters: LaneCounters,
 }
 
-/// Slot states of [`PreSlots`]: nobody has the lane yet, a helper is
+/// Slot states of [`PreSlots`]: nobody has the lane yet, a thread is
 /// computing it, a helper's value waits in the slot, the launching thread
-/// has the lane.
+/// has the lane, the launching thread's own value waits in the slot (it
+/// filled the lane ahead of itself while a helper held an earlier one).
 const FREE: u8 = 0;
 const CLAIMED: u8 = 1;
 const READY: u8 = 2;
 const TAKEN: u8 = 3;
+const AHEAD: u8 = 4;
 
 /// Per-lane values of a launch's pre-pass (see [`Device::launch_with_pre`]).
 /// The caller keeps them from launch to launch: the pre-pass fills each
@@ -247,10 +253,10 @@ const TAKEN: u8 = 3;
 /// ([`get_mut`](Self::get_mut), [`values_mut`](Self::values_mut)).
 pub struct PreSlots<P> {
     slots: Vec<PreSlot<P>>,
-    /// Values the launching thread filled for lanes a helper was still
-    /// filling. They are swapped into those lanes' slots once the helpers
-    /// are joined, and the helpers' values they get in exchange serve the
-    /// next such lane.
+    /// Values the launching thread filled for lanes a helper held past
+    /// the launching thread's patience. They are swapped into
+    /// those lanes' slots once the helpers have left the launch, and the
+    /// helpers' values they get in exchange serve the next such lane.
     spare: Vec<P>,
     /// The lane of each spare value in use in this launch.
     spare_lanes: Vec<usize>,
@@ -272,17 +278,18 @@ impl<P> PreSlot<P> {
         self.value.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A helper's turn at lane `k`, this slot's: fill it unless another
-    /// thread has it. Returns whether the launching thread filled the lane
-    /// too, having reached it while the helper was at it.
-    fn offer(&self, k: usize, pre: &impl Fn(usize, &mut P)) -> bool {
+    /// A turn at lane `k`, this slot's: fill it unless another thread has
+    /// it, and leave it `done` (`READY` from a helper, `AHEAD` from the
+    /// launching thread). Returns whether the launching thread filled the
+    /// lane too, having reached it while a helper was at it.
+    fn offer(&self, k: usize, pre: &impl Fn(usize, &mut P), done: u8) -> bool {
         if self.state.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed).is_err() {
             return false;
         }
         pre(k, &mut *self.value());
         // Fails when the launching thread reached the lane first and
         // filled a spare value for it.
-        self.state.compare_exchange(CLAIMED, READY, Ordering::Release, Ordering::Relaxed).is_err()
+        self.state.compare_exchange(CLAIMED, done, Ordering::Release, Ordering::Relaxed).is_err()
     }
 }
 
@@ -345,15 +352,22 @@ impl Device {
     /// writes into lane *k*'s slot of `slots`, whose value the caller keeps
     /// from launch to launch, so a value that owns buffers fills the ones
     /// the slot's last lane left. Up to `parallel_host_threads − 1` helper
-    /// threads, less those a [`crate::HostThreadLease`] holds (one scoped
-    /// spawn per launch of more than one warp), fill slots ahead of the
-    /// launching thread; the launching thread runs `f` over the lanes in
-    /// warp order, as every launch does, each lane borrowing its slot's
-    /// value, filled by a helper or inline when no helper has it — it never
-    /// waits for a lane. A lane a helper is still filling when the
-    /// launching thread reaches it is filled again inline, into a spare
-    /// value that takes the slot's place once the helpers are joined; only
-    /// such a lane can need a value the slots have not held before.
+    /// threads, less those a [`crate::HostThreadLease`] holds and at most
+    /// one per warp after the first, fill slots ahead of the launching
+    /// thread. They are the device's own: started by its first launch that
+    /// asks for them, parked between launches and joined when the device
+    /// is dropped, so a launch only posts its pre-pass to them. The
+    /// launching thread runs `f` over the lanes in warp order, as every
+    /// launch does, each lane borrowing its slot's value, filled by a
+    /// helper or inline when no helper has it. It never waits for a helper
+    /// to start, and for a lane only when nothing else is left: when it
+    /// reaches a lane a helper is still filling, it fills lanes ahead that
+    /// no thread has taken until the helper is done. If none is left, it
+    /// waits for the helper at most as long as the launch has run so far,
+    /// and then fills the lane again inline, into a spare value that takes
+    /// the slot's place once the helpers have left the launch; only such a
+    /// lane can need a value the slots have not held before. The launch
+    /// returns, or unwinds, only after every helper has left its pre-pass.
     /// Everything the report and the device's counters hold is therefore
     /// independent of the thread count; only
     /// [`crate::DeviceStats::helper_lanes`] says how the work was shared. A
@@ -419,13 +433,8 @@ impl Device {
         // may start (the launching thread moves it past each warp it
         // reaches).
         let (at, next, twice) = (AtomicUsize::new(0), AtomicUsize::new(1), AtomicU64::new(0));
-        let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
-        let launcher = std::thread::current();
+        let stop = AtomicBool::new(false);
         let helper = || {
-            started.store(true, Ordering::Release);
-            launcher.unpark();
-            // Sharing the launching thread's CPU, let it run on.
-            std::thread::yield_now();
             while !stop.load(Ordering::Relaxed) {
                 let w = next.fetch_add(1, Ordering::Relaxed);
                 if w >= n_warps {
@@ -435,39 +444,53 @@ impl Device {
                 for (k, slot) in (lo..).zip(&shared[lo..((w + 1) * warp_size).min(lanes)]) {
                     // Claim only lanes at least half a warp past the
                     // launching thread's warp: it then cannot reach a lane
-                    // a helper is still filling (and fill it twice)
+                    // a helper is still filling (and work around it)
                     // unless that one lane's pre-pass outlasts half a warp
                     // of lanes. Passed-over lanes run inline.
                     if k >= (at.load(Ordering::Relaxed) + 1) * warp_size + warp_size / 2
-                        && slot.offer(k, &pre)
+                        && slot.offer(k, &pre, READY)
                     {
                         twice.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
         };
-        let mut helper_lanes = 0u64;
-        let outcome = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(helper)).collect();
-            // Linux queues a new thread on the spawning thread's CPU and may
-            // move it to an idle one only at its next balancing tick:
-            // milliseconds, longer than a small launch. Blocking until a
-            // helper runs lets the launching thread be woken on the idle CPU
-            // instead. This is the one wait of a launch.
-            while !started.load(Ordering::Acquire) {
-                std::thread::park();
-            }
-            let stopping = StopOnDrop(&stop);
-            let report = self.launch_indexed(name, lanes, |lane| {
+        let (mut helper_lanes, mut ahead) = (0u64, 0usize);
+        let board = self.helpers.at_least(helpers);
+        let began = Instant::now();
+        // The lanes start at once; the helpers join in as they wake. The
+        // run returns once every helper has left the pre-pass, keeping the
+        // first panic one of them raised.
+        let (report, panic) = board.run(helpers, &helper, || {
+            let _stopping = StopOnDrop(&stop);
+            self.launch_indexed(name, lanes, |lane| {
                 if lane.lane_id == 0 {
                     at.store(lane.warp_id, Ordering::Relaxed);
                     next.fetch_max(lane.warp_id + 1, Ordering::Relaxed);
                 }
                 let k = lane.global_id;
                 let slot = &shared[k];
+                // A helper is filling the lane: rather than fill it again,
+                // fill the lanes ahead that no thread has taken, until the
+                // helper is done or none is left.
+                ahead = ahead.max(k + 1);
+                while ahead < lanes && slot.state.load(Ordering::Acquire) == CLAIMED {
+                    shared[ahead].offer(ahead, &pre, AHEAD);
+                    ahead += 1;
+                }
+                // With every lane ahead filled, the helper is all that is
+                // left, and the launch waits for it at its end anyway. It
+                // gets as long as the launch has run so far; a helper
+                // stalled past that is overtaken and the lane filled again.
+                if slot.state.load(Ordering::Acquire) == CLAIMED {
+                    let (patience, waiting) = (began.elapsed(), Instant::now());
+                    while slot.state.load(Ordering::Acquire) == CLAIMED && waiting.elapsed() < patience {
+                        std::thread::yield_now();
+                    }
+                }
                 match slot.state.swap(TAKEN, Ordering::AcqRel) {
-                    READY => {
-                        helper_lanes += 1;
+                    done @ (READY | AHEAD) => {
+                        helper_lanes += u64::from(done == READY);
                         f(lane, &mut *slot.value());
                     }
                     // No helper claimed the lane, and none will now.
@@ -476,7 +499,7 @@ impl Device {
                         pre(k, &mut *value);
                         f(lane, &mut *value);
                     }
-                    // A helper is filling the slot.
+                    // A helper is still filling the slot.
                     _ => {
                         if spare_lanes.len() == spare.len() {
                             spare.push(P::default());
@@ -487,17 +510,13 @@ impl Device {
                         f(lane, value);
                     }
                 }
-            });
-            drop(stopping);
-            // Join every helper, keeping the first panic: a helper left
-            // unjoined that panicked makes the scope panic with a payload of
-            // its own, and the helper's would be lost.
-            let joined: Result<(), _> = handles.into_iter().map(|h| h.join()).fold(Ok(()), Result::and);
-            joined.map(|()| report)
+            })
         });
         self.stats.helper_lanes += helper_lanes;
         self.stats.lanes_computed_twice += twice.into_inner();
-        let report = outcome.unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
         for (j, k) in spare_lanes.drain(..).enumerate() {
             std::mem::swap(cells[k].value_mut(), &mut spare[j]);
         }
@@ -855,6 +874,75 @@ mod tests {
         );
         drop(lease);
         assert_eq!((r.lanes, d.stats().helper_lanes), (10_000, 0));
+    }
+
+    /// The helpers are the device's, kept from launch to launch: over 50
+    /// launches the pre-pass runs on the launching thread and on one other
+    /// thread, and that thread produced lanes.
+    #[test]
+    fn a_device_keeps_its_helper_from_launch_to_launch() {
+        let launcher = std::thread::current().id();
+        let helpers = Mutex::new(Vec::new());
+        let mut d = Device::new(DeviceConfig::parallel(2));
+        let mut slots = PreSlots::default();
+        for _ in 0..50 {
+            let pre = |k: usize, v: &mut u64| {
+                let id = std::thread::current().id();
+                if id != launcher {
+                    let mut helpers = helpers.lock().unwrap();
+                    if !helpers.contains(&id) {
+                        helpers.push(id);
+                    }
+                }
+                *v = mix(k);
+            };
+            d.launch_with_pre("kept", 10_000, &mut slots, pre, |lane, &mut v| {
+                lane.charge_cycles((v % 17) as f64 * 0.1);
+            });
+        }
+        assert_eq!(helpers.into_inner().unwrap().len(), 1);
+        assert!(d.stats().helper_lanes > 0);
+    }
+
+    /// A lane that panics unwinds out of its launch only once no helper is
+    /// inside the pre-pass it borrowed.
+    #[test]
+    fn a_panicking_lane_unwinds_after_its_helpers_leave_the_pre_pass() {
+        let launcher = std::thread::current().id();
+        let (entered, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+        // Kept out of the unwinding closure: dropping it joins the helpers.
+        let mut d = Device::new(DeviceConfig::parallel(3));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let sleepy = |k: usize| {
+                if std::thread::current().id() != launcher && !entered.swap(true, Ordering::AcqRel) {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    finished.store(true, Ordering::Release);
+                }
+                k
+            };
+            d.launch_with_pre("unwind", 10_000, &mut PreSlots::default(), fill(sleepy), |lane, _| {
+                while !entered.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                panic!("lane {} failed", lane.global_id);
+            })
+        }));
+        assert!(run.is_err(), "the lane's panic must reach the caller");
+        assert!(finished.load(Ordering::Acquire), "the launch unwound while a helper ran its pre-pass");
+    }
+
+    /// Dropping a device joins its helpers: each holds the board they
+    /// share, so no strong reference to it is left once they have exited.
+    #[test]
+    fn a_dropped_device_leaves_no_helper_running() {
+        let mut d = Device::new(DeviceConfig::parallel(3));
+        d.launch_with_pre("joined", 10_000, &mut PreSlots::default(), fill(mix), |lane, &mut v| {
+            lane.charge_cycles((v % 17) as f64 * 0.1);
+        });
+        let board = d.helpers.board();
+        assert!(board.strong_count() >= 2, "no helper was started");
+        drop(d);
+        assert_eq!(board.strong_count(), 0);
     }
 
     /// A slot's value outlives its launch: the caller reads lane k's value

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! # ltpg-gpu-sim — a functional SIMT GPU simulator
 //!
@@ -33,7 +34,8 @@
 //! simulated-time figure is reproducible bit-for-bit at any host thread
 //! count. The other `parallel_host_threads − 1` threads only run a launch's
 //! *pre-pass* ahead of it: a pure function of the lane index that cannot
-//! reach the simulated clock ([`Device::launch_with_pre`]). Simulated
+//! reach the simulated clock ([`Device::launch_with_pre`]), posted to
+//! helper threads the device keeps parked from launch to launch. Simulated
 //! atomics are plain words that a lane updates through `&mut`, so the
 //! compiler rejects a pre-pass that reads one the lanes write. The
 //! [`Device`] is plain data too, with one owner: every launch, transfer
@@ -60,6 +62,7 @@ pub mod atomic;
 pub mod cost;
 pub mod device;
 pub mod faults;
+mod helpers;
 pub mod kernel;
 pub mod stats;
 pub mod transfer;

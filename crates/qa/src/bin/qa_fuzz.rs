@@ -15,6 +15,8 @@
 //! qa_fuzz --start 1000 --seeds 100 --repro-dir /tmp/repros
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

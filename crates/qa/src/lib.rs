@@ -25,6 +25,7 @@
 //! the seed, so `qa_fuzz --start S --seeds N` is exactly reproducible.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod case;
 pub mod gen;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ltpg-replica — deterministic replication and automatic failover
 //!

@@ -16,6 +16,7 @@
 /// On x86-64 this is `prefetcht0`; on other targets it is a load of
 /// `*value` that the optimiser may not remove.
 #[inline(always)]
+#[allow(unsafe_code)]
 pub fn prefetch<T: Copy>(value: &T) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -38,6 +39,7 @@ pub fn prefetch<T: Copy>(value: &T) {
 /// capacity, or an `alloc_zeroed` one). It is advice on the program's own
 /// mapping: it changes no setting of the machine, does nothing where huge
 /// pages are off or on other targets, and a refusal is ignored.
+#[allow(unsafe_code)]
 pub fn huge_pages<T>(array: &[T]) {
     #[cfg(target_os = "linux")]
     {

@@ -62,6 +62,7 @@ struct Slot {
 }
 
 // SAFETY: two integers (and padding), each valid at zero.
+#[allow(unsafe_code)]
 unsafe impl Zeroed for Slot {}
 
 impl Slot {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! # ltpg-storage — the in-memory storage engine
 //!

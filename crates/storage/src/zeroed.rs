@@ -15,11 +15,14 @@ use std::sync::atomic::AtomicU64;
 /// # Safety
 ///
 /// An implementor must be valid when every byte of it is zero.
+#[allow(unsafe_code)]
 pub(crate) unsafe trait Zeroed: Sized {}
 
 // SAFETY: every bit pattern is an integer.
+#[allow(unsafe_code)]
 unsafe impl Zeroed for i64 {}
 // SAFETY: the atomic has the bit validity of the integer it wraps.
+#[allow(unsafe_code)]
 unsafe impl Zeroed for AtomicU64 {}
 
 /// The word an `i64` key is stored as, in a table's key column and in an
@@ -32,6 +35,7 @@ pub(crate) const fn stored(key: i64) -> i64 {
 
 /// `len` zero values from `alloc_zeroed`: for a large array, fresh zero
 /// pages, none of them resident until first written.
+#[allow(unsafe_code)]
 pub(crate) fn zeroed<T: Zeroed>(len: usize) -> Box<[T]> {
     if len == 0 {
         return Box::default();

@@ -26,6 +26,7 @@
 //! to the process-wide [`global()`] registry.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod histogram;

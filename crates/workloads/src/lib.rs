@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ltpg-workloads — TPC-C and YCSB for the LTPG reproduction
 //!

@@ -189,16 +189,21 @@ fn steady_state_allocator_calls_per_transaction() {
 
 /// The execute kernel's pre-pass (the warp's row touch, speculation and
 /// staging) allocates on a helper thread what it would have allocated
-/// inline, and its result slots are kept in the engine's arena. So per
-/// steady-state transaction of 4 096-lane TPC-C batches, an engine on two
-/// host threads may exceed the one-thread figure only by the helper's
-/// spawn, once per batch: 0.01 calls per transaction. A lane whose helper
-/// was overtaken by the launching thread runs its pre-pass twice and
-/// allocates twice. How many do is up to the scheduler (none on an idle
-/// box, 20–35 a window on a busy one), so each is charged apart: at most
-/// what one transaction allocates on one thread, the pre-pass included.
+/// inline, and its result slots are kept in the engine's arena. The
+/// helper is the device's, parked between launches, so a launch posts to
+/// it without spawning a thread, and its per-thread scratch outlives the
+/// launch. So per steady-state transaction of 4 096-lane TPC-C batches,
+/// an engine on two host threads may not exceed the one-thread figure
+/// (0.410 calls per transaction when each launch spawned its helper, 0.407
+/// with it parked). A launching thread that reaches a lane its helper is
+/// still filling fills the lanes ahead meanwhile, in their own slots, and
+/// then waits for the helper as long as the launch has run; only a helper
+/// stalled past that has its lane filled again, into a spare value. How
+/// many lanes that happens to is up to the scheduler, so each is charged
+/// apart: at most what one transaction allocates on one thread, the
+/// pre-pass included.
 #[test]
-fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
+fn a_parked_helper_adds_nothing_to_allocator_calls() {
     const TIMED_TXNS: f64 = (4 * 4_096) as f64;
     let _guard = serial();
     let calls_at = |threads: usize| {
@@ -222,7 +227,7 @@ fn a_helper_thread_adds_only_its_spawn_to_allocator_calls() {
     );
     assert!(helped > 0, "no helper produced a lane");
     assert!(
-        two <= one + 0.01 + recomputed,
+        two <= one + recomputed,
         "two host threads: {two:.3} calls per transaction against {one:.3}; \
          {twice} lanes were computed twice"
     );
