@@ -209,7 +209,7 @@ pub fn failover(scale: Scale) -> Record {
         // on the promoted topology.
         let faulted = failover_run(n, 1, sizes(scale), Some(2));
         assert_eq!(faulted.failovers, 1, "{n}-shard run must fail over exactly once");
-        assert_eq!(faulted.degraded_shards, 0, "failover must not fall back to the CPU twin");
+        assert_eq!(faulted.degraded_shards, 0, "failover must not degrade to the CPU fallback");
         assert_eq!(
             faulted.committed, clean.committed,
             "{n}-shard failover changed the committed count"
@@ -243,7 +243,7 @@ pub fn check_failover(rec: &Record) -> Result<(), String> {
     rec.require_columns(FAILOVER_COLUMNS)?;
     for r in rec.rows() {
         ensure!(r.num("failovers")? == 1.0, "a run did not fail over exactly once");
-        ensure!(r.num("degraded_shards")? == 0.0, "failover fell back to the CPU twin");
+        ensure!(r.num("degraded_shards")? == 0.0, "failover degraded to the CPU fallback");
         ensure!(
             r.num("committed")? > 0.0 && r.num("mtps_under_failure")? > 0.0,
             "a run did no work"

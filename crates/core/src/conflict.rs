@@ -688,6 +688,11 @@ pub struct LogMemory {
     pub bucket_size: usize,
 }
 
+/// A [`ConflictLog`]'s run-time sizing ([`ConflictLog::record_sizing`]):
+/// per table, its row log's `(s_h, s_u)` and pending access count. Empty
+/// stands for a log as constructed.
+pub(crate) type LogSizing = Vec<(usize, usize, u64)>;
+
 /// The engine-wide conflict log: one row-granularity [`TableLog`] per
 /// table, plus dedicated logs for split-off hot columns.
 pub struct ConflictLog {
@@ -798,6 +803,28 @@ impl ConflictLog {
                     self.popular_hint[i],
                 ));
             }
+        }
+    }
+
+    /// Write into `sizing` (reusing its buffer) what
+    /// [`begin_batch`](Self::begin_batch) resizes from: every row log's
+    /// geometry and the accesses registered since it last began a batch.
+    /// A checkpoint keeps it beside the image, so an engine built from that
+    /// image sizes its next batch's logs as this one would.
+    pub(crate) fn record_sizing(&self, sizing: &mut LogSizing) {
+        let rows = &self.logs[..self.rows_per_table.len()];
+        sizing.clear();
+        sizing.extend(rows.iter().map(|log| (log.s_h, log.s_u, log.accesses)));
+    }
+
+    /// Take over the [`record_sizing`](Self::record_sizing) of a log over
+    /// the same tables. An empty sizing changes nothing.
+    pub(crate) fn resize(&mut self, sizing: &LogSizing) {
+        for (log, &(s_h, s_u, accesses)) in self.logs.iter_mut().zip(sizing) {
+            if (log.s_h, log.s_u) != (s_h, s_u) {
+                log.remodel((s_h, s_u));
+            }
+            log.accesses = accesses;
         }
     }
 

@@ -36,12 +36,12 @@ use ltpg_txn::group::{arrival_order, order_by_proc};
 use ltpg_txn::{Batch, BatchEngine, BatchReport, Txn};
 
 use crate::config::{CommutativeMask, LtpgConfig};
-use crate::conflict::{ConflictLog, Settled};
+use crate::conflict::{ConflictLog, LogSizing, Settled};
 use crate::footprint::{self, conflict_flags, mutation_cells, read_cell, Cell, Check};
 use crate::stats::{LtpgBatchStats, ReportWithStats};
 
 /// Conflict-flag bits per transaction. Public so cooperating executors
-/// (the sharded CPU twin, cross-shard flag merging) can combine per-shard
+/// (cross-shard flag merging, test references) can combine per-shard
 /// verdicts: the flag word of a transaction is the bitwise OR of the words
 /// derived by every shard that owns one of its cells, and the commit rule
 /// ([`commit_decision`]) is a pure function of that word.
@@ -116,9 +116,9 @@ pub mod qa_inject {
 /// commutative columns (and deletes against their tables, and reads of
 /// them) force-abort, and everything else stays in `normal`, in program
 /// order, for write-back. Returns whether the transaction must be
-/// force-aborted. Shared by the execute kernel's pre-pass and the CPU twin
-/// so both derive identical staging decisions; each asks the
-/// [`CommutativeMask`] it built once.
+/// force-aborted. The execute kernel's pre-pass stages through it, and so
+/// can a reference that must derive identical staging decisions; each
+/// asks the [`CommutativeMask`] it built once.
 pub fn stage_effects(
     commutative: &CommutativeMask,
     reads: &[ReadAccess],
@@ -173,23 +173,24 @@ pub struct ExecScope<'a> {
 /// Whether `scope` owns row `(table, key)`; the trivial scope owns
 /// everything.
 #[inline]
-pub(crate) fn scope_owns_row(scope: Option<&ExecScope<'_>>, table: TableId, key: i64) -> bool {
+fn scope_owns_row(scope: Option<&ExecScope<'_>>, table: TableId, key: i64) -> bool {
     scope.is_none_or(|s| (s.owns_row)(table, key))
 }
 
 /// Whether `scope` owns `cell`.
 #[inline]
-pub(crate) fn scope_owns(scope: Option<&ExecScope<'_>>, cell: Cell) -> bool {
+fn scope_owns(scope: Option<&ExecScope<'_>>, cell: Cell) -> bool {
     scope_owns_row(scope, cell.table, cell.anchor())
 }
 
 /// Chain of the shard-local slice and the remote view: reads try the local
 /// slice first (shards partition keys, so a local hit is authoritative)
 /// and fall through to the remote view; ordered scans merge both sides.
-/// Shared by the engine's execute kernel and the CPU twin.
-pub(crate) struct ScopedStore<'a> {
-    pub(crate) local: &'a Database,
-    pub(crate) remote: &'a (dyn CellStore + Sync),
+/// The execute kernel's pre-pass reads through it on every scoped
+/// executor, a degraded one included.
+struct ScopedStore<'a> {
+    local: &'a Database,
+    remote: &'a (dyn CellStore + Sync),
 }
 
 impl CellStore for ScopedStore<'_> {
@@ -222,9 +223,8 @@ impl CellStore for ScopedStore<'_> {
 /// Make room in `db`'s primary indexes for the committed inserts among
 /// `normal` whose row `owns_row` says is written here, counted per table
 /// into `counts`: the `&mut` step before a write-back, which inserts
-/// through `&Database` and never grows an index. Shared by the engine and
-/// the CPU twin.
-pub(crate) fn reserve_inserts<'m>(
+/// through `&Database` and never grows an index.
+fn reserve_inserts<'m>(
     db: &mut Database,
     counts: &mut Vec<usize>,
     normal: impl Iterator<Item = &'m Mutation>,
@@ -247,28 +247,27 @@ pub(crate) fn reserve_inserts<'m>(
 }
 
 /// The cell a delayed add folds into.
-pub(crate) type DelayedCell = (TableId, ColId, i64);
+type DelayedCell = (TableId, ColId, i64);
 
-/// The delayed-update fold (paper Example 3), shared by the engine and the
-/// CPU twin: the owned delayed adds of a batch's committing transactions,
-/// summed per cell (wrapping) and counted, in cell order. Sorting a
-/// vector kept from batch to batch, not iterating a hash map, is what makes
-/// the order the cells' own.
+/// The delayed-update fold (paper Example 3): the owned delayed adds of a
+/// batch's committing transactions, summed per cell (wrapping) and counted,
+/// in cell order. Sorting a vector kept from batch to batch, not iterating
+/// a hash map, is what makes the order the cells' own.
 #[derive(Default)]
-pub(crate) struct DelayedFold {
+struct DelayedFold {
     adds: Vec<(DelayedCell, i64)>,
     merged: Vec<(DelayedCell, i64, u32)>,
 }
 
 impl DelayedFold {
     /// One delayed add of `delta` to `cell`.
-    pub(crate) fn push(&mut self, cell: DelayedCell, delta: i64) {
+    fn push(&mut self, cell: DelayedCell, delta: i64) {
         self.adds.push((cell, delta));
     }
 
     /// Fold the adds pushed since the last call: `(cell, sum, adds)` per
     /// cell, in cell order.
-    pub(crate) fn fold(&mut self) -> &[(DelayedCell, i64, u32)] {
+    fn fold(&mut self) -> &[(DelayedCell, i64, u32)] {
         self.adds.sort_unstable_by_key(|&(cell, _)| cell);
         self.merged.clear();
         for &(cell, delta) in &self.adds {
@@ -286,9 +285,8 @@ impl DelayedFold {
 }
 
 /// Apply one committed mutation to `db` ([`exec::apply_mutation`]),
-/// through `row` when the caller resolved it: the write-back step shared by
-/// the engine's kernel and the CPU twin.
-pub(crate) fn write_back(db: &mut Database, m: &Mutation, row: Option<RowId>) {
+/// through `row` when the caller resolved it: the write-back kernel's step.
+fn write_back(db: &mut Database, m: &Mutation, row: Option<RowId>) {
     let (table, key) = m.row();
     match exec::apply_mutation(db, m, row) {
         Ok(()) => {}
@@ -475,6 +473,9 @@ pub struct PreparedBatch {
     /// launching thread saw them.
     host_ns: [u64; 2],
     wall_start: Instant,
+    /// The prepare cost a degraded executor reports instead of the
+    /// device's (see [`crate::Executor`]).
+    charged_ns: Option<f64>,
 }
 
 impl PreparedBatch {
@@ -505,7 +506,12 @@ impl PreparedBatch {
     /// interleaved syncs — writeback/D2H have not run yet). Sharded servers
     /// use this to charge merge-barrier stall time.
     pub fn sim_ns(&self) -> f64 {
-        self.stats.total_ns()
+        self.charged_ns.unwrap_or_else(|| self.stats.total_ns())
+    }
+
+    /// Report `ns` as this prepare's cost, whatever the device charged.
+    pub(crate) fn charge(&mut self, ns: f64) {
+        self.charged_ns = Some(ns);
     }
 }
 
@@ -648,6 +654,13 @@ impl LtpgEngine {
     /// The conflict log (memory occupancy reporting, Table VIII).
     pub fn conflict_log(&self) -> &ConflictLog {
         &self.log
+    }
+
+    /// Size the conflict log as another engine's over the same tables was
+    /// ([`ConflictLog::resize`]): an engine built over a checkpoint image
+    /// runs the batches after it with the logs the live engine had.
+    pub(crate) fn resize_log(&mut self, sizing: &LogSizing) {
+        self.log.resize(sizing);
     }
 
     /// Consume the engine, returning the final database.
@@ -920,6 +933,7 @@ impl LtpgEngine {
             stats,
             host_ns: [execute_host_ns, detect_host_ns],
             wall_start,
+            charged_ns: None,
         })
     }
 
@@ -954,6 +968,7 @@ impl LtpgEngine {
             mut stats,
             host_ns: [execute_host_ns, detect_host_ns],
             wall_start,
+            charged_ns: _,
         } = prepared;
         let n = batch.len();
         let owns_row = |t: TableId, k: i64| scope_owns_row(scope, t, k);
@@ -1434,6 +1449,23 @@ mod tests {
         let adder = Txn::new(ProcId(0), vec![], vec![add(t, 7, 5)]);
         let (engine, batch, report, pre) = run(db, cfg, vec![reader, adder]);
         assert_eq!(report.committed, vec![Tid(2)], "adder commits, reader force-aborts");
+        assert_serializable(&engine, &batch, &report, &pre);
+    }
+
+    #[test]
+    fn overwrites_deletes_and_reads_of_a_commutative_column_are_force_aborted() {
+        let (db, t) = small_db();
+        let mut cfg = LtpgConfig::default();
+        cfg.delayed_cols.insert((t, ColId(1)));
+        let overwrite = IrOp::Update { table: t, key: Src::Const(0), col: ColId(1), val: Src::Const(5) };
+        let txns = vec![
+            Txn::new(ProcId(0), vec![], vec![overwrite]),
+            Txn::new(ProcId(0), vec![], vec![IrOp::Delete { table: t, key: Src::Const(1) }]),
+            Txn::new(ProcId(0), vec![], vec![IrOp::Read { table: t, key: Src::Const(2), col: ColId(1), out: 0 }]),
+            Txn::new(ProcId(0), vec![], vec![write(t, 4, 9)]),
+        ];
+        let (engine, batch, report, pre) = run(db, cfg, txns);
+        assert_eq!(report.committed, vec![Tid(4)], "only the plain update is unaffected");
         assert_serializable(&engine, &batch, &report, &pre);
     }
 

@@ -1,123 +1,92 @@
-//! The executor seam: the one place a batch meets either the (simulated)
-//! GPU engine or its CPU twin.
+//! The executor seam: the one place a batch meets the engine.
 //!
 //! The server shell, degradation replay and standby replay drive batches
-//! through [`Executor::prepare`] / [`Executor::finish`]; nothing above this
-//! file matches on which kind of executor is serving. Dispatch happens once
-//! per (shard, batch) — never per transaction.
+//! through [`Executor::prepare`] / [`Executor::finish`]. Every executor is
+//! an [`LtpgEngine`], so every batch — live, replayed, recovered — is
+//! decided by one procedure. A *degraded* executor is the CPU fallback: an
+//! engine on a replacement device with no fault plan, whose batches are
+//! costed by the CPU model instead of the device.
 
 use std::sync::Arc;
 
+use ltpg_baselines::CpuCostModel;
 use ltpg_gpu_sim::{Device, DeviceError};
 use ltpg_storage::Database;
 use ltpg_telemetry::names;
 use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
 use crate::config::{LtpgConfig, ServerConfig};
+use crate::conflict::LogSizing;
 use crate::engine::{ExecScope, LtpgEngine, PreparedBatch};
-use crate::twin::{CpuTwin, TwinPrepared};
 
 /// The executor serving one database (a whole one, or one shard's slice).
-pub enum Executor {
-    /// Normal operation: the (simulated) GPU engine.
-    Gpu(Box<LtpgEngine>),
-    /// Degraded operation after device loss: the serial CPU twin.
-    Cpu(Box<CpuTwin>),
+pub struct Executor {
+    engine: Box<LtpgEngine>,
+    /// The CPU fallback after device loss: no device to probe, fail or arm,
+    /// and the CPU model's cost in place of the device's.
+    degraded: bool,
 }
 
 impl From<LtpgEngine> for Executor {
     fn from(engine: LtpgEngine) -> Self {
-        Executor::Gpu(Box::new(engine))
+        Executor { engine: Box::new(engine), degraded: false }
     }
 }
 
-impl From<CpuTwin> for Executor {
-    fn from(twin: CpuTwin) -> Self {
-        Executor::Cpu(Box::new(twin))
-    }
-}
-
-/// Per-batch state between [`Executor::prepare`] and [`Executor::finish`],
-/// with a uniform flag-word API. Lives on the stack for one tick, so the
-/// size gap between the variants costs nothing and boxing would add an
-/// allocation per shard per batch.
-#[allow(clippy::large_enum_variant)]
-pub enum Prepared {
-    /// Prepared on the GPU engine.
-    Gpu(PreparedBatch),
-    /// Prepared on the CPU twin.
-    Cpu(TwinPrepared),
-}
-
-impl Prepared {
-    /// Conflict-flag word of transaction `i` (batch order) over the cells
-    /// this executor owns.
-    pub fn flag_word(&self, i: usize) -> u32 {
-        match self {
-            Prepared::Gpu(p) => p.flag_word(i),
-            Prepared::Cpu(p) => p.flag_word(i),
-        }
-    }
-
-    /// Overwrite the flag word of transaction `i` with a merged verdict.
-    pub fn set_flag_word(&mut self, i: usize, word: u32) {
-        match self {
-            Prepared::Gpu(p) => p.set_flag_word(i, word),
-            Prepared::Cpu(p) => p.set_flag_word(i, word),
-        }
-    }
-
-    /// Simulated nanoseconds of the prepare phase.
-    pub fn sim_ns(&self) -> f64 {
-        match self {
-            Prepared::Gpu(p) => p.sim_ns(),
-            Prepared::Cpu(p) => p.sim_ns(),
-        }
-    }
+/// What the CPU fallback charges for `batch` beyond its phase barriers:
+/// every op's index probe, read and write, spread over the worker pool.
+fn cpu_work_ns(cpu: &CpuCostModel, batch: &Batch) -> f64 {
+    let ops: u64 = batch.txns.iter().map(|t| t.ops.len() as u64).sum();
+    let per_op = cpu.index_ns + cpu.read_ns + cpu.write_ns;
+    ops as f64 * per_op / cpu.workers as f64
 }
 
 impl Executor {
-    /// The serving engine behind the [`BatchEngine`] surface (name,
-    /// database, per-batch telemetry).
-    pub fn engine(&self) -> &dyn BatchEngine {
-        match self {
-            Executor::Gpu(e) => &**e,
-            Executor::Cpu(e) => &**e,
+    /// This executor as the CPU fallback. Its engine must carry no fault
+    /// plan: the fallback has no device to lose.
+    pub fn into_fallback(self) -> Self {
+        Executor { degraded: true, ..self }
+    }
+
+    /// Name of the executor (`"LTPG"`, or `"LTPG-CPU-fallback"` degraded).
+    pub fn name(&self) -> &'static str {
+        if self.degraded {
+            "LTPG-CPU-fallback"
+        } else {
+            self.engine.name()
         }
     }
 
     /// The live database.
     pub fn database(&self) -> &Database {
-        self.engine().database()
+        self.engine.database()
     }
 
-    /// The GPU engine, unless this executor has degraded to the twin.
+    /// The engine, degraded or not.
+    pub(crate) fn engine(&self) -> &LtpgEngine {
+        &self.engine
+    }
+
+    /// The GPU engine, unless this executor has degraded to the CPU
+    /// fallback.
     pub fn gpu(&self) -> Option<&LtpgEngine> {
-        match self {
-            Executor::Gpu(e) => Some(e),
-            Executor::Cpu(_) => None,
-        }
+        (!self.degraded).then_some(&*self.engine)
     }
 
-    /// Mutable access to the GPU engine (telemetry rebinding on promotion).
+    /// Mutable access to the GPU engine (fault arming, telemetry
+    /// rebinding on promotion), unless degraded.
     pub fn gpu_mut(&mut self) -> Option<&mut LtpgEngine> {
-        match self {
-            Executor::Gpu(e) => Some(e),
-            Executor::Cpu(_) => None,
-        }
+        (!self.degraded).then_some(&mut *self.engine)
     }
 
-    /// Whether this executor has degraded to the CPU twin.
+    /// Whether this executor has degraded to the CPU fallback.
     pub fn is_degraded(&self) -> bool {
-        matches!(self, Executor::Cpu(_))
+        self.degraded
     }
 
     /// Consume the executor, returning its database.
     pub fn into_database(self) -> Database {
-        match self {
-            Executor::Gpu(e) => e.into_database(),
-            Executor::Cpu(e) => e.into_database(),
-        }
+        self.engine.into_database()
     }
 
     /// First half of a batch: upload, speculative execution, registration
@@ -138,15 +107,12 @@ impl Executor {
         scope: Option<&ExecScope<'_>>,
         retry: Option<&ServerConfig>,
         backoff_ns: &mut f64,
-    ) -> Result<Prepared, DeviceError> {
-        let engine = match self {
-            Executor::Cpu(twin) => return Ok(Prepared::Cpu(twin.prepare(batch, scope))),
-            Executor::Gpu(engine) => engine,
-        };
+    ) -> Result<PreparedBatch, DeviceError> {
+        let engine = &mut self.engine;
         let mut attempt = 0u32;
-        loop {
+        let mut prepared = loop {
             match (engine.try_prepare_batch(batch, scope), retry) {
-                (Ok(p), _) => return Ok(Prepared::Gpu(p)),
+                (Ok(p), _) => break p,
                 (Err(DeviceError::TransientTransfer { .. }), Some(retry))
                     if attempt < retry.max_transient_retries =>
                 {
@@ -161,7 +127,14 @@ impl Executor {
                 }
                 (Err(e), _) => return Err(e),
             }
+        };
+        if self.degraded {
+            // Execute and detect span two of the CPU model's three phase
+            // barriers. Reporting only: decisions never read the clock.
+            let cpu = CpuCostModel::xeon30();
+            prepared.charge(2.0 * cpu.barrier_ns + cpu_work_ns(&cpu, batch));
         }
+        Ok(prepared)
     }
 
     /// Second half of a batch: the commit rule over the (possibly merged)
@@ -172,40 +145,42 @@ impl Executor {
     /// Download retries happen in place inside the engine; an `Err` here
     /// is device loss, possibly with the database partly written (the
     /// batch is already logged, so a successor rebuilds from the WAL).
-    ///
-    /// # Panics
-    ///
-    /// If `prepared` came from the other kind of executor — prepare and
-    /// finish of one batch must run on the same executor.
     pub fn finish(
         &mut self,
         batch: &Batch,
-        prepared: Prepared,
+        prepared: PreparedBatch,
         scope: Option<&ExecScope<'_>>,
     ) -> Result<(BatchReport, f64), DeviceError> {
-        match (self, prepared) {
-            (Executor::Gpu(e), Prepared::Gpu(p)) => {
-                let prep_ns = p.sim_ns();
-                let r = e.try_finish_batch(batch, p, scope)?;
-                Ok((r.report, r.stats.total_ns() - prep_ns))
-            }
-            (Executor::Cpu(e), Prepared::Cpu(p)) => Ok((e.finish(batch, p, scope), e.finish_ns())),
-            _ => panic!("prepared state does not match the executor that must finish it"),
+        let prep_ns = prepared.sim_ns();
+        let r = self.engine.try_finish_batch(batch, prepared, scope)?;
+        if !self.degraded {
+            return Ok((r.report, r.stats.total_ns() - prep_ns));
         }
+        // The CPU fallback's third barrier; it moves nothing over PCIe.
+        let cpu = CpuCostModel::xeon30();
+        let sim_ns = 3.0 * cpu.barrier_ns + cpu_work_ns(&cpu, batch);
+        let report =
+            BatchReport { sim_ns, critical_path_ns: sim_ns, transfer_ns: 0.0, ..r.report };
+        Ok((report, cpu.barrier_ns))
     }
 
-    /// Re-promotion: a degraded executor hands its live database to a GPU
-    /// engine over the recovered `device` (already revived and reset).
-    /// Determinism makes the swap invisible. No-op on a GPU executor.
+    /// Re-promotion: a degraded executor hands its live database and its
+    /// conflict log's sizing to a GPU engine over the recovered `device`
+    /// (already revived and reset). Determinism makes the swap invisible.
+    /// No-op on a GPU executor.
     pub fn repromote(
         &mut self,
         cfg: LtpgConfig,
         telemetry: Arc<ltpg_telemetry::Registry>,
         device: Device,
     ) {
-        if let Executor::Cpu(twin) = self {
-            let db = twin.take_database();
-            *self = LtpgEngine::with_device(db, cfg, telemetry, device).into();
+        if self.degraded {
+            let mut sizing = LogSizing::new();
+            self.engine.conflict_log().record_sizing(&mut sizing);
+            let db = std::mem::take(self.engine.database_mut());
+            let mut engine = LtpgEngine::with_device(db, cfg, telemetry, device);
+            engine.resize_log(&sizing);
+            *self = engine.into();
         }
     }
 }
@@ -223,10 +198,11 @@ pub struct LostDevices {
 
 impl LostDevices {
     /// Keep the device of `exec`, which served `shard` until its loss
-    /// after `at_batch` executed batches. A CPU twin has none to keep.
+    /// after `at_batch` executed batches. The CPU fallback has none to
+    /// keep.
     pub fn note(&mut self, shard: usize, exec: Executor, at_batch: u64) {
-        if let Executor::Gpu(engine) = exec {
-            self.lost.push((shard, engine.into_device(), at_batch));
+        if !exec.degraded {
+            self.lost.push((shard, exec.engine.into_device(), at_batch));
         }
     }
 

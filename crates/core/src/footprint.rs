@@ -7,8 +7,9 @@
 //! an access registers and what detection asks of it, [`read_cell`] and
 //! [`mutation_cells`] enumerate the cells of one recorded read and of one
 //! staged mutation in the canonical order, and [`conflict_flags`] is the
-//! WAW / WAR / RAW table. The GPU engine and the CPU twin differ in where
-//! they keep minimum TIDs (hashed buckets, exact maps) and in nothing here.
+//! WAW / WAR / RAW table. The engine keeps minimum TIDs in hashed buckets
+//! ([`crate::ConflictLog`]); a reference may keep them in exact maps and
+//! walk the same list.
 
 use ltpg_storage::{membership_partition, ColId, Database, TableId, MEMBERSHIP_PARTITION_SHIFT};
 use ltpg_txn::exec::{Mutation, ReadAccess};

@@ -28,8 +28,8 @@
 //! * [`footprint`] — a transaction's access list as a value (Algorithm
 //!   1's `recordTID` / `rcheck` / `wcheck` all run over one list): which
 //!   conflict cells a read or a buffered mutation touches, in which order,
-//!   with which check, and the WAW / WAR / RAW table. The engine and the
-//!   CPU twin both walk it.
+//!   with which check, and the WAW / WAR / RAW table. The engine walks it,
+//!   and so do the test references that check the engine.
 //! * adaptive warp division (§V-B) — lanes are ordered so each 32-lane warp
 //!   runs one procedure type, eliminating intra-warp divergence.
 //! * the high-contention suite (§V-D) — Aria-style logical reordering
@@ -82,7 +82,6 @@ mod pipeline;
 pub mod recovery;
 pub mod server;
 pub mod stats;
-pub mod twin;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
 pub use config::{CommutativeMask, LtpgConfig, OptFlags, ServerConfig};
@@ -90,7 +89,7 @@ pub use conflict::ConflictLog;
 pub use engine::{
     commit_decision, flag, stage_effects, ExecScope, LtpgEngine, PreparedBatch,
 };
-pub use executor::{Executor, LostDevices, Prepared};
+pub use executor::{Executor, LostDevices};
 pub use faults::{
     FaultHorizon, FaultInjector, FaultPlan, PromotionCrashpoint, ReplicaChaos, WalDamage,
     WalDamageReport,
@@ -107,4 +106,3 @@ pub use server::{
     ServerError, ServerStats, Shards, StandbyRows, Topology,
 };
 pub use stats::{FaultStats, LtpgBatchStats};
-pub use twin::{CpuTwin, TwinPrepared};

@@ -20,7 +20,10 @@
 //! the WAL's one checked reader and run as a round of the topology's
 //! [`Replayer`]. Crash [`recover`]y, the degradation rebuild and standby
 //! rows all run it, so each meets what a crash (or an injected fault) left
-//! in the log. Three kinds of damage are distinguished:
+//! in the log. Each starts from [`DurabilityManager::checkpoint_engine`]:
+//! the image, and the conflict-log sizing the checkpointed engine had
+//! reached, without which the batches after a checkpoint could run out of
+//! log where the live ones did not. Three kinds of damage are distinguished:
 //!
 //! - a **torn tail** — the last frame is incomplete because the process
 //!   died mid-write. This is expected crash damage: recovery drops it,
@@ -44,12 +47,14 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use ltpg_gpu_sim::Device;
 use ltpg_storage::{BatchLog, Database, Frame, FrameError, Image, ImageCopy, TailState};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::codec::{decode_batch, encode_batch, DecodeError};
 use ltpg_txn::Batch;
 
 use crate::config::LtpgConfig;
+use crate::conflict::LogSizing;
 use crate::engine::LtpgEngine;
 use crate::executor::Executor;
 use crate::server::{MergedWords, OneDevice, Replayer, Round, ServerError, Topology};
@@ -124,6 +129,9 @@ pub struct DurabilityManager {
     /// The checkpoint image and the id of the first batch *not* covered
     /// by it.
     checkpoint: (u64, Image),
+    /// The checkpointed engine's conflict-log sizing (the default after a
+    /// checkpoint of a bare database).
+    sizing: LogSizing,
     /// What the most recent [`checkpoint`](Self::checkpoint) copied.
     last_checkpoint: ImageCopy,
 }
@@ -136,6 +144,7 @@ impl DurabilityManager {
         DurabilityManager {
             log: BatchLog::new(),
             checkpoint: (0, Image::of(initial)),
+            sizing: LogSizing::new(),
             last_checkpoint: ImageCopy::default(),
         }
     }
@@ -161,6 +170,14 @@ impl DurabilityManager {
     pub fn checkpoint(&mut self, db: &Database) {
         self.checkpoint.0 = self.log.len() as u64;
         self.last_checkpoint = self.checkpoint.1.refresh_from(db);
+        self.sizing.clear();
+    }
+
+    /// [`checkpoint`](Self::checkpoint) of `exec`'s database, keeping its
+    /// conflict log's sizing for [`checkpoint_engine`](Self::checkpoint_engine).
+    pub fn checkpoint_executor(&mut self, exec: &Executor) {
+        self.checkpoint(exec.database());
+        exec.engine().conflict_log().record_sizing(&mut self.sizing);
     }
 
     /// What the most recent [`checkpoint`](Self::checkpoint) copied
@@ -220,6 +237,22 @@ impl DurabilityManager {
         self.checkpoint.1.to_database()
     }
 
+    /// The engine every replay starts from: over the
+    /// [`checkpoint_image`](Self::checkpoint_image), on `device` (a fresh
+    /// one for `None`), its conflict log sized as the checkpointed
+    /// executor's was, so it decides the logged batches as that one did.
+    pub fn checkpoint_engine(
+        &self,
+        cfg: LtpgConfig,
+        telemetry: Arc<Registry>,
+        device: Option<Device>,
+    ) -> LtpgEngine {
+        let device = device.unwrap_or_else(|| Device::new(cfg.device.clone()));
+        let mut engine = LtpgEngine::with_device(self.checkpoint_image(), cfg, telemetry, device);
+        engine.resize_log(&self.sizing);
+        engine
+    }
+
     /// Bytes of cells and keys the checkpoint image holds.
     pub fn image_resident_bytes(&self) -> u64 {
         self.checkpoint.1.resident_bytes()
@@ -257,12 +290,8 @@ pub fn recover(
     let from = logs.first().map_or(0, DurabilityManager::checkpoint_batch);
     let cut = logs.iter().map(|dur| dur.logged_batches() as u64).min().unwrap_or(0).max(from);
     let reg = Registry::new_shared();
-    let mut row: Vec<Executor> = (logs.iter())
-        .map(|dur| {
-            let db = dur.checkpoint_image();
-            LtpgEngine::with_telemetry(db, cfg.clone(), Arc::clone(&reg)).into()
-        })
-        .collect();
+    let mut row: Vec<Executor> =
+        logs.iter().map(|dur| dur.checkpoint_engine(cfg.clone(), Arc::clone(&reg), None).into()).collect();
     replay_logged(&mut row, logs, from..cut, replay, &reg)?;
     stats.frames_replayed = cut - from;
     Ok((row.into_iter().map(Executor::into_database).collect(), stats))
@@ -272,8 +301,8 @@ pub fn recover(
 /// onto `row` (one executor per shard, holding the state the range starts
 /// from) by [`replay_frames`]. Counts `wal.recovery.frames_replayed` on
 /// `reg`; returns the last batch's merged words. The executors must not
-/// lose their device (CPU twins, or engines with no fault plan armed): a
-/// lost round has no words.
+/// lose their device (engines with no fault plan armed): a lost round has
+/// no words.
 pub fn replay_logged(
     row: &mut [Executor],
     logs: &[DurabilityManager],
@@ -320,7 +349,6 @@ impl std::fmt::Debug for DurabilityManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twin::CpuTwin;
     use ltpg_storage::{ColId, TableBuilder};
     use ltpg_txn::{BatchEngine, IrOp, ProcId, Src, TidGen, Txn};
 
@@ -472,7 +500,7 @@ mod tests {
         let (dur, _engine) = run_logged(5, 10);
         let (_, two) = run_logged(2, 10);
         let (logs, replay, reg) = (std::slice::from_ref(&dur), OneDevice.replayer(), Registry::new());
-        let mut row = [Executor::from(CpuTwin::new(dur.checkpoint_image(), LtpgConfig::default()))];
+        let mut row = [Executor::from(LtpgEngine::new(dur.checkpoint_image(), LtpgConfig::default()))];
         replay_logged(&mut row, logs, 0..2, &replay, &reg).unwrap();
         assert_eq!(row[0].database().state_digest(), two.database().state_digest());
         assert_eq!(reg.counter_value(names::WAL_FRAMES_REPLAYED), 2);

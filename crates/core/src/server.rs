@@ -24,11 +24,11 @@
 //!   row protocol: promote the freshest standby row, caught up from the
 //!   WAL through the in-flight batch, and take the merged flag words of
 //!   that replay as the batch's verdicts; with no row left, rebuild every
-//!   shard from checkpoint + log by replaying the logged rounds on CPU
-//!   twins and keep the twin on the lost shard. One device is a row of
-//!   one. Determinism makes the hand-off invisible: the verdicts come from
-//!   a replay of the same log, so clients see the same history, only
-//!   slower.
+//!   shard from checkpoint + log by replaying the logged rounds on fresh
+//!   engines and serve the lost shard's as the CPU fallback. One device is
+//!   a row of one. Determinism makes the hand-off invisible: the verdicts
+//!   come from a replay of the same log, so clients see the same history,
+//!   only slower.
 //!
 //! Counters for all of this are in [`FaultStats`] via [`Server::stats`].
 
@@ -47,7 +47,6 @@ use crate::faults::{PromotionCrashpoint, ReplicaChaos};
 use crate::intake::{Formed, Intake};
 use crate::recovery::{replay_logged, DurabilityManager, RecoveryError};
 use crate::stats::FaultStats;
-use crate::twin::CpuTwin;
 
 /// Cumulative server statistics; `X` is what the topology counts on top
 /// (nothing for one device), read through `Deref`.
@@ -68,7 +67,7 @@ pub struct ServerStats<X = ()> {
     /// Fault-handling counters (all zero in fault-free operation): a view
     /// over the shards' registries, refreshed every tick.
     pub faults: FaultStats,
-    /// Shards currently degraded to the CPU twin.
+    /// Shards currently degraded to the CPU fallback.
     pub degraded_shards: u32,
     /// Standby-row promotions (full-topology failovers).
     pub failovers: u64,
@@ -176,8 +175,9 @@ pub struct Round {
 }
 
 /// A topology's round as replay runs it, on standby rows (their worker
-/// threads) and on CPU twins after a loss: no retry — a standby that faults
-/// is demoted, not nursed — under an owned copy of the routing rules.
+/// threads) and on fresh engines after a loss: no retry — a standby that
+/// faults is demoted, not nursed — under an owned copy of the routing
+/// rules.
 pub type Replayer =
     Arc<dyn Fn(&mut [Executor], &[Batch]) -> Result<Round, ServerError> + Send + Sync>;
 
@@ -264,7 +264,7 @@ pub trait StandbyRows: Send {
 
 /// The devices under a server, by shard.
 pub struct Shards {
-    /// `execs[s]` serves shard `s`, degraded exactly when it is the twin.
+    /// `execs[s]` serves shard `s`, degraded when it is the CPU fallback.
     pub execs: Vec<Executor>,
     /// Each shard's checkpoint + WAL.
     pub durability: Vec<DurabilityManager>,
@@ -273,14 +273,14 @@ pub struct Shards {
     pub registries: Vec<Arc<Registry>>,
     /// The server-level registry (`server.*`, topology and pool families).
     pub telemetry: Arc<Registry>,
-    /// Engine configuration, for replacement engines and replay twins.
+    /// Engine configuration, for replacement and replay engines.
     pub engine_cfg: LtpgConfig,
     /// Warm standby rows, once attached.
     pub pool: Option<Box<dyn StandbyRows>>,
 }
 
 impl Shards {
-    /// Shards currently on their CPU twin.
+    /// Shards currently on the CPU fallback.
     pub fn degraded(&self) -> u32 {
         self.execs.iter().filter(|e| e.is_degraded()).count() as u32
     }
@@ -317,7 +317,7 @@ impl Shards {
     /// images hold (`durability.image_resident_bytes`).
     pub fn checkpoint(&mut self, s: usize) {
         let dur = &mut self.durability[s];
-        dur.checkpoint(self.execs[s].database());
+        dur.checkpoint_executor(&self.execs[s]);
         let copied = dur.last_checkpoint();
         let reg = &self.telemetry;
         reg.counter(names::DURABILITY_CHECKPOINT_ROWS_COPIED).add(copied.rows);
@@ -415,7 +415,7 @@ impl Server<OneDevice> {
     /// Name of the executor currently serving batches (`"LTPG"` normally,
     /// `"LTPG-CPU-fallback"` after degradation).
     pub fn executor_name(&self) -> &'static str {
-        self.shards.execs[0].engine().name()
+        self.shards.execs[0].name()
     }
 
     /// Whether the server has degraded to the CPU fallback executor.
@@ -490,7 +490,7 @@ impl<T: Topology> Server<T> {
 
     /// Attach a warm-standby pool (`ltpg_replica::attach` builds one). On
     /// device loss the server promotes a standby row instead of degrading
-    /// to the CPU twin, which remains the last resort.
+    /// to the CPU fallback, which remains the last resort.
     pub fn attach_pool(&mut self, mut pool: Box<dyn StandbyRows>) {
         pool.hold_lag(self.replica_chaos.standby_lag);
         self.shards.pool = Some(pool);
@@ -603,7 +603,7 @@ impl<T: Topology> Server<T> {
         );
         let _ = writeln!(out, "degraded shards       {}", st.degraded_shards);
         let _ = writeln!(out, "failovers             {}", st.failovers);
-        let names: Vec<&str> = self.shards.execs.iter().map(|e| e.engine().name()).collect();
+        let names: Vec<&str> = self.shards.execs.iter().map(Executor::name).collect();
         let _ = writeln!(out, "executor              {}", names.join(", "));
         let h = self.shards.telemetry.histogram(names::SERVER_BATCH_NS).snapshot();
         if h.count > 0 {
@@ -679,35 +679,37 @@ impl<T: Topology> Server<T> {
     }
 
     /// Degrade after shard `failed` lost its device: rebuild every shard
-    /// from its checkpoint + WAL by replaying the logged rounds on CPU
-    /// twins (the in-flight batch was logged before execution, so it is
-    /// replayed too), keep the twin on the failed shard and on shards
-    /// already degraded, put fresh engines (replacement devices) on the
-    /// healthy ones. With `stash`, the failed shard's device is kept for a
-    /// timed recovery. Returns the last replayed batch's merged words.
+    /// from its checkpoint + WAL by replaying the logged rounds on fresh
+    /// engines (the in-flight batch was logged before execution, so it is
+    /// replayed too) and keep them all, as the CPU fallback on the failed
+    /// shard and on shards already degraded. The replay publishes to a
+    /// detached registry, as a standby row's does; each successor then
+    /// rebinds to its shard's. With `stash`, the failed shard's device is
+    /// kept for a timed recovery. Returns the last replayed batch's merged
+    /// words.
     fn degrade_and_replay(&mut self, failed: usize, stash: bool) -> Result<MergedWords, ServerError> {
         let shards = &mut self.shards;
-        let mut twins: Vec<Executor> = (shards.durability.iter())
-            .map(|dur| CpuTwin::new(dur.checkpoint_image(), shards.engine_cfg.clone()).into())
+        let detached = Registry::new_shared();
+        let mut row: Vec<Executor> = (shards.durability.iter())
+            .map(|dur| dur.checkpoint_engine(shards.engine_cfg.clone(), Arc::clone(&detached), None).into())
             .collect();
         // Checkpoints are taken jointly (same tick on every shard), so
         // every shard replays the same id range.
         let ids = shards.durability[0].checkpoint_batch()..shards.logged_batches();
         let replay = self.topology.replayer();
-        let last_words =
-            replay_logged(&mut twins, &shards.durability, ids, &replay, &shards.telemetry)
-                .map_err(ServerError::DegradationFailed)?;
+        let last_words = replay_logged(&mut row, &shards.durability, ids, &replay, &shards.telemetry)
+            .map_err(ServerError::DegradationFailed)?;
         shards.registries[failed].counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
         if let Some(pool) = &mut shards.pool {
             pool.rearm(Some(failed));
         }
-        for (s, twin) in twins.into_iter().enumerate() {
-            let successor = if s == failed || shards.execs[s].is_degraded() {
-                twin
-            } else {
-                // Fault plans armed on the old device are not carried over.
-                shards.engine(s, twin.into_database())
-            };
+        for (s, mut successor) in row.into_iter().enumerate() {
+            if let Some(engine) = successor.gpu_mut() {
+                engine.rebind_telemetry(Arc::clone(&shards.registries[s]));
+            }
+            if s == failed || shards.execs[s].is_degraded() {
+                successor = successor.into_fallback();
+            }
             let lost = std::mem::replace(&mut shards.execs[s], successor);
             if s == failed && stash {
                 self.lost_devices.note(failed, lost, self.stats.batches);
@@ -721,8 +723,8 @@ impl<T: Topology> Server<T> {
     /// the last of them in flight if the loss was found mid-round.
     /// Preferred path: promote the freshest standby row onto every shard,
     /// caught up through batches `< upto`. No row left: rebuild from the
-    /// logs on CPU twins. Either way the successor replayed the same WAL,
-    /// wherever mid-batch the device died; the merged words of the last
+    /// logs on fresh engines. Either way the successor replayed the same
+    /// WAL, wherever mid-batch the device died; the merged words of the last
     /// batch it replayed stand in for a lost execution (`None`: a row took
     /// over at a boundary with nothing to replay). Promotion crashpoints
     /// surface as [`ServerError::InjectedCrash`]: the one moment where
@@ -786,7 +788,7 @@ impl<T: Topology> Server<T> {
 
     /// For every lost device whose outage the chaos schedule says has
     /// ended, revive it and bring it back: as the serving engine of its
-    /// shard if that shard is still limping on the CPU twin (the twin's
+    /// shard if that shard is still limping on the CPU fallback (whose
     /// database IS the current state, so the device just adopts it), or as
     /// a fresh standby row if a failover already healed the topology. Runs
     /// at batch boundaries only — the cutover barrier.

@@ -1,8 +1,9 @@
 //! Differential fuzzing driver over the `ltpg-qa` harness.
 //!
-//! Runs N consecutive seeds through every execution path (GPU engine, CPU
-//! twin, the layered system under test against a single-device reference,
-//! WAL replay, rival schedulers, serializability oracle), shrinks any
+//! Runs N consecutive seeds through every execution path (the engine
+//! against an exact min-TID reference, the layered system under test
+//! against a single-device reference, WAL replay, rival schedulers,
+//! serializability oracle), shrinks any
 //! divergence and writes the minimized repro under `tests/repros/` where
 //! the `qa_repros` test will replay it forever. Prints how many clean
 //! cases fired each cell of the layer cross-product. Exits nonzero iff a

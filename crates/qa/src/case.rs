@@ -78,7 +78,7 @@ pub struct QaCase {
     /// server under test, however it is fed.
     pub fail_shard: Option<(u32, u32)>,
     /// Warm standby rows attached to the server under test: a loss then
-    /// promotes a row instead of degrading to the CPU twin, and every
+    /// promotes a row instead of degrading to the CPU fallback, and every
     /// differential assertion must hold regardless.
     pub standbys: u32,
     /// Treat column 0 of table 0 as always-commutative (exercises the
@@ -103,6 +103,10 @@ pub struct QaCase {
     /// execute kernel's pre-pass ahead of its lanes (the references stay at
     /// one).
     pub host_threads: u32,
+    /// Log-pressure layer: every engine is sized for one access per
+    /// transaction, so a batch that reads many keys of a tiny table runs
+    /// its conflict log out and aborts lanes `LOG_FULL`, on every executor.
+    pub log_pressure: bool,
 }
 
 impl QaCase {
@@ -135,6 +139,9 @@ impl QaCase {
         cfg.device.parallel_host_threads = 1;
         if self.commutative_t0c0 && !self.tables.is_empty() {
             cfg.commutative_cols.insert((TableId(0), ColId(0)));
+        }
+        if self.log_pressure {
+            cfg.est_accesses_per_txn = 1;
         }
         cfg
     }

@@ -19,7 +19,12 @@
 //!   cadences, mid-run shard loss, standby rows, front-end ingress, a
 //!   rebalance cutover, two host threads (on batches of two or three
 //!   warps), and a commutative
-//!   (delayed-merge) column in one fifth of the cases.
+//!   (delayed-merge) column in one fifth of the cases;
+//! * log pressure in one fifth of the cases: a tiny table whose missing
+//!   keys one transaction in three reads a dozen of, engines sized for one
+//!   access per transaction, batches of 64 on one shard, and a loss of
+//!   that shard in most of them, so `LOG_FULL` lanes meet the CPU
+//!   fallback.
 
 use ltpg_storage::{ColId, TableId};
 use ltpg_txn::{ComputeFn, IrOp, ProcId, Src, Txn};
@@ -115,6 +120,15 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
             txns.push(gen_txn(&mut threads, &mut shapes, alpha, mix));
         }
     }
+    // Log pressure is drawn from its own stream, so no other layer's draws
+    // move. Its cases run batches of 64 and carry at least two of them.
+    let mut pressure = stream(seed, "log_pressure");
+    let log_pressure = pressure.gen_bool(0.2);
+    if log_pressure {
+        for _ in 0..pressure.gen_range(96..=160usize) {
+            txns.push(gen_txn(&mut pressure, &mut shapes, alpha, mix));
+        }
+    }
 
     let tables = shapes
         .iter()
@@ -146,7 +160,7 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
         .then(|| (fault.gen_range(0..shards), fault.gen_range(0..3u32)));
     let mut standby = stream(seed, "standbys");
     let small_batch = [4usize, 8, 16, 32][batching.gen_range(0..4usize)];
-    QaCase {
+    let mut case = QaCase {
         seed,
         tables,
         txns,
@@ -161,7 +175,40 @@ pub fn generate_mix(seed: u64, mix: &OpMix) -> QaCase {
         via_schedulers: stream(seed, "schedulers").gen_bool(0.5),
         via_rebalance: shards > 1 && stream(seed, "rebalance").gen_bool(0.5),
         host_threads,
+        log_pressure,
+    };
+    if log_pressure {
+        pressure_the_log(&mut case, &mut pressure);
     }
+    case
+}
+
+/// The log-pressure layer (the crash-recovery sweep's shape, scaled down):
+/// an empty 8-row table `TINY`, a dozen distinct missing keys of which
+/// every third transaction reads, batches of at least 64, and one shard —
+/// a `LOG_FULL` verdict differs between one device and N by design, and
+/// the layer is about replay, not that. Most cases lose the shard before
+/// tick 0–2.
+fn pressure_the_log(case: &mut QaCase, rng: &mut StdRng) {
+    let tiny = TableId(case.tables.len() as u16);
+    case.tables.push(TableSpec {
+        name: "TINY".into(),
+        cols: 1,
+        capacity: 8,
+        ordered: false,
+        rule: ShardRule::Hash,
+        rows: Vec::new(),
+    });
+    let mut private = 1_000;
+    for txn in case.txns.iter_mut().skip(1).step_by(3) {
+        for _ in 0..12 {
+            private += 1;
+            txn.ops.push(IrOp::Read { table: tiny, key: Src::Const(private), col: ColId(0), out: 3 });
+        }
+    }
+    case.batch_size = case.batch_size.max(64);
+    (case.shards, case.via_rebalance) = (1, false);
+    case.fail_shard = rng.gen_bool(0.6).then(|| (0, rng.gen_range(0..3u32)));
 }
 
 /// A Zipf-skewed key in `0 .. 2*rows` — half the domain is seeded, half is

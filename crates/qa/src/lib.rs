@@ -6,8 +6,8 @@
 //! ([`run::run_case`]) pushes each case through execution paths that must
 //! agree bit-for-bit:
 //!
-//! * the simulated-GPU [`LtpgEngine`](ltpg::LtpgEngine) and the unscoped
-//!   [`CpuTwin`](ltpg::CpuTwin),
+//! * the simulated-GPU [`LtpgEngine`](ltpg::LtpgEngine)'s flag words and
+//!   an exact min-TID reference ([`reference::flag_words`]),
 //! * a directly fed single-device server and the system under test built
 //!   from the case's layers (front-end or direct ingress × 1/2/4 shards ×
 //!   standbys × rebalance cutover × device loss × host threads), in
@@ -29,6 +29,7 @@
 
 pub mod case;
 pub mod gen;
+pub mod reference;
 pub mod repro;
 pub mod run;
 pub mod shrink;
@@ -279,6 +280,7 @@ mod tests {
             // A cutover migrates rows into tables that have no slots to spare.
             via_rebalance: false,
             host_threads: 1,
+            log_pressure: false,
         }
     }
 

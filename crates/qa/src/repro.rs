@@ -20,6 +20,7 @@
 //! via_rebalance
 //! host_threads 2
 //! commutative_t0c0
+//! log_pressure
 //! table T0 cols=2 capacity=40 ordered=false rule=hash
 //! row 0 3 = 7 -2
 //! txn proc=0 params=3,7
@@ -72,6 +73,9 @@ pub fn to_text(case: &QaCase) -> String {
     }
     if case.commutative_t0c0 {
         let _ = writeln!(s, "commutative_t0c0");
+    }
+    if case.log_pressure {
+        let _ = writeln!(s, "log_pressure");
     }
     for (i, t) in case.tables.iter().enumerate() {
         let rule = match t.rule {
@@ -338,6 +342,7 @@ pub fn from_text(text: &str) -> Result<QaCase, ParseError> {
         via_schedulers: false,
         via_rebalance: false,
         host_threads: 1,
+        log_pressure: false,
     };
     // (proc, params, ops) of the txn currently being collected.
     let mut open_txn: Option<(u16, Vec<i64>, Vec<IrOp>)> = None;
@@ -381,6 +386,7 @@ pub fn from_text(text: &str) -> Result<QaCase, ParseError> {
             "via_schedulers" => case.via_schedulers = true,
             "via_rebalance" => case.via_rebalance = true,
             "commutative_t0c0" => case.commutative_t0c0 = true,
+            "log_pressure" => case.log_pressure = true,
             "table" => {
                 let name =
                     toks.get(1).ok_or_else(|| err(lineno, "table wants a name"))?.to_string();

@@ -3,11 +3,12 @@
 //!
 //! Three passes per case:
 //!
-//! 1. **Engine pass** — the batches run through [`LtpgEngine`] and the
-//!    unscoped [`CpuTwin`] in parallel (no re-execution): commit
-//!    sets must match batch-for-batch, the serializability oracle must
-//!    accept every committed set against the pre-batch snapshot, and the
-//!    final state digests must be bit-identical. On more than one host
+//! 1. **Engine pass** — the batches run through [`LtpgEngine`]: every
+//!    flag word must be the exact min-TID reference's
+//!    ([`reference::flag_words`]), `LOG_FULL` lanes aside, the committed
+//!    set must be the one [`commit_decision`] reads from those words, and
+//!    the serializability oracle must accept it and the state
+//!    it leaves against the pre-batch snapshot. On more than one host
 //!    thread, an engine on one runs beside it and every batch's simulated
 //!    time must match to the bit.
 //! 2. **Stack pass** — the system under test is built from the case's
@@ -33,7 +34,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ltpg::{CpuTwin, Executor, LtpgEngine, LtpgServer};
+use ltpg::{commit_decision, Executor, LtpgEngine, LtpgServer};
 use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
 use ltpg_front::{FrontConfig, FrontEnd, TickOutcome, TickSink};
 use ltpg_shard::{RebalanceOp, RebalancePlan, ShardedServer, TableRule};
@@ -41,14 +42,14 @@ use ltpg_telemetry::{names, Registry};
 use ltpg_txn::oracle::{check_ordered_serializable, check_snapshot_serializable};
 use ltpg_txn::{execute_serial, Batch, BatchEngine, Tid, TidGen, Txn};
 
-use crate::{QaCase, ShardRule};
+use crate::{reference, QaCase, ShardRule};
 
 /// How two execution paths disagreed on a case.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Divergence {
     /// Two paths committed different TID sets for the same batch.
     CommitSet {
-        /// Which comparison failed (e.g. `engine-vs-cpu`).
+        /// Which comparison failed (e.g. `blockstm-vs-serial`).
         site: String,
         /// Batch index.
         step: usize,
@@ -56,6 +57,17 @@ pub enum Divergence {
         expected: Vec<u64>,
         /// What the path under comparison decided.
         got: Vec<u64>,
+    },
+    /// The engine's flag word of a transaction is not the reference's.
+    FlagWord {
+        /// Batch index within the engine pass.
+        step: usize,
+        /// The transaction.
+        tid: u64,
+        /// The reference's word.
+        expected: u32,
+        /// The engine's word.
+        got: u32,
     },
     /// Final state digests differ.
     Digest {
@@ -124,6 +136,10 @@ impl std::fmt::Display for Divergence {
                 f,
                 "commit-set divergence at {site} step {step}: expected {expected:?}, got {got:?}"
             ),
+            Divergence::FlagWord { step, tid, expected, got } => write!(
+                f,
+                "flag-word divergence at batch {step}, tid {tid}: reference {expected:#x}, engine {got:#x}"
+            ),
             Divergence::Digest { site, expected, got } => write!(
                 f,
                 "state-digest divergence at {site}: expected {expected:#018x}, got {got:#018x}"
@@ -159,8 +175,11 @@ pub enum Cell {
     RebalanceApplied,
     /// A device loss promoted a standby row.
     Promotion,
-    /// A device loss degraded a shard to its CPU twin.
-    TwinDegradation,
+    /// A device loss degraded a shard to the CPU fallback.
+    Degradation,
+    /// The CPU fallback aborted a lane `LOG_FULL`: its conflict log ran
+    /// out, as the device's would have.
+    LogFullDegraded,
     /// A device was failed right before the tick the cutover applied on.
     LossAtCutover,
     /// The front-end handed the server under test at least one batch.
@@ -176,10 +195,11 @@ pub enum Cell {
 
 impl Cell {
     /// Every cell, in declaration order (`cell as usize` indexes it).
-    pub const ALL: [Cell; 8] = [
+    pub const ALL: [Cell; 9] = [
         Cell::RebalanceApplied,
         Cell::Promotion,
-        Cell::TwinDegradation,
+        Cell::Degradation,
+        Cell::LogFullDegraded,
         Cell::LossAtCutover,
         Cell::FrontIngress,
         Cell::LossUnderFront,
@@ -239,35 +259,48 @@ fn run_case_inner(case: &QaCase) -> Result<CaseOutcome, Divergence> {
     Ok(outcome)
 }
 
-/// Pass 1: GPU engine vs CPU twin vs the oracle, batch by batch. The twin
-/// shares the engine's staging and cell walk, so the pass keeps two checks
-/// that do not: the serializability oracle on every committed set and the
-/// final digest compare (the twin's write-back and exact min-TID maps are
-/// its own).
+/// Pass 1: the engine's flag words against the exact min-TID reference,
+/// its commits against [`commit_decision`] over those words, and the
+/// committed set against the oracle, batch by batch. The reference
+/// shares the engine's staging and cell walk, so the oracle — which
+/// shares neither — re-derives every committed set from the pre-batch
+/// snapshot and checks the state it leaves.
+///
+/// A lane the engine's log could not hold reads `LOG_FULL` alone
+/// ([`reference::first_mismatch`] says what the other words may then be).
 fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
     let db = case.build_database();
+    let cfg = case.engine_config();
     let mut gpu = LtpgEngine::new(db.deep_clone(), case.under_test_config());
-    let mut one_thread =
-        (case.host_threads > 1).then(|| LtpgEngine::new(db.deep_clone(), case.engine_config()));
-    let mut cpu = CpuTwin::new(db, case.engine_config());
+    let mut one_thread = (case.host_threads > 1).then(|| LtpgEngine::new(db, cfg.clone()));
     let mut tidgen = TidGen::new();
     for (step, chunk) in case.batches().enumerate() {
         let pre = gpu.database().deep_clone();
         let batch = Batch::assemble(Vec::new(), chunk.to_vec(), &mut tidgen);
-        let grep = gpu.execute_batch_report(&batch).report;
+        let prepared = gpu.try_prepare_batch(&batch, None).expect("no fault plan is armed");
+        let words: Vec<u32> = (0..batch.len()).map(|i| prepared.flag_word(i)).collect();
+        let grep = gpu.try_finish_batch(&batch, prepared, None).expect("no fault plan is armed").report;
         if let Some(one) = &mut one_thread {
             let expected = one.execute_batch_report(&batch).report.sim_ns;
             if expected.to_bits() != grep.sim_ns.to_bits() {
                 return Err(Divergence::SimClock { step, expected, got: grep.sim_ns });
             }
         }
-        let crep = cpu.execute_batch(&batch);
-        if grep.committed != crep.committed {
+        let want = reference::flag_words(&pre, &cfg, &batch, |_, _| true);
+        if let Some(i) = reference::first_mismatch(&words, &want) {
+            return Err(Divergence::FlagWord { step, tid: batch.txns[i].tid.0, expected: want[i], got: words[i] });
+        }
+        let reordering = cfg.opts.logical_reordering;
+        let decided: Vec<Tid> = (batch.txns.iter().zip(&words))
+            .filter(|&(_, &word)| commit_decision(reordering, word))
+            .map(|(txn, _)| txn.tid)
+            .collect();
+        if grep.committed != decided {
             return Err(Divergence::CommitSet {
-                site: "engine-vs-cpu".into(),
+                site: "engine-vs-words".into(),
                 step,
-                expected: tids(&grep.committed),
-                got: tids(&crep.committed),
+                expected: tids(&decided),
+                got: tids(&grep.committed),
             });
         }
         let committed: Vec<&Txn> = grep
@@ -281,10 +314,6 @@ fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
         })?;
     }
     outcome.helper_lanes += gpu.device().stats().helper_lanes;
-    let (gd, cd) = (gpu.database().state_digest(), cpu.database().state_digest());
-    if gd != cd {
-        return Err(Divergence::Digest { site: "engine-vs-cpu".into(), expected: gd, got: cd });
-    }
     Ok(())
 }
 
@@ -308,6 +337,17 @@ struct FaultLayer {
     cutover: Option<u32>,
     /// Batches the front-end handed over.
     fronted: u64,
+    /// `LOG_FULL` aborts on degraded shards.
+    log_full_degraded: u64,
+}
+
+/// `LOG_FULL` aborts counted so far on the degraded shards of `server`,
+/// `None` while no shard is degraded.
+fn log_full_on_fallback(server: &ShardedServer) -> Option<u64> {
+    let shards = server.shards();
+    let degraded = shards.execs.iter().zip(&shards.registries).filter(|(e, _)| e.is_degraded());
+    let counts: Vec<u64> = degraded.map(|(_, reg)| reg.counter_value(names::ABORT_LOG_EXHAUSTED)).collect();
+    (!counts.is_empty()).then(|| counts.iter().sum())
 }
 
 /// Borrowed, so the front-end hands the server back when it is dropped;
@@ -325,7 +365,11 @@ impl TickSink for &mut FaultLayer {
             self.lost_at = Some(self.ticks);
         }
         let pending = self.server.rebalance_pending();
+        let before = log_full_on_fallback(&self.server);
         let out = self.server.tick_outcome();
+        if let (Some(before), Some(after)) = (before, log_full_on_fallback(&self.server)) {
+            self.log_full_degraded += after.saturating_sub(before);
+        }
         if pending && !self.server.rebalance_pending() {
             self.cutover = Some(self.ticks);
         }
@@ -387,7 +431,15 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
         let ops = vec![RebalanceOp::SetRule { table: ltpg_storage::TableId(0), rule }];
         server.schedule_rebalance(RebalancePlan { cutover: 1, ops }).expect("plan validates");
     }
-    let mut sut = FaultLayer { server, fail: case.fail_shard, ticks: 0, lost_at: None, cutover: None, fronted: 0 };
+    let mut sut = FaultLayer {
+        server,
+        fail: case.fail_shard,
+        ticks: 0,
+        lost_at: None,
+        cutover: None,
+        fronted: 0,
+        log_full_degraded: 0,
+    };
     let mut front_ticks = if case.via_front {
         Some(front_fed(case, &mut sut)?.into_iter())
     } else {
@@ -451,7 +503,8 @@ fn stack_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence
     let fired = [
         (Cell::RebalanceApplied, sut.cutover.is_some()),
         (Cell::Promotion, stats.failovers > 0),
-        (Cell::TwinDegradation, stats.faults.fallback_activations > 0),
+        (Cell::Degradation, stats.faults.fallback_activations > 0),
+        (Cell::LogFullDegraded, sut.log_full_degraded > 0),
         (Cell::LossAtCutover, sut.lost_at.is_some() && sut.lost_at == sut.cutover),
         (Cell::FrontIngress, sut.fronted > 0),
         (Cell::LossUnderFront, lost && sut.fronted > 0),

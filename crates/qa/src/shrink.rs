@@ -186,7 +186,7 @@ fn references_table(case: &QaCase, ti: usize) -> bool {
 /// One candidate per layer, turning it off. One shard takes the loss and
 /// the cutover with it, which need a second shard to fire.
 fn shrink_config(ctx: &mut Ctx) -> bool {
-    let candidates: [fn(&mut QaCase); 11] = [
+    let candidates: [fn(&mut QaCase); 12] = [
         |c| c.via_rebalance = false,
         |c| c.via_schedulers = false,
         |c| c.via_front = false,
@@ -197,6 +197,7 @@ fn shrink_config(ctx: &mut Ctx) -> bool {
         |c| c.pipelined = false,
         |c| c.checkpoint_every = None,
         |c| c.commutative_t0c0 = false,
+        |c| c.log_pressure = false,
         |c| c.batch_size = c.txns.len().max(1),
     ];
     let mut progress = false;

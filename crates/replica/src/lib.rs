@@ -324,7 +324,7 @@ mod tests {
         primary.tick().unwrap();
         primary.force_device_failure(); // consumes the only standby
         primary.tick().unwrap();
-        primary.force_device_failure(); // pool empty → CPU twin
+        primary.force_device_failure(); // pool empty → CPU fallback
         let _ = primary.drain(200);
 
         assert!(primary.is_degraded(), "second loss must degrade to the CPU fallback");

@@ -57,7 +57,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ltpg::{
-    replay_frames, DurabilityManager, Executor, LtpgConfig, LtpgEngine, Replayer, Server, Shards,
+    replay_frames, DurabilityManager, Executor, LtpgConfig, Replayer, Server, Shards,
     StandbyRows, Topology,
 };
 pub use ltpg::MergedWords;
@@ -359,12 +359,8 @@ impl ReplicaSet {
         for _ in 0..n {
             let engines = (logs.iter())
                 .map(|log| {
-                    let (db, cfg) = (log.checkpoint_image(), self.engine_cfg.clone());
                     let reg = Arc::clone(&self.standby_registry);
-                    match device.take() {
-                        Some(device) => LtpgEngine::with_device(db, cfg, reg, device).into(),
-                        None => LtpgEngine::with_telemetry(db, cfg, reg).into(),
-                    }
+                    log.checkpoint_engine(self.engine_cfg.clone(), reg, device.take()).into()
                 })
                 .collect();
             self.push_row(engines, logs[0].checkpoint_batch());
@@ -531,7 +527,7 @@ pub fn round_applier(replay: Replayer) -> Applier {
 /// shards' current checkpoint images, replaying its topology's round, and
 /// one heartbeat monitor per shard. On device loss (or a fenced heartbeat)
 /// the server promotes the freshest row instead of degrading to the CPU
-/// twin.
+/// fallback.
 pub fn attach<T: Topology>(server: &mut Server<T>, cfg: &ReplicaConfig) {
     let applier = round_applier(server.topology().replayer());
     server.attach_pool(Box::new(ReplicaSet::over(server.shards(), cfg, applier)));
@@ -603,7 +599,7 @@ impl StandbyRows for ReplicaSet {
     fn probe(&mut self, primaries: &[Executor], dropped: bool) -> Option<usize> {
         let mut fenced = None;
         for (s, exec) in primaries.iter().enumerate() {
-            // A shard on its CPU twin has no device to probe.
+            // A shard on the CPU fallback has no device to probe.
             let Some(engine) = exec.gpu() else { continue };
             let beat = if engine.device().is_failed() {
                 Heartbeat::Dead

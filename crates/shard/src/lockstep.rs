@@ -2,12 +2,12 @@
 //!
 //! `prepare every participant → OR-merge flag words by TID → write the
 //! merged words back → finish every participant` is the whole protocol,
-//! and it is the same whether the executors are the live shards, CPU twins
-//! replaying checkpoint + WAL after a device loss, or a standby row
+//! and it is the same whether the executors are the live shards, fresh
+//! engines replaying checkpoint + WAL after a device loss, or a standby row
 //! replaying the logged stream. [`lockstep_round`] is that round, written
 //! once over the [`Executor`] seam.
 
-use ltpg::{ExecScope, Executor, MergedWords, Prepared, ServerConfig, ServerError};
+use ltpg::{ExecScope, Executor, MergedWords, PreparedBatch, ServerConfig, ServerError};
 use ltpg_gpu_sim::DeviceError;
 use ltpg_storage::Database;
 use ltpg_txn::{Batch, CellStore, Tid};
@@ -100,7 +100,7 @@ pub(crate) fn lockstep_round(
         participants: Vec::with_capacity(subs.len()),
         lost: None,
     };
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(subs.len());
+    let mut prepared: Vec<PreparedBatch> = Vec::with_capacity(subs.len());
 
     // ---- Prepare every participant against the pre-batch snapshot. ----
     for (s, sub) in subs.iter().enumerate() {

@@ -9,9 +9,8 @@
 //! read observes exactly the value the owning shard's own lanes observe.
 //!
 //! The local-then-remote composition (local hit wins, existence is the OR,
-//! range scans merge both sides) lives in `ltpg`, shared by the GPU engine
-//! and the CPU twin, so a degraded shard keeps producing identical
-//! execution results.
+//! range scans merge both sides) lives in `ltpg`, where every executor —
+//! a degraded shard's CPU fallback included — reads through it.
 
 use ltpg_storage::{ColId, Database, TableId};
 use ltpg_txn::CellStore;

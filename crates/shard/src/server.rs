@@ -22,16 +22,17 @@
 //!    is the tie-break, as in Calvin-style deterministic databases — but
 //!    without pre-declared read/write sets.
 //!
-//! Device loss on any shard degrades *only that shard* to its scoped CPU
-//! twin, or promotes a whole standby row when a pool is attached: the
-//! shell's row protocol. The twin votes bit-identical flag words, so the
-//! merged history never changes — only that shard's simulated latency.
+//! Device loss on any shard degrades *only that shard* to the CPU
+//! fallback, or promotes a whole standby row when a pool is attached: the
+//! shell's row protocol. The fallback is the same engine on a replacement
+//! device, so it votes bit-identical flag words and the merged history
+//! never changes — only that shard's simulated latency.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use ltpg::{
-    CpuTwin, Executor, LtpgConfig, Replayer, Round, Server, ServerConfig, ServerError,
+    Executor, LtpgConfig, Replayer, Round, Server, ServerConfig, ServerError,
     ServerStats, Shards, Topology,
 };
 use ltpg_gpu_sim::DeviceFaultPlan;
@@ -157,11 +158,12 @@ impl Sharding {
             })
             .collect();
         for (s, slice) in new_slices.into_iter().enumerate() {
+            // Armed fault plans are not carried over, as in degradation.
+            let successor = shards.engine(s, slice);
             shards.execs[s] = if shards.execs[s].is_degraded() {
-                CpuTwin::new(slice, shards.engine_cfg.clone()).into()
+                successor.into_fallback()
             } else {
-                // Armed fault plans are not carried over, as in degradation.
-                shards.engine(s, slice)
+                successor
             };
             // Joint checkpoint at the cutover id: degradation replay and
             // failover catch-up start from post-cutover images and never
@@ -355,7 +357,7 @@ impl ShardedServer {
         self.shards().execs[s as usize].database()
     }
 
-    /// Whether shard `s` has degraded to its CPU twin.
+    /// Whether shard `s` has degraded to the CPU fallback.
     pub fn is_degraded(&self, s: u32) -> bool {
         self.shards().execs[s as usize].is_degraded()
     }
@@ -651,7 +653,7 @@ mod tests {
         server.force_shard_failure(1);
         assert_lockstep_identical(&mut server, &mut reference);
         assert_slices_match_reference(&server, &reference);
-        assert!(server.is_degraded(1), "the lost shard must run on its CPU twin");
+        assert!(server.is_degraded(1), "the lost shard must run on the CPU fallback");
         for s in [0u32, 2, 3] {
             assert!(!server.is_degraded(s), "healthy shards keep their devices");
         }
@@ -939,7 +941,7 @@ mod tests {
     #[test]
     fn recovered_device_repromotes_the_degraded_shard() {
         // Satellite regression: with no standby pool the loss degrades the
-        // shard to its CPU twin, but a timed recovery must bring the
+        // shard to the CPU fallback, but a timed recovery must bring the
         // revived device back as the serving engine — and clear the
         // degraded gauge — rather than leaving the shard benched forever.
         let (db, txns) = db_and_txns(240, 32);
@@ -957,7 +959,7 @@ mod tests {
         let mut saw_degraded = false;
         let after = |server: &ShardedServer| saw_degraded |= server.is_degraded(1);
         assert_lockstep_around(&mut server, &mut reference, |_, _| {}, after);
-        assert!(saw_degraded, "the loss must first degrade shard 1 to its CPU twin");
+        assert!(saw_degraded, "the loss must first degrade shard 1 to the CPU fallback");
         assert!(!server.is_degraded(1), "the revived device must re-promote the shard");
         assert_eq!(server.stats().degraded_shards, 0, "stats must reflect current topology");
         assert_eq!(
@@ -973,7 +975,7 @@ mod tests {
     fn two_lost_devices_both_rejoin() {
         // Regression: the lost-device slot used to hold one device, so a
         // second loss overwrote the first and the earlier shard stayed on
-        // its CPU twin forever. With no pool, shards 0 and 2 are lost a
+        // the CPU fallback forever. With no pool, shards 0 and 2 are lost a
         // tick apart; both must re-promote once their outages end.
         let (db, txns) = db_and_txns(240, 32);
         let mut reference = reference(&db, 24, &txns);

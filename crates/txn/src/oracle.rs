@@ -20,7 +20,7 @@
 
 use std::collections::{BinaryHeap, HashMap};
 
-use ltpg_storage::Database;
+use ltpg_storage::{Database, TableId};
 
 use crate::exec::{apply_effects, execute_speculative, execute_serial, Mutation, TxnEffects};
 use crate::txn::{Tid, Txn};
@@ -252,6 +252,16 @@ pub fn check_snapshot_serializable(
     // effects in topo order reproduces exactly what a serial execution
     // in that order would do.
     let mut replay = pre.deep_clone();
+    // Room for every committed insert first, as a write-back makes it.
+    let mut inserts = vec![0; pre.table_count()];
+    for m in all_fx.iter().flat_map(|fx| &fx.mutations) {
+        if let Mutation::Insert { table, .. } = m {
+            inserts[usize::from(table.0)] += 1;
+        }
+    }
+    for (t, &n) in inserts.iter().enumerate().filter(|(_, &n)| n > 0) {
+        replay.reserve(TableId(t as u16), n);
+    }
     for &i in &order {
         apply_effects(&mut replay, &all_fx[i]).map_err(|_| Violation::StateMismatch {
             expected: 0,
@@ -292,7 +302,7 @@ mod tests {
     use super::*;
     use crate::ir::{IrOp, Src};
     use crate::txn::{ProcId, Txn};
-    use ltpg_storage::{ColId, TableBuilder, TableId};
+    use ltpg_storage::{ColId, TableBuilder};
 
     fn db() -> (Database, TableId) {
         let mut d = Database::new();

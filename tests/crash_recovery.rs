@@ -16,7 +16,7 @@
 
 use ltpg::{
     BatchSummary, DurabilityManager, Executor, FaultHorizon, FaultInjector, FaultPlan, LtpgConfig,
-    LtpgEngine, LtpgServer, OneDevice, OptFlags, RecoveryError, ServerConfig, Topology,
+    LtpgEngine, LtpgServer, OneDevice, OptFlags, RecoveryError, Server, ServerConfig, Topology,
 };
 use ltpg_bench::ltpg_tpcc_config;
 use ltpg_shard::{Partitioner, RebalanceOp, RebalancePlan, ShardedServer, TableRule};
@@ -525,6 +525,190 @@ fn forced_device_loss_drains_remaining_workload_on_cpu_identically() {
     }
 }
 
+// ---- One decision procedure under log pressure. ----
+
+/// Transactions of the log-pressure stream, one audit row each.
+const PRESSURE_TXNS: usize = 1_536;
+
+/// `HOT` (2 columns, 2 048 of 4 096 rows), `TINY` (1 column, 8 rows, all
+/// missing) and `COUNT` (the audit: one row of 0 per transaction); with
+/// `warm`, a fourth table `WARM` (1 column, 256 rows, all missing).
+fn pressure_db(warm: bool) -> (Database, [TableId; 3], Option<TableId>) {
+    let mut db = Database::new();
+    let hot = db.add_table(TableBuilder::new("HOT").columns(["a", "b"]).capacity(4_096).build());
+    let tiny = db.add_table(TableBuilder::new("TINY").columns(["a"]).capacity(8).build());
+    let count = db.add_table(TableBuilder::new("COUNT").columns(["n"]).capacity(2_048).build());
+    let warm = warm.then(|| db.add_table(TableBuilder::new("WARM").columns(["a"]).capacity(256).build()));
+    db.reserve(hot, 2_048);
+    db.reserve(count, PRESSURE_TXNS);
+    for k in 0..2_048 {
+        db.table_mut(hot).insert(k, &[k, 0]).unwrap();
+    }
+    for k in 0..PRESSURE_TXNS as i64 {
+        db.table_mut(count).insert(k, &[0]).unwrap();
+    }
+    (db, [hot, tiny, count], warm)
+}
+
+/// Transaction `i` reads a random `HOT` key, sets another to its TID and
+/// adds 1 to audit row `i`; every third one also reads 12 distinct missing
+/// `TINY` keys, which run `TINY`'s 128-bucket conflict log out a few dozen
+/// lanes into a 256-lane batch. With `WARM`, another third reads 64
+/// distinct missing `WARM` keys: ≈5 400 in the first batch, which runs out
+/// the 2 048 buckets `WARM`'s log is built with (256 rows for 256
+/// transactions: standard buckets) and makes it large, with 8 192 buckets
+/// that hold what later batches register.
+fn pressure_txns([hot, tiny, count]: [TableId; 3], warm: Option<TableId>) -> Vec<Txn> {
+    let mut state = 0x18;
+    let mut hot_key = move || Src::Const((splitmix64(&mut state) % 2_048) as i64);
+    let missing = |table, from: i64, n| (from..from + n).map(move |key| IrOp::Read { table, key: Src::Const(key), col: ColId(0), out: 1 });
+    (0..PRESSURE_TXNS as i64)
+        .map(|i| {
+            let mut ops = vec![
+                IrOp::Read { table: hot, key: hot_key(), col: ColId(0), out: 0 },
+                IrOp::Update { table: hot, key: hot_key(), col: ColId(0), val: Src::Tid },
+                IrOp::Add { table: count, key: Src::Const(i), col: ColId(0), delta: Src::Const(1) },
+            ];
+            match (i % 3, warm) {
+                (1, _) => ops.extend(missing(tiny, 1_000 + 12 * i, 12)),
+                (2, Some(warm)) => ops.extend(missing(warm, 1_000 + 64 * i, 64)),
+                _ => {}
+            }
+            Txn::new(ProcId(0), vec![], ops)
+        })
+        .collect()
+}
+
+/// The audit oracle, which shares nothing with the engine: summed over the
+/// shards' `COUNT` slices, row `k` must read 1 if transaction `k` (TID
+/// `k + 1`) was acknowledged and 0 if not. Fails with how many rows were
+/// applied more than once, lost although acknowledged, or applied unacknowledged.
+fn audit(at: &str, dbs: &[&Database], count: TableId, acked: &[bool]) {
+    let mut wrong = [0; 3];
+    for (k, &acked) in acked.iter().enumerate() {
+        let applied: i64 = (dbs.iter().map(|db| db.table(count)))
+            .filter_map(|table| table.lookup(k as i64).map(|rid| table.get(rid, ColId(0))))
+            .sum();
+        match (applied, acked) {
+            (2.., _) => wrong[0] += 1,
+            (0, true) => wrong[1] += 1,
+            (1, false) => wrong[2] += 1,
+            _ => {}
+        }
+    }
+    let [twice, lost, unacked] = wrong;
+    assert_eq!(wrong, [0; 3], "{at}: {twice} applied more than once, {lost} acknowledged but lost, {unacked} applied unacknowledged");
+}
+
+/// The live state and the state `recover` rebuilds from the logs pass the
+/// audit, and every recovered slice digests as its live one.
+fn audit_live_and_recovered<T: Topology>(
+    at: &str,
+    server: &Server<T>,
+    cfg: &LtpgConfig,
+    count: TableId,
+    acked: &[bool],
+) {
+    let live: Vec<&Database> = server.shards().execs.iter().map(Executor::database).collect();
+    audit(&format!("{at}, live"), &live, count, acked);
+    let replay = server.topology().replayer();
+    let (recovered, _) = ltpg::recover(&server.shards().durability, cfg, &replay).expect("undamaged logs");
+    for (s, (r, l)) in recovered.iter().zip(&live).enumerate() {
+        assert_eq!(r.state_digest(), l.state_digest(), "{at}: shard {s} recovered vs live");
+    }
+    audit(&format!("{at}, recovered"), &recovered.iter().collect::<Vec<_>>(), count, acked);
+}
+
+/// Serve `txns` (the pressure stream, auditing into `count`), losing shard
+/// `victim`'s device after `lose_after` ticks, and audit live and recovered three ticks after the
+/// loss (some transactions still unacknowledged) and once drained (all of
+/// them). The shard must have degraded, and its CPU fallback must have
+/// aborted `LOG_FULL` lanes as the device did.
+fn serve_under_pressure<T: Topology>(
+    at: &str,
+    server: &mut Server<T>,
+    cfg: &LtpgConfig,
+    (txns, count): (&[Txn], TableId),
+    victim: usize,
+    lose_after: usize,
+) {
+    server.submit_all(txns.iter().cloned());
+    let mut acked = vec![false; PRESSURE_TXNS];
+    let log_full =
+        |server: &Server<T>| server.shards().registries[victim].counter_value(names::ABORT_LOG_EXHAUSTED);
+    let mut full_at_loss = 0;
+    let mut ticks = 0;
+    while let Some(summary) = server.tick() {
+        summary.committed.iter().for_each(|tid| acked[tid.0 as usize - 1] = true);
+        ticks += 1;
+        if ticks == lose_after {
+            server.shards_mut().fail_device(victim);
+        } else if ticks == lose_after + 1 {
+            assert_eq!(server.stats().degraded_shards, 1, "{at}: the loss degrades one shard");
+            full_at_loss = log_full(server);
+        } else if ticks == lose_after + 3 {
+            audit_live_and_recovered(&format!("{at}, tick {ticks}"), server, cfg, count, &acked);
+        }
+        assert!(ticks < 400, "{at}: the queue does not drain");
+    }
+    assert!(ticks > lose_after + 3, "{at}: the stream drained before the audit");
+    assert!(acked.iter().all(|&a| a), "{at}: a transaction was never acknowledged");
+    assert!(log_full(server) > full_at_loss, "{at}: the fallback ran no lane out of its log");
+    audit_live_and_recovered(&format!("{at}, drained"), server, cfg, count, &acked);
+}
+
+/// A server that degrades under conflict-log pressure must decide every
+/// batch as the device did, since every replay — the degradation rebuild,
+/// recovery — re-decides from the log. On one device and on four shards,
+/// losing a device at `sweep` seeded ticks (and, with `checkpoint_every`,
+/// after checkpoints the rebuild starts from), no transaction may be
+/// applied twice and no acknowledged commit lost, live or recovered.
+fn degradation_under_log_pressure(checkpoint_every: Option<usize>, sweep: usize, warm: bool, window: (usize, usize)) {
+    let (db, tables, warm) = pressure_db(warm);
+    let stream = (&pressure_txns(tables, warm)[..], tables[2]);
+    let cfg = LtpgConfig { max_batch: 256, est_accesses_per_txn: 8, ..LtpgConfig::default() };
+    let scfg = ServerConfig { batch_size: 256, checkpoint_every, ..ServerConfig::default() };
+    // One device drains the stream in 53 ticks, four shards (whose logs
+    // hold four times as much) in 13: each loss leaves three ticks to serve.
+    let mut state = 0x18a;
+    for _ in 0..sweep {
+        let (draw, victim) = (splitmix64(&mut state) as usize, splitmix64(&mut state) as usize % 4);
+        let lose_after = 1 + draw % window.0;
+        let at = format!("one device, lost after {lose_after} ticks");
+        let mut server = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
+        serve_under_pressure(&at, &mut server, &cfg, stream, 0, lose_after);
+        let lose_after = 1 + draw % window.1;
+        let at = format!("4 shards, shard {victim} lost after {lose_after} ticks");
+        let part = Partitioner::new(4, TableRule::Hash);
+        let mut server = ShardedServer::new(db.deep_clone(), part, cfg.clone(), scfg.clone());
+        serve_under_pressure(&at, &mut server, &cfg, stream, victim, lose_after);
+    }
+}
+
+#[test]
+fn degradation_under_log_pressure_applies_each_commit_once() {
+    degradation_under_log_pressure(None, 8, false, (48, 9));
+}
+
+/// The rebuild starts from a checkpoint, on engines built from its image
+/// (`TINY`'s log is large from construction: its 256 transactions a batch
+/// outnumber its 8 rows).
+#[test]
+fn degradation_from_a_checkpoint_under_log_pressure_applies_each_commit_once() {
+    degradation_under_log_pressure(Some(4), 3, false, (48, 9));
+}
+
+/// The rebuild and recovery start from checkpoints taken after `WARM`'s
+/// log went from standard to large buckets (and from 2 048 buckets to
+/// 8 192) at its first batch: an engine built from such an image must
+/// take over the sizing the live log had reached, or the batches after the
+/// checkpoint run out of log where the live ones did not. Only one device
+/// runs out so; four shards' logs each hold a quarter of the keys.
+#[test]
+fn degradation_from_a_checkpoint_after_a_log_went_large_applies_each_commit_once() {
+    degradation_under_log_pressure(Some(4), 8, true, (12, 9));
+}
+
 /// Satellite of the replication work (ISSUE 6): crashes *inside the
 /// promotion window*. Seeds whose [`FaultPlan`] drew a
 /// [`PromotionCrashpoint`] run with a warm standby attached; the device
@@ -768,3 +952,4 @@ proptest! {
         }
     }
 }
+

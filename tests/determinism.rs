@@ -5,12 +5,15 @@
 //! demand bit-identical outcomes — including across simulator host-thread
 //! counts for LTPG, down to every flag word and simulated-clock bit.
 
-use ltpg::{drive_stream, CpuTwin, ExecScope, LtpgConfig, LtpgEngine, OptFlags};
+use ltpg::{commit_decision, drive_stream, flag, ExecScope, LtpgConfig, LtpgEngine, OptFlags};
 use ltpg_bench::{build_tpcc_engine, ltpg_tpcc_config, run_stream, SystemKind};
 use ltpg_storage::{ColId, Database, TableBuilder, TableId};
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::group::order_by_proc;
-use ltpg_txn::{Batch, BatchEngine, BatchReport, IrOp, ProcId, Src, Tid, TidGen, Txn};
+use ltpg_qa::reference;
+use ltpg_txn::exec::apply_mutation;
+use ltpg_txn::oracle::check_snapshot_serializable;
+use ltpg_txn::{execute_speculative, Batch, BatchEngine, BatchReport, IrOp, ProcId, Src, Tid, TidGen, Txn};
 use ltpg_workloads::tpcc::PROC_DELIVERY;
 use ltpg_workloads::{TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbWorkload};
 
@@ -236,9 +239,9 @@ type Owns = dyn Fn(TableId, i64) -> bool + Sync;
 /// 32 lanes, on a contended YCSB-A table (Zipf 2.5), so that detect arrays
 /// end mid-warp and whole write-back warps abort. Whole, scoped to a shard
 /// owning a third of the rows, and scoped to one owning none (no
-/// write-back warp of it owns a row), every commit, flag word and state
-/// digest must equal the CPU twin's, and both clocks at two host threads
-/// the one-thread engine's.
+/// write-back warp of it owns a row), every flag word must be the exact
+/// reference's, every commit and state what those words and the oracle
+/// say, and both clocks at two host threads the one-thread engine's.
 #[test]
 fn warp_edges_move_no_decision_and_no_charge() {
     const SIZES: [usize; 7] = [1, 31, 32, 33, 65, 33, 1];
@@ -256,7 +259,8 @@ fn warp_edges_move_no_decision_and_no_charge() {
                 lcfg.device.warp_size = warp;
                 (db, gen, lcfg)
             };
-            // Per batch: the batch, its bits and its detect items.
+            // Per batch: the batch, its bits and its detect items; one host
+            // thread is checked against the reference as it goes.
             let engine_run = |threads: usize| {
                 let (db, mut gen, mut lcfg) = setup();
                 lcfg.device.parallel_host_threads = threads;
@@ -264,26 +268,23 @@ fn warp_edges_move_no_decision_and_no_charge() {
                 let items = engine.telemetry().counter(names::LTPG_CONFLICT_LOG_ACCESSES);
                 let mut tids = TidGen::new();
                 let mut history = Vec::new();
-                for n in SIZES {
+                for (k, n) in SIZES.into_iter().enumerate() {
                     let batch = Batch::assemble(vec![], gen.gen_batch(n), &mut tids);
                     let before = items.get();
-                    let (bits, _) = run_batch(&mut engine, &batch, scope.as_ref());
+                    let at = format!("warp {warp}, {who}, batch {k} of {n}");
+                    let bits = if threads == 1 {
+                        checked_batch(&at, &mut engine, &batch, scope.as_ref())
+                    } else {
+                        run_batch(&mut engine, &batch, scope.as_ref()).0
+                    };
                     history.push((batch, bits, items.get() - before));
                 }
                 history
             };
             let (one, two) = (engine_run(1), engine_run(2));
-            let (db, _, lcfg) = setup();
-            let mut twin = CpuTwin::new(db, lcfg);
             for (k, (batch, bits, items)) in one.iter().enumerate() {
                 let at = format!("warp {warp}, {who}, batch {k} of {}", batch.len());
                 assert_eq!(bits, &two[k].1, "{at}: two host threads moved the batch");
-                let prepared = twin.prepare(batch, scope.as_ref());
-                let flags: Vec<u32> = (0..batch.len()).map(|i| prepared.flag_word(i)).collect();
-                assert_eq!(flags, bits.flags, "{at}: flag words against the twin");
-                let report = twin.finish(batch, prepared, scope.as_ref());
-                assert_eq!(report.committed, bits.committed, "{at}: commits against the twin");
-                assert_eq!(twin.database().state_digest(), bits.digest, "{at}: state against the twin");
                 mid_warp |= warp > 1 && items % u64::from(warp) != 0;
                 dead_warp |= scope.is_none()
                     && order_by_proc(batch)
@@ -296,15 +297,59 @@ fn warp_edges_move_no_decision_and_no_charge() {
     assert!(dead_warp, "no write-back warp had every lane abort");
 }
 
-/// The engine at one and two host threads against the CPU twin over
-/// `batches` (fresh, nothing requeued), from copies of `db`, every engine
-/// batch within `scope`: each batch's commits, flag words and state digest
-/// must equal the twin's, and everything the engine decided or charged
-/// must be bit-equal at the two thread counts. With `heavy` lanes, a
-/// helper thread must have produced some (cheap ones may all run inline
-/// while other tests hold the second CPU). Returns the one-thread engine's
-/// bits and the index slots of every table after each batch.
-fn against_the_twin(
+/// `pre` with the mutations of `committed` on rows `owns` keeps applied,
+/// transaction by transaction in TID order: what a scoped write-back of
+/// that commit set leaves. The snapshot oracle checks an unscoped one.
+fn owned_write_back(pre: &Database, committed: &[&Txn], owns: impl Fn(TableId, i64) -> bool) -> Database {
+    let mut db = pre.deep_clone();
+    for txn in committed {
+        let fx = execute_speculative(pre, txn).expect("a committed transaction speculates");
+        for m in fx.mutations.iter().filter(|m| owns(m.row().0, m.row().1)) {
+            apply_mutation(&mut db, m, None).expect("a committed write applies");
+        }
+    }
+    db
+}
+
+/// [`run_batch`], checked: every flag word must be the exact reference's —
+/// or `LOG_FULL` alone, on a lane the log could not hold — the commits must be what the words say, and the
+/// state what the snapshot oracle (within `scope`, the owned write-back)
+/// derives from the pre-batch database.
+fn checked_batch(at: &str, engine: &mut LtpgEngine, batch: &Batch, scope: Option<&ExecScope<'_>>) -> BatchBits {
+    let pre = engine.database().deep_clone();
+    let owns = |t: TableId, k: i64| scope.is_none_or(|s| (s.owns_row)(t, k));
+    let want = reference::flag_words(&pre, engine.config(), batch, owns);
+    let (bits, _) = run_batch(engine, batch, scope);
+    for (i, (&got, &word)) in bits.flags.iter().zip(&want).enumerate() {
+        let expected = if got & flag::LOG_FULL != 0 { flag::LOG_FULL } else { word };
+        assert_eq!(got, expected, "{at}, txn {i}: flag word against the reference");
+    }
+    let reordering = engine.config().opts.logical_reordering;
+    let decided: Vec<Tid> = (batch.txns.iter().zip(&bits.flags))
+        .filter(|&(_, &word)| commit_decision(reordering, word))
+        .map(|(txn, _)| txn.tid)
+        .collect();
+    assert_eq!(bits.committed, decided, "{at}: commits against the words");
+    let committed: Vec<&Txn> = bits.committed.iter().map(|&tid| batch.by_tid(tid).unwrap()).collect();
+    if scope.is_none() {
+        let verdict = check_snapshot_serializable(&pre, &committed, engine.database());
+        assert!(verdict.is_ok(), "{at}: the oracle rejects the batch: {verdict:?}");
+    } else {
+        let digest = owned_write_back(&pre, &committed, owns).state_digest();
+        assert_eq!(bits.digest, digest, "{at}: state against the owned write-back");
+    }
+    bits
+}
+
+/// The engine at one and two host threads over `batches` (fresh, nothing
+/// requeued), from copies of `db`, every batch within `scope`: at one
+/// thread each batch is [`checked_batch`], and everything the engine
+/// decided or charged must be bit-equal at the two thread counts. With
+/// `heavy` lanes, a helper thread must have produced some (cheap ones may
+/// all run inline while other tests hold the second CPU). Returns the
+/// one-thread engine's bits and the index slots of every table after each
+/// batch.
+fn against_the_reference(
     at: &str,
     db: &Database,
     lcfg: &LtpgConfig,
@@ -318,8 +363,12 @@ fn against_the_twin(
         let mut engine = LtpgEngine::with_telemetry(db.deep_clone(), cfg, Registry::new_shared());
         let mut history = Vec::new();
         let mut slots = Vec::new();
-        for batch in batches {
-            history.push(run_batch(&mut engine, batch, scope).0);
+        for (k, batch) in batches.iter().enumerate() {
+            history.push(if threads == 1 {
+                checked_batch(&format!("{at}, batch {k}"), &mut engine, batch, scope)
+            } else {
+                run_batch(&mut engine, batch, scope).0
+            });
             let db = engine.database();
             slots.push((0..db.table_count()).map(|t| db.table(TableId(t as u16)).index_slots()).collect());
         }
@@ -328,16 +377,8 @@ fn against_the_twin(
     let (one, slots, _) = engine_run(1);
     let (two, _, helped) = engine_run(2);
     assert!(helped > 0 || !heavy, "{at}: no helper produced a lane at two threads");
-    let mut twin = CpuTwin::new(db.deep_clone(), lcfg.clone());
-    for (k, batch) in batches.iter().enumerate() {
-        let at = format!("{at}, batch {k}");
-        assert_eq!(one[k], two[k], "{at}: two host threads moved the batch");
-        let prepared = twin.prepare(batch, scope);
-        let flags: Vec<u32> = (0..batch.len()).map(|i| prepared.flag_word(i)).collect();
-        assert_eq!(flags, one[k].flags, "{at}: flag words against the twin");
-        let report = twin.finish(batch, prepared, scope);
-        assert_eq!(report.committed, one[k].committed, "{at}: commits against the twin");
-        assert_eq!(twin.database().state_digest(), one[k].digest, "{at}: state against the twin");
+    for (k, (one, two)) in one.iter().zip(&two).enumerate() {
+        assert_eq!(one, two, "{at}, batch {k}: two host threads moved the batch");
     }
     (one, slots)
 }
@@ -417,7 +458,8 @@ fn deleted_and_written(txn: &Txn) -> (Vec<i64>, Vec<i64>) {
 /// pre-pass resolved in the snapshot. Under a stream whose rows die and
 /// come back (deleted, re-inserted, updated, within a transaction and
 /// across batches), where a delete and an update of one row meet in a
-/// batch, every decision and every state must be the CPU twin's, which
+/// batch, every word must be the reference's and every state the
+/// oracle's, which re-derive each key from the snapshot, and the oracle's
 /// resolves each key at write-back, at one and two host threads. A row
 /// resolved against a stale copy of the database, or carried across the
 /// transaction's own delete and re-insert, writes a dead row.
@@ -425,7 +467,7 @@ fn deleted_and_written(txn: &Txn) -> (Vec<i64>, Vec<i64>) {
 fn rows_that_die_and_come_back_are_written_where_they_live() {
     let (db, t, batches) = churn_stream(0x5eed, 8, 1_024);
     let lcfg = LtpgConfig { max_batch: 1_024, ..LtpgConfig::default() };
-    against_the_twin("churn", &db, &lcfg, &batches, None, false);
+    against_the_reference("churn", &db, &lcfg, &batches, None, false);
     // The stream did what it is for: a delete and an update of one key met
     // in a batch.
     let met = batches.iter().any(|batch| {
@@ -453,7 +495,7 @@ fn rows_that_die_and_come_back_are_written_where_they_live() {
 
 /// A shard carries rows only for what it owns: a scope owning every other
 /// key, over a database holding all of them, must write back exactly what
-/// the twin under that scope writes, and the rows it does not own stay as
+/// its owned write-back says, and the rows it does not own stay as
 /// they were.
 #[test]
 fn a_scoped_shard_carries_rows_only_for_what_it_owns() {
@@ -461,14 +503,13 @@ fn a_scoped_shard_carries_rows_only_for_what_it_owns() {
     let lcfg = LtpgConfig { max_batch: 1_024, ..LtpgConfig::default() };
     let evens = |_: TableId, key: i64| key % 2 == 0;
     let scope = ExecScope { remote: None, owns_row: &evens };
-    let (history, _) = against_the_twin("evens", &db, &lcfg, &batches, Some(&scope), false);
+    let (history, _) = against_the_reference("evens", &db, &lcfg, &batches, Some(&scope), false);
     assert!(history.iter().any(|bits| !bits.committed.is_empty()));
-    let mut twin = CpuTwin::new(db.deep_clone(), lcfg);
+    let mut engine = LtpgEngine::with_telemetry(db.deep_clone(), lcfg, Registry::new_shared());
     for batch in &batches {
-        let prepared = twin.prepare(batch, Some(&scope));
-        twin.finish(batch, prepared, Some(&scope));
+        run_batch(&mut engine, batch, Some(&scope));
     }
-    let out = twin.database().table(t);
+    let out = engine.database().table(t);
     for k in (1..=CHURN_KEYS).filter(|k| k % 2 == 1) {
         let row = |table: &ltpg_storage::Table| table.lookup(k).map(|rid| table.row_values(rid));
         assert_eq!(row(out), row(db.table(t)), "key {k} is not the shard's");
@@ -479,7 +520,7 @@ fn a_scoped_shard_carries_rows_only_for_what_it_owns() {
 /// write-back first grows insert tables' indexes (`reserve_inserts`, after
 /// the execute pre-pass resolved its rows) while Delivery updates ORDERS
 /// and ORDER_LINE rows through rows resolved before the growth, decide and
-/// write what the twin does, at one and two host threads. A small first
+/// write what the reference and the oracle say, at one and two host threads. A small first
 /// batch lays the insert tables' indexes out small, so later ones grow.
 #[test]
 fn a_grown_index_keeps_the_carried_rows() {
@@ -493,7 +534,7 @@ fn a_grown_index_keeps_the_carried_rows() {
         .map(|n| Batch::assemble(vec![], gen.gen_batch(n), &mut tids))
         .into();
     let before: Vec<usize> = (0..db.table_count()).map(|t| db.table(TableId(t as u16)).index_slots()).collect();
-    let (history, slots) = against_the_twin("TPC-C full mix", &db, &lcfg, &batches, None, true);
+    let (history, slots) = against_the_reference("TPC-C full mix", &db, &lcfg, &batches, None, true);
     assert!(history.iter().all(|bits| !bits.committed.is_empty()));
     // A batch after the first grew ORDERS' or ORDER_LINE's index and
     // committed a Delivery, whose updates of those tables carried rows.
@@ -514,10 +555,10 @@ fn a_grown_index_keeps_the_carried_rows() {
 /// TINY, whose 128-bucket log runs out a few dozen lanes into each batch.
 /// So `LOG_FULL` lanes sit between kept ones in the staged detect items,
 /// each dropped back to its start. At one and two host threads the batch
-/// bits must be equal, and against the CPU twin (which never runs out) a
-/// `LOG_FULL` word must carry no other bit, every other word must be the
-/// twin's, and with the engine's `LOG_FULL` words the twin must commit and
-/// write what the engine did. It fails if a lane's items are kept past a
+/// bits must be equal, and against the exact reference (which never runs
+/// out) a `LOG_FULL` word must carry no other bit and every other word
+/// must be the reference's, with commits and state as the words and the
+/// snapshot oracle say. It fails if a lane's items are kept past a
 /// failed registration, if an item carries its entry's position rather
 /// than its modelled bucket, or if a registration into slot 0 skips a
 /// large record's running minimum.
@@ -570,30 +611,24 @@ fn a_log_that_runs_out_mid_batch_drops_only_its_lanes() {
         cfg.device.parallel_host_threads = threads;
         let mut engine = LtpgEngine::with_telemetry(db.deep_clone(), cfg, Registry::new_shared());
         let fresh = engine.conflict_log().resident_bytes();
-        let history: Vec<BatchBits> = batches.iter().map(|batch| run_batch(&mut engine, batch, None).0).collect();
+        let history: Vec<BatchBits> = (batches.iter().enumerate())
+            .map(|(k, batch)| match threads {
+                1 => checked_batch(&format!("batch {k}"), &mut engine, batch, None),
+                _ => run_batch(&mut engine, batch, None).0,
+            })
+            .collect();
         assert!(engine.conflict_log().resident_bytes() > fresh, "HOT's log must grow");
         history
     };
     let (one, two) = (engine_run(1), engine_run(2));
-    let mut twin = CpuTwin::new(db.deep_clone(), lcfg.clone());
     let mut kept_after_full = 0;
-    for (k, batch) in batches.iter().enumerate() {
-        assert_eq!(one[k], two[k], "batch {k}: two host threads moved the batch");
-        let mut prepared = twin.prepare(batch, None);
+    for (k, (one, two)) in one.iter().zip(&two).enumerate() {
+        assert_eq!(one, two, "batch {k}: two host threads moved the batch");
         let mut full_seen = false;
-        for (i, &word) in one[k].flags.iter().enumerate() {
-            if word & ltpg::flag::LOG_FULL != 0 {
-                assert_eq!(word, ltpg::flag::LOG_FULL, "batch {k}, txn {i}: a dropped lane raised a flag");
-                prepared.set_flag_word(i, word);
-                full_seen = true;
-            } else {
-                assert_eq!(word, prepared.flag_word(i), "batch {k}, txn {i}: flag word against the twin");
-                kept_after_full += usize::from(full_seen && word != 0);
-            }
+        for &word in &one.flags {
+            full_seen |= word & flag::LOG_FULL != 0;
+            kept_after_full += usize::from(full_seen && word != 0 && word & flag::LOG_FULL == 0);
         }
-        let report = twin.finish(batch, prepared, None);
-        assert_eq!(report.committed, one[k].committed, "batch {k}: commits against the twin");
-        assert_eq!(twin.database().state_digest(), one[k].digest, "batch {k}: state against the twin");
     }
     assert!(kept_after_full > 0, "no kept lane after a LOG_FULL one raised a conflict");
 }

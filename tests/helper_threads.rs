@@ -69,10 +69,8 @@ fn a_sharded_server_keeps_p_minus_one_helpers_per_shard_until_dropped() {
         .shards()
         .execs
         .iter()
-        .map(|e| match e {
-            Executor::Gpu(engine) => engine.device().stats().helper_lanes,
-            _ => 0,
-        })
+        .filter_map(Executor::gpu)
+        .map(|engine| engine.device().stats().helper_lanes)
         .sum();
     let live = helper_threads().expect("the thread list was readable a moment ago");
     println!(

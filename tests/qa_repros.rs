@@ -4,9 +4,10 @@
 //! by the `ltpg-qa` shrinker, or promoted by hand from a proptest
 //! regression seed). Replaying them on every test run turns each
 //! once-found bug into a permanent regression test: the full differential
-//! check — GPU engine vs CPU twin vs oracle, the system under test stacked
-//! from the file's layers against a single-device reference, WAL replay,
-//! rival schedulers — must now run clean on all of them. A file is a case,
+//! check — the engine vs the exact reference and the oracle, the system
+//! under test stacked from the file's layers against a single-device
+//! reference, WAL replay, rival schedulers — must now run clean on all of
+//! them. A file is a case,
 //! not a seed, so generator changes never move what it replays.
 
 use std::path::PathBuf;

@@ -153,7 +153,7 @@ fn four_shard_failover() -> Observed {
 
     assert_slices_match(&sharded, &single);
     assert_eq!(sharded.stats().failovers, 1);
-    assert_eq!(sharded.stats().degraded_shards, 0, "failover must not touch the CPU twin");
+    assert_eq!(sharded.stats().degraded_shards, 0, "failover must not touch the CPU fallback");
     for s in 0..4 {
         assert!(!sharded.is_degraded(s));
     }
@@ -242,7 +242,7 @@ fn replicated_runs_are_the_same_run_twenty_times() {
 /// Replicated chaos schedules route through the QA differential runner:
 /// on 2 and 4 shards, {direct, front-end} ingress × {no plan, a cutover at
 /// batch 1} × a shard kill before tick {0, 1, 2} × {0, 1} standby rows must
-/// pass every differential assertion (engine vs CPU twin, lockstep, slice
+/// pass every differential assertion (engine vs the exact reference, lockstep, slice
 /// digests, WAL replay, and the rival schedulers where the seed draws
 /// them). The sweep holds a loss exactly at the cutover tick and a
 /// failover under front-end ingress.
@@ -265,7 +265,7 @@ fn qa_runner_accepts_replicated_chaos_schedules() {
             Err(d) => panic!("replicated chaos schedule diverged: {d}\n{}", ltpg_qa::repro::to_text(&case)),
         }
     }
-    for cell in [Cell::Promotion, Cell::TwinDegradation, Cell::LossAtCutover, Cell::LossUnderFront] {
+    for cell in [Cell::Promotion, Cell::Degradation, Cell::LossAtCutover, Cell::LossUnderFront] {
         assert!(fired[cell as usize] > 0, "no case fired {cell:?}: {fired:?}");
     }
 }
@@ -304,7 +304,7 @@ fn a_standby_catching_up_over_a_corrupt_frame_is_demoted_with_its_cause() {
     server.force_device_failure();
     server.drain(400);
 
-    assert!(server.is_degraded(), "the only row was demoted, so the twin took over");
+    assert!(server.is_degraded(), "the only row was demoted, so the CPU fallback took over");
     assert_eq!(server.database().state_digest(), reference.database().state_digest());
     let reg = server.telemetry();
     assert_eq!(reg.counter_value(names::REPLICA_DEMOTIONS), 1);

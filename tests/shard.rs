@@ -109,7 +109,7 @@ fn four_shards_match_single_device_after_losing_one() {
     assert_eq!(a.aborted, b.aborted);
     sharded.force_shard_failure(1);
     assert_lockstep(&mut sharded, &mut single);
-    assert!(sharded.is_degraded(1), "lost shard must fall back to the CPU twin");
+    assert!(sharded.is_degraded(1), "lost shard must degrade to the CPU fallback");
     for s in [0, 2, 3] {
         assert!(!sharded.is_degraded(s), "healthy shard {s} must stay on its device");
     }
@@ -133,7 +133,7 @@ fn index_slots(db: &Database) -> Vec<usize> {
 ///   database was replaced since the one before),
 /// - a standby row, attached to the empty slices, replays the growths and
 ///   is promoted when shard 1's device is lost,
-/// - shard 2, lost with the pool spent, is rebuilt on the CPU twin and
+/// - shard 2, lost with the pool spent, is rebuilt on the CPU fallback and
 ///   grows its slice there, and
 /// - crash recovery replays, from the last checkpoint, batches that grow
 ///   the image's indexes again.
@@ -194,9 +194,9 @@ fn four_tpcc_shards_grow_their_slice_indexes_and_match_one_device() {
         let now = slots(&sharded);
         let durability = &sharded.shards().durability;
         // The promotion and the rebuild move every shard to another
-        // database (the promoted standby row's, the twins' replay): another
-        // table to its image. Shards 1 and 2 then serve from the promoted
-        // row and the twin.
+        // database (the promoted standby row's, the rebuild's replay):
+        // another table to its image. Shards 1 and 2 then serve from the
+        // promoted row and the CPU fallback.
         for s in [0, 3] {
             let dur = &durability[s];
             if dur.checkpoint_batch() != cut[s] {

@@ -168,7 +168,7 @@ fn every_row_leaves_the_same_history_on_every_topology() {
         }
         // Same device operations under both one-device servers: the same
         // fault accounting, pool traffic and, on the device, clock (the
-        // lockstep round re-adds the CPU twin's total from its halves,
+        // lockstep round re-adds the CPU fallback's total from its halves,
         // which may differ from its report in the last bit).
         let retries = u64::from(scfg.max_transient_retries);
         let exhausted = (0..=retries).all(|op| row.plan.transient_ops.contains(&op));
@@ -195,10 +195,10 @@ fn every_row_leaves_the_same_history_on_every_topology() {
         // for its timed recovery even when it never failed.
         assert_eq!(p.replica[0], u64::from(lost && row.standbys > 0), "{name}: promotions");
         assert_eq!(p.replica[2], u64::from(row.recovers_after.is_some()), "{name}: repromotions");
-        let on_twin = lost && row.standbys == 0 && row.recovers_after.is_none();
+        let on_fallback = lost && row.standbys == 0 && row.recovers_after.is_none();
         assert_eq!(
             (p.degraded_shards, f.degraded_shards, p.faults.fallback_activations),
-            (u32::from(on_twin), u32::from(on_twin), u64::from(lost && row.standbys == 0)),
+            (u32::from(on_fallback), u32::from(on_fallback), u64::from(lost && row.standbys == 0)),
             "{name}: degradation"
         );
         let retried = row.plan.transient_ops.len() as u64 - u64::from(exhausted);
